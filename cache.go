@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 
 	"github.com/sgb-db/sgb/internal/core"
+	"github.com/sgb-db/sgb/internal/exec"
+	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/storage"
 )
@@ -76,10 +78,109 @@ type incrEntry struct {
 	consumed int   // how many snapshot rows the state has absorbed
 	gen      int64 // table generation the entry is synchronized with
 	// stats accumulates the operator work performed building and
-	// maintaining this entry, across every session that used it.
-	stats core.Stats
+	// maintaining this entry, across every session that used it. work is
+	// the block the evaluators charge; flushWork moves it into stats (and
+	// into the per-query block of the query that caused it) before mu is
+	// released.
+	stats, work core.Stats
+
+	// ans is the entry's published answer: written under mu, read by
+	// queries without it.
+	ans atomic.Pointer[answer]
 
 	lastUse atomic.Int64 // cache clock reading at the entry's last use
+}
+
+// built reports whether the entry holds an evaluator.
+func (e *incrEntry) built() bool { return e.inc != nil || e.lat != nil }
+
+// appendSet feeds the next snapshot rows' points to the evaluator.
+func (e *incrEntry) appendSet(ps *geom.PointSet) error {
+	if e.lat != nil {
+		return e.lat.AppendSet(ps, &e.work)
+	}
+	return e.inc.AppendSet(ps)
+}
+
+// groupsAt materializes the evaluator's grouping at one ε level (a
+// single-ε evaluator has only its own).
+func (e *incrEntry) groupsAt(eps float64) (*core.Result, error) {
+	if e.lat != nil {
+		return e.lat.GroupsAt(eps)
+	}
+	return e.inc.Result()
+}
+
+// flushWork charges the evaluator work done since the last flush to
+// the entry's shared counters and to st, the causing query's block
+// (nil for maintenance no query asked for).
+func (e *incrEntry) flushWork(st *core.Stats) {
+	e.stats.Merge(&e.work)
+	st.Merge(&e.work)
+	e.work = core.Stats{}
+}
+
+// maxAnswerLevels bounds the ε levels one answer retains; a sweep
+// asking for more has the rest cut per query.
+const maxAnswerLevels = 16
+
+// answer is an entry's immutable result for one table generation: the
+// groups the evaluator held after absorbing all consumed rows of that
+// generation's snapshot — per ε level for a lattice entry, exactly one
+// level otherwise — each with its memoized aggregate columns. It is
+// valid for a query iff table, gen, and consumed equal the query's
+// snapshot, and for such a query forever: a generation names one row
+// sequence. Publication is copy-on-write under the entry lock (a new
+// level, or a new generation, is a new answer), so readers need one
+// atomic load and no lock. prev keeps the answer of the generation
+// before, for readers whose scan predates the latest mutation; it has
+// no prev of its own, so everything older dies with its generation.
+type answer struct {
+	table    *storage.Table
+	gen      int64
+	consumed int
+	levels   []answerLevel
+	prev     *answer
+}
+
+type answerLevel struct {
+	eps float64
+	g   *exec.Grouping
+}
+
+// covers reports whether the answer describes exactly the given
+// snapshot.
+func (a *answer) covers(t *storage.Table, gen int64, n int) bool {
+	return a != nil && a.table == t && a.gen == gen && a.consumed == n
+}
+
+// level returns the grouping at eps, or nil.
+func (a *answer) level(eps float64) *exec.Grouping {
+	for _, l := range a.levels {
+		if l.eps == eps {
+			return l.g
+		}
+	}
+	return nil
+}
+
+// serve returns the groupings at every level of epsList when the
+// answer (or its predecessor) covers the snapshot and holds them all;
+// nil otherwise.
+func (a *answer) serve(t *storage.Table, gen int64, n int, epsList []float64) []*exec.Grouping {
+	if a != nil && !a.covers(t, gen, n) {
+		a = a.prev
+	}
+	if !a.covers(t, gen, n) {
+		return nil
+	}
+	gs := make([]*exec.Grouping, len(epsList))
+	for i, eps := range epsList {
+		if gs[i] = a.level(eps); gs[i] == nil {
+			return nil
+		}
+	}
+	return gs
 }
 
 // evalCache is the sharded, LRU-bounded entry store.

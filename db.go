@@ -8,7 +8,6 @@ import (
 
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/exec"
-	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/plan"
 	"github.com/sgb-db/sgb/internal/sqlparser"
@@ -111,11 +110,12 @@ type QueryOptions struct {
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration.
 	Seed int64
-	// Stats, when non-nil, accumulates SGB operator counters. On the
-	// incremental single-ε maintenance path per-query counters are
-	// ignored (cached state outlives any single query's counter block;
-	// see DB.CacheStats for the shared counters); ε-sweep queries do
-	// count their own appended work here.
+	// Stats, when non-nil, accumulates the SGB operator counters of the
+	// work this query performed. On the incremental path that is what
+	// the query itself extracted, appended to cached state, and folded —
+	// all zero when a published answer already held everything; see
+	// DB.CacheStats for the counters cached state accumulates across
+	// queries.
 	Stats *Stats
 	// Incremental enables incremental group maintenance (SET
 	// incremental = on): similarity group-by queries over a bare
@@ -346,7 +346,9 @@ func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
 				fed = append(fed, i)
 			}
 		}
-		if err := e.inc.Remove(fed); err != nil {
+		err := e.inc.Remove(fed)
+		e.flushWork(nil)
+		if err != nil {
 			e.mu.Unlock()
 			db.cache.remove(it)
 			continue
@@ -390,8 +392,7 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 	b.SGBSeed = opt.Seed
 	b.SGBStats = opt.Stats
 	if opt.Incremental {
-		b.SGBIncr = db.sgbIncrGroupFunc
-		b.SGBSweep = db.sgbSweepFunc
+		b.SGBAnswer = db.sgbAnswerFunc
 	}
 	cq, err := b.BuildSelect(sel)
 	if err != nil {
@@ -404,64 +405,71 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 	return &Rows{Columns: cq.Columns, Data: data}, nil
 }
 
-// sgbIncrGroupFunc implements plan.Builder.SGBIncr: it returns the
-// grouping closure the SGB executor node calls with the query's
-// materialized points and the snapshot generation they were scanned
-// at. The closure finds (or creates) the shared cached state for this
-// (table, grouping configuration) pair and appends only the points
-// beyond what the state has already absorbed. Soundness rests on three
-// facts: the planner installs the hook only for bare single-table
-// scans, table snapshots grow append-only between generation changes
-// the cache tracks, and the cache key covers the table identity, the
-// grouping expressions, and every resolved option that can influence
-// the grouping.
+// sgbAnswerFunc implements plan.Builder.SGBAnswer: the one protocol
+// between similarity queries and the shared evaluator cache, for
+// single-ε queries (epsList nil) and EPS IN sweeps alike. Soundness
+// rests on three facts: the planner installs the hook only for bare
+// single-table scans, table snapshots grow append-only between
+// generation changes the cache tracks, and the cache key covers the
+// table identity, the grouping expressions, and every option that can
+// influence the grouping. A sweep's key covers ONLY the metric (plus
+// table and expressions) — SGB-Any components depend on nothing else —
+// so sessions differing in their ε lists share one maintained
+// dendrogram: built up to the first sweep's ε_max, rebuilt at a larger
+// bound when a later sweep exceeds it.
 //
-// Concurrency: the entry's lock is the singleflight slot. N sessions
-// missing on one key at once all acquire the same entry; the first
-// builds the evaluator (charging the work to the entry's shared Stats)
-// and the rest find it current and only read the result — one build
-// total, which DB.CacheStats can prove. A session whose snapshot is
-// OLDER than the entry's generation (a writer advanced the shared
-// state between the session's scan and now) never rewinds shared
-// state; it answers privately with a one-shot evaluation over its own
-// snapshot points.
-func (db *DB) sgbIncrGroupFunc(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc {
-	// Cached state outlives any single query, so per-query knobs that
-	// cannot change the grouping are normalized out of both the handle
-	// and the fingerprint: appends run sequentially (Parallelism), and
-	// a query's Stats block is not retained.
-	opt.Stats = nil
-	opt.Parallelism = 0
-	key := incrKey{
-		table: strings.ToLower(table),
-		fingerprint: fmt.Sprintf("any=%t|metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|hyst=%v|nohull=%t|by=%s",
-			anySem, opt.Metric, opt.Eps, opt.Overlap, opt.Algorithm, opt.Seed,
-			opt.IndexHysteresis, opt.NoHullTest, exprKey),
+// A query whose snapshot the entry's published answer covers takes one
+// atomic load and leaves: no point is extracted, the evaluator is not
+// consulted, and the entry lock is not touched. Otherwise the entry
+// lock is the singleflight slot: N sessions missing at once serialize,
+// the first builds or extends the evaluator (the work lands in the
+// entry's shared Stats and in that query's own block), publishes the
+// generation's answer, and the rest find it. A snapshot that missed a
+// mutation the cache tracked is brought up to date by extracting and
+// appending only the rows past consumed; one the evaluator cannot be
+// synchronized with (another table of the same name, a generation the
+// cache did not follow) rebuilds it. A session whose snapshot is OLDER
+// than the entry never rewinds shared state: it is served the previous
+// generation's answer while that is retained, and evaluates privately
+// (a nil return) after.
+func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.AnswerFunc {
+	// Cached state outlives any single query, so the per-query knobs
+	// that cannot change the grouping are kept out of the evaluator:
+	// appends run sequentially, and the query's Stats block is charged
+	// through flushWork, never retained.
+	st := opt.Stats
+	opt.Stats, opt.Parallelism = nil, 0
+	sweep := len(epsList) > 0
+	key := incrKey{table: strings.ToLower(table)}
+	if sweep {
+		key.fingerprint = "lattice|" + core.Options{Metric: opt.Metric}.Fingerprint() + "|by=" + exprKey
+	} else {
+		epsList = []float64{opt.Eps}
+		key.fingerprint = fmt.Sprintf("any=%t|%s|by=%s", anySem, opt.Fingerprint(), exprKey)
 	}
-	oneShot := func(points *geom.PointSet) (*core.Result, error) {
-		if anySem {
-			return core.SGBAnySet(points, opt)
-		}
-		return core.SGBAllSet(points, opt)
-	}
-	return func(points *geom.PointSet, gen int64) (*core.Result, error) {
+	return func(src exec.Snapshot) ([]*exec.Grouping, error) {
 		t, err := db.cat.Lookup(table)
 		if err != nil {
 			return nil, err
 		}
-		if gen < 0 {
+		if src.Gen < 0 {
 			// Not a table-scan snapshot (hand-built plan): nothing to key
 			// cached state to.
-			return oneShot(points)
+			return nil, nil
 		}
+		n := len(src.Rows)
 		e := db.cache.acquire(key)
+		if gs := e.ans.Load().serve(t, src.Gen, n, epsList); gs != nil {
+			return gs, nil
+		}
 		e.mu.Lock()
-		if e.inc != nil && e.table == t && gen < e.gen {
-			// The shared evaluator moved past this query's snapshot.
-			// Serve the old snapshot privately rather than rewind state
-			// other sessions are advancing.
-			e.mu.Unlock()
-			return oneShot(points)
+		defer e.mu.Unlock()
+		cur := e.ans.Load()
+		if gs := cur.serve(t, src.Gen, n, epsList); gs != nil {
+			return gs, nil // published while this query waited for the lock
+		}
+		if e.built() && e.table == t && src.Gen < e.gen {
+			return nil, nil
 		}
 		// The generation check is the staleness guard: an entry whose
 		// stamp does not match the snapshot's generation missed a
@@ -470,112 +478,66 @@ func (db *DB) sgbIncrGroupFunc(table, exprKey string, anySem bool, opt core.Opti
 		// enough — a delete followed by inserts restoring the old count
 		// would slip past it and serve groups over rows that no longer
 		// exist.
-		if e.inc == nil || e.table != t || e.gen != gen || e.consumed > points.Len() {
-			sem := incr.All
-			if anySem {
-				sem = incr.Any
+		if !e.built() || e.table != t || e.gen != src.Gen || e.consumed > n ||
+			(sweep && e.lat.EpsMax() < opt.Eps) {
+			e.inc, e.lat = nil, nil
+			if sweep {
+				e.lat, err = core.NewLatticeEvaluator(src.Dims, opt)
+			} else {
+				sem, bopt := incr.All, opt
+				if anySem {
+					sem = incr.Any
+				}
+				bopt.Stats = &e.work
+				e.inc, err = incr.New(sem, bopt)
 			}
-			bopt := opt
-			bopt.Stats = &e.stats
-			inc, err := incr.New(sem, bopt)
 			if err != nil {
-				e.mu.Unlock()
 				return nil, err
 			}
-			e.inc, e.lat = inc, nil
-			e.table = t
-			e.consumed = 0
-			e.gen = gen
+			e.table, e.consumed, e.gen = t, 0, src.Gen
 		}
-		if points.Len() > e.consumed {
-			if err := e.inc.AppendSet(points.Slice(e.consumed, points.Len())); err != nil {
+		if n > e.consumed {
+			points, err := src.Points(e.consumed)
+			if err != nil {
+				return nil, err
+			}
+			err = e.appendSet(points)
+			e.flushWork(st)
+			if err != nil {
 				// A torn append leaves the evaluator holding an unknown
 				// prefix; poison the entry so the next query rebuilds.
-				e.inc = nil
-				e.mu.Unlock()
+				e.inc, e.lat = nil, nil
 				return nil, err
 			}
-			e.consumed = points.Len()
+			e.consumed = n
 		}
-		res, err := e.inc.Result()
-		e.mu.Unlock()
-		return res, err
-	}
-}
-
-// sgbSweepFunc implements plan.Builder.SGBSweep: the EPS IN sibling of
-// sgbIncrGroupFunc. Its fingerprint covers ONLY the table, the metric,
-// and the grouping expressions — not ε, and none of the options that
-// cannot change SGB-Any components (algorithm, seed, overlap,
-// hysteresis) — so two sessions differing only in their ε lists share
-// one maintained dendrogram: the first query builds it up to its
-// ε_max, and every later sweep at or below that bound is answered
-// without a single distance computation (asserted by the Stats
-// regression test). A sweep above the cached ε_max rebuilds the entry
-// at the larger bound; INSERTs extend it through the usual consumed /
-// gen protocol; DELETE invalidates it (see noteDelete). The per-query
-// Stats block counts only the work this query's append contributed;
-// the entry's shared counters accumulate the same work for
-// DB.CacheStats.
-func (db *DB) sgbSweepFunc(table, exprKey string, epsList []float64, opt core.Options) exec.SweepFunc {
-	st := opt.Stats // per-query counter block; never retained in the entry
-	opt.Stats = nil
-	opt.Parallelism = 0
-	key := incrKey{
-		table:       strings.ToLower(table),
-		fingerprint: fmt.Sprintf("lattice|metric=%v|by=%s", opt.Metric, exprKey),
-	}
-	epsMax := epsList[len(epsList)-1] // the planner sorts ascending
-	oneShot := func(points *geom.PointSet) ([]*core.Result, error) {
-		o := opt
-		o.Stats = st
-		o.Eps = epsMax
-		return core.SweepAnySet(points, epsList, o)
-	}
-	return func(points *geom.PointSet, gen int64) ([]*core.Result, error) {
-		t, err := db.cat.Lookup(table)
-		if err != nil {
-			return nil, err
+		// Publish: the current answer gains this query's missing levels
+		// when it already describes this snapshot; otherwise a new
+		// generation's answer succeeds it.
+		next := &answer{table: t, gen: src.Gen, consumed: n}
+		if cur.covers(t, src.Gen, n) {
+			next.levels, next.prev = cur.levels[:len(cur.levels):len(cur.levels)], cur.prev
+		} else if cur != nil && cur.table == t {
+			prev := *cur
+			prev.prev = nil
+			next.prev = &prev
 		}
-		if gen < 0 {
-			return oneShot(points)
-		}
-		e := db.cache.acquire(key)
-		e.mu.Lock()
-		if e.lat != nil && e.table == t && gen < e.gen {
-			e.mu.Unlock()
-			return oneShot(points)
-		}
-		if e.lat == nil || e.table != t || e.gen != gen ||
-			e.consumed > points.Len() || e.lat.EpsMax() < epsMax {
-			bopt := opt
-			bopt.Eps = epsMax
-			lat, err := core.NewLatticeEvaluator(points.Dims(), bopt)
+		gs := make([]*exec.Grouping, len(epsList))
+		for i, eps := range epsList {
+			if gs[i] = next.level(eps); gs[i] != nil {
+				continue
+			}
+			res, err := e.groupsAt(eps)
 			if err != nil {
-				e.mu.Unlock()
 				return nil, err
 			}
-			e.lat, e.inc = lat, nil
-			e.table = t
-			e.consumed = 0
-			e.gen = gen
-		}
-		if points.Len() > e.consumed {
-			var qst core.Stats
-			if err := e.lat.AppendSet(points.Slice(e.consumed, points.Len()), &qst); err != nil {
-				e.lat = nil
-				e.mu.Unlock()
-				return nil, err
-			}
-			e.consumed = points.Len()
-			e.stats.Merge(&qst)
-			if st != nil {
-				st.Merge(&qst)
+			gs[i] = exec.NewGrouping(res.Groups)
+			if len(next.levels) < maxAnswerLevels {
+				next.levels = append(next.levels, answerLevel{eps: eps, g: gs[i]})
 			}
 		}
-		res, err := e.lat.Sweep(epsList)
-		e.mu.Unlock()
-		return res, err
+		e.ans.Store(next)
+		return gs, nil
 	}
 }
 

@@ -1,0 +1,317 @@
+package sgb
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/sgb-db/sgb/internal/core"
+	"github.com/sgb-db/sgb/internal/exec"
+	"github.com/sgb-db/sgb/internal/types"
+)
+
+// warmQuery runs sql with incremental maintenance on, checks the rows
+// against a from-scratch evaluation of the same statement, and returns
+// the work the cached path performed.
+func warmQuery(t *testing.T, db *DB, sql string) Stats {
+	t.Helper()
+	var st Stats
+	got, err := db.QueryOpt(sql, QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &st})
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	want, err := db.QueryOpt(sql, QueryOptions{Algorithm: GridIndex})
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if !reflect.DeepEqual(got.Data, want.Data) {
+		t.Fatalf("%s: cached answer differs from a from-scratch evaluation", sql)
+	}
+	return st
+}
+
+// TestWarmHitCostsAnswer pins "a warm cache hit costs O(answer)": over
+// an unchanged table, every query after the one that built a grouping
+// — identical, or with another aggregate list, a HAVING, a top-k, an
+// overlapping ε list, the cube — computes no distance, evaluates no
+// grouping expression, and folds only aggregates no earlier query
+// folded. An INSERT of k rows makes the next query extract exactly k.
+func TestWarmHitCostsAnswer(t *testing.T) {
+	const n = 4000
+	db := Open()
+	loadUniform(t, db, n, 5)
+	type step struct {
+		sql               string
+		extracted, folded int64
+	}
+	const (
+		anyQ   = " FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.1"
+		allQ   = " FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 0.1 ON-OVERLAP JOIN-ANY"
+		sweepQ = " FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN "
+	)
+	steps := []step{
+		{"SELECT count(*), avg(x)" + anyQ, n, 2 * n},
+		{"SELECT count(*), avg(x)" + anyQ, 0, 0},
+		{"SELECT count(*), avg(x)" + anyQ, 0, 0},
+		{"SELECT count(*), max(y)" + anyQ, 0, n},
+		{"SELECT max(y), count(*) + 1, avg(x)" + anyQ, 0, 0},
+		{"SELECT count(*), avg(x)" + anyQ + " HAVING count(*) >= 3", 0, 0},
+		{"SELECT count(*), max(y)" + anyQ + " ORDER BY 1 DESC, 2 DESC LIMIT 10", 0, 0},
+		{"SELECT count(*), min(y)" + allQ, n, 2 * n},
+		{"SELECT min(y), count(*)" + allQ + " HAVING min(y) > 1", 0, 0},
+		{"SELECT eps, count(*)" + sweepQ + "(0.05, 0.1, 0.3)", n, 3 * n},
+		{"SELECT eps, count(*)" + sweepQ + "(0.1, 0.2)", 0, n},
+		{"SELECT eps, count(*), sum(x)" + sweepQ + "(0.05, 0.2, 0.3)", 0, 3 * n},
+		{"SELECT *" + sweepQ + "(0.05, 0.1, 0.2, 0.3) SIMILARITY CUBE BY EPS", 0, 0},
+	}
+	for i, s := range steps {
+		st := warmQuery(t, db, s.sql)
+		if work := st.DistanceComputations + st.RectTests + st.IndexProbes; (work > 0) != (s.extracted > 0) {
+			t.Errorf("step %d (%s): %d distance computations, rectangle tests and probes with %d rows to absorb", i, s.sql, work, s.extracted)
+		}
+		if st.PointsExtracted != s.extracted || st.RowsFolded != s.folded {
+			t.Errorf("step %d (%s): extracted %d rows and folded %d, want %d and %d",
+				i, s.sql, st.PointsExtracted, st.RowsFolded, s.extracted, s.folded)
+		}
+	}
+
+	const k = 7
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO pts VALUES ")
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, %d.5, 3.25)", n+i, i)
+	}
+	mustExec(t, db, ins.String())
+	for _, sql := range []string{
+		"SELECT count(*), avg(x)" + anyQ,
+		"SELECT count(*), min(y)" + allQ,
+		"SELECT eps, count(*)" + sweepQ + "(0.1, 0.2)",
+	} {
+		if st := warmQuery(t, db, sql); st.PointsExtracted != k {
+			t.Errorf("%s after a %d-row INSERT extracted %d rows", sql, k, st.PointsExtracted)
+		}
+		if st := warmQuery(t, db, sql); st != (Stats{}) {
+			t.Errorf("%s repeated after the INSERT did work: %+v", sql, st)
+		}
+	}
+}
+
+// TestAnswerMemoBounds: the ε level past maxAnswerLevels is cut per
+// query and leaves the published answer at its bound; an aggregate
+// that reads another table is never memoized; DROP + re-CREATE of a
+// table with the same name, generation and row count is not served the
+// old table's answer.
+func TestAnswerMemoBounds(t *testing.T) {
+	db := Open()
+	loadUniform(t, db, 600, 9)
+	levels := make([]string, maxAnswerLevels+1)
+	for i := range levels {
+		levels[i] = fmt.Sprint(0.02 * float64(maxAnswerLevels+1-i)) // largest first: one build
+	}
+	sweep := func(ls []string) string {
+		return "SELECT eps, count(*), avg(y) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (" + strings.Join(ls, ", ") + ")"
+	}
+	published := func() int {
+		t.Helper()
+		for _, it := range db.cache.items() {
+			if strings.HasPrefix(it.key.fingerprint, "lattice|") {
+				return len(it.e.ans.Load().levels)
+			}
+		}
+		t.Fatal("no lattice entry")
+		return 0
+	}
+	warmQuery(t, db, sweep(levels[:maxAnswerLevels]))
+	if got := published(); got != maxAnswerLevels {
+		t.Fatalf("%d levels published, want %d", got, maxAnswerLevels)
+	}
+	for rep := 0; rep < 2; rep++ {
+		st := warmQuery(t, db, sweep(levels))
+		if st.RowsFolded != 2*600 || st.PointsExtracted != 0 || st.DistanceComputations != 0 {
+			t.Fatalf("sweep with a 17th level: %+v, want only that level's two aggregates folded", st)
+		}
+		if got := published(); got != maxAnswerLevels {
+			t.Fatalf("%d levels published after a 17-level sweep, want %d", got, maxAnswerLevels)
+		}
+	}
+
+	mustExec(t, db, "CREATE TABLE picked (id INT)")
+	mustExec(t, db, "INSERT INTO picked VALUES (1), (2), (3)")
+	sub := "SELECT count(*), array_agg(id IN (SELECT id FROM picked)) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.1"
+	warmQuery(t, db, sub)
+	mustExec(t, db, "INSERT INTO picked VALUES (4), (5)")
+	if st := warmQuery(t, db, sub); st.RowsFolded != 600 {
+		t.Fatalf("aggregate over a subquery folded %d rows on repeat, want all 600 (never memoized)", st.RowsFolded)
+	}
+
+	q := "SELECT count(*), sum(x) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5"
+	warmQuery(t, db, q)
+	mustExec(t, db, "DROP TABLE pts")
+	loadUniform(t, db, 600, 10) // same name, generation and length; other rows
+	if st := warmQuery(t, db, q); st.PointsExtracted != 600 {
+		t.Fatalf("query after DROP + re-CREATE extracted %d rows, want a rebuild over all 600", st.PointsExtracted)
+	}
+}
+
+// TestOlderSnapshotServedFromPreviousAnswer interleaves, through a
+// hand-built plan, what a concurrent session can do between a query's
+// scan and its cache lookup: a DELETE and a query that publishes the
+// new generation's answer. The scan that predates the DELETE is served
+// the old generation's answer — no extraction, the old rows' result.
+// After a second mutation that answer is gone and the old scan is
+// evaluated privately, with the same result and shared state intact.
+func TestOlderSnapshotServedFromPreviousAnswer(t *testing.T) {
+	db := Open()
+	loadUniform(t, db, 500, 3)
+	const sql = "SELECT count(*), sum(id) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.4"
+	tbl, err := db.cat.Lookup("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mutations := range []int{1, 2} {
+		before := mustQuery(t, db, sql)
+		warmQuery(t, db, sql)
+		var st core.Stats
+		opt := core.Options{Metric: L2, Eps: 0.4, Algorithm: core.GridIndex, Stats: &st}
+		serve := db.sgbAnswerFunc("pts", "x,y", true, nil, opt)
+		served := false
+		node := &exec.SGB{
+			Input: &exec.SeqScan{Table: tbl},
+			GroupExprs: []exec.Scalar{
+				func(r types.Row) (types.Value, error) { return r[1], nil },
+				func(r types.Row) (types.Value, error) { return r[2], nil },
+			},
+			Any: true, Opt: opt,
+			Aggs: []exec.AggSpec{
+				{Kind: exec.AggCountStar, Key: "count(*)"},
+				{Kind: exec.AggSum, Args: []exec.Scalar{func(r types.Row) (types.Value, error) { return r[0], nil }}, Key: "sum(id)"},
+			},
+			Answer: func(src exec.Snapshot) ([]*exec.Grouping, error) {
+				for m := 0; m < mutations; m++ {
+					mustExec(t, db, fmt.Sprintf("DELETE FROM pts WHERE id %% 50 = %d", 7*mutations+m))
+					warmQuery(t, db, sql)
+				}
+				gs, err := serve(src)
+				served = gs != nil
+				return gs, err
+			},
+		}
+		got, err := exec.Run(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, before.Data) {
+			t.Fatalf("%d mutation(s) behind: the old scan's rows differ from the pre-DELETE result", mutations)
+		}
+		if served != (mutations == 1) || (st.PointsExtracted == 0) != served {
+			t.Fatalf("%d mutation(s) behind: served from a published answer = %v, extracted %d rows", mutations, served, st.PointsExtracted)
+		}
+		if st := warmQuery(t, db, sql); st.PointsExtracted != 0 {
+			t.Fatalf("the old-snapshot reader disturbed shared state: next query extracted %d rows", st.PointsExtracted)
+		}
+	}
+}
+
+// TestAnswerMultiSessionEquivalence runs a seeded INSERT / DELETE /
+// query interleaving on four sessions at once (run it under -race).
+// Every query a session completes with the table unchanged around it
+// is repeated with incremental maintenance off and must match row for
+// row; when the sessions have drained, every statement shape is
+// compared once more on the quiescent table.
+func TestAnswerMultiSessionEquivalence(t *testing.T) {
+	db := Open()
+	loadUniform(t, db, 400, 77)
+	tbl, err := db.cat.Lookup("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"SELECT count(*), avg(x) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5",
+		"SELECT count(*), max(y) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 HAVING count(*) >= 2",
+		"SELECT count(*), min(x) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 0.5 ON-OVERLAP JOIN-ANY",
+		"SELECT count(*), sum(y) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.5 ON-OVERLAP ELIMINATE",
+		"SELECT eps, count(*), avg(y) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.2, 0.5, 0.9)",
+		"SELECT eps, count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 0.7)",
+		"SELECT * FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.2, 0.7) SIMILARITY CUBE BY EPS",
+	}
+	compare := func(on, off *Session, sql string) (bool, error) {
+		g0 := tbl.Generation()
+		got, err := on.Query(sql)
+		if err != nil {
+			return false, err
+		}
+		want, err := off.Query(sql)
+		if err != nil {
+			return false, err
+		}
+		if tbl.Generation() != g0 {
+			return false, nil // a mutation landed between the two reads
+		}
+		if !reflect.DeepEqual(got.Data, want.Data) {
+			return false, fmt.Errorf("%s: incremental on and off differ at generation %d", sql, g0)
+		}
+		return true, nil
+	}
+
+	const sessions, ops = 4, 120
+	var wg sync.WaitGroup
+	errs := make([]error, sessions)
+	compared := make([]int, sessions)
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			on, off := db.NewSession(), db.NewSession()
+			on.SetOptions(QueryOptions{Algorithm: GridIndex, Seed: 11, Incremental: true})
+			off.SetOptions(QueryOptions{Algorithm: GridIndex, Seed: 11})
+			rng := rand.New(rand.NewSource(int64(100 + s)))
+			nextID := 10000 * (s + 1)
+			for i := 0; i < ops && errs[s] == nil; i++ {
+				switch p := rng.Intn(10); {
+				case p < 6:
+					ok, err := compare(on, off, queries[rng.Intn(len(queries))])
+					if ok {
+						compared[s]++
+					}
+					errs[s] = err
+				case p < 8:
+					var b strings.Builder
+					b.WriteString("INSERT INTO pts VALUES ")
+					for k, n := 0, 1+rng.Intn(4); k < n; k++ {
+						if k > 0 {
+							b.WriteString(", ")
+						}
+						fmt.Fprintf(&b, "(%d, %g, %g)", nextID, rng.Float64()*10, rng.Float64()*10)
+						nextID++
+					}
+					_, errs[s] = on.Exec(b.String())
+				default:
+					_, errs[s] = on.Exec(fmt.Sprintf("DELETE FROM pts WHERE id %% 97 = %d", rng.Intn(97)))
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	total := 0
+	for s, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", s, err)
+		}
+		total += compared[s]
+	}
+	t.Logf("%d of the concurrent reads were compared against a from-scratch evaluation", total)
+	on, off := db.NewSession(), db.NewSession()
+	on.SetOptions(QueryOptions{Algorithm: GridIndex, Seed: 11, Incremental: true})
+	off.SetOptions(QueryOptions{Algorithm: GridIndex, Seed: 11})
+	for _, sql := range queries {
+		if ok, err := compare(on, off, sql); err != nil || !ok {
+			t.Fatalf("quiescent comparison of %s: ok = %v, err = %v", sql, ok, err)
+		}
+	}
+}

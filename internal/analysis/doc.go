@@ -6,7 +6,8 @@
 //
 //   - lockorder: every Lock/RLock acquisition site respects the
 //     documented partial order DB.wmu > Catalog.mu/Table.mu >
-//     evalCache.evictMu > cacheShard.mu > incrEntry.mu, including
+//     evalCache.evictMu > cacheShard.mu > incrEntry.mu >
+//     exec.Grouping.mu, including
 //     locks acquired by callees while a lock is held; inversions and
 //     double acquisitions are flagged.
 //   - snapshotsafe: outside internal/storage, table row storage is

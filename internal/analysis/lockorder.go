@@ -9,7 +9,8 @@ import (
 // The lockorder analyzer. ARCHITECTURE.md's locking discipline says
 // the engine's locks nest in exactly one order — DB.wmu outermost,
 // then the storage locks (Catalog.mu, Table.mu), then the evaluator
-// cache's evictMu, shard locks, and entry locks innermost. The
+// cache's evictMu, shard locks, and entry locks, and a shared
+// grouping's aggregate-memo lock innermost. The
 // analyzer assigns each documented lock a numeric tier, tracks the
 // held set through every function body (branch bodies fork the state,
 // defers of Unlock pin a lock to the function's end), and checks two
@@ -34,7 +35,7 @@ type lockClass struct {
 
 // lockClasses maps [type name, field name] to the documented tier.
 // Lower tiers are outermost: wmu(10) > Catalog/Table mu(20) >
-// evictMu(25) > shard mu(30) > entry mu(40).
+// evictMu(25) > shard mu(30) > entry mu(40) > Grouping mu(50).
 var lockClasses = map[[2]string]lockClass{
 	{"DB", "wmu"}:            {10, "DB.wmu"},
 	{"Catalog", "mu"}:        {20, "storage.Catalog.mu"},
@@ -42,6 +43,7 @@ var lockClasses = map[[2]string]lockClass{
 	{"evalCache", "evictMu"}: {25, "evalCache.evictMu"},
 	{"cacheShard", "mu"}:     {30, "cacheShard.mu"},
 	{"incrEntry", "mu"}:      {40, "incrEntry.mu"},
+	{"Grouping", "mu"}:       {50, "exec.Grouping.mu"},
 }
 
 // LockOrder checks every lock acquisition against the documented

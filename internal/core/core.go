@@ -127,6 +127,18 @@ type Options struct {
 	NoHullTest bool
 }
 
+// Fingerprint prints every option that can influence which groups an
+// evaluation produces, in a fixed field order. The engine's evaluator
+// cache keys maintained grouping state by it, so two configurations
+// share state exactly when they print alike. Stats and Parallelism are
+// deliberately absent — groupings are bit-identical at every worker
+// count — and TestFingerprintCoversOptions fails when a new field is
+// neither printed here nor listed there as grouping-neutral.
+func (o Options) Fingerprint() string {
+	return fmt.Sprintf("metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|hyst=%v|nohull=%t",
+		o.Metric, o.Eps, o.Overlap, o.Algorithm, o.Seed, o.IndexHysteresis, o.NoHullTest)
+}
+
 // Validate reports whether the options are usable.
 func (o Options) Validate() error {
 	if !(o.Eps > 0) || math.IsInf(o.Eps, 1) {
@@ -192,6 +204,14 @@ type Stats struct {
 	GroupsCreated        int64
 	GroupMerges          int64 // SGB-Any merges
 	RecursionDepth       int   // FORM-NEW-GROUP recursion depth reached
+
+	// Executor-side work of a SQL similarity query (charged by the
+	// exec.SGB node, zero for direct operator calls). Together they make
+	// "a warm cache hit costs O(answer)" assertable: an in-sync cached
+	// answer extracts no points, and an already memoized aggregate folds
+	// no rows.
+	PointsExtracted int64 // rows whose grouping expressions were evaluated
+	RowsFolded      int64 // rows fed to an aggregate accumulator, per aggregate
 
 	// Per-phase wall-clock of the parallel SGB-All pipeline (zero when
 	// the run stayed sequential). The split shows where a worker sweep
@@ -292,6 +312,8 @@ func (s *Stats) merge(o *Stats) {
 	s.IndexUpdates += o.IndexUpdates
 	s.GroupsCreated += o.GroupsCreated
 	s.GroupMerges += o.GroupMerges
+	s.PointsExtracted += o.PointsExtracted
+	s.RowsFolded += o.RowsFolded
 	if o.RecursionDepth > s.RecursionDepth {
 		s.RecursionDepth = o.RecursionDepth
 	}

@@ -54,6 +54,12 @@ func ParseAggKind(name string) (AggKind, bool) {
 type AggSpec struct {
 	Kind AggKind
 	Args []Scalar
+	// Key, when non-empty, identifies the aggregate's value on a given
+	// table: two specs with equal keys compute the same column over the
+	// same grouping, so the similarity node may memoize it on a shared
+	// Grouping. The planner leaves it empty for aggregates that are not
+	// a pure function of the table's rows (subquery arguments).
+	Key string
 }
 
 // Validate checks the arity.
@@ -75,10 +81,13 @@ func (a AggSpec) Validate() error {
 	return nil
 }
 
-// accumulator folds rows into one aggregate value.
+// accumulator folds rows into one aggregate value; reset returns it
+// to its initial state so one accumulator serves every group of a
+// column.
 type accumulator interface {
 	add(row types.Row) error
 	result() types.Value
+	reset()
 }
 
 func (a AggSpec) newAccumulator() accumulator {
@@ -123,6 +132,7 @@ func (c *countAcc) add(row types.Row) error {
 	return nil
 }
 func (c *countAcc) result() types.Value { return types.Int(c.n) }
+func (c *countAcc) reset()              { c.n = 0 }
 
 // sumAcc keeps integer sums exact, promoting to float on the first
 // float input (SQL numeric promotion).
@@ -164,6 +174,7 @@ func (s *sumAcc) result() types.Value {
 	}
 	return types.Int(s.i)
 }
+func (s *sumAcc) reset() { *s = sumAcc{arg: s.arg} }
 
 type avgAcc struct {
 	arg Scalar
@@ -193,6 +204,7 @@ func (a *avgAcc) result() types.Value {
 	}
 	return types.Float(a.sum / float64(a.n))
 }
+func (a *avgAcc) reset() { a.sum, a.n = 0, 0 }
 
 type minmaxAcc struct {
 	arg  Scalar
@@ -228,6 +240,7 @@ func (m *minmaxAcc) result() types.Value {
 	}
 	return m.best
 }
+func (m *minmaxAcc) reset() { m.best, m.seen = types.Value{}, false }
 
 // arrayAcc realizes array_agg / List-ID: it renders the collected
 // values as "[v1, v2, ...]" text (the engine has no array type; the
@@ -249,6 +262,7 @@ func (a *arrayAcc) add(row types.Row) error {
 func (a *arrayAcc) result() types.Value {
 	return types.Text("[" + strings.Join(a.vals, ", ") + "]")
 }
+func (a *arrayAcc) reset() { a.vals = a.vals[:0] }
 
 // polygonAcc realizes ST_Polygon(x, y): the WKT polygon of the convex
 // hull of the group's points — "a polygon that encompasses the group's
@@ -298,6 +312,7 @@ func (p *polygonAcc) result() types.Value {
 	b.WriteString("))")
 	return types.Text(b.String())
 }
+func (p *polygonAcc) reset() { p.pts = p.pts[:0] }
 
 // HashAgg is the standard (equality) GROUP BY operator: one output row
 // per distinct grouping key, laid out as groupValues ++ aggResults.

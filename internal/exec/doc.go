@@ -7,15 +7,18 @@
 //
 // The SGB node is blocking, like the paper's: ELIMINATE and
 // FORM-NEW-GROUP can only be finalized "after processing the complete
-// dataset", so Open materializes the input into a tuple store, extracts
-// the grouping attributes into a flat geom.PointSet, runs the operator
-// core, and folds the configured aggregates over each output group.
-// When its Group hook is set (the engine's incremental maintenance
-// path, installed by the planner for bare single-table scans), the
-// grouping comes from cached per-table state that absorbs only the
-// input's new suffix instead of a one-shot core call; the hook must
-// return a grouping equal to the one-shot evaluation, so downstream
-// aggregation is oblivious to how the groups were obtained.
+// dataset", so Open takes the whole input (a table scan's snapshot as
+// is, anything else drained into a tuple store), extracts the grouping
+// attributes into a flat geom.PointSet, runs the operator core, and
+// folds the configured aggregates over each output group, one column
+// at a time. When its Answer hook is set (the engine's evaluator
+// cache, installed by the planner for bare single-table scans), the
+// hook is asked first, with the rows and a lazy extractor: it may
+// return shared Groupings — whose already folded aggregate columns are
+// then only zipped into rows — after extracting just the input's new
+// suffix, or nothing at all. A Grouping must equal the one-shot
+// evaluation, so downstream operators are oblivious to how the groups
+// were obtained.
 //
 // Invariants: operators follow the Open / Next (nil row = exhausted) /
 // Close contract, may be re-Opened after Close, and never mutate input

@@ -1,0 +1,179 @@
+package exec
+
+import (
+	"math"
+	"sync"
+
+	"github.com/sgb-db/sgb/internal/core"
+	"github.com/sgb-db/sgb/internal/types"
+)
+
+// maxMemoAggs bounds the aggregate columns one Grouping memoizes;
+// further aggregates fold privately per query.
+const maxMemoAggs = 32
+
+// Grouping is one immutable set of output groups over a fixed row
+// sequence, plus the aggregate columns already folded over it. The
+// evaluator cache publishes one per (table generation, ε level) and
+// every query of that generation shares it: an aggregate is folded by
+// the first query that asks for it — once, in member order, so the
+// values are those of a fresh fold — and zipped into output rows by
+// all later ones.
+//
+// A Grouping outlives the query that built it, so it is stored
+// compactly: member row ids as one flat int32 run (row counts beyond
+// 2³¹ do not fit in memory as rows to begin with) and numeric
+// aggregate columns at nine bytes a group.
+type Grouping struct {
+	members []int32 // every group's member row ids, group after group
+	ends    []int32 // group i is members[ends[i-1]:ends[i]]
+
+	mu   sync.Mutex // guards cols (the map, not the columns)
+	cols map[string]*aggColumn
+
+	rollupOnce       sync.Once
+	largest, grouped int
+}
+
+// NewGrouping copies the groups of a similarity evaluation, in order.
+func NewGrouping(groups []core.Group) *Grouping {
+	n := 0
+	for _, grp := range groups {
+		n += len(grp.Members)
+	}
+	g := &Grouping{members: make([]int32, 0, n), ends: make([]int32, len(groups))}
+	for i, grp := range groups {
+		for _, m := range grp.Members {
+			g.members = append(g.members, int32(m))
+		}
+		g.ends[i] = int32(len(g.members))
+	}
+	return g
+}
+
+// Len returns the number of groups.
+func (g *Grouping) Len() int { return len(g.ends) }
+
+// aggColumn is one memoized aggregate column, filled exactly once.
+type aggColumn struct {
+	once sync.Once
+	col  column
+	err  error
+}
+
+// column is one aggregate value per group, in group order. A column
+// of only NULL, INT and FLOAT values — what similarity queries mostly
+// select — is packed as a kind byte and eight payload bytes per group
+// rather than a 48-byte Value; any other column keeps its Values.
+type column struct {
+	vals  []types.Value
+	kinds []uint8
+	nums  []uint64
+}
+
+// pack returns the compact form of vals when every value survives the
+// round trip exactly, and the boxed column otherwise.
+func pack(vals []types.Value) column {
+	c := column{kinds: make([]uint8, len(vals)), nums: make([]uint64, len(vals))}
+	for i, v := range vals {
+		switch v {
+		case types.Null():
+		case types.Int(v.I):
+			c.nums[i] = uint64(v.I)
+		case types.Float(v.F):
+			c.nums[i] = math.Float64bits(v.F)
+		default:
+			return column{vals: vals}
+		}
+		c.kinds[i] = uint8(v.Kind)
+	}
+	return c
+}
+
+// at returns group i's value.
+func (c column) at(i int) types.Value {
+	if c.vals != nil {
+		return c.vals[i]
+	}
+	switch types.Kind(c.kinds[i]) {
+	case types.KindInt:
+		return types.Int(int64(c.nums[i]))
+	case types.KindFloat:
+		return types.Float(math.Float64frombits(c.nums[i]))
+	}
+	return types.Null()
+}
+
+// column returns the aggregate's value for every group. Keyed
+// aggregates are memoized (concurrent first requests coalesce on the
+// column's Once); unkeyed ones, and those beyond maxMemoAggs, fold
+// into a private column. The map is only ever looked up by key, so
+// output never depends on its iteration order.
+func (g *Grouping) column(a AggSpec, rows []types.Row, st *core.Stats) (column, error) {
+	var c *aggColumn
+	if a.Key != "" {
+		g.mu.Lock()
+		c = g.cols[a.Key]
+		if c == nil && len(g.cols) < maxMemoAggs {
+			if g.cols == nil {
+				g.cols = make(map[string]*aggColumn)
+			}
+			c = &aggColumn{}
+			g.cols[a.Key] = c
+		}
+		g.mu.Unlock()
+	}
+	if c == nil {
+		vals, err := g.fold(a, rows, st)
+		return column{vals: vals}, err
+	}
+	c.once.Do(func() {
+		var vals []types.Value
+		if vals, c.err = g.fold(a, rows, st); c.err == nil {
+			c.col = pack(vals)
+		}
+	})
+	return c.col, c.err
+}
+
+// fold computes one aggregate over every group, reading the member
+// rows in place.
+func (g *Grouping) fold(a AggSpec, rows []types.Row, st *core.Stats) ([]types.Value, error) {
+	vals := make([]types.Value, len(g.ends))
+	acc := a.newAccumulator()
+	start := int32(0)
+	for i, end := range g.ends {
+		acc.reset()
+		for _, m := range g.members[start:end] {
+			if err := acc.add(rows[m]); err != nil {
+				return nil, err
+			}
+		}
+		vals[i] = acc.result()
+		start = end
+	}
+	if st != nil {
+		st.RowsFolded += int64(len(g.members))
+	}
+	return vals, nil
+}
+
+// rollup returns the SIMILARITY CUBE measures of the grouping: the
+// largest group's size and the number of rows in groups of two or
+// more.
+func (g *Grouping) rollup() (largest, grouped int) {
+	g.rollupOnce.Do(func() {
+		start := int32(0)
+		for _, end := range g.ends {
+			n := int(end - start)
+			if n > g.largest {
+				g.largest = n
+			}
+			if n >= 2 {
+				g.grouped += n
+			}
+			start = end
+		}
+	})
+	return g.largest, g.grouped
+}

@@ -42,7 +42,11 @@ func Run(op Operator) ([]types.Row, error) {
 // SeqScan scans an in-memory table. Open captures the table's
 // snapshot (rows + generation) in one coherent read, so the scan —
 // and everything computed from it — observes exactly one table state
-// even while concurrent statements mutate the table.
+// even while concurrent statements mutate the table. A similarity node
+// directly above takes the captured pair whole (SGB.materialize): the
+// generation stamps cached evaluator state with the exact table
+// version the rows came from, which re-reading Table.Generation at
+// grouping time could not (concurrent mutations may have advanced it).
 type SeqScan struct {
 	Table *storage.Table
 	rows  []types.Row
@@ -56,13 +60,6 @@ func (s *SeqScan) Open() error {
 	s.pos = 0
 	return nil
 }
-
-// SnapshotGen returns the generation of the snapshot Open captured.
-// The engine's incremental-cache hooks use it to stamp cached
-// evaluator state with the exact table version the scanned rows came
-// from (reading Table.Generation at grouping time instead would race
-// with concurrent mutations).
-func (s *SeqScan) SnapshotGen() int64 { return s.gen }
 
 // Next returns the next snapshot row. The returned slice aliases table
 // storage; downstream operators treat rows as immutable.

@@ -9,13 +9,14 @@ import (
 )
 
 // SGB is the executor node for the similarity group-by operators. Like
-// the paper's PostgreSQL extension it materializes the input into a
-// tuple store (the ELIMINATE and FORM-NEW-GROUP semantics can only be
-// finalized "after processing the complete dataset"), extracts the
-// grouping attributes as multi-dimensional points, runs SGB-All or
-// SGB-Any from internal/core, and then folds the configured aggregates
-// over each output group. Output rows carry the aggregate results in
-// spec order.
+// the paper's PostgreSQL extension it takes the whole input first (the
+// ELIMINATE and FORM-NEW-GROUP semantics can only be finalized "after
+// processing the complete dataset"), extracts the grouping attributes
+// as multi-dimensional points, runs SGB-All or SGB-Any from
+// internal/core, and then folds the configured aggregates over each
+// output group — or has the Answer hook supply groups, and whatever
+// aggregate columns earlier queries folded, from shared state. Output
+// rows carry the aggregate results in spec order.
 //
 // Opt.Parallelism (threaded down from the planner's SGBParallelism /
 // the engine's SET parallelism session setting) selects the worker
@@ -33,13 +34,17 @@ type SGB struct {
 	Opt core.Options
 	// Aggs are computed per output group.
 	Aggs []AggSpec
-	// Group, when non-nil, computes the grouping instead of the
-	// one-shot core entry points — the engine's incremental
-	// maintenance hook (plan.Builder.SGBIncr): the planner installs a
-	// closure that appends only the input's new suffix to cached
-	// per-table evaluator state. The closure must return a grouping
-	// equal to a one-shot evaluation over the given points.
-	Group GroupFunc
+	// Answer, when non-nil, is consulted before the input is extracted
+	// — the engine's evaluator-cache hook (plan.Builder.SGBAnswer). It
+	// returns one Grouping per ε level (one for a single-ε query), or
+	// nil to have the node evaluate one-shot over its own snapshot.
+	Answer AnswerFunc
+	// Group and SweepGroup are the earlier per-shape hooks
+	// (plan.Builder.SGBIncr / SGBSweep), kept for the benchmark's traced
+	// pass: when set and Answer is not, they compute the single-ε
+	// grouping / every sweep level from the fully extracted points.
+	Group      GroupFunc
+	SweepGroup SweepFunc
 
 	// EpsList, when non-empty, runs an ε sweep instead of a single
 	// evaluation (EPS IN (...); SGB-Any only): one shared dendrogram
@@ -53,45 +58,49 @@ type SGB struct {
 	// level: (eps, group_count, largest_group, grouped_fraction) — the
 	// SIMILARITY CUBE BY EPS output. Aggs must be empty.
 	Cube bool
-	// SweepGroup, when non-nil, computes every sweep level from shared
-	// cached state instead of core.SweepAnySet — the engine's
-	// ε-lattice cache hook (plan.Builder.SGBSweep). Results align with
-	// EpsList.
-	SweepGroup SweepFunc
 
 	out []types.Row
 	pos int
 }
 
+// Snapshot is what the SGB node hands the Answer hook: the input rows
+// (for a table scan, the scan's snapshot itself — captured in O(1), not
+// copied), the snapshot generation (-1 when the input is not a table
+// scan, in which case cached state has nothing to key on), and a lazy
+// extractor, so a hook whose cached state already covers a prefix of
+// the rows evaluates the grouping expressions only for the rest — or,
+// when a published answer covers them all, not at all.
+type Snapshot struct {
+	Rows []types.Row
+	Gen  int64
+	// Dims is the number of grouping attributes.
+	Dims int
+	// Points evaluates the grouping expressions of Rows[from:] into a
+	// flat point set.
+	Points func(from int) (*geom.PointSet, error)
+}
+
+// AnswerFunc serves a similarity grouping of the snapshot from state
+// shared across queries. It returns one Grouping per ε level of the
+// query, aligned with SGB.EpsList (exactly one for a single-ε query),
+// each equal to a one-shot evaluation over all of src.Rows; or nil
+// (and no error) when shared state cannot serve this snapshot and the
+// node should evaluate privately.
+type AnswerFunc func(src Snapshot) ([]*Grouping, error)
+
 // GroupFunc computes the similarity grouping over the node's
 // materialized points (indices in the result refer into the set). gen
-// is the generation of the table snapshot the points were scanned
-// from (-1 when the input was not a table scan): cached evaluator
-// state synchronized with these points is synchronized with exactly
-// that table version, so the hook stamps entries with gen instead of
-// re-reading the live generation, which concurrent mutations may have
-// advanced past the scanned rows.
+// is the snapshot generation, as in Snapshot.Gen.
 type GroupFunc func(points *geom.PointSet, gen int64) (*core.Result, error)
 
 // SweepFunc computes the grouping at every ε level of an EPS IN sweep
-// over the node's materialized points, aligned with SGB.EpsList. gen
-// is the scan's snapshot generation, as for GroupFunc.
+// over the node's materialized points, aligned with SGB.EpsList.
 type SweepFunc func(points *geom.PointSet, gen int64) ([]*core.Result, error)
 
-// snapshotGen reports the snapshot generation of the node's input, or
-// -1 when the input does not scan a table (the planner installs the
-// cache hooks only over bare table scans, so -1 reaches a hook only in
-// hand-built plans, which then bypass cached state).
-func (s *SGB) snapshotGen() int64 {
-	if sc, ok := s.Input.(*SeqScan); ok {
-		return sc.SnapshotGen()
-	}
-	return -1
-}
-
-// Open materializes the input, extracts the grouping points, runs the
-// similarity operator (or the incremental Group hook), and folds the
-// aggregates over each output group.
+// Open captures the input, obtains the grouping — from the Answer hook
+// when it can serve the snapshot, otherwise by extracting the grouping
+// points and running the similarity operator — and emits one aggregate
+// row per output group.
 func (s *SGB) Open() error {
 	s.out = nil
 	s.pos = 0
@@ -103,145 +112,172 @@ func (s *SGB) Open() error {
 	if len(s.GroupExprs) == 0 {
 		return fmt.Errorf("exec: similarity grouping requires at least one grouping attribute")
 	}
-	if err := s.Input.Open(); err != nil {
+	if len(s.EpsList) > 0 && !s.Any {
+		return fmt.Errorf("exec: EPS IN sweeps exist for DISTANCE-TO-ANY only")
+	}
+	rows, gen, err := s.materialize()
+	if err != nil {
 		return err
 	}
-	defer s.Input.Close()
+	src := Snapshot{Rows: rows, Gen: gen, Dims: len(s.GroupExprs),
+		Points: func(from int) (*geom.PointSet, error) { return s.extract(rows, from) }}
+	var gs []*Grouping
+	if s.Answer != nil {
+		if gs, err = s.Answer(src); err != nil {
+			return err
+		}
+	}
+	if gs == nil {
+		if gs, err = s.evaluate(src); err != nil {
+			return err
+		}
+	}
+	return s.emit(gs, rows)
+}
 
-	// TupleStore + point extraction. The grouping attributes go
-	// straight into a flat PointSet — one contiguous buffer with stride
-	// d — so the operator core never chases per-row coordinate slices.
+// materialize opens the input and returns its rows: a table scan's
+// snapshot as captured (rows are read in place from then on), any
+// other input drained into a tuple store — the ELIMINATE and
+// FORM-NEW-GROUP semantics can only be finalized "after processing the
+// complete dataset".
+func (s *SGB) materialize() ([]types.Row, int64, error) {
+	if err := s.Input.Open(); err != nil {
+		return nil, -1, err
+	}
+	defer s.Input.Close()
+	if sc, ok := s.Input.(*SeqScan); ok {
+		return sc.rows, sc.gen, nil
+	}
 	var rows []types.Row
-	points := geom.NewPointSet(len(s.GroupExprs))
 	for {
 		row, err := s.Input.Next()
 		if err != nil {
-			return err
+			return nil, -1, err
 		}
 		if row == nil {
-			break
+			return rows, -1, nil
 		}
+		rows = append(rows, row)
+	}
+}
+
+// extract evaluates the grouping attributes of rows[from:] straight
+// into a flat PointSet — one contiguous buffer with stride d — so the
+// operator core never chases per-row coordinate slices.
+func (s *SGB) extract(rows []types.Row, from int) (*geom.PointSet, error) {
+	points := geom.NewPointSet(len(s.GroupExprs))
+	for r, row := range rows[from:] {
 		p := points.Extend()
 		for i, g := range s.GroupExprs {
 			v, err := g(row)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if v.IsNull() {
-				return fmt.Errorf("exec: NULL similarity grouping attribute in row %d", len(rows))
+				return nil, fmt.Errorf("exec: NULL similarity grouping attribute in row %d", from+r)
 			}
 			f, err := v.AsFloat()
 			if err != nil {
-				return fmt.Errorf("exec: similarity grouping attribute %d: %v", i+1, err)
+				return nil, fmt.Errorf("exec: similarity grouping attribute %d: %v", i+1, err)
 			}
 			p[i] = f
 		}
-		rows = append(rows, row)
 	}
+	if st := s.Opt.Stats; st != nil {
+		st.PointsExtracted += int64(len(rows) - from)
+	}
+	return points, nil
+}
 
-	if len(s.EpsList) > 0 {
-		return s.openSweep(rows, points)
-	}
-
-	var res *core.Result
-	var err error
-	switch {
-	case s.Group != nil:
-		res, err = s.Group(points, s.snapshotGen())
-	case s.Any:
-		res, err = core.SGBAnySet(points, s.Opt)
-	default:
-		res, err = core.SGBAllSet(points, s.Opt)
-	}
+// evaluate extracts every point and runs the similarity operator
+// one-shot (or the per-shape hooks): one private Grouping per level.
+func (s *SGB) evaluate(src Snapshot) ([]*Grouping, error) {
+	points, err := src.Points(0)
 	if err != nil {
-		return err
-	}
-
-	for _, g := range res.Groups {
-		out, err := s.foldAggs(rows, g, nil)
-		if err != nil {
-			return err
-		}
-		s.out = append(s.out, out)
-	}
-	return nil
-}
-
-// foldAggs folds the node's aggregates over one group's rows, placing
-// the results after the given prefix values (the sweep path prepends
-// the level's ε).
-func (s *SGB) foldAggs(rows []types.Row, g core.Group, prefix []types.Value) (types.Row, error) {
-	accs := make([]accumulator, len(s.Aggs))
-	for i, a := range s.Aggs {
-		accs[i] = a.newAccumulator()
-	}
-	for _, m := range g.Members {
-		for _, acc := range accs {
-			if err := acc.add(rows[m]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := make(types.Row, 0, len(prefix)+len(s.Aggs))
-	out = append(out, prefix...)
-	for _, acc := range accs {
-		out = append(out, acc.result())
-	}
-	return out, nil
-}
-
-// openSweep evaluates every EPS IN level from one shared dendrogram
-// (via the SweepGroup cache hook or core.SweepAnySet) and emits the
-// per-level output: aggregate rows with ε prepended, or — under Cube —
-// one (eps, group_count, largest_group, grouped_fraction) rollup row
-// per level.
-func (s *SGB) openSweep(rows []types.Row, points *geom.PointSet) error {
-	if !s.Any {
-		return fmt.Errorf("exec: EPS IN sweeps exist for DISTANCE-TO-ANY only")
+		return nil, err
 	}
 	var results []*core.Result
-	var err error
-	if s.SweepGroup != nil {
-		results, err = s.SweepGroup(points, s.snapshotGen())
+	if len(s.EpsList) > 0 {
+		if s.SweepGroup != nil {
+			results, err = s.SweepGroup(points, src.Gen)
+		} else {
+			results, err = core.SweepAnySet(points, s.EpsList, s.Opt)
+		}
+		if err == nil && len(results) != len(s.EpsList) {
+			err = fmt.Errorf("exec: sweep returned %d levels, want %d", len(results), len(s.EpsList))
+		}
 	} else {
-		results, err = core.SweepAnySet(points, s.EpsList, s.Opt)
+		var res *core.Result
+		switch {
+		case s.Group != nil:
+			res, err = s.Group(points, src.Gen)
+		case s.Any:
+			res, err = core.SGBAnySet(points, s.Opt)
+		default:
+			res, err = core.SGBAllSet(points, s.Opt)
+		}
+		results = []*core.Result{res}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(results) != len(s.EpsList) {
-		return fmt.Errorf("exec: sweep returned %d levels, want %d", len(results), len(s.EpsList))
+	gs := make([]*Grouping, len(results))
+	for i, res := range results {
+		gs[i] = NewGrouping(res.Groups)
 	}
-	for li, res := range results {
-		eps := types.Float(s.EpsList[li])
-		if s.Cube {
-			largest, grouped := 0, 0
-			for _, g := range res.Groups {
-				if len(g.Members) > largest {
-					largest = len(g.Members)
-				}
-				if len(g.Members) >= 2 {
-					grouped += len(g.Members)
-				}
-			}
+	return gs, nil
+}
+
+// emit produces the output rows level by level: under Cube one
+// (eps, group_count, largest_group, grouped_fraction) rollup row per
+// level; otherwise one row per group, zipped from the level's
+// aggregate columns (ε prepended in a sweep) into a single flat
+// backing array.
+func (s *SGB) emit(gs []*Grouping, rows []types.Row) error {
+	if s.Cube {
+		for li, g := range gs {
+			largest, grouped := g.rollup()
 			frac := 0.0
 			if n := len(rows); n > 0 {
 				frac = float64(grouped) / float64(n)
 			}
 			s.out = append(s.out, types.Row{
-				eps,
-				types.Int(int64(len(res.Groups))),
+				types.Float(s.EpsList[li]),
+				types.Int(int64(g.Len())),
 				types.Int(int64(largest)),
 				types.Float(frac),
 			})
-			continue
 		}
-		for _, g := range res.Groups {
-			out, err := s.foldAggs(rows, g, []types.Value{eps})
-			if err != nil {
+		return nil
+	}
+	base := 0 // output column of the first aggregate
+	if len(s.EpsList) > 0 {
+		base = 1
+	}
+	width, total := base+len(s.Aggs), 0
+	for _, g := range gs {
+		total += g.Len()
+	}
+	backing := make([]types.Value, total*width)
+	s.out = make([]types.Row, 0, total)
+	cols := make([]column, len(s.Aggs))
+	for li, g := range gs {
+		for j, a := range s.Aggs {
+			var err error
+			if cols[j], err = g.column(a, rows, s.Opt.Stats); err != nil {
 				return err
 			}
-			s.out = append(s.out, out)
+		}
+		for i, n := 0, g.Len(); i < n; i++ {
+			row := backing[:width:width]
+			backing = backing[width:]
+			if base == 1 {
+				row[0] = types.Float(s.EpsList[li])
+			}
+			for j, col := range cols {
+				row[base+j] = col.at(i)
+			}
+			s.out = append(s.out, row)
 		}
 	}
 	return nil

@@ -37,22 +37,24 @@ type Builder struct {
 	SGBSeed int64
 	// SGBStats, when non-nil, accumulates operator statistics.
 	SGBStats *core.Stats
-	// SGBIncr, when non-nil, is consulted for similarity group-by
+	// SGBAnswer, when non-nil, is consulted for similarity group-by
 	// queries whose input is a bare single-table scan (one base table,
-	// no WHERE, no join): it may return a GroupFunc that maintains
-	// cached incremental state for the table across queries — the
-	// engine's INSERT-maintenance path. The shape restriction is what
-	// makes caching sound: only then is the extracted point sequence a
-	// prefix-stable, append-only image of the table. exprKey
-	// fingerprints the grouping expressions; opt is the fully resolved
-	// operator configuration.
-	SGBIncr func(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc
-	// SGBSweep is SGBIncr's ε-sweep sibling: consulted for EPS IN
-	// queries over the same cacheable bare-scan shape, it may return a
-	// SweepFunc backed by a shared per-table dendrogram (one lattice
-	// entry serves every ε list below its ε_max — the cache key
-	// deliberately excludes ε). epsList arrives validated and in
-	// ascending order; opt.Eps is its maximum.
+	// no WHERE, no join, no subquery among the grouping expressions): it
+	// may return an AnswerFunc serving the grouping from state
+	// maintained across queries — the engine's evaluator cache. The
+	// shape restriction is what makes caching sound: only then is the
+	// extracted point sequence a prefix-stable, append-only image of the
+	// table and nothing else. exprKey fingerprints the grouping
+	// expressions; epsList is nil for a single-ε query and otherwise
+	// arrives validated and ascending; opt is the fully resolved
+	// operator configuration (opt.Eps the sweep's maximum).
+	SGBAnswer func(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.AnswerFunc
+	// SGBIncr and SGBSweep are the earlier per-shape hooks SGBAnswer
+	// replaced — computing the single-ε grouping / every level of an
+	// EPS IN sweep from the fully extracted points. The engine no longer
+	// installs them; the benchmark's traced pass still does, and they
+	// apply to the same shape when SGBAnswer is nil.
+	SGBIncr  func(table, exprKey string, anySem bool, opt core.Options) exec.GroupFunc
 	SGBSweep func(table, exprKey string, epsList []float64, opt core.Options) exec.SweepFunc
 }
 
@@ -416,11 +418,22 @@ func (b *Builder) planGroupBy(sel *sqlparser.SelectStmt, in plannedInput) (exec.
 		}
 	}
 
-	var op exec.Operator = &exec.HashAgg{Input: in.op, Groups: groups, Aggs: binder.aggs}
-	if havingPred != nil {
-		op = &exec.Filter{Input: op, Pred: havingPred}
+	op := &exec.HashAgg{Input: in.op, Groups: groups, Aggs: binder.aggs}
+	return project(op, havingPred, selScalars, binder.identity(sel.Items)), outEnv, nil
+}
+
+// project places HAVING and the select-list projection above an
+// aggregation node. An identity projection is elided: the node's rows
+// are already the result rows, and copying each one was the largest
+// cost of a similarity query answered from cached state.
+func project(agg exec.Operator, having exec.Scalar, exprs []exec.Scalar, identity bool) exec.Operator {
+	if having != nil {
+		agg = &exec.Filter{Input: agg, Pred: having}
 	}
-	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
+	if identity {
+		return agg
+	}
+	return &exec.Project{Input: agg, Exprs: exprs}
 }
 
 // planSimilarityGroupBy builds the SGB-All / SGB-Any plan node.
@@ -463,7 +476,7 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 	}
 
 	if len(sim.EpsList) > 0 {
-		return b.planEpsSweep(sel, in, gb, sim, groupExprs, opt)
+		return b.planEpsSweep(sel, in, sim, groupExprs, opt)
 	}
 
 	// ε must be a positive numeric constant.
@@ -503,24 +516,41 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 		Opt:        opt,
 		Aggs:       binder.aggs,
 	}
-	// Incremental maintenance applies only to the cacheable shape: a
-	// bare scan of one base table with no filtering, so the operator's
-	// input is exactly the table's rows in insertion order and a later
-	// query's input extends an earlier one's purely by appending.
-	if b.SGBIncr != nil && sel.Where == nil && len(sel.From) == 1 {
-		if bt, ok := sel.From[0].(*sqlparser.BaseTable); ok {
-			keys := make([]string, len(gb.Exprs))
-			for i, ge := range gb.Exprs {
-				keys[i] = ge.String()
-			}
-			sgbNode.Group = b.SGBIncr(bt.Name, strings.Join(keys, ","), sgbNode.Any, opt)
+	b.installCacheHook(sgbNode, sel)
+	return project(sgbNode, havingPred, selScalars, binder.identity(sel.Items)), outEnv, nil
+}
+
+// installCacheHook wires the engine's evaluator-cache hook into a
+// similarity node over the cacheable shape: a bare scan of one base
+// table with no filtering, so the operator's input is exactly the
+// table's rows in insertion order and a later query's input extends an
+// earlier one's purely by appending. Grouping expressions must be pure
+// functions of the row — a subquery reads other tables, whose changes
+// no key of this table's cached state would notice.
+func (b *Builder) installCacheHook(node *exec.SGB, sel *sqlparser.SelectStmt) {
+	if sel.Where != nil || len(sel.From) != 1 {
+		return
+	}
+	bt, ok := sel.From[0].(*sqlparser.BaseTable)
+	if !ok {
+		return
+	}
+	keys := make([]string, len(sel.GroupBy.Exprs))
+	for i, ge := range sel.GroupBy.Exprs {
+		if !rowPure(ge) {
+			return
 		}
+		keys[i] = ge.String()
 	}
-	var op exec.Operator = sgbNode
-	if havingPred != nil {
-		op = &exec.Filter{Input: op, Pred: havingPred}
+	exprKey := strings.Join(keys, ",")
+	switch sweep := len(node.EpsList) > 0; {
+	case b.SGBAnswer != nil:
+		node.Answer = b.SGBAnswer(bt.Name, exprKey, node.Any, node.EpsList, node.Opt)
+	case sweep && b.SGBSweep != nil:
+		node.SweepGroup = b.SGBSweep(bt.Name, exprKey, node.EpsList, node.Opt)
+	case !sweep && b.SGBIncr != nil:
+		node.Group = b.SGBIncr(bt.Name, exprKey, node.Any, node.Opt)
 	}
-	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
 }
 
 // planEpsSweep lowers the EPS IN (...) / SIMILARITY CUBE BY EPS forms
@@ -529,7 +559,7 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 // and the level's ε rides along as output column 0 — exposed to the
 // projection and HAVING as the pseudo-column "eps" (cube queries
 // instead get the fixed rollup schema and must be SELECT *).
-func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *sqlparser.GroupByClause, sim *sqlparser.SimilarityClause, groupExprs []exec.Scalar, opt core.Options) (exec.Operator, Env, error) {
+func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *sqlparser.SimilarityClause, groupExprs []exec.Scalar, opt core.Options) (exec.Operator, Env, error) {
 	epsList := make([]float64, len(sim.EpsList))
 	for i, e := range sim.EpsList {
 		s, err := compileScalar(e, nil, b)
@@ -568,6 +598,7 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *s
 		selScalars []exec.Scalar
 		outEnv     Env
 		havingPred exec.Scalar
+		identity   bool
 		err        error
 	)
 	if sim.Cube {
@@ -579,10 +610,7 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *s
 		if sel.Having != nil {
 			return nil, nil, fmt.Errorf("plan: HAVING is not supported with SIMILARITY CUBE BY EPS")
 		}
-		for i := 0; i < 4; i++ {
-			idx := i
-			selScalars = append(selScalars, func(row types.Row) (types.Value, error) { return row[idx], nil })
-		}
+		identity = true
 		outEnv = Env{
 			{Name: "eps"},
 			{Name: "group_count"},
@@ -602,25 +630,11 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, gb *s
 			}
 		}
 		sgbNode.Aggs = binder.aggs
+		identity = binder.identity(sel.Items)
 	}
 
-	// The shared-dendrogram cache applies to the same shape SGBIncr
-	// requires: a bare single-table scan, whose point sequence is an
-	// append-only image of the table.
-	if b.SGBSweep != nil && sel.Where == nil && len(sel.From) == 1 {
-		if bt, ok := sel.From[0].(*sqlparser.BaseTable); ok {
-			keys := make([]string, len(gb.Exprs))
-			for i, ge := range gb.Exprs {
-				keys[i] = ge.String()
-			}
-			sgbNode.SweepGroup = b.SGBSweep(bt.Name, strings.Join(keys, ","), epsList, opt)
-		}
-	}
-	var op exec.Operator = sgbNode
-	if havingPred != nil {
-		op = &exec.Filter{Input: op, Pred: havingPred}
-	}
-	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
+	b.installCacheHook(sgbNode, sel)
+	return project(sgbNode, havingPred, selScalars, identity), outEnv, nil
 }
 
 // compileSelectItems compiles the projection through the agg binder.

@@ -14,11 +14,16 @@
 //     SGB-Any never receives Bounds-Checking (Section 7.1).
 //   - The WITHIN threshold must fold to a positive numeric constant at
 //     plan time.
-//   - Incremental maintenance hook: when Builder.SGBIncr is set (the
+//   - Evaluator-cache hook: when Builder.SGBAnswer is set (the
 //     engine's SET incremental path), similarity group-by queries over
-//     a bare single-table scan — one base table, no WHERE, no join —
-//     have their grouping delegated to cached per-table state. The
-//     shape restriction is the soundness condition: only then is the
+//     a bare single-table scan — one base table, no WHERE, no join, no
+//     subquery in a grouping expression — have their grouping, single-ε
+//     or EPS IN, served from cached per-table state. The shape
+//     restriction is the soundness condition: only then is the
 //     extracted point sequence a prefix-stable, append-only image of
 //     the table.
+//   - Aggregates whose printed form determines their value on a table
+//     carry that form as AggSpec.Key, the key cached groupings memoize
+//     aggregate columns under; a select list that is exactly the
+//     aggregation node's output row gets no Project above it.
 package plan

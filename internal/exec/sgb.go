@@ -127,12 +127,13 @@ func (s *SGB) Open() error {
 			return err
 		}
 	}
-	if gs == nil {
+	shared := gs != nil
+	if !shared {
 		if gs, err = s.evaluate(src); err != nil {
 			return err
 		}
 	}
-	return s.emit(gs, rows)
+	return s.emit(gs, rows, shared)
 }
 
 // materialize opens the input and returns its rows: a table scan's
@@ -230,10 +231,12 @@ func (s *SGB) evaluate(src Snapshot) ([]*Grouping, error) {
 
 // emit produces the output rows level by level: under Cube one
 // (eps, group_count, largest_group, grouped_fraction) rollup row per
-// level; otherwise one row per group, zipped from the level's
-// aggregate columns (ε prepended in a sweep) into a single flat
-// backing array.
-func (s *SGB) emit(gs []*Grouping, rows []types.Row) error {
+// level; otherwise one row per group (ε prepended in a sweep), all in
+// a single flat backing array. Shared groupings have their memoized
+// aggregate columns zipped into the rows; the private groupings of a
+// one-shot evaluation, which no later query can reuse, fold straight
+// into them.
+func (s *SGB) emit(gs []*Grouping, rows []types.Row, shared bool) error {
 	if s.Cube {
 		for li, g := range gs {
 			largest, grouped := g.rollup()
@@ -262,9 +265,15 @@ func (s *SGB) emit(gs []*Grouping, rows []types.Row) error {
 	s.out = make([]types.Row, 0, total)
 	cols := make([]column, len(s.Aggs))
 	for li, g := range gs {
-		for j, a := range s.Aggs {
-			var err error
-			if cols[j], err = g.column(a, rows, s.Opt.Stats); err != nil {
+		if shared {
+			for j, a := range s.Aggs {
+				var err error
+				if cols[j], err = g.column(a, rows, s.Opt.Stats); err != nil {
+					return err
+				}
+			}
+		} else if g.Len() > 0 { // backing[base:] needs a row to exist
+			if err := g.fold(s.Aggs, rows, s.Opt.Stats, backing[base:], width); err != nil {
 				return err
 			}
 		}
@@ -274,8 +283,10 @@ func (s *SGB) emit(gs []*Grouping, rows []types.Row) error {
 			if base == 1 {
 				row[0] = types.Float(s.EpsList[li])
 			}
-			for j, col := range cols {
-				row[base+j] = col.at(i)
+			if shared {
+				for j, col := range cols {
+					row[base+j] = col.at(i)
+				}
 			}
 			s.out = append(s.out, row)
 		}

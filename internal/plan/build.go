@@ -418,22 +418,11 @@ func (b *Builder) planGroupBy(sel *sqlparser.SelectStmt, in plannedInput) (exec.
 		}
 	}
 
-	op := &exec.HashAgg{Input: in.op, Groups: groups, Aggs: binder.aggs}
-	return project(op, havingPred, selScalars, binder.identity(sel.Items)), outEnv, nil
-}
-
-// project places HAVING and the select-list projection above an
-// aggregation node. An identity projection is elided: the node's rows
-// are already the result rows, and copying each one was the largest
-// cost of a similarity query answered from cached state.
-func project(agg exec.Operator, having exec.Scalar, exprs []exec.Scalar, identity bool) exec.Operator {
-	if having != nil {
-		agg = &exec.Filter{Input: agg, Pred: having}
+	var op exec.Operator = &exec.HashAgg{Input: in.op, Groups: groups, Aggs: binder.aggs}
+	if havingPred != nil {
+		op = &exec.Filter{Input: op, Pred: havingPred}
 	}
-	if identity {
-		return agg
-	}
-	return &exec.Project{Input: agg, Exprs: exprs}
+	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
 }
 
 // planSimilarityGroupBy builds the SGB-All / SGB-Any plan node.
@@ -517,7 +506,11 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 		Aggs:       binder.aggs,
 	}
 	b.installCacheHook(sgbNode, sel)
-	return project(sgbNode, havingPred, selScalars, binder.identity(sel.Items)), outEnv, nil
+	var op exec.Operator = sgbNode
+	if havingPred != nil {
+		op = &exec.Filter{Input: op, Pred: havingPred}
+	}
+	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
 }
 
 // installCacheHook wires the engine's evaluator-cache hook into a
@@ -598,7 +591,6 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 		selScalars []exec.Scalar
 		outEnv     Env
 		havingPred exec.Scalar
-		identity   bool
 		err        error
 	)
 	if sim.Cube {
@@ -610,7 +602,10 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 		if sel.Having != nil {
 			return nil, nil, fmt.Errorf("plan: HAVING is not supported with SIMILARITY CUBE BY EPS")
 		}
-		identity = true
+		for i := 0; i < 4; i++ {
+			idx := i
+			selScalars = append(selScalars, func(row types.Row) (types.Value, error) { return row[idx], nil })
+		}
 		outEnv = Env{
 			{Name: "eps"},
 			{Name: "group_count"},
@@ -630,11 +625,14 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 			}
 		}
 		sgbNode.Aggs = binder.aggs
-		identity = binder.identity(sel.Items)
 	}
 
 	b.installCacheHook(sgbNode, sel)
-	return project(sgbNode, havingPred, selScalars, identity), outEnv, nil
+	var op exec.Operator = sgbNode
+	if havingPred != nil {
+		op = &exec.Filter{Input: op, Pred: havingPred}
+	}
+	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
 }
 
 // compileSelectItems compiles the projection through the agg binder.

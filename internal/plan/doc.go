@@ -24,6 +24,6 @@
 //     the table.
 //   - Aggregates whose printed form determines their value on a table
 //     carry that form as AggSpec.Key, the key cached groupings memoize
-//     aggregate columns under; a select list that is exactly the
-//     aggregation node's output row gets no Project above it.
+//     aggregate columns under (literals print kind-faithfully: 2 and
+//     2.0 are different keys).
 package plan

@@ -545,49 +545,16 @@ func (b *aggBinder) compile(e sqlparser.Expr) (exec.Scalar, error) {
 	return s, err
 }
 
-// slot returns the output-row index an expression is already bound to
-// — a grouping expression, or an aggregate call seen before, both
-// matched by printed form — or -1. An aggregate call whose printed
-// form does not determine its value (see rowPure) matches nothing.
-func (b *aggBinder) slot(e sqlparser.Expr) int {
+func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
+	// Grouping-expression match (standard GROUP BY only).
 	printed := e.String()
 	for i, gk := range b.groupKeys {
 		if gk != "" && strings.EqualFold(gk, printed) {
-			return i
+			idx := i
+			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
 		}
 	}
-	if fc, ok := e.(*sqlparser.FuncCall); ok {
-		if _, isAgg := exec.ParseAggKind(fc.Name); isAgg && rowPure(fc) {
-			key := strings.ToLower(printed)
-			for i, a := range b.aggs {
-				if a.Key == key {
-					return b.aggBase + i
-				}
-			}
-		}
-	}
-	return -1
-}
-
-// identity reports whether the select list is exactly the aggregation
-// output row, column for column — the projection above it would only
-// copy every row.
-func (b *aggBinder) identity(items []sqlparser.SelectItem) bool {
-	if len(items) != b.aggBase+len(b.aggs) {
-		return false
-	}
-	for i, item := range items {
-		if item.Star || b.slot(item.Expr) != i {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
-	if idx := b.slot(e); idx >= 0 {
-		return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
-	}
+	// Aggregate call.
 	fc, ok := e.(*sqlparser.FuncCall)
 	if !ok {
 		return nil, false, nil
@@ -601,7 +568,13 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	}
 	spec := exec.AggSpec{Kind: kind}
 	if rowPure(fc) {
-		spec.Key = strings.ToLower(fc.String())
+		spec.Key = strings.ToLower(printed)
+		for i, a := range b.aggs {
+			if a.Key == spec.Key {
+				idx := b.aggBase + i
+				return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+			}
+		}
 	}
 	for _, arg := range fc.Args {
 		cs, err := compileScalar(arg, b.baseEnv, b.sp)

@@ -237,11 +237,12 @@ func TestBuilderDefaultsAndHighDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The select list is the node's output row, so no Project sits above.
-	if sgbNode, ok := cq.Root.(*exec.SGB); !ok {
+	if proj, ok := cq.Root.(*exec.Project); ok {
+		if sgbNode, ok := proj.Input.(*exec.SGB); !ok || sgbNode.Opt.Algorithm != core.GridIndex {
+			t.Fatalf("5-d plan did not keep the GridIndex strategy")
+		}
+	} else {
 		t.Fatalf("unexpected plan root %T", cq.Root)
-	} else if sgbNode.Opt.Algorithm != core.GridIndex {
-		t.Fatalf("5-d plan did not keep the GridIndex strategy")
 	}
 	rows, err := Execute(cq)
 	if err != nil {
@@ -354,55 +355,6 @@ func TestHavingWithoutGroupByRejected(t *testing.T) {
 	mustFail(t, cat, "SELECT name FROM users HAVING name = 'ann'", "HAVING")
 }
 
-// TestIdentityProjectionElided: a select list that is the aggregation
-// node's output row, column for column, plans without a Project above
-// it; any other list — reordered, computed, narrower than the node's
-// row because HAVING bound an extra aggregate — keeps one. Results are
-// the select list's either way.
-func TestIdentityProjectionElided(t *testing.T) {
-	cat := testCatalog(t)
-	const sim = " FROM users GROUP BY bal DISTANCE-TO-ANY L2 WITHIN 15"
-	for _, c := range []struct {
-		sql      string
-		identity bool
-		want     string // the single output row
-	}{
-		{"SELECT count(*), sum(uid)" + sim, true, "[3 6]"},
-		{"SELECT count(*), sum(uid)" + sim + " HAVING count(*) > 1", true, "[3 6]"},
-		{"SELECT sum(uid), count(*)" + sim + " HAVING count(*) > 1", true, "[6 3]"},
-		{"SELECT count(*), count(*)" + sim, false, "[3 3]"},
-		{"SELECT count(*) + 1, sum(uid)" + sim, false, "[4 6]"},
-		{"SELECT sum(uid)" + sim + " HAVING count(*) > 1", false, "[6]"},
-		{"SELECT eps, count(*) FROM users GROUP BY bal DISTANCE-TO-ANY L2 EPS IN (15)", true, "[15 3]"},
-		{"SELECT count(*), eps FROM users GROUP BY bal DISTANCE-TO-ANY L2 EPS IN (15)", false, "[3 15]"},
-		{"SELECT uid, count(*) FROM orders GROUP BY uid HAVING count(*) > 1", true, "[1 2]"},
-		{"SELECT count(*), uid FROM orders GROUP BY uid HAVING count(*) > 1", false, "[2 1]"},
-	} {
-		sel, err := sqlparser.ParseSelect(c.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cq, err := NewBuilder(cat).BuildSelect(sel)
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		if _, projected := cq.Root.(*exec.Project); projected == c.identity {
-			t.Errorf("%s: plan root %T, identity projection = %v", c.sql, cq.Root, c.identity)
-		}
-		rows, err := Execute(cq)
-		if err != nil || len(rows) != 1 {
-			t.Fatalf("%s: rows %v, err %v", c.sql, rows, err)
-		}
-		var got []string
-		for _, v := range rows[0] {
-			got = append(got, v.String())
-		}
-		if g := "[" + strings.Join(got, " ") + "]"; g != c.want {
-			t.Errorf("%s: got %s, want %s", c.sql, g, c.want)
-		}
-	}
-}
-
 // TestCacheHookShapeAndMemoKeys: the evaluator-cache hook is installed
 // only over a bare single-table scan whose grouping expressions are
 // pure functions of the row, and only aggregates that are such
@@ -425,6 +377,8 @@ func TestCacheHookShapeAndMemoKeys(t *testing.T) {
 		{"SELECT count(*) FROM users WHERE uid > 1 GROUP BY bal DISTANCE-TO-ANY L2 WITHIN 15", false, []string{"count(*)"}},
 		{"SELECT count(uid IN (SELECT uid FROM orders)), max(name = 'Ann'), max(name = 'ann') FROM users GROUP BY bal DISTANCE-TO-ANY L2 WITHIN 15",
 			true, []string{"", "", "max((name = 'ann'))"}},
+		{"SELECT max(uid + 0), max(uid + 0.0) FROM users GROUP BY bal DISTANCE-TO-ANY L2 WITHIN 15",
+			true, []string{"max((uid + 0))", "max((uid + 0.0))"}},
 	} {
 		sel, err := sqlparser.ParseSelect(c.sql)
 		if err != nil {
@@ -438,12 +392,8 @@ func TestCacheHookShapeAndMemoKeys(t *testing.T) {
 		if hooked != c.hook {
 			t.Errorf("%s: cache hook consulted = %v, want %v", c.sql, hooked, c.hook)
 		}
-		root := cq.Root
-		if p, ok := root.(*exec.Project); ok {
-			root = p.Input
-		}
 		var keys []string
-		for _, a := range root.(*exec.SGB).Aggs {
+		for _, a := range cq.Root.(*exec.Project).Input.(*exec.SGB).Aggs {
 			keys = append(keys, a.Key)
 		}
 		if strings.Join(keys, "|") != strings.Join(c.keys, "|") {

@@ -193,12 +193,22 @@ type Literal struct{ Val types.Value }
 func (*Literal) expr() {}
 
 // String renders the literal in SQL syntax (quoted for text/date).
+// Literals of different kinds or values print differently: the planner
+// matches expressions, and the evaluator cache keys state, by printed
+// form, and 2 and 2.0 do not compute the same thing (max(a + 2) is an
+// INT, max(a + 2.0) a FLOAT).
 func (l *Literal) String() string {
-	if l.Val.Kind == types.KindText {
+	switch l.Val.Kind {
+	case types.KindText:
 		return "'" + strings.ReplaceAll(l.Val.S, "'", "''") + "'"
-	}
-	if l.Val.Kind == types.KindDate {
+	case types.KindDate:
 		return "date '" + l.Val.String() + "'"
+	case types.KindFloat:
+		s := l.Val.String()
+		if !strings.ContainsAny(s, ".eE") {
+			s += ".0" // the marker the parser tells a float from an integer by
+		}
+		return s
 	}
 	return l.Val.String()
 }

@@ -431,3 +431,23 @@ func TestExprStringRoundTrip(t *testing.T) {
 		t.Error("InExpr.String subquery form")
 	}
 }
+
+// TestLiteralStringKeepsKind: printed forms are what the planner
+// matches expressions by, so an INT and a FLOAT literal of the same
+// value must print differently, and a printed literal must parse back
+// to the same kind.
+func TestLiteralStringKeepsKind(t *testing.T) {
+	for src, want := range map[string]string{
+		"2": "2", "2.0": "2.0", "2.": "2.0", "2e0": "2.0", "1e5": "100000.0",
+		"1e21": "1e+21", "0.25": "0.25", "100000": "100000", "'2'": "'2'",
+	} {
+		lit := mustSelect(t, "SELECT "+src+" FROM t").Items[0].Expr.(*Literal)
+		if got := lit.String(); got != want {
+			t.Errorf("%s prints as %q, want %q", src, got, want)
+		}
+		re := mustSelect(t, "SELECT "+lit.String()+" FROM t").Items[0].Expr.(*Literal)
+		if re.Val != lit.Val {
+			t.Errorf("%s: printed form %q parses back to %v (%s)", src, lit, re.Val, re.Val.Kind)
+		}
+	}
+}

@@ -23,7 +23,9 @@ import (
 	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/cluster"
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/tpch"
+	"github.com/sgb-db/sgb/internal/types"
 )
 
 // benchPoints generates the uniform workload of the ε sweeps.
@@ -209,30 +211,55 @@ func BenchmarkParallel(b *testing.B) {
 }
 
 // BenchmarkParallelPhases — the per-phase breakdown of the parallel
-// SGB-All pipeline on the Fig9a workload: wall time per phase
-// (partition / connect / arbitrate / merge, reported as *-ms/op
-// metrics) at each worker count. The sequential residue (partition +
-// merge) bounds the achievable speedup; the breakdown makes a scaling
-// regression attributable to a phase instead of a guess.
+// SGB-All pipeline: wall time per phase (partition / connect /
+// arbitrate / merge, reported as *-ms/op metrics) at each worker count,
+// on the Fig9a workload and on the two DISTANCE-TO-ALL shapes of
+// BenchmarkColdSQL. The sequential residue (partition + merge) bounds
+// the achievable speedup, and connect is work the sequential run never
+// does; the w=1 rows are that sequential run (all phases zero), the
+// baseline core.allAutoMinWorkers was derived against. The breakdown
+// makes a scaling regression attributable to a phase instead of a
+// guess.
 func BenchmarkParallelPhases(b *testing.B) {
-	pts := benchPoints(4000, 1)
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("All/Grid/w=%d", w), func(b *testing.B) {
-			var st sgb.Stats
-			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny,
-				Algorithm: sgb.GridIndex, Seed: 1, Parallelism: w, Stats: &st}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sgb.GroupByAll(pts, opt); err != nil {
-					b.Fatal(err)
+	type phaseCase struct {
+		name    string
+		pts     []sgb.Point
+		opt     sgb.Options
+		workers []int
+	}
+	cases := []phaseCase{{"All/Grid", benchPoints(4000, 1),
+		sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny}, []int{2, 4, 8}}}
+	cold3 := coldPoints(12000)
+	cold2 := make([]sgb.Point, len(cold3))
+	for i, p := range cold3 {
+		cold2[i] = p[:2]
+	}
+	for _, eps := range []float64{0.05, 0.2, 0.8} {
+		cases = append(cases,
+			phaseCase{fmt.Sprintf("Cold/AllLinfJoinAny/eps=%g", eps), cold2,
+				sgb.Options{Metric: sgb.LInf, Eps: eps, Overlap: sgb.JoinAny}, []int{1, 2}},
+			phaseCase{fmt.Sprintf("Cold/AllL2x3Eliminate/eps=%g", eps), cold3,
+				sgb.Options{Metric: sgb.L2, Eps: eps, Overlap: sgb.Eliminate}, []int{1, 2}})
+	}
+	for _, c := range cases {
+		for _, w := range c.workers {
+			b.Run(fmt.Sprintf("%s/w=%d", c.name, w), func(b *testing.B) {
+				var st sgb.Stats
+				opt := c.opt
+				opt.Algorithm, opt.Seed, opt.Parallelism, opt.Stats = sgb.GridIndex, 1, w, &st
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := sgb.GroupByAll(c.pts, opt); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			perOp := func(nanos int64) float64 { return float64(nanos) / 1e6 / float64(b.N) }
-			b.ReportMetric(perOp(st.PartitionNanos), "partition-ms/op")
-			b.ReportMetric(perOp(st.ConnectNanos), "connect-ms/op")
-			b.ReportMetric(perOp(st.ArbitrateNanos), "arbitrate-ms/op")
-			b.ReportMetric(perOp(st.MergeNanos), "merge-ms/op")
-		})
+				perOp := func(nanos int64) float64 { return float64(nanos) / 1e6 / float64(b.N) }
+				b.ReportMetric(perOp(st.PartitionNanos), "partition-ms/op")
+				b.ReportMetric(perOp(st.ConnectNanos), "connect-ms/op")
+				b.ReportMetric(perOp(st.ArbitrateNanos), "arbitrate-ms/op")
+				b.ReportMetric(perOp(st.MergeNanos), "merge-ms/op")
+			})
+		}
 	}
 }
 
@@ -690,6 +717,82 @@ func BenchmarkWarmAnswer(b *testing.B) {
 			benchQuery(b, db, tc.sql)
 			b.ReportMetric(float64(len(rows.Data)), "rows")
 		})
+	}
+}
+
+// coldPoints generates the rows of the end-to-end benchmark's sql_cold
+// table (bench/workload.go: genRows) as (x, y, z) points:
+// Brightkite-profile check-ins with a Gaussian z.
+func coldPoints(n int) []sgb.Point {
+	cfg := checkin.Brightkite(n)
+	r := rand.New(rand.NewSource(cfg.Seed ^ 0x5a17))
+	pts := make([]sgb.Point, n)
+	for i, p := range checkin.Points(cfg) {
+		pts[i] = sgb.Point{p[0], p[1], r.NormFloat64() * 0.25}
+	}
+	return pts
+}
+
+// BenchmarkColdSQL times the statement shapes of the end-to-end
+// benchmark's sql_cold workload (bench/workload.go: coldVariants) one
+// by one: 12 000 Brightkite-profile check-ins with a Gaussian z and a
+// 4-degree cell id, incremental = off so every execution regroups from
+// scratch — DISTANCE-TO-ANY L2, DISTANCE-TO-ALL LINF JOIN-ANY and 3-d
+// DISTANCE-TO-ALL L2 ELIMINATE at ε ∈ {0.05, 0.2, 0.8}, against the
+// GROUP BY cell baseline the paper's headline compares them to. Each
+// shape runs at auto parallelism and at parallelism = 1, so the
+// break-even of the SGB-All pipeline shows on whatever host runs it.
+// docs/pr14-cold-profile.md records its numbers and the profile of
+//
+//	go test -run xxx -bench 'ColdSQL/par=1/AllL2x3Eliminate/eps=0.05' -benchtime 20x -cpuprofile cpu.out
+func BenchmarkColdSQL(b *testing.B) {
+	t := storage.NewTable("checkins", storage.Schema{
+		{Name: "id", Type: types.KindInt},
+		{Name: "x", Type: types.KindFloat},
+		{Name: "y", Type: types.KindFloat},
+		{Name: "z", Type: types.KindFloat},
+		{Name: "cell", Type: types.KindInt},
+	})
+	for i, p := range coldPoints(12000) {
+		t.MustInsert(types.Row{
+			types.Int(int64(i)), types.Float(p[0]), types.Float(p[1]), types.Float(p[2]),
+			types.Int(int64(math.Floor(p[0]/4))*1000 + int64(math.Floor(p[1]/4))),
+		})
+	}
+	db := sgb.Open()
+	if err := db.Catalog().Create(t); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec("SET incremental = off"); err != nil {
+		b.Fatal(err)
+	}
+	const sel = "SELECT count(*), avg(x), max(y) FROM checkins GROUP BY "
+	shapes := []struct{ name, sql string }{
+		{"AnyL2", sel + "x, y DISTANCE-TO-ANY L2 WITHIN %g"},
+		{"AllLinfJoinAny", sel + "x, y DISTANCE-TO-ALL LINF WITHIN %g ON-OVERLAP JOIN-ANY"},
+		{"AllL2x3Eliminate", sel + "x, y, z DISTANCE-TO-ALL L2 WITHIN %g ON-OVERLAP ELIMINATE"},
+	}
+	for _, par := range []struct{ name, set string }{{"auto", "0"}, {"1", "1"}} {
+		if _, err := db.Exec("SET parallelism = " + par.set); err != nil {
+			b.Fatal(err)
+		}
+		run := func(name, sql string) {
+			b.Run("par="+par.name+"/"+name, func(b *testing.B) {
+				rows, err := db.Query(sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				benchQuery(b, db, sql)
+				b.ReportMetric(float64(len(rows.Data)), "rows")
+			})
+		}
+		run("GroupByCell", "SELECT cell, count(*), avg(x), max(y) FROM checkins GROUP BY cell")
+		for _, sh := range shapes {
+			for _, eps := range []float64{0.05, 0.2, 0.8} {
+				run(fmt.Sprintf("%s/eps=%g", sh.name, eps), fmt.Sprintf(sh.sql, eps))
+			}
+		}
 	}
 }
 

@@ -105,8 +105,9 @@ type QueryOptions struct {
 	// GridIndex, which supports any number of grouping attributes).
 	Algorithm Algorithm
 	// Parallelism is the similarity pipeline's worker count: 0 picks
-	// GOMAXPROCS on large inputs, 1 forces sequential evaluation, ≥ 2
-	// forces that many workers. Results are identical at every setting.
+	// GOMAXPROCS on large inputs (DISTANCE-TO-ALL: only from three
+	// workers up), 1 forces sequential evaluation, ≥ 2 forces that many
+	// workers. Results are identical at every setting.
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration.
 	Seed int64

@@ -345,6 +345,50 @@ func TestRecoveryIncrementalEvaluators(t *testing.T) {
 	}
 }
 
+// TestRecoveryParentCheckpoint restores a directory written by the
+// commit before the SGB-All grid finder switched from range to
+// anchor-cell registration (testdata/parent-checkpoint: the first seven
+// statements of recoveryTrace(2, 7) under SET incremental = on, the
+// whole query matrix cached, then CHECKPOINT). Finder structures are
+// never serialized — restore replays groupCreated over the logical
+// state — so the old checkpoint must load, revive every evaluator, and
+// maintain them through further writes exactly as a cold engine
+// regroups.
+func TestRecoveryParentCheckpoint(t *testing.T) {
+	const d = 2
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent-checkpoint/*")
+	if err != nil || len(files) != 2 {
+		t.Fatalf("fixture files: %v, %v", files, err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rdb, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	queries := recoveryQueries(d)
+	if info := rdb.Recovery(); info.EvaluatorsRestored != len(queries) || info.SnapshotsSkipped != 0 {
+		t.Fatalf("recovery = %+v, want %d evaluators restored from the newest snapshot", info, len(queries))
+	}
+	stmts := recoveryTrace(d, 7)
+	mustExec(t, rdb, "SET incremental = on")
+	for k := 7; k <= len(stmts); k++ {
+		if k > 7 {
+			mustExec(t, rdb, stmts[k-1])
+		}
+		sameDBState(t, fmt.Sprintf("after statement %d", k), refDB(t, stmts, k), rdb, d)
+	}
+}
+
 // TestAutoCheckpoint checks SET checkpoint_every triggers snapshots
 // from the log-append path.
 func TestAutoCheckpoint(t *testing.T) {

@@ -54,10 +54,11 @@ const (
 	// Procedure 5) or the processed points (SGB-Any, Procedure 8) in an
 	// R-tree (O(n·log|G|) / O(n log n) average case).
 	OnTheFlyIndex
-	// GridIndex replaces the R-tree with a uniform hash grid of ε-sized
-	// cells: SGB-All registers each group's ε-All rectangle (side ≤ 2ε)
-	// in the ≤3^d cells it covers, SGB-Any keeps processed points in
-	// their home cell; probes scan the 3^d-cell neighborhood. Expected
+	// GridIndex replaces the R-tree with a uniform hash grid: SGB-All
+	// registers each group once, in the cell of its first member (cells
+	// as wide as the probe's reach: ε, or 2ε when overlaps are needed),
+	// SGB-Any keeps processed points in their home ε-cell; probes scan
+	// the 3^d-cell neighborhood. Expected
 	// O(1) per probe plus output size — the fastest strategy for the
 	// fixed-radius queries the operators issue. The open-addressed
 	// hashed-cell table supports any dimensionality, and SGB-Any inputs
@@ -101,8 +102,9 @@ type Options struct {
 
 	// Parallelism selects the worker count of the partition / connect /
 	// arbitrate / merge pipeline. 0 (the default) means GOMAXPROCS,
-	// engaged only for the GridIndex strategy and only once the input
-	// is large enough to amortize the sharding overhead — explicitly
+	// engaged only for the GridIndex strategy, only once the input is
+	// large enough to amortize the sharding overhead and, for SGB-All,
+	// only from three workers up (allAutoMinWorkers) — explicitly
 	// selected comparison strategies (All-Pairs, Bounds-Checking,
 	// R-tree) keep their sequential evaluation shape so the paper's
 	// strategy experiments measure what they name. 1 forces the
@@ -169,6 +171,29 @@ func (o Options) Validate() error {
 // which is what the equivalence tests use to exercise the parallel
 // pipeline on small inputs.
 const parallelThreshold = 4096
+
+// allAutoMinWorkers is the resolved worker count from which auto mode
+// (Parallelism = 0) engages the SGB-All pipeline. The pipeline does
+// more work than the sequential run it replaces: connect is a whole
+// SGB-Any pass the sequential run never makes, traced arbitration
+// costs about one sequential run, and the merge sorts every group and
+// victim by provenance key. With w workers it wins iff
+//
+//	(connect + arbitrate + merge) / w < sequential run,
+//
+// taking the parallel sections as perfectly divisible and ignoring the
+// partition pass. At one core (where a phase timer reads CPU cost) the
+// left-hand sum measured 1.9–2.8× the sequential run on sparse groups
+// (12 000 check-ins, ε = 0.05 and 0.2: ~12k and ~7k groups) and
+// 4.1–4.6× at ε = 0.8 — so two workers can at best tie, on one shape
+// of six, and three is the first count at which the model wins most of
+// them. On the 2-core reference box the w = 2 pipeline ran 1.5–3.4×
+// slower than sequential on all six. `go test -bench
+// ParallelPhases/Cold` reprints the split; ARCHITECTURE.md ("When the
+// SGB-All pipeline pays") tabulates it. An explicit Parallelism ≥ 2
+// is honoured whatever the count, and SGB-Any — whose connect phase IS
+// its whole job — keeps engaging from two workers.
+const allAutoMinWorkers = 3
 
 // workers resolves the effective worker count for an input of n
 // points. Auto mode (Parallelism = 0) engages only for GridIndex:

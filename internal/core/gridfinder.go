@@ -1,97 +1,101 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
 )
 
-// gridFinder is the GridIndex FindCloseGroups for SGB-All: live groups
-// register their ε-All bounding rectangle in every ε-sized cell it
-// covers (at most 3^d cells — the rectangle's sides are bounded by 2ε).
+// gridFinder is the GridIndex FindCloseGroups for SGB-All: every live
+// group is registered ONCE, in the home cell of its anchor — its first
+// member, members[0] — and probes find it by neighbourhood. Every
+// member of a group passed the ε-All rectangle filter, and that
+// rectangle lies inside the anchor's ε-box, so per axis
 //
-//   - Candidates: a group whose ε-All rectangle contains pi is
-//     necessarily registered in pi's home cell, so the candidate probe
-//     is a single directory lookup.
-//   - Overlaps: a group overlapping pi's ε-box is registered in one of
-//     the cells that box covers (quantization is monotone), so the
-//     overlap probe scans the ≤3^d-cell neighborhood.
+//   - a candidate group's anchor is within ε of the probe point pi (pi
+//     passes the same filter), and
+//   - an overlap group's anchor is within 2ε of pi: some member is
+//     within ε of pi, and the anchor within ε of that member.
 //
-// Collected group ids are deduplicated through an epoch-stamped seen
-// array (a group registered in several scanned cells appears once per
-// cell) and then sorted into group-creation order before verification:
-// SGB-All's arbitration is order-sensitive — JOIN-ANY consumes PRNG
-// draws per candidate and ELIMINATE / FORM-NEW-GROUP emit victims in
-// enumeration order — so every strategy must enumerate groups
-// identically. (The SGB-Any grid probe needs neither pass: Union-Find
-// merging is order-independent and each point registers in exactly one
-// cell.) Verification reuses the exact PointInRectangle / refine /
-// overlap machinery of Procedures 4–6.
+// The grid's cell side is that reach — ε under JOIN-ANY, which never
+// consults overlaps, 2ε under ELIMINATE / FORM-NEW-GROUP — so either
+// probe scans the 3^d cells around pi's home cell, and a new group
+// costs one registration instead of one per cell its rectangle covers.
+// One registration per group also means a probe collects every id at
+// most once: no dedup pass.
+//
+// A group re-anchors only when its first member leaves it (an
+// ELIMINATE / FORM-NEW-GROUP victim); inserts never move the anchor.
+//
+// Collected ids are sorted into group-creation order before
+// verification: SGB-All's arbitration is order-sensitive — JOIN-ANY
+// draws per candidate list and ELIMINATE / FORM-NEW-GROUP emit victims
+// in enumeration order — so every strategy must enumerate groups
+// identically. Verification reuses the exact PointInRectangle / refine
+// / overlap machinery of Procedures 4–6.
 type gridFinder struct {
-	tab *grid.Table
-	cur grid.Cursor
+	tab   *grid.Table
+	cur   grid.Cursor
+	reach float64 // probe radius and cell side: ε, or 2ε with overlaps
+
+	// anchor[id] is the member whose home cell group id is registered
+	// in, -1 while the group is unregistered (removed, or frozen by a
+	// FORM-NEW-GROUP stage).
+	anchor []int32
 
 	// Buffers reused across probes.
 	ids        []int32
-	seen       []uint32 // per-group epoch stamps: probe-local dedup
-	epoch      uint32
 	cands, ovs []*group
 	pBox       geom.Rect
-
-	// Scratch cell range for groupChanged's recompute.
-	rngLo, rngHi []int64
 }
 
-func newGridFinder(dims int, eps float64, sizeHint int) *gridFinder {
-	return &gridFinder{tab: grid.NewCap(dims, eps, sizeHint)}
+func newGridFinder(dims int, opt Options, sizeHint int) *gridFinder {
+	reach := opt.Eps
+	if opt.Overlap != JoinAny {
+		reach *= 2
+	}
+	return &gridFinder{tab: grid.NewCap(dims, reach, sizeHint), reach: reach}
+}
+
+// probeRadius pads the reach so the scanned cell range provably holds
+// the anchor cell. The reach argument above is exact over the reals,
+// but the filters compare against ROUNDED box corners (fl(a-ε) ≤ p,
+// fl(a-ε) ≤ fl(p+ε), ...), so an anchor may sit a few ulps of the
+// larger coordinate beyond p ± reach — and when p lies near a cell edge
+// (lattice-aligned data) those ulps decide the cell. The pad, 2⁻⁵⁰ of
+// |p|∞ + 2·reach, is comfortably above the three roundings involved and
+// far below any usable ε; quantization is monotone, so a box that
+// contains the anchor yields a cell range that contains its cell.
+func (f *gridFinder) probeRadius(p geom.Point) float64 {
+	m := 0.0
+	for _, v := range p {
+		m = math.Max(m, math.Abs(v))
+	}
+	return f.reach + (m+2*f.reach)*0x1p-50
 }
 
 func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	st.opt.Stats.addProbe(1)
 	needOverlap := st.opt.Overlap != JoinAny
-	f.ids = f.ids[:0]
 	if needOverlap {
-		f.ids = f.tab.CollectBox(&f.cur, p, st.opt.Eps, f.ids)
 		geom.EpsBoxInto(&f.pBox, p, st.opt.Eps)
-		// Multi-cell scan: drop the once-per-cell repeats before the
-		// creation-order sort, so the sort runs over unique ids only.
-		if n := len(st.groups); n > len(f.seen) {
-			f.seen = append(f.seen, make([]uint32, n-len(f.seen))...)
-		}
-		f.epoch++
-		if f.epoch == 0 { // wrapped: invalidate stale stamps
-			clear(f.seen)
-			f.epoch = 1
-		}
-		uniq := f.ids[:0]
-		for _, id := range f.ids {
-			if f.seen[id] == f.epoch {
-				continue
-			}
-			f.seen[id] = f.epoch
-			uniq = append(uniq, id)
-		}
-		f.ids = uniq
-	} else {
-		// JOIN-ANY only needs candidate groups, and those must cover
-		// pi's home cell; a group registers once per cell, so the
-		// single-cell scan is duplicate-free already.
-		f.ids = f.tab.CollectPointCell(p, f.ids)
 	}
-	slices.Sort(f.ids)
+	f.ids = f.tab.CollectBox(&f.cur, p, f.probeRadius(p), f.ids[:0])
 	// Filter step over the flat rect-row store: both rectangle tests
-	// read rows by id instead of dereferencing group structs, so the
-	// loop's memory traffic is the sorted row scan — the group pointer
-	// is only chased for ids that survive a rectangle filter and need
-	// exact verification (same tests, same Stats counts as
-	// classifyGroup).
+	// read rows by id instead of dereferencing group structs, and they
+	// run BEFORE the creation-order sort, so the sort and the group
+	// pointer chase only touch ids that survive a rectangle filter and
+	// need exact verification (same tests, same Stats counts as
+	// classifyGroup). A survivor is kept as id<<1, with the low bit set
+	// when only the overlap rectangle test passed.
 	d := st.dims
 	stride := 4 * d
 	rects := st.rects
 	floor := st.stageFloor
-	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
+	kept := f.ids[:0]
 	for _, id := range f.ids {
 		if int(id) < floor {
 			continue
@@ -99,10 +103,19 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 		row := rects[int(id)*stride : int(id)*stride+stride]
 		st.opt.Stats.addRect(1)
 		if rowContains(row, p, d) {
-			gj := st.groups[id]
-			if gj == nil {
-				continue // poisoned rows can't get here; defensive
+			kept = append(kept, id<<1)
+		} else if needOverlap {
+			st.opt.Stats.addRect(1)
+			if rowIntersects(row[2*d:], &f.pBox, d) {
+				kept = append(kept, id<<1|1)
 			}
+		}
+	}
+	slices.Sort(kept)
+	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
+	for _, k := range kept {
+		gj := st.groups[k>>1]
+		if k&1 == 0 {
 			if st.refine(pi, gj) {
 				f.cands = append(f.cands, gj)
 				continue
@@ -111,19 +124,12 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 				continue
 			}
 			st.opt.Stats.addRect(1)
-			if rowIntersects(row[2*d:], &f.pBox, d) && st.overlapsWith(pi, gj) {
-				f.ovs = append(f.ovs, gj)
+			if !rowIntersects(rects[int(k>>1)*stride+2*d:], &f.pBox, d) {
+				continue
 			}
-			continue
 		}
-		if !needOverlap {
-			continue
-		}
-		st.opt.Stats.addRect(1)
-		if rowIntersects(row[2*d:], &f.pBox, d) {
-			if gj := st.groups[id]; gj != nil && st.overlapsWith(pi, gj) {
-				f.ovs = append(f.ovs, gj)
-			}
+		if st.overlapsWith(pi, gj) {
+			f.ovs = append(f.ovs, gj)
 		}
 	}
 	return f.cands, f.ovs
@@ -151,75 +157,46 @@ func rowIntersects(row []float64, b *geom.Rect, d int) bool {
 }
 
 func (f *gridFinder) groupCreated(st *sgbAllState, g *group) {
-	g.gridLo, g.gridHi = f.tab.RangeOf(g.epsRect, g.gridLo, g.gridHi)
-	g.gridOn = true
-	st.opt.Stats.addUpdate(1)
-	f.tab.AddRange(g.gridLo, g.gridHi, int32(g.id))
+	for len(f.anchor) <= g.id {
+		f.anchor = append(f.anchor, -1)
+	}
+	f.register(st, g)
 }
 
-// groupChanged re-registers g when its ε-All rectangle no longer
-// matches its registered cell range. Like the R-tree finder, the
-// registration only has to COVER the true rectangle (probe hits are
-// verified exactly), so shrinks are absorbed lazily:
-//
-//   - a removal can grow the rectangle outside the registered cells —
-//     re-register immediately (correctness);
-//   - an insert only shrinks it — re-register merely when the stale
-//     range covers noticeably more cells than the true one. The
-//     initial range is at most 3^d cells and the true range at least
-//     one, so a group re-registers O(1) times over its lifetime
-//     instead of once per boundary-crossing insert.
+// groupChanged re-anchors g when its first member left it; any other
+// membership change keeps the registration.
 func (f *gridFinder) groupChanged(st *sgbAllState, g *group) {
-	if !g.gridOn {
-		return
+	if a := f.anchor[g.id]; a >= 0 && int(a) != g.members[0] {
+		f.unregister(st, g)
+		f.register(st, g)
 	}
-	f.rngLo, f.rngHi = f.tab.RangeOf(g.epsRect, f.rngLo, f.rngHi)
-	if slices.Equal(f.rngLo, g.gridLo) && slices.Equal(f.rngHi, g.gridHi) {
-		return
-	}
-	if contained, staleN, trueN := rangeWithin(f.rngLo, f.rngHi, g.gridLo, g.gridHi); contained &&
-		4*staleN <= 9*trueN { // stale/true ≤ 2.25: still selective enough
-		return
-	}
-	st.opt.Stats.addUpdate(2)
-	f.tab.RemoveRange(g.gridLo, g.gridHi, int32(g.id))
-	copy(g.gridLo, f.rngLo)
-	copy(g.gridHi, f.rngHi)
-	f.tab.AddRange(g.gridLo, g.gridHi, int32(g.id))
-}
-
-// rangeWithin reports whether cell range [lo,hi] lies inside [oLo,oHi]
-// and returns both ranges' cell counts.
-func rangeWithin(lo, hi, oLo, oHi []int64) (contained bool, outerN, innerN int64) {
-	contained = true
-	outerN, innerN = 1, 1
-	for i := range lo {
-		if lo[i] < oLo[i] || hi[i] > oHi[i] {
-			contained = false
-		}
-		outerN *= oHi[i] - oLo[i] + 1
-		innerN *= hi[i] - lo[i] + 1
-	}
-	return contained, outerN, innerN
 }
 
 func (f *gridFinder) groupRemoved(st *sgbAllState, g *group) {
-	if !g.gridOn {
-		return
+	if f.anchor[g.id] >= 0 {
+		f.unregister(st, g)
 	}
+}
+
+func (f *gridFinder) register(st *sgbAllState, g *group) {
+	a := g.members[0]
+	f.anchor[g.id] = int32(a)
 	st.opt.Stats.addUpdate(1)
-	f.tab.RemoveRange(g.gridLo, g.gridHi, int32(g.id))
-	g.gridOn = false
+	f.tab.AddPoint(st.points.At(a), int32(g.id))
+}
+
+func (f *gridFinder) unregister(st *sgbAllState, g *group) {
+	st.opt.Stats.addUpdate(1)
+	f.tab.RemovePoint(st.points.At(int(f.anchor[g.id])), int32(g.id))
+	f.anchor[g.id] = -1
 }
 
 // stageReset clears the grid at a FORM-NEW-GROUP recursion stage:
 // every existing group is frozen and must stay invisible, so dropping
 // all registrations at once beats filtering stale hits per probe.
 func (f *gridFinder) stageReset(st *sgbAllState) {
-	for _, g := range st.groups {
-		if g != nil {
-			g.gridOn = false
-		}
+	for i := range f.anchor {
+		f.anchor[i] = -1
 	}
 	f.tab.Reset()
 }

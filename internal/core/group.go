@@ -36,13 +36,6 @@ type group struct {
 	indexedRect geom.Rect
 	indexed     bool
 
-	// gridLo/gridHi remember the cell range this group's ε-All
-	// rectangle is currently registered under in the ε-grid (GridIndex
-	// strategy), so registration updates remove exactly the old cells.
-	// Allocated once at first registration and updated in place.
-	gridLo, gridHi []int64
-	gridOn         bool
-
 	// hull caches the 2-D convex hull for the L2 refinement; it is
 	// rebuilt lazily after membership changes.
 	hull      *convexhull.Hull
@@ -178,13 +171,17 @@ func (st *sgbAllState) bindRectRow(g *group) {
 // newRectRow appends g's row to the flat store and initializes it for
 // the singleton {p}. When the append would move the backing array,
 // every live group's views are rebound first — amortized O(1) per
-// group over the geometric growth.
+// group over the geometric growth. The first allocation is sized from
+// the point count known when the first group forms: every point may
+// end a singleton, and on sparse inputs most do, so the doubling (and
+// its rebinds) is skipped where it would run longest; the clamp keeps
+// a huge dense input from reserving rows it will never use.
 func (st *sgbAllState) newRectRow(g *group, p geom.Point) {
 	stride := st.rectStride()
 	if len(st.rects)+stride > cap(st.rects) {
 		newCap := 2 * cap(st.rects)
-		if min := 64 * stride; newCap < min {
-			newCap = min
+		if newCap == 0 {
+			newCap = max(64, min(st.points.Len(), 1<<14)) * stride
 		}
 		grown := make([]float64, len(st.rects), newCap)
 		copy(grown, st.rects)

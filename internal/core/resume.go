@@ -205,11 +205,6 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 			continue
 		}
 		g2 := *g
-		// The grid registration range must not share backing with the
-		// retained group (the copy above is shallow; these were value
-		// arrays before the slice-keyed grid).
-		g2.gridLo = append([]int64(nil), g.gridLo...)
-		g2.gridHi = append([]int64(nil), g.gridHi...)
 		cl.groups[i] = &g2
 		// Rebind the copy's rectangle views into the clone's own rect
 		// store, so the recursion's appends cannot alias the retained

@@ -45,9 +45,11 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 	// components arbitrate concurrently on worker-private states and
 	// their outputs merge back into the sequential processing order —
 	// bit-identical groups for every ON-OVERLAP semantics (see
-	// parallelall.go). The parallel path declines degenerate inputs
-	// (everything in one ε-tile), which then run sequentially below.
-	if w := opt.workers(ps.Len()); w > 1 {
+	// parallelall.go). Auto mode waits for the worker count at which the
+	// pipeline's extra passes pay for themselves (allAutoMinWorkers).
+	// The parallel path declines degenerate inputs (everything in one
+	// ε-tile), which then run sequentially below.
+	if w := opt.workers(ps.Len()); w > 1 && (opt.Parallelism != 0 || w >= allAutoMinWorkers) {
 		if r, ok := sgbAllParallel(ps, opt, w); ok {
 			return r, nil
 		}
@@ -217,7 +219,7 @@ func newFinder(st *sgbAllState) finder {
 	case GridIndex:
 		// Hashed cell keys support any dimensionality, so the grid is
 		// the strategy at every d — no R-tree fallback.
-		return newGridFinder(st.dims, st.opt.Eps, st.points.Len())
+		return newGridFinder(st.dims, st.opt, st.points.Len())
 	default:
 		panic("core: unknown algorithm")
 	}

@@ -3,8 +3,6 @@ package grid
 import (
 	"fmt"
 	"math"
-
-	"github.com/sgb-db/sgb/internal/geom"
 )
 
 // slabIDs is the id capacity of one slab. With the two header fields a
@@ -33,7 +31,7 @@ type slot struct {
 	head int32  // head slab of the id list, -1 = empty
 }
 
-// Cursor is per-caller scratch for the read-only probe entry points
+// Cursor is per-caller scratch for the read-only probe entry point
 // (CollectBox). The table itself holds no probe state, so any number of
 // goroutines may probe one table concurrently as long as each brings
 // its own Cursor — the parallel adjacency build does exactly that.
@@ -49,7 +47,7 @@ type Cursor struct {
 // slabs. Linear probing over a power-of-two capacity keeps lookups to
 // one or two cache lines; the directory rebuilds — dropping cells whose
 // lists emptied — when the load factor passes 3/4, so no tombstones are
-// ever chased. Add, Remove, and Collect are allocation-free in steady
+// ever chased. Add, Remove, and CollectBox are allocation-free in steady
 // state.
 type Table struct {
 	dims int
@@ -64,7 +62,7 @@ type Table struct {
 	slabs  []slab
 	free   int32 // slab freelist head, -1 = empty
 
-	cur []int64 // odometer scratch for the mutating range walks (d >= 4)
+	cur []int64 // cell-coordinate scratch of AddPoint / RemovePoint
 }
 
 // minSlots is the initial directory capacity (power of two).
@@ -107,8 +105,8 @@ func NewCap(dims int, cellSize float64, cells int) *Table {
 func (t *Table) Dims() int { return t.dims }
 
 // cellIdx quantizes one coordinate to its cell index. Quantization is
-// monotone, so the cell range of a rectangle covers the home cell of
-// every point inside it.
+// monotone, so the cell range of a box covers the home cell of every
+// point inside it.
 //
 //sgb:allocfree
 func (t *Table) cellIdx(x float64) int64 {
@@ -123,17 +121,6 @@ func (t *Table) CellOf(p []float64, dst []int64) []int64 {
 		dst[i] = t.cellIdx(p[i])
 	}
 	return dst
-}
-
-// RangeOf fills lo, hi with the inclusive cell range covered by
-// rectangle r and returns them (reused when capacity suffices).
-func (t *Table) RangeOf(r geom.Rect, lo, hi []int64) ([]int64, []int64) {
-	lo, hi = resizeCells(lo, t.dims), resizeCells(hi, t.dims)
-	for i := 0; i < t.dims; i++ {
-		lo[i] = t.cellIdx(r.Min[i])
-		hi[i] = t.cellIdx(r.Max[i])
-	}
-	return lo, hi
 }
 
 // RangeOfBox fills lo, hi with the inclusive cell range covered by the
@@ -443,120 +430,6 @@ func (t *Table) RemovePoint(p []float64, id int32) {
 	}
 }
 
-// AddRange registers id in every cell of the inclusive range [lo, hi].
-// The range walk is inlined per dimensionality — single loop nest for
-// d <= 3, an odometer for higher d — so registration makes no indirect
-// calls.
-func (t *Table) AddRange(lo, hi []int64, id int32) {
-	switch t.dims {
-	case 1:
-		c := t.cur
-		for x := lo[0]; x <= hi[0]; x++ {
-			c[0] = x
-			t.addToCell(t.ensureSlot(hashNext(hashSeed, x), c), id)
-		}
-	case 2:
-		c := t.cur
-		for x := lo[0]; x <= hi[0]; x++ {
-			hx := hashNext(hashSeed, x)
-			c[0] = x
-			for y := lo[1]; y <= hi[1]; y++ {
-				c[1] = y
-				t.addToCell(t.ensureSlot(hashNext(hx, y), c), id)
-			}
-		}
-	case 3:
-		c := t.cur
-		for x := lo[0]; x <= hi[0]; x++ {
-			hx := hashNext(hashSeed, x)
-			c[0] = x
-			for y := lo[1]; y <= hi[1]; y++ {
-				hy := hashNext(hx, y)
-				c[1] = y
-				for z := lo[2]; z <= hi[2]; z++ {
-					c[2] = z
-					t.addToCell(t.ensureSlot(hashNext(hy, z), c), id)
-				}
-			}
-		}
-	default:
-		cur := t.cur
-		copy(cur, lo)
-		for {
-			t.addToCell(t.ensureSlot(t.hashCoords(cur), cur), id)
-			if !advance(cur, lo, hi) {
-				return
-			}
-		}
-	}
-}
-
-// RemoveRange unregisters id from every cell of [lo, hi].
-func (t *Table) RemoveRange(lo, hi []int64, id int32) {
-	switch t.dims {
-	case 1:
-		for x := lo[0]; x <= hi[0]; x++ {
-			if si := t.findSlot1(hashNext(hashSeed, x), x); si >= 0 {
-				t.removeFromCell(si, id)
-			}
-		}
-	case 2:
-		for x := lo[0]; x <= hi[0]; x++ {
-			hx := hashNext(hashSeed, x)
-			for y := lo[1]; y <= hi[1]; y++ {
-				if si := t.findSlot2(hashNext(hx, y), x, y); si >= 0 {
-					t.removeFromCell(si, id)
-				}
-			}
-		}
-	case 3:
-		for x := lo[0]; x <= hi[0]; x++ {
-			hx := hashNext(hashSeed, x)
-			for y := lo[1]; y <= hi[1]; y++ {
-				hy := hashNext(hx, y)
-				for z := lo[2]; z <= hi[2]; z++ {
-					if si := t.findSlot3(hashNext(hy, z), x, y, z); si >= 0 {
-						t.removeFromCell(si, id)
-					}
-				}
-			}
-		}
-	default:
-		cur := t.cur
-		copy(cur, lo)
-		for {
-			if si := t.findSlot(t.hashCoords(cur), cur); si >= 0 {
-				t.removeFromCell(si, id)
-			}
-			if !advance(cur, lo, hi) {
-				return
-			}
-		}
-	}
-}
-
-// advance steps an odometer cursor through the inclusive range [lo, hi],
-// returning false after the last cell.
-func advance(cur, lo, hi []int64) bool {
-	for i := range cur {
-		if cur[i] < hi[i] {
-			cur[i]++
-			return true
-		}
-		cur[i] = lo[i]
-	}
-	return false
-}
-
-// Collect appends the ids registered in every cell of [lo, hi] to buf
-// and returns it. Ids registered in several cells of the range appear
-// once per cell; callers needing uniqueness dedup. Collect uses the
-// table's own odometer scratch for d >= 4 — concurrent probers use
-// CollectBox with private Cursors instead.
-func (t *Table) Collect(lo, hi []int64, buf []int32) []int32 {
-	return t.collectRange(lo, hi, t.cur, buf)
-}
-
 // CollectBox appends the ids registered in the cells covered by the box
 // [center-radius, center+radius] — the probe neighborhood — to buf.
 // The d = 1/2/3 cases run as plain loop nests over scalar coordinates;
@@ -604,7 +477,21 @@ func (t *Table) CollectBox(cur *Cursor, center []float64, radius float64, buf []
 	default:
 		cur.lo, cur.hi = t.RangeOfBox(center, radius, cur.lo, cur.hi)
 		cur.cur = resizeCells(cur.cur, t.dims)
-		return t.collectRange(cur.lo, cur.hi, cur.cur, buf)
+		c, lo, hi := cur.cur, cur.lo, cur.hi
+		copy(c, lo)
+		for {
+			if si := t.findSlot(t.hashCoords(c), c); si >= 0 {
+				buf = t.appendCell(si, buf)
+			}
+			i := 0
+			for ; i < len(c) && c[i] == hi[i]; i++ {
+				c[i] = lo[i]
+			}
+			if i == len(c) {
+				return buf
+			}
+			c[i]++
+		}
 	}
 }
 
@@ -623,87 +510,6 @@ func (t *Table) findSlot1(h uint64, x int64) int32 {
 		}
 		i = (i + 1) & t.mask
 	}
-}
-
-// collectRange is the range walk behind Collect and the generic-d arm
-// of CollectBox, with the odometer cursor supplied by the caller.
-func (t *Table) collectRange(lo, hi, cur []int64, buf []int32) []int32 {
-	switch t.dims {
-	case 1:
-		for x := lo[0]; x <= hi[0]; x++ {
-			if si := t.findSlot1(hashNext(hashSeed, x), x); si >= 0 {
-				buf = t.appendCell(si, buf)
-			}
-		}
-	case 2:
-		for x := lo[0]; x <= hi[0]; x++ {
-			hx := hashNext(hashSeed, x)
-			for y := lo[1]; y <= hi[1]; y++ {
-				if si := t.findSlot2(hashNext(hx, y), x, y); si >= 0 {
-					buf = t.appendCell(si, buf)
-				}
-			}
-		}
-	case 3:
-		for x := lo[0]; x <= hi[0]; x++ {
-			hx := hashNext(hashSeed, x)
-			for y := lo[1]; y <= hi[1]; y++ {
-				hy := hashNext(hx, y)
-				for z := lo[2]; z <= hi[2]; z++ {
-					if si := t.findSlot3(hashNext(hy, z), x, y, z); si >= 0 {
-						buf = t.appendCell(si, buf)
-					}
-				}
-			}
-		}
-	default:
-		copy(cur, lo)
-		for {
-			if si := t.findSlot(t.hashCoords(cur), cur); si >= 0 {
-				buf = t.appendCell(si, buf)
-			}
-			if !advance(cur, lo, hi) {
-				break
-			}
-		}
-	}
-	return buf
-}
-
-// CollectCell appends the ids registered in cell c to buf.
-func (t *Table) CollectCell(c []int64, buf []int32) []int32 {
-	if si := t.findSlot(t.hashCoords(c), c); si >= 0 {
-		buf = t.appendCell(si, buf)
-	}
-	return buf
-}
-
-// CollectPointCell appends the ids registered in the home cell of p to
-// buf — the single-cell probe of the SGB-All JOIN-ANY path.
-func (t *Table) CollectPointCell(p []float64, buf []int32) []int32 {
-	switch t.dims {
-	case 1:
-		x := t.cellIdx(p[0])
-		if si := t.findSlot1(hashNext(hashSeed, x), x); si >= 0 {
-			buf = t.appendCell(si, buf)
-		}
-	case 2:
-		x, y := t.cellIdx(p[0]), t.cellIdx(p[1])
-		if si := t.findSlot2(hashNext(hashNext(hashSeed, x), y), x, y); si >= 0 {
-			buf = t.appendCell(si, buf)
-		}
-	case 3:
-		x, y, z := t.cellIdx(p[0]), t.cellIdx(p[1]), t.cellIdx(p[2])
-		if si := t.findSlot3(hashNext(hashNext(hashNext(hashSeed, x), y), z), x, y, z); si >= 0 {
-			buf = t.appendCell(si, buf)
-		}
-	default:
-		c := t.CellOf(p, t.cur)
-		if si := t.findSlot(t.hashCoords(c), c); si >= 0 {
-			buf = t.appendCell(si, buf)
-		}
-	}
-	return buf
 }
 
 // OccupiedCells returns the number of cells with a non-empty id list.

@@ -10,6 +10,30 @@ import (
 	"github.com/sgb-db/sgb/internal/geom"
 )
 
+// cellIDs reads one cell through the probe entry point: a zero-radius
+// box at the cell's center covers exactly that cell.
+func cellIDs(g *Table, c []int64) []int32 {
+	center := make([]float64, len(c))
+	for i, v := range c {
+		center[i] = (float64(v) + 0.5) / g.inv
+	}
+	var cur Cursor
+	return g.CollectBox(&cur, center, 0, nil)
+}
+
+// nextCell steps an odometer through the inclusive cell range [lo, hi],
+// returning false after the last cell.
+func nextCell(cur, lo, hi []int64) bool {
+	for i := range cur {
+		if cur[i] < hi[i] {
+			cur[i]++
+			return true
+		}
+		cur[i] = lo[i]
+	}
+	return false
+}
+
 func TestCellOfQuantization(t *testing.T) {
 	g := New(2, 0.5)
 	cases := []struct {
@@ -35,13 +59,13 @@ func TestAddRemoveCollect(t *testing.T) {
 	g.Add(c, 1)
 	g.Add(c, 2)
 	g.Add([]int64{3, 5}, 3)
-	got := g.CollectCell(c, nil)
+	got := cellIDs(g, c)
 	slices.Sort(got)
 	if !slices.Equal(got, []int32{1, 2}) {
 		t.Fatalf("CollectCell = %v", got)
 	}
 	g.Remove(c, 1)
-	if got := g.CollectCell(c, nil); !slices.Equal(got, []int32{2}) {
+	if got := cellIDs(g, c); !slices.Equal(got, []int32{2}) {
 		t.Fatalf("after Remove: %v", got)
 	}
 	g.Remove(c, 2)
@@ -49,28 +73,6 @@ func TestAddRemoveCollect(t *testing.T) {
 		t.Fatalf("empty cell not pruned: %d occupied", g.OccupiedCells())
 	}
 	g.Remove(c, 99) // absent id: no-op
-}
-
-func TestRangeRegistration(t *testing.T) {
-	g := New(2, 1)
-	// A 2ε-sided rectangle covers up to 3 cells per axis.
-	r := geom.NewRect(geom.Point{0.5, 0.5}, geom.Point{2.5, 2.5})
-	lo, hi := g.RangeOf(r, nil, nil)
-	if !slices.Equal(lo, []int64{0, 0}) || !slices.Equal(hi, []int64{2, 2}) {
-		t.Fatalf("RangeOf = %v..%v", lo, hi)
-	}
-	g.AddRange(lo, hi, 7)
-	if g.OccupiedCells() != 9 {
-		t.Fatalf("AddRange registered %d cells, want 9", g.OccupiedCells())
-	}
-	got := g.Collect(lo, hi, nil)
-	if len(got) != 9 {
-		t.Fatalf("Collect found %d entries, want 9", len(got))
-	}
-	g.RemoveRange(lo, hi, 7)
-	if g.OccupiedCells() != 0 {
-		t.Fatalf("RemoveRange left %d cells", g.OccupiedCells())
-	}
 }
 
 // TestNeighborhoodCoversEps is the correctness property the finders
@@ -119,33 +121,6 @@ func TestNeighborhoodCoversEps(t *testing.T) {
 	}
 }
 
-// TestRangeOfMonotone: any point inside a rectangle maps to a cell
-// inside the rectangle's range (the registration invariant).
-func TestRangeOfMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var lo, hi, c []int64
-	for trial := 0; trial < 2000; trial++ {
-		g := New(3, 0.25+r.Float64())
-		min := geom.Point{r.Float64()*20 - 10, r.Float64()*20 - 10, r.Float64()*20 - 10}
-		max := min.Clone()
-		for i := range max {
-			max[i] += r.Float64() * 2
-		}
-		rect := geom.NewRect(min, max)
-		lo, hi = g.RangeOf(rect, lo, hi)
-		p := make([]float64, 3)
-		for i := range p {
-			p[i] = min[i] + r.Float64()*(max[i]-min[i])
-		}
-		c = g.CellOf(p, c)
-		for i := 0; i < 3; i++ {
-			if c[i] < lo[i] || c[i] > hi[i] {
-				t.Fatalf("point %v of %v quantized outside %v..%v", p, rect, lo, hi)
-			}
-		}
-	}
-}
-
 func TestReset(t *testing.T) {
 	g := New(1, 1)
 	g.Add([]int64{1}, 1)
@@ -154,12 +129,12 @@ func TestReset(t *testing.T) {
 	if g.OccupiedCells() != 0 {
 		t.Fatal("Reset left occupied cells")
 	}
-	if got := g.CollectCell([]int64{1}, nil); len(got) != 0 {
+	if got := cellIDs(g, []int64{1}); len(got) != 0 {
 		t.Fatalf("Reset left ids: %v", got)
 	}
 	// The table must stay fully usable after Reset.
 	g.Add([]int64{1}, 9)
-	if got := g.CollectCell([]int64{1}, nil); !slices.Equal(got, []int32{9}) {
+	if got := cellIDs(g, []int64{1}); !slices.Equal(got, []int32{9}) {
 		t.Fatalf("post-Reset Add lost: %v", got)
 	}
 }
@@ -218,10 +193,10 @@ func sortedCopy(ids []int32) []int32 {
 }
 
 // TestCrossCheckAgainstMapReference drives randomized Add / Remove /
-// AddRange / RemoveRange / Collect / Reset traffic over a tiny
-// coordinate universe — forcing hash-slot collisions, dead cells, and
-// load-factor rebuilds — and demands multiset-identical Collect results
-// and OccupiedCells counts against the map reference at every probe.
+// CollectBox / Reset traffic over a tiny coordinate universe — forcing
+// hash-slot collisions, dead cells, and load-factor rebuilds — and
+// demands multiset-identical probe results and OccupiedCells counts
+// against the map reference at every probe.
 func TestCrossCheckAgainstMapReference(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5, 8} {
 		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
@@ -235,79 +210,46 @@ func TestCrossCheckAgainstMapReference(t *testing.T) {
 				}
 				return c
 			}
-			randRange := func() (lo, hi []int64) {
-				lo, hi = randCell(), make([]int64, d)
-				for i := range hi {
-					hi[i] = lo[i] + int64(r.Intn(3))
-				}
-				return lo, hi
-			}
-			type reg struct {
-				lo, hi []int64
-				id     int32
-			}
-			var ranges []reg
+			var cur Cursor
 			for op := 0; op < 20000; op++ {
-				switch r.Intn(10) {
+				switch r.Intn(8) {
 				case 0, 1, 2:
 					c, id := randCell(), int32(r.Intn(50))
 					g.Add(c, id)
 					ref.add(c, id)
-				case 3:
+				case 3, 4:
 					c, id := randCell(), int32(r.Intn(50))
 					g.Remove(c, id)
 					ref.remove(c, id)
-				case 4, 5:
-					lo, hi := randRange()
-					id := int32(r.Intn(50))
-					g.AddRange(lo, hi, id)
-					cur := append([]int64(nil), lo...)
-					for {
-						ref.add(cur, id)
-						if !advance(cur, lo, hi) {
-							break
-						}
-					}
-					ranges = append(ranges, reg{lo, hi, id})
-				case 6:
-					if len(ranges) == 0 {
-						continue
-					}
-					k := r.Intn(len(ranges))
-					rg := ranges[k]
-					ranges[k] = ranges[len(ranges)-1]
-					ranges = ranges[:len(ranges)-1]
-					g.RemoveRange(rg.lo, rg.hi, rg.id)
-					cur := append([]int64(nil), rg.lo...)
-					for {
-						ref.remove(cur, rg.id)
-						if !advance(cur, rg.lo, rg.hi) {
-							break
-						}
-					}
-				case 7:
+				case 5:
 					if r.Intn(200) == 0 {
 						g.Reset()
 						clear(ref)
-						ranges = ranges[:0]
 					}
 				default:
-					// Probe: a random cell and a random range.
+					// Probe: a random cell and a random cube of cells
+					// [lo, lo+k]^d, read as the box around its center
+					// (k < 2 at d = 8 keeps the walk to 2^8 cells).
 					c := randCell()
-					if got, want := sortedCopy(g.CollectCell(c, nil)), sortedCopy(ref[refKey(c)]); !slices.Equal(got, want) {
-						t.Fatalf("op %d: CollectCell(%v) = %v, want %v", op, c, got, want)
+					if got, want := sortedCopy(cellIDs(g, c)), sortedCopy(ref[refKey(c)]); !slices.Equal(got, want) {
+						t.Fatalf("op %d: cell %v = %v, want %v", op, c, got, want)
 					}
-					lo, hi := randRange()
+					lo, k := randCell(), int64(r.Intn(min(3, 10-d)))
+					hi, center := make([]int64, d), make([]float64, d)
+					for i := range lo {
+						hi[i] = lo[i] + k
+						center[i] = float64(lo[i]) + float64(k+1)/2
+					}
 					var want []int32
-					cur := append([]int64(nil), lo...)
+					at := append([]int64(nil), lo...)
 					for {
-						want = append(want, ref[refKey(cur)]...)
-						if !advance(cur, lo, hi) {
+						want = append(want, ref[refKey(at)]...)
+						if !nextCell(at, lo, hi) {
 							break
 						}
 					}
-					if got := sortedCopy(g.Collect(lo, hi, nil)); !slices.Equal(got, sortedCopy(want)) {
-						t.Fatalf("op %d: Collect(%v..%v) = %v, want %v", op, lo, hi, got, want)
+					if got := sortedCopy(g.CollectBox(&cur, center, float64(k)/2+0.25, nil)); !slices.Equal(got, sortedCopy(want)) {
+						t.Fatalf("op %d: CollectBox(%v..%v) = %v, want %v", op, lo, hi, got, want)
 					}
 				}
 				if g.OccupiedCells() != len(ref) {
@@ -318,9 +260,10 @@ func TestCrossCheckAgainstMapReference(t *testing.T) {
 	}
 }
 
-// TestCollectBoxMatchesCollect: the scalar-specialized probe and the
-// range walk agree on random point sets at every dimensionality.
-func TestCollectBoxMatchesCollect(t *testing.T) {
+// TestCollectBoxMatchesScan: the per-dimensionality probe walks return
+// exactly the points whose home cell lies in the box's cell range, on
+// random point sets at every dimensionality.
+func TestCollectBoxMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, d := range []int{1, 2, 3, 4, 6} {
 		g := New(d, 0.5)
@@ -334,15 +277,25 @@ func TestCollectBoxMatchesCollect(t *testing.T) {
 			g.AddPoint(p, int32(i))
 		}
 		var cur Cursor
-		var lo, hi []int64
+		var lo, hi, c []int64
 		for trial := 0; trial < 200; trial++ {
 			center := pts[r.Intn(len(pts))]
 			radius := r.Float64()
 			got := sortedCopy(g.CollectBox(&cur, center, radius, nil))
 			lo, hi = g.RangeOfBox(center, radius, lo, hi)
-			want := sortedCopy(g.Collect(lo, hi, nil))
+			var want []int32
+			for i, p := range pts {
+				c = g.CellOf(p, c)
+				in := true
+				for k := range c {
+					in = in && lo[k] <= c[k] && c[k] <= hi[k]
+				}
+				if in {
+					want = append(want, int32(i))
+				}
+			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("d=%d: CollectBox %v != Collect %v", d, got, want)
+				t.Fatalf("d=%d: CollectBox %v != scan %v", d, got, want)
 			}
 		}
 	}
@@ -365,7 +318,7 @@ func TestRebuildGrowth(t *testing.T) {
 	}
 	for i := 0; i < n; i += 37 {
 		c := []int64{int64(i % 199), int64(i / 199)}
-		got := g.CollectCell(c, nil)
+		got := cellIDs(g, c)
 		if !slices.Contains(got, int32(i)) {
 			t.Fatalf("id %d lost after growth rebuilds (cell %v has %v)", i, c, got)
 		}
@@ -410,7 +363,7 @@ func TestSlabChainLongCell(t *testing.T) {
 			want = append(want, int32(i))
 		}
 	}
-	got := sortedCopy(g.CollectCell(c, nil))
+	got := sortedCopy(cellIDs(g, c))
 	if !slices.Equal(got, want) {
 		t.Fatalf("after chained removals: got %d ids, want %d (%v)", len(got), len(want), got)
 	}

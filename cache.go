@@ -16,22 +16,16 @@ import (
 // incremental grouping state — resumable SGB evaluators and ε-lattice
 // dendrograms — from this one structure, so N sessions asking the same
 // similarity question over one table share ONE maintained evaluator
-// instead of building N. The cache is sharded (key-hashed shards, each
-// with its own mutex) so concurrent sessions touching different
-// entries never contend, and each entry carries its own mutex as a
-// singleflight slot: concurrent misses for the same key all acquire
-// the same entry, the first to lock it builds, and the rest find the
-// built state when the lock frees — coalescing N identical cold
-// queries into a single evaluation. Each entry also accumulates the
-// operator work (distance computations, probes, ...) spent building
-// and maintaining it, so DB.CacheStats can prove that sharing happened
-// (N sessions, one build's worth of distance computations).
-
-// cacheShardCount is the number of key-hashed shards. 16 keeps lock
-// contention negligible at the benchmark's 128 concurrent sessions
-// while the per-shard maps stay small enough to scan cheaply during
-// LRU eviction.
-const cacheShardCount = 16
+// instead of building N. One mutex guards the key → entry map (held for
+// a lookup or an eviction scan, never across evaluator work), and each
+// entry carries its own mutex as a singleflight slot: concurrent misses
+// for the same key all acquire the same entry, the first to lock it
+// builds, and the rest find the built state when the lock frees —
+// coalescing N identical cold queries into a single evaluation. Each
+// entry also accumulates the operator work (distance computations,
+// probes, ...) spent building and maintaining it, so DB.CacheStats can
+// prove that sharing happened (N sessions, one build's worth of
+// distance computations).
 
 // defaultIncrCacheCap bounds the evaluator cache: enough for a handful
 // of distinct similarity queries per table without letting a
@@ -59,8 +53,8 @@ type incrKey struct {
 // maintenance feed, and result read holds it, so concurrent sessions
 // hitting one key serialize on the entry — the first builds, the rest
 // reuse — and the single-threaded evaluators underneath never see
-// concurrent calls. All fields below mu are guarded by it; lastUse is
-// atomic because the cache touches it under shard locks instead.
+// concurrent calls. All fields below mu are guarded by it, except ans
+// (atomic) and lastUse (guarded by the cache's mutex instead).
 type incrEntry struct {
 	mu    sync.Mutex
 	table *storage.Table // identity guard against DROP + re-CREATE
@@ -88,7 +82,7 @@ type incrEntry struct {
 	// queries without it.
 	ans atomic.Pointer[answer]
 
-	lastUse atomic.Int64 // cache clock reading at the entry's last use
+	lastUse int64 // cache clock reading at the entry's last use; guarded by evalCache.mu
 }
 
 // built reports whether the entry holds an evaluator.
@@ -183,122 +177,85 @@ func (a *answer) serve(t *storage.Table, gen int64, n int, epsList []float64) []
 	return gs
 }
 
-// evalCache is the sharded, LRU-bounded entry store.
+// evalCache is the LRU-bounded entry store. mu is never held while
+// taking an entry's lock: a long build must not stall other lookups.
 type evalCache struct {
-	cap     atomic.Int64 // SET incr_cache_size
-	count   atomic.Int64 // live entries across all shards
-	clock   atomic.Int64 // monotonic use counter driving LRU eviction
-	evictMu sync.Mutex   // serializes evictors (evictions are rare)
-	shards  [cacheShardCount]cacheShard
-}
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[incrKey]*incrEntry
+	mu    sync.Mutex
+	m     map[incrKey]*incrEntry
+	cap   int   // SET incr_cache_size
+	clock int64 // monotonic use counter driving LRU eviction
 }
 
 func newEvalCache(capacity int) *evalCache {
-	c := &evalCache{}
-	c.cap.Store(int64(capacity))
-	for i := range c.shards {
-		c.shards[i].m = make(map[incrKey]*incrEntry)
-	}
-	return c
-}
-
-// shardFor hashes the key (FNV-1a over both parts) to its shard.
-func (c *evalCache) shardFor(key incrKey) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key.table); i++ {
-		h = (h ^ uint32(key.table[i])) * 16777619
-	}
-	for i := 0; i < len(key.fingerprint); i++ {
-		h = (h ^ uint32(key.fingerprint[i])) * 16777619
-	}
-	return &c.shards[h%cacheShardCount]
+	return &evalCache{m: make(map[incrKey]*incrEntry), cap: capacity}
 }
 
 // acquire returns the entry for key, creating an empty placeholder on
 // miss, and stamps it as just used. The caller locks the entry's mu
 // before inspecting or building its state — that lock is what
-// coalesces concurrent misses into one build.
+// coalesces concurrent misses into one build. A placeholder evicts
+// nothing: its builder calls evictOver once it holds an evaluator, or
+// remove when the build failed and must cost the cache no live entry.
 func (c *evalCache) acquire(key incrKey) *incrEntry {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
 	if !ok {
 		e = &incrEntry{}
-		s.m[key] = e
-		c.count.Add(1)
+		c.m[key] = e
 	}
-	e.lastUse.Store(c.clock.Add(1))
-	s.mu.Unlock()
-	if !ok {
-		c.evictOver()
-	}
+	c.clock++
+	e.lastUse = c.clock
 	return e
 }
 
 // add inserts a pre-built entry (the recovery path restoring
 // checkpointed evaluators).
 func (c *evalCache) add(key incrKey, e *incrEntry) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if _, ok := s.m[key]; !ok {
-		c.count.Add(1)
-	}
-	s.m[key] = e
-	e.lastUse.Store(c.clock.Add(1))
-	s.mu.Unlock()
-	c.evictOver()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = e
+	c.clock++
+	e.lastUse = c.clock
+	c.evictLocked()
 }
 
 // setCap changes the entry cap; shrinking evicts down immediately,
 // least recently used first.
 func (c *evalCache) setCap(n int) {
-	c.cap.Store(int64(n))
-	c.evictOver()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cap = n
+	c.evictLocked()
 }
 
 // len returns the live entry count.
-func (c *evalCache) len() int { return int(c.count.Load()) }
+func (c *evalCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
 
 // evictOver evicts least-recently-used entries until the count is
 // within the cap. An entry evicted while a session still holds its
 // pointer simply finishes that session's query orphaned — correct,
 // merely unshared — and the next query for its key rebuilds.
 func (c *evalCache) evictOver() {
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	for c.count.Load() > c.cap.Load() {
-		var victimShard *cacheShard
-		var victimKey incrKey
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.evictLocked()
+}
+
+func (c *evalCache) evictLocked() {
+	for len(c.m) > c.cap {
+		var victim incrKey
 		oldest := int64(math.MaxInt64)
-		for i := range c.shards {
-			s := &c.shards[i]
-			s.mu.Lock()
-			// Equal-lastUse ties break by key so repeated eviction runs
-			// pick the same victim whatever order the map yields.
-			for k, e := range s.m { //sgblint:allow determinism min-fold with a total-order key tie-break; iteration order cannot change the victim
-				u := e.lastUse.Load()
-				if u < oldest || (u == oldest && keyLess(k, victimKey)) {
-					oldest, victimShard, victimKey = u, s, k
-				}
+		for k, e := range c.m { //sgblint:allow determinism min-fold with a total-order key tie-break; iteration order cannot change the victim
+			if e.lastUse < oldest || (e.lastUse == oldest && keyLess(k, victim)) {
+				oldest, victim = e.lastUse, k
 			}
-			s.mu.Unlock()
 		}
-		if victimShard == nil {
-			return
-		}
-		victimShard.mu.Lock()
-		// Re-check under the shard lock: a concurrent touch since the
-		// scan means this entry is no longer the LRU — skip it and scan
-		// again.
-		if e, ok := victimShard.m[victimKey]; ok && e.lastUse.Load() == oldest {
-			delete(victimShard.m, victimKey)
-			c.count.Add(-1)
-		}
-		victimShard.mu.Unlock()
+		delete(c.m, victim)
 	}
 }
 
@@ -313,24 +270,18 @@ func keyLess(a, b incrKey) bool {
 
 // cacheItem is one (key, entry) pair captured by items.
 type cacheItem struct {
-	key   incrKey
-	e     *incrEntry
-	shard *cacheShard
+	key incrKey
+	e   *incrEntry
 }
 
-// items captures the current entry set, shard by shard. Callers then
-// lock each entry's mu individually — never while holding a shard
-// lock — so a long-running build on one entry cannot stall unrelated
-// cache traffic.
+// items captures the current entry set. Callers then lock each entry's
+// mu individually, after the cache lock is released.
 func (c *evalCache) items() []cacheItem {
-	var out []cacheItem
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k, e := range s.m { //sgblint:allow determinism capture order is incidental; every ordered consumer sorts the returned items
-			out = append(out, cacheItem{key: k, e: e, shard: s})
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]cacheItem, 0, len(c.m))
+	for k, e := range c.m { //sgblint:allow determinism capture order is incidental; every ordered consumer sorts the returned items
+		out = append(out, cacheItem{key: k, e: e})
 	}
 	return out
 }
@@ -338,23 +289,18 @@ func (c *evalCache) items() []cacheItem {
 // remove deletes a captured item if the map still holds that exact
 // entry (a concurrent eviction-plus-rebuild must not be collateral).
 func (c *evalCache) remove(it cacheItem) {
-	it.shard.mu.Lock()
-	if cur, ok := it.shard.m[it.key]; ok && cur == it.e {
-		delete(it.shard.m, it.key)
-		c.count.Add(-1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m[it.key] == it.e {
+		delete(c.m, it.key)
 	}
-	it.shard.mu.Unlock()
 }
 
 // clearAll drops every entry.
 func (c *evalCache) clearAll() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.count.Add(-int64(len(s.m)))
-		s.m = make(map[incrKey]*incrEntry)
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m = make(map[incrKey]*incrEntry)
 }
 
 // CacheStats sums the operator work spent building and maintaining

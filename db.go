@@ -38,15 +38,15 @@ type Value = types.Value
 //     DROP, CHECKPOINT, Close, and the durability SET knobs) so the
 //     write-ahead log records mutations in exactly apply order.
 //     Queries never take it.
-//   - Cached incremental grouping state lives in a sharded singleflight
-//     cache (see cache.go): sessions asking the same similarity
-//     question over one table share a single maintained evaluator, and
+//   - Cached incremental grouping state lives in a singleflight cache
+//     (see cache.go): sessions asking the same similarity question
+//     over one table share a single maintained evaluator, and
 //     concurrent cold misses coalesce into one build.
 type DB struct {
 	cat *storage.Catalog
-	// wmu serializes mutation statements. Lock order: wmu, then a
-	// table's lock, then cache shard locks, then an entry's lock —
-	// always outermost first, never backwards.
+	// wmu serializes mutation statements. Lock order: wmu, a table's
+	// lock, the cache's map lock, an entry's lock, a shared grouping's
+	// memo lock — always outermost first, never backwards.
 	wmu sync.Mutex
 	// cache holds the shared incremental grouping state for the SET
 	// incremental maintenance path: a similarity group-by over a bare
@@ -464,7 +464,17 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			return gs, nil
 		}
 		e.mu.Lock()
-		defer e.mu.Unlock()
+		defer func() {
+			unbuilt := !e.built()
+			e.mu.Unlock()
+			// acquire evicts nothing: the slot is claimed now, or — the
+			// build failed — given back without pushing a live entry out.
+			if unbuilt {
+				db.cache.remove(cacheItem{key: key, e: e})
+			} else {
+				db.cache.evictOver()
+			}
+		}()
 		cur := e.ans.Load()
 		if gs := cur.serve(t, src.Gen, n, epsList); gs != nil {
 			return gs, nil // published while this query waited for the lock
@@ -500,6 +510,9 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 		if n > e.consumed {
 			points, err := src.Points(e.consumed)
 			if err != nil {
+				if e.consumed == 0 {
+					e.inc, e.lat = nil, nil // holds nothing: not worth a slot
+				}
 				return nil, err
 			}
 			err = e.appendSet(points)
@@ -542,14 +555,52 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 	}
 }
 
+// loadChunkBytes ends a LoadCSV WAL record at the row that crosses it.
+const loadChunkBytes = 1 << 20
+
 // LoadCSV creates a table from CSV previously written by DumpCSV (the
-// header carries "name:type" cells).
+// header carries "name:type" cells). A persistent database logs it as a
+// CREATE TABLE and bounded INSERT records, each applied before it is
+// logged — an automatic checkpoint may fire between any two — so a
+// crash mid-load recovers to a prefix of the file's rows.
 func (db *DB) LoadCSV(name string, r io.Reader) error {
-	t, err := storage.ReadCSV(name, r)
+	src, err := storage.ReadCSV(name, r)
 	if err != nil {
 		return err
 	}
-	return db.cat.Create(t)
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	if db.dur == nil {
+		return db.cat.Create(src)
+	}
+	t := storage.NewTable(src.Name, src.Schema)
+	if err := db.cat.Create(t); err != nil {
+		return err
+	}
+	cols := make([]wal.ColDef, len(t.Schema))
+	for i, c := range t.Schema {
+		cols[i] = wal.ColDef{Name: c.Name, Kind: c.Type}
+	}
+	if err := db.logRecordLocked(wal.CreateTable{Name: t.Name, Cols: cols}); err != nil {
+		return err
+	}
+	rows, _ := src.Snapshot() // post-coercion: ReadCSV admitted them through Insert
+	var enc []byte
+	for len(rows) > 0 {
+		k := 0
+		for size := 0; k < len(rows) && size < loadChunkBytes; k++ {
+			enc = wal.AppendRow(enc[:0], rows[k])
+			size += len(enc)
+		}
+		if _, err := t.InsertBatch(rows[:k]); err != nil {
+			return err
+		}
+		if err := db.logRecordLocked(wal.Insert{Table: t.Name, Rows: rows[:k]}); err != nil {
+			return err
+		}
+		rows = rows[k:]
+	}
+	return nil
 }
 
 // DumpCSV serializes a table to CSV.

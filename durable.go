@@ -220,6 +220,12 @@ func (db *DB) logRecordLocked(rec wal.Record) error {
 		return nil
 	}
 	if _, err := db.dur.log.Append(rec); err != nil {
+		if errors.Is(err, wal.ErrTooLarge) {
+			// Logging on past an applied, unlogged statement would leave a
+			// state no statement prefix produces (a replayed DELETE names
+			// row positions); the snapshot makes this one durable instead.
+			return db.checkpointLocked()
+		}
 		return fmt.Errorf("sgb: statement applied in memory but not logged: %w", err)
 	}
 	db.dur.sinceCheckpoint++
@@ -264,12 +270,7 @@ func (db *DB) checkpointLocked() error {
 		s.Tables = append(s.Tables, t)
 	}
 	items := db.cache.items()
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].key.table != items[j].key.table {
-			return items[i].key.table < items[j].key.table
-		}
-		return items[i].key.fingerprint < items[j].key.fingerprint
-	})
+	sort.Slice(items, func(i, j int) bool { return keyLess(items[i].key, items[j].key) })
 	for _, it := range items {
 		e := it.e
 		t, err := db.cat.Lookup(it.key.table)

@@ -6,10 +6,9 @@
 //
 //   - lockorder: every Lock/RLock acquisition site respects the
 //     documented partial order DB.wmu > Catalog.mu/Table.mu >
-//     evalCache.evictMu > cacheShard.mu > incrEntry.mu >
-//     exec.Grouping.mu, including
-//     locks acquired by callees while a lock is held; inversions and
-//     double acquisitions are flagged.
+//     evalCache.mu > incrEntry.mu > exec.Grouping.mu, including locks
+//     acquired by callees while a lock is held; inversions and double
+//     acquisitions are flagged.
 //   - snapshotsafe: outside internal/storage, table row storage is
 //     reached only through Snapshot() or the mutation API — a direct
 //     storage.Table.Rows access in a query path is an error.

@@ -9,8 +9,8 @@ import (
 // The lockorder analyzer. ARCHITECTURE.md's locking discipline says
 // the engine's locks nest in exactly one order — DB.wmu outermost,
 // then the storage locks (Catalog.mu, Table.mu), then the evaluator
-// cache's evictMu, shard locks, and entry locks, and a shared
-// grouping's aggregate-memo lock innermost. The
+// cache's map lock and entry locks, and a shared grouping's
+// aggregate-memo lock innermost. The
 // analyzer assigns each documented lock a numeric tier, tracks the
 // held set through every function body (branch bodies fork the state,
 // defers of Unlock pin a lock to the function's end), and checks two
@@ -35,22 +35,21 @@ type lockClass struct {
 
 // lockClasses maps [type name, field name] to the documented tier.
 // Lower tiers are outermost: wmu(10) > Catalog/Table mu(20) >
-// evictMu(25) > shard mu(30) > entry mu(40) > Grouping mu(50).
+// cache mu(30) > entry mu(40) > Grouping mu(50).
 var lockClasses = map[[2]string]lockClass{
-	{"DB", "wmu"}:            {10, "DB.wmu"},
-	{"Catalog", "mu"}:        {20, "storage.Catalog.mu"},
-	{"Table", "mu"}:          {20, "storage.Table.mu"},
-	{"evalCache", "evictMu"}: {25, "evalCache.evictMu"},
-	{"cacheShard", "mu"}:     {30, "cacheShard.mu"},
-	{"incrEntry", "mu"}:      {40, "incrEntry.mu"},
-	{"Grouping", "mu"}:       {50, "exec.Grouping.mu"},
+	{"DB", "wmu"}:       {10, "DB.wmu"},
+	{"Catalog", "mu"}:   {20, "storage.Catalog.mu"},
+	{"Table", "mu"}:     {20, "storage.Table.mu"},
+	{"evalCache", "mu"}: {30, "evalCache.mu"},
+	{"incrEntry", "mu"}: {40, "incrEntry.mu"},
+	{"Grouping", "mu"}:  {50, "exec.Grouping.mu"},
 }
 
 // LockOrder checks every lock acquisition against the documented
 // partial order, including locks acquired by callees.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "enforce the documented lock order: wmu > table.mu > shard.mu > entry.mu",
+	Doc:  "enforce the documented lock order: wmu > table.mu > cache.mu > entry.mu > Grouping.mu",
 	Run:  runLockOrder,
 }
 
@@ -406,7 +405,7 @@ func (w *lockWalker) checkAcquire(class lockClass, pos token.Pos) {
 		case held.tier == class.tier:
 			w.pass.Reportf(pos, "%s acquired while holding same-tier %s; same-tier locks must not nest", class.name, held.name)
 		case held.tier > class.tier:
-			w.pass.Reportf(pos, "lock order inversion: acquiring %s (tier %d) while holding %s (tier %d); documented order is wmu > table.mu > shard.mu > entry.mu",
+			w.pass.Reportf(pos, "lock order inversion: acquiring %s (tier %d) while holding %s (tier %d); documented order is wmu > table.mu > cache.mu > entry.mu > Grouping.mu",
 				class.name, class.tier, held.name, held.tier)
 		}
 	}

@@ -15,7 +15,8 @@ type Table struct {
 	mu sync.RWMutex
 }
 
-type cacheShard struct {
+// evalCache mirrors the evaluator cache: mu is the tier-30 map lock.
+type evalCache struct {
 	mu sync.Mutex
 }
 
@@ -24,15 +25,24 @@ type incrEntry struct {
 }
 
 // ordered acquires strictly inward — clean.
-func ordered(db *DB, t *Table, s *cacheShard, e *incrEntry) {
+func ordered(db *DB, t *Table, c *evalCache, e *incrEntry) {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s.mu.Lock()
+	c.mu.Lock()
 	e.mu.Lock()
 	e.mu.Unlock()
-	s.mu.Unlock()
+	c.mu.Unlock()
+}
+
+// cacheInsideEntry takes the cache's map lock while holding an entry
+// lock — the entry's builder must settle its slot after unlocking.
+func cacheInsideEntry(c *evalCache, e *incrEntry) {
+	e.mu.Lock()
+	c.mu.Lock() // want `lock order inversion`
+	c.mu.Unlock()
+	e.mu.Unlock()
 }
 
 // inverted takes a table lock while holding an entry lock.

@@ -148,7 +148,13 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 	}
 	for _, pos := range e.queue {
 		if e.alive[pos] {
-			e.ix.relink(e.points, int(pos), e.opt, e.uf)
+			e.nbuf = e.ix.neighbors(e.points, int(pos), e.opt, e.nbuf[:0])
+			for _, w := range e.nbuf {
+				if e.uf.Find(int(pos)) != e.uf.Find(int(w)) {
+					e.opt.Stats.addMerge(1)
+					e.uf.Union(int(pos), int(w))
+				}
+			}
 		}
 	}
 
@@ -177,11 +183,7 @@ func (e *AnyEvaluator) compact() {
 	dims := e.points.Dims()
 	pts := geom.NewPointSetCap(dims, len(e.live))
 	nuf := &unionfind.UF{}
-	// Clear the tombstones before re-registering: the All-Pairs
-	// strategy reads e.alive through its shared pointer, and every
-	// surviving point is alive in the compacted numbering.
-	e.alive = nil
-	nix := e.newIndex(dims, len(e.live))
+	nix := newAnyGrid(dims, len(e.live), e.opt.Eps)
 	rootSlot := make(map[int]int, len(e.live))
 	for k, pos := range e.live {
 		pts.AppendPoint(old.At(int(pos)))
@@ -194,7 +196,7 @@ func (e *AnyEvaluator) compact() {
 		}
 	}
 	e.points, e.uf, e.ix = pts, nuf, nix
-	e.live, e.dead = nil, 0
+	e.live, e.alive, e.dead = nil, nil, 0
 }
 
 // Remove deletes the points with the given live ids. SGB-All

@@ -110,6 +110,7 @@ func RestoreAnyEvaluator(s *AnyState) (*AnyEvaluator, error) {
 		opt:    opt,
 		points: geom.Wrap(s.Dims, append([]float64(nil), s.Data...)),
 		uf:     uf,
+		ix:     newAnyGrid(s.Dims, n, opt.Eps),
 		live:   live,
 		alive:  alive,
 		dead:   s.Dead,
@@ -120,7 +121,6 @@ func RestoreAnyEvaluator(s *AnyState) (*AnyEvaluator, error) {
 	// Rebuild Points_IX by registering every live stored position —
 	// components are already known, so add (no probing) suffices,
 	// mirroring the storage-compaction rebuild.
-	e.ix = e.newIndex(s.Dims, n)
 	for i := 0; i < n; i++ {
 		if alive == nil || alive[i] {
 			e.ix.add(e.points, i, e.opt)

@@ -239,27 +239,32 @@ func materializeAll(st *sgbAllState, copyOut bool) *Result {
 	return res
 }
 
-// AnyEvaluator is resumable SGB-Any evaluation state: the live
-// Points_IX (ε-grid, R-tree, or nothing for All-Pairs) plus the
-// Union-Find forest, both of which support appends naturally. Because
-// connected components are order-independent, the incremental result
-// is exactly the one-shot result over the concatenated input —
-// per-append cost is proportional to the batch's probe work, not the
-// retained set size. Remove (decremental.go) deletes points again:
-// components can only split, never merge, when a point vanishes, so a
-// deletion reclusters just the victims' components.
+// AnyEvaluator is resumable SGB-Any evaluation state: a live ε-grid
+// Points_IX plus the Union-Find forest, both of which support appends
+// naturally. Because connected components are order-independent, the
+// incremental result is exactly the one-shot result over the
+// concatenated input — per-append cost is proportional to the batch's
+// probe work, not the retained set size. Remove (decremental.go)
+// deletes points again: components can only split, never merge, when a
+// point vanishes, so a deletion reclusters just the victims'
+// components.
 //
-// Under the grid strategy each appended batch is Morton (Z-order)
-// preprocessed like the one-shot path: the batch's points are absorbed
-// in Z-order of their ε-cells, and live remembers the arrival order of
-// the stored positions so Result reports input-order ids. Reordering
-// within a batch is sound for the same reason appending is: components
-// do not depend on arrival order.
+// The index is the grid whatever Options.Algorithm names: components do
+// not depend on the index that finds the ε-edges either, so groups, ids
+// and exported state (which holds no index) are the same under every
+// strategy — only the Stats counters of maintenance work are the grid's.
+//
+// Each appended batch is Morton (Z-order) preprocessed by the one-shot
+// path's rule (mortonPermFor): the batch's points are absorbed in
+// Z-order of their ε-cells, and live remembers the arrival order of the
+// stored positions so Result reports input-order ids. Reordering within
+// a batch is sound for the same reason appending is: components do not
+// depend on arrival order.
 type AnyEvaluator struct {
 	opt    Options
 	points *geom.PointSet // append-only log; removals tombstone via alive
 	uf     *unionfind.UF  // forest over stored positions (incl. dead)
-	ix     anyIndex
+	ix     *anyGrid
 
 	// live holds the stored positions of the surviving points in
 	// arrival order; a point's public id is its index in live (so ids
@@ -268,9 +273,7 @@ type AnyEvaluator struct {
 	// [0, points.Len()): every batch arrived in order and nothing was
 	// removed.
 	live []int32
-	// alive flags stored positions (nil = everything alive). The
-	// All-Pairs strategy reads it through a shared pointer, since it has
-	// no index to unregister dead points from.
+	// alive flags stored positions (nil = everything alive).
 	alive []bool
 	// dead counts tombstoned stored positions; when they outnumber the
 	// live points, compact rebuilds the evaluator over the survivors so
@@ -299,24 +302,12 @@ func NewAnyEvaluator(dims int, opt Options) (*AnyEvaluator, error) {
 	if opt.Algorithm == BoundsCheck {
 		return nil, ErrBoundsCheckAny
 	}
-	e := &AnyEvaluator{
+	return &AnyEvaluator{
 		opt:    opt,
 		points: geom.NewPointSet(dims),
 		uf:     &unionfind.UF{},
-	}
-	e.ix = e.newIndex(dims, 0)
-	return e, nil
-}
-
-// newIndex instantiates the Points_IX strategy, wiring the All-Pairs
-// variant to the evaluator's liveness bitmap (the other strategies
-// unregister deleted points from their index instead).
-func (e *AnyEvaluator) newIndex(dims, sizeHint int) anyIndex {
-	ix := newAnyIndex(dims, sizeHint, e.opt)
-	if _, ok := ix.(anyAllPairs); ok {
-		ix = anyAllPairs{alive: &e.alive}
-	}
-	return ix
+		ix:     newAnyGrid(dims, 0, opt.Eps),
+	}, nil
 }
 
 // Len returns the number of live points (appended and not removed).
@@ -394,8 +385,8 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 // Result materializes the current connected components in the same
 // deterministic order as the one-shot operator (groups by smallest
 // member index, members ascending, ids in original arrival order over
-// the live points — the Morton reordering of grid-strategy batches and
-// any removals are invisible here). The returned result owns its
+// the live points — the Morton reordering of batches and any removals
+// are invisible here). The returned result owns its
 // slices; calling Result repeatedly or interleaving it with Append and
 // Remove is safe.
 func (e *AnyEvaluator) Result() *Result {

@@ -87,7 +87,8 @@ const mortonMinPoints = 32
 // the permutation (nil = evaluate in input order). Only the grid
 // strategy profits — its probe locality is exactly cell adjacency — so
 // the explicitly named comparison strategies keep their evaluation
-// shape.
+// shape. AnyEvaluator.Append applies the same rule per batch: stored
+// order, and so checkpoint bytes, are a function of the options alone.
 func mortonPermFor(ps *geom.PointSet, opt Options) []int32 {
 	if opt.Algorithm != GridIndex || ps.Len() < mortonMinPoints {
 		return nil
@@ -105,33 +106,19 @@ type errValue string
 
 func (e errValue) Error() string { return string(e) }
 
-// anyIndex is the resumable Points_IX state of one SGB-Any evaluation:
-// step absorbs point i — it finds i's within-ε neighbors among the
-// points absorbed before it, merges their components in uf, and
-// registers i for future probes. The batch path (sgbAnyLocal) and the
-// incremental evaluator (AnyEvaluator) drive the very same step, so
-// appending batches cannot drift from a one-shot run.
-//
-// The four maintenance methods serve decremental evaluation
-// (AnyEvaluator.Remove): neighbors lists a registered point's within-ε
-// neighbors (the BFS edges of the localized recluster), remove
-// unregisters a deleted point so later probes cannot see it, relink
-// re-unions an already-registered survivor with its live within-ε
-// neighbors, and add registers a point without probing (the
-// storage-compaction rebuild, where components are already known and
-// only the index must be rebuilt).
+// anyIndex is one Points_IX strategy of the one-shot strategy
+// comparison: step absorbs point i — it finds i's within-ε neighbors
+// among the points absorbed before it, merges their components in uf,
+// and registers i for future probes. Maintained evaluation
+// (AnyEvaluator) always runs on the concrete *anyGrid, which drives the
+// very same step, so appending batches cannot drift from a one-shot run.
 type anyIndex interface {
 	step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
-	neighbors(ps *geom.PointSet, i int, opt Options, buf []int32) []int32
-	remove(ps *geom.PointSet, i int, opt Options)
-	relink(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
-	add(ps *geom.PointSet, i int, opt Options)
 }
 
 // newAnyIndex instantiates the Points_IX strategy selected by the
 // options (BoundsCheck is rejected earlier; see errBoundsCheckAny).
-// sizeHint presizes the grid directory when the input size is known
-// up front (0 for incremental evaluators that grow from empty).
+// sizeHint presizes the grid directory to the input size.
 func newAnyIndex(dims, sizeHint int, opt Options) anyIndex {
 	switch opt.Algorithm {
 	case AllPairs:
@@ -139,7 +126,7 @@ func newAnyIndex(dims, sizeHint int, opt Options) anyIndex {
 	case OnTheFlyIndex:
 		return &anyRTree{ix: rtree.New(dims)}
 	case GridIndex:
-		return &anyGrid{tab: grid.NewCap(dims, opt.Eps, sizeHint)}
+		return newAnyGrid(dims, sizeHint, opt.Eps)
 	default:
 		panic("core: unknown SGB-Any algorithm")
 	}
@@ -147,23 +134,13 @@ func newAnyIndex(dims, sizeHint int, opt Options) anyIndex {
 
 // anyAllPairs is the naive baseline: every prior point is tested
 // against the incoming point (O(n²) distance computations over a full
-// run). It keeps no index, so deletion support is a liveness filter:
-// the evaluator shares its alive bitmap through the pointer, and step
-// skips tombstoned points (one-shot runs leave it nil — every stored
-// point is live there).
-type anyAllPairs struct{ alive *[]bool }
+// run).
+type anyAllPairs struct{}
 
-func (a anyAllPairs) live(j int) bool {
-	return a.alive == nil || *a.alive == nil || (*a.alive)[j]
-}
-
-func (a anyAllPairs) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
+func (anyAllPairs) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
 	metric, eps := opt.Metric, opt.Eps
 	p := ps.At(i)
 	for j := 0; j < i; j++ {
-		if !a.live(j) {
-			continue
-		}
 		opt.Stats.addDist(1)
 		if metric.Within(p, ps.At(j), eps) {
 			if uf.Find(i) != uf.Find(j) {
@@ -173,42 +150,6 @@ func (a anyAllPairs) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.U
 		}
 	}
 }
-
-func (a anyAllPairs) neighbors(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
-	metric, eps := opt.Metric, opt.Eps
-	p := ps.At(i)
-	for j := 0; j < ps.Len(); j++ {
-		if j == i || !a.live(j) {
-			continue
-		}
-		opt.Stats.addDist(1)
-		if metric.Within(p, ps.At(j), eps) {
-			buf = append(buf, int32(j))
-		}
-	}
-	return buf
-}
-
-func (anyAllPairs) remove(*geom.PointSet, int, Options) {} // no index to maintain
-
-func (a anyAllPairs) relink(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
-	metric, eps := opt.Metric, opt.Eps
-	p := ps.At(i)
-	for j := 0; j < ps.Len(); j++ {
-		if j == i || !a.live(j) {
-			continue
-		}
-		opt.Stats.addDist(1)
-		if metric.Within(p, ps.At(j), eps) {
-			if uf.Find(i) != uf.Find(j) {
-				opt.Stats.addMerge(1)
-			}
-			uf.Union(i, j)
-		}
-	}
-}
-
-func (anyAllPairs) add(*geom.PointSet, int, Options) {} // no index to maintain
 
 // anyRTree is Procedure 7/8: Points_IX maintains the processed points
 // in an R-tree; for each incoming point a window query retrieves the
@@ -218,8 +159,7 @@ func (anyAllPairs) add(*geom.PointSet, int, Options) {} // no index to maintain
 type anyRTree struct {
 	ix *rtree.Tree
 	// ids stores point ids pre-boxed so the per-point index insert does
-	// not allocate an interface value; it grows on demand so the
-	// incremental evaluator can keep extending it across appends.
+	// not allocate an interface value.
 	ids  []any
 	pBox geom.Rect
 }
@@ -251,63 +191,6 @@ func (a *anyRTree) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
 	a.ix.Insert(geom.PointRect(p), a.ids[i])
 }
 
-func (a *anyRTree) neighbors(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
-	p := ps.At(i)
-	geom.EpsBoxInto(&a.pBox, p, opt.Eps)
-	opt.Stats.addProbe(1)
-	a.ix.Visit(a.pBox, func(_ geom.Rect, data any) bool {
-		j := data.(int)
-		if j == i {
-			return true
-		}
-		if opt.Metric == geom.L2 {
-			opt.Stats.addDist(1)
-			if !ps.Within(opt.Metric, i, j, opt.Eps) {
-				return true
-			}
-		}
-		buf = append(buf, int32(j))
-		return true
-	})
-	return buf
-}
-
-func (a *anyRTree) remove(ps *geom.PointSet, i int, opt Options) {
-	opt.Stats.addUpdate(1)
-	a.ix.Delete(geom.PointRect(ps.At(i)), i)
-}
-
-func (a *anyRTree) relink(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
-	p := ps.At(i)
-	geom.EpsBoxInto(&a.pBox, p, opt.Eps)
-	opt.Stats.addProbe(1)
-	a.ix.Visit(a.pBox, func(_ geom.Rect, data any) bool {
-		j := data.(int)
-		if j == i {
-			return true
-		}
-		if opt.Metric == geom.L2 {
-			opt.Stats.addDist(1)
-			if !ps.Within(opt.Metric, i, j, opt.Eps) {
-				return true
-			}
-		}
-		if uf.Find(i) != uf.Find(j) {
-			opt.Stats.addMerge(1)
-			uf.Union(i, j)
-		}
-		return true
-	})
-}
-
-func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
-	for len(a.ids) <= i {
-		a.ids = append(a.ids, len(a.ids))
-	}
-	opt.Stats.addUpdate(1)
-	a.ix.Insert(geom.PointRect(ps.At(i)), a.ids[i])
-}
-
 // anyGrid is the ε-grid Points_IX: each processed point is registered
 // in its home cell, and the neighbors of an incoming point are found by
 // scanning the 3^d cells its ε-box covers. The cell neighborhood
@@ -317,10 +200,21 @@ func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
 // other strategies — and, unlike the SGB-All finder, the probe needs no
 // sort or dedup: each point lives in exactly one cell, and merge order
 // cannot influence the components.
+//
+// It is also the one index under maintained evaluation: neighbors
+// lists a registered point's within-ε neighbors (the BFS and relink
+// edges of AnyEvaluator.Remove), remove unregisters a deleted point,
+// and add registers one without probing (the compaction and restore
+// rebuilds, where components are already known).
 type anyGrid struct {
 	tab *grid.Table
 	cur grid.Cursor
 	buf []int32
+}
+
+// newAnyGrid presizes the directory for sizeHint points (0: grow).
+func newAnyGrid(dims, sizeHint int, eps float64) *anyGrid {
+	return &anyGrid{tab: grid.NewCap(dims, eps, sizeHint)}
 }
 
 func (a *anyGrid) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
@@ -364,27 +258,6 @@ func (a *anyGrid) neighbors(ps *geom.PointSet, i int, opt Options, buf []int32) 
 func (a *anyGrid) remove(ps *geom.PointSet, i int, opt Options) {
 	opt.Stats.addUpdate(1)
 	a.tab.RemovePoint(ps.At(i), int32(i))
-}
-
-func (a *anyGrid) relink(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
-	metric, eps := opt.Metric, opt.Eps
-	p := ps.At(i)
-	opt.Stats.addProbe(1)
-	a.buf = a.tab.CollectBox(&a.cur, p, eps, a.buf[:0])
-	for _, j32 := range a.buf {
-		j := int(j32)
-		if j == i {
-			continue
-		}
-		opt.Stats.addDist(1)
-		if !metric.Within(p, ps.At(j), eps) {
-			continue
-		}
-		if uf.Find(i) != uf.Find(j) {
-			opt.Stats.addMerge(1)
-			uf.Union(i, j)
-		}
-	}
 }
 
 func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {

@@ -14,9 +14,11 @@
 //   - SGB-Any: connected components of the ε-similarity graph are
 //     independent of arrival order (the companion paper on
 //     order-independent SGB semantics, PAPERS.md), and the live
-//     ε-grid/R-tree plus the Union-Find forest both support appends
-//     natively — so appending just keeps running the same per-point
-//     step (core.AnyEvaluator). The same semantics make deletion
+//     ε-grid plus the Union-Find forest both support appends natively
+//     — so appending just keeps running the same per-point step
+//     (core.AnyEvaluator; the grid whatever Options.Algorithm names,
+//     since components do not depend on the index that finds the
+//     edges either). The same semantics make deletion
 //     well-defined and local: removing a point can only split its own
 //     component, so Remove dissolves and reclusters just the affected
 //     components (core/decremental.go).

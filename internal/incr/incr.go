@@ -73,8 +73,16 @@ type Incremental struct {
 	sem  Semantics
 	dims int // 0 until the first non-empty batch fixes it
 
-	all *core.AllEvaluator
-	any *core.AnyEvaluator
+	ev evaluator // nil until the first non-empty batch
+}
+
+// evaluator is what core.AllEvaluator and core.AnyEvaluator both provide.
+type evaluator interface {
+	Len() int
+	LiveAt(i int) geom.Point
+	Append(ps *geom.PointSet) error
+	Remove(ids []int) error
+	Result() *core.Result
 }
 
 // New returns an empty incremental grouping handle for the given
@@ -101,14 +109,10 @@ func (x *Incremental) Semantics() Semantics { return x.sem }
 
 // Len returns the number of live points (appended and not removed).
 func (x *Incremental) Len() int {
-	switch {
-	case x.all != nil:
-		return x.all.Len()
-	case x.any != nil:
-		return x.any.Len()
-	default:
+	if x.ev == nil {
 		return 0
 	}
+	return x.ev.Len()
 }
 
 // Dims returns the point dimensionality, or 0 while no batch has been
@@ -147,10 +151,7 @@ func (x *Incremental) AppendSet(ps *geom.PointSet) error {
 	if err := x.ensure(ps.Dims()); err != nil {
 		return err
 	}
-	if x.all != nil {
-		return x.all.Append(ps)
-	}
-	return x.any.Append(ps)
+	return x.ev.Append(ps)
 }
 
 // ensure lazily creates the underlying evaluator once the first batch
@@ -164,16 +165,17 @@ func (x *Incremental) ensure(dims int) error {
 	}
 	opt := x.snap
 	opt.Parallelism = 1 // appends evaluate sequentially by design
+	var ev evaluator
 	var err error
 	if x.sem == All {
-		x.all, err = core.NewAllEvaluator(dims, opt)
+		ev, err = core.NewAllEvaluator(dims, opt)
 	} else {
-		x.any, err = core.NewAnyEvaluator(dims, opt)
+		ev, err = core.NewAnyEvaluator(dims, opt)
 	}
 	if err != nil {
-		return err
+		return err // ev holds a nil pointer here; x.ev stays a nil interface
 	}
-	x.dims = dims
+	x.ev, x.dims = ev, dims
 	return nil
 }
 
@@ -193,14 +195,10 @@ func (x *Incremental) Remove(ids []int) error {
 	if x.Opt != x.snap {
 		return ErrOptionsMutated
 	}
-	switch {
-	case x.all != nil:
-		return x.all.Remove(ids)
-	case x.any != nil:
-		return x.any.Remove(ids)
-	default:
+	if x.ev == nil {
 		return fmt.Errorf("incr: Remove id out of range [0, 0)")
 	}
+	return x.ev.Remove(ids)
 }
 
 // Window evicts oldest-first until at most n points remain — the
@@ -241,7 +239,7 @@ func (x *Incremental) WindowBy(pred func(p geom.Point) bool) (int, error) {
 	}
 	n := x.Len()
 	evict := 0
-	for evict < n && pred(x.liveAt(evict)) {
+	for evict < n && pred(x.ev.LiveAt(evict)) {
 		evict++
 	}
 	if evict == 0 {
@@ -257,15 +255,6 @@ func (x *Incremental) WindowBy(pred func(p geom.Point) bool) (int, error) {
 	return evict, nil
 }
 
-// liveAt returns the point with live id i; only called with a live
-// evaluator (Len() > 0 implies one exists).
-func (x *Incremental) liveAt(i int) geom.Point {
-	if x.all != nil {
-		return x.all.LiveAt(i)
-	}
-	return x.any.LiveAt(i)
-}
-
 // Result materializes the current grouping. The result owns its
 // slices; it stays valid across later appends, and repeated calls are
 // independent (under FORM-NEW-GROUP each call replays the deferred-set
@@ -275,12 +264,8 @@ func (x *Incremental) Result() (*core.Result, error) {
 	if x.Opt != x.snap {
 		return nil, ErrOptionsMutated
 	}
-	switch {
-	case x.all != nil:
-		return x.all.Result(), nil
-	case x.any != nil:
-		return x.any.Result(), nil
-	default:
+	if x.ev == nil {
 		return &core.Result{}, nil
 	}
+	return x.ev.Result(), nil
 }

@@ -31,11 +31,11 @@ func (x *Incremental) ExportState() (*State, error) {
 	opt := x.snap
 	opt.Stats = nil
 	s := &State{Sem: x.sem, Opt: opt}
-	switch {
-	case x.all != nil:
-		s.All = x.all.ExportState()
-	case x.any != nil:
-		s.Any = x.any.ExportState()
+	switch ev := x.ev.(type) {
+	case *core.AllEvaluator:
+		s.All = ev.ExportState()
+	case *core.AnyEvaluator:
+		s.Any = ev.ExportState()
 	}
 	return s, nil
 }
@@ -59,20 +59,20 @@ func Restore(s *State) (*Incremental, error) {
 		if s.Sem != All {
 			return nil, fmt.Errorf("incr: %v state with an SGB-All evaluator", s.Sem)
 		}
-		x.all, err = core.RestoreAllEvaluator(s.All)
+		ev, err := core.RestoreAllEvaluator(s.All)
 		if err != nil {
 			return nil, err
 		}
-		x.dims = s.All.Dims
+		x.ev, x.dims = ev, s.All.Dims
 	case s.Any != nil:
 		if s.Sem != Any {
 			return nil, fmt.Errorf("incr: %v state with an SGB-Any evaluator", s.Sem)
 		}
-		x.any, err = core.RestoreAnyEvaluator(s.Any)
+		ev, err := core.RestoreAnyEvaluator(s.Any)
 		if err != nil {
 			return nil, err
 		}
-		x.dims = s.Any.Dims
+		x.ev, x.dims = ev, s.Any.Dims
 	}
 	return x, nil
 }

@@ -133,6 +133,12 @@ type Log struct {
 // repairs the tail.
 var ErrLogFailed = errors.New("wal: log failed; reopen to recover")
 
+// ErrTooLarge is returned by Append for a record whose payload exceeds
+// the frame limit the open-time scan enforces: written, it would read
+// back as a torn tail and take every later frame with it. Nothing is
+// written and the log is not poisoned.
+var ErrTooLarge = errors.New("wal: record exceeds the 64 MiB frame limit")
+
 // Open opens (creating if needed) the WAL in dir, repairs any torn
 // tail left by a crash — the file is truncated after the last valid
 // frame and any segments beyond the first corruption are deleted — and
@@ -293,12 +299,17 @@ func (l *Log) Policy() SyncPolicy { return l.opt.Policy }
 // (rotating first when full), and applies the sync policy. It returns
 // the frame's sequence number. A write failure poisons the log: the
 // on-disk tail may be torn, so every later Append fails with
-// ErrLogFailed until the log is reopened (which repairs the tail).
+// ErrLogFailed until the log is reopened (which repairs the tail). An
+// oversized record is refused with ErrTooLarge before anything is
+// written, leaving the log as it was.
 func (l *Log) Append(rec Record) (uint64, error) {
 	if l.failed != nil {
 		return 0, l.failed
 	}
 	payload := EncodeRecord(rec)
+	if len(payload) > maxFrame {
+		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+	}
 	frame := make([]byte, frameHdr+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))

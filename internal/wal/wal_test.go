@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/types"
@@ -352,6 +354,63 @@ func TestFaultInjectionFailedSync(t *testing.T) {
 
 func defaultOpen(path string) (File, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+}
+
+// TestAppendRefusesOversizedRecord: a payload past maxFrame would be
+// written and then read back as a torn tail, silently discarding it and
+// every acknowledged record after it. Append must refuse it up front —
+// typed, nothing written, log still usable.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 64 MiB record")
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Policy: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords()[:2]
+	if _, err := l.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	segBytes := func() []byte {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+		if err != nil || len(names) != 1 {
+			t.Fatalf("segments = %v, %v", names, err)
+		}
+		b, err := os.ReadFile(names[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := segBytes()
+
+	_, err = l.Append(DropTable{Name: strings.Repeat("x", maxFrame)})
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized append: err = %v, want ErrTooLarge", err)
+	}
+	if errors.Is(err, ErrLogFailed) {
+		t.Fatalf("oversized append poisoned the log: %v", err)
+	}
+	if l.LastSeq() != 1 {
+		t.Fatalf("LastSeq = %d after refused append, want 1", l.LastSeq())
+	}
+	if after := segBytes(); !bytes.Equal(after, before) {
+		t.Fatalf("refused append changed the segment: %d -> %d bytes", len(before), len(after))
+	}
+
+	seq, err := l.Append(recs[1])
+	if err != nil || seq != 2 {
+		t.Fatalf("append after refusal: seq %d, err %v", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, dir, 0); !reflect.DeepEqual(got, recs) {
+		t.Fatalf("replay after refusal:\n got %#v\nwant %#v", got, recs)
+	}
 }
 
 func TestSetPolicy(t *testing.T) {

@@ -218,7 +218,9 @@ func NewIncrementalAll(opt Options) (*Incremental, error) {
 }
 
 // NewIncrementalAny returns an empty incremental SGB-Any grouping
-// (DISTANCE-TO-ANY connected components; opt.Overlap is ignored).
+// (DISTANCE-TO-ANY connected components; opt.Overlap is ignored). The
+// handle is maintained on the ε-grid whatever opt.Algorithm names:
+// components do not depend on the index that finds the ε-edges.
 func NewIncrementalAny(opt Options) (*Incremental, error) {
 	return incr.New(incr.Any, opt)
 }

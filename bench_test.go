@@ -2,11 +2,18 @@
 // and 2, Figures 9–12). Each family's sub-benchmarks are the series
 // the corresponding figure plots (algorithm × parameter), so
 //
-//	go test -bench . -benchmem
+//	go test -bench 'Fig|Table' -benchmem
 //
 // reproduces the relative shapes: who wins, by what factor, and how
 // runtimes move with ε and data size. cmd/sgbbench prints the same
-// experiments as full sweeps in tabular form.
+// experiments as full sweeps in tabular form; docs/reproduction.md maps
+// figure to family to experiment.
+//
+// The other families (Ablation, Grid, Sweep, Parallel, ParallelPhases,
+// Incremental, Window, WarmAnswer, ColdSQL) are the harnesses behind a
+// checked-in profile (docs/pr*-profile.md) or an open ROADMAP verdict.
+// None of them is the performance record: that is bench/ and
+// BENCHMARK.json, `bash bench/run.sh -compare`.
 package sgb_test
 
 import (
@@ -14,8 +21,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	sgb "github.com/sgb-db/sgb"
@@ -368,9 +373,8 @@ func BenchmarkIncremental(b *testing.B) {
 // series drives an Incremental handle (append + decremental Window +
 // Result); the Oneshot series pays what the window replaces —
 // regrouping the whole window from scratch every tick. The workload
-// is cluster-structured (benchkit.ClusterPoints, shared with the
-// "window" baseline family so both measure the same shape) with the
-// domain scaled to hold cluster density constant as the window grows.
+// is cluster-structured (benchkit.ClusterPoints) with the domain scaled
+// to hold cluster density constant as the window grows.
 // SGB-Any maintenance is localized — eviction reclusters only the
 // victims' components — which is where the ≥5× steady-state win over
 // per-tick one-shot comes from; SGB-All replays the order-sensitive
@@ -799,7 +803,7 @@ func BenchmarkColdSQL(b *testing.B) {
 // BenchmarkHarness runs each benchkit experiment end-to-end at reduced
 // scale — the same code path as cmd/sgbbench, kept exercised by CI.
 func BenchmarkHarness(b *testing.B) {
-	for _, id := range []string{"fig9a", "fig10d", "fig11a", "fig12a", "table1", "scaling"} {
+	for _, id := range []string{"fig9a", "fig10d", "fig11a", "fig12a", "table1"} {
 		e, ok := benchkit.Find(id)
 		if !ok {
 			b.Fatalf("missing experiment %s", id)
@@ -812,89 +816,4 @@ func BenchmarkHarness(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRecovery measures crash-restart to first grouping answer on
-// a persistent database: a warm start (checkpoint + short WAL tail,
-// incremental evaluator revived from the snapshot) against a cold one
-// (snapshots stripped: full WAL replay, regroup from scratch). The
-// BENCH_<n>.json "recovery" family records the same pair at full size.
-func BenchmarkRecovery(b *testing.B) {
-	const n = 8192
-	warm := b.TempDir()
-	query, err := benchkit.SetupRecoveryDir(warm, n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cold := b.TempDir()
-	if err := copyFlatDir(warm, cold); err != nil {
-		b.Fatal(err)
-	}
-	if err := benchkit.StripSnapshots(cold); err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name, dir string
-	}{{"Warm/SnapshotTail", warm}, {"Cold/FullReplay", cold}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := benchkit.TimeRecovery(tc.dir, query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkServe measures wire-protocol serving under concurrent
-// sessions: p50/p99 request latency and throughput at several
-// connection counts, read-mostly (the shared evaluator cache's best
-// case) and mixed INSERT/DELETE/query traffic. The full 1/8/32/128
-// sweep with absolute numbers lives in `sgbbench -run serve` and the
-// baseline snapshots; this keeps a CI-sized smoke point per workload.
-func BenchmarkServe(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		conns int
-		mixed bool
-	}{
-		{"Read/c=8", 8, false},
-		{"Read/c=32", 32, false},
-		{"Mixed/c=8", 8, true},
-		{"Mixed/c=32", 32, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := benchkit.RunServeLoad(1000, tc.conns, 256, tc.mixed, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.P50.Microseconds())/1000, "p50-ms")
-				b.ReportMetric(float64(res.P99.Microseconds())/1000, "p99-ms")
-				b.ReportMetric(res.Throughput, "req/s")
-			}
-		})
-	}
-}
-
-// copyFlatDir clones a flat directory (benchmark fixture helper).
-func copyFlatDir(src, dst string) error {
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }

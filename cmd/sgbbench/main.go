@@ -10,6 +10,10 @@
 //
 // Scale 1 is the default single-machine size (seconds per experiment);
 // the paper's full workloads correspond to roughly scale 25–50.
+//
+// These fourteen experiments are the whole command: it reproduces the
+// paper and records nothing. Whether a change regressed anything is
+// answered by `bash bench/run.sh -compare` (bench/, BENCHMARK.json).
 package main
 
 import (
@@ -23,33 +27,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig9a..fig12b, table1, table2), comma-separated, or 'all'")
-		scale    = flag.Float64("scale", 1.0, "workload scale multiplier (1.0 = default sizes)")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		list     = flag.Bool("list", false, "list available experiments")
-		baseline = flag.String("baseline", "", "write a machine-readable perf baseline (JSON) to this path and exit")
+		exp   = flag.String("exp", "", "experiment id (fig9a..fig12b, table1, table2), comma-separated, or 'all'")
+		scale = flag.Float64("scale", 1.0, "workload scale multiplier (1.0 = default sizes)")
+		seed  = flag.Int64("seed", 42, "generator seed")
+		list  = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
-
-	if *baseline != "" {
-		f, err := os.Create(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sgbbench: %v\n", err)
-			os.Exit(1)
-		}
-		cfg := benchkit.Config{Out: os.Stdout, Scale: *scale, Seed: *seed}
-		if err := benchkit.WriteBaseline(f, cfg); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "sgbbench: baseline: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "sgbbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("baseline written to %s\n", *baseline)
-		return
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")

@@ -106,10 +106,29 @@ func blobPoints(n, blobSize int, seed int64) []geom.Point {
 	return pts
 }
 
+// ClusterPoints draws n points in 16-point clusters of ~1.2 extent
+// around random centers on a span × span domain — the spatially
+// localized workload (MANET traces, geosocial check-ins) the root
+// BenchmarkWindow slides its window over. Keep the span subcritical
+// relative to ε (cluster-graph degree well under 1) for components to
+// stay bounded.
+func ClusterPoints(n int, span float64, seed int64) *geom.PointSet {
+	r := rand.New(rand.NewSource(seed))
+	ps := geom.NewPointSet(2)
+	for j := 0; j < n; {
+		cx, cy := r.Float64()*span, r.Float64()*span
+		for k := 0; k < 16 && j < n; k++ {
+			p := ps.Extend()
+			p[0], p[1] = cx+r.Float64()*1.2, cy+r.Float64()*1.2
+			j++
+		}
+	}
+	return ps
+}
+
 // timeSGBAll measures one SGB-All evaluation. Strategy-comparison
 // experiments pin Parallelism to 1 so each column measures the named
-// sequential strategy (the paper's operator is single-threaded); the
-// scaling experiment sweeps worker counts explicitly.
+// sequential strategy (the paper's operator is single-threaded).
 func timeSGBAll(pts []geom.Point, alg core.Algorithm, ov core.Overlap, eps float64) (time.Duration, int, error) {
 	opt := core.Options{Metric: geom.L2, Eps: eps, Overlap: ov, Algorithm: alg, Seed: 1, Parallelism: 1}
 	start := time.Now()

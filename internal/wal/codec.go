@@ -202,7 +202,9 @@ func (d *Decoder) Row() types.Row {
 	if d.err != nil {
 		return nil
 	}
-	row := make(types.Row, 0, n)
+	// Every value is at least its kind byte, so the bytes that remain
+	// bound the row: an announced count alone reserves nothing.
+	row := make(types.Row, 0, min(n, len(d.b)))
 	for i := 0; i < n; i++ {
 		row = append(row, d.Value())
 		if d.err != nil {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/types"
@@ -88,6 +90,7 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{byte(RecInsert)})
 	f.Add([]byte{0xFF, 0x00})
+	f.Add(hostileInsert())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
@@ -102,6 +105,30 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatalf("decode/encode/decode mismatch")
 		}
 	})
+}
+
+// hostileInsert is an Insert record announcing 2²⁶ rows whose first row
+// announces 2²⁶ values, and carrying none of them.
+func hostileInsert() []byte {
+	b := AppendString([]byte{byte(RecInsert)}, "pts")
+	return AppendU32(AppendU32(b, 1<<26), 1<<26)
+}
+
+// TestDecodeRowHostileCount: an announced value count reserves nothing
+// — the row is bounded by the bytes that remain, not by the 48 bytes
+// per announced value (3 GiB here) the count alone would ask for.
+func TestDecodeRowHostileCount(t *testing.T) {
+	payload := hostileInsert()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRecord(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("got %v, want a truncation error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding %d bytes allocated %d", len(payload), got)
+	}
 }
 
 // TestTypesRowAlias pins the codec's assumption that types.Row is a

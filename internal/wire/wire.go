@@ -15,9 +15,11 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"github.com/sgb-db/sgb/internal/types"
 	"github.com/sgb-db/sgb/internal/wal"
@@ -39,8 +41,17 @@ const (
 // broken or hostile; the reader rejects the frame before allocating.
 const MaxFrame = 1 << 26
 
+// ErrFrameTooLarge reports a payload above MaxFrame, on either side of
+// the connection. From WriteFrame it means nothing was written: the
+// stream is still at a frame boundary and can carry another frame.
+var ErrFrameTooLarge = errors.New("wire: frame payload exceeds limit")
+
 // frameHdr is the frame header size: payload length + CRC32C.
 const frameHdr = 8
+
+// readStep is the most ReadFrame allocates before a payload byte has
+// arrived.
+const readStep = 1 << 20
 
 // castagnoli is the CRC32C polynomial table (matching the WAL's frame
 // checksums).
@@ -51,7 +62,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // net.Conn's own write serialization.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame payload %d bytes exceeds limit %d", len(payload), MaxFrame)
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
 	buf := make([]byte, frameHdr, frameHdr+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
@@ -65,6 +76,11 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // checksum. io.EOF surfaces unchanged when the stream ends cleanly at
 // a frame boundary (a closing peer); any mid-frame truncation or
 // checksum mismatch is an error.
+//
+// The payload buffer grows as bytes arrive — readStep first, then
+// doubling up to the announced length — so an eight-byte header
+// reserves at most readStep, and a peer that stops sending holds no
+// more than readStep plus twice what it did send.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameHdr]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -73,13 +89,23 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame payload %d bytes exceeds limit %d", n, MaxFrame)
+		return nil, fmt.Errorf("%w: %d bytes, limit %d", ErrFrameTooLarge, n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("wire: reading %d-byte frame payload: %w", n, err)
+	payload := make([]byte, 0, min(n, readStep))
+	for len(payload) < n {
+		got := len(payload)
+		if got == cap(payload) {
+			payload = slices.Grow(payload, min(n-got, got))
+		}
+		payload = payload[:min(n, cap(payload))]
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, fmt.Errorf("wire: reading %d-byte frame payload: %w", n, err)
+		}
 	}
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
 		return nil, fmt.Errorf("wire: frame checksum mismatch (got %08x, want %08x)", got, want)
@@ -152,14 +178,18 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	resp := &Response{}
 	switch t := d.Byte(); t {
 	case MsgRows:
+		// A column name and a row are each at least their 4-byte count,
+		// so the bytes that remain bound both slices; the announced
+		// counts alone reserve nothing, and a failed decode stops the
+		// loop instead of appending to the announced length.
 		ncols := d.Count()
-		resp.Columns = make([]string, 0, ncols)
-		for i := 0; i < ncols; i++ {
+		resp.Columns = make([]string, 0, min(ncols, d.Len()/4))
+		for i := 0; i < ncols && d.Err() == nil; i++ {
 			resp.Columns = append(resp.Columns, d.String())
 		}
 		nrows := d.Count()
-		resp.Data = make([]types.Row, 0, nrows)
-		for i := 0; i < nrows; i++ {
+		resp.Data = make([]types.Row, 0, min(nrows, d.Len()/4))
+		for i := 0; i < nrows && d.Err() == nil; i++ {
 			resp.Data = append(resp.Data, d.Row())
 		}
 		resp.Count = len(resp.Data)

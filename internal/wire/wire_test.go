@@ -2,13 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/sgb-db/sgb/internal/types"
+	"github.com/sgb-db/sgb/internal/wal"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -67,11 +71,14 @@ func TestFrameOversizeRejected(t *testing.T) {
 	// A header announcing an absurd payload must be rejected before any
 	// allocation happens.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize frame: got %v, want limit error", err)
 	}
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); err == nil {
-		t.Fatal("oversize write accepted")
+	// The writer's refusal is typed and writes nothing, so the caller
+	// can still use the stream.
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) || buf.Len() != 0 {
+		t.Fatalf("oversize write: got %v after %d bytes, want ErrFrameTooLarge and nothing written", err, buf.Len())
 	}
 }
 
@@ -128,5 +135,80 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResponse(append(EncodeCount(1), 9)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// allocatedBy reports the heap bytes fn allocated (freed or not).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// announce is a frame header promising n payload bytes (checksum 0).
+func announce(n uint32) []byte {
+	hdr := make([]byte, frameHdr)
+	binary.LittleEndian.PutUint32(hdr, n)
+	return hdr
+}
+
+// hostileRows is a MsgRows payload announcing 2²⁶ rows in nine bytes;
+// hostileRow adds a first row announcing 2²⁶ values; hostileCols
+// announces 2²⁶ column names instead. None carries a single element.
+var (
+	hostileRows = wal.AppendU32(wal.AppendU32([]byte{MsgRows}, 0), 1<<26)
+	hostileRow  = wal.AppendU32(hostileRows[:len(hostileRows):len(hostileRows)], 1<<26)
+	hostileCols = wal.AppendU32([]byte{MsgRows}, 1<<26)
+)
+
+// TestDecodeResponseHostileCounts: an announced count reserves
+// nothing — unbounded, these payloads would cost the client 24 or 48
+// bytes per announced element (1.5 and 3 GiB) to report "truncated".
+func TestDecodeResponseHostileCounts(t *testing.T) {
+	for _, p := range [][]byte{hostileRows, hostileRow, hostileCols} {
+		var err error
+		got := allocatedBy(func() { _, err = DecodeResponse(p) })
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%x: got %v, want a truncation error", p, err)
+		}
+		if got > 1<<20 {
+			t.Errorf("%x: decoding %d bytes allocated %d", p, len(p), got)
+		}
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a header announcing MaxFrame
+// and then nothing must not reserve MaxFrame, and is a mid-frame
+// truncation, not a clean end of stream.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var err error
+	got := allocatedBy(func() { _, err = ReadFrame(bytes.NewReader(announce(MaxFrame))) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header then EOF: got %v, want a mid-frame truncation", err)
+	}
+	if got > 2<<20 {
+		t.Fatalf("an 8-byte header allocated %d bytes", got)
+	}
+
+	// A payload of several steps still arrives whole, whatever the
+	// reader's chunking, and a cut inside it is still a truncation.
+	big := bytes.Repeat([]byte("0123456789abcdef"), (3*readStep+readStep/2)/16)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	p, err := ReadFrame(iotest.OneByteReader(bytes.NewReader(raw[:frameHdr+5])))
+	if p != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut after 5 payload bytes: got %d bytes, %v", len(p), err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(raw[:frameHdr+2*readStep])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("cut on a step boundary: got %v, want a mid-frame truncation", err)
+	}
+	p, err = ReadFrame(iotest.HalfReader(bytes.NewReader(raw)))
+	if err != nil || !bytes.Equal(p, big) {
+		t.Fatalf("%d-byte frame: got %d bytes, %v", len(big), len(p), err)
 	}
 }

@@ -15,6 +15,7 @@ package sgbserver
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 
@@ -165,6 +166,12 @@ func (s *Server) handle(sc *serverConn) {
 
 		resp := runStatement(sess, payload)
 		werr := wire.WriteFrame(sc.c, resp)
+		if errors.Is(werr, wire.ErrFrameTooLarge) {
+			// Nothing was written, so the stream is intact: the
+			// statement ran but its answer does not fit one frame.
+			// Say so instead of hanging up on the client.
+			werr = wire.WriteFrame(sc.c, wire.EncodeErr(fmt.Errorf("sgbserver: result not sent: %w", werr)))
+		}
 
 		sc.mu.Lock()
 		sc.busy = false

@@ -2,6 +2,7 @@ package sgbserver
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/sgb-db/sgb"
+	"github.com/sgb-db/sgb/internal/wire"
 	"github.com/sgb-db/sgb/sgbclient"
 )
 
@@ -270,4 +272,38 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(b[i:])
+}
+
+// TestServerOversizedResult: an answer that does not fit one frame
+// comes back as a statement error naming the size and the limit, and
+// the session stays usable; hanging up instead would reach the client
+// as a bare EOF with no reason.
+func TestServerOversizedResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 70 MiB result")
+	}
+	db := sgb.Open()
+	addr, _, stop := startServer(t, db)
+	defer stop()
+	c := dial(t, addr)
+
+	if _, err := c.Exec("CREATE TABLE blobs (id INT, body TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Repeat("x", 1<<20)
+	for i := 0; i < 70; i++ {
+		if _, err := c.Exec(fmt.Sprintf("INSERT INTO blobs VALUES (%d, '%s')", i, body)); err != nil {
+			t.Fatalf("INSERT %d: %v", i, err)
+		}
+	}
+	_, err := c.Query("SELECT id, body FROM blobs")
+	var remote sgbclient.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(err.Error(), "exceeds limit") ||
+		!strings.Contains(err.Error(), fmt.Sprint(wire.MaxFrame)) {
+		t.Fatalf("70 MiB SELECT: got %.200v, want a RemoteError naming the %d-byte limit", err, wire.MaxFrame)
+	}
+	got, err := c.Query("SELECT count(*) FROM blobs")
+	if err != nil || got.Len() != 1 || got.Data[0][0].I != 70 {
+		t.Fatalf("statement after the refused one: %v, %v", got, err)
+	}
 }

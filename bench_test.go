@@ -690,14 +690,18 @@ func BenchmarkAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkWarmAnswer times the three warm statement shapes of the
-// evaluator cache — single-ε DISTANCE-TO-ANY, single-ε DISTANCE-TO-ALL,
-// and an EPS IN sweep — over 32 000 unchanged check-ins, each after one
-// execution that builds the grouping and folds the aggregates: what a
-// cache hit costs, in time and in allocation. docs/pr12-warm-profile.md
-// records its numbers and the CPU profile of
+// BenchmarkWarmAnswer times the warm statement shapes of the evaluator
+// cache — single-ε DISTANCE-TO-ANY, single-ε DISTANCE-TO-ALL, an EPS IN
+// sweep, and the two ORDER BY … LIMIT 10 statements of the end-to-end
+// benchmark's sql_warm workload — over 32 000 unchanged check-ins, each
+// after one execution that builds the grouping and folds the
+// aggregates: what a cache hit costs, in time and in allocation.
+// docs/pr12-warm-profile.md records the first three and the CPU profile
+// of
 //
 //	go test -run xxx -bench WarmAnswer -benchtime 1500x -cpuprofile cpu.out
+//
+// docs/pr19-topk.md the top-k pair.
 func BenchmarkWarmAnswer(b *testing.B) {
 	db := sgb.Open()
 	if err := db.Catalog().Create(checkin.Table("checkins", checkin.Brightkite(32000))); err != nil {
@@ -711,6 +715,8 @@ func BenchmarkWarmAnswer(b *testing.B) {
 		{"Any", "SELECT count(*), avg(latitude), max(longitude)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.2"},
 		{"All", "SELECT count(*), avg(latitude), max(longitude)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.2 ON-OVERLAP JOIN-ANY"},
 		{"Sweep", "SELECT eps, count(*), avg(latitude)" + from + "DISTANCE-TO-ANY L2 EPS IN (0.1, 0.4, 0.8)"},
+		{"TopAny", "SELECT count(*), max(longitude)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.2 ORDER BY 1 DESC, 2 DESC LIMIT 10"},
+		{"TopAll", "SELECT count(*), max(longitude)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.2 ON-OVERLAP JOIN-ANY ORDER BY 1 DESC, 2 DESC LIMIT 10"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rows, err := db.Query(tc.sql) // builds and publishes the answer

@@ -1,9 +1,10 @@
 // Package exec implements the Volcano-style (iterator) executor that
 // plays the role of PostgreSQL's executor in the paper's prototype:
 // sequential scans, filters, projections, hash joins, standard hash
-// aggregation, sorting, and the two similarity group-by operator nodes
-// (see sgb.go). Operators consume compiled scalar closures rather than
-// AST nodes; the planner (internal/plan) produces both.
+// aggregation, sorting, bounded-heap top-k (topk.go), and the two
+// similarity group-by operator nodes (see sgb.go). Operators consume
+// compiled scalar closures rather than AST nodes; the planner
+// (internal/plan) produces both.
 //
 // The SGB node is blocking, like the paper's: ELIMINATE and
 // FORM-NEW-GROUP can only be finalized "after processing the complete

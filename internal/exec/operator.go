@@ -227,7 +227,8 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and sorts its input.
+// Sort materializes and sorts its input (ORDER BY without LIMIT; with
+// one the planner emits TopK).
 type Sort struct {
 	Input Operator
 	Keys  []SortKey
@@ -248,6 +249,7 @@ func (s *Sort) Open() error {
 		keys []types.Value
 	}
 	var all []keyed
+	kinds := make(keyKinds, len(s.Keys))
 	for {
 		row, err := s.Input.Next()
 		if err != nil {
@@ -264,15 +266,15 @@ func (s *Sort) Open() error {
 			}
 			ks[i] = v
 		}
+		if err := kinds.admit(ks); err != nil {
+			return err
+		}
 		all = append(all, keyed{row: row, keys: ks})
 	}
-	var sortErr error
 	sort.SliceStable(all, func(i, j int) bool {
 		for k := range s.Keys {
-			c, err := types.Compare(all[i].keys[k], all[j].keys[k])
-			if err != nil && sortErr == nil {
-				sortErr = err
-			}
+			// admit has established that the column's values compare.
+			c, _ := types.Compare(all[i].keys[k], all[j].keys[k])
 			if c == 0 {
 				continue
 			}
@@ -283,9 +285,6 @@ func (s *Sort) Open() error {
 		}
 		return false
 	})
-	if sortErr != nil {
-		return sortErr
-	}
 	s.rows = make([]types.Row, len(all))
 	for i, k := range all {
 		s.rows[i] = k.row

@@ -58,6 +58,12 @@ type SGB struct {
 	// level: (eps, group_count, largest_group, grouped_fraction) — the
 	// SIMILARITY CUBE BY EPS output. Aggs must be empty.
 	Cube bool
+	// Top, when non-nil, is the statement's ORDER BY … LIMIT over
+	// aggregate columns of this node (single-ε queries only; column c is
+	// Aggs[c]). A shared grouping is then ranked on its memoized columns
+	// and only the winning groups become rows; a private one-shot
+	// evaluation ignores the hint.
+	Top *Top
 
 	out []types.Row
 	pos int
@@ -115,6 +121,16 @@ func (s *SGB) Open() error {
 	if len(s.EpsList) > 0 && !s.Any {
 		return fmt.Errorf("exec: EPS IN sweeps exist for DISTANCE-TO-ANY only")
 	}
+	if t := s.Top; t != nil {
+		if len(s.EpsList) > 0 || len(t.Desc) != len(t.Cols) {
+			return fmt.Errorf("exec: malformed top-k hint")
+		}
+		for _, c := range t.Cols {
+			if c < 0 || c >= len(s.Aggs) {
+				return fmt.Errorf("exec: top-k hint column %d out of range", c)
+			}
+		}
+	}
 	rows, gen, err := s.materialize()
 	if err != nil {
 		return err
@@ -132,6 +148,9 @@ func (s *SGB) Open() error {
 		if gs, err = s.evaluate(src); err != nil {
 			return err
 		}
+	}
+	if shared && s.Top != nil {
+		return s.emitTop(gs[0], rows)
 	}
 	return s.emit(gs, rows, shared)
 }
@@ -290,6 +309,42 @@ func (s *SGB) emit(gs []*Grouping, rows []types.Row, shared bool) error {
 			}
 			s.out = append(s.out, row)
 		}
+	}
+	return nil
+}
+
+// emitTop is emit for a shared grouping under the Top hint: the groups
+// are ranked on their memoized key columns by the heap TopK uses, group
+// index breaking ties, and only the winners become rows, in group
+// order — a superset of the statement's answer in the order TopK above
+// would have met them anyway. It is a function of its own so that emit,
+// which every statement without the hint runs, stays as it was.
+func (s *SGB) emitTop(g *Grouping, rows []types.Row) error {
+	cols := make([]column, len(s.Aggs))
+	for j, a := range s.Aggs {
+		var err error
+		if cols[j], err = g.column(a, rows, s.Opt.Stats); err != nil {
+			return err
+		}
+	}
+	h := newTopHeap(s.Top.Desc, s.Top.N)
+	for i, n := 0, g.Len(); i < n; i++ {
+		for j, c := range s.Top.Cols {
+			h.cand[j] = cols[c].at(i)
+		}
+		if _, err := h.offer(i); err != nil {
+			return err
+		}
+	}
+	winners, width := h.arrivals(), len(s.Aggs)
+	backing := make([]types.Value, len(winners)*width)
+	s.out = make([]types.Row, len(winners))
+	for r, i := range winners {
+		row := backing[r*width:][:width:width]
+		for j, col := range cols {
+			row[j] = col.at(i)
+		}
+		s.out[r] = row
 	}
 	return nil
 }

@@ -176,34 +176,150 @@ func (b *Builder) planSelect(sel *sqlparser.SelectStmt) (exec.Operator, Env, err
 	if sel.Distinct {
 		op = &exec.Distinct{Input: op}
 	}
-	if len(sel.OrderBy) > 0 {
+	switch {
+	case len(sel.OrderBy) > 0:
+		ob := newOrderBinder(b, sel, outEnv)
 		keys := make([]exec.SortKey, len(sel.OrderBy))
+		cols := make([]int, len(sel.OrderBy))
 		for i, item := range sel.OrderBy {
-			s, err := b.compileOrderKey(item.Expr, outEnv)
+			s, col, err := ob.compile(item.Expr)
 			if err != nil {
 				return nil, nil, err
 			}
 			keys[i] = exec.SortKey{Expr: s, Desc: item.Desc}
+			cols[i] = col
 		}
-		op = &exec.Sort{Input: op, Keys: keys}
-	}
-	if sel.Limit != nil {
+		if sel.Limit == nil {
+			op = &exec.Sort{Input: op, Keys: keys}
+			break
+		}
+		ob.pushTop(op, sel, cols)
+		op = &exec.TopK{Input: op, Keys: keys, N: *sel.Limit}
+	case sel.Limit != nil:
 		op = &exec.Limit{Input: op, N: *sel.Limit}
 	}
 	return op, outEnv, nil
 }
 
-// compileOrderKey resolves an ORDER BY key against the output schema
-// (select aliases and names), with ordinal support (ORDER BY 2).
-func (b *Builder) compileOrderKey(e sqlparser.Expr, outEnv Env) (exec.Scalar, error) {
+// orderBinder resolves ORDER BY keys against a block's output row.
+type orderBinder struct {
+	b      *Builder
+	outEnv Env
+	// printed is each output column's select item as the aggBinder would
+	// key it — printed and lower-cased — or "" where that form does not
+	// determine the item's value (rowPure) or the column came from a *.
+	printed []string
+}
+
+func newOrderBinder(b *Builder, sel *sqlparser.SelectStmt, outEnv Env) *orderBinder {
+	ob := &orderBinder{b: b, outEnv: outEnv, printed: make([]string, len(outEnv))}
+	stars := 0
+	for _, item := range sel.Items {
+		if item.Star {
+			stars++
+		}
+	}
+	starWidth := 0
+	if stars > 0 {
+		starWidth = (len(outEnv) - (len(sel.Items) - stars)) / stars
+	}
+	col := 0
+	for _, item := range sel.Items {
+		if item.Star {
+			col += starWidth
+			continue
+		}
+		if rowPure(item.Expr) {
+			ob.printed[col] = strings.ToLower(item.Expr.String())
+		}
+		col++
+	}
+	return ob
+}
+
+// column returns the output column e denotes — by output name or alias
+// first, as a bare name always has, then as a select item spelled out
+// again (ORDER BY count(*)), matched the way the aggBinder matches
+// aggregate calls, so max(a + 0) does not name max(a + 0.0) — or -1.
+func (ob *orderBinder) column(e sqlparser.Expr) int {
+	if ref, ok := e.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+		if idx, err := ob.outEnv.resolve(ref); err == nil {
+			return idx
+		}
+	}
+	if !rowPure(e) {
+		return -1
+	}
+	printed := strings.ToLower(e.String())
+	for col, p := range ob.printed {
+		if p == printed {
+			return col
+		}
+	}
+	return -1
+}
+
+// compile compiles one ORDER BY key over the output row: an ordinal
+// (ORDER BY 2), an output column (see column), or an expression over
+// output columns (ORDER BY count(*) + 1). It also returns the output
+// column when the key is exactly one, else -1.
+func (ob *orderBinder) compile(e sqlparser.Expr) (exec.Scalar, int, error) {
 	if lit, ok := e.(*sqlparser.Literal); ok && lit.Val.Kind == types.KindInt {
 		idx := int(lit.Val.I) - 1
-		if idx < 0 || idx >= len(outEnv) {
-			return nil, fmt.Errorf("plan: ORDER BY position %d out of range", lit.Val.I)
+		if idx < 0 || idx >= len(ob.outEnv) {
+			return nil, -1, fmt.Errorf("plan: ORDER BY position %d out of range", lit.Val.I)
 		}
-		return func(row types.Row) (types.Value, error) { return row[idx], nil }, nil
+		return func(row types.Row) (types.Value, error) { return row[idx], nil }, idx, nil
 	}
-	return compileScalar(e, outEnv, b)
+	c := &compiler{env: ob.outEnv, sp: ob.b, hook: func(e sqlparser.Expr) (exec.Scalar, bool, error) {
+		if idx := ob.column(e); idx >= 0 {
+			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+		}
+		if fc, ok := e.(*sqlparser.FuncCall); ok {
+			if _, isAgg := exec.ParseAggKind(fc.Name); isAgg {
+				return nil, false, fmt.Errorf("plan: ORDER BY %s: an aggregate in ORDER BY must also be a select item", fc)
+			}
+		}
+		return nil, false, nil
+	}}
+	s, err := c.compile(e)
+	return s, ob.column(e), err
+}
+
+// pushTop offers a block's ORDER BY … LIMIT to its similarity node when
+// the node can answer it from its own columns: a single-ε similarity
+// GROUP BY directly under the projection — HAVING would put a Filter
+// between them and DISTINCT wraps the projection, and either may drop
+// rows of the node's k — whose every key (cols, as compile returns
+// them) is an output column whose select item is a bare aggregate: it
+// prints as the key the aggBinder gave one of the node's aggregates.
+func (ob *orderBinder) pushTop(op exec.Operator, sel *sqlparser.SelectStmt, cols []int) {
+	proj, ok := op.(*exec.Project)
+	if !ok {
+		return
+	}
+	node, ok := proj.Input.(*exec.SGB)
+	if !ok || len(node.EpsList) > 0 {
+		return
+	}
+	top := &exec.Top{N: *sel.Limit}
+	for i, c := range cols {
+		agg := -1
+		if c >= 0 && ob.printed[c] != "" {
+			for j, a := range node.Aggs {
+				if a.Key == ob.printed[c] {
+					agg = j
+					break
+				}
+			}
+		}
+		if agg < 0 {
+			return
+		}
+		top.Cols = append(top.Cols, agg)
+		top.Desc = append(top.Desc, sel.OrderBy[i].Desc)
+	}
+	node.Top = top
 }
 
 func (b *Builder) planTableRef(ref sqlparser.TableRef) (plannedInput, error) {

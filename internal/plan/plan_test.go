@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -402,5 +404,161 @@ func TestCacheHookShapeAndMemoKeys(t *testing.T) {
 	}
 	if rowPure(&sqlparser.InExpr{E: &sqlparser.ColumnRef{Name: "uid"}, Sub: &sqlparser.SelectStmt{}}) {
 		t.Error("an expression over a subquery counts as a pure function of the row")
+	}
+}
+
+// pointsCatalog adds a small 2-d table: two tight clusters and an
+// outlier, so similarity groupings have groups of distinct sizes.
+func pointsCatalog(t *testing.T) *storage.Catalog {
+	t.Helper()
+	cat := testCatalog(t)
+	pts := storage.NewTable("checkins", storage.Schema{
+		{Name: "x", Type: types.KindFloat},
+		{Name: "y", Type: types.KindFloat},
+		{Name: "cell", Type: types.KindInt},
+	})
+	for i, p := range [][2]float64{{0, 0}, {0.4, 0}, {0.8, 0}, {10, 10}, {10.4, 10}, {50, 50}, {1.6, 0}} {
+		pts.MustInsert(types.Row{types.Float(p[0]), types.Float(p[1]), types.Int(int64(i % 3))})
+	}
+	if err := cat.Create(pts); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// TestOrderBySelectItemExpression: an ORDER BY key may spell a select
+// item out again — the aggregate of a grouped query included — and then
+// reads that output column; matching follows the aggBinder's printed-form
+// discipline; a bare name still means the output column of that name
+// first; an aggregate that is no select item is refused with an error
+// that says so. (The first two statements are README.md's and the
+// motivating issue's; on the parent they failed with "aggregate count()
+// is not allowed here".)
+func TestOrderBySelectItemExpression(t *testing.T) {
+	cat := pointsCatalog(t)
+	for _, c := range []struct{ byExpr, byOrdinal string }{
+		{"SELECT eps, count(*) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1, 2, 4) ORDER BY eps, count(*) DESC",
+			"SELECT eps, count(*) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1, 2, 4) ORDER BY 1, 2 DESC"},
+		{"SELECT cell, count(*) FROM checkins GROUP BY cell ORDER BY count(*) DESC, cell",
+			"SELECT cell, count(*) FROM checkins GROUP BY cell ORDER BY 2 DESC, 1"},
+		{"SELECT COUNT(*), max(x + 0) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 ORDER BY MAX(X + 0) DESC LIMIT 2",
+			"SELECT count(*), max(x + 0) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 ORDER BY 2 DESC LIMIT 2"},
+		{"SELECT count(*), sum(x) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 ORDER BY count(*) * 2 + sum(x) DESC",
+			"SELECT count(*) AS c, sum(x) AS s FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 ORDER BY c * 2 + s DESC"},
+		{"SELECT x + 1, checkins.y FROM checkins ORDER BY checkins.y DESC, x + 1 DESC",
+			"SELECT x + 1, checkins.y FROM checkins ORDER BY 2 DESC, 1 DESC"},
+		{"SELECT *, x * 2 FROM checkins ORDER BY x * 2 DESC",
+			"SELECT *, x * 2 FROM checkins ORDER BY 4 DESC"},
+		// A bare name is the output column of that name before it is a
+		// select item's expression: here the alias x (= −y), not item 1.
+		{"SELECT 0 - y AS x, x AS y FROM checkins ORDER BY x, 2",
+			"SELECT 0 - y AS x, x AS y FROM checkins ORDER BY 1, 2"},
+	} {
+		got, _ := runQuery(t, cat, c.byExpr)
+		want, _ := runQuery(t, cat, c.byOrdinal)
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s\n got %v\nwant %v", c.byExpr, got, want)
+		}
+	}
+	const sim = " FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 "
+	mustFail(t, cat, "SELECT count(*)"+sim+"ORDER BY max(x)", "must also be a select item")
+	mustFail(t, cat, "SELECT max(x + 0)"+sim+"ORDER BY max(x + 0.0)", "must also be a select item")
+	mustFail(t, cat, "SELECT max(x + 0)"+sim+"ORDER BY max(x + 0) + min(y)", "must also be a select item")
+	mustFail(t, cat, "SELECT x FROM checkins ORDER BY count(*)", "must also be a select item")
+	// Forms whose print does not determine their value match nothing.
+	mustFail(t, cat, "SELECT max(name = 'Ann') FROM users GROUP BY bal DISTANCE-TO-ANY L2 WITHIN 15 ORDER BY max(name = 'ann')", "must also be a select item")
+}
+
+// TestTopKPlanShapes pins which statements get which operators: ORDER
+// BY + LIMIT is always a TopK (never Limit over Sort), ORDER BY alone a
+// Sort, LIMIT alone a Limit; and the similarity node receives the Top
+// hint exactly when the block is a single-ε similarity GROUP BY without
+// HAVING or DISTINCT whose every key is a select item that is a bare
+// aggregate.
+func TestTopKPlanShapes(t *testing.T) {
+	cat := pointsCatalog(t)
+	const sim = " FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 "
+	type hint struct {
+		cols []int
+		desc []bool
+	}
+	for _, c := range []struct {
+		sql  string
+		root string // operator type of the plan root
+		hint *hint  // nil: no SGB node, or one without a hint
+	}{
+		{"SELECT count(*), max(y)" + sim + "ORDER BY 1 DESC, 2 DESC LIMIT 10", "*exec.TopK", &hint{[]int{0, 1}, []bool{true, true}}},
+		{"SELECT max(y) AS m, count(*)" + sim + "ORDER BY count(*), m DESC LIMIT 3", "*exec.TopK", &hint{[]int{1, 0}, []bool{false, true}}},
+		// count(*) is bound once: both select items are column 0 of the node.
+		{"SELECT count(*), count(*) + 1, max(y), count(*)" + sim + "ORDER BY 4, max(y) LIMIT 3", "*exec.TopK", &hint{[]int{0, 1}, []bool{false, false}}},
+		{"SELECT count(*), max(y)" + sim + "ORDER BY 1 DESC LIMIT 0", "*exec.TopK", &hint{[]int{0}, []bool{true}}},
+		{"SELECT count(*), max(y) FROM checkins GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 0.5 ON-OVERLAP ELIMINATE ORDER BY 2 LIMIT 1", "*exec.TopK", &hint{[]int{1}, []bool{false}}},
+		// No hint: a key that is not a bare aggregate, HAVING, DISTINCT, a
+		// sweep, an aggregate whose printed form does not determine it.
+		{"SELECT count(*), max(y)" + sim + "ORDER BY count(*) + 1 LIMIT 3", "*exec.TopK", nil},
+		{"SELECT count(*), max(y) + 1" + sim + "ORDER BY 2 LIMIT 3", "*exec.TopK", nil},
+		{"SELECT count(*), max(y)" + sim + "HAVING count(*) > 1 ORDER BY 1 LIMIT 3", "*exec.TopK", nil},
+		{"SELECT DISTINCT count(*)" + sim + "ORDER BY 1 LIMIT 3", "*exec.TopK", nil},
+		{"SELECT eps, count(*) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1) ORDER BY 2 DESC LIMIT 3", "*exec.TopK", nil},
+		{"SELECT * FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1) SIMILARITY CUBE BY EPS ORDER BY 2 DESC LIMIT 1", "*exec.TopK", nil},
+		{"SELECT count(*), max(cell IN (SELECT uid FROM users))" + sim + "ORDER BY 2 LIMIT 3", "*exec.TopK", nil},
+		{"SELECT cell, count(*) FROM checkins GROUP BY cell ORDER BY count(*) DESC LIMIT 2", "*exec.TopK", nil},
+		{"SELECT x, y FROM checkins ORDER BY x DESC LIMIT 2", "*exec.TopK", nil},
+		// ORDER BY alone sorts, LIMIT alone limits; neither hints.
+		{"SELECT count(*), max(y)" + sim + "ORDER BY 1 DESC", "*exec.Sort", nil},
+		{"SELECT count(*), max(y)" + sim + "LIMIT 2", "*exec.Limit", nil},
+		{"SELECT x FROM checkins LIMIT 2", "*exec.Limit", nil},
+	} {
+		sel, err := sqlparser.ParseSelect(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		cq, err := NewBuilder(cat).BuildSelect(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := fmt.Sprintf("%T", cq.Root); got != c.root {
+			t.Errorf("%s: plan root %s, want %s", c.sql, got, c.root)
+		}
+		var node *exec.SGB
+		for op := cq.Root; op != nil && node == nil; {
+			switch x := op.(type) {
+			case *exec.TopK:
+				if _, isSort := x.Input.(*exec.Sort); isSort {
+					t.Errorf("%s: TopK over a Sort", c.sql)
+				}
+				op = x.Input
+			case *exec.Sort:
+				op = x.Input
+			case *exec.Limit:
+				if _, isSort := x.Input.(*exec.Sort); isSort {
+					t.Errorf("%s: Limit over a Sort", c.sql)
+				}
+				op = x.Input
+			case *exec.Distinct:
+				op = x.Input
+			case *exec.Project:
+				op = x.Input
+			case *exec.Filter:
+				op = x.Input
+			case *exec.SGB:
+				node = x
+			default:
+				op = nil
+			}
+		}
+		switch {
+		case c.hint == nil && node != nil && node.Top != nil:
+			t.Errorf("%s: unexpected hint %+v", c.sql, node.Top)
+		case c.hint != nil && (node == nil || node.Top == nil):
+			t.Errorf("%s: no hint, want %+v", c.sql, c.hint)
+		case c.hint != nil:
+			if !reflect.DeepEqual(node.Top.Cols, c.hint.cols) || !reflect.DeepEqual(node.Top.Desc, c.hint.desc) || node.Top.N != *sel.Limit {
+				t.Errorf("%s: hint %+v, want %+v with N = %d", c.sql, node.Top, c.hint, *sel.Limit)
+			}
+		}
+		if _, err := Execute(cq); err != nil {
+			t.Errorf("%s: %v", c.sql, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/sgb-db/sgb/internal/types"
@@ -209,6 +210,14 @@ func (l *Literal) String() string {
 			s += ".0" // the marker the parser tells a float from an integer by
 		}
 		return s
+	case types.KindInterval:
+		// The two forms the parser builds: whole months, or whole days.
+		switch {
+		case l.Val.F == 0:
+			return "interval '" + strconv.FormatInt(l.Val.I, 10) + "' month"
+		case l.Val.I == 0:
+			return "interval '" + strconv.FormatInt(int64(l.Val.F), 10) + "' day"
+		}
 	}
 	return l.Val.String()
 }

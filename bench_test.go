@@ -379,7 +379,12 @@ func BenchmarkIncremental(b *testing.B) {
 // victims' components — which is where the ≥5× steady-state win over
 // per-tick one-shot comes from; SGB-All replays the order-sensitive
 // arbitration over the survivors and is reported for completeness (it
-// tracks the one-shot cost by construction).
+// tracks the one-shot cost by construction). The Lattice series slides
+// the same window under an ε-lattice evaluator and cuts three levels per
+// tick: Maintained repairs the dendrogram around the evicted points
+// (LatticeAny.Remove), Rebuild sweeps the window again — what a DELETE
+// cost before the repair existed. Both report their grid probes and
+// distance computations per tick.
 func BenchmarkWindow(b *testing.B) {
 	const batch = 256
 	// Domain side: cluster-center density stays subcritical (expected
@@ -454,6 +459,72 @@ func BenchmarkWindow(b *testing.B) {
 				}
 			})
 		}
+	}
+
+	latOpt := sgb.Options{Metric: sgb.L2, Eps: 0.5}
+	levels := []float64{0.125, 0.25, 0.5}
+	oldest := make([]int, batch)
+	for i := range oldest {
+		oldest[i] = i
+	}
+	cut := func(b *testing.B, lat *sgb.LatticeAny) {
+		for _, eps := range levels {
+			if _, err := lat.GroupsAt(eps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	report := func(b *testing.B, st *sgb.Stats) {
+		b.ReportMetric(float64(st.IndexProbes)/float64(b.N), "probes/op")
+		b.ReportMetric(float64(st.DistanceComputations)/float64(b.N), "dists/op")
+	}
+	for _, window := range []int{8000, 32000} {
+		sp := span(window)
+		b.Run(fmt.Sprintf("Lattice/Maintained/w=%d", window), func(b *testing.B) {
+			pool := newBatches(int64(window), sp)
+			lat, err := sgb.NewLatticeAny(2, latOpt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := lat.AppendSet(benchkit.ClusterPoints(window, sp, 13), nil); err != nil {
+				b.Fatal(err)
+			}
+			cut(b, lat)
+			var st sgb.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := lat.AppendSet(pool[i%len(pool)], &st); err != nil {
+					b.Fatal(err)
+				}
+				if err := lat.Remove(oldest, &st); err != nil {
+					b.Fatal(err)
+				}
+				cut(b, lat)
+			}
+			report(b, &st)
+		})
+		b.Run(fmt.Sprintf("Lattice/Rebuild/w=%d", window), func(b *testing.B) {
+			pool := newBatches(int64(window), sp)
+			win := sgb.NewPointSet(2)
+			win.AppendSet(benchkit.ClusterPoints(window, sp, 13))
+			var st sgb.Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				win.AppendSet(pool[i%len(pool)])
+				win = win.Slice(win.Len()-window, win.Len())
+				lat, err := sgb.NewLatticeAny(2, latOpt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := lat.AppendSet(win, &st); err != nil {
+					b.Fatal(err)
+				}
+				cut(b, lat)
+			}
+			report(b, &st)
+		})
 	}
 }
 

@@ -64,9 +64,8 @@ type incrEntry struct {
 	// ε, so every session sweeping this table under one (metric,
 	// grouping) configuration reuses one maintained evaluator
 	// regardless of which ε levels it asks for. Lattice entries follow
-	// the same consumed / gen protocol but take no decremental
-	// maintenance — a DELETE drops them (single-linkage merges cannot
-	// be unwound).
+	// the same consumed / gen protocol, DELETE included: the dendrogram
+	// is repaired around the deleted rows, not dropped.
 	inc      *incr.Incremental
 	lat      *core.LatticeEvaluator
 	consumed int   // how many snapshot rows the state has absorbed
@@ -94,6 +93,14 @@ func (e *incrEntry) appendSet(ps *geom.PointSet) error {
 		return e.lat.AppendSet(ps, &e.work)
 	}
 	return e.inc.AppendSet(ps)
+}
+
+// remove deletes the rows with the given live ids from the evaluator.
+func (e *incrEntry) remove(ids []int) error {
+	if e.lat != nil {
+		return e.lat.Remove(ids, &e.work)
+	}
+	return e.inc.Remove(ids)
 }
 
 // groupsAt materializes the evaluator's grouping at one ε level (a

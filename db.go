@@ -309,9 +309,10 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 }
 
 // noteDelete maintains the table's cached incremental grouping states
-// after rows were deleted: entries that were in sync (gen == preGen)
-// receive the deleted row ids through the evaluator's decremental
-// Remove, entries that were not are dropped and rebuild on their next
+// after rows were deleted: entries that were in sync (gen == preGen) —
+// single-ε evaluators and ε-lattice dendrograms alike — receive the
+// deleted row ids through their decremental Remove, entries that were
+// not (or whose Remove fails) are dropped and rebuild on their next
 // query. WAL replay shares this path with live DELETE statements.
 func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
 	for _, it := range db.cache.items() {
@@ -329,25 +330,25 @@ func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
 			db.cache.remove(it)
 			continue
 		}
-		if e.lat != nil || e.inc == nil {
-			// No decremental single-linkage: a dendrogram merge cannot be
-			// unwound locally, so deletion invalidates the lattice entry
-			// and the next sweep rebuilds it. An entry still mid-build
-			// (neither evaluator set) has nothing to maintain either.
+		if !e.built() {
+			// Still mid-build (no evaluator set): nothing to maintain.
 			e.mu.Unlock()
 			db.cache.remove(it)
 			continue
 		}
 		// Row ids below consumed are exactly the evaluator's live ids;
 		// rows at or beyond consumed were never absorbed and simply
-		// vanish before they ever would be.
+		// vanish before they ever would be. A lattice entry repairs its
+		// spanning forest around the deleted points (lattice.Sweep.Remove)
+		// where a single-ε entry reclusters their components; either way
+		// the work is maintenance no query asked for.
 		fed := doomed[:0:0]
 		for _, i := range doomed {
 			if i < e.consumed {
 				fed = append(fed, i)
 			}
 		}
-		err := e.inc.Remove(fed)
+		err := e.remove(fed)
 		e.flushWork(nil)
 		if err != nil {
 			e.mu.Unlock()

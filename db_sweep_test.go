@@ -258,9 +258,27 @@ func TestSQLSweepCacheSharedAcrossEps(t *testing.T) {
 	}
 }
 
+// latticeEntry returns the one cached lattice entry's evaluator — its
+// identity tells a maintained entry from a rebuilt one — and its work
+// counters.
+func latticeEntry(t *testing.T, db *DB) (*core.LatticeEvaluator, Stats) {
+	t.Helper()
+	for _, it := range db.cache.items() {
+		it.e.mu.Lock()
+		lat, st := it.e.lat, it.e.stats
+		it.e.mu.Unlock()
+		if lat != nil {
+			return lat, st
+		}
+	}
+	t.Fatal("no lattice entry in the cache")
+	return nil, Stats{}
+}
+
 // TestSQLSweepCacheMaintenance drives the mutation protocol: INSERT
-// extends the shared dendrogram by its suffix only, DELETE invalidates
-// it, DROP clears it — answers stay correct throughout.
+// extends the shared dendrogram by its suffix only, DELETE repairs it
+// at maintenance time, DROP clears it — answers stay correct
+// throughout.
 func TestSQLSweepCacheMaintenance(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE sensors (id INT, x FLOAT, y FLOAT)")
@@ -301,16 +319,31 @@ func TestSQLSweepCacheMaintenance(t *testing.T) {
 			incr.IndexProbes, baseProbes)
 	}
 
-	// DELETE invalidates: the next sweep rebuilds over the survivors.
+	// DELETE repairs: the dendrogram is maintained when the rows go (20 of
+	// them: ids restart with each insertRandomRows), the work is charged
+	// to the cache entry as maintenance, and the next sweep finds the
+	// entry in sync — it extracts no point and touches no index.
+	lat, latBefore := latticeEntry(t, db)
+	cacheBefore := db.CacheStats()
 	mustExec(t, db, "DELETE FROM sensors WHERE id < 10")
+	kept, repair := latticeEntry(t, db)
+	if kept != lat {
+		t.Fatal("DELETE replaced the lattice entry's evaluator instead of maintaining it")
+	}
+	if got := repair.IndexUpdates - latBefore.IndexUpdates; got != 20 {
+		t.Fatalf("DELETE unregistered %d points from the lattice entry, want 20", got)
+	}
+	if cacheAfter := db.CacheStats(); cacheAfter.IndexUpdates-cacheBefore.IndexUpdates < 20 {
+		t.Fatalf("CacheStats does not show the repair: %+v -> %+v", cacheBefore, cacheAfter)
+	}
 	var afterDel Stats
 	r, err = db.QueryOpt(sweepQ, QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &afterDel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLevels(r)
-	if afterDel.IndexProbes == 0 {
-		t.Fatalf("post-DELETE sweep did not rebuild: %+v", afterDel)
+	if afterDel.PointsExtracted != 0 || afterDel.IndexProbes != 0 || afterDel.IndexUpdates != 0 || afterDel.DistanceComputations != 0 {
+		t.Fatalf("post-DELETE sweep did query-time work on a maintained entry: %+v", afterDel)
 	}
 
 	// DROP + re-CREATE must not serve stale state.

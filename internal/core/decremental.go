@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -11,7 +12,10 @@ import (
 // This file holds the decremental arm of the resumable operators:
 // point deletion for AnyEvaluator and AllEvaluator, the other half of
 // the sliding-window workloads (MANET traces, geosocial check-ins,
-// streaming eviction) the incremental subsystem exists for.
+// streaming eviction) the incremental subsystem exists for. (The third
+// maintained evaluator, LatticeEvaluator, deletes by repairing its
+// spanning forest — lattice.go here, internal/lattice/decremental.go
+// for the algorithm — under the same live-id contract.)
 //
 // The two operators earn very different deletion machinery, and the
 // split mirrors the companion work on order-independent SGB semantics
@@ -23,8 +27,9 @@ import (
 //     local: removing a point can only SPLIT its own component, never
 //     merge or perturb others. AnyEvaluator.Remove therefore dissolves
 //     just the victims' components in the Union-Find forest and
-//     re-unions their surviving members against the live index — exact
-//     by the same argument that makes appending exact.
+//     re-unions their surviving members along the ε-pairs one BFS
+//     through the live index sees — exact by the same argument that
+//     makes appending exact, and one probe per affected member.
 //
 //   - SGB-All arbitration (JOIN-ANY draws, ELIMINATE victims,
 //     FORM-NEW-GROUP deferrals) depends on which points were present
@@ -70,13 +75,14 @@ func checkRemoveIDs(ids []int, n int) ([]int, error) {
 // Remove deletes the points with the given live ids and repairs
 // connectivity. Deletion is localized and output-sensitive: a BFS
 // through the ε-graph from the victims visits exactly the union of
-// their components, those components are dissolved in the forest, and
-// their surviving members re-union through the live index — the
-// ε-graph of every other component is untouched, so the repaired
-// partition is exactly the components of the surviving points. Ids
-// compact after the call (see Result); cost is proportional to the
-// affected components' probe work (plus a memmove of the live order),
-// not the retained set.
+// their components, and the same traversal rebuilds them — a visited
+// point is detached from the forest the moment it is discovered, and
+// every ε-pair of survivors the BFS sees is unioned on the spot, so
+// each affected member is probed once. The ε-graph of every other
+// component is untouched, so the repaired partition is exactly the
+// components of the surviving points. Ids compact after the call (see
+// Result); cost is proportional to the affected components' probe work
+// (plus a memmove of the live order), not the retained set.
 func (e *AnyEvaluator) Remove(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -93,12 +99,15 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 		}
 	}
 
-	// BFS from the victims while they are still registered: the
-	// traversal crosses them, so it visits every member of every
-	// affected component — and nothing else. A member of an unaffected
-	// component cannot be within ε of any visited point (they would
-	// have shared a component), so the recluster cannot leak outside
-	// the visited set.
+	// The dissolving components are the victims' (distinct victim
+	// roots), counted before any forest surgery.
+	e.roots = e.roots[:0]
+	for _, id := range sorted {
+		e.roots = append(e.roots, int32(e.uf.Find(int(e.live[id]))))
+	}
+	slices.Sort(e.roots)
+	e.uf.DropSets(len(slices.Compact(e.roots)))
+
 	if n := e.points.Len(); len(e.mark) < n {
 		e.mark = append(e.mark, make([]uint32, n-len(e.mark))...)
 	}
@@ -108,54 +117,42 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 		e.markEpoch = 1
 	}
 	epoch := e.markEpoch
+
+	// Tombstone the victims but leave them registered: the traversal
+	// crosses them, so it visits every member of every affected
+	// component — and nothing else. A member of an unaffected component
+	// cannot be within ε of any visited point (they would have shared a
+	// component), so the recluster cannot leak outside the visited set.
+	// Discovery Resets a point; by the end whole sets have been Reset,
+	// which is the batch discipline Reset asks for, and until then only
+	// discovered points are ever looked up in the forest.
 	e.queue = e.queue[:0]
 	for _, id := range sorted {
 		pos := e.live[id]
-		if e.mark[pos] != epoch {
-			e.mark[pos] = epoch
-			e.queue = append(e.queue, pos)
-		}
+		e.alive[pos] = false
+		e.mark[pos] = epoch
+		e.uf.Reset(int(pos))
+		e.queue = append(e.queue, pos)
 	}
 	for qi := 0; qi < len(e.queue); qi++ {
-		u := int(e.queue[qi])
-		e.nbuf = e.ix.neighbors(e.points, u, e.opt, e.nbuf[:0])
+		u := e.queue[qi]
+		e.nbuf = e.ix.neighbors(e.points, int(u), e.opt, e.nbuf[:0])
 		for _, w := range e.nbuf {
 			if e.mark[w] != epoch {
 				e.mark[w] = epoch
+				e.uf.Reset(int(w))
 				e.queue = append(e.queue, w)
 			}
-		}
-	}
-
-	// Count the dissolving components (distinct victim roots) before
-	// any forest surgery, then tombstone the victims and unregister
-	// them from the index so the relink probes cannot resurrect them.
-	roots := make(map[int]struct{}, len(sorted))
-	for _, id := range sorted {
-		roots[e.uf.Find(int(e.live[id]))] = struct{}{}
-	}
-	for _, id := range sorted {
-		pos := int(e.live[id])
-		e.alive[pos] = false
-		e.ix.remove(e.points, pos, e.opt)
-	}
-
-	// Dissolve the affected components and rebuild them from their
-	// survivors: exact, because deletion can only split a component.
-	e.uf.DropSets(len(roots))
-	for _, pos := range e.queue {
-		e.uf.Reset(int(pos))
-	}
-	for _, pos := range e.queue {
-		if e.alive[pos] {
-			e.nbuf = e.ix.neighbors(e.points, int(pos), e.opt, e.nbuf[:0])
-			for _, w := range e.nbuf {
-				if e.uf.Find(int(pos)) != e.uf.Find(int(w)) {
-					e.opt.Stats.addMerge(1)
-					e.uf.Union(int(pos), int(w))
-				}
+			// A pair of survivors surfaces from both ends; the smaller
+			// position unions it.
+			if u < w && e.alive[u] && e.alive[w] && e.uf.Find(int(u)) != e.uf.Find(int(w)) {
+				e.opt.Stats.addMerge(1)
+				e.uf.Union(int(u), int(w))
 			}
 		}
+	}
+	for _, id := range sorted {
+		e.ix.remove(e.points, int(e.live[id]), e.opt)
 	}
 
 	// Compact the live order (ids renumber here).

@@ -122,13 +122,38 @@ func (e *LatticeEvaluator) AppendSet(ps *geom.PointSet, st *Stats) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	var ls lattice.Stats
-	if err := e.sweep.Append(ps, &ls); err != nil {
+	err := e.sweep.Append(ps, &ls)
+	st.addLattice(&ls)
+	return err
+}
+
+// Remove deletes the points with the given live ids (any order) and
+// repairs the dendrogram in place: the minimum spanning forest keeps
+// every edge between survivors, and only the pieces the removal split
+// off their trees are re-probed (lattice.Sweep.Remove). Ids compact
+// afterwards exactly as the Any/All evaluators' do, so every level
+// equals a from-scratch sweep over the survivors. A bad id list is
+// rejected before anything changes. Work counters accumulate into st
+// when non-nil; st is not retained.
+func (e *LatticeEvaluator) Remove(ids []int, st *Stats) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	sorted, err := checkRemoveIDs(ids, e.Len())
+	if err != nil {
 		return err
 	}
-	st.addDist(ls.DistanceComputations)
-	st.addProbe(ls.IndexProbes)
-	st.addUpdate(ls.IndexUpdates)
-	return nil
+	var ls lattice.Stats
+	err = e.sweep.Remove(sorted, &ls)
+	st.addLattice(&ls)
+	return err
+}
+
+// addLattice folds one sweep call's counters into the operator block.
+func (s *Stats) addLattice(ls *lattice.Stats) {
+	s.addDist(ls.DistanceComputations)
+	s.addProbe(ls.IndexProbes)
+	s.addUpdate(ls.IndexUpdates)
 }
 
 // GroupsAt materializes the grouping at threshold eps ≤ EpsMax(),

@@ -283,11 +283,12 @@ type AnyEvaluator struct {
 
 	// Reusable Remove scratch: mark is an epoch-stamped visited array
 	// over stored positions (the ε-graph BFS), queue its frontier, nbuf
-	// the per-node neighbor buffer.
+	// the per-node neighbor buffer, roots the victims' forest roots.
 	mark      []uint32
 	markEpoch uint32
 	queue     []int32
 	nbuf      []int32
+	roots     []int32
 }
 
 // NewAnyEvaluator returns an empty resumable SGB-Any evaluation over

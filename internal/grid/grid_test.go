@@ -419,3 +419,45 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		}
 	}
 }
+
+// TestRenumber: ids follow the rank map in place — across slab chains,
+// and with freed slabs on the freelist left alone.
+func TestRenumber(t *testing.T) {
+	g := New(2, 1)
+	c, other := []int64{0, 0}, []int64{5, 5}
+	const n = 3*slabIDs + 2 // a three-slab chain plus a partial head
+	for id := int32(0); id < n; id++ {
+		g.Add(c, id)
+	}
+	for id := int32(n); id < n+20; id++ {
+		g.Add(other, id)
+	}
+	// Remove the even ids of the long cell (frees slabs), then close ranks.
+	rank := make([]int32, n+20)
+	next := int32(0)
+	for id := range rank {
+		if id < n && id%2 == 0 {
+			g.Remove(c, int32(id))
+			rank[id] = -1
+			continue
+		}
+		rank[id] = next
+		next++
+	}
+	g.Renumber(rank)
+	got := append(cellIDs(g, c), cellIDs(g, other)...)
+	slices.Sort(got)
+	if len(got) != int(next) {
+		t.Fatalf("%d ids registered after Renumber, want %d", len(got), next)
+	}
+	for i, id := range got {
+		if id != int32(i) {
+			t.Fatalf("ids after Renumber = %v, want 0..%d", got, next-1)
+		}
+	}
+	// Recycled slabs must come back clean.
+	g.Add(c, next)
+	if ids := cellIDs(g, c); !slices.Contains(ids, next) || len(ids) != n/2+1 {
+		t.Fatalf("Add after Renumber: cell holds %v", ids)
+	}
+}

@@ -18,6 +18,17 @@
 // buffer can be filtered to at most n−1 forest edges whenever it grows
 // — exactly, not approximately — which also makes Append incremental.
 //
+// The same forest makes deletion a repair rather than a rebuild
+// (Sweep.Remove, decremental.go). Dropping the forest edges at a removed
+// point leaves a sub-forest of the survivors' forest (cut property);
+// every edge it lacks joins two of its pieces, pieces of one old tree
+// (cycle property); so re-probing every piece but the largest of each
+// tree and compacting once more is exact, and because survivors renumber
+// by their monotone rank the merge list is the one a fresh sweep over
+// them would produce. The early-discard filter does not survive a
+// removal — it may have dropped an edge on the strength of a path
+// through the removed point — and is rebuilt before the re-probe.
+//
 // Heights live in geom.Metric.DistKey space (squared distance for L2),
 // the same comparison basis Metric.Within uses, so lattice levels are
 // bit-for-bit identical to independent one-shot SGB-Any runs.

@@ -81,7 +81,8 @@ type Merge struct {
 // within the 3^d-cell neighborhood are examined), and the surviving
 // candidate edges are periodically compacted to the minimum spanning
 // forest of everything seen, so memory stays O(n). Dendrogram()
-// finalizes the structure for querying; Append invalidates it.
+// finalizes the structure for querying; Append and Remove (the
+// decremental arm, decremental.go) invalidate it.
 //
 // A Sweep is not safe for concurrent use.
 type Sweep struct {
@@ -117,6 +118,8 @@ type Sweep struct {
 	CompactEvery int
 
 	dend *Dendrogram // cached finalization; nil after a mutation
+
+	rm removal // Remove's scratch (decremental.go)
 }
 
 // NewSweep returns an empty sweep over dims-dimensional points under

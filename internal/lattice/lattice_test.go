@@ -287,7 +287,10 @@ func TestStatsAccumulate(t *testing.T) {
 // FuzzDendrogram decodes arbitrary bytes into a small point set and
 // checks the structural invariants: heights nondecreasing and capped
 // at the ε_max key, every level matching the brute-force components,
-// and refinement across an ascending level pair.
+// and refinement across an ascending level pair. A nonzero drop mask
+// adds the removal leg: the first half of the points is appended, the
+// ones whose bit is set are removed, the rest is appended, and the same
+// invariants must hold over the survivors.
 func FuzzDendrogram(f *testing.F) {
 	seed := func(vals ...uint16) []byte {
 		b := make([]byte, 2*len(vals))
@@ -296,11 +299,18 @@ func FuzzDendrogram(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(seed(0, 1, 2, 3, 4, 5, 6, 7), uint8(2), false)
-	f.Add(seed(100, 100, 100, 101, 9000, 9001), uint8(1), false)
-	f.Add(seed(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), uint8(5), true)
-	f.Add(seed(65535, 0, 32768, 16384, 8192, 4096, 2048, 1024), uint8(3), true)
-	f.Fuzz(func(t *testing.T, raw []byte, dimByte uint8, linf bool) {
+	f.Add(seed(0, 1, 2, 3, 4, 5, 6, 7), uint8(2), false, uint64(0))
+	f.Add(seed(100, 100, 100, 101, 9000, 9001), uint8(1), false, uint64(0))
+	f.Add(seed(0, 0, 0, 0, 0, 0, 0, 0, 0, 0), uint8(5), true, uint64(0))
+	f.Add(seed(65535, 0, 32768, 16384, 8192, 4096, 2048, 1024), uint8(3), true, uint64(0))
+	// Removal leg: a chain whose middle goes (the ends must re-meet or
+	// split), duplicates losing one copy, every early point dropped, and
+	// a 2-d scatter dropping alternate points.
+	f.Add(seed(0, 3000, 6000, 9000, 12000, 15000, 18000, 21000), uint8(0), false, uint64(0b0110))
+	f.Add(seed(500, 500, 500, 500, 500, 500, 4000, 4000, 4000, 4000), uint8(0), true, uint64(0b10101))
+	f.Add(seed(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), uint8(1), false, ^uint64(0))
+	f.Add(seed(100, 200, 4100, 300, 8100, 250, 12100, 350, 16100, 150, 20100, 50, 2000, 260, 6000, 240), uint8(1), true, uint64(0b0101))
+	f.Fuzz(func(t *testing.T, raw []byte, dimByte uint8, linf bool, drop uint64) {
 		dims := 1 + int(dimByte)%5
 		coords := len(raw) / 2
 		n := coords / dims
@@ -328,8 +338,33 @@ func FuzzDendrogram(f *testing.F) {
 			t.Fatal(err)
 		}
 		s.CompactEvery = 16 // force frequent MSF filtering
-		if err := s.Append(ps, nil); err != nil {
+		if first := n / 2; drop != 0 && first > 0 {
+			if err := s.Append(ps.Slice(0, first), nil); err != nil {
+				t.Fatal(err)
+			}
+			var ids []int
+			for i := 0; i < first; i++ {
+				if drop>>i&1 == 1 {
+					ids = append(ids, i)
+				}
+			}
+			if err := s.Remove(ids, nil); err != nil {
+				t.Fatal(err)
+			}
+			rest := ps.Slice(first, n)
+			if err := s.Append(rest, nil); err != nil {
+				t.Fatal(err)
+			}
+			survivors := geom.NewPointSetCap(dims, n)
+			survivors.AppendSet(ps.Slice(0, first))
+			survivors.RemoveSorted(ids)
+			survivors.AppendSet(rest)
+			ps, n = survivors, survivors.Len()
+		} else if err := s.Append(ps, nil); err != nil {
 			t.Fatal(err)
+		}
+		if s.Len() != n {
+			t.Fatalf("sweep holds %d points, want %d", s.Len(), n)
 		}
 		d := s.Dendrogram()
 		merges := d.Merges()

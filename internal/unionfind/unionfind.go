@@ -21,6 +21,21 @@ func New(n int) *UF {
 	return u
 }
 
+// Reinit turns the forest back into n singleton sets, reusing the
+// arrays' capacity — the retained-scratch form of New for callers that
+// rebuild a forest of about the same size over and over.
+func (u *UF) Reinit(n int) {
+	if cap(u.parent) < n {
+		u.parent = make([]int32, n)
+		u.rank = make([]int8, n)
+	}
+	u.parent, u.rank, u.count = u.parent[:n], u.rank[:n], n
+	for i := range u.parent {
+		u.parent[i] = int32(i)
+	}
+	clear(u.rank)
+}
+
 // Add appends a fresh singleton set and returns its element id.
 func (u *UF) Add() int {
 	id := len(u.parent)

@@ -773,6 +773,12 @@ func BenchmarkAblation(b *testing.B) {
 //	go test -run xxx -bench WarmAnswer -benchtime 1500x -cpuprofile cpu.out
 //
 // docs/pr19-topk.md the top-k pair.
+//
+// Refold/{Any,All,Sweep,TopAny} time the first read after a write
+// instead: every iteration inserts one row — the cached evaluator
+// absorbs it and a new generation's answer is published with no column
+// memoized yet — and runs the statement, which folds every aggregate
+// over the whole table again. docs/pr21-typed-fold.md records them.
 func BenchmarkWarmAnswer(b *testing.B) {
 	db := sgb.Open()
 	if err := db.Catalog().Create(checkin.Table("checkins", checkin.Brightkite(32000))); err != nil {
@@ -782,13 +788,14 @@ func BenchmarkWarmAnswer(b *testing.B) {
 		b.Fatal(err)
 	}
 	const from = " FROM checkins GROUP BY latitude, longitude "
-	for _, tc := range []struct{ name, sql string }{
+	shapes := []struct{ name, sql string }{
 		{"Any", "SELECT count(*), avg(latitude), max(longitude)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.2"},
 		{"All", "SELECT count(*), avg(latitude), max(longitude)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.2 ON-OVERLAP JOIN-ANY"},
 		{"Sweep", "SELECT eps, count(*), avg(latitude)" + from + "DISTANCE-TO-ANY L2 EPS IN (0.1, 0.4, 0.8)"},
 		{"TopAny", "SELECT count(*), max(longitude)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.2 ORDER BY 1 DESC, 2 DESC LIMIT 10"},
 		{"TopAll", "SELECT count(*), max(longitude)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.2 ON-OVERLAP JOIN-ANY ORDER BY 1 DESC, 2 DESC LIMIT 10"},
-	} {
+	}
+	for _, tc := range shapes {
 		b.Run(tc.name, func(b *testing.B) {
 			rows, err := db.Query(tc.sql) // builds and publishes the answer
 			if err != nil {
@@ -797,6 +804,19 @@ func BenchmarkWarmAnswer(b *testing.B) {
 			b.ResetTimer()
 			benchQuery(b, db, tc.sql)
 			b.ReportMetric(float64(len(rows.Data)), "rows")
+		})
+	}
+	for _, tc := range shapes[:4] {
+		b.Run("Refold/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec("INSERT INTO checkins VALUES (1, 40.5, -100.5, DATE '2009-01-01')"); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := db.Query(tc.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -60,6 +60,12 @@ type AggSpec struct {
 	// Grouping. The planner leaves it empty for aggregates that are not
 	// a pure function of the table's rows (subquery arguments).
 	Key string
+	// ArgCol, when positive, says the single argument is a bare column
+	// reference: Args[0] returns row[ArgCol-1] as is. The similarity node
+	// may then read the column once and fold it with the typed kernels
+	// (fold.go). Zero — what a literal that does not mention it gets —
+	// promises nothing.
+	ArgCol int
 }
 
 // Validate checks the arity.

@@ -11,8 +11,8 @@
 // dataset", so Open takes the whole input (a table scan's snapshot as
 // is, anything else drained into a tuple store), extracts the grouping
 // attributes into a flat geom.PointSet, runs the operator core, and
-// folds the configured aggregates over each output group, in one pass
-// straight into the output rows. When its Answer hook is set (the
+// folds the configured aggregates over each output group straight into
+// the output rows. When its Answer hook is set (the
 // engine's evaluator cache, installed by the planner for bare
 // single-table scans), the hook is asked first, with the rows and a
 // lazy extractor: it may return shared Groupings — whose aggregates
@@ -21,6 +21,16 @@
 // nothing at all. A Grouping must equal the one-shot
 // evaluation, so downstream operators are oblivious to how the groups
 // were obtained.
+//
+// Aggregates fold one of two ways (fold.go). count, sum, avg, min and
+// max over a bare column whose values are all INT or all FLOAT — and
+// count(*) — run typed kernels over a numeric vector read once per
+// statement and column, writing packed memo columns or output rows
+// directly. Everything else — expression arguments, array_agg,
+// st_polygon, columns of other or mixed kinds, every HashAgg — goes
+// through the accumulators in agg.go, which remain the definition: a
+// kernel's result is its accumulator's, bit for bit, and the
+// differential suite and FuzzFold hold them to it.
 //
 // Invariants: operators follow the Open / Next (nil row = exhausted) /
 // Close contract, may be re-Opened after Close, and never mutate input

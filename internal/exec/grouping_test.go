@@ -58,7 +58,7 @@ func TestGroupingMemoMatchesFreshFold(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		var st core.Stats
 		for _, a := range specs {
-			c, err := g.column(a, rows, &st)
+			c, err := g.column(a, &foldInput{rows: rows}, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestGroupingMemoBound(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for k := int64(0); k <= maxMemoAggs; k++ {
 			var st core.Stats
-			c, err := g.column(AggSpec{Kind: AggSum, Args: []Scalar{plus(k)}, Key: fmt.Sprint("sum", k)}, rows, &st)
+			c, err := g.column(AggSpec{Kind: AggSum, Args: []Scalar{plus(k)}, Key: fmt.Sprint("sum", k)}, &foldInput{rows: rows}, &st)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,6 +135,11 @@ func (s *SGB) Open() error {
 	if err != nil {
 		return err
 	}
+	// Taken before the grouping is evaluated, not where it is first
+	// used: a sync.Pool is emptied by two collections, and evaluation
+	// is where a statement's collections happen.
+	in := newFoldInput(rows)
+	defer in.release()
 	src := Snapshot{Rows: rows, Gen: gen, Dims: len(s.GroupExprs),
 		Points: func(from int) (*geom.PointSet, error) { return s.extract(rows, from) }}
 	var gs []*Grouping
@@ -150,9 +155,9 @@ func (s *SGB) Open() error {
 		}
 	}
 	if shared && s.Top != nil {
-		return s.emitTop(gs[0], rows)
+		return s.emitTop(gs[0], in)
 	}
-	return s.emit(gs, rows, shared)
+	return s.emit(gs, in, shared)
 }
 
 // materialize opens the input and returns its rows: a table scan's
@@ -254,13 +259,14 @@ func (s *SGB) evaluate(src Snapshot) ([]*Grouping, error) {
 // a single flat backing array. Shared groupings have their memoized
 // aggregate columns zipped into the rows; the private groupings of a
 // one-shot evaluation, which no later query can reuse, fold straight
-// into them.
-func (s *SGB) emit(gs []*Grouping, rows []types.Row, shared bool) error {
+// into them — a column at a time through the typed kernels when every
+// aggregate admits them (fold.go), in one accumulator pass otherwise.
+func (s *SGB) emit(gs []*Grouping, in *foldInput, shared bool) error {
 	if s.Cube {
 		for li, g := range gs {
 			largest, grouped := g.rollup()
 			frac := 0.0
-			if n := len(rows); n > 0 {
+			if n := len(in.rows); n > 0 {
 				frac = float64(grouped) / float64(n)
 			}
 			s.out = append(s.out, types.Row{
@@ -283,16 +289,26 @@ func (s *SGB) emit(gs []*Grouping, rows []types.Row, shared bool) error {
 	backing := make([]types.Value, total*width)
 	s.out = make([]types.Row, 0, total)
 	cols := make([]column, len(s.Aggs))
+	typed := !shared && in.typedAll(s.Aggs)
 	for li, g := range gs {
-		if shared {
+		switch {
+		case shared:
 			for j, a := range s.Aggs {
 				var err error
-				if cols[j], err = g.column(a, rows, s.Opt.Stats); err != nil {
+				if cols[j], err = g.column(a, in, s.Opt.Stats); err != nil {
 					return err
 				}
 			}
-		} else if g.Len() > 0 { // backing[base:] needs a row to exist
-			if err := g.fold(s.Aggs, rows, s.Opt.Stats, backing[base:], width); err != nil {
+		case g.Len() == 0: // backing[base:] needs a row to exist
+		case typed:
+			for j, a := range s.Aggs {
+				g.foldTyped(a, in, sink{vals: backing[base+j:], stride: width})
+			}
+			if st := s.Opt.Stats; st != nil {
+				st.RowsFolded += int64(len(s.Aggs)) * int64(len(g.members))
+			}
+		default:
+			if err := g.fold(s.Aggs, in.rows, s.Opt.Stats, backing[base:], width); err != nil {
 				return err
 			}
 		}
@@ -319,11 +335,11 @@ func (s *SGB) emit(gs []*Grouping, rows []types.Row, shared bool) error {
 // order — a superset of the statement's answer in the order TopK above
 // would have met them anyway. It is a function of its own so that emit,
 // which every statement without the hint runs, stays as it was.
-func (s *SGB) emitTop(g *Grouping, rows []types.Row) error {
+func (s *SGB) emitTop(g *Grouping, in *foldInput) error {
 	cols := make([]column, len(s.Aggs))
 	for j, a := range s.Aggs {
 		var err error
-		if cols[j], err = g.column(a, rows, s.Opt.Stats); err != nil {
+		if cols[j], err = g.column(a, in, s.Opt.Stats); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"sort"
 
 	"github.com/sgb-db/sgb/internal/types"
@@ -185,6 +186,9 @@ func (h *topHeap) before(ka, kb []types.Value, sa, sb int) bool {
 //
 //sgb:allocfree
 func orderKeys(a, b *types.Value) int {
+	if a.Kind == types.KindInt && b.Kind == types.KindInt {
+		return cmp.Compare(a.I, b.I) // exact, as types.Compare
+	}
 	af, aok := numericKey(a)
 	bf, bok := numericKey(b)
 	if !aok || !bok {
@@ -200,7 +204,8 @@ func orderKeys(a, b *types.Value) int {
 	return 0
 }
 
-// numericKey is v as types.Compare reads an INT or a FLOAT.
+// numericKey is v as types.Compare reads an INT or a FLOAT of a mixed
+// pair.
 func numericKey(v *types.Value) (float64, bool) {
 	switch v.Kind {
 	case types.KindInt:

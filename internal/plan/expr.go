@@ -582,6 +582,10 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 			return nil, false, err
 		}
 		spec.Args = append(spec.Args, cs)
+		if ref, ok := arg.(*sqlparser.ColumnRef); ok && len(fc.Args) == 1 {
+			idx, _ := b.baseEnv.resolve(ref) // compileScalar has just resolved it
+			spec.ArgCol = idx + 1
+		}
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, false, err

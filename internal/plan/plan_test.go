@@ -407,6 +407,39 @@ func TestCacheHookShapeAndMemoKeys(t *testing.T) {
 	}
 }
 
+// TestAggregateBareColumnMarks: the binder records the input-row index
+// of an aggregate argument that is a bare column reference — through a
+// qualifier and across a join's concatenated row too — and nothing for
+// count(*), an expression, or the two-argument st_polygon.
+func TestAggregateBareColumnMarks(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		cols []int // AggSpec.ArgCol per aggregate
+	}{
+		{"SELECT count(*), sum(bal), max(users.uid), avg(bal + 0), min(name), st_polygon(bal, uid) FROM users GROUP BY bal DISTANCE-TO-ANY L2 WITHIN 15",
+			[]int{0, 3, 1, 0, 2, 0}},
+		{"SELECT eps, count(uid), sum(abs(bal)) FROM users GROUP BY bal DISTANCE-TO-ANY L2 EPS IN (5, 15)", []int{1, 0}},
+		{"SELECT max(amt), min(o.uid), count(u.uid) FROM users u JOIN orders o ON u.uid = o.uid GROUP BY bal, amt DISTANCE-TO-ALL LINF WITHIN 15 ON-OVERLAP ELIMINATE",
+			[]int{6, 5, 1}},
+	} {
+		sel, err := sqlparser.ParseSelect(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cq, err := NewBuilder(testCatalog(t)).BuildSelect(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		var cols []int
+		for _, a := range cq.Root.(*exec.Project).Input.(*exec.SGB).Aggs {
+			cols = append(cols, a.ArgCol)
+		}
+		if !reflect.DeepEqual(cols, c.cols) {
+			t.Errorf("%s: column marks %v, want %v", c.sql, cols, c.cols)
+		}
+	}
+}
+
 // pointsCatalog adds a small 2-d table: two tight clusters and an
 // outlier, so similarity groupings have groups of distinct sizes.
 func pointsCatalog(t *testing.T) *storage.Catalog {

@@ -5,6 +5,7 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -187,9 +188,10 @@ func (v Value) Key() Value {
 }
 
 // Compare orders a against b: -1, 0, +1. Numeric kinds (including
-// dates) compare numerically; text lexicographically; bools false<true.
-// NULL sorts before everything. Cross-kind comparisons between
-// non-numeric kinds are an error.
+// dates) compare numerically — two INTs or two DATEs exactly, by their
+// 64-bit payload; a mixed pair as floats — text lexicographically;
+// bools false<true. NULL sorts before everything. Cross-kind
+// comparisons between non-numeric kinds are an error.
 func Compare(a, b Value) (int, error) {
 	if a.Kind == KindNull || b.Kind == KindNull {
 		switch {
@@ -203,6 +205,10 @@ func Compare(a, b Value) (int, error) {
 	}
 	numeric := func(v Value) bool { return v.IsNumeric() || v.Kind == KindDate }
 	switch {
+	case a.Kind == b.Kind && (a.Kind == KindInt || a.Kind == KindDate):
+		// float64 holds 53 bits: beyond 2⁵³ neighbouring integers
+		// would compare equal.
+		return cmp.Compare(a.I, b.I), nil
 	case numeric(a) && numeric(b):
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()

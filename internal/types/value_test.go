@@ -90,6 +90,18 @@ func TestCompare(t *testing.T) {
 	mustCmp(Date(5), Int(6), -1) // dates compare numerically
 	mustCmp(Null(), Int(1), -1)
 	mustCmp(Null(), Null(), 0)
+	// Two INTs, two DATEs: exact beyond float64's 53 bits.
+	const big = int64(1) << 53
+	mustCmp(Int(big), Int(big+1), -1)
+	mustCmp(Int(big+1), Int(big), 1)
+	mustCmp(Int(-big-1), Int(-big), -1)
+	mustCmp(Int(math.MaxInt64), Int(math.MaxInt64-1), 1)
+	mustCmp(Int(math.MinInt64), Int(math.MaxInt64), -1)
+	mustCmp(Date(big), Date(big+1), -1)
+	mustCmp(Date(big+1), Date(big+1), 0)
+	// A mixed pair still compares as floats.
+	mustCmp(Int(big+1), Float(float64(big)), 0)
+	mustCmp(Date(big+1), Int(big), 0)
 	if _, err := Compare(Text("a"), Int(1)); err == nil {
 		t.Error("cross-kind compare accepted")
 	}

@@ -324,3 +324,53 @@ func TestTypedFoldTwoSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestSQLResultOutlivesStatement: an answer whose rows were handed out
+// without a copy (the select list is the node's output row) belongs to
+// the caller alone — later statements over the same cached grouping,
+// writes that extend or shrink it, and the same statement run again
+// leave it as it was.
+func TestSQLResultOutlivesStatement(t *testing.T) {
+	for _, incremental := range []string{"off", "on"} {
+		db := Open()
+		mustExec := func(sql string) {
+			t.Helper()
+			if _, err := db.Exec(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		mustExec("SET incremental = " + incremental)
+		mustExec("CREATE TABLE p (id INT, x FLOAT, y FLOAT)")
+		mustExec("INSERT INTO p VALUES (1, 0, 0), (2, 0.5, 0), (3, 10, 10), (4, 10.5, 10), (5, 50, 50)")
+		for _, sql := range []string{
+			"SELECT count(*), sum(id), max(y) FROM p GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1",
+			"SELECT count(*), sum(id), max(y) FROM p GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 1 ON-OVERLAP JOIN-ANY",
+			"SELECT count(*), max(y) FROM p GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1 ORDER BY 1 DESC, 2 LIMIT 2",
+			"SELECT id, count(*) FROM p GROUP BY id",
+		} {
+			first, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			kept := fmt.Sprint(first.Data)
+			again, err := db.Query(sql)
+			if err != nil || fmt.Sprint(again.Data) != kept {
+				t.Fatalf("incremental %s: %s answered %v, then %v (%v)", incremental, sql, kept, again, err)
+			}
+			mustExec("INSERT INTO p VALUES (6, 0.2, 0.1), (7, 10.2, 10.1)")
+			if _, err := db.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+			mustExec("DELETE FROM p WHERE id >= 6")
+			if _, err := db.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(first.Data); got != kept {
+				t.Errorf("incremental %s: %s: the first answer changed under later statements: %s, was %s", incremental, sql, got, kept)
+			}
+			if got := fmt.Sprint(again.Data); got != kept {
+				t.Errorf("incremental %s: %s: the second answer changed: %s, was %s", incremental, sql, got, kept)
+			}
+		}
+	}
+}

@@ -32,7 +32,14 @@
 // kernel's result is its accumulator's, bit for bit, and the
 // differential suite and FuzzFold hold them to it.
 //
+// A result is not copied on its way out when it need not be: a Project
+// the planner marked Identity (the select list is the aggregation's
+// output row, column for column) passes rows through, and Run takes a
+// similarity node's rows whole through such a projection rather than
+// one Next and one append at a time.
+//
 // Invariants: operators follow the Open / Next (nil row = exhausted) /
 // Close contract, may be re-Opened after Close, and never mutate input
-// rows they did not allocate.
+// rows they did not allocate — nor rows a Next returned to them, which
+// may be the producer's own.
 package exec

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -332,5 +333,54 @@ func TestSGBOperatorNode(t *testing.T) {
 	node.Input = textSrc
 	if _, err := Run(node); err == nil {
 		t.Error("text grouping attribute accepted")
+	}
+}
+
+// TestIdentityProjection: an identity projection hands its input's rows
+// on as they are — one by one under an operator that pulls them or over
+// a filter, whole to Run when the similarity node is directly below —
+// and answers what the copying projection answers.
+func TestIdentityProjection(t *testing.T) {
+	node := func() *SGB {
+		return &SGB{
+			Input: &ValuesOp{Rows: []types.Row{
+				{types.Float(0)}, {types.Float(1)}, {types.Float(10)}, {types.Float(20)}, {types.Float(21)},
+			}},
+			GroupExprs: []Scalar{col(0)}, Any: true,
+			Opt:  core.Options{Metric: geom.L2, Eps: 2, Algorithm: core.OnTheFlyIndex},
+			Aggs: []AggSpec{{Kind: AggCountStar}, {Kind: AggMax, Args: []Scalar{col(0)}, ArgCol: 1}},
+		}
+	}
+	identity := func(in Operator) *Project {
+		return &Project{Input: in, Exprs: []Scalar{col(0), col(1)}, Identity: true}
+	}
+	want, err := Run(&Project{Input: node(), Exprs: []Scalar{col(0), col(1)}})
+	if err != nil || len(want) != 3 {
+		t.Fatalf("copying projection: %v, %v", want, err)
+	}
+	for name, op := range map[string]Operator{
+		"taken whole": identity(node()),
+		"pulled":      &Limit{Input: identity(node()), N: 10},
+		"filtered":    identity(&Filter{Input: node(), Pred: constant(types.Bool(true))}),
+	} {
+		if got, err := Run(op); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v, %v; want %v", name, got, err, want)
+		}
+	}
+	// The rows are the node's own, and a second Run answers afresh.
+	n := node()
+	p := identity(n)
+	if err := p.Open(); err != nil {
+		t.Fatal(err)
+	}
+	own := n.out[0]
+	if first, err := p.Next(); err != nil || &first[0] != &own[0] {
+		t.Errorf("identity projection copied the row (%v)", err)
+	}
+	p.Close()
+	for i := 0; i < 2; i++ {
+		if got, err := Run(p); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d of one plan: %v, %v; want %v", i, got, err, want)
+		}
 	}
 }

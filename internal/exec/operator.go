@@ -13,7 +13,9 @@ import (
 type Scalar func(types.Row) (types.Value, error)
 
 // Operator is a Volcano iterator. Next returns a nil row at end of
-// stream. Rows returned by Next are owned by the caller.
+// stream. A returned row is the caller's to keep and to pass on, not to
+// write to: it may alias the table (SeqScan) or the producer's output
+// (an identity Project).
 type Operator interface {
 	Open() error
 	Next() (types.Row, error)
@@ -26,6 +28,14 @@ func Run(op Operator) ([]types.Row, error) {
 		return nil, err
 	}
 	defer op.Close()
+	if p, ok := op.(*Project); ok && p.Identity {
+		if s, ok := p.Input.(*SGB); ok {
+			// The node built every row in Open and the projection would
+			// only pass them on: take the slice, rather than one Next and
+			// one append (into a second slice grown by doubling) per row.
+			return s.out, nil
+		}
+	}
 	var out []types.Row
 	for {
 		row, err := op.Next()
@@ -130,6 +140,12 @@ func (f *Filter) Next() (types.Row, error) {
 type Project struct {
 	Input Operator
 	Exprs []Scalar
+	// Identity is the planner's word that Exprs[i] returns column i of
+	// an input row of exactly len(Exprs) columns — a select list that
+	// spells out the aggregation's output row in its own order. Rows
+	// then pass through as they are instead of being copied one
+	// allocation each; false, the zero value, promises nothing.
+	Identity bool
 }
 
 // Open opens the input.
@@ -141,8 +157,8 @@ func (p *Project) Close() error { return p.Input.Close() }
 // Next evaluates the projection expressions over the next input row.
 func (p *Project) Next() (types.Row, error) {
 	row, err := p.Input.Next()
-	if err != nil || row == nil {
-		return nil, err
+	if err != nil || row == nil || p.Identity {
+		return row, err
 	}
 	out := make(types.Row, len(p.Exprs))
 	for i, e := range p.Exprs {

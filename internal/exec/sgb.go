@@ -190,7 +190,7 @@ func (s *SGB) materialize() ([]types.Row, int64, error) {
 // into a flat PointSet — one contiguous buffer with stride d — so the
 // operator core never chases per-row coordinate slices.
 func (s *SGB) extract(rows []types.Row, from int) (*geom.PointSet, error) {
-	points := geom.NewPointSet(len(s.GroupExprs))
+	points := geom.NewPointSetCap(len(s.GroupExprs), len(rows)-from)
 	for r, row := range rows[from:] {
 		p := points.Extend()
 		for i, g := range s.GroupExprs {

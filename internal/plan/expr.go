@@ -534,6 +534,21 @@ type aggBinder struct {
 	groupKeys []string       // printed grouping expressions ("" entries disallow matching)
 	aggBase   int            // index of agg₀ in the output row (K or 0)
 	aggs      []exec.AggSpec // Key is the printed form calls are matched by
+	// bound and slot are the expression the hook matched last and the
+	// output column it reads; reorders is set once a select item is not
+	// column i of the output row as it stands (compileSelectItems).
+	bound    sqlparser.Expr
+	slot     int
+	reorders bool
+}
+
+// identity reports whether the n select items spell out the aggregation
+// output row column for column, so that projecting it changes nothing:
+// every item is a grouping expression or an aggregate call on its own,
+// each in the column the row already has it in, and the row has no
+// further column (an aggregate only HAVING names adds one).
+func (b *aggBinder) identity(n int) bool {
+	return !b.reorders && b.aggBase+len(b.aggs) == n
 }
 
 func (b *aggBinder) compile(e sqlparser.Expr) (exec.Scalar, error) {
@@ -550,8 +565,7 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	printed := e.String()
 	for i, gk := range b.groupKeys {
 		if gk != "" && strings.EqualFold(gk, printed) {
-			idx := i
-			return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+			return b.column(e, i), true, nil
 		}
 	}
 	// Aggregate call.
@@ -571,8 +585,7 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 		spec.Key = strings.ToLower(printed)
 		for i, a := range b.aggs {
 			if a.Key == spec.Key {
-				idx := b.aggBase + i
-				return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+				return b.column(e, b.aggBase+i), true, nil
 			}
 		}
 	}
@@ -590,7 +603,12 @@ func (b *aggBinder) hook(e sqlparser.Expr) (exec.Scalar, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
-	idx := b.aggBase + len(b.aggs)
 	b.aggs = append(b.aggs, spec)
-	return func(row types.Row) (types.Value, error) { return row[idx], nil }, true, nil
+	return b.column(e, b.aggBase+len(b.aggs)-1), true, nil
+}
+
+// column compiles e as a read of output column idx and notes the match.
+func (b *aggBinder) column(e sqlparser.Expr, idx int) exec.Scalar {
+	b.bound, b.slot = e, idx
+	return func(row types.Row) (types.Value, error) { return row[idx], nil }
 }

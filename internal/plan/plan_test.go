@@ -595,3 +595,92 @@ func TestTopKPlanShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentityProjection pins when the projection over an aggregation
+// is marked as passing rows through: every select item is a grouping
+// expression or an aggregate call on its own, in the column the node
+// emits it in, and the node emits no other column. Each statement then
+// runs both ways — as planned and with the mark taken off — and must
+// answer the same.
+func TestIdentityProjection(t *testing.T) {
+	cat := pointsCatalog(t)
+	const sim = " FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5 "
+	const sweep = " FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1) "
+	project := func(cq *CompiledQuery) *exec.Project {
+		for op := cq.Root; ; {
+			switch x := op.(type) {
+			case *exec.TopK:
+				op = x.Input
+			case *exec.Sort:
+				op = x.Input
+			case *exec.Limit:
+				op = x.Input
+			case *exec.Distinct:
+				op = x.Input
+			case *exec.Project:
+				return x
+			default:
+				return nil
+			}
+		}
+	}
+	for _, c := range []struct {
+		sql      string
+		identity bool
+	}{
+		{"SELECT count(*), avg(x), max(y)" + sim, true},
+		{"SELECT count(*) AS n, max(y)" + sim + "HAVING count(*) > 1", true},
+		{"SELECT count(*), max(y)" + sim + "ORDER BY 1 DESC, 2 LIMIT 2", true},
+		{"SELECT DISTINCT count(*)" + sim, true},
+		{"SELECT cell, count(*), max(y) FROM checkins GROUP BY cell", true},
+		{"SELECT cell + 1, count(*) FROM checkins GROUP BY cell + 1", true},
+		{"SELECT count(*), sum(x) FROM checkins", true},
+		// An expression over an aggregate, a repeated aggregate (bound once:
+		// both items read column 0), another order, a column left out, and
+		// an aggregate that only HAVING names (the node emits it too).
+		{"SELECT count(*), max(y) + 1" + sim, false},
+		{"SELECT count(*), count(*)" + sim, false},
+		// An EPS IN sweep keeps its copying projection, identity or not
+		// (planEpsSweep says why).
+		{"SELECT eps, count(*), min(x)" + sweep, false},
+		{"SELECT count(*), eps" + sweep + "HAVING count(*) > 1 ORDER BY 2 DESC, 1", false},
+		{"SELECT * FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1) SIMILARITY CUBE BY EPS", false},
+		{"SELECT count(*)" + sim + "HAVING max(y) > 1", false},
+		{"SELECT count(*), cell FROM checkins GROUP BY cell", false},
+		{"SELECT count(*) FROM checkins GROUP BY cell", false},
+		{"SELECT x, y FROM checkins", false},
+	} {
+		plan := func() (*CompiledQuery, *exec.Project) {
+			sel, err := sqlparser.ParseSelect(c.sql)
+			if err != nil {
+				t.Fatalf("%s: %v", c.sql, err)
+			}
+			cq, err := NewBuilder(cat).BuildSelect(sel)
+			if err != nil {
+				t.Fatalf("%s: %v", c.sql, err)
+			}
+			p := project(cq)
+			if p == nil {
+				t.Fatalf("%s: no projection in the plan", c.sql)
+			}
+			return cq, p
+		}
+		cq, p := plan()
+		if p.Identity != c.identity {
+			t.Errorf("%s: identity = %v, want %v", c.sql, p.Identity, c.identity)
+		}
+		got, err := Execute(cq)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		cq, p = plan()
+		p.Identity = false
+		want, err := Execute(cq)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows %v, copied %v", c.sql, got, want)
+		}
+	}
+}

@@ -367,6 +367,25 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 }
 
+// The shape BenchmarkWindow slides its window over: 256-point batches of
+// benchkit.ClusterPoints on a domain whose side keeps cluster-center
+// density subcritical (expected cluster-graph degree well under 1), so
+// components stay bounded as the window grows — the regime where
+// localized deletion pays.
+const windowBatch = 256
+
+func windowSpan(window int) float64 { return 1.25 * math.Sqrt(float64(window)) }
+
+func windowBatches(seed int64, span float64) []*sgb.PointSet {
+	pool := make([]*sgb.PointSet, 16)
+	for i := range pool {
+		pool[i] = benchkit.ClusterPoints(windowBatch, span, seed+int64(i)+1)
+	}
+	return pool
+}
+
+var windowAllOpt = sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny, Algorithm: sgb.GridIndex, Seed: 1}
+
 // BenchmarkWindow measures steady-state sliding-window maintenance:
 // each tick appends a fresh 256-point batch, evicts oldest-first back
 // down to the window size, and reads the grouping. The Maintained
@@ -375,29 +394,20 @@ func BenchmarkIncremental(b *testing.B) {
 // regrouping the whole window from scratch every tick. The workload
 // is cluster-structured (benchkit.ClusterPoints) with the domain scaled
 // to hold cluster density constant as the window grows.
-// SGB-Any maintenance is localized — eviction reclusters only the
-// victims' components — which is where the ≥5× steady-state win over
-// per-tick one-shot comes from; SGB-All replays the order-sensitive
-// arbitration over the survivors and is reported for completeness (it
-// tracks the one-shot cost by construction). The Lattice series slides
-// the same window under an ε-lattice evaluator and cuts three levels per
-// tick: Maintained repairs the dendrogram around the evicted points
-// (LatticeAny.Remove), Rebuild sweeps the window again — what a DELETE
-// cost before the repair existed. Both report their grid probes and
-// distance computations per tick.
+// Both operators maintain locally. SGB-Any reclusters only the
+// victims' components; SGB-All arbitrates again only a closure of them
+// (core.AllEvaluator.Remove) and reports how many points that was per
+// tick (replayed/op) — a few hundred here, where the evicted batch is
+// sixteen whole clusters, against the window's thousands, which
+// TestWindowAllOutputSensitive pins in operation counts. The Lattice
+// series slides the same window under an ε-lattice evaluator and cuts
+// three levels per tick: Maintained repairs the dendrogram around the
+// evicted points (LatticeAny.Remove), Rebuild sweeps the window again —
+// what a DELETE cost before the repair existed. Both report their grid
+// probes and distance computations per tick.
 func BenchmarkWindow(b *testing.B) {
-	const batch = 256
-	// Domain side: cluster-center density stays subcritical (expected
-	// cluster-graph degree well under 1), so components stay bounded as
-	// the window grows — the regime where localized deletion pays.
-	span := func(window int) float64 { return 1.25 * math.Sqrt(float64(window)) }
-	newBatches := func(seed int64, span float64) []*sgb.PointSet {
-		pool := make([]*sgb.PointSet, 16)
-		for i := range pool {
-			pool[i] = benchkit.ClusterPoints(batch, span, seed+int64(i)+1)
-		}
-		return pool
-	}
+	const batch = windowBatch
+	span, newBatches := windowSpan, windowBatches
 	semantics := []struct {
 		name string
 		mk   func(sgb.Options) (*sgb.Incremental, error)
@@ -405,15 +415,17 @@ func BenchmarkWindow(b *testing.B) {
 	}{
 		{"Any", sgb.NewIncrementalAny,
 			sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex}},
-		{"All", sgb.NewIncrementalAll,
-			sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny, Algorithm: sgb.GridIndex, Seed: 1}},
+		{"All", sgb.NewIncrementalAll, windowAllOpt},
 	}
 	for _, sem := range semantics {
 		for _, window := range []int{8000, 32000} {
 			sp := span(window)
 			b.Run(fmt.Sprintf("%s/Maintained/w=%d", sem.name, window), func(b *testing.B) {
 				pool := newBatches(int64(window), sp)
-				inc, err := sem.mk(sem.opt)
+				var st sgb.Stats
+				opt := sem.opt
+				opt.Stats = &st
+				inc, err := sem.mk(opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -432,6 +444,9 @@ func BenchmarkWindow(b *testing.B) {
 					if _, err := inc.Result(); err != nil {
 						b.Fatal(err)
 					}
+				}
+				if sem.name == "All" {
+					b.ReportMetric(float64(st.PointsReplayed)/float64(b.N), "replayed/op")
 				}
 			})
 			b.Run(fmt.Sprintf("%s/Oneshot/w=%d", sem.name, window), func(b *testing.B) {
@@ -525,6 +540,64 @@ func BenchmarkWindow(b *testing.B) {
 			}
 			report(b, &st)
 		})
+	}
+}
+
+// TestWindowAllOutputSensitive pins what BenchmarkWindow/All/Maintained
+// shows, in operation counts so that it cannot flake: on the benchmark's
+// subcritical cluster shape, evicting one batch from a maintained
+// SGB-All window costs less than 40 % of the rectangle tests and index
+// probes of arbitrating the survivors from scratch — the closure's own
+// probes and admissions included — and it replays fewer points than
+// that share of them.
+func TestWindowAllOutputSensitive(t *testing.T) {
+	const window = 8000
+	sp := windowSpan(window)
+	var st sgb.Stats
+	opt := windowAllOpt
+	opt.Stats = &st
+	inc, err := sgb.NewIncrementalAll(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := sgb.NewPointSet(2)
+	for _, ps := range append([]*sgb.PointSet{benchkit.ClusterPoints(window, sp, 13)}, windowBatches(window, sp)[:3]...) {
+		if err := inc.AppendSet(ps); err != nil {
+			t.Fatal(err)
+		}
+		win.AppendSet(ps)
+		before := st
+		if n, err := inc.Window(window); err != nil {
+			t.Fatal(err)
+		} else if n == 0 {
+			continue // the initial load evicts nothing
+		}
+		win = win.Slice(win.Len()-window, win.Len())
+		removeWork := (st.RectTests - before.RectTests) + (st.IndexProbes - before.IndexProbes)
+		replayed := st.PointsReplayed - before.PointsReplayed
+
+		var scratch sgb.Stats
+		oneshot := windowAllOpt
+		oneshot.Parallelism, oneshot.Stats = 1, &scratch
+		want, err := sgb.GroupByAllSet(win, oneshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratchWork := scratch.RectTests + scratch.IndexProbes
+		if 10*removeWork >= 4*scratchWork {
+			t.Errorf("evicting %d of %d points cost %d rectangle tests and probes, from scratch %d: not under 40 %%", windowBatch, window+windowBatch, removeWork, scratchWork)
+		}
+		if replayed == 0 || 10*replayed >= 4*window {
+			t.Errorf("evicting %d points replayed %d of %d survivors", windowBatch, replayed, window)
+		}
+		t.Logf("evicted %d of %d: %d rectangle tests and probes, %d points replayed; from scratch %d", windowBatch, window+windowBatch, removeWork, replayed, scratchWork)
+		got, err := inc.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Groups) != len(want.Groups) {
+			t.Fatalf("maintained window has %d groups, from scratch %d", len(got.Groups), len(want.Groups))
+		}
 	}
 }
 

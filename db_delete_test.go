@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/types"
 )
 
@@ -183,6 +184,99 @@ func TestSQLDeleteMaintenance(t *testing.T) {
 			}
 			insertRandomRows(t, rng, 30, incDB, refDB)
 			queryBoth(t, incDB, refDB, sql)
+		})
+	}
+}
+
+// TestSQLDeleteAllInvariants slides a window through SQL under SET
+// incremental = on — DELETE the oldest rows, INSERT as many — and after
+// every statement holds the maintained DISTANCE-TO-ALL grouping to what
+// needs no second implementation to check: with array_agg(id) naming
+// each group's rows, every group is a clique and no row sits in two
+// (core.CheckCliques), and count(*) sums to the table size under
+// JOIN-ANY and FORM-NEW-GROUP and to at most that under ELIMINATE. The
+// deletes are small against a sparse table, so they are the ones a
+// local replay serves: the cache's counters must show fewer points
+// arbitrated again than a replay of every survivor would have.
+func TestSQLDeleteAllInvariants(t *testing.T) {
+	const window, step, steps = 240, 12, 30
+	for ci, clause := range []string{"LINF WITHIN 1 ON-OVERLAP JOIN-ANY", "L2 WITHIN 1 ON-OVERLAP ELIMINATE", "LINF WITHIN 1 ON-OVERLAP FORM-NEW-GROUP"} {
+		t.Run(clause, func(t *testing.T) {
+			db := Open()
+			mustExec(t, db, "CREATE TABLE sensors (id INT, x FLOAT, y FLOAT)")
+			mustExec(t, db, "SET incremental = on")
+			metric := LInf
+			if strings.HasPrefix(clause, "L2") {
+				metric = L2
+			}
+			rng := rand.New(rand.NewSource(int64(ci) + 41))
+			next := 0
+			insert := func(n int) {
+				var b strings.Builder
+				b.WriteString("INSERT INTO sensors VALUES ")
+				for i := 0; i < n; i++ {
+					if i > 0 {
+						b.WriteString(", ")
+					}
+					// Quarter-unit coordinates: equal points and distances of
+					// exactly ε are common.
+					fmt.Fprintf(&b, "(%d, %v, %v)", next, float64(rng.Intn(88))/4, float64(rng.Intn(88))/4)
+					next++
+				}
+				mustExec(t, db, b.String())
+			}
+			check := func(when string) {
+				t.Helper()
+				table := mustQuery(t, db, "SELECT id, x, y FROM sensors")
+				pos := make(map[string]int, table.Len())
+				points := make([]Point, table.Len())
+				for i, r := range table.Data {
+					pos[r[0].String()] = i
+					points[i] = Point{r[1].F, r[2].F}
+				}
+				groups := mustQuery(t, db, "SELECT count(*), array_agg(id) FROM sensors GROUP BY x, y DISTANCE-TO-ALL "+clause)
+				res := &core.Result{}
+				grouped := make([]bool, len(points))
+				sum := 0
+				for _, r := range groups.Data {
+					var g core.Group
+					for _, id := range strings.Split(strings.Trim(r[1].S, "[]"), ", ") {
+						i, ok := pos[id]
+						if !ok {
+							t.Fatalf("%s: group lists id %q, which is not in the table", when, id)
+						}
+						g.Members = append(g.Members, i)
+						grouped[i] = true
+					}
+					if int(r[0].I) != len(g.Members) {
+						t.Fatalf("%s: count(*) = %d beside %d listed ids", when, r[0].I, len(g.Members))
+					}
+					sum += len(g.Members)
+					res.Groups = append(res.Groups, g)
+				}
+				for i, in := range grouped {
+					if !in {
+						res.Eliminated = append(res.Eliminated, i)
+					}
+				}
+				if err := core.CheckCliques(points, metric, 1, res); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if eliminate := strings.HasSuffix(clause, "ELIMINATE"); !eliminate && sum != len(points) || sum > len(points) {
+					t.Fatalf("%s: count(*) sums to %d over %d rows", when, sum, len(points))
+				}
+			}
+			insert(window)
+			check("after the load")
+			for s := 1; s <= steps; s++ {
+				mustExec(t, db, fmt.Sprintf("DELETE FROM sensors WHERE id < %d", s*step))
+				check(fmt.Sprintf("after DELETE %d", s))
+				insert(step)
+				check(fmt.Sprintf("after INSERT %d", s))
+			}
+			if got := db.CacheStats().PointsReplayed; got == 0 || got >= steps*(window-step) {
+				t.Errorf("%d points arbitrated again over %d deletes of %d rows from %d: not a local replay", got, steps, step, window)
+			}
 		})
 	}
 }

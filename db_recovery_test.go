@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/snapshot"
 )
 
@@ -354,6 +355,17 @@ func TestRecoveryIncrementalEvaluators(t *testing.T) {
 // state — so the old checkpoint must load, revive every evaluator, and
 // maintain them through further writes exactly as a cold engine
 // regroups.
+//
+// Changed on purpose by PR 22: the fixture also predates the JOIN-ANY
+// re-key. Its DISTANCE-TO-ALL … JOIN-ANY evaluators hold groups drawn
+// by live rank, which no run of this engine produces any more, so
+// "load" no longer means "adopt" for them: core.RestoreAllEvaluator
+// tells them apart by AllState.RandState and arbitrates their point
+// logs again under the coordinate key. The test now first proves the
+// fixture really holds such states (a restored one exports a different
+// RandState than it was given), then keeps what it always asserted —
+// every evaluator revived, and every answer equal to a cold engine's
+// (which draws by coordinates) after each further statement.
 func TestRecoveryParentCheckpoint(t *testing.T) {
 	const d = 2
 	dir := t.TempDir()
@@ -369,6 +381,25 @@ func TestRecoveryParentCheckpoint(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	snap, _, _, err := snapshot.Latest(dir)
+	if err != nil || snap == nil {
+		t.Fatalf("fixture snapshot: %v, %v", snap, err)
+	}
+	rekeyed := 0
+	for _, e := range snap.Incr {
+		if all := e.State.All; all != nil && all.Opt.Overlap == core.JoinAny {
+			ev, err := core.RestoreAllEvaluator(all)
+			if err != nil {
+				t.Fatalf("restoring the fixture's JOIN-ANY state of %s: %v", e.Table, err)
+			}
+			if ev.ExportState().RandState != all.RandState {
+				rekeyed++
+			}
+		}
+	}
+	if rekeyed == 0 {
+		t.Fatal("the fixture holds no rank-keyed JOIN-ANY state: the re-arbitration on restore is not exercised")
 	}
 	rdb, err := OpenDir(dir)
 	if err != nil {

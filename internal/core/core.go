@@ -229,6 +229,7 @@ type Stats struct {
 	GroupsCreated        int64
 	GroupMerges          int64 // SGB-Any merges
 	RecursionDepth       int   // FORM-NEW-GROUP recursion depth reached
+	PointsReplayed       int64 // survivors an SGB-All Remove arbitrated again
 
 	// Executor-side work of a SQL similarity query (charged by the
 	// exec.SGB node, zero for direct operator calls). Together they make
@@ -281,6 +282,11 @@ func (s *Stats) addCreated(n int64) {
 func (s *Stats) addMerge(n int64) {
 	if s != nil {
 		s.GroupMerges += n
+	}
+}
+func (s *Stats) addReplayed(n int64) {
+	if s != nil {
+		s.PointsReplayed += n
 	}
 }
 func (s *Stats) noteDepth(d int) {
@@ -337,6 +343,7 @@ func (s *Stats) merge(o *Stats) {
 	s.IndexUpdates += o.IndexUpdates
 	s.GroupsCreated += o.GroupsCreated
 	s.GroupMerges += o.GroupMerges
+	s.PointsReplayed += o.PointsReplayed
 	s.PointsExtracted += o.PointsExtracted
 	s.RowsFolded += o.RowsFolded
 	if o.RecursionDepth > s.RecursionDepth {
@@ -398,30 +405,40 @@ func checkInput(points []geom.Point) (int, error) {
 // arbitration; math/rand would also do, but an explicit generator keeps
 // the operator self-contained and its state obvious.
 //
-// Draws are KEYED, not streamed: splitmix64 is a counter-based
-// generator (the state advances by a fixed odd constant γ per step), so
-// the k-th value of the stream is a pure function mix(state + (k+1)·γ)
-// of the seed state. JOIN-ANY keys every draw by the drawing point's
-// live rank (its position among the surviving points in arrival order)
-// instead of consuming a shared sequential stream. The draws stay
-// deterministic per (seed, point sequence) — and, crucially, they stop
-// depending on HOW MANY other points happened to face a multi-candidate
-// choice earlier, which is what lets the parallel pipeline arbitrate
-// ε-connected components independently and the decremental path replay
-// survivors, both bit-identical to a sequential run.
+// Draws are KEYED, not streamed: a draw is a pure function of the seed
+// state and the drawing point's coordinate bits, folded through the
+// splitmix64 finalizer one coordinate at a time. The key is a property
+// of the point itself — not of how many points drew before it (the old
+// shared stream), nor of its position among the live points (the rank
+// key checkpoints before PR 22 hold) — so nothing that happens
+// elsewhere in the input moves it. That is what lets the parallel
+// pipeline arbitrate ε-connected components independently and lets a
+// DELETE replay only the components it touched (decremental.go), both
+// bit-identical to a sequential run over the same points. Points with
+// equal coordinates draw the same value; each still takes it modulo
+// its own candidate count, and any pick is a valid "any".
 type rng struct{ state uint64 }
 
 const splitmixGamma = 0x9E3779B97F4A7C15
 
-func newRNG(seed int64) *rng { return &rng{state: uint64(seed)*splitmixGamma + 1} }
+// newRNG seeds the coordinate-keyed generation of draws.
+func newRNG(seed int64) *rng { return &rng{state: uint64(seed)*splitmixGamma + 2} }
 
-// drawAt returns the keyed uniform draw in [0, n) for key k ≥ 0: the
-// (k+1)-th output of the splitmix64 stream seeded at r.state. r.state
-// itself never advances.
-func (r *rng) drawAt(k int, n int) int {
-	z := r.state + (uint64(k)+1)*splitmixGamma
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+// rankKeyedState is the seed state of the generation before it, whose
+// draws were keyed by live rank. It differs from newRNG's for every
+// seed, which is how RestoreAllEvaluator tells an old JOIN-ANY
+// checkpoint apart (persist.go).
+func rankKeyedState(seed int64) uint64 { return uint64(seed)*splitmixGamma + 1 }
+
+// drawAt returns the uniform draw in [0, n) keyed by p's coordinate
+// bits. r.state never advances.
+func (r *rng) drawAt(p geom.Point, n int) int {
+	z := r.state
+	for _, v := range p {
+		z += math.Float64bits(v) + splitmixGamma
+		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		z ^= z >> 31
+	}
 	return int(z % uint64(n))
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/grid"
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
@@ -17,17 +18,18 @@ import (
 // spanning forest — lattice.go here, internal/lattice/decremental.go
 // for the algorithm — under the same live-id contract.)
 //
-// The two operators earn very different deletion machinery, and the
-// split mirrors the companion work on order-independent SGB semantics
-// (PAPERS.md: "On Order-independent Semantics of the Similarity
-// Group-By Relational Database Operator"):
+// Both operators delete locally, and for the same reason: what a
+// point's removal can change lies inside its own ε-connected component.
+// The companion work on order-independent SGB semantics (PAPERS.md:
+// "On Order-independent Semantics of the Similarity Group-By Relational
+// Database Operator", arXiv 1412.4303) says what each has to redo
+// there:
 //
-//   - SGB-Any groups are the connected components of the ε-similarity
-//     graph — order-independent, so deletion is well-defined and
-//     local: removing a point can only SPLIT its own component, never
-//     merge or perturb others. AnyEvaluator.Remove therefore dissolves
-//     just the victims' components in the Union-Find forest and
-//     re-unions their surviving members along the ε-pairs one BFS
+//   - SGB-Any groups ARE the connected components of the ε-similarity
+//     graph — order-independent, so removing a point can only SPLIT its
+//     own component, never merge or perturb others. AnyEvaluator.Remove
+//     dissolves just the victims' components in the Union-Find forest
+//     and re-unions their surviving members along the ε-pairs one BFS
 //     through the live index sees — exact by the same argument that
 //     makes appending exact, and one probe per affected member.
 //
@@ -35,14 +37,20 @@ import (
 //     FORM-NEW-GROUP deferrals) depends on which points were present
 //     and in what order. No group surgery can reconstruct, say, a
 //     point that was eliminated because of a now-deleted neighbor —
-//     the retained state no longer holds that information. The only
-//     maintenance that stays bit-identical to a from-scratch run over
-//     the survivors is to replay the arbitration over them, which
-//     AllEvaluator.Remove does (reusing the retained point log and
-//     tombstoning victims; the log compacts once tombstones outnumber
-//     the living). Serving anything cheaper would hand out groupings
-//     no one-shot evaluation produces — exactly the class of staleness
-//     bug the engine-level generation counter exists to prevent.
+//     the retained state no longer holds that information — so the
+//     touched part has to be arbitrated again, in arrival order. But
+//     only the touched part: arbitration decomposes over the
+//     ε-components (ARCHITECTURE.md, "SGB-All decomposes over
+//     ε-components"), and since the JOIN-ANY draw is keyed by the
+//     drawing point's coordinates a survivor elsewhere draws what it
+//     drew before. AllEvaluator.Remove therefore finds a set of
+//     survivors that holds the victims' components and is closed under
+//     ε-adjacency (a BFS over the occupied cells of a point grid, no
+//     distance test), retires the groups and events of that set,
+//     replays its survivors, and splices the outcome back by creation
+//     stamp — bit-identical to a from-scratch run over all survivors.
+//     Once tombstones outnumber the living the log compacts and the
+//     same routine runs with the set taken to be everything.
 //
 // In both cases ids are LIVE ids: Result numbers the surviving points
 // 0..Len()-1 in arrival order, Remove accepts those numbers, and after
@@ -196,16 +204,42 @@ func (e *AnyEvaluator) compact() {
 	e.live, e.alive, e.dead = nil, nil, 0
 }
 
-// Remove deletes the points with the given live ids. SGB-All
-// arbitration is order- and presence-sensitive, so the grouping over
-// the survivors is recomputed by replaying the per-point arbitration
-// over them in arrival order — the one maintenance that stays
-// bit-identical (groups, member order, JOIN-ANY draws under the
-// retained seed, ELIMINATE victims) to a from-scratch evaluation of
-// the surviving points. The retained point log is reused and compacts
-// once tombstones outnumber the living; with Options.Stats attached,
-// the replay re-counts its operations. Ids compact after the call
-// (see Result).
+// removeScratch holds AllEvaluator.Remove's reusable buffers.
+type removeScratch struct {
+	// mark is an epoch-stamped array over stored indices: 2·epoch = in
+	// the closure, 2·epoch+1 = in it and its cell expanded.
+	mark  []uint32
+	epoch uint32
+
+	queue      []int32   // BFS frontier; starts as the victims
+	cell, near []int32   // ids one expansion collects
+	box        geom.Rect // the expanded cell's points, then padded
+	lo, hi     []int64   // cell range of the padded box
+	cur        grid.Cursor
+
+	set []int32 // the closure's survivors, in arrival order
+
+	// Merge targets of the splice; swapped with the state's slices.
+	order  []int32
+	events []int
+	causes []int32
+}
+
+// Remove deletes the points with the given live ids and arbitrates
+// again only where that can matter. The survivors a deletion can reach
+// are those of the victims' ε-components; the closure (retireClosure)
+// is a superset of them that is closed under ε-adjacency, so by the
+// decomposition of SGB-All over ε-components (ARCHITECTURE.md) the
+// groups, ELIMINATE victims and FORM-NEW-GROUP deferrals outside it
+// stand exactly as a from-scratch run over the survivors would leave
+// them, and replaying the closure's survivors in arrival order against
+// what remains recreates the rest — JOIN-ANY draws included, which are
+// keyed by coordinates. The splice orders groups, victims and deferrals
+// by the stored index of the point that caused them, so neither Result
+// nor a later append can tell the state from a from-scratch one. With
+// Options.Stats attached the closure's probes and the replay's
+// operations are counted, and PointsReplayed says how many survivors it
+// took. Ids compact after the call (see Result).
 func (e *AllEvaluator) Remove(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -215,63 +249,248 @@ func (e *AllEvaluator) Remove(ids []int) error {
 		return err
 	}
 	e.materializeLive()
-	removed := make(map[int]struct{}, len(sorted))
-	for _, id := range sorted {
-		removed[id] = struct{}{}
+	e.idxOK = false
+	// Replay everything when the log is due for compaction (tombstones
+	// outnumber the living) or the stamps are not the true ones.
+	full := e.dead+len(sorted) > len(e.live)-len(sorted) || !e.stamped
+	if !full {
+		e.ensureCells()
 	}
+
+	// Split live into victims and survivors; sorted is ascending, so one
+	// walk does it.
+	victims := e.rm.queue[:0]
 	out := e.live[:0]
 	for k, pos := range e.live {
-		if _, hit := removed[k]; !hit {
+		if len(victims) < len(sorted) && sorted[len(victims)] == k {
+			victims = append(victims, pos)
+		} else {
 			out = append(out, pos)
 		}
 	}
 	e.live = out
 	e.dead += len(sorted)
+	e.rm.queue = victims
 
-	pts := e.st.points
-	if e.dead > len(e.live) {
-		pts = pts.Gather(e.live)
-		e.live, e.dead = nil, 0
+	if full {
+		e.resetState(victims)
+	} else {
+		e.retireClosure(victims)
 	}
-	e.replay(pts)
+	e.replay(e.rm.set)
 	return nil
 }
 
-// replay rebuilds the arbitration state from scratch over the live
-// points of pts in arrival order, seeding the PRNG exactly as a
-// one-shot run would. The old state is discarded wholesale (groups,
-// finder, deferred set); the point log is shared. JOIN-ANY draws are
-// keyed by live rank, so each survivor draws exactly the value a
-// from-scratch run over the survivors would hand it — the rank map
-// below is what aligns stored indices (with holes) to that compact
-// numbering.
-func (e *AllEvaluator) replay(pts *geom.PointSet) {
-	st := &sgbAllState{
-		points:     pts,
-		opt:        e.st.opt,
-		dims:       e.st.dims,
-		rand:       newRNG(e.st.opt.Seed),
-		pointGroup: make([]int32, pts.Len()),
+// resetState is the closure taken to be everything: the arbitration
+// state starts over with every survivor to replay, and the point log
+// compacts when that is what called for it — bounding memory by the
+// live set, amortized O(1) per removal by the load threshold.
+func (e *AllEvaluator) resetState(victims []int32) {
+	rm := &e.rm
+	pts := e.st.points
+	if e.dead > len(e.live) {
+		pts = pts.Gather(e.live)
+		e.live, e.dead, e.cells = nil, 0, nil
+		rm.set = rm.set[:0]
+		for i := 0; i < pts.Len(); i++ {
+			rm.set = append(rm.set, int32(i))
+		}
+	} else {
+		rm.set = append(rm.set[:0], e.live...)
+		if e.cells != nil {
+			for _, pos := range victims {
+				e.cells.RemovePoint(pts.At(int(pos)), pos)
+			}
+		}
 	}
-	for i := range st.pointGroup {
-		st.pointGroup[i] = -1
-	}
-	st.finder = newFinder(st)
-	e.st = st
-	if e.live != nil {
-		st.rank = make([]int32, pts.Len())
-		for i := range st.rank {
-			st.rank[i] = -1 // tombstoned positions never draw
-		}
-		for k, pos := range e.live {
-			st.rank[pos] = int32(k)
-		}
-		for _, pos := range e.live {
-			st.processOne(int(pos))
-		}
+	e.st = newMaintainedState(pts, e.st.opt)
+	e.stamped = true
+}
+
+// ensureCells builds the point grid over the live points. The cell side
+// is ε, so two points within ε of each other lie in the same or in
+// adjacent cells up to rounding, which paddedReach pads for.
+func (e *AllEvaluator) ensureCells() {
+	if e.cells != nil {
 		return
 	}
-	for i := 0; i < pts.Len(); i++ {
-		st.processOne(i)
+	pts := e.st.points
+	e.cells = grid.NewCap(e.st.dims, e.st.opt.Eps, len(e.live))
+	for _, pos := range e.live {
+		e.cells.AddPoint(pts.At(int(pos)), pos)
 	}
+}
+
+// retireClosure marks the closure of the victims — every live point
+// whose cell a BFS over occupied cells reaches from a victim's cell —
+// and clears the state of it: the victims leave the point grid, every
+// group with a member in the closure is retired (a clique lies inside
+// one ε-component, so it is inside or outside as a whole) and so is
+// every ELIMINATE / FORM-NEW-GROUP event about a point of it (an
+// event's cause is that point or within ε of it). The closure's
+// survivors are left in rm.set, in arrival order.
+//
+// One expansion serves a whole cell: it takes the bounding box of the
+// cell's points, pads it by paddedReach, collects the cells it covers and
+// admits the points inside it. An ε-neighbour of any point of the cell
+// is such a point, so the set is closed under ε-adjacency. No distance is computed — the admission is a rectangle
+// test — and the price is a closure somewhat larger than the components
+// themselves: whole cells, and points near a box but not near a point.
+func (e *AllEvaluator) retireClosure(victims []int32) {
+	st, rm := e.st, &e.rm
+	pts, eps := st.points, st.opt.Eps
+	if n := pts.Len(); len(rm.mark) < n {
+		rm.mark = append(rm.mark, make([]uint32, n-len(rm.mark))...)
+	}
+	rm.epoch++
+	if rm.epoch == 1<<31 { // 2·epoch would wrap: invalidate stale stamps
+		clear(rm.mark)
+		rm.epoch = 1
+	}
+	in, expanded := 2*rm.epoch, 2*rm.epoch+1
+	mark := rm.mark
+	if len(rm.box.Min) != st.dims {
+		rm.box = geom.Rect{Min: make(geom.Point, st.dims), Max: make(geom.Point, st.dims)}
+	}
+	box := rm.box
+
+	for _, pos := range victims {
+		mark[pos] = in
+	}
+	queue := victims
+	tested := int64(0)
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		if mark[u] == expanded {
+			continue // a cell mate's expansion covered it
+		}
+		p := pts.At(int(u))
+		st.opt.Stats.addProbe(2)
+		rm.cell = e.cells.CollectBox(&rm.cur, p, 0, rm.cell[:0])
+		copy(box.Min, p)
+		copy(box.Max, p)
+		for _, w := range rm.cell {
+			mark[w] = expanded
+			box.ExtendPoint(pts.At(int(w)))
+		}
+		rlo, rhi := paddedReach(box.Min, eps), paddedReach(box.Max, eps)
+		for i := range box.Min {
+			box.Min[i] -= rlo
+			box.Max[i] += rhi
+		}
+		rm.lo, rm.hi = e.cells.CellOf(box.Min, rm.lo), e.cells.CellOf(box.Max, rm.hi)
+		rm.near = e.cells.CollectRange(&rm.cur, rm.lo, rm.hi, rm.near[:0])
+		for _, w := range rm.near {
+			if mark[w] >= in {
+				continue
+			}
+			tested++
+			if box.Contains(pts.At(int(w))) {
+				mark[w] = in
+				queue = append(queue, w)
+			}
+		}
+	}
+	rm.queue = queue
+	st.opt.Stats.addRect(tested)
+
+	rm.set = rm.set[:0]
+	for _, pos := range e.live {
+		if mark[pos] >= in {
+			rm.set = append(rm.set, pos)
+		}
+	}
+	for _, pos := range victims {
+		e.cells.RemovePoint(pts.At(int(pos)), pos)
+		if gid := st.pointGroup[pos]; gid >= 0 {
+			st.retireGroup(st.groups[gid])
+		}
+	}
+	for _, pos := range rm.set {
+		if gid := st.pointGroup[pos]; gid >= 0 {
+			st.retireGroup(st.groups[gid])
+		}
+	}
+	// What stays of the creation order is every group still standing
+	// (retired and emptied ids are nil by now; the replay may recycle
+	// the retired ones).
+	kept := st.order[:0]
+	for _, id := range st.order {
+		if st.groups[id] != nil {
+			kept = append(kept, id)
+		}
+	}
+	st.order = kept
+	st.eliminated, st.elimCause = dropMarked(st.eliminated, st.elimCause, mark, in)
+	st.deferred, st.deferCause = dropMarked(st.deferred, st.deferCause, mark, in)
+}
+
+// dropMarked filters, in place, the events about a point of the closure
+// out of an event list and its causes.
+func dropMarked(events []int, causes []int32, mark []uint32, in uint32) ([]int, []int32) {
+	k := 0
+	for i, m := range events {
+		if mark[m] < in {
+			events[k], causes[k] = m, causes[i]
+			k++
+		}
+	}
+	return events[:k], causes[:k]
+}
+
+// replay arbitrates set — stored indices in arrival order, none of them
+// placed — against the retained state and splices the outcome in: the
+// groups it creates, the points it eliminates and the points it defers
+// land behind what the state held, each run ascending by creation stamp
+// or by cause, and one merge per list restores the order a from-scratch
+// run produces. It is the one replay routine: a compaction runs it over
+// every survivor against an empty state.
+func (e *AllEvaluator) replay(set []int32) {
+	st, rm := e.st, &e.rm
+	ng, ne, nd := len(st.order), len(st.eliminated), len(st.deferred)
+	for _, pos := range set {
+		st.processOne(int(pos))
+	}
+	st.opt.Stats.addReplayed(int64(len(set)))
+
+	if ng > 0 && ng < len(st.order) {
+		out := rm.order[:0]
+		a, b := st.order[:ng], st.order[ng:]
+		for len(a) > 0 && len(b) > 0 {
+			if st.groups[b[0]].stamp < st.groups[a[0]].stamp {
+				out, b = append(out, b[0]), b[1:]
+			} else {
+				out, a = append(out, a[0]), a[1:]
+			}
+		}
+		out = append(append(out, a...), b...)
+		st.order, rm.order = out, st.order
+	}
+	st.eliminated, st.elimCause = rm.mergeEvents(st.eliminated, st.elimCause, ne)
+	st.deferred, st.deferCause = rm.mergeEvents(st.deferred, st.deferCause, nd)
+}
+
+// mergeEvents merges the runs [:n] and [n:] of an event list, each
+// ascending by cause (one cause's events stay together and in order:
+// they sit in one run), and returns the merged list and its causes. The
+// old slices become the scratch of the next merge.
+func (rm *removeScratch) mergeEvents(events []int, causes []int32, n int) ([]int, []int32) {
+	if n == 0 || n == len(events) {
+		return events, causes
+	}
+	oe, oc := rm.events[:0], rm.causes[:0]
+	i, j := 0, n
+	for i < n && j < len(events) {
+		if causes[j] < causes[i] {
+			oe, oc = append(oe, events[j]), append(oc, causes[j])
+			j++
+		} else {
+			oe, oc = append(oe, events[i]), append(oc, causes[i])
+			i++
+		}
+	}
+	oe, oc = append(oe, events[i:n]...), append(oc, causes[i:n]...)
+	oe, oc = append(oe, events[j:]...), append(oc, causes[j:]...)
+	rm.events, rm.causes = events, causes
+	return oe, oc
 }

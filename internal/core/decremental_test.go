@@ -125,8 +125,11 @@ func TestDecrementalAnyEquivalence(t *testing.T) {
 // append/remove interleaving the maintained grouping must be
 // bit-identical (groups, member order, ELIMINATE victims, JOIN-ANY
 // draws under the shared seed) to a from-scratch SGB-All over the
-// surviving points — the replay-based maintenance guarantees it by
-// construction, and this suite pins the live-id remapping on top.
+// surviving points. The random interleavings mostly remove enough to
+// replay everything; the encoded traces below them (allTraceSeeds, run
+// by checkAllTrace, shared with FuzzDecrementalAll) are the ones that
+// keep the removal local, so the closure, the splice by creation stamp
+// and the recycled group ids are what they pin.
 func TestDecrementalAllEquivalence(t *testing.T) {
 	algos := []Algorithm{GridIndex, OnTheFlyIndex, AllPairs, BoundsCheck}
 	overlaps := []Overlap{JoinAny, Eliminate, FormNewGroup}
@@ -175,6 +178,287 @@ func TestDecrementalAllEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	for _, seed := range allTraceSeeds() {
+		t.Run("trace/"+seed.name, func(t *testing.T) {
+			sum := checkAllTrace(t, seed.data)
+			if sum.local < seed.minLocal {
+				t.Errorf("%d removals replayed less than every survivor, want at least %d", sum.local, seed.minLocal)
+			}
+			if sum.compactions < seed.minCompactions {
+				t.Errorf("the log compacted %d times, want at least %d", sum.compactions, seed.minCompactions)
+			}
+			if seed.events && sum.events == 0 {
+				t.Error("no ELIMINATE victim or FORM-NEW-GROUP deferral was ever on record after a local replay")
+			}
+		})
+	}
+}
+
+// An encoded trace is a byte string, so that the fuzzer can mutate it:
+//
+//	[0] dims = 1 + b%3
+//	[1] overlap = b%3, metric = (b/3)%2, algorithm = (b/6)%4
+//	[2] ε = {1, 0.1, 0.3}[b%3]
+//	[3] seed
+//
+// and then operations until the bytes run out. An operation byte o with
+// o%4 == 0 removes the 1 + (o/4)%16 oldest points, o%4 == 1 removes
+// 1 + (o/4)%4 points whose live ids the next bytes give (mod Len), and
+// anything else appends 1 + (o/4)%12 points of dims bytes each. A
+// coordinate byte with the top bit set is (b&15)·ε — the lattice-aligned
+// case the probe pad exists for — and (b&63)·ε/4 otherwise, so equal
+// coordinates and distances of exactly ε are common.
+type allTraceSeed struct {
+	name           string
+	data           []byte
+	minLocal       int  // removals that must replay only part of the survivors
+	minCompactions int  // times the point log must compact
+	events         bool // some victim or deferral must outlive a local replay
+}
+
+type traceSummary struct{ local, compactions, events int }
+
+func traceHeader(dims int, overlap Overlap, metric geom.Metric, algo, eps int, seed byte) []byte {
+	m := 0
+	if metric == geom.LInf {
+		m = 1
+	}
+	return []byte{byte(dims - 1), byte(int(overlap) + 3*m + 6*algo), byte(eps), seed}
+}
+
+// traceAppend encodes one append of up to 12 points (dims bytes each).
+func traceAppend(data []byte, coords []byte, dims int) []byte {
+	n := len(coords) / dims
+	data = append(data, byte(2+4*(n-1)))
+	return append(data, coords...)
+}
+
+// traceEvict encodes the removal of the k (≤ 16) oldest points.
+func traceEvict(data []byte, k int) []byte { return append(data, byte(4*(k-1))) }
+
+// windowTrace slides a window of w points: steps times, evict the k
+// oldest and append k new ones. coord draws one coordinate byte.
+func windowTrace(head []byte, dims, w, k, steps int, coord func() byte) []byte {
+	batch := func(n int) []byte {
+		out := make([]byte, n*dims)
+		for i := range out {
+			out[i] = coord()
+		}
+		return out
+	}
+	data := head
+	for done := 0; done < w; done += 12 {
+		data = traceAppend(data, batch(min(12, w-done)), dims)
+	}
+	for s := 0; s < steps; s++ {
+		data = traceEvict(data, k)
+		data = traceAppend(data, batch(k), dims)
+	}
+	return data
+}
+
+func allTraceSeeds() []allTraceSeed {
+	var seeds []allTraceSeed
+	overlaps := []Overlap{JoinAny, Eliminate, FormNewGroup}
+	// Sliding windows: 48 evict-then-append steps over 96 points, twelve
+	// at a time, so tombstones pass the living (and the log compacts)
+	// every ninth step. Fine coordinates, every clause, both metrics.
+	for oi, ov := range overlaps {
+		for dims := 2; dims <= 3; dims++ {
+			metric := []geom.Metric{geom.L2, geom.LInf}[(oi+dims)%2]
+			r := rand.New(rand.NewSource(int64(100*dims + oi)))
+			seeds = append(seeds, allTraceSeed{
+				name:     fmt.Sprintf("window/%v/%s/d=%d", ov, metric, dims),
+				data:     windowTrace(traceHeader(dims, ov, metric, (oi+dims)%4, 0, 7), dims, 96, 12, 48, func() byte { return byte(r.Intn(64)) }),
+				minLocal: 24, minCompactions: 2, events: ov != JoinAny && dims == 2,
+			})
+		}
+	}
+	// Duplicate coordinates: the same few positions over and over, so
+	// equal points draw equal JOIN-ANY values and cells hold many ids.
+	for oi, ov := range overlaps {
+		r := rand.New(rand.NewSource(int64(200 + oi)))
+		seeds = append(seeds, allTraceSeed{
+			name:     fmt.Sprintf("duplicates/%v", ov),
+			data:     windowTrace(traceHeader(2, ov, geom.LInf, 0, 0, 3), 2, 72, 8, 48, func() byte { return byte(4 * r.Intn(12)) }),
+			minLocal: 12, minCompactions: 2,
+		})
+	}
+	// Lattice-aligned: every coordinate a multiple of ε (so of 2ε every
+	// other time) at an ε that binary floating point cannot represent.
+	for oi, ov := range overlaps {
+		for _, eps := range []int{1, 2} {
+			r := rand.New(rand.NewSource(int64(300 + 10*eps + oi)))
+			seeds = append(seeds, allTraceSeed{
+				name:     fmt.Sprintf("lattice/%v/eps=%d", ov, eps),
+				data:     windowTrace(traceHeader(2, ov, geom.LInf, 0, eps, 5), 2, 72, 8, 48, func() byte { return byte(0x80 | r.Intn(16)) }),
+				minLocal: 12, minCompactions: 2,
+			})
+		}
+	}
+	// An appended point whose candidates are one re-created and one
+	// untouched group, the re-created one older by creator and younger by
+	// id. In units of ε/4 on a line: v=0 creates g0, a=3 joins it, u=11
+	// (its own component) creates g1, b=6 is within ε of a but not of v
+	// and creates g2. Evicting v replays a and b: a re-creates its group
+	// on g2's recycled id, b joins it. p=7 is then within ε of a, b and
+	// u: by creator the candidates read [a's group, u's], by id the other
+	// way round, and under JOIN-ANY the two readings pick different
+	// groups whatever the draw.
+	mixed := traceHeader(1, JoinAny, geom.LInf, 0, 0, 1)
+	mixed = traceAppend(mixed, []byte{0, 3, 11, 6}, 1)
+	mixed = traceEvict(mixed, 1)
+	mixed = traceAppend(mixed, []byte{7}, 1)
+	seeds = append(seeds, allTraceSeed{name: "mixed-candidates", data: mixed, minLocal: 1})
+	return seeds
+}
+
+// stateView is an evaluator's arbitration state in live ids: the groups
+// in creation order and the ELIMINATE / FORM-NEW-GROUP event lists in
+// event order — the deferred set included, which Result only shows
+// through the recursion it feeds.
+type stateView struct {
+	Groups               [][]int
+	Eliminated, Deferred []int
+}
+
+func viewOf(e *AllEvaluator) stateView {
+	s := e.ExportState()
+	live := make(map[int32]int, e.Len())
+	for k := 0; k < e.Len(); k++ {
+		pos := int32(k)
+		if s.Live != nil {
+			pos = s.Live[k]
+		}
+		live[pos] = k
+	}
+	ids := func(stored []int32) []int {
+		var out []int
+		for _, m := range stored {
+			out = append(out, live[m])
+		}
+		return out
+	}
+	v := stateView{Eliminated: ids(s.Eliminated), Deferred: ids(s.Deferred)}
+	for _, g := range s.Groups {
+		v.Groups = append(v.Groups, ids(g))
+	}
+	return v
+}
+
+// checkAllTrace decodes and runs a trace (see allTraceSeed), checking
+// after every operation that the maintained evaluator's Result equals a
+// one-shot SGBAll over the survivors and that its retained state —
+// groups, victims and deferrals, each in order — equals that of a fresh
+// evaluator fed the survivors.
+func checkAllTrace(t testing.TB, data []byte) traceSummary {
+	var sum traceSummary
+	if len(data) < 4 {
+		return sum
+	}
+	dims := 1 + int(data[0])%3
+	metric := []geom.Metric{geom.L2, geom.LInf}[int(data[1])/3%2]
+	algo := []Algorithm{GridIndex, OnTheFlyIndex, AllPairs, BoundsCheck}[int(data[1])/6%4]
+	eps := []float64{1, 0.1, 0.3}[int(data[2])%3]
+	var stats Stats
+	opt := Options{Metric: metric, Eps: eps, Overlap: Overlap(int(data[1]) % 3), Algorithm: algo,
+		Seed: int64(data[3]), Parallelism: 1, Stats: &stats}
+	ev, err := NewAllEvaluator(dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := &mirrorSet{}
+	data = data[4:]
+	coord := func(b byte) float64 {
+		if b&0x80 != 0 {
+			return float64(b&15) * eps
+		}
+		return float64(b&63) * eps / 4
+	}
+	for step := 0; len(data) > 0; step++ {
+		o := int(data[0])
+		data = data[1:]
+		removed := false
+		switch {
+		case o%4 >= 2:
+			n := min(1+o/4%12, len(data)/dims)
+			if n == 0 {
+				return sum
+			}
+			batch := make([]geom.Point, n)
+			for i := range batch {
+				batch[i] = make(geom.Point, dims)
+				for d := range batch[i] {
+					batch[i][d] = coord(data[i*dims+d])
+				}
+			}
+			data = data[n*dims:]
+			if err := ev.Append(geom.FromPoints(batch)); err != nil {
+				t.Fatalf("step %d: Append: %v", step, err)
+			}
+			mirror.appendBatch(batch)
+		case len(mirror.pts) == 0:
+			continue
+		default:
+			var ids []int
+			if o%4 == 0 {
+				for id := 0; id < min(1+o/4%16, len(mirror.pts)); id++ {
+					ids = append(ids, id)
+				}
+			} else {
+				seen := map[int]bool{}
+				for k := min(1+o/4%4, len(data)); k > 0; k-- {
+					if id := int(data[0]) % len(mirror.pts); !seen[id] {
+						seen[id] = true
+						ids = append(ids, id)
+					}
+					data = data[1:]
+				}
+				if len(ids) == 0 {
+					return sum
+				}
+			}
+			before := stats.PointsReplayed
+			if err := ev.Remove(ids); err != nil {
+				t.Fatalf("step %d: Remove(%v): %v", step, ids, err)
+			}
+			mirror.remove(ids)
+			removed = true
+			if stats.PointsReplayed-before < int64(len(mirror.pts)) {
+				sum.local++
+				sum.events += len(ev.st.eliminated) + len(ev.st.deferred)
+			}
+			if ev.live == nil {
+				sum.compactions++
+			}
+		}
+		if ev.Len() != len(mirror.pts) {
+			t.Fatalf("step %d: Len = %d, want %d", step, ev.Len(), len(mirror.pts))
+		}
+		oneshot := opt
+		oneshot.Stats = nil
+		want, err := SGBAll(mirror.pts, oneshot)
+		if err != nil {
+			t.Fatalf("step %d: one-shot: %v", step, err)
+		}
+		got := ev.Result()
+		if !reflect.DeepEqual(normalizeRes(want), normalizeRes(got)) {
+			t.Fatalf("step %d (n=%d, after a removal: %t): maintained grouping diverges\nfrom-scratch: %v elim %v\nmaintained:   %v elim %v",
+				step, len(mirror.pts), removed, want.Groups, want.Eliminated, got.Groups, got.Eliminated)
+		}
+		fresh, err := NewAllEvaluator(dims, oneshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Append(geom.FromPoints(mirror.pts)); err != nil {
+			t.Fatalf("step %d: fresh evaluator: %v", step, err)
+		}
+		if w, g := viewOf(fresh), viewOf(ev); !reflect.DeepEqual(w, g) {
+			t.Fatalf("step %d (n=%d): retained state diverges\nfresh:      %+v\nmaintained: %+v", step, len(mirror.pts), w, g)
+		}
+	}
+	return sum
 }
 
 // TestRemoveErrors covers the id-validation surface shared by both

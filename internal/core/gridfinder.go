@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
@@ -29,12 +28,11 @@ import (
 // A group re-anchors only when its first member leaves it (an
 // ELIMINATE / FORM-NEW-GROUP victim); inserts never move the anchor.
 //
-// Collected ids are sorted into group-creation order before
-// verification: SGB-All's arbitration is order-sensitive — JOIN-ANY
-// draws per candidate list and ELIMINATE / FORM-NEW-GROUP emit victims
-// in enumeration order — so every strategy must enumerate groups
-// identically. Verification reuses the exact PointInRectangle / refine
-// / overlap machinery of Procedures 4–6.
+// A probe verifies its hits in whatever order the cells yield them;
+// processOne puts the candidate and overlap lists into creation order
+// (sortByStamp), the one order every strategy has to arbitrate in.
+// Verification reuses the exact PointInRectangle / refine / overlap
+// machinery of Procedures 4–6.
 type gridFinder struct {
 	tab   *grid.Table
 	cur   grid.Cursor
@@ -60,20 +58,26 @@ func newGridFinder(dims int, opt Options, sizeHint int) *gridFinder {
 }
 
 // probeRadius pads the reach so the scanned cell range provably holds
-// the anchor cell. The reach argument above is exact over the reals,
-// but the filters compare against ROUNDED box corners (fl(a-ε) ≤ p,
-// fl(a-ε) ≤ fl(p+ε), ...), so an anchor may sit a few ulps of the
-// larger coordinate beyond p ± reach — and when p lies near a cell edge
-// (lattice-aligned data) those ulps decide the cell. The pad, 2⁻⁵⁰ of
-// |p|∞ + 2·reach, is comfortably above the three roundings involved and
-// far below any usable ε; quantization is monotone, so a box that
-// contains the anchor yields a cell range that contains its cell.
-func (f *gridFinder) probeRadius(p geom.Point) float64 {
+// the anchor cell (paddedReach).
+func (f *gridFinder) probeRadius(p geom.Point) float64 { return paddedReach(p, f.reach) }
+
+// paddedReach widens a probe radius by what rounding can hide. That
+// everything within reach of p lies in the cells of p ± reach is exact
+// over the reals, but the filters compare against ROUNDED box corners
+// (fl(a-ε) ≤ p, fl(a-ε) ≤ fl(p+ε), ...), so a point may sit a few ulps
+// of the larger coordinate beyond p ± reach — and when p lies near a
+// cell edge (lattice-aligned data) those ulps decide the cell. The pad,
+// 2⁻⁵⁰ of |p|∞ + 2·reach, is comfortably above the three roundings
+// involved and far below any usable ε; quantization is monotone, so a
+// box that contains a point yields a cell range that contains its cell.
+// The group grid's probes and the point grid's closure (decremental.go)
+// both use it.
+func paddedReach(p geom.Point, reach float64) float64 {
 	m := 0.0
 	for _, v := range p {
 		m = math.Max(m, math.Abs(v))
 	}
-	return f.reach + (m+2*f.reach)*0x1p-50
+	return reach + (m+2*reach)*0x1p-50
 }
 
 func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
@@ -85,12 +89,11 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 	}
 	f.ids = f.tab.CollectBox(&f.cur, p, f.probeRadius(p), f.ids[:0])
 	// Filter step over the flat rect-row store: both rectangle tests
-	// read rows by id instead of dereferencing group structs, and they
-	// run BEFORE the creation-order sort, so the sort and the group
-	// pointer chase only touch ids that survive a rectangle filter and
-	// need exact verification (same tests, same Stats counts as
-	// classifyGroup). A survivor is kept as id<<1, with the low bit set
-	// when only the overlap rectangle test passed.
+	// read rows by id instead of dereferencing group structs, so the
+	// group pointer chase only touches ids that survive a rectangle
+	// filter and need exact verification (same tests, same Stats counts
+	// as classifyGroup). A survivor is kept as id<<1, with the low bit
+	// set when only the overlap rectangle test passed.
 	d := st.dims
 	stride := 4 * d
 	rects := st.rects
@@ -111,7 +114,6 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 			}
 		}
 	}
-	slices.Sort(kept)
 	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
 	for _, k := range kept {
 		gj := st.groups[k>>1]

@@ -15,6 +15,16 @@ type group struct {
 	id      int
 	members []int // input indices in join order
 
+	// stamp places the group in creation order as a from-scratch run
+	// numbers it: the stored index of the creating point at stage 0
+	// (arrival order IS processing order there), points.Len() + id at a
+	// FORM-NEW-GROUP recursion stage (later than every stage-0 stamp,
+	// and ids only grow within a recursion). Candidate enumeration and
+	// Result order by it, not by id: after a decremental splice
+	// (decremental.go) a re-created group holds a recycled or fresh id
+	// while its creator may precede an untouched group's.
+	stamp int
+
 	// epsRect is the ε-All bounding rectangle R_{ε-All}: the
 	// intersection of every member's ε-box. Under L∞ a point inside
 	// epsRect is within ε of all members (exact test); under L2 the
@@ -49,9 +59,26 @@ type sgbAllState struct {
 	opt    Options
 	dims   int
 
-	groups []*group // live groups, in creation order (nil = deleted)
+	groups []*group // live groups by id (nil = deleted)
 	finder finder   // strategy: populates candidate & overlap sets
 	rand   *rng
+	cur    int // the point processOne is arbitrating
+
+	// maintained marks the retained state of an AllEvaluator, which has
+	// to splice a local replay back in (decremental.go) and therefore
+	// keeps what a one-shot run gets for free from its single pass:
+	// order lists the group ids by stamp (ids stop being creation order
+	// at the first splice; an emptied group's id lingers until the next
+	// one), elimCause and deferCause hold, per entry of eliminated and
+	// deferred, the stored index of the point whose arbitration caused
+	// it — the stage-0 provenance key of allTrace — and free holds the
+	// retired groups newGroupFor recycles, id and rect row included, so
+	// a sliding window does not grow the id space tick by tick.
+	maintained bool
+	order      []int32
+	elimCause  []int32
+	deferCause []int32
+	free       []*group
 
 	// rects is the flat structure-of-arrays store of the group probe
 	// rectangles: group id g owns the row
@@ -87,15 +114,6 @@ type sgbAllState struct {
 	// writes.
 	pointGroup []int32
 
-	// rank maps stored point index → live rank (the point's position
-	// among the surviving points in arrival order), the key of its
-	// JOIN-ANY draw. nil means the identity: stored order IS live order,
-	// which holds for every one-shot run and for evaluators that never
-	// removed a point. The decremental replay populates it so a
-	// replayed survivor draws with the same key a from-scratch run over
-	// the survivors would use.
-	rank []int32
-
 	// trace, when non-nil, records the provenance keys the parallel
 	// SGB-All merge sorts by (see parallelall.go). Sequential runs leave
 	// it nil.
@@ -105,19 +123,13 @@ type sgbAllState struct {
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
 }
 
-// drawKey returns the JOIN-ANY draw key of stored point pi: its live
-// rank.
-func (st *sgbAllState) drawKey(pi int) int {
-	if st.rank != nil {
-		return int(st.rank[pi])
-	}
-	return pi
-}
-
 // eliminatePoint records m as dropped by ELIMINATE (and its event key,
 // when the parallel pipeline is tracing).
 func (st *sgbAllState) eliminatePoint(m int) {
 	st.eliminated = append(st.eliminated, m)
+	if st.maintained {
+		st.elimCause = append(st.elimCause, int32(st.cur))
+	}
 	if st.trace != nil {
 		st.trace.elimKeys = append(st.trace.elimKeys, st.trace.eventKey())
 	}
@@ -127,6 +139,9 @@ func (st *sgbAllState) eliminatePoint(m int) {
 // its event key, when the parallel pipeline is tracing).
 func (st *sgbAllState) deferPoint(m int) {
 	st.deferred = append(st.deferred, m)
+	if st.maintained {
+		st.deferCause = append(st.deferCause, int32(st.cur))
+	}
 	if st.trace != nil {
 		st.trace.deferKeys = append(st.trace.deferKeys, st.trace.eventKey())
 	}
@@ -228,22 +243,64 @@ func (st *sgbAllState) allocGroup() *group {
 	return &(*blk)[len(*blk)-1]
 }
 
-// newGroupFor creates a fresh singleton group for point pi.
+// newGroupFor creates a fresh singleton group for point pi, on a
+// retired group's id and storage when the decremental splice left one.
 func (st *sgbAllState) newGroupFor(pi int) *group {
 	p := st.points.At(pi)
-	g := st.allocGroup()
-	g.id = len(st.groups)
-	g.members = append(g.members, pi)
-	st.newRectRow(g, p)
+	var g *group
+	if n := len(st.free); n > 0 {
+		g, st.free = st.free[n-1], st.free[:n-1]
+		g.members = append(g.members[:0], pi)
+		st.initRectRow(g, p)
+		st.groups[g.id] = g
+	} else {
+		g = st.allocGroup()
+		g.id = len(st.groups)
+		g.members = append(g.members, pi)
+		st.newRectRow(g, p)
+		st.groups = append(st.groups, g)
+	}
+	g.stamp = pi
+	if st.stageFloor > 0 { // a recursion stage: see group.stamp
+		g.stamp = st.points.Len() + g.id
+	}
 	g.hullDirty = true
-	st.groups = append(st.groups, g)
 	st.pointGroup[pi] = int32(g.id)
+	if st.maintained {
+		st.order = append(st.order, int32(g.id))
+	}
 	if st.trace != nil {
 		st.trace.noteGroup()
 	}
 	st.opt.Stats.addCreated(1)
 	st.finder.groupCreated(st, g)
 	return g
+}
+
+// retireGroup drops a whole group ahead of a local replay: its members
+// become unplaced, the finder forgets it, and its id and storage go to
+// the free list.
+func (st *sgbAllState) retireGroup(g *group) {
+	for _, m := range g.members {
+		st.pointGroup[m] = -1
+	}
+	st.groups[g.id] = nil
+	st.poisonRectRow(g)
+	st.finder.groupRemoved(st, g)
+	st.free = append(st.free, g)
+}
+
+// sortByStamp puts a probe's candidate or overlap list into creation
+// order, the order every strategy must enumerate in: JOIN-ANY draws an
+// index into the candidate list, and ELIMINATE / FORM-NEW-GROUP emit
+// victims overlap group by overlap group. The lists hold a handful of
+// groups and arrive sorted or nearly so.
+func sortByStamp(gs []*group) {
+	for i := 1; i < len(gs); i++ {
+		for j := i; j > 0 && gs[j].stamp < gs[j-1].stamp; j-- {
+			gs[j], gs[j-1] = gs[j-1], gs[j]
+		}
+	}
 }
 
 // insert adds pi to g and maintains the ε-All rectangle invariant:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/rtree"
 )
@@ -44,11 +42,9 @@ func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, ov
 		f.hits = append(f.hits, data.(*group))
 		return true
 	})
-	// Normalize the R-tree's traversal order to group-creation order so
-	// that all strategies arbitrate JOIN-ANY identically for a given
-	// seed (the grouping itself is strategy-independent; only the
-	// candidate enumeration order would differ).
-	slices.SortFunc(f.hits, func(a, b *group) int { return a.id - b.id })
+	// Hits arrive in the R-tree's traversal order; processOne sorts the
+	// verified lists into creation order, so every strategy arbitrates
+	// JOIN-ANY identically for a given seed.
 	needOverlap := st.opt.Overlap != JoinAny
 	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
 	for _, gj := range f.hits {

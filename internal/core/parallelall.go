@@ -27,34 +27,18 @@ import (
 //	             sequential creation / elimination order
 //
 // Why this is exact and not just close: SGB-All arbitration DECOMPOSES
-// over the ε-connected components of the input.
-//
-//   - A point's candidate groups hold only points within ε of it, and
-//     its overlap groups hold at least one such point (the finder
-//     filters are conservative, but classifyGroup's refine /
-//     overlapsWith verification is exact) — so every group a point
-//     interacts with lives in its own component, and a worker state
-//     holding several whole components can never fabricate or miss a
-//     cross-component interaction.
-//   - Within one component, the batch processes points in global input
-//     order restricted to the component, so candidate sets, candidate
-//     ENUMERATION order (finders sort by creation-order group id),
-//     ELIMINATE victim order, and FORM-NEW-GROUP stage floors all
-//     match the sequential run's, stage by stage (the deferred set of
-//     a stage is processed in deferral order, which the trace keys
-//     show is the global order restricted to the batch).
-//   - JOIN-ANY draws are keyed by the drawing point's live rank
-//     (rng.drawAt), not by a shared stream cursor, so a draw does not
-//     depend on how many draws other components made before it.
-//
-// The one cross-component coupling the sequential operator had — the
-// shared PRNG stream — was removed by the keyed-draw re-design, and
-// everything else was already component-local. Conflicts between
-// workers are therefore impossible by construction: "speculative"
-// per-batch arbitration commits without a repair pass, and the merge
-// is a pure order reconstruction, bit-identical to the sequential
-// output (the equivalence suites in parallel_test.go enforce this
-// across semantics × metrics × strategies × worker counts).
+// over the ε-connected components of the input — a point only ever
+// meets groups of its own component, processing order restricted to a
+// component is the component's own order, and the JOIN-ANY draw is
+// keyed by the drawing point's coordinates (rng.drawAt), not by a
+// shared stream cursor. ARCHITECTURE.md, "SGB-All decomposes over
+// ε-components", has the argument in full; the decremental path
+// (decremental.go) stands on it as well. Conflicts between workers are
+// therefore impossible by construction: "speculative" per-batch
+// arbitration commits without a repair pass, and the merge is a pure
+// order reconstruction, bit-identical to the sequential output (the
+// equivalence suites in parallel_test.go enforce this across semantics
+// × metrics × strategies × worker counts).
 
 // sgbAllParallel runs the parallel SGB-All pipeline with the given
 // worker count, returning the same Result a sequential run produces.

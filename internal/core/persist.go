@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/unionfind"
@@ -26,13 +25,20 @@ import (
 //     every live point to a fresh index, so a restored evaluator is
 //     observationally identical to the original — same Results, same
 //     behavior under further Append/Remove.
-//   - SGB-All: arbitration depends on group ids, candidate enumeration
-//     order, and the PRNG stream. Restore preserves all three — group
-//     ids keep their creation-order numbering (deleted-group holes
-//     included), finders enumerate candidates in id order, rect rows
-//     are recomputed from members with the same order-insensitive
-//     min/max folds, and the splitmix64 state resumes exactly — so a
-//     restored evaluator replays future appends bit-identically.
+//   - SGB-All: arbitration depends on the candidate enumeration order
+//     and the JOIN-ANY draw key. Export writes the groups in creation
+//     order, restore numbers them in that order, rect rows are
+//     recomputed from members with the same order-insensitive min/max
+//     folds, and the draws are keyed by coordinates under the seed
+//     state — so a restored evaluator takes future appends
+//     bit-identically. What the format does not hold is WHICH point
+//     created a group or caused an ELIMINATE / FORM-NEW-GROUP event,
+//     the stamps a local replay splices by (decremental.go). Under
+//     JOIN-ANY a group's creator is its first member, so they are
+//     known; under the other two clauses a restored evaluator runs on
+//     the order alone until its first Remove replays everything.
+//     A JOIN-ANY state whose draws were keyed by live rank (RandState
+//     says so) is arbitrated again from its point log.
 
 // AnyState is the portable snapshot of an AnyEvaluator. All slices are
 // owned by the state (ExportState copies out; Restore copies in).
@@ -138,21 +144,20 @@ type AllState struct {
 	Live []int32 // stored indices in arrival order; nil = identity
 	Dead int
 
-	// RandState is the splitmix64 seed state of the JOIN-ANY PRNG.
-	// Draws are keyed per live rank (core.go: rng.drawAt), so this is a
-	// constant of the evaluation — the seed base, not a stream cursor —
-	// but it is still state: Options.Seed alone does not reconstruct it
-	// for snapshots taken by future format versions.
+	// RandState is the seed state of the JOIN-ANY draws and, with it,
+	// the tag of how they are keyed: newRNG's value means by the drawing
+	// point's coordinates, rankKeyedState's by its live rank — what
+	// checkpoints before the re-key hold. RestoreAllEvaluator accepts
+	// both and nothing else.
 	RandState  uint64
 	StageFloor int     // FORM-NEW-GROUP stage freeze floor
 	Eliminated []int32 // stored indices dropped by ELIMINATE
 	Deferred   []int32 // S′: stored indices deferred by FORM-NEW-GROUP
 
 	// Groups holds each group's member list (stored indices, join
-	// order) at its creation-order id; an empty entry is the hole of a
-	// deleted group. Holes are preserved because ids feed candidate
-	// ordering and the stage floor — renumbering would change
-	// arbitration.
+	// order) in creation order. Restore skips empty entries: older
+	// checkpoints wrote one for every group ELIMINATE or FORM-NEW-GROUP
+	// had emptied, when ids still fed candidate ordering.
 	Groups [][]int32
 }
 
@@ -172,13 +177,12 @@ func (e *AllEvaluator) ExportState() *AllState {
 		StageFloor: st.stageFloor,
 		Eliminated: toInt32(st.eliminated),
 		Deferred:   toInt32(st.deferred),
-		Groups:     make([][]int32, len(st.groups)),
+		Groups:     make([][]int32, 0, len(st.order)),
 	}
-	for i, g := range st.groups {
-		if g == nil {
-			continue // hole: stays an empty entry
+	for _, id := range st.order {
+		if g := st.groups[id]; g != nil {
+			s.Groups = append(s.Groups, toInt32(g.members))
 		}
-		s.Groups[i] = toInt32(g.members)
 	}
 	return s
 }
@@ -187,8 +191,10 @@ func (e *AllEvaluator) ExportState() *AllState {
 // snapshot. Group structs, rect rows (order-insensitive min/max folds
 // over the members, so bit-identical to the originals), the pointGroup
 // map, and the finder registrations are all recomputed; the convex
-// hull caches start dirty and rebuild lazily. Corrupt snapshots are
-// rejected, not trusted.
+// hull caches start dirty and rebuild lazily. A JOIN-ANY snapshot whose
+// draws were keyed by live rank is not adopted: its grouping is one no
+// run of this engine produces, so its live points are arbitrated again.
+// Corrupt snapshots are rejected, not trusted.
 func RestoreAllEvaluator(s *AllState) (*AllEvaluator, error) {
 	opt := s.Opt
 	opt.Stats = nil
@@ -206,67 +212,67 @@ func RestoreAllEvaluator(s *AllState) (*AllEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.StageFloor < 0 || s.StageFloor > len(s.Groups) {
+	if s.StageFloor != 0 {
+		// The retained state is the main pass; a recursion stage only
+		// ever runs on Result's clone.
 		return nil, errors.New("core: restore: stage floor out of range")
 	}
-	st := &sgbAllState{
-		points:     geom.Wrap(s.Dims, append([]float64(nil), s.Data...)),
-		opt:        opt,
-		dims:       s.Dims,
-		rand:       &rng{state: s.RandState},
-		stageFloor: s.StageFloor,
-		eliminated: toInt(s.Eliminated, n),
-		deferred:   toInt(s.Deferred, n),
+	pts := geom.Wrap(s.Dims, append([]float64(nil), s.Data...))
+	if err := pts.CheckFinite(); err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
 	}
+	rankKeyed := s.RandState == rankKeyedState(opt.Seed)
+	if !rankKeyed && s.RandState != newRNG(opt.Seed).state {
+		return nil, errors.New("core: restore: PRNG state matches no draw key of this seed")
+	}
+	if rankKeyed && opt.Overlap == JoinAny {
+		if live != nil {
+			pts = pts.Gather(live)
+		}
+		e, err := NewAllEvaluator(s.Dims, opt)
+		if err != nil {
+			return nil, err
+		}
+		return e, e.Append(pts)
+	}
+
+	st := newMaintainedState(pts, opt)
+	st.eliminated = toInt(s.Eliminated, n)
+	st.deferred = toInt(s.Deferred, n)
 	if st.eliminated == nil && len(s.Eliminated) > 0 || st.deferred == nil && len(s.Deferred) > 0 {
 		return nil, errors.New("core: restore: eliminated/deferred index out of range")
 	}
-	if err := st.points.CheckFinite(); err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
-	}
-	st.pointGroup = make([]int32, n)
-	for i := range st.pointGroup {
-		st.pointGroup[i] = -1
-	}
-	if live != nil {
-		// Rebuild the stored-index → live-rank map the JOIN-ANY draws
-		// key on (identical to the one the decremental replay builds).
-		st.rank = make([]int32, n)
-		for i := range st.rank {
-			st.rank[i] = -1
-		}
-		for k, pos := range live {
-			st.rank[pos] = int32(k)
-		}
-	}
-	// Rebuild the group set at its original ids: rect rows are sized for
-	// every id up front (holes get poisoned rows, exactly as removal
-	// leaves them), member folds recompute the ε-All rectangle and MBR.
-	stride := 4 * s.Dims
-	st.rects = make([]float64, len(s.Groups)*stride)
-	st.groups = make([]*group, 0, len(s.Groups))
-	for id, members := range s.Groups {
+	// Only JOIN-ANY says who created what: nothing ever leaves a group,
+	// so the creator is the first member, and there are no events.
+	// Otherwise the stamps keep the stored order, below every stamp an
+	// append can hand out, and the causes are unknown.
+	stamped := opt.Overlap == JoinAny
+	st.elimCause = unknownCauses(len(st.eliminated))
+	st.deferCause = unknownCauses(len(st.deferred))
+	for _, members := range s.Groups {
 		if len(members) == 0 {
-			st.groups = append(st.groups, nil)
-			st.rects[id*stride] = math.Inf(1)          // poisoned ε-All Min[0]
-			st.rects[id*stride+2*s.Dims] = math.Inf(1) // poisoned MBR Min[0]
 			continue
 		}
 		g := st.allocGroup()
-		g.id = id
+		g.id = len(st.groups)
 		g.members = make([]int, 0, len(members))
 		for _, m := range members {
 			if m < 0 || int(m) >= n {
-				return nil, fmt.Errorf("core: restore: group %d member %d out of range", id, m)
+				return nil, fmt.Errorf("core: restore: group %d member %d out of range", g.id, m)
 			}
 			if st.pointGroup[m] != -1 {
 				return nil, fmt.Errorf("core: restore: point %d in two groups", m)
 			}
 			g.members = append(g.members, int(m))
-			st.pointGroup[m] = int32(id)
+			st.pointGroup[m] = int32(g.id)
 		}
-		st.bindRectRow(g)
-		st.initRectRow(g, st.points.At(g.members[0]))
+		g.stamp = g.members[0]
+		if !stamped {
+			g.stamp = g.id - len(s.Groups)
+		} else if k := len(st.groups); k > 0 && g.stamp <= st.groups[k-1].stamp {
+			return nil, fmt.Errorf("core: restore: group %d out of creation order", g.id)
+		}
+		st.newRectRow(g, st.points.At(g.members[0]))
 		for _, m := range g.members[1:] {
 			p := st.points.At(m)
 			g.epsRect.ShrinkToEpsBox(p, opt.Eps)
@@ -274,16 +280,25 @@ func RestoreAllEvaluator(s *AllState) (*AllEvaluator, error) {
 		}
 		g.hullDirty = true
 		st.groups = append(st.groups, g)
+		st.order = append(st.order, int32(g.id))
+		// The same groupCreated call, in the same order, a replayed run
+		// would make.
+		st.finder.groupCreated(st, g)
 	}
-	// Register the live groups with a fresh finder, in creation order —
-	// the same sequence of groupCreated calls a replayed run would make.
-	st.finder = newFinder(st)
-	for _, g := range st.groups {
-		if g != nil {
-			st.finder.groupCreated(st, g)
-		}
+	return &AllEvaluator{st: st, live: live, dead: s.Dead, stamped: stamped}, nil
+}
+
+// unknownCauses fills a restored event list's causes with -1: before
+// anything an append can cause, and equal, so a merge keeps their order.
+func unknownCauses(n int) []int32 {
+	if n == 0 {
+		return nil
 	}
-	return &AllEvaluator{st: st, live: live, dead: s.Dead}, nil
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
+	}
+	return out
 }
 
 // checkLiveness validates the live/alive/dead triple of a snapshot

@@ -305,3 +305,66 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRankKeyedJoinAny hands RestoreAllEvaluator what a
+// checkpoint written before the JOIN-ANY draws were re-keyed holds: a
+// state whose RandState is the rank-keyed generation's and whose groups
+// are NOT the coordinate-keyed arbitration of its points (every point
+// in a singleton of its own). Under JOIN-ANY the restore must notice and
+// arbitrate the live points again — the grouping a one-shot run
+// produces, tombstones gone; under the other clauses the PRNG is never
+// consulted and the state loads as it stands. A RandState of neither
+// generation is corrupt.
+func TestRestoreRankKeyedJoinAny(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, overlap := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
+		t.Run(overlap.String(), func(t *testing.T) {
+			opt := Options{Metric: geom.LInf, Eps: 1, Overlap: overlap, Algorithm: GridIndex, Seed: 11, Parallelism: 1}
+			e, err := NewAllEvaluator(2, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Append(persistBatch(r, 2, 80)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Remove([]int{0, 5, 6, 40}); err != nil {
+				t.Fatal(err)
+			}
+			s := e.ExportState()
+			s.RandState = rankKeyedState(opt.Seed)
+			if overlap == JoinAny {
+				s.Groups = nil
+				for _, pos := range s.Live {
+					s.Groups = append(s.Groups, []int32{pos})
+				}
+			}
+			re, err := RestoreAllEvaluator(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, "restored", e.Result(), re.Result())
+			if overlap == JoinAny && re.ExportState().Dead != 0 {
+				t.Error("a re-arbitrated state kept its tombstones")
+			}
+			if got := re.ExportState().RandState; got != newRNG(opt.Seed).state {
+				t.Errorf("restored RandState = %#x, want the coordinate-keyed %#x", got, newRNG(opt.Seed).state)
+			}
+			// Maintenance goes on from either kind of restore.
+			batch := persistBatch(r, 2, 30)
+			for _, ev := range []*AllEvaluator{e, re} {
+				if err := ev.Append(batch); err != nil {
+					t.Fatal(err)
+				}
+				if err := ev.Remove([]int{1, 2, 3}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameResult(t, "after append and remove", e.Result(), re.Result())
+
+			s.RandState += 2
+			if _, err := RestoreAllEvaluator(s); err == nil {
+				t.Error("a RandState of no known generation restored")
+			}
+		})
+	}
+}

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/grid"
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
@@ -38,9 +40,9 @@ import (
 // ignored; batches are expected to be small relative to the retained
 // set, which is where incremental maintenance pays off). Remove
 // (decremental.go) deletes points by replaying the arbitration over
-// the survivors — SGB-All is order- and presence-sensitive, so that
-// replay is the only maintenance that stays bit-identical to a
-// from-scratch run.
+// the ε-components the victims touched — SGB-All is order- and
+// presence-sensitive, so nothing less than a replay of those stays
+// bit-identical to a from-scratch run, and nothing more is needed.
 type AllEvaluator struct {
 	st *sgbAllState
 
@@ -51,8 +53,26 @@ type AllEvaluator struct {
 	// order.)
 	live []int32
 	// dead counts tombstoned stored indices; when they outnumber the
-	// live points, Remove compacts the point log before replaying.
+	// live points, Remove compacts the point log and replays everything.
 	dead int
+
+	// stamped reports that every group's stamp and every event's cause
+	// is the true one. A restored ELIMINATE / FORM-NEW-GROUP checkpoint
+	// holds only their order (persist.go), which serves appends and
+	// reads; its first Remove replays everything and sets the flag.
+	stamped bool
+
+	// cells is the point grid the closure of a Remove walks: every live
+	// stored index in its ε-cell. Built by the first local Remove, kept
+	// current by Append and Remove, dropped when the log compacts.
+	cells *grid.Table
+
+	// idx maps stored index → live id for Result; idxOK says it still
+	// matches live (Append and Remove clear it).
+	idx   []int32
+	idxOK bool
+
+	rm removeScratch // Remove's reusable buffers (decremental.go)
 }
 
 // NewAllEvaluator returns an empty resumable SGB-All evaluation over
@@ -64,14 +84,25 @@ func NewAllEvaluator(dims int, opt Options) (*AllEvaluator, error) {
 	if dims < 1 {
 		return nil, errors.New("core: evaluator dimensionality must be >= 1")
 	}
+	return &AllEvaluator{st: newMaintainedState(geom.NewPointSet(dims), opt), stamped: true}, nil
+}
+
+// newMaintainedState returns an empty retained arbitration state over
+// pts (none of them placed yet), seeded exactly as a one-shot run.
+func newMaintainedState(pts *geom.PointSet, opt Options) *sgbAllState {
 	st := &sgbAllState{
-		points: geom.NewPointSet(dims),
-		opt:    opt,
-		dims:   dims,
-		rand:   newRNG(opt.Seed),
+		points:     pts,
+		opt:        opt,
+		dims:       pts.Dims(),
+		rand:       newRNG(opt.Seed),
+		maintained: true,
+		pointGroup: make([]int32, pts.Len()),
+	}
+	for i := range st.pointGroup {
+		st.pointGroup[i] = -1
 	}
 	st.finder = newFinder(st)
-	return &AllEvaluator{st: st}, nil
+	return st
 }
 
 // Len returns the number of live points (appended and not removed).
@@ -124,14 +155,14 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 	base := st.points.Len()
 	st.points.AppendSet(ps)
 	n := st.points.Len()
+	e.idxOK = false
 	for i := base; i < n; i++ {
 		st.pointGroup = append(st.pointGroup, -1)
 		if e.live != nil {
 			e.live = append(e.live, int32(i))
-			// A point appended after removals draws at its live rank,
-			// exactly as a from-scratch run over the survivors plus this
-			// batch would key it.
-			st.rank = append(st.rank, int32(len(e.live)-1))
+		}
+		if e.cells != nil {
+			e.cells.AddPoint(st.points.At(i), int32(i))
 		}
 	}
 	for pi := base; pi < n; pi++ {
@@ -146,10 +177,12 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 // seeds). Under FORM-NEW-GROUP the deferred set is resolved on a clone
 // of the retained state, so calling Result neither perturbs future
 // appends nor later Results — but it does replay that recursion each
-// call (and re-counts it into Options.Stats, when attached). Member
-// and Eliminated ids are live ids — compact indices over the surviving
-// points in arrival order, exactly as a from-scratch run over them
-// would number its input. The returned result owns its slices.
+// call (and re-counts it into Options.Stats, when attached). Groups come
+// in creation order — the retained order list, not id order — and
+// member and Eliminated ids are live ids: compact indices over the
+// surviving points in arrival order, exactly as a from-scratch run over
+// them would number its input. The returned result owns its slices (the
+// member lists share one backing array, each capped at its own end).
 func (e *AllEvaluator) Result() *Result {
 	st := e.st
 	if st.opt.Overlap == FormNewGroup && len(st.deferred) > 0 {
@@ -158,24 +191,45 @@ func (e *AllEvaluator) Result() *Result {
 		st.deferred = nil
 		st.run(next, nil, 1)
 	}
-	res := materializeAll(st, true)
+	// Stored indices → live ids. Only live indices can appear: a removal
+	// retires every group and event that names a victim.
+	var idx []int32
 	if e.live != nil {
-		// Stored indices → live ids. Only live indices can appear: the
-		// post-removal replay processed nothing else.
-		idx := make([]int32, e.st.points.Len())
-		for k, pos := range e.live {
-			idx[pos] = int32(k)
-		}
-		for _, g := range res.Groups {
-			for mi, m := range g.Members {
-				g.Members[mi] = int(idx[m])
+		if !e.idxOK {
+			n := e.st.points.Len()
+			e.idx = slices.Grow(e.idx[:0], n)[:n]
+			for k, pos := range e.live {
+				e.idx[pos] = int32(k)
 			}
+			e.idxOK = true
 		}
-		for i, m := range res.Eliminated {
-			res.Eliminated[i] = int(idx[m])
-		}
+		idx = e.idx
 	}
+	res := &Result{Groups: make([]Group, 0, len(st.order))}
+	flat := make([]int, 0, e.Len()) // a live point sits in at most one group
+	for _, id := range st.order {
+		g := st.groups[id]
+		if g == nil || len(g.members) == 0 {
+			continue
+		}
+		from := len(flat)
+		flat = appendLive(flat, g.members, idx)
+		res.Groups = append(res.Groups, Group{Members: flat[from:len(flat):len(flat)]})
+	}
+	res.Eliminated = appendLive(nil, st.eliminated, idx)
 	return res
+}
+
+// appendLive appends the stored indices to dst as live ids (idx nil
+// means they are the same).
+func appendLive(dst, stored []int, idx []int32) []int {
+	if idx == nil {
+		return append(dst, stored...)
+	}
+	for _, m := range stored {
+		dst = append(dst, int(idx[m]))
+	}
+	return dst
 }
 
 // finalizeClone snapshots the main-pass state deeply enough that the
@@ -197,8 +251,12 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 		eliminated: append([]int(nil), st.eliminated...),
 		deferred:   append([]int(nil), st.deferred...),
 		pointGroup: append([]int32(nil), st.pointGroup...),
-		rank:       st.rank, // read-only: the recursion only draws through it
 		rects:      append([]float64(nil), st.rects...),
+		// The recursion's groups join the creation order behind the
+		// retained ones; it has no use for causes or the free list (its
+		// ids must keep growing, see group.stamp).
+		maintained: true,
+		order:      append([]int32(nil), st.order...),
 	}
 	for i, g := range st.groups {
 		if g == nil {
@@ -215,26 +273,17 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 	return cl
 }
 
-// materializeAll extracts the output groups of an SGB-All state in
-// creation order. With copyOut the result owns every slice (the
-// resumable path must not alias live state the next Append mutates);
-// the one-shot path hands over the state's slices directly.
-func materializeAll(st *sgbAllState, copyOut bool) *Result {
-	res := &Result{}
+// materializeAll extracts the output groups of a one-shot SGB-All state
+// in creation order, which for a one-shot state is id order, handing
+// over the state's slices. (A retained state orders by its order list
+// and must not alias: AllEvaluator.Result.)
+func materializeAll(st *sgbAllState) *Result {
+	res := &Result{Eliminated: st.eliminated}
 	for _, g := range st.groups {
 		if g == nil || len(g.members) == 0 {
 			continue
 		}
-		members := g.members
-		if copyOut {
-			members = append([]int(nil), members...)
-		}
-		res.Groups = append(res.Groups, Group{Members: members})
-	}
-	if copyOut {
-		res.Eliminated = append([]int(nil), st.eliminated...)
-	} else {
-		res.Eliminated = st.eliminated
+		res.Groups = append(res.Groups, Group{Members: g.members})
 	}
 	return res
 }

@@ -72,7 +72,7 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 		order[i] = i
 	}
 	st.run(order, nil, 0)
-	return materializeAll(st, false), nil
+	return materializeAll(st), nil
 }
 
 // run executes one SGB-All pass over the given input order. Under
@@ -142,9 +142,12 @@ func (st *sgbAllState) processPoints(order []int, keys [][]int32) {
 // recursion stages, and the incremental AllEvaluator drives it batch
 // by batch, so retained state after k points is identical either way.
 func (st *sgbAllState) processOne(pi int) {
+	st.cur = pi
 	candidates, overlaps := st.finder.findCloseGroups(st, pi)
+	sortByStamp(candidates)
 	st.processGroupingAll(pi, candidates)
 	if st.opt.Overlap != JoinAny && len(overlaps) > 0 {
+		sortByStamp(overlaps)
 		st.processOverlap(pi, overlaps)
 	}
 }
@@ -160,7 +163,7 @@ func (st *sgbAllState) processGroupingAll(pi int, candidates []*group) {
 	default:
 		switch st.opt.Overlap {
 		case JoinAny:
-			st.insert(pi, candidates[st.rand.drawAt(st.drawKey(pi), len(candidates))])
+			st.insert(pi, candidates[st.rand.drawAt(st.points.At(pi), len(candidates))])
 		case Eliminate:
 			// ProcessEliminate: drop pi from the output.
 			st.eliminatePoint(pi)

@@ -454,59 +454,91 @@ func (t *Table) Renumber(rank []int32) {
 func (t *Table) CollectBox(cur *Cursor, center []float64, radius float64, buf []int32) []int32 {
 	switch t.dims {
 	case 1:
-		x0, x1 := t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius)
-		for x := x0; x <= x1; x++ {
-			if si := t.findSlot1(hashNext(hashSeed, x), x); si >= 0 {
+		return t.collect1(t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius), buf)
+	case 2:
+		return t.collect2(t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius),
+			t.cellIdx(center[1]-radius), t.cellIdx(center[1]+radius), buf)
+	case 3:
+		return t.collect3(t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius),
+			t.cellIdx(center[1]-radius), t.cellIdx(center[1]+radius),
+			t.cellIdx(center[2]-radius), t.cellIdx(center[2]+radius), buf)
+	default:
+		cur.lo, cur.hi = t.RangeOfBox(center, radius, cur.lo, cur.hi)
+		return t.collectN(cur, cur.lo, cur.hi, buf)
+	}
+}
+
+// CollectRange appends the ids registered in the inclusive cell range
+// [lo, hi] to buf: CollectBox for a caller that worked the range out
+// itself (RangeOfBox, CellOf) — the cell-by-cell closure of the SGB-All
+// decremental path probes the cells around a whole cell's points, which
+// no single center and radius describes.
+func (t *Table) CollectRange(cur *Cursor, lo, hi []int64, buf []int32) []int32 {
+	switch t.dims {
+	case 1:
+		return t.collect1(lo[0], hi[0], buf)
+	case 2:
+		return t.collect2(lo[0], hi[0], lo[1], hi[1], buf)
+	case 3:
+		return t.collect3(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2], buf)
+	default:
+		return t.collectN(cur, lo, hi, buf)
+	}
+}
+
+func (t *Table) collect1(x0, x1 int64, buf []int32) []int32 {
+	for x := x0; x <= x1; x++ {
+		if si := t.findSlot1(hashNext(hashSeed, x), x); si >= 0 {
+			buf = t.appendCell(si, buf)
+		}
+	}
+	return buf
+}
+
+func (t *Table) collect2(x0, x1, y0, y1 int64, buf []int32) []int32 {
+	for x := x0; x <= x1; x++ {
+		hx := hashNext(hashSeed, x)
+		for y := y0; y <= y1; y++ {
+			if si := t.findSlot2(hashNext(hx, y), x, y); si >= 0 {
 				buf = t.appendCell(si, buf)
 			}
 		}
-		return buf
-	case 2:
-		x0, x1 := t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius)
-		y0, y1 := t.cellIdx(center[1]-radius), t.cellIdx(center[1]+radius)
-		for x := x0; x <= x1; x++ {
-			hx := hashNext(hashSeed, x)
-			for y := y0; y <= y1; y++ {
-				if si := t.findSlot2(hashNext(hx, y), x, y); si >= 0 {
+	}
+	return buf
+}
+
+func (t *Table) collect3(x0, x1, y0, y1, z0, z1 int64, buf []int32) []int32 {
+	for x := x0; x <= x1; x++ {
+		hx := hashNext(hashSeed, x)
+		for y := y0; y <= y1; y++ {
+			hy := hashNext(hx, y)
+			for z := z0; z <= z1; z++ {
+				if si := t.findSlot3(hashNext(hy, z), x, y, z); si >= 0 {
 					buf = t.appendCell(si, buf)
 				}
 			}
 		}
-		return buf
-	case 3:
-		x0, x1 := t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius)
-		y0, y1 := t.cellIdx(center[1]-radius), t.cellIdx(center[1]+radius)
-		z0, z1 := t.cellIdx(center[2]-radius), t.cellIdx(center[2]+radius)
-		for x := x0; x <= x1; x++ {
-			hx := hashNext(hashSeed, x)
-			for y := y0; y <= y1; y++ {
-				hy := hashNext(hx, y)
-				for z := z0; z <= z1; z++ {
-					if si := t.findSlot3(hashNext(hy, z), x, y, z); si >= 0 {
-						buf = t.appendCell(si, buf)
-					}
-				}
-			}
+	}
+	return buf
+}
+
+// collectN walks the range with an odometer over cur's scratch.
+func (t *Table) collectN(cur *Cursor, lo, hi []int64, buf []int32) []int32 {
+	cur.cur = resizeCells(cur.cur, t.dims)
+	c := cur.cur
+	copy(c, lo)
+	for {
+		if si := t.findSlot(t.hashCoords(c), c); si >= 0 {
+			buf = t.appendCell(si, buf)
 		}
-		return buf
-	default:
-		cur.lo, cur.hi = t.RangeOfBox(center, radius, cur.lo, cur.hi)
-		cur.cur = resizeCells(cur.cur, t.dims)
-		c, lo, hi := cur.cur, cur.lo, cur.hi
-		copy(c, lo)
-		for {
-			if si := t.findSlot(t.hashCoords(c), c); si >= 0 {
-				buf = t.appendCell(si, buf)
-			}
-			i := 0
-			for ; i < len(c) && c[i] == hi[i]; i++ {
-				c[i] = lo[i]
-			}
-			if i == len(c) {
-				return buf
-			}
-			c[i]++
+		i := 0
+		for ; i < len(c) && c[i] == hi[i]; i++ {
+			c[i] = lo[i]
 		}
+		if i == len(c) {
+			return buf
+		}
+		c[i]++
 	}
 }
 

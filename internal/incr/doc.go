@@ -3,8 +3,8 @@
 // point batches and sheds removed points, so after every Append,
 // Remove, or window eviction the grouping equals a one-shot SGB
 // evaluation over the surviving points in arrival order — without
-// ever regrouping from scratch (SGB-Any; SGB-All deletion replays,
-// see below). It is the subsystem behind the public
+// ever regrouping from scratch (an SGB-All deletion replays the
+// components it touched, see below). It is the subsystem behind the public
 // sgb.NewIncrementalAll / NewIncrementalAny constructors and the SQL
 // engine's SET incremental INSERT/DELETE-maintenance path (db.go's
 // per-table cache).
@@ -31,9 +31,13 @@
 //     over the deferred set S′ is the one end-of-stream step; Result
 //     replays it on a throwaway clone so the retained main-pass state
 //     stays appendable. Deletion, by contrast, changes which points
-//     were present during arbitration, so Remove replays the
-//     surviving points — the only maintenance that stays bit-identical
-//     to a from-scratch run.
+//     were present during arbitration, so something has to be
+//     arbitrated again — but arbitration decomposes over the
+//     ε-connected components (ARCHITECTURE.md), so Remove replays only
+//     the survivors of the components that lost a point and splices
+//     the outcome back in creation order: bit-identical to a
+//     from-scratch run, at a cost proportional to those components
+//     (core/decremental.go).
 //
 // Sliding windows ride on Remove: Window(n) evicts oldest-first down
 // to n live points, WindowBy(pred) evicts the longest oldest-first

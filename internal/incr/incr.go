@@ -183,9 +183,9 @@ func (x *Incremental) ensure(dims int) error {
 // Result reports: surviving points 0..Len()-1 in arrival order) and
 // repairs the grouping. For SGB-Any the repair is localized to the
 // victims' components (deletion can only split a component); for
-// SGB-All the arbitration is replayed over the survivors, the only
-// maintenance that stays bit-identical to a from-scratch run (see
-// core's decremental notes). Ids renumber compactly after the call.
+// SGB-All the arbitration is replayed over the survivors of those
+// components, which is what stays bit-identical to a from-scratch run
+// (see core's decremental notes). Ids renumber compactly after the call.
 // An empty batch is a no-op; out-of-range or duplicate ids fail
 // without mutating the handle.
 func (x *Incremental) Remove(ids []int) error {

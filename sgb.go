@@ -197,7 +197,8 @@ func ConnectedComponents(points []Point, metric Metric, eps float64) []Group {
 // components for SGB-Any (whose deletions recluster only the affected
 // components), and identical groups, member order, and JOIN-ANY
 // arbitration draws for SGB-All under equal seeds (whose deletions
-// replay the survivors; arbitration is presence-sensitive). Result ids
+// replay the survivors of the affected components; arbitration is
+// presence-sensitive). Result ids
 // are live ids: survivors number 0..Len()-1 in arrival order and
 // renumber compactly after removals. See internal/incr and
 // ARCHITECTURE.md for the maintenance invariants.

@@ -131,3 +131,37 @@ func sortInt64sAndInts(a []int64, b []int) {
 		}
 	}
 }
+
+// TestSQLKeysAbove2p53: equality keys keep all 64 bits of an INT. Folded
+// into float64 they merged 2⁵³ and 2⁵³ + 1 — one group, one distinct
+// row, four join rows — while 2 and 2.0 must still share a key.
+func TestSQLKeysAbove2p53(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE a (id INT, v INT)")
+	mustExec(t, db, "CREATE TABLE b (id INT, v INT)")
+	mustExec(t, db, "INSERT INTO a VALUES (9007199254740992, 1), (9007199254740993, 2)")
+	mustExec(t, db, "INSERT INTO b VALUES (9007199254740992, 1), (9007199254740993, 2)")
+
+	rows := mustQuery(t, db, "SELECT id, count(*) FROM a GROUP BY id")
+	if len(rows.Data) != 2 || rows.Data[0][0].I != 1<<53 || rows.Data[1][0].I != 1<<53+1 ||
+		rows.Data[0][1].I != 1 || rows.Data[1][1].I != 1 {
+		t.Errorf("GROUP BY id = %v", rows.Data)
+	}
+	if rows := mustQuery(t, db, "SELECT DISTINCT id FROM a"); len(rows.Data) != 2 {
+		t.Errorf("SELECT DISTINCT id = %v", rows.Data)
+	}
+	rows = mustQuery(t, db, "SELECT a.v, b.v FROM a JOIN b ON a.id = b.id")
+	if len(rows.Data) != 2 || rows.Data[0][0].I != rows.Data[0][1].I || rows.Data[1][0].I != rows.Data[1][1].I {
+		t.Errorf("a JOIN b ON a.id = b.id = %v", rows.Data)
+	}
+	if rows := mustQuery(t, db, "SELECT v FROM a WHERE id IN (SELECT id FROM b WHERE v = 1)"); len(rows.Data) != 1 {
+		t.Errorf("id IN (subquery) = %v", rows.Data)
+	}
+
+	mustExec(t, db, "CREATE TABLE f (x FLOAT)")
+	mustExec(t, db, "INSERT INTO f VALUES (2.0), (9007199254740992.0)")
+	rows = mustQuery(t, db, "SELECT a.v FROM a JOIN f ON a.id = f.x")
+	if len(rows.Data) != 1 || rows.Data[0][0].I != 1 {
+		t.Errorf("INT = FLOAT join = %v", rows.Data)
+	}
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/sgb-db/sgb/internal/convexhull"
@@ -352,7 +353,11 @@ func (h *HashAgg) Open() error {
 		accs    []accumulator
 	}
 	buckets := make(map[string]*bucket)
-	var order []string // deterministic output: first-seen order
+	var order []*bucket // deterministic output: first-seen order
+	// Per-row scratch: a lookup by string(key) does not allocate, so
+	// only the first row of a group copies its key and values.
+	keyVals := make(types.Row, len(h.Groups))
+	var key []byte
 
 	newAccs := func() []accumulator {
 		accs := make([]accumulator, len(h.Aggs))
@@ -370,7 +375,6 @@ func (h *HashAgg) Open() error {
 		if row == nil {
 			break
 		}
-		keyVals := make(types.Row, len(h.Groups))
 		for i, g := range h.Groups {
 			v, err := g(row)
 			if err != nil {
@@ -378,12 +382,12 @@ func (h *HashAgg) Open() error {
 			}
 			keyVals[i] = v
 		}
-		key := rowKey(keyVals)
-		b, ok := buckets[key]
+		key = appendRowKey(key[:0], keyVals)
+		b, ok := buckets[string(key)]
 		if !ok {
-			b = &bucket{keyVals: keyVals, accs: newAccs()}
-			buckets[key] = b
-			order = append(order, key)
+			b = &bucket{keyVals: slices.Clone(keyVals), accs: newAccs()}
+			buckets[string(key)] = b
+			order = append(order, b)
 		}
 		for _, acc := range b.accs {
 			if err := acc.add(row); err != nil {
@@ -403,8 +407,7 @@ func (h *HashAgg) Open() error {
 		return nil
 	}
 
-	for _, key := range order {
-		b := buckets[key]
+	for _, b := range order {
 		row := make(types.Row, 0, len(b.keyVals)+len(h.Aggs))
 		row = append(row, b.keyVals...)
 		for _, acc := range b.accs {

@@ -14,6 +14,8 @@ type HashJoin struct {
 	Residual            Scalar // may be nil
 
 	table   map[string][]types.Row
+	keyVals types.Row   // key scratch: the evaluated key expressions
+	key     []byte      // and their encoding
 	current []types.Row // pending matches for the current probe row
 	probe   types.Row
 	idx     int
@@ -36,11 +38,10 @@ func (j *HashJoin) Open() error {
 		if row == nil {
 			break
 		}
-		key, err := evalKey(j.LeftKeys, row)
-		if err != nil {
+		if err := j.evalKey(j.LeftKeys, row); err != nil {
 			return err
 		}
-		j.table[key] = append(j.table[key], row)
+		j.table[string(j.key)] = append(j.table[string(j.key)], row)
 	}
 	return j.Right.Open()
 }
@@ -73,27 +74,28 @@ func (j *HashJoin) Next() (types.Row, error) {
 		if err != nil || probe == nil {
 			return nil, err
 		}
-		key, err := evalKey(j.RightKeys, probe)
-		if err != nil {
+		if err := j.evalKey(j.RightKeys, probe); err != nil {
 			return nil, err
 		}
 		j.probe = probe
-		j.current = j.table[key]
+		j.current = j.table[string(j.key)]
 		j.idx = 0
 	}
 }
 
-// evalKey evaluates the key expressions and encodes them for hashing.
-func evalKey(keys []Scalar, row types.Row) (string, error) {
-	vals := make(types.Row, len(keys))
-	for i, k := range keys {
+// evalKey evaluates the key expressions over row and leaves their
+// encoding for hashing in j.key.
+func (j *HashJoin) evalKey(keys []Scalar, row types.Row) error {
+	j.keyVals = j.keyVals[:0]
+	for _, k := range keys {
 		v, err := k(row)
 		if err != nil {
-			return "", err
+			return err
 		}
-		vals[i] = v
+		j.keyVals = append(j.keyVals, v)
 	}
-	return rowKey(vals), nil
+	j.key = appendRowKey(j.key[:0], j.keyVals)
+	return nil
 }
 
 // NestedLoopJoin is the fallback inner join for conditions without

@@ -1,9 +1,9 @@
 package exec
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
 	"sort"
-	"strings"
 
 	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/types"
@@ -201,6 +201,7 @@ func (l *Limit) Next() (types.Row, error) {
 type Distinct struct {
 	Input Operator
 	seen  map[string]bool
+	key   []byte // row-key scratch
 }
 
 // Open opens the input and clears the seen-row set.
@@ -219,22 +220,53 @@ func (d *Distinct) Next() (types.Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		key := rowKey(row)
-		if !d.seen[key] {
-			d.seen[key] = true
+		d.key = appendRowKey(d.key[:0], row)
+		if !d.seen[string(d.key)] {
+			d.seen[string(d.key)] = true
 			return row, nil
 		}
 	}
 }
 
-// rowKey builds a hashable row identity (numeric kinds canonicalized).
-func rowKey(row types.Row) string {
-	var b strings.Builder
+// appendRowKey appends a hashable identity of row to buf — the key of
+// GROUP BY, DISTINCT and the hash join. Each value contributes the kind
+// byte of its canonical form (Value.Key: INT, DATE and an integral
+// FLOAT share one) and a fixed-width payload, text its length first, so
+// two rows share an encoding only if they are equal value for value.
+// Every NaN encodes alike: NaNs form one group.
+func appendRowKey(buf []byte, row types.Row) []byte {
 	for _, v := range row {
 		k := v.Key()
-		fmt.Fprintf(&b, "%d:%v|", int(k.Kind), k)
+		buf = append(buf, byte(k.Kind))
+		switch k.Kind {
+		case types.KindInt:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(k.I))
+		case types.KindFloat:
+			buf = binary.LittleEndian.AppendUint64(buf, floatKeyBits(k.F))
+		case types.KindText:
+			buf = binary.AppendUvarint(buf, uint64(len(k.S)))
+			buf = append(buf, k.S...)
+		case types.KindBool:
+			if k.B {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+		case types.KindInterval:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(k.I))
+			buf = binary.LittleEndian.AppendUint64(buf, floatKeyBits(k.F))
+		}
 	}
-	return b.String()
+	return buf
+}
+
+// floatKeyBits is the bit pattern f is keyed by: its own, except that
+// every NaN takes the canonical one.
+func floatKeyBits(f float64) uint64 {
+	if f != f {
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
 }
 
 // SortKey is one ORDER BY key over the input row.

@@ -15,7 +15,7 @@ import (
 // prefetch distance — the point of bulk loading over per-point
 // AddPoint, whose interleaved allocation scatters a cell's chain
 // across the arena. The table is fully mutable afterwards; later
-// Add/Remove churn degrades the layout gracefully.
+// AddPoint/RemovePoint churn degrades the layout gracefully.
 func BulkLoad(ps *geom.PointSet, cellSize float64) *Table {
 	n := ps.Len()
 	t := NewCap(ps.Dims(), cellSize, n/2)

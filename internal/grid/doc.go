@@ -3,37 +3,55 @@
 // into axis-aligned cubes of side cellSize; each occupied cell maps to
 // the ids registered in it, and every id is registered in exactly one
 // cell: a point's home cell (SGB-Any, the lattice, the parallel connect
-// phase; cellSize = ε) or the home cell of a group's anchor member
-// (the SGB-All finder; cellSize = the reach of its probe, ε or 2ε).
-// Everything within cellSize of a point then lies in the 3^d cell
-// neighborhood of its home cell, so a probe is a handful of directory
-// lookups over contiguous id slabs instead of an R-tree descent. This
-// is the structure behind the GridIndex strategy (internal/core), the
-// fastest on the paper's workloads.
+// phase, the SGB-All closure; cellSize = ε) or the home cell of a
+// group's anchor member (the SGB-All finder; cellSize = the reach of its
+// probe, ε or 2ε). Everything within cellSize of a point then lies in
+// the 3^d cell neighborhood of its home cell, so a probe is a handful of
+// directory lookups over contiguous id slabs instead of an R-tree
+// descent. This is the structure behind the GridIndex strategy
+// (internal/core), the fastest on the paper's workloads.
 //
-// Layout. The cell directory is a flat, open-addressed hash table:
-// cells are keyed by a 64-bit hash of their integer coordinates
-// (linear probing over a power-of-two capacity, hash cached per slot,
-// coordinates verified against a flat arena on probe), so any
-// dimensionality is supported — there is no fixed-size-key cap, and no
-// R-tree fallback above d = 4 anymore. Per-cell id lists live in
-// pooled 64-byte slabs (a chunked arena threaded through a freelist),
-// so Add/Remove/CollectBox are allocation-free in steady state.
-// Deletion is tombstone-free: a cell whose list empties merely turns
-// dead and is dropped in bulk when the load factor passing 3/4 triggers
-// a rebuild. The probe walk (CollectBox) is inlined per dimensionality
-// — plain loop nests with hoisted partial hashes for d = 1/2/3, an
-// odometer for higher d — so the hottest loop makes no indirect calls.
+// Layout. The directory is a flat, open-addressed hash table whose
+// entries are blocks: up to d = 3 a block is the 2^d cells that share
+// their coordinates shifted right by one (c >> 1 on every axis), above
+// that a block is one cell — the same code with shift 0. Three
+// consecutive cells always lie in exactly two consecutive blocks, on
+// either parity of the first, so a probe whose radius is the cell side
+// makes 2 / 4 / 8 hashed lookups at d = 1 / 2 / 3 where a directory of
+// cells made 3 / 9 / 27, most of which missed on sparse data. A block is
+// keyed by a 64-bit hash of its integer coordinates (linear probing
+// over a power-of-two capacity, hash cached per slot), so any
+// dimensionality is supported. Its record in the blocks arena holds the
+// coordinates the lookup verifies and, behind them, the head of each
+// cell's id list, two to a word — the line that confirms a hit is the
+// line the heads are read from. The slot carries one occupancy bit per
+// cell: a probe ANDs it with the mask of the block's cells inside its
+// range (per axis, "the even cell", "the odd cell" or both) and walks
+// only those lists, so a block whose occupied cells all lie outside the
+// range costs nothing beyond its slot. Per-cell id lists live in pooled
+// 64-byte slabs (a chunked arena threaded through a freelist), so
+// AddPoint / RemovePoint / the collects are allocation-free in steady
+// state. Both arenas double when they fill: a cold build re-copies each
+// about once over in total, and the capacity hint — a point count, which
+// says little about cells — sizes only the directory. Deletion is
+// tombstone-free: a block whose lists all emptied merely turns dead and
+// is dropped in bulk when the load factor passing 3/4 triggers a
+// rebuild. The probe walk is inlined per dimensionality — plain loop
+// nests with hoisted partial hashes for d = 1/2/3, an odometer for
+// higher d — so the hottest loop makes no indirect calls.
 //
 // Invariants:
 //
 //   - Quantization is monotone (floor(x/cellSize)), so the cell range
 //     of a box covers the home cell of every point inside it — probes
 //     may over-approximate but never miss.
-//   - Id order within a cell is not meaningful (Remove back-fills the
-//     hole from the head slab); consumers that need determinism sort
-//     collected ids, as the SGB-All grid finder does.
-//   - Read-only probes (CollectBox) are safe from many goroutines at
-//     once when each brings its own Cursor; mutations are
+//   - A collect returns the multiset of ids registered in the cells of
+//     its range, whatever blocks they fall into. Id order — within a
+//     cell (RemovePoint back-fills the hole from the head slab) and
+//     across the cells of a probe — is not meaningful; consumers that
+//     need determinism sort collected ids, as the SGB-All grid finder
+//     does.
+//   - Read-only probes (CollectBox, CollectRange) are safe from many
+//     goroutines at once when each brings its own Cursor; mutations are
 //     single-threaded.
 package grid

@@ -10,15 +10,58 @@ import (
 	"github.com/sgb-db/sgb/internal/geom"
 )
 
-// cellIDs reads one cell through the probe entry point: a zero-radius
-// box at the cell's center covers exactly that cell.
-func cellIDs(g *Table, c []int64) []int32 {
-	center := make([]float64, len(c))
+// cellCenter returns the center of cell c: the point whose home cell is
+// c, and around which a zero-radius box covers exactly that cell.
+func cellCenter(g *Table, c []int64) []float64 {
+	p := make([]float64, len(c))
 	for i, v := range c {
-		center[i] = (float64(v) + 0.5) / g.inv
+		p[i] = (float64(v) + 0.5) / g.inv
 	}
+	return p
+}
+
+// cellIDs reads one cell through the probe entry point.
+func cellIDs(g *Table, c []int64) []int32 {
 	var cur Cursor
-	return g.CollectBox(&cur, center, 0, nil)
+	return g.CollectBox(&cur, cellCenter(g, c), 0, nil)
+}
+
+// blockCells is the number of cells in one directory block.
+func blockCells(g *Table) int { return 1 << (g.dims * int(g.shift)) }
+
+// occupiedCells counts the cells with a non-empty id list, and checks
+// the per-block and table-wide live counters against the head arena on
+// the way.
+func occupiedCells(t testing.TB, g *Table) int {
+	t.Helper()
+	cells, blocks, used := 0, 0, 0
+	for _, s := range g.slots {
+		if s.off < 0 {
+			continue
+		}
+		used++
+		live := 0
+		for k := 0; k < blockCells(g); k++ {
+			h := g.head(s.off, k)
+			if h >= 0 {
+				live++
+			}
+			if (h >= 0) != (s.occ>>k&1 != 0) {
+				t.Fatalf("block %d: occupancy %08b, head %d = %d", s.off, s.occ, k, h)
+			}
+		}
+		if live > 0 {
+			blocks++
+		}
+		cells += live
+	}
+	if used != g.used || blocks != g.live {
+		t.Fatalf("used/live = %d/%d, directory holds %d/%d", g.used, g.live, used, blocks)
+	}
+	if len(g.blocks) != g.used*g.stride {
+		t.Fatalf("arena holds %d words for %d blocks of %d", len(g.blocks), g.used, g.stride)
+	}
+	return cells
 }
 
 // nextCell steps an odometer through the inclusive cell range [lo, hi],
@@ -55,24 +98,28 @@ func TestCellOfQuantization(t *testing.T) {
 
 func TestAddRemoveCollect(t *testing.T) {
 	g := New(2, 1)
-	c := []int64{3, 4}
-	g.Add(c, 1)
-	g.Add(c, 2)
-	g.Add([]int64{3, 5}, 3)
+	c, above := []int64{3, 4}, []int64{3, 5} // two cells of one block
+	g.AddPoint(cellCenter(g, c), 1)
+	g.AddPoint(cellCenter(g, c), 2)
+	g.AddPoint(cellCenter(g, above), 3)
 	got := cellIDs(g, c)
 	slices.Sort(got)
 	if !slices.Equal(got, []int32{1, 2}) {
-		t.Fatalf("CollectCell = %v", got)
+		t.Fatalf("cell %v = %v", c, got)
 	}
-	g.Remove(c, 1)
+	g.RemovePoint(cellCenter(g, c), 1)
 	if got := cellIDs(g, c); !slices.Equal(got, []int32{2}) {
-		t.Fatalf("after Remove: %v", got)
+		t.Fatalf("after RemovePoint: %v", got)
 	}
-	g.Remove(c, 2)
-	if g.OccupiedCells() != 1 {
-		t.Fatalf("empty cell not pruned: %d occupied", g.OccupiedCells())
+	g.RemovePoint(cellCenter(g, c), 2)
+	if n := occupiedCells(t, g); n != 1 {
+		t.Fatalf("empty cell not pruned: %d occupied", n)
 	}
-	g.Remove(c, 99) // absent id: no-op
+	g.RemovePoint(cellCenter(g, c), 99)               // absent id: no-op
+	g.RemovePoint(cellCenter(g, []int64{40, 40}), 99) // absent block: no-op
+	if got := cellIDs(g, above); !slices.Equal(got, []int32{3}) {
+		t.Fatalf("neighbour cell of the block = %v", got)
+	}
 }
 
 // TestNeighborhoodCoversEps is the correctness property the finders
@@ -121,21 +168,88 @@ func TestNeighborhoodCoversEps(t *testing.T) {
 	}
 }
 
+// blocksPerAxis is the number of directory blocks the cell range
+// [lo, hi] touches along one axis.
+func blocksPerAxis(g *Table, lo, hi int64) int64 {
+	return hi>>g.shift - lo>>g.shift + 1
+}
+
+// TestProbeBlocksPerAxis: what the blocked layout buys. Three cells in
+// a row lie in two blocks wherever they start, so a probe whose radius
+// is the cell side looks up two blocks per axis; only a probe that
+// rounding or paddedReach's pad widens to a fourth cell can touch three.
+func TestProbeBlocksPerAxis(t *testing.T) {
+	g := New(1, 1)
+	for lo := int64(-9); lo <= 9; lo++ {
+		for w := int64(1); w <= 4; w++ {
+			want := int64(2)
+			switch {
+			case w == 1, w == 2 && lo&1 == 0:
+				want = 1
+			case w == 4 && lo&1 != 0:
+				want = 3
+			}
+			if got := blocksPerAxis(g, lo, lo+w-1); got != want {
+				t.Errorf("%d cells from %d: %d blocks, want %d", w, lo, got, want)
+			}
+		}
+	}
+
+	r := rand.New(rand.NewSource(5))
+	for _, d := range []int{1, 2, 3} {
+		for _, side := range []float64{0.05, 0.4, 1, 3} {
+			g := New(d, side)
+			p := make([]float64, d)
+			var lo, hi []int64
+			for trial := 0; trial < 2000; trial++ {
+				for k := range p {
+					p[k] = r.Float64()*40 - 20
+				}
+				lo, hi = g.RangeOfBox(p, side, lo, hi)
+				for k := range p {
+					if n := blocksPerAxis(g, lo[k], hi[k]); n != 2 {
+						t.Fatalf("d=%d side=%g: probe at %v spans %d blocks on axis %d", d, side, p, n, k)
+					}
+				}
+				// A point on a cell edge under the finders' padded
+				// radius: four cells, so two or three blocks.
+				for k := range p {
+					p[k] = math.Round(p[k]/side) * side
+				}
+				m := 0.0
+				for _, v := range p {
+					m = math.Max(m, math.Abs(v))
+				}
+				lo, hi = g.RangeOfBox(p, side+(m+2*side)*0x1p-50, lo, hi)
+				for k := range p {
+					if n := blocksPerAxis(g, lo[k], hi[k]); n < 2 || n > 3 {
+						t.Fatalf("d=%d side=%g: padded probe at %v spans %d blocks on axis %d", d, side, p, n, k)
+					}
+				}
+			}
+		}
+	}
+	// Above blockDims a block is one cell.
+	if g := New(4, 1); blocksPerAxis(g, -1, 1) != 3 {
+		t.Fatal("d=4 cells are blocked")
+	}
+}
+
 func TestReset(t *testing.T) {
 	g := New(1, 1)
-	g.Add([]int64{1}, 1)
-	g.Add([]int64{2}, 2)
+	g.AddPoint([]float64{1.5}, 1)
+	g.AddPoint([]float64{2.5}, 2)
 	g.Reset()
-	if g.OccupiedCells() != 0 {
+	if occupiedCells(t, g) != 0 {
 		t.Fatal("Reset left occupied cells")
 	}
 	if got := cellIDs(g, []int64{1}); len(got) != 0 {
 		t.Fatalf("Reset left ids: %v", got)
 	}
 	// The table must stay fully usable after Reset.
-	g.Add([]int64{1}, 9)
+	g.AddPoint([]float64{1.5}, 9)
 	if got := cellIDs(g, []int64{1}); !slices.Equal(got, []int32{9}) {
-		t.Fatalf("post-Reset Add lost: %v", got)
+		t.Fatalf("post-Reset AddPoint lost: %v", got)
 	}
 }
 
@@ -160,100 +274,196 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// refGrid is the trivially correct reference the open-addressed table
-// is cross-checked against: a Go map from stringified coordinates to id
-// multisets.
-type refGrid map[string][]int32
+// model pairs a table with the trivially correct reference it is
+// cross-checked against: a Go map from stringified cell coordinates to
+// id multisets. The randomized cross-check and FuzzGridOps both drive it.
+type model struct {
+	g   *Table
+	ref map[string]*refCell
+	cur Cursor
+}
+
+// refCell is one occupied cell of the reference.
+type refCell struct {
+	c   []int64
+	ids []int32
+}
+
+func newModel(d int, side float64) *model {
+	return &model{g: New(d, side), ref: map[string]*refCell{}}
+}
 
 func refKey(c []int64) string { return fmt.Sprint(c) }
 
-func (r refGrid) add(c []int64, id int32) { r[refKey(c)] = append(r[refKey(c)], id) }
+func (m *model) add(c []int64, id int32) {
+	m.g.AddPoint(cellCenter(m.g, c), id)
+	rc := m.ref[refKey(c)]
+	if rc == nil {
+		rc = &refCell{c: slices.Clone(c)}
+		m.ref[refKey(c)] = rc
+	}
+	rc.ids = append(rc.ids, id)
+}
 
-func (r refGrid) remove(c []int64, id int32) {
-	k := refKey(c)
-	ids := r[k]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			if len(ids) == 0 {
-				delete(r, k)
-			} else {
-				r[k] = ids
-			}
-			return
+func (m *model) remove(c []int64, id int32) {
+	m.g.RemovePoint(cellCenter(m.g, c), id)
+	rc := m.ref[refKey(c)]
+	if rc == nil {
+		return
+	}
+	if i := slices.Index(rc.ids, id); i >= 0 {
+		rc.ids[i] = rc.ids[len(rc.ids)-1]
+		if rc.ids = rc.ids[:len(rc.ids)-1]; len(rc.ids) == 0 {
+			delete(m.ref, refKey(c))
 		}
 	}
 }
 
+func (m *model) reset() {
+	m.g.Reset()
+	clear(m.ref)
+}
+
+// renumber closes ranks the way the maintained evaluators do: the ids
+// still registered, in ascending order, become 0, 1, 2, ...
+func (m *model) renumber() {
+	var present []int32
+	for _, rc := range m.ref {
+		present = append(present, rc.ids...)
+	}
+	if len(present) == 0 {
+		return
+	}
+	slices.Sort(present)
+	present = slices.Compact(present)
+	rank := make([]int32, present[len(present)-1]+1)
+	for i := range rank {
+		rank[i] = -1
+	}
+	for i, id := range present {
+		rank[id] = int32(i)
+	}
+	m.g.Renumber(rank)
+	for _, rc := range m.ref {
+		for i, id := range rc.ids {
+			rc.ids[i] = rank[id]
+		}
+	}
+}
+
+// want lists the reference's ids over the inclusive cell range.
+func (m *model) want(lo, hi []int64) []int32 {
+	var ids []int32
+	at := slices.Clone(lo)
+	for {
+		if rc := m.ref[refKey(at)]; rc != nil {
+			ids = append(ids, rc.ids...)
+		}
+		if !nextCell(at, lo, hi) {
+			return ids
+		}
+	}
+}
+
+// checkRange holds CollectRange over [lo, hi], and the occupancy
+// counters, to the reference.
+func (m *model) checkRange(t testing.TB, lo, hi []int64) {
+	t.Helper()
+	got := sortedCopy(m.g.CollectRange(&m.cur, lo, hi, nil))
+	if want := sortedCopy(m.want(lo, hi)); !slices.Equal(got, want) {
+		t.Fatalf("CollectRange(%v..%v) = %v, want %v", lo, hi, got, want)
+	}
+	if n := occupiedCells(t, m.g); n != len(m.ref) {
+		t.Fatalf("%d occupied cells, reference has %d", n, len(m.ref))
+	}
+}
+
+// checkBox holds CollectBox to the reference for the box of the given
+// radius (in cell sides, a multiple of 1/4) around the center of cell
+// c. Cell sides are powers of two, so the box's cell range is exact.
+func (m *model) checkBox(t testing.TB, c []int64, radius float64) {
+	t.Helper()
+	lo, hi := make([]int64, len(c)), make([]int64, len(c))
+	for i, v := range c {
+		lo[i] = int64(math.Floor(float64(v) + 0.5 - radius))
+		hi[i] = int64(math.Floor(float64(v) + 0.5 + radius))
+	}
+	got := sortedCopy(m.g.CollectBox(&m.cur, cellCenter(m.g, c), radius/m.g.inv, nil))
+	if want := sortedCopy(m.want(lo, hi)); !slices.Equal(got, want) {
+		t.Fatalf("CollectBox(cell %v, %g cells) = %v, want %v", c, radius, got, want)
+	}
+}
+
 func sortedCopy(ids []int32) []int32 {
-	out := append([]int32(nil), ids...)
+	out := slices.Clone(ids)
 	slices.Sort(out)
 	return out
 }
 
-// TestCrossCheckAgainstMapReference drives randomized Add / Remove /
-// CollectBox / Reset traffic over a tiny coordinate universe — forcing
-// hash-slot collisions, dead cells, and load-factor rebuilds — and
-// demands multiset-identical probe results and OccupiedCells counts
-// against the map reference at every probe.
+// maxWidth bounds a checked range to 256 cells: 1–5 cells per axis up
+// to d = 3, fewer above.
+func maxWidth(d int) int {
+	w := 5
+	for math.Pow(float64(w), float64(d)) > 256 {
+		w--
+	}
+	return w
+}
+
+// maxQuarters is the widest checkBox radius, in quarter cells, whose box
+// stays within maxWidth cells per axis: a box of radius r around a cell
+// center spans 2, 3, 4, 5 cells from r = 1/2, 3/4, 3/2, 7/4 on.
+func maxQuarters(d int) int {
+	return []int{0, 1, 2, 5, 6, 9}[maxWidth(d)]
+}
+
+// TestCrossCheckAgainstMapReference drives randomized AddPoint /
+// RemovePoint / CollectBox / CollectRange / Renumber / Reset traffic
+// over a tiny mixed-sign coordinate universe — both parities of every
+// axis, so every cell of a block, and forcing hash-slot collisions,
+// dead cells and blocks, and load-factor rebuilds — and demands
+// multiset-identical probe results and occupied-cell counts against the
+// map reference at every probe.
 func TestCrossCheckAgainstMapReference(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 5, 8} {
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 8} {
 		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(100 + d)))
-			g := New(d, 1)
-			ref := refGrid{}
+			m := newModel(d, 0.5)
+			span := 6 // 6^d universe: dense collisions at low d
+			if d == 1 {
+				span = 200 // enough blocks for the directory to rebuild
+			}
 			randCell := func() []int64 {
 				c := make([]int64, d)
 				for i := range c {
-					c[i] = int64(r.Intn(5) - 2) // 5^d universe: dense collisions at low d
+					c[i] = int64(r.Intn(span) - span/2)
 				}
 				return c
 			}
-			var cur Cursor
 			for op := 0; op < 20000; op++ {
-				switch r.Intn(8) {
+				switch r.Intn(9) {
 				case 0, 1, 2:
-					c, id := randCell(), int32(r.Intn(50))
-					g.Add(c, id)
-					ref.add(c, id)
+					m.add(randCell(), int32(r.Intn(50)))
 				case 3, 4:
-					c, id := randCell(), int32(r.Intn(50))
-					g.Remove(c, id)
-					ref.remove(c, id)
+					m.remove(randCell(), int32(r.Intn(50)))
 				case 5:
-					if r.Intn(200) == 0 {
-						g.Reset()
-						clear(ref)
+					switch r.Intn(200) {
+					case 0:
+						m.reset()
+					case 1, 2:
+						m.renumber()
 					}
+				case 6:
+					// The closure's single-cell collect, and boxes up to
+					// a padded probe wide.
+					m.checkBox(t, randCell(), 0)
+					m.checkBox(t, randCell(), float64(r.Intn(maxQuarters(d)+1))/4)
 				default:
-					// Probe: a random cell and a random cube of cells
-					// [lo, lo+k]^d, read as the box around its center
-					// (k < 2 at d = 8 keeps the walk to 2^8 cells).
-					c := randCell()
-					if got, want := sortedCopy(cellIDs(g, c)), sortedCopy(ref[refKey(c)]); !slices.Equal(got, want) {
-						t.Fatalf("op %d: cell %v = %v, want %v", op, c, got, want)
-					}
-					lo, k := randCell(), int64(r.Intn(min(3, 10-d)))
-					hi, center := make([]int64, d), make([]float64, d)
+					lo, hi := randCell(), make([]int64, d)
 					for i := range lo {
-						hi[i] = lo[i] + k
-						center[i] = float64(lo[i]) + float64(k+1)/2
+						hi[i] = lo[i] + int64(r.Intn(maxWidth(d)))
 					}
-					var want []int32
-					at := append([]int64(nil), lo...)
-					for {
-						want = append(want, ref[refKey(at)]...)
-						if !nextCell(at, lo, hi) {
-							break
-						}
-					}
-					if got := sortedCopy(g.CollectBox(&cur, center, float64(k)/2+0.25, nil)); !slices.Equal(got, sortedCopy(want)) {
-						t.Fatalf("op %d: CollectBox(%v..%v) = %v, want %v", op, lo, hi, got, want)
-					}
-				}
-				if g.OccupiedCells() != len(ref) {
-					t.Fatalf("op %d: OccupiedCells = %d, reference has %d", op, g.OccupiedCells(), len(ref))
+					m.checkRange(t, lo, hi)
 				}
 			}
 		})
@@ -262,7 +472,9 @@ func TestCrossCheckAgainstMapReference(t *testing.T) {
 
 // TestCollectBoxMatchesScan: the per-dimensionality probe walks return
 // exactly the points whose home cell lies in the box's cell range, on
-// random point sets at every dimensionality.
+// random point sets at every dimensionality — radius 0, the cell side,
+// and anything between — and CollectRange does over ranges 1–5 cells
+// wide.
 func TestCollectBoxMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, d := range []int{1, 2, 3, 4, 6} {
@@ -278,12 +490,8 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 		}
 		var cur Cursor
 		var lo, hi, c []int64
-		for trial := 0; trial < 200; trial++ {
-			center := pts[r.Intn(len(pts))]
-			radius := r.Float64()
-			got := sortedCopy(g.CollectBox(&cur, center, radius, nil))
-			lo, hi = g.RangeOfBox(center, radius, lo, hi)
-			var want []int32
+		scan := func() []int32 {
+			var ids []int32
 			for i, p := range pts {
 				c = g.CellOf(p, c)
 				in := true
@@ -291,11 +499,27 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 					in = in && lo[k] <= c[k] && c[k] <= hi[k]
 				}
 				if in {
-					want = append(want, int32(i))
+					ids = append(ids, int32(i))
 				}
 			}
-			if !slices.Equal(got, want) {
+			return ids
+		}
+		for trial := 0; trial < 200; trial++ {
+			center := pts[r.Intn(len(pts))]
+			radius := []float64{0, 0.5, r.Float64()}[trial%3]
+			got := sortedCopy(g.CollectBox(&cur, center, radius, nil))
+			lo, hi = g.RangeOfBox(center, radius, lo, hi)
+			if want := scan(); !slices.Equal(got, want) {
 				t.Fatalf("d=%d: CollectBox %v != scan %v", d, got, want)
+			}
+			lo = g.CellOf(pts[r.Intn(len(pts))], lo)
+			for k := range lo {
+				lo[k] -= int64(r.Intn(2))
+				hi[k] = lo[k] + int64(r.Intn(maxWidth(d)))
+			}
+			got = sortedCopy(g.CollectRange(&cur, lo, hi, nil))
+			if want := scan(); !slices.Equal(got, want) {
+				t.Fatalf("d=%d: CollectRange(%v..%v) %v != scan %v", d, lo, hi, got, want)
 			}
 		}
 	}
@@ -303,45 +527,113 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 
 // TestRebuildGrowth: a bulk load far past the initial directory
 // capacity must keep every registration addressable (the doubling
-// rebuild path), and a NewCap-hinted table must agree.
+// rebuild path), and a NewCap-hinted table, which never rebuilds, must
+// agree.
 func TestRebuildGrowth(t *testing.T) {
 	n := 20000
 	g := New(2, 1)
 	h := NewCap(2, 1, n)
+	slots := len(h.slots)
 	for i := 0; i < n; i++ {
-		c := []int64{int64(i % 199), int64(i / 199)}
-		g.Add(c, int32(i))
-		h.Add(c, int32(i))
+		p := []float64{float64(i%199) - 99.5, float64(i/199) - 49.5}
+		g.AddPoint(p, int32(i))
+		h.AddPoint(p, int32(i))
 	}
-	if g.OccupiedCells() != h.OccupiedCells() {
-		t.Fatalf("occupied mismatch: %d vs %d", g.OccupiedCells(), h.OccupiedCells())
+	if a, b := occupiedCells(t, g), occupiedCells(t, h); a != n || b != n {
+		t.Fatalf("occupied cells: %d grown, %d hinted, want %d", a, b, n)
+	}
+	if len(h.slots) != slots {
+		t.Fatalf("hinted directory rebuilt: %d -> %d slots", slots, len(h.slots))
+	}
+	// Arenas double when full: never more than about twice what is used.
+	for _, tab := range []*Table{g, h} {
+		if cap(tab.blocks) > 3*len(tab.blocks) || cap(tab.slabs) > 3*len(tab.slabs) {
+			t.Fatalf("arenas over-allocated: %d of %d block words, %d of %d slabs in use",
+				len(tab.blocks), cap(tab.blocks), len(tab.slabs), cap(tab.slabs))
+		}
 	}
 	for i := 0; i < n; i += 37 {
-		c := []int64{int64(i % 199), int64(i / 199)}
-		got := cellIDs(g, c)
-		if !slices.Contains(got, int32(i)) {
-			t.Fatalf("id %d lost after growth rebuilds (cell %v has %v)", i, c, got)
+		c := []int64{int64(i%199) - 100, int64(i/199) - 50}
+		for _, tab := range []*Table{g, h} {
+			if got := cellIDs(tab, c); !slices.Equal(got, []int32{int32(i)}) {
+				t.Fatalf("id %d lost after growth rebuilds (cell %v has %v)", i, c, got)
+			}
 		}
 	}
 }
 
 // TestDeadCellCompaction: heavy add/remove churn over a shifting window
-// of cells must not grow the directory without bound — dead cells are
-// dropped by the load-factor rebuild, so the slot count stays within a
-// small multiple of the live cell count.
+// of cells must not grow the directory without bound — dead blocks are
+// dropped by the load-factor rebuild, so the slot count and the arenas
+// stay within a small multiple of the live cell count.
 func TestDeadCellCompaction(t *testing.T) {
 	g := New(1, 1)
 	for i := 0; i < 100000; i++ {
-		g.Add([]int64{int64(i)}, int32(i))
+		g.AddPoint([]float64{float64(i) + 0.5}, int32(i))
 		if i >= 16 {
-			g.Remove([]int64{int64(i - 16)}, int32(i-16))
+			g.RemovePoint([]float64{float64(i-16) + 0.5}, int32(i-16))
 		}
 	}
-	if g.OccupiedCells() != 16 {
-		t.Fatalf("live cells = %d, want 16", g.OccupiedCells())
+	if n := occupiedCells(t, g); n != 16 {
+		t.Fatalf("live cells = %d, want 16", n)
 	}
-	if len(g.slots) > 1024 {
-		t.Fatalf("directory grew to %d slots for 16 live cells: dead cells not compacted", len(g.slots))
+	if len(g.slots) > 1024 || cap(g.blocks) > 2048 || cap(g.slabs) > 1024 {
+		t.Fatalf("directory grew to %d slots, %d block words, %d slabs for 16 live cells: dead blocks not compacted",
+			len(g.slots), cap(g.blocks), cap(g.slabs))
+	}
+}
+
+// TestRebuildDropsDeadBlocks: a rebuild keeps a block that still has
+// one occupied cell — with its emptied cells still empty — and drops a
+// block whose cells all emptied.
+func TestRebuildDropsDeadBlocks(t *testing.T) {
+	for _, d := range []int{1, 2, 3, 4} {
+		m := newModel(d, 1)
+		sub := blockCells(m.g)
+		cell := func(b int64, k int) []int64 { // cell k of block (b, 0, ...)
+			c := make([]int64, d)
+			c[0] = b << m.g.shift
+			for a := range c {
+				c[a] += int64(k >> a & int(m.g.shift))
+			}
+			return c
+		}
+		// Blocks -20..19 get every cell filled; then the even ones are
+		// emptied and the odd ones keep their last cell only.
+		id := int32(0)
+		for b := int64(-20); b < 20; b++ {
+			for k := 0; k < sub; k++ {
+				m.add(cell(b, k), id)
+				m.add(cell(b, k), id+1)
+				id += 2
+			}
+		}
+		id = 0
+		for b := int64(-20); b < 20; b++ {
+			for k := 0; k < sub; k++ {
+				if b&1 == 0 || k < sub-1 {
+					m.remove(cell(b, k), id)
+					m.remove(cell(b, k), id+1)
+				}
+				id += 2
+			}
+		}
+		if m.g.used != 40 || m.g.live != 20 {
+			t.Fatalf("d=%d: before the rebuild used/live = %d/%d, want 40/20", d, m.g.used, m.g.live)
+		}
+		m.g.rebuild()
+		if m.g.used != 20 || m.g.live != 20 {
+			t.Fatalf("d=%d: after the rebuild used/live = %d/%d, want 20/20", d, m.g.used, m.g.live)
+		}
+		lo, hi := make([]int64, d), make([]int64, d)
+		for b := int64(-20); b < 20; b++ {
+			copy(lo, cell(b, 0))
+			copy(hi, cell(b, sub-1))
+			m.checkRange(t, lo, hi)
+		}
+		// Emptied cells of a kept block take registrations again.
+		m.add(cell(-19, 0), 7)
+		m.checkRange(t, cell(-19, 0), cell(-19, sub-1))
 	}
 }
 
@@ -349,21 +641,21 @@ func TestDeadCellCompaction(t *testing.T) {
 // slab, including interleaved removals from chain interiors.
 func TestSlabChainLongCell(t *testing.T) {
 	g := New(2, 1)
-	c := []int64{0, 0}
+	p := []float64{-0.5, 0.5}
 	const n = 10 * slabIDs
 	for i := 0; i < n; i++ {
-		g.Add(c, int32(i))
+		g.AddPoint(p, int32(i))
 	}
 	// Remove every third id (from chain interiors as well as the head).
 	want := []int32{}
 	for i := 0; i < n; i++ {
 		if i%3 == 0 {
-			g.Remove(c, int32(i))
+			g.RemovePoint(p, int32(i))
 		} else {
 			want = append(want, int32(i))
 		}
 	}
-	got := sortedCopy(cellIDs(g, c))
+	got := sortedCopy(cellIDs(g, []int64{-1, 0}))
 	if !slices.Equal(got, want) {
 		t.Fatalf("after chained removals: got %d ids, want %d (%v)", len(got), len(want), got)
 	}
@@ -389,8 +681,8 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		for i := 0; i < n; i++ {
 			inc.AddPoint(ps.At(i), int32(i))
 		}
-		if bulk.OccupiedCells() != inc.OccupiedCells() {
-			t.Fatalf("d=%d: bulk %d cells vs incremental %d", d, bulk.OccupiedCells(), inc.OccupiedCells())
+		if a, b := occupiedCells(t, bulk), occupiedCells(t, inc); a != b {
+			t.Fatalf("d=%d: bulk %d cells vs incremental %d", d, a, b)
 		}
 		var cur Cursor
 		var b1, b2 []int32
@@ -427,17 +719,17 @@ func TestRenumber(t *testing.T) {
 	c, other := []int64{0, 0}, []int64{5, 5}
 	const n = 3*slabIDs + 2 // a three-slab chain plus a partial head
 	for id := int32(0); id < n; id++ {
-		g.Add(c, id)
+		g.AddPoint(cellCenter(g, c), id)
 	}
 	for id := int32(n); id < n+20; id++ {
-		g.Add(other, id)
+		g.AddPoint(cellCenter(g, other), id)
 	}
 	// Remove the even ids of the long cell (frees slabs), then close ranks.
 	rank := make([]int32, n+20)
 	next := int32(0)
 	for id := range rank {
 		if id < n && id%2 == 0 {
-			g.Remove(c, int32(id))
+			g.RemovePoint(cellCenter(g, c), int32(id))
 			rank[id] = -1
 			continue
 		}
@@ -456,8 +748,8 @@ func TestRenumber(t *testing.T) {
 		}
 	}
 	// Recycled slabs must come back clean.
-	g.Add(c, next)
+	g.AddPoint(cellCenter(g, c), next)
 	if ids := cellIDs(g, c); !slices.Contains(ids, next) || len(ids) != n/2+1 {
-		t.Fatalf("Add after Renumber: cell holds %v", ids)
+		t.Fatalf("AddPoint after Renumber: cell holds %v", ids)
 	}
 }

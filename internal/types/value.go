@@ -175,16 +175,24 @@ func (v Value) String() string {
 	}
 }
 
-// Key canonicalizes v for hashing (map keys): integers and dates fold
-// into floats so that 2 = 2.0 hashes identically. Exact for magnitudes
-// below 2⁵³, far beyond any key this engine generates.
+// Key canonicalizes v for hashing (map keys): a date, and a float that
+// is integral and inside the int64 range, become the INT of that value,
+// so 2 = 2.0 hashes identically and −0.0 as 0. Integers keep all 64
+// bits: float64 holds 53, so folding the other way would merge
+// neighbours above 2⁵³. Everything else (NaN, fractions, floats beyond
+// ±2⁶³) is its own key.
 func (v Value) Key() Value {
 	switch v.Kind {
-	case KindInt, KindDate:
-		return Float(float64(v.I))
-	default:
-		return v
+	case KindDate:
+		return Int(v.I)
+	case KindFloat:
+		if v.F >= -0x1p63 && v.F < 0x1p63 {
+			if i := int64(v.F); float64(i) == v.F {
+				return Int(i)
+			}
+		}
 	}
+	return v
 }
 
 // Compare orders a against b: -1, 0, +1. Numeric kinds (including

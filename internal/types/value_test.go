@@ -178,6 +178,24 @@ func TestKeyNormalization(t *testing.T) {
 	if Text("2").Key() == Float(2).Key() {
 		t.Error("text collides with numeric")
 	}
+	// float64 holds 53 bits: neighbours above 2⁵³ must keep their own keys.
+	if Int(1<<53).Key() == Int(1<<53+1).Key() || Date(1<<53).Key() == Date(1<<53+1).Key() {
+		t.Error("integers above 2^53 share a key")
+	}
+	if Int(1<<53).Key() != Float(0x1p53).Key() || Int(math.MinInt64).Key() != Float(-0x1p63).Key() {
+		t.Error("an integral float and its integer hash differently")
+	}
+	if Float(math.Copysign(0, -1)).Key() != Int(0).Key() {
+		t.Error("-0.0 and 0 hash differently")
+	}
+	for _, f := range []float64{0.5, 0x1p63, -0x1p64, math.Inf(1), math.Inf(-1)} {
+		if k := Float(f).Key(); k != Float(f) {
+			t.Errorf("Key(%g) = %v, want the float itself", f, k)
+		}
+	}
+	if k := Float(math.NaN()).Key(); k.Kind != KindFloat || !math.IsNaN(k.F) {
+		t.Errorf("Key(NaN) = %v", k)
+	}
 }
 
 func TestTruthy(t *testing.T) {

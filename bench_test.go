@@ -9,8 +9,8 @@
 // experiments as full sweeps in tabular form; docs/reproduction.md maps
 // figure to family to experiment.
 //
-// The other families (Ablation, Grid, Sweep, Parallel, ParallelPhases,
-// Incremental, Window, WarmAnswer, ColdSQL) are the harnesses behind a
+// The other families (Ablation, Grid, Sweep, Parallel, Incremental,
+// Window, WarmAnswer, ColdSQL) are the harnesses behind a
 // checked-in profile (docs/pr*-profile.md) or an open ROADMAP verdict.
 // None of them is the performance record: that is bench/ and
 // BENCHMARK.json, `bash bench/run.sh -compare`.
@@ -184,24 +184,13 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallel — the partition/evaluate/merge pipeline on the
-// Fig9a workload (n=4000, ε=0.5, L2): worker sweep for both operators
-// under the ε-grid strategy. w=1 is the sequential path; results are
-// identical at every worker count.
+// BenchmarkParallel — SGB-Any's partition/evaluate/merge pipeline on
+// the Fig9a workload (n=4000, ε=0.5, L2): worker sweep under the ε-grid
+// strategy. w=1 is the sequential path; results are identical at every
+// worker count. (SGB-All has no pipeline to sweep:
+// docs/pr24-sgball-sequential.md.)
 func BenchmarkParallel(b *testing.B) {
 	pts := benchPoints(4000, 1)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("All/Grid/w=%d", w), func(b *testing.B) {
-			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny,
-				Algorithm: sgb.GridIndex, Seed: 1, Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sgb.GroupByAll(pts, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Any/Grid/w=%d", w), func(b *testing.B) {
 			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex, Parallelism: w}
@@ -212,59 +201,6 @@ func BenchmarkParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkParallelPhases — the per-phase breakdown of the parallel
-// SGB-All pipeline: wall time per phase (partition / connect /
-// arbitrate / merge, reported as *-ms/op metrics) at each worker count,
-// on the Fig9a workload and on the two DISTANCE-TO-ALL shapes of
-// BenchmarkColdSQL. The sequential residue (partition + merge) bounds
-// the achievable speedup, and connect is work the sequential run never
-// does; the w=1 rows are that sequential run (all phases zero), the
-// baseline core.allAutoMinWorkers was derived against. The breakdown
-// makes a scaling regression attributable to a phase instead of a
-// guess.
-func BenchmarkParallelPhases(b *testing.B) {
-	type phaseCase struct {
-		name    string
-		pts     []sgb.Point
-		opt     sgb.Options
-		workers []int
-	}
-	cases := []phaseCase{{"All/Grid", benchPoints(4000, 1),
-		sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny}, []int{2, 4, 8}}}
-	cold3 := coldPoints(12000)
-	cold2 := make([]sgb.Point, len(cold3))
-	for i, p := range cold3 {
-		cold2[i] = p[:2]
-	}
-	for _, eps := range []float64{0.05, 0.2, 0.8} {
-		cases = append(cases,
-			phaseCase{fmt.Sprintf("Cold/AllLinfJoinAny/eps=%g", eps), cold2,
-				sgb.Options{Metric: sgb.LInf, Eps: eps, Overlap: sgb.JoinAny}, []int{1, 2}},
-			phaseCase{fmt.Sprintf("Cold/AllL2x3Eliminate/eps=%g", eps), cold3,
-				sgb.Options{Metric: sgb.L2, Eps: eps, Overlap: sgb.Eliminate}, []int{1, 2}})
-	}
-	for _, c := range cases {
-		for _, w := range c.workers {
-			b.Run(fmt.Sprintf("%s/w=%d", c.name, w), func(b *testing.B) {
-				var st sgb.Stats
-				opt := c.opt
-				opt.Algorithm, opt.Seed, opt.Parallelism, opt.Stats = sgb.GridIndex, 1, w, &st
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sgb.GroupByAll(c.pts, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-				perOp := func(nanos int64) float64 { return float64(nanos) / 1e6 / float64(b.N) }
-				b.ReportMetric(perOp(st.PartitionNanos), "partition-ms/op")
-				b.ReportMetric(perOp(st.ConnectNanos), "connect-ms/op")
-				b.ReportMetric(perOp(st.ArbitrateNanos), "arbitrate-ms/op")
-				b.ReportMetric(perOp(st.MergeNanos), "merge-ms/op")
-			})
-		}
 	}
 }
 

@@ -14,7 +14,7 @@
 // Session settings tune the similarity executor:
 //
 //	sgb> SET algorithm = grid;      -- allpairs | bounds | rtree | grid
-//	sgb> SET parallelism = 4;       -- 0 = GOMAXPROCS (auto), 1 = sequential
+//	sgb> SET parallelism = 4;       -- DISTANCE-TO-ANY workers: 0 = GOMAXPROCS (auto), 1 = sequential
 //	sgb> SET seed = 7;              -- JOIN-ANY arbitration seed
 //	sgb> SET incremental = on;      -- maintain SGB groupings across INSERTs
 //
@@ -163,7 +163,7 @@ func main() {
 		quit(0)
 	}()
 	fmt.Println(`type SQL ending with ';' — \q quits, \d lists tables`)
-	fmt.Println(`session settings: SET algorithm = allpairs|bounds|rtree|grid; SET parallelism = N; SET seed = N; SET incremental = on|off`)
+	fmt.Println(`session settings: SET algorithm = allpairs|bounds|rtree|grid; SET parallelism = N (DISTANCE-TO-ANY workers); SET seed = N; SET incremental = on|off`)
 	if *dataDir != "" {
 		fmt.Println(`durability: SET durability = always|interval|off; SET checkpoint_every = N; CHECKPOINT`)
 	}

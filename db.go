@@ -104,10 +104,10 @@ type QueryOptions struct {
 	// Algorithm selects the SGB strategy (the session default is
 	// GridIndex, which supports any number of grouping attributes).
 	Algorithm Algorithm
-	// Parallelism is the similarity pipeline's worker count: 0 picks
-	// GOMAXPROCS on large inputs (DISTANCE-TO-ALL: only from three
-	// workers up), 1 forces sequential evaluation, ≥ 2 forces that many
-	// workers. Results are identical at every setting.
+	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline: 0
+	// picks GOMAXPROCS on large inputs, 1 forces sequential evaluation,
+	// ≥ 2 forces that many workers. DISTANCE-TO-ALL always evaluates
+	// sequentially. Results are identical at every setting.
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration.
 	Seed int64

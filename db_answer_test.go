@@ -173,9 +173,10 @@ func TestMemoKeysTellLiteralKindsApart(t *testing.T) {
 		{"SELECT eps, min(a + 1)" + " FROM big GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (1, 2.5)",
 			"SELECT eps, min(a + 1.0)" + " FROM big GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (1.0, 2.5)"},
 		// 2⁶² * 4 wraps to 0 as an INT and is 1.8e19 as a FLOAT: the two
-		// spellings group the rows differently.
-		{"SELECT count(*) FROM big GROUP BY a * 4, x DISTANCE-TO-ANY L2 WITHIN 50",
-			"SELECT count(*) FROM big GROUP BY a * 4.0, x DISTANCE-TO-ANY L2 WITHIN 50"},
+		// spellings group the rows differently. (ε = 5000 keeps 1.8e19
+		// within the 2⁵² ε-cells a grouping attribute may span.)
+		{"SELECT count(*) FROM big GROUP BY a * 4, x DISTANCE-TO-ANY L2 WITHIN 5000",
+			"SELECT count(*) FROM big GROUP BY a * 4.0, x DISTANCE-TO-ANY L2 WITHIN 5000"},
 	}
 	db := Open()
 	mustExec(t, db, "CREATE TABLE big (a INT, x FLOAT, y FLOAT)")

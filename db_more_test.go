@@ -2,8 +2,12 @@ package sgb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/sgb-db/sgb/internal/types"
 )
 
 func TestExecSelectReturnsRowCount(t *testing.T) {
@@ -163,5 +167,138 @@ func TestSQLKeysAbove2p53(t *testing.T) {
 	rows = mustQuery(t, db, "SELECT a.v FROM a JOIN f ON a.id = f.x")
 	if len(rows.Data) != 1 || rows.Data[0][0].I != 1 {
 		t.Errorf("INT = FLOAT join = %v", rows.Data)
+	}
+}
+
+// within5s runs f and fails the test if it has not returned after five
+// seconds (the goroutine is abandoned: the statements below used to
+// walk 2⁶³ grid cells).
+func within5s(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no answer after 5 s", what)
+	}
+}
+
+// TestFarCoordinatesRefused: a coordinate, or an ε, whose ε-cell index
+// no float64 holds exactly ends in an error that names it — through the
+// operators, the ε-lattice, the maintained handles and SQL with the
+// evaluator cache on and off. x ± ε used to overflow to ±Inf, whose
+// int64 conversion is MinInt64, and the grid probe never came back.
+func TestFarCoordinatesRefused(t *testing.T) {
+	pts := []Point{{0, 0}, {0.5, 0}, {1e308, 1e308}, {-1e308, -1e308}}
+	wantErr := func(what string, err error, part string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), part) {
+			t.Errorf("%s: error %v, want one naming %q", what, err, part)
+		}
+	}
+	for _, alg := range []Algorithm{AllPairs, OnTheFlyIndex, GridIndex} {
+		// ε itself out of range: no coordinate could be probed.
+		within5s(t, "GroupByAny", func() {
+			_, err := GroupByAny(pts, Options{Metric: L2, Eps: 1e308, Algorithm: alg})
+			wantErr("GroupByAny ε=1e308", err, "ε = 1e+308")
+		})
+		within5s(t, "GroupByAll", func() {
+			_, err := GroupByAll(pts, Options{Metric: L2, Eps: 1e308, Overlap: Eliminate, Algorithm: alg})
+			wantErr("GroupByAll ε=1e308", err, "ε = 1e+308")
+		})
+		within5s(t, "SweepAny", func() {
+			_, err := SweepAny(pts, []float64{1, 1e308}, Options{Metric: L2, Algorithm: alg})
+			wantErr("SweepAny ε=1e308", err, "ε = 1e+308")
+		})
+		// A usable ε, a coordinate too far out for it.
+		within5s(t, "GroupByAny", func() {
+			_, err := GroupByAny(pts, Options{Metric: L2, Eps: 1, Algorithm: alg})
+			wantErr("GroupByAny", err, "point 2 has coordinate 0 (1e+308)")
+		})
+		within5s(t, "GroupByAll", func() {
+			_, err := GroupByAll(pts, Options{Metric: LInf, Eps: 1, Algorithm: alg})
+			wantErr("GroupByAll", err, "point 2 has coordinate 0 (1e+308)")
+		})
+		within5s(t, "SweepAny", func() {
+			_, err := SweepAny(pts, []float64{0.5, 1}, Options{Metric: L2, Algorithm: alg})
+			wantErr("SweepAny", err, "point 2 has coordinate 0 (1e+308)")
+		})
+	}
+
+	// A refused batch leaves a maintained handle as it was.
+	for _, mk := range []func(Options) (*Incremental, error){NewIncrementalAny, NewIncrementalAll} {
+		within5s(t, "Incremental", func() {
+			inc, err := mk(Options{Metric: L2, Eps: 1, Algorithm: GridIndex})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := inc.Append(pts[:2]); err != nil {
+				t.Error(err)
+				return
+			}
+			wantErr("Incremental.Append", inc.Append(pts[2:]), "point 0 has coordinate 0 (1e+308)")
+			if inc.Len() != 2 {
+				t.Errorf("refused batch left %d points", inc.Len())
+			}
+			if err := inc.Remove([]int{0}); err != nil {
+				t.Errorf("Remove after a refused batch: %v", err)
+			}
+			if res, err := inc.Result(); err != nil || len(res.Groups) != 1 {
+				t.Errorf("Result after a refused batch: %v, %v", res, err)
+			}
+		})
+	}
+
+	for _, incremental := range []string{"on", "off"} {
+		db := Open()
+		mustExec(t, db, "SET incremental = "+incremental)
+		mustExec(t, db, "CREATE TABLE p (x FLOAT, y FLOAT)")
+		mustExec(t, db, "INSERT INTO p VALUES (0, 0), (0.5, 0), (1e308, 1e308), (-1e308, -1e308)")
+		for sql, part := range map[string]string{
+			"SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ANY WITHIN 1e308":                      "ε = 1e+308",
+			"SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ANY EPS IN (1, 1e308)":                 "ε = 1e+308",
+			"SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ALL WITHIN 1e308 ON-OVERLAP ELIMINATE": "ε = 1e+308",
+			"SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ANY WITHIN 1":                          "coordinate 0 (1e+308)",
+			"SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ANY EPS IN (1, 2)":                     "coordinate 0 (1e+308)",
+			"SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ALL WITHIN 1":                          "coordinate 0 (1e+308)",
+		} {
+			within5s(t, sql, func() {
+				_, err := db.Query(sql)
+				wantErr("incremental "+incremental+": "+sql, err, part)
+			})
+		}
+		// The table and the session still answer.
+		mustExec(t, db, "DELETE FROM p WHERE x > 1 OR x < 0")
+		if got := counts(mustQuery(t, db, "SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ANY WITHIN 1")); len(got) != 1 || got[0] != 2 {
+			t.Errorf("incremental %s: after deleting the far rows: %v", incremental, got)
+		}
+	}
+}
+
+// TestSQLSmallestInt: -9223372036854775808 is a literal. The parser
+// used to refuse its magnitude before applying the sign.
+func TestSQLSmallestInt(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE t (id INT)")
+	mustExec(t, db, "INSERT INTO t VALUES (-9223372036854775808), (-9223372036854775807), (0)")
+	if rows := mustQuery(t, db, "SELECT -9223372036854775808"); len(rows.Data) != 1 || rows.Data[0][0].Kind != types.KindInt || rows.Data[0][0].I != math.MinInt64 {
+		t.Errorf("SELECT -9223372036854775808 = %v", rows.Data)
+	}
+	if rows := mustQuery(t, db, "SELECT min(id) FROM t"); rows.Data[0][0].I != math.MinInt64 {
+		t.Errorf("min(id) = %v", rows.Data)
+	}
+	if rows := mustQuery(t, db, "SELECT id FROM t WHERE id = -9223372036854775808"); len(rows.Data) != 1 {
+		t.Errorf("WHERE id = -9223372036854775808 matched %v", rows.Data)
+	}
+	if n, err := db.Exec("DELETE FROM t WHERE id = -9223372036854775808"); err != nil || n != 1 {
+		t.Errorf("DELETE: %d rows, %v", n, err)
+	}
+	if rows := mustQuery(t, db, "SELECT min(id) FROM t"); rows.Data[0][0].I != math.MinInt64+1 {
+		t.Errorf("min(id) after the DELETE = %v", rows.Data)
+	}
+	if _, err := db.Query("SELECT 9223372036854775808"); err == nil {
+		t.Error("the magnitude alone parsed")
 	}
 }

@@ -203,45 +203,6 @@ func TestReanchorMaintainedPaths(t *testing.T) {
 	}
 }
 
-// TestAutoParallelismAllNeedsThreeWorkers pins the SGB-All break-even
-// rule: in auto mode two resolved workers evaluate sequentially (no
-// connect phase runs), three engage the pipeline, and an explicit
-// Parallelism = 2 is honoured as before — all with identical groups.
-func TestAutoParallelismAllNeedsThreeWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	r := rand.New(rand.NewSource(77))
-	pts := randTestPoints(r, parallelThreshold+500, 2, 60)
-	run := func(procs, parallelism int) (*Result, *Stats) {
-		t.Helper()
-		runtime.GOMAXPROCS(procs)
-		st := &Stats{}
-		res, err := SGBAll(pts, Options{Metric: geom.LInf, Eps: 0.5, Overlap: Eliminate,
-			Algorithm: GridIndex, Parallelism: parallelism, Stats: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, st
-	}
-	seq, st := run(2, 0)
-	if st.ConnectNanos != 0 || st.ArbitrateNanos != 0 {
-		t.Fatalf("auto mode at 2 workers ran the pipeline: %+v", st)
-	}
-	for _, tc := range []struct{ procs, parallelism int }{{2, 2}, {3, 0}} {
-		res, st := run(tc.procs, tc.parallelism)
-		if st.ConnectNanos == 0 || st.ArbitrateNanos == 0 {
-			t.Fatalf("GOMAXPROCS=%d Parallelism=%d stayed sequential", tc.procs, tc.parallelism)
-		}
-		if err := sameMembers(seq, res); err != nil {
-			t.Fatalf("GOMAXPROCS=%d Parallelism=%d: %v", tc.procs, tc.parallelism, err)
-		}
-	}
-	// SGB-Any reads the same resolved count and still engages at two.
-	runtime.GOMAXPROCS(2)
-	if w := (Options{Algorithm: GridIndex}).workers(len(pts)); w != 2 {
-		t.Fatalf("auto workers at GOMAXPROCS=2: %d, want 2", w)
-	}
-}
-
 // TestColdAllAllocationGuard bounds what one cold 3-d L2 ELIMINATE
 // grouping of the benchmark's 12k check-ins allocates at ε = 0.05,
 // where nearly every point founds its own group. Range registration

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/partition"
@@ -100,21 +99,20 @@ type Options struct {
 	// Stats, when non-nil, accumulates operation counts for the run.
 	Stats *Stats
 
-	// Parallelism selects the worker count of the partition / connect /
-	// arbitrate / merge pipeline. 0 (the default) means GOMAXPROCS,
-	// engaged only for the GridIndex strategy, only once the input is
-	// large enough to amortize the sharding overhead and, for SGB-All,
-	// only from three workers up (allAutoMinWorkers) — explicitly
-	// selected comparison strategies (All-Pairs, Bounds-Checking,
-	// R-tree) keep their sequential evaluation shape so the paper's
-	// strategy experiments measure what they name. 1 forces the
-	// sequential path; any value ≥ 2 forces that many workers for any
-	// strategy and input size. Negative values are rejected by
-	// Validate. Groupings are bit-identical at every worker count:
-	// SGB-Any components are order-independent, and parallel SGB-All
-	// arbitrates whole ε-connected components on workers and merges
-	// their outputs back into the sequential processing order (keyed
-	// JOIN-ANY draws make components independent; see parallelall.go).
+	// Parallelism selects the worker count of SGB-Any's partition /
+	// evaluate / merge pipeline (parallel.go). 0 (the default) means
+	// GOMAXPROCS, engaged only for the GridIndex strategy and only once
+	// the input is large enough to amortize the sharding overhead —
+	// explicitly selected comparison strategies (All-Pairs,
+	// Bounds-Checking, R-tree) keep their sequential evaluation shape so
+	// the paper's strategy experiments measure what they name. 1 forces
+	// the sequential path; any value ≥ 2 forces that many workers for any
+	// strategy and input size. Negative values are rejected by Validate.
+	// Groupings are bit-identical at every worker count: SGB-Any
+	// components are order-independent. SGB-All is order-sensitive and
+	// always runs its one sequential arbitration loop, whatever the value
+	// (docs/pr24-sgball-sequential.md has the measurement that retired
+	// its pipeline).
 	Parallelism int
 
 	// IndexHysteresis tunes when the on-the-fly index refreshes a
@@ -146,6 +144,9 @@ func (o Options) Validate() error {
 	if !(o.Eps > 0) || math.IsInf(o.Eps, 1) {
 		return errors.New("core: similarity threshold ε must be positive and finite")
 	}
+	if math.IsInf(o.Eps*(2*maxCells), 1) || math.IsInf(1/o.Eps, 1) {
+		return fmt.Errorf("core: similarity threshold ε = %v is outside the range ε-cell arithmetic can hold", o.Eps)
+	}
 	if o.Metric != geom.L2 && o.Metric != geom.LInf {
 		return errors.New("core: unknown distance metric")
 	}
@@ -171,29 +172,6 @@ func (o Options) Validate() error {
 // which is what the equivalence tests use to exercise the parallel
 // pipeline on small inputs.
 const parallelThreshold = 4096
-
-// allAutoMinWorkers is the resolved worker count from which auto mode
-// (Parallelism = 0) engages the SGB-All pipeline. The pipeline does
-// more work than the sequential run it replaces: connect is a whole
-// SGB-Any pass the sequential run never makes, traced arbitration
-// costs about one sequential run, and the merge sorts every group and
-// victim by provenance key. With w workers it wins iff
-//
-//	(connect + arbitrate + merge) / w < sequential run,
-//
-// taking the parallel sections as perfectly divisible and ignoring the
-// partition pass. At one core (where a phase timer reads CPU cost) the
-// left-hand sum measured 1.9–2.8× the sequential run on sparse groups
-// (12 000 check-ins, ε = 0.05 and 0.2: ~12k and ~7k groups) and
-// 4.1–4.6× at ε = 0.8 — so two workers can at best tie, on one shape
-// of six, and three is the first count at which the model wins most of
-// them. On the 2-core reference box the w = 2 pipeline ran 1.5–3.4×
-// slower than sequential on all six. `go test -bench
-// ParallelPhases/Cold` reprints the split; ARCHITECTURE.md ("When the
-// SGB-All pipeline pays") tabulates it. An explicit Parallelism ≥ 2
-// is honoured whatever the count, and SGB-Any — whose connect phase IS
-// its whole job — keeps engaging from two workers.
-const allAutoMinWorkers = 3
 
 // workers resolves the effective worker count for an input of n
 // points. Auto mode (Parallelism = 0) engages only for GridIndex:
@@ -239,14 +217,14 @@ type Stats struct {
 	PointsExtracted int64 // rows whose grouping expressions were evaluated
 	RowsFolded      int64 // rows fed to an aggregate accumulator, per aggregate
 
-	// Per-phase wall-clock of the parallel SGB-All pipeline (zero when
-	// the run stayed sequential). The split shows where a worker sweep
-	// stops scaling: partition and merge are the sequential residue,
-	// connect and arbitrate are the parallel sections.
-	PartitionNanos int64 // multi-axis ε-tile planning
-	ConnectNanos   int64 // per-tile + frontier ε-component discovery
-	ArbitrateNanos int64 // per-batch traced arbitration
-	MergeNanos     int64 // provenance-key sort + result assembly
+	// Phase timers of the SGB-All pipeline PR 24 deleted: nothing
+	// writes them. They stay declared because bench/probe.go, frozen for
+	// that PR, reads them (ROADMAP 1(b) drops its four metrics, then
+	// these).
+	PartitionNanos int64
+	ConnectNanos   int64
+	ArbitrateNanos int64
+	MergeNanos     int64
 }
 
 func (s *Stats) addDist(n int64) {
@@ -295,34 +273,6 @@ func (s *Stats) noteDepth(d int) {
 	}
 }
 
-// Phases of the parallel SGB-All pipeline, for notePhase.
-const (
-	phasePartition = iota
-	phaseConnect
-	phaseArbitrate
-	phaseMerge
-)
-
-// notePhase charges the wall-clock since *start to the given pipeline
-// phase and advances *start — nil-safe like the counters.
-func (s *Stats) notePhase(phase int, start *time.Time) {
-	now := time.Now() //sgblint:allow determinism wall-clock feeds phase-timing stats only, never result rows
-	if s != nil {
-		d := now.Sub(*start).Nanoseconds()
-		switch phase {
-		case phasePartition:
-			s.PartitionNanos += d
-		case phaseConnect:
-			s.ConnectNanos += d
-		case phaseArbitrate:
-			s.ArbitrateNanos += d
-		case phaseMerge:
-			s.MergeNanos += d
-		}
-	}
-	*start = now
-}
-
 // Merge folds another counter block into s: counters add, the
 // recursion-depth high-water mark takes the max. The engine's shared
 // evaluator cache uses it to aggregate per-entry work counters, and
@@ -349,10 +299,6 @@ func (s *Stats) merge(o *Stats) {
 	if o.RecursionDepth > s.RecursionDepth {
 		s.RecursionDepth = o.RecursionDepth
 	}
-	s.PartitionNanos += o.PartitionNanos
-	s.ConnectNanos += o.ConnectNanos
-	s.ArbitrateNanos += o.ArbitrateNanos
-	s.MergeNanos += o.MergeNanos
 }
 
 // Group is one output group; Members are indices into the input slice,
@@ -401,6 +347,50 @@ func checkInput(points []geom.Point) (int, error) {
 	return d, nil
 }
 
+// maxCells bounds a coordinate in ε-cells. Every grid over the points
+// (grid.Table, partition's tiles, the Morton keys) quantizes x to
+// int64(floor(x / cell)) with a cell side of ε or more, and probes up to
+// two padded cell sides around it. Within ±2^52 cells those indices are
+// integers float64 and int64 both hold and the SGB-All finder's rounding
+// pad (paddedReach, 2⁻⁵⁰ of |x|) is at most four cells, so a probe's
+// cell range is a few cells wide. Beyond it x ± ε stops resolving, the
+// pad grows to thousands of cells per axis, the sum can reach ±Inf, and
+// the conversion of ±Inf is MinInt64 — a probe over 2^63 cells.
+// Validate keeps ε·2·maxCells and 1/ε finite, so a coordinate inside
+// the bound stays inside every such computation.
+const maxCells = 1 << 52
+
+// coordRangeError reports the first coordinate checkCoords found beyond
+// maxCells ε-cells of the origin.
+type coordRangeError struct {
+	Point, Dim int
+	Value, Eps float64
+}
+
+func (e *coordRangeError) Error() string {
+	return fmt.Sprintf("core: point %d has coordinate %d (%v) more than 2^52 ε-cells from the origin (ε = %v): out of range for similarity grouping",
+		e.Point, e.Dim, e.Value, e.Eps)
+}
+
+// checkCoords is the ingestion guard of every entry point, one-shot and
+// maintained: it refuses non-finite coordinates (geom.CheckFinite has
+// the why) and coordinates beyond maxCells ε-cells, for every strategy
+// alike so that an answer never depends on which one ran. eps is the
+// cell side: ε, or a sweep's ε_max.
+func checkCoords(ps *geom.PointSet, eps float64) error {
+	limit := eps * maxCells
+	for i, v := range ps.Data() {
+		if math.Abs(v) <= limit {
+			continue
+		}
+		if err := ps.CheckFinite(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		return &coordRangeError{Point: i / ps.Dims(), Dim: i % ps.Dims(), Value: v, Eps: eps}
+	}
+	return nil
+}
+
 // rng is a small deterministic PRNG (splitmix64) used for the JOIN-ANY
 // arbitration; math/rand would also do, but an explicit generator keeps
 // the operator self-contained and its state obvious.
@@ -411,12 +401,11 @@ func checkInput(points []geom.Point) (int, error) {
 // of the point itself — not of how many points drew before it (the old
 // shared stream), nor of its position among the live points (the rank
 // key checkpoints before PR 22 hold) — so nothing that happens
-// elsewhere in the input moves it. That is what lets the parallel
-// pipeline arbitrate ε-connected components independently and lets a
-// DELETE replay only the components it touched (decremental.go), both
-// bit-identical to a sequential run over the same points. Points with
-// equal coordinates draw the same value; each still takes it modulo
-// its own candidate count, and any pick is a valid "any".
+// elsewhere in the input moves it. That is what lets a DELETE replay
+// only the ε-components it touched (decremental.go), bit-identical to a
+// from-scratch run over the surviving points. Points with equal
+// coordinates draw the same value; each still takes it modulo its own
+// candidate count, and any pick is a valid "any".
 type rng struct{ state uint64 }
 
 const splitmixGamma = 0x9E3779B97F4A7C15

@@ -126,7 +126,7 @@ func TestDecrementalAnyEquivalence(t *testing.T) {
 // bit-identical (groups, member order, ELIMINATE victims, JOIN-ANY
 // draws under the shared seed) to a from-scratch SGB-All over the
 // surviving points. The random interleavings mostly remove enough to
-// replay everything; the encoded traces below them (allTraceSeeds, run
+// replay everything; the encoded traces below them (decTraceSeeds, run
 // by checkAllTrace, shared with FuzzDecrementalAll) are the ones that
 // keep the removal local, so the closure, the splice by creation stamp
 // and the recycled group ids are what they pin.
@@ -179,7 +179,7 @@ func TestDecrementalAllEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, seed := range allTraceSeeds() {
+	for _, seed := range decTraceSeeds() {
 		t.Run("trace/"+seed.name, func(t *testing.T) {
 			sum := checkAllTrace(t, seed.data)
 			if sum.local < seed.minLocal {
@@ -209,7 +209,7 @@ func TestDecrementalAllEquivalence(t *testing.T) {
 // coordinate byte with the top bit set is (b&15)·ε — the lattice-aligned
 // case the probe pad exists for — and (b&63)·ε/4 otherwise, so equal
 // coordinates and distances of exactly ε are common.
-type allTraceSeed struct {
+type decTraceSeed struct {
 	name           string
 	data           []byte
 	minLocal       int  // removals that must replay only part of the survivors
@@ -258,8 +258,8 @@ func windowTrace(head []byte, dims, w, k, steps int, coord func() byte) []byte {
 	return data
 }
 
-func allTraceSeeds() []allTraceSeed {
-	var seeds []allTraceSeed
+func decTraceSeeds() []decTraceSeed {
+	var seeds []decTraceSeed
 	overlaps := []Overlap{JoinAny, Eliminate, FormNewGroup}
 	// Sliding windows: 48 evict-then-append steps over 96 points, twelve
 	// at a time, so tombstones pass the living (and the log compacts)
@@ -268,7 +268,7 @@ func allTraceSeeds() []allTraceSeed {
 		for dims := 2; dims <= 3; dims++ {
 			metric := []geom.Metric{geom.L2, geom.LInf}[(oi+dims)%2]
 			r := rand.New(rand.NewSource(int64(100*dims + oi)))
-			seeds = append(seeds, allTraceSeed{
+			seeds = append(seeds, decTraceSeed{
 				name:     fmt.Sprintf("window/%v/%s/d=%d", ov, metric, dims),
 				data:     windowTrace(traceHeader(dims, ov, metric, (oi+dims)%4, 0, 7), dims, 96, 12, 48, func() byte { return byte(r.Intn(64)) }),
 				minLocal: 24, minCompactions: 2, events: ov != JoinAny && dims == 2,
@@ -279,7 +279,7 @@ func allTraceSeeds() []allTraceSeed {
 	// equal points draw equal JOIN-ANY values and cells hold many ids.
 	for oi, ov := range overlaps {
 		r := rand.New(rand.NewSource(int64(200 + oi)))
-		seeds = append(seeds, allTraceSeed{
+		seeds = append(seeds, decTraceSeed{
 			name:     fmt.Sprintf("duplicates/%v", ov),
 			data:     windowTrace(traceHeader(2, ov, geom.LInf, 0, 0, 3), 2, 72, 8, 48, func() byte { return byte(4 * r.Intn(12)) }),
 			minLocal: 12, minCompactions: 2,
@@ -290,7 +290,7 @@ func allTraceSeeds() []allTraceSeed {
 	for oi, ov := range overlaps {
 		for _, eps := range []int{1, 2} {
 			r := rand.New(rand.NewSource(int64(300 + 10*eps + oi)))
-			seeds = append(seeds, allTraceSeed{
+			seeds = append(seeds, decTraceSeed{
 				name:     fmt.Sprintf("lattice/%v/eps=%d", ov, eps),
 				data:     windowTrace(traceHeader(2, ov, geom.LInf, 0, eps, 5), 2, 72, 8, 48, func() byte { return byte(0x80 | r.Intn(16)) }),
 				minLocal: 12, minCompactions: 2,
@@ -310,7 +310,7 @@ func allTraceSeeds() []allTraceSeed {
 	mixed = traceAppend(mixed, []byte{0, 3, 11, 6}, 1)
 	mixed = traceEvict(mixed, 1)
 	mixed = traceAppend(mixed, []byte{7}, 1)
-	seeds = append(seeds, allTraceSeed{name: "mixed-candidates", data: mixed, minLocal: 1})
+	seeds = append(seeds, decTraceSeed{name: "mixed-candidates", data: mixed, minLocal: 1})
 	return seeds
 }
 
@@ -347,7 +347,7 @@ func viewOf(e *AllEvaluator) stateView {
 	return v
 }
 
-// checkAllTrace decodes and runs a trace (see allTraceSeed), checking
+// checkAllTrace decodes and runs a trace (see decTraceSeed), checking
 // after every operation that the maintained evaluator's Result equals a
 // one-shot SGBAll over the survivors and that its retained state —
 // groups, victims and deferrals, each in order — equals that of a fresh

@@ -21,16 +21,14 @@
 //
 // # Evaluation shapes
 //
-// Each operator runs in one of three shapes, all producing identical
-// groupings for equal seeds:
+// SGB-Any runs in one of three shapes, SGB-All in the first and the
+// last, all producing identical groupings for equal seeds:
 //
 //   - One-shot sequential (SGBAll / SGBAny and their *Set variants):
 //     points are processed in arrival order against the strategy
 //     selected by Options.Algorithm.
-//   - Parallel pipeline (Options.Parallelism > 1; parallel.go):
-//     partition → shard-local evaluate → merge for SGB-Any, and
-//     worker-precomputed ε-adjacency feeding the sequential
-//     arbitration loop for SGB-All (adjfinder.go).
+//   - Parallel pipeline (SGB-Any with Options.Parallelism > 1;
+//     parallel.go): partition → shard-local evaluate → merge.
 //   - Resumable / incremental (AllEvaluator, AnyEvaluator; resume.go):
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an
@@ -44,8 +42,8 @@
 //     (checked by CheckCliques / CheckComponents in validate.go).
 //   - Every strategy enumerates candidate groups in group-creation
 //     order, so the JOIN-ANY arbitration consumes identical PRNG draws
-//     regardless of strategy, worker count, or batching — groupings
-//     are bit-identical for equal seeds.
+//     regardless of strategy or batching — groupings are
+//     bit-identical for equal seeds.
 //   - Each group's ε-All bounding rectangle (Definition 5) is the
 //     intersection of its members' ε-boxes: a point inside it is
 //     within ε of every member under L∞, and a candidate under L2

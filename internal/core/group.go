@@ -71,9 +71,9 @@ type sgbAllState struct {
 	// at the first splice; an emptied group's id lingers until the next
 	// one), elimCause and deferCause hold, per entry of eliminated and
 	// deferred, the stored index of the point whose arbitration caused
-	// it — the stage-0 provenance key of allTrace — and free holds the
-	// retired groups newGroupFor recycles, id and rect row included, so
-	// a sliding window does not grow the id space tick by tick.
+	// it, and free holds the retired groups newGroupFor recycles, id and
+	// rect row included, so a sliding window does not grow the id space
+	// tick by tick.
 	maintained bool
 	order      []int32
 	elimCause  []int32
@@ -108,42 +108,26 @@ type sgbAllState struct {
 
 	// pointGroup maps each placed input index to the id of the group
 	// currently holding it (-1 while unplaced, eliminated, or
-	// deferred). Maintenance is one store per placement, so the
-	// sequential strategies pay nothing measurable for it; the parallel
-	// pipeline's worker states share one array with component-disjoint
-	// writes.
+	// deferred). Maintenance is one store per placement.
 	pointGroup []int32
-
-	// trace, when non-nil, records the provenance keys the parallel
-	// SGB-All merge sorts by (see parallelall.go). Sequential runs leave
-	// it nil.
-	trace *allTrace
 
 	hullPts     []geom.Point       // scratch member-point views for hull rebuilds
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
 }
 
-// eliminatePoint records m as dropped by ELIMINATE (and its event key,
-// when the parallel pipeline is tracing).
+// eliminatePoint records m as dropped by ELIMINATE.
 func (st *sgbAllState) eliminatePoint(m int) {
 	st.eliminated = append(st.eliminated, m)
 	if st.maintained {
 		st.elimCause = append(st.elimCause, int32(st.cur))
 	}
-	if st.trace != nil {
-		st.trace.elimKeys = append(st.trace.elimKeys, st.trace.eventKey())
-	}
 }
 
-// deferPoint records m as deferred into the FORM-NEW-GROUP set S′ (and
-// its event key, when the parallel pipeline is tracing).
+// deferPoint records m as deferred into the FORM-NEW-GROUP set S′.
 func (st *sgbAllState) deferPoint(m int) {
 	st.deferred = append(st.deferred, m)
 	if st.maintained {
 		st.deferCause = append(st.deferCause, int32(st.cur))
-	}
-	if st.trace != nil {
-		st.trace.deferKeys = append(st.trace.deferKeys, st.trace.eventKey())
 	}
 }
 
@@ -268,9 +252,6 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 	st.pointGroup[pi] = int32(g.id)
 	if st.maintained {
 		st.order = append(st.order, int32(g.id))
-	}
-	if st.trace != nil {
-		st.trace.noteGroup()
 	}
 	st.opt.Stats.addCreated(1)
 	st.finder.groupCreated(st, g)

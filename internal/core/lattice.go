@@ -118,8 +118,8 @@ func (e *LatticeEvaluator) AppendSet(ps *geom.PointSet, st *Stats) error {
 	if ps.Dims() != e.sweep.Dims() {
 		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), e.sweep.Dims())
 	}
-	if err := ps.CheckFinite(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err := checkCoords(ps, e.opt.Eps); err != nil {
+		return err
 	}
 	var ls lattice.Stats
 	err := e.sweep.Append(ps, &ls)

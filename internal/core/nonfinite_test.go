@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -50,6 +52,64 @@ func TestNonFiniteRejected(t *testing.T) {
 		}
 		if anyEv.Len() != 0 {
 			t.Fatalf("rejected append left %d points in AnyEvaluator", anyEv.Len())
+		}
+	}
+}
+
+// TestCoordinateRange pins the other half of the ingestion guard: a
+// coordinate is accepted up to 2^52 ε-cells from the origin — where the
+// grid, the tiled pipeline and the lattice still answer what All-Pairs
+// answers — and refused one step past it with an error naming it; ε
+// itself is refused where 2^53 cells of it, or its reciprocal, overflow.
+func TestCoordinateRange(t *testing.T) {
+	const eps = 0.25
+	edge := eps * maxCells
+	inside := []geom.Point{{edge, -edge}, {edge - eps, -edge}, {edge - 3*eps, -edge + eps}, {-edge, edge}, {0, 0}, {eps / 2, 0}}
+	want, err := SGBAny(inside, Options{Metric: geom.LInf, Eps: eps, Algorithm: AllPairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Groups) != 4 {
+		t.Fatalf("All-Pairs finds %d groups at the edge, want 4", len(want.Groups))
+	}
+	for _, par := range []int{1, 2} {
+		got, err := SGBAny(inside, Options{Metric: geom.LInf, Eps: eps, Algorithm: GridIndex, Parallelism: par})
+		if err != nil || !reflect.DeepEqual(got.Groups, want.Groups) {
+			t.Fatalf("Parallelism=%d at the edge: %v, %v; want %v", par, got, err, want)
+		}
+	}
+	if got, err := SweepAny(inside, []float64{eps / 2, eps}, Options{Metric: geom.LInf, Algorithm: GridIndex}); err != nil || !reflect.DeepEqual(got[1].Groups, want.Groups) {
+		t.Fatalf("SweepAny at the edge: %v, %v", got, err)
+	}
+	for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
+		opt := Options{Metric: geom.LInf, Eps: eps, Overlap: ov, Algorithm: AllPairs}
+		ref, err := SGBAll(inside, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Algorithm = GridIndex
+		if got, err := SGBAll(inside, opt); err != nil || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("SGBAll %v at the edge: %v, %v; want %v", ov, got, err, ref)
+		}
+	}
+
+	outside := []geom.Point{{0, 0}, {0, -math.Nextafter(edge, math.Inf(1))}}
+	var re *coordRangeError
+	if _, err := SGBAny(outside, Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex}); !errors.As(err, &re) || re.Point != 1 || re.Dim != 1 {
+		t.Fatalf("SGBAny past the edge: %v", err)
+	}
+	if _, err := SGBAll(outside, Options{Metric: geom.L2, Eps: eps}); !errors.As(err, &re) {
+		t.Fatalf("SGBAll past the edge: %v", err)
+	}
+
+	for _, bad := range []float64{math.MaxFloat64 / maxCells, 1e308, 5e-324, 1e-310} {
+		if err := (Options{Metric: geom.L2, Eps: bad}).Validate(); err == nil {
+			t.Errorf("ε = %v validated", bad)
+		}
+	}
+	for _, ok := range []float64{math.MaxFloat64 / (4 * maxCells), 2.3e-308} {
+		if err := (Options{Metric: geom.L2, Eps: ok}).Validate(); err != nil {
+			t.Errorf("ε = %v: %v", ok, err)
 		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
-// This file is the parallel arm of the SGB-Any pipeline (SGB-All's
-// parallel pipeline lives in parallelall.go and shares the frontier
-// machinery below):
+// This file is the parallel arm of the SGB-Any pipeline (SGB-All has
+// none: it is order-sensitive and runs one sequential loop):
 //
 //	partition — cut the input into multi-axis ε-tiles (internal/partition)
 //	evaluate  — per-tile SGB-Any runs on worker goroutines, each into

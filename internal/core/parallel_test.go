@@ -2,18 +2,19 @@ package core
 
 import (
 	"math/rand"
-	"os"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
 )
 
-// The randomized parallel↔sequential equivalence suite: the parallel
-// pipeline must produce member-for-member identical groupings at every
-// worker count — SGB-Any under every algorithm, SGB-All under all
-// three ON-OVERLAP semantics (JOIN-ANY with equal seeds) — across
-// {L2, L∞} × d ∈ {1, 2, 3}.
+// The randomized parallel↔sequential equivalence suite: SGB-Any's
+// parallel pipeline must produce member-for-member identical groupings
+// at every worker count under every algorithm, across {L2, L∞} ×
+// d ∈ {1, 2, 3}. SGB-All has no pipeline; TestParallelCliquesValid pins
+// that Options.Parallelism changes nothing about it.
 
 func randTestPoints(r *rand.Rand, n, d int, span float64) []geom.Point {
 	pts := make([]geom.Point, n)
@@ -65,49 +66,6 @@ func TestParallelAnyEquivalence(t *testing.T) {
 	}
 }
 
-func TestParallelAllEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, d := range []int{1, 2, 3} {
-		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-			for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
-				for trial := 0; trial < trialsFor(t); trial++ {
-					n := 150 + r.Intn(250)
-					pts := randTestPoints(r, n, d, 6)
-					eps := 0.15 + r.Float64()*0.5
-					seed := r.Int63()
-					base := Options{Metric: m, Eps: eps, Overlap: ov, Seed: seed}
-					for _, alg := range []Algorithm{GridIndex, OnTheFlyIndex} {
-						seqOpt := base
-						seqOpt.Algorithm = alg
-						seqOpt.Parallelism = 1
-						seq, err := SGBAll(pts, seqOpt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, workers := range []int{2, 5, 8} {
-							parOpt := base
-							parOpt.Algorithm = alg
-							parOpt.Parallelism = workers
-							got, err := SGBAll(pts, parOpt)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got.Groups, seq.Groups) {
-								t.Fatalf("d=%d metric=%v overlap=%v alg=%v workers=%d eps=%.3f seed=%d: groups differ",
-									d, m, ov, alg, workers, eps, seed)
-							}
-							if !reflect.DeepEqual(got.Eliminated, seq.Eliminated) {
-								t.Fatalf("d=%d metric=%v overlap=%v alg=%v workers=%d: eliminated sets differ",
-									d, m, ov, alg, workers)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestParallelAnyMatchesComponents pins the parallel pipeline to the
 // brute-force connected-components reference, not just to the
 // sequential operator.
@@ -125,20 +83,63 @@ func TestParallelAnyMatchesComponents(t *testing.T) {
 	}
 }
 
-// TestParallelCliquesValid sanity-checks the parallel SGB-All output
-// invariants directly (clique property, full accounting).
+// TestParallelCliquesValid pins what Options.Parallelism means for
+// SGB-All: nothing. At an input size where auto mode engages SGB-Any's
+// pipeline, every ON-OVERLAP clause answers member for member the same
+// at Parallelism 0, 1, 2 and 8, starts no goroutine while it does, and
+// every group is a clique with every point accounted for.
 func TestParallelCliquesValid(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	pts := randTestPoints(r, 300, 2, 5)
+	pts := randTestPoints(r, parallelThreshold+300, 2, 20)
+	// The collector starts its mark workers at the first cycle, and for a
+	// moment the runtime counts one it is starting as a user goroutine:
+	// have them exist before anything is counted.
+	runtime.GC()
 	for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
-		res, err := SGBAll(pts, Options{Metric: geom.L2, Eps: 0.4, Overlap: ov, Algorithm: GridIndex, Parallelism: 3, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := CheckCliques(pts, geom.L2, 0.4, res); err != nil {
-			t.Fatalf("overlap=%v: %v", ov, err)
+		var seq *Result
+		for _, par := range []int{1, 0, 2, 8} {
+			opt := Options{Metric: geom.L2, Eps: 0.4, Overlap: ov, Algorithm: GridIndex, Parallelism: par, Seed: 9}
+			var res *Result
+			var err error
+			if peak, base := peakGoroutines(func() { res, err = SGBAll(pts, opt) }); peak != base {
+				t.Fatalf("overlap=%v Parallelism=%d: %d goroutines during the call, %d before it", ov, par, peak, base)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq == nil {
+				seq = res
+				if err := CheckCliques(pts, geom.L2, 0.4, res); err != nil {
+					t.Fatalf("overlap=%v: %v", ov, err)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(res.Groups, seq.Groups) || !reflect.DeepEqual(res.Eliminated, seq.Eliminated) {
+				t.Fatalf("overlap=%v Parallelism=%d: result differs from Parallelism=1", ov, par)
+			}
 		}
 	}
+}
+
+// peakGoroutines runs f and returns the highest runtime.NumGoroutine a
+// sampler saw while f ran, beside the count just before f started (the
+// sampler included in both).
+func peakGoroutines(f func()) (peak, base int) {
+	var stop atomic.Bool
+	started, done := make(chan int), make(chan int)
+	go func() {
+		n := runtime.NumGoroutine()
+		started <- n
+		for !stop.Load() {
+			n = max(n, runtime.NumGoroutine())
+			runtime.Gosched()
+		}
+		done <- n
+	}()
+	base = <-started
+	f()
+	stop.Store(true)
+	return <-done, base
 }
 
 // TestParallelDenseSingleTile pins the degenerate-input fallback: a
@@ -152,87 +153,21 @@ func TestParallelDenseSingleTile(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{r.Float64() * 0.1, r.Float64() * 0.1}
 	}
-	base := Options{Metric: geom.L2, Eps: 1, Overlap: JoinAny, Algorithm: GridIndex, Seed: 3}
+	base := Options{Metric: geom.L2, Eps: 1, Algorithm: GridIndex}
 	seqOpt := base
 	seqOpt.Parallelism = 1
-	seq, err := SGBAll(pts, seqOpt)
+	seq, err := SGBAny(pts, seqOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parOpt := base
 	parOpt.Parallelism = 4
-	parOpt.Stats = &Stats{}
-	got, err := SGBAll(pts, parOpt)
+	got, err := SGBAny(pts, parOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Groups, seq.Groups) {
 		t.Fatal("single-tile fallback grouping differs from sequential")
-	}
-	if parOpt.Stats.ArbitrateNanos != 0 {
-		t.Fatal("a declined split must not record parallel phase timings")
-	}
-}
-
-// TestParallelAllStress is the conflict-heavy randomized stress suite
-// the CI race job runs (SGB_STRESS=1, -race): clustered inputs tuned
-// so most points face multi-candidate arbitration and overlap
-// processing, at 8+ workers, deep-equal against the sequential run
-// including eliminated rows and PRNG-sensitive member order. Without
-// SGB_STRESS a single quick round runs so the suite never goes fully
-// unexercised.
-func TestParallelAllStress(t *testing.T) {
-	rounds := 1
-	if os.Getenv("SGB_STRESS") != "" {
-		rounds = 12
-	}
-	r := rand.New(rand.NewSource(59))
-	for round := 0; round < rounds; round++ {
-		d := 2 + round%2
-		// Clustered blobs two ε apart with dense cores: intra-cluster
-		// points are mutual candidates of several groups, cluster rims
-		// overlap neighboring groups — the arbitration-heavy regime.
-		nClusters := 6 + r.Intn(6)
-		eps := 0.3 + r.Float64()*0.2
-		var pts []geom.Point
-		for c := 0; c < nClusters; c++ {
-			center := make(geom.Point, d)
-			for j := range center {
-				center[j] = r.Float64() * 6
-			}
-			for i, m := 0, 40+r.Intn(120); i < m; i++ {
-				p := make(geom.Point, d)
-				for j := range p {
-					p[j] = center[j] + (r.Float64()-0.5)*3*eps
-				}
-				pts = append(pts, p)
-			}
-		}
-		seed := r.Int63()
-		for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
-			base := Options{Metric: geom.L2, Eps: eps, Overlap: ov, Algorithm: GridIndex, Seed: seed}
-			seqOpt := base
-			seqOpt.Parallelism = 1
-			seq, err := SGBAll(pts, seqOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{8, 13} {
-				parOpt := base
-				parOpt.Parallelism = workers
-				got, err := SGBAll(pts, parOpt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Groups, seq.Groups) {
-					t.Fatalf("round=%d overlap=%v workers=%d n=%d eps=%.3f seed=%d: groups differ (%d vs %d)",
-						round, ov, workers, len(pts), eps, seed, len(got.Groups), len(seq.Groups))
-				}
-				if !reflect.DeepEqual(got.Eliminated, seq.Eliminated) {
-					t.Fatalf("round=%d overlap=%v workers=%d: eliminated rows differ", round, ov, workers)
-				}
-			}
-		}
 	}
 }
 
@@ -282,44 +217,10 @@ func TestParallelismAutoThreshold(t *testing.T) {
 	if w := opt.workers(1 << 20); w != 1 {
 		t.Fatalf("Parallelism=1 must force sequential, got %d", w)
 	}
-}
-
-// TestParallelPhaseTimings pins the per-phase accounting of the
-// parallel SGB-All pipeline: a parallel run records wall-clock in
-// every phase, a sequential run records none, and merging worker
-// stats folds the nanos.
-func TestParallelPhaseTimings(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	pts := randTestPoints(r, 500, 2, 6)
-	st := &Stats{}
-	_, err := SGBAll(pts, Options{Metric: geom.L2, Eps: 0.4, Overlap: JoinAny,
-		Algorithm: GridIndex, Parallelism: 3, Seed: 1, Stats: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range map[string]int64{
-		"partition": st.PartitionNanos,
-		"connect":   st.ConnectNanos,
-		"arbitrate": st.ArbitrateNanos,
-		"merge":     st.MergeNanos,
-	} {
-		if v <= 0 {
-			t.Fatalf("parallel run recorded no %s time", name)
-		}
-	}
-	seqStats := &Stats{}
-	_, err = SGBAll(pts, Options{Metric: geom.L2, Eps: 0.4, Overlap: JoinAny,
-		Algorithm: GridIndex, Parallelism: 1, Seed: 1, Stats: seqStats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.PartitionNanos != 0 || seqStats.ArbitrateNanos != 0 {
-		t.Fatal("sequential run must not record parallel phase timings")
-	}
-	var merged Stats
-	merged.merge(st)
-	merged.merge(st)
-	if merged.ConnectNanos != 2*st.ConnectNanos {
-		t.Fatal("Stats.merge must fold phase nanos")
+	// Auto mode resolves to GOMAXPROCS above the threshold.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	opt.Parallelism = 0
+	if w := opt.workers(parallelThreshold); w != 2 {
+		t.Fatalf("auto workers at GOMAXPROCS=2: %d, want 2", w)
 	}
 }

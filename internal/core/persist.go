@@ -121,7 +121,7 @@ func RestoreAnyEvaluator(s *AnyState) (*AnyEvaluator, error) {
 		alive:  alive,
 		dead:   s.Dead,
 	}
-	if err := e.points.CheckFinite(); err != nil {
+	if err := checkCoords(e.points, opt.Eps); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	// Rebuild Points_IX by registering every live stored position —
@@ -218,7 +218,7 @@ func RestoreAllEvaluator(s *AllState) (*AllEvaluator, error) {
 		return nil, errors.New("core: restore: stage floor out of range")
 	}
 	pts := geom.Wrap(s.Dims, append([]float64(nil), s.Data...))
-	if err := pts.CheckFinite(); err != nil {
+	if err := checkCoords(pts, opt.Eps); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	rankKeyed := s.RandState == rankKeyedState(opt.Seed)

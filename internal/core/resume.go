@@ -149,8 +149,8 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 	if ps.Dims() != st.dims {
 		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), st.dims)
 	}
-	if err := ps.CheckFinite(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err := checkCoords(ps, st.opt.Eps); err != nil {
+		return err
 	}
 	base := st.points.Len()
 	st.points.AppendSet(ps)
@@ -189,7 +189,7 @@ func (e *AllEvaluator) Result() *Result {
 		st = st.finalizeClone()
 		next := st.deferred
 		st.deferred = nil
-		st.run(next, nil, 1)
+		st.run(next, 1)
 	}
 	// Stored indices → live ids. Only live indices can appear: a removal
 	// retires every group and event that names a victim.
@@ -396,8 +396,8 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if ps.Dims() != e.points.Dims() {
 		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), e.points.Dims())
 	}
-	if err := ps.CheckFinite(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err := checkCoords(ps, e.opt.Eps); err != nil {
+		return err
 	}
 	base := e.points.Len()
 	batch := ps

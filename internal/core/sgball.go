@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"github.com/sgb-db/sgb/internal/geom"
-)
+import "github.com/sgb-db/sgb/internal/geom"
 
 // SGBAll evaluates the SGB-All (DISTANCE-TO-ALL) operator over points:
 // every output group is a clique of the ε-similarity graph, and points
@@ -37,22 +33,8 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 	if ps == nil || ps.Len() == 0 {
 		return res, nil
 	}
-	if err := ps.CheckFinite(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-
-	// Pipeline dispatch: with more than one worker, whole ε-connected
-	// components arbitrate concurrently on worker-private states and
-	// their outputs merge back into the sequential processing order —
-	// bit-identical groups for every ON-OVERLAP semantics (see
-	// parallelall.go). Auto mode waits for the worker count at which the
-	// pipeline's extra passes pay for themselves (allAutoMinWorkers).
-	// The parallel path declines degenerate inputs (everything in one
-	// ε-tile), which then run sequentially below.
-	if w := opt.workers(ps.Len()); w > 1 && (opt.Parallelism != 0 || w >= allAutoMinWorkers) {
-		if r, ok := sgbAllParallel(ps, opt, w); ok {
-			return r, nil
-		}
+	if err := checkCoords(ps, opt.Eps); err != nil {
+		return nil, err
 	}
 
 	st := &sgbAllState{
@@ -71,7 +53,7 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 	for i := range order {
 		order[i] = i
 	}
-	st.run(order, nil, 0)
+	st.run(order, 0)
 	return materializeAll(st), nil
 }
 
@@ -80,9 +62,7 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 // grouped by a recursive pass that only considers groups formed at its
 // own recursion stage ("form new groups out of the points in Oset"),
 // exactly as Example 1 creates the singleton group g3{a5}.
-// keys, when tracing, carries the occurrence key of each order entry
-// (nil at depth 0, where a point's key is just itself).
-func (st *sgbAllState) run(order []int, keys [][]int32, depth int) {
+func (st *sgbAllState) run(order []int, depth int) {
 	st.opt.Stats.noteDepth(depth)
 	// Groups created before this stage are frozen for candidacy: the
 	// recursive pass must not re-admit deferred points into the groups
@@ -98,7 +78,7 @@ func (st *sgbAllState) run(order []int, keys [][]int32, depth int) {
 		st.finder.stageReset(st)
 	}
 
-	st.processPoints(order, keys)
+	st.processPoints(order)
 
 	// FORM-NEW-GROUP: recursively group the deferred set S′ until it is
 	// empty. Each stage strictly shrinks S′ (a deferred point implies at
@@ -106,30 +86,14 @@ func (st *sgbAllState) run(order []int, keys [][]int32, depth int) {
 	if st.opt.Overlap == FormNewGroup && len(st.deferred) > 0 {
 		next := st.deferred
 		st.deferred = nil
-		var nextKeys [][]int32
-		if st.trace != nil {
-			nextKeys = st.trace.deferKeys
-			st.trace.deferKeys = nil
-		}
-		st.run(next, nextKeys, depth+1)
+		st.run(next, depth+1)
 	}
 }
 
 // processPoints runs the main per-point arbitration loop of
 // Procedure 1 over the given input order, one processOne per point.
-func (st *sgbAllState) processPoints(order []int, keys [][]int32) {
-	if st.trace == nil {
-		for _, pi := range order {
-			st.processOne(pi)
-		}
-		return
-	}
-	for oi, pi := range order {
-		if keys == nil {
-			st.trace.beginStage0(int32(pi))
-		} else {
-			st.trace.beginOccurrence(keys[oi])
-		}
+func (st *sgbAllState) processPoints(order []int) {
+	for _, pi := range order {
 		st.processOne(pi)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
 	"github.com/sgb-db/sgb/internal/rtree"
@@ -50,8 +48,8 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 	if ps == nil || ps.Len() == 0 {
 		return res, nil
 	}
-	if err := ps.CheckFinite(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := checkCoords(ps, opt.Eps); err != nil {
+		return nil, err
 	}
 
 	// Morton preprocessing: reorder the input along the Z-curve of its

@@ -20,10 +20,9 @@ import (
 //
 // Opt.Parallelism (threaded down from the planner's SGBParallelism /
 // the engine's SET parallelism session setting) selects the worker
-// count of core's partition → connect → arbitrate → merge pipeline;
-// the node's own plumbing is oblivious to it, and output rows are
-// bit-identical at every setting for both operators (including
-// JOIN-ANY draws under a fixed seed).
+// count of core's SGB-Any pipeline (SGB-All has none); the node's own
+// plumbing is oblivious to it, and output rows are bit-identical at
+// every setting.
 type SGB struct {
 	Input Operator
 	// GroupExprs are the d grouping-attribute expressions (numeric).

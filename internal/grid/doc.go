@@ -2,8 +2,8 @@
 // structure for fixed-radius similarity queries. Space is partitioned
 // into axis-aligned cubes of side cellSize; each occupied cell maps to
 // the ids registered in it, and every id is registered in exactly one
-// cell: a point's home cell (SGB-Any, the lattice, the parallel connect
-// phase, the SGB-All closure; cellSize = ε) or the home cell of a
+// cell: a point's home cell (SGB-Any and its tiled pipeline, the
+// lattice, the SGB-All closure; cellSize = ε) or the home cell of a
 // group's anchor member (the SGB-All finder; cellSize = the reach of its
 // probe, ε or 2ε). Everything within cellSize of a point then lies in
 // the 3^d cell neighborhood of its home cell, so a probe is a handful of
@@ -51,6 +51,14 @@
 //     across the cells of a probe — is not meaningful; consumers that
 //     need determinism sort collected ids, as the SGB-All grid finder
 //     does.
+//   - The caller keeps coordinates, and the corners of the boxes it
+//     probes, within 2^52 cell sides of the origin, where x / cellSize
+//     is an integer that float64 and int64 both hold. The table does
+//     not check: the conversion of a quotient that overflowed to ±Inf
+//     is MinInt64, and a range that starts there has 2^63 cells.
+//     internal/core refuses such input where it enters (checkCoords,
+//     Options.Validate), for this table, for internal/partition's
+//     tiles and for geom.MortonPerm alike.
 //   - Read-only probes (CollectBox, CollectRange) are safe from many
 //     goroutines at once when each brings its own Cursor; mutations are
 //     single-threaded.

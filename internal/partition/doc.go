@@ -14,9 +14,8 @@
 // bounds its per-axis gap by ε — each endpoint must then lie in one of
 // the two cell layers touching that cut. Those points form the
 // FRONTIER. Tile-local evaluation plus a frontier merge is therefore
-// exact for connected-component (SGB-Any) semantics, and the same
-// frontier reasoning bounds where cross-tile coupling can occur at all
-// in the parallel SGB-All pipeline (internal/core/parallelall.go).
+// exact for connected-component (SGB-Any) semantics. SGB-All has no
+// tiled pipeline (docs/pr24-sgball-sequential.md).
 //
 // Invariants (exercised by partition_test.go at d ∈ {2, 3, 5}):
 //

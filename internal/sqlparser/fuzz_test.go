@@ -17,6 +17,7 @@ func fuzzSeeds() []string {
 		"SELECT id, x, y FROM checkins WHERE id < 100",
 		"INSERT INTO checkins VALUES (1, 0.5, -1.25, 3e-2, 7), (2, 1, 2, 3, 4)",
 		"DELETE FROM checkins WHERE id = 4294967296",
+		"DELETE FROM checkins WHERE id = -9223372036854775808 OR id < - -09223372036854775808 - 1",
 		"DELETE FROM checkins WHERE id IN (SELECT id FROM checkins WHERE x > 1)",
 		"CREATE TABLE checkins (id INT, x FLOAT, y FLOAT, z FLOAT, cell INT)",
 		"DROP TABLE checkins", "SET incremental = on", "SET parallelism TO -1", "CHECKPOINT;",

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -806,6 +807,14 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.accept(TokSymbol, "-") {
+		// The smallest INT is the one literal whose magnitude is no INT:
+		// its sign belongs to the literal, not to a negation of it.
+		if t := p.peek(); t.Kind == TokNumber {
+			if n, err := strconv.ParseInt("-"+t.Text, 10, 64); err == nil && n == math.MinInt64 {
+				p.next()
+				return &Literal{Val: types.Int(n)}, nil
+			}
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

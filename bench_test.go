@@ -188,7 +188,10 @@ func BenchmarkSweep(b *testing.B) {
 // the Fig9a workload (n=4000, ε=0.5, L2): worker sweep under the ε-grid
 // strategy. w=1 is the sequential path; results are identical at every
 // worker count. (SGB-All has no pipeline to sweep:
-// docs/pr24-sgball-sequential.md.)
+// docs/pr24-sgball-sequential.md.) Lattice is the ε-lattice's tiled
+// first-batch build: `eps_cube_cold`'s eight-level L2 EPS IN list up to
+// ε_max = 0.8 over 8 000 Brightkite-profile check-ins, one build and
+// eight cuts per iteration (docs/pr25-parallel-lattice.md).
 func BenchmarkParallel(b *testing.B) {
 	pts := benchPoints(4000, 1)
 	for _, w := range []int{1, 2, 4, 8} {
@@ -197,6 +200,19 @@ func BenchmarkParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sgb.GroupByAny(pts, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	checkins := sgb.FromPoints(checkin.Points(checkin.Brightkite(8000)))
+	levels := []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8}
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("Lattice/Grid/w=%d", w), func(b *testing.B) {
+			opt := sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex, Parallelism: w}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sgb.SweepAnySet(checkins, levels, opt); err != nil {
 					b.Fatal(err)
 				}
 			}

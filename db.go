@@ -104,10 +104,11 @@ type QueryOptions struct {
 	// Algorithm selects the SGB strategy (the session default is
 	// GridIndex, which supports any number of grouping attributes).
 	Algorithm Algorithm
-	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline: 0
-	// picks GOMAXPROCS on large inputs, 1 forces sequential evaluation,
-	// ≥ 2 forces that many workers. DISTANCE-TO-ALL always evaluates
-	// sequentially. Results are identical at every setting.
+	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline and
+	// of the spanning-forest build behind EPS IN and SIMILARITY CUBE BY
+	// EPS: 0 picks GOMAXPROCS on large inputs, 1 forces sequential
+	// evaluation, ≥ 2 forces that many workers. DISTANCE-TO-ALL always
+	// evaluates sequentially. Results are identical at every setting.
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration.
 	Seed int64
@@ -437,8 +438,10 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.AnswerFunc {
 	// Cached state outlives any single query, so the per-query knobs
 	// that cannot change the grouping are kept out of the evaluator:
-	// appends run sequentially, and the query's Stats block is charged
-	// through flushWork, never retained.
+	// Parallelism is 0 whatever the session set — a lattice entry's
+	// first build takes the automatic worker count, its later batches
+	// and every Any/All append run sequentially — and the query's Stats
+	// block is charged through flushWork, never retained.
 	st := opt.Stats
 	opt.Stats, opt.Parallelism = nil, 0
 	sweep := len(epsList) > 0

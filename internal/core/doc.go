@@ -28,7 +28,9 @@
 //     points are processed in arrival order against the strategy
 //     selected by Options.Algorithm.
 //   - Parallel pipeline (SGB-Any with Options.Parallelism > 1;
-//     parallel.go): partition → shard-local evaluate → merge.
+//     parallel.go): partition → shard-local evaluate → merge. The
+//     ε-lattice builds its first batch the same way
+//     (internal/lattice/parallel.go), sharing the frontier probe.
 //   - Resumable / incremental (AllEvaluator, AnyEvaluator; resume.go):
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an

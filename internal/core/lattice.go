@@ -66,7 +66,11 @@ type EpsSummary = lattice.Summary
 // Options.Eps is the evaluator's ε_max. Algorithm, Seed, Overlap, and
 // Parallelism do not affect the result (components are
 // strategy-independent and arbitration-free); BoundsCheck is still
-// rejected, exactly as SGBAny rejects it. Unlike the Any/All
+// rejected, exactly as SGBAny rejects it. Parallelism chooses, by the
+// rule SGB-Any's pipeline uses (Options.workers), how many goroutines
+// build the first batch's forest; later batches append sequentially,
+// and the merge list is the same element for element at every worker
+// count. Unlike the Any/All
 // evaluators, Options.Stats is NOT retained — each Append and query
 // charges work to the *Stats argument of that call, so one shared
 // evaluator can serve many sessions with per-session accounting.
@@ -122,7 +126,7 @@ func (e *LatticeEvaluator) AppendSet(ps *geom.PointSet, st *Stats) error {
 		return err
 	}
 	var ls lattice.Stats
-	err := e.sweep.Append(ps, &ls)
+	err := e.sweep.Append(ps, e.opt.workers(ps.Len()), &ls)
 	st.addLattice(&ls)
 	return err
 }

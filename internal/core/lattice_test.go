@@ -79,6 +79,83 @@ func TestLatticeEquivalenceParallelOneShot(t *testing.T) {
 	}
 }
 
+// TestLatticeParallelism: Options.Parallelism sets how many goroutines
+// build the first batch's forest and nothing else — every level of
+// SweepAny equals the Parallelism = 1 answer, over L2 and L∞, d ∈ {1,
+// 2, 3} and duplicated points, and so does an evaluator that appends
+// and removes after a tiled first batch. The probe count shows which
+// build ran: a tiled one probes the frontier points a second time.
+func TestLatticeParallelism(t *testing.T) {
+	r := rand.New(rand.NewSource(813))
+	levels := []float64{0.15, 0.4, 0.9, 1.5}
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+		for _, d := range []int{1, 2, 3} {
+			pts := randomPointsDim(r, 300, d, 6)
+			pts = append(pts, pts[:40]...)
+			seqStats := &Stats{}
+			want, err := SweepAny(pts, levels, Options{Metric: m, Parallelism: 1, Stats: seqStats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seqStats.IndexProbes != int64(len(pts)) {
+				t.Fatalf("%v d=%d Parallelism=1: %d probes, want one per point (%d)", m, d, seqStats.IndexProbes, len(pts))
+			}
+			for _, par := range []int{2, 3, 8} {
+				st := &Stats{}
+				got, err := SweepAny(pts, levels, Options{Metric: m, Parallelism: par, Stats: st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.IndexProbes <= int64(len(pts)) {
+					t.Fatalf("%v d=%d Parallelism=%d: %d probes for %d points, the build was not tiled", m, d, par, st.IndexProbes, len(pts))
+				}
+				for li := range levels {
+					if err := sameMembers(got[li], want[li]); err != nil {
+						t.Fatalf("%v d=%d Parallelism=%d eps=%v: %v", m, d, par, levels[li], err)
+					}
+				}
+			}
+
+			ev, err := NewLatticeEvaluator(d, Options{Metric: m, Eps: 1.5, Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			more := randomPointsDim(r, 50, d, 6)
+			if err := ev.Append(pts, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.Append(more, nil); err != nil {
+				t.Fatal(err)
+			}
+			gone := []int{0, 7, 41, 300, 330}
+			if err := ev.Remove(gone, nil); err != nil {
+				t.Fatal(err)
+			}
+			var live []geom.Point
+			for i, p := range append(append([]geom.Point(nil), pts...), more...) {
+				if len(gone) > 0 && gone[0] == i {
+					gone = gone[1:]
+					continue
+				}
+				live = append(live, p)
+			}
+			for _, eps := range levels {
+				got, err := ev.GroupsAt(eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := SGBAny(live, Options{Metric: m, Eps: eps, Parallelism: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameMembers(got, ref); err != nil {
+					t.Fatalf("%v d=%d eps=%v after append and remove: %v", m, d, eps, err)
+				}
+			}
+		}
+	}
+}
+
 // TestLatticeIncrementalEquivalence: appending in batches to one
 // LatticeEvaluator answers exactly like a one-shot run over the
 // concatenation, at every level, after every batch.
@@ -234,6 +311,55 @@ func TestLatticeSummaryMatchesGroups(t *testing.T) {
 		wantFrac := float64(grouped) / float64(len(pts))
 		if sum.Eps != eps || sum.Groups != len(res.Groups) || sum.Largest != largest || math.Abs(sum.GroupedFraction-wantFrac) > 1e-15 {
 			t.Fatalf("eps=%v: summary %+v disagrees with groups (want %d groups, largest %d, frac %v)", eps, sum, len(res.Groups), largest, wantFrac)
+		}
+	}
+
+	// The two queries share the dendrogram's scratch: interleaved in
+	// either order, at rising and falling levels, each must answer what
+	// it answers on an evaluator that never ran the other.
+	fresh := func() *LatticeEvaluator {
+		f, err := NewLatticeEvaluator(2, Options{Metric: geom.LInf, Eps: 1.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(pts, nil); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	levels := []float64{0.2, 0.6, 1.5, 0.4, 0.9}
+	for _, groupsFirst := range []bool{true, false} {
+		for _, eps := range levels {
+			var res *Result
+			var sum EpsSummary
+			if groupsFirst {
+				res, err = ev.GroupsAt(eps)
+				if err == nil {
+					sum, err = ev.SummaryAt(eps)
+				}
+			} else {
+				sum, err = ev.SummaryAt(eps)
+				if err == nil {
+					res, err = ev.GroupsAt(eps)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRes, err := fresh().GroupsAt(eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSum, err := fresh().SummaryAt(eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameMembers(res, wantRes); err != nil {
+				t.Fatalf("groupsFirst=%t eps=%v: GroupsAt after interleaved queries: %v", groupsFirst, eps, err)
+			}
+			if sum != wantSum {
+				t.Fatalf("groupsFirst=%t eps=%v: SummaryAt after interleaved queries %+v, fresh %+v", groupsFirst, eps, sum, wantSum)
+			}
 		}
 	}
 }

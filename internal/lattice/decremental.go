@@ -94,6 +94,7 @@ func (s *Sweep) Remove(ids []int, st *Stats) error {
 	if s.sorted < len(s.edges) {
 		s.compact(st) // the buffer must be the forest, not forest + tail
 	}
+	s.ensureGrid()
 	s.dend = nil
 
 	r := &s.rm
@@ -173,13 +174,7 @@ func (s *Sweep) Remove(ids []int, st *Stats) error {
 		}
 	}
 	live := s.ps.Len()
-	s.filter.Reinit(live)
-	for _, e := range s.edges {
-		if e.Key > s.filterKey {
-			break // sorted: the rest is longer still
-		}
-		s.filter.Union(int(e.A), int(e.B))
-	}
+	s.rebuildFilter()
 
 	// Re-probe, Append's inner loop restricted to pairs that cross
 	// pieces. A pair between two re-probed pieces surfaces from both

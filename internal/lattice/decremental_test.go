@@ -44,7 +44,7 @@ func checkAgainstFresh(t *testing.T, s *Sweep, want *geom.PointSet, step string)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Append(want, nil); err != nil {
+	if err := fresh.Append(want, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := s.Dendrogram()
@@ -119,7 +119,7 @@ func TestRemoveEquivalenceMatrix(t *testing.T) {
 						live := geom.NewPointSet(dims)
 						appendBatch := func(n int) {
 							b := tracePoints(rng, n, dims, spans[dims])
-							if err := s.Append(b, nil); err != nil {
+							if err := s.Append(b, 1, nil); err != nil {
 								t.Fatal(err)
 							}
 							live.AppendSet(b)
@@ -188,7 +188,7 @@ func TestRemoveRevivesFilteredEdge(t *testing.T) {
 		for _, c := range []float64{0.5, 0.1, 0.9} { // d, u, v
 			pts.AppendPoint(geom.Point{c})
 		}
-		if err := s.Append(pts, nil); err != nil {
+		if err := s.Append(pts, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(s.edges) != 2 {
@@ -204,7 +204,7 @@ func TestRemoveRevivesFilteredEdge(t *testing.T) {
 		}
 		next := geom.NewPointSet(1)
 		next.AppendPoint(geom.Point{x})
-		if err := s.Append(next, nil); err != nil {
+		if err := s.Append(next, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		pts.AppendSet(next)

@@ -29,6 +29,16 @@
 // removal — it may have dropped an edge on the strength of a path
 // through the removed point — and is rebuilt before the re-probe.
 //
+// The same inclusion lets the first batch build on several cores
+// (Sweep.Append with workers ≥ 2, parallel.go): partition.Split cuts it
+// into ε_max-tiles, each tile compacts its own forest with the
+// sequential Append, the keyed cross-tile pairs come from the frontier
+// probe SGB-Any's pipeline uses, and the sorted tile forests merge into
+// the retained prefix ahead of one compaction — the merge list equals
+// the sequential one element for element. Such a build leaves the
+// sweep's grid unbuilt; the next Append or Remove bulk-loads it, so a
+// dendrogram built once and only cut never pays for it.
+//
 // Heights live in geom.Metric.DistKey space (squared distance for L2),
 // the same comparison basis Metric.Within uses, so lattice levels are
 // bit-for-bit identical to independent one-shot SGB-Any runs.

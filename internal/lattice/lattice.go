@@ -9,6 +9,7 @@ import (
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
+	"github.com/sgb-db/sgb/internal/partition"
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
@@ -19,7 +20,8 @@ type Stats struct {
 	// DistanceComputations counts exact distance-key evaluations
 	// against grid candidates.
 	DistanceComputations int64
-	// IndexProbes counts ε_max-box grid probes (one per point).
+	// IndexProbes counts ε_max-box grid probes (one per point, plus one
+	// per frontier point of a tiled build).
 	IndexProbes int64
 	// IndexUpdates counts grid cell registrations (one per point).
 	IndexUpdates int64
@@ -91,15 +93,20 @@ type Sweep struct {
 	epsMax    float64
 	epsMaxKey float64
 
-	ps  *geom.PointSet // owned copy of every appended point
+	ps *geom.PointSet // owned copy of every appended point
+	// tab registers every absorbed point for the probes. A tiled first
+	// batch (parallel.go) leaves it nil, and ensureGrid bulk-loads it on
+	// the next Append or Remove: a sweep that is built once and then
+	// only cut never pays for it.
 	tab *grid.Table
 	cur grid.Cursor
 	buf []int32
 
-	edges   []Edge // MSF of all seen edges, plus the uncompacted tail
-	sorted  int    // length of the sorted retained prefix of edges
-	scratch []Edge // radix double buffer, reused across compactions
-	merged  []Edge // prefix+tail merge buffer, reused across compactions
+	edges   []Edge       // MSF of all seen edges, plus the uncompacted tail
+	sorted  int          // length of the sorted retained prefix of edges
+	scratch []Edge       // radix double buffer, reused across compactions
+	merged  []Edge       // prefix+tail merge buffer, reused across compactions
+	kuf     unionfind.UF // compact's Kruskal forest, reused across compactions
 
 	// Early-discard filter: the connectivity of the kept edges with key
 	// ≤ filterKey (the ε_max/2 threshold). An arriving edge with a
@@ -134,17 +141,20 @@ func NewSweep(dims int, metric geom.Metric, epsMax float64) (*Sweep, error) {
 	if !(epsMax > 0) || math.IsInf(epsMax, 1) {
 		return nil, errors.New("lattice: ε_max must be positive and finite")
 	}
-	s := &Sweep{
+	return newSweep(dims, metric, epsMax), nil
+}
+
+// newSweep is NewSweep over parameters already validated.
+func newSweep(dims int, metric geom.Metric, epsMax float64) *Sweep {
+	return &Sweep{
 		dims:      dims,
 		metric:    metric,
 		epsMax:    epsMax,
 		epsMaxKey: metric.EpsKey(epsMax),
 		ps:        geom.NewPointSet(dims),
-		tab:       grid.New(dims, epsMax),
+		filterKey: metric.EpsKey(epsMax / 2),
+		filter:    unionfind.New(0),
 	}
-	s.filterKey = metric.EpsKey(epsMax / 2)
-	s.filter = unionfind.New(0)
-	return s, nil
 }
 
 // Dims returns the sweep's point dimensionality.
@@ -164,13 +174,33 @@ func (s *Sweep) Metric() geom.Metric { return s.metric }
 // counters accumulate into st when non-nil. The caller is responsible
 // for dimensional and finiteness validation (core.LatticeEvaluator
 // performs both).
-func (s *Sweep) Append(batch *geom.PointSet, st *Stats) error {
+//
+// With workers ≥ 2, the batch that an empty sweep receives is built on
+// that many goroutines (appendTiled, parallel.go); a later batch, or one
+// partition.Split cannot cut into two tiles, is absorbed sequentially.
+// The worker count never changes the result: the merge list is the same
+// element for element.
+func (s *Sweep) Append(batch *geom.PointSet, workers int, st *Stats) error {
 	if batch == nil || batch.Len() == 0 {
 		return nil
 	}
 	if batch.Dims() != s.dims {
 		return fmt.Errorf("lattice: appended points have dimension %d, want %d", batch.Dims(), s.dims)
 	}
+	if workers >= 2 && s.ps.Len() == 0 {
+		if plan := partition.Split(batch, s.epsMax, workers); plan != nil {
+			s.appendTiled(batch, plan, workers, st)
+			return nil
+		}
+	}
+	s.appendSeq(batch, st)
+	return nil
+}
+
+// appendSeq is the sequential Append: every point of the batch probes
+// the grid, then registers in it.
+func (s *Sweep) appendSeq(batch *geom.PointSet, st *Stats) {
+	s.ensureGrid()
 	base := s.ps.Len()
 	s.ps.AppendSet(batch)
 	s.dend = nil
@@ -226,7 +256,14 @@ func (s *Sweep) Append(batch *geom.PointSet, st *Stats) error {
 		}
 	}
 	st.add(dist, probes, updates)
-	return nil
+}
+
+// ensureGrid bulk-loads the probe grid over every absorbed point if it
+// is not built yet (a new sweep, or one a tiled first batch built).
+func (s *Sweep) ensureGrid() {
+	if s.tab == nil {
+		s.tab = grid.BulkLoad(s.ps, s.epsMax)
+	}
 }
 
 // compactThreshold is the edge-buffer size that triggers an MSF filter
@@ -322,20 +359,9 @@ func (s *Sweep) compact(st *Stats) {
 	if cap(s.merged) < len(s.edges) {
 		s.merged = make([]Edge, 0, cap(s.edges))
 	}
-	m := s.merged[:0]
-	i, j := 0, 0
-	for i < len(prefix) && j < len(tail) {
-		if edgeLess(prefix[i], tail[j]) <= 0 {
-			m = append(m, prefix[i])
-			i++
-		} else {
-			m = append(m, tail[j])
-			j++
-		}
-	}
-	m = append(m, prefix[i:]...)
-	m = append(m, tail[j:]...)
-	uf := unionfind.New(s.ps.Len())
+	m := mergeEdges(s.merged[:0], prefix, tail)
+	uf := &s.kuf
+	uf.Reinit(s.ps.Len())
 	w := 0
 	for _, e := range m {
 		if uf.Find(int(e.A)) != uf.Find(int(e.B)) {
@@ -350,6 +376,36 @@ func (s *Sweep) compact(st *Stats) {
 	if st != nil {
 		st.Compactions++
 		st.EdgesRetained = int64(w)
+	}
+}
+
+// mergeEdges appends the (Key, A, B)-ordered merge of the sorted runs a
+// and b to dst, which must not overlap either.
+func mergeEdges(dst, a, b []Edge) []Edge {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if edgeLess(a[i], b[j]) <= 0 {
+			dst = append(dst, a[i])
+			i++
+		} else {
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// rebuildFilter recomputes the early-discard filter from the retained
+// forest, which must be compacted: the forest edges with key ≤ ε_max/2
+// connect exactly what every kept edge that short does.
+func (s *Sweep) rebuildFilter() {
+	s.filter.Reinit(s.ps.Len())
+	for _, e := range s.edges {
+		if e.Key > s.filterKey {
+			break // sorted: the rest is longer still
+		}
+		s.filter.Union(int(e.A), int(e.B))
 	}
 }
 
@@ -468,6 +524,7 @@ func (d *Dendrogram) GroupsAt(eps float64) ([][]int, error) {
 	for i := range slots {
 		slots[i] = -1
 	}
+	clear(sizes) // SummaryAt leaves per-root counts here
 	// Pass 1: assign slots in canonical order (first-seen root while
 	// scanning ids ascending = groups ordered by smallest member) and
 	// count group sizes, caching each point's root.
@@ -492,7 +549,6 @@ func (d *Dendrogram) GroupsAt(eps float64) ([][]int, error) {
 		sz := int(sizes[s])
 		groups[s] = backing[off : off : off+sz]
 		off += sz
-		sizes[s] = 0
 	}
 	for i := 0; i < d.n; i++ {
 		s := slots[roots[i]]
@@ -527,9 +583,7 @@ func (d *Dendrogram) SummaryAt(eps float64) (Summary, error) {
 		d.sizes = make([]int32, d.n)
 	}
 	sizes := d.sizes
-	for i := range sizes {
-		sizes[i] = 0
-	}
+	clear(sizes) // GroupsAt leaves per-slot counts here
 	for i := 0; i < d.n; i++ {
 		sizes[d.uf.Find(i)]++
 	}

@@ -55,7 +55,7 @@ func buildSweep(t testing.TB, ps *geom.PointSet, m geom.Metric, epsMax float64, 
 		t.Fatalf("NewSweep: %v", err)
 	}
 	s.CompactEvery = compactEvery
-	if err := s.Append(ps, nil); err != nil {
+	if err := s.Append(ps, 1, nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	return s
@@ -185,7 +185,7 @@ func TestBatchedAppendEquivalence(t *testing.T) {
 		if hi > ps.Len() {
 			hi = ps.Len()
 		}
-		if err := s.Append(ps.Slice(lo, hi), nil); err != nil {
+		if err := s.Append(ps.Slice(lo, hi), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestAppendAfterDendrogram(t *testing.T) {
 	s := buildSweep(t, a, geom.L2, 1.5, 0)
 	before := s.Dendrogram()
 	beforeMerges := len(before.Merges())
-	if err := s.Append(b, nil); err != nil {
+	if err := s.Append(b, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The old dendrogram stays intact and answerable.
@@ -273,7 +273,7 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	if err := s.Append(ps, &st); err != nil {
+	if err := s.Append(ps, 1, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.IndexProbes != 100 || st.IndexUpdates != 100 {
@@ -290,7 +290,8 @@ func TestStatsAccumulate(t *testing.T) {
 // and refinement across an ascending level pair. A nonzero drop mask
 // adds the removal leg: the first half of the points is appended, the
 // ones whose bit is set are removed, the rest is appended, and the same
-// invariants must hold over the survivors.
+// invariants must hold over the survivors. Every input is built twice,
+// on one worker and on two, and the merge lists must be equal.
 func FuzzDendrogram(f *testing.F) {
 	seed := func(vals ...uint16) []byte {
 		b := make([]byte, 2*len(vals))
@@ -310,6 +311,11 @@ func FuzzDendrogram(f *testing.F) {
 	f.Add(seed(500, 500, 500, 500, 500, 500, 4000, 4000, 4000, 4000), uint8(0), true, uint64(0b10101))
 	f.Add(seed(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), uint8(1), false, ^uint64(0))
 	f.Add(seed(100, 200, 4100, 300, 8100, 250, 12100, 350, 16100, 150, 20100, 50, 2000, 260, 6000, 240), uint8(1), true, uint64(0b0101))
+	// Two-worker arm: a 1-d chain across every ε_max-cell (each link a
+	// cross-tile candidate), and a 2-d scatter whose first half is
+	// dropped whole, so the rest is a second tiled first batch.
+	f.Add(seed(0, 4000, 8000, 12000, 16000, 20000, 24000, 28000, 32000, 36000, 40000, 44000, 48000, 52000, 56000, 60000), uint8(0), true, uint64(0))
+	f.Add(seed(0, 0, 30000, 500, 60000, 9000, 12000, 45000, 100, 64000, 33000, 33000, 20000, 1000, 50000, 8000), uint8(1), false, uint64(0b1111))
 	f.Fuzz(func(t *testing.T, raw []byte, dimByte uint8, linf bool, drop uint64) {
 		dims := 1 + int(dimByte)%5
 		coords := len(raw) / 2
@@ -333,35 +339,50 @@ func FuzzDendrogram(f *testing.F) {
 			}
 		}
 		const epsMax = 3.0
-		s, err := NewSweep(dims, m, epsMax)
-		if err != nil {
-			t.Fatal(err)
+		first := n / 2
+		dropLeg := drop != 0 && first > 0
+		var ids []int
+		for i := 0; dropLeg && i < first; i++ {
+			if drop>>i&1 == 1 {
+				ids = append(ids, i)
+			}
 		}
-		s.CompactEvery = 16 // force frequent MSF filtering
-		if first := n / 2; drop != 0 && first > 0 {
-			if err := s.Append(ps.Slice(0, first), nil); err != nil {
+		build := func(workers int) *Sweep {
+			s, err := NewSweep(dims, m, epsMax)
+			if err != nil {
 				t.Fatal(err)
 			}
-			var ids []int
-			for i := 0; i < first; i++ {
-				if drop>>i&1 == 1 {
-					ids = append(ids, i)
+			s.CompactEvery = 16 // force frequent MSF filtering
+			if !dropLeg {
+				if err := s.Append(ps, workers, nil); err != nil {
+					t.Fatal(err)
 				}
+				return s
+			}
+			if err := s.Append(ps.Slice(0, first), workers, nil); err != nil {
+				t.Fatal(err)
 			}
 			if err := s.Remove(ids, nil); err != nil {
 				t.Fatal(err)
 			}
-			rest := ps.Slice(first, n)
-			if err := s.Append(rest, nil); err != nil {
+			if err := s.Append(ps.Slice(first, n), workers, nil); err != nil {
 				t.Fatal(err)
 			}
+			return s
+		}
+		// The two-worker arm: a tiled first batch (and, when the removal
+		// empties the sweep, a tiled second one) must leave the
+		// one-worker merge list.
+		s := build(1)
+		if tiled := build(2); !reflect.DeepEqual(tiled.Dendrogram().Merges(), s.Dendrogram().Merges()) {
+			t.Fatalf("two-worker build diverges\ngot  %v\nwant %v", tiled.Dendrogram().Merges(), s.Dendrogram().Merges())
+		}
+		if dropLeg {
 			survivors := geom.NewPointSetCap(dims, n)
 			survivors.AppendSet(ps.Slice(0, first))
 			survivors.RemoveSorted(ids)
-			survivors.AppendSet(rest)
+			survivors.AppendSet(ps.Slice(first, n))
 			ps, n = survivors, survivors.Len()
-		} else if err := s.Append(ps, nil); err != nil {
-			t.Fatal(err)
 		}
 		if s.Len() != n {
 			t.Fatalf("sweep holds %d points, want %d", s.Len(), n)

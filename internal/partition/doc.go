@@ -14,8 +14,10 @@
 // bounds its per-axis gap by ε — each endpoint must then lie in one of
 // the two cell layers touching that cut. Those points form the
 // FRONTIER. Tile-local evaluation plus a frontier merge is therefore
-// exact for connected-component (SGB-Any) semantics. SGB-All has no
-// tiled pipeline (docs/pr24-sgball-sequential.md).
+// exact for connected-component (SGB-Any) semantics — both for the
+// SGB-Any pipeline and for the ε-lattice's tiled forest build, which
+// share the frontier probe (Plan.FrontierPairs). SGB-All has no tiled
+// pipeline (docs/pr24-sgball-sequential.md).
 //
 // Invariants (exercised by partition_test.go at d ∈ {2, 3, 5}):
 //
@@ -33,6 +35,7 @@
 //
 // The package is deliberately independent of the operator core: it
 // knows points, ε, and a tile-count target, and returns compact
-// sub-PointSets plus the local→global maps and the frontier. The core
-// supplies the tile-local algorithm and the merge.
+// sub-PointSets plus the local→global maps, the frontier and its
+// cross-tile pairs. The callers supply the tile-local algorithm and the
+// merge.
 package partition

@@ -234,8 +234,7 @@ func product(xs []int) int {
 }
 
 // cellOf quantizes one coordinate to its ε-cell index (the same
-// floor(x/ε) arithmetic as internal/grid, inlined to keep the package
-// free of index dependencies).
+// floor(x/ε) arithmetic as internal/grid).
 func cellOf(x, inv float64) int64 {
 	return int64(math.Floor(x * inv))
 }

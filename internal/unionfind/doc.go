@@ -11,11 +11,9 @@
 // Beyond the paper's one-shot use, the forest is the merge substrate of
 // the parallel pipeline and the incremental evaluator:
 //
-//   - UnionEdges applies batches of within-ε edges emitted by parallel
-//     boundary probes (single-threaded reduction; the forest is not
-//     safe for concurrent mutation).
 //   - Absorb folds a worker-private forest over a shard into the global
-//     one through the shard's local→global index map.
+//     one through the shard's local→global index map (single-threaded
+//     reduction; the forest is not safe for concurrent mutation).
 //   - Add grows the forest one singleton at a time, which is what lets
 //     incremental SGB-Any (internal/core's AnyEvaluator) absorb
 //     appended points without rebuilding.
@@ -25,7 +23,8 @@
 //     re-union their survivors.
 //   - Reinit turns a retained forest back into n singletons without
 //     allocating, for callers that rebuild one of about the same size
-//     per call (the ε-lattice's decremental repair and its filter).
+//     per call (the ε-lattice's Kruskal compaction, its decremental
+//     repair and its filter).
 //
 // Union is commutative and associative over the resulting partition, so
 // any merge order — sequential, sharded, or append-interleaved — yields

@@ -109,27 +109,6 @@ func (u *UF) Reset(x int) {
 // Reset re-counts one element as a fresh singleton.
 func (u *UF) DropSets(n int) { u.count -= n }
 
-// Edge is one union request (a within-ε pair) produced by a parallel
-// evaluation stage; batches of edges are applied to a shared forest by
-// UnionEdges during the single-threaded merge.
-type Edge struct{ A, B int32 }
-
-// UnionEdges applies a batch of edges and returns how many actually
-// merged two distinct sets. The forest is not safe for concurrent
-// mutation — parallel producers emit Edge batches and one goroutine
-// reduces them here.
-func (u *UF) UnionEdges(edges []Edge) int {
-	merged := 0
-	for _, e := range edges {
-		a, b := int(e.A), int(e.B)
-		if u.Find(a) != u.Find(b) {
-			u.Union(a, b)
-			merged++
-		}
-	}
-	return merged
-}
-
 // Absorb merges another forest's partition into u through an index map:
 // local element i of o corresponds to global element global[i] of u.
 // Used by the shard-local evaluate stage — each worker builds a private

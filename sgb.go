@@ -27,7 +27,9 @@
 // SGB-Any runs as a partition → shard-local evaluate → merge pipeline
 // when Options.Parallelism (or the SQL session's SET parallelism)
 // selects more than one worker: it shards spatially and merges
-// components through a Union-Find reduction. SGB-All is order-sensitive
+// components through a Union-Find reduction; the ε-lattice (SweepAny,
+// NewLatticeAny) builds its first batch's spanning forest the same way,
+// tile by tile, and merges the forests. SGB-All is order-sensitive
 // and always runs the paper's sequential arbitration loop; it accepts
 // the option and ignores it. Groupings are identical at every setting.
 package sgb

@@ -9,9 +9,9 @@
 // experiments as full sweeps in tabular form; docs/reproduction.md maps
 // figure to family to experiment.
 //
-// The other families (Ablation, Grid, Sweep, Parallel, Incremental,
-// Window, WarmAnswer, ColdSQL) are the harnesses behind a
-// checked-in profile (docs/pr*-profile.md) or an open ROADMAP verdict.
+// The other families (Grid, Sweep, Parallel, Incremental, Window,
+// WarmAnswer, ColdSQL) are the harnesses behind a checked-in profile
+// (docs/pr*-profile.md) or an open ROADMAP verdict.
 // None of them is the performance record: that is bench/ and
 // BENCHMARK.json, `bash bench/run.sh -compare`.
 package sgb_test
@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	sgb "github.com/sgb-db/sgb"
@@ -356,7 +357,10 @@ var windowAllOpt = sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny, A
 // three levels per tick: Maintained repairs the dendrogram around the
 // evicted points (LatticeAny.Remove), Rebuild sweeps the window again —
 // what a DELETE cost before the repair existed. Both report their grid
-// probes and distance computations per tick.
+// probes and distance computations per tick. The OneLevel series pit
+// the maintained SGB-Any evaluator against a lattice at ε_max = ε, one
+// grouping read per tick, across metrics and d ∈ {2, 3}, and report the
+// heap each retains per window point.
 func BenchmarkWindow(b *testing.B) {
 	const batch = windowBatch
 	span, newBatches := windowSpan, windowBatches
@@ -493,6 +497,108 @@ func BenchmarkWindow(b *testing.B) {
 			report(b, &st)
 		})
 	}
+
+	// One level per tick, the shape a single-ε DISTANCE-TO-ANY statement
+	// over a sliding window asks for: the maintained SGB-Any evaluator
+	// against a lattice whose ε_max is that ε, each reading one grouping
+	// per tick, under both metrics in 2 and 3 dimensions. Both report the
+	// live heap they retain per window point after the run.
+	const eps = 0.5
+	for _, metric := range []sgb.Metric{sgb.L2, sgb.LInf} {
+		for _, dims := range []int{2, 3} {
+			for _, window := range []int{8000, 32000} {
+				opt := sgb.Options{Metric: metric, Eps: eps, Algorithm: sgb.GridIndex}
+				pool := make([]*sgb.PointSet, 16)
+				for i := range pool {
+					pool[i] = clusterPoints(batch, dims, window, int64(window+i+1))
+				}
+				name := fmt.Sprintf("OneLevel/%v/d=%d/%%s/Maintained/w=%d", metric, dims, window)
+				b.Run(fmt.Sprintf(name, "Any"), func(b *testing.B) {
+					base := liveHeap()
+					inc, err := sgb.NewIncrementalAny(opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := inc.AppendSet(clusterPoints(window, dims, window, 13)); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := inc.AppendSet(pool[i%len(pool)]); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := inc.Window(window); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := inc.Result(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
+					runtime.KeepAlive(inc)
+				})
+				b.Run(fmt.Sprintf(name, "Lattice"), func(b *testing.B) {
+					base := liveHeap()
+					lat, err := sgb.NewLatticeAny(dims, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := lat.AppendSet(clusterPoints(window, dims, window, 13), nil); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := lat.AppendSet(pool[i%len(pool)], nil); err != nil {
+							b.Fatal(err)
+						}
+						if err := lat.Remove(oldest, nil); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := lat.GroupsAt(eps); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
+					runtime.KeepAlive(lat)
+				})
+			}
+		}
+	}
+}
+
+// clusterPoints is benchkit.ClusterPoints in d dimensions: clusters of
+// sixteen points in a box of side 1.2, one per 5^d of a domain sized
+// for a window of w points, so cluster density stays subcritical at
+// every w and d (at d = 2 the domain is windowSpan's).
+func clusterPoints(n, dims, w int, seed int64) *sgb.PointSet {
+	r := rand.New(rand.NewSource(seed))
+	span := 5 * math.Pow(float64(w)/16, 1/float64(dims))
+	ps := sgb.NewPointSet(dims)
+	c := make([]float64, dims)
+	for j := 0; j < n; j++ {
+		if j%16 == 0 {
+			for k := range c {
+				c[k] = r.Float64() * span
+			}
+		}
+		p := ps.Extend()
+		for k := range p {
+			p[k] = c[k] + r.Float64()*1.2
+		}
+	}
+	return ps
+}
+
+// liveHeap returns the heap in use after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestWindowAllOutputSensitive pins what BenchmarkWindow/All/Maintained
@@ -744,46 +850,6 @@ func BenchmarkTable2(b *testing.B) {
 	for _, q := range queries {
 		b.Run(q.name, func(b *testing.B) { benchQuery(b, db, q.sql) })
 	}
-}
-
-// BenchmarkAblation quantifies the two design choices DESIGN.md calls
-// out beyond the paper's algorithms: the lazy (hysteresis) refresh of
-// indexed group rectangles, and the convex-hull refinement for L2.
-func BenchmarkAblation(b *testing.B) {
-	pts := benchPoints(6000, 7)
-	b.Run("IndexRefresh/eager", func(b *testing.B) {
-		opt := sgb.Options{Metric: sgb.LInf, Eps: 0.3, Algorithm: sgb.OnTheFlyIndex, IndexHysteresis: 1}
-		for i := 0; i < b.N; i++ {
-			if _, err := sgb.GroupByAll(pts, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("IndexRefresh/hysteresis", func(b *testing.B) {
-		opt := sgb.Options{Metric: sgb.LInf, Eps: 0.3, Algorithm: sgb.OnTheFlyIndex}
-		for i := 0; i < b.N; i++ {
-			if _, err := sgb.GroupByAll(pts, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	dense := checkin.Points(checkin.Config{Checkins: 6000, Hotspots: 6, Spread: 0.3, Seed: 2})
-	b.Run("L2Refine/memberScan", func(b *testing.B) {
-		opt := sgb.Options{Metric: sgb.L2, Eps: 1.0, Algorithm: sgb.OnTheFlyIndex, NoHullTest: true}
-		for i := 0; i < b.N; i++ {
-			if _, err := sgb.GroupByAll(dense, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("L2Refine/convexHull", func(b *testing.B) {
-		opt := sgb.Options{Metric: sgb.L2, Eps: 1.0, Algorithm: sgb.OnTheFlyIndex}
-		for i := 0; i < b.N; i++ {
-			if _, err := sgb.GroupByAll(dense, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkWarmAnswer times the warm statement shapes of the evaluator

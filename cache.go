@@ -36,7 +36,7 @@ const defaultIncrCacheCap = 8
 // incrKey addresses one cached incremental grouping state.
 type incrKey struct {
 	table       string // lower-cased table name
-	fingerprint string // semantics, options, and grouping exprs
+	fingerprint string // core.Options.Key of the grouping and its exprs
 }
 
 // incrEntry is one cached incremental grouping state. Its invariant:

@@ -3,6 +3,7 @@ package sgb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -57,6 +58,77 @@ func TestCacheFailedBuildKeepsLiveEntries(t *testing.T) {
 		if st := warmQuery(t, db, q("pts", i)); st.PointsExtracted != 0 {
 			t.Fatalf("entry %d is no longer warm: extracted %d rows", i, st.PointsExtracted)
 		}
+	}
+}
+
+// TestCacheOneEntryPerGrouping: sessions over one table that differ
+// only in a setting the grouping does not depend on share one cache
+// entry, and the cache shows one build's distance computations — SET
+// algorithm under DISTANCE-TO-ANY, SET seed under every clause but
+// JOIN-ANY. JOIN-ANY draws by the seed, and the SGB-All strategies
+// arbitrate differently where a distance rounds to ε, so those keep one
+// entry each. Every session's answer equals an incremental = off
+// session's row for row.
+func TestCacheOneEntryPerGrouping(t *testing.T) {
+	anyQ := "SELECT count(*), min(id), max(id) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.4"
+	allQ := func(clause string) string {
+		return "SELECT count(*), min(id), max(id) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP " + clause
+	}
+	algorithms := []string{"SET algorithm = grid", "SET algorithm = rtree", "SET algorithm = allpairs"}
+	seeds := []string{"SET seed = 0", "SET seed = 7"}
+	for _, tc := range []struct {
+		name    string
+		sql     string
+		sets    []string // one per session
+		entries int
+	}{
+		{"any/algorithm", anyQ, algorithms, 1},
+		{"eliminate/algorithm", allQ("ELIMINATE"), algorithms, len(algorithms)},
+		{"any/seed", anyQ, seeds, 1},
+		{"eliminate/seed", allQ("ELIMINATE"), seeds, 1},
+		{"form-new-group/seed", allQ("FORM-NEW-GROUP"), seeds, 1},
+		{"join-any/seed", allQ("JOIN-ANY"), seeds, len(seeds)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open()
+			loadUniform(t, db, 800, 21)
+			for _, set := range tc.sets {
+				on, off := db.NewSession(), db.NewSession()
+				for _, s := range []*Session{on, off} {
+					if _, err := s.Exec(set); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := on.Exec("SET incremental = on"); err != nil {
+					t.Fatal(err)
+				}
+				got, err := on.Query(tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := off.Query(tc.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Data, want.Data) {
+					t.Fatalf("%s: the cached answer differs from incremental = off\n want %v\n  got %v", set, want.Data, got.Data)
+				}
+			}
+			if n := db.cache.len(); n != tc.entries {
+				t.Fatalf("%d sessions left %d cache entries, want %d", len(tc.sets), n, tc.entries)
+			}
+			if tc.entries > 1 {
+				return
+			}
+			one := Open()
+			loadUniform(t, one, 800, 21)
+			mustExec(t, one, tc.sets[0])
+			mustExec(t, one, "SET incremental = on")
+			mustQuery(t, one, tc.sql)
+			if got, want := db.CacheStats(), one.CacheStats(); got != want || want.DistanceComputations == 0 {
+				t.Fatalf("CacheStats after %d sessions = %+v, want one build's %+v", len(tc.sets), got, want)
+			}
+		})
 	}
 }
 

@@ -53,11 +53,11 @@ type DB struct {
 	// table scan appends only the rows inserted since the previous
 	// query instead of regrouping from scratch, and DELETE feeds the
 	// deleted row ids to the cached evaluators' decremental Remove.
-	// Entries are keyed by lower-cased table name plus a fingerprint of
-	// the query's resolved grouping configuration, so distinct
-	// similarity queries over one table maintain independent states
-	// instead of evicting each other. The cache is bounded (SET
-	// incr_cache_size), evicting the least recently used.
+	// Entries are keyed by lower-cased table name plus the key of the
+	// query's grouping (core.Options.Key), so distinct groupings over one
+	// table keep independent states and sessions asking for the same one
+	// share it. The cache is bounded (SET incr_cache_size), evicting the
+	// least recently used.
 	cache *evalCache
 	// def is the default session backing the DB-level Exec/Query API.
 	def *Session
@@ -102,7 +102,8 @@ func (r *Rows) Len() int { return len(r.Data) }
 // QueryOptions tunes similarity group-by execution for a single query.
 type QueryOptions struct {
 	// Algorithm selects the SGB strategy (the session default is
-	// GridIndex, which supports any number of grouping attributes).
+	// GridIndex, which supports any number of grouping attributes). A
+	// maintained SGB-Any grouping runs on the ε-grid whatever it names.
 	Algorithm Algorithm
 	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline and
 	// of the spanning-forest build behind EPS IN and SIMILARITY CUBE BY
@@ -110,7 +111,7 @@ type QueryOptions struct {
 	// evaluation, ≥ 2 forces that many workers. DISTANCE-TO-ALL always
 	// evaluates sequentially. Results are identical at every setting.
 	Parallelism int
-	// Seed seeds ON-OVERLAP JOIN-ANY arbitration.
+	// Seed seeds ON-OVERLAP JOIN-ANY arbitration, the one clause that draws.
 	Seed int64
 	// Stats, when non-nil, accumulates the SGB operator counters of the
 	// work this query performed. On the incremental path that is what
@@ -275,12 +276,7 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 		// settings, so a subquery inside DELETE ... WHERE resolves its
 		// doomed rows exactly as the identical SELECT would in this
 		// session (same strategy, same JOIN-ANY seed).
-		b := plan.NewBuilder(db.cat)
-		b.SGBAlgorithm = opt.Algorithm
-		b.SGBParallelism = opt.Parallelism
-		b.SGBSeed = opt.Seed
-		b.SGBStats = opt.Stats
-		pred, err = b.CompileTableExpr(t, s.Where)
+		pred, err = db.builder(opt).CompileTableExpr(t, s.Where)
 		if err != nil {
 			return 0, err
 		}
@@ -388,12 +384,15 @@ func (db *DB) QueryOpt(sql string, opt QueryOptions) (*Rows, error) {
 	return db.runSelect(sel, opt)
 }
 
-func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, error) {
+// builder returns a planner carrying the session's similarity settings.
+func (db *DB) builder(opt QueryOptions) *plan.Builder {
 	b := plan.NewBuilder(db.cat)
-	b.SGBAlgorithm = opt.Algorithm
-	b.SGBParallelism = opt.Parallelism
-	b.SGBSeed = opt.Seed
-	b.SGBStats = opt.Stats
+	b.SGBAlgorithm, b.SGBParallelism, b.SGBSeed, b.SGBStats = opt.Algorithm, opt.Parallelism, opt.Seed, opt.Stats
+	return b
+}
+
+func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, error) {
+	b := db.builder(opt)
 	if opt.Incremental {
 		b.SGBAnswer = db.sgbAnswerFunc
 	}
@@ -415,11 +414,11 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 // single-table scans, table snapshots grow append-only between
 // generation changes the cache tracks, and the cache key covers the
 // table identity, the grouping expressions, and every option that can
-// influence the grouping. A sweep's key covers ONLY the metric (plus
-// table and expressions) — SGB-Any components depend on nothing else —
-// so sessions differing in their ε lists share one maintained
-// dendrogram: built up to the first sweep's ε_max, rebuilt at a larger
-// bound when a later sweep exceeds it.
+// change the grouping (core.Options.Key). A sweep's key covers ONLY the
+// metric (plus table and expressions) — SGB-Any components depend on
+// nothing else — so sessions differing in their ε lists share one
+// maintained dendrogram: built up to the first sweep's ε_max, rebuilt at
+// a larger bound when a later sweep exceeds it.
 //
 // A query whose snapshot the entry's published answer covers takes one
 // atomic load and leaves: no point is extracted, the evaluator is not
@@ -436,21 +435,20 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 // generation's answer while that is retained, and evaluates privately
 // (a nil return) after.
 func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.AnswerFunc {
-	// Cached state outlives any single query, so the per-query knobs
-	// that cannot change the grouping are kept out of the evaluator:
-	// Parallelism is 0 whatever the session set — a lattice entry's
-	// first build takes the automatic worker count, its later batches
-	// and every Any/All append run sequentially — and the query's Stats
-	// block is charged through flushWork, never retained.
+	// Cached state outlives any single query, so it runs under the
+	// options its key prints and no session's other knobs: Parallelism
+	// is 0 whatever the session set — a lattice entry's first build takes
+	// the automatic worker count, its later batches and every Any/All
+	// append run sequentially — and the query's Stats block is charged
+	// through flushWork, never retained.
 	st := opt.Stats
-	opt.Stats, opt.Parallelism = nil, 0
+	opt = opt.Maintained(anySem)
 	sweep := len(epsList) > 0
-	key := incrKey{table: strings.ToLower(table)}
+	key := incrKey{table: strings.ToLower(table), fingerprint: opt.Key(anySem, exprKey)}
 	if sweep {
-		key.fingerprint = "lattice|" + core.Options{Metric: opt.Metric}.Fingerprint() + "|by=" + exprKey
+		key.fingerprint = core.Options{Metric: opt.Metric}.Key(true, exprKey)
 	} else {
 		epsList = []float64{opt.Eps}
-		key.fingerprint = fmt.Sprintf("any=%t|%s|by=%s", anySem, opt.Fingerprint(), exprKey)
 	}
 	return func(src exec.Snapshot) ([]*exec.Grouping, error) {
 		t, err := db.cat.Lookup(table)

@@ -120,7 +120,7 @@ func TestAnswerMemoBounds(t *testing.T) {
 	published := func() int {
 		t.Helper()
 		for _, it := range db.cache.items() {
-			if strings.HasPrefix(it.key.fingerprint, "lattice|") {
+			if it.e.lat != nil {
 				return len(it.e.ans.Load().levels)
 			}
 		}

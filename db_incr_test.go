@@ -91,7 +91,7 @@ func TestSQLIncrementalInvalidation(t *testing.T) {
 	queryBoth(t, incDB, refDB,
 		`SELECT count(*) FROM sensors GROUP BY x DISTANCE-TO-ANY L2 WITHIN 1`)
 
-	// Session option changes (algorithm, seed) re-fingerprint too.
+	// Session option changes (algorithm, seed) re-key JOIN-ANY too.
 	for _, db := range []*DB{incDB, refDB} {
 		mustExec(t, db, "SET algorithm = rtree")
 		mustExec(t, db, "SET seed = 8")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/snapshot"
@@ -63,8 +64,8 @@ type RecoveryInfo struct {
 	// RowsReplayed counts rows re-inserted by the replayed records.
 	RowsReplayed int
 	// EvaluatorsRestored counts incremental-grouping evaluators revived
-	// from the snapshot (SET incremental queries resume where they
-	// stood instead of regrouping from scratch).
+	// from the snapshot and cached when recovery ends (SET incremental
+	// queries resume where they stood instead of regrouping from scratch).
 	EvaluatorsRestored int
 }
 
@@ -98,19 +99,24 @@ func OpenDir(dir string) (*DB, error) {
 		// the replay's INSERT and DELETE maintenance then advances them
 		// exactly as the live statements did. An entry that fails to
 		// restore is skipped, not fatal — it rebuilds lazily at its next
-		// query.
+		// query. Each restores under its grouping's options and key,
+		// whatever key it was saved under: one grouping restores once.
+		seen := make(map[incrKey]bool)
 		for _, e := range snap.Incr {
 			t, err := db.cat.Lookup(e.Table)
-			if err != nil || e.Consumed > t.Len() {
+			_, by, ok := strings.Cut(e.Fingerprint, "|by=")
+			st, anySem := *e.State, e.State.Sem == incr.Any
+			st.Opt = st.Opt.Maintained(anySem)
+			key := incrKey{table: e.Table, fingerprint: st.Opt.Key(anySem, by)}
+			if err != nil || !ok || e.Consumed > t.Len() || seen[key] {
 				continue
 			}
-			inc, err := incr.Restore(e.State)
+			seen[key] = true
+			inc, err := incr.Restore(&st)
 			if err != nil {
 				continue
 			}
-			db.cache.add(incrKey{table: e.Table, fingerprint: e.Fingerprint},
-				&incrEntry{table: t, inc: inc, consumed: e.Consumed, gen: t.Generation()})
-			info.EvaluatorsRestored++
+			db.cache.add(key, &incrEntry{table: t, inc: inc, consumed: e.Consumed, gen: t.Generation()})
 		}
 	}
 
@@ -123,6 +129,7 @@ func OpenDir(dir string) (*DB, error) {
 	}); err != nil {
 		return nil, err
 	}
+	info.EvaluatorsRestored = db.cache.len()
 
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {

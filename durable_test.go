@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sgb-db/sgb/internal/incr"
+	"github.com/sgb-db/sgb/internal/snapshot"
 	"github.com/sgb-db/sgb/internal/types"
 	"github.com/sgb-db/sgb/internal/wal"
 )
@@ -147,16 +149,18 @@ func TestLoadCSVKillMatrix(t *testing.T) {
 	}
 }
 
-// TestRecoveryNonGridCheckpoint: DISTANCE-TO-ANY state cached under
-// SET algorithm = rtree | allpairs is checkpointed with that algorithm
-// in its options and must keep restoring — onto the ε-grid, the one
-// index maintained evaluators run on — and then be maintained through
-// the replayed tail and further INSERTs and DELETEs exactly as a cold
-// engine regroups.
+// TestRecoveryNonGridCheckpoint: state cached under SET algorithm =
+// rtree | allpairs and SET seed = 5 is checkpointed with those options
+// and must keep restoring — DISTANCE-TO-ANY onto the ε-grid, the one
+// index it is maintained on, and ELIMINATE under its strategy whatever
+// its seed — into the entry a query under seed 0 finds, and then be
+// maintained through the replayed tail and further INSERTs and DELETEs
+// exactly as a cold engine regroups.
 func TestRecoveryNonGridCheckpoint(t *testing.T) {
 	const d = 2
 	all := recoveryQueries(d)
-	queries := []string{all[0], all[4]} // DISTANCE-TO-ANY under L2 and LINF
+	// DISTANCE-TO-ANY under L2 and LINF, then ELIMINATE under L2.
+	queries := []string{all[0], all[4], all[2]}
 	stmts := recoveryTrace(d, 11)
 	for _, alg := range []struct {
 		set string
@@ -170,6 +174,7 @@ func TestRecoveryNonGridCheckpoint(t *testing.T) {
 			}
 			mustExec(t, db, "SET incremental = on")
 			mustExec(t, db, "SET algorithm = "+alg.set)
+			mustExec(t, db, "SET seed = 5")
 			for i, s := range stmts[:9] {
 				mustExec(t, db, s)
 				if i == 6 {
@@ -196,13 +201,22 @@ func TestRecoveryNonGridCheckpoint(t *testing.T) {
 					mustExec(t, rdb, stmts[k-1])
 				}
 				ref := refDB(t, stmts, k)
-				for _, q := range queries {
+				for qi, q := range queries {
 					var st Stats
 					got, err := rdb.QueryOpt(q, QueryOptions{Algorithm: alg.alg, Incremental: true, Stats: &st})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := mustQuery(t, ref, q); !reflect.DeepEqual(got.Data, want.Data) {
+					// The strategy the grouping is maintained by.
+					refAlg := GridIndex
+					if qi == 2 {
+						refAlg = alg.alg
+					}
+					want, err := ref.QueryOpt(q, QueryOptions{Algorithm: refAlg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Data, want.Data) {
 						t.Fatalf("after statement %d, %q diverges from a cold engine\n want %v\n  got %v", k, q, want.Data, got.Data)
 					}
 					// Resumed, not rebuilt: only rows the replayed tail
@@ -213,6 +227,152 @@ func TestRecoveryNonGridCheckpoint(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoveryNormalizesKeys: checkpoint entries carry the key their
+// writer printed, and older writers printed options that do not change a
+// grouping — the strategy of DISTANCE-TO-ANY, the seed outside JOIN-ANY.
+// Recovery keys each entry by its state as a build today would be, so
+// entries of one grouping restore once, under the options a fresh build
+// runs with, and serve warm every session that asks for it; JOIN-ANY
+// entries of two seeds stay two.
+func TestRecoveryNormalizesKeys(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadUniform(t, db, 300, 4)
+	anyQ := "SELECT count(*), min(id), max(id) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5"
+	allQ := func(clause string) string {
+		return "SELECT count(*), min(id), max(id) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.5 ON-OVERLAP " + clause
+	}
+	if _, err := db.QueryOpt(anyQ, QueryOptions{Algorithm: GridIndex, Incremental: true}); err != nil {
+		t.Fatal(err)
+	}
+	_, by, _ := strings.Cut(db.cache.items()[0].key.fingerprint, "|by=")
+	db.cache.clearAll()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := db.cat.Lookup("pts")
+	rows, _ := tab.Snapshot()
+	pts := make([]Point, len(rows))
+	for i, r := range rows {
+		pts[i] = Point{r[1].F, r[2].F}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Six entries in the old key format, for four groupings.
+	snap, _, _, err := snapshot.Latest(dir)
+	if err != nil || snap == nil {
+		t.Fatalf("checkpoint: %v, %v", snap, err)
+	}
+	type saved struct {
+		sem  incr.Semantics
+		opt  Options
+		algo int
+	}
+	for _, s := range []saved{
+		{incr.Any, Options{Metric: L2, Eps: 0.5, Algorithm: OnTheFlyIndex}, 2},
+		{incr.Any, Options{Metric: L2, Eps: 0.5, Algorithm: GridIndex, Seed: 3}, 3},
+		{incr.All, Options{Metric: L2, Eps: 0.5, Overlap: Eliminate, Algorithm: GridIndex, Seed: 7}, 3},
+		{incr.All, Options{Metric: L2, Eps: 0.5, Overlap: Eliminate, Algorithm: GridIndex}, 3},
+		{incr.All, Options{Metric: L2, Eps: 0.5, Overlap: JoinAny, Algorithm: GridIndex, Seed: 7}, 3},
+		{incr.All, Options{Metric: L2, Eps: 0.5, Overlap: JoinAny, Algorithm: GridIndex}, 3},
+	} {
+		inc, err := incr.New(s.sem, s.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.Append(pts); err != nil {
+			t.Fatal(err)
+		}
+		st, err := inc.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := fmt.Sprintf("any=%t|metric=L2|eps=0.5|overlap=%d|algo=%d|seed=%d|hyst=0|nohull=false|by=%s",
+			s.sem == incr.Any, s.opt.Overlap, s.algo, s.opt.Seed, by)
+		snap.Incr = append(snap.Incr, snapshot.IncrEntry{Table: "pts", Fingerprint: old, Consumed: len(pts), State: st})
+	}
+	if _, err := snapshot.Write(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+
+	rdb, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if got := rdb.Recovery().EvaluatorsRestored; got != 4 || rdb.cache.len() != 4 {
+		t.Fatalf("EvaluatorsRestored = %d, cache holds %d: want 4 groupings restored", got, rdb.cache.len())
+	}
+	for _, it := range rdb.cache.items() {
+		any := it.e.inc.Semantics() == incr.Any
+		if opt := it.e.inc.Opt; opt != opt.Maintained(any) {
+			t.Errorf("entry %s restored under %+v, not the options its key prints", it.key.fingerprint, opt)
+		}
+	}
+	for _, q := range []struct {
+		sql  string
+		opts []QueryOptions
+	}{
+		{anyQ, []QueryOptions{{Algorithm: GridIndex}, {Algorithm: OnTheFlyIndex, Seed: 9}}},
+		{allQ("ELIMINATE"), []QueryOptions{{Algorithm: GridIndex}, {Algorithm: GridIndex, Seed: 7}}},
+		{allQ("JOIN-ANY"), []QueryOptions{{Algorithm: GridIndex}, {Algorithm: GridIndex, Seed: 7}}},
+	} {
+		for _, opt := range q.opts {
+			want, err := rdb.QueryOpt(q.sql, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st Stats
+			opt.Incremental, opt.Stats = true, &st
+			got, err := rdb.QueryOpt(q.sql, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Data, want.Data) || st.PointsExtracted != 0 {
+				t.Fatalf("%q under seed %d, %v: extracted %d rows; restored answer equal: %t",
+					q.sql, opt.Seed, opt.Algorithm, st.PointsExtracted, reflect.DeepEqual(got.Data, want.Data))
+			}
+		}
+	}
+	if rdb.cache.len() != 4 {
+		t.Fatalf("the queries left %d entries, want the 4 restored", rdb.cache.len())
+	}
+}
+
+// TestRecoveryCountsLiveEvaluators: a checkpoint may hold more entries
+// than the reopened cache keeps (SET incr_cache_size is not persisted),
+// and EvaluatorsRestored counts the ones it kept.
+func TestRecoveryCountsLiveEvaluators(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadUniform(t, db, 200, 8)
+	mustExec(t, db, "SET incremental = on")
+	mustExec(t, db, "SET incr_cache_size = 16")
+	for eps := 1; eps <= 10; eps++ {
+		mustQuery(t, db, fmt.Sprintf("SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %d", eps))
+	}
+	mustExec(t, db, "CHECKPOINT")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	if got, live := rdb.Recovery().EvaluatorsRestored, rdb.cache.len(); got != live || live != defaultIncrCacheCap {
+		t.Fatalf("EvaluatorsRestored = %d with %d entries cached, want both %d", got, live, defaultIncrCacheCap)
 	}
 }
 

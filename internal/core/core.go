@@ -57,13 +57,13 @@ const (
 	// registers each group once, in the cell of its first member (cells
 	// as wide as the probe's reach: ε, or 2ε when overlaps are needed),
 	// SGB-Any keeps processed points in their home ε-cell; probes scan
-	// the 3^d-cell neighborhood. Expected
-	// O(1) per probe plus output size — the fastest strategy for the
-	// fixed-radius queries the operators issue. The open-addressed
-	// hashed-cell table supports any dimensionality, and SGB-Any inputs
-	// are Morton (Z-order) preprocessed for probe locality (output ids
-	// stay in input order); results are identical to the other
-	// strategies for equal seeds at every d.
+	// the 3^d-cell neighborhood. Expected O(1) per probe plus output
+	// size — the fastest strategy for the fixed-radius queries the
+	// operators issue. The open-addressed hashed-cell table supports any
+	// dimensionality, and SGB-Any inputs are Morton (Z-order)
+	// preprocessed for probe locality (output ids stay in input order);
+	// results equal the other strategies' for equal seeds at every d,
+	// except where a distance rounds to ε (TestMaintainedKeyNeutral).
 	GridIndex
 )
 
@@ -114,29 +114,34 @@ type Options struct {
 	// (docs/pr24-sgball-sequential.md has the measurement that retired
 	// its pipeline).
 	Parallelism int
-
-	// IndexHysteresis tunes when the on-the-fly index refreshes a
-	// group's (shrinking) ε-All rectangle: the stale entry is kept
-	// while its area is at most this multiple of the true rectangle's
-	// area. 0 selects the default (1.8); 1 reindexes on every change
-	// (the paper's eager maintenance). Exposed for the ablation bench.
-	IndexHysteresis float64
-	// NoHullTest disables the Convex Hull Test of Procedure 6 and
-	// refines L2 candidates by exact member scans instead. Exposed for
-	// the ablation bench; results are identical either way.
-	NoHullTest bool
 }
 
-// Fingerprint prints every option that can influence which groups an
-// evaluation produces, in a fixed field order. The engine's evaluator
-// cache keys maintained grouping state by it, so two configurations
-// share state exactly when they print alike. Stats and Parallelism are
-// deliberately absent — groupings are bit-identical at every worker
-// count — and TestFingerprintCoversOptions fails when a new field is
-// neither printed here nor listed there as grouping-neutral.
-func (o Options) Fingerprint() string {
-	return fmt.Sprintf("metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|hyst=%v|nohull=%t",
-		o.Metric, o.Eps, o.Overlap, o.Algorithm, o.Seed, o.IndexHysteresis, o.NoHullTest)
+// Maintained returns the options a maintained grouping of SGB-Any
+// (anySem) or SGB-All is built with: the fields that change what such
+// an evaluator holds, every other one at a fixed value. Those are the
+// metric and ε; for SGB-All the ON-OVERLAP clause and the strategy,
+// which arbitrate differently where a distance rounds to ε
+// (TestMaintainedKeyNeutral); and the seed of JOIN-ANY, the one clause
+// that draws. SGB-Any is maintained on the ε-grid whatever Algorithm names.
+func (o Options) Maintained(anySem bool) Options {
+	m := Options{Metric: o.Metric, Eps: o.Eps, Algorithm: GridIndex}
+	if !anySem {
+		m.Overlap, m.Algorithm = o.Overlap, o.Algorithm
+		if o.Overlap == JoinAny {
+			m.Seed = o.Seed
+		}
+	}
+	return m
+}
+
+// Key prints the evaluator cache key of a maintained grouping over the
+// grouping expressions by: the options Maintained keeps (an ε-lattice
+// passes Eps 0). TestFingerprintCoversOptions fails when a new field is
+// neither kept nor listed as grouping-neutral.
+func (o Options) Key(anySem bool, by string) string {
+	m := o.Maintained(anySem)
+	return fmt.Sprintf("any=%t|metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|by=%s",
+		anySem, m.Metric, m.Eps, m.Overlap, m.Algorithm, m.Seed, by)
 }
 
 // Validate reports whether the options are usable.
@@ -274,15 +279,12 @@ func (s *Stats) noteDepth(d int) {
 }
 
 // Merge folds another counter block into s: counters add, the
-// recursion-depth high-water mark takes the max. The engine's shared
-// evaluator cache uses it to aggregate per-entry work counters, and
-// per-query blocks fold entry deltas through it.
-func (s *Stats) Merge(o *Stats) { s.merge(o) }
-
-// merge folds a worker-private Stats into s. Parallel stages hand each
-// worker its own counter block so the hot path never shares cache
-// lines; the coordinator merges after the workers join.
-func (s *Stats) merge(o *Stats) {
+// recursion-depth high-water mark takes the max. Parallel stages hand
+// each worker its own block, so the hot path never shares cache lines,
+// and merge them after the workers join; the engine's shared evaluator
+// cache aggregates per-entry work counters, and per-query blocks fold
+// entry deltas, through it too.
+func (s *Stats) Merge(o *Stats) {
 	if s == nil || o == nil {
 		return
 	}

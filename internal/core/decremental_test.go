@@ -347,28 +347,30 @@ func viewOf(e *AllEvaluator) stateView {
 	return v
 }
 
-// checkAllTrace decodes and runs a trace (see decTraceSeed), checking
-// after every operation that the maintained evaluator's Result equals a
-// one-shot SGBAll over the survivors and that its retained state —
-// groups, victims and deferrals, each in order — equals that of a fresh
-// evaluator fed the survivors.
-func checkAllTrace(t testing.TB, data []byte) traceSummary {
-	var sum traceSummary
+// traceOp is one decoded trace operation: an appended batch, or the
+// live ids a removal names.
+type traceOp struct {
+	batch []geom.Point
+	ids   []int
+}
+
+// decodeTrace decodes an encoded trace (see decTraceSeed) into its
+// dimensionality, options and operations. A removal of nothing is
+// skipped; the trace ends early where its bytes cannot complete an
+// operation.
+func decodeTrace(data []byte) (int, Options, []traceOp) {
 	if len(data) < 4 {
-		return sum
+		return 0, Options{}, nil
 	}
 	dims := 1 + int(data[0])%3
-	metric := []geom.Metric{geom.L2, geom.LInf}[int(data[1])/3%2]
-	algo := []Algorithm{GridIndex, OnTheFlyIndex, AllPairs, BoundsCheck}[int(data[1])/6%4]
 	eps := []float64{1, 0.1, 0.3}[int(data[2])%3]
-	var stats Stats
-	opt := Options{Metric: metric, Eps: eps, Overlap: Overlap(int(data[1]) % 3), Algorithm: algo,
-		Seed: int64(data[3]), Parallelism: 1, Stats: &stats}
-	ev, err := NewAllEvaluator(dims, opt)
-	if err != nil {
-		t.Fatal(err)
+	opt := Options{
+		Metric:    []geom.Metric{geom.L2, geom.LInf}[int(data[1])/3%2],
+		Eps:       eps,
+		Overlap:   Overlap(int(data[1]) % 3),
+		Algorithm: []Algorithm{GridIndex, OnTheFlyIndex, AllPairs, BoundsCheck}[int(data[1])/6%4],
+		Seed:      int64(data[3]), Parallelism: 1,
 	}
-	mirror := &mirrorSet{}
 	data = data[4:]
 	coord := func(b byte) float64 {
 		if b&0x80 != 0 {
@@ -376,15 +378,15 @@ func checkAllTrace(t testing.TB, data []byte) traceSummary {
 		}
 		return float64(b&63) * eps / 4
 	}
-	for step := 0; len(data) > 0; step++ {
+	var ops []traceOp
+	for live := 0; len(data) > 0; {
 		o := int(data[0])
 		data = data[1:]
-		removed := false
 		switch {
 		case o%4 >= 2:
 			n := min(1+o/4%12, len(data)/dims)
 			if n == 0 {
-				return sum
+				return dims, opt, ops
 			}
 			batch := make([]geom.Point, n)
 			for i := range batch {
@@ -394,37 +396,67 @@ func checkAllTrace(t testing.TB, data []byte) traceSummary {
 				}
 			}
 			data = data[n*dims:]
-			if err := ev.Append(geom.FromPoints(batch)); err != nil {
-				t.Fatalf("step %d: Append: %v", step, err)
-			}
-			mirror.appendBatch(batch)
-		case len(mirror.pts) == 0:
+			ops = append(ops, traceOp{batch: batch})
+			live += n
+		case live == 0:
 			continue
 		default:
 			var ids []int
 			if o%4 == 0 {
-				for id := 0; id < min(1+o/4%16, len(mirror.pts)); id++ {
+				for id := 0; id < min(1+o/4%16, live); id++ {
 					ids = append(ids, id)
 				}
 			} else {
 				seen := map[int]bool{}
 				for k := min(1+o/4%4, len(data)); k > 0; k-- {
-					if id := int(data[0]) % len(mirror.pts); !seen[id] {
+					if id := int(data[0]) % live; !seen[id] {
 						seen[id] = true
 						ids = append(ids, id)
 					}
 					data = data[1:]
 				}
 				if len(ids) == 0 {
-					return sum
+					return dims, opt, ops
 				}
 			}
-			before := stats.PointsReplayed
-			if err := ev.Remove(ids); err != nil {
-				t.Fatalf("step %d: Remove(%v): %v", step, ids, err)
+			ops = append(ops, traceOp{ids: ids})
+			live -= len(ids)
+		}
+	}
+	return dims, opt, ops
+}
+
+// checkAllTrace decodes and runs a trace (see decTraceSeed), checking
+// after every operation that the maintained evaluator's Result equals a
+// one-shot SGBAll over the survivors and that its retained state —
+// groups, victims and deferrals, each in order — equals that of a fresh
+// evaluator fed the survivors.
+func checkAllTrace(t testing.TB, data []byte) traceSummary {
+	var sum traceSummary
+	dims, opt, ops := decodeTrace(data)
+	if len(ops) == 0 {
+		return sum
+	}
+	var stats Stats
+	opt.Stats = &stats
+	ev, err := NewAllEvaluator(dims, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := &mirrorSet{}
+	for step, op := range ops {
+		removed := op.batch == nil
+		if !removed {
+			if err := ev.Append(geom.FromPoints(op.batch)); err != nil {
+				t.Fatalf("step %d: Append: %v", step, err)
 			}
-			mirror.remove(ids)
-			removed = true
+			mirror.appendBatch(op.batch)
+		} else {
+			before := stats.PointsReplayed
+			if err := ev.Remove(op.ids); err != nil {
+				t.Fatalf("step %d: Remove(%v): %v", step, op.ids, err)
+			}
+			mirror.remove(op.ids)
 			if stats.PointsReplayed-before < int64(len(mirror.pts)) {
 				sum.local++
 				sum.events += len(ev.st.eliminated) + len(ev.st.deferred)

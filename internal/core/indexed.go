@@ -78,12 +78,8 @@ func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
 	if !g.indexed {
 		return
 	}
-	h := st.opt.IndexHysteresis
-	if h <= 0 {
-		h = defaultHysteresis
-	}
 	if g.indexedRect.ContainsRect(g.epsRect) {
-		if g.indexedRect.Area() <= h*g.epsRect.Area() {
+		if g.indexedRect.Area() <= defaultHysteresis*g.epsRect.Area() {
 			return // still selective enough; keep the stale entry
 		}
 	}

@@ -70,7 +70,7 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, uf *unionfind.UF, workers in
 	// components are identical to a sequential run.
 	for ti := range plan.Tiles {
 		uf.Absorb(tileRes[ti].uf, plan.Tiles[ti].Global)
-		opt.Stats.merge(&tileRes[ti].stats)
+		opt.Stats.Merge(&tileRes[ti].stats)
 	}
 	sets := uf.Count()
 	for _, pairs := range front {

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/partition"
+	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
 // The randomized parallel↔sequential equivalence suite: SGB-Any's
@@ -222,5 +227,93 @@ func TestParallelismAutoThreshold(t *testing.T) {
 	opt.Parallelism = 0
 	if w := opt.workers(parallelThreshold); w != 2 {
 		t.Fatalf("auto workers at GOMAXPROCS=2: %d, want 2", w)
+	}
+}
+
+// BenchmarkAnyPipelinePhases times SGB-Any's tiled pipeline phase by
+// phase at a four-tile split, beside the sequential evaluation, over
+// sql_cold's DISTANCE-TO-ANY shape: 12 000 Brightkite-profile check-ins,
+// L2, at its three ε. Run it on one core, so that every timer reads
+// work rather than wall time,
+//
+//	go test -run '^$' -bench AnyPipelinePhases -cpu 1 -benchtime 20x ./internal/core/
+//
+// and read Brent's bound T_p ≥ max(W / p, S) off it by PR 24's rule:
+// Morton, split and merge (Union-Find reduction plus group extraction)
+// serial, tiles and frontier perfectly divisible,
+//
+//	floor(p) = morton + split + merge + (tiles + frontier) / p
+//
+// seq/floor4 is a speed-up no four-core schedule can beat; seq/spanfloor4
+// bounds it tighter by the largest tile, which no schedule divides.
+// ARCHITECTURE.md records the verdict.
+func BenchmarkAnyPipelinePhases(b *testing.B) {
+	ps := geom.FromPoints(checkin.Points(checkin.Brightkite(12000)))
+	for _, eps := range []float64{0.05, 0.2, 0.8} {
+		b.Run(fmt.Sprintf("eps=%v", eps), func(b *testing.B) {
+			opt := Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 1}
+			var seq, morton, split, tiles, largest, front, merge time.Duration
+			lap := func(d *time.Duration, t0 time.Time) time.Duration {
+				e := time.Since(t0)
+				*d += e
+				return e
+			}
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if _, err := sgbAnySet(ps, opt); err != nil {
+					b.Fatal(err)
+				}
+				lap(&seq, t0)
+
+				t0 = time.Now()
+				perm := mortonPermFor(ps, opt)
+				eval := ps.Gather(perm)
+				lap(&morton, t0)
+				t0 = time.Now()
+				plan := partition.Split(eval, eps, 4)
+				lap(&split, t0)
+				if plan == nil {
+					b.Fatal("the input does not split into tiles")
+				}
+				ufs := make([]*unionfind.UF, len(plan.Tiles))
+				var worst time.Duration
+				for ti, tile := range plan.Tiles {
+					t0 = time.Now()
+					ufs[ti] = unionfind.New(tile.Points.Len())
+					sgbAnyLocal(tile.Points, opt, ufs[ti])
+					worst = max(worst, lap(&tiles, t0))
+				}
+				largest += worst
+				t0 = time.Now()
+				pairs, _ := plan.FrontierPairs(eval, opt.Metric, eps, 1)
+				lap(&front, t0)
+				t0 = time.Now()
+				uf := unionfind.New(eval.Len())
+				for ti := range plan.Tiles {
+					uf.Absorb(ufs[ti], plan.Tiles[ti].Global)
+				}
+				for _, chunk := range pairs {
+					for _, p := range chunk {
+						uf.Union(int(p.A), int(p.B))
+					}
+				}
+				groupsFromUFPerm(uf, eval.Len(), perm)
+				lap(&merge, t0)
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }
+			serial, work := ms(morton)+ms(split)+ms(merge), ms(tiles)+ms(front)
+			floor, span := serial+work/4, serial+max(work/4, ms(largest))
+			for _, m := range []struct {
+				unit string
+				v    float64
+			}{
+				{"seq-ms", ms(seq)}, {"morton-ms", ms(morton)}, {"split-ms", ms(split)},
+				{"tiles-ms", ms(tiles)}, {"largest-tile-ms", ms(largest)}, {"frontier-ms", ms(front)},
+				{"merge-ms", ms(merge)}, {"floor4-ms", floor}, {"seq/floor4", ms(seq) / floor},
+				{"seq/spanfloor4", ms(seq) / span},
+			} {
+				b.ReportMetric(m.v, m.unit)
+			}
+		})
 	}
 }

@@ -87,9 +87,6 @@ func RestoreAnyEvaluator(s *AnyState) (*AnyEvaluator, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Algorithm == BoundsCheck {
-		return nil, ErrBoundsCheckAny
-	}
 	if s.Dims < 1 {
 		return nil, errors.New("core: restore: dims must be >= 1")
 	}
@@ -148,7 +145,7 @@ type AllState struct {
 	// the tag of how they are keyed: newRNG's value means by the drawing
 	// point's coordinates, rankKeyedState's by its live rank — what
 	// checkpoints before the re-key hold. RestoreAllEvaluator accepts
-	// both and nothing else.
+	// both and nothing else under JOIN-ANY, anything under the others.
 	RandState  uint64
 	StageFloor int     // FORM-NEW-GROUP stage freeze floor
 	Eliminated []int32 // stored indices dropped by ELIMINATE
@@ -221,11 +218,12 @@ func RestoreAllEvaluator(s *AllState) (*AllEvaluator, error) {
 	if err := checkCoords(pts, opt.Eps); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	rankKeyed := s.RandState == rankKeyedState(opt.Seed)
-	if !rankKeyed && s.RandState != newRNG(opt.Seed).state {
-		return nil, errors.New("core: restore: PRNG state matches no draw key of this seed")
-	}
-	if rankKeyed && opt.Overlap == JoinAny {
+	// Only JOIN-ANY draws, so only its state must name the seed: the other
+	// clauses restore whatever seed they were saved under.
+	if opt.Overlap == JoinAny && s.RandState != newRNG(opt.Seed).state {
+		if s.RandState != rankKeyedState(opt.Seed) {
+			return nil, errors.New("core: restore: PRNG state matches no draw key of this seed")
+		}
 		if live != nil {
 			pts = pts.Gather(live)
 		}

@@ -349,9 +349,6 @@ func NewAnyEvaluator(dims int, opt Options) (*AnyEvaluator, error) {
 	if dims < 1 {
 		return nil, errors.New("core: evaluator dimensionality must be >= 1")
 	}
-	if opt.Algorithm == BoundsCheck {
-		return nil, ErrBoundsCheckAny
-	}
 	return &AnyEvaluator{
 		opt:    opt,
 		points: geom.NewPointSet(dims),

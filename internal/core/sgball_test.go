@@ -215,7 +215,8 @@ func TestL2FalsePositiveRejected(t *testing.T) {
 }
 
 // TestHullRefinementDeepGroup exercises the convex-hull test on groups
-// large enough to have interior (non-hull) members.
+// large enough to have interior (non-hull) members: every strategy that
+// filters by rectangles must refine through the hull, not a member scan.
 func TestHullRefinementDeepGroup(t *testing.T) {
 	// Dense cluster of 30 points in a 0.5-radius disc, then probes.
 	r := rand.New(rand.NewSource(3))
@@ -226,12 +227,16 @@ func TestHullRefinementDeepGroup(t *testing.T) {
 	points = append(points, geom.Point{0.25, 0.25}) // interior: must join
 	points = append(points, geom.Point{1.4, 1.4})   // outside ε of far corner under L2
 	for _, alg := range allAlgorithms {
-		res, err := SGBAll(points, Options{Metric: geom.L2, Eps: 1.0, Overlap: JoinAny, Algorithm: alg})
+		var st Stats
+		res, err := SGBAll(points, Options{Metric: geom.L2, Eps: 1.0, Overlap: JoinAny, Algorithm: alg, Stats: &st})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if err := CheckCliques(points, geom.L2, 1.0, res); err != nil {
 			t.Errorf("%v: %v", alg, err)
+		}
+		if alg != AllPairs && st.HullTests == 0 {
+			t.Errorf("%v: the hull test never ran", alg)
 		}
 	}
 }

@@ -20,9 +20,10 @@ import (
 //
 // Opt.Parallelism (threaded down from the planner's SGBParallelism /
 // the engine's SET parallelism session setting) selects the worker
-// count of core's SGB-Any pipeline (SGB-All has none); the node's own
-// plumbing is oblivious to it, and output rows are bit-identical at
-// every setting.
+// count of core's SGB-Any pipeline and of the ε-lattice's tiled first
+// batch behind EpsList (SGB-All has neither); the node's own plumbing
+// is oblivious to it, and output rows are bit-identical at every
+// setting.
 type SGB struct {
 	Input Operator
 	// GroupExprs are the d grouping-attribute expressions (numeric).

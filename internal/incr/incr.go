@@ -34,10 +34,12 @@ func (s Semantics) String() string {
 
 // ErrOptionsMutated is returned by Append and Result when the handle's
 // Opt field no longer matches the options it was created from. The
-// retained grouping state embodies those options (ε, metric, overlap
-// clause, strategy, seed); silently continuing under different ones
-// would produce a grouping no one-shot evaluation matches, so the
-// mutation is refused. Create a new handle to change options.
+// retained grouping state embodies those options — the metric and ε;
+// for SGB-All the overlap clause, the strategy, and under JOIN-ANY the
+// seed (core.Options.Maintained) — and silently continuing under
+// different ones would produce a grouping no one-shot evaluation
+// matches, so any mutation is refused. Create a new handle to change
+// options.
 var ErrOptionsMutated = errors.New("incr: Options mutated after creation; incremental state embodies the original options — create a new Incremental instead")
 
 // Incremental maintains a similarity grouping under appends and
@@ -163,20 +165,25 @@ func (x *Incremental) ensure(dims int) error {
 		}
 		return nil
 	}
-	opt := x.snap
-	opt.Parallelism = 1 // appends evaluate sequentially by design
 	var ev evaluator
 	var err error
 	if x.sem == All {
-		ev, err = core.NewAllEvaluator(dims, opt)
+		ev, err = core.NewAllEvaluator(dims, x.evalOpt())
 	} else {
-		ev, err = core.NewAnyEvaluator(dims, opt)
+		ev, err = core.NewAnyEvaluator(dims, x.evalOpt())
 	}
 	if err != nil {
 		return err // ev holds a nil pointer here; x.ev stays a nil interface
 	}
 	x.ev, x.dims = ev, dims
 	return nil
+}
+
+// evalOpt returns the options the underlying evaluator runs under.
+func (x *Incremental) evalOpt() core.Options {
+	opt := x.snap
+	opt.Parallelism = 1 // appends evaluate sequentially by design
+	return opt
 }
 
 // Remove deletes the points with the given live ids (the numbering

@@ -40,9 +40,12 @@ func (x *Incremental) ExportState() (*State, error) {
 	return s, nil
 }
 
-// Restore rebuilds an Incremental from a snapshot. Corrupt snapshots
-// (both evaluators present, semantics/evaluator mismatch, or an
-// evaluator state the core restore rejects) return an error.
+// Restore rebuilds an Incremental from a snapshot. The handle's options
+// are s.Opt, and the evaluator runs under them whatever options its own
+// state records, so a caller may restore a state under options that
+// group alike (core.Options.Maintained). Corrupt snapshots (both
+// evaluators present, semantics/evaluator mismatch, or an evaluator
+// state the core restore rejects) return an error.
 func Restore(s *State) (*Incremental, error) {
 	if s == nil {
 		return nil, errors.New("incr: nil state")
@@ -59,7 +62,9 @@ func Restore(s *State) (*Incremental, error) {
 		if s.Sem != All {
 			return nil, fmt.Errorf("incr: %v state with an SGB-All evaluator", s.Sem)
 		}
-		ev, err := core.RestoreAllEvaluator(s.All)
+		all := *s.All
+		all.Opt = x.evalOpt()
+		ev, err := core.RestoreAllEvaluator(&all)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +73,9 @@ func Restore(s *State) (*Incremental, error) {
 		if s.Sem != Any {
 			return nil, fmt.Errorf("incr: %v state with an SGB-Any evaluator", s.Sem)
 		}
-		ev, err := core.RestoreAnyEvaluator(s.Any)
+		anyState := *s.Any
+		anyState.Opt = x.evalOpt()
+		ev, err := core.RestoreAnyEvaluator(&anyState)
 		if err != nil {
 			return nil, err
 		}

@@ -29,10 +29,11 @@ type Builder struct {
 	// and the R-tree.
 	SGBAlgorithm core.Algorithm
 	// SGBParallelism is the worker count of the DISTANCE-TO-ANY
-	// pipeline: 0 (the planner default) lets the operator pick
-	// GOMAXPROCS workers on large inputs, 1 forces sequential
-	// evaluation, ≥ 2 forces that many workers. DISTANCE-TO-ALL nodes
-	// carry it and evaluate sequentially.
+	// pipeline and of the ε-lattice's tiled first batch (EPS IN, the
+	// cube): 0 (the planner default) lets the operator pick GOMAXPROCS
+	// workers on large inputs, 1 forces sequential evaluation, ≥ 2
+	// forces that many workers. DISTANCE-TO-ALL nodes carry it and
+	// evaluate sequentially.
 	SGBParallelism int
 	// SGBSeed seeds JOIN-ANY arbitration.
 	SGBSeed int64

@@ -103,13 +103,10 @@ func appendOptions(b []byte, o core.Options) []byte {
 	b = wal.AppendU64(b, math.Float64bits(o.Eps))
 	b = wal.AppendU64(b, uint64(o.Seed))
 	b = wal.AppendU64(b, uint64(o.Parallelism))
-	b = wal.AppendU64(b, math.Float64bits(o.IndexHysteresis))
-	if o.NoHullTest {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return b
+	// Two retired ablation options, an index refresh hysteresis and a
+	// hull-test switch, keep their slots at their zero values.
+	b = wal.AppendU64(b, 0)
+	return append(b, 0)
 }
 
 func decodeOptions(d *wal.Decoder) core.Options {
@@ -120,8 +117,8 @@ func decodeOptions(d *wal.Decoder) core.Options {
 	o.Eps = math.Float64frombits(d.U64())
 	o.Seed = int64(d.U64())
 	o.Parallelism = int(d.U64())
-	o.IndexHysteresis = math.Float64frombits(d.U64())
-	o.NoHullTest = d.Byte() != 0
+	d.U64() // the retired options' slots (appendOptions)
+	d.Byte()
 	return o
 }
 

@@ -311,51 +311,92 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 // deleted row ids through their decremental Remove, entries that were
 // not (or whose Remove fails) are dropped and rebuild on their next
 // query. WAL replay shares this path with live DELETE statements.
+//
+// The entries share nothing — each is its own evaluator under its own
+// lock, repairing only the ε-components the victims touched — so they
+// are maintained at once: the first on the calling goroutine, each
+// further one on a goroutine of its own, and noteDelete returns when
+// all are done. A table with one entry starts no goroutine. Every
+// worker holds only its own entry's lock, under the caller's writer
+// lock, so the lock order is the sequential loop's.
 func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
-	for _, it := range db.cache.items() {
-		e := it.e
-		e.mu.Lock()
-		if e.table != t {
-			e.mu.Unlock()
-			continue
+	// An entry of t is keyed under t's lower-cased name (sgbAnswerFunc,
+	// OpenDir); maintainDeleted checks the identity itself.
+	name := strings.ToLower(t.Name)
+	its := db.cache.items()
+	n := 0
+	for _, it := range its {
+		if it.key.table == name {
+			its[n] = it
+			n++
 		}
-		if e.gen != preGen {
-			// The entry missed an earlier mutation; it would rebuild at
-			// query time anyway, and feeding it deletions now could only
-			// corrupt it further.
-			e.mu.Unlock()
-			db.cache.remove(it)
-			continue
-		}
-		if !e.built() {
-			// Still mid-build (no evaluator set): nothing to maintain.
-			e.mu.Unlock()
-			db.cache.remove(it)
-			continue
-		}
-		// Row ids below consumed are exactly the evaluator's live ids;
-		// rows at or beyond consumed were never absorbed and simply
-		// vanish before they ever would be. A lattice entry repairs its
-		// spanning forest around the deleted points (lattice.Sweep.Remove)
-		// where a single-ε entry reclusters their components; either way
-		// the work is maintenance no query asked for.
-		fed := doomed[:0:0]
-		for _, i := range doomed {
-			if i < e.consumed {
-				fed = append(fed, i)
-			}
-		}
-		err := e.remove(fed)
-		e.flushWork(nil)
-		if err != nil {
-			e.mu.Unlock()
-			db.cache.remove(it)
-			continue
-		}
-		e.consumed -= len(fed)
-		e.gen = newGen
-		e.mu.Unlock()
 	}
+	its = its[:n]
+	if len(its) <= 1 {
+		for _, it := range its {
+			db.maintainDeleted(it, t, preGen, newGen, doomed)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(its) - 1)
+	for _, it := range its[1:] {
+		go func(it cacheItem) {
+			defer wg.Done()
+			db.maintainDeleted(it, t, preGen, newGen, doomed)
+		}(it)
+	}
+	db.maintainDeleted(its[0], t, preGen, newGen, doomed)
+	wg.Wait()
+}
+
+// maintainDeleted is noteDelete's work on one entry. The check and the
+// feed happen under one hold of the entry lock: released in between, a
+// query could rebuild the entry at newGen — from rows that no longer
+// hold the victims — and the feed would then delete them twice.
+func (db *DB) maintainDeleted(it cacheItem, t *storage.Table, preGen, newGen int64, doomed []int) {
+	e := it.e
+	e.mu.Lock()
+	if e.table != t {
+		e.mu.Unlock()
+		return
+	}
+	if e.gen != preGen {
+		// The entry missed an earlier mutation; it would rebuild at
+		// query time anyway, and feeding it deletions now could only
+		// corrupt it further.
+		e.mu.Unlock()
+		db.cache.remove(it)
+		return
+	}
+	if !e.built() {
+		// Still mid-build (no evaluator set): nothing to maintain.
+		e.mu.Unlock()
+		db.cache.remove(it)
+		return
+	}
+	// Row ids below consumed are exactly the evaluator's live ids;
+	// rows at or beyond consumed were never absorbed and simply
+	// vanish before they ever would be. A lattice entry repairs its
+	// spanning forest around the deleted points (lattice.Sweep.Remove)
+	// where a single-ε entry reclusters their components; either way
+	// the work is maintenance no query asked for.
+	fed := doomed[:0:0]
+	for _, i := range doomed {
+		if i < e.consumed {
+			fed = append(fed, i)
+		}
+	}
+	err := e.remove(fed)
+	e.flushWork(nil)
+	if err != nil {
+		e.mu.Unlock()
+		db.cache.remove(it)
+		return
+	}
+	e.consumed -= len(fed)
+	e.gen = newGen
+	e.mu.Unlock()
 }
 
 // evalConstExpr evaluates a row-independent expression (literals,

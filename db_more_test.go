@@ -3,6 +3,7 @@ package sgb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -300,5 +301,75 @@ func TestSQLSmallestInt(t *testing.T) {
 	}
 	if _, err := db.Query("SELECT 9223372036854775808"); err == nil {
 		t.Error("the magnitude alone parsed")
+	}
+}
+
+// TestSQLThreeValuedLogic: predicates follow SQL's three-valued logic
+// over a table holding (5, NULL) and (6, 1.0). OR and AND answer the
+// same whichever side holds the NULL, [NOT] BETWEEN a NULL is unknown,
+// and NOT IN a list or subquery holding a NULL keeps no row it does not
+// match. A WHERE clause — SELECT's and DELETE's alike — keeps a row only
+// when its predicate is TRUE. Operands that are neither boolean nor NULL
+// keep reading as FALSE.
+func TestSQLThreeValuedLogic(t *testing.T) {
+	cases := []struct {
+		where string
+		want  []int64
+	}{
+		{"z > 0 OR id = 5", []int64{5, 6}},
+		{"id = 5 OR z > 0", []int64{5, 6}},
+		{"NOT (z > 0 OR id = 5)", nil},
+		{"NOT (z > 0 AND id = 6)", []int64{5}},
+		{"NOT (id = 6 AND z > 0)", []int64{5}},
+		{"z > 0 AND id = 6", []int64{6}},
+		{"z BETWEEN 0 AND 0.5", nil},
+		{"z NOT BETWEEN 0 AND 0.5", []int64{6}},
+		{"NOT (z BETWEEN 0 AND 0.5)", []int64{6}},
+		{"id BETWEEN z AND 10", []int64{6}},
+		{"id NOT BETWEEN z AND 5.5", []int64{6}},
+		{"id NOT BETWEEN z AND 4", []int64{5, 6}},
+		{"id IN (5, NULL)", []int64{5}},
+		{"id NOT IN (7, NULL)", nil},
+		{"id NOT IN (5, NULL)", nil},
+		{"NOT (id IN (7, NULL))", nil},
+		{"id NOT IN (7, 8)", []int64{5, 6}},
+		{"id NOT IN (SELECT z FROM t)", nil},
+		{"id IN (SELECT z FROM t) OR id = 5", []int64{5}},
+		{"id NOT IN (SELECT id FROM t WHERE id = 6)", []int64{5}},
+		{"id OR id = 6", []int64{6}},
+		{"NOT (id AND z > 0)", []int64{5, 6}},
+	}
+	load := func() *DB {
+		db := Open()
+		mustExec(t, db, "CREATE TABLE t (id INT, z FLOAT)")
+		mustExec(t, db, "INSERT INTO t VALUES (5, NULL), (6, 1.0)")
+		return db
+	}
+	ids := func(rows *Rows) []int64 {
+		var out []int64
+		for _, r := range rows.Data {
+			out = append(out, r[0].I)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		got := ids(mustQuery(t, load(), "SELECT id FROM t WHERE "+tc.where+" ORDER BY id"))
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("SELECT … WHERE %s = %v, want %v", tc.where, got, tc.want)
+		}
+		db := load()
+		n, err := db.Exec("DELETE FROM t WHERE " + tc.where)
+		if err != nil {
+			t.Fatalf("DELETE … WHERE %s: %v", tc.where, err)
+		}
+		var kept []int64
+		for _, id := range []int64{5, 6} {
+			if !slices.Contains(tc.want, id) {
+				kept = append(kept, id)
+			}
+		}
+		if left := ids(mustQuery(t, db, "SELECT id FROM t ORDER BY id")); n != len(tc.want) || !slices.Equal(left, kept) {
+			t.Errorf("DELETE … WHERE %s deleted %d rows and kept %v, want %d and %v", tc.where, n, left, len(tc.want), kept)
+		}
 	}
 }

@@ -128,6 +128,8 @@ func (c *compiler) compile(e sqlparser.Expr) (exec.Scalar, error) {
 			return nil, err
 		}
 		neg := x.Neg
+		// x BETWEEN lo AND hi is x >= lo AND x <= hi, NULLs included;
+		// NOT BETWEEN negates it, and the negation of NULL is NULL.
 		return func(row types.Row) (types.Value, error) {
 			v, err := ev(row)
 			if err != nil {
@@ -141,16 +143,26 @@ func (c *compiler) compile(e sqlparser.Expr) (exec.Scalar, error) {
 			if err != nil {
 				return types.Value{}, err
 			}
-			c1, err := types.Compare(v, lv)
-			if err != nil {
-				return types.Value{}, err
+			ge, le := types.Null(), types.Null()
+			if !v.IsNull() && !lv.IsNull() {
+				c, err := types.Compare(v, lv)
+				if err != nil {
+					return types.Value{}, err
+				}
+				ge = types.Bool(c >= 0)
 			}
-			c2, err := types.Compare(v, hv)
-			if err != nil {
-				return types.Value{}, err
+			if !v.IsNull() && !hv.IsNull() {
+				c, err := types.Compare(v, hv)
+				if err != nil {
+					return types.Value{}, err
+				}
+				le = types.Bool(c <= 0)
 			}
-			in := c1 >= 0 && c2 <= 0
-			return types.Bool(in != neg), nil
+			in := and3(ge, le)
+			if neg && !in.IsNull() {
+				in.B = !in.B
+			}
+			return in, nil
 		}, nil
 
 	case *sqlparser.InExpr:
@@ -327,7 +339,7 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (exec.Scalar, error) {
 			if err != nil {
 				return types.Value{}, err
 			}
-			if !lv.IsNull() && !lv.Truthy() {
+			if isFalse(lv) {
 				return types.Bool(false), nil
 			}
 			rv, err := r(row)
@@ -335,6 +347,10 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (exec.Scalar, error) {
 				return types.Value{}, err
 			}
 			if lv.IsNull() || rv.IsNull() {
+				// A FALSE side decides, whichever side holds the NULL.
+				if isFalse(rv) {
+					return types.Bool(false), nil
+				}
 				return types.Null(), nil
 			}
 			return types.Bool(lv.Truthy() && rv.Truthy()), nil
@@ -345,7 +361,7 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (exec.Scalar, error) {
 			if err != nil {
 				return types.Value{}, err
 			}
-			if !lv.IsNull() && lv.Truthy() {
+			if lv.Truthy() {
 				return types.Bool(true), nil
 			}
 			rv, err := r(row)
@@ -353,6 +369,10 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (exec.Scalar, error) {
 				return types.Value{}, err
 			}
 			if lv.IsNull() || rv.IsNull() {
+				// A TRUE side decides, whichever side holds the NULL.
+				if rv.Truthy() {
+					return types.Bool(true), nil
+				}
 				return types.Null(), nil
 			}
 			return types.Bool(lv.Truthy() || rv.Truthy()), nil
@@ -360,6 +380,36 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (exec.Scalar, error) {
 	default:
 		return nil, fmt.Errorf("plan: unknown binary operator %q", x.Op)
 	}
+}
+
+// Predicates follow SQL's three-valued logic: TRUE, FALSE, or NULL for
+// unknown. An operand that is neither boolean nor NULL reads as FALSE,
+// "not TRUE", as a WHERE clause reads it.
+
+// isFalse reports whether v is a definite FALSE.
+func isFalse(v types.Value) bool { return !v.IsNull() && !v.Truthy() }
+
+// and3 is AND over two evaluated sides: FALSE if either side is, else
+// NULL if either side is, else TRUE. The AND operator spells the same
+// rule out in its closure, which runs once per row of a DELETE.
+func and3(a, b types.Value) types.Value {
+	switch {
+	case isFalse(a) || isFalse(b):
+		return types.Bool(false)
+	case a.IsNull() || b.IsNull():
+		return types.Null()
+	}
+	return types.Bool(true)
+}
+
+// inResult is [NOT] IN's answer once the probe is known not to be NULL:
+// a match decides it; otherwise a NULL among the candidates makes it
+// unknown.
+func inResult(found, sawNull, neg bool) types.Value {
+	if !found && sawNull {
+		return types.Null()
+	}
+	return types.Bool(found != neg)
 }
 
 // compileIn compiles value-list and subquery IN predicates. Subqueries
@@ -385,6 +435,7 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) (exec.Scalar, error) {
 			return nil, fmt.Errorf("plan: IN subquery must return exactly one column, got %d", len(subEnv))
 		}
 		var set map[types.Value]bool
+		var setNull bool
 		return func(row types.Row) (types.Value, error) {
 			if set == nil {
 				rows, err := exec.Run(subOp)
@@ -393,6 +444,10 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) (exec.Scalar, error) {
 				}
 				set = make(map[types.Value]bool, len(rows))
 				for _, r := range rows {
+					if r[0].IsNull() {
+						setNull = true
+						continue
+					}
 					set[r[0].Key()] = true
 				}
 			}
@@ -403,7 +458,7 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) (exec.Scalar, error) {
 			if v.IsNull() {
 				return types.Null(), nil
 			}
-			return types.Bool(set[v.Key()] != neg), nil
+			return inResult(set[v.Key()], setNull, neg), nil
 		}, nil
 	}
 
@@ -423,10 +478,15 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) (exec.Scalar, error) {
 		if v.IsNull() {
 			return types.Null(), nil
 		}
+		sawNull := false
 		for _, el := range elems {
 			ev, err := el(row)
 			if err != nil {
 				return types.Value{}, err
+			}
+			if ev.IsNull() {
+				sawNull = true
+				continue
 			}
 			cmp, err := types.Compare(v, ev)
 			if err != nil {
@@ -436,7 +496,7 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) (exec.Scalar, error) {
 				return types.Bool(!neg), nil
 			}
 		}
-		return types.Bool(neg), nil
+		return inResult(false, sawNull, neg), nil
 	}, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/types"
 )
 
@@ -370,6 +371,124 @@ func TestSQLThreeValuedLogic(t *testing.T) {
 		}
 		if left := ids(mustQuery(t, db, "SELECT id FROM t ORDER BY id")); n != len(tc.want) || !slices.Equal(left, kept) {
 			t.Errorf("DELETE … WHERE %s deleted %d rows and kept %v, want %d and %v", tc.where, n, left, len(tc.want), kept)
+		}
+	}
+}
+
+// TestSQLMixedNumericCompareExact: an INT compared with a FLOAT compares
+// exactly, as two INTs do and as equality keys (IN a subquery, a join)
+// already did. Read as floats, 2⁵³ + 1 equalled 2⁵³ and 2⁶³ − 1 equalled
+// 2⁶³, so WHERE, IN (…) and BETWEEN kept rows that IN (SELECT …) and
+// JOIN … ON dropped. Each predicate runs as SELECT and as DELETE; then
+// ORDER BY … LIMIT ranks a key column whose rows mix INT and FLOAT —
+// over the table, and over a shared similarity grouping with the top-k
+// hint — in the exact order.
+func TestSQLMixedNumericCompareExact(t *testing.T) {
+	const (
+		a = 1<<53 + 1 // the row whose id a float comparison misreads
+		b = 1 << 53
+		c = math.MaxInt64
+		d = math.MinInt64
+	)
+	load := func() *DB {
+		db := Open()
+		mustExec(t, db, "CREATE TABLE t (id INT, f FLOAT)")
+		mustExec(t, db, "CREATE TABLE u (g FLOAT)")
+		mustExec(t, db, "INSERT INTO t VALUES (9007199254740993, 9007199254740992.0), (9007199254740992, 9007199254740992.0), "+
+			"(9223372036854775807, 1.5), (-9223372036854775808, -0.0)")
+		mustExec(t, db, "INSERT INTO u VALUES (9007199254740992.0)")
+		return db
+	}
+	ids := func(rows *Rows) []int64 {
+		var out []int64
+		for _, r := range rows.Data {
+			out = append(out, r[0].I)
+		}
+		return out
+	}
+	all := []int64{d, b, a, c} // ORDER BY id
+	for _, tc := range []struct {
+		where string
+		want  []int64
+	}{
+		{"id = 9007199254740992.0", []int64{b}},
+		{"9007199254740992.0 = id", []int64{b}},
+		{"id <> 9007199254740992.0", []int64{d, a, c}},
+		{"id IN (9007199254740992.0)", []int64{b}},
+		{"id NOT IN (9007199254740992.0)", []int64{d, a, c}},
+		{"id BETWEEN 9007199254740992.0 AND 9007199254740992.0", []int64{b}},
+		{"id = f", []int64{b}},
+		{"id > f", []int64{a, c}},
+		{"f < id", []int64{a, c}},
+		{"id IN (SELECT g FROM u)", []int64{b}},
+		{"id < 9223372036854775808.0", all},
+		{"id >= 9223372036854775808.0", nil},
+		{"id = -9223372036854775808.0", []int64{d}},
+		{"id > -9223372036854775808.0", []int64{b, a, c}},
+	} {
+		got := ids(mustQuery(t, load(), "SELECT id FROM t WHERE "+tc.where+" ORDER BY id"))
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("SELECT … WHERE %s = %v, want %v", tc.where, got, tc.want)
+		}
+		db := load()
+		n, err := db.Exec("DELETE FROM t WHERE " + tc.where)
+		if err != nil {
+			t.Fatalf("DELETE … WHERE %s: %v", tc.where, err)
+		}
+		var kept []int64
+		for _, id := range all {
+			if !slices.Contains(tc.want, id) {
+				kept = append(kept, id)
+			}
+		}
+		if left := ids(mustQuery(t, db, "SELECT id FROM t ORDER BY id")); n != len(tc.want) || !slices.Equal(left, kept) {
+			t.Errorf("DELETE … WHERE %s deleted %d rows and kept %v, want %d and %v", tc.where, n, left, len(tc.want), kept)
+		}
+	}
+	if got := ids(mustQuery(t, load(), "SELECT t.id FROM t JOIN u ON t.id = u.g")); !slices.Equal(got, []int64{b}) {
+		t.Errorf("t JOIN u ON t.id = u.g = %v", got)
+	}
+
+	// SQL coerces a FLOAT column's INTs, so the mixed column is built
+	// through the catalog, as a generator would; each row is a group of
+	// its own at ε = 1, and max(k) keeps the row's kind.
+	keys := []types.Value{
+		types.Int(a), types.Float(b), types.Int(c), types.Float(0x1p63),
+		types.Int(b), types.Float(-b), types.Int(-b - 1), types.Float(b + 2),
+	}
+	asc := []int64{8, 6, 5, 1, 4, 0, 7, 2, 3}  // the NULL first, 1 and 4 tie
+	desc := []int64{3, 2, 7, 0, 1, 4, 5, 6, 8} // ties keep input order
+	for _, incremental := range []string{"on", "off"} {
+		db := Open()
+		m := storage.NewTable("m", storage.Schema{{Name: "id", Type: types.KindInt},
+			{Name: "x", Type: types.KindFloat}, {Name: "k", Type: types.KindFloat}})
+		for i, k := range keys {
+			m.Rows = append(m.Rows, types.Row{types.Int(int64(i)), types.Float(float64(10 * i)), k})
+		}
+		if err := db.Catalog().Create(m); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, "INSERT INTO m VALUES (8, 80, NULL)")
+		mustExec(t, db, "SET incremental = "+incremental)
+		for _, dir := range []string{"", " DESC"} {
+			want := asc
+			if dir != "" {
+				want = desc
+			}
+			for n := 1; n <= len(want); n++ {
+				for _, sql := range []string{
+					fmt.Sprintf("SELECT id, k FROM m ORDER BY k%s LIMIT %d", dir, n),
+					fmt.Sprintf("SELECT min(id), max(k) FROM m GROUP BY x DISTANCE-TO-ANY L2 WITHIN 1 ORDER BY 2%s LIMIT %d", dir, n),
+				} {
+					if got := ids(mustQuery(t, db, sql)); !slices.Equal(got, want[:n]) {
+						t.Errorf("incremental %s: %s = %v, want %v", incremental, sql, got, want[:n])
+					}
+				}
+			}
+			sql := "SELECT id, k FROM m ORDER BY k" + dir
+			if got := ids(mustQuery(t, db, sql)); !slices.Equal(got, want) {
+				t.Errorf("incremental %s: %s = %v, want %v", incremental, sql, got, want)
+			}
 		}
 	}
 }

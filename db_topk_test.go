@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -130,4 +131,86 @@ func TestTopKTwoSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	round("after DELETE")
+}
+
+// TestWarmTopKRepeats repeats top-k statements — several LIMITs, both
+// directions, keys given by ordinal, alias and spelled-out aggregate —
+// from two sessions at once on a database whose shared groupings
+// memoize each ranking, within one table generation and across INSERT
+// and DELETE rounds. Every answer must equal a twin database's with
+// incremental = off, which ranks a private evaluation every time.
+func TestWarmTopKRepeats(t *testing.T) {
+	const anyFrom = " FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.3 "
+	const allFrom = " FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 0.3 ON-OVERLAP JOIN-ANY "
+	var stmts []string
+	for _, k := range []int{1, 3, 10, 50} {
+		for _, s := range []string{
+			"SELECT count(*), max(y)" + anyFrom + "ORDER BY 1 DESC, 2 DESC LIMIT %d",
+			"SELECT count(*), max(y)" + anyFrom + "ORDER BY 1, 2 LIMIT %d",
+			"SELECT count(*) AS c, max(y) AS m" + anyFrom + "ORDER BY c DESC, m LIMIT %d",
+			"SELECT count(*), max(y), min(x)" + anyFrom + "ORDER BY max(y) DESC, count(*) LIMIT %d",
+			"SELECT min(id), count(*)" + allFrom + "ORDER BY count(*) DESC, 1 LIMIT %d",
+			"SELECT min(id) AS first, count(*)" + allFrom + "ORDER BY 2, first DESC LIMIT %d",
+		} {
+			stmts = append(stmts, fmt.Sprintf(s, k))
+		}
+	}
+	on, off := Open(), Open()
+	loadUniform(t, on, 700, 28)
+	loadUniform(t, off, 700, 28)
+	ref := topKSession(t, off, "off")
+	sessions := []*Session{topKSession(t, on, "on"), topKSession(t, on, "on")}
+	round := func(when string) {
+		want := make([][]string, len(stmts))
+		for i, sql := range stmts {
+			rows, err := ref.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, sql, err)
+			}
+			for _, r := range rows.Data {
+				want[i] = append(want[i], fmt.Sprint(r))
+			}
+		}
+		var wg sync.WaitGroup
+		for c, s := range sessions {
+			wg.Add(1)
+			go func(c int, s *Session) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for i := range stmts {
+						j := (i + c*len(stmts)/2) % len(stmts) // the sessions start apart
+						sql := stmts[j]
+						rows, err := s.Query(sql)
+						if err != nil {
+							t.Errorf("%s, session %d: %s: %v", when, c, sql, err)
+							return
+						}
+						var got []string
+						for _, r := range rows.Data {
+							got = append(got, fmt.Sprint(r))
+						}
+						if !slices.Equal(got, want[j]) {
+							t.Errorf("%s, session %d, repeat %d: %s\n got %v\nwant %v", when, c, rep, sql, got, want[j])
+						}
+					}
+				}
+			}(c, s)
+		}
+		wg.Wait()
+	}
+	both := func(sql string) {
+		t.Helper()
+		for _, db := range []*DB{on, off} {
+			if _, err := db.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round("initially")
+	both("INSERT INTO pts VALUES (9000, 5.01, 5.01), (9001, 5.02, 5.0), (9002, 0.5, 9.5), (9003, 5.0, 5.03)")
+	round("after INSERT")
+	both("DELETE FROM pts WHERE id % 4 = 1")
+	round("after DELETE")
+	both("INSERT INTO pts VALUES (9004, 5.04, 5.0)")
+	round("after a second INSERT")
 }

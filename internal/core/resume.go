@@ -437,8 +437,5 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 // slices; calling Result repeatedly or interleaving it with Append and
 // Remove is safe.
 func (e *AnyEvaluator) Result() *Result {
-	if e.live == nil {
-		return &Result{Groups: groupsFromUF(e.uf, e.points.Len())}
-	}
-	return &Result{Groups: groupsFromUFLive(e.uf, e.live)}
+	return &Result{Groups: groupsFromUF(e.uf, e.live)}
 }

@@ -263,35 +263,53 @@ func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {
 	a.tab.AddPoint(ps.At(i), int32(i))
 }
 
-// groupsFromUF extracts the final partition in deterministic order:
-// groups sorted by their smallest member index, members ascending.
-// Roots map to group slots through a flat array rather than a map —
-// the extraction runs once per Result on the incremental paths, and
-// the array form cuts its constant by an order of magnitude at the
-// window benchmark's sizes.
-func groupsFromUF(uf *unionfind.UF, n int) []Group {
-	slot := newSlots(n)
-	var groups []Group
-	for i := 0; i < n; i++ {
-		r := uf.Find(i)
-		s := slot[r]
-		if s < 0 {
-			s = int32(len(groups))
-			slot[r] = s
-			groups = append(groups, Group{})
+// groupsFromUF extracts the partition of the stored positions live
+// (nil: every position of uf, in order), reporting each point by its
+// index in live (live[id] = stored position of the point with output
+// id): groups ordered by smallest output id, members ascending. The
+// one-shot run (nil), the Morton-permuted one (the inverse permutation)
+// and the decremental evaluator (surviving positions in arrival order)
+// all extract here. Two passes, as lattice.Dendrogram.GroupsAt: the
+// first gives each point its group's slot and counts group sizes, the
+// second fills one backing array carved into exact-capacity member
+// slices — no per-member append regrowth, and appending to one group's
+// Members reallocates it rather than overwriting a neighbour's.
+func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
+	n := len(live)
+	if live == nil {
+		n = uf.Len()
+	}
+	slot := make([]int32, uf.Len()) // root → its group's slot + 1
+	of := make([]int32, n)          // output id → its group's slot
+	sizes := make([]int, 0, min(n, uf.Count()))
+	for o := range of {
+		pos := o
+		if live != nil {
+			pos = int(live[o])
 		}
-		groups[s].Members = append(groups[s].Members, i)
+		r := uf.Find(pos)
+		if slot[r] == 0 {
+			sizes = append(sizes, 0)
+			slot[r] = int32(len(sizes))
+		}
+		s := slot[r] - 1
+		sizes[s]++
+		of[o] = s
+	}
+	if len(sizes) == 0 {
+		return nil // as an empty one-shot Result has it
+	}
+	backing := make([]int, n)
+	groups := make([]Group, len(sizes))
+	off := 0
+	for s, sz := range sizes {
+		groups[s].Members = backing[off : off : off+sz]
+		off += sz
+	}
+	for o, s := range of {
+		groups[s].Members = append(groups[s].Members, o)
 	}
 	return groups
-}
-
-// newSlots returns a root → group-slot array of -1 sentinels.
-func newSlots(n int) []int32 {
-	slot := make([]int32, n)
-	for i := range slot {
-		slot[i] = -1
-	}
-	return slot
 }
 
 // groupsFromUFPerm is groupsFromUF over a Morton-permuted evaluation:
@@ -302,34 +320,11 @@ func newSlots(n int) []int32 {
 // resolving each through the inverse permutation produces exactly that.
 func groupsFromUFPerm(uf *unionfind.UF, n int, perm []int32) []Group {
 	if perm == nil {
-		return groupsFromUF(uf, n)
+		return groupsFromUF(uf, nil)
 	}
 	inv := make([]int32, n)
 	for pos, orig := range perm {
 		inv[orig] = int32(pos)
 	}
-	return groupsFromUFLive(uf, inv)
-}
-
-// groupsFromUFLive extracts the partition of the listed stored
-// positions, reporting each point by its index in live (live[id] =
-// stored position of the point with output id). Both the
-// Morton-permuted one-shot path (live = inverse permutation over every
-// point) and the decremental evaluator (live = surviving positions in
-// arrival order) reduce to this: groups ordered by smallest output id,
-// members ascending.
-func groupsFromUFLive(uf *unionfind.UF, live []int32) []Group {
-	slot := newSlots(uf.Len())
-	var groups []Group
-	for o, pos := range live {
-		r := uf.Find(int(pos))
-		s := slot[r]
-		if s < 0 {
-			s = int32(len(groups))
-			slot[r] = s
-			groups = append(groups, Group{})
-		}
-		groups[s].Members = append(groups[s].Members, o)
-	}
-	return groups
+	return groupsFromUF(uf, inv)
 }

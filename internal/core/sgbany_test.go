@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
 // TestExample2SGBAny reproduces the paper's Example 2: a5 bridges
@@ -193,5 +195,135 @@ func TestSGBAnyMergeStats(t *testing.T) {
 	want := int64(len(points) - res.NumGroups())
 	if st.GroupMerges != want {
 		t.Fatalf("merges = %d, want %d", st.GroupMerges, want)
+	}
+}
+
+// perGroupAppend is the extraction groupsFromUF replaced: one Members
+// slice per group, grown by append.
+func perGroupAppend(uf *unionfind.UF, live []int32) []Group {
+	if live == nil {
+		live = make([]int32, uf.Len())
+		for i := range live {
+			live[i] = int32(i)
+		}
+	}
+	slot := map[int]int{}
+	var groups []Group
+	for o, pos := range live {
+		r := uf.Find(int(pos))
+		s, ok := slot[r]
+		if !ok {
+			s = len(groups)
+			slot[r] = s
+			groups = append(groups, Group{})
+		}
+		groups[s].Members = append(groups[s].Members, o)
+	}
+	return groups
+}
+
+// checkIndependent appends to each group's Members in turn and requires
+// every other group to read as before.
+func checkIndependent(t *testing.T, what string, groups []Group) {
+	t.Helper()
+	want := make([][]int, len(groups))
+	for i, g := range groups {
+		want[i] = append([]int(nil), g.Members...)
+	}
+	for i := range groups {
+		groups[i].Members = append(groups[i].Members, -1)
+		for j, g := range groups {
+			if j != i && !reflect.DeepEqual(g.Members, want[j]) {
+				t.Fatalf("%s: appending to group %d changed group %d: %v, was %v", what, i, j, g.Members, want[j])
+			}
+		}
+		groups[i].Members = groups[i].Members[:len(want[i])]
+	}
+}
+
+// TestAnyResultGroupsIndependent: groupsFromUF's counting extraction
+// answers exactly what the per-group-append one did — group order and
+// member order — over random Union-Find traces read in full, through a
+// surviving subset (removals) and through a permutation (Morton), and
+// over real evaluations: the one-shot operator with Morton
+// preprocessing and a maintained evaluator under appends and removals.
+// Its groups share one backing array, yet appending to one group's
+// Members leaves its neighbours intact.
+func TestAnyResultGroupsIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(80)
+		uf := unionfind.New(n)
+		for k := r.Intn(n + 1); k > 0; k-- {
+			uf.Union(r.Intn(n), r.Intn(n))
+		}
+		var subset []int32
+		for i := 0; i < n; i++ {
+			if r.Intn(3) > 0 {
+				subset = append(subset, int32(i))
+			}
+		}
+		perm := r.Perm(n)
+		inv := make([]int32, n)
+		for i, p := range perm {
+			inv[i] = int32(p)
+		}
+		for _, c := range []struct {
+			name string
+			live []int32
+		}{{"every position", nil}, {"survivors", subset}, {"permuted", inv}} {
+			got, want := groupsFromUF(uf, c.live), perGroupAppend(uf, c.live)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s: %v, want %v", trial, c.name, got, want)
+			}
+			checkIndependent(t, c.name, got)
+		}
+	}
+
+	pts := geom.FromPoints(randomPoints(r, 600, 2, 20))
+	opt := Options{Metric: geom.L2, Eps: 0.6, Algorithm: GridIndex, Parallelism: 1}
+	perm := mortonPermFor(pts, opt)
+	if perm == nil {
+		t.Fatal("no Morton permutation for 600 grid points")
+	}
+	eval := pts.Gather(perm)
+	uf := unionfind.New(eval.Len())
+	sgbAnyLocal(eval, opt, uf)
+	inv := make([]int32, len(perm))
+	for pos, orig := range perm {
+		inv[orig] = int32(pos)
+	}
+	res, err := SGBAnySet(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := perGroupAppend(uf, inv); !reflect.DeepEqual(res.Groups, want) {
+		t.Fatal("one-shot Morton run: groups differ from the per-group-append extraction")
+	}
+	checkIndependent(t, "one-shot", res.Groups)
+
+	e, err := NewAnyEvaluator(2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 12; step++ {
+		if step%3 == 2 {
+			var ids []int
+			for i := 0; i < e.Len(); i++ {
+				if r.Intn(4) == 0 {
+					ids = append(ids, i)
+				}
+			}
+			if err := e.Remove(ids); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := e.Append(geom.FromPoints(randomPoints(r, 80, 2, 10))); err != nil {
+			t.Fatal(err)
+		}
+		got := e.Result().Groups
+		if want := perGroupAppend(e.uf, e.live); !reflect.DeepEqual(got, want) {
+			t.Fatalf("maintained, step %d: groups differ from the per-group-append extraction", step)
+		}
+		checkIndependent(t, "maintained", got)
 	}
 }

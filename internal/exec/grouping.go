@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"strconv"
 	"sync"
 
 	"github.com/sgb-db/sgb/internal/core"
@@ -9,8 +10,12 @@ import (
 )
 
 // maxMemoAggs bounds the aggregate columns one Grouping memoizes;
-// further aggregates fold privately per query.
-const maxMemoAggs = 32
+// further aggregates fold privately per query. maxMemoRanks bounds its
+// top-k rankings the same way.
+const (
+	maxMemoAggs  = 32
+	maxMemoRanks = 32
+)
 
 // Grouping is one immutable set of output groups over a fixed row
 // sequence, plus the aggregate columns already folded over it. The
@@ -18,7 +23,9 @@ const maxMemoAggs = 32
 // every query of that generation shares it: an aggregate is folded by
 // the first query that asks for it — once, in member order, so the
 // values are those of a fresh fold — and zipped into output rows by
-// all later ones.
+// all later ones. A top-k ranking over those columns is memoized the
+// same way: the first statement of a generation ranks every group, and
+// later ones read only the winners.
 //
 // A Grouping outlives the query that built it, so it is stored
 // compactly: member row ids as one flat int32 run (row counts beyond
@@ -28,8 +35,9 @@ type Grouping struct {
 	members []int32 // every group's member row ids, group after group
 	ends    []int32 // group i is members[ends[i-1]:ends[i]]
 
-	mu   sync.Mutex // guards cols (the map, not the columns)
-	cols map[string]*aggColumn
+	mu    sync.Mutex // guards cols and ranks (the maps, not their entries)
+	cols  map[string]*aggColumn
+	ranks map[string]*ranking
 
 	rollupOnce       sync.Once
 	largest, grouped int
@@ -144,6 +152,65 @@ func (g *Grouping) column(a AggSpec, in *foldInput, st *core.Stats) (column, err
 	}
 	c.once.Do(func() { c.col, c.err = g.foldColumn(a, in, st, true) })
 	return c.col, c.err
+}
+
+// ranking is one memoized top-k ranking, computed exactly once.
+type ranking struct {
+	once    sync.Once
+	winners []int
+	err     error
+}
+
+// top returns the groups that rank among t's N first on cols — the
+// node's aggregate columns, aggs their specs — in group order. When
+// every key column is a keyed aggregate the ranking is a function of
+// the keys, the directions and N, as a memoized column is of its key,
+// and it is memoized under them: concurrent first requests coalesce on
+// the ranking's Once, and a ranking error (incomparable key kinds) is
+// kept as a column's is. Other rankings, and those beyond maxMemoRanks,
+// are computed per query.
+func (g *Grouping) top(t *Top, aggs []AggSpec, cols []column) ([]int, error) {
+	var buf [128]byte
+	key, keyed := rankKey(buf[:0], t, aggs)
+	var r *ranking
+	if keyed {
+		g.mu.Lock()
+		r = g.ranks[string(key)]
+		if r == nil && len(g.ranks) < maxMemoRanks {
+			if g.ranks == nil {
+				g.ranks = make(map[string]*ranking)
+			}
+			r = &ranking{}
+			g.ranks[string(key)] = r
+		}
+		g.mu.Unlock()
+	}
+	if r == nil {
+		return rankTop(t, cols, g.Len())
+	}
+	r.once.Do(func() { r.winners, r.err = rankTop(t, cols, g.Len()) })
+	return r.winners, r.err
+}
+
+// rankKey appends t's memo key to b: N, then per key column its
+// direction and its aggregate's key, length-prefixed so that no two
+// hints print alike. keyed is false when a key column's aggregate has
+// no key.
+func rankKey(b []byte, t *Top, aggs []AggSpec) (key []byte, keyed bool) {
+	b = strconv.AppendInt(b, t.N, 10)
+	for j, c := range t.Cols {
+		k := aggs[c].Key
+		if k == "" {
+			return nil, false
+		}
+		dir := byte('+')
+		if t.Desc[j] {
+			dir = '-'
+		}
+		b = strconv.AppendInt(append(b, dir), int64(len(k)), 10)
+		b = append(append(b, ':'), k...)
+	}
+	return b, true
 }
 
 // foldColumn folds one aggregate over every group: with the typed

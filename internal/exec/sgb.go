@@ -330,8 +330,8 @@ func (s *SGB) emit(gs []*Grouping, in *foldInput, shared bool) error {
 }
 
 // emitTop is emit for a shared grouping under the Top hint: the groups
-// are ranked on their memoized key columns by the heap TopK uses, group
-// index breaking ties, and only the winners become rows, in group
+// are ranked on their memoized key columns (Grouping.top: once per
+// generation and hint) and only the winners become rows, in group
 // order — a superset of the statement's answer in the order TopK above
 // would have met them anyway. It is a function of its own so that emit,
 // which every statement without the hint runs, stays as it was.
@@ -343,16 +343,11 @@ func (s *SGB) emitTop(g *Grouping, in *foldInput) error {
 			return err
 		}
 	}
-	h := newTopHeap(s.Top.Desc, s.Top.N)
-	for i, n := 0, g.Len(); i < n; i++ {
-		for j, c := range s.Top.Cols {
-			h.cand[j] = cols[c].at(i)
-		}
-		if _, err := h.offer(i); err != nil {
-			return err
-		}
+	winners, err := g.top(s.Top, s.Aggs, cols)
+	if err != nil {
+		return err
 	}
-	winners, width := h.arrivals(), len(s.Aggs)
+	width := len(s.Aggs)
 	backing := make([]types.Value, len(winners)*width)
 	s.out = make([]types.Row, len(winners))
 	for r, i := range winners {
@@ -363,6 +358,21 @@ func (s *SGB) emitTop(g *Grouping, in *foldInput) error {
 		s.out[r] = row
 	}
 	return nil
+}
+
+// rankTop ranks n groups on t's key columns by the heap TopK uses,
+// group index breaking ties, and returns the winners in group order.
+func rankTop(t *Top, cols []column, n int) ([]int, error) {
+	h := newTopHeap(t.Desc, t.N)
+	for i := 0; i < n; i++ {
+		for j, c := range t.Cols {
+			h.cand[j] = cols[c].at(i)
+		}
+		if _, err := h.offer(i); err != nil {
+			return nil, err
+		}
+	}
+	return h.arrivals(), nil
 }
 
 // Next emits one aggregate row per output group, in group order.

@@ -186,34 +186,24 @@ func (h *topHeap) before(ka, kb []types.Value, sa, sb int) bool {
 //
 //sgb:allocfree
 func orderKeys(a, b *types.Value) int {
-	if a.Kind == types.KindInt && b.Kind == types.KindInt {
-		return cmp.Compare(a.I, b.I) // exact, as types.Compare
-	}
-	af, aok := numericKey(a)
-	bf, bok := numericKey(b)
-	if !aok || !bok {
-		c, _ := types.Compare(*a, *b)
-		return c
-	}
 	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
+	case a.Kind == types.KindFloat && b.Kind == types.KindFloat:
+		switch {
+		case a.F < b.F:
+			return -1
+		case a.F > b.F:
+			return 1
+		}
+		return 0
+	case a.Kind == types.KindInt && b.Kind == types.KindInt:
+		return cmp.Compare(a.I, b.I)
+	case a.Kind == types.KindInt && b.Kind == types.KindFloat:
+		return types.CompareIntFloat(a.I, b.F)
+	case a.Kind == types.KindFloat && b.Kind == types.KindInt:
+		return -types.CompareIntFloat(b.I, a.F)
 	}
-	return 0
-}
-
-// numericKey is v as types.Compare reads an INT or a FLOAT of a mixed
-// pair.
-func numericKey(v *types.Value) (float64, bool) {
-	switch v.Kind {
-	case types.KindInt:
-		return float64(v.I), true
-	case types.KindFloat:
-		return v.F, true
-	}
-	return 0, false
+	c, _ := types.Compare(*a, *b)
+	return c
 }
 
 // siftUp restores the heap after heap[i] was appended.

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/core"
@@ -227,5 +230,199 @@ func TestSGBTopHint(t *testing.T) {
 		if _, err := Run(node(bad, true)); err == nil {
 			t.Errorf("malformed hint %+v was accepted", bad)
 		}
+	}
+}
+
+// refWinners is the reference ranking: every group's key values through
+// Limit{Sort}, the winners' group indices read back and put in group
+// order.
+func refWinners(t *testing.T, top *Top, cols []column, n int) ([]int, error) {
+	t.Helper()
+	rows := make([]types.Row, n)
+	for i := range rows {
+		row := make(types.Row, len(top.Cols)+1)
+		for j, c := range top.Cols {
+			row[j] = cols[c].at(i)
+		}
+		row[len(top.Cols)] = types.Int(int64(i))
+		rows[i] = row
+	}
+	keys := make([]SortKey, len(top.Cols))
+	for j := range top.Cols {
+		keys[j] = SortKey{Expr: col(j), Desc: top.Desc[j]}
+	}
+	got, err := sortLimit(rows, keys, top.N)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(got))
+	for r, row := range got {
+		out[r] = int(row[len(top.Cols)].I)
+	}
+	sort.Ints(out)
+	return out, nil
+}
+
+// TestTopRankingMemo: a shared Grouping ranks a top-k hint once. A
+// repeat reads the kept winners; a different N, direction, key order or
+// key ranks anew; a ranking error is kept; a hint over an unkeyed
+// aggregate, or past maxMemoRanks, ranks per call. Over random packed
+// columns with NULLs, ties, ±0 and INT/FLOAT mixes the memoized winners
+// are those of a fresh ranking and of Limit{Sort}; and two goroutines
+// ranking through SGB nodes on one Grouping agree (run under -race).
+func TestTopRankingMemo(t *testing.T) {
+	r := rand.New(rand.NewSource(28))
+	draw := func(n int) column {
+		vals := make([]types.Value, n)
+		for i := range vals {
+			switch v := r.Intn(4); r.Intn(7) {
+			case 0:
+				vals[i] = types.Null()
+			case 1:
+				vals[i] = types.Float(math.Copysign(0, -1))
+			case 2, 3:
+				vals[i] = types.Float(float64(v))
+			case 4:
+				vals[i] = types.Float(float64(v) + 0.5)
+			default:
+				vals[i] = types.Int(int64(v))
+			}
+		}
+		c := pack(vals)
+		if c.vals != nil {
+			t.Fatal("a NULL/INT/FLOAT column did not pack")
+		}
+		return c
+	}
+	aggs := []AggSpec{{Key: "a"}, {Key: "b"}, {Key: "c"}, {}}
+	for trial := 0; trial < 100; trial++ {
+		n := r.Intn(50)
+		g := NewGrouping(make([]core.Group, n))
+		cols := []column{draw(n), draw(n), draw(n), draw(n)}
+		for _, top := range []*Top{
+			{Cols: []int{0}, Desc: []bool{true}, N: 3},
+			{Cols: []int{0}, Desc: []bool{true}, N: 4},           // N
+			{Cols: []int{0}, Desc: []bool{false}, N: 3},          // direction
+			{Cols: []int{1}, Desc: []bool{true}, N: 3},           // key
+			{Cols: []int{0, 1}, Desc: []bool{true, false}, N: 5}, //
+			{Cols: []int{1, 0}, Desc: []bool{true, false}, N: 5}, // key order
+			{Cols: []int{0, 1}, Desc: []bool{true, true}, N: 5},  // second direction
+			{Cols: []int{2, 0, 1}, Desc: []bool{false, true, false}, N: int64(n)},
+			{Cols: []int{2}, Desc: []bool{false}, N: 0},
+			{Cols: []int{2}, Desc: []bool{true}, N: math.MaxInt64},
+		} {
+			before := len(g.ranks)
+			want, err := refWinners(t, top, cols, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := rankTop(top, cols, n)
+			if err != nil || !slices.Equal(fresh, want) {
+				t.Fatalf("trial %d, hint %+v: fresh ranking %v (%v), Limit{Sort} %v", trial, top, fresh, err, want)
+			}
+			first, err := g.top(top, aggs, cols)
+			if err != nil || !slices.Equal(first, want) {
+				t.Fatalf("trial %d, hint %+v: first ranking %v (%v), want %v", trial, top, first, err, want)
+			}
+			if len(g.ranks) != before+1 {
+				t.Fatalf("trial %d, hint %+v: memo went from %d to %d rankings, want a new one", trial, top, before, len(g.ranks))
+			}
+			again, err := g.top(top, aggs, cols)
+			if err != nil || !slices.Equal(again, want) || len(g.ranks) != before+1 ||
+				(len(first) > 0 && &again[0] != &first[0]) {
+				t.Fatalf("trial %d, hint %+v: repeat ranked anew (%v, %v)", trial, top, again, err)
+			}
+		}
+		// An unkeyed key column ranks per call and is not memoized.
+		before := len(g.ranks)
+		top := &Top{Cols: []int{3}, Desc: []bool{true}, N: 2}
+		want, _ := refWinners(t, top, cols, n)
+		for pass := 0; pass < 2; pass++ {
+			got, err := g.top(top, aggs, cols)
+			if err != nil || !slices.Equal(got, want) || len(g.ranks) != before {
+				t.Fatalf("trial %d, unkeyed hint, pass %d: %v (%v), memo %d → %d", trial, pass, got, err, before, len(g.ranks))
+			}
+		}
+	}
+
+	// An error is kept, as a column's is: the second request gets the
+	// very error the first one made.
+	bad := []column{{vals: []types.Value{types.Int(1), types.Text("x"), types.Int(2)}}}
+	g := NewGrouping(make([]core.Group, 3))
+	top := &Top{Cols: []int{0}, Desc: []bool{false}, N: 1}
+	_, err1 := g.top(top, aggs[:1], bad)
+	_, err2 := g.top(top, aggs[:1], bad)
+	if err1 == nil || err1 != err2 || len(g.ranks) != 1 {
+		t.Fatalf("incomparable key kinds: %v, then %v, %d rankings kept", err1, err2, len(g.ranks))
+	}
+
+	// The memo stops at its bound; further hints still rank correctly.
+	g = NewGrouping(make([]core.Group, 20))
+	cols := []column{draw(20)}
+	for k := int64(1); k <= maxMemoRanks+3; k++ {
+		top := &Top{Cols: []int{0}, Desc: []bool{true}, N: k}
+		want, _ := refWinners(t, top, cols, 20)
+		if got, err := g.top(top, aggs[:1], cols); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("LIMIT %d: %v (%v), want %v", k, got, err, want)
+		}
+	}
+	if len(g.ranks) != maxMemoRanks {
+		t.Fatalf("memo holds %d rankings, want the bound %d", len(g.ranks), maxMemoRanks)
+	}
+
+	// Two goroutines rank through SGB nodes over one shared Grouping,
+	// each hint first requested by both at once.
+	var rows []types.Row
+	var groups []core.Group
+	for gi := 0; gi < 60; gi++ {
+		var members []int
+		for m, n := 0, 1+r.Intn(3); m < n; m++ {
+			members = append(members, len(rows))
+			rows = append(rows, types.Row{types.Float(float64(gi)), types.Int(int64(r.Intn(4)))})
+		}
+		groups = append(groups, core.Group{Members: members})
+	}
+	nodeAggs := []AggSpec{
+		{Kind: AggCountStar, Key: "count(*)"},
+		{Kind: AggMax, Args: []Scalar{col(1)}, Key: "max(b)"},
+		{Kind: AggMin, Args: []Scalar{col(0)}, Key: "min(a)"},
+	}
+	shared := NewGrouping(groups)
+	hints := []*Top{
+		{Cols: []int{0, 2}, Desc: []bool{true, false}, N: 5},
+		{Cols: []int{1, 0}, Desc: []bool{false, true}, N: 9},
+		{Cols: []int{0}, Desc: []bool{true}, N: 1},
+	}
+	results := make([][][]types.Row, 2)
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for h, top := range hints {
+					s := &SGB{Input: &ValuesOp{Rows: rows}, GroupExprs: []Scalar{col(0)}, Any: true,
+						Opt: core.Options{Eps: 0.5}, Aggs: nodeAggs, Top: top,
+						Answer: func(Snapshot) ([]*Grouping, error) { return []*Grouping{shared}, nil }}
+					out, err := Run(s)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if round == 0 {
+						results[w] = append(results[w], out)
+					} else if !reflect.DeepEqual(out, results[w][h]) {
+						t.Errorf("goroutine %d, round %d, hint %+v: answer changed", w, round, top)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatal("two goroutines on one Grouping ranked differently")
+	}
+	if len(shared.ranks) != len(hints) {
+		t.Fatalf("shared Grouping keeps %d rankings, want %d", len(shared.ranks), len(hints))
 	}
 }

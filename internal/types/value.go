@@ -196,10 +196,11 @@ func (v Value) Key() Value {
 }
 
 // Compare orders a against b: -1, 0, +1. Numeric kinds (including
-// dates) compare numerically — two INTs or two DATEs exactly, by their
-// 64-bit payload; a mixed pair as floats — text lexicographically;
-// bools false<true. NULL sorts before everything. Cross-kind
-// comparisons between non-numeric kinds are an error.
+// dates) compare numerically and exactly: two of INT and DATE by their
+// 64-bit payload, an INT or DATE against a FLOAT by CompareIntFloat,
+// two FLOATs as floats (NaN equal to every float); text
+// lexicographically; bools false<true. NULL sorts before everything.
+// Cross-kind comparisons between non-numeric kinds are an error.
 func Compare(a, b Value) (int, error) {
 	if a.Kind == KindNull || b.Kind == KindNull {
 		switch {
@@ -211,19 +212,21 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	numeric := func(v Value) bool { return v.IsNumeric() || v.Kind == KindDate }
+	integer := func(v Value) bool { return v.Kind == KindInt || v.Kind == KindDate }
 	switch {
-	case a.Kind == b.Kind && (a.Kind == KindInt || a.Kind == KindDate):
+	case integer(a) && integer(b):
 		// float64 holds 53 bits: beyond 2⁵³ neighbouring integers
 		// would compare equal.
 		return cmp.Compare(a.I, b.I), nil
-	case numeric(a) && numeric(b):
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
+	case integer(a) && b.Kind == KindFloat:
+		return CompareIntFloat(a.I, b.F), nil
+	case a.Kind == KindFloat && integer(b):
+		return -CompareIntFloat(b.I, a.F), nil
+	case a.Kind == KindFloat && b.Kind == KindFloat:
 		switch {
-		case af < bf:
+		case a.F < b.F:
 			return -1, nil
-		case af > bf:
+		case a.F > b.F:
 			return 1, nil
 		default:
 			return 0, nil
@@ -242,6 +245,31 @@ func Compare(a, b Value) (int, error) {
 	default:
 		return 0, fmt.Errorf("types: cannot compare %s with %s", a.Kind, b.Kind)
 	}
+}
+
+// CompareIntFloat orders the integer i against the float f exactly —
+// not as float64(i), which rounds above 2⁵³ — including f beyond ±2⁶³
+// and infinite. A NaN compares equal, as it does against a float.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := int64(f) // exact: f is inside [-2⁶³, 2⁶³) and truncates toward 0
+	if c := cmp.Compare(i, t); c != 0 {
+		return c
+	}
+	switch frac := f - float64(t); { // exact, and zero from 2⁵² on
+	case frac > 0:
+		return -1
+	case frac < 0:
+		return 1
+	}
+	return 0
 }
 
 // Arithmetic evaluates a op b for op in +,-,*,/ with int/float

@@ -99,9 +99,27 @@ func TestCompare(t *testing.T) {
 	mustCmp(Int(math.MinInt64), Int(math.MaxInt64), -1)
 	mustCmp(Date(big), Date(big+1), -1)
 	mustCmp(Date(big+1), Date(big+1), 0)
-	// A mixed pair still compares as floats.
-	mustCmp(Int(big+1), Float(float64(big)), 0)
-	mustCmp(Date(big+1), Int(big), 0)
+	// A mixed pair compares exactly too: the integer against the float's
+	// value, not against float64 of itself.
+	mustCmp(Int(big+1), Float(float64(big)), 1)
+	mustCmp(Float(float64(big)), Int(big+1), -1)
+	mustCmp(Int(big), Float(float64(big)), 0)
+	mustCmp(Date(big+1), Int(big), 1)
+	mustCmp(Date(big+1), Float(float64(big)), 1)
+	mustCmp(Int(-big-1), Float(-float64(big)), -1)
+	mustCmp(Int(math.MaxInt64), Float(0x1p63), -1) // float64(MaxInt64) is 2⁶³
+	mustCmp(Float(0x1p63), Int(math.MaxInt64), 1)
+	mustCmp(Int(math.MinInt64), Float(-0x1p63), 0)
+	mustCmp(Int(math.MinInt64+1), Float(-0x1p63), 1)
+	mustCmp(Int(math.MinInt64), Float(math.Nextafter(-0x1p63, math.Inf(-1))), 1)
+	mustCmp(Int(math.MaxInt64), Float(math.Inf(1)), -1)
+	mustCmp(Int(math.MinInt64), Float(math.Inf(-1)), 1)
+	mustCmp(Int(0), Float(math.Copysign(0, -1)), 0)
+	mustCmp(Int(2), Float(2.5), -1)
+	mustCmp(Int(-2), Float(-2.5), 1)
+	mustCmp(Int(-3), Float(-2.5), -1)
+	mustCmp(Float(-2.5), Int(-2), -1)
+	mustCmp(Int(7), Float(math.NaN()), 0) // as a float pair with a NaN
 	if _, err := Compare(Text("a"), Int(1)); err == nil {
 		t.Error("cross-kind compare accepted")
 	}

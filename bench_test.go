@@ -150,23 +150,31 @@ func BenchmarkGrid(b *testing.B) {
 }
 
 // BenchmarkSweep — multi-ε query sharing on the Fig9a workload
-// (n=4000, L2, levels evenly spaced up to ε=0.5): one ε-lattice sweep
-// answering all k levels (Lattice) versus k independent one-shot runs
-// (Oneshot). The lattice builds one dendrogram below the largest level
-// and cuts each level from it; the one-shot rival pays a full grouping
-// per level.
+// (n=4000, L2, levels evenly spaced up to ε=0.5), three ways to answer
+// all k levels: Lattice builds the dendrogram a cached entry keeps (one
+// edge sweep below the largest level, each level cut from it), Levels
+// is the one-shot SweepAny (one probe pass feeding one Union-Find per
+// level), and Oneshot runs k independent groupings.
 func BenchmarkSweep(b *testing.B) {
 	pts := benchPoints(4000, 1)
+	flat := sgb.FromPoints(pts)
 	for _, k := range []int{2, 4, 8} {
 		levels := make([]float64, k)
 		for i := range levels {
 			levels[i] = 0.5 * float64(i+1) / float64(k)
 		}
 		b.Run(fmt.Sprintf("Lattice/k=%d", k), func(b *testing.B) {
+			opt := sgb.Options{Metric: sgb.L2, Eps: levels[k-1], Algorithm: sgb.GridIndex}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				latticeSweep(b, flat, levels, opt)
+			}
+		})
+		b.Run(fmt.Sprintf("Levels/k=%d", k), func(b *testing.B) {
 			opt := sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sgb.SweepAny(pts, levels, opt); err != nil {
+				if _, err := sgb.SweepAnySet(flat, levels, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,14 +193,32 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
+// latticeSweep builds a cached entry's ε-lattice over ps (ε_max =
+// opt.Eps) and cuts every level of levels from its dendrogram.
+func latticeSweep(b *testing.B, ps *sgb.PointSet, levels []float64, opt sgb.Options) {
+	lat, err := sgb.NewLatticeAny(ps.Dims(), opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := lat.AppendSet(ps, nil); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := lat.Sweep(levels); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkParallel — SGB-Any's partition/evaluate/merge pipeline on
 // the Fig9a workload (n=4000, ε=0.5, L2): worker sweep under the ε-grid
 // strategy. w=1 is the sequential path; results are identical at every
 // worker count. (SGB-All has no pipeline to sweep:
-// docs/pr24-sgball-sequential.md.) Lattice is the ε-lattice's tiled
-// first-batch build: `eps_cube_cold`'s eight-level L2 EPS IN list up to
-// ε_max = 0.8 over 8 000 Brightkite-profile check-ins, one build and
-// eight cuts per iteration (docs/pr25-parallel-lattice.md).
+// docs/pr24-sgball-sequential.md.) The other two families run
+// `eps_cube_cold`'s eight-level L2 EPS IN list up to ε_max = 0.8 over
+// 8 000 Brightkite-profile check-ins: Lattice is the cached entry's
+// build, the ε-lattice's tiled first batch plus eight dendrogram cuts
+// (docs/pr25-parallel-lattice.md); Levels is the one-shot statement's
+// SweepAnySet, the same pipeline as Any with one Union-Find per level
+// (docs/pr29-level-forests.md).
 func BenchmarkParallel(b *testing.B) {
 	pts := benchPoints(4000, 1)
 	for _, w := range []int{1, 2, 4, 8} {
@@ -210,6 +236,15 @@ func BenchmarkParallel(b *testing.B) {
 	levels := []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8}
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("Lattice/Grid/w=%d", w), func(b *testing.B) {
+			opt := sgb.Options{Metric: sgb.L2, Eps: levels[len(levels)-1], Algorithm: sgb.GridIndex, Parallelism: w}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				latticeSweep(b, checkins, levels, opt)
+			}
+		})
+	}
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("Levels/Grid/w=%d", w), func(b *testing.B) {
 			opt := sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex, Parallelism: w}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -37,6 +37,13 @@
 //     incremental run over batches equals a one-shot run over their
 //     concatenation. internal/incr wraps these in the public handle.
 //
+// An ε sweep (EPS IN, SIMILARITY CUBE BY EPS) comes in two forms. A
+// one-shot sweep (SweepAny) runs the first two shapes over its levels
+// at once: one probe pass at the largest ε feeds one Union-Find per
+// level (sgbAnyLevels, the function single-ε SGBAny is the one-level
+// case of). The dendrogram (LatticeEvaluator, over internal/lattice)
+// serves cached entries, whose future ε lists are unknown.
+//
 // # Invariants
 //
 //   - SGB-All output groups are cliques of the ε-similarity graph;

@@ -57,7 +57,9 @@ type EpsSummary = lattice.Summary
 // LatticeEvaluator is the resumable ε-lattice arm of SGB-Any: one
 // grid-accelerated edge sweep maintained across Appends whose
 // dendrogram answers GroupsAt(ε) for every ε ≤ ε_max — the multi-query
-// sharing evaluator behind EPS IN (...) and SIMILARITY CUBE. Group
+// sharing evaluator behind cached EPS IN (...) and SIMILARITY CUBE
+// entries, whose future ε lists are unknown. (A one-shot sweep names its
+// levels up front and runs SweepAny's level forests instead.) Group
 // output is bit-identical to an independent one-shot SGBAny run at the
 // same ε (heights are compared in the metric's Within key space), for
 // every algorithm strategy, since SGB-Any components are
@@ -193,7 +195,7 @@ func (e *LatticeEvaluator) SummaryAt(eps float64) (EpsSummary, error) {
 // ascending order so the dendrogram replay does one total pass
 // regardless of list order.
 func (e *LatticeEvaluator) Sweep(epsList []float64) ([]*Result, error) {
-	order, err := e.sweepOrder(epsList)
+	order, err := ascendingLevels(epsList)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +210,7 @@ func (e *LatticeEvaluator) Sweep(epsList []float64) ([]*Result, error) {
 
 // SweepSummaries is Sweep for aggregate rows — the CUBE fast path.
 func (e *LatticeEvaluator) SweepSummaries(epsList []float64) ([]EpsSummary, error) {
-	order, err := e.sweepOrder(epsList)
+	order, err := ascendingLevels(epsList)
 	if err != nil {
 		return nil, err
 	}
@@ -221,9 +223,9 @@ func (e *LatticeEvaluator) SweepSummaries(epsList []float64) ([]EpsSummary, erro
 	return out, nil
 }
 
-// sweepOrder validates epsList and returns its index permutation in
-// ascending ε order.
-func (e *LatticeEvaluator) sweepOrder(epsList []float64) ([]int, error) {
+// ascendingLevels validates epsList and returns its index permutation
+// in ascending ε order.
+func ascendingLevels(epsList []float64) ([]int, error) {
 	if err := ValidateEpsList(epsList); err != nil {
 		return nil, err
 	}
@@ -242,46 +244,4 @@ func latticeQueryErr(err error, epsMax float64) error {
 		return fmt.Errorf("%w (ε_max = %v)", ErrEpsAboveMax, epsMax)
 	}
 	return err
-}
-
-// SweepAny answers SGB-Any at every ε level of epsList in one
-// evaluation: a single edge sweep below max(epsList) folded through a
-// Union-Find, each level cut from the shared dendrogram. Results align
-// with epsList's order, each bit-identical to SGBAny at that level.
-// opt.Eps is ignored (the list defines the sweep's ε_max).
-func SweepAny(points []geom.Point, epsList []float64, opt Options) ([]*Result, error) {
-	if _, err := checkInput(points); err != nil {
-		return nil, err
-	}
-	return SweepAnySet(geom.FromPoints(points), epsList, opt)
-}
-
-// SweepAnySet is SweepAny over flat point storage.
-func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, error) {
-	if err := ValidateEpsList(epsList); err != nil {
-		return nil, err
-	}
-	opt.Eps = slicesMax(epsList)
-	dims := 1
-	if ps != nil && ps.Len() > 0 {
-		dims = ps.Dims()
-	}
-	ev, err := NewLatticeEvaluator(dims, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := ev.AppendSet(ps, opt.Stats); err != nil {
-		return nil, err
-	}
-	return ev.Sweep(epsList)
-}
-
-func slicesMax(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

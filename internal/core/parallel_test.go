@@ -275,12 +275,13 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				if plan == nil {
 					b.Fatal("the input does not split into tiles")
 				}
-				ufs := make([]*unionfind.UF, len(plan.Tiles))
+				keys := []float64{opt.Metric.EpsKey(eps)}
+				fs := make([]*anyForests, len(plan.Tiles))
 				var worst time.Duration
 				for ti, tile := range plan.Tiles {
 					t0 = time.Now()
-					ufs[ti] = unionfind.New(tile.Points.Len())
-					sgbAnyLocal(tile.Points, opt, ufs[ti])
+					fs[ti] = newAnyForests(keys, tile.Points.Len())
+					sgbAnyLocal(tile.Points, opt, fs[ti])
 					worst = max(worst, lap(&tiles, t0))
 				}
 				largest += worst
@@ -290,14 +291,14 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				t0 = time.Now()
 				uf := unionfind.New(eval.Len())
 				for ti := range plan.Tiles {
-					uf.Absorb(ufs[ti], plan.Tiles[ti].Global)
+					uf.Absorb(fs[ti].ufs[0], plan.Tiles[ti].Global)
 				}
 				for _, chunk := range pairs {
 					for _, p := range chunk {
 						uf.Union(int(p.A), int(p.B))
 					}
 				}
-				groupsFromUFPerm(uf, eval.Len(), perm)
+				groupsFromUF(uf, invertPerm(perm))
 				lap(&merge, t0)
 			}
 			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }

@@ -404,11 +404,7 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 		// Arrival order of the reordered batch: position base+j holds
 		// the batch point bperm[j], so arrival offset o lives at the
 		// position the inverse permutation names.
-		inv := make([]int32, len(bperm))
-		for j, orig := range bperm {
-			inv[orig] = int32(j)
-		}
-		for _, j := range inv {
+		for _, j := range invertPerm(bperm) {
 			e.live = append(e.live, int32(base)+j)
 		}
 	} else if e.live != nil {

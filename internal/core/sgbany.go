@@ -51,7 +51,68 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 	if err := checkCoords(ps, opt.Eps); err != nil {
 		return nil, err
 	}
+	res.Groups = sgbAnyLevels(ps, opt, []float64{opt.Metric.EpsKey(opt.Eps)}, opt.workers(ps.Len()))[0]
+	return res, nil
+}
 
+// SweepAny answers SGB-Any at every ε level of epsList in one
+// evaluation: one probe pass at the largest level feeds one Union-Find
+// per level, each pair joining the levels its distance reaches
+// (anyForests). Results align with epsList's order, each member for
+// member equal to SGBAny at that level. opt.Eps is ignored (the list's
+// largest level is the probe radius). The evaluation runs on the ε-grid
+// whatever opt.Algorithm names, BoundsCheck apart, which is rejected as
+// SGBAny rejects it; Parallelism resolves as it does for SGBAny under
+// the named Algorithm. A cached sweep, whose later ε lists are unknown,
+// keeps a dendrogram instead (LatticeEvaluator).
+func SweepAny(points []geom.Point, epsList []float64, opt Options) ([]*Result, error) {
+	if _, err := checkInput(points); err != nil {
+		return nil, err
+	}
+	return SweepAnySet(geom.FromPoints(points), epsList, opt)
+}
+
+// SweepAnySet is SweepAny over flat point storage.
+func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, error) {
+	order, err := ascendingLevels(epsList)
+	if err != nil {
+		return nil, err
+	}
+	opt.Eps = epsList[order[len(order)-1]]
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if opt.Algorithm == BoundsCheck {
+		return nil, ErrBoundsCheckAny
+	}
+	out := make([]*Result, len(epsList))
+	if ps == nil || ps.Len() == 0 {
+		for i := range out {
+			out[i] = &Result{} // as an empty SGBAny has it
+		}
+		return out, nil
+	}
+	if err := checkCoords(ps, opt.Eps); err != nil {
+		return nil, err
+	}
+	keys := make([]float64, len(order))
+	for l, i := range order {
+		keys[l] = opt.Metric.EpsKey(epsList[i])
+	}
+	workers := opt.workers(ps.Len())
+	opt.Algorithm = GridIndex
+	for l, groups := range sgbAnyLevels(ps, opt, keys, workers) {
+		out[order[l]] = &Result{Groups: groups}
+	}
+	return out, nil
+}
+
+// sgbAnyLevels is SGB-Any's one evaluation pipeline, behind the
+// single-ε operator (one level) and the one-shot ε sweep alike. keys are
+// the levels' thresholds in DistKey space, ascending; opt.Eps is the top
+// level's ε, the radius every probe uses. It returns each level's
+// groups in keys' order.
+func sgbAnyLevels(ps *geom.PointSet, opt Options, keys []float64, workers int) [][]Group {
 	// Morton preprocessing: reorder the input along the Z-curve of its
 	// ε-cells so consecutive probes touch neighboring grid cells (the
 	// id slabs stay cache-resident). Sound for SGB-Any only — connected
@@ -68,12 +129,56 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 	// as partition → shard-local evaluate → Union-Find merge (see
 	// parallel.go); otherwise (or when the input spans too few ε-cells
 	// to cut) the whole input is one shard evaluated inline.
-	uf := unionfind.New(eval.Len())
-	if w := opt.workers(eval.Len()); w < 2 || !sgbAnyParallel(eval, opt, uf, w) {
-		sgbAnyLocal(eval, opt, uf)
+	f := newAnyForests(keys, eval.Len())
+	if workers < 2 || !sgbAnyParallel(eval, opt, f, workers) {
+		sgbAnyLocal(eval, opt, f)
 	}
-	res.Groups = groupsFromUFPerm(uf, eval.Len(), perm)
-	return res, nil
+	inv := invertPerm(perm)
+	out := make([][]Group, len(keys))
+	for l, uf := range f.ufs {
+		out[l] = groupsFromUF(uf, inv)
+	}
+	return out
+}
+
+// anyForests is the Union-Find state of one SGB-Any evaluation: one
+// forest per ε level over the same points, levels ascending, keys[l]
+// being level l's threshold in DistKey space. An ε-edge of one level is
+// an edge of every level above it, so each level's partition refines
+// the next one's; union keeps that true and relies on it.
+type anyForests struct {
+	keys []float64
+	ufs  []*unionfind.UF
+}
+
+func newAnyForests(keys []float64, n int) *anyForests {
+	f := &anyForests{keys: keys, ufs: make([]*unionfind.UF, len(keys))}
+	for l := range f.ufs {
+		f.ufs[l] = unionfind.New(n)
+	}
+	return f
+}
+
+// union records the edge (i, j) of comparison key key, which must not
+// exceed the top level's: i and j join at the lowest level whose
+// threshold the key does not exceed and at each level above it, up to
+// the first where they already share a set — they share one at every
+// higher level too, as each level refines the next. It returns the
+// number of merges.
+func (f *anyForests) union(i, j int, key float64) int64 {
+	b := 0
+	for key > f.keys[b] {
+		b++
+	}
+	var merged int64
+	for _, uf := range f.ufs[b:] {
+		sets := uf.Count()
+		if uf.Union(i, j); uf.Count() == sets {
+			break
+		}
+		merged++
+	}
+	return merged
 }
 
 // mortonMinPoints is the input size below which Morton preprocessing is
@@ -151,9 +256,9 @@ func (anyAllPairs) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
 
 // anyRTree is Procedure 7/8: Points_IX maintains the processed points
 // in an R-tree; for each incoming point a window query retrieves the
-// points whose ε-box intersects (exact under L∞; verified under L2 by
-// VerifyPoints), and GetGroups/MergeGroupsInsert collapse the candidate
-// groups through the Union-Find forest.
+// points inside its ε-box, VerifyPoints confirms each by its distance,
+// and GetGroups/MergeGroupsInsert collapse the candidate groups through
+// the Union-Find forest.
 type anyRTree struct {
 	ix *rtree.Tree
 	// ids stores point ids pre-boxed so the per-point index insert does
@@ -171,13 +276,12 @@ func (a *anyRTree) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
 	opt.Stats.addProbe(1)
 	a.ix.Visit(a.pBox, func(_ geom.Rect, data any) bool {
 		j := data.(int)
-		if opt.Metric == geom.L2 {
-			// VerifyPoints: the ε-box over-approximates the
-			// ε-ball under L2, so confirm the true distance.
-			opt.Stats.addDist(1)
-			if !ps.Within(opt.Metric, i, j, opt.Eps) {
-				return true
-			}
+		// VerifyPoints under both metrics: the ε-box over-approximates
+		// the ε-ball under L2, and under L∞ its rounded corners p ± ε
+		// can admit a point whose distance rounds past ε.
+		opt.Stats.addDist(1)
+		if !ps.Within(opt.Metric, i, j, opt.Eps) {
+			return true
 		}
 		if uf.Find(i) != uf.Find(j) {
 			opt.Stats.addMerge(1)
@@ -235,6 +339,25 @@ func (a *anyGrid) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) 
 	a.tab.AddPoint(p, int32(i))
 }
 
+// stepLevels is step over every level of f at once: point i probes at
+// the top level's ε (opt.Eps), and each candidate within it joins i at
+// the levels its key reaches (anyForests.union).
+func (a *anyGrid) stepLevels(ps *geom.PointSet, i int, opt Options, f *anyForests) {
+	metric, top := opt.Metric, f.keys[len(f.keys)-1]
+	p := ps.At(i)
+	opt.Stats.addProbe(1)
+	a.buf = a.tab.CollectBox(&a.cur, p, opt.Eps, a.buf[:0])
+	for _, j32 := range a.buf {
+		j := int(j32)
+		opt.Stats.addDist(1)
+		if key := ps.DistKey(metric, i, j); key <= top {
+			opt.Stats.addMerge(f.union(i, j, key))
+		}
+	}
+	opt.Stats.addUpdate(1)
+	a.tab.AddPoint(p, int32(i))
+}
+
 func (a *anyGrid) neighbors(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
 	metric, eps := opt.Metric, opt.Eps
 	p := ps.At(i)
@@ -269,7 +392,8 @@ func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {
 // id): groups ordered by smallest output id, members ascending. The
 // one-shot run (nil), the Morton-permuted one (the inverse permutation)
 // and the decremental evaluator (surviving positions in arrival order)
-// all extract here. Two passes, as lattice.Dendrogram.GroupsAt: the
+// all extract here, the first two for every level of a sweep. Two
+// passes, as lattice.Dendrogram.GroupsAt: the
 // first gives each point its group's slot and counts group sizes, the
 // second fills one backing array carved into exact-capacity member
 // slices — no per-member append regrowth, and appending to one group's
@@ -312,19 +436,18 @@ func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
 	return groups
 }
 
-// groupsFromUFPerm is groupsFromUF over a Morton-permuted evaluation:
-// uf holds components over permuted positions (perm[pos] = original
-// input index), and the output must be indistinguishable from an
-// unpermuted run — groups ordered by smallest original member, members
-// ascending in original input order. Iterating original indices and
-// resolving each through the inverse permutation produces exactly that.
-func groupsFromUFPerm(uf *unionfind.UF, n int, perm []int32) []Group {
+// invertPerm returns the inverse of a Morton permutation (perm[pos] =
+// original input index; nil stays nil). Passed to groupsFromUF as live,
+// it reports components over permuted positions as an unpermuted run
+// would: groups ordered by smallest original member, members ascending
+// in original input order.
+func invertPerm(perm []int32) []int32 {
 	if perm == nil {
-		return groupsFromUF(uf, nil)
+		return nil
 	}
-	inv := make([]int32, n)
+	inv := make([]int32, len(perm))
 	for pos, orig := range perm {
 		inv[orig] = int32(pos)
 	}
-	return groupsFromUF(uf, inv)
+	return inv
 }

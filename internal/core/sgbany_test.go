@@ -287,8 +287,8 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 		t.Fatal("no Morton permutation for 600 grid points")
 	}
 	eval := pts.Gather(perm)
-	uf := unionfind.New(eval.Len())
-	sgbAnyLocal(eval, opt, uf)
+	f := newAnyForests([]float64{opt.Metric.EpsKey(opt.Eps)}, eval.Len())
+	sgbAnyLocal(eval, opt, f)
 	inv := make([]int32, len(perm))
 	for pos, orig := range perm {
 		inv[orig] = int32(pos)
@@ -297,7 +297,7 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := perGroupAppend(uf, inv); !reflect.DeepEqual(res.Groups, want) {
+	if want := perGroupAppend(f.ufs[0], inv); !reflect.DeepEqual(res.Groups, want) {
 		t.Fatal("one-shot Morton run: groups differ from the per-group-append extraction")
 	}
 	checkIndependent(t, "one-shot", res.Groups)

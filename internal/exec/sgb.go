@@ -47,8 +47,9 @@ type SGB struct {
 	SweepGroup SweepFunc
 
 	// EpsList, when non-empty, runs an ε sweep instead of a single
-	// evaluation (EPS IN (...); SGB-Any only): one shared dendrogram
-	// answers every level, and the node emits each level's aggregate
+	// evaluation (EPS IN (...); SGB-Any only): one evaluation answers
+	// every level (core.SweepAnySet one-shot, a cached entry's
+	// dendrogram through Answer), and the node emits each level's aggregate
 	// rows with the level's ε prepended as output column 0 (the planner
 	// binds aggregates at base 1 and exposes the pseudo-column "eps").
 	// Levels are expected in ascending order — the planner sorts them —

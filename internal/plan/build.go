@@ -665,8 +665,9 @@ func (b *Builder) installCacheHook(node *exec.SGB, sel *sqlparser.SelectStmt) {
 }
 
 // planEpsSweep lowers the EPS IN (...) / SIMILARITY CUBE BY EPS forms
-// of the similarity clause: every level is answered from one shared
-// dendrogram, rows are emitted level by level in ascending ε order,
+// of the similarity clause: every level is answered from one
+// evaluation (level forests one-shot, a dendrogram when cached), rows
+// are emitted level by level in ascending ε order,
 // and the level's ε rides along as output column 0 — exposed to the
 // projection and HAVING as the pseudo-column "eps" (cube queries
 // instead get the fixed rollup schema and must be SELECT *).

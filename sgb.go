@@ -27,9 +27,10 @@
 // SGB-Any runs as a partition → shard-local evaluate → merge pipeline
 // when Options.Parallelism (or the SQL session's SET parallelism)
 // selects more than one worker: it shards spatially and merges
-// components through a Union-Find reduction; the ε-lattice (SweepAny,
-// NewLatticeAny) builds its first batch's spanning forest the same way,
-// tile by tile, and merges the forests. SGB-All is order-sensitive
+// components through a Union-Find reduction. SweepAny runs the same
+// pipeline with one Union-Find per ε level, and the ε-lattice
+// (NewLatticeAny) builds its first batch's spanning forest the same
+// way, tile by tile, and merges the forests. SGB-All is order-sensitive
 // and always runs the paper's sequential arbitration loop; it accepts
 // the option and ignores it. Groupings are identical at every setting.
 package sgb
@@ -149,13 +150,15 @@ func GroupByAnySet(points *PointSet, opt Options) (*Result, error) {
 }
 
 // SweepAny evaluates SGB-Any at every ε level of epsList from ONE
-// evaluation: a single grid-accelerated edge sweep below max(epsList)
-// builds the merge dendrogram (SGB-Any groups nest as ε grows), and
-// each level is cut from it by binary search. Results align with
-// epsList's order, each bit-identical to GroupByAny at that level —
+// evaluation: GroupByAny's pipeline probes once at max(epsList), on the
+// ε-grid whatever opt.Algorithm names, and feeds one Union-Find per
+// level (SGB-Any groups nest as ε grows, so a pair joins the lowest
+// level its distance reaches and every level above it). Results align
+// with epsList's order, each bit-identical to GroupByAny at that level —
 // same groups, same order, same members. opt.Eps is ignored; the list
 // defines the sweep's bound. The SQL spelling is
-// GROUP BY ... DISTANCE-TO-ANY EPS IN (e1, e2, ...).
+// GROUP BY ... DISTANCE-TO-ANY EPS IN (e1, e2, ...). To answer ε lists
+// not known yet, keep a LatticeAny instead.
 func SweepAny(points []Point, epsList []float64, opt Options) ([]*Result, error) {
 	return core.SweepAny(points, epsList, opt)
 }

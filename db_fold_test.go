@@ -63,35 +63,44 @@ func TestSQLIntComparisonExact(t *testing.T) {
 	}
 }
 
-// unmarkColumns clears the planner's bare-column marks in every
-// similarity node of a plan, which leaves all of its aggregates to the
-// accumulators — the fold every release before the typed kernels ran.
-func unmarkColumns(op exec.Operator) {
-	if s, ok := op.(*exec.SGB); ok {
-		for i := range s.Aggs {
-			s.Aggs[i].ArgCol = 0
-		}
-	}
+// walkPlan calls fn on every operator of a plan, parents first.
+func walkPlan(op exec.Operator, fn func(exec.Operator)) {
+	fn(op)
 	v := reflect.ValueOf(op).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		if f := v.Field(i); f.CanInterface() {
 			if child, ok := f.Interface().(exec.Operator); ok {
-				unmarkColumns(child)
+				walkPlan(child, fn)
 			}
 		}
 	}
 }
 
+// unmarkColumns clears the planner's bare-column marks in every
+// similarity node of a plan, which leaves all of its aggregates to the
+// accumulators — the fold every release before the typed kernels ran.
+func unmarkColumns(op exec.Operator) {
+	walkPlan(op, func(op exec.Operator) {
+		if s, ok := op.(*exec.SGB); ok {
+			for i := range s.Aggs {
+				s.Aggs[i].ArgCol = 0
+			}
+		}
+	})
+}
+
 // foldRunner runs SELECTs on db with incremental maintenance on or off,
-// through the planner as it is or with its column marks cleared.
+// through the planner as it is, with its column marks cleared, or with
+// every projection copying its rows (its Identity marks cleared).
 type foldRunner struct {
 	db          *DB
 	incremental bool
 	unmarked    bool
+	copying     bool
 }
 
 func (r foldRunner) String() string {
-	return fmt.Sprintf("incremental=%v unmarked=%v", r.incremental, r.unmarked)
+	return fmt.Sprintf("incremental=%v unmarked=%v copying=%v", r.incremental, r.unmarked, r.copying)
 }
 
 func (r foldRunner) query(sql string, st *Stats) ([]types.Row, error) {
@@ -110,6 +119,13 @@ func (r foldRunner) query(sql string, st *Stats) ([]types.Row, error) {
 	}
 	if r.unmarked {
 		unmarkColumns(cq.Root)
+	}
+	if r.copying {
+		walkPlan(cq.Root, func(op exec.Operator) {
+			if p, ok := op.(*exec.Project); ok {
+				p.Identity = false
+			}
+		})
 	}
 	return plan.Execute(cq)
 }
@@ -148,7 +164,7 @@ func newFoldTwins(t *testing.T, ddl ...string) *foldTwins {
 	t.Helper()
 	tw := &foldTwins{dbs: [2]*DB{Open(), Open()}}
 	for i, db := range tw.dbs {
-		tw.runners = append(tw.runners, foldRunner{db, true, i == 1}, foldRunner{db, false, i == 1})
+		tw.runners = append(tw.runners, foldRunner{db: db, incremental: true, unmarked: i == 1}, foldRunner{db: db, unmarked: i == 1})
 	}
 	tw.exec(t, ddl...)
 	return tw

@@ -5,10 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/core"
+	"github.com/sgb-db/sgb/internal/exec"
+	"github.com/sgb-db/sgb/internal/plan"
+	"github.com/sgb-db/sgb/internal/sqlparser"
+	"github.com/sgb-db/sgb/internal/types"
 )
 
 // sweepCountsAt extracts the sorted count(*) column of one ε level
@@ -374,6 +380,198 @@ func TestSQLSweepWithoutIncremental(t *testing.T) {
 			"SELECT eps, count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY EPS IN (0.5, 1)")
 		if got := sweepCountsAt(rows, 0.5); !reflect.DeepEqual(got, []int64{1, 2, 2}) {
 			t.Fatalf("algorithm %s: eps=0.5 counts %v, want [1 2 2]", alg, got)
+		}
+	}
+}
+
+// TestSQLSweepRowsPassThrough: an EPS IN statement whose select list is
+// the sweep's row, and the ε-cube, hand the rows the similarity node
+// built to the caller without a copy — and every run still builds its
+// own. With the cache serving (incremental = on) and without, two runs
+// answer alike; writing into the first answer reaches neither the
+// second nor a third run; and the statement answers row for row what
+// the copying plan answers, under HAVING, ORDER BY … LIMIT and DISTINCT
+// as well.
+func TestSQLSweepRowsPassThrough(t *testing.T) {
+	db := Open()
+	mustExec(t, db, "CREATE TABLE sensors (id INT, x FLOAT, y FLOAT)")
+	insertRandomRows(t, rand.New(rand.NewSource(53)), 300, db)
+	marked := func(sql string) bool {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cq, err := plan.NewBuilder(db.cat).BuildSelect(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identity := false
+		walkPlan(cq.Root, func(op exec.Operator) {
+			if p, ok := op.(*exec.Project); ok {
+				identity = p.Identity
+			}
+		})
+		return identity
+	}
+	const by = " FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.3, 0.6, 1.2) "
+	for _, incremental := range []bool{true, false} {
+		passing := foldRunner{db: db, incremental: incremental}
+		copying := foldRunner{db: db, incremental: incremental, copying: true}
+		for _, sql := range []string{
+			"SELECT eps, count(*), min(id), max(x)" + by,
+			"SELECT *" + by + "SIMILARITY CUBE BY EPS",
+			"SELECT eps, count(*)" + by + "HAVING count(*) > 2",
+			"SELECT eps, count(*), avg(y)" + by + "ORDER BY 2 DESC, 3 LIMIT 5",
+			"SELECT DISTINCT eps, count(*)" + by,
+		} {
+			if !marked(sql) {
+				t.Fatalf("%s: the projection copies its rows", sql)
+			}
+			run := func() []types.Row {
+				t.Helper()
+				rows, err := passing.query(sql, nil)
+				if err != nil {
+					t.Fatalf("%v: %s: %v", passing, sql, err)
+				}
+				return rows
+			}
+			first, second := run(), run()
+			if len(first) == 0 || !sameRows(first, second) {
+				t.Fatalf("%v: %s: two runs answered\n%v\n%v", passing, sql, first, second)
+			}
+			want := make([]types.Row, len(second))
+			for i, row := range second {
+				want[i] = append(types.Row(nil), row...)
+			}
+			for _, row := range first {
+				for j := range row {
+					row[j] = types.Text("overwritten")
+				}
+			}
+			if !sameRows(second, want) {
+				t.Errorf("%v: %s: writing into the first answer changed the second", passing, sql)
+			}
+			if third := run(); !sameRows(third, want) {
+				t.Errorf("%v: %s: writing into the first answer changed a later run:\n%v\nwant\n%v", passing, sql, third, want)
+			}
+			copied, err := copying.query(sql, nil)
+			if err != nil || !sameRows(copied, want) {
+				t.Errorf("%v: %s: answers\n%v\nthe copying plan\n%v (%v)", passing, sql, want, copied, err)
+			}
+		}
+		if incremental && db.cache.len() == 0 {
+			t.Fatal("incremental = on: no cache entry served the sweeps")
+		}
+	}
+}
+
+// TestSQLSweepOrderIndependent is the sweep half of ROADMAP item 6(a):
+// DISTANCE-TO-ANY groups are the ε-graph's connected components, which
+// no input order changes (arXiv 1412.4303). The same 2 000 check-ins go
+// into two tables in two seeded permutations. Every level of an EPS IN
+// statement must give both the same partition, compared as the sorted
+// (count(*), min(id), max(id)) triples of its groups, and the cube both
+// the same rollup rows — one-shot, and maintained, with the same INSERT
+// and DELETE applied to both tables between reads.
+func TestSQLSweepOrderIndependent(t *testing.T) {
+	const n, extra, rounds = 2000, 50, 3
+	pool := checkin.Points(checkin.Brightkite(n + extra*rounds))
+	insert := func(db *DB, table string, ids []int) {
+		t.Helper()
+		var b strings.Builder
+		for i, id := range ids {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, %g, %g)", id, pool[id][0], pool[id][1])
+		}
+		mustExec(t, db, "INSERT INTO "+table+" VALUES "+b.String())
+	}
+	levels := []float64{0.02, 0.05, 0.1, 0.2, 0.3, 0.4}
+	const from = " GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.02, 0.05, 0.1, 0.2, 0.3, 0.4)"
+	// partition lists each level's groups as sorted (count, min id, max
+	// id) triples.
+	partition := func(rows *Rows) map[float64][][3]int64 {
+		out := map[float64][][3]int64{}
+		for _, r := range rows.Data {
+			out[r[0].F] = append(out[r[0].F], [3]int64{r[1].I, r[2].I, r[3].I})
+		}
+		for _, g := range out {
+			sort.Slice(g, func(i, j int) bool {
+				a, b := g[i], g[j]
+				if a[0] != b[0] {
+					return a[0] < b[0]
+				}
+				if a[1] != b[1] {
+					return a[1] < b[1]
+				}
+				return a[2] < b[2]
+			})
+		}
+		return out
+	}
+	for _, incremental := range []string{"off", "on"} {
+		db := Open()
+		mustExec(t, db, "SET incremental = "+incremental)
+		for i, table := range []string{"a", "b"} {
+			mustExec(t, db, "CREATE TABLE "+table+" (id INT, x FLOAT, y FLOAT)")
+			perm := rand.New(rand.NewSource(int64(61 + i))).Perm(n)
+			for lo := 0; lo < n; lo += 500 {
+				insert(db, table, perm[lo:lo+500])
+			}
+		}
+		live := n
+		check := func(when string) {
+			t.Helper()
+			pa := partition(mustQuery(t, db, "SELECT eps, count(*), min(id), max(id) FROM a"+from))
+			pb := partition(mustQuery(t, db, "SELECT eps, count(*), min(id), max(id) FROM b"+from))
+			if !reflect.DeepEqual(pa, pb) {
+				t.Fatalf("incremental %s, %s: the two permutations group differently", incremental, when)
+			}
+			ca := mustQuery(t, db, "SELECT * FROM a"+from+" SIMILARITY CUBE BY EPS")
+			cb := mustQuery(t, db, "SELECT * FROM b"+from+" SIMILARITY CUBE BY EPS")
+			if !sameRows(ca.Data, cb.Data) {
+				t.Fatalf("incremental %s, %s: cube rows\n%v\n%v", incremental, when, ca.Data, cb.Data)
+			}
+			// Both statements must see every level, and the levels must
+			// group: neither all singletons nor one group throughout.
+			split := false
+			for i, eps := range levels {
+				groups := pa[eps]
+				if len(groups) == 0 || ca.Data[i][1].I != int64(len(groups)) {
+					t.Fatalf("incremental %s, %s: ε = %v: %d sweep groups, cube row %v", incremental, when, eps, len(groups), ca.Data[i])
+				}
+				split = split || (len(groups) > 1 && len(groups) < live)
+			}
+			if !split {
+				t.Fatalf("incremental %s, %s: no level splits the %d rows into groups", incremental, when, live)
+			}
+		}
+		check("after the load")
+		for round := 1; round <= rounds; round++ {
+			ids := make([]int, extra)
+			for i := range ids {
+				ids[i] = n + extra*(round-1) + i
+			}
+			insert(db, "a", ids)
+			insert(db, "b", ids)
+			live += extra
+			check(fmt.Sprintf("round %d, after INSERT", round))
+			var deleted [2]int
+			for i, table := range []string{"a", "b"} {
+				var err error
+				if deleted[i], err = db.Exec(fmt.Sprintf("DELETE FROM %s WHERE id %% 7 = %d", table, round)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if deleted[0] != deleted[1] || deleted[0] == 0 {
+				t.Fatalf("the DELETE removed %v rows", deleted)
+			}
+			live -= deleted[0]
+			check(fmt.Sprintf("round %d, after DELETE", round))
+		}
+		if incremental == "on" && db.cache.len() < 2 {
+			t.Fatalf("incremental = on: %d cache entries, want one per table", db.cache.len())
 		}
 	}
 }

@@ -63,7 +63,8 @@ const (
 	// dimensionality, and SGB-Any inputs are Morton (Z-order)
 	// preprocessed for probe locality (output ids stay in input order);
 	// results equal the other strategies' for equal seeds at every d,
-	// except where a distance rounds to ε (TestMaintainedKeyNeutral).
+	// except All-Pairs' where a distance rounds to ε
+	// (TestMaintainedKeyNeutral).
 	GridIndex
 )
 
@@ -119,10 +120,11 @@ type Options struct {
 // Maintained returns the options a maintained grouping of SGB-Any
 // (anySem) or SGB-All is built with: the fields that change what such
 // an evaluator holds, every other one at a fixed value. Those are the
-// metric and ε; for SGB-All the ON-OVERLAP clause and the strategy,
-// which arbitrate differently where a distance rounds to ε
-// (TestMaintainedKeyNeutral); and the seed of JOIN-ANY, the one clause
-// that draws. SGB-Any is maintained on the ε-grid whatever Algorithm names.
+// metric and ε; for SGB-All the ON-OVERLAP clause and the strategy
+// (All-Pairs arbitrates differently from the rectangle finders where a
+// distance rounds to ε, TestMaintainedKeyNeutral); and the seed of
+// JOIN-ANY, the one clause that draws. SGB-Any is maintained on the
+// ε-grid whatever Algorithm names.
 func (o Options) Maintained(anySem bool) Options {
 	m := Options{Metric: o.Metric, Eps: o.Eps, Algorithm: GridIndex}
 	if !anySem {

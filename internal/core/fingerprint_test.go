@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -14,9 +15,9 @@ var keyedUnder = map[string]func(any bool, o Options) bool{
 	"Eps":    func(bool, Options) bool { return true },
 	// SGB-Any merges overlapping groups: there is no clause to apply.
 	"Overlap": func(any bool, _ Options) bool { return !any },
-	// SGB-Any is maintained on the ε-grid whatever Algorithm names; the
-	// SGB-All strategies arbitrate differently where a distance rounds to
-	// ε (TestMaintainedKeyNeutral).
+	// SGB-Any is maintained on the ε-grid whatever Algorithm names; among
+	// the SGB-All strategies, All-Pairs arbitrates differently where a
+	// distance rounds to ε (TestMaintainedKeyNeutral).
 	"Algorithm": func(any bool, _ Options) bool { return !any },
 	// Only JOIN-ANY draws.
 	"Seed": func(any bool, o Options) bool { return !any && o.Overlap == JoinAny },
@@ -97,16 +98,69 @@ func maintainedSteps(t *testing.T, dims int, opt Options, ops []traceOp) [][2]an
 	return out
 }
 
+// TestRTreeAgreesWithGridAtEpsTies: on the lattice-aligned traces, where
+// a member's MBR can stick a few ulps out of its group's ε-All rectangle,
+// the R-tree finder answers as the ε-grid does after every operation —
+// one-shot over the survivors, and maintained, retained state included.
+// Its window query is padded as the grid's probe is (paddedReach); an
+// unpadded one missed overlap groups under ELIMINATE and FORM-NEW-GROUP.
+func TestRTreeAgreesWithGridAtEpsTies(t *testing.T) {
+	traces := 0
+	for _, seed := range decTraceSeeds() {
+		if !strings.HasPrefix(seed.name, "lattice/") {
+			continue
+		}
+		traces++
+		dims, opt, ops := decodeTrace(seed.data)
+		gridOpt, rtreeOpt := opt, opt
+		gridOpt.Algorithm, rtreeOpt.Algorithm = GridIndex, OnTheFlyIndex
+		grid := maintainedSteps(t, dims, gridOpt, ops)
+		rtree := maintainedSteps(t, dims, rtreeOpt, ops)
+		mirror := &mirrorSet{}
+		oneShot, maintained := 0, 0
+		for i, op := range ops {
+			if op.batch != nil {
+				mirror.appendBatch(op.batch)
+			} else {
+				mirror.remove(op.ids)
+			}
+			ps := geom.FromPoints(mirror.pts)
+			want, err := SGBAllSet(ps, gridOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := SGBAllSet(ps, rtreeOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalizeRes(want), normalizeRes(got)) {
+				oneShot++
+			}
+			if !reflect.DeepEqual(grid[i], rtree[i]) {
+				maintained++
+			}
+		}
+		if oneShot+maintained > 0 {
+			t.Errorf("%s: the R-tree differs from the grid at %d one-shot and %d maintained steps of %d", seed.name, oneShot, maintained, len(ops))
+		}
+	}
+	if traces == 0 {
+		t.Fatal("no lattice-aligned trace")
+	}
+}
+
 // TestMaintainedKeyNeutral pins the measurement Key rests on, over the
 // decremental traces: under ELIMINATE and FORM-NEW-GROUP the seed never
 // changes a maintained evaluator's result or retained state, whatever
 // the strategy, so their keys hold a fixed seed. The strategy does
 // change them: on the lattice-aligned traces, where L∞ distances round
-// onto ε, All-Pairs (a distance per member) and the ε-grid (ε-All
-// rectangles) arbitrate differently, so SGB-All keys print it. If the
-// strategies ever agree there, Algorithm may leave the SGB-All key.
+// onto ε, All-Pairs (a distance per member) and the rectangle finders
+// (ε-All rectangles: the ε-grid, the R-tree and Bounds-Checking, which
+// agree, TestRTreeAgreesWithGridAtEpsTies) arbitrate differently, so
+// SGB-All keys print it. If All-Pairs ever agrees there, Algorithm may
+// leave the SGB-All key.
 func TestMaintainedKeyNeutral(t *testing.T) {
-	algoDiffers := false
+	allPairsDiffers := false
 	for _, seed := range decTraceSeeds() {
 		dims, opt, ops := decodeTrace(seed.data)
 		if opt.Overlap == JoinAny {
@@ -120,14 +174,18 @@ func TestMaintainedKeyNeutral(t *testing.T) {
 			if !reflect.DeepEqual(zero, maintainedSteps(t, dims, opt, ops)) {
 				t.Errorf("%s: %v: seeds 0 and 7 maintain different groupings", seed.name, algo)
 			}
-			if ref == nil {
+			switch {
+			case ref == nil:
 				ref = zero
-			} else if !reflect.DeepEqual(ref, zero) {
-				algoDiffers = true
+			case reflect.DeepEqual(ref, zero):
+			case algo == AllPairs:
+				allPairsDiffers = true
+			default:
+				t.Errorf("%s: %v maintains differently from the grid", seed.name, algo)
 			}
 		}
 	}
-	if !algoDiffers {
-		t.Error("every strategy maintained every trace alike: Algorithm may leave the SGB-All key")
+	if !allPairsDiffers {
+		t.Error("All-Pairs maintained every trace as the grid does: Algorithm may leave the SGB-All key")
 	}
 }

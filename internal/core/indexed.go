@@ -20,10 +20,11 @@ type indexedFinder struct {
 
 	// Buffers reused across probes: the typed window-query hit list
 	// (collected via Visit, so hits never round-trip through []any),
-	// the candidate/overlap results, and the probe's ε-box.
+	// the candidate/overlap results, the probe's ε-box and the padded
+	// window the R-tree is queried with.
 	hits       []*group
 	cands, ovs []*group
-	pBox       geom.Rect
+	pBox, win  geom.Rect
 }
 
 func newIndexedFinder(dims int) *indexedFinder {
@@ -33,12 +34,18 @@ func newIndexedFinder(dims int) *indexedFinder {
 	return &indexedFinder{ix: rtree.New(dims), dims: dims}
 }
 
+// findCloseGroups queries the R-tree with pi's ε-box widened by the
+// grid's pad (paddedReach): a member MBR may stick a few ulps out of its
+// group's ε-All rectangle where distances round onto ε, and an unpadded
+// window then missed the overlap group it intersects. classifyGroup's
+// exact tests keep the unpadded box.
 func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	geom.EpsBoxInto(&f.pBox, p, st.opt.Eps)
+	geom.EpsBoxInto(&f.win, p, paddedReach(p, st.opt.Eps))
 	st.opt.Stats.addProbe(1)
 	f.hits = f.hits[:0]
-	f.ix.Visit(f.pBox, func(_ geom.Rect, data any) bool {
+	f.ix.Visit(f.win, func(_ geom.Rect, data any) bool {
 		f.hits = append(f.hits, data.(*group))
 		return true
 	})

@@ -34,9 +34,11 @@
 //
 // A result is not copied on its way out when it need not be: a Project
 // the planner marked Identity (the select list is the aggregation's
-// output row, column for column) passes rows through, and Run takes a
-// similarity node's rows whole through such a projection rather than
-// one Next and one append at a time.
+// output row, column for column — an EPS IN sweep's [eps, aggregates…]
+// and the ε-cube's rollup row included) passes rows through, and Run
+// takes a similarity node's rows whole through such a projection rather
+// than one Next and one append at a time. Every Open builds its rows
+// afresh, so a caller may keep or overwrite them.
 //
 // Invariants: operators follow the Open / Next (nil row = exhausted) /
 // Close contract, may be re-Opened after Close, and never mutate input

@@ -339,48 +339,74 @@ func TestSGBOperatorNode(t *testing.T) {
 // TestIdentityProjection: an identity projection hands its input's rows
 // on as they are — one by one under an operator that pulls them or over
 // a filter, whole to Run when the similarity node is directly below —
-// and answers what the copying projection answers.
+// and answers what the copying projection answers: over a single-ε
+// node, an EPS IN sweep ([eps, aggregates…]) and the ε-cube.
 func TestIdentityProjection(t *testing.T) {
-	node := func() *SGB {
-		return &SGB{
-			Input: &ValuesOp{Rows: []types.Row{
-				{types.Float(0)}, {types.Float(1)}, {types.Float(10)}, {types.Float(20)}, {types.Float(21)},
-			}},
-			GroupExprs: []Scalar{col(0)}, Any: true,
-			Opt:  core.Options{Metric: geom.L2, Eps: 2, Algorithm: core.OnTheFlyIndex},
-			Aggs: []AggSpec{{Kind: AggCountStar}, {Kind: AggMax, Args: []Scalar{col(0)}, ArgCol: 1}},
-		}
-	}
-	identity := func(in Operator) *Project {
-		return &Project{Input: in, Exprs: []Scalar{col(0), col(1)}, Identity: true}
-	}
-	want, err := Run(&Project{Input: node(), Exprs: []Scalar{col(0), col(1)}})
-	if err != nil || len(want) != 3 {
-		t.Fatalf("copying projection: %v, %v", want, err)
-	}
-	for name, op := range map[string]Operator{
-		"taken whole": identity(node()),
-		"pulled":      &Limit{Input: identity(node()), N: 10},
-		"filtered":    identity(&Filter{Input: node(), Pred: constant(types.Bool(true))}),
+	aggs := []AggSpec{{Kind: AggCountStar}, {Kind: AggMax, Args: []Scalar{col(0)}, ArgCol: 1}}
+	for _, c := range []struct {
+		name    string
+		eps     []float64
+		cube    bool
+		aggs    []AggSpec
+		width   int
+		wantLen int
+	}{
+		{name: "single", aggs: aggs, width: 2, wantLen: 3},
+		{name: "sweep", eps: []float64{0.5, 2}, aggs: aggs, width: 3, wantLen: 8},
+		{name: "cube", eps: []float64{0.5, 2, 20}, cube: true, width: 4, wantLen: 3},
 	} {
-		if got, err := Run(op); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %v, %v; want %v", name, got, err, want)
+		node := func() *SGB {
+			return &SGB{
+				Input: &ValuesOp{Rows: []types.Row{
+					{types.Float(0)}, {types.Float(1)}, {types.Float(10)}, {types.Float(20)}, {types.Float(21)},
+				}},
+				GroupExprs: []Scalar{col(0)}, Any: true,
+				Opt:     core.Options{Metric: geom.L2, Eps: 2, Algorithm: core.OnTheFlyIndex},
+				Aggs:    c.aggs,
+				EpsList: c.eps, Cube: c.cube,
+			}
 		}
-	}
-	// The rows are the node's own, and a second Run answers afresh.
-	n := node()
-	p := identity(n)
-	if err := p.Open(); err != nil {
-		t.Fatal(err)
-	}
-	own := n.out[0]
-	if first, err := p.Next(); err != nil || &first[0] != &own[0] {
-		t.Errorf("identity projection copied the row (%v)", err)
-	}
-	p.Close()
-	for i := 0; i < 2; i++ {
-		if got, err := Run(p); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("run %d of one plan: %v, %v; want %v", i, got, err, want)
+		exprs := make([]Scalar, c.width)
+		for i := range exprs {
+			exprs[i] = col(i)
+		}
+		identity := func(in Operator) *Project {
+			return &Project{Input: in, Exprs: exprs, Identity: true}
+		}
+		want, err := Run(&Project{Input: node(), Exprs: exprs})
+		if err != nil || len(want) != c.wantLen {
+			t.Fatalf("%s: copying projection: %v, %v", c.name, want, err)
+		}
+		for name, op := range map[string]Operator{
+			"taken whole": identity(node()),
+			"pulled":      &Limit{Input: identity(node()), N: 10},
+			"filtered":    identity(&Filter{Input: node(), Pred: constant(types.Bool(true))}),
+		} {
+			if got, err := Run(op); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: %v, %v; want %v", c.name, name, got, err, want)
+			}
+		}
+		// The rows are the node's own, and a second Run answers afresh:
+		// writing into one run's rows reaches neither the next run nor the
+		// plan.
+		n := node()
+		p := identity(n)
+		if err := p.Open(); err != nil {
+			t.Fatal(err)
+		}
+		own := n.out[0]
+		if first, err := p.Next(); err != nil || &first[0] != &own[0] {
+			t.Errorf("%s: identity projection copied the row (%v)", c.name, err)
+		}
+		p.Close()
+		for i := 0; i < 2; i++ {
+			got, err := Run(p)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: run %d of one plan: %v, %v; want %v", c.name, i, got, err, want)
+			}
+			for _, row := range got {
+				row[0] = types.Text("overwritten")
+			}
 		}
 	}
 }

@@ -670,7 +670,9 @@ func (b *Builder) installCacheHook(node *exec.SGB, sel *sqlparser.SelectStmt) {
 // are emitted level by level in ascending ε order,
 // and the level's ε rides along as output column 0 — exposed to the
 // projection and HAVING as the pseudo-column "eps" (cube queries
-// instead get the fixed rollup schema and must be SELECT *).
+// instead get the fixed rollup schema and must be SELECT *). The
+// projection is marked Identity by the same rule as GROUP BY and
+// single-ε nodes, so a sweep's rows are built once, in SGB.emit.
 func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *sqlparser.SimilarityClause, groupExprs []exec.Scalar, opt core.Options) (exec.Operator, Env, error) {
 	epsList := make([]float64, len(sim.EpsList))
 	for i, e := range sim.EpsList {
@@ -710,6 +712,7 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 		selScalars []exec.Scalar
 		outEnv     Env
 		havingPred exec.Scalar
+		identity   bool
 		err        error
 	)
 	if sim.Cube {
@@ -731,6 +734,7 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 			{Name: "largest_group"},
 			{Name: "grouped_fraction"},
 		}
+		identity = true
 	} else {
 		binder := &aggBinder{baseEnv: in.env, sp: b, groupKeys: []string{"eps"}, aggBase: 1}
 		selScalars, outEnv, err = b.compileSelectItems(sel, binder)
@@ -744,6 +748,7 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 			}
 		}
 		sgbNode.Aggs = binder.aggs
+		identity = binder.identity(len(selScalars))
 	}
 
 	b.installCacheHook(sgbNode, sel)
@@ -751,14 +756,11 @@ func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *
 	if havingPred != nil {
 		op = &exec.Filter{Input: op, Pred: havingPred}
 	}
-	// No Identity mark here, though "SELECT eps, count(*), …" is one: a
-	// sweep's rows are still copied out. Passed through, the cold sweeps
-	// of eps_cube_cold allocate 37 % less per statement and its
-	// peak_rss_mb falls from a steady 38 MB to 26–41 MB from run to run —
-	// whether a collection happens to sample the statement's peak — which
-	// the benchmark reads as too wide to judge (docs/pr21-typed-fold.md,
-	// "After the first verdict"; ROADMAP item 1).
-	return &exec.Project{Input: op, Exprs: selScalars}, outEnv, nil
+	// A sweep's row is [eps, agg₀ … agg_{M-1}]: "SELECT eps, count(*), …"
+	// in that order passes it through, and a list that reorders, leaves
+	// eps out or lets HAVING add an aggregate copies. The cube's four
+	// column reads above are its rollup row by construction.
+	return &exec.Project{Input: op, Exprs: selScalars, Identity: identity}, outEnv, nil
 }
 
 // compileSelectItems compiles the projection through the agg binder.

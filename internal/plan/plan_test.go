@@ -635,16 +635,21 @@ func TestIdentityProjection(t *testing.T) {
 		{"SELECT cell, count(*), max(y) FROM checkins GROUP BY cell", true},
 		{"SELECT cell + 1, count(*) FROM checkins GROUP BY cell + 1", true},
 		{"SELECT count(*), sum(x) FROM checkins", true},
+		// An EPS IN sweep's row is [eps, aggregates…]; the cube's is its
+		// four rollup columns, which SELECT * reads in order.
+		{"SELECT eps, count(*), min(x)" + sweep, true},
+		{"SELECT eps AS e, count(*)" + sweep + "HAVING count(*) > 1 ORDER BY 2 DESC, 1 LIMIT 3", true},
+		{"SELECT DISTINCT eps, count(*)" + sweep, true},
+		{"SELECT * FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1) SIMILARITY CUBE BY EPS", true},
 		// An expression over an aggregate, a repeated aggregate (bound once:
 		// both items read column 0), another order, a column left out, and
 		// an aggregate that only HAVING names (the node emits it too).
 		{"SELECT count(*), max(y) + 1" + sim, false},
 		{"SELECT count(*), count(*)" + sim, false},
-		// An EPS IN sweep keeps its copying projection, identity or not
-		// (planEpsSweep says why).
-		{"SELECT eps, count(*), min(x)" + sweep, false},
+		{"SELECT count(*), eps" + sweep, false},
 		{"SELECT count(*), eps" + sweep + "HAVING count(*) > 1 ORDER BY 2 DESC, 1", false},
-		{"SELECT * FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1) SIMILARITY CUBE BY EPS", false},
+		{"SELECT eps, count(*)" + sweep + "HAVING max(y) > 1", false},
+		{"SELECT count(*)" + sweep, false},
 		{"SELECT count(*)" + sim + "HAVING max(y) > 1", false},
 		{"SELECT count(*), cell FROM checkins GROUP BY cell", false},
 		{"SELECT count(*) FROM checkins GROUP BY cell", false},

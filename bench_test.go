@@ -21,8 +21,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	sgb "github.com/sgb-db/sgb"
 	"github.com/sgb-db/sgb/internal/benchkit"
@@ -603,6 +606,271 @@ func BenchmarkWindow(b *testing.B) {
 			}
 		}
 	}
+
+	// k levels per tick over check-ins, the shape of a cached EPS IN
+	// statement over a sliding window: the maintained SGB-Any evaluator
+	// kept at k levels (Forests) against a lattice whose ε_max is the top
+	// level, each reading every level per tick. k = 3 is the end-to-end
+	// benchmark's stream_maintain list, k = 6 the union of sql_warm's.
+	for _, metric := range []sgb.Metric{sgb.L2, sgb.LInf} {
+		for _, levels := range checkinLevels {
+			for _, window := range []int{8000, 32000} {
+				name := fmt.Sprintf("OneLevel/Levels/%v/k=%d/%%s/w=%d", metric, len(levels), window)
+				opt := sgb.Options{Metric: metric, Algorithm: sgb.GridIndex}
+				b.Run(fmt.Sprintf(name, "Forests"), func(b *testing.B) {
+					s := newCheckinStream()
+					base := liveHeap()
+					var st sgb.Stats
+					opt := opt
+					opt.Stats = &st
+					inc, err := sgb.NewIncrementalAnyLevels(opt, levels)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := inc.AppendSet(s.take(window)); err != nil {
+						b.Fatal(err)
+					}
+					st = sgb.Stats{}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := inc.AppendSet(s.take(batch)); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := inc.Window(window); err != nil {
+							b.Fatal(err)
+						}
+						for _, eps := range levels {
+							if _, err := inc.GroupsAt(eps); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
+					report(b, &st)
+					runtime.KeepAlive(inc)
+				})
+				b.Run(fmt.Sprintf(name, "Lattice"), func(b *testing.B) {
+					s := newCheckinStream()
+					base := liveHeap()
+					opt := opt
+					opt.Eps = levels[len(levels)-1]
+					lat, err := sgb.NewLatticeAny(2, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := lat.AppendSet(s.take(window), nil); err != nil {
+						b.Fatal(err)
+					}
+					var st sgb.Stats
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := lat.AppendSet(s.take(batch), &st); err != nil {
+							b.Fatal(err)
+						}
+						if err := lat.Remove(oldest, &st); err != nil {
+							b.Fatal(err)
+						}
+						for _, eps := range levels {
+							if _, err := lat.GroupsAt(eps); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
+					report(b, &st)
+					runtime.KeepAlive(lat)
+				})
+			}
+		}
+	}
+
+	// A level a warm 32 000-point entry does not hold yet (levels 0.1, 0.2
+	// and 0.4): Forests keeps it — one probe pass over the window, then
+	// the grouping read off — where Lattice cuts its dendrogram at it.
+	// Each iteration asks for another ε below 0.4; the forests are
+	// rebuilt, untimed, before they would pass 16 levels.
+	newEps := func(i int) float64 { return 0.4 * float64(i%12+1) / 13 }
+	b.Run("OneLevel/AddLevel/Forests/w=32000", func(b *testing.B) {
+		var inc *sgb.Incremental
+		for i := 0; i < b.N; i++ {
+			if i%12 == 0 {
+				b.StopTimer()
+				var err error
+				if inc, err = sgb.NewIncrementalAnyLevels(sgb.Options{Metric: sgb.L2}, checkinLevels[1]); err != nil {
+					b.Fatal(err)
+				}
+				if err := inc.AppendSet(newCheckinStream().take(32000)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if err := inc.AddLevel(newEps(i)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := inc.GroupsAt(newEps(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("OneLevel/AddLevel/Lattice/w=32000", func(b *testing.B) {
+		lat, err := sgb.NewLatticeAny(2, sgb.Options{Metric: sgb.L2, Eps: 0.4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lat.AppendSet(newCheckinStream().take(32000), nil); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := lat.GroupsAt(newEps(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// The end-to-end benchmark's stream_maintain tick over 16 000
+	// check-ins, evaluator work only: two 128-row appends each followed by
+	// a read of the single-ε grouping (ε = 0.2) and of the sweep's three
+	// levels, then a 256-row oldest-first DELETE. AnyLattice keeps the
+	// sweep as a lattice (ε_max 0.4, three cuts per read), AnyLevels as
+	// three level forests. Each reports the phases' ms per tick.
+	sweepLevels := checkinLevels[1]
+	for _, pair := range []string{"AnyLattice", "AnyLevels"} {
+		b.Run("Checkin/"+pair+"/w=16000", func(b *testing.B) {
+			const window = 16000
+			s := newCheckinStream()
+			single, err := sgb.NewIncrementalAny(sgb.Options{Metric: sgb.L2, Eps: 0.2, Algorithm: sgb.GridIndex})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var levels *sgb.Incremental
+			var lat *sgb.LatticeAny
+			if pair == "AnyLevels" {
+				levels, err = sgb.NewIncrementalAnyLevels(sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex}, sweepLevels)
+			} else {
+				lat, err = sgb.NewLatticeAny(2, sgb.Options{Metric: sgb.L2, Eps: 0.4, Algorithm: sgb.GridIndex})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			appendAll := func(ps *sgb.PointSet) {
+				if err := single.AppendSet(ps); err != nil {
+					b.Fatal(err)
+				}
+				if levels != nil {
+					err = levels.AppendSet(ps)
+				} else {
+					err = lat.AppendSet(ps, nil)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			read := func() {
+				if _, err := single.Result(); err != nil {
+					b.Fatal(err)
+				}
+				for _, eps := range sweepLevels {
+					var err error
+					if levels != nil {
+						_, err = levels.GroupsAt(eps)
+					} else {
+						_, err = lat.GroupsAt(eps)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			appendAll(s.take(window))
+			var appendT, readT, deleteT time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < 2; r++ {
+					start := time.Now()
+					appendAll(s.take(batch / 2))
+					mid := time.Now()
+					read()
+					appendT, readT = appendT+mid.Sub(start), readT+time.Since(mid)
+				}
+				start := time.Now()
+				if err := single.Remove(oldest); err != nil {
+					b.Fatal(err)
+				}
+				if levels != nil {
+					err = levels.Remove(oldest)
+				} else {
+					err = lat.Remove(oldest, nil)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				deleteT += time.Since(start)
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+			b.ReportMetric(ms(appendT), "append-ms/op")
+			b.ReportMetric(ms(readT), "read-ms/op")
+			b.ReportMetric(ms(deleteT), "delete-ms/op")
+		})
+	}
+
+	// Single-row deletes, the shape of wire_mixed's DELETE of one row: one
+	// random live point leaves a maintained single-ε window (ε = 0.2 over
+	// check-ins) and the next one arrives.
+	for _, window := range []int{4000, 8000} {
+		b.Run(fmt.Sprintf("Checkin/Single/w=%d", window), func(b *testing.B) {
+			s := newCheckinStream()
+			inc, err := sgb.NewIncrementalAny(sgb.Options{Metric: sgb.L2, Eps: 0.2, Algorithm: sgb.GridIndex})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := inc.AppendSet(s.take(window)); err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(int64(window)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := inc.Remove([]int{r.Intn(window)}); err != nil {
+					b.Fatal(err)
+				}
+				if err := inc.AppendSet(s.take(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// checkinLevels are the level lists of BenchmarkWindow's check-in
+// series: one level, the end-to-end benchmark's stream_maintain EPS IN
+// list, and the union of sql_warm's.
+var checkinLevels = [][]float64{{0.2}, {0.1, 0.2, 0.4}, {0.05, 0.1, 0.2, 0.4, 0.6, 0.8}}
+
+// checkinStream hands out Brightkite-profile check-ins in order, cycling
+// through a pool of 64 000 as the end-to-end benchmark's
+// stream_maintain does.
+type checkinStream struct {
+	pool []sgb.Point
+	next int
+}
+
+var checkinPool = sync.OnceValue(func() []sgb.Point { return checkin.Points(checkin.Brightkite(64000)) })
+
+func newCheckinStream() *checkinStream { return &checkinStream{pool: checkinPool()} }
+
+// take returns the next n check-ins.
+func (s *checkinStream) take(n int) *sgb.PointSet {
+	ps := sgb.NewPointSet(2)
+	for i := 0; i < n; i++ {
+		copy(ps.Extend(), s.pool[s.next%len(s.pool)])
+		s.next++
+	}
+	return ps
 }
 
 // clusterPoints is benchkit.ClusterPoints in d dimensions: clusters of
@@ -690,6 +958,79 @@ func TestWindowAllOutputSensitive(t *testing.T) {
 		}
 		if len(got.Groups) != len(want.Groups) {
 			t.Fatalf("maintained window has %d groups, from scratch %d", len(got.Groups), len(want.Groups))
+		}
+	}
+}
+
+// TestWindowAnyOutputSensitive pins, in operation counts, what a
+// maintained SGB-Any window re-probes on a DELETE: over a 16 000-point
+// window of Brightkite-profile check-ins at ε = 0.2 (the shape of the
+// end-to-end benchmark's stream_maintain), one 256-row oldest-first
+// eviction re-probes fewer than a quarter of the points in the victims'
+// components — only pieces split off their spanning trees, smallest
+// first — at one level and at the three levels 0.1, 0.2 and 0.4 (whose
+// top level's components are larger). Deleting a point with no forest
+// edge probes nothing. Every grouping equals a one-shot sweep.
+func TestWindowAnyOutputSensitive(t *testing.T) {
+	const window = 16000
+	pts := checkin.Points(checkin.Brightkite(window + windowBatch))
+	for _, levels := range [][]float64{{0.2}, {0.1, 0.2, 0.4}} {
+		var st sgb.Stats
+		inc, err := sgb.NewIncrementalAnyLevels(sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex, Stats: &st}, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.Append(pts); err != nil {
+			t.Fatal(err)
+		}
+		top, err := inc.GroupsAt(levels[len(levels)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := 0
+		for _, g := range top.Groups {
+			if g.Members[0] < windowBatch {
+				touched += len(g.Members)
+			}
+		}
+		before := st
+		if _, err := inc.Window(window); err != nil {
+			t.Fatal(err)
+		}
+		probes := st.IndexProbes - before.IndexProbes
+		t.Logf("levels %v: evicting %d of %d re-probed %d points; the victims' components at ε = %v hold %d",
+			levels, windowBatch, len(pts), probes, levels[len(levels)-1], touched)
+		if 4*probes >= int64(touched) {
+			t.Errorf("levels %v: %d re-probes against %d points in the victims' components: not under a quarter", levels, probes, touched)
+		}
+		want, err := sgb.SweepAny(pts[windowBatch:], levels, sgb.Options{Metric: sgb.L2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lone := -1
+		for l, eps := range levels {
+			got, err := inc.GroupsAt(eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Groups, want[l].Groups) {
+				t.Fatalf("levels %v, ε = %v: the maintained window differs from a one-shot sweep", levels, eps)
+			}
+			for _, g := range got.Groups {
+				if l == len(levels)-1 && lone < 0 && len(g.Members) == 1 {
+					lone = g.Members[0]
+				}
+			}
+		}
+		if lone < 0 {
+			t.Fatalf("levels %v: no point is alone at the top level", levels)
+		}
+		before = st
+		if err := inc.Remove([]int{lone}); err != nil {
+			t.Fatal(err)
+		}
+		if probes := st.IndexProbes - before.IndexProbes; probes != 0 {
+			t.Errorf("levels %v: deleting a point with no forest edge probed %d points", levels, probes)
 		}
 	}
 }

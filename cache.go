@@ -13,13 +13,14 @@ import (
 )
 
 // The shared evaluator cache. Every session of a DB draws its cached
-// incremental grouping state — resumable SGB evaluators and ε-lattice
-// dendrograms — from this one structure, so N sessions asking the same
-// similarity question over one table share ONE maintained evaluator
-// instead of building N. One mutex guards the key → entry map (held for
-// a lookup or an eviction scan, never across evaluator work), and each
-// entry carries its own mutex as a singleflight slot: concurrent misses
-// for the same key all acquire the same entry, the first to lock it
+// incremental grouping state — resumable SGB evaluators, single-ε or
+// kept at several ε levels for EPS IN — from this one structure, so N
+// sessions asking the same similarity question over one table share ONE
+// maintained evaluator instead of building N. One mutex guards the key
+// → entry map (held for a lookup or an eviction scan, never across
+// evaluator work), and each entry carries its own mutex as a
+// singleflight slot: concurrent misses for the same key all acquire the
+// same entry, the first to lock it
 // builds, and the rest find the built state when the lock frees —
 // coalescing N identical cold queries into a single evaluation. Each
 // entry also accumulates the operator work (distance computations,
@@ -58,16 +59,16 @@ type incrKey struct {
 type incrEntry struct {
 	mu    sync.Mutex
 	table *storage.Table // identity guard against DROP + re-CREATE
-	// Exactly one of inc and lat is set once built. inc is single-ε
-	// incremental grouping state; lat is a shared ε-lattice dendrogram
-	// (EPS IN / SIMILARITY CUBE): its fingerprint deliberately excludes
-	// ε, so every session sweeping this table under one (metric,
-	// grouping) configuration reuses one maintained evaluator
-	// regardless of which ε levels it asks for. Lattice entries follow
-	// the same consumed / gen protocol, DELETE included: the dendrogram
-	// is repaired around the deleted rows, not dropped.
-	inc      *incr.Incremental
-	lat      *core.LatticeEvaluator
+	// ev is the entry's evaluator once built: single-ε grouping state,
+	// or (EPS IN / SIMILARITY CUBE) an SGB-Any handle kept at several ε
+	// levels (incr.NewLevels). A sweep entry's fingerprint deliberately
+	// excludes ε, so every session sweeping this table under one
+	// (metric, grouping) configuration reuses one maintained evaluator
+	// whichever levels it asks for: a level the entry does not keep is
+	// added to it. Both follow the same consumed / gen protocol, DELETE
+	// included: the forests are repaired around the deleted rows, not
+	// dropped.
+	ev       evaluator
 	consumed int   // how many snapshot rows the state has absorbed
 	gen      int64 // table generation the entry is synchronized with
 	// stats accumulates the operator work performed building and
@@ -84,32 +85,14 @@ type incrEntry struct {
 	lastUse int64 // cache clock reading at the entry's last use; guarded by evalCache.mu
 }
 
-// built reports whether the entry holds an evaluator.
-func (e *incrEntry) built() bool { return e.inc != nil || e.lat != nil }
-
-// appendSet feeds the next snapshot rows' points to the evaluator.
-func (e *incrEntry) appendSet(ps *geom.PointSet) error {
-	if e.lat != nil {
-		return e.lat.AppendSet(ps, &e.work)
-	}
-	return e.inc.AppendSet(ps)
-}
-
-// remove deletes the rows with the given live ids from the evaluator.
-func (e *incrEntry) remove(ids []int) error {
-	if e.lat != nil {
-		return e.lat.Remove(ids, &e.work)
-	}
-	return e.inc.Remove(ids)
-}
-
-// groupsAt materializes the evaluator's grouping at one ε level (a
-// single-ε evaluator has only its own).
-func (e *incrEntry) groupsAt(eps float64) (*core.Result, error) {
-	if e.lat != nil {
-		return e.lat.GroupsAt(eps)
-	}
-	return e.inc.Result()
+// evaluator is what an entry holds: an *incr.Incremental, whose Stats
+// block is the entry's work.
+type evaluator interface {
+	AppendSet(ps *geom.PointSet) error
+	Remove(ids []int) error
+	Levels() []float64
+	AddLevel(eps float64) error
+	GroupsAt(eps float64) (*core.Result, error)
 }
 
 // flushWork charges the evaluator work done since the last flush to
@@ -121,13 +104,14 @@ func (e *incrEntry) flushWork(st *core.Stats) {
 	e.work = core.Stats{}
 }
 
-// maxAnswerLevels bounds the ε levels one answer retains; a sweep
-// asking for more has the rest cut per query.
-const maxAnswerLevels = 16
+// maxAnswerLevels bounds the ε levels one sweep entry keeps and one
+// answer retains; a sweep asking for more has the rest grouped per
+// query, one probe pass each.
+const maxAnswerLevels = incr.MaxLevels
 
 // answer is an entry's immutable result for one table generation: the
 // groups the evaluator held after absorbing all consumed rows of that
-// generation's snapshot — per ε level for a lattice entry, exactly one
+// generation's snapshot — per ε level for a sweep entry, exactly one
 // level otherwise — each with its memoized aggregate columns. It is
 // valid for a query iff table, gen, and consumed equal the query's
 // snapshot, and for such a query forever: a generation names one row

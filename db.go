@@ -3,6 +3,7 @@ package sgb
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -105,11 +106,12 @@ type QueryOptions struct {
 	// GridIndex, which supports any number of grouping attributes). A
 	// maintained SGB-Any grouping runs on the ε-grid whatever it names.
 	Algorithm Algorithm
-	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline and
-	// of the spanning-forest build behind EPS IN and SIMILARITY CUBE BY
-	// EPS: 0 picks GOMAXPROCS on large inputs, 1 forces sequential
-	// evaluation, ≥ 2 forces that many workers. DISTANCE-TO-ALL always
-	// evaluates sequentially. Results are identical at every setting.
+	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline,
+	// one-shot EPS IN and SIMILARITY CUBE BY EPS included: 0 picks
+	// GOMAXPROCS on large inputs, 1 forces sequential evaluation, ≥ 2
+	// forces that many workers. DISTANCE-TO-ALL, and the appends of every
+	// cached grouping, evaluate sequentially. Results are identical at
+	// every setting.
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration, the one clause that draws.
 	Seed int64
@@ -307,10 +309,10 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 
 // noteDelete maintains the table's cached incremental grouping states
 // after rows were deleted: entries that were in sync (gen == preGen) —
-// single-ε evaluators and ε-lattice dendrograms alike — receive the
-// deleted row ids through their decremental Remove, entries that were
-// not (or whose Remove fails) are dropped and rebuild on their next
-// query. WAL replay shares this path with live DELETE statements.
+// single-ε and sweep entries alike — receive the deleted row ids
+// through their decremental Remove, entries that were not (or whose
+// Remove fails) are dropped and rebuild on their next query. WAL replay
+// shares this path with live DELETE statements.
 //
 // The entries share nothing — each is its own evaluator under its own
 // lock, repairing only the ε-components the victims touched — so they
@@ -318,7 +320,10 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 // further one on a goroutine of its own, and noteDelete returns when
 // all are done. A table with one entry starts no goroutine. Every
 // worker holds only its own entry's lock, under the caller's writer
-// lock, so the lock order is the sequential loop's.
+// lock, so the lock order is the sequential loop's. A panic in one
+// entry's maintenance drops that entry; once every entry is done, the
+// first panic is raised again on the calling goroutine, where the
+// caller can recover it.
 func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
 	// An entry of t is keyed under t's lower-cased name (sgbAnswerFunc,
 	// OpenDir); maintainDeleted checks the identity itself.
@@ -331,72 +336,83 @@ func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
 			n++
 		}
 	}
-	its = its[:n]
-	if len(its) <= 1 {
-		for _, it := range its {
-			db.maintainDeleted(it, t, preGen, newGen, doomed)
-		}
+	if n == 0 {
 		return
 	}
+	panics := make([]any, n)
 	var wg sync.WaitGroup
-	wg.Add(len(its) - 1)
-	for _, it := range its[1:] {
-		go func(it cacheItem) {
+	wg.Add(n - 1)
+	for k := 1; k < n; k++ {
+		go func(k int) {
 			defer wg.Done()
-			db.maintainDeleted(it, t, preGen, newGen, doomed)
-		}(it)
+			panics[k] = db.maintainDeleted(its[k], t, preGen, newGen, doomed)
+		}(k)
 	}
-	db.maintainDeleted(its[0], t, preGen, newGen, doomed)
+	panics[0] = db.maintainDeleted(its[0], t, preGen, newGen, doomed)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
-// maintainDeleted is noteDelete's work on one entry. The check and the
+// maintainDeleted is noteDelete's work on one entry. It recovers a
+// panic in the entry's maintenance, drops the entry and returns the
+// panic's value; otherwise it returns nil.
+func (db *DB) maintainDeleted(it cacheItem, t *storage.Table, preGen, newGen int64, doomed []int) (panicked any) {
+	defer func() {
+		if panicked = recover(); panicked != nil {
+			db.cache.remove(it)
+		}
+	}()
+	if !it.e.feedDeleted(t, preGen, newGen, doomed) {
+		db.cache.remove(it)
+	}
+	return nil
+}
+
+// feedDeleted feeds a DELETE's row ids to the entry's evaluator and
+// reports whether the entry is still worth keeping. The check and the
 // feed happen under one hold of the entry lock: released in between, a
 // query could rebuild the entry at newGen — from rows that no longer
-// hold the victims — and the feed would then delete them twice.
-func (db *DB) maintainDeleted(it cacheItem, t *storage.Table, preGen, newGen int64, doomed []int) {
-	e := it.e
+// hold the victims — and the feed would then delete them twice. The
+// evaluator is detached while it repairs, so one that panics leaves the
+// entry holding none.
+func (e *incrEntry) feedDeleted(t *storage.Table, preGen, newGen int64, doomed []int) bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.table != t {
-		e.mu.Unlock()
-		return
+		return true
 	}
-	if e.gen != preGen {
-		// The entry missed an earlier mutation; it would rebuild at
-		// query time anyway, and feeding it deletions now could only
-		// corrupt it further.
-		e.mu.Unlock()
-		db.cache.remove(it)
-		return
-	}
-	if !e.built() {
-		// Still mid-build (no evaluator set): nothing to maintain.
-		e.mu.Unlock()
-		db.cache.remove(it)
-		return
+	if e.gen != preGen || e.ev == nil {
+		// The entry missed an earlier mutation — it would rebuild at query
+		// time anyway, and feeding it deletions now could only corrupt it
+		// further — or is still mid-build: nothing to maintain.
+		return false
 	}
 	// Row ids below consumed are exactly the evaluator's live ids;
 	// rows at or beyond consumed were never absorbed and simply
-	// vanish before they ever would be. A lattice entry repairs its
-	// spanning forest around the deleted points (lattice.Sweep.Remove)
-	// where a single-ε entry reclusters their components; either way
-	// the work is maintenance no query asked for.
+	// vanish before they ever would be. The evaluator repairs the
+	// forests of the trees the deleted points were in; the work is
+	// maintenance no query asked for.
 	fed := doomed[:0:0]
 	for _, i := range doomed {
 		if i < e.consumed {
 			fed = append(fed, i)
 		}
 	}
-	err := e.remove(fed)
+	ev := e.ev
+	e.ev = nil
+	err := ev.Remove(fed)
 	e.flushWork(nil)
 	if err != nil {
-		e.mu.Unlock()
-		db.cache.remove(it)
-		return
+		return false
 	}
+	e.ev = ev
 	e.consumed -= len(fed)
 	e.gen = newGen
-	e.mu.Unlock()
+	return true
 }
 
 // evalConstExpr evaluates a row-independent expression (literals,
@@ -458,8 +474,11 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 // change the grouping (core.Options.Key). A sweep's key covers ONLY the
 // metric (plus table and expressions) — SGB-Any components depend on
 // nothing else — so sessions differing in their ε lists share one
-// maintained dendrogram: built up to the first sweep's ε_max, rebuilt at
-// a larger bound when a later sweep exceeds it.
+// evaluator kept at several levels: built at the first sweep's levels,
+// given a level a later sweep asks for (one probe pass over the live
+// points, charged to that query) while it keeps fewer than
+// maxAnswerLevels, and rebuilt at a new top when a sweep exceeds the
+// old one.
 //
 // A query whose snapshot the entry's published answer covers takes one
 // atomic load and leaves: no point is extracted, the evaluator is not
@@ -478,10 +497,9 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float64, opt core.Options) exec.AnswerFunc {
 	// Cached state outlives any single query, so it runs under the
 	// options its key prints and no session's other knobs: Parallelism
-	// is 0 whatever the session set — a lattice entry's first build takes
-	// the automatic worker count, its later batches and every Any/All
-	// append run sequentially — and the query's Stats block is charged
-	// through flushWork, never retained.
+	// is 0 whatever the session set — every append runs sequentially —
+	// and the query's Stats block is charged through flushWork, never
+	// retained.
 	st := opt.Stats
 	opt = opt.Maintained(anySem)
 	sweep := len(epsList) > 0
@@ -508,7 +526,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 		}
 		e.mu.Lock()
 		defer func() {
-			unbuilt := !e.built()
+			unbuilt := e.ev == nil
 			e.mu.Unlock()
 			// acquire evicts nothing: the slot is claimed now, or — the
 			// build failed — given back without pushing a live entry out.
@@ -522,7 +540,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 		if gs := cur.serve(t, src.Gen, n, epsList); gs != nil {
 			return gs, nil // published while this query waited for the lock
 		}
-		if e.built() && e.table == t && src.Gen < e.gen {
+		if e.ev != nil && e.table == t && src.Gen < e.gen {
 			return nil, nil
 		}
 		// The generation check is the staleness guard: an entry whose
@@ -532,38 +550,39 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 		// enough — a delete followed by inserts restoring the old count
 		// would slip past it and serve groups over rows that no longer
 		// exist.
-		if !e.built() || e.table != t || e.gen != src.Gen || e.consumed > n ||
-			(sweep && e.lat.EpsMax() < opt.Eps) {
-			e.inc, e.lat = nil, nil
-			if sweep {
-				e.lat, err = core.NewLatticeEvaluator(src.Dims, opt)
-			} else {
-				sem, bopt := incr.All, opt
-				if anySem {
-					sem = incr.Any
-				}
-				bopt.Stats = &e.work
-				e.inc, err = incr.New(sem, bopt)
+		if e.ev == nil || e.table != t || e.gen != src.Gen || e.consumed > n ||
+			(sweep && slices.Max(e.ev.Levels()) < opt.Eps) {
+			bopt := opt
+			bopt.Stats = &e.work
+			var inc *incr.Incremental
+			switch {
+			case sweep:
+				inc, err = incr.NewLevels(bopt, sweepLevels(e.ev, epsList))
+			case anySem:
+				inc, err = incr.New(incr.Any, bopt)
+			default:
+				inc, err = incr.New(incr.All, bopt)
 			}
+			e.ev = nil
 			if err != nil {
 				return nil, err
 			}
-			e.table, e.consumed, e.gen = t, 0, src.Gen
+			e.ev, e.table, e.consumed, e.gen = inc, t, 0, src.Gen
 		}
 		if n > e.consumed {
 			points, err := src.Points(e.consumed)
 			if err != nil {
 				if e.consumed == 0 {
-					e.inc, e.lat = nil, nil // holds nothing: not worth a slot
+					e.ev = nil // holds nothing: not worth a slot
 				}
 				return nil, err
 			}
-			err = e.appendSet(points)
+			err = e.ev.AppendSet(points)
 			e.flushWork(st)
 			if err != nil {
 				// A torn append leaves the evaluator holding an unknown
 				// prefix; poison the entry so the next query rebuilds.
-				e.inc, e.lat = nil, nil
+				e.ev = nil
 				return nil, err
 			}
 			e.consumed = n
@@ -584,7 +603,19 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			if gs[i] = next.level(eps); gs[i] != nil {
 				continue
 			}
-			res, err := e.groupsAt(eps)
+			// A level the entry does not keep costs this query one probe
+			// pass over the live points; while there is room, the entry
+			// keeps it, so the pass is the only one.
+			if sweep {
+				if levels := e.ev.Levels(); len(levels) < maxAnswerLevels && !slices.Contains(levels, eps) {
+					if err := e.ev.AddLevel(eps); err != nil {
+						e.flushWork(st)
+						return nil, err
+					}
+				}
+			}
+			res, err := e.ev.GroupsAt(eps)
+			e.flushWork(st)
 			if err != nil {
 				return nil, err
 			}
@@ -596,6 +627,23 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 		e.ans.Store(next)
 		return gs, nil
 	}
+}
+
+// sweepLevels is the level list a sweep entry is built with: the
+// query's levels and those the entry kept before (a rebuild above its
+// top keeps them below the new one), the largest maxAnswerLevels of
+// them.
+func sweepLevels(old evaluator, epsList []float64) []float64 {
+	levels := slices.Clone(epsList)
+	if old != nil {
+		for _, eps := range old.Levels() {
+			if !slices.Contains(levels, eps) {
+				levels = append(levels, eps)
+			}
+		}
+	}
+	slices.Sort(levels)
+	return levels[max(0, len(levels)-maxAnswerLevels):]
 }
 
 // loadChunkBytes ends a LoadCSV WAL record at the row that crosses it.

@@ -38,14 +38,16 @@ func warmQuery(t *testing.T, db *DB, sql string) Stats {
 // — identical, or with another aggregate list, a HAVING, a top-k, an
 // overlapping ε list, the cube — computes no distance, evaluates no
 // grouping expression, and folds only aggregates no earlier query
-// folded. An INSERT of k rows makes the next query extract exactly k.
+// folded. The exception is a sweep level the entry does not keep yet:
+// it costs one probe pass over the table, once. An INSERT of k rows
+// makes the next query extract exactly k.
 func TestWarmHitCostsAnswer(t *testing.T) {
 	const n = 4000
 	db := Open()
 	loadUniform(t, db, n, 5)
 	type step struct {
-		sql               string
-		extracted, folded int64
+		sql                       string
+		extracted, probes, folded int64
 	}
 	const (
 		anyQ   = " FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.1"
@@ -53,24 +55,24 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 		sweepQ = " FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN "
 	)
 	steps := []step{
-		{"SELECT count(*), avg(x)" + anyQ, n, 2 * n},
-		{"SELECT count(*), avg(x)" + anyQ, 0, 0},
-		{"SELECT count(*), avg(x)" + anyQ, 0, 0},
-		{"SELECT count(*), max(y)" + anyQ, 0, n},
-		{"SELECT max(y), count(*) + 1, avg(x)" + anyQ, 0, 0},
-		{"SELECT count(*), avg(x)" + anyQ + " HAVING count(*) >= 3", 0, 0},
-		{"SELECT count(*), max(y)" + anyQ + " ORDER BY 1 DESC, 2 DESC LIMIT 10", 0, 0},
-		{"SELECT count(*), min(y)" + allQ, n, 2 * n},
-		{"SELECT min(y), count(*)" + allQ + " HAVING min(y) > 1", 0, 0},
-		{"SELECT eps, count(*)" + sweepQ + "(0.05, 0.1, 0.3)", n, 3 * n},
-		{"SELECT eps, count(*)" + sweepQ + "(0.1, 0.2)", 0, n},
-		{"SELECT eps, count(*), sum(x)" + sweepQ + "(0.05, 0.2, 0.3)", 0, 3 * n},
-		{"SELECT *" + sweepQ + "(0.05, 0.1, 0.2, 0.3) SIMILARITY CUBE BY EPS", 0, 0},
+		{"SELECT count(*), avg(x)" + anyQ, n, n, 2 * n},
+		{"SELECT count(*), avg(x)" + anyQ, 0, 0, 0},
+		{"SELECT count(*), avg(x)" + anyQ, 0, 0, 0},
+		{"SELECT count(*), max(y)" + anyQ, 0, 0, n},
+		{"SELECT max(y), count(*) + 1, avg(x)" + anyQ, 0, 0, 0},
+		{"SELECT count(*), avg(x)" + anyQ + " HAVING count(*) >= 3", 0, 0, 0},
+		{"SELECT count(*), max(y)" + anyQ + " ORDER BY 1 DESC, 2 DESC LIMIT 10", 0, 0, 0},
+		{"SELECT count(*), min(y)" + allQ, n, n, 2 * n},
+		{"SELECT min(y), count(*)" + allQ + " HAVING min(y) > 1", 0, 0, 0},
+		{"SELECT eps, count(*)" + sweepQ + "(0.05, 0.1, 0.3)", n, n, 3 * n},
+		{"SELECT eps, count(*)" + sweepQ + "(0.1, 0.2)", 0, n, n}, // 0.2 is new
+		{"SELECT eps, count(*), sum(x)" + sweepQ + "(0.05, 0.2, 0.3)", 0, 0, 3 * n},
+		{"SELECT *" + sweepQ + "(0.05, 0.1, 0.2, 0.3) SIMILARITY CUBE BY EPS", 0, 0, 0},
 	}
 	for i, s := range steps {
 		st := warmQuery(t, db, s.sql)
-		if work := st.DistanceComputations + st.RectTests + st.IndexProbes; (work > 0) != (s.extracted > 0) {
-			t.Errorf("step %d (%s): %d distance computations, rectangle tests and probes with %d rows to absorb", i, s.sql, work, s.extracted)
+		if work := st.DistanceComputations + st.RectTests + st.IndexProbes; st.IndexProbes != s.probes || (work > 0) != (s.probes > 0) {
+			t.Errorf("step %d (%s): %d distance computations, rectangle tests and probes, want %d probes", i, s.sql, work, s.probes)
 		}
 		if st.PointsExtracted != s.extracted || st.RowsFolded != s.folded {
 			t.Errorf("step %d (%s): extracted %d rows and folded %d, want %d and %d",
@@ -102,8 +104,9 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 	}
 }
 
-// TestAnswerMemoBounds: the ε level past maxAnswerLevels is cut per
-// query and leaves the published answer at its bound; an aggregate
+// TestAnswerMemoBounds: the ε level past maxAnswerLevels is grouped per
+// query — one probe pass over the live points, kept neither by the
+// entry nor by the published answer, which stays at its bound; an aggregate
 // that reads another table is never memoized; DROP + re-CREATE of a
 // table with the same name, generation and row count is not served the
 // old table's answer.
@@ -120,11 +123,11 @@ func TestAnswerMemoBounds(t *testing.T) {
 	published := func() int {
 		t.Helper()
 		for _, it := range db.cache.items() {
-			if it.e.lat != nil {
+			if isSweepKey(it.key) {
 				return len(it.e.ans.Load().levels)
 			}
 		}
-		t.Fatal("no lattice entry")
+		t.Fatal("no sweep entry")
 		return 0
 	}
 	warmQuery(t, db, sweep(levels[:maxAnswerLevels]))
@@ -133,8 +136,11 @@ func TestAnswerMemoBounds(t *testing.T) {
 	}
 	for rep := 0; rep < 2; rep++ {
 		st := warmQuery(t, db, sweep(levels))
-		if st.RowsFolded != 2*600 || st.PointsExtracted != 0 || st.DistanceComputations != 0 {
-			t.Fatalf("sweep with a 17th level: %+v, want only that level's two aggregates folded", st)
+		if st.RowsFolded != 2*600 || st.PointsExtracted != 0 || st.IndexProbes != 600 || st.IndexUpdates != 0 {
+			t.Fatalf("sweep with a 17th level: %+v, want one probe pass for that level and its two aggregates folded", st)
+		}
+		if ev, _ := sweepEntry(t, db); len(ev.Levels()) != maxAnswerLevels {
+			t.Fatalf("the entry keeps %d levels, want %d", len(ev.Levels()), maxAnswerLevels)
 		}
 		if got := published(); got != maxAnswerLevels {
 			t.Fatalf("%d levels published after a 17-level sweep, want %d", got, maxAnswerLevels)

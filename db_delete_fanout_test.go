@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,14 +23,8 @@ func entryEvaluators(db *DB) map[incrKey]any {
 	out := make(map[incrKey]any)
 	for _, it := range db.cache.items() {
 		it.e.mu.Lock()
-		var ev any
-		if it.e.inc != nil {
-			ev = it.e.inc
-		} else if it.e.lat != nil {
-			ev = it.e.lat
-		}
+		out[it.key] = it.e.ev
 		it.e.mu.Unlock()
-		out[it.key] = ev
 	}
 	return out
 }
@@ -167,7 +162,7 @@ func TestDeleteMaintainsEntriesConcurrently(t *testing.T) {
 		for _, it := range cached.cache.items() {
 			if it.key.table == "other" {
 				it.e.mu.Lock()
-				other = fmt.Sprintf("%p %p %d %d %+v", it.e.table, it.e.inc, it.e.consumed, it.e.gen, it.e.stats)
+				other = fmt.Sprintf("%p %p %d %d %+v", it.e.table, it.e.ev, it.e.consumed, it.e.gen, it.e.stats)
 				it.e.mu.Unlock()
 			}
 		}
@@ -254,6 +249,83 @@ func TestDeleteMaintainsEntriesConcurrently(t *testing.T) {
 		}
 	}
 	compare("after the stale DELETE")
+}
+
+// panicky is an entry evaluator whose Remove panics.
+type panicky struct{ evaluator }
+
+func (panicky) Remove([]int) error { panic("panicky: Remove") }
+
+// TestDeleteFanOutHandsPanicBack: a panic in one entry's maintenance is
+// raised again on the goroutine that issued the DELETE, whichever of
+// the table's three entries holds the evaluator that panics. Each is
+// poisoned four times over, so that — the fan-out maintains the entries
+// in the cache's map order, the first inline — the panic comes from a
+// goroutine of the fan-out as well as from the caller's. The poisoned
+// entry is dropped; the other two hold the evaluators they held before
+// and, like the rebuilt third, answer as an incremental = off twin
+// does.
+func TestDeleteFanOutHandsPanicBack(t *testing.T) {
+	const from = " FROM sensors GROUP BY x, y "
+	queries := []string{
+		"SELECT count(*), min(id)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.5",
+		"SELECT count(*), min(id)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.5 ON-OVERLAP JOIN-ANY",
+		"SELECT eps, count(*), min(id)" + from + "DISTANCE-TO-ANY L2 EPS IN (0.3, 0.6)",
+	}
+	for run := 0; run < 4*len(queries); run++ {
+		poisoned := run % len(queries)
+		cached, ref := Open(), Open()
+		mustExec(t, cached, "SET incremental = on")
+		for _, db := range []*DB{cached, ref} {
+			mustExec(t, db, "CREATE TABLE sensors (id INT, x FLOAT, y FLOAT)")
+		}
+		insertRandomRows(t, rand.New(rand.NewSource(int64(91+run))), 300, cached, ref)
+		var keys []incrKey
+		for _, q := range queries {
+			mustQuery(t, cached, q)
+			for k := range entryEvaluators(cached) {
+				if !slices.Contains(keys, k) {
+					keys = append(keys, k)
+				}
+			}
+		}
+		if len(keys) != len(queries) {
+			t.Fatalf("%d entries for %d groupings", len(keys), len(queries))
+		}
+		for _, it := range cached.cache.items() {
+			if it.key == keys[poisoned] {
+				it.e.mu.Lock()
+				it.e.ev = panicky{it.e.ev}
+				it.e.mu.Unlock()
+			}
+		}
+		before := entryEvaluators(cached)
+
+		const del = "DELETE FROM sensors WHERE id % 3 = 1"
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			cached.Exec(del)
+			return nil
+		}()
+		if got != "panicky: Remove" {
+			t.Fatalf("poisoned entry %d: the DELETE handed back %v, want the evaluator's panic", poisoned, got)
+		}
+		mustExec(t, ref, del)
+		after := entryEvaluators(cached)
+		for i, k := range keys {
+			switch ev, kept := after[k]; {
+			case i == poisoned && kept:
+				t.Fatalf("poisoned entry %d: the entry whose maintenance panicked is still cached", poisoned)
+			case i != poisoned && (!kept || ev != before[k]):
+				t.Fatalf("poisoned entry %d: entry %d was dropped or rebuilt beside it", poisoned, i)
+			}
+		}
+		for _, q := range queries {
+			if got, want := mustQuery(t, cached, q), mustQuery(t, ref, q); !reflect.DeepEqual(got.Data, want.Data) {
+				t.Fatalf("poisoned entry %d: %q differs from incremental = off after the DELETE", poisoned, q)
+			}
+		}
+	}
 }
 
 // BenchmarkDeleteMaintain is the work/span record of noteDelete's

@@ -11,12 +11,12 @@ import (
 )
 
 // TestSQLSweepDeleteTwinDB runs one statement trace against two
-// databases — one answering sweeps from the maintained lattice entry,
+// databases — one answering sweeps from the maintained sweep entry,
 // one with SET incremental = off regrouping from scratch — through
 // DELETE → sweep → INSERT → sweep → cube rounds, and requires identical
 // rows at every read. The rounds cover a delete of rows the entry never
 // consumed, a delete followed by inserts restoring the row count, a
-// delete of every row, and a sweep above the cached ε_max after a
+// delete of every row, and a sweep above the entry's top level after a
 // delete.
 func TestSQLSweepDeleteTwinDB(t *testing.T) {
 	cached, ref := Open(), Open()
@@ -56,7 +56,7 @@ func TestSQLSweepDeleteTwinDB(t *testing.T) {
 
 	insert(260)
 	read("build", sweepQ)
-	lat, _ := latticeEntry(t, cached)
+	built, _ := sweepEntry(t, cached)
 	for round := 0; round < 6; round++ {
 		step := fmt.Sprintf("round %d", round)
 		// A sliding-window DELETE of the oldest rows plus a scattered one.
@@ -73,7 +73,7 @@ func TestSQLSweepDeleteTwinDB(t *testing.T) {
 	insert(30)
 	both(fmt.Sprintf("DELETE FROM sensors WHERE id >= %d OR id %% 5 = 0", nextID-15))
 	read("unconsumed rows deleted", sweepQ)
-	if kept, _ := latticeEntry(t, cached); kept != lat {
+	if kept, _ := sweepEntry(t, cached); kept != built {
 		t.Fatal("the entry was rebuilt somewhere along the trace, not maintained")
 	}
 
@@ -85,17 +85,17 @@ func TestSQLSweepDeleteTwinDB(t *testing.T) {
 	insert(n0 - n1)
 	read("count restored", sweepQ)
 	read("count restored cube", cubeQ)
-	if kept, _ := latticeEntry(t, cached); kept != lat {
+	if kept, _ := sweepEntry(t, cached); kept != built {
 		t.Fatal("restoring the row count cost the entry a rebuild")
 	}
 
-	// A sweep above the cached ε_max after a delete rebuilds at the wider
+	// A sweep above the entry's top level after a delete rebuilds at the wider
 	// bound; later deletes maintain the wider entry.
 	both("DELETE FROM sensors WHERE id % 11 = 3")
-	read("above cached eps_max", wideQ)
-	wide, _ := latticeEntry(t, cached)
-	if wide == lat {
-		t.Fatal("a sweep above the cached eps_max was answered without a rebuild")
+	read("above the top level", wideQ)
+	wide, _ := sweepEntry(t, cached)
+	if wide == built {
+		t.Fatal("a sweep above the top level was answered without a rebuild")
 	}
 	both("DELETE FROM sensors WHERE id % 11 = 4")
 	read("wide entry after delete", wideQ)
@@ -108,7 +108,7 @@ func TestSQLSweepDeleteTwinDB(t *testing.T) {
 	insert(50)
 	read("refilled", sweepQ)
 	read("refilled cube", cubeQ)
-	if kept, _ := latticeEntry(t, cached); kept != wide {
+	if kept, _ := sweepEntry(t, cached); kept != wide {
 		t.Fatal("the wide entry was rebuilt after it was built, not maintained")
 	}
 }

@@ -195,94 +195,112 @@ func TestSQLEpsAsColumnName(t *testing.T) {
 	}
 }
 
-// TestSQLSweepCacheSharedAcrossEps is the satellite-4 regression: with
-// SET incremental on, two sessions differing ONLY in their ε lists
-// share one lattice entry — the second session's query performs no new
-// evaluation (zero distance computations, zero index probes in its
-// Stats), yet answers correctly.
+// TestSQLSweepCacheSharedAcrossEps: with SET incremental on, two
+// sessions differing ONLY in their ε lists share one sweep entry. A
+// level the entry keeps costs a query nothing; a level it does not
+// costs the asking query one probe pass over the live points, and the
+// entry keeps it, so after that it costs nothing either — an INSERT
+// then costs one probe per new row whichever levels are asked. Answers
+// match one-shot runs throughout.
 func TestSQLSweepCacheSharedAcrossEps(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE sensors (id INT, x FLOAT, y FLOAT)")
 	rng := rand.New(rand.NewSource(31))
 	insertRandomRows(t, rng, 300, db)
-
-	// Session 1 sweeps up to ε_max = 2 and pays the build.
-	var st1 Stats
-	opt1 := QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &st1}
-	q1 := "SELECT eps, count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1, 2)"
-	r1, err := db.QueryOpt(q1, opt1)
-	if err != nil {
-		t.Fatal(err)
+	sweepQ := func(st *Stats, levels string) *Rows {
+		t.Helper()
+		rows, err := db.QueryOpt("SELECT eps, count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN ("+levels+")",
+			QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-	if st1.DistanceComputations == 0 || st1.IndexProbes == 0 {
-		t.Fatalf("first sweep charged no build work: %+v", st1)
-	}
-
-	// Session 2 asks for DIFFERENT ε levels below the cached ε_max:
-	// answered entirely from the shared dendrogram.
-	var st2 Stats
-	opt2 := QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &st2}
-	q2 := "SELECT eps, count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.3, 0.8, 1.7)"
-	r2, err := db.QueryOpt(q2, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.DistanceComputations != 0 || st2.IndexProbes != 0 || st2.IndexUpdates != 0 {
-		t.Fatalf("second session re-evaluated despite shared lattice entry: %+v", st2)
-	}
-
-	// Both sessions' answers match fresh one-shot runs.
-	for _, check := range []struct {
-		rows *Rows
-		eps  []float64
-	}{{r1, []float64{0.5, 1, 2}}, {r2, []float64{0.3, 0.8, 1.7}}} {
-		for _, eps := range check.eps {
+	matchOneShot := func(rows *Rows, levels ...float64) {
+		t.Helper()
+		for _, eps := range levels {
 			single := mustQuery(t, db, fmt.Sprintf(
 				"SELECT count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %v", eps))
-			if got, want := sweepCountsAt(check.rows, eps), sortedCounts(single); !reflect.DeepEqual(got, want) {
+			if got, want := sweepCountsAt(rows, eps), sortedCounts(single); !reflect.DeepEqual(got, want) {
 				t.Fatalf("eps=%v: cached sweep %v vs one-shot %v", eps, got, want)
 			}
 		}
 	}
 
-	// A sweep ABOVE the cached ε_max rebuilds (and must say so in its
-	// Stats) — then serves later sub-ε_max sweeps for free again.
-	var st3 Stats
-	if _, err := db.QueryOpt("SELECT eps, count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (1, 3)",
-		QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &st3}); err != nil {
-		t.Fatal(err)
+	// Session 1 sweeps up to ε = 2 and pays the build.
+	var st1 Stats
+	r1 := sweepQ(&st1, "0.5, 1, 2")
+	if st1.DistanceComputations == 0 || st1.IndexProbes != 300 {
+		t.Fatalf("first sweep: %+v, want one probe per row", st1)
 	}
-	if st3.DistanceComputations == 0 {
-		t.Fatalf("sweep above cached ε_max did not rebuild: %+v", st3)
+	matchOneShot(r1, 0.5, 1, 2)
+
+	// Session 2 asks for three levels the entry does not keep: one probe
+	// pass over the 300 rows each, and no point extracted.
+	var st2 Stats
+	r2 := sweepQ(&st2, "0.3, 0.8, 1.7")
+	if st2.IndexProbes != 3*300 || st2.PointsExtracted != 0 || st2.IndexUpdates != 0 {
+		t.Fatalf("second session's new levels: %+v, want three probe passes", st2)
 	}
-	var st4 Stats
-	if _, err := db.QueryOpt(q1, QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &st4}); err != nil {
-		t.Fatal(err)
+	matchOneShot(r2, 0.3, 0.8, 1.7)
+	if ev, _ := sweepEntry(t, db); !reflect.DeepEqual(ev.Levels(), []float64{0.3, 0.5, 0.8, 1, 1.7, 2}) {
+		t.Fatalf("the entry keeps levels %v", ev.Levels())
 	}
-	if st4.DistanceComputations != 0 {
-		t.Fatalf("sweep below the rebuilt ε_max re-evaluated: %+v", st4)
+
+	// After an INSERT the new rows probe once, whichever levels are asked;
+	// a second statement over kept levels then costs nothing.
+	insertRandomRows(t, rng, 10, db)
+	var st3, st4 Stats
+	sweepQ(&st3, "0.3, 0.8, 1.7")
+	if st3.IndexProbes != 10 || st3.PointsExtracted != 10 {
+		t.Fatalf("sweep after a 10-row INSERT: %+v", st3)
+	}
+	r4 := sweepQ(&st4, "0.5, 0.8")
+	if st4.DistanceComputations != 0 || st4.IndexProbes != 0 || st4.PointsExtracted != 0 {
+		t.Fatalf("sweep over kept levels did evaluator work: %+v", st4)
+	}
+	matchOneShot(r4, 0.5, 0.8)
+
+	// A sweep ABOVE the top rebuilds (and must say so in its Stats),
+	// keeping the levels below — then serves them for free again.
+	var st5, st6 Stats
+	sweepQ(&st5, "1, 3")
+	if st5.DistanceComputations == 0 || st5.PointsExtracted != 310 {
+		t.Fatalf("sweep above the top did not rebuild: %+v", st5)
+	}
+	r6 := sweepQ(&st6, "0.3, 0.5, 2")
+	if st6.DistanceComputations != 0 || st6.IndexProbes != 0 {
+		t.Fatalf("sweep below the rebuilt top re-evaluated: %+v", st6)
+	}
+	matchOneShot(r6, 0.3, 0.5, 2)
+	if n := db.cache.len(); n != 1 {
+		t.Fatalf("%d cache entries, want the one sweep entry", n)
 	}
 }
 
-// latticeEntry returns the one cached lattice entry's evaluator — its
+// isSweepKey reports whether a cache key is a sweep entry's: printed
+// without ε.
+func isSweepKey(k incrKey) bool { return strings.Contains(k.fingerprint, "|eps=0|") }
+
+// sweepEntry returns the one cached sweep entry's evaluator — its
 // identity tells a maintained entry from a rebuilt one — and its work
 // counters.
-func latticeEntry(t *testing.T, db *DB) (*core.LatticeEvaluator, Stats) {
+func sweepEntry(t *testing.T, db *DB) (evaluator, Stats) {
 	t.Helper()
 	for _, it := range db.cache.items() {
-		it.e.mu.Lock()
-		lat, st := it.e.lat, it.e.stats
-		it.e.mu.Unlock()
-		if lat != nil {
-			return lat, st
+		if !isSweepKey(it.key) {
+			continue
 		}
+		it.e.mu.Lock()
+		defer it.e.mu.Unlock()
+		return it.e.ev, it.e.stats
 	}
-	t.Fatal("no lattice entry in the cache")
+	t.Fatal("no sweep entry in the cache")
 	return nil, Stats{}
 }
 
 // TestSQLSweepCacheMaintenance drives the mutation protocol: INSERT
-// extends the shared dendrogram by its suffix only, DELETE repairs it
+// extends the shared sweep entry by its suffix only, DELETE repairs it
 // at maintenance time, DROP clears it — answers stay correct
 // throughout.
 func TestSQLSweepCacheMaintenance(t *testing.T) {
@@ -325,19 +343,19 @@ func TestSQLSweepCacheMaintenance(t *testing.T) {
 			incr.IndexProbes, baseProbes)
 	}
 
-	// DELETE repairs: the dendrogram is maintained when the rows go (20 of
-	// them: ids restart with each insertRandomRows), the work is charged
-	// to the cache entry as maintenance, and the next sweep finds the
-	// entry in sync — it extracts no point and touches no index.
-	lat, latBefore := latticeEntry(t, db)
+	// DELETE repairs: the level forests are maintained when the rows go
+	// (20 of them: ids restart with each insertRandomRows), the work is
+	// charged to the cache entry as maintenance, and the next sweep finds
+	// the entry in sync — it extracts no point and touches no index.
+	ev, evBefore := sweepEntry(t, db)
 	cacheBefore := db.CacheStats()
 	mustExec(t, db, "DELETE FROM sensors WHERE id < 10")
-	kept, repair := latticeEntry(t, db)
-	if kept != lat {
-		t.Fatal("DELETE replaced the lattice entry's evaluator instead of maintaining it")
+	kept, repair := sweepEntry(t, db)
+	if kept != ev {
+		t.Fatal("DELETE replaced the sweep entry's evaluator instead of maintaining it")
 	}
-	if got := repair.IndexUpdates - latBefore.IndexUpdates; got != 20 {
-		t.Fatalf("DELETE unregistered %d points from the lattice entry, want 20", got)
+	if got := repair.IndexUpdates - evBefore.IndexUpdates; got != 20 {
+		t.Fatalf("DELETE unregistered %d points from the sweep entry, want 20", got)
 	}
 	if cacheAfter := db.CacheStats(); cacheAfter.IndexUpdates-cacheBefore.IndexUpdates < 20 {
 		t.Fatalf("CacheStats does not show the repair: %+v -> %+v", cacheBefore, cacheAfter)
@@ -361,7 +379,7 @@ func TestSQLSweepCacheMaintenance(t *testing.T) {
 		t.Fatalf("post-DROP sweep served stale groups: %v", got)
 	}
 
-	// SET incremental = off clears lattice entries with the rest.
+	// SET incremental = off clears sweep entries with the rest.
 	mustExec(t, db, "SET incremental = off")
 	if db.cache.len() != 0 {
 		t.Fatalf("cache not cleared on SET incremental = off: %d entries", db.cache.len())
@@ -572,6 +590,124 @@ func TestSQLSweepOrderIndependent(t *testing.T) {
 		}
 		if incremental == "on" && db.cache.len() < 2 {
 			t.Fatalf("incremental = on: %d cache entries, want one per table", db.cache.len())
+		}
+	}
+}
+
+// TestSQLAnyOrderIndependent is the single-ε twin of
+// TestSQLSweepOrderIndependent: DISTANCE-TO-ANY groups are the ε-graph's
+// connected components, which no input order changes (arXiv
+// 1412.4303). The same 2 000 check-ins go into two tables in two seeded
+// permutations, and the same INSERT and DELETE trace follows on both.
+// After every step a single-ε statement at each of three ε must give
+// both tables the same partition, compared as the sorted (count(*),
+// min(id), max(id)) triples of its groups — one-shot, and maintained —
+// and every level of an EPS IN statement over those ε must equal the
+// single-ε statement at its ε.
+func TestSQLAnyOrderIndependent(t *testing.T) {
+	const n, extra, rounds = 2000, 50, 3
+	pool := checkin.Points(checkin.Brightkite(n + extra*rounds))
+	insert := func(db *DB, table string, ids []int) {
+		t.Helper()
+		var b strings.Builder
+		for i, id := range ids {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, %g, %g)", id, pool[id][0], pool[id][1])
+		}
+		mustExec(t, db, "INSERT INTO "+table+" VALUES "+b.String())
+	}
+	levels := []float64{0.05, 0.1, 0.2}
+	// triples lists the groups of rows, whose (count, min id, max id)
+	// start at column from, sorted; by ε when from is 1 (column 0 is the
+	// sweep's eps).
+	triples := func(rows *Rows, from int) map[float64][][3]int64 {
+		out := map[float64][][3]int64{}
+		for _, r := range rows.Data {
+			eps := 0.0
+			if from == 1 {
+				eps = r[0].F
+			}
+			out[eps] = append(out[eps], [3]int64{r[from].I, r[from+1].I, r[from+2].I})
+		}
+		for _, g := range out {
+			sort.Slice(g, func(i, j int) bool {
+				for k := range g[i] {
+					if g[i][k] != g[j][k] {
+						return g[i][k] < g[j][k]
+					}
+				}
+				return false
+			})
+		}
+		return out
+	}
+	for _, incremental := range []string{"off", "on"} {
+		db := Open()
+		mustExec(t, db, "SET incremental = "+incremental)
+		mustExec(t, db, "SET incr_cache_size = 16")
+		for i, table := range []string{"a", "b"} {
+			mustExec(t, db, "CREATE TABLE "+table+" (id INT, x FLOAT, y FLOAT)")
+			perm := rand.New(rand.NewSource(int64(71 + i))).Perm(n)
+			for lo := 0; lo < n; lo += 500 {
+				insert(db, table, perm[lo:lo+500])
+			}
+		}
+		live := n
+		check := func(when string) {
+			t.Helper()
+			singles := map[string]map[float64][][3]int64{}
+			for _, table := range []string{"a", "b"} {
+				sweep := triples(mustQuery(t, db, "SELECT eps, count(*), min(id), max(id) FROM "+table+
+					" GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.05, 0.1, 0.2)"), 1)
+				singles[table] = map[float64][][3]int64{}
+				for _, eps := range levels {
+					single := triples(mustQuery(t, db, fmt.Sprintf(
+						"SELECT count(*), min(id), max(id) FROM %s GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %v", table, eps)), 0)[0]
+					if !reflect.DeepEqual(sweep[eps], single) {
+						t.Fatalf("incremental %s, %s: table %s's EPS IN level %v differs from its single-ε statement", incremental, when, table, eps)
+					}
+					singles[table][eps] = single
+				}
+			}
+			split := false
+			for _, eps := range levels {
+				a, b := singles["a"][eps], singles["b"][eps]
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("incremental %s, %s, ε = %v: the two permutations group differently", incremental, when, eps)
+				}
+				split = split || (len(a) > 1 && len(a) < live)
+			}
+			if !split {
+				t.Fatalf("incremental %s, %s: no ε splits the %d rows into groups", incremental, when, live)
+			}
+		}
+		check("after the load")
+		for round := 1; round <= rounds; round++ {
+			ids := make([]int, extra)
+			for i := range ids {
+				ids[i] = n + extra*(round-1) + i
+			}
+			insert(db, "a", ids)
+			insert(db, "b", ids)
+			live += extra
+			check(fmt.Sprintf("round %d, after INSERT", round))
+			var deleted [2]int
+			for i, table := range []string{"a", "b"} {
+				var err error
+				if deleted[i], err = db.Exec(fmt.Sprintf("DELETE FROM %s WHERE id %% 7 = %d", table, round)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if deleted[0] != deleted[1] || deleted[0] == 0 {
+				t.Fatalf("the DELETE removed %v rows", deleted)
+			}
+			live -= deleted[0]
+			check(fmt.Sprintf("round %d, after DELETE", round))
+		}
+		if want := 2 * (len(levels) + 1); incremental == "on" && db.cache.len() != want {
+			t.Fatalf("incremental = on: %d cache entries, want %d", db.cache.len(), want)
 		}
 	}
 }

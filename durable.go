@@ -116,7 +116,7 @@ func OpenDir(dir string) (*DB, error) {
 			if err != nil {
 				continue
 			}
-			db.cache.add(key, &incrEntry{table: t, inc: inc, consumed: e.Consumed, gen: t.Generation()})
+			db.cache.add(key, &incrEntry{table: t, ev: inc, consumed: e.Consumed, gen: t.Generation()})
 		}
 	}
 
@@ -290,17 +290,19 @@ func (db *DB) checkpointLocked() error {
 		// under db.wmu, so no writer can advance it.
 		gen := t.Generation()
 		e.mu.Lock()
-		if e.inc == nil || e.table != t || e.gen != gen {
-			// Lattice entries have no export format, and stale entries
-			// rebuild at their next query anyway — a checkpointed copy
-			// would only replay into garbage.
+		inc, ok := e.ev.(*incr.Incremental)
+		if !ok || e.table != t || e.gen != gen {
+			// Stale entries rebuild at their next query anyway — a
+			// checkpointed copy would only replay into garbage.
 			e.mu.Unlock()
 			continue
 		}
-		st, err := e.inc.ExportState()
+		st, err := inc.ExportState()
 		consumed := e.consumed
 		e.mu.Unlock()
 		if err != nil {
+			// A sweep entry, kept at several ε levels, has no export
+			// format (incr.ErrNoExportFormat).
 			continue
 		}
 		s.Incr = append(s.Incr, snapshot.IncrEntry{

@@ -312,8 +312,9 @@ func TestRecoveryNormalizesKeys(t *testing.T) {
 		t.Fatalf("EvaluatorsRestored = %d, cache holds %d: want 4 groupings restored", got, rdb.cache.len())
 	}
 	for _, it := range rdb.cache.items() {
-		any := it.e.inc.Semantics() == incr.Any
-		if opt := it.e.inc.Opt; opt != opt.Maintained(any) {
+		inc := it.e.ev.(*incr.Incremental)
+		any := inc.Semantics() == incr.Any
+		if opt := inc.Opt; opt != opt.Maintained(any) {
 			t.Errorf("entry %s restored under %+v, not the options its key prints", it.key.fingerprint, opt)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -15,8 +16,9 @@ import (
 // the sliding-window workloads (MANET traces, geosocial check-ins,
 // streaming eviction) the incremental subsystem exists for. (The third
 // maintained evaluator, LatticeEvaluator, deletes by repairing its
-// spanning forest — lattice.go here, internal/lattice/decremental.go
-// for the algorithm — under the same live-id contract.)
+// minimum spanning forest — lattice.go here,
+// internal/lattice/decremental.go for the algorithm — under the same
+// live-id contract.)
 //
 // Both operators delete locally, and for the same reason: what a
 // point's removal can change lies inside its own ε-connected component.
@@ -27,11 +29,15 @@ import (
 //
 //   - SGB-Any groups ARE the connected components of the ε-similarity
 //     graph — order-independent, so removing a point can only SPLIT its
-//     own component, never merge or perturb others. AnyEvaluator.Remove
-//     dissolves just the victims' components in the Union-Find forest
-//     and re-unions their surviving members along the ε-pairs one BFS
-//     through the live index sees — exact by the same argument that
-//     makes appending exact, and one probe per affected member.
+//     own component, never merge or perturb others. AnyEvaluator keeps a
+//     spanning tree of every component at every level, and Remove
+//     applies the lattice's repair rule per level: the tree edges at a
+//     victim are cut, what is left of each touched tree falls into
+//     pieces, and only the pieces are re-probed — smallest first, never
+//     the largest, and no further once the tree is one set again. An
+//     ε-pair between two pieces has an endpoint outside the largest, so
+//     the probes see every pair that can join them, and a removal that
+//     splits nothing probes nothing.
 //
 //   - SGB-All arbitration (JOIN-ANY draws, ELIMINATE victims,
 //     FORM-NEW-GROUP deferrals) depends on which points were present
@@ -80,17 +86,69 @@ func checkRemoveIDs(ids []int, n int) ([]int, error) {
 	return sorted, nil
 }
 
-// Remove deletes the points with the given live ids and repairs
-// connectivity. Deletion is localized and output-sensitive: a BFS
-// through the ε-graph from the victims visits exactly the union of
-// their components, and the same traversal rebuilds them — a visited
-// point is detached from the forest the moment it is discovered, and
-// every ε-pair of survivors the BFS sees is unioned on the spot, so
-// each affected member is probed once. The ε-graph of every other
-// component is untouched, so the repaired partition is exactly the
-// components of the surviving points. Ids compact after the call (see
-// Result); cost is proportional to the affected components' probe work
-// (plus a memmove of the live order), not the retained set.
+// anyRemoval is AnyEvaluator.Remove's scratch, retained across calls.
+// The per-position arrays are epoch-stamped, so a Remove reads and
+// writes only the entries of the trees it repairs and the points it
+// re-probes.
+type anyRemoval struct {
+	victims []int32 // stored positions removed by this call
+
+	stamp []uint32 // position → the mark it last got (tree or piece root)
+	epoch uint32
+	size  []int32 // piece root → its surviving members
+
+	trees   []int32 // one level's touched trees, by root
+	members []int32 // their members, tree after tree
+	ends    []int32 // where each tree's members end
+	pieces  []int32 // one tree's pieces, by root
+	queue   []int32 // the members of the pieces to re-probe
+
+	// A point re-probed at several levels probes once (neighbours):
+	// seen[u] == call says that u's neighbours a lower level can use are
+	// the nb entries from at[u] on (a count, then the entries). One-level
+	// evaluators never reuse a probe and leave these empty. probePos and
+	// probeKey hold the probe being read.
+	seen            []uint32
+	call            uint32
+	at              []int32
+	nbPos, probePos []int32
+	nbKey, probeKey []float64
+}
+
+// nextEpoch advances an epoch counter over its stamp array; on wrap the
+// stale stamps are cleared.
+func nextEpoch(epoch *uint32, stamps []uint32) uint32 {
+	if *epoch++; *epoch == 0 {
+		clear(stamps)
+		*epoch = 1
+	}
+	return *epoch
+}
+
+// begin readies the scratch for one Remove over n stored positions and
+// the given number of levels.
+func (rm *anyRemoval) begin(n, levels int) {
+	if grow := n - len(rm.stamp); grow > 0 {
+		rm.stamp = append(rm.stamp, make([]uint32, grow)...)
+		rm.size = append(rm.size, make([]int32, grow)...)
+	}
+	if grow := n - len(rm.seen); levels > 1 && grow > 0 {
+		rm.seen = append(rm.seen, make([]uint32, grow)...)
+		rm.at = append(rm.at, make([]int32, grow)...)
+	}
+	nextEpoch(&rm.call, rm.seen)
+	rm.nbPos, rm.nbKey = rm.nbPos[:0], rm.nbKey[:0]
+	rm.victims = rm.victims[:0]
+}
+
+// Remove deletes the points with the given live ids and repairs every
+// level's partition and forest (repair): only the trees the victims were
+// in are touched, and only the pieces a removal splits off them are
+// re-probed, each point once whatever number of levels asks for it. The
+// repaired partition is exactly the components of the surviving points.
+// Ids compact after the call (see Result); cost follows the touched
+// trees and the re-probed pieces (plus a memmove of the live order),
+// not the retained set.
 func (e *AnyEvaluator) Remove(ids []int) error {
 	if len(ids) == 0 {
 		return nil
@@ -99,6 +157,9 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 	if err != nil {
 		return err
 	}
+	if e.f.trees == nil {
+		e.plant()
+	}
 	e.materializeLive()
 	if e.alive == nil {
 		e.alive = make([]bool, e.points.Len())
@@ -106,71 +167,29 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 			e.alive[i] = true
 		}
 	}
-
-	// The dissolving components are the victims' (distinct victim
-	// roots), counted before any forest surgery.
-	e.roots = e.roots[:0]
-	for _, id := range sorted {
-		e.roots = append(e.roots, int32(e.uf.Find(int(e.live[id]))))
-	}
-	slices.Sort(e.roots)
-	e.uf.DropSets(len(slices.Compact(e.roots)))
-
-	if n := e.points.Len(); len(e.mark) < n {
-		e.mark = append(e.mark, make([]uint32, n-len(e.mark))...)
-	}
-	e.markEpoch++
-	if e.markEpoch == 0 { // wrapped: invalidate stale stamps
-		clear(e.mark)
-		e.markEpoch = 1
-	}
-	epoch := e.markEpoch
-
-	// Tombstone the victims but leave them registered: the traversal
-	// crosses them, so it visits every member of every affected
-	// component — and nothing else. A member of an unaffected component
-	// cannot be within ε of any visited point (they would have shared a
-	// component), so the recluster cannot leak outside the visited set.
-	// Discovery Resets a point; by the end whole sets have been Reset,
-	// which is the batch discipline Reset asks for, and until then only
-	// discovered points are ever looked up in the forest.
-	e.queue = e.queue[:0]
+	rm := &e.rm
+	rm.begin(e.points.Len(), len(e.f.ufs))
 	for _, id := range sorted {
 		pos := e.live[id]
 		e.alive[pos] = false
-		e.mark[pos] = epoch
-		e.uf.Reset(int(pos))
-		e.queue = append(e.queue, pos)
+		e.ix.remove(e.points, int(pos), e.opt)
+		rm.victims = append(rm.victims, pos)
 	}
-	for qi := 0; qi < len(e.queue); qi++ {
-		u := e.queue[qi]
-		e.nbuf = e.ix.neighbors(e.points, int(u), e.opt, e.nbuf[:0])
-		for _, w := range e.nbuf {
-			if e.mark[w] != epoch {
-				e.mark[w] = epoch
-				e.uf.Reset(int(w))
-				e.queue = append(e.queue, w)
-			}
-			// A pair of survivors surfaces from both ends; the smaller
-			// position unions it.
-			if u < w && e.alive[u] && e.alive[w] && e.uf.Find(int(u)) != e.uf.Find(int(w)) {
-				e.opt.Stats.addMerge(1)
-				e.uf.Union(int(u), int(w))
-			}
-		}
-	}
-	for _, id := range sorted {
-		e.ix.remove(e.points, int(e.live[id]), e.opt)
+	for l := len(e.f.ufs) - 1; l >= 0; l-- {
+		e.repair(l)
 	}
 
-	// Compact the live order (ids renumber here).
-	out := e.live[:0]
-	for _, pos := range e.live {
-		if e.alive[pos] {
-			out = append(out, pos)
+	// Compact the live order (ids renumber here): the runs between the
+	// victims close ranks.
+	w := sorted[0]
+	for k, id := range sorted {
+		end := len(e.live)
+		if k+1 < len(sorted) {
+			end = sorted[k+1]
 		}
+		w += copy(e.live[w:], e.live[id+1:end])
 	}
-	e.live = out
+	e.live = e.live[:w]
 	e.dead += len(sorted)
 	if e.dead > len(e.live) {
 		e.compact()
@@ -178,29 +197,186 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 	return nil
 }
 
-// compact rebuilds the evaluator over the surviving points once the
-// tombstones outnumber them, bounding memory by the live set. The
-// components are already known, so the rebuild renumbers the forest
-// and re-registers the index without re-probing — O(live) work,
-// amortized O(1) per removal by the load threshold.
-func (e *AnyEvaluator) compact() {
-	old, oldUF := e.points, e.uf
-	dims := e.points.Dims()
-	pts := geom.NewPointSetCap(dims, len(e.live))
-	nuf := &unionfind.UF{}
-	nix := newAnyGrid(dims, len(e.live), e.opt.Eps)
-	rootSlot := make(map[int]int, len(e.live))
-	for k, pos := range e.live {
-		pts.AppendPoint(old.At(int(pos)))
-		nuf.Add()
-		nix.add(pts, k, e.opt)
-		if r, seen := rootSlot[oldUF.Find(int(pos))]; seen {
-			nuf.Union(k, r)
-		} else {
-			rootSlot[oldUF.Find(int(pos))] = k
+// repair restores level l once the victims are gone. The trees they
+// were in dissolve, and their surviving edges union again into pieces;
+// an edge at a victim is cut. Then each tree's pieces but the largest
+// are re-probed, smallest first, and each ε-pair at this level between
+// two of its sets joins them with a new edge — until the tree is one set
+// again, or every piece but the largest is probed.
+func (e *AnyEvaluator) repair(l int) {
+	rm, uf, tr := &e.rm, e.f.ufs[l], &e.f.trees[l]
+	key, alive := e.f.keys[l], e.alive
+
+	// The touched trees, each listed once, and their members.
+	mark := nextEpoch(&rm.epoch, rm.stamp)
+	rm.trees = rm.trees[:0]
+	for _, v := range rm.victims {
+		if r := int32(uf.Find(int(v))); rm.stamp[r] != mark {
+			rm.stamp[r] = mark
+			rm.trees = append(rm.trees, r)
 		}
 	}
-	e.points, e.uf, e.ix = pts, nuf, nix
+	rm.members, rm.ends = rm.members[:0], rm.ends[:0]
+	for _, r := range rm.trees {
+		rm.members = tr.appendSet(rm.members, r)
+		rm.ends = append(rm.ends, int32(len(rm.members)))
+	}
+
+	// Dissolve them (Reset's batch discipline: whole sets) and union the
+	// surviving edges again; the cut ones go back to the free list.
+	uf.DropSets(len(rm.trees))
+	for _, m := range rm.members {
+		uf.Reset(int(m))
+		tr.ring[m] = m
+	}
+	for _, m := range rm.members {
+		for p := &tr.head[m]; *p >= 0; {
+			k := *p
+			ed := &tr.edges[k]
+			if alive[m] && alive[ed.to] {
+				uf.Union(int(m), int(ed.to))
+				tr.splice(int(m), int(ed.to))
+				p = &ed.next
+				continue
+			}
+			*p = ed.next
+			ed.next, tr.free = tr.free, k
+		}
+	}
+
+	from := int32(0)
+	for _, end := range rm.ends {
+		tree := rm.members[from:end]
+		from = end
+		seen := nextEpoch(&rm.epoch, rm.stamp)
+		rm.pieces = rm.pieces[:0]
+		for _, m := range tree {
+			if !alive[m] {
+				continue
+			}
+			r := int32(uf.Find(int(m)))
+			if rm.stamp[r] != seen {
+				rm.stamp[r], rm.size[r] = seen, 0
+				rm.pieces = append(rm.pieces, r)
+			}
+			rm.size[r]++
+		}
+		if len(rm.pieces) < 2 {
+			continue
+		}
+		slices.SortFunc(rm.pieces, func(a, b int32) int {
+			if c := cmp.Compare(rm.size[a], rm.size[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		// The members to re-probe are read off the rings before any of
+		// the pieces joins another.
+		rm.queue = rm.queue[:0]
+		for _, r := range rm.pieces[:len(rm.pieces)-1] {
+			rm.queue = tr.appendSet(rm.queue, r)
+		}
+		sets := len(rm.pieces)
+	reprobe:
+		for _, u := range rm.queue {
+			nbs, keys := e.neighbours(u, l)
+			for k, w := range nbs {
+				if keys[k] > key || uf.Find(int(u)) == uf.Find(int(w)) {
+					continue
+				}
+				uf.Union(int(u), int(w))
+				tr.link(int(u), int(w))
+				e.opt.Stats.addMerge(1)
+				if sets--; sets == 1 {
+					break reprobe
+				}
+			}
+		}
+	}
+}
+
+// neighbours returns the live points within the ε of level l of stored
+// position u, and their comparison keys; the slices are valid until the
+// next call. A point probes once per Remove: levels are repaired
+// top-down, so the first level to ask for u is the highest that
+// re-probes it, and it keeps the pairs within the next level down for
+// the levels below.
+func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
+	rm := &e.rm
+	if len(rm.seen) > 0 && rm.seen[u] == rm.call {
+		at := rm.at[u] + 1
+		end := at + rm.nbPos[at-1]
+		return rm.nbPos[at:end], rm.nbKey[at:end]
+	}
+	ps, opt, g := e.points, e.opt, e.ix
+	key, p := e.f.keys[l], ps.At(int(u))
+	opt.Stats.addProbe(1)
+	g.buf = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, e.eps[l]), g.buf[:0])
+	rm.probePos, rm.probeKey = rm.probePos[:0], rm.probeKey[:0]
+	for _, w := range g.buf {
+		if w == u {
+			continue
+		}
+		opt.Stats.addDist(1)
+		if k := ps.DistKey(opt.Metric, int(u), int(w)); k <= key {
+			rm.probePos, rm.probeKey = append(rm.probePos, w), append(rm.probeKey, k)
+		}
+	}
+	if l > 0 {
+		at := int32(len(rm.nbPos))
+		rm.seen[u], rm.at[u] = rm.call, at
+		rm.nbPos, rm.nbKey = append(rm.nbPos, 0), append(rm.nbKey, 0)
+		for i, k := range rm.probeKey {
+			if k <= e.f.keys[l-1] {
+				rm.nbPos, rm.nbKey = append(rm.nbPos, rm.probePos[i]), append(rm.nbKey, k)
+			}
+		}
+		rm.nbPos[at] = int32(len(rm.nbPos)) - at - 1
+	}
+	return rm.probePos, rm.probeKey
+}
+
+// plant builds the forests of a restored evaluator, whose state holds
+// only the partition: one probe pass over the live points, every level
+// at once.
+func (e *AnyEvaluator) plant() {
+	n := e.points.Len()
+	e.f.trees = make([]anyTree, len(e.f.ufs))
+	for l, uf := range e.f.ufs {
+		uf.Reinit(n)
+		e.f.trees[l] = newAnyTree(n)
+	}
+	e.probePass(e.f, e.opt.Eps)
+}
+
+// compact rebuilds the evaluator over the surviving points once the
+// tombstones outnumber them, bounding memory by the live set. The
+// forests are already known, so the rebuild renumbers their edges and
+// re-registers the index without re-probing — O(live) work, amortized
+// O(1) per removal by the load threshold.
+func (e *AnyEvaluator) compact() {
+	old, dims, n := e.points, e.points.Dims(), len(e.live)
+	pts := geom.NewPointSetCap(dims, n)
+	nix := newAnyGrid(dims, n, e.opt.Eps)
+	rank := make([]int32, old.Len())
+	for k, pos := range e.live {
+		rank[pos] = int32(k)
+		pts.AppendPoint(old.At(int(pos)))
+		nix.add(pts, k, e.opt)
+	}
+	f := &anyForests{keys: e.f.keys, ufs: make([]*unionfind.UF, len(e.f.ufs)), trees: make([]anyTree, len(e.f.ufs))}
+	for l, ot := range e.f.trees {
+		uf, tr := unionfind.New(n), newAnyTree(n)
+		for k, pos := range e.live {
+			for x := ot.head[pos]; x >= 0; x = ot.edges[x].next {
+				to := int(rank[ot.edges[x].to])
+				uf.Union(k, to)
+				tr.link(k, to)
+			}
+		}
+		f.ufs[l], f.trees[l] = uf, tr
+	}
+	e.points, e.f, e.ix = pts, f, nix
 	e.live, e.alive, e.dead = nil, nil, 0
 }
 

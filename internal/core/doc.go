@@ -41,8 +41,10 @@
 // one-shot sweep (SweepAny) runs the first two shapes over its levels
 // at once: one probe pass at the largest ε feeds one Union-Find per
 // level (sgbAnyLevels, the function single-ε SGBAny is the one-level
-// case of). The dendrogram (LatticeEvaluator, over internal/lattice)
-// serves cached entries, whose future ε lists are unknown.
+// case of). A cached sweep, whose future ε lists are unknown, keeps the
+// same levels maintained (NewAnyLevels) and adds one when it is asked
+// for; the dendrogram (LatticeEvaluator, over internal/lattice) answers
+// every ε below its bound for callers that build one.
 //
 // # Invariants
 //

@@ -26,7 +26,7 @@ var (
 
 // ErrEpsAboveMax re-exports the lattice package's out-of-range query
 // error: a dendrogram only knows merges below the ε_max its sweep
-// enumerated.
+// enumerated, and an AnyEvaluator only levels up to its top.
 var ErrEpsAboveMax = lattice.ErrEpsAboveMax
 
 // ValidateEpsList checks an ε sweep list: non-empty, every level
@@ -56,10 +56,11 @@ type EpsSummary = lattice.Summary
 
 // LatticeEvaluator is the resumable ε-lattice arm of SGB-Any: one
 // grid-accelerated edge sweep maintained across Appends whose
-// dendrogram answers GroupsAt(ε) for every ε ≤ ε_max — the multi-query
-// sharing evaluator behind cached EPS IN (...) and SIMILARITY CUBE
-// entries, whose future ε lists are unknown. (A one-shot sweep names its
-// levels up front and runs SweepAny's level forests instead.) Group
+// dendrogram answers GroupsAt(ε) for every ε ≤ ε_max without probing.
+// The engine no longer keeps one: a one-shot sweep runs SweepAny's
+// level forests, and a cached EPS IN (...) or SIMILARITY CUBE entry
+// keeps them maintained (NewAnyLevels), adding a level when one is
+// asked for. Group
 // output is bit-identical to an independent one-shot SGBAny run at the
 // same ε (heights are compared in the metric's Within key space), for
 // every algorithm strategy, since SGB-Any components are

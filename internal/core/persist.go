@@ -56,12 +56,15 @@ type AnyState struct {
 	UFCount  int
 }
 
-// ExportState snapshots the evaluator's logical state. The evaluator
-// remains usable; later mutations do not affect the snapshot.
+// ExportState snapshots the evaluator's logical state: the points and
+// the top level's partition — all of it for a one-level evaluator; a
+// multi-level one restores as its top level alone. The forest is not
+// exported (RestoreAnyEvaluator). The evaluator remains usable; later
+// mutations do not affect the snapshot.
 func (e *AnyEvaluator) ExportState() *AnyState {
 	opt := e.opt
 	opt.Stats = nil
-	parent, rank, count := e.uf.Snapshot()
+	parent, rank, count := e.f.ufs[len(e.f.ufs)-1].Snapshot()
 	return &AnyState{
 		Opt:      opt,
 		Dims:     e.points.Dims(),
@@ -77,7 +80,10 @@ func (e *AnyEvaluator) ExportState() *AnyState {
 
 // RestoreAnyEvaluator rebuilds a resumable SGB-Any evaluation from a
 // snapshot: the points and the Union-Find forest are adopted, and every
-// live point is re-registered in a freshly built Points_IX. Corrupt
+// live point is re-registered in a freshly built Points_IX. The spanning
+// forest a Remove repairs is not in the snapshot: appends maintain the
+// adopted partition, and the first Remove plants the forest with one
+// probe pass over the live points (AnyEvaluator.plant). Corrupt
 // snapshots (out-of-range positions, inconsistent liveness) are
 // rejected rather than trusted — a checksummed checkpoint should never
 // produce one, but recovery code must not panic on its inputs.
@@ -111,8 +117,9 @@ func RestoreAnyEvaluator(s *AnyState) (*AnyEvaluator, error) {
 	}
 	e := &AnyEvaluator{
 		opt:    opt,
+		eps:    []float64{opt.Eps},
 		points: geom.Wrap(s.Dims, append([]float64(nil), s.Data...)),
-		uf:     uf,
+		f:      &anyForests{keys: []float64{opt.Metric.EpsKey(opt.Eps)}, ufs: []*unionfind.UF{uf}},
 		ix:     newAnyGrid(s.Dims, n, opt.Eps),
 		live:   live,
 		alive:  alive,

@@ -7,7 +7,6 @@ import (
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
-	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
 // This file holds the resumable arm of the operators: evaluation state
@@ -288,15 +287,22 @@ func materializeAll(st *sgbAllState) *Result {
 	return res
 }
 
-// AnyEvaluator is resumable SGB-Any evaluation state: a live ε-grid
-// Points_IX plus the Union-Find forest, both of which support appends
-// naturally. Because connected components are order-independent, the
+// AnyEvaluator is resumable SGB-Any evaluation state at one or more ε
+// levels: a live ε-grid Points_IX at the top level and, per level, the
+// Union-Find partition of the points plus a spanning forest of it
+// (anyForests with its trees) — the one-shot sweep's level forests,
+// kept. Because connected components are order-independent, the
 // incremental result is exactly the one-shot result over the
 // concatenated input — per-append cost is proportional to the batch's
 // probe work, not the retained set size. Remove (decremental.go)
 // deletes points again: components can only split, never merge, when a
-// point vanishes, so a deletion reclusters just the victims'
-// components.
+// point vanishes, so a deletion repairs just the victims' trees, and
+// within them re-probes only the pieces the deletion split off.
+//
+// NewAnyEvaluator keeps one level, Options.Eps; NewAnyLevels keeps
+// several, and AddLevel adds one below the top. An appended point probes
+// at the top level's ε (Options.Eps of a multi-level evaluator), and
+// each pair joins the levels its distance reaches, as in SweepAny.
 //
 // The index is the grid whatever Options.Algorithm names: components do
 // not depend on the index that finds the ε-edges either, so groups, ids
@@ -310,10 +316,15 @@ func materializeAll(st *sgbAllState) *Result {
 // a batch is sound for the same reason appending is: components do not
 // depend on arrival order.
 type AnyEvaluator struct {
-	opt    Options
+	opt    Options        // Eps is the top level's
+	eps    []float64      // every level's ε, ascending (f.keys in ε)
 	points *geom.PointSet // append-only log; removals tombstone via alive
-	uf     *unionfind.UF  // forest over stored positions (incl. dead)
-	ix     *anyGrid
+	// f holds the levels over stored positions (incl. dead). Its trees
+	// are nil only in a restored evaluator, whose state holds no forest
+	// (persist.go): appends keep the partition current, and the first
+	// Remove plants the forests with one probe pass.
+	f  *anyForests
+	ix *anyGrid
 
 	// live holds the stored positions of the surviving points in
 	// arrival order; a point's public id is its index in live (so ids
@@ -330,29 +341,49 @@ type AnyEvaluator struct {
 	// window, not the history.
 	dead int
 
-	// Reusable Remove scratch: mark is an epoch-stamped visited array
-	// over stored positions (the ε-graph BFS), queue its frontier, nbuf
-	// the per-node neighbor buffer, roots the victims' forest roots.
-	mark      []uint32
-	markEpoch uint32
-	queue     []int32
-	nbuf      []int32
-	roots     []int32
+	rm anyRemoval // Remove's reusable scratch (decremental.go)
 }
 
 // NewAnyEvaluator returns an empty resumable SGB-Any evaluation over
-// dims-dimensional points.
+// dims-dimensional points at the one level opt.Eps.
 func NewAnyEvaluator(dims int, opt Options) (*AnyEvaluator, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	return NewAnyLevels(dims, []float64{opt.Eps}, opt)
+}
+
+// NewAnyLevels returns an empty resumable SGB-Any evaluation over
+// dims-dimensional points at every ε level of levels (validated as an
+// EPS IN list: ValidateEpsList). opt.Eps is ignored: the largest level
+// is the top, the radius appends probe at.
+func NewAnyLevels(dims int, levels []float64, opt Options) (*AnyEvaluator, error) {
+	order, err := ascendingLevels(levels)
+	if err != nil {
+		return nil, err
+	}
+	eps := make([]float64, len(order))
+	keys := make([]float64, len(order))
+	for l, i := range order {
+		opt.Eps = levels[i]
+		if err := opt.Validate(); err != nil {
+			return nil, err
+		}
+		eps[l], keys[l] = opt.Eps, opt.Metric.EpsKey(opt.Eps)
+	}
 	if dims < 1 {
 		return nil, errors.New("core: evaluator dimensionality must be >= 1")
 	}
+	f := newAnyForests(keys, 0)
+	f.trees = make([]anyTree, len(keys))
+	for l := range f.trees {
+		f.trees[l] = newAnyTree(0)
+	}
 	return &AnyEvaluator{
 		opt:    opt,
+		eps:    eps,
 		points: geom.NewPointSet(dims),
-		uf:     &unionfind.UF{},
+		f:      f,
 		ix:     newAnyGrid(dims, 0, opt.Eps),
 	}, nil
 }
@@ -383,9 +414,10 @@ func (e *AnyEvaluator) materializeLive() {
 }
 
 // Append absorbs a batch of points (copied into the evaluator's own
-// storage): each point probes the live index for its within-ε
-// neighbors, merges their components, and registers itself — the same
-// step the one-shot evaluation runs.
+// storage): each point probes the live index for its neighbors within
+// the top level's ε, joins each at the levels their distance reaches,
+// and registers itself — the step the one-shot sweep runs
+// (anyGrid.stepLevels), each merge also recorded as a forest edge.
 func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
@@ -419,19 +451,119 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	}
 	e.points.AppendSet(batch)
 	for i := base; i < e.points.Len(); i++ {
-		e.uf.Add()
-		e.ix.step(e.points, i, e.opt, e.uf)
+		for _, uf := range e.f.ufs {
+			uf.Add()
+		}
+		for l := range e.f.trees {
+			e.f.trees[l].grow()
+		}
+		e.ix.stepLevels(e.points, i, e.opt, e.f)
 	}
 	return nil
 }
 
-// Result materializes the current connected components in the same
-// deterministic order as the one-shot operator (groups by smallest
-// member index, members ascending, ids in original arrival order over
-// the live points — the Morton reordering of batches and any removals
-// are invisible here). The returned result owns its
+// Result materializes the current connected components at the top
+// level in the same deterministic order as the one-shot operator
+// (groups by smallest member index, members ascending, ids in original
+// arrival order over the live points — the Morton reordering of batches
+// and any removals are invisible here). The returned result owns its
 // slices; calling Result repeatedly or interleaving it with Append and
 // Remove is safe.
 func (e *AnyEvaluator) Result() *Result {
-	return &Result{Groups: groupsFromUF(e.uf, e.live)}
+	return &Result{Groups: groupsFromUF(e.f.ufs[len(e.f.ufs)-1], e.live)}
+}
+
+// GroupsAt materializes the grouping at eps, as Result does the top
+// level's. A level the evaluator keeps is read off its partition; any
+// other ε up to the top costs one probe pass over the live points, and
+// the level is not kept (AddLevel keeps it). Above the top it fails with
+// ErrEpsAboveMax.
+func (e *AnyEvaluator) GroupsAt(eps float64) (*Result, error) {
+	if l := slices.Index(e.eps, eps); l >= 0 {
+		return &Result{Groups: groupsFromUF(e.f.ufs[l], e.live)}, nil
+	}
+	f, err := e.levelPass(eps, false)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Groups: groupsFromUF(f.ufs[0], e.live)}, nil
+}
+
+// AddLevel keeps one more ε level, at most the top: one probe pass over
+// the live points builds its partition and forest, and from then on
+// Append and Remove maintain it with the others. A level already kept
+// is a no-op.
+func (e *AnyEvaluator) AddLevel(eps float64) error {
+	if slices.Contains(e.eps, eps) {
+		return nil
+	}
+	f, err := e.levelPass(eps, e.f.trees != nil)
+	if err != nil {
+		return err
+	}
+	l, _ := slices.BinarySearch(e.eps, eps)
+	e.eps = slices.Insert(e.eps, l, eps)
+	e.f.keys = slices.Insert(e.f.keys, l, f.keys[0])
+	e.f.ufs = slices.Insert(e.f.ufs, l, f.ufs[0])
+	if f.trees != nil {
+		e.f.trees = slices.Insert(e.f.trees, l, f.trees[0])
+	}
+	return nil
+}
+
+// levelPass builds level eps, which must not exceed the top, over the
+// live points, with its forest when forest is set.
+func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) {
+	if eps > e.opt.Eps {
+		return nil, fmt.Errorf("%w (top level %v)", ErrEpsAboveMax, e.opt.Eps)
+	}
+	opt := e.opt
+	opt.Eps = eps
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	n := e.points.Len()
+	f := newAnyForests([]float64{opt.Metric.EpsKey(eps)}, n)
+	if forest {
+		f.trees = []anyTree{newAnyTree(n)}
+	}
+	e.probePass(f, eps)
+	return f, nil
+}
+
+// probePass links every pair of live points within eps, the top of f,
+// into f, each from its later stored position: one probe pass over the
+// live points. It fills a level the evaluator did not hold and plants
+// the forests of a restored one.
+func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
+	ps, opt, g := e.points, e.opt, e.ix
+	top := f.keys[len(f.keys)-1]
+	for i := 0; i < ps.Len(); i++ {
+		if e.alive != nil && !e.alive[i] {
+			continue
+		}
+		opt.Stats.addProbe(1)
+		p := ps.At(i)
+		g.buf = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, eps), g.buf[:0])
+		for _, j32 := range g.buf {
+			if j := int(j32); j < i {
+				opt.Stats.addDist(1)
+				if key := ps.DistKey(opt.Metric, i, j); key <= top {
+					opt.Stats.addMerge(f.union(i, j, key))
+				}
+			}
+		}
+	}
+}
+
+// probeRadius is the radius of a probe from p that must see every point
+// within eps of it. At the top level it is the top level's ε, the radius
+// appends probe at. Below the top it is eps widened by paddedReach, so
+// the box provably holds every such point the wider top-level probe
+// would find.
+func (e *AnyEvaluator) probeRadius(p geom.Point, eps float64) float64 {
+	if eps == e.opt.Eps {
+		return eps
+	}
+	return paddedReach(p, eps)
 }

@@ -64,7 +64,8 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 // whatever opt.Algorithm names, BoundsCheck apart, which is rejected as
 // SGBAny rejects it; Parallelism resolves as it does for SGBAny under
 // the named Algorithm. A cached sweep, whose later ε lists are unknown,
-// keeps a dendrogram instead (LatticeEvaluator).
+// keeps the same level forests maintained instead (NewAnyLevels) and
+// adds a level when one is asked for (AnyEvaluator.AddLevel).
 func SweepAny(points []geom.Point, epsList []float64, opt Options) ([]*Result, error) {
 	if _, err := checkInput(points); err != nil {
 		return nil, err
@@ -149,6 +150,10 @@ func sgbAnyLevels(ps *geom.PointSet, opt Options, keys []float64, workers int) [
 type anyForests struct {
 	keys []float64
 	ufs  []*unionfind.UF
+	// trees, when set, keeps a spanning tree of every set of every level
+	// beside its partition (anyTree): the state a maintained evaluator
+	// repairs on Remove. One-shot evaluations leave it nil.
+	trees []anyTree
 }
 
 func newAnyForests(keys []float64, n int) *anyForests {
@@ -171,14 +176,75 @@ func (f *anyForests) union(i, j int, key float64) int64 {
 		b++
 	}
 	var merged int64
-	for _, uf := range f.ufs[b:] {
+	for l := b; l < len(f.ufs); l++ {
+		uf := f.ufs[l]
 		sets := uf.Count()
 		if uf.Union(i, j); uf.Count() == sets {
 			break
 		}
+		if f.trees != nil {
+			f.trees[l].link(i, j)
+		}
 		merged++
 	}
 	return merged
+}
+
+// anyTree is the spanning forest of one level's partition: every pair
+// whose union merged two sets is an edge, kept in a list of one of its
+// endpoints, and the members of each set form one cycle of ring. The
+// ring lists a set without a scan, and the edges say how it falls apart
+// when points leave (AnyEvaluator.Remove).
+type anyTree struct {
+	ring  []int32 // stored position → next member of its set
+	head  []int32 // stored position → first edge it keeps, -1 for none
+	edges []anyEdge
+	free  int32 // first unused slot of edges, -1 for none; chained by next
+}
+
+// anyEdge is one forest edge in its keeper's list: the other endpoint
+// and the keeper's next edge (-1 ends the list).
+type anyEdge struct{ to, next int32 }
+
+// newAnyTree returns the edgeless forest over n positions.
+func newAnyTree(n int) anyTree {
+	t := anyTree{ring: make([]int32, n), head: make([]int32, n), free: -1}
+	for i := range t.ring {
+		t.ring[i], t.head[i] = int32(i), -1
+	}
+	return t
+}
+
+// grow adds one position, a singleton.
+func (t *anyTree) grow() {
+	t.ring = append(t.ring, int32(len(t.ring)))
+	t.head = append(t.head, -1)
+}
+
+// splice joins the cycles of i and j, which must be two.
+func (t *anyTree) splice(i, j int) { t.ring[i], t.ring[j] = t.ring[j], t.ring[i] }
+
+// link records the edge (i, j), kept by i, that just merged their sets.
+func (t *anyTree) link(i, j int) {
+	t.splice(i, j)
+	e := anyEdge{to: int32(j), next: t.head[i]}
+	if k := t.free; k >= 0 {
+		t.free, t.edges[k] = t.edges[k].next, e
+		t.head[i] = k
+		return
+	}
+	t.head[i] = int32(len(t.edges))
+	t.edges = append(t.edges, e)
+}
+
+// appendSet appends the members of x's set to dst, x first.
+func (t *anyTree) appendSet(dst []int32, x int32) []int32 {
+	for y := x; ; {
+		dst = append(dst, y)
+		if y = t.ring[y]; y == x {
+			return dst
+		}
+	}
 }
 
 // mortonMinPoints is the input size below which Morton preprocessing is
@@ -303,11 +369,10 @@ func (a *anyRTree) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
 // sort or dedup: each point lives in exactly one cell, and merge order
 // cannot influence the components.
 //
-// It is also the one index under maintained evaluation: neighbors
-// lists a registered point's within-ε neighbors (the BFS and relink
-// edges of AnyEvaluator.Remove), remove unregisters a deleted point,
-// and add registers one without probing (the compaction and restore
-// rebuilds, where components are already known).
+// It is also the one index under maintained evaluation: stepLevels
+// absorbs an appended point at every level, remove unregisters a
+// deleted point, and add registers one without probing (the compaction
+// and restore rebuilds, where components are already known).
 type anyGrid struct {
 	tab *grid.Table
 	cur grid.Cursor
@@ -356,24 +421,6 @@ func (a *anyGrid) stepLevels(ps *geom.PointSet, i int, opt Options, f *anyForest
 	}
 	opt.Stats.addUpdate(1)
 	a.tab.AddPoint(p, int32(i))
-}
-
-func (a *anyGrid) neighbors(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
-	metric, eps := opt.Metric, opt.Eps
-	p := ps.At(i)
-	opt.Stats.addProbe(1)
-	a.buf = a.tab.CollectBox(&a.cur, p, eps, a.buf[:0])
-	for _, j32 := range a.buf {
-		j := int(j32)
-		if j == i {
-			continue
-		}
-		opt.Stats.addDist(1)
-		if metric.Within(p, ps.At(j), eps) {
-			buf = append(buf, j32)
-		}
-	}
-	return buf
 }
 
 func (a *anyGrid) remove(ps *geom.PointSet, i int, opt Options) {

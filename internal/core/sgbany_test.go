@@ -321,7 +321,7 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := e.Result().Groups
-		if want := perGroupAppend(e.uf, e.live); !reflect.DeepEqual(got, want) {
+		if want := perGroupAppend(e.f.ufs[0], e.live); !reflect.DeepEqual(got, want) {
 			t.Fatalf("maintained, step %d: groups differ from the per-group-append extraction", step)
 		}
 		checkIndependent(t, "maintained", got)

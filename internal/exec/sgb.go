@@ -20,8 +20,8 @@ import (
 //
 // Opt.Parallelism (threaded down from the planner's SGBParallelism /
 // the engine's SET parallelism session setting) selects the worker
-// count of core's SGB-Any pipeline and of the ε-lattice's tiled first
-// batch behind EpsList (SGB-All has neither); the node's own plumbing
+// count of core's SGB-Any pipeline, the one-shot sweep behind EpsList
+// included (SGB-All has none); the node's own plumbing
 // is oblivious to it, and output rows are bit-identical at every
 // setting.
 type SGB struct {
@@ -48,8 +48,8 @@ type SGB struct {
 
 	// EpsList, when non-empty, runs an ε sweep instead of a single
 	// evaluation (EPS IN (...); SGB-Any only): one evaluation answers
-	// every level (core.SweepAnySet one-shot, a cached entry's
-	// dendrogram through Answer), and the node emits each level's aggregate
+	// every level (core.SweepAnySet one-shot, a cached entry's level
+	// forests through Answer), and the node emits each level's aggregate
 	// rows with the level's ε prepended as output column 0 (the planner
 	// binds aggregates at base 1 and exposes the pseudo-column "eps").
 	// Levels are expected in ascending order — the planner sorts them —

@@ -7,7 +7,8 @@
 // components it touched, see below). It is the subsystem behind the public
 // sgb.NewIncrementalAll / NewIncrementalAny constructors and the SQL
 // engine's SET incremental INSERT/DELETE-maintenance path (db.go's
-// per-table cache).
+// per-table cache). An SGB-Any handle may keep several ε levels at once
+// (NewLevels, behind cached EPS IN and SIMILARITY CUBE BY EPS entries).
 //
 // Why this is sound, per operator:
 //
@@ -20,8 +21,8 @@
 //     since components do not depend on the index that finds the
 //     edges either). The same semantics make deletion
 //     well-defined and local: removing a point can only split its own
-//     component, so Remove dissolves and reclusters just the affected
-//     components (core/decremental.go).
+//     component, so Remove repairs the spanning trees of just the
+//     affected components, at every level (core/decremental.go).
 //   - SGB-All: the operator is order-sensitive, but its processing
 //     order IS arrival order, which appending extends. The retained
 //     state (groups, finder index, arbitration PRNG) after k points is

@@ -3,6 +3,7 @@ package incr
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/geom"
@@ -74,6 +75,9 @@ type Incremental struct {
 	snap core.Options // creation-time copy Opt is checked against
 	sem  Semantics
 	dims int // 0 until the first non-empty batch fixes it
+	// levels are the ε levels of a handle NewLevels made, ascending (the
+	// last is Opt.Eps); nil for a single-ε handle.
+	levels []float64
 
 	ev evaluator // nil until the first non-empty batch
 }
@@ -86,6 +90,10 @@ type evaluator interface {
 	Remove(ids []int) error
 	Result() *core.Result
 }
+
+// MaxLevels bounds the ε levels one NewLevels handle keeps (AddLevel
+// refuses more).
+const MaxLevels = 16
 
 // New returns an empty incremental grouping handle for the given
 // operator semantics and options. The options are validated eagerly
@@ -104,6 +112,104 @@ func New(sem Semantics, opt core.Options) (*Incremental, error) {
 		return nil, core.ErrBoundsCheckAny
 	}
 	return &Incremental{Opt: opt, snap: opt, sem: sem}, nil
+}
+
+// NewLevels returns an empty incremental SGB-Any grouping kept at every
+// ε level of levels at once (core.NewAnyLevels): one probe per appended
+// point feeds every level, a removal repairs each, and GroupsAt reads
+// any of them, Result the top one. levels is validated as an EPS IN list
+// and holds at most MaxLevels; opt.Eps is ignored — the largest level is
+// the top, and Opt reports it. Such a handle has no export format
+// (ExportState).
+func NewLevels(opt core.Options, levels []float64) (*Incremental, error) {
+	if err := core.ValidateEpsList(levels); err != nil {
+		return nil, err
+	}
+	if len(levels) > MaxLevels {
+		return nil, fmt.Errorf("incr: %d ε levels, at most %d", len(levels), MaxLevels)
+	}
+	levels = slices.Clone(levels)
+	slices.Sort(levels)
+	opt.Eps = levels[len(levels)-1]
+	x, err := New(Any, opt)
+	if err != nil {
+		return nil, err
+	}
+	for _, eps := range levels {
+		if err := x.checkLevel(eps); err != nil {
+			return nil, err
+		}
+	}
+	x.levels = levels
+	return x, nil
+}
+
+// Levels returns the ε levels the handle keeps, ascending: Opt.Eps alone
+// unless NewLevels made it.
+func (x *Incremental) Levels() []float64 {
+	if x.levels == nil {
+		return []float64{x.snap.Eps}
+	}
+	return slices.Clone(x.levels)
+}
+
+// AddLevel keeps one more ε level, at most Opt.Eps, in a handle NewLevels
+// made: one probe pass over the live points (core.AnyEvaluator.AddLevel),
+// then maintained with the others. A level already kept is a no-op.
+func (x *Incremental) AddLevel(eps float64) error {
+	if x.Opt != x.snap {
+		return ErrOptionsMutated
+	}
+	switch {
+	case x.levels == nil:
+		return errors.New("incr: AddLevel needs a handle made by NewLevels")
+	case slices.Contains(x.levels, eps):
+		return nil
+	case len(x.levels) == MaxLevels:
+		return fmt.Errorf("incr: the handle keeps %d ε levels already", MaxLevels)
+	}
+	if err := x.checkLevel(eps); err != nil {
+		return err
+	}
+	if x.ev != nil {
+		if err := x.ev.(*core.AnyEvaluator).AddLevel(eps); err != nil {
+			return err
+		}
+	}
+	l, _ := slices.BinarySearch(x.levels, eps)
+	x.levels = slices.Insert(x.levels, l, eps)
+	return nil
+}
+
+// checkLevel validates eps as a level of the handle: a valid ε at most
+// the top.
+func (x *Incremental) checkLevel(eps float64) error {
+	if eps > x.snap.Eps {
+		return fmt.Errorf("%w (top level %v)", core.ErrEpsAboveMax, x.snap.Eps)
+	}
+	opt := x.snap
+	opt.Eps = eps
+	return opt.Validate()
+}
+
+// GroupsAt materializes the grouping at eps, as Result does at Opt.Eps.
+// A single-ε handle answers its own ε only. A NewLevels handle reads a
+// level it keeps off its state, and answers any other ε up to the top
+// with one probe pass over the live points, without keeping the level.
+func (x *Incremental) GroupsAt(eps float64) (*core.Result, error) {
+	if x.levels == nil || eps == x.snap.Eps {
+		if eps != x.snap.Eps {
+			return nil, fmt.Errorf("incr: the handle keeps ε %v only, not %v", x.snap.Eps, eps)
+		}
+		return x.Result()
+	}
+	if x.Opt != x.snap {
+		return nil, ErrOptionsMutated
+	}
+	if x.ev == nil {
+		return &core.Result{}, x.checkLevel(eps)
+	}
+	return x.ev.(*core.AnyEvaluator).GroupsAt(eps)
 }
 
 // Semantics returns the operator the handle maintains.
@@ -167,9 +273,12 @@ func (x *Incremental) ensure(dims int) error {
 	}
 	var ev evaluator
 	var err error
-	if x.sem == All {
+	switch {
+	case x.sem == All:
 		ev, err = core.NewAllEvaluator(dims, x.evalOpt())
-	} else {
+	case x.levels != nil:
+		ev, err = core.NewAnyLevels(dims, x.levels, x.evalOpt())
+	default:
 		ev, err = core.NewAnyEvaluator(dims, x.evalOpt())
 	}
 	if err != nil {
@@ -189,7 +298,8 @@ func (x *Incremental) evalOpt() core.Options {
 // Remove deletes the points with the given live ids (the numbering
 // Result reports: surviving points 0..Len()-1 in arrival order) and
 // repairs the grouping. For SGB-Any the repair is localized to the
-// victims' components (deletion can only split a component); for
+// victims' components (deletion can only split a component), and within
+// them to the pieces the deletion split off their spanning trees; for
 // SGB-All the arbitration is replayed over the survivors of those
 // components, which is what stays bit-identical to a from-scratch run
 // (see core's decremental notes). Ids renumber compactly after the call.

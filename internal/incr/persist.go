@@ -21,12 +21,20 @@ type State struct {
 	Any *core.AnyState
 }
 
+// ErrNoExportFormat is returned by ExportState for a handle NewLevels
+// made: State holds one level.
+var ErrNoExportFormat = errors.New("incr: a handle kept at several ε levels has no export format")
+
 // ExportState snapshots the handle. It fails if the public Opt field
 // was mutated (the same guard Append and Result apply — a snapshot of
-// inconsistent state would be unrecoverable garbage).
+// inconsistent state would be unrecoverable garbage), and for a handle
+// NewLevels made (ErrNoExportFormat).
 func (x *Incremental) ExportState() (*State, error) {
 	if x.Opt != x.snap {
 		return nil, ErrOptionsMutated
+	}
+	if x.levels != nil {
+		return nil, ErrNoExportFormat
 	}
 	opt := x.snap
 	opt.Stats = nil

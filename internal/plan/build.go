@@ -29,8 +29,8 @@ type Builder struct {
 	// and the R-tree.
 	SGBAlgorithm core.Algorithm
 	// SGBParallelism is the worker count of the DISTANCE-TO-ANY
-	// pipeline and of the ε-lattice's tiled first batch (EPS IN, the
-	// cube): 0 (the planner default) lets the operator pick GOMAXPROCS
+	// pipeline, one-shot EPS IN and the cube included: 0 (the planner
+	// default) lets the operator pick GOMAXPROCS
 	// workers on large inputs, 1 forces sequential evaluation, ≥ 2
 	// forces that many workers. DISTANCE-TO-ALL nodes carry it and
 	// evaluate sequentially.
@@ -666,7 +666,7 @@ func (b *Builder) installCacheHook(node *exec.SGB, sel *sqlparser.SelectStmt) {
 
 // planEpsSweep lowers the EPS IN (...) / SIMILARITY CUBE BY EPS forms
 // of the similarity clause: every level is answered from one
-// evaluation (level forests one-shot, a dendrogram when cached), rows
+// evaluation (level forests, one-shot or kept by a cached entry), rows
 // are emitted level by level in ascending ε order,
 // and the level's ε rides along as output column 0 — exposed to the
 // projection and HAVING as the pseudo-column "eps" (cube queries

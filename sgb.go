@@ -157,8 +157,9 @@ func GroupByAnySet(points *PointSet, opt Options) (*Result, error) {
 // with epsList's order, each bit-identical to GroupByAny at that level —
 // same groups, same order, same members. opt.Eps is ignored; the list
 // defines the sweep's bound. The SQL spelling is
-// GROUP BY ... DISTANCE-TO-ANY EPS IN (e1, e2, ...). To answer ε lists
-// not known yet, keep a LatticeAny instead.
+// GROUP BY ... DISTANCE-TO-ANY EPS IN (e1, e2, ...). To keep the levels
+// under appends and removals, and add levels not known yet, use
+// NewIncrementalAnyLevels.
 func SweepAny(points []Point, epsList []float64, opt Options) ([]*Result, error) {
 	return core.SweepAny(points, epsList, opt)
 }
@@ -198,8 +199,8 @@ func ConnectedComponents(points []Point, metric Metric, eps float64) []Group {
 // WindowBy (oldest-first eviction), and read the live grouping with
 // Result. At every step the grouping equals a one-shot GroupByAll /
 // GroupByAny over the surviving points in arrival order — identical
-// components for SGB-Any (whose deletions recluster only the affected
-// components), and identical groups, member order, and JOIN-ANY
+// components for SGB-Any (whose deletions repair only the spanning trees
+// of the affected components), and identical groups, member order, and JOIN-ANY
 // arbitration draws for SGB-All under equal seeds (whose deletions
 // replay the survivors of the affected components; arbitration is
 // presence-sensitive). Result ids
@@ -228,4 +229,13 @@ func NewIncrementalAll(opt Options) (*Incremental, error) {
 // components do not depend on the index that finds the ε-edges.
 func NewIncrementalAny(opt Options) (*Incremental, error) {
 	return incr.New(incr.Any, opt)
+}
+
+// NewIncrementalAnyLevels returns an empty incremental SGB-Any grouping
+// kept at every ε level of levels at once — the maintained form of
+// SweepAny: one probe per appended point feeds every level, a removal
+// repairs each, GroupsAt reads any level, and AddLevel keeps one more
+// below the top. opt.Eps is ignored; the largest level is the top.
+func NewIncrementalAnyLevels(opt Options, levels []float64) (*Incremental, error) {
+	return incr.NewLevels(opt, levels)
 }

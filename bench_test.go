@@ -153,11 +153,9 @@ func BenchmarkGrid(b *testing.B) {
 }
 
 // BenchmarkSweep — multi-ε query sharing on the Fig9a workload
-// (n=4000, L2, levels evenly spaced up to ε=0.5), three ways to answer
-// all k levels: Lattice builds the dendrogram a cached entry keeps (one
-// edge sweep below the largest level, each level cut from it), Levels
-// is the one-shot SweepAny (one probe pass feeding one Union-Find per
-// level), and Oneshot runs k independent groupings.
+// (n=4000, L2, levels evenly spaced up to ε=0.5), two ways to answer all
+// k levels: Levels is the one-shot SweepAny (one probe pass feeding one
+// Union-Find per level), and Oneshot runs k independent groupings.
 func BenchmarkSweep(b *testing.B) {
 	pts := benchPoints(4000, 1)
 	flat := sgb.FromPoints(pts)
@@ -166,13 +164,6 @@ func BenchmarkSweep(b *testing.B) {
 		for i := range levels {
 			levels[i] = 0.5 * float64(i+1) / float64(k)
 		}
-		b.Run(fmt.Sprintf("Lattice/k=%d", k), func(b *testing.B) {
-			opt := sgb.Options{Metric: sgb.L2, Eps: levels[k-1], Algorithm: sgb.GridIndex}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				latticeSweep(b, flat, levels, opt)
-			}
-		})
 		b.Run(fmt.Sprintf("Levels/k=%d", k), func(b *testing.B) {
 			opt := sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex}
 			b.ReportAllocs()
@@ -196,32 +187,14 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// latticeSweep builds a cached entry's ε-lattice over ps (ε_max =
-// opt.Eps) and cuts every level of levels from its dendrogram.
-func latticeSweep(b *testing.B, ps *sgb.PointSet, levels []float64, opt sgb.Options) {
-	lat, err := sgb.NewLatticeAny(ps.Dims(), opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := lat.AppendSet(ps, nil); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := lat.Sweep(levels); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkParallel — SGB-Any's partition/evaluate/merge pipeline on
 // the Fig9a workload (n=4000, ε=0.5, L2): worker sweep under the ε-grid
 // strategy. w=1 is the sequential path; results are identical at every
 // worker count. (SGB-All has no pipeline to sweep:
-// docs/pr24-sgball-sequential.md.) The other two families run
-// `eps_cube_cold`'s eight-level L2 EPS IN list up to ε_max = 0.8 over
-// 8 000 Brightkite-profile check-ins: Lattice is the cached entry's
-// build, the ε-lattice's tiled first batch plus eight dendrogram cuts
-// (docs/pr25-parallel-lattice.md); Levels is the one-shot statement's
-// SweepAnySet, the same pipeline as Any with one Union-Find per level
-// (docs/pr29-level-forests.md).
+// docs/pr24-sgball-sequential.md.) Levels runs `eps_cube_cold`'s
+// eight-level L2 EPS IN list up to 0.8 over 8 000 Brightkite-profile
+// check-ins: the one-shot statement's SweepAnySet, the same pipeline as
+// Any with one Union-Find per level (docs/pr29-level-forests.md).
 func BenchmarkParallel(b *testing.B) {
 	pts := benchPoints(4000, 1)
 	for _, w := range []int{1, 2, 4, 8} {
@@ -237,15 +210,6 @@ func BenchmarkParallel(b *testing.B) {
 	}
 	checkins := sgb.FromPoints(checkin.Points(checkin.Brightkite(8000)))
 	levels := []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("Lattice/Grid/w=%d", w), func(b *testing.B) {
-			opt := sgb.Options{Metric: sgb.L2, Eps: levels[len(levels)-1], Algorithm: sgb.GridIndex, Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				latticeSweep(b, checkins, levels, opt)
-			}
-		})
-	}
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("Levels/Grid/w=%d", w), func(b *testing.B) {
 			opt := sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex, Parallelism: w}
@@ -390,15 +354,10 @@ var windowAllOpt = sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny, A
 // (core.AllEvaluator.Remove) and reports how many points that was per
 // tick (replayed/op) — a few hundred here, where the evicted batch is
 // sixteen whole clusters, against the window's thousands, which
-// TestWindowAllOutputSensitive pins in operation counts. The Lattice
-// series slides the same window under an ε-lattice evaluator and cuts
-// three levels per tick: Maintained repairs the dendrogram around the
-// evicted points (LatticeAny.Remove), Rebuild sweeps the window again —
-// what a DELETE cost before the repair existed. Both report their grid
-// probes and distance computations per tick. The OneLevel series pit
-// the maintained SGB-Any evaluator against a lattice at ε_max = ε, one
-// grouping read per tick, across metrics and d ∈ {2, 3}, and report the
-// heap each retains per window point.
+// TestWindowAllOutputSensitive pins in operation counts. The OneLevel
+// series run the maintained SGB-Any evaluator at one level and at k
+// levels, reading every level per tick, and report the heap it retains
+// per window point.
 func BenchmarkWindow(b *testing.B) {
 	const batch = windowBatch
 	span, newBatches := windowSpan, windowBatches
@@ -470,77 +429,20 @@ func BenchmarkWindow(b *testing.B) {
 		}
 	}
 
-	latOpt := sgb.Options{Metric: sgb.L2, Eps: 0.5}
-	levels := []float64{0.125, 0.25, 0.5}
 	oldest := make([]int, batch)
 	for i := range oldest {
 		oldest[i] = i
-	}
-	cut := func(b *testing.B, lat *sgb.LatticeAny) {
-		for _, eps := range levels {
-			if _, err := lat.GroupsAt(eps); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 	report := func(b *testing.B, st *sgb.Stats) {
 		b.ReportMetric(float64(st.IndexProbes)/float64(b.N), "probes/op")
 		b.ReportMetric(float64(st.DistanceComputations)/float64(b.N), "dists/op")
 	}
-	for _, window := range []int{8000, 32000} {
-		sp := span(window)
-		b.Run(fmt.Sprintf("Lattice/Maintained/w=%d", window), func(b *testing.B) {
-			pool := newBatches(int64(window), sp)
-			lat, err := sgb.NewLatticeAny(2, latOpt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := lat.AppendSet(benchkit.ClusterPoints(window, sp, 13), nil); err != nil {
-				b.Fatal(err)
-			}
-			cut(b, lat)
-			var st sgb.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := lat.AppendSet(pool[i%len(pool)], &st); err != nil {
-					b.Fatal(err)
-				}
-				if err := lat.Remove(oldest, &st); err != nil {
-					b.Fatal(err)
-				}
-				cut(b, lat)
-			}
-			report(b, &st)
-		})
-		b.Run(fmt.Sprintf("Lattice/Rebuild/w=%d", window), func(b *testing.B) {
-			pool := newBatches(int64(window), sp)
-			win := sgb.NewPointSet(2)
-			win.AppendSet(benchkit.ClusterPoints(window, sp, 13))
-			var st sgb.Stats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				win.AppendSet(pool[i%len(pool)])
-				win = win.Slice(win.Len()-window, win.Len())
-				lat, err := sgb.NewLatticeAny(2, latOpt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := lat.AppendSet(win, &st); err != nil {
-					b.Fatal(err)
-				}
-				cut(b, lat)
-			}
-			report(b, &st)
-		})
-	}
 
 	// One level per tick, the shape a single-ε DISTANCE-TO-ANY statement
 	// over a sliding window asks for: the maintained SGB-Any evaluator
-	// against a lattice whose ε_max is that ε, each reading one grouping
-	// per tick, under both metrics in 2 and 3 dimensions. Both report the
-	// live heap they retain per window point after the run.
+	// reading one grouping per tick, under both metrics in 2 and 3
+	// dimensions. It reports the live heap it retains per window point
+	// after the run.
 	const eps = 0.5
 	for _, metric := range []sgb.Metric{sgb.L2, sgb.LInf} {
 		for _, dims := range []int{2, 3} {
@@ -577,41 +479,15 @@ func BenchmarkWindow(b *testing.B) {
 					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
 					runtime.KeepAlive(inc)
 				})
-				b.Run(fmt.Sprintf(name, "Lattice"), func(b *testing.B) {
-					base := liveHeap()
-					lat, err := sgb.NewLatticeAny(dims, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := lat.AppendSet(clusterPoints(window, dims, window, 13), nil); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := lat.AppendSet(pool[i%len(pool)], nil); err != nil {
-							b.Fatal(err)
-						}
-						if err := lat.Remove(oldest, nil); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := lat.GroupsAt(eps); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
-					runtime.KeepAlive(lat)
-				})
 			}
 		}
 	}
 
 	// k levels per tick over check-ins, the shape of a cached EPS IN
 	// statement over a sliding window: the maintained SGB-Any evaluator
-	// kept at k levels (Forests) against a lattice whose ε_max is the top
-	// level, each reading every level per tick. k = 3 is the end-to-end
-	// benchmark's stream_maintain list, k = 6 the union of sql_warm's.
+	// kept at k levels (Forests), reading every level per tick. k = 3 is
+	// the end-to-end benchmark's stream_maintain list, k = 6 the union of
+	// sql_warm's.
 	for _, metric := range []sgb.Metric{sgb.L2, sgb.LInf} {
 		for _, levels := range checkinLevels {
 			for _, window := range []int{8000, 32000} {
@@ -651,48 +527,14 @@ func BenchmarkWindow(b *testing.B) {
 					report(b, &st)
 					runtime.KeepAlive(inc)
 				})
-				b.Run(fmt.Sprintf(name, "Lattice"), func(b *testing.B) {
-					s := newCheckinStream()
-					base := liveHeap()
-					opt := opt
-					opt.Eps = levels[len(levels)-1]
-					lat, err := sgb.NewLatticeAny(2, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := lat.AppendSet(s.take(window), nil); err != nil {
-						b.Fatal(err)
-					}
-					var st sgb.Stats
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := lat.AppendSet(s.take(batch), &st); err != nil {
-							b.Fatal(err)
-						}
-						if err := lat.Remove(oldest, &st); err != nil {
-							b.Fatal(err)
-						}
-						for _, eps := range levels {
-							if _, err := lat.GroupsAt(eps); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(liveHeap()-base)/float64(window), "B/point")
-					report(b, &st)
-					runtime.KeepAlive(lat)
-				})
 			}
 		}
 	}
 
 	// A level a warm 32 000-point entry does not hold yet (levels 0.1, 0.2
 	// and 0.4): Forests keeps it — one probe pass over the window, then
-	// the grouping read off — where Lattice cuts its dendrogram at it.
-	// Each iteration asks for another ε below 0.4; the forests are
-	// rebuilt, untimed, before they would pass 16 levels.
+	// the grouping read off. Each iteration asks for another ε below 0.4;
+	// the forests are rebuilt, untimed, before they would pass 16 levels.
 	newEps := func(i int) float64 { return 0.4 * float64(i%12+1) / 13 }
 	b.Run("OneLevel/AddLevel/Forests/w=32000", func(b *testing.B) {
 		var inc *sgb.Incremental
@@ -716,107 +558,67 @@ func BenchmarkWindow(b *testing.B) {
 			}
 		}
 	})
-	b.Run("OneLevel/AddLevel/Lattice/w=32000", func(b *testing.B) {
-		lat, err := sgb.NewLatticeAny(2, sgb.Options{Metric: sgb.L2, Eps: 0.4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := lat.AppendSet(newCheckinStream().take(32000), nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := lat.GroupsAt(newEps(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	// The end-to-end benchmark's stream_maintain tick over 16 000
 	// check-ins, evaluator work only: two 128-row appends each followed by
 	// a read of the single-ε grouping (ε = 0.2) and of the sweep's three
-	// levels, then a 256-row oldest-first DELETE. AnyLattice keeps the
-	// sweep as a lattice (ε_max 0.4, three cuts per read), AnyLevels as
-	// three level forests. Each reports the phases' ms per tick.
-	sweepLevels := checkinLevels[1]
-	for _, pair := range []string{"AnyLattice", "AnyLevels"} {
-		b.Run("Checkin/"+pair+"/w=16000", func(b *testing.B) {
-			const window = 16000
-			s := newCheckinStream()
-			single, err := sgb.NewIncrementalAny(sgb.Options{Metric: sgb.L2, Eps: 0.2, Algorithm: sgb.GridIndex})
-			if err != nil {
+	// levels, kept as level forests, then a 256-row oldest-first DELETE.
+	// It reports the phases' ms per tick.
+	b.Run("Checkin/AnyLevels/w=16000", func(b *testing.B) {
+		const window = 16000
+		sweepLevels := checkinLevels[1]
+		s := newCheckinStream()
+		single, err := sgb.NewIncrementalAny(sgb.Options{Metric: sgb.L2, Eps: 0.2, Algorithm: sgb.GridIndex})
+		if err != nil {
+			b.Fatal(err)
+		}
+		levels, err := sgb.NewIncrementalAnyLevels(sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex}, sweepLevels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		appendAll := func(ps *sgb.PointSet) {
+			if err := single.AppendSet(ps); err != nil {
 				b.Fatal(err)
 			}
-			var levels *sgb.Incremental
-			var lat *sgb.LatticeAny
-			if pair == "AnyLevels" {
-				levels, err = sgb.NewIncrementalAnyLevels(sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex}, sweepLevels)
-			} else {
-				lat, err = sgb.NewLatticeAny(2, sgb.Options{Metric: sgb.L2, Eps: 0.4, Algorithm: sgb.GridIndex})
-			}
-			if err != nil {
+			if err := levels.AppendSet(ps); err != nil {
 				b.Fatal(err)
 			}
-			appendAll := func(ps *sgb.PointSet) {
-				if err := single.AppendSet(ps); err != nil {
-					b.Fatal(err)
-				}
-				if levels != nil {
-					err = levels.AppendSet(ps)
-				} else {
-					err = lat.AppendSet(ps, nil)
-				}
-				if err != nil {
+		}
+		read := func() {
+			if _, err := single.Result(); err != nil {
+				b.Fatal(err)
+			}
+			for _, eps := range sweepLevels {
+				if _, err := levels.GroupsAt(eps); err != nil {
 					b.Fatal(err)
 				}
 			}
-			read := func() {
-				if _, err := single.Result(); err != nil {
-					b.Fatal(err)
-				}
-				for _, eps := range sweepLevels {
-					var err error
-					if levels != nil {
-						_, err = levels.GroupsAt(eps)
-					} else {
-						_, err = lat.GroupsAt(eps)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			appendAll(s.take(window))
-			var appendT, readT, deleteT time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < 2; r++ {
-					start := time.Now()
-					appendAll(s.take(batch / 2))
-					mid := time.Now()
-					read()
-					appendT, readT = appendT+mid.Sub(start), readT+time.Since(mid)
-				}
+		}
+		appendAll(s.take(window))
+		var appendT, readT, deleteT time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < 2; r++ {
 				start := time.Now()
-				if err := single.Remove(oldest); err != nil {
-					b.Fatal(err)
-				}
-				if levels != nil {
-					err = levels.Remove(oldest)
-				} else {
-					err = lat.Remove(oldest, nil)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				deleteT += time.Since(start)
+				appendAll(s.take(batch / 2))
+				mid := time.Now()
+				read()
+				appendT, readT = appendT+mid.Sub(start), readT+time.Since(mid)
 			}
-			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
-			b.ReportMetric(ms(appendT), "append-ms/op")
-			b.ReportMetric(ms(readT), "read-ms/op")
-			b.ReportMetric(ms(deleteT), "delete-ms/op")
-		})
-	}
+			start := time.Now()
+			if err := single.Remove(oldest); err != nil {
+				b.Fatal(err)
+			}
+			if err := levels.Remove(oldest); err != nil {
+				b.Fatal(err)
+			}
+			deleteT += time.Since(start)
+		}
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+		b.ReportMetric(ms(appendT), "append-ms/op")
+		b.ReportMetric(ms(readT), "read-ms/op")
+		b.ReportMetric(ms(deleteT), "delete-ms/op")
+	})
 
 	// Single-row deletes, the shape of wire_mixed's DELETE of one row: one
 	// random live point leaves a maintained single-ε window (ε = 0.2 over

@@ -8,7 +8,6 @@ import (
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/exec"
 	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/storage"
 )
 
@@ -103,11 +102,6 @@ func (e *incrEntry) flushWork(st *core.Stats) {
 	st.Merge(&e.work)
 	e.work = core.Stats{}
 }
-
-// maxAnswerLevels bounds the ε levels one sweep entry keeps and one
-// answer retains; a sweep asking for more has the rest grouped per
-// query, one probe pass each.
-const maxAnswerLevels = incr.MaxLevels
 
 // answer is an entry's immutable result for one table generation: the
 // groups the evaluator held after absorbing all consumed rows of that

@@ -477,7 +477,7 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 // evaluator kept at several levels: built at the first sweep's levels,
 // given a level a later sweep asks for (one probe pass over the live
 // points, charged to that query) while it keeps fewer than
-// maxAnswerLevels, and rebuilt at a new top when a sweep exceeds the
+// core.MaxLevels, and rebuilt at a new top when a sweep exceeds the
 // old one.
 //
 // A query whose snapshot the entry's published answer covers takes one
@@ -607,7 +607,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			// pass over the live points; while there is room, the entry
 			// keeps it, so the pass is the only one.
 			if sweep {
-				if levels := e.ev.Levels(); len(levels) < maxAnswerLevels && !slices.Contains(levels, eps) {
+				if levels := e.ev.Levels(); len(levels) < core.MaxLevels && !slices.Contains(levels, eps) {
 					if err := e.ev.AddLevel(eps); err != nil {
 						e.flushWork(st)
 						return nil, err
@@ -620,7 +620,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 				return nil, err
 			}
 			gs[i] = exec.NewGrouping(res.Groups)
-			if len(next.levels) < maxAnswerLevels {
+			if len(next.levels) < core.MaxLevels {
 				next.levels = append(next.levels, answerLevel{eps: eps, g: gs[i]})
 			}
 		}
@@ -631,7 +631,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 
 // sweepLevels is the level list a sweep entry is built with: the
 // query's levels and those the entry kept before (a rebuild above its
-// top keeps them below the new one), the largest maxAnswerLevels of
+// top keeps them below the new one), the largest core.MaxLevels of
 // them.
 func sweepLevels(old evaluator, epsList []float64) []float64 {
 	levels := slices.Clone(epsList)
@@ -643,7 +643,7 @@ func sweepLevels(old evaluator, epsList []float64) []float64 {
 		}
 	}
 	slices.Sort(levels)
-	return levels[max(0, len(levels)-maxAnswerLevels):]
+	return levels[max(0, len(levels)-core.MaxLevels):]
 }
 
 // loadChunkBytes ends a LoadCSV WAL record at the row that crosses it.

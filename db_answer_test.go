@@ -104,7 +104,7 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 	}
 }
 
-// TestAnswerMemoBounds: the ε level past maxAnswerLevels is grouped per
+// TestAnswerMemoBounds: the ε level past core.MaxLevels is grouped per
 // query — one probe pass over the live points, kept neither by the
 // entry nor by the published answer, which stays at its bound; an aggregate
 // that reads another table is never memoized; DROP + re-CREATE of a
@@ -113,9 +113,9 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 func TestAnswerMemoBounds(t *testing.T) {
 	db := Open()
 	loadUniform(t, db, 600, 9)
-	levels := make([]string, maxAnswerLevels+1)
+	levels := make([]string, core.MaxLevels+1)
 	for i := range levels {
-		levels[i] = fmt.Sprint(0.02 * float64(maxAnswerLevels+1-i)) // largest first: one build
+		levels[i] = fmt.Sprint(0.02 * float64(core.MaxLevels+1-i)) // largest first: one build
 	}
 	sweep := func(ls []string) string {
 		return "SELECT eps, count(*), avg(y) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (" + strings.Join(ls, ", ") + ")"
@@ -130,20 +130,20 @@ func TestAnswerMemoBounds(t *testing.T) {
 		t.Fatal("no sweep entry")
 		return 0
 	}
-	warmQuery(t, db, sweep(levels[:maxAnswerLevels]))
-	if got := published(); got != maxAnswerLevels {
-		t.Fatalf("%d levels published, want %d", got, maxAnswerLevels)
+	warmQuery(t, db, sweep(levels[:core.MaxLevels]))
+	if got := published(); got != core.MaxLevels {
+		t.Fatalf("%d levels published, want %d", got, core.MaxLevels)
 	}
 	for rep := 0; rep < 2; rep++ {
 		st := warmQuery(t, db, sweep(levels))
 		if st.RowsFolded != 2*600 || st.PointsExtracted != 0 || st.IndexProbes != 600 || st.IndexUpdates != 0 {
 			t.Fatalf("sweep with a 17th level: %+v, want one probe pass for that level and its two aggregates folded", st)
 		}
-		if ev, _ := sweepEntry(t, db); len(ev.Levels()) != maxAnswerLevels {
-			t.Fatalf("the entry keeps %d levels, want %d", len(ev.Levels()), maxAnswerLevels)
+		if ev, _ := sweepEntry(t, db); len(ev.Levels()) != core.MaxLevels {
+			t.Fatalf("the entry keeps %d levels, want %d", len(ev.Levels()), core.MaxLevels)
 		}
-		if got := published(); got != maxAnswerLevels {
-			t.Fatalf("%d levels published after a 17-level sweep, want %d", got, maxAnswerLevels)
+		if got := published(); got != core.MaxLevels {
+			t.Fatalf("%d levels published after a 17-level sweep, want %d", got, core.MaxLevels)
 		}
 	}
 

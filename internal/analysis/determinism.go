@@ -8,8 +8,8 @@ import (
 
 // The determinism analyzer. The engine promises bit-identical output
 // for identical input: SGB arbitration resolves ties by a strict
-// (Key, A, B) total order, the ε-lattice's merge heights are a pure
-// function of the data, and the wire protocol serializes result rows
+// (Key, A, B) total order, SGB-Any's components are a pure function
+// of the data, and the wire protocol serializes result rows
 // in a defined order. Three things quietly break that promise — map
 // iteration order feeding anything ordered, wall-clock reads in
 // result-affecting code, and draws from the global math/rand state.
@@ -30,7 +30,6 @@ var Determinism = &Analyzer{
 // result-affecting packages.
 var determinismScopes = []string{
 	"/internal/core",
-	"/internal/lattice",
 	"/internal/exec",
 	"/internal/partition",
 }

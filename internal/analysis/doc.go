@@ -13,11 +13,11 @@
 //     reached only through Snapshot() or the mutation API — a direct
 //     storage.Table.Rows access in a query path is an error.
 //   - determinism: in the result-affecting packages (internal/core,
-//     internal/lattice, internal/exec, internal/partition, and the
-//     root engine package) no map iteration without a justification,
-//     no time.Now, no global math/rand draws — the bit-identical
-//     reproducibility contract of SGB arbitration and the ε-lattice's
-//     strict (Key, A, B) total order must not leak iteration order.
+//     internal/exec, internal/partition, and the root engine package)
+//     no map iteration without a justification, no time.Now, no global
+//     math/rand draws — the bit-identical reproducibility contract of
+//     SGB arbitration's strict (Key, A, B) total order must not leak
+//     iteration order.
 //   - stickyerr: a failed wal.Log append poisons the log; call sites
 //     must consume the returned error, never discard it.
 //   - hotpath: functions marked //sgb:allocfree (distance kernels,

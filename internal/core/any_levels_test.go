@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -426,4 +428,150 @@ func FuzzAnyLevelsRemove(f *testing.F) {
 		}
 		checkAnyTrace(t, data)
 	})
+}
+
+// TestAnyLevelsCap: an evaluator keeps at most MaxLevels levels —
+// NewAnyLevels refuses a longer list and AddLevel a level past the cap,
+// while a level already kept is still a no-op.
+func TestAnyLevelsCap(t *testing.T) {
+	levels := make([]float64, MaxLevels+1)
+	for i := range levels {
+		levels[i] = 0.05 * float64(i+1)
+	}
+	opt := Options{Metric: geom.L2}
+	if _, err := NewAnyLevels(2, levels, opt); !errors.Is(err, ErrTooManyLevels) {
+		t.Fatalf("NewAnyLevels over %d levels: %v", len(levels), err)
+	}
+	ev, err := NewAnyLevels(2, levels[1:], opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.AddLevel(levels[0]); !errors.Is(err, ErrTooManyLevels) {
+		t.Fatalf("AddLevel past MaxLevels: %v", err)
+	}
+	if err := ev.AddLevel(levels[1]); err != nil {
+		t.Fatalf("AddLevel of a kept level: %v", err)
+	}
+	if len(ev.eps) != MaxLevels {
+		t.Fatalf("%d levels kept, want %d", len(ev.eps), MaxLevels)
+	}
+}
+
+// TestLatticeIncrementalEquivalence replays bench/'s calls on the
+// LatticeEvaluator facade — AppendSet, Sweep(A), AppendSet, Sweep(A ∪
+// {ε}) — under both metrics: each AppendSet charges its own call's work
+// to its Stats block and the Sweep after it nothing, and every level of
+// each Sweep equals SweepAnySet over the points so far, member for
+// member.
+func TestLatticeIncrementalEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(810))
+	a := []float64{0.8, 0.15, 0.4}
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+		ev, err := NewLatticeEvaluator(2, Options{Metric: m, Eps: 0.8, Algorithm: GridIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := geom.NewPointSet(2)
+		for _, levels := range [][]float64{a, append(slices.Clone(a), 0.3)} {
+			batch := geom.FromPoints(randomPointsDim(r, 200, 2, 6))
+			all.AppendSet(batch)
+			var st Stats
+			if err := ev.AppendSet(batch, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.IndexProbes != int64(batch.Len()) {
+				t.Fatalf("%v: AppendSet charged %d probes for %d points", m, st.IndexProbes, batch.Len())
+			}
+			got, err := ev.Sweep(levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.IndexProbes != int64(batch.Len()) {
+				t.Fatalf("%v: Sweep charged the last AppendSet's Stats (%d probes)", m, st.IndexProbes)
+			}
+			want, err := SweepAnySet(all, levels, Options{Metric: m, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, eps := range levels {
+				if err := sameMembers(got[l], want[l]); err != nil {
+					t.Fatalf("%v ε = %v after %d points: %v", m, eps, all.Len(), err)
+				}
+			}
+		}
+	}
+}
+
+// TestLatticeQueryCostIsZero: once the facade keeps a list's levels,
+// sweeping it again costs no distance computation and no probe; levels
+// past MaxLevels are answered by a probe pass without being kept.
+func TestLatticeQueryCostIsZero(t *testing.T) {
+	pts := geom.FromPoints(randomPointsDim(rand.New(rand.NewSource(811)), 200, 2, 5))
+	ev, err := NewLatticeEvaluator(2, Options{Metric: geom.L2, Eps: 2.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.AppendSet(pts, nil); err != nil {
+		t.Fatal(err)
+	}
+	a := []float64{0.3, 0.9, 1.7}
+	if _, err := ev.Sweep(a); err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	ev.ev.opt.Stats = &st
+	_, err = ev.Sweep(a)
+	ev.ev.opt.Stats = nil
+	if err != nil || st != (Stats{}) {
+		t.Fatalf("a repeated Sweep: %v, charged %+v", err, st)
+	}
+	many := make([]float64, MaxLevels+2)
+	for i := range many {
+		many[i] = 0.1 * float64(i+1)
+	}
+	got, err := ev.Sweep(many)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ev.ev.eps) != MaxLevels {
+		t.Fatalf("the facade keeps %d levels, want %d", len(ev.ev.eps), MaxLevels)
+	}
+	want, err := SweepAnySet(pts, many, Options{Metric: geom.L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, eps := range many {
+		if err := sameMembers(got[l], want[l]); err != nil {
+			t.Fatalf("ε = %v: %v", eps, err)
+		}
+	}
+}
+
+// TestLatticeEpsAboveMax: the facade answers no level above its top.
+func TestLatticeEpsAboveMax(t *testing.T) {
+	ev, err := NewLatticeEvaluator(2, Options{Metric: geom.L2, Eps: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.AppendSet(geom.FromPoints([]geom.Point{{0, 0}, {0.5, 0}}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if ev.EpsMax() != 1.0 {
+		t.Fatalf("EpsMax = %v", ev.EpsMax())
+	}
+	if _, err := ev.Sweep([]float64{0.5, 1.5}); !errors.Is(err, ErrEpsAboveMax) {
+		t.Fatalf("Sweep above the top: got %v", err)
+	}
+}
+
+// TestLatticeBoundsCheckRejected: SGB-Any has no Bounds-Checking
+// variant, and the facade and SweepAny reject it with the same named
+// error the one-shot operator uses.
+func TestLatticeBoundsCheckRejected(t *testing.T) {
+	if _, err := NewLatticeEvaluator(2, Options{Metric: geom.L2, Eps: 1, Algorithm: BoundsCheck}); !errors.Is(err, ErrBoundsCheckAny) {
+		t.Fatalf("NewLatticeEvaluator(BoundsCheck): got %v, want ErrBoundsCheckAny", err)
+	}
+	if _, err := SweepAny([]geom.Point{{0, 0}}, []float64{1}, Options{Metric: geom.L2, Algorithm: BoundsCheck}); !errors.Is(err, ErrBoundsCheckAny) {
+		t.Fatalf("SweepAny(BoundsCheck): got %v, want ErrBoundsCheckAny", err)
+	}
 }

@@ -137,7 +137,7 @@ func (o Options) Maintained(anySem bool) Options {
 }
 
 // Key prints the evaluator cache key of a maintained grouping over the
-// grouping expressions by: the options Maintained keeps (an ε-lattice
+// grouping expressions by: the options Maintained keeps (a sweep entry
 // passes Eps 0). TestFingerprintCoversOptions fails when a new field is
 // neither kept nor listed as grouping-neutral.
 func (o Options) Key(anySem bool, by string) string {

@@ -14,11 +14,7 @@ import (
 // This file holds the decremental arm of the resumable operators:
 // point deletion for AnyEvaluator and AllEvaluator, the other half of
 // the sliding-window workloads (MANET traces, geosocial check-ins,
-// streaming eviction) the incremental subsystem exists for. (The third
-// maintained evaluator, LatticeEvaluator, deletes by repairing its
-// minimum spanning forest — lattice.go here,
-// internal/lattice/decremental.go for the algorithm — under the same
-// live-id contract.)
+// streaming eviction) the incremental subsystem exists for.
 //
 // Both operators delete locally, and for the same reason: what a
 // point's removal can change lies inside its own ε-connected component.
@@ -31,7 +27,7 @@ import (
 //     graph — order-independent, so removing a point can only SPLIT its
 //     own component, never merge or perturb others. AnyEvaluator keeps a
 //     spanning tree of every component at every level, and Remove
-//     applies the lattice's repair rule per level: the tree edges at a
+//     repairs each level's forest: the tree edges at a
 //     victim are cut, what is left of each touched tree falls into
 //     pieces, and only the pieces are re-probed — smallest first, never
 //     the largest, and no further once the tree is one set again. An

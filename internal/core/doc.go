@@ -28,9 +28,7 @@
 //     points are processed in arrival order against the strategy
 //     selected by Options.Algorithm.
 //   - Parallel pipeline (SGB-Any with Options.Parallelism > 1;
-//     parallel.go): partition → shard-local evaluate → merge. The
-//     ε-lattice builds its first batch the same way
-//     (internal/lattice/parallel.go), sharing the frontier probe.
+//     parallel.go): partition → shard-local evaluate → merge.
 //   - Resumable / incremental (AllEvaluator, AnyEvaluator; resume.go):
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an
@@ -42,9 +40,8 @@
 // at once: one probe pass at the largest ε feeds one Union-Find per
 // level (sgbAnyLevels, the function single-ε SGBAny is the one-level
 // case of). A cached sweep, whose future ε lists are unknown, keeps the
-// same levels maintained (NewAnyLevels) and adds one when it is asked
-// for; the dendrogram (LatticeEvaluator, over internal/lattice) answers
-// every ε below its bound for callers that build one.
+// same levels maintained (NewAnyLevels, at most MaxLevels) and adds one
+// when it is asked for.
 //
 // # Invariants
 //

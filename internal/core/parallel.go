@@ -17,8 +17,7 @@ import (
 //	frontier  — probes over the frontier band emitting cross-tile
 //	            within-ε pairs with their keys, chunked across workers
 //	            against one bulk-loaded read-only ε-grid
-//	            (Plan.FrontierPairs, the probe the ε-lattice's tiled
-//	            build shares)
+//	            (Plan.FrontierPairs)
 //	merge     — a single-threaded Union-Find reduction folding tile
 //	            partitions and frontier pairs into the global forests,
 //	            level by level

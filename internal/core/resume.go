@@ -354,14 +354,14 @@ func NewAnyEvaluator(dims int, opt Options) (*AnyEvaluator, error) {
 }
 
 // NewAnyLevels returns an empty resumable SGB-Any evaluation over
-// dims-dimensional points at every ε level of levels (validated as an
-// EPS IN list: ValidateEpsList). opt.Eps is ignored: the largest level
-// is the top, the radius appends probe at.
+// dims-dimensional points at every ε level of levels (ValidateLevels: an
+// EPS IN list of at most MaxLevels). opt.Eps is ignored: the largest
+// level is the top, the radius appends probe at.
 func NewAnyLevels(dims int, levels []float64, opt Options) (*AnyEvaluator, error) {
-	order, err := ascendingLevels(levels)
-	if err != nil {
+	if err := ValidateLevels(levels); err != nil {
 		return nil, err
 	}
+	order, _ := ascendingLevels(levels)
 	eps := make([]float64, len(order))
 	keys := make([]float64, len(order))
 	for l, i := range order {
@@ -492,10 +492,13 @@ func (e *AnyEvaluator) GroupsAt(eps float64) (*Result, error) {
 // AddLevel keeps one more ε level, at most the top: one probe pass over
 // the live points builds its partition and forest, and from then on
 // Append and Remove maintain it with the others. A level already kept
-// is a no-op.
+// is a no-op; one past MaxLevels fails with ErrTooManyLevels.
 func (e *AnyEvaluator) AddLevel(eps float64) error {
 	if slices.Contains(e.eps, eps) {
 		return nil
+	}
+	if len(e.eps) == MaxLevels {
+		return ErrTooManyLevels
 	}
 	f, err := e.levelPass(eps, e.f.trees != nil)
 	if err != nil {

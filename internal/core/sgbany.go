@@ -440,11 +440,10 @@ func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {
 // one-shot run (nil), the Morton-permuted one (the inverse permutation)
 // and the decremental evaluator (surviving positions in arrival order)
 // all extract here, the first two for every level of a sweep. Two
-// passes, as lattice.Dendrogram.GroupsAt: the
-// first gives each point its group's slot and counts group sizes, the
-// second fills one backing array carved into exact-capacity member
-// slices — no per-member append regrowth, and appending to one group's
-// Members reallocates it rather than overwriting a neighbour's.
+// passes: the first gives each point its group's slot and counts group
+// sizes, the second fills one backing array carved into exact-capacity
+// member slices — no per-member append regrowth, and appending to one
+// group's Members reallocates it rather than overwriting a neighbour's.
 func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
 	n := len(live)
 	if live == nil {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,11 +15,10 @@ import (
 
 // checkSweepLevels holds every level of SweepAnySet, at each worker
 // count of pars, to SGBAnySet under All-Pairs at that level (deep-equal:
-// group order, member order, nil slices) and member for member to a
-// LatticeEvaluator's Sweep over the same points. The probe count must
-// say which build ran: one probe per point when the evaluation stayed
-// whole, more when it was tiled (the frontier points probe again). It
-// reports how many of the runs were tiled.
+// group order, member order, nil slices). The probe count must say which
+// build ran: one probe per point when the evaluation stayed whole, more
+// when it was tiled (the frontier points probe again). It reports how
+// many of the runs were tiled.
 func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []float64, m geom.Metric, pars []int) (tiled int) {
 	t.Helper()
 	n, epsMax := ps.Len(), slices.Max(levels)
@@ -29,17 +30,6 @@ func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []flo
 		}
 		want[l] = res
 	}
-	ev, err := NewLatticeEvaluator(ps.Dims(), Options{Metric: m, Eps: epsMax, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.AppendSet(ps, nil); err != nil {
-		t.Fatal(err)
-	}
-	lat, err := ev.Sweep(levels)
-	if err != nil {
-		t.Fatalf("%s: LatticeEvaluator.Sweep: %v", what, err)
-	}
 	for _, par := range pars {
 		st := &Stats{}
 		got, err := SweepAnySet(ps, levels, Options{Metric: m, Parallelism: par, Stats: st})
@@ -49,9 +39,6 @@ func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []flo
 		for l, eps := range levels {
 			if !reflect.DeepEqual(got[l], want[l]) {
 				t.Fatalf("%s Parallelism=%d eps=%v: level differs from SGBAny\ngot  %v\nwant %v", what, par, eps, got[l].Groups, want[l].Groups)
-			}
-			if err := sameMembers(got[l], lat[l]); err != nil {
-				t.Fatalf("%s Parallelism=%d eps=%v: level differs from the lattice: %v", what, par, eps, err)
 			}
 		}
 		split := par >= 2 && partition.Split(ps, epsMax, min(par, n)) != nil
@@ -310,7 +297,7 @@ func sweepLevelsSeeds() [][]byte {
 
 // FuzzSweepLevels decodes its input as a point set and an ε list
 // (decodeSweepLevels) and holds every level of SweepAnySet, at one
-// worker and at two, to SGBAnySet and to the lattice (checkSweepLevels).
+// worker and at two, to SGBAnySet (checkSweepLevels).
 // The seed corpus is built in code (sweepLevelsSeeds).
 func FuzzSweepLevels(f *testing.F) {
 	for _, seed := range sweepLevelsSeeds() {
@@ -323,4 +310,160 @@ func FuzzSweepLevels(f *testing.F) {
 		}
 		checkSweepLevels(t, fmt.Sprintf("%v levels=%v", m, levels), ps, levels, m, []int{1, 2})
 	})
+}
+
+// anyStrategies are the SGB-Any evaluation strategies
+// TestLatticeEquivalenceMatrix cross-validates against (BoundsCheck does
+// not exist for Any: TestLatticeBoundsCheckRejected).
+var anyStrategies = []Algorithm{AllPairs, OnTheFlyIndex, GridIndex}
+
+// TestLatticeEquivalenceMatrix is the randomized sweep↔one-shot suite
+// (its name is the ε-lattice's, which SweepAny replaced): for every ε
+// level of randomly drawn EPS IN lists, SweepAny's answer must
+// member-for-member equal an independent single-ε SGBAny run across
+// {L2, L∞} × d ∈ {1, 2, 3, 5} × every SGB-Any strategy.
+func TestLatticeEquivalenceMatrix(t *testing.T) {
+	r := rand.New(rand.NewSource(808))
+	for trial := 0; trial < 6; trial++ {
+		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+			for _, d := range []int{1, 2, 3, 5} {
+				n := 50 + r.Intn(150)
+				span := 2.5 + r.Float64()*6
+				points := randomPointsDim(r, n, d, span)
+				k := 2 + r.Intn(7) // up to 8 levels
+				epsList := make([]float64, 0, k)
+				seen := map[float64]bool{}
+				for len(epsList) < k {
+					e := 0.05 + r.Float64()*2.2
+					if !seen[e] {
+						seen[e] = true
+						epsList = append(epsList, e)
+					}
+				}
+				swept, err := SweepAny(points, epsList, Options{Metric: m})
+				if err != nil {
+					t.Fatalf("%v d=%d: SweepAny: %v", m, d, err)
+				}
+				for li, eps := range epsList {
+					for _, alg := range anyStrategies {
+						oneShot, err := SGBAny(points, Options{Metric: m, Eps: eps, Algorithm: alg})
+						if err != nil {
+							t.Fatalf("%v d=%d eps=%v %v: SGBAny: %v", m, d, eps, alg, err)
+						}
+						if err := sameMembers(swept[li], oneShot); err != nil {
+							t.Fatalf("%v d=%d eps=%v vs %v: sweep level diverges: %v", m, d, eps, alg, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLatticeEquivalenceParallelOneShot: sweep levels also match
+// GridIndex one-shot runs forced through the parallel pipeline.
+func TestLatticeEquivalenceParallelOneShot(t *testing.T) {
+	r := rand.New(rand.NewSource(809))
+	points := randomPointsDim(r, 400, 2, 6)
+	epsList := []float64{0.2, 0.55, 0.9, 1.4}
+	swept, err := SweepAny(points, epsList, Options{Metric: geom.L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, eps := range epsList {
+		oneShot, err := SGBAny(points, Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameMembers(swept[li], oneShot); err != nil {
+			t.Fatalf("eps=%v vs parallel grid: %v", eps, err)
+		}
+	}
+}
+
+// TestLatticeParallelism: Options.Parallelism sets how many goroutines
+// sweep and nothing else — every level of SweepAny equals the
+// Parallelism = 1 answer, over L2 and L∞, d ∈ {1, 2, 3} and duplicated
+// points. The probe count shows which build ran: a tiled one probes the
+// frontier points a second time.
+func TestLatticeParallelism(t *testing.T) {
+	r := rand.New(rand.NewSource(813))
+	levels := []float64{0.15, 0.4, 0.9, 1.5}
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+		for _, d := range []int{1, 2, 3} {
+			pts := randomPointsDim(r, 300, d, 6)
+			pts = append(pts, pts[:40]...)
+			seqStats := &Stats{}
+			want, err := SweepAny(pts, levels, Options{Metric: m, Parallelism: 1, Stats: seqStats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seqStats.IndexProbes != int64(len(pts)) {
+				t.Fatalf("%v d=%d Parallelism=1: %d probes, want one per point (%d)", m, d, seqStats.IndexProbes, len(pts))
+			}
+			for _, par := range []int{2, 3, 8} {
+				st := &Stats{}
+				got, err := SweepAny(pts, levels, Options{Metric: m, Parallelism: par, Stats: st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.IndexProbes <= int64(len(pts)) {
+					t.Fatalf("%v d=%d Parallelism=%d: %d probes for %d points, the build was not tiled", m, d, par, st.IndexProbes, len(pts))
+				}
+				for li := range levels {
+					if err := sameMembers(got[li], want[li]); err != nil {
+						t.Fatalf("%v d=%d Parallelism=%d eps=%v: %v", m, d, par, levels[li], err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepAnyOrderAlignment: results align with the caller's list
+// order, not ascending ε.
+func TestSweepAnyOrderAlignment(t *testing.T) {
+	pts := []geom.Point{{0}, {0.4}, {3}, {3.2}}
+	epsList := []float64{2.0, 0.1, 0.5} // deliberately unsorted
+	res, err := SweepAny(pts, epsList, Options{Metric: geom.L2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res[1].Groups); got != 4 {
+		t.Fatalf("eps=0.1 level landed %d groups, want 4 (order misaligned?)", got)
+	}
+	if got := len(res[2].Groups); got != 2 {
+		t.Fatalf("eps=0.5 level landed %d groups, want 2", got)
+	}
+	if got := len(res[0].Groups); got != 2 {
+		t.Fatalf("eps=2.0 level landed %d groups, want 2", got)
+	}
+}
+
+func TestValidateEpsList(t *testing.T) {
+	cases := []struct {
+		name string
+		list []float64
+		want error
+	}{
+		{"empty", nil, ErrEpsListEmpty},
+		{"zero", []float64{0.5, 0}, ErrEpsListNonPositive},
+		{"negative", []float64{-1}, ErrEpsListNonPositive},
+		{"nan", []float64{math.NaN()}, ErrEpsListNonPositive},
+		{"inf", []float64{math.Inf(1)}, ErrEpsListNonPositive},
+		{"duplicate", []float64{0.5, 1, 0.5}, ErrEpsListDuplicate},
+		{"ok", []float64{0.5, 1, 2}, nil},
+	}
+	for _, tc := range cases {
+		err := ValidateEpsList(tc.list)
+		if tc.want == nil {
+			if err != nil {
+				t.Fatalf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
 }

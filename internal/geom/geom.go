@@ -216,8 +216,8 @@ func (m Metric) withinCoords(p, q []float64, eps float64) bool {
 // Keys order exactly as distances do, and DistKey(p, q) <= EpsKey(eps)
 // decides identically to Within(p, q, eps) — the accumulation shapes
 // below mirror withinCoords term for term, so boundary cases cannot
-// diverge. The ε-lattice dendrogram stores merge heights in key space
-// so that lattice cuts reproduce one-shot groupings exactly.
+// diverge. SGB-Any's level forests compare keys against each level's
+// EpsKey, so every level reproduces a one-shot grouping exactly.
 func (m Metric) DistKey(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))

@@ -3,7 +3,7 @@
 // into axis-aligned cubes of side cellSize; each occupied cell maps to
 // the ids registered in it, and every id is registered in exactly one
 // cell: a point's home cell (SGB-Any and its tiled pipeline, the
-// lattice, the SGB-All closure; cellSize = ε) or the home cell of a
+// SGB-All closure; cellSize = ε) or the home cell of a
 // group's anchor member (the SGB-All finder; cellSize = the reach of its
 // probe, ε or 2ε). Everything within cellSize of a point then lies in
 // the 3^d cell neighborhood of its home cell, so a probe is a handful of

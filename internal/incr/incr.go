@@ -91,10 +91,6 @@ type evaluator interface {
 	Result() *core.Result
 }
 
-// MaxLevels bounds the ε levels one NewLevels handle keeps (AddLevel
-// refuses more).
-const MaxLevels = 16
-
 // New returns an empty incremental grouping handle for the given
 // operator semantics and options. The options are validated eagerly
 // (including the SGB-Any rejection of Bounds-Checking) so a
@@ -117,16 +113,13 @@ func New(sem Semantics, opt core.Options) (*Incremental, error) {
 // NewLevels returns an empty incremental SGB-Any grouping kept at every
 // ε level of levels at once (core.NewAnyLevels): one probe per appended
 // point feeds every level, a removal repairs each, and GroupsAt reads
-// any of them, Result the top one. levels is validated as an EPS IN list
-// and holds at most MaxLevels; opt.Eps is ignored — the largest level is
-// the top, and Opt reports it. Such a handle has no export format
-// (ExportState).
+// any of them, Result the top one. levels is validated as
+// core.ValidateLevels has it: an EPS IN list of at most core.MaxLevels.
+// opt.Eps is ignored — the largest level is the top, and Opt reports it.
+// Such a handle has no export format (ExportState).
 func NewLevels(opt core.Options, levels []float64) (*Incremental, error) {
-	if err := core.ValidateEpsList(levels); err != nil {
+	if err := core.ValidateLevels(levels); err != nil {
 		return nil, err
-	}
-	if len(levels) > MaxLevels {
-		return nil, fmt.Errorf("incr: %d ε levels, at most %d", len(levels), MaxLevels)
 	}
 	levels = slices.Clone(levels)
 	slices.Sort(levels)
@@ -155,7 +148,8 @@ func (x *Incremental) Levels() []float64 {
 
 // AddLevel keeps one more ε level, at most Opt.Eps, in a handle NewLevels
 // made: one probe pass over the live points (core.AnyEvaluator.AddLevel),
-// then maintained with the others. A level already kept is a no-op.
+// then maintained with the others. A level already kept is a no-op; one
+// past core.MaxLevels fails with core.ErrTooManyLevels.
 func (x *Incremental) AddLevel(eps float64) error {
 	if x.Opt != x.snap {
 		return ErrOptionsMutated
@@ -165,19 +159,22 @@ func (x *Incremental) AddLevel(eps float64) error {
 		return errors.New("incr: AddLevel needs a handle made by NewLevels")
 	case slices.Contains(x.levels, eps):
 		return nil
-	case len(x.levels) == MaxLevels:
-		return fmt.Errorf("incr: the handle keeps %d ε levels already", MaxLevels)
 	}
 	if err := x.checkLevel(eps); err != nil {
 		return err
 	}
-	if x.ev != nil {
-		if err := x.ev.(*core.AnyEvaluator).AddLevel(eps); err != nil {
-			return err
-		}
-	}
 	l, _ := slices.BinarySearch(x.levels, eps)
-	x.levels = slices.Insert(x.levels, l, eps)
+	levels := slices.Insert(slices.Clone(x.levels), l, eps)
+	var err error
+	if x.ev != nil {
+		err = x.ev.(*core.AnyEvaluator).AddLevel(eps)
+	} else {
+		err = core.ValidateLevels(levels) // no evaluator yet to refuse it
+	}
+	if err != nil {
+		return err
+	}
+	x.levels = levels
 	return nil
 }
 

@@ -24,8 +24,19 @@ func TestLevelsHandle(t *testing.T) {
 			t.Errorf("NewLevels(%v) succeeded", bad)
 		}
 	}
-	if _, err := NewLevels(opt, make([]float64, MaxLevels+1)); err == nil {
-		t.Error("NewLevels accepted more than MaxLevels levels")
+	many := make([]float64, core.MaxLevels+1)
+	for i := range many {
+		many[i] = 0.1 * float64(i+1)
+	}
+	if _, err := NewLevels(opt, many); !errors.Is(err, core.ErrTooManyLevels) {
+		t.Errorf("NewLevels over %d levels: %v", len(many), err)
+	}
+	full, err := NewLevels(opt, many[:core.MaxLevels])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.AddLevel(0.05); !errors.Is(err, core.ErrTooManyLevels) {
+		t.Errorf("AddLevel past core.MaxLevels before the first batch: %v", err)
 	}
 	if _, err := NewLevels(core.Options{Metric: geom.L2, Algorithm: core.BoundsCheck}, []float64{0.5}); !errors.Is(err, core.ErrBoundsCheckAny) {
 		t.Errorf("NewLevels under BoundsCheck: %v", err)

@@ -14,10 +14,9 @@
 // bounds its per-axis gap by ε — each endpoint must then lie in one of
 // the two cell layers touching that cut. Those points form the
 // FRONTIER. Tile-local evaluation plus a frontier merge is therefore
-// exact for connected-component (SGB-Any) semantics — both for the
-// SGB-Any pipeline and for the ε-lattice's tiled forest build, which
-// share the frontier probe (Plan.FrontierPairs). SGB-All has no tiled
-// pipeline (docs/pr24-sgball-sequential.md).
+// exact for connected-component (SGB-Any) semantics, which the SGB-Any
+// pipeline relies on (its frontier probe is Plan.FrontierPairs). SGB-All
+// has no tiled pipeline (docs/pr24-sgball-sequential.md).
 //
 // Invariants (exercised by partition_test.go at d ∈ {2, 3, 5}):
 //

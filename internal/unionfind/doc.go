@@ -23,8 +23,7 @@
 //     re-union their survivors.
 //   - Reinit turns a retained forest back into n singletons without
 //     allocating, for callers that rebuild one of about the same size
-//     per call (the ε-lattice's Kruskal compaction, its decremental
-//     repair and its filter).
+//     per call (a restored SGB-Any evaluator planting its forests).
 //
 // Union is commutative and associative over the resulting partition, so
 // any merge order — sequential, sharded, or append-interleaved — yields

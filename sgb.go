@@ -28,9 +28,8 @@
 // when Options.Parallelism (or the SQL session's SET parallelism)
 // selects more than one worker: it shards spatially and merges
 // components through a Union-Find reduction. SweepAny runs the same
-// pipeline with one Union-Find per ε level, and the ε-lattice
-// (NewLatticeAny) builds its first batch's spanning forest the same
-// way, tile by tile, and merges the forests. SGB-All is order-sensitive
+// pipeline with one Union-Find per ε level; NewIncrementalAnyLevels keeps
+// those levels under appends and removals. SGB-All is order-sensitive
 // and always runs the paper's sequential arbitration loop; it accepts
 // the option and ignores it. Groupings are identical at every setting.
 package sgb
@@ -167,20 +166,6 @@ func SweepAny(points []Point, epsList []float64, opt Options) ([]*Result, error)
 // SweepAnySet is SweepAny over flat point storage.
 func SweepAnySet(points *PointSet, epsList []float64, opt Options) ([]*Result, error) {
 	return core.SweepAnySet(points, epsList, opt)
-}
-
-// LatticeAny is a resumable ε-lattice evaluator: append point batches,
-// then answer GroupsAt(ε) for any ε up to the construction bound in
-// near-constant time (plus the O(n) answer materialization), query
-// per-level rollups with SummaryAt, or sweep whole lists with Sweep /
-// SweepSummaries. Unlike Incremental it retains no per-query Stats —
-// pass a counter block per Append call.
-type LatticeAny = core.LatticeEvaluator
-
-// NewLatticeAny returns an empty ε-lattice evaluator over
-// dims-dimensional points answering thresholds up to opt.Eps.
-func NewLatticeAny(dims int, opt Options) (*LatticeAny, error) {
-	return core.NewLatticeEvaluator(dims, opt)
 }
 
 // ConnectedComponents is the brute-force reference implementation of

@@ -47,12 +47,17 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, f *anyForests, workers int) 
 	var frontDists int64
 
 	// Evaluate and frontier stages share the worker pool: both are
-	// read-only over the input and write only worker-private state.
+	// read-only over the input and write only worker-private state. A
+	// worker's panic is recovered into its slot (the frontier probe's is
+	// the last) and the first one is raised again here once every worker
+	// is done, where the caller can recover it.
 	var wg sync.WaitGroup
+	panics := make([]any, len(plan.Tiles)+1)
 	for ti := range plan.Tiles {
 		wg.Add(1)
 		go func(ti int) {
 			defer wg.Done()
+			defer func() { panics[ti] = recover() }()
 			tile := &plan.Tiles[ti]
 			local := opt
 			local.Stats = &tileRes[ti].stats
@@ -63,9 +68,15 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, f *anyForests, workers int) 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer func() { panics[len(plan.Tiles)] = recover() }()
 		front, frontDists = plan.FrontierPairs(ps, opt.Metric, opt.Eps, workers)
 	}()
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 
 	// Merge: fold tile partitions and frontier pairs into the shared
 	// forests. Union-Find merging is order-independent, so the final

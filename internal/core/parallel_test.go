@@ -71,6 +71,33 @@ func TestParallelAnyEquivalence(t *testing.T) {
 	}
 }
 
+// TestPipelineHandsPanicBack: a panic on one of the SGB-Any pipeline's
+// own goroutines — a tile worker or a frontier probe worker — comes
+// back to the goroutine that runs the pipeline, where a caller can
+// recover it, instead of killing the process. An unknown metric, which
+// Options.Validate would have refused, panics in every distance call
+// of both stages.
+func TestPipelineHandsPanicBack(t *testing.T) {
+	ps := geom.FromPoints(randTestPoints(rand.New(rand.NewSource(3)), 600, 2, 6))
+	const eps = 0.3
+	for _, workers := range []int{1, 2, 4} {
+		if workers > 1 {
+			if plan := partition.Split(ps, eps, workers); plan == nil || len(plan.Frontier) == 0 {
+				t.Fatalf("workers=%d: the input does not tile with a frontier", workers)
+			}
+		}
+		opt := Options{Metric: geom.Metric(99), Eps: eps, Algorithm: GridIndex}
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			sgbAnyLevels(ps, opt, []float64{opt.Metric.EpsKey(eps)}, workers)
+			return nil
+		}()
+		if got != "geom: unknown metric" {
+			t.Fatalf("workers=%d: the pipeline handed back %v, want the metric's panic", workers, got)
+		}
+	}
+}
+
 // TestParallelAnyMatchesComponents pins the parallel pipeline to the
 // brute-force connected-components reference, not just to the
 // sequential operator.

@@ -40,6 +40,15 @@
 // than one Next and one append at a time. Every Open builds its rows
 // afresh, so a caller may keep or overwrite them.
 //
+// The SGB node writes its rows into one zeroed backing array, each row
+// clipped to its width, cell by cell and by kind: an INT or FLOAT cell
+// gets Kind and its one payload field, a NULL cell is the zero Value
+// and gets no store, and only a TEXT cell has S written (column.store,
+// sink.put, the sweep's ε column). It never copies a whole Value into
+// a row: the copy includes S's string pointer, so it runs a write
+// barrier while the collector marks, and on a warm statement that was
+// a quarter of the CPU.
+//
 // Invariants: operators follow the Open / Next (nil row = exhausted) /
 // Close contract, may be re-Opened after Close, and never mutate input
 // rows they did not allocate — nor rows a Next returned to them, which

@@ -193,15 +193,22 @@ type sink struct {
 	stride int
 }
 
-// put stores group i's result, packed as a column packs it.
+// put stores group i's result, packed as a column packs it, or into
+// its row cell by kind as column.store writes one: Kind and the payload
+// field, no whole Value (and so no write barrier).
 //
 //sgb:allocfree
 func (s sink) put(i int, kind types.Kind, num uint64) {
-	if s.vals != nil {
-		s.vals[i*s.stride] = unpack(kind, num)
+	if s.vals == nil {
+		s.kinds[i], s.nums[i] = uint8(kind), num
 		return
 	}
-	s.kinds[i], s.nums[i] = uint8(kind), num
+	switch v := &s.vals[i*s.stride]; kind {
+	case types.KindInt:
+		v.Kind, v.I = kind, int64(num)
+	case types.KindFloat:
+		v.Kind, v.F = kind, math.Float64frombits(num)
+	}
 }
 
 // foldTyped folds aggregate a, which in.typed admitted, over every

@@ -114,18 +114,27 @@ func (c column) at(i int) types.Value {
 	return types.Null()
 }
 
-// unpack is the Value a packed (kind, payload) pair stands for — at's
-// switch again, for a sink that writes rows. at does not call it: every
-// warm statement runs at per cell, and routed through here the top-k
-// statements of BenchmarkWarmAnswer read 17–28 % slower.
-func unpack(kind types.Kind, num uint64) types.Value {
-	switch kind {
-	case types.KindInt:
-		return types.Int(int64(num))
-	case types.KindFloat:
-		return types.Float(math.Float64frombits(num))
+// store writes group i's value into v, a zeroed cell of an output row.
+// A packed value is stored by kind — Kind and the one payload field,
+// nothing for a NULL — and a boxed one field by field, S only for TEXT.
+// Row backings are heap memory, and a whole-Value copy into it copies
+// S's string pointer, which runs a write barrier while the collector
+// marks. at stays for the top-k heap, whose keys are Values.
+func (c *column) store(i int, v *types.Value) {
+	if c.vals != nil {
+		if x := &c.vals[i]; x.Kind == types.KindText {
+			v.Kind, v.S = x.Kind, x.S
+		} else {
+			v.Kind, v.I, v.F, v.B = x.Kind, x.I, x.F, x.B
+		}
+		return
 	}
-	return types.Null()
+	switch types.Kind(c.kinds[i]) {
+	case types.KindInt:
+		v.Kind, v.I = types.KindInt, int64(c.nums[i])
+	case types.KindFloat:
+		v.Kind, v.F = types.KindFloat, math.Float64frombits(c.nums[i])
+	}
 }
 
 // column returns the aggregate's value for every group. Keyed

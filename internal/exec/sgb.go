@@ -317,11 +317,11 @@ func (s *SGB) emit(gs []*Grouping, in *foldInput, shared bool) error {
 			row := backing[:width:width]
 			backing = backing[width:]
 			if base == 1 {
-				row[0] = types.Float(s.EpsList[li])
+				row[0].Kind, row[0].F = types.KindFloat, s.EpsList[li]
 			}
 			if shared {
-				for j, col := range cols {
-					row[base+j] = col.at(i)
+				for j := range cols {
+					cols[j].store(i, &row[base+j])
 				}
 			}
 			s.out = append(s.out, row)
@@ -353,8 +353,8 @@ func (s *SGB) emitTop(g *Grouping, in *foldInput) error {
 	s.out = make([]types.Row, len(winners))
 	for r, i := range winners {
 		row := backing[r*width:][:width:width]
-		for j, col := range cols {
-			row[j] = col.at(i)
+		for j := range cols {
+			cols[j].store(i, &row[j])
 		}
 		s.out[r] = row
 	}

@@ -5,12 +5,11 @@ import "testing"
 // Op codes of FuzzGridOps, taken modulo opCount from the first byte of
 // each operation. Every cell coordinate is one signed byte.
 const (
-	opAdd      = iota // cell, id
-	opRemove          // cell, id
-	opBox             // cell, radius in quarter cells
-	opRange           // low corner, one width for every axis
-	opRenumber        //
-	opReset           //
+	opAdd    = iota // cell, id
+	opRemove        // cell, id
+	opBox           // cell, radius in quarter cells
+	opRange         // low corner, one width for every axis
+	opReset         //
 	opCount
 )
 
@@ -54,9 +53,6 @@ func runGridOps(t *testing.T, data []byte) {
 				hi[i] = lo[i] + int64(int(data[0])%maxWidth(d))
 			}
 			m.checkRange(t, lo, hi)
-		case opRenumber:
-			m.renumber()
-			continue
 		case opReset:
 			m.reset()
 			continue
@@ -116,7 +112,7 @@ func (tr *gridTrace) bare(code byte) *gridTrace {
 }
 
 // FuzzGridOps: any sequence of AddPoint / RemovePoint / CollectBox /
-// CollectRange / Renumber / Reset leaves the table answering like the
+// CollectRange / Reset leaves the table answering like the
 // map reference.
 func FuzzGridOps(f *testing.F) {
 	for _, d := range fuzzDims {
@@ -132,8 +128,8 @@ func FuzzGridOps(f *testing.F) {
 		f.Add(tr.data)
 
 		// Removals that leave dead cells inside live blocks and whole
-		// dead blocks, a Renumber over the survivors, then enough new
-		// blocks to force the rebuild that drops the dead ones.
+		// dead blocks, then enough new blocks to force the rebuild that
+		// drops the dead ones.
 		tr = newGridTrace(d)
 		for x := -6; x < 6; x++ {
 			tr.op(opAdd, x, byte(x+6)).op(opAdd, x, byte(x+30))
@@ -144,7 +140,6 @@ func FuzzGridOps(f *testing.F) {
 			}
 		}
 		tr.op(opRemove, 50, 1) // absent block
-		tr.bare(opRenumber)
 		for x := -6; x < 6; x++ {
 			tr.op(opRange, x, 4)
 		}
@@ -164,7 +159,7 @@ func FuzzGridOps(f *testing.F) {
 		for i := 0; i < 40; i += 3 {
 			tr.op(opRemove, -1, byte(i))
 		}
-		tr.op(opBox, -1, 0).bare(opRenumber).op(opBox, -1, 0)
+		tr.op(opBox, -1, 0)
 		tr.bare(opReset).op(opBox, -1, 4).op(opAdd, -1, 9).op(opAdd, 0, 9).op(opRange, -2, 3)
 		f.Add(tr.data)
 	}

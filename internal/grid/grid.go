@@ -512,21 +512,6 @@ func (t *Table) RemovePoint(p []float64, id int32) {
 	}
 }
 
-// Renumber rewrites every registered id through rank (id → rank[id]) in
-// one linear pass over the slab arena — no hashing, no cell moves. It is
-// how a caller whose ids are dense array positions closes the holes a
-// batch of removals left: unregister the removed ids first, then
-// renumber the rest by their monotone rank. Freed slabs hold no ids
-// (n = 0), so the pass touches live registrations only.
-func (t *Table) Renumber(rank []int32) {
-	for i := range t.slabs {
-		sl := &t.slabs[i]
-		for k := int32(0); k < sl.n; k++ {
-			sl.ids[k] = rank[sl.ids[k]]
-		}
-	}
-}
-
 // CollectBox appends the ids registered in the cells covered by the box
 // [center-radius, center+radius] — the probe neighborhood — to buf.
 // The d = 1/2/3 cases run as plain loop nests over scalar coordinates;

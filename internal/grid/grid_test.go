@@ -324,33 +324,6 @@ func (m *model) reset() {
 	clear(m.ref)
 }
 
-// renumber closes ranks the way the maintained evaluators do: the ids
-// still registered, in ascending order, become 0, 1, 2, ...
-func (m *model) renumber() {
-	var present []int32
-	for _, rc := range m.ref {
-		present = append(present, rc.ids...)
-	}
-	if len(present) == 0 {
-		return
-	}
-	slices.Sort(present)
-	present = slices.Compact(present)
-	rank := make([]int32, present[len(present)-1]+1)
-	for i := range rank {
-		rank[i] = -1
-	}
-	for i, id := range present {
-		rank[id] = int32(i)
-	}
-	m.g.Renumber(rank)
-	for _, rc := range m.ref {
-		for i, id := range rc.ids {
-			rc.ids[i] = rank[id]
-		}
-	}
-}
-
 // want lists the reference's ids over the inclusive cell range.
 func (m *model) want(lo, hi []int64) []int32 {
 	var ids []int32
@@ -418,7 +391,7 @@ func maxQuarters(d int) int {
 }
 
 // TestCrossCheckAgainstMapReference drives randomized AddPoint /
-// RemovePoint / CollectBox / CollectRange / Renumber / Reset traffic
+// RemovePoint / CollectBox / CollectRange / Reset traffic
 // over a tiny mixed-sign coordinate universe — both parities of every
 // axis, so every cell of a block, and forcing hash-slot collisions,
 // dead cells and blocks, and load-factor rebuilds — and demands
@@ -447,11 +420,8 @@ func TestCrossCheckAgainstMapReference(t *testing.T) {
 				case 3, 4:
 					m.remove(randCell(), int32(r.Intn(50)))
 				case 5:
-					switch r.Intn(200) {
-					case 0:
+					if r.Intn(200) == 0 {
 						m.reset()
-					case 1, 2:
-						m.renumber()
 					}
 				case 6:
 					// The closure's single-cell collect, and boxes up to
@@ -709,47 +679,5 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 				t.Fatalf("d=%d post-remove probe %d: bulk %v vs incremental %v", d, i, b1, b2)
 			}
 		}
-	}
-}
-
-// TestRenumber: ids follow the rank map in place — across slab chains,
-// and with freed slabs on the freelist left alone.
-func TestRenumber(t *testing.T) {
-	g := New(2, 1)
-	c, other := []int64{0, 0}, []int64{5, 5}
-	const n = 3*slabIDs + 2 // a three-slab chain plus a partial head
-	for id := int32(0); id < n; id++ {
-		g.AddPoint(cellCenter(g, c), id)
-	}
-	for id := int32(n); id < n+20; id++ {
-		g.AddPoint(cellCenter(g, other), id)
-	}
-	// Remove the even ids of the long cell (frees slabs), then close ranks.
-	rank := make([]int32, n+20)
-	next := int32(0)
-	for id := range rank {
-		if id < n && id%2 == 0 {
-			g.RemovePoint(cellCenter(g, c), int32(id))
-			rank[id] = -1
-			continue
-		}
-		rank[id] = next
-		next++
-	}
-	g.Renumber(rank)
-	got := append(cellIDs(g, c), cellIDs(g, other)...)
-	slices.Sort(got)
-	if len(got) != int(next) {
-		t.Fatalf("%d ids registered after Renumber, want %d", len(got), next)
-	}
-	for i, id := range got {
-		if id != int32(i) {
-			t.Fatalf("ids after Renumber = %v, want 0..%d", got, next-1)
-		}
-	}
-	// Recycled slabs must come back clean.
-	g.AddPoint(cellCenter(g, c), next)
-	if ids := cellIDs(g, c); !slices.Contains(ids, next) || len(ids) != n/2+1 {
-		t.Fatalf("AddPoint after Renumber: cell holds %v", ids)
 	}
 }

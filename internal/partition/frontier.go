@@ -23,17 +23,21 @@ type Pair struct {
 // each with a private Cursor, and a pair is kept once — by its higher-id
 // endpoint — when its exact key passes. The pairs come back one slice
 // per worker, in no global order. Every frontier point is probed once;
-// dists counts the key evaluations.
+// dists counts the key evaluations. A worker's panic is recovered, and
+// the first one is raised again on the calling goroutine once every
+// worker is done.
 func (p *Plan) FrontierPairs(ps *geom.PointSet, metric geom.Metric, eps float64, workers int) (pairs [][]Pair, dists int64) {
 	ftab := grid.BulkLoad(ps.Gather(p.Frontier), eps)
 	epsKey := metric.EpsKey(eps)
 	pairs = make([][]Pair, workers)
 	counts := make([]int64, workers)
+	panics := make([]any, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() { panics[w] = recover() }()
 			var cur grid.Cursor
 			var buf []int32
 			var out []Pair
@@ -56,6 +60,11 @@ func (p *Plan) FrontierPairs(ps *geom.PointSet, metric geom.Metric, eps float64,
 		}(w)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for _, n := range counts {
 		dists += n
 	}

@@ -79,8 +79,13 @@ const maxDecodeCount = 1 << 26
 // errors stick: after the first failure every method returns zero
 // values and Err reports the cause, so call sites read fields linearly
 // and check once.
+//
+// The read position is an index into b rather than a re-sliced b:
+// advancing it stores no pointer, so decoding runs no write barrier
+// while the collector marks.
 type Decoder struct {
 	b   []byte
+	off int // b[off:] is unconsumed
 	err error
 }
 
@@ -91,7 +96,7 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 func (d *Decoder) Err() error { return d.err }
 
 // Len returns the number of unconsumed bytes.
-func (d *Decoder) Len() int { return len(d.b) }
+func (d *Decoder) Len() int { return len(d.b) - d.off }
 
 func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
@@ -104,12 +109,12 @@ func (d *Decoder) Byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	if len(d.b) < 1 {
+	if d.Len() < 1 {
 		d.fail("truncated byte")
 		return 0
 	}
-	v := d.b[0]
-	d.b = d.b[1:]
+	v := d.b[d.off]
+	d.off++
 	return v
 }
 
@@ -118,12 +123,12 @@ func (d *Decoder) U32() uint32 {
 	if d.err != nil {
 		return 0
 	}
-	if len(d.b) < 4 {
+	if d.Len() < 4 {
 		d.fail("truncated uint32")
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
+	v := binary.LittleEndian.Uint32(d.b[d.off:])
+	d.off += 4
 	return v
 }
 
@@ -132,12 +137,12 @@ func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	if len(d.b) < 8 {
+	if d.Len() < 8 {
 		d.fail("truncated uint64")
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
+	v := binary.LittleEndian.Uint64(d.b[d.off:])
+	d.off += 8
 	return v
 }
 
@@ -158,41 +163,77 @@ func (d *Decoder) String() string {
 	if d.err != nil {
 		return ""
 	}
-	if len(d.b) < n {
+	if d.Len() < n {
 		d.fail("truncated string of length %d", n)
 		return ""
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
+	s := string(d.b[d.off : d.off+n])
+	d.off += n
 	return s
 }
 
+// skip consumes n bytes.
+func (d *Decoder) skip(n int) {
+	if d.err != nil {
+		return
+	}
+	if d.Len() < n {
+		d.fail("truncated value of %d bytes", n)
+		return
+	}
+	d.off += n
+}
+
 // Value consumes one SQL value.
-func (d *Decoder) Value() types.Value {
+func (d *Decoder) Value() (v types.Value) {
+	d.valueInto(&v)
+	return v
+}
+
+// valueInto consumes one SQL value into *v, which must be the zero
+// Value. It stores Kind and the kind's payload fields only: nothing for
+// NULL, S only for TEXT. A whole-Value copy into heap memory copies S's
+// string pointer, which runs a write barrier while the collector marks.
+func (d *Decoder) valueInto(v *types.Value) {
 	kind := types.Kind(d.Byte())
 	if d.err != nil {
-		return types.Value{}
+		return
 	}
 	switch kind {
 	case types.KindNull:
-		return types.Null()
-	case types.KindInt:
-		return types.Int(int64(d.U64()))
-	case types.KindDate:
-		return types.Date(int64(d.U64()))
+		return
+	case types.KindInt, types.KindDate:
+		v.I = int64(d.U64())
 	case types.KindFloat:
-		return types.Float(math.Float64frombits(d.U64()))
+		v.F = math.Float64frombits(d.U64())
 	case types.KindText:
-		return types.Text(d.String())
+		v.S = d.String()
 	case types.KindBool:
-		return types.Bool(d.Byte() != 0)
+		v.B = d.Byte() != 0
 	case types.KindInterval:
-		i := int64(d.U64())
-		f := math.Float64frombits(d.U64())
-		return types.Interval(i, f)
+		v.I = int64(d.U64())
+		v.F = math.Float64frombits(d.U64())
 	default:
 		d.fail("unknown value kind %d", int(kind))
-		return types.Value{}
+		return
+	}
+	v.Kind = kind
+}
+
+// skipValue consumes one SQL value without decoding it.
+func (d *Decoder) skipValue() {
+	switch kind := types.Kind(d.Byte()); kind {
+	case types.KindNull:
+	case types.KindInt, types.KindDate, types.KindFloat:
+		d.skip(8)
+	case types.KindText:
+		d.skip(d.Count())
+	case types.KindBool:
+		d.skip(1)
+	case types.KindInterval:
+		d.skip(16)
+	default:
+		d.fail("unknown value kind %d", int(kind))
 	}
 }
 
@@ -204,7 +245,7 @@ func (d *Decoder) Row() types.Row {
 	}
 	// Every value is at least its kind byte, so the bytes that remain
 	// bound the row: an announced count alone reserves nothing.
-	row := make(types.Row, 0, min(n, len(d.b)))
+	row := make(types.Row, 0, min(n, d.Len()))
 	for i := 0; i < n; i++ {
 		row = append(row, d.Value())
 		if d.err != nil {
@@ -212,6 +253,41 @@ func (d *Decoder) Row() types.Row {
 		}
 	}
 	return row
+}
+
+// Rows consumes n encoded rows into one backing array, for a reader
+// that keeps a whole row set (a wire response; WAL replay and snapshot
+// load use Row). A first pass counts the values the bytes actually
+// hold, so the array is sized from the payload, never from an announced
+// count; the second decodes each value into its zeroed cell
+// (valueInto). Every row's capacity is clipped to its length, so
+// appending to one row cannot overwrite the next.
+func (d *Decoder) Rows(n int) []types.Row {
+	probe, total := *d, 0
+	for i := 0; i < n && probe.err == nil; i++ {
+		k := probe.Count()
+		for j := 0; j < k && probe.err == nil; j++ {
+			probe.skipValue()
+		}
+		total += k
+	}
+	if probe.err != nil {
+		d.err = probe.err
+		return nil
+	}
+	// Every row is at least its 4-byte count, so n is bounded too now.
+	backing := make([]types.Value, total)
+	rows := make([]types.Row, n)
+	for i := range rows {
+		k := d.Count()
+		row := backing[:k:k]
+		backing = backing[k:]
+		for j := range row {
+			d.valueInto(&row[j])
+		}
+		rows[i] = row
+	}
+	return rows
 }
 
 // Record types: one logical table mutation per WAL frame. Frames are

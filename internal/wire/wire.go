@@ -178,20 +178,17 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	resp := &Response{}
 	switch t := d.Byte(); t {
 	case MsgRows:
-		// A column name and a row are each at least their 4-byte count,
-		// so the bytes that remain bound both slices; the announced
-		// counts alone reserve nothing, and a failed decode stops the
-		// loop instead of appending to the announced length.
+		// A column name is at least its 4-byte count, so the bytes that
+		// remain bound the slice; the announced count alone reserves
+		// nothing, and a failed decode stops the loop instead of
+		// appending to the announced length. The rows share one backing
+		// array sized by the values the payload holds (wal.Decoder.Rows).
 		ncols := d.Count()
 		resp.Columns = make([]string, 0, min(ncols, d.Len()/4))
 		for i := 0; i < ncols && d.Err() == nil; i++ {
 			resp.Columns = append(resp.Columns, d.String())
 		}
-		nrows := d.Count()
-		resp.Data = make([]types.Row, 0, min(nrows, d.Len()/4))
-		for i := 0; i < nrows && d.Err() == nil; i++ {
-			resp.Data = append(resp.Data, d.Row())
-		}
+		resp.Data = d.Rows(d.Count())
 		resp.Count = len(resp.Data)
 	case MsgCount:
 		resp.Count = int(d.U64())

@@ -212,3 +212,54 @@ func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
 		t.Fatalf("%d-byte frame: got %d bytes, %v", len(big), len(p), err)
 	}
 }
+
+// numericRows is a result set of n rows of four numeric cells, NULLs
+// among them — the shape of a similarity query's aggregate rows.
+func numericRows(n int) (cols []string, rows []types.Row) {
+	cols = []string{"count", "avg", "max", "min"}
+	rows = make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i)), types.Float(float64(i) / 3), types.Int(int64(-i)), types.Null()}
+	}
+	return cols, rows
+}
+
+// TestDecodeResponseAllocs: decoding a row set costs a constant number
+// of allocations whatever its row count — the response, the column
+// names, the row headers and one backing array for every cell — and its
+// rows are independent: appending to one leaves the next unchanged.
+func TestDecodeResponseAllocs(t *testing.T) {
+	cols, rows := numericRows(1000)
+	payload := EncodeRows(cols, rows)
+	var resp *Response
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if resp, err = DecodeResponse(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// *Response, Columns and its four strings, Data, the backing (and
+	// the Decoder, should it escape).
+	if limit := float64(9 + len(cols)); allocs > limit {
+		t.Fatalf("decoding %d rows: %.0f allocations, want at most %.0f", len(rows), allocs, limit)
+	}
+	if !reflect.DeepEqual(resp.Data, rows) {
+		t.Fatal("decoded rows differ from the encoded ones")
+	}
+	next := resp.Data[1][0]
+	if _ = append(resp.Data[0], types.Text("appended")); resp.Data[1][0] != next {
+		t.Fatalf("appending to row 0 overwrote row 1: %v", resp.Data[1])
+	}
+}
+
+func BenchmarkDecodeResponse(b *testing.B) {
+	cols, rows := numericRows(1000)
+	payload := EncodeRows(cols, rows)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeResponse(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -308,14 +308,20 @@ func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
 	key, p := e.f.keys[l], ps.At(int(u))
 	opt.Stats.addProbe(1)
 	g.buf = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, e.eps[l]), g.buf[:0])
-	rm.probePos, rm.probeKey = rm.probePos[:0], rm.probeKey[:0]
+	n := 0
 	for _, w := range g.buf {
-		if w == u {
-			continue
+		if w != u {
+			g.buf[n] = w
+			n++
 		}
-		opt.Stats.addDist(1)
-		if k := ps.DistKey(opt.Metric, int(u), int(w)); k <= key {
-			rm.probePos, rm.probeKey = append(rm.probePos, w), append(rm.probeKey, k)
+	}
+	g.buf = g.buf[:n]
+	opt.Stats.addDist(int64(n))
+	g.keys = ps.AppendDistKeys(g.keys[:0], opt.Metric, p, g.buf)
+	rm.probePos, rm.probeKey = rm.probePos[:0], rm.probeKey[:0]
+	for k, w := range g.buf {
+		if g.keys[k] <= key {
+			rm.probePos, rm.probeKey = append(rm.probePos, w), append(rm.probeKey, g.keys[k])
 		}
 	}
 	if l > 0 {

@@ -103,12 +103,13 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, f *anyForests, workers int) 
 
 // sgbAnyLocal runs one SGB-Any evaluation over a (sub-)PointSet into f
 // — the tile-local evaluate stage, shared with the sequential path in
-// sgbAnyLevels. One level drives the resumable anyIndex step of the
-// strategy opt names, the one the incremental evaluator runs, over the
-// whole input at once; several levels drive the ε-grid's stepLevels.
+// sgbAnyLevels. The ε-grid absorbs each point at every level of f at
+// once (anyGrid.stepLevels, the step the incremental evaluator runs),
+// one level or several; the comparison strategies All-Pairs and the
+// R-tree, which only single-ε runs name, step the one level.
 func sgbAnyLocal(ps *geom.PointSet, opt Options, f *anyForests) {
-	if len(f.ufs) == 1 {
-		ix := newAnyIndex(ps.Dims(), ps.Len(), opt)
+	if opt.Algorithm != GridIndex {
+		ix := newAnyIndex(ps.Dims(), opt)
 		for i := 0; i < ps.Len(); i++ {
 			ix.step(ps, i, opt, f.ufs[0])
 		}

@@ -13,14 +13,15 @@ import (
 // that survives between calls so that new points can be appended to an
 // existing grouping without recomputing it. The one-shot entry points
 // (SGBAllSet / SGBAnySet) and the evaluators below share every
-// per-point step — processOne for SGB-All, anyIndex.step for SGB-Any —
-// so an incremental run over batches b1, b2, ... produces exactly the
-// grouping of a one-shot run over their concatenation. (For SGB-All
-// the retained state is bit-identical after the same point sequence;
-// for SGB-Any under the grid strategy the Morton preprocessing sorts
-// per batch rather than globally, so internal processing order may
-// differ from one-shot — harmless, as components are order-independent
-// and both sides report input-order ids in canonical order.)
+// per-point step — processOne for SGB-All, anyGrid.stepLevels for
+// SGB-Any — so an incremental run over batches b1, b2, ... produces
+// exactly the grouping of a one-shot run over their concatenation. (For
+// SGB-All the retained state is bit-identical after the same point
+// sequence; for SGB-Any under the grid strategy the Morton
+// preprocessing sorts per batch rather than globally, so internal
+// processing order may differ from one-shot — harmless, as components
+// are order-independent and both sides report input-order ids in
+// canonical order.)
 //
 // The companion work on order-independent SGB semantics (PAPERS.md:
 // "On Order-independent Semantics of the Similarity Group-By
@@ -536,11 +537,11 @@ func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) 
 
 // probePass links every pair of live points within eps, the top of f,
 // into f, each from its later stored position: one probe pass over the
-// live points. It fills a level the evaluator did not hold and plants
-// the forests of a restored one.
+// live points, each probe's earlier candidates joining it as an
+// append's do (anyGrid.join). It fills a level the evaluator did not
+// hold and plants the forests of a restored one.
 func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
 	ps, opt, g := e.points, e.opt, e.ix
-	top := f.keys[len(f.keys)-1]
 	for i := 0; i < ps.Len(); i++ {
 		if e.alive != nil && !e.alive[i] {
 			continue
@@ -548,14 +549,15 @@ func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
 		opt.Stats.addProbe(1)
 		p := ps.At(i)
 		g.buf = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, eps), g.buf[:0])
-		for _, j32 := range g.buf {
-			if j := int(j32); j < i {
-				opt.Stats.addDist(1)
-				if key := ps.DistKey(opt.Metric, i, j); key <= top {
-					opt.Stats.addMerge(f.union(i, j, key))
-				}
+		n := 0
+		for _, j := range g.buf {
+			if int(j) < i {
+				g.buf[n] = j
+				n++
 			}
 		}
+		g.buf = g.buf[:n]
+		g.join(ps, i, opt, f)
 	}
 }
 

@@ -164,6 +164,18 @@ func newAnyForests(keys []float64, n int) *anyForests {
 	return f
 }
 
+// level returns the lowest level whose threshold is at least key, which
+// must not exceed the top level's: the one rule for "at which levels
+// does this pair join". The scan starts at the top, where most pairs a
+// top-ε probe finds land — they fill the outer rings of its ball.
+func (f *anyForests) level(key float64) int {
+	b := len(f.keys) - 1
+	for b > 0 && key <= f.keys[b-1] {
+		b--
+	}
+	return b
+}
+
 // union records the edge (i, j) of comparison key key, which must not
 // exceed the top level's: i and j join at the lowest level whose
 // threshold the key does not exceed and at each level above it, up to
@@ -171,17 +183,14 @@ func newAnyForests(keys []float64, n int) *anyForests {
 // higher level too, as each level refines the next. It returns the
 // number of merges.
 func (f *anyForests) union(i, j int, key float64) int64 {
-	b := 0
-	for key > f.keys[b] {
-		b++
-	}
 	var merged int64
-	for l := b; l < len(f.ufs); l++ {
+	for l := f.level(key); l < len(f.ufs); l++ {
 		uf := f.ufs[l]
-		sets := uf.Count()
-		if uf.Union(i, j); uf.Count() == sets {
+		ri, rj := uf.Find(i), uf.Find(j)
+		if ri == rj {
 			break
 		}
+		uf.Link(ri, rj)
 		if f.trees != nil {
 			f.trees[l].link(i, j)
 		}
@@ -275,27 +284,27 @@ type errValue string
 
 func (e errValue) Error() string { return string(e) }
 
-// anyIndex is one Points_IX strategy of the one-shot strategy
-// comparison: step absorbs point i — it finds i's within-ε neighbors
-// among the points absorbed before it, merges their components in uf,
-// and registers i for future probes. Maintained evaluation
-// (AnyEvaluator) always runs on the concrete *anyGrid, which drives the
-// very same step, so appending batches cannot drift from a one-shot run.
+// anyIndex is one of the comparison Points_IX strategies of the
+// one-shot strategy comparison, All-Pairs and the R-tree: step absorbs
+// point i — it finds i's within-ε neighbors among the points absorbed
+// before it, merges their components in uf, and registers i for future
+// probes. The ε-grid is not one of them: it absorbs a point at every
+// level at once (anyGrid.stepLevels), single-ε being the one-level case,
+// and it is the one index of maintained evaluation (AnyEvaluator), so
+// appending batches cannot drift from a one-shot run.
 type anyIndex interface {
 	step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
 }
 
-// newAnyIndex instantiates the Points_IX strategy selected by the
-// options (BoundsCheck is rejected earlier; see errBoundsCheckAny).
-// sizeHint presizes the grid directory to the input size.
-func newAnyIndex(dims, sizeHint int, opt Options) anyIndex {
+// newAnyIndex instantiates the comparison strategy the options name
+// (BoundsCheck is rejected earlier; see ErrBoundsCheckAny, and the
+// ε-grid is newAnyGrid).
+func newAnyIndex(dims int, opt Options) anyIndex {
 	switch opt.Algorithm {
 	case AllPairs:
 		return anyAllPairs{}
 	case OnTheFlyIndex:
 		return &anyRTree{ix: rtree.New(dims)}
-	case GridIndex:
-		return newAnyGrid(dims, sizeHint, opt.Eps)
 	default:
 		panic("core: unknown SGB-Any algorithm")
 	}
@@ -363,20 +372,25 @@ func (a *anyRTree) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
 // in its home cell, and the neighbors of an incoming point are found by
 // scanning the 3^d cells its ε-box covers. The cell neighborhood
 // over-approximates the ε-ball under both metrics, so every hit is
-// verified by an exact distance test. Union-Find merging is
+// verified by its exact comparison key. Union-Find merging is
 // order-independent, so the resulting components are identical to the
 // other strategies — and, unlike the SGB-All finder, the probe needs no
 // sort or dedup: each point lives in exactly one cell, and merge order
 // cannot influence the components.
 //
-// It is also the one index under maintained evaluation: stepLevels
-// absorbs an appended point at every level, remove unregisters a
-// deleted point, and add registers one without probing (the compaction
-// and restore rebuilds, where components are already known).
+// It absorbs a point at every level of an anyForests at once
+// (stepLevels), for the one-shot sweep, single-ε SGB-Any (one level)
+// and maintained evaluation alike: remove unregisters a deleted point,
+// and add registers one without probing (the compaction and restore
+// rebuilds, where components are already known).
 type anyGrid struct {
-	tab *grid.Table
-	cur grid.Cursor
-	buf []int32
+	tab  *grid.Table
+	cur  grid.Cursor
+	buf  []int32   // a probe's candidates
+	keys []float64 // their comparison keys
+	// roots holds the probing point's root at each level while its
+	// candidates join it (join).
+	roots []int
 }
 
 // newAnyGrid presizes the directory for sizeHint points (0: grow).
@@ -384,43 +398,53 @@ func newAnyGrid(dims, sizeHint int, eps float64) *anyGrid {
 	return &anyGrid{tab: grid.NewCap(dims, eps, sizeHint)}
 }
 
-func (a *anyGrid) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
-	metric, eps := opt.Metric, opt.Eps
+// stepLevels absorbs point i at every level of f: it probes at the top
+// level's ε (opt.Eps), each candidate within it joins i at the levels
+// its key reaches (join), and i registers for later probes.
+func (a *anyGrid) stepLevels(ps *geom.PointSet, i int, opt Options, f *anyForests) {
 	p := ps.At(i)
 	opt.Stats.addProbe(1)
-	a.buf = a.tab.CollectBox(&a.cur, p, eps, a.buf[:0])
-	for _, j32 := range a.buf {
-		j := int(j32)
-		opt.Stats.addDist(1)
-		if !metric.Within(p, ps.At(j), eps) {
-			continue
-		}
-		if uf.Find(i) != uf.Find(j) {
-			opt.Stats.addMerge(1)
-			uf.Union(i, j)
-		}
-	}
+	a.buf = a.tab.CollectBox(&a.cur, p, opt.Eps, a.buf[:0])
+	a.join(ps, i, opt, f)
 	opt.Stats.addUpdate(1)
 	a.tab.AddPoint(p, int32(i))
 }
 
-// stepLevels is step over every level of f at once: point i probes at
-// the top level's ε (opt.Eps), and each candidate within it joins i at
-// the levels its key reaches (anyForests.union).
-func (a *anyGrid) stepLevels(ps *geom.PointSet, i int, opt Options, f *anyForests) {
-	metric, top := opt.Metric, f.keys[len(f.keys)-1]
-	p := ps.At(i)
-	opt.Stats.addProbe(1)
-	a.buf = a.tab.CollectBox(&a.cur, p, opt.Eps, a.buf[:0])
-	for _, j32 := range a.buf {
-		j := int(j32)
-		opt.Stats.addDist(1)
-		if key := ps.DistKey(metric, i, j); key <= top {
-			opt.Stats.addMerge(f.union(i, j, key))
+// join links point i to each candidate in a.buf whose comparison key is
+// within f's top level, at the levels the key reaches — anyForests.union
+// for every candidate, at the cost of one key and one Find: the keys
+// come from one kernel call, i's root at each level is read once and
+// kept current across its merges, and a candidate is found at the lowest
+// level its key reaches only, which ends its work when the two already
+// share a set there. Every candidate counts as a distance computation.
+func (a *anyGrid) join(ps *geom.PointSet, i int, opt Options, f *anyForests) {
+	opt.Stats.addDist(int64(len(a.buf)))
+	a.keys = ps.AppendDistKeys(a.keys[:0], opt.Metric, ps.At(i), a.buf)
+	a.roots = a.roots[:0]
+	for _, uf := range f.ufs {
+		a.roots = append(a.roots, uf.Find(i))
+	}
+	top := f.keys[len(f.keys)-1]
+	var merged int64
+	for k, key := range a.keys {
+		if key > top {
+			continue
+		}
+		j := int(a.buf[k])
+		for l := f.level(key); l < len(f.ufs); l++ {
+			uf := f.ufs[l]
+			rj := uf.Find(j)
+			if rj == a.roots[l] {
+				break
+			}
+			a.roots[l] = uf.Link(a.roots[l], rj)
+			if f.trees != nil {
+				f.trees[l].link(i, j)
+			}
+			merged++
 		}
 	}
-	opt.Stats.addUpdate(1)
-	a.tab.AddPoint(p, int32(i))
+	opt.Stats.addMerge(merged)
 }
 
 func (a *anyGrid) remove(ps *geom.PointSet, i int, opt Options) {

@@ -3,6 +3,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // PointSet is flat storage for a sequence of points of uniform
@@ -241,4 +242,46 @@ func (s *PointSet) Within(m Metric, i, j int, eps float64) bool {
 // — the value Within tests against m.EpsKey(eps). See Metric.DistKey.
 func (s *PointSet) DistKey(m Metric, i, j int) float64 {
 	return m.distKeyCoords(s.At(i), s.At(j))
+}
+
+// AppendDistKeys appends to dst the comparison key of p against each
+// point the ids name, in order — bit for bit DistKey of p's own index
+// and each id — and returns the extended slice. It is the one key
+// kernel of an ε-grid probe: the candidates a probe collects are keyed
+// in one call. d = 2 runs a per-metric loop that mirrors
+// distKeyCoords term for term; other dimensionalities call it per id.
+//
+//sgb:allocfree
+func (s *PointSet) AppendDistKeys(dst []float64, m Metric, p Point, ids []int32) []float64 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(ids))[:n+len(ids)]
+	out := dst[n:]
+	switch dims := s.dims; {
+	case dims == 2 && m == L2:
+		px, py := p[0], p[1]
+		for k, j := range ids {
+			q := s.data[2*int(j) : 2*int(j)+2 : 2*int(j)+2]
+			dx := px - q[0]
+			dy := py - q[1]
+			out[k] = dx*dx + dy*dy
+		}
+	case dims == 2 && m == LInf:
+		px, py := p[0], p[1]
+		for k, j := range ids {
+			q := s.data[2*int(j) : 2*int(j)+2 : 2*int(j)+2]
+			var mx float64
+			if d := math.Abs(px - q[0]); d > mx {
+				mx = d
+			}
+			if d := math.Abs(py - q[1]); d > mx {
+				mx = d
+			}
+			out[k] = mx
+		}
+	default:
+		for k, j := range ids {
+			out[k] = m.distKeyCoords(p, s.At(int(j)))
+		}
+	}
+	return dst
 }

@@ -75,6 +75,13 @@ func (u *UF) Union(x, y int) int {
 	if rx == ry {
 		return rx
 	}
+	return u.Link(rx, ry)
+}
+
+// Link merges the sets of the roots rx and ry, which must be two
+// distinct roots, by Union's rank rule and returns the merged set's
+// root: Union for a caller that already holds both roots.
+func (u *UF) Link(rx, ry int) int {
 	// Union by rank: attach the shorter tree under the taller one.
 	if u.rank[rx] < u.rank[ry] {
 		rx, ry = ry, rx

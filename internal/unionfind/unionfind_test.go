@@ -2,6 +2,7 @@ package unionfind
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,6 +184,31 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	for i, c := range cases {
 		if _, ok := Restore(c.parent, c.rank, c.count); ok {
 			t.Fatalf("case %d: corrupt snapshot accepted", i)
+		}
+	}
+}
+
+// TestLinkMatchesUnion: linking two roots leaves the forest exactly as
+// Union of the same two elements does from the same state — parent,
+// rank and count — and returns the same root, whichever root is taller
+// or first.
+func TestLinkMatchesUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	u := New(200)
+	for step := 0; u.Count() > 1; step++ {
+		var rx, ry int
+		for rx == ry {
+			rx, ry = u.Find(r.Intn(u.Len())), u.Find(r.Intn(u.Len()))
+		}
+		parent, rank, count := u.Snapshot()
+		viaUnion, _ := Restore(parent, rank, count)
+		wantRoot := viaUnion.Union(rx, ry)
+		gotRoot := u.Link(rx, ry)
+		gp, gr, gc := u.Snapshot()
+		wp, wr, wc := viaUnion.Snapshot()
+		if gotRoot != wantRoot || gc != wc || !slices.Equal(gp, wp) || !slices.Equal(gr, wr) {
+			t.Fatalf("step %d: Link(%d, %d) = %d (count %d), Union = %d (count %d); parent or rank differ",
+				step, rx, ry, gotRoot, gc, wantRoot, wc)
 		}
 	}
 }

@@ -304,24 +304,24 @@ func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
 		end := at + rm.nbPos[at-1]
 		return rm.nbPos[at:end], rm.nbKey[at:end]
 	}
-	ps, opt, g := e.points, e.opt, e.ix
+	ps, opt, g, j := e.points, e.opt, e.ix, &e.join
 	key, p := e.f.keys[l], ps.At(int(u))
 	opt.Stats.addProbe(1)
-	g.buf = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, e.eps[l]), g.buf[:0])
+	j.ids = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, e.eps[l]), j.ids[:0])
 	n := 0
-	for _, w := range g.buf {
+	for _, w := range j.ids {
 		if w != u {
-			g.buf[n] = w
+			j.ids[n] = w
 			n++
 		}
 	}
-	g.buf = g.buf[:n]
+	j.ids = j.ids[:n]
 	opt.Stats.addDist(int64(n))
-	g.keys = ps.AppendDistKeys(g.keys[:0], opt.Metric, p, g.buf)
+	j.keys = ps.AppendDistKeys(j.keys[:0], opt.Metric, p, j.ids)
 	rm.probePos, rm.probeKey = rm.probePos[:0], rm.probeKey[:0]
-	for k, w := range g.buf {
-		if g.keys[k] <= key {
-			rm.probePos, rm.probeKey = append(rm.probePos, w), append(rm.probeKey, g.keys[k])
+	for k, w := range j.ids {
+		if j.keys[k] <= key {
+			rm.probePos, rm.probeKey = append(rm.probePos, w), append(rm.probeKey, j.keys[k])
 		}
 	}
 	if l > 0 {

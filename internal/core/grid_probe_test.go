@@ -78,11 +78,12 @@ func checkMerges(t *testing.T, what string, n int, levels []*Result, st *Stats) 
 	}
 }
 
-// TestGridProbeLevelBoundaries runs the ε-grid probe where the level
-// rule is tested hardest — pairs exactly on each level's key and on the
-// top key — one-shot at one and two workers, single-ε on the same step,
-// and through AnyEvaluator.Append in batches, holding every level to
-// SGBAnySet under All-Pairs and the merge count to the partitions.
+// TestGridProbeLevelBoundaries runs the join where the level rule is
+// tested hardest — pairs exactly on each level's key and on the top key
+// — through every finder, one-shot sweep and single-ε at one and two
+// workers, and through AnyEvaluator.Append in batches, holding every
+// level to SGBAnySet under All-Pairs and the merge count to the
+// partitions.
 func TestGridProbeLevelBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(3502))
 	tiled := 0
@@ -110,23 +111,26 @@ func TestGridProbeLevelBoundaries(t *testing.T) {
 					if par == 2 && partition.Split(ps, levels[len(levels)-1], 2) != nil {
 						tiled++
 					}
-					st := &Stats{}
-					got, err := SweepAnySet(ps, levels, Options{Metric: m, Parallelism: par, Stats: st})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for l := range levels {
-						same(fmt.Sprintf("sweep w=%d", par), l, got[l])
-					}
-					checkMerges(t, fmt.Sprintf("%s sweep w=%d", what, par), n, got, st)
-					for l, eps := range levels {
+					for _, alg := range anyStrategies {
+						how := fmt.Sprintf("%v w=%d", alg, par)
 						st := &Stats{}
-						res, err := SGBAnySet(ps, Options{Metric: m, Eps: eps, Algorithm: GridIndex, Parallelism: par, Stats: st})
+						got, err := SweepAnySet(ps, levels, Options{Metric: m, Algorithm: alg, Parallelism: par, Stats: st})
 						if err != nil {
 							t.Fatal(err)
 						}
-						same(fmt.Sprintf("single-ε w=%d", par), l, res)
-						checkMerges(t, fmt.Sprintf("%s single-ε %v w=%d", what, eps, par), n, []*Result{res}, st)
+						for l := range levels {
+							same("sweep "+how, l, got[l])
+						}
+						checkMerges(t, what+" sweep "+how, n, got, st)
+						for l, eps := range levels {
+							st := &Stats{}
+							res, err := SGBAnySet(ps, Options{Metric: m, Eps: eps, Algorithm: alg, Parallelism: par, Stats: st})
+							if err != nil {
+								t.Fatal(err)
+							}
+							same("single-ε "+how, l, res)
+							checkMerges(t, fmt.Sprintf("%s single-ε %v %s", what, eps, how), n, []*Result{res}, st)
+						}
 					}
 				}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -12,7 +13,6 @@ import (
 	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/partition"
-	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
 // The randomized parallel↔sequential equivalence suite: SGB-Any's
@@ -94,6 +94,66 @@ func TestPipelineHandsPanicBack(t *testing.T) {
 		}()
 		if got != "geom: unknown metric" {
 			t.Fatalf("workers=%d: the pipeline handed back %v, want the metric's panic", workers, got)
+		}
+	}
+}
+
+// TestAnyFrontierPairsExact holds the tiled pipeline's frontier probe to
+// brute force, under both metrics at d ∈ {2, 3, 5}, at one and three
+// workers: it keeps every cross-tile pair within ε exactly once, by its
+// higher-id endpoint, with the key DistKey gives it bit for bit, and a
+// probe that keeps no pair leaves no run.
+func TestAnyFrontierPairsExact(t *testing.T) {
+	type pair struct {
+		lo, hi int32
+		key    uint64
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, d := range []int{2, 3, 5} {
+		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+			for trial := 0; trial < 3; trial++ {
+				eps := 0.2 + r.Float64()*0.5
+				ps := geom.FromPoints(randTestPoints(r, 400, d, 8))
+				plan := partition.Split(ps, eps, 4+4*trial)
+				if plan == nil {
+					t.Fatal("expected a plan")
+				}
+				want := map[pair]bool{}
+				for i := 0; i < ps.Len(); i++ {
+					for j := i + 1; j < ps.Len(); j++ {
+						if ps.Within(m, i, j, eps) && plan.TileOf[i] != plan.TileOf[j] {
+							want[pair{int32(i), int32(j), math.Float64bits(ps.DistKey(m, i, j))}] = true
+						}
+					}
+				}
+				for _, workers := range []int{1, 3} {
+					got := map[pair]bool{}
+					for _, runs := range anyFrontier(ps, plan, Options{Metric: m, Eps: eps}, m.EpsKey(eps), workers) {
+						start := int32(0)
+						for k, end := range runs.ends {
+							if end == start {
+								t.Fatalf("d=%d workers=%d: probe %d left an empty run", d, workers, runs.probes[k])
+							}
+							for x := start; x < end; x++ {
+								p := pair{runs.ids[x], runs.probes[k], math.Float64bits(runs.keys[x])}
+								if got[p] {
+									t.Fatalf("d=%d workers=%d: pair %+v kept twice", d, workers, p)
+								}
+								got[p] = true
+							}
+							start = end
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("d=%d workers=%d: %d frontier pairs, brute force has %d", d, workers, len(got), len(want))
+					}
+					for p := range want {
+						if !got[p] {
+							t.Fatalf("d=%d workers=%d: the frontier misses %+v", d, workers, p)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -313,19 +373,12 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				}
 				largest += worst
 				t0 = time.Now()
-				pairs, _ := plan.FrontierPairs(eval, opt.Metric, eps, 1)
+				runs := anyFrontier(eval, plan, opt, keys[0], 1)
 				lap(&front, t0)
 				t0 = time.Now()
-				uf := unionfind.New(eval.Len())
-				for ti := range plan.Tiles {
-					uf.Absorb(fs[ti].ufs[0], plan.Tiles[ti].Global)
-				}
-				for _, chunk := range pairs {
-					for _, p := range chunk {
-						uf.Union(int(p.A), int(p.B))
-					}
-				}
-				groupsFromUF(uf, invertPerm(perm))
+				f := newAnyForests(keys, eval.Len())
+				anyMerge(f, plan, fs, runs, opt)
+				groupsFromUF(f.ufs[0], invertPerm(perm))
 				lap(&merge, t0)
 			}
 			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }

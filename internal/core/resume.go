@@ -13,7 +13,7 @@ import (
 // that survives between calls so that new points can be appended to an
 // existing grouping without recomputing it. The one-shot entry points
 // (SGBAllSet / SGBAnySet) and the evaluators below share every
-// per-point step — processOne for SGB-All, anyGrid.stepLevels for
+// per-point step — processOne for SGB-All, anyJoin.step for
 // SGB-Any — so an incremental run over batches b1, b2, ... produces
 // exactly the grouping of a one-shot run over their concatenation. (For
 // SGB-All the retained state is bit-identical after the same point
@@ -324,8 +324,9 @@ type AnyEvaluator struct {
 	// are nil only in a restored evaluator, whose state holds no forest
 	// (persist.go): appends keep the partition current, and the first
 	// Remove plants the forests with one probe pass.
-	f  *anyForests
-	ix *anyGrid
+	f    *anyForests
+	ix   *anyGrid
+	join anyJoin // the scratch of Append's, probePass's and Remove's probes
 
 	// live holds the stored positions of the surviving points in
 	// arrival order; a point's public id is its index in live (so ids
@@ -417,8 +418,8 @@ func (e *AnyEvaluator) materializeLive() {
 // Append absorbs a batch of points (copied into the evaluator's own
 // storage): each point probes the live index for its neighbors within
 // the top level's ε, joins each at the levels their distance reaches,
-// and registers itself — the step the one-shot sweep runs
-// (anyGrid.stepLevels), each merge also recorded as a forest edge.
+// and registers itself — the step every one-shot evaluation runs
+// (anyJoin.step), each merge also recorded as a forest edge.
 func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
@@ -458,7 +459,7 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 		for l := range e.f.trees {
 			e.f.trees[l].grow()
 		}
-		e.ix.stepLevels(e.points, i, e.opt, e.f)
+		e.join.step(e.ix, e.points, i, e.opt, e.f)
 	}
 	return nil
 }
@@ -538,26 +539,26 @@ func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) 
 // probePass links every pair of live points within eps, the top of f,
 // into f, each from its later stored position: one probe pass over the
 // live points, each probe's earlier candidates joining it as an
-// append's do (anyGrid.join). It fills a level the evaluator did not
+// append's do (anyJoin.join). It fills a level the evaluator did not
 // hold and plants the forests of a restored one.
 func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
-	ps, opt, g := e.points, e.opt, e.ix
+	ps, opt, g, j := e.points, e.opt, e.ix, &e.join
 	for i := 0; i < ps.Len(); i++ {
 		if e.alive != nil && !e.alive[i] {
 			continue
 		}
 		opt.Stats.addProbe(1)
 		p := ps.At(i)
-		g.buf = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, eps), g.buf[:0])
+		j.ids = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, eps), j.ids[:0])
 		n := 0
-		for _, j := range g.buf {
-			if int(j) < i {
-				g.buf[n] = j
+		for _, c := range j.ids {
+			if int(c) < i {
+				j.ids[n] = c
 				n++
 			}
 		}
-		g.buf = g.buf[:n]
-		g.join(ps, i, opt, f)
+		j.ids = j.ids[:n]
+		j.join(ps, i, opt, f)
 	}
 }
 

@@ -60,12 +60,12 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 // per level, each pair joining the levels its distance reaches
 // (anyForests). Results align with epsList's order, each member for
 // member equal to SGBAny at that level. opt.Eps is ignored (the list's
-// largest level is the probe radius). The evaluation runs on the ε-grid
-// whatever opt.Algorithm names, BoundsCheck apart, which is rejected as
-// SGBAny rejects it; Parallelism resolves as it does for SGBAny under
-// the named Algorithm. A cached sweep, whose later ε lists are unknown,
-// keeps the same level forests maintained instead (NewAnyLevels) and
-// adds a level when one is asked for (AnyEvaluator.AddLevel).
+// largest level is the probe radius). The evaluation runs the finder
+// opt.Algorithm names, and Parallelism resolves, as for SGBAny; like
+// SGBAny it rejects BoundsCheck. A cached sweep, whose later ε lists
+// are unknown, keeps the same level forests maintained instead
+// (NewAnyLevels) and adds a level when one is asked for
+// (AnyEvaluator.AddLevel).
 func SweepAny(points []geom.Point, epsList []float64, opt Options) ([]*Result, error) {
 	if _, err := checkInput(points); err != nil {
 		return nil, err
@@ -100,9 +100,7 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 	for l, i := range order {
 		keys[l] = opt.Metric.EpsKey(epsList[i])
 	}
-	workers := opt.workers(ps.Len())
-	opt.Algorithm = GridIndex
-	for l, groups := range sgbAnyLevels(ps, opt, keys, workers) {
+	for l, groups := range sgbAnyLevels(ps, opt, keys, opt.workers(ps.Len())) {
 		out[order[l]] = &Result{Groups: groups}
 	}
 	return out, nil
@@ -146,7 +144,7 @@ func sgbAnyLevels(ps *geom.PointSet, opt Options, keys []float64, workers int) [
 // forest per ε level over the same points, levels ascending, keys[l]
 // being level l's threshold in DistKey space. An ε-edge of one level is
 // an edge of every level above it, so each level's partition refines
-// the next one's; union keeps that true and relies on it.
+// the next one's; anyJoin.link keeps that true and relies on it.
 type anyForests struct {
 	keys []float64
 	ufs  []*unionfind.UF
@@ -174,29 +172,6 @@ func (f *anyForests) level(key float64) int {
 		b--
 	}
 	return b
-}
-
-// union records the edge (i, j) of comparison key key, which must not
-// exceed the top level's: i and j join at the lowest level whose
-// threshold the key does not exceed and at each level above it, up to
-// the first where they already share a set — they share one at every
-// higher level too, as each level refines the next. It returns the
-// number of merges.
-func (f *anyForests) union(i, j int, key float64) int64 {
-	var merged int64
-	for l := f.level(key); l < len(f.ufs); l++ {
-		uf := f.ufs[l]
-		ri, rj := uf.Find(i), uf.Find(j)
-		if ri == rj {
-			break
-		}
-		uf.Link(ri, rj)
-		if f.trees != nil {
-			f.trees[l].link(i, j)
-		}
-		merged++
-	}
-	return merged
 }
 
 // anyTree is the spanning forest of one level's partition: every pair
@@ -284,56 +259,53 @@ type errValue string
 
 func (e errValue) Error() string { return string(e) }
 
-// anyIndex is one of the comparison Points_IX strategies of the
-// one-shot strategy comparison, All-Pairs and the R-tree: step absorbs
-// point i — it finds i's within-ε neighbors among the points absorbed
-// before it, merges their components in uf, and registers i for future
-// probes. The ε-grid is not one of them: it absorbs a point at every
-// level at once (anyGrid.stepLevels), single-ε being the one-level case,
-// and it is the one index of maintained evaluation (AnyEvaluator), so
+// anyIndex is a Points_IX of SGB-Any, a source of candidates: collect
+// appends to buf the ids of the points added before point i that may lie
+// within opt.Eps of it — a superset, which the join verifies by key —
+// and add registers point i for later probes. All-Pairs, the R-tree and
+// the ε-grid differ only here; every one-shot evaluation, single-ε or
+// sweep, absorbs its points through one join (anyJoin.step), and the
+// grid is the one index of maintained evaluation (AnyEvaluator), so
 // appending batches cannot drift from a one-shot run.
 type anyIndex interface {
-	step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF)
+	collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32
+	add(ps *geom.PointSet, i int, opt Options)
 }
 
-// newAnyIndex instantiates the comparison strategy the options name
-// (BoundsCheck is rejected earlier; see ErrBoundsCheckAny, and the
-// ε-grid is newAnyGrid).
-func newAnyIndex(dims int, opt Options) anyIndex {
+// newAnyIndex instantiates the index the options name for sizeHint
+// points (BoundsCheck is rejected earlier; see ErrBoundsCheckAny).
+func newAnyIndex(dims, sizeHint int, opt Options) anyIndex {
 	switch opt.Algorithm {
 	case AllPairs:
 		return anyAllPairs{}
 	case OnTheFlyIndex:
 		return &anyRTree{ix: rtree.New(dims)}
+	case GridIndex:
+		return newAnyGrid(dims, sizeHint, opt.Eps)
 	default:
 		panic("core: unknown SGB-Any algorithm")
 	}
 }
 
-// anyAllPairs is the naive baseline: every prior point is tested
-// against the incoming point (O(n²) distance computations over a full
-// run).
+// anyAllPairs is the naive baseline: every prior point is a candidate
+// (O(n²) distance computations over a full run), and it keeps no index,
+// so it counts neither probes nor updates.
 type anyAllPairs struct{}
 
-func (anyAllPairs) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
-	metric, eps := opt.Metric, opt.Eps
-	p := ps.At(i)
+func (anyAllPairs) collect(_ *geom.PointSet, i int, _ Options, buf []int32) []int32 {
 	for j := 0; j < i; j++ {
-		opt.Stats.addDist(1)
-		if metric.Within(p, ps.At(j), eps) {
-			if uf.Find(i) != uf.Find(j) {
-				opt.Stats.addMerge(1)
-			}
-			uf.Union(i, j)
-		}
+		buf = append(buf, int32(j))
 	}
+	return buf
 }
 
-// anyRTree is Procedure 7/8: Points_IX maintains the processed points
-// in an R-tree; for each incoming point a window query retrieves the
-// points inside its ε-box, VerifyPoints confirms each by its distance,
-// and GetGroups/MergeGroupsInsert collapse the candidate groups through
-// the Union-Find forest.
+func (anyAllPairs) add(*geom.PointSet, int, Options) {}
+
+// anyRTree is Procedure 7/8's Points_IX: the processed points live in an
+// R-tree, and a window query over an incoming point's ε-box retrieves its
+// candidates. The box over-approximates the ε-ball under L2, and under
+// L∞ its rounded corners p ± ε can admit a point whose distance rounds
+// past ε, so the join's key check (VerifyPoints) is needed under both.
 type anyRTree struct {
 	ix *rtree.Tree
 	// ids stores point ids pre-boxed so the per-point index insert does
@@ -342,55 +314,35 @@ type anyRTree struct {
 	pBox geom.Rect
 }
 
-func (a *anyRTree) step(ps *geom.PointSet, i int, opt Options, uf *unionfind.UF) {
+func (a *anyRTree) collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
+	geom.EpsBoxInto(&a.pBox, ps.At(i), opt.Eps)
+	opt.Stats.addProbe(1)
+	a.ix.Visit(a.pBox, func(_ geom.Rect, data any) bool {
+		buf = append(buf, int32(data.(int)))
+		return true
+	})
+	return buf
+}
+
+func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
 	for len(a.ids) <= i {
 		a.ids = append(a.ids, len(a.ids))
 	}
-	p := ps.At(i)
-	geom.EpsBoxInto(&a.pBox, p, opt.Eps)
-	opt.Stats.addProbe(1)
-	a.ix.Visit(a.pBox, func(_ geom.Rect, data any) bool {
-		j := data.(int)
-		// VerifyPoints under both metrics: the ε-box over-approximates
-		// the ε-ball under L2, and under L∞ its rounded corners p ± ε
-		// can admit a point whose distance rounds past ε.
-		opt.Stats.addDist(1)
-		if !ps.Within(opt.Metric, i, j, opt.Eps) {
-			return true
-		}
-		if uf.Find(i) != uf.Find(j) {
-			opt.Stats.addMerge(1)
-			uf.Union(i, j)
-		}
-		return true
-	})
 	opt.Stats.addUpdate(1)
-	a.ix.Insert(geom.PointRect(p), a.ids[i])
+	a.ix.Insert(geom.PointRect(ps.At(i)), a.ids[i])
 }
 
 // anyGrid is the ε-grid Points_IX: each processed point is registered
-// in its home cell, and the neighbors of an incoming point are found by
-// scanning the 3^d cells its ε-box covers. The cell neighborhood
-// over-approximates the ε-ball under both metrics, so every hit is
-// verified by its exact comparison key. Union-Find merging is
-// order-independent, so the resulting components are identical to the
-// other strategies — and, unlike the SGB-All finder, the probe needs no
-// sort or dedup: each point lives in exactly one cell, and merge order
-// cannot influence the components.
-//
-// It absorbs a point at every level of an anyForests at once
-// (stepLevels), for the one-shot sweep, single-ε SGB-Any (one level)
-// and maintained evaluation alike: remove unregisters a deleted point,
-// and add registers one without probing (the compaction and restore
-// rebuilds, where components are already known).
+// in its home cell, and the candidates of an incoming point are the
+// points of the 3^d cells its ε-box covers. The cell neighborhood
+// over-approximates the ε-ball under both metrics; each point lives in
+// exactly one cell, so the probe needs no sort or dedup. Besides
+// collect and add, a maintained evaluator unregisters a deleted point
+// (remove) and registers points without probing (add, in the compaction
+// and restore rebuilds, where components are already known).
 type anyGrid struct {
-	tab  *grid.Table
-	cur  grid.Cursor
-	buf  []int32   // a probe's candidates
-	keys []float64 // their comparison keys
-	// roots holds the probing point's root at each level while its
-	// candidates join it (join).
-	roots []int
+	tab *grid.Table
+	cur grid.Cursor
 }
 
 // newAnyGrid presizes the directory for sizeHint points (0: grow).
@@ -398,53 +350,9 @@ func newAnyGrid(dims, sizeHint int, eps float64) *anyGrid {
 	return &anyGrid{tab: grid.NewCap(dims, eps, sizeHint)}
 }
 
-// stepLevels absorbs point i at every level of f: it probes at the top
-// level's ε (opt.Eps), each candidate within it joins i at the levels
-// its key reaches (join), and i registers for later probes.
-func (a *anyGrid) stepLevels(ps *geom.PointSet, i int, opt Options, f *anyForests) {
-	p := ps.At(i)
+func (a *anyGrid) collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
 	opt.Stats.addProbe(1)
-	a.buf = a.tab.CollectBox(&a.cur, p, opt.Eps, a.buf[:0])
-	a.join(ps, i, opt, f)
-	opt.Stats.addUpdate(1)
-	a.tab.AddPoint(p, int32(i))
-}
-
-// join links point i to each candidate in a.buf whose comparison key is
-// within f's top level, at the levels the key reaches — anyForests.union
-// for every candidate, at the cost of one key and one Find: the keys
-// come from one kernel call, i's root at each level is read once and
-// kept current across its merges, and a candidate is found at the lowest
-// level its key reaches only, which ends its work when the two already
-// share a set there. Every candidate counts as a distance computation.
-func (a *anyGrid) join(ps *geom.PointSet, i int, opt Options, f *anyForests) {
-	opt.Stats.addDist(int64(len(a.buf)))
-	a.keys = ps.AppendDistKeys(a.keys[:0], opt.Metric, ps.At(i), a.buf)
-	a.roots = a.roots[:0]
-	for _, uf := range f.ufs {
-		a.roots = append(a.roots, uf.Find(i))
-	}
-	top := f.keys[len(f.keys)-1]
-	var merged int64
-	for k, key := range a.keys {
-		if key > top {
-			continue
-		}
-		j := int(a.buf[k])
-		for l := f.level(key); l < len(f.ufs); l++ {
-			uf := f.ufs[l]
-			rj := uf.Find(j)
-			if rj == a.roots[l] {
-				break
-			}
-			a.roots[l] = uf.Link(a.roots[l], rj)
-			if f.trees != nil {
-				f.trees[l].link(i, j)
-			}
-			merged++
-		}
-	}
-	opt.Stats.addMerge(merged)
+	return a.tab.CollectBox(&a.cur, ps.At(i), opt.Eps, buf)
 }
 
 func (a *anyGrid) remove(ps *geom.PointSet, i int, opt Options) {
@@ -455,6 +363,68 @@ func (a *anyGrid) remove(ps *geom.PointSet, i int, opt Options) {
 func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {
 	opt.Stats.addUpdate(1)
 	a.tab.AddPoint(ps.At(i), int32(i))
+}
+
+// anyJoin is SGB-Any's one join: VerifyPoints and MergeGroupsInsert for
+// every index, every number of levels, the tiled pipeline's frontier
+// merge and a maintained evaluator's appends and probe passes. It holds
+// the scratch of one probe: the candidates, their comparison keys, and
+// the probing point's root at each level.
+type anyJoin struct {
+	ids   []int32
+	keys  []float64
+	roots []int
+}
+
+// step absorbs point i at every level of f: ix collects its candidates
+// at the top level's ε (opt.Eps), each within it joins i at the levels
+// its key reaches (join), and i registers for later probes.
+func (j *anyJoin) step(ix anyIndex, ps *geom.PointSet, i int, opt Options, f *anyForests) {
+	j.ids = ix.collect(ps, i, opt, j.ids[:0])
+	j.join(ps, i, opt, f)
+	ix.add(ps, i, opt)
+}
+
+// join keys the candidates in j.ids from point i in one kernel call and
+// links them (link). Every candidate counts as a distance computation.
+func (j *anyJoin) join(ps *geom.PointSet, i int, opt Options, f *anyForests) {
+	opt.Stats.addDist(int64(len(j.ids)))
+	j.keys = ps.AppendDistKeys(j.keys[:0], opt.Metric, ps.At(i), j.ids)
+	opt.Stats.addMerge(j.link(i, j.ids, j.keys, f))
+}
+
+// link joins point i to each of ids whose key (keys, in DistKey space)
+// is within f's top level, at the lowest level the key reaches and each
+// level above it up to the first where the two already share a set —
+// they share one at every higher level too, as each level refines the
+// next. A candidate costs one Find: i's root at each level is read once
+// and kept current across its merges. It returns the number of merges.
+func (j *anyJoin) link(i int, ids []int32, keys []float64, f *anyForests) int64 {
+	j.roots = j.roots[:0]
+	for _, uf := range f.ufs {
+		j.roots = append(j.roots, uf.Find(i))
+	}
+	top := f.keys[len(f.keys)-1]
+	var merged int64
+	for k, key := range keys {
+		if key > top {
+			continue
+		}
+		c := int(ids[k])
+		for l := f.level(key); l < len(f.ufs); l++ {
+			uf := f.ufs[l]
+			rc := uf.Find(c)
+			if rc == j.roots[l] {
+				break
+			}
+			j.roots[l] = uf.Link(j.roots[l], rc)
+			if f.trees != nil {
+				f.trees[l].link(i, c)
+			}
+			merged++
+		}
+	}
+	return merged
 }
 
 // groupsFromUF extracts the partition of the stored positions live

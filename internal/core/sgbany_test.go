@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -182,19 +183,38 @@ func TestSGBAnyEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestSGBAnyMergeStats: merges reported by Stats equal n - #groups
-// (each union reduces the component count by one).
+// TestSGBAnyMergeStats pins each finder's Stats at one level and at
+// three: merges equal Σ_l (n − sets_l) (each union joins two sets of one
+// level); All-Pairs computes every one of the n(n−1)/2 distances and
+// keeps no index, while the R-tree and the grid probe and register each
+// point once.
 func TestSGBAnyMergeStats(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	points := clusteredPoints(r, 500, 6, 10, 0.4)
-	st := &Stats{}
-	res, err := SGBAny(points, Options{Metric: geom.LInf, Eps: 0.6, Algorithm: OnTheFlyIndex, Stats: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(len(points) - res.NumGroups())
-	if st.GroupMerges != want {
-		t.Fatalf("merges = %d, want %d", st.GroupMerges, want)
+	n := int64(len(points))
+	for _, levels := range [][]float64{{0.6}, {0.2, 0.4, 0.6}} {
+		for _, tc := range []struct {
+			alg           Algorithm
+			probes, dists int64 // -1: not pinned
+		}{
+			{AllPairs, 0, n * (n - 1) / 2},
+			{OnTheFlyIndex, n, -1},
+			{GridIndex, n, -1},
+		} {
+			what := fmt.Sprintf("%v %d levels", tc.alg, len(levels))
+			st := &Stats{}
+			got, err := SweepAny(points, levels, Options{Metric: geom.LInf, Algorithm: tc.alg, Parallelism: 1, Stats: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMerges(t, what, len(points), got, st)
+			if st.IndexProbes != tc.probes || st.IndexUpdates != tc.probes {
+				t.Fatalf("%s: %d probes and %d updates, want %d of each", what, st.IndexProbes, st.IndexUpdates, tc.probes)
+			}
+			if tc.dists >= 0 && st.DistanceComputations != tc.dists {
+				t.Fatalf("%s: %d distance computations, want %d", what, st.DistanceComputations, tc.dists)
+			}
+		}
 	}
 }
 

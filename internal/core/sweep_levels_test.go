@@ -13,12 +13,12 @@ import (
 	"github.com/sgb-db/sgb/internal/partition"
 )
 
-// checkSweepLevels holds every level of SweepAnySet, at each worker
-// count of pars, to SGBAnySet under All-Pairs at that level (deep-equal:
-// group order, member order, nil slices). The probe count must say which
-// build ran: one probe per point when the evaluation stayed whole, more
-// when it was tiled (the frontier points probe again). It reports how
-// many of the runs were tiled.
+// checkSweepLevels holds every level of SweepAnySet on the grid, at
+// each worker count of pars, to SGBAnySet under All-Pairs at that level
+// (deep-equal: group order, member order, nil slices). The probe count
+// must say which build ran: one probe per point when the evaluation
+// stayed whole, more when it was tiled (the frontier points probe
+// again). It reports how many of the runs were tiled.
 func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []float64, m geom.Metric, pars []int) (tiled int) {
 	t.Helper()
 	n, epsMax := ps.Len(), slices.Max(levels)
@@ -32,7 +32,7 @@ func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []flo
 	}
 	for _, par := range pars {
 		st := &Stats{}
-		got, err := SweepAnySet(ps, levels, Options{Metric: m, Parallelism: par, Stats: st})
+		got, err := SweepAnySet(ps, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: par, Stats: st})
 		if err != nil {
 			t.Fatalf("%s Parallelism=%d: SweepAnySet: %v", what, par, err)
 		}
@@ -148,8 +148,8 @@ func TestSweepAnyEmpty(t *testing.T) {
 
 // TestAnyStrategiesAgreeOnLatticeLInf: on lattice-aligned points under
 // L∞, where distances land on ε or round just past it, All-Pairs, the
-// R-tree, the grid and the sweep answer member for member alike, and
-// equal the brute-force components. The R-tree's window p ± ε rounds
+// R-tree and the grid answer member for member alike, single-ε and
+// swept, and equal the brute-force components. The R-tree's window p ± ε rounds
 // outward, and it once merged the points the window admitted without
 // checking their distance (12 groups instead of 17 at ε = 0.3).
 func TestAnyStrategiesAgreeOnLatticeLInf(t *testing.T) {
@@ -162,9 +162,12 @@ func TestAnyStrategiesAgreeOnLatticeLInf(t *testing.T) {
 		}
 	}
 	levels := []float64{0.1, 0.3}
-	swept, err := SweepAny(pts, levels, Options{Metric: geom.LInf, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	swept := make([][]*Result, len(anyStrategies))
+	for k, alg := range anyStrategies {
+		var err error
+		if swept[k], err = SweepAny(pts, levels, Options{Metric: geom.LInf, Algorithm: alg, Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for l, eps := range levels {
 		want, err := SGBAny(pts, Options{Metric: geom.LInf, Eps: eps, Algorithm: AllPairs, Parallelism: 1})
@@ -187,8 +190,10 @@ func TestAnyStrategiesAgreeOnLatticeLInf(t *testing.T) {
 				t.Fatalf("eps=%v %v: merged points without counting a distance computation", eps, alg)
 			}
 		}
-		if !reflect.DeepEqual(swept[l], want) {
-			t.Fatalf("eps=%v sweep: %d groups, All-Pairs %d", eps, swept[l].NumGroups(), want.NumGroups())
+		for k, alg := range anyStrategies {
+			if !reflect.DeepEqual(swept[k][l], want) {
+				t.Fatalf("eps=%v %v sweep: %d groups, All-Pairs %d", eps, alg, swept[k][l].NumGroups(), want.NumGroups())
+			}
 		}
 	}
 }
@@ -394,7 +399,7 @@ func TestLatticeParallelism(t *testing.T) {
 			pts := randomPointsDim(r, 300, d, 6)
 			pts = append(pts, pts[:40]...)
 			seqStats := &Stats{}
-			want, err := SweepAny(pts, levels, Options{Metric: m, Parallelism: 1, Stats: seqStats})
+			want, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: 1, Stats: seqStats})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,7 +408,7 @@ func TestLatticeParallelism(t *testing.T) {
 			}
 			for _, par := range []int{2, 3, 8} {
 				st := &Stats{}
-				got, err := SweepAny(pts, levels, Options{Metric: m, Parallelism: par, Stats: st})
+				got, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: par, Stats: st})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,8 +15,9 @@
 // the two cell layers touching that cut. Those points form the
 // FRONTIER. Tile-local evaluation plus a frontier merge is therefore
 // exact for connected-component (SGB-Any) semantics, which the SGB-Any
-// pipeline relies on (its frontier probe is Plan.FrontierPairs). SGB-All
-// has no tiled pipeline (docs/pr24-sgball-sequential.md).
+// pipeline relies on (its frontier probe and merge live in
+// internal/core). SGB-All has no tiled pipeline
+// (docs/pr24-sgball-sequential.md).
 //
 // Invariants (exercised by partition_test.go at d ∈ {2, 3, 5}):
 //
@@ -33,8 +34,8 @@
 //     Tile.Global[i].
 //
 // The package is deliberately independent of the operator core: it
-// knows points, ε, and a tile-count target, and returns compact
-// sub-PointSets plus the local→global maps, the frontier and its
-// cross-tile pairs. The callers supply the tile-local algorithm and the
-// merge.
+// knows points, ε, and a tile-count target — geometry only, no metric —
+// and returns compact sub-PointSets plus the local→global maps and the
+// frontier. The callers supply the tile-local algorithm, the frontier
+// probe and the merge.
 package partition

@@ -39,8 +39,6 @@ type Plan struct {
 	// per-axis gap by ε, so each lies in one of the two cell layers
 	// touching that cut.
 	Frontier []int32
-	// IsFrontier flags Frontier membership per global input index.
-	IsFrontier []bool
 }
 
 // Workers resolves a Parallelism setting: 0 means GOMAXPROCS, any
@@ -199,10 +197,9 @@ func Split(ps *geom.PointSet, eps float64, k int) *Plan {
 		return nil
 	}
 	plan := &Plan{
-		Splits:     splits,
-		Tiles:      make([]Tile, nTiles),
-		TileOf:     make([]int32, n),
-		IsFrontier: isFrontier,
+		Splits: splits,
+		Tiles:  make([]Tile, nTiles),
+		TileOf: make([]int32, n),
 	}
 	for i := 0; i < n; i++ {
 		t := tileIndex[latticeID[i]]

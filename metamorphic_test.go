@@ -105,7 +105,7 @@ func checkAnyMeta(t testing.TB, data []byte) (removes int) {
 			parts := make([][]*Result, len(metrics)) // metric → level → result
 			for i, m := range metrics {
 				if source == "one-shot" {
-					res, err := SweepAnySet(live, levels, Options{Metric: m, Parallelism: 1})
+					res, err := SweepAnySet(live, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: 1})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -149,8 +149,8 @@ func GroupByAnySet(points *PointSet, opt Options) (*Result, error) {
 }
 
 // SweepAny evaluates SGB-Any at every ε level of epsList from ONE
-// evaluation: GroupByAny's pipeline probes once at max(epsList), on the
-// ε-grid whatever opt.Algorithm names, and feeds one Union-Find per
+// evaluation: GroupByAny's pipeline, under the finder opt.Algorithm
+// names, probes once at max(epsList) and feeds one Union-Find per
 // level (SGB-Any groups nest as ε grows, so a pair joins the lowest
 // level its distance reaches and every level above it). Results align
 // with epsList's order, each bit-identical to GroupByAny at that level —

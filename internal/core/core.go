@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/partition"
 )
 
 // Overlap selects the ON-OVERLAP arbitration semantics of SGB-All
@@ -193,11 +193,10 @@ func (o Options) workers(n int) int {
 	case o.Parallelism == 0 && (n < parallelThreshold || o.Algorithm != GridIndex):
 		return 1
 	}
-	w := partition.Workers(o.Parallelism)
-	if w > n {
-		w = n
+	if o.Parallelism == 0 {
+		return min(runtime.GOMAXPROCS(0), n)
 	}
-	return w
+	return min(o.Parallelism, n)
 }
 
 // Stats counts the primitive operations a run performed; the Table 1
@@ -356,7 +355,7 @@ func checkInput(points []geom.Point) (int, error) {
 // int64(floor(x / cell)) with a cell side of ε or more, and probes up to
 // two padded cell sides around it. Within ±2^52 cells those indices are
 // integers float64 and int64 both hold and the SGB-All finder's rounding
-// pad (paddedReach, 2⁻⁵⁰ of |x|) is at most four cells, so a probe's
+// pad (geom.PaddedReach, 2⁻⁵⁰ of |x|) is at most four cells, so a probe's
 // cell range is a few cells wide. Beyond it x ± ε stops resolving, the
 // pad grows to thousands of cells per axis, the sum can reach ±Inf, and
 // the conversion of ±Inf is MinInt64 — a probe over 2^63 cells.

@@ -487,7 +487,7 @@ func (e *AllEvaluator) resetState(victims []int32) {
 
 // ensureCells builds the point grid over the live points. The cell side
 // is ε, so two points within ε of each other lie in the same or in
-// adjacent cells up to rounding, which paddedReach pads for.
+// adjacent cells up to rounding, which geom.PaddedReach pads for.
 func (e *AllEvaluator) ensureCells() {
 	if e.cells != nil {
 		return
@@ -509,7 +509,7 @@ func (e *AllEvaluator) ensureCells() {
 // survivors are left in rm.set, in arrival order.
 //
 // One expansion serves a whole cell: it takes the bounding box of the
-// cell's points, pads it by paddedReach, collects the cells it covers and
+// cell's points, pads it by geom.PaddedReach, collects the cells it covers and
 // admits the points inside it. An ε-neighbour of any point of the cell
 // is such a point, so the set is closed under ε-adjacency. No distance is computed — the admission is a rectangle
 // test — and the price is a closure somewhat larger than the components
@@ -551,7 +551,7 @@ func (e *AllEvaluator) retireClosure(victims []int32) {
 			mark[w] = expanded
 			box.ExtendPoint(pts.At(int(w)))
 		}
-		rlo, rhi := paddedReach(box.Min, eps), paddedReach(box.Max, eps)
+		rlo, rhi := geom.PaddedReach(box.Min, eps), geom.PaddedReach(box.Max, eps)
 		for i := range box.Min {
 			box.Min[i] -= rlo
 			box.Max[i] += rhi

@@ -28,7 +28,8 @@
 //     points are processed in arrival order against the strategy
 //     selected by Options.Algorithm.
 //   - Parallel pipeline (SGB-Any with Options.Parallelism > 1;
-//     parallel.go): partition → shard-local evaluate → merge.
+//     parallel.go): partition into Z-order runs → tile-local evaluate
+//     → merge.
 //   - Resumable / incremental (AllEvaluator, AnyEvaluator; resume.go):
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an

@@ -102,7 +102,7 @@ func maintainedSteps(t *testing.T, dims int, opt Options, ops []traceOp) [][2]an
 // a member's MBR can stick a few ulps out of its group's ε-All rectangle,
 // the R-tree finder answers as the ε-grid does after every operation —
 // one-shot over the survivors, and maintained, retained state included.
-// Its window query is padded as the grid's probe is (paddedReach); an
+// Its window query is padded as the grid's probe is (geom.PaddedReach); an
 // unpadded one missed overlap groups under ELIMINATE and FORM-NEW-GROUP.
 func TestRTreeAgreesWithGridAtEpsTies(t *testing.T) {
 	traces := 0

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
 )
@@ -58,27 +56,8 @@ func newGridFinder(dims int, opt Options, sizeHint int) *gridFinder {
 }
 
 // probeRadius pads the reach so the scanned cell range provably holds
-// the anchor cell (paddedReach).
-func (f *gridFinder) probeRadius(p geom.Point) float64 { return paddedReach(p, f.reach) }
-
-// paddedReach widens a probe radius by what rounding can hide. That
-// everything within reach of p lies in the cells of p ± reach is exact
-// over the reals, but the filters compare against ROUNDED box corners
-// (fl(a-ε) ≤ p, fl(a-ε) ≤ fl(p+ε), ...), so a point may sit a few ulps
-// of the larger coordinate beyond p ± reach — and when p lies near a
-// cell edge (lattice-aligned data) those ulps decide the cell. The pad,
-// 2⁻⁵⁰ of |p|∞ + 2·reach, is comfortably above the three roundings
-// involved and far below any usable ε; quantization is monotone, so a
-// box that contains a point yields a cell range that contains its cell.
-// The group grid's probes and the point grid's closure (decremental.go)
-// both use it.
-func paddedReach(p geom.Point, reach float64) float64 {
-	m := 0.0
-	for _, v := range p {
-		m = math.Max(m, math.Abs(v))
-	}
-	return reach + (m+2*reach)*0x1p-50
-}
+// the anchor cell (geom.PaddedReach).
+func (f *gridFinder) probeRadius(p geom.Point) float64 { return geom.PaddedReach(p, f.reach) }
 
 func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)

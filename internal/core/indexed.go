@@ -35,14 +35,14 @@ func newIndexedFinder(dims int) *indexedFinder {
 }
 
 // findCloseGroups queries the R-tree with pi's ε-box widened by the
-// grid's pad (paddedReach): a member MBR may stick a few ulps out of its
+// grid's pad (geom.PaddedReach): a member MBR may stick a few ulps out of its
 // group's ε-All rectangle where distances round onto ε, and an unpadded
 // window then missed the overlap group it intersects. classifyGroup's
 // exact tests keep the unpadded box.
 func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	geom.EpsBoxInto(&f.pBox, p, st.opt.Eps)
-	geom.EpsBoxInto(&f.win, p, paddedReach(p, st.opt.Eps))
+	geom.EpsBoxInto(&f.win, p, geom.PaddedReach(p, st.opt.Eps))
 	st.opt.Stats.addProbe(1)
 	f.hits = f.hits[:0]
 	f.ix.Visit(f.win, func(_ geom.Rect, data any) bool {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -11,14 +12,15 @@ import (
 // This file is the parallel arm of the SGB-Any pipeline (SGB-All has
 // none: it is order-sensitive and runs one sequential loop):
 //
-//	partition — cut the input into multi-axis ε-tiles (internal/partition)
+//	partition — sort the input along the Z-curve of its ε-cells and cut
+//	            the order into runs (internal/partition)
 //	evaluate  — per-tile SGB-Any runs on worker goroutines, each into
-//	            private Union-Finds (one per ε level) over the tile's
-//	            sub-PointSet
+//	            private Union-Finds (one per ε level) over its run, a
+//	            slice of the sorted input
 //	frontier  — probes over the frontier band keeping each probe's
-//	            cross-tile candidates within ε as one keyed run, chunked
-//	            across workers against one bulk-loaded read-only ε-grid
-//	            (anyFrontier)
+//	            candidates in earlier runs within ε as one keyed run,
+//	            chunked across workers against one bulk-loaded read-only
+//	            ε-grid (anyFrontier)
 //	merge     — a single-threaded Union-Find reduction folding tile
 //	            partitions, then the frontier runs through the one join,
 //	            into the global forests (anyMerge)
@@ -31,15 +33,10 @@ import (
 // the top level's ε, so the invariant holds at every level below it.
 //
 // sgbAnyParallel runs the tiled SGB-Any pipeline with the given worker
-// count into f. It reports false when the input cannot be split into at
-// least two ε-tiles (the caller then evaluates sequentially).
-func sgbAnyParallel(ps *geom.PointSet, opt Options, f *anyForests, workers int) bool {
-	plan := partition.Split(ps, opt.Eps, workers)
-	if plan == nil {
-		return false
-	}
-	tiles := make([]*anyForests, len(plan.Tiles))
-	stats := make([]Stats, len(plan.Tiles))
+// count into f, over eval, the input gathered in plan's order.
+func sgbAnyParallel(eval *geom.PointSet, plan *partition.Plan, opt Options, f *anyForests, workers int) {
+	tiles := make([]*anyForests, len(plan.Ends))
+	stats := make([]Stats, len(plan.Ends))
 	var front []frontierRuns
 
 	// Evaluate and frontier stages share the worker pool: both are
@@ -48,24 +45,24 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, f *anyForests, workers int) 
 	// the last) and the first one is raised again here once every worker
 	// is done, where the caller can recover it.
 	var wg sync.WaitGroup
-	panics := make([]any, len(plan.Tiles)+1)
-	for ti := range plan.Tiles {
+	panics := make([]any, len(plan.Ends)+1)
+	for t := range plan.Ends {
 		wg.Add(1)
-		go func(ti int) {
+		go func(t int) {
 			defer wg.Done()
-			defer func() { panics[ti] = recover() }()
-			tile := &plan.Tiles[ti]
+			defer func() { panics[t] = recover() }()
+			tile := eval.Slice(runStart(plan, t), int(plan.Ends[t]))
 			local := opt
-			local.Stats = &stats[ti]
-			tiles[ti] = newAnyForests(f.keys, tile.Points.Len())
-			sgbAnyLocal(tile.Points, local, tiles[ti])
-		}(ti)
+			local.Stats = &stats[t]
+			tiles[t] = newAnyForests(f.keys, tile.Len())
+			sgbAnyLocal(tile, local, tiles[t])
+		}(t)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		defer func() { panics[len(plan.Tiles)] = recover() }()
-		front = anyFrontier(ps, plan, opt, f.keys[len(f.keys)-1], workers)
+		defer func() { panics[len(plan.Ends)] = recover() }()
+		front = anyFrontier(eval, plan, opt, f.keys[len(f.keys)-1], workers)
 	}()
 	wg.Wait()
 	for _, p := range panics {
@@ -73,11 +70,18 @@ func sgbAnyParallel(ps *geom.PointSet, opt Options, f *anyForests, workers int) 
 			panic(p)
 		}
 	}
-	for ti := range stats {
-		opt.Stats.Merge(&stats[ti])
+	for t := range stats {
+		opt.Stats.Merge(&stats[t])
 	}
 	anyMerge(f, plan, tiles, front, opt)
-	return true
+}
+
+// runStart returns the first position of plan's run t.
+func runStart(plan *partition.Plan, t int) int {
+	if t == 0 {
+		return 0
+	}
+	return int(plan.Ends[t-1])
 }
 
 // frontierRuns is what one frontier worker keeps: for each probe that
@@ -90,18 +94,20 @@ type frontierRuns struct {
 	dists             int64
 }
 
-// anyFrontier finds every within-top pair of ps whose endpoints lie in
-// different tiles of plan; plan must be ps's cut at opt.Eps, and top the
-// top level's threshold in DistKey space. Both endpoints of such a pair
-// are in plan.Frontier, so only the frontier points are bulk-loaded into
-// an ε-grid, which is read-only afterwards: workers goroutines probe it
-// over near-equal contiguous chunks of the frontier, each with a private
-// Cursor, and a pair is kept once — by its higher-id endpoint. A probe's
-// candidates past the id and tile filter are keyed in one kernel call.
-// A worker's panic is recovered, and the first one is raised again on
-// the calling goroutine once every worker is done.
-func anyFrontier(ps *geom.PointSet, plan *partition.Plan, opt Options, top float64, workers int) []frontierRuns {
-	ftab := grid.BulkLoad(ps.Gather(plan.Frontier), opt.Eps)
+// anyFrontier finds every within-top pair of eval whose endpoints lie in
+// different runs of plan; eval must be the input gathered in plan's
+// order, plan its cut at opt.Eps, and top the top level's threshold in
+// DistKey space. Both endpoints of such a pair are in plan.Frontier, so
+// only the frontier points are bulk-loaded into an ε-grid, which is
+// read-only afterwards: workers goroutines probe it over near-equal
+// contiguous chunks of the frontier, each with a private Cursor, and a
+// pair is kept once — by the endpoint in the later run, which keeps the
+// candidates before its run's start. A probe's candidates past that
+// filter are keyed in one kernel call. A worker's panic is recovered,
+// and the first one is raised again on the calling goroutine once every
+// worker is done.
+func anyFrontier(eval *geom.PointSet, plan *partition.Plan, opt Options, top float64, workers int) []frontierRuns {
+	ftab := grid.BulkLoad(eval.Gather(plan.Frontier), opt.Eps)
 	out := make([]frontierRuns, workers)
 	panics := make([]any, workers)
 	var wg sync.WaitGroup
@@ -115,18 +121,26 @@ func anyFrontier(ps *geom.PointSet, plan *partition.Plan, opt Options, top float
 			var buf []int32
 			var keys []float64
 			lo, hi := w*len(plan.Frontier)/workers, (w+1)*len(plan.Frontier)/workers
+			t := 0 // the run of gi
 			for _, gi := range plan.Frontier[lo:hi] {
-				p := ps.At(int(gi))
+				for plan.Ends[t] <= gi {
+					t++
+				}
+				start := int32(runStart(plan, t))
+				if start == 0 {
+					continue // nothing lies before the first run
+				}
+				p := eval.At(int(gi))
 				buf = ftab.CollectBox(&cur, p, opt.Eps, buf[:0])
 				n := 0
 				for _, fj := range buf {
-					if gj := plan.Frontier[fj]; gj < gi && plan.TileOf[gj] != plan.TileOf[gi] {
+					if gj := plan.Frontier[fj]; gj < start {
 						buf[n] = gj
 						n++
 					}
 				}
 				r.dists += int64(n)
-				keys = ps.AppendDistKeys(keys[:0], opt.Metric, p, buf[:n])
+				keys = eval.AppendDistKeys(keys[:0], opt.Metric, p, buf[:n])
 				kept := len(r.ids)
 				for k, key := range keys {
 					if key <= top {
@@ -153,9 +167,9 @@ func anyFrontier(ps *geom.PointSet, plan *partition.Plan, opt Options, top float
 // identical to a sequential run. Absorbing every tile at every level
 // keeps each level refining the next, which the join relies on.
 func anyMerge(f *anyForests, plan *partition.Plan, tiles []*anyForests, front []frontierRuns, opt Options) {
-	for ti, tf := range tiles {
+	for t, tf := range tiles {
 		for l, uf := range f.ufs {
-			uf.Absorb(tf.ufs[l], plan.Tiles[ti].Global)
+			uf.Absorb(tf.ufs[l], runStart(plan, t))
 		}
 	}
 	var j anyJoin
@@ -170,7 +184,9 @@ func anyMerge(f *anyForests, plan *partition.Plan, tiles []*anyForests, front []
 		opt.Stats.addDist(r.dists)
 	}
 	opt.Stats.addMerge(merged)
-	opt.Stats.addProbe(int64(len(plan.Frontier)))
+	// The frontier of the first run keeps nothing and does not probe.
+	firstRun := sort.Search(len(plan.Frontier), func(i int) bool { return plan.Frontier[i] >= plan.Ends[0] })
+	opt.Stats.addProbe(int64(len(plan.Frontier) - firstRun))
 }
 
 // sgbAnyLocal runs one SGB-Any evaluation over a (sub-)PointSet into f

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,9 +101,10 @@ func TestPipelineHandsPanicBack(t *testing.T) {
 
 // TestAnyFrontierPairsExact holds the tiled pipeline's frontier probe to
 // brute force, under both metrics at d ∈ {2, 3, 5}, at one and three
-// workers: it keeps every cross-tile pair within ε exactly once, by its
-// higher-id endpoint, with the key DistKey gives it bit for bit, and a
-// probe that keeps no pair leaves no run.
+// workers: it keeps every pair within ε whose endpoints lie in different
+// runs exactly once, by the endpoint in the later run, with the key
+// DistKey gives it bit for bit, and a probe that keeps no pair leaves no
+// run.
 func TestAnyFrontierPairsExact(t *testing.T) {
 	type pair struct {
 		lo, hi int32
@@ -118,17 +120,24 @@ func TestAnyFrontierPairsExact(t *testing.T) {
 				if plan == nil {
 					t.Fatal("expected a plan")
 				}
+				eval := ps.Gather(plan.Perm)
+				runOf := make([]int, eval.Len())
+				for pos := range runOf {
+					for plan.Ends[runOf[pos]] <= int32(pos) {
+						runOf[pos]++
+					}
+				}
 				want := map[pair]bool{}
-				for i := 0; i < ps.Len(); i++ {
-					for j := i + 1; j < ps.Len(); j++ {
-						if ps.Within(m, i, j, eps) && plan.TileOf[i] != plan.TileOf[j] {
-							want[pair{int32(i), int32(j), math.Float64bits(ps.DistKey(m, i, j))}] = true
+				for i := 0; i < eval.Len(); i++ {
+					for j := i + 1; j < eval.Len(); j++ {
+						if eval.Within(m, i, j, eps) && runOf[i] != runOf[j] {
+							want[pair{int32(i), int32(j), math.Float64bits(eval.DistKey(m, i, j))}] = true
 						}
 					}
 				}
 				for _, workers := range []int{1, 3} {
 					got := map[pair]bool{}
-					for _, runs := range anyFrontier(ps, plan, Options{Metric: m, Eps: eps}, m.EpsKey(eps), workers) {
+					for _, runs := range anyFrontier(eval, plan, Options{Metric: m, Eps: eps}, m.EpsKey(eps), workers) {
 						start := int32(0)
 						for k, end := range runs.ends {
 							if end == start {
@@ -326,20 +335,23 @@ func TestParallelismAutoThreshold(t *testing.T) {
 //	go test -run '^$' -bench AnyPipelinePhases -cpu 1 -benchtime 20x ./internal/core/
 //
 // and read Brent's bound T_p ≥ max(W / p, S) off it by PR 24's rule:
-// Morton, split and merge (Union-Find reduction plus group extraction)
+// split (the Z-order sort, the cuts and the frontier test) plus the
+// gather and the merge (Union-Find reduction plus group extraction)
 // serial, tiles and frontier perfectly divisible,
 //
-//	floor(p) = morton + split + merge + (tiles + frontier) / p
+//	floor(p) = split + merge + (tiles + frontier) / p
 //
 // seq/floor4 is a speed-up no four-core schedule can beat; seq/spanfloor4
 // bounds it tighter by the largest tile, which no schedule divides.
-// ARCHITECTURE.md records the verdict.
+// frontier-share is the frontier's share of the input. ARCHITECTURE.md
+// records the verdict.
 func BenchmarkAnyPipelinePhases(b *testing.B) {
 	ps := geom.FromPoints(checkin.Points(checkin.Brightkite(12000)))
 	for _, eps := range []float64{0.05, 0.2, 0.8} {
 		b.Run(fmt.Sprintf("eps=%v", eps), func(b *testing.B) {
 			opt := Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 1}
-			var seq, morton, split, tiles, largest, front, merge time.Duration
+			var seq, split, tiles, largest, front, merge time.Duration
+			var frontier int
 			lap := func(d *time.Duration, t0 time.Time) time.Duration {
 				e := time.Since(t0)
 				*d += e
@@ -353,22 +365,21 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				lap(&seq, t0)
 
 				t0 = time.Now()
-				perm := mortonPermFor(ps, opt)
-				eval := ps.Gather(perm)
-				lap(&morton, t0)
-				t0 = time.Now()
-				plan := partition.Split(eval, eps, 4)
-				lap(&split, t0)
+				plan := partition.Split(ps, eps, 4)
 				if plan == nil {
 					b.Fatal("the input does not split into tiles")
 				}
+				eval := ps.Gather(plan.Perm)
+				lap(&split, t0)
+				frontier += len(plan.Frontier)
 				keys := []float64{opt.Metric.EpsKey(eps)}
-				fs := make([]*anyForests, len(plan.Tiles))
+				fs := make([]*anyForests, len(plan.Ends))
 				var worst time.Duration
-				for ti, tile := range plan.Tiles {
+				for t := range plan.Ends {
 					t0 = time.Now()
-					fs[ti] = newAnyForests(keys, tile.Points.Len())
-					sgbAnyLocal(tile.Points, opt, fs[ti])
+					tile := eval.Slice(runStart(plan, t), int(plan.Ends[t]))
+					fs[t] = newAnyForests(keys, tile.Len())
+					sgbAnyLocal(tile, opt, fs[t])
 					worst = max(worst, lap(&tiles, t0))
 				}
 				largest += worst
@@ -378,23 +389,118 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				t0 = time.Now()
 				f := newAnyForests(keys, eval.Len())
 				anyMerge(f, plan, fs, runs, opt)
-				groupsFromUF(f.ufs[0], invertPerm(perm))
+				groupsFromUF(f.ufs[0], invertPerm(plan.Perm))
 				lap(&merge, t0)
 			}
 			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }
-			serial, work := ms(morton)+ms(split)+ms(merge), ms(tiles)+ms(front)
+			serial, work := ms(split)+ms(merge), ms(tiles)+ms(front)
 			floor, span := serial+work/4, serial+max(work/4, ms(largest))
 			for _, m := range []struct {
 				unit string
 				v    float64
 			}{
-				{"seq-ms", ms(seq)}, {"morton-ms", ms(morton)}, {"split-ms", ms(split)},
+				{"seq-ms", ms(seq)}, {"split-ms", ms(split)},
 				{"tiles-ms", ms(tiles)}, {"largest-tile-ms", ms(largest)}, {"frontier-ms", ms(front)},
 				{"merge-ms", ms(merge)}, {"floor4-ms", floor}, {"seq/floor4", ms(seq) / floor},
 				{"seq/spanfloor4", ms(seq) / span},
+				{"frontier-share", float64(frontier) / float64(b.N) / float64(ps.Len())},
 			} {
 				b.ReportMetric(m.v, m.unit)
 			}
 		})
+	}
+}
+
+// TestParallelAnyRoundingPair pins a pair the tiled pipeline once lost:
+// (1.5999999999999999, 0) and (2.4, 0) are exactly ε = 0.8 apart, but
+// floor(x/ε) puts them in cells 1 and 3, so a frontier of the cell
+// layers touching a cut misses the one that is not next to it. The
+// first input is the one a per-axis cutter split after cell 2; the
+// second puts the pair across a run boundary of the Z-order cutter.
+// Under both metrics the pipeline must join them at every worker
+// count, as the sequential run and All-Pairs do.
+func TestParallelAnyRoundingPair(t *testing.T) {
+	pair := []geom.Point{{1.5999999999999999, 0}, {2.4, 0}}
+	cutter := append([]geom.Point(nil), pair...)
+	for i := 0; i < 10; i++ {
+		cutter = append(cutter, geom.Point{2.0, 10 + 0.01*float64(i)})
+	}
+	for i := 0; i < 5; i++ {
+		cutter = append(cutter, geom.Point{40, 10 + 0.01*float64(i)}, geom.Point{-40, 10 + 0.01*float64(i)})
+	}
+	across := append([]geom.Point(nil), pair...)
+	for i := 0; i < 4; i++ {
+		across = append(across, geom.Point{-40, 10 + 0.01*float64(i)}, geom.Point{40, 10 + 0.01*float64(i)})
+	}
+	const eps = 0.8
+	plan := partition.Split(geom.FromPoints(across), eps, 2)
+	if plan == nil {
+		t.Fatal("the across input does not tile")
+	}
+	inFirstRun := func(id int32) bool { return slices.Index(plan.Perm, id) < int(plan.Ends[0]) }
+	if inFirstRun(0) == inFirstRun(1) {
+		t.Fatal("the across input no longer puts the pair in two runs")
+	}
+	for name, pts := range map[string][]geom.Point{"cutter": cutter, "across": across} {
+		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+			if !m.Within(pts[0], pts[1], eps) {
+				t.Fatalf("%s metric=%v: the pair is not within ε", name, m)
+			}
+			want, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: AllPairs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alg := range []Algorithm{AllPairs, OnTheFlyIndex, GridIndex} {
+				for _, workers := range []int{1, 2, 3, 4} {
+					got, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: alg, Parallelism: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Groups, want.Groups) {
+						t.Fatalf("%s metric=%v alg=%v workers=%d: %v, All-Pairs has %v", name, m, alg, workers, got.Groups, want.Groups)
+					}
+					if len(got.Groups[0].Members) != 2 || got.Groups[0].Members[1] != 1 {
+						t.Fatalf("%s metric=%v alg=%v workers=%d: the pair is split: %v", name, m, alg, workers, got.Groups)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelAnyCoarseKey: at d = 4 the Z-order key has 16 bits an
+// axis, so an axis spanning 2^17 ε-cells is keyed in coarser cells. The
+// input still tiles, and its grouping equals the sequential one at
+// every worker count.
+func TestParallelAnyCoarseKey(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	const eps = 0.5
+	pts := make([]geom.Point, 0, 801)
+	for i := 0; i < 800; i++ {
+		// Clusters along the wide axis, so groups span several points.
+		c := float64(r.Intn(100)) * eps * (1 << 17) / 100
+		pts = append(pts, geom.Point{c + r.Float64(), r.Float64(), r.Float64(), r.Float64()})
+	}
+	pts = append(pts, geom.Point{eps * (1 << 17), 0, 0, 0})
+	if plan := partition.Split(geom.FromPoints(pts), eps, 4); plan == nil || len(plan.Ends) != 4 {
+		t.Fatal("a 2^17-cell axis at d=4 must tile four ways")
+	}
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+		seq, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: GridIndex, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq.Groups) >= len(pts)-10 {
+			t.Fatalf("metric=%v: %d groups over %d points joins too little to test", m, len(seq.Groups), len(pts))
+		}
+		for _, workers := range []int{2, 4, 8} {
+			got, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: GridIndex, Parallelism: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Groups, seq.Groups) {
+				t.Fatalf("metric=%v workers=%d: grouping differs from Parallelism 1", m, workers)
+			}
+		}
 	}
 }

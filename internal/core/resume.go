@@ -564,12 +564,12 @@ func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
 
 // probeRadius is the radius of a probe from p that must see every point
 // within eps of it. At the top level it is the top level's ε, the radius
-// appends probe at. Below the top it is eps widened by paddedReach, so
+// appends probe at. Below the top it is eps widened by geom.PaddedReach, so
 // the box provably holds every such point the wider top-level probe
 // would find.
 func (e *AnyEvaluator) probeRadius(p geom.Point, eps float64) float64 {
 	if eps == e.opt.Eps {
 		return eps
 	}
-	return paddedReach(p, eps)
+	return geom.PaddedReach(p, eps)
 }

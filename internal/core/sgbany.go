@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
+	"github.com/sgb-db/sgb/internal/partition"
 	"github.com/sgb-db/sgb/internal/rtree"
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
@@ -112,24 +113,28 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 // level's ε, the radius every probe uses. It returns each level's
 // groups in keys' order.
 func sgbAnyLevels(ps *geom.PointSet, opt Options, keys []float64, workers int) [][]Group {
-	// Morton preprocessing: reorder the input along the Z-curve of its
-	// ε-cells so consecutive probes touch neighboring grid cells (the
-	// id slabs stay cache-resident). Sound for SGB-Any only — connected
-	// components are order-independent — and transparent to callers:
-	// output member ids are remapped back to input order. SGB-All never
-	// reorders; its arbitration semantics are input-order sensitive.
-	perm := mortonPermFor(ps, opt)
-	eval := ps
-	if perm != nil {
-		eval = ps.Gather(perm)
-	}
-
-	// Pipeline dispatch: with more than one worker the evaluation runs
-	// as partition → shard-local evaluate → Union-Find merge (see
-	// parallel.go); otherwise (or when the input spans too few ε-cells
-	// to cut) the whole input is one shard evaluated inline.
-	f := newAnyForests(keys, eval.Len())
-	if workers < 2 || !sgbAnyParallel(eval, opt, f, workers) {
+	// Both arms evaluate in the Z-order of the input's ε-cells, so
+	// consecutive probes touch neighboring grid cells (the id slabs stay
+	// cache-resident). Sound for SGB-Any only — connected components
+	// are order-independent — and transparent to callers: output member
+	// ids are remapped back to input order. SGB-All never reorders; its
+	// arbitration semantics are input-order sensitive. With more than
+	// one worker the evaluation runs as partition → tile-local evaluate
+	// → Union-Find merge over runs of that order (see parallel.go);
+	// otherwise (or when the input spans too few ε-cells to cut) the
+	// whole input is evaluated inline, Z-ordered under the grid only
+	// (mortonPermFor).
+	f := newAnyForests(keys, ps.Len())
+	var perm []int32
+	if plan := partition.Split(ps, opt.Eps, workers); plan != nil {
+		perm = plan.Perm
+		sgbAnyParallel(ps.Gather(perm), plan, opt, f, workers)
+	} else {
+		perm = mortonPermFor(ps, opt)
+		eval := ps
+		if perm != nil {
+			eval = ps.Gather(perm)
+		}
 		sgbAnyLocal(eval, opt, f)
 	}
 	inv := invertPerm(perm)
@@ -236,12 +241,14 @@ func (t *anyTree) appendSet(dst []int32, x int32) []int32 {
 // points.
 const mortonMinPoints = 32
 
-// mortonPermFor decides whether to Z-order an SGB-Any input and returns
-// the permutation (nil = evaluate in input order). Only the grid
-// strategy profits — its probe locality is exactly cell adjacency — so
-// the explicitly named comparison strategies keep their evaluation
-// shape. AnyEvaluator.Append applies the same rule per batch: stored
-// order, and so checkpoint bytes, are a function of the options alone.
+// mortonPermFor decides whether to Z-order an SGB-Any input evaluated
+// in one piece and returns the permutation (nil = evaluate in input
+// order). Only the grid strategy profits — its probe locality is
+// exactly cell adjacency — so the explicitly named comparison
+// strategies keep their evaluation shape unless they are tiled, whose
+// runs are cut from the Z-order. AnyEvaluator.Append applies the same
+// rule per batch: stored order, and so checkpoint bytes, are a function
+// of the options alone.
 func mortonPermFor(ps *geom.PointSet, opt Options) []int32 {
 	if opt.Algorithm != GridIndex || ps.Len() < mortonMinPoints {
 		return nil

@@ -8,10 +8,10 @@
 // Point storage comes in two shapes: []Point for API convenience, and
 // the flat PointSet — one contiguous []float64 buffer with stride d —
 // that every operator hot path runs on. PointSet supports zero-copy
-// adaptation from contiguous []Point data (FromPoints), sub-set
-// gathers for the parallel pipeline's shards (Gather), views for
-// suffix hand-off (Slice), and batch appends for the incremental
-// evaluators (AppendSet).
+// adaptation from contiguous []Point data (FromPoints), gathers into a
+// permuted or sub-set order (Gather), views for the parallel pipeline's
+// tiles and suffix hand-off (Slice), and batch appends for the
+// incremental evaluators (AppendSet).
 //
 // Invariants:
 //
@@ -25,10 +25,13 @@
 //   - Distance kernels are dimension-specialized (d = 2/3 unrolled)
 //     and Within avoids the square root under L2.
 //
-// The package also provides Morton (Z-order) preprocessing
-// (MortonKey, MortonPerm): a deterministic permutation ordering a
-// PointSet by the interleaved bits of its cellSize-quantized
-// coordinates. The SGB-Any grid evaluation sorts its input through it
-// so consecutive cell-neighborhood probes stay cache-resident, and
-// remaps member ids back to input order on output.
+// The package also provides the one Z-order (Morton order) of a
+// PointSet's cells (ZOrder; MortonKey, MortonPerm): cell quantization,
+// per-axis normalization, the interleaved key — coarsened on an axis
+// wider than its bits, never aliased, so it grows with every cell
+// coordinate — and a radix sort. SGB-Any evaluates its input in this
+// order so consecutive cell-neighborhood probes stay cache-resident
+// (remapping member ids back to input order on output),
+// internal/partition cuts its tiles from it, and internal/grid's
+// BulkLoad registers in it.
 package geom

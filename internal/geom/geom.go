@@ -317,6 +317,25 @@ func EpsBoxInto(dst *Rect, p Point, eps float64) {
 	}
 }
 
+// PaddedReach widens a probe radius by what rounding can hide. That
+// everything within reach of p lies in the cells of p ± reach is exact
+// over the reals, but the filters compare against ROUNDED box corners
+// (fl(a-ε) ≤ p, fl(a-ε) ≤ fl(p+ε), ...), so a point may sit a few ulps
+// of the larger coordinate beyond p ± reach — and when p lies near a
+// cell edge (lattice-aligned data) those ulps decide the cell. The pad,
+// 2⁻⁵⁰ of |p|∞ + 2·reach, is comfortably above the three roundings
+// involved and far below any usable ε; quantization is monotone, so a
+// box that contains a point yields a cell range that contains its cell.
+// internal/core's probes that must see every point within reach and
+// internal/partition's frontier test use it.
+func PaddedReach(p Point, reach float64) float64 {
+	m := 0.0
+	for _, v := range p {
+		m = math.Max(m, math.Abs(v))
+	}
+	return reach + (m+2*reach)*0x1p-50
+}
+
 // ShrinkToEpsBox intersects r in place with the ε-box of p — the ε-All
 // bounding-rectangle maintenance step of a member insert (Figure 5),
 // without materializing the ε-box or the intersection.

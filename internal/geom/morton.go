@@ -1,28 +1,32 @@
 package geom
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
-// Morton (Z-order) preprocessing: sorting a PointSet by the interleaved
-// bits of its ε-cell coordinates places points of neighboring cells
-// next to each other in memory, so a scan that probes each point's cell
-// neighborhood (the SGB-Any grid evaluation) touches the same directory
-// slots and id slabs again and again while they are cache-resident.
-// The permutation is pure preprocessing: consumers evaluate over the
-// permuted set and remap member ids back to input order on output.
+// Z-order (Morton order): sorting a PointSet by the interleaved bits of
+// its cell coordinates places points of neighboring cells next to each
+// other, so a scan that probes each point's cell neighborhood (the
+// SGB-Any grid evaluation) touches the same directory slots and id
+// slabs again and again while they are cache-resident, and a cut of the
+// sorted order into runs yields compact tiles (internal/partition).
+// Consumers evaluate over the permuted set and remap member ids back to
+// input order on output.
 
 // mortonBits returns the bits of precision per dimension that fit one
-// 64-bit key.
+// 64-bit key. Above 64 dimensions an axis gets one bit, and the axes
+// past the 64th drop out of the key (MortonKey shifts them off).
 func mortonBits(d int) uint {
-	return uint(64 / d)
+	return uint(max(1, 64/d))
 }
 
-// MortonKey interleaves the low 64/d bits of each of the d cell
+// MortonKey interleaves the low mortonBits(d) bits of each of the d cell
 // coordinates into a single Z-order key: bit b of coordinate i lands at
-// key position b*d + i. Coordinates are expected to be non-negative
-// (already normalized against their per-dimension minimum); higher bits
-// beyond the per-dimension budget are dropped, which can only alias
-// distant cells onto nearby keys — a sort-quality concern, never a
-// correctness one.
+// key position b*d + i. Coordinates are expected to be non-negative and
+// within the budget (ZOrder normalizes and coarsens them so); higher
+// bits are dropped. Within the budget the key grows with every
+// coordinate.
 func MortonKey(cells []int64) uint64 {
 	switch len(cells) {
 	case 1:
@@ -80,96 +84,144 @@ func spread3(x uint64) uint64 {
 	return x
 }
 
-// MortonPerm returns the permutation that orders ps's points by the
-// Z-order key of their cellSize-quantized coordinates: perm[k] is the
-// input index of the k-th point in Morton order. Cell coordinates are
-// normalized against their per-dimension minimum before interleaving,
-// and key ties (shared or aliased cells) break by input index, so the
-// permutation is deterministic for a given input. It returns nil when
-// there is nothing to reorder — fewer than two points, or an input
-// that is already in Morton order.
-func MortonPerm(ps *PointSet, cellSize float64) []int32 {
-	n := ps.Len()
-	d := ps.Dims()
-	if n < 2 || !(cellSize > 0) {
-		return nil
-	}
-	inv := 1 / cellSize
+// ZOrder is the Z-order of one PointSet's cells, decided in one place
+// for every consumer (MortonPerm, internal/grid's BulkLoad,
+// internal/partition's runs). A point's cell on axis k is
+// floor(x / cellSize), normalized against the set's smallest cell on
+// that axis; an axis spanning more cells than the key has bits for
+// (mortonBits) is keyed in coarser cells, 2^shift of its cells to one,
+// with the smallest shift that fits. So the key never aliases, and it
+// never decreases when a coordinate grows: every cell of an
+// axis-aligned box has a key between those of the box's corners.
+type ZOrder struct {
+	ps    *PointSet
+	inv   float64
+	axes  []zAxis
+	cells []int64 // Key's scratch
+}
 
-	// Per-dimension minimum cell: floor is monotone, so the minimum
-	// cell is the cell of the minimum coordinate.
-	mins := make([]int64, d)
-	for j := 0; j < d; j++ {
-		lo := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if v := ps.At(i)[j]; v < lo {
-				lo = v
+// zAxis is one axis of a ZOrder: its smallest cell, its largest cell
+// normalized (cell − lo), and its coarsening (key cell = normalized
+// cell >> shift).
+type zAxis struct {
+	lo, hi int64
+	shift  uint
+}
+
+// NewZOrder returns the Z-order of ps's cellSize-cells. cellSize must
+// be positive.
+func NewZOrder(ps *PointSet, cellSize float64) *ZOrder {
+	d := ps.Dims()
+	z := &ZOrder{ps: ps, inv: 1 / cellSize, axes: make([]zAxis, d), cells: make([]int64, d)}
+	if ps.Len() == 0 {
+		return z
+	}
+	// Floor is monotone, so the extreme cells are the extreme
+	// coordinates' cells.
+	ext := make([]float64, 2*d) // per axis: smallest, largest coordinate
+	for k, v := range ps.At(0) {
+		ext[2*k], ext[2*k+1] = v, v
+	}
+	for i := d; i < len(ps.data); i += d {
+		for k, v := range ps.data[i : i+d] {
+			if v < ext[2*k] {
+				ext[2*k] = v
+			} else if v > ext[2*k+1] {
+				ext[2*k+1] = v
 			}
 		}
-		mins[j] = int64(math.Floor(lo * inv))
 	}
+	budget := int(mortonBits(d))
+	for k := range z.axes {
+		a := &z.axes[k]
+		a.lo = int64(math.Floor(ext[2*k] * z.inv))
+		a.hi = int64(math.Floor(ext[2*k+1]*z.inv)) - a.lo
+		a.shift = uint(max(0, bits.Len64(uint64(a.hi))-budget))
+	}
+	return z
+}
 
-	keys := make([]uint64, n)
-	cells := make([]int64, d)
-	for i := 0; i < n; i++ {
-		p := ps.At(i)
-		for j := 0; j < d; j++ {
-			cells[j] = int64(math.Floor(p[j]*inv)) - mins[j]
-		}
-		keys[i] = MortonKey(cells)
+// Key returns the key of the cell holding p shifted by off on every
+// axis, the cell clamped into the set's extent (cells outside it hold
+// no point of the set). Key(p, 0) of a point of the set is its own
+// cell's key; Key(p, −r) and Key(p, r) bound the keys of every cell
+// p's r-box covers.
+func (z *ZOrder) Key(p Point, off float64) uint64 {
+	for k, x := range p {
+		a := &z.axes[k]
+		c := min(max(int64(math.Floor((x+off)*z.inv))-a.lo, 0), a.hi)
+		z.cells[k] = c >> a.shift
 	}
+	return MortonKey(z.cells)
+}
 
-	perm := make([]int32, n)
+// Sort returns the set's points in Z-order, perm[k] being the input
+// index of the k-th point and keys[k] its key. Key ties (one cell)
+// break by input index, so the order is deterministic.
+func (z *ZOrder) Sort() (perm []int32, keys []uint64) {
+	n := z.ps.Len()
+	perm, keys = make([]int32, n), make([]uint64, n)
 	for i := range perm {
-		perm[i] = int32(i)
+		perm[i], keys[i] = int32(i), z.Key(z.ps.At(i), 0)
 	}
-	sortPermByKey(perm, keys)
-	for i := range perm {
-		if perm[i] != int32(i) {
+	sortByKey(keys, perm)
+	return perm, keys
+}
+
+// MortonPerm returns the permutation that orders ps's points by the
+// Z-order of their cellSize-cells (ZOrder.Sort): perm[k] is the input
+// index of the k-th point. It returns nil when there is nothing to
+// reorder — fewer than two points, or an input that is already in
+// Z-order.
+func MortonPerm(ps *PointSet, cellSize float64) []int32 {
+	if ps.Len() < 2 || !(cellSize > 0) {
+		return nil
+	}
+	perm, _ := NewZOrder(ps, cellSize).Sort()
+	for i, id := range perm {
+		if id != int32(i) {
 			return perm
 		}
 	}
-	return nil // already in Morton order: save the caller a copy
+	return nil // already in Z-order: save the caller a copy
 }
 
-// sortPermByKey sorts perm by (keys[perm[i]], perm[i]) — an LSD radix
-// sort over the key bytes plus a final stable property from the
-// index-seeded input, avoiding comparison-sort overhead on the O(n)
-// preprocessing path.
-func sortPermByKey(perm []int32, keys []uint64) {
-	n := len(perm)
-	tmp := make([]int32, n)
+// sortByKey sorts keys ascending and carries perm along — an LSD radix
+// sort over the key bytes, stable, so equal keys keep perm's order. A
+// byte that no two keys differ in costs no pass.
+func sortByKey(keys []uint64, perm []int32) {
+	if len(keys) < 2 {
+		return
+	}
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or, and = or|k, and&k
+	}
+	varying := or ^ and
+	src, dst := keys, make([]uint64, len(keys))
+	srcP, dstP := perm, make([]int32, len(perm))
 	var counts [256]int
 	for shift := uint(0); shift < 64; shift += 8 {
-		// Skip passes whose byte is constant across all keys.
-		first := keys[perm[0]] >> shift & 0xFF
-		constant := true
-		for _, id := range perm {
-			if keys[id]>>shift&0xFF != first {
-				constant = false
-				break
-			}
-		}
-		if constant {
+		if varying>>shift&0xFF == 0 {
 			continue
 		}
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, id := range perm {
-			counts[keys[id]>>shift&0xFF]++
+		clear(counts[:])
+		for _, k := range src {
+			counts[k>>shift&0xFF]++
 		}
 		pos := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = pos
-			pos += c
+		for b, c := range counts {
+			counts[b], pos = pos, pos+c
 		}
-		for _, id := range perm {
-			b := keys[id] >> shift & 0xFF
-			tmp[counts[b]] = id
+		for i, k := range src {
+			b := k >> shift & 0xFF
+			dst[counts[b]], dstP[counts[b]] = k, srcP[i]
 			counts[b]++
 		}
-		copy(perm, tmp)
+		src, dst, srcP, dstP = dst, src, dstP, srcP
+	}
+	if &src[0] != &keys[0] { // an odd number of passes ended in the scratch
+		copy(keys, src)
+		copy(perm, srcP)
 	}
 }

@@ -186,3 +186,45 @@ func FuzzMortonRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestZOrderKeyBoundsBox pins the property internal/partition's
+// frontier test rests on: every point of the set inside the box
+// p ± r has a key between Key(p, −r) and Key(p, r) — also on an axis
+// wider than the key has bits for, which is keyed in coarser cells
+// instead of aliasing.
+func TestZOrderKeyBoundsBox(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, d := range []int{1, 2, 3, 4, 5} {
+		ps := NewPointSetCap(d, 400)
+		for i := 0; i < 400; i++ {
+			p := ps.Extend()
+			for j := range p {
+				p[j] = r.Float64()*20 - 10
+			}
+			if d == 4 {
+				p[0] *= 1 << 14 // 2^18 cells of 0.5: past 16 bits
+			}
+		}
+		z := NewZOrder(ps, 0.5)
+		if d == 4 && z.axes[0].shift == 0 {
+			t.Fatal("d=4: a 2^18-cell axis must be keyed in coarser cells")
+		}
+		for trial := 0; trial < 200; trial++ {
+			c := ps.At(r.Intn(ps.Len()))
+			rad := r.Float64() * 3
+			if d == 4 {
+				rad *= 1 << 12
+			}
+			lo, hi := z.Key(c, -rad), z.Key(c, rad)
+			for i := 0; i < ps.Len(); i++ {
+				inside := true
+				for j, v := range ps.At(i) {
+					inside = inside && v >= c[j]-rad && v <= c[j]+rad
+				}
+				if k := z.Key(ps.At(i), 0); inside && (k < lo || k > hi) {
+					t.Fatalf("d=%d: key %d of a point in the box lies outside [%d, %d]", d, k, lo, hi)
+				}
+			}
+		}
+	}
+}

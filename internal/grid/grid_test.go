@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -177,7 +179,7 @@ func blocksPerAxis(g *Table, lo, hi int64) int64 {
 // TestProbeBlocksPerAxis: what the blocked layout buys. Three cells in
 // a row lie in two blocks wherever they start, so a probe whose radius
 // is the cell side looks up two blocks per axis; only a probe that
-// rounding or paddedReach's pad widens to a fourth cell can touch three.
+// rounding or geom.PaddedReach's pad widens to a fourth cell can touch three.
 func TestProbeBlocksPerAxis(t *testing.T) {
 	g := New(1, 1)
 	for lo := int64(-9); lo <= 9; lo++ {
@@ -680,4 +682,77 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBulkLoadRegistersInMortonOrder pins BulkLoad's slab layout: the
+// table equals one that registers the points by AddPoint in
+// geom.MortonPerm's order, and that order is the (key, id) order of the
+// bit-by-bit Morton coder BulkLoad once kept to itself (cells
+// normalized against the per-axis minimum, 64/d bits an axis), so the
+// layout did not change when the coder moved to geom.
+func TestBulkLoadRegistersInMortonOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for _, d := range []int{1, 2, 3, 5} {
+		for _, span := range []float64{0.3, 8, 300} {
+			n := 50 + r.Intn(400)
+			ps := geom.NewPointSetCap(d, n)
+			for i := 0; i < n; i++ {
+				for j, p := 0, ps.Extend(); j < d; j++ {
+					p[j] = r.Float64()*span - span/2
+				}
+			}
+			order := geom.MortonPerm(ps, 0.5)
+			if order == nil {
+				order = make([]int32, n)
+				for i := range order {
+					order[i] = int32(i)
+				}
+			}
+			if want := bitByBitMortonOrder(ps, 0.5); !slices.Equal(order, want) {
+				t.Fatalf("d=%d span=%v: MortonPerm's order differs from the bit-by-bit coder's", d, span)
+			}
+			want := NewCap(d, 0.5, n/2)
+			for _, id := range order {
+				want.AddPoint(ps.At(int(id)), id)
+			}
+			if got := BulkLoad(ps, 0.5); !reflect.DeepEqual(got, want) {
+				t.Fatalf("d=%d span=%v: BulkLoad's table differs from registration in MortonPerm's order", d, span)
+			}
+		}
+	}
+}
+
+// bitByBitMortonOrder is the order BulkLoad's private coder produced:
+// home cells normalized against each axis's smallest, the low 64/d bits
+// of each interleaved one bit at a time, ids sorted by (code, id).
+func bitByBitMortonOrder(ps *geom.PointSet, cellSize float64) []int32 {
+	n, d := ps.Len(), ps.Dims()
+	inv := 1 / cellSize
+	cell := func(i, k int) int64 { return int64(math.Floor(ps.At(i)[k] * inv)) }
+	mins := make([]int64, d)
+	for k := range mins {
+		mins[k] = cell(0, k)
+		for i := 1; i < n; i++ {
+			mins[k] = min(mins[k], cell(i, k))
+		}
+	}
+	bits := 64 / d
+	codes := make([]uint64, n)
+	order := make([]int32, n)
+	for i := range codes {
+		for k := 0; k < d; k++ {
+			v := uint64(cell(i, k)-mins[k]) & (1<<bits - 1)
+			for b := 0; b < bits; b++ {
+				codes[i] |= (v >> b & 1) << (b*d + k)
+			}
+		}
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if codes[a] != codes[b] {
+			return cmp.Compare(codes[a], codes[b])
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }

@@ -11,9 +11,10 @@
 // Beyond the paper's one-shot use, the forest is the merge substrate of
 // the parallel pipeline and the incremental evaluator:
 //
-//   - Absorb folds a worker-private forest over a shard into the global
-//     one through the shard's local→global index map (single-threaded
-//     reduction; the forest is not safe for concurrent mutation).
+//   - Absorb folds a worker-private forest over a tile into the global
+//     one at the tile's offset: a tile is a contiguous run of the global
+//     elements (single-threaded reduction; the forest is not safe for
+//     concurrent mutation).
 //   - Add grows the forest one singleton at a time, which is what lets
 //     incremental SGB-Any (internal/core's AnyEvaluator) absorb
 //     appended points without rebuilding.

@@ -116,15 +116,15 @@ func (u *UF) Reset(x int) {
 // Reset re-counts one element as a fresh singleton.
 func (u *UF) DropSets(n int) { u.count -= n }
 
-// Absorb merges another forest's partition into u through an index map:
-// local element i of o corresponds to global element global[i] of u.
-// Used by the shard-local evaluate stage — each worker builds a private
-// forest over its shard, and the merge stage folds the shard partitions
-// into the global one.
-func (u *UF) Absorb(o *UF, global []int32) {
-	for i := range global {
+// Absorb merges another forest's partition into u at an offset: element
+// i of o is element base+i of u. Used by the tile-local evaluate stage —
+// each worker builds a private forest over its tile, a contiguous run
+// of u's elements, and the merge stage folds the tile partitions into
+// the global one.
+func (u *UF) Absorb(o *UF, base int) {
+	for i := range o.parent {
 		if r := o.Find(i); r != i {
-			u.Union(int(global[i]), int(global[r]))
+			u.Union(base+i, base+r)
 		}
 	}
 }

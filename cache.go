@@ -49,7 +49,7 @@ type incrKey struct {
 // generation (not the row count) is what makes a delete followed by
 // inserts restoring the old length detectable.
 //
-// mu is the entry's singleflight lock: every build, append, export,
+// mu is the entry's singleflight lock: every build, append,
 // maintenance feed, and result read holds it, so concurrent sessions
 // hitting one key serialize on the entry — the first builds, the rest
 // reuse — and the single-threaded evaluators underneath never see
@@ -194,17 +194,6 @@ func (c *evalCache) acquire(key incrKey) *incrEntry {
 	return e
 }
 
-// add inserts a pre-built entry (the recovery path restoring
-// checkpointed evaluators).
-func (c *evalCache) add(key incrKey, e *incrEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = e
-	c.clock++
-	e.lastUse = c.clock
-	c.evictLocked()
-}
-
 // setCap changes the entry cap; shrinking evicts down immediately,
 // least recently used first.
 func (c *evalCache) setCap(n int) {
@@ -265,7 +254,7 @@ func (c *evalCache) items() []cacheItem {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]cacheItem, 0, len(c.m))
-	for k, e := range c.m { //sgblint:allow determinism capture order is incidental; every ordered consumer sorts the returned items
+	for k, e := range c.m { //sgblint:allow determinism capture order is incidental; every consumer acts on each item independently
 		out = append(out, cacheItem{key: k, e: e})
 	}
 	return out

@@ -157,7 +157,7 @@ func TestEvalCacheHammer(t *testing.T) {
 				for i := 0; i < ops; i++ {
 					key := keys[r.Intn(len(keys))]
 					switch op := r.Intn(100); {
-					case op < 60:
+					case op < 75:
 						// The query protocol: acquire, then settle the slot —
 						// claim it (evicting over the cap) or give it back.
 						e := c.acquire(key)
@@ -166,8 +166,6 @@ func TestEvalCacheHammer(t *testing.T) {
 						} else {
 							c.evictOver()
 						}
-					case op < 75:
-						c.add(key, &incrEntry{})
 					case op < 85:
 						c.setCap(1 + r.Intn(defaultIncrCacheCap))
 					case op < 88:

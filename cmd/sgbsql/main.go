@@ -245,9 +245,6 @@ func printRecovery(ri sgb.RecoveryInfo, dir string) {
 	fmt.Printf("recovered %s:", dir)
 	if ri.SnapshotPath != "" {
 		fmt.Printf(" snapshot through seq %d", ri.SnapshotSeq)
-		if ri.EvaluatorsRestored > 0 {
-			fmt.Printf(" (%d incremental evaluators restored)", ri.EvaluatorsRestored)
-		}
 	}
 	fmt.Printf(", %d WAL records (%d rows) replayed", ri.RecordsReplayed, ri.RowsReplayed)
 	if ri.SnapshotsSkipped > 0 {

@@ -311,8 +311,7 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 // after rows were deleted: entries that were in sync (gen == preGen) —
 // single-ε and sweep entries alike — receive the deleted row ids
 // through their decremental Remove, entries that were not (or whose
-// Remove fails) are dropped and rebuild on their next query. WAL replay
-// shares this path with live DELETE statements.
+// Remove fails) are dropped and rebuild on their next query.
 //
 // The entries share nothing — each is its own evaluator under its own
 // lock, repairing only the ε-components the victims touched — so they
@@ -325,8 +324,8 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 // first panic is raised again on the calling goroutine, where the
 // caller can recover it.
 func (db *DB) noteDelete(t *storage.Table, preGen, newGen int64, doomed []int) {
-	// An entry of t is keyed under t's lower-cased name (sgbAnswerFunc,
-	// OpenDir); maintainDeleted checks the identity itself.
+	// An entry of t is keyed under t's lower-cased name (sgbAnswerFunc);
+	// maintainDeleted checks the identity itself.
 	name := strings.ToLower(t.Name)
 	its := db.cache.items()
 	n := 0

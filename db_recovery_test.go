@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/snapshot"
 )
 
@@ -294,13 +293,15 @@ func TestRecoverySnapshotFallback(t *testing.T) {
 	sameDBState(t, "snapshot fallback", refDB(t, stmts, len(stmts)), rdb, d)
 }
 
-// TestRecoveryIncrementalEvaluators checkpoints live incremental
-// grouping state and checks a reopened database resumes it — the
-// evaluators are restored, stay in sync through the replayed WAL tail,
-// and keep answering identically to a cold engine.
+// TestRecoveryIncrementalEvaluators caches every grouping of the query
+// matrix, checkpoints, writes on, and reopens: the checkpoint holds the
+// tables only, so the reopened cache is empty, the first incremental
+// query of each grouping builds it from every row of its table, and
+// every answer equals a cold engine's after each further statement of
+// the trace.
 func TestRecoveryIncrementalEvaluators(t *testing.T) {
 	const d = 2
-	queries := recoveryQueries(d)[:4] // one metric's worth of cached states
+	queries := recoveryQueries(d)
 	stmts := recoveryTrace(d, 7)
 	dir := t.TempDir()
 	db, err := OpenDir(dir)
@@ -308,7 +309,7 @@ func TestRecoveryIncrementalEvaluators(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "SET incremental = on")
-	for i, s := range stmts {
+	for i, s := range stmts[:9] {
 		mustExec(t, db, s)
 		if i == 6 {
 			for _, q := range queries {
@@ -327,22 +328,31 @@ func TestRecoveryIncrementalEvaluators(t *testing.T) {
 	}
 	defer rdb.Close()
 	info := rdb.Recovery()
-	if info.EvaluatorsRestored != len(queries) {
-		t.Fatalf("EvaluatorsRestored = %d, want %d", info.EvaluatorsRestored, len(queries))
+	if info.SnapshotPath == "" || info.RecordsReplayed == 0 {
+		t.Fatalf("recovery = %+v, want a snapshot and a replayed tail", info)
 	}
-	if rdb.cache.len() != len(queries) {
-		t.Fatalf("recovered cache holds %d entries, want %d", rdb.cache.len(), len(queries))
+	if info.EvaluatorsRestored != 0 || rdb.cache.len() != 0 {
+		t.Fatalf("EvaluatorsRestored = %d, cache holds %d entries: want both 0", info.EvaluatorsRestored, rdb.cache.len())
 	}
-	// The restored evaluators must have been maintained through the
-	// replayed tail: the incremental answers must match a cold engine.
-	mustExec(t, rdb, "SET incremental = on")
-	ref := refDB(t, stmts, len(stmts))
+	n, err := rdb.TableLen("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range queries {
-		got := mustQuery(t, rdb, q)
-		want := mustQuery(t, ref, q)
-		if !reflect.DeepEqual(got.Data, want.Data) {
-			t.Fatalf("%q: incremental recovery diverges\n want %v\n  got %v", q, want.Data, got.Data)
+		var st Stats
+		if _, err := rdb.QueryOpt(q, QueryOptions{Algorithm: GridIndex, Incremental: true, Stats: &st}); err != nil {
+			t.Fatal(err)
 		}
+		if st.PointsExtracted != int64(n) {
+			t.Fatalf("%q: the first query after the reopen extracted %d rows, want all %d", q, st.PointsExtracted, n)
+		}
+	}
+	mustExec(t, rdb, "SET incremental = on")
+	for k := 9; k <= len(stmts); k++ {
+		if k > 9 {
+			mustExec(t, rdb, stmts[k-1])
+		}
+		sameDBState(t, fmt.Sprintf("after statement %d", k), refDB(t, stmts, k), rdb, d)
 	}
 }
 
@@ -350,22 +360,10 @@ func TestRecoveryIncrementalEvaluators(t *testing.T) {
 // commit before the SGB-All grid finder switched from range to
 // anchor-cell registration (testdata/parent-checkpoint: the first seven
 // statements of recoveryTrace(2, 7) under SET incremental = on, the
-// whole query matrix cached, then CHECKPOINT). Finder structures are
-// never serialized — restore replays groupCreated over the logical
-// state — so the old checkpoint must load, revive every evaluator, and
-// maintain them through further writes exactly as a cold engine
-// regroups.
-//
-// Changed on purpose by PR 22: the fixture also predates the JOIN-ANY
-// re-key. Its DISTANCE-TO-ALL … JOIN-ANY evaluators hold groups drawn
-// by live rank, which no run of this engine produces any more, so
-// "load" no longer means "adopt" for them: core.RestoreAllEvaluator
-// tells them apart by AllState.RandState and arbitrates their point
-// logs again under the coordinate key. The test now first proves the
-// fixture really holds such states (a restored one exports a different
-// RandState than it was given), then keeps what it always asserted —
-// every evaluator revived, and every answer equal to a cold engine's
-// (which draws by coordinates) after each further statement.
+// whole query matrix cached, then CHECKPOINT). The fixture's checkpoint
+// still holds that commit's serialized evaluators, which Load now skips
+// whole: its tables must load, and every answer must equal a cold
+// engine's after each further statement.
 func TestRecoveryParentCheckpoint(t *testing.T) {
 	const d = 2
 	dir := t.TempDir()
@@ -382,33 +380,13 @@ func TestRecoveryParentCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, _, _, err := snapshot.Latest(dir)
-	if err != nil || snap == nil {
-		t.Fatalf("fixture snapshot: %v, %v", snap, err)
-	}
-	rekeyed := 0
-	for _, e := range snap.Incr {
-		if all := e.State.All; all != nil && all.Opt.Overlap == core.JoinAny {
-			ev, err := core.RestoreAllEvaluator(all)
-			if err != nil {
-				t.Fatalf("restoring the fixture's JOIN-ANY state of %s: %v", e.Table, err)
-			}
-			if ev.ExportState().RandState != all.RandState {
-				rekeyed++
-			}
-		}
-	}
-	if rekeyed == 0 {
-		t.Fatal("the fixture holds no rank-keyed JOIN-ANY state: the re-arbitration on restore is not exercised")
-	}
 	rdb, err := OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rdb.Close()
-	queries := recoveryQueries(d)
-	if info := rdb.Recovery(); info.EvaluatorsRestored != len(queries) || info.SnapshotsSkipped != 0 {
-		t.Fatalf("recovery = %+v, want %d evaluators restored from the newest snapshot", info, len(queries))
+	if info := rdb.Recovery(); info.SnapshotPath == "" || info.SnapshotsSkipped != 0 || info.EvaluatorsRestored != 0 {
+		t.Fatalf("recovery = %+v, want the tables of the newest snapshot and no evaluators", info)
 	}
 	stmts := recoveryTrace(d, 7)
 	mustExec(t, rdb, "SET incremental = on")

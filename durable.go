@@ -3,26 +3,24 @@ package sgb
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
-	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/snapshot"
 	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/wal"
 )
 
 // The durability subsystem. A DB opened with OpenDir logs every table
-// mutation to a write-ahead log and periodically checkpoints the whole
-// engine state — tables plus the incremental-grouping evaluators — so
-// a crashed process reopens to exactly the prefix of statements whose
-// log frames reached disk. The write path is log-after-apply: a
-// statement mutates the in-memory tables first and appends its record
-// before Exec acknowledges, so every logged frame describes a mutation
-// that replay can re-apply verbatim (INSERT rows are logged post
-// type-coercion for the same reason). The DB's writer lock serializes
-// every mutation statement, so log order is apply order even under
-// concurrent sessions.
+// mutation to a write-ahead log and periodically checkpoints every
+// table, so a crashed process reopens to exactly the prefix of
+// statements whose log frames reached disk. Cached groupings are not
+// durable: each is a function of its table's rows, so after a reopen
+// its first incremental query builds it, as after SET incremental = on.
+// The write path is log-after-apply: a statement mutates the in-memory
+// tables first and appends its record before Exec acknowledges, so
+// every logged frame describes a mutation that replay can re-apply
+// verbatim (INSERT rows are logged post type-coercion for the same
+// reason). The DB's writer lock serializes every mutation statement, so
+// log order is apply order even under concurrent sessions.
 
 const (
 	// defaultCheckpointEvery is how many logged records trigger an
@@ -48,8 +46,7 @@ type durable struct {
 }
 
 // RecoveryInfo reports what OpenDir reconstructed: which snapshot
-// seeded the state, how much WAL tail was replayed on top, and how
-// many incremental-grouping evaluators resumed without a rebuild.
+// seeded the tables and how much WAL tail was replayed on top.
 type RecoveryInfo struct {
 	// SnapshotPath is the snapshot file recovery started from; empty
 	// when the directory held no loadable snapshot.
@@ -63,19 +60,19 @@ type RecoveryInfo struct {
 	RecordsReplayed int
 	// RowsReplayed counts rows re-inserted by the replayed records.
 	RowsReplayed int
-	// EvaluatorsRestored counts incremental-grouping evaluators revived
-	// from the snapshot and cached when recovery ends (SET incremental
-	// queries resume where they stood instead of regrouping from scratch).
+	// EvaluatorsRestored is always 0: checkpoints hold tables only, and
+	// each cached grouping is built by its first query after a reopen.
+	// It stays declared because bench/tracerun.go, frozen, reads it.
 	EvaluatorsRestored int
 }
 
 // OpenDir opens (creating if needed) a persistent database rooted at
 // dir. Recovery runs first: the newest valid checkpoint seeds the
-// tables and the incremental-grouping cache, then the WAL tail past
-// the checkpoint replays through the ordinary mutation paths. A torn
-// WAL tail or a corrupt newest checkpoint is repaired by falling back,
-// never by guessing — corrupt bytes are detected and discarded, not
-// applied. Close the returned DB to release the log.
+// tables, then the WAL tail past the checkpoint replays into them; the
+// evaluator cache starts empty. A torn WAL tail or a corrupt newest
+// checkpoint is repaired by falling back, never by guessing — corrupt
+// bytes are detected and discarded, not applied. Close the returned DB
+// to release the log.
 func OpenDir(dir string) (*DB, error) {
 	db := Open()
 	var info RecoveryInfo
@@ -95,29 +92,6 @@ func OpenDir(dir string) (*DB, error) {
 				return nil, fmt.Errorf("sgb: recovering %s: %w", snapPath, err)
 			}
 		}
-		// Revive the checkpointed evaluators before the tail replays:
-		// the replay's INSERT and DELETE maintenance then advances them
-		// exactly as the live statements did. An entry that fails to
-		// restore is skipped, not fatal — it rebuilds lazily at its next
-		// query. Each restores under its grouping's options and key,
-		// whatever key it was saved under: one grouping restores once.
-		seen := make(map[incrKey]bool)
-		for _, e := range snap.Incr {
-			t, err := db.cat.Lookup(e.Table)
-			_, by, ok := strings.Cut(e.Fingerprint, "|by=")
-			st, anySem := *e.State, e.State.Sem == incr.Any
-			st.Opt = st.Opt.Maintained(anySem)
-			key := incrKey{table: e.Table, fingerprint: st.Opt.Key(anySem, by)}
-			if err != nil || !ok || e.Consumed > t.Len() || seen[key] {
-				continue
-			}
-			seen[key] = true
-			inc, err := incr.Restore(&st)
-			if err != nil {
-				continue
-			}
-			db.cache.add(key, &incrEntry{table: t, ev: inc, consumed: e.Consumed, gen: t.Generation()})
-		}
 	}
 
 	if _, err := wal.Replay(dir, fromSeq, func(_ uint64, rec wal.Record) error {
@@ -129,7 +103,6 @@ func OpenDir(dir string) (*DB, error) {
 	}); err != nil {
 		return nil, err
 	}
-	info.EvaluatorsRestored = db.cache.len()
 
 	log, err := wal.Open(dir, wal.Options{})
 	if err != nil {
@@ -168,12 +141,10 @@ func (db *DB) Close() error {
 	return err
 }
 
-// applyRecord re-applies one WAL record through the same maintenance
-// paths live statements use, so replayed mutations advance the
-// restored incremental-grouping evaluators exactly as the originals
-// did. A record that fails to apply is a writer bug or targeted
-// corruption that slipped the frame checksum; recovery stops rather
-// than guess.
+// applyRecord re-applies one WAL record to the tables; the evaluator
+// cache is empty during replay, so there is nothing to maintain. A
+// record that fails to apply is a writer bug or targeted corruption
+// that slipped the frame checksum; recovery stops rather than guess.
 func (db *DB) applyRecord(rec wal.Record, info *RecoveryInfo) error {
 	switch r := rec.(type) {
 	case wal.CreateTable:
@@ -184,7 +155,6 @@ func (db *DB) applyRecord(rec wal.Record, info *RecoveryInfo) error {
 		return db.cat.Create(storage.NewTable(r.Name, schema))
 
 	case wal.DropTable:
-		db.dropIncrEntries(r.Name)
 		return db.cat.Drop(r.Name)
 
 	case wal.Insert:
@@ -192,9 +162,7 @@ func (db *DB) applyRecord(rec wal.Record, info *RecoveryInfo) error {
 		if err != nil {
 			return err
 		}
-		preGen := t.Generation()
 		n, err := t.InsertBatch(r.Rows)
-		db.refreshAppendGen(t, preGen, t.Generation())
 		info.RowsReplayed += n
 		return err
 
@@ -203,12 +171,7 @@ func (db *DB) applyRecord(rec wal.Record, info *RecoveryInfo) error {
 		if err != nil {
 			return err
 		}
-		preGen := t.Generation()
-		if err := t.DeleteRows(r.Idx); err != nil {
-			return err
-		}
-		db.noteDelete(t, preGen, t.Generation(), r.Idx)
-		return nil
+		return t.DeleteRows(r.Idx)
 
 	default:
 		return fmt.Errorf("unknown record %T", rec)
@@ -242,9 +205,8 @@ func (db *DB) logRecordLocked(rec wal.Record) error {
 	return nil
 }
 
-// Checkpoint writes a snapshot of the whole engine state — every table
-// plus the in-sync incremental-grouping evaluators — stamped with the
-// current WAL position, then prunes snapshots beyond the retained two
+// Checkpoint writes a snapshot of every table stamped with the current
+// WAL position, then prunes snapshots beyond the retained two
 // and the WAL segments older than the oldest retained one. SQL spells
 // it CHECKPOINT; it also fires automatically every checkpoint_every
 // logged records.
@@ -275,39 +237,6 @@ func (db *DB) checkpointLocked() error {
 			return err
 		}
 		s.Tables = append(s.Tables, t)
-	}
-	items := db.cache.items()
-	sort.Slice(items, func(i, j int) bool { return keyLess(items[i].key, items[j].key) })
-	for _, it := range items {
-		e := it.e
-		t, err := db.cat.Lookup(it.key.table)
-		if err != nil {
-			continue
-		}
-		// Read the generation before taking e.mu: Generation takes the
-		// table lock (tier 20), which must never nest inside an entry
-		// lock (tier 40). The value is stable here — the checkpoint runs
-		// under db.wmu, so no writer can advance it.
-		gen := t.Generation()
-		e.mu.Lock()
-		inc, ok := e.ev.(*incr.Incremental)
-		if !ok || e.table != t || e.gen != gen {
-			// Stale entries rebuild at their next query anyway — a
-			// checkpointed copy would only replay into garbage.
-			e.mu.Unlock()
-			continue
-		}
-		st, err := inc.ExportState()
-		consumed := e.consumed
-		e.mu.Unlock()
-		if err != nil {
-			// A sweep entry, kept at several ε levels, has no export
-			// format (incr.ErrNoExportFormat).
-			continue
-		}
-		s.Incr = append(s.Incr, snapshot.IncrEntry{
-			Table: it.key.table, Fingerprint: it.key.fingerprint, Consumed: consumed, State: st,
-		})
 	}
 	if _, err := snapshot.Write(db.dur.dir, s); err != nil {
 		return err

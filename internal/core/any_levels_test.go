@@ -21,7 +21,7 @@ import (
 //	1 m      remove the 1 + m mod 48 oldest points
 //	2 r      remove the ids i with (i + r) mod (2 + r mod 5) = 0
 //	3 r      remove the one id r mod Len
-//	4        export the state and restore it (one level only)
+//	4        rebuild the evaluator from its live points, as a restart does
 //
 // A coordinate byte b is b·step mod 16 steps in lattice mode, so that
 // distances land on the levels, which are multiples of the step, and
@@ -34,7 +34,7 @@ const (
 	anyOpEvict
 	anyOpScatter
 	anyOpSingle
-	anyOpRestore
+	anyOpRebuild
 	anyOps
 )
 
@@ -66,7 +66,7 @@ func anyTraceLevels(lattice bool, step float64, list int) []float64 {
 }
 
 // anyTraceSummary counts what a trace exercised.
-type anyTraceSummary struct{ removes, compactions, restores int }
+type anyTraceSummary struct{ removes, compactions, rebuilds int }
 
 // checkAnyTrace runs an encoded trace against a maintained evaluator and
 // holds every level to SweepAny over the surviving points after every
@@ -139,7 +139,7 @@ func checkAnyTrace(t testing.TB, data []byte) anyTraceSummary {
 	for step := 0; len(ops) > 0; step++ {
 		op := ops[0] % anyOps
 		ops = ops[1:]
-		if op != anyOpRestore && len(ops) == 0 {
+		if op != anyOpRebuild && len(ops) == 0 {
 			break
 		}
 		what := ""
@@ -189,17 +189,19 @@ func checkAnyTrace(t testing.TB, data []byte) anyTraceSummary {
 				remove([]int{r % ev.Len()})
 			}
 			what = "remove one"
-		case anyOpRestore:
-			if len(levels) > 1 {
-				continue
-			}
-			restored, err := RestoreAnyEvaluator(ev.ExportState())
+		case anyOpRebuild:
+			rebuilt, err := NewAnyLevels(d, levels, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev = restored
-			sum.restores++
-			what = "restore"
+			if len(mirror.pts) > 0 {
+				if err := rebuilt.Append(geom.FromPoints(mirror.pts)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ev = rebuilt
+			sum.rebuilds++
+			what = "rebuild"
 		}
 		check(step, what)
 	}
@@ -245,7 +247,7 @@ type anyTraceSeed struct {
 // (distances on a level) under windows and single deletes — plus
 // TestAnyStrategiesAgreeOnLatticeLInf's 6 × 6 lattice, whose L∞
 // distances land on ε or round just past it, deleted point by point,
-// and export → restore → remove traces.
+// and traces that rebuild the evaluator between removals.
 func anyTraceSeeds() []anyTraceSeed {
 	var seeds []anyTraceSeed
 	seed := int64(3100)
@@ -314,13 +316,14 @@ func anyTraceSeeds() []anyTraceSeed {
 			seeds = append(seeds, anyTraceSeed{fmt.Sprintf("grid6/linf=%t/list=%d", linf, list), tr.data, anyTraceSummary{removes: len(grid6) / 2}})
 		}
 	}
-	// Export → restore → remove: the restored evaluator holds no forest
-	// until its first removal plants one.
+	// Restore → remove: an evaluator rebuilt from the live points — how
+	// the first query after a restart restores a grouping — repairs like
+	// any other.
 	for d := 1; d <= 3; d++ {
 		r := rand.New(rand.NewSource(int64(3200 + d)))
 		tr := &anyTrace{data: anyTraceHeader(d == 2, d, false, false, 0), d: d, coord: func() byte { return byte(r.Intn(256)) }}
-		tr.add(100).op(anyOpRestore).op(anyOpEvict, 20).add(30).op(anyOpRestore).add(30).op(anyOpScatter, 5).op(anyOpRestore).op(anyOpSingle, 17)
-		seeds = append(seeds, anyTraceSeed{fmt.Sprintf("restore/d=%d", d), tr.data, anyTraceSummary{removes: 3, restores: 3}})
+		tr.add(100).op(anyOpRebuild).op(anyOpEvict, 20).add(30).op(anyOpRebuild).add(30).op(anyOpScatter, 5).op(anyOpRebuild).op(anyOpSingle, 17)
+		seeds = append(seeds, anyTraceSeed{fmt.Sprintf("restore/d=%d", d), tr.data, anyTraceSummary{removes: 3, rebuilds: 3}})
 	}
 	return seeds
 }
@@ -328,13 +331,13 @@ func anyTraceSeeds() []anyTraceSeed {
 // TestAnyLevelsRemoveEquivalence holds a maintained evaluator at one,
 // three and six levels to SweepAnySet over the survivors after every
 // append and every remove (anyTraceSeeds). Each trace must have
-// removed, compacted and restored as often as it was built to.
+// removed, compacted and rebuilt as often as it was built to.
 func TestAnyLevelsRemoveEquivalence(t *testing.T) {
 	for _, s := range anyTraceSeeds() {
 		t.Run(s.name, func(t *testing.T) {
 			sum := checkAnyTrace(t, s.data)
-			if sum.removes < s.want.removes || sum.compactions < s.want.compactions || sum.restores < s.want.restores {
-				t.Fatalf("removed %d times, compacted %d and restored %d; want at least %+v", sum.removes, sum.compactions, sum.restores, s.want)
+			if sum.removes < s.want.removes || sum.compactions < s.want.compactions || sum.rebuilds < s.want.rebuilds {
+				t.Fatalf("removed %d times, compacted %d and rebuilt %d; want at least %+v", sum.removes, sum.compactions, sum.rebuilds, s.want)
 			}
 		})
 	}

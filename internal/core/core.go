@@ -401,9 +401,8 @@ func checkCoords(ps *geom.PointSet, eps float64) error {
 // Draws are KEYED, not streamed: a draw is a pure function of the seed
 // state and the drawing point's coordinate bits, folded through the
 // splitmix64 finalizer one coordinate at a time. The key is a property
-// of the point itself — not of how many points drew before it (the old
-// shared stream), nor of its position among the live points (the rank
-// key checkpoints before PR 22 hold) — so nothing that happens
+// of the point itself — not of how many points drew before it, nor of
+// its position among the live points — so nothing that happens
 // elsewhere in the input moves it. That is what lets a DELETE replay
 // only the ε-components it touched (decremental.go), bit-identical to a
 // from-scratch run over the surviving points. Points with equal
@@ -415,12 +414,6 @@ const splitmixGamma = 0x9E3779B97F4A7C15
 
 // newRNG seeds the coordinate-keyed generation of draws.
 func newRNG(seed int64) *rng { return &rng{state: uint64(seed)*splitmixGamma + 2} }
-
-// rankKeyedState is the seed state of the generation before it, whose
-// draws were keyed by live rank. It differs from newRNG's for every
-// seed, which is how RestoreAllEvaluator tells an old JOIN-ANY
-// checkpoint apart (persist.go).
-func rankKeyedState(seed int64) uint64 { return uint64(seed)*splitmixGamma + 1 }
 
 // drawAt returns the uniform draw in [0, n) keyed by p's coordinate
 // bits. r.state never advances.

@@ -153,9 +153,6 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 	if err != nil {
 		return err
 	}
-	if e.f.trees == nil {
-		e.plant()
-	}
 	e.materializeLive()
 	if e.alive == nil {
 		e.alive = make([]bool, e.points.Len())
@@ -338,19 +335,6 @@ func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
 	return rm.probePos, rm.probeKey
 }
 
-// plant builds the forests of a restored evaluator, whose state holds
-// only the partition: one probe pass over the live points, every level
-// at once.
-func (e *AnyEvaluator) plant() {
-	n := e.points.Len()
-	e.f.trees = make([]anyTree, len(e.f.ufs))
-	for l, uf := range e.f.ufs {
-		uf.Reinit(n)
-		e.f.trees[l] = newAnyTree(n)
-	}
-	e.probePass(e.f, e.opt.Eps)
-}
-
 // compact rebuilds the evaluator over the surviving points once the
 // tombstones outnumber them, bounding memory by the live set. The
 // forests are already known, so the rebuild renumbers their edges and
@@ -429,8 +413,8 @@ func (e *AllEvaluator) Remove(ids []int) error {
 	e.materializeLive()
 	e.idxOK = false
 	// Replay everything when the log is due for compaction (tombstones
-	// outnumber the living) or the stamps are not the true ones.
-	full := e.dead+len(sorted) > len(e.live)-len(sorted) || !e.stamped
+	// outnumber the living).
+	full := e.dead+len(sorted) > len(e.live)-len(sorted)
 	if !full {
 		e.ensureCells()
 	}
@@ -482,7 +466,6 @@ func (e *AllEvaluator) resetState(victims []int32) {
 		}
 	}
 	e.st = newMaintainedState(pts, e.st.opt)
-	e.stamped = true
 }
 
 // ensureCells builds the point grid over the live points. The cell side

@@ -323,8 +323,49 @@ type stateView struct {
 	Eliminated, Deferred []int
 }
 
+// retainedState is an evaluator's retained arbitration state in stored
+// indices: the point log and its live order, the groups in creation
+// order and the ELIMINATE / FORM-NEW-GROUP event lists.
+type retainedState struct {
+	Dims                 int
+	Data                 []float64
+	Live                 []int32
+	Dead                 int
+	Eliminated, Deferred []int32
+	Groups               [][]int32
+}
+
+func retainedOf(e *AllEvaluator) retainedState {
+	st := e.st
+	int32s := func(xs []int) []int32 {
+		if xs == nil {
+			return nil
+		}
+		out := make([]int32, len(xs))
+		for i, x := range xs {
+			out[i] = int32(x)
+		}
+		return out
+	}
+	s := retainedState{
+		Dims:       st.dims,
+		Data:       append([]float64(nil), st.points.Data()...),
+		Live:       append([]int32(nil), e.live...),
+		Dead:       e.dead,
+		Eliminated: int32s(st.eliminated),
+		Deferred:   int32s(st.deferred),
+		Groups:     make([][]int32, 0, len(st.order)),
+	}
+	for _, id := range st.order {
+		if g := st.groups[id]; g != nil {
+			s.Groups = append(s.Groups, int32s(g.members))
+		}
+	}
+	return s
+}
+
 func viewOf(e *AllEvaluator) stateView {
-	s := e.ExportState()
+	s := retainedOf(e)
 	live := make(map[int32]int, e.Len())
 	for k := 0; k < e.Len(); k++ {
 		pos := int32(k)

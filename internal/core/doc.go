@@ -35,6 +35,9 @@
 //     sharing the exact per-point step with the one-shot path so an
 //     incremental run over batches equals a one-shot run over their
 //     concatenation. internal/incr wraps these in the public handle.
+//     Retained state has no serialized form: it equals a from-scratch
+//     run over the surviving points, so appending them again rebuilds
+//     it.
 //
 // An ε sweep (EPS IN, SIMILARITY CUBE BY EPS) comes in two forms. A
 // one-shot sweep (SweepAny) runs the first two shapes over its levels

@@ -75,7 +75,7 @@ func TestFingerprintCoversOptions(t *testing.T) {
 
 // maintainedSteps drives a fresh SGB-All evaluator through decoded
 // trace operations and records, after each one, its Result and its
-// exported state with the options and the seed state left out.
+// retained state (retainedOf).
 func maintainedSteps(t *testing.T, dims int, opt Options, ops []traceOp) [][2]any {
 	ev, err := NewAllEvaluator(dims, opt)
 	if err != nil {
@@ -91,9 +91,7 @@ func maintainedSteps(t *testing.T, dims int, opt Options, ops []traceOp) [][2]an
 		if err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
-		s := ev.ExportState()
-		s.Opt, s.RandState = Options{}, 0
-		out = append(out, [2]any{normalizeRes(ev.Result()), *s})
+		out = append(out, [2]any{normalizeRes(ev.Result()), retainedOf(ev)})
 	}
 	return out
 }

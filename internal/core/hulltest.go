@@ -16,7 +16,9 @@ import "github.com/sgb-db/sgb/internal/geom"
 //   - a point inside the group's convex hull is within diam(g) ≤ ε of
 //     every member, hence a true candidate;
 //   - for a point outside the hull, the farthest member is a hull
-//     vertex, so comparing against the farthest hull vertex decides.
+//     vertex, so comparing against the farthest hull vertex decides —
+//     by the distance key against ε's key, as the member scan does,
+//     since a square root can round a distance just past ε onto it.
 //
 // In dimensions other than two (the paper defers d > 3 to future work)
 // we refine with an exact member scan, which preserves correctness at
@@ -34,9 +36,9 @@ func (st *sgbAllState) refine(pi int, g *group) bool {
 	if hull.Contains(p) {
 		return true
 	}
-	_, d := hull.Farthest(p, st.opt.Metric)
+	v, _ := hull.Farthest(p, st.opt.Metric)
 	st.opt.Stats.addDist(int64(hull.Len()))
-	return d <= st.opt.Eps
+	return st.opt.Metric.DistKey(p, v) <= st.opt.Metric.EpsKey(st.opt.Eps)
 }
 
 // smallGroupScan is the membership count below which the L2 refinement

@@ -56,12 +56,6 @@ type AllEvaluator struct {
 	// live points, Remove compacts the point log and replays everything.
 	dead int
 
-	// stamped reports that every group's stamp and every event's cause
-	// is the true one. A restored ELIMINATE / FORM-NEW-GROUP checkpoint
-	// holds only their order (persist.go), which serves appends and
-	// reads; its first Remove replays everything and sets the flag.
-	stamped bool
-
 	// cells is the point grid the closure of a Remove walks: every live
 	// stored index in its ε-cell. Built by the first local Remove, kept
 	// current by Append and Remove, dropped when the log compacts.
@@ -84,7 +78,7 @@ func NewAllEvaluator(dims int, opt Options) (*AllEvaluator, error) {
 	if dims < 1 {
 		return nil, errors.New("core: evaluator dimensionality must be >= 1")
 	}
-	return &AllEvaluator{st: newMaintainedState(geom.NewPointSet(dims), opt), stamped: true}, nil
+	return &AllEvaluator{st: newMaintainedState(geom.NewPointSet(dims), opt)}, nil
 }
 
 // newMaintainedState returns an empty retained arbitration state over
@@ -307,8 +301,8 @@ func materializeAll(st *sgbAllState) *Result {
 //
 // The index is the grid whatever Options.Algorithm names: components do
 // not depend on the index that finds the ε-edges either, so groups, ids
-// and exported state (which holds no index) are the same under every
-// strategy — only the Stats counters of maintenance work are the grid's.
+// and retained partitions are the same under every strategy — only the
+// Stats counters of maintenance work are the grid's.
 //
 // Each appended batch is Morton (Z-order) preprocessed by the one-shot
 // path's rule (mortonPermFor): the batch's points are absorbed in
@@ -320,10 +314,8 @@ type AnyEvaluator struct {
 	opt    Options        // Eps is the top level's
 	eps    []float64      // every level's ε, ascending (f.keys in ε)
 	points *geom.PointSet // append-only log; removals tombstone via alive
-	// f holds the levels over stored positions (incl. dead). Its trees
-	// are nil only in a restored evaluator, whose state holds no forest
-	// (persist.go): appends keep the partition current, and the first
-	// Remove plants the forests with one probe pass.
+	// f holds the levels over stored positions (incl. dead), each with
+	// the forest a Remove repairs.
 	f    *anyForests
 	ix   *anyGrid
 	join anyJoin // the scratch of Append's, probePass's and Remove's probes
@@ -502,7 +494,7 @@ func (e *AnyEvaluator) AddLevel(eps float64) error {
 	if len(e.eps) == MaxLevels {
 		return ErrTooManyLevels
 	}
-	f, err := e.levelPass(eps, e.f.trees != nil)
+	f, err := e.levelPass(eps, true)
 	if err != nil {
 		return err
 	}
@@ -510,9 +502,7 @@ func (e *AnyEvaluator) AddLevel(eps float64) error {
 	e.eps = slices.Insert(e.eps, l, eps)
 	e.f.keys = slices.Insert(e.f.keys, l, f.keys[0])
 	e.f.ufs = slices.Insert(e.f.ufs, l, f.ufs[0])
-	if f.trees != nil {
-		e.f.trees = slices.Insert(e.f.trees, l, f.trees[0])
-	}
+	e.f.trees = slices.Insert(e.f.trees, l, f.trees[0])
 	return nil
 }
 
@@ -540,7 +530,7 @@ func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) 
 // into f, each from its later stored position: one probe pass over the
 // live points, each probe's earlier candidates joining it as an
 // append's do (anyJoin.join). It fills a level the evaluator did not
-// hold and plants the forests of a restored one.
+// hold.
 func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
 	ps, opt, g, j := e.points, e.opt, e.ix, &e.join
 	for i := 0; i < ps.Len(); i++ {

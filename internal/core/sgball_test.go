@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -508,4 +509,31 @@ func TestFormNewGroupRecursionTerminates(t *testing.T) {
 		t.Error("expected nonzero FORM-NEW-GROUP recursion depth")
 	}
 	t.Logf("recursion depth: %d, groups: %d", st.RecursionDepth, res.NumGroups())
+}
+
+// TestHullRefinementAcceptsByKey: the L2 hull refinement decides by the
+// squared distance key, as the member scan and All-Pairs do, not by a
+// square root that can round onto ε. (1, 2⁻²⁶) is at squared distance
+// 1 + 2⁻⁵² from the origin, just past ε = 1, while its distance rounds
+// to 1: the hull of the first nine points must not admit the origin.
+func TestHullRefinementAcceptsByKey(t *testing.T) {
+	points := []geom.Point{
+		{1, math.Ldexp(1, -26)}, {0.9, 0}, {0.9, 0.05}, {0.95, -0.05}, {0.92, 0.02},
+		{0.93, -0.02}, {0.94, 0.03}, {0.91, -0.03}, {0.96, 0.01}, {0, 0},
+	}
+	var want [2]any
+	for i, alg := range allAlgorithms {
+		res, err := SGBAll(points, Options{Metric: geom.L2, Eps: 1, Overlap: JoinAny, Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if err := CheckCliques(points, geom.L2, 1, res); err != nil {
+			t.Errorf("%v: %v", alg, err)
+		}
+		if got := normalizeRes(res); i == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: %v, want %v as %v", alg, got, want, allAlgorithms[0])
+		}
+	}
 }

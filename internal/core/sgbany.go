@@ -247,8 +247,7 @@ const mortonMinPoints = 32
 // exactly cell adjacency — so the explicitly named comparison
 // strategies keep their evaluation shape unless they are tiled, whose
 // runs are cut from the Z-order. AnyEvaluator.Append applies the same
-// rule per batch: stored order, and so checkpoint bytes, are a function
-// of the options alone.
+// rule per batch: stored order is a function of the options alone.
 func mortonPermFor(ps *geom.PointSet, opt Options) []int32 {
 	if opt.Algorithm != GridIndex || ps.Len() < mortonMinPoints {
 		return nil
@@ -346,7 +345,7 @@ func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
 // exactly one cell, so the probe needs no sort or dedup. Besides
 // collect and add, a maintained evaluator unregisters a deleted point
 // (remove) and registers points without probing (add, in the compaction
-// and restore rebuilds, where components are already known).
+// rebuild, where components are already known).
 type anyGrid struct {
 	tab *grid.Table
 	cur grid.Cursor

@@ -35,8 +35,13 @@ func CheckCliques(points []geom.Point, metric geom.Metric, eps float64, res *Res
 			for j := i + 1; j < len(g.Members); j++ {
 				a, b := g.Members[i], g.Members[j]
 				if !metric.Within(points[a], points[b], eps) {
-					return fmt.Errorf("group %d is not a clique: δ(p%d,p%d)=%.6g > ε=%g",
-						gi, a, b, metric.Dist(points[a], points[b]), eps)
+					// Within compares distance keys: squares under L2.
+					sq := ""
+					if metric == geom.L2 {
+						sq = "²"
+					}
+					return fmt.Errorf("group %d is not a clique: δ%s(p%d,p%d)=%v > ε%s=%v",
+						gi, sq, a, b, metric.DistKey(points[a], points[b]), sq, metric.EpsKey(eps))
 				}
 			}
 		}

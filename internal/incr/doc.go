@@ -40,6 +40,11 @@
 //     from-scratch run, at a cost proportional to those components
 //     (core/decremental.go).
 //
+// A handle is never serialized: its grouping is a function of its
+// surviving points alone, so a restarted owner rebuilds it by appending
+// them again (the SQL engine's checkpoints hold tables only, and each
+// cached grouping is built by its first query after a reopen).
+//
 // Sliding windows ride on Remove: Window(n) evicts oldest-first down
 // to n live points, WindowBy(pred) evicts the longest oldest-first
 // prefix matching a predicate. Ids are live ids throughout — Result

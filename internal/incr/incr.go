@@ -116,7 +116,6 @@ func New(sem Semantics, opt core.Options) (*Incremental, error) {
 // any of them, Result the top one. levels is validated as
 // core.ValidateLevels has it: an EPS IN list of at most core.MaxLevels.
 // opt.Eps is ignored — the largest level is the top, and Opt reports it.
-// Such a handle has no export format (ExportState).
 func NewLevels(opt core.Options, levels []float64) (*Incremental, error) {
 	if err := core.ValidateLevels(levels); err != nil {
 		return nil, err

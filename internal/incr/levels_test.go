@@ -15,7 +15,7 @@ import (
 // sliding window and added levels, holding every level it keeps — and a
 // level it does not — to a one-shot sweep over the survivors, and pins
 // the handle's contract: levels sorted and validated, AddLevel before
-// and after the first batch, Result the top level, no export format,
+// and after the first batch, Result the top level,
 // and single-ε handles answering their own ε only.
 func TestLevelsHandle(t *testing.T) {
 	opt := core.Options{Metric: geom.L2, Algorithm: core.GridIndex}
@@ -54,9 +54,6 @@ func TestLevelsHandle(t *testing.T) {
 	}
 	if _, err := x.GroupsAt(1.2); !errors.Is(err, core.ErrEpsAboveMax) {
 		t.Fatalf("GroupsAt above the top of an empty handle: %v", err)
-	}
-	if _, err := x.ExportState(); !errors.Is(err, ErrNoExportFormat) {
-		t.Fatalf("ExportState of a levels handle: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(3400))

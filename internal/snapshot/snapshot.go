@@ -1,9 +1,9 @@
 // Package snapshot writes and reads checkpoint files: a point-in-time
-// image of the engine's durable state — every table plus the retained
-// incremental-grouping evaluators — stamped with the WAL sequence
-// number it covers. Recovery loads the newest valid snapshot and
-// replays only the WAL tail past its stamp, instead of cold-regrouping
-// the whole log.
+// image of the engine's durable state — every table — stamped with the
+// WAL sequence number it covers. Recovery loads the newest valid
+// snapshot and replays only the WAL tail past its stamp, instead of
+// the whole log. Cached groupings are not in it: each is a function of
+// its table's rows, rebuilt by its first query after a reopen.
 //
 // # File format
 //
@@ -13,8 +13,13 @@
 //	8 bytes  magic "SGBSNAP1"
 //	u32      format version (currently 1)
 //	u64      covered WAL sequence number
-//	payload  tables, then incremental-cache entries (wal row codec)
+//	payload  tables (wal row codec), then a u32 entry count of 0
 //	u32      CRC32-C of everything before it
+//
+// Files written before checkpoints held tables only carry a non-zero
+// entry count followed by serialized evaluators, up to the CRC. Load
+// skips that section whole without decoding it; the CRC, verified
+// first, covers it like the rest of the file.
 //
 // Writes are atomic: the image is assembled in a temp file in the same
 // directory, fsynced, renamed into place, and the directory fsynced —
@@ -35,8 +40,8 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/storage"
+	"github.com/sgb-db/sgb/internal/types"
 	"github.com/sgb-db/sgb/internal/wal"
 )
 
@@ -50,22 +55,10 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Snapshot is the in-memory image a checkpoint serializes: the covered
-// WAL sequence number, every table, and the incremental-grouping cache
-// entries whose evaluators are worth restoring.
+// WAL sequence number and every table.
 type Snapshot struct {
 	Seq    uint64
 	Tables []*storage.Table
-	Incr   []IncrEntry
-}
-
-// IncrEntry is one retained incremental-grouping evaluator: the table
-// and option fingerprint that key it, how many of the table's rows the
-// evaluator has consumed, and the exported evaluator state.
-type IncrEntry struct {
-	Table       string
-	Fingerprint string
-	Consumed    int
-	State       *incr.State
 }
 
 // Path returns the snapshot file name covering seq inside dir.
@@ -82,10 +75,8 @@ func Write(dir string, s *Snapshot) (string, error) {
 	b = append(b, magic...)
 	b = wal.AppendU32(b, version)
 	b = wal.AppendU64(b, s.Seq)
-	var err error
-	if b, err = appendPayload(b, s); err != nil {
-		return "", err
-	}
+	b = appendTables(b, s.Tables)
+	b = wal.AppendU32(b, 0) // evaluator entries: none (file format)
 	b = wal.AppendU32(b, crc32.Checksum(b, castagnoli))
 
 	final := Path(dir, s.Seq)
@@ -116,8 +107,9 @@ func Write(dir string, s *Snapshot) (string, error) {
 }
 
 // Load reads and validates one snapshot file. Any corruption — bad
-// magic, unknown version, CRC mismatch, or a payload that does not
-// decode — is an error; Load never returns a partially decoded image.
+// magic, unknown version, CRC mismatch, or tables that do not decode —
+// is an error; Load never returns a partially decoded image. An older
+// file's evaluator entries are skipped (file format).
 func Load(path string) (*Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -135,13 +127,71 @@ func Load(path string) (*Snapshot, error) {
 	}
 	s := &Snapshot{Seq: binary.LittleEndian.Uint64(b[len(magic)+4:])}
 	d := wal.NewDecoder(b[hdr : len(b)-4])
-	if err := decodePayload(d, s); err != nil {
+	s.Tables = decodeTables(d)
+	entries := d.U32()
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
-	if d.Len() != 0 {
+	if entries == 0 && d.Len() != 0 {
 		return nil, fmt.Errorf("snapshot: %s: %d trailing payload bytes", path, d.Len())
 	}
 	return s, nil
+}
+
+// appendTables encodes each table's name, schema and rows, the rows in
+// the wal row codec so log frames and checkpoints share one form.
+func appendTables(b []byte, tables []*storage.Table) []byte {
+	b = wal.AppendU32(b, uint32(len(tables)))
+	for _, t := range tables {
+		b = wal.AppendString(b, t.Name)
+		b = wal.AppendU32(b, uint32(len(t.Schema)))
+		for _, c := range t.Schema {
+			b = wal.AppendString(b, c.Name)
+			b = append(b, byte(c.Type))
+		}
+		rows, _ := t.Snapshot()
+		b = wal.AppendU64(b, uint64(len(rows)))
+		for _, row := range rows {
+			b = wal.AppendRow(b, row)
+		}
+	}
+	return b
+}
+
+// decodeTables is appendTables' inverse. The CRC has been verified when
+// it runs, but a truncated count still surfaces as d.Err, never a panic.
+func decodeTables(d *wal.Decoder) []*storage.Table {
+	var tables []*storage.Table
+	nt := d.Count()
+	for i := 0; i < nt && d.Err() == nil; i++ {
+		name := d.String()
+		nc := d.Count()
+		schema := make(storage.Schema, 0, nc)
+		for j := 0; j < nc && d.Err() == nil; j++ {
+			schema = append(schema, storage.Column{Name: d.String(), Type: types.Kind(d.Byte())})
+		}
+		nr := int(d.U64())
+		t := storage.NewTable(name, schema)
+		t.Rows = make([]types.Row, 0, clampCap(nr)) //sgblint:allow snapshotsafe recovery-time rebuild of a table not yet published to any catalog
+		for j := 0; j < nr && d.Err() == nil; j++ {
+			t.Rows = append(t.Rows, d.Row()) //sgblint:allow snapshotsafe recovery-time rebuild of a table not yet published to any catalog
+		}
+		tables = append(tables, t)
+	}
+	return tables
+}
+
+// clampCap bounds a decoded preallocation hint so a corrupt length
+// cannot drive a huge make; the slice still grows to the real size.
+func clampCap(n int) int {
+	const max = 1 << 20
+	if n < 0 {
+		return 0
+	}
+	if n > max {
+		return max
+	}
+	return n
 }
 
 // Info names one snapshot file and the WAL sequence its name claims to

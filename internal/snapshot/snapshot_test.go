@@ -1,21 +1,20 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"github.com/sgb-db/sgb/internal/core"
-	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/types"
+	"github.com/sgb-db/sgb/internal/wal"
 )
 
-// sampleSnapshot builds a snapshot with two tables and two live
-// incremental evaluators (one per semantics), exercising every payload
-// section.
+// sampleSnapshot builds a snapshot with two tables, one of them empty.
 func sampleSnapshot(t *testing.T, seq uint64) *Snapshot {
 	t.Helper()
 	pts := storage.NewTable("pts", storage.Schema{
@@ -34,68 +33,18 @@ func sampleSnapshot(t *testing.T, seq uint64) *Snapshot {
 		})
 	}
 	empty := storage.NewTable("empty", storage.Schema{{Name: "v", Type: types.KindFloat}})
-
-	mkIncr := func(sem incr.Semantics, opt core.Options) *incr.State {
-		x, err := incr.New(sem, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps := geom.NewPointSetCap(2, pts.Len())
-		for _, row := range pts.Rows {
-			p := ps.Extend()
-			p[0], p[1] = row[1].F, row[2].F
-		}
-		if err := x.AppendSet(ps); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Remove([]int{0, 3, 17}); err != nil {
-			t.Fatal(err)
-		}
-		st, err := x.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	return &Snapshot{
-		Seq:    seq,
-		Tables: []*storage.Table{pts, empty},
-		Incr: []IncrEntry{
-			{
-				Table:       "pts",
-				Fingerprint: "any|grid",
-				Consumed:    40,
-				State:       mkIncr(incr.Any, core.Options{Metric: geom.L2, Eps: 1.0, Algorithm: core.GridIndex}),
-			},
-			{
-				Table:       "pts",
-				Fingerprint: "all|join-any",
-				Consumed:    40,
-				State:       mkIncr(incr.All, core.Options{Metric: geom.LInf, Eps: 1.2, Overlap: core.JoinAny, Algorithm: core.GridIndex, Seed: 5}),
-			},
-		},
-	}
+	return &Snapshot{Seq: seq, Tables: []*storage.Table{pts, empty}}
 }
 
-func TestWriteLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := sampleSnapshot(t, 37)
-	path, err := Write(dir, want)
-	if err != nil {
-		t.Fatal(err)
+// sameTables fails unless got holds want's tables: names, schemas and
+// rows.
+func sameTables(t *testing.T, got, want []*storage.Table) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("tables = %d, want %d", len(got), len(want))
 	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != want.Seq {
-		t.Fatalf("seq = %d, want %d", got.Seq, want.Seq)
-	}
-	if len(got.Tables) != len(want.Tables) {
-		t.Fatalf("tables = %d, want %d", len(got.Tables), len(want.Tables))
-	}
-	for i, wt := range want.Tables {
-		gt := got.Tables[i]
+	for i, wt := range want {
+		gt := got[i]
 		if gt.Name != wt.Name || !reflect.DeepEqual(gt.Schema, wt.Schema) {
 			t.Fatalf("table %d header mismatch", i)
 		}
@@ -108,28 +57,88 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if len(got.Incr) != len(want.Incr) {
-		t.Fatalf("incr entries = %d, want %d", len(got.Incr), len(want.Incr))
+}
+
+// entrySection returns where a snapshot file's evaluator-entry count
+// starts: past the header and the tables.
+func entrySection(t *testing.T, b []byte) int {
+	t.Helper()
+	hdr := len(magic) + 4 + 8
+	d := wal.NewDecoder(b[hdr : len(b)-4])
+	decodeTables(d)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	for i, we := range want.Incr {
-		ge := got.Incr[i]
-		if ge.Table != we.Table || ge.Fingerprint != we.Fingerprint || ge.Consumed != we.Consumed {
-			t.Fatalf("entry %d keys mismatch: %+v", i, ge)
-		}
-		// The decoded state must restore to a working handle producing
-		// the same grouping as one restored from the original state.
-		xa, err := incr.Restore(we.State)
-		if err != nil {
+	return len(b) - 4 - d.Len()
+}
+
+// TestWriteLoadRoundTrip: a written file holds its tables and an
+// evaluator-entry count of zero, and loads back to the same tables.
+func TestWriteLoadRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	want := sampleSnapshot(t, 37)
+	path, err := Write(dir, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at := entrySection(t, b); at != len(b)-8 || binary.LittleEndian.Uint32(b[at:]) != 0 {
+		t.Fatalf("the entry section at %d of %d bytes is not one zero count", at, len(b))
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != want.Seq {
+		t.Fatalf("seq = %d, want %d", got.Seq, want.Seq)
+	}
+	sameTables(t, got.Tables, want.Tables)
+}
+
+// TestLegacyEntriesSkipped loads the parent-checkpoint fixture, written
+// when checkpoints also held the cached evaluators: its entry section
+// is skipped whole and its tables load, while a byte flipped inside
+// that section still fails Load on the CRC.
+func TestLegacyEntriesSkipped(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/parent-checkpoint/snap-*.ck")
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("fixture: %v, %v", paths, err)
+	}
+	b, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := entrySection(t, b)
+	if binary.LittleEndian.Uint32(b[at:]) == 0 || at+4 >= len(b)-4 {
+		t.Fatal("the fixture holds no evaluator entries")
+	}
+	s, err := Load(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := wal.NewDecoder(b[len(magic)+4+8 : at])
+	sameTables(t, s.Tables, decodeTables(d))
+	var names []string
+	for _, tab := range s.Tables {
+		names = append(names, tab.Name)
+	}
+	if strings.Join(names, ",") != "aux,pts" || s.Tables[1].Len() == 0 {
+		t.Fatalf("fixture tables %v", names)
+	}
+
+	dir := t.TempDir()
+	for _, pos := range []int{at, at + 4, (at + len(b) - 4) / 2, len(b) - 5} {
+		garbled := append([]byte(nil), b...)
+		garbled[pos] ^= 0x41
+		path := filepath.Join(dir, filepath.Base(paths[0]))
+		if err := os.WriteFile(path, garbled, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		xb, err := incr.Restore(ge.State)
-		if err != nil {
-			t.Fatalf("entry %d: decoded state does not restore: %v", i, err)
-		}
-		ra, _ := xa.Result()
-		rb, _ := xb.Result()
-		if !reflect.DeepEqual(ra, rb) {
-			t.Fatalf("entry %d: restored groupings diverge", i)
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("flip at %d of the entry section [%d, %d): %v", pos, at, len(b)-4, err)
 		}
 	}
 }

@@ -22,9 +22,6 @@
 //     sets back into singletons, which is what lets decremental
 //     SGB-Any dissolve exactly the components a deletion touched and
 //     re-union their survivors.
-//   - Reinit turns a retained forest back into n singletons without
-//     allocating, for callers that rebuild one of about the same size
-//     per call (a restored SGB-Any evaluator planting its forests).
 //
 // Union is commutative and associative over the resulting partition, so
 // any merge order — sequential, sharded, or append-interleaved — yields

@@ -39,33 +39,3 @@ func TestResetBatch(t *testing.T) {
 			u.Count(), u.Same(1, 2), u.Same(0, 1))
 	}
 }
-
-// TestReinit: the forest returns to n singletons whatever it held, and
-// grows or shrinks to the requested size.
-func TestReinit(t *testing.T) {
-	u := New(5)
-	u.Union(0, 1)
-	u.Union(1, 4)
-	for _, n := range []int{5, 3, 9, 0} {
-		u.Reinit(n)
-		if u.Len() != n || u.Count() != n {
-			t.Fatalf("Reinit(%d): Len = %d, Count = %d", n, u.Len(), u.Count())
-		}
-		for x := 0; x < n; x++ {
-			if u.Find(x) != x {
-				t.Fatalf("Reinit(%d): Find(%d) = %d", n, x, u.Find(x))
-			}
-		}
-		if n >= 2 {
-			u.Union(0, n-1)
-			if !u.Same(0, n-1) || u.Count() != n-1 {
-				t.Fatalf("Reinit(%d): union after reinit broken", n)
-			}
-		}
-	}
-	var zero UF
-	zero.Reinit(4)
-	if zero.Len() != 4 || zero.Add() != 4 {
-		t.Fatal("Reinit on the zero value")
-	}
-}

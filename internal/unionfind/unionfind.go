@@ -21,21 +21,6 @@ func New(n int) *UF {
 	return u
 }
 
-// Reinit turns the forest back into n singleton sets, reusing the
-// arrays' capacity — the retained-scratch form of New for callers that
-// rebuild a forest of about the same size over and over.
-func (u *UF) Reinit(n int) {
-	if cap(u.parent) < n {
-		u.parent = make([]int32, n)
-		u.rank = make([]int8, n)
-	}
-	u.parent, u.rank, u.count = u.parent[:n], u.rank[:n], n
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-	}
-	clear(u.rank)
-}
-
 // Add appends a fresh singleton set and returns its element id.
 func (u *UF) Add() int {
 	id := len(u.parent)
@@ -127,31 +112,6 @@ func (u *UF) Absorb(o *UF, base int) {
 			u.Union(base+i, base+r)
 		}
 	}
-}
-
-// Snapshot returns copies of the forest's internal arrays and its set
-// count, for serialization. The copies do not alias the forest; later
-// mutations leave them untouched.
-func (u *UF) Snapshot() (parent []int32, rank []int8, count int) {
-	parent = append([]int32(nil), u.parent...)
-	rank = append([]int8(nil), u.rank...)
-	return parent, rank, u.count
-}
-
-// Restore rebuilds a forest from a Snapshot, adopting (not copying) the
-// slices. It validates that every parent pointer is in range and that
-// count is plausible, so a corrupt snapshot cannot build a forest whose
-// Find loops out of bounds.
-func Restore(parent []int32, rank []int8, count int) (*UF, bool) {
-	if len(parent) != len(rank) || count < 0 || count > len(parent) {
-		return nil, false
-	}
-	for _, p := range parent {
-		if p < 0 || int(p) >= len(parent) {
-			return nil, false
-		}
-	}
-	return &UF{parent: parent, rank: rank, count: count}, true
 }
 
 // Sets returns the current partition as a map from root id to the

@@ -142,52 +142,6 @@ func BenchmarkUnionFind(b *testing.B) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	u := New(6)
-	u.Union(0, 1)
-	u.Union(2, 3)
-	u.Union(1, 3)
-	parent, rank, count := u.Snapshot()
-	v, ok := Restore(parent, rank, count)
-	if !ok {
-		t.Fatal("Restore rejected a valid snapshot")
-	}
-	if v.Count() != u.Count() || v.Len() != u.Len() {
-		t.Fatalf("restored count/len = %d/%d, want %d/%d", v.Count(), v.Len(), u.Count(), u.Len())
-	}
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			if u.Same(i, j) != v.Same(i, j) {
-				t.Fatalf("partition diverges at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Snapshot copies: mutating the restored forest leaves u alone.
-	v.Union(4, 5)
-	if u.Count() == v.Count() {
-		t.Fatal("snapshot aliases the source forest")
-	}
-}
-
-func TestRestoreRejectsCorrupt(t *testing.T) {
-	cases := []struct {
-		parent []int32
-		rank   []int8
-		count  int
-	}{
-		{[]int32{0, 1}, []int8{0}, 2},     // length mismatch
-		{[]int32{0, 5}, []int8{0, 0}, 2},  // parent out of range
-		{[]int32{0, -1}, []int8{0, 0}, 2}, // negative parent
-		{[]int32{0, 1}, []int8{0, 0}, 3},  // count too large
-		{[]int32{0, 1}, []int8{0, 0}, -1}, // negative count
-	}
-	for i, c := range cases {
-		if _, ok := Restore(c.parent, c.rank, c.count); ok {
-			t.Fatalf("case %d: corrupt snapshot accepted", i)
-		}
-	}
-}
-
 // TestLinkMatchesUnion: linking two roots leaves the forest exactly as
 // Union of the same two elements does from the same state — parent,
 // rank and count — and returns the same root, whichever root is taller
@@ -200,15 +154,12 @@ func TestLinkMatchesUnion(t *testing.T) {
 		for rx == ry {
 			rx, ry = u.Find(r.Intn(u.Len())), u.Find(r.Intn(u.Len()))
 		}
-		parent, rank, count := u.Snapshot()
-		viaUnion, _ := Restore(parent, rank, count)
+		viaUnion := &UF{parent: slices.Clone(u.parent), rank: slices.Clone(u.rank), count: u.count}
 		wantRoot := viaUnion.Union(rx, ry)
 		gotRoot := u.Link(rx, ry)
-		gp, gr, gc := u.Snapshot()
-		wp, wr, wc := viaUnion.Snapshot()
-		if gotRoot != wantRoot || gc != wc || !slices.Equal(gp, wp) || !slices.Equal(gr, wr) {
+		if gotRoot != wantRoot || u.count != viaUnion.count || !slices.Equal(u.parent, viaUnion.parent) || !slices.Equal(u.rank, viaUnion.rank) {
 			t.Fatalf("step %d: Link(%d, %d) = %d (count %d), Union = %d (count %d); parent or rank differ",
-				step, rx, ry, gotRoot, gc, wantRoot, wc)
+				step, rx, ry, gotRoot, u.count, wantRoot, viaUnion.count)
 		}
 	}
 }

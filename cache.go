@@ -12,8 +12,8 @@ import (
 )
 
 // The shared evaluator cache. Every session of a DB draws its cached
-// incremental grouping state — resumable SGB evaluators, single-ε or
-// kept at several ε levels for EPS IN — from this one structure, so N
+// incremental grouping state — an SGB-All evaluator per ε, an SGB-Any
+// one kept at every ε level asked of it — from this one structure, so N
 // sessions asking the same similarity question over one table share ONE
 // maintained evaluator instead of building N. One mutex guards the key
 // → entry map (held for a lookup or an eviction scan, never across
@@ -58,15 +58,15 @@ type incrKey struct {
 type incrEntry struct {
 	mu    sync.Mutex
 	table *storage.Table // identity guard against DROP + re-CREATE
-	// ev is the entry's evaluator once built: single-ε grouping state,
-	// or (EPS IN / SIMILARITY CUBE) an SGB-Any handle kept at several ε
-	// levels (incr.NewLevels). A sweep entry's fingerprint deliberately
-	// excludes ε, so every session sweeping this table under one
-	// (metric, grouping) configuration reuses one maintained evaluator
-	// whichever levels it asks for: a level the entry does not keep is
-	// added to it. Both follow the same consumed / gen protocol, DELETE
-	// included: the forests are repaired around the deleted rows, not
-	// dropped.
+	// ev is the entry's evaluator once built: SGB-All grouping state at
+	// one ε, or an SGB-Any handle kept at several ε levels
+	// (incr.NewLevels). An SGB-Any fingerprint deliberately excludes ε,
+	// so every DISTANCE-TO-ANY statement over this table under one
+	// (metric, grouping) configuration — WITHIN, EPS IN or SIMILARITY
+	// CUBE — reuses one maintained evaluator whichever levels it asks
+	// for: a level the entry does not keep is added to it. Both follow
+	// the same consumed / gen protocol, DELETE included: the forests are
+	// repaired around the deleted rows, not dropped.
 	ev       evaluator
 	consumed int   // how many snapshot rows the state has absorbed
 	gen      int64 // table generation the entry is synchronized with
@@ -105,15 +105,15 @@ func (e *incrEntry) flushWork(st *core.Stats) {
 
 // answer is an entry's immutable result for one table generation: the
 // groups the evaluator held after absorbing all consumed rows of that
-// generation's snapshot — per ε level for a sweep entry, exactly one
-// level otherwise — each with its memoized aggregate columns. It is
-// valid for a query iff table, gen, and consumed equal the query's
-// snapshot, and for such a query forever: a generation names one row
-// sequence. Publication is copy-on-write under the entry lock (a new
-// level, or a new generation, is a new answer), so readers need one
-// atomic load and no lock. prev keeps the answer of the generation
-// before, for readers whose scan predates the latest mutation; it has
-// no prev of its own, so everything older dies with its generation.
+// generation's snapshot — per ε level asked (one for SGB-All) — each
+// with its memoized aggregate columns. It is valid for a query iff
+// table, gen, and consumed equal the query's snapshot, and for such a
+// query forever: a generation names one row sequence. Publication is
+// copy-on-write under the entry lock (a new level, or a new generation,
+// is a new answer), so readers need one atomic load and no lock. prev
+// keeps the answer of the generation before, for readers whose scan
+// predates the latest mutation; it has no prev of its own, so
+// everything older dies with its generation.
 type answer struct {
 	table    *storage.Table
 	gen      int64

@@ -10,17 +10,18 @@ import (
 
 // TestCacheFailedBuildKeepsLiveEntries: a query that cannot build its
 // evaluator (a NULL grouping attribute here) must cost the cache
-// nothing. Eight built entries fill the default cap; eight failing
-// queries under eight distinct keys must leave exactly those entries —
-// same pointers, same accumulated work — and every one of them must
-// still be served warm.
+// nothing. Eight built entries fill the default cap — DISTANCE-TO-ALL
+// at eight ε, since every DISTANCE-TO-ANY ε of one grouping is a level
+// of one entry; eight failing queries under eight distinct keys must
+// leave exactly those entries — same pointers, same accumulated work —
+// and every one of them must still be served warm.
 func TestCacheFailedBuildKeepsLiveEntries(t *testing.T) {
 	db := Open()
 	loadUniform(t, db, 400, 3)
 	mustExec(t, db, "CREATE TABLE holes (id INT, x FLOAT, y FLOAT)")
 	mustExec(t, db, "INSERT INTO holes VALUES (1, 0.5, 0.5), (2, 0.6, NULL), (3, 0.7, 0.7)")
 	q := func(table string, i int) string {
-		return fmt.Sprintf("SELECT count(*) FROM %s GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.%d", table, i)
+		return fmt.Sprintf("SELECT count(*) FROM %s GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.%d ON-OVERLAP ELIMINATE", table, i)
 	}
 	for i := 1; i <= defaultIncrCacheCap; i++ {
 		if st := warmQuery(t, db, q("pts", i)); st.PointsExtracted != 400 {

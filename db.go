@@ -125,9 +125,10 @@ type QueryOptions struct {
 	// Incremental enables incremental group maintenance (SET
 	// incremental = on): similarity group-by queries over a bare
 	// single-table scan reuse cached grouping state — one entry per
-	// (table, grouping configuration) — so a query after INSERTs
-	// appends only the new rows. Results are identical to a
-	// from-scratch evaluation.
+	// (table, grouping configuration), where every ε of one
+	// DISTANCE-TO-ANY grouping, single or in an EPS IN list, is a level
+	// of one entry — so a query after INSERTs appends only the new rows.
+	// Results are identical to a from-scratch evaluation.
 	Incremental bool
 }
 
@@ -309,9 +310,10 @@ func (db *DB) execDelete(s *sqlparser.DeleteStmt, opt QueryOptions) (int, error)
 
 // noteDelete maintains the table's cached incremental grouping states
 // after rows were deleted: entries that were in sync (gen == preGen) —
-// single-ε and sweep entries alike — receive the deleted row ids
-// through their decremental Remove, entries that were not (or whose
-// Remove fails) are dropped and rebuild on their next query.
+// SGB-Any level forests and SGB-All groupings alike — receive the
+// deleted row ids through their decremental Remove, entries that were
+// not (or whose Remove fails) are dropped and rebuild on their next
+// query.
 //
 // The entries share nothing — each is its own evaluator under its own
 // lock, repairing only the ε-components the victims touched — so they
@@ -470,14 +472,15 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 // single-table scans, table snapshots grow append-only between
 // generation changes the cache tracks, and the cache key covers the
 // table identity, the grouping expressions, and every option that can
-// change the grouping (core.Options.Key). A sweep's key covers ONLY the
-// metric (plus table and expressions) — SGB-Any components depend on
-// nothing else — so sessions differing in their ε lists share one
-// evaluator kept at several levels: built at the first sweep's levels,
-// given a level a later sweep asks for (one probe pass over the live
-// points, charged to that query) while it keeps fewer than
-// core.MaxLevels, and rebuilt at a new top when a sweep exceeds the
-// old one.
+// change the grouping (core.Options.Key). An SGB-Any key covers ONLY
+// the metric (plus table and expressions) — its components depend on
+// nothing else — so every DISTANCE-TO-ANY query of one grouping, a
+// single ε or an ε list, shares one evaluator kept at several levels:
+// built at the first query's levels, given a level a later query asks
+// for (one probe pass over the live points, charged to that query)
+// while it keeps fewer than core.MaxLevels, and rebuilt at a new top,
+// keeping the levels below, when a query exceeds the old one. A
+// single-ε query is a one-level read of that entry.
 //
 // A query whose snapshot the entry's published answer covers takes one
 // atomic load and leaves: no point is extracted, the evaluator is not
@@ -498,16 +501,14 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 	// options its key prints and no session's other knobs: Parallelism
 	// is 0 whatever the session set — every append runs sequentially —
 	// and the query's Stats block is charged through flushWork, never
-	// retained.
+	// retained. The query's levels are read first: an SGB-Any key keeps
+	// no ε.
 	st := opt.Stats
-	opt = opt.Maintained(anySem)
-	sweep := len(epsList) > 0
-	key := incrKey{table: strings.ToLower(table), fingerprint: opt.Key(anySem, exprKey)}
-	if sweep {
-		key.fingerprint = core.Options{Metric: opt.Metric}.Key(true, exprKey)
-	} else {
+	if len(epsList) == 0 {
 		epsList = []float64{opt.Eps}
 	}
+	opt = opt.Maintained(anySem)
+	key := incrKey{table: strings.ToLower(table), fingerprint: opt.Key(anySem, exprKey)}
 	return func(src exec.Snapshot) ([]*exec.Grouping, error) {
 		t, err := db.cat.Lookup(table)
 		if err != nil {
@@ -550,20 +551,17 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 		// would slip past it and serve groups over rows that no longer
 		// exist.
 		if e.ev == nil || e.table != t || e.gen != src.Gen || e.consumed > n ||
-			(sweep && slices.Max(e.ev.Levels()) < opt.Eps) {
+			(anySem && slices.Max(e.ev.Levels()) < slices.Max(epsList)) {
 			bopt := opt
 			bopt.Stats = &e.work
 			var inc *incr.Incremental
-			switch {
-			case sweep:
+			if anySem {
 				inc, err = incr.NewLevels(bopt, sweepLevels(e.ev, epsList))
-			case anySem:
-				inc, err = incr.New(incr.Any, bopt)
-			default:
+			} else {
 				inc, err = incr.New(incr.All, bopt)
 			}
-			e.ev = nil
 			if err != nil {
+				// Kept: the old evaluator still matches e.table and e.consumed.
 				return nil, err
 			}
 			e.ev, e.table, e.consumed, e.gen = inc, t, 0, src.Gen
@@ -605,7 +603,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			// A level the entry does not keep costs this query one probe
 			// pass over the live points; while there is room, the entry
 			// keeps it, so the pass is the only one.
-			if sweep {
+			if anySem {
 				if levels := e.ev.Levels(); len(levels) < core.MaxLevels && !slices.Contains(levels, eps) {
 					if err := e.ev.AddLevel(eps); err != nil {
 						e.flushWork(st)
@@ -628,7 +626,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 	}
 }
 
-// sweepLevels is the level list a sweep entry is built with: the
+// sweepLevels is the level list an SGB-Any entry is built with: the
 // query's levels and those the entry kept before (a rebuild above its
 // top keeps them below the new one), the largest core.MaxLevels of
 // them.

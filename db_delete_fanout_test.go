@@ -31,12 +31,13 @@ func entryEvaluators(db *DB) map[incrKey]any {
 
 // TestDeleteMaintainsEntriesConcurrently: a DELETE maintains every
 // cached grouping of its table at once. Table win carries five —
-// DISTANCE-TO-ANY, the three ON-OVERLAP clauses and an EPS IN sweep —
-// and table other one, which no DELETE on win may touch. Sliding-window
-// rounds (INSERT, then DELETE of the oldest rows) run while two other
-// sessions read all six groupings. After every DELETE each grouping
-// equals an incremental = off twin's, every entry holds the evaluator it
-// held before, the entry of other is unchanged, and CacheStats grew by
+// DISTANCE-TO-ANY L2, the three ON-OVERLAP clauses and an EPS IN sweep
+// under L∞, an entry of its own beside the L2 one — and table other
+// one, which no DELETE on win may touch. Sliding-window rounds (INSERT,
+// then DELETE of the oldest rows) run while two other sessions read all
+// six groupings. After every DELETE each grouping equals an
+// incremental = off twin's, every entry holds the evaluator it held
+// before, the entry of other is unchanged, and CacheStats grew by
 // maintenance: nothing was rebuilt or dropped. Last, one DELETE meets a
 // stale entry and one without an evaluator: only those two are dropped.
 func TestDeleteMaintainsEntriesConcurrently(t *testing.T) {
@@ -51,7 +52,7 @@ func TestDeleteMaintainsEntriesConcurrently(t *testing.T) {
 		sel + "DISTANCE-TO-ALL LINF WITHIN 0.5 ON-OVERLAP JOIN-ANY",
 		sel + "DISTANCE-TO-ALL L2 WITHIN 0.5 ON-OVERLAP ELIMINATE",
 		sel + "DISTANCE-TO-ALL L2 WITHIN 0.5 ON-OVERLAP FORM-NEW-GROUP",
-		"SELECT eps, count(*), min(id) FROM win GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.3, 0.6, 1.2)",
+		"SELECT eps, count(*), min(id) FROM win GROUP BY x, y DISTANCE-TO-ANY LINF EPS IN (0.3, 0.6, 1.2)",
 	}
 	const otherQ = "SELECT count(*), min(id) FROM other GROUP BY x, y DISTANCE-TO-ANY LINF WITHIN 0.5"
 	all := append(winQ[:len(winQ):len(winQ)], otherQ)
@@ -258,7 +259,8 @@ func (panicky) Remove([]int) error { panic("panicky: Remove") }
 
 // TestDeleteFanOutHandsPanicBack: a panic in one entry's maintenance is
 // raised again on the goroutine that issued the DELETE, whichever of
-// the table's three entries holds the evaluator that panics. Each is
+// the table's three entries holds the evaluator that panics (the sweep
+// is L∞, so it keeps an entry of its own). Each is
 // poisoned four times over, so that — the fan-out maintains the entries
 // in the cache's map order, the first inline — the panic comes from a
 // goroutine of the fan-out as well as from the caller's. The poisoned
@@ -270,7 +272,7 @@ func TestDeleteFanOutHandsPanicBack(t *testing.T) {
 	queries := []string{
 		"SELECT count(*), min(id)" + from + "DISTANCE-TO-ANY L2 WITHIN 0.5",
 		"SELECT count(*), min(id)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.5 ON-OVERLAP JOIN-ANY",
-		"SELECT eps, count(*), min(id)" + from + "DISTANCE-TO-ANY L2 EPS IN (0.3, 0.6)",
+		"SELECT eps, count(*), min(id)" + from + "DISTANCE-TO-ANY LINF EPS IN (0.3, 0.6)",
 	}
 	for run := 0; run < 4*len(queries); run++ {
 		poisoned := run % len(queries)
@@ -330,16 +332,19 @@ func TestDeleteFanOutHandsPanicBack(t *testing.T) {
 
 // BenchmarkDeleteMaintain is the work/span record of noteDelete's
 // fan-out on the shape of the end-to-end benchmark's stream_maintain
-// workload: 16 000 Brightkite-profile check-ins, its three maintained
-// groupings (DISTANCE-TO-ANY L2 0.2, DISTANCE-TO-ALL LINF 0.2 JOIN-ANY,
-// EPS IN (0.1, 0.2, 0.4)), and a DELETE of the 256 oldest rows kept
-// level by a 256-row INSERT that the three absorb first, as the
-// workload's reads make them do.
+// workload: 16 000 Brightkite-profile check-ins, its three groupings
+// (DISTANCE-TO-ANY L2 0.2, DISTANCE-TO-ALL LINF 0.2 JOIN-ANY, EPS IN
+// (0.1, 0.2, 0.4)) in the two entries that maintain them — "any", the
+// L2 level forests the single-ε statement and the sweep share, and
+// "all" — and a DELETE of the 256 oldest rows kept level by a 256-row
+// INSERT that the entries absorb first, as the workload's reads make
+// them do.
 //
-// Entries maintains the three one after another and times each:
-// work-ms/op is their sum, span-ms/op the largest, and floor = work ÷
-// span bounds what maintaining them at once can win on any number of
-// cores. Read it at -cpu 1, where nothing competes with the timed entry.
+// Entries maintains the entries one after another and times each
+// (any-ms/op, all-ms/op): work-ms/op is their sum, span-ms/op the
+// largest, and floor = work ÷ span bounds what maintaining them at once
+// can win on any number of cores. Read it at -cpu 1, where nothing
+// competes with the timed entry.
 // Delete times the whole DELETE statement, fan-out included; its -cpu 2
 // reading against its -cpu 1 reading is what two cores give.
 //
@@ -353,9 +358,10 @@ func BenchmarkDeleteMaintain(b *testing.B) {
 		{"all", "SELECT count(*)" + from + "DISTANCE-TO-ALL LINF WITHIN 0.2 ON-OVERLAP JOIN-ANY"},
 		{"sweep", "SELECT eps, count(*)" + from + "DISTANCE-TO-ANY L2 EPS IN (0.1, 0.2, 0.4)"},
 	}
-	// setup loads the table and builds the three entries; it returns the
-	// entries' names and a step that inserts the next batch, lets the
-	// three absorb it, and returns the id bound of the oldest batch.
+	// setup loads the table and builds the entries; it returns each
+	// entry's name, that of the first grouping it maintains, and a step
+	// that inserts the next batch, lets the entries absorb it, and
+	// returns the id bound of the oldest batch.
 	setup := func(b *testing.B) (*DB, *storage.Table, map[incrKey]string, func() int) {
 		t := storage.NewTable("checkins", storage.Schema{
 			{Name: "id", Type: types.KindInt},
@@ -445,12 +451,12 @@ func BenchmarkDeleteMaintain(b *testing.B) {
 			span += longest
 		}
 		b.StopTimer()
-		if n := len(entryEvaluators(db)); n != len(groupings) {
-			b.Fatalf("%d entries left of %d: maintenance dropped one", n, len(groupings))
+		if n := len(entryEvaluators(db)); n != len(names) {
+			b.Fatalf("%d entries left of %d: maintenance dropped one", n, len(names))
 		}
 		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
-		for _, g := range groupings {
-			b.ReportMetric(ms(per[g.name]), g.name+"-ms/op")
+		for name, d := range per { // one metric per entry
+			b.ReportMetric(ms(d), name+"-ms/op")
 		}
 		b.ReportMetric(ms(work), "work-ms/op")
 		b.ReportMetric(ms(span), "span-ms/op")

@@ -482,13 +482,15 @@ func TestIncrCacheBounded(t *testing.T) {
 	}
 	mustExec(t, db, "SET incremental = on")
 	mustExec(t, db, "SET incr_cache_size = 2")
+	// DISTANCE-TO-ALL keys ε, so the four statements are four entries
+	// (every DISTANCE-TO-ANY ε of one grouping is a level of one entry).
 	q := func(eps int) string {
-		return fmt.Sprintf("SELECT count(*) FROM s GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %d", eps)
+		return fmt.Sprintf("SELECT count(*) FROM s GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN %d ON-OVERLAP ELIMINATE", eps)
 	}
 	for eps := 1; eps <= 4; eps++ {
 		mustQuery(t, db, q(eps))
-		if db.cache.len() > 2 {
-			t.Fatalf("cache grew to %d entries with cap 2", db.cache.len())
+		if want := min(eps, 2); db.cache.len() != want {
+			t.Fatalf("after %d distinct groupings the cache holds %d entries with cap 2, want %d", eps, db.cache.len(), want)
 		}
 	}
 	// The two most recent groupings (eps 3, 4) must be the survivors:

@@ -278,24 +278,24 @@ func TestSQLSweepCacheSharedAcrossEps(t *testing.T) {
 	}
 }
 
-// isSweepKey reports whether a cache key is a sweep entry's: printed
-// without ε.
-func isSweepKey(k incrKey) bool { return strings.Contains(k.fingerprint, "|eps=0|") }
+// isAnyKey reports whether a cache key is an SGB-Any entry's, the one
+// kind a sweep reads: printed without ε.
+func isAnyKey(k incrKey) bool { return strings.Contains(k.fingerprint, "|eps=0|") }
 
-// sweepEntry returns the one cached sweep entry's evaluator — its
+// sweepEntry returns the one cached SGB-Any entry's evaluator — its
 // identity tells a maintained entry from a rebuilt one — and its work
 // counters.
 func sweepEntry(t *testing.T, db *DB) (evaluator, Stats) {
 	t.Helper()
 	for _, it := range db.cache.items() {
-		if !isSweepKey(it.key) {
+		if !isAnyKey(it.key) {
 			continue
 		}
 		it.e.mu.Lock()
 		defer it.e.mu.Unlock()
 		return it.e.ev, it.e.stats
 	}
-	t.Fatal("no sweep entry in the cache")
+	t.Fatal("no SGB-Any entry in the cache")
 	return nil, Stats{}
 }
 
@@ -311,13 +311,22 @@ func TestSQLSweepCacheMaintenance(t *testing.T) {
 	insertRandomRows(t, rng, 150, db)
 
 	sweepQ := "SELECT eps, count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.5, 1, 2)"
+	// checkLevels holds each level of the sweep, and the single-ε read of
+	// the same entry, to a one-shot evaluation that no cache serves.
 	checkLevels := func(rows *Rows) {
 		t.Helper()
 		for _, eps := range []float64{0.5, 1, 2} {
-			single := mustQuery(t, db, fmt.Sprintf(
-				"SELECT count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %v", eps))
-			if got, want := sweepCountsAt(rows, eps), sortedCounts(single); !reflect.DeepEqual(got, want) {
+			single := fmt.Sprintf("SELECT count(*) FROM sensors GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %v", eps)
+			oneShot, err := db.QueryOpt(single, QueryOptions{Algorithm: GridIndex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sortedCounts(oneShot)
+			if got := sweepCountsAt(rows, eps); !reflect.DeepEqual(got, want) {
 				t.Fatalf("eps=%v: %v vs one-shot %v", eps, got, want)
+			}
+			if got := sortedCounts(mustQuery(t, db, single)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("eps=%v: cached single-ε read %v vs one-shot %v", eps, got, want)
 			}
 		}
 	}
@@ -602,8 +611,9 @@ func TestSQLSweepOrderIndependent(t *testing.T) {
 // After every step a single-ε statement at each of three ε must give
 // both tables the same partition, compared as the sorted (count(*),
 // min(id), max(id)) triples of its groups — one-shot, and maintained —
-// and every level of an EPS IN statement over those ε must equal the
-// single-ε statement at its ε.
+// and every level of an EPS IN statement over those ε, and the
+// session's single-ε statement, must equal a one-shot evaluation at its
+// ε that no cache serves.
 func TestSQLAnyOrderIndependent(t *testing.T) {
 	const n, extra, rounds = 2000, 50, 3
 	pool := checkin.Points(checkin.Brightkite(n + extra*rounds))
@@ -663,12 +673,23 @@ func TestSQLAnyOrderIndependent(t *testing.T) {
 					" GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (0.05, 0.1, 0.2)"), 1)
 				singles[table] = map[float64][][3]int64{}
 				for _, eps := range levels {
-					single := triples(mustQuery(t, db, fmt.Sprintf(
-						"SELECT count(*), min(id), max(id) FROM %s GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %v", table, eps)), 0)[0]
-					if !reflect.DeepEqual(sweep[eps], single) {
-						t.Fatalf("incremental %s, %s: table %s's EPS IN level %v differs from its single-ε statement", incremental, when, table, eps)
+					sql := fmt.Sprintf(
+						"SELECT count(*), min(id), max(id) FROM %s GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN %v", table, eps)
+					// Under incremental = on the sweep and the single-ε
+					// statement read one entry; the reference is a
+					// one-shot evaluation that no cache serves.
+					oneShot, err := db.QueryOpt(sql, QueryOptions{Algorithm: GridIndex})
+					if err != nil {
+						t.Fatal(err)
 					}
-					singles[table][eps] = single
+					want := triples(oneShot, 0)[0]
+					if !reflect.DeepEqual(sweep[eps], want) {
+						t.Fatalf("incremental %s, %s: table %s's EPS IN level %v differs from the one-shot single-ε answer", incremental, when, table, eps)
+					}
+					if single := triples(mustQuery(t, db, sql), 0)[0]; !reflect.DeepEqual(single, want) {
+						t.Fatalf("incremental %s, %s: table %s's single-ε statement at %v differs from the one-shot answer", incremental, when, table, eps)
+					}
+					singles[table][eps] = want
 				}
 			}
 			split := false
@@ -706,8 +727,10 @@ func TestSQLAnyOrderIndependent(t *testing.T) {
 			live -= deleted[0]
 			check(fmt.Sprintf("round %d, after DELETE", round))
 		}
-		if want := 2 * (len(levels) + 1); incremental == "on" && db.cache.len() != want {
-			t.Fatalf("incremental = on: %d cache entries, want %d", db.cache.len(), want)
+		// One entry per table: the single-ε statements read levels of the
+		// EPS IN statement's entry.
+		if incremental == "on" && db.cache.len() != 2 {
+			t.Fatalf("incremental = on: %d cache entries, want one per table", db.cache.len())
 		}
 	}
 }

@@ -119,16 +119,18 @@ type Options struct {
 
 // Maintained returns the options a maintained grouping of SGB-Any
 // (anySem) or SGB-All is built with: the fields that change what such
-// an evaluator holds, every other one at a fixed value. Those are the
-// metric and ε; for SGB-All the ON-OVERLAP clause and the strategy
-// (All-Pairs arbitrates differently from the rectangle finders where a
-// distance rounds to ε, TestMaintainedKeyNeutral); and the seed of
-// JOIN-ANY, the one clause that draws. SGB-Any is maintained on the
-// ε-grid whatever Algorithm names.
+// an evaluator holds, every other one at a fixed value. For SGB-Any that
+// is the metric alone: its components at every ε are kept by one
+// evaluator at several levels, so ε is a level asked of it, not part of
+// it, and it is maintained on the ε-grid whatever Algorithm names. For
+// SGB-All they are the metric, ε, the ON-OVERLAP clause and the
+// strategy (All-Pairs arbitrates differently from the rectangle finders
+// where a distance rounds to ε, TestMaintainedKeyNeutral), and the seed
+// of JOIN-ANY, the one clause that draws.
 func (o Options) Maintained(anySem bool) Options {
-	m := Options{Metric: o.Metric, Eps: o.Eps, Algorithm: GridIndex}
+	m := Options{Metric: o.Metric, Algorithm: GridIndex}
 	if !anySem {
-		m.Overlap, m.Algorithm = o.Overlap, o.Algorithm
+		m.Eps, m.Overlap, m.Algorithm = o.Eps, o.Overlap, o.Algorithm
 		if o.Overlap == JoinAny {
 			m.Seed = o.Seed
 		}
@@ -137,8 +139,8 @@ func (o Options) Maintained(anySem bool) Options {
 }
 
 // Key prints the evaluator cache key of a maintained grouping over the
-// grouping expressions by: the options Maintained keeps (a sweep entry
-// passes Eps 0). TestFingerprintCoversOptions fails when a new field is
+// grouping expressions by: the options Maintained keeps, so an SGB-Any
+// key prints ε 0. TestFingerprintCoversOptions fails when a new field is
 // neither kept nor listed as grouping-neutral.
 func (o Options) Key(anySem bool, by string) string {
 	m := o.Maintained(anySem)

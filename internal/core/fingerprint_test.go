@@ -12,7 +12,9 @@ import (
 // groupings under which it changes what a maintained evaluator holds.
 var keyedUnder = map[string]func(any bool, o Options) bool{
 	"Metric": func(bool, Options) bool { return true },
-	"Eps":    func(bool, Options) bool { return true },
+	// One SGB-Any evaluator keeps its components at every ε asked of it:
+	// ε is a level read off the entry, not part of its key.
+	"Eps": func(any bool, _ Options) bool { return !any },
 	// SGB-Any merges overlapping groups: there is no clause to apply.
 	"Overlap": func(any bool, _ Options) bool { return !any },
 	// SGB-Any is maintained on the ε-grid whatever Algorithm names; among

@@ -10,8 +10,8 @@
 // figure to family to experiment.
 //
 // The other families (Grid, Sweep, Parallel, Incremental, Window,
-// WarmAnswer, ColdSQL) are the harnesses behind a checked-in profile
-// (docs/pr*-profile.md) or an open ROADMAP verdict.
+// AnyLevelsWideRatio, WarmAnswer, ColdSQL) are the harnesses behind a
+// checked-in profile (docs/pr*-profile.md) or an open ROADMAP verdict.
 // None of them is the performance record: that is bench/ and
 // BENCHMARK.json, `bash bench/run.sh -compare`.
 package sgb_test
@@ -673,6 +673,74 @@ func (s *checkinStream) take(n int) *sgb.PointSet {
 		s.next++
 	}
 	return ps
+}
+
+// BenchmarkAnyLevelsWideRatio measures what a large top level costs a
+// small one in a maintained SGB-Any handle (ROADMAP item 4): the handle
+// keeps one grid, with cells of the top's side, so a DELETE repair at a
+// small ε walks top-sized cells. Over a 32 000-point window of
+// Brightkite-profile check-ins under L2, each iteration appends the next
+// 256 check-ins and then deletes the 256 oldest, the two timed apart. A
+// pair of levels is a one-level handle at the top plus AddLevel(0.05),
+// as a cached entry gains a small ε. It reports ms per append and per
+// DELETE, and the distances and index probes of a DELETE. Run it at
+// -cpu 1:
+//
+//	go test -run '^$' -bench AnyLevelsWideRatio -cpu 1 -benchtime 40x .
+func BenchmarkAnyLevelsWideRatio(b *testing.B) {
+	const window, low = 32000, 0.05
+	oldest := make([]int, windowBatch)
+	for i := range oldest {
+		oldest[i] = i
+	}
+	for _, c := range []struct {
+		top     float64
+		withLow bool
+	}{{low, false}, {0.8, false}, {0.8, true}, {3.2, false}, {3.2, true}} {
+		name := fmt.Sprintf("levels=%v", c.top)
+		if c.withLow {
+			name = fmt.Sprintf("levels=%v+%v", low, c.top)
+		}
+		b.Run(name, func(b *testing.B) {
+			s := newCheckinStream()
+			var st sgb.Stats
+			inc, err := sgb.NewIncrementalAny(sgb.Options{Metric: sgb.L2, Eps: c.top, Algorithm: sgb.GridIndex, Stats: &st})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := inc.AppendSet(s.take(window)); err != nil {
+				b.Fatal(err)
+			}
+			if c.withLow {
+				if err := inc.AddLevel(low); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var appendT, deleteT time.Duration
+			var dists, probes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := s.take(windowBatch)
+				start := time.Now()
+				if err := inc.AppendSet(batch); err != nil {
+					b.Fatal(err)
+				}
+				mid := time.Now()
+				before := st
+				if err := inc.Remove(oldest); err != nil {
+					b.Fatal(err)
+				}
+				appendT, deleteT = appendT+mid.Sub(start), deleteT+time.Since(mid)
+				dists += st.DistanceComputations - before.DistanceComputations
+				probes += st.IndexProbes - before.IndexProbes
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+			b.ReportMetric(ms(appendT), "append-ms/op")
+			b.ReportMetric(ms(deleteT), "delete-ms/op")
+			b.ReportMetric(float64(dists)/float64(b.N), "dists/delete")
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/delete")
+		})
+	}
 }
 
 // clusterPoints is benchkit.ClusterPoints in d dimensions: clusters of

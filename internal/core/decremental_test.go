@@ -79,7 +79,7 @@ func TestDecrementalAnyEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(dims)*100 + int64(metric)*10 + int64(ai)))
 					opt := Options{Metric: metric, Eps: 1, Algorithm: algo, Seed: 3, Parallelism: 1}
-					ev, err := NewAnyEvaluator(dims, opt)
+					ev, err := NewAnyLevels(dims, []float64{opt.Eps}, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -538,7 +538,7 @@ func checkAllTrace(t testing.TB, data []byte) traceSummary {
 // evaluators.
 func TestRemoveErrors(t *testing.T) {
 	opt := Options{Metric: geom.L2, Eps: 1, Algorithm: GridIndex}
-	any, err := NewAnyEvaluator(2, opt)
+	any, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestRemoveErrors(t *testing.T) {
 // renumber compactly.
 func TestRemoveSplitsComponent(t *testing.T) {
 	opt := Options{Metric: geom.L2, Eps: 1.1, Algorithm: GridIndex}
-	ev, err := NewAnyEvaluator(2, opt)
+	ev, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,9 @@
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an
 //     incremental run over batches equals a one-shot run over their
-//     concatenation. internal/incr wraps these in the public handle.
+//     concatenation. internal/incr wraps these in the public handle;
+//     its SGB-Any evaluator is always NewAnyLevels', one level for a
+//     single ε.
 //     Retained state has no serialized form: it equals a from-scratch
 //     run over the surviving points, so appending them again rebuilds
 //     it.
@@ -43,9 +45,9 @@
 // one-shot sweep (SweepAny) runs the first two shapes over its levels
 // at once: one probe pass at the largest ε feeds one Union-Find per
 // level (sgbAnyLevels, the function single-ε SGBAny is the one-level
-// case of). A cached sweep, whose future ε lists are unknown, keeps the
-// same levels maintained (NewAnyLevels, at most MaxLevels) and adds one
-// when it is asked for.
+// case of). A maintained grouping, whose future ε lists are unknown,
+// keeps the same levels (NewAnyLevels, at most MaxLevels; a single ε is
+// one level) and adds one when it is asked for.
 //
 // # Invariants
 //

@@ -94,7 +94,7 @@ func NewLatticeEvaluator(dims int, opt Options) (*LatticeEvaluator, error) {
 		return nil, ErrBoundsCheckAny
 	}
 	opt.Stats = nil
-	ev, err := NewAnyEvaluator(dims, opt)
+	ev, err := NewAnyLevels(dims, []float64{opt.Eps}, opt)
 	if err != nil {
 		return nil, err
 	}

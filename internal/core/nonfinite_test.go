@@ -43,7 +43,7 @@ func TestNonFiniteRejected(t *testing.T) {
 		if all.Len() != 0 {
 			t.Fatalf("rejected append left %d points in AllEvaluator", all.Len())
 		}
-		anyEv, err := NewAnyEvaluator(2, opt)
+		anyEv, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

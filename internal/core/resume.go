@@ -294,9 +294,8 @@ func materializeAll(st *sgbAllState) *Result {
 // point vanishes, so a deletion repairs just the victims' trees, and
 // within them re-probes only the pieces the deletion split off.
 //
-// NewAnyEvaluator keeps one level, Options.Eps; NewAnyLevels keeps
-// several, and AddLevel adds one below the top. An appended point probes
-// at the top level's ε (Options.Eps of a multi-level evaluator), and
+// NewAnyLevels makes one at one or more levels, and AddLevel adds one
+// below the top. An appended point probes at the top level's ε, and
 // each pair joins the levels its distance reaches, as in SweepAny.
 //
 // The index is the grid whatever Options.Algorithm names: components do
@@ -336,15 +335,6 @@ type AnyEvaluator struct {
 	dead int
 
 	rm anyRemoval // Remove's reusable scratch (decremental.go)
-}
-
-// NewAnyEvaluator returns an empty resumable SGB-Any evaluation over
-// dims-dimensional points at the one level opt.Eps.
-func NewAnyEvaluator(dims int, opt Options) (*AnyEvaluator, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	return NewAnyLevels(dims, []float64{opt.Eps}, opt)
 }
 
 // NewAnyLevels returns an empty resumable SGB-Any evaluation over

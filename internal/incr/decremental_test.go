@@ -178,17 +178,6 @@ func TestWindowErrors(t *testing.T) {
 	if err := inc.Remove([]int{0, 0}); err == nil {
 		t.Fatal("want error for duplicate ids")
 	}
-	// Opt mutation is refused on the decremental surface too.
-	inc.Opt.Eps = 9
-	if err := inc.Remove([]int{0}); err != ErrOptionsMutated {
-		t.Fatalf("Remove after Opt mutation: got %v, want ErrOptionsMutated", err)
-	}
-	if _, err := inc.Window(0); err != ErrOptionsMutated {
-		t.Fatalf("Window after Opt mutation: got %v, want ErrOptionsMutated", err)
-	}
-	if _, err := inc.WindowBy(func(geom.Point) bool { return true }); err != ErrOptionsMutated {
-		t.Fatalf("WindowBy after Opt mutation: got %v, want ErrOptionsMutated", err)
-	}
 }
 
 // TestEmptyResultWellFormed pins that Result before any successful

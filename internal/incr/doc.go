@@ -8,7 +8,7 @@
 // sgb.NewIncrementalAll / NewIncrementalAny constructors and the SQL
 // engine's SET incremental INSERT/DELETE-maintenance path (db.go's
 // per-table cache). An SGB-Any handle may keep several ε levels at once
-// (NewLevels, behind cached EPS IN and SIMILARITY CUBE BY EPS entries).
+// (NewLevels, behind every cached DISTANCE-TO-ANY entry).
 //
 // Why this is sound, per operator:
 //
@@ -53,9 +53,13 @@
 //
 // Invariants the handle enforces:
 //
-//   - Options are fixed at creation; Append/Remove/Result fail with
-//     ErrOptionsMutated if the exposed Opt field was modified (retained
-//     state embodies ε, metric, overlap, strategy, and seed).
+//   - Options are fixed by type: the handle keeps them in an unexported
+//     field and Options returns a copy, so nothing can change what the
+//     retained state embodies (ε, metric, overlap, strategy, and seed).
+//   - Every SGB-Any handle is a levels handle: New(Any, opt) is
+//     NewLevels with the one level opt.Eps, and AddLevel keeps one more
+//     below the top on any of them. An SGB-All handle keeps its ε as
+//     its only level.
 //   - Dimensionality is fixed by the first non-empty batch (even
 //     across a full eviction); later mismatches are rejected.
 //   - Results own their slices: a materialized Result is never aliased

@@ -33,16 +33,6 @@ func (s Semantics) String() string {
 	}
 }
 
-// ErrOptionsMutated is returned by Append and Result when the handle's
-// Opt field no longer matches the options it was created from. The
-// retained grouping state embodies those options — the metric and ε;
-// for SGB-All the overlap clause, the strategy, and under JOIN-ANY the
-// seed (core.Options.Maintained) — and silently continuing under
-// different ones would produce a grouping no one-shot evaluation
-// matches, so any mutation is refused. Create a new handle to change
-// options.
-var ErrOptionsMutated = errors.New("incr: Options mutated after creation; incremental state embodies the original options — create a new Incremental instead")
-
 // Incremental maintains a similarity grouping under appends and
 // removals. Create one with New, feed it batches with Append or
 // AppendSet, delete points with Remove (or the sliding-window
@@ -66,17 +56,11 @@ var ErrOptionsMutated = errors.New("incr: Options mutated after creation; increm
 // batch, not the retained set, so there is nothing worth sharding. An
 // Incremental is not safe for concurrent use.
 type Incremental struct {
-	// Opt is the options snapshot the handle was created from, exposed
-	// for inspection. It must not be modified: Append and Result fail
-	// with ErrOptionsMutated if it no longer matches the creation-time
-	// snapshot.
-	Opt core.Options
-
-	snap core.Options // creation-time copy Opt is checked against
+	opt  core.Options // fixed at creation; Eps is the top level
 	sem  Semantics
 	dims int // 0 until the first non-empty batch fixes it
-	// levels are the ε levels of a handle NewLevels made, ascending (the
-	// last is Opt.Eps); nil for a single-ε handle.
+	// levels are the ε levels the handle keeps, ascending; the last is
+	// opt.Eps. An SGB-All handle keeps its ε as its only level.
 	levels []float64
 
 	ev evaluator // nil until the first non-empty batch
@@ -94,20 +78,19 @@ type evaluator interface {
 // New returns an empty incremental grouping handle for the given
 // operator semantics and options. The options are validated eagerly
 // (including the SGB-Any rejection of Bounds-Checking) so a
-// misconfigured handle fails at creation, not mid-stream.
+// misconfigured handle fails at creation, not mid-stream. An SGB-Any
+// handle is NewLevels' with the one level opt.Eps.
 func New(sem Semantics, opt core.Options) (*Incremental, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if sem != All && sem != Any {
-		return nil, fmt.Errorf("incr: unknown semantics %d", int(sem))
+	switch sem {
+	case All:
+		return &Incremental{opt: opt, sem: All, levels: []float64{opt.Eps}}, nil
+	case Any:
+		return NewLevels(opt, []float64{opt.Eps})
 	}
-	if sem == Any && opt.Algorithm == core.BoundsCheck {
-		// Surface the one-shot operator's rejection at handle creation
-		// rather than mid-stream at the first append.
-		return nil, core.ErrBoundsCheckAny
-	}
-	return &Incremental{Opt: opt, snap: opt, sem: sem}, nil
+	return nil, fmt.Errorf("incr: unknown semantics %d", int(sem))
 }
 
 // NewLevels returns an empty incremental SGB-Any grouping kept at every
@@ -115,7 +98,8 @@ func New(sem Semantics, opt core.Options) (*Incremental, error) {
 // point feeds every level, a removal repairs each, and GroupsAt reads
 // any of them, Result the top one. levels is validated as
 // core.ValidateLevels has it: an EPS IN list of at most core.MaxLevels.
-// opt.Eps is ignored — the largest level is the top, and Opt reports it.
+// opt.Eps is ignored — the largest level is the top, and Options
+// reports it.
 func NewLevels(opt core.Options, levels []float64) (*Incremental, error) {
 	if err := core.ValidateLevels(levels); err != nil {
 		return nil, err
@@ -123,39 +107,36 @@ func NewLevels(opt core.Options, levels []float64) (*Incremental, error) {
 	levels = slices.Clone(levels)
 	slices.Sort(levels)
 	opt.Eps = levels[len(levels)-1]
-	x, err := New(Any, opt)
-	if err != nil {
-		return nil, err
-	}
+	x := &Incremental{opt: opt, sem: Any, levels: levels}
 	for _, eps := range levels {
 		if err := x.checkLevel(eps); err != nil {
 			return nil, err
 		}
 	}
-	x.levels = levels
+	if opt.Algorithm == core.BoundsCheck {
+		// Surface the one-shot operator's rejection at handle creation
+		// rather than mid-stream at the first append.
+		return nil, core.ErrBoundsCheckAny
+	}
 	return x, nil
 }
 
-// Levels returns the ε levels the handle keeps, ascending: Opt.Eps alone
-// unless NewLevels made it.
-func (x *Incremental) Levels() []float64 {
-	if x.levels == nil {
-		return []float64{x.snap.Eps}
-	}
-	return slices.Clone(x.levels)
-}
+// Options returns the options the handle was created with; Eps is its
+// top level. They are fixed: the retained state embodies them.
+func (x *Incremental) Options() core.Options { return x.opt }
 
-// AddLevel keeps one more ε level, at most Opt.Eps, in a handle NewLevels
-// made: one probe pass over the live points (core.AnyEvaluator.AddLevel),
-// then maintained with the others. A level already kept is a no-op; one
-// past core.MaxLevels fails with core.ErrTooManyLevels.
+// Levels returns the ε levels the handle keeps, ascending.
+func (x *Incremental) Levels() []float64 { return slices.Clone(x.levels) }
+
+// AddLevel keeps one more ε level, at most the top, in an SGB-Any
+// handle: one probe pass over the live points
+// (core.AnyEvaluator.AddLevel), then maintained with the others. A level
+// already kept is a no-op; one past core.MaxLevels fails with
+// core.ErrTooManyLevels. An SGB-All handle keeps its own ε only.
 func (x *Incremental) AddLevel(eps float64) error {
-	if x.Opt != x.snap {
-		return ErrOptionsMutated
-	}
 	switch {
-	case x.levels == nil:
-		return errors.New("incr: AddLevel needs a handle made by NewLevels")
+	case x.sem == All:
+		return errors.New("incr: AddLevel needs an SGB-Any handle")
 	case slices.Contains(x.levels, eps):
 		return nil
 	}
@@ -180,29 +161,25 @@ func (x *Incremental) AddLevel(eps float64) error {
 // checkLevel validates eps as a level of the handle: a valid ε at most
 // the top.
 func (x *Incremental) checkLevel(eps float64) error {
-	if eps > x.snap.Eps {
-		return fmt.Errorf("%w (top level %v)", core.ErrEpsAboveMax, x.snap.Eps)
+	if eps > x.opt.Eps {
+		return fmt.Errorf("%w (top level %v)", core.ErrEpsAboveMax, x.opt.Eps)
 	}
-	opt := x.snap
+	opt := x.opt
 	opt.Eps = eps
 	return opt.Validate()
 }
 
-// GroupsAt materializes the grouping at eps, as Result does at Opt.Eps.
-// A single-ε handle answers its own ε only. A NewLevels handle reads a
-// level it keeps off its state, and answers any other ε up to the top
-// with one probe pass over the live points, without keeping the level.
+// GroupsAt materializes the grouping at eps, as Result does at the top.
+// An SGB-Any handle reads a level it keeps off its state, and answers
+// any other ε up to the top with one probe pass over the live points,
+// without keeping the level. An SGB-All handle answers its own ε only.
 func (x *Incremental) GroupsAt(eps float64) (*core.Result, error) {
-	if x.levels == nil || eps == x.snap.Eps {
-		if eps != x.snap.Eps {
-			return nil, fmt.Errorf("incr: the handle keeps ε %v only, not %v", x.snap.Eps, eps)
-		}
+	switch {
+	case eps == x.opt.Eps:
 		return x.Result()
-	}
-	if x.Opt != x.snap {
-		return nil, ErrOptionsMutated
-	}
-	if x.ev == nil {
+	case x.sem == All:
+		return nil, fmt.Errorf("incr: the SGB-All handle keeps ε %v only, not %v", x.opt.Eps, eps)
+	case x.ev == nil:
 		return &core.Result{}, x.checkLevel(eps)
 	}
 	return x.ev.(*core.AnyEvaluator).GroupsAt(eps)
@@ -249,9 +226,6 @@ func (x *Incremental) AppendSet(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
 	}
-	if x.Opt != x.snap {
-		return ErrOptionsMutated
-	}
 	if err := x.ensure(ps.Dims()); err != nil {
 		return err
 	}
@@ -269,26 +243,16 @@ func (x *Incremental) ensure(dims int) error {
 	}
 	var ev evaluator
 	var err error
-	switch {
-	case x.sem == All:
-		ev, err = core.NewAllEvaluator(dims, x.evalOpt())
-	case x.levels != nil:
-		ev, err = core.NewAnyLevels(dims, x.levels, x.evalOpt())
-	default:
-		ev, err = core.NewAnyEvaluator(dims, x.evalOpt())
+	if x.sem == All {
+		ev, err = core.NewAllEvaluator(dims, x.opt)
+	} else {
+		ev, err = core.NewAnyLevels(dims, x.levels, x.opt)
 	}
 	if err != nil {
 		return err // ev holds a nil pointer here; x.ev stays a nil interface
 	}
 	x.ev, x.dims = ev, dims
 	return nil
-}
-
-// evalOpt returns the options the underlying evaluator runs under.
-func (x *Incremental) evalOpt() core.Options {
-	opt := x.snap
-	opt.Parallelism = 1 // appends evaluate sequentially by design
-	return opt
 }
 
 // Remove deletes the points with the given live ids (the numbering
@@ -305,9 +269,6 @@ func (x *Incremental) Remove(ids []int) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	if x.Opt != x.snap {
-		return ErrOptionsMutated
-	}
 	if x.ev == nil {
 		return fmt.Errorf("incr: Remove id out of range [0, 0)")
 	}
@@ -319,9 +280,6 @@ func (x *Incremental) Remove(ids []int) error {
 func (x *Incremental) Window(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("incr: window size must be >= 0, got %d", n)
-	}
-	if x.Opt != x.snap {
-		return 0, ErrOptionsMutated
 	}
 	evict := x.Len() - n
 	if evict <= 0 {
@@ -347,9 +305,6 @@ func (x *Incremental) WindowBy(pred func(p geom.Point) bool) (int, error) {
 	if pred == nil {
 		return 0, fmt.Errorf("incr: WindowBy predicate must not be nil")
 	}
-	if x.Opt != x.snap {
-		return 0, ErrOptionsMutated
-	}
 	n := x.Len()
 	evict := 0
 	for evict < n && pred(x.ev.LiveAt(evict)) {
@@ -374,9 +329,6 @@ func (x *Incremental) WindowBy(pred func(p geom.Point) bool) (int, error) {
 // recursion on a clone of the retained state). Before any append it
 // returns an empty grouping.
 func (x *Incremental) Result() (*core.Result, error) {
-	if x.Opt != x.snap {
-		return nil, ErrOptionsMutated
-	}
 	if x.ev == nil {
 		return &core.Result{}, nil
 	}

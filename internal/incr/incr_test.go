@@ -172,30 +172,6 @@ func normalize(r *core.Result) [2]any {
 	return [2]any{groups, elim}
 }
 
-// TestOptionsMutationRejected is the regression test that mutating the
-// handle's Opt field after creation yields a clear error instead of a
-// silently inconsistent grouping.
-func TestOptionsMutationRejected(t *testing.T) {
-	inc, err := New(All, core.Options{Metric: geom.L2, Eps: 1, Algorithm: core.GridIndex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.Append([]geom.Point{{0, 0}, {0.5, 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	inc.Opt.Eps = 2 // the footgun
-	if err := inc.Append([]geom.Point{{1, 1}}); err != ErrOptionsMutated {
-		t.Fatalf("Append after Opt mutation: got %v, want ErrOptionsMutated", err)
-	}
-	if _, err := inc.Result(); err != ErrOptionsMutated {
-		t.Fatalf("Result after Opt mutation: got %v, want ErrOptionsMutated", err)
-	}
-	inc.Opt.Eps = 1 // restoring the snapshot heals the handle
-	if err := inc.Append([]geom.Point{{1, 1}}); err != nil {
-		t.Fatalf("Append after restoring Opt: %v", err)
-	}
-}
-
 // TestIncrementalErrors covers the handle's validation surface.
 func TestIncrementalErrors(t *testing.T) {
 	if _, err := New(All, core.Options{Metric: geom.L2, Eps: -1}); err == nil {

@@ -15,8 +15,9 @@ import (
 // sliding window and added levels, holding every level it keeps — and a
 // level it does not — to a one-shot sweep over the survivors, and pins
 // the handle's contract: levels sorted and validated, AddLevel before
-// and after the first batch, Result the top level,
-// and single-ε handles answering their own ε only.
+// and after the first batch, Result the top level. A handle New made
+// for SGB-Any is the same shape with one level, so it adds a level below
+// its top too; an SGB-All handle answers its own ε only.
 func TestLevelsHandle(t *testing.T) {
 	opt := core.Options{Metric: geom.L2, Algorithm: core.GridIndex}
 	for _, bad := range [][]float64{nil, {0.5, 0.5}, {0.5, -1}} {
@@ -46,8 +47,8 @@ func TestLevelsHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Opt.Eps != 0.9 || !reflect.DeepEqual(x.Levels(), []float64{0.3, 0.9}) {
-		t.Fatalf("Opt.Eps %v, levels %v", x.Opt.Eps, x.Levels())
+	if x.Options().Eps != 0.9 || !reflect.DeepEqual(x.Levels(), []float64{0.3, 0.9}) {
+		t.Fatalf("Options().Eps %v, levels %v", x.Options().Eps, x.Levels())
 	}
 	if err := x.AddLevel(0.6); err != nil { // before the first batch
 		t.Fatal(err)
@@ -108,13 +109,49 @@ func TestLevelsHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := single.AddLevel(0.3); err == nil {
-		t.Error("AddLevel on a single-ε handle succeeded")
+	live = nil
+	for round := 0; round < 3; round++ {
+		batch := randomPoints(rng, 80, 2, 6)
+		if err := single.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, batch...)
 	}
-	if _, err := single.GroupsAt(0.3); err == nil {
-		t.Error("GroupsAt at another ε on a single-ε handle succeeded")
+	if n, err := single.Window(150); err != nil || n != 90 {
+		t.Fatalf("Window(150) evicted %d: %v", n, err)
 	}
-	if got := single.Levels(); !reflect.DeepEqual(got, []float64{0.5}) {
-		t.Errorf("single-ε handle levels %v", got)
+	live = live[90:]
+	if err := single.AddLevel(0.3); err != nil {
+		t.Fatalf("AddLevel below the top of a single-ε handle: %v", err)
+	}
+	if got := single.Levels(); !reflect.DeepEqual(got, []float64{0.3, 0.5}) {
+		t.Fatalf("single-ε handle levels after AddLevel: %v", got)
+	}
+	want, err := core.SweepAny(live, single.Levels(), core.Options{Metric: geom.L2, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, eps := range single.Levels() {
+		got, err := single.GroupsAt(eps)
+		if err != nil || !reflect.DeepEqual(normalize(got), normalize(want[l])) {
+			t.Fatalf("single-ε handle at ε = %v differs from the one-shot sweep: %v", eps, err)
+		}
+	}
+	if err := single.AddLevel(0.7); !errors.Is(err, core.ErrEpsAboveMax) {
+		t.Errorf("AddLevel above the top of a single-ε handle: %v", err)
+	}
+
+	all, err := New(All, core.Options{Metric: geom.L2, Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := all.AddLevel(0.3); err == nil {
+		t.Error("AddLevel on an SGB-All handle succeeded")
+	}
+	if _, err := all.GroupsAt(0.3); err == nil {
+		t.Error("GroupsAt at another ε on an SGB-All handle succeeded")
+	}
+	if got := all.Levels(); !reflect.DeepEqual(got, []float64{0.5}) {
+		t.Errorf("SGB-All handle levels %v", got)
 	}
 }

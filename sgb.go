@@ -190,14 +190,13 @@ func ConnectedComponents(points []Point, metric Metric, eps float64) []Group {
 // replay the survivors of the affected components; arbitration is
 // presence-sensitive). Result ids
 // are live ids: survivors number 0..Len()-1 in arrival order and
-// renumber compactly after removals. See internal/incr and
-// ARCHITECTURE.md for the maintenance invariants.
+// renumber compactly after removals. Options returns the options the
+// handle was created with, fixed for its life: the retained state
+// embodies them. Every SGB-Any handle keeps its groupings at one or
+// more ε levels and AddLevel keeps one more below the top; an SGB-All
+// handle keeps its own ε only. See internal/incr and ARCHITECTURE.md
+// for the maintenance invariants.
 type Incremental = incr.Incremental
-
-// ErrOptionsMutated is returned by Incremental.Append / Result when
-// the handle's Opt field was modified after creation; the retained
-// state embodies the original options, so mutations are refused.
-var ErrOptionsMutated = incr.ErrOptionsMutated
 
 // NewIncrementalAll returns an empty incremental SGB-All grouping
 // (DISTANCE-TO-ALL cliques with opt.Overlap arbitration). The point
@@ -211,7 +210,8 @@ func NewIncrementalAll(opt Options) (*Incremental, error) {
 // NewIncrementalAny returns an empty incremental SGB-Any grouping
 // (DISTANCE-TO-ANY connected components; opt.Overlap is ignored). The
 // handle is maintained on the ε-grid whatever opt.Algorithm names:
-// components do not depend on the index that finds the ε-edges.
+// components do not depend on the index that finds the ε-edges. It is
+// NewIncrementalAnyLevels' handle with the one level opt.Eps.
 func NewIncrementalAny(opt Options) (*Incremental, error) {
 	return incr.New(incr.Any, opt)
 }

@@ -58,9 +58,9 @@ type incrKey struct {
 type incrEntry struct {
 	mu    sync.Mutex
 	table *storage.Table // identity guard against DROP + re-CREATE
-	// ev is the entry's evaluator once built: SGB-All grouping state at
-	// one ε, or an SGB-Any handle kept at several ε levels
-	// (incr.NewLevels). An SGB-Any fingerprint deliberately excludes ε,
+	// ev is the entry's evaluator once built: a core.AllEvaluator at one
+	// ε, or a core.AnyEvaluator kept at several ε levels
+	// (core.NewAnyLevels). An SGB-Any fingerprint deliberately excludes ε,
 	// so every DISTANCE-TO-ANY statement over this table under one
 	// (metric, grouping) configuration — WITHIN, EPS IN or SIMILARITY
 	// CUBE — reuses one maintained evaluator whichever levels it asks
@@ -84,10 +84,12 @@ type incrEntry struct {
 	lastUse int64 // cache clock reading at the entry's last use; guarded by evalCache.mu
 }
 
-// evaluator is what an entry holds: an *incr.Incremental, whose Stats
-// block is the entry's work.
+// evaluator is what an entry holds: a *core.AnyEvaluator kept at its
+// levels, or a *core.AllEvaluator at its one ε. Either charges the
+// entry's work through the Stats block of the options it was built
+// with.
 type evaluator interface {
-	AppendSet(ps *geom.PointSet) error
+	Append(ps *geom.PointSet) error
 	Remove(ids []int) error
 	Levels() []float64
 	AddLevel(eps float64) error

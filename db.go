@@ -9,7 +9,6 @@ import (
 
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/exec"
-	"github.com/sgb-db/sgb/internal/incr"
 	"github.com/sgb-db/sgb/internal/plan"
 	"github.com/sgb-db/sgb/internal/sqlparser"
 	"github.com/sgb-db/sgb/internal/storage"
@@ -554,17 +553,18 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			(anySem && slices.Max(e.ev.Levels()) < slices.Max(epsList)) {
 			bopt := opt
 			bopt.Stats = &e.work
-			var inc *incr.Incremental
+			var ev evaluator
 			if anySem {
-				inc, err = incr.NewLevels(bopt, sweepLevels(e.ev, epsList))
+				ev, err = core.NewAnyLevels(sweepLevels(e.ev, epsList), bopt)
 			} else {
-				inc, err = incr.New(incr.All, bopt)
+				ev, err = core.NewAllEvaluator(bopt)
 			}
 			if err != nil {
-				// Kept: the old evaluator still matches e.table and e.consumed.
+				// Kept: the old evaluator still matches e.table and e.consumed
+				// (ev holds a typed nil here).
 				return nil, err
 			}
-			e.ev, e.table, e.consumed, e.gen = inc, t, 0, src.Gen
+			e.ev, e.table, e.consumed, e.gen = ev, t, 0, src.Gen
 		}
 		if n > e.consumed {
 			points, err := src.Points(e.consumed)
@@ -574,7 +574,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 				}
 				return nil, err
 			}
-			err = e.ev.AppendSet(points)
+			err = e.ev.Append(points)
 			e.flushWork(st)
 			if err != nil {
 				// A torn append leaves the evaluator holding an unknown

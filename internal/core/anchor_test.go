@@ -134,7 +134,7 @@ func TestReanchorAfterEliminate(t *testing.T) {
 	// a,b found g0; c overlaps a only (a leaves: g0 re-anchors on b);
 	// e joins g0; f overlaps e only, 2.7 from a's cell.
 	xs := []float64{1.9, 2.8, 1.0, 3.7, 4.6, 3.0}
-	ev, err := NewAllEvaluator(1, opt)
+	ev, err := NewAllEvaluator(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestReanchorMaintainedPaths(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/%v/d=%d", m, ov, d), func(t *testing.T) {
 					r := rand.New(rand.NewSource(int64(31*d) + int64(ov)))
 					opt := Options{Metric: m, Eps: 1, Overlap: ov, Algorithm: GridIndex, Seed: 3, Parallelism: 1}
-					ev, err := NewAllEvaluator(d, opt)
+					ev, err := NewAllEvaluator(opt)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -96,7 +96,7 @@ func checkAnyTrace(t testing.TB, data []byte) anyTraceSummary {
 		return float64(b) * scale
 	}
 	opt := Options{Metric: m, Algorithm: GridIndex}
-	ev, err := NewAnyLevels(d, levels, opt)
+	ev, err := NewAnyLevels(levels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func checkAnyTrace(t testing.TB, data []byte) anyTraceSummary {
 			}
 			what = "remove one"
 		case anyOpRebuild:
-			rebuilt, err := NewAnyLevels(d, levels, opt)
+			rebuilt, err := NewAnyLevels(levels, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +350,7 @@ func TestAnyLevelsRemoveEquivalence(t *testing.T) {
 func TestAnyLevelsAddLevel(t *testing.T) {
 	r := rand.New(rand.NewSource(3300))
 	opt := Options{Metric: geom.L2, Algorithm: GridIndex}
-	ev, err := NewAnyLevels(2, []float64{0.6, 0.2}, opt)
+	ev, err := NewAnyLevels([]float64{0.6, 0.2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,10 +442,10 @@ func TestAnyLevelsCap(t *testing.T) {
 		levels[i] = 0.05 * float64(i+1)
 	}
 	opt := Options{Metric: geom.L2}
-	if _, err := NewAnyLevels(2, levels, opt); !errors.Is(err, ErrTooManyLevels) {
+	if _, err := NewAnyLevels(levels, opt); !errors.Is(err, ErrTooManyLevels) {
 		t.Fatalf("NewAnyLevels over %d levels: %v", len(levels), err)
 	}
-	ev, err := NewAnyLevels(2, levels[1:], opt)
+	ev, err := NewAnyLevels(levels[1:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestAnyMortonRemap(t *testing.T) {
 func TestAnyEvaluatorMortonRemap(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: GridIndex}
-	ev, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
+	ev, err := NewAnyLevels([]float64{opt.Eps}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,38 +153,17 @@ func (e *AnyEvaluator) Remove(ids []int) error {
 	if err != nil {
 		return err
 	}
-	e.materializeLive()
-	if e.alive == nil {
-		e.alive = make([]bool, e.points.Len())
-		for i := range e.alive {
-			e.alive[i] = true
-		}
-	}
+	full := e.dueAfter(len(sorted))
 	rm := &e.rm
 	rm.begin(e.points.Len(), len(e.f.ufs))
-	for _, id := range sorted {
-		pos := e.live[id]
-		e.alive[pos] = false
+	rm.victims = e.remove(sorted, rm.victims)
+	for _, pos := range rm.victims {
 		e.ix.remove(e.points, int(pos), e.opt)
-		rm.victims = append(rm.victims, pos)
 	}
 	for l := len(e.f.ufs) - 1; l >= 0; l-- {
 		e.repair(l)
 	}
-
-	// Compact the live order (ids renumber here): the runs between the
-	// victims close ranks.
-	w := sorted[0]
-	for k, id := range sorted {
-		end := len(e.live)
-		if k+1 < len(sorted) {
-			end = sorted[k+1]
-		}
-		w += copy(e.live[w:], e.live[id+1:end])
-	}
-	e.live = e.live[:w]
-	e.dead += len(sorted)
-	if e.dead > len(e.live) {
+	if full {
 		e.compact()
 	}
 	return nil
@@ -341,14 +320,10 @@ func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
 // re-registers the index without re-probing — O(live) work, amortized
 // O(1) per removal by the load threshold.
 func (e *AnyEvaluator) compact() {
-	old, dims, n := e.points, e.points.Dims(), len(e.live)
-	pts := geom.NewPointSetCap(dims, n)
-	nix := newAnyGrid(dims, n, e.opt.Eps)
-	rank := make([]int32, old.Len())
+	n := len(e.live)
+	rank := make([]int32, e.points.Len())
 	for k, pos := range e.live {
 		rank[pos] = int32(k)
-		pts.AppendPoint(old.At(int(pos)))
-		nix.add(pts, k, e.opt)
 	}
 	f := &anyForests{keys: e.f.keys, ufs: make([]*unionfind.UF, len(e.f.ufs)), trees: make([]anyTree, len(e.f.ufs))}
 	for l, ot := range e.f.trees {
@@ -362,8 +337,11 @@ func (e *AnyEvaluator) compact() {
 		}
 		f.ufs[l], f.trees[l] = uf, tr
 	}
-	e.points, e.f, e.ix = pts, f, nix
-	e.live, e.alive, e.dead = nil, nil, 0
+	e.dropDead()
+	e.f, e.ix = f, newAnyGrid(e.Dims(), n, e.opt.Eps)
+	for k := 0; k < n; k++ {
+		e.ix.add(e.points, k, e.opt)
+	}
 }
 
 // removeScratch holds AllEvaluator.Remove's reusable buffers.
@@ -410,62 +388,35 @@ func (e *AllEvaluator) Remove(ids []int) error {
 	if err != nil {
 		return err
 	}
-	e.materializeLive()
 	e.idxOK = false
-	// Replay everything when the log is due for compaction (tombstones
-	// outnumber the living).
-	full := e.dead+len(sorted) > len(e.live)-len(sorted)
+	// Replay everything when the log is due for compaction.
+	full := e.dueAfter(len(sorted))
 	if !full {
+		e.materializeLive()
 		e.ensureCells()
 	}
-
-	// Split live into victims and survivors; sorted is ascending, so one
-	// walk does it.
-	victims := e.rm.queue[:0]
-	out := e.live[:0]
-	for k, pos := range e.live {
-		if len(victims) < len(sorted) && sorted[len(victims)] == k {
-			victims = append(victims, pos)
-		} else {
-			out = append(out, pos)
-		}
-	}
-	e.live = out
-	e.dead += len(sorted)
-	e.rm.queue = victims
-
+	e.rm.queue = e.remove(sorted, e.rm.queue[:0])
 	if full {
-		e.resetState(victims)
+		e.resetState()
 	} else {
-		e.retireClosure(victims)
+		e.retireClosure(e.rm.queue)
 	}
 	e.replay(e.rm.set)
 	return nil
 }
 
-// resetState is the closure taken to be everything: the arbitration
-// state starts over with every survivor to replay, and the point log
-// compacts when that is what called for it — bounding memory by the
-// live set, amortized O(1) per removal by the load threshold.
-func (e *AllEvaluator) resetState(victims []int32) {
-	rm := &e.rm
-	pts := e.st.points
-	if e.dead > len(e.live) {
-		pts = pts.Gather(e.live)
-		e.live, e.dead, e.cells = nil, 0, nil
-		rm.set = rm.set[:0]
-		for i := 0; i < pts.Len(); i++ {
-			rm.set = append(rm.set, int32(i))
-		}
-	} else {
-		rm.set = append(rm.set[:0], e.live...)
-		if e.cells != nil {
-			for _, pos := range victims {
-				e.cells.RemovePoint(pts.At(int(pos)), pos)
-			}
-		}
+// resetState is the closure taken to be everything: the point log
+// compacts and the arbitration state starts over with every survivor to
+// replay — bounding memory by the live set, amortized O(1) per removal
+// by the load threshold.
+func (e *AllEvaluator) resetState() {
+	e.dropDead()
+	e.cells = nil
+	e.rm.set = e.rm.set[:0]
+	for i := 0; i < e.points.Len(); i++ {
+		e.rm.set = append(e.rm.set, int32(i))
 	}
-	e.st = newMaintainedState(pts, e.st.opt)
+	e.st = newMaintainedState(e.points, e.opt)
 }
 
 // ensureCells builds the point grid over the live points. The cell side

@@ -79,7 +79,7 @@ func TestDecrementalAnyEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(dims)*100 + int64(metric)*10 + int64(ai)))
 					opt := Options{Metric: metric, Eps: 1, Algorithm: algo, Seed: 3, Parallelism: 1}
-					ev, err := NewAnyLevels(dims, []float64{opt.Eps}, opt)
+					ev, err := NewAnyLevels([]float64{opt.Eps}, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,7 +141,7 @@ func TestDecrementalAllEquivalence(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(dims)*1000 + int64(metric)*100 + int64(oi)))
 					opt := Options{Metric: metric, Eps: 1, Overlap: overlap, Algorithm: algo, Seed: 7, Parallelism: 1}
-					ev, err := NewAllEvaluator(dims, opt)
+					ev, err := NewAllEvaluator(opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -337,6 +337,9 @@ type retainedState struct {
 
 func retainedOf(e *AllEvaluator) retainedState {
 	st := e.st
+	if st == nil {
+		return retainedState{} // no batch accepted yet
+	}
 	int32s := func(xs []int) []int32 {
 		if xs == nil {
 			return nil
@@ -474,13 +477,13 @@ func decodeTrace(data []byte) (int, Options, []traceOp) {
 // evaluator fed the survivors.
 func checkAllTrace(t testing.TB, data []byte) traceSummary {
 	var sum traceSummary
-	dims, opt, ops := decodeTrace(data)
+	_, opt, ops := decodeTrace(data)
 	if len(ops) == 0 {
 		return sum
 	}
 	var stats Stats
 	opt.Stats = &stats
-	ev, err := NewAllEvaluator(dims, opt)
+	ev, err := NewAllEvaluator(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +523,7 @@ func checkAllTrace(t testing.TB, data []byte) traceSummary {
 			t.Fatalf("step %d (n=%d, after a removal: %t): maintained grouping diverges\nfrom-scratch: %v elim %v\nmaintained:   %v elim %v",
 				step, len(mirror.pts), removed, want.Groups, want.Eliminated, got.Groups, got.Eliminated)
 		}
-		fresh, err := NewAllEvaluator(dims, oneshot)
+		fresh, err := NewAllEvaluator(oneshot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,11 +541,11 @@ func checkAllTrace(t testing.TB, data []byte) traceSummary {
 // evaluators.
 func TestRemoveErrors(t *testing.T) {
 	opt := Options{Metric: geom.L2, Eps: 1, Algorithm: GridIndex}
-	any, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
+	any, err := NewAnyLevels([]float64{opt.Eps}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := NewAllEvaluator(2, opt)
+	all, err := NewAllEvaluator(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +588,7 @@ func TestRemoveErrors(t *testing.T) {
 // renumber compactly.
 func TestRemoveSplitsComponent(t *testing.T) {
 	opt := Options{Metric: geom.L2, Eps: 1.1, Algorithm: GridIndex}
-	ev, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
+	ev, err := NewAnyLevels([]float64{opt.Eps}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

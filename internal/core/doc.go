@@ -34,8 +34,11 @@
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an
 //     incremental run over batches equals a one-shot run over their
-//     concatenation. internal/incr wraps these in the public handle;
-//     its SGB-Any evaluator is always NewAnyLevels', one level for a
+//     concatenation. Both keep their points in one pointLog (the
+//     append-only log, live ids, tombstones); the first accepted batch
+//     fixes the dimensionality. The SQL engine's cache holds them
+//     directly, and internal/incr's public handle forwards to one; an
+//     SGB-Any evaluator is always NewAnyLevels', one level for a
 //     single ε.
 //     Retained state has no serialized form: it equals a from-scratch
 //     run over the surviving points, so appending them again rebuilds

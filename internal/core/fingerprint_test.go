@@ -79,7 +79,7 @@ func TestFingerprintCoversOptions(t *testing.T) {
 // trace operations and records, after each one, its Result and its
 // retained state (retainedOf).
 func maintainedSteps(t *testing.T, dims int, opt Options, ops []traceOp) [][2]any {
-	ev, err := NewAllEvaluator(dims, opt)
+	ev, err := NewAllEvaluator(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestGridProbeLevelBoundaries(t *testing.T) {
 				}
 
 				st := &Stats{}
-				ev, err := NewAnyLevels(d, levels, Options{Metric: m, Algorithm: GridIndex, Stats: st})
+				ev, err := NewAnyLevels(levels, Options{Metric: m, Algorithm: GridIndex, Stats: st})
 				if err != nil {
 					t.Fatal(err)
 				}

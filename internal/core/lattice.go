@@ -86,15 +86,13 @@ func ascendingLevels(epsList []float64) ([]int, error) {
 // one with a probe pass, as a cached sweep entry does.
 type LatticeEvaluator struct{ ev *AnyEvaluator }
 
-// NewLatticeEvaluator returns an empty evaluator over dims-dimensional
-// points whose top level is opt.Eps. BoundsCheck is rejected, as SGBAny
+// NewLatticeEvaluator returns an empty evaluator whose top level is
+// opt.Eps; the first accepted batch fixes its dimensionality (dims,
+// which bench/ passes, is not read). BoundsCheck is rejected, as SGBAny
 // rejects it; opt.Stats is not retained.
 func NewLatticeEvaluator(dims int, opt Options) (*LatticeEvaluator, error) {
-	if opt.Algorithm == BoundsCheck {
-		return nil, ErrBoundsCheckAny
-	}
 	opt.Stats = nil
-	ev, err := NewAnyLevels(dims, []float64{opt.Eps}, opt)
+	ev, err := NewAnyLevels([]float64{opt.Eps}, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func TestNonFiniteRejected(t *testing.T) {
 			t.Fatalf("SGBAnySet accepted %v", bad)
 		}
 
-		all, err := NewAllEvaluator(2, opt)
+		all, err := NewAllEvaluator(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestNonFiniteRejected(t *testing.T) {
 		if all.Len() != 0 {
 			t.Fatalf("rejected append left %d points in AllEvaluator", all.Len())
 		}
-		anyEv, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
+		anyEv, err := NewAnyLevels([]float64{opt.Eps}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,28 +33,159 @@ import (
 // subtlety is FORM-NEW-GROUP's end-of-input recursion, finalized on a
 // throwaway clone so the retained main-pass state stays appendable.
 
-// AllEvaluator is resumable SGB-All evaluation state: a retained
-// sgbAllState (groups, finder structures, arbitration PRNG) that
-// Append extends batch by batch. Appends evaluate sequentially with
-// the strategy selected by the options (Options.Parallelism is
-// ignored; batches are expected to be small relative to the retained
-// set, which is where incremental maintenance pays off). Remove
-// (decremental.go) deletes points by replaying the arbitration over
-// the ε-components the victims touched — SGB-All is order- and
-// presence-sensitive, so nothing less than a replay of those stays
-// bit-identical to a from-scratch run, and nothing more is needed.
-type AllEvaluator struct {
-	st *sgbAllState
-
-	// live holds the stored indices of the surviving points in arrival
-	// order; a point's public id is its index in live. nil means the
-	// identity over [0, st.points.Len()) — nothing removed yet.
-	// (SGB-All never Morton-reorders, so stored order is arrival
-	// order.)
+// pointLog is what both maintained evaluators keep of their points:
+// the append-only log in stored order, the live ids over it, and the
+// tombstones a Remove leaves. The first batch an evaluator accepts
+// fixes the dimensionality, which stays fixed even if every point is
+// later removed.
+type pointLog struct {
+	points *geom.PointSet // dims 0 until the first accepted batch
+	// live holds the stored positions of the surviving points in
+	// arrival order; a point's public id is its index in live (so ids
+	// compact after removals exactly as a from-scratch evaluation over
+	// the survivors would number them). nil means the identity over
+	// [0, points.Len()): every batch arrived in order and nothing was
+	// removed.
 	live []int32
-	// dead counts tombstoned stored indices; when they outnumber the
-	// live points, Remove compacts the point log and replays everything.
-	dead int
+	// alive flags stored positions (nil = everything alive), and dead
+	// counts the tombstoned ones; when they outnumber the live points
+	// the owner compacts the log (dropDead), so steady-state windowed
+	// workloads hold memory proportional to the window, not the history.
+	alive []bool
+	dead  int
+}
+
+func newPointLog() pointLog { return pointLog{points: new(geom.PointSet)} }
+
+// Len returns the number of live points (appended and not removed).
+func (l *pointLog) Len() int { return l.points.Len() - l.dead }
+
+// Dims returns the point dimensionality, or 0 before the first accepted
+// batch.
+func (l *pointLog) Dims() int { return l.points.Dims() }
+
+// LiveAt returns the point with live id i (the id space Result and
+// Remove use). The view is read-only and valid until the next
+// mutation.
+func (l *pointLog) LiveAt(i int) geom.Point {
+	if l.live != nil {
+		return l.points.At(int(l.live[i]))
+	}
+	return l.points.At(i)
+}
+
+// materializeLive switches the identity mapping to an explicit one —
+// the first Morton-reordered batch or the first removal needs it.
+func (l *pointLog) materializeLive() {
+	if l.live != nil {
+		return
+	}
+	l.live = make([]int32, l.points.Len(), l.points.Len()+16)
+	for i := range l.live {
+		l.live[i] = int32(i)
+	}
+}
+
+// accept validates a non-empty batch — the log's dimensionality, and
+// coordinates the ε-grid at eps can quantize — and fixes the
+// dimensionality when it is the first batch accepted.
+func (l *pointLog) accept(ps *geom.PointSet, eps float64) error {
+	if d := l.points.Dims(); d != 0 && ps.Dims() != d {
+		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), d)
+	}
+	if err := checkCoords(ps, eps); err != nil {
+		return err
+	}
+	if l.points.Dims() == 0 {
+		l.points = geom.NewPointSet(ps.Dims())
+	}
+	return nil
+}
+
+// add copies an accepted batch onto the log in the order perm gives
+// (nil: as it arrived), keeping the live order in arrival order, and
+// returns the stored position of the first point added.
+func (l *pointLog) add(ps *geom.PointSet, perm []int32) int {
+	base := l.points.Len()
+	if perm != nil {
+		ps = ps.Gather(perm)
+		l.materializeLive()
+		// Arrival order of the reordered batch: position base+j holds
+		// the batch point perm[j], so arrival offset o lives at the
+		// position the inverse permutation names.
+		for _, j := range invertPerm(perm) {
+			l.live = append(l.live, int32(base)+j)
+		}
+	} else if l.live != nil {
+		for k := 0; k < ps.Len(); k++ {
+			l.live = append(l.live, int32(base+k))
+		}
+	}
+	if l.alive != nil {
+		for k := 0; k < ps.Len(); k++ {
+			l.alive = append(l.alive, true)
+		}
+	}
+	l.points.AppendSet(ps)
+	return base
+}
+
+// dueAfter reports whether removing k more points makes the tombstones
+// outnumber the living: the log is then due for compaction.
+func (l *pointLog) dueAfter(k int) bool { return l.dead+k > l.Len()-k }
+
+// remove tombstones the points with the live ids sorted (validated and
+// ascending: checkRemoveIDs), appends their stored positions to victims
+// and returns it, and closes the live order's ranks over them: ids
+// renumber here.
+func (l *pointLog) remove(sorted []int, victims []int32) []int32 {
+	l.materializeLive()
+	if l.alive == nil {
+		l.alive = make([]bool, l.points.Len())
+		for i := range l.alive {
+			l.alive[i] = true
+		}
+	}
+	for _, id := range sorted {
+		pos := l.live[id]
+		l.alive[pos] = false
+		victims = append(victims, pos)
+	}
+	w := sorted[0]
+	for k, id := range sorted {
+		end := len(l.live)
+		if k+1 < len(sorted) {
+			end = sorted[k+1]
+		}
+		w += copy(l.live[w:], l.live[id+1:end])
+	}
+	l.live = l.live[:w]
+	l.dead += len(sorted)
+	return victims
+}
+
+// dropDead compacts the log to its live points in arrival order: a
+// survivor's stored position becomes its live id.
+func (l *pointLog) dropDead() {
+	l.points = l.points.Gather(l.live)
+	l.live, l.alive, l.dead = nil, nil, 0
+}
+
+// AllEvaluator is resumable SGB-All evaluation state: a retained
+// sgbAllState (groups, finder structures, arbitration PRNG) over its
+// point log that Append extends batch by batch. Appends evaluate
+// sequentially with the strategy selected by the options
+// (Options.Parallelism is ignored; batches are expected to be small
+// relative to the retained set, which is where incremental maintenance
+// pays off). Remove (decremental.go) deletes points by replaying the
+// arbitration over the ε-components the victims touched — SGB-All is
+// order- and presence-sensitive, so nothing less than a replay of those
+// stays bit-identical to a from-scratch run, and nothing more is needed.
+// (SGB-All never Morton-reorders, so stored order is arrival order.)
+type AllEvaluator struct {
+	pointLog
+	opt Options
+	st  *sgbAllState // nil until the first accepted batch; st.points is the log's
 
 	// cells is the point grid the closure of a Remove walks: every live
 	// stored index in its ε-cell. Built by the first local Remove, kept
@@ -69,16 +200,13 @@ type AllEvaluator struct {
 	rm removeScratch // Remove's reusable buffers (decremental.go)
 }
 
-// NewAllEvaluator returns an empty resumable SGB-All evaluation over
-// dims-dimensional points.
-func NewAllEvaluator(dims int, opt Options) (*AllEvaluator, error) {
+// NewAllEvaluator returns an empty resumable SGB-All evaluation; the
+// first accepted batch fixes its dimensionality.
+func NewAllEvaluator(opt Options) (*AllEvaluator, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if dims < 1 {
-		return nil, errors.New("core: evaluator dimensionality must be >= 1")
-	}
-	return &AllEvaluator{st: newMaintainedState(geom.NewPointSet(dims), opt)}, nil
+	return &AllEvaluator{pointLog: newPointLog(), opt: opt}, nil
 }
 
 // newMaintainedState returns an empty retained arbitration state over
@@ -99,34 +227,25 @@ func newMaintainedState(pts *geom.PointSet, opt Options) *sgbAllState {
 	return st
 }
 
-// Len returns the number of live points (appended and not removed).
-func (e *AllEvaluator) Len() int {
-	if e.live != nil {
-		return len(e.live)
-	}
-	return e.st.points.Len()
+// Options returns the options the evaluator was created with. They are
+// fixed: the retained state embodies them.
+func (e *AllEvaluator) Options() Options { return e.opt }
+
+// Levels returns the evaluator's one ε, the only one it keeps.
+func (e *AllEvaluator) Levels() []float64 { return []float64{e.opt.Eps} }
+
+// AddLevel fails: an SGB-All evaluator keeps its own ε only.
+func (e *AllEvaluator) AddLevel(float64) error {
+	return errors.New("core: AddLevel needs an SGB-Any evaluator")
 }
 
-// LiveAt returns the point with live id i (the id space Result and
-// Remove use). The view is read-only and valid until the next
-// mutation.
-func (e *AllEvaluator) LiveAt(i int) geom.Point {
-	if e.live != nil {
-		return e.st.points.At(int(e.live[i]))
+// GroupsAt returns Result at the evaluator's own ε and fails at any
+// other.
+func (e *AllEvaluator) GroupsAt(eps float64) (*Result, error) {
+	if eps != e.opt.Eps {
+		return nil, fmt.Errorf("core: the SGB-All evaluator keeps ε %v only, not %v", e.opt.Eps, eps)
 	}
-	return e.st.points.At(i)
-}
-
-// materializeLive switches the identity mapping to an explicit one at
-// the first removal.
-func (e *AllEvaluator) materializeLive() {
-	if e.live != nil {
-		return
-	}
-	e.live = make([]int32, e.st.points.Len(), e.st.points.Len()+16)
-	for i := range e.live {
-		e.live[i] = int32(i)
-	}
+	return e.Result(), nil
 }
 
 // Append absorbs a batch of points (copied into the evaluator's own
@@ -134,29 +253,25 @@ func (e *AllEvaluator) materializeLive() {
 // have, had the batch been the next stretch of its input. Under
 // FORM-NEW-GROUP the points deferred into S′ accumulate across
 // appends and are only resolved by Result, mirroring the one-shot
-// operator's end-of-input recursion.
+// operator's end-of-input recursion. An empty batch is a no-op.
 func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
 	}
-	st := e.st
-	if ps.Dims() != st.dims {
-		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), st.dims)
-	}
-	if err := checkCoords(ps, st.opt.Eps); err != nil {
+	if err := e.accept(ps, e.opt.Eps); err != nil {
 		return err
 	}
-	base := st.points.Len()
-	st.points.AppendSet(ps)
-	n := st.points.Len()
+	if e.st == nil {
+		e.st = newMaintainedState(e.points, e.opt)
+	}
+	st := e.st
+	base := e.add(ps, nil)
+	n := e.points.Len()
 	e.idxOK = false
 	for i := base; i < n; i++ {
 		st.pointGroup = append(st.pointGroup, -1)
-		if e.live != nil {
-			e.live = append(e.live, int32(i))
-		}
 		if e.cells != nil {
-			e.cells.AddPoint(st.points.At(i), int32(i))
+			e.cells.AddPoint(e.points.At(i), int32(i))
 		}
 	}
 	for pi := base; pi < n; pi++ {
@@ -177,8 +292,12 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 // surviving points in arrival order, exactly as a from-scratch run over
 // them would number its input. The returned result owns its slices (the
 // member lists share one backing array, each capped at its own end).
+// Before the first accepted batch it is an empty grouping.
 func (e *AllEvaluator) Result() *Result {
 	st := e.st
+	if st == nil {
+		return &Result{}
+	}
 	if st.opt.Overlap == FormNewGroup && len(st.deferred) > 0 {
 		st = st.finalizeClone()
 		next := st.deferred
@@ -190,7 +309,7 @@ func (e *AllEvaluator) Result() *Result {
 	var idx []int32
 	if e.live != nil {
 		if !e.idxOK {
-			n := e.st.points.Len()
+			n := e.points.Len()
 			e.idx = slices.Grow(e.idx[:0], n)[:n]
 			for k, pos := range e.live {
 				e.idx[pos] = int32(k)
@@ -305,43 +424,29 @@ func materializeAll(st *sgbAllState) *Result {
 //
 // Each appended batch is Morton (Z-order) preprocessed by the one-shot
 // path's rule (mortonPermFor): the batch's points are absorbed in
-// Z-order of their ε-cells, and live remembers the arrival order of the
-// stored positions so Result reports input-order ids. Reordering within
-// a batch is sound for the same reason appending is: components do not
-// depend on arrival order.
+// Z-order of their ε-cells, and the log's live order remembers the
+// arrival order of the stored positions so Result reports input-order
+// ids. Reordering within a batch is sound for the same reason appending
+// is: components do not depend on arrival order.
 type AnyEvaluator struct {
-	opt    Options        // Eps is the top level's
-	eps    []float64      // every level's ε, ascending (f.keys in ε)
-	points *geom.PointSet // append-only log; removals tombstone via alive
+	pointLog
+	opt Options   // Eps is the top level's
+	eps []float64 // every level's ε, ascending (f.keys in ε)
 	// f holds the levels over stored positions (incl. dead), each with
 	// the forest a Remove repairs.
 	f    *anyForests
-	ix   *anyGrid
-	join anyJoin // the scratch of Append's, probePass's and Remove's probes
-
-	// live holds the stored positions of the surviving points in
-	// arrival order; a point's public id is its index in live (so ids
-	// compact after removals exactly as a from-scratch evaluation over
-	// the survivors would number them). nil means the identity over
-	// [0, points.Len()): every batch arrived in order and nothing was
-	// removed.
-	live []int32
-	// alive flags stored positions (nil = everything alive).
-	alive []bool
-	// dead counts tombstoned stored positions; when they outnumber the
-	// live points, compact rebuilds the evaluator over the survivors so
-	// steady-state windowed workloads hold memory proportional to the
-	// window, not the history.
-	dead int
+	ix   *anyGrid // nil until the first accepted batch
+	join anyJoin  // the scratch of Append's, probePass's and Remove's probes
 
 	rm anyRemoval // Remove's reusable scratch (decremental.go)
 }
 
-// NewAnyLevels returns an empty resumable SGB-Any evaluation over
-// dims-dimensional points at every ε level of levels (ValidateLevels: an
-// EPS IN list of at most MaxLevels). opt.Eps is ignored: the largest
-// level is the top, the radius appends probe at.
-func NewAnyLevels(dims int, levels []float64, opt Options) (*AnyEvaluator, error) {
+// NewAnyLevels returns an empty resumable SGB-Any evaluation at every ε
+// level of levels (ValidateLevels: an EPS IN list of at most MaxLevels);
+// the first accepted batch fixes its dimensionality. opt.Eps is
+// ignored: the largest level is the top, the radius appends probe at.
+// BoundsCheck is rejected, as SGBAny rejects it.
+func NewAnyLevels(levels []float64, opt Options) (*AnyEvaluator, error) {
 	if err := ValidateLevels(levels); err != nil {
 		return nil, err
 	}
@@ -355,86 +460,41 @@ func NewAnyLevels(dims int, levels []float64, opt Options) (*AnyEvaluator, error
 		}
 		eps[l], keys[l] = opt.Eps, opt.Metric.EpsKey(opt.Eps)
 	}
-	if dims < 1 {
-		return nil, errors.New("core: evaluator dimensionality must be >= 1")
+	if opt.Algorithm == BoundsCheck {
+		return nil, ErrBoundsCheckAny
 	}
 	f := newAnyForests(keys, 0)
 	f.trees = make([]anyTree, len(keys))
 	for l := range f.trees {
 		f.trees[l] = newAnyTree(0)
 	}
-	return &AnyEvaluator{
-		opt:    opt,
-		eps:    eps,
-		points: geom.NewPointSet(dims),
-		f:      f,
-		ix:     newAnyGrid(dims, 0, opt.Eps),
-	}, nil
+	return &AnyEvaluator{pointLog: newPointLog(), opt: opt, eps: eps, f: f}, nil
 }
 
-// Len returns the number of live points (appended and not removed).
-func (e *AnyEvaluator) Len() int { return e.points.Len() - e.dead }
+// Options returns the options the evaluator was created with; Eps is
+// its top level. They are fixed: the retained state embodies them.
+func (e *AnyEvaluator) Options() Options { return e.opt }
 
-// LiveAt returns the point with live id i (the id space Result and
-// Remove use). The view is read-only and valid until the next
-// mutation.
-func (e *AnyEvaluator) LiveAt(i int) geom.Point {
-	if e.live != nil {
-		return e.points.At(int(e.live[i]))
-	}
-	return e.points.At(i)
-}
-
-// materializeLive switches the identity mapping to an explicit one —
-// the first Morton-reordered batch or the first removal needs it.
-func (e *AnyEvaluator) materializeLive() {
-	if e.live != nil {
-		return
-	}
-	e.live = make([]int32, e.points.Len(), e.points.Len()+16)
-	for i := range e.live {
-		e.live[i] = int32(i)
-	}
-}
+// Levels returns the ε levels the evaluator keeps, ascending.
+func (e *AnyEvaluator) Levels() []float64 { return slices.Clone(e.eps) }
 
 // Append absorbs a batch of points (copied into the evaluator's own
 // storage): each point probes the live index for its neighbors within
 // the top level's ε, joins each at the levels their distance reaches,
 // and registers itself — the step every one-shot evaluation runs
-// (anyJoin.step), each merge also recorded as a forest edge.
+// (anyJoin.step), each merge also recorded as a forest edge. An empty
+// batch is a no-op.
 func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
 	}
-	if ps.Dims() != e.points.Dims() {
-		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), e.points.Dims())
-	}
-	if err := checkCoords(ps, e.opt.Eps); err != nil {
+	if err := e.accept(ps, e.opt.Eps); err != nil {
 		return err
 	}
-	base := e.points.Len()
-	batch := ps
-	if bperm := mortonPermFor(ps, e.opt); bperm != nil {
-		batch = ps.Gather(bperm)
-		e.materializeLive()
-		// Arrival order of the reordered batch: position base+j holds
-		// the batch point bperm[j], so arrival offset o lives at the
-		// position the inverse permutation names.
-		for _, j := range invertPerm(bperm) {
-			e.live = append(e.live, int32(base)+j)
-		}
-	} else if e.live != nil {
-		for k := 0; k < ps.Len(); k++ {
-			e.live = append(e.live, int32(base+k))
-		}
+	if e.ix == nil {
+		e.ix = newAnyGrid(e.Dims(), 0, e.opt.Eps)
 	}
-	if e.alive != nil {
-		for k := 0; k < ps.Len(); k++ {
-			e.alive = append(e.alive, true)
-		}
-	}
-	e.points.AppendSet(batch)
-	for i := base; i < e.points.Len(); i++ {
+	for i := e.add(ps, mortonPermFor(ps, e.opt)); i < e.points.Len(); i++ {
 		for _, uf := range e.f.ufs {
 			uf.Add()
 		}

@@ -322,7 +322,7 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 	}
 	checkIndependent(t, "one-shot", res.Groups)
 
-	e, err := NewAnyLevels(2, []float64{opt.Eps}, opt)
+	e, err := NewAnyLevels([]float64{opt.Eps}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

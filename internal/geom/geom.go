@@ -462,17 +462,6 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of the side lengths (perimeter/2 in 2-D).
-func (r Rect) Margin() float64 {
-	var m float64
-	for i := range r.Min {
-		if side := r.Max[i] - r.Min[i]; side > 0 {
-			m += side
-		}
-	}
-	return m
-}
-
 // EnlargementArea returns the area increase of r if extended to cover
 // s, computed without materializing the union (R-tree hot path).
 func (r Rect) EnlargementArea(s Rect) float64 {
@@ -494,24 +483,6 @@ func (r Rect) EnlargementArea(s Rect) float64 {
 		area *= side
 	}
 	return union - area
-}
-
-// UnionArea returns the area of the union rectangle of r and s without
-// materializing it.
-func (r Rect) UnionArea(s Rect) float64 {
-	union := 1.0
-	for i := range r.Min {
-		lo := r.Min[i]
-		if s.Min[i] < lo {
-			lo = s.Min[i]
-		}
-		hi := r.Max[i]
-		if s.Max[i] > hi {
-			hi = s.Max[i]
-		}
-		union *= hi - lo
-	}
-	return union
 }
 
 // String formats the rectangle as "[min; max]".

@@ -155,9 +155,6 @@ func TestRectOps(t *testing.T) {
 	if a.Area() != 16 || u.Area() != 36 {
 		t.Fatalf("areas: %v %v", a.Area(), u.Area())
 	}
-	if a.Margin() != 8 {
-		t.Fatalf("margin: %v", a.Margin())
-	}
 	// Touching boundaries intersect (matches the ≤ predicate).
 	touch := NewRect(Point{4, 0}, Point{8, 4})
 	if !a.Intersects(touch) {

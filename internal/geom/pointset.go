@@ -151,26 +151,6 @@ func (s *PointSet) AppendSet(other *PointSet) {
 	s.data = append(s.data, other.data...)
 }
 
-// RemoveSorted deletes the points at the given strictly ascending
-// indices in place: the survivors close ranks in order (one memmove per
-// run between victims), so point i ends at i minus the number of
-// victims below it. Views taken before the call are invalid after it.
-func (s *PointSet) RemoveSorted(ids []int) {
-	if len(ids) == 0 {
-		return
-	}
-	d := s.dims
-	w := ids[0] * d
-	for k, id := range ids {
-		end := len(s.data)
-		if k+1 < len(ids) {
-			end = ids[k+1] * d
-		}
-		w += copy(s.data[w:], s.data[(id+1)*d:end])
-	}
-	s.data = s.data[:w]
-}
-
 // Slice returns a view of points [i, j) sharing the receiver's backing
 // buffer — no copy. The view must be treated as read-only, and appends
 // to the receiver may or may not be visible through it; use it

@@ -212,33 +212,3 @@ func TestGather(t *testing.T) {
 		t.Fatal("empty gather should have no points")
 	}
 }
-
-func TestRemoveSorted(t *testing.T) {
-	build := func() *PointSet {
-		ps := NewPointSet(2)
-		for i := 0; i < 8; i++ {
-			ps.AppendPoint(Point{float64(i), float64(i) * 10})
-		}
-		return ps
-	}
-	for _, ids := range [][]int{nil, {0}, {7}, {3}, {0, 1, 2}, {5, 6, 7}, {0, 2, 4, 6}, {1, 2, 6}, {0, 1, 2, 3, 4, 5, 6, 7}} {
-		ps := build()
-		ps.RemoveSorted(ids)
-		var want []float64
-		for i, k := 0, 0; i < 8; i++ {
-			if k < len(ids) && ids[k] == i {
-				k++
-				continue
-			}
-			want = append(want, float64(i))
-		}
-		if ps.Len() != len(want) {
-			t.Fatalf("RemoveSorted(%v): %d points left, want %d", ids, ps.Len(), len(want))
-		}
-		for k, x := range want {
-			if p := ps.At(k); p[0] != x || p[1] != x*10 {
-				t.Fatalf("RemoveSorted(%v): point %d = %v, want (%v, %v)", ids, k, p, x, x*10)
-			}
-		}
-	}
-}

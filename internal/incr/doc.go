@@ -5,10 +5,12 @@
 // evaluation over the surviving points in arrival order — without
 // ever regrouping from scratch (an SGB-All deletion replays the
 // components it touched, see below). It is the subsystem behind the public
-// sgb.NewIncrementalAll / NewIncrementalAny constructors and the SQL
-// engine's SET incremental INSERT/DELETE-maintenance path (db.go's
-// per-table cache). An SGB-Any handle may keep several ε levels at once
-// (NewLevels, behind every cached DISTANCE-TO-ANY entry).
+// sgb.NewIncrementalAll / NewIncrementalAny constructors. The handle
+// keeps no state of its own: it holds its semantics and one core
+// evaluator (core.AllEvaluator, or core.AnyEvaluator, which may keep
+// several ε levels at once: NewLevels), and forwards every call to it.
+// The SQL engine's SET incremental INSERT/DELETE-maintenance path
+// (db.go's per-table cache) holds those core evaluators directly.
 //
 // Why this is sound, per operator:
 //
@@ -53,15 +55,17 @@
 //
 // Invariants the handle enforces:
 //
-//   - Options are fixed by type: the handle keeps them in an unexported
-//     field and Options returns a copy, so nothing can change what the
-//     retained state embodies (ε, metric, overlap, strategy, and seed).
+//   - Options are fixed by type: the evaluator keeps them in an
+//     unexported field and Options returns a copy, so nothing can change
+//     what the retained state embodies (ε, metric, overlap, strategy,
+//     and seed).
 //   - Every SGB-Any handle is a levels handle: New(Any, opt) is
 //     NewLevels with the one level opt.Eps, and AddLevel keeps one more
 //     below the top on any of them. An SGB-All handle keeps its ε as
 //     its only level.
-//   - Dimensionality is fixed by the first non-empty batch (even
-//     across a full eviction); later mismatches are rejected.
+//   - Dimensionality is fixed by the first accepted batch (even
+//     across a full eviction); later mismatches are rejected, and a
+//     rejected batch changes nothing.
 //   - Results own their slices: a materialized Result is never aliased
 //     by later appends or removals.
 package incr

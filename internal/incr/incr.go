@@ -3,7 +3,6 @@ package incr
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/geom"
@@ -48,26 +47,28 @@ func (s Semantics) String() string {
 // matches what a from-scratch evaluation over the survivors would
 // report.
 //
-// The dimensionality is fixed by the first non-empty batch (and stays
-// fixed even if every point is later removed); until then the handle
-// is empty and Result returns an empty grouping. Appends evaluate
-// sequentially (Options.Parallelism is ignored): the point of
-// incremental maintenance is that per-append work scales with the
-// batch, not the retained set, so there is nothing worth sharding. An
-// Incremental is not safe for concurrent use.
+// The handle forwards every call to its core evaluator
+// (core.AllEvaluator or core.AnyEvaluator), which holds the options,
+// levels, dimensionality and points. The dimensionality is fixed by
+// the first accepted batch (and stays fixed even if every point is
+// later removed); until then the handle is empty and Result returns an
+// empty grouping. Appends evaluate sequentially (Options.Parallelism
+// is ignored): the point of incremental maintenance is that per-append
+// work scales with the batch, not the retained set, so there is
+// nothing worth sharding. An Incremental is not safe for concurrent
+// use.
 type Incremental struct {
-	opt  core.Options // fixed at creation; Eps is the top level
-	sem  Semantics
-	dims int // 0 until the first non-empty batch fixes it
-	// levels are the ε levels the handle keeps, ascending; the last is
-	// opt.Eps. An SGB-All handle keeps its ε as its only level.
-	levels []float64
-
-	ev evaluator // nil until the first non-empty batch
+	sem Semantics
+	ev  evaluator
 }
 
 // evaluator is what core.AllEvaluator and core.AnyEvaluator both provide.
 type evaluator interface {
+	Options() core.Options
+	Levels() []float64
+	AddLevel(eps float64) error
+	GroupsAt(eps float64) (*core.Result, error)
+	Dims() int
 	Len() int
 	LiveAt(i int) geom.Point
 	Append(ps *geom.PointSet) error
@@ -81,12 +82,13 @@ type evaluator interface {
 // misconfigured handle fails at creation, not mid-stream. An SGB-Any
 // handle is NewLevels' with the one level opt.Eps.
 func New(sem Semantics, opt core.Options) (*Incremental, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	switch sem {
 	case All:
-		return &Incremental{opt: opt, sem: All, levels: []float64{opt.Eps}}, nil
+		ev, err := core.NewAllEvaluator(opt)
+		if err != nil {
+			return nil, err
+		}
+		return &Incremental{sem: All, ev: ev}, nil
 	case Any:
 		return NewLevels(opt, []float64{opt.Eps})
 	}
@@ -101,108 +103,46 @@ func New(sem Semantics, opt core.Options) (*Incremental, error) {
 // opt.Eps is ignored — the largest level is the top, and Options
 // reports it.
 func NewLevels(opt core.Options, levels []float64) (*Incremental, error) {
-	if err := core.ValidateLevels(levels); err != nil {
+	ev, err := core.NewAnyLevels(levels, opt)
+	if err != nil {
 		return nil, err
 	}
-	levels = slices.Clone(levels)
-	slices.Sort(levels)
-	opt.Eps = levels[len(levels)-1]
-	x := &Incremental{opt: opt, sem: Any, levels: levels}
-	for _, eps := range levels {
-		if err := x.checkLevel(eps); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Algorithm == core.BoundsCheck {
-		// Surface the one-shot operator's rejection at handle creation
-		// rather than mid-stream at the first append.
-		return nil, core.ErrBoundsCheckAny
-	}
-	return x, nil
+	return &Incremental{sem: Any, ev: ev}, nil
 }
 
 // Options returns the options the handle was created with; Eps is its
 // top level. They are fixed: the retained state embodies them.
-func (x *Incremental) Options() core.Options { return x.opt }
+func (x *Incremental) Options() core.Options { return x.ev.Options() }
 
 // Levels returns the ε levels the handle keeps, ascending.
-func (x *Incremental) Levels() []float64 { return slices.Clone(x.levels) }
+func (x *Incremental) Levels() []float64 { return x.ev.Levels() }
 
 // AddLevel keeps one more ε level, at most the top, in an SGB-Any
 // handle: one probe pass over the live points
 // (core.AnyEvaluator.AddLevel), then maintained with the others. A level
 // already kept is a no-op; one past core.MaxLevels fails with
 // core.ErrTooManyLevels. An SGB-All handle keeps its own ε only.
-func (x *Incremental) AddLevel(eps float64) error {
-	switch {
-	case x.sem == All:
-		return errors.New("incr: AddLevel needs an SGB-Any handle")
-	case slices.Contains(x.levels, eps):
-		return nil
-	}
-	if err := x.checkLevel(eps); err != nil {
-		return err
-	}
-	l, _ := slices.BinarySearch(x.levels, eps)
-	levels := slices.Insert(slices.Clone(x.levels), l, eps)
-	var err error
-	if x.ev != nil {
-		err = x.ev.(*core.AnyEvaluator).AddLevel(eps)
-	} else {
-		err = core.ValidateLevels(levels) // no evaluator yet to refuse it
-	}
-	if err != nil {
-		return err
-	}
-	x.levels = levels
-	return nil
-}
-
-// checkLevel validates eps as a level of the handle: a valid ε at most
-// the top.
-func (x *Incremental) checkLevel(eps float64) error {
-	if eps > x.opt.Eps {
-		return fmt.Errorf("%w (top level %v)", core.ErrEpsAboveMax, x.opt.Eps)
-	}
-	opt := x.opt
-	opt.Eps = eps
-	return opt.Validate()
-}
+func (x *Incremental) AddLevel(eps float64) error { return x.ev.AddLevel(eps) }
 
 // GroupsAt materializes the grouping at eps, as Result does at the top.
 // An SGB-Any handle reads a level it keeps off its state, and answers
 // any other ε up to the top with one probe pass over the live points,
 // without keeping the level. An SGB-All handle answers its own ε only.
-func (x *Incremental) GroupsAt(eps float64) (*core.Result, error) {
-	switch {
-	case eps == x.opt.Eps:
-		return x.Result()
-	case x.sem == All:
-		return nil, fmt.Errorf("incr: the SGB-All handle keeps ε %v only, not %v", x.opt.Eps, eps)
-	case x.ev == nil:
-		return &core.Result{}, x.checkLevel(eps)
-	}
-	return x.ev.(*core.AnyEvaluator).GroupsAt(eps)
-}
+func (x *Incremental) GroupsAt(eps float64) (*core.Result, error) { return x.ev.GroupsAt(eps) }
 
 // Semantics returns the operator the handle maintains.
 func (x *Incremental) Semantics() Semantics { return x.sem }
 
 // Len returns the number of live points (appended and not removed).
-func (x *Incremental) Len() int {
-	if x.ev == nil {
-		return 0
-	}
-	return x.ev.Len()
-}
+func (x *Incremental) Len() int { return x.ev.Len() }
 
 // Dims returns the point dimensionality, or 0 while no batch has been
-// appended yet.
-func (x *Incremental) Dims() int { return x.dims }
+// accepted yet.
+func (x *Incremental) Dims() int { return x.ev.Dims() }
 
 // Append absorbs a batch of points given as a []Point slice. All
 // points must share the handle's dimensionality (fixed by the first
-// batch). See AppendSet for the flat-storage variant.
+// accepted batch). See AppendSet for the flat-storage variant.
 func (x *Incremental) Append(points []geom.Point) error {
 	if len(points) == 0 {
 		return nil
@@ -221,39 +161,8 @@ func (x *Incremental) Append(points []geom.Point) error {
 
 // AppendSet absorbs a batch of points in flat storage. The points are
 // copied; the caller's set is not retained. An empty batch is a
-// no-op.
-func (x *Incremental) AppendSet(ps *geom.PointSet) error {
-	if ps == nil || ps.Len() == 0 {
-		return nil
-	}
-	if err := x.ensure(ps.Dims()); err != nil {
-		return err
-	}
-	return x.ev.Append(ps)
-}
-
-// ensure lazily creates the underlying evaluator once the first batch
-// reveals the dimensionality, and rejects mismatched later batches.
-func (x *Incremental) ensure(dims int) error {
-	if x.dims != 0 {
-		if dims != x.dims {
-			return fmt.Errorf("incr: appended points have dimension %d, want %d", dims, x.dims)
-		}
-		return nil
-	}
-	var ev evaluator
-	var err error
-	if x.sem == All {
-		ev, err = core.NewAllEvaluator(dims, x.opt)
-	} else {
-		ev, err = core.NewAnyLevels(dims, x.levels, x.opt)
-	}
-	if err != nil {
-		return err // ev holds a nil pointer here; x.ev stays a nil interface
-	}
-	x.ev, x.dims = ev, dims
-	return nil
-}
+// no-op, and a rejected one changes nothing.
+func (x *Incremental) AppendSet(ps *geom.PointSet) error { return x.ev.Append(ps) }
 
 // Remove deletes the points with the given live ids (the numbering
 // Result reports: surviving points 0..Len()-1 in arrival order) and
@@ -265,15 +174,7 @@ func (x *Incremental) ensure(dims int) error {
 // (see core's decremental notes). Ids renumber compactly after the call.
 // An empty batch is a no-op; out-of-range or duplicate ids fail
 // without mutating the handle.
-func (x *Incremental) Remove(ids []int) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	if x.ev == nil {
-		return fmt.Errorf("incr: Remove id out of range [0, 0)")
-	}
-	return x.ev.Remove(ids)
-}
+func (x *Incremental) Remove(ids []int) error { return x.ev.Remove(ids) }
 
 // Window evicts oldest-first until at most n points remain — the
 // count-based sliding window. It returns how many points were evicted.
@@ -281,18 +182,7 @@ func (x *Incremental) Window(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("incr: window size must be >= 0, got %d", n)
 	}
-	evict := x.Len() - n
-	if evict <= 0 {
-		return 0, nil
-	}
-	ids := make([]int, evict)
-	for i := range ids {
-		ids[i] = i
-	}
-	if err := x.Remove(ids); err != nil {
-		return 0, err
-	}
-	return evict, nil
+	return x.evict(x.Len() - n)
 }
 
 // WindowBy evicts the longest oldest-first prefix of live points for
@@ -310,27 +200,28 @@ func (x *Incremental) WindowBy(pred func(p geom.Point) bool) (int, error) {
 	for evict < n && pred(x.ev.LiveAt(evict)) {
 		evict++
 	}
-	if evict == 0 {
+	return x.evict(evict)
+}
+
+// evict removes the k oldest live points, if k > 0, and returns how
+// many it removed.
+func (x *Incremental) evict(k int) (int, error) {
+	if k <= 0 {
 		return 0, nil
 	}
-	ids := make([]int, evict)
+	ids := make([]int, k)
 	for i := range ids {
 		ids[i] = i
 	}
 	if err := x.Remove(ids); err != nil {
 		return 0, err
 	}
-	return evict, nil
+	return k, nil
 }
 
 // Result materializes the current grouping. The result owns its
 // slices; it stays valid across later appends, and repeated calls are
 // independent (under FORM-NEW-GROUP each call replays the deferred-set
-// recursion on a clone of the retained state). Before any append it
-// returns an empty grouping.
-func (x *Incremental) Result() (*core.Result, error) {
-	if x.ev == nil {
-		return &core.Result{}, nil
-	}
-	return x.ev.Result(), nil
-}
+// recursion on a clone of the retained state). Before any accepted
+// append it returns an empty grouping.
+func (x *Incremental) Result() (*core.Result, error) { return x.ev.Result(), nil }

@@ -2,6 +2,7 @@ package incr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -203,6 +204,31 @@ func TestIncrementalErrors(t *testing.T) {
 	}
 	if err := inc.Append([]geom.Point{{1, 2}, {3}}); err == nil {
 		t.Fatal("want error for mixed dimensionality within a batch")
+	}
+}
+
+// TestRejectedBatchFixesNoDims is the regression that a first batch
+// the evaluator refuses leaves the handle empty with its dimensionality
+// open: the first accepted batch fixes it, whatever shape came before.
+func TestRejectedBatchFixesNoDims(t *testing.T) {
+	for _, sem := range []Semantics{All, Any} {
+		inc, err := New(sem, core.Options{Metric: geom.L2, Eps: 1, Algorithm: core.GridIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := inc.Append([]geom.Point{{math.NaN(), 0, 0}}); err == nil {
+			t.Fatalf("%v: a non-finite first batch was accepted", sem)
+		}
+		if inc.Dims() != 0 || inc.Len() != 0 {
+			t.Fatalf("%v: after a refused first batch Dims/Len = %d/%d, want 0/0", sem, inc.Dims(), inc.Len())
+		}
+		if err := inc.Append([]geom.Point{{0, 0}, {0.5, 0}}); err != nil {
+			t.Fatalf("%v: 2-d batch after a refused 3-d one: %v", sem, err)
+		}
+		res, err := inc.Result()
+		if err != nil || inc.Dims() != 2 || len(res.Groups) != 1 {
+			t.Fatalf("%v: Dims %d, groups %v, %v; want 2 and one group", sem, inc.Dims(), res.Groups, err)
+		}
 	}
 }
 

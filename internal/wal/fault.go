@@ -56,12 +56,6 @@ func (ff *FaultFile) Wrap(open func(path string) (File, error)) func(path string
 	}
 }
 
-// Tripped reports whether a failpoint has fired.
-func (ff *FaultFile) Tripped() bool { return ff.tripped }
-
-// Written returns the total bytes written through the wrapper.
-func (ff *FaultFile) Written() int64 { return ff.written }
-
 // faultHandle is the per-file view of a FaultFile.
 type faultHandle struct {
 	ff *FaultFile

@@ -200,7 +200,7 @@ type Incremental = incr.Incremental
 
 // NewIncrementalAll returns an empty incremental SGB-All grouping
 // (DISTANCE-TO-ALL cliques with opt.Overlap arbitration). The point
-// dimensionality is fixed by the first appended batch. Appends
+// dimensionality is fixed by the first accepted batch. Appends
 // evaluate sequentially; per-append cost scales with the batch size,
 // not the retained set.
 func NewIncrementalAll(opt Options) (*Incremental, error) {

@@ -84,16 +84,21 @@ type incrEntry struct {
 	lastUse int64 // cache clock reading at the entry's last use; guarded by evalCache.mu
 }
 
-// evaluator is what an entry holds: a *core.AnyEvaluator kept at its
-// levels, or a *core.AllEvaluator at its one ε. Either charges the
-// entry's work through the Stats block of the options it was built
-// with.
+// evaluator is what a core.AllEvaluator at its one ε and a
+// core.AnyEvaluator kept at its levels both provide: a cache entry holds
+// one, and so does an Incremental handle. Either charges its work
+// through the Stats block of the options it was built with.
 type evaluator interface {
-	Append(ps *geom.PointSet) error
-	Remove(ids []int) error
+	Options() core.Options
 	Levels() []float64
 	AddLevel(eps float64) error
 	GroupsAt(eps float64) (*core.Result, error)
+	Dims() int
+	Len() int
+	LiveAt(i int) geom.Point
+	Append(ps *geom.PointSet) error
+	Remove(ids []int) error
+	Result() *core.Result
 }
 
 // flushWork charges the evaluator work done since the last flush to

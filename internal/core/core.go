@@ -334,22 +334,23 @@ func (r *Result) Sizes() []int {
 	return out
 }
 
-// checkInput validates points for dimensional consistency and returns
-// the dimensionality (0 for an empty input).
-func checkInput(points []geom.Point) (int, error) {
+// CheckPoints validates a []Point batch for dimensional consistency:
+// every point has the first one's dimensionality, and that is at least
+// one. An empty batch passes.
+func CheckPoints(points []geom.Point) error {
 	if len(points) == 0 {
-		return 0, nil
+		return nil
 	}
 	d := len(points[0])
 	if d == 0 {
-		return 0, errors.New("core: zero-dimensional point")
+		return errors.New("core: zero-dimensional point")
 	}
 	for i, p := range points {
 		if len(p) != d {
-			return 0, fmt.Errorf("core: point %d has dimension %d, want %d", i, len(p), d)
+			return fmt.Errorf("core: point %d has dimension %d, want %d", i, len(p), d)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // maxCells bounds a coordinate in ε-cells. Every grid over the points

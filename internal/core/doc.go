@@ -37,9 +37,9 @@
 //     concatenation. Both keep their points in one pointLog (the
 //     append-only log, live ids, tombstones); the first accepted batch
 //     fixes the dimensionality. The SQL engine's cache holds them
-//     directly, and internal/incr's public handle forwards to one; an
-//     SGB-Any evaluator is always NewAnyLevels', one level for a
-//     single ε.
+//     directly, and the root package's Incremental handle forwards to
+//     one; an SGB-Any evaluator is always NewAnyLevels', one level for
+//     a single ε.
 //     Retained state has no serialized form: it equals a from-scratch
 //     run over the surviving points, so appending them again rebuilds
 //     it.

@@ -11,7 +11,7 @@ func SGBAll(points []geom.Point, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := checkInput(points); err != nil {
+	if err := CheckPoints(points); err != nil {
 		return nil, err
 	}
 	return sgbAllSet(geom.FromPoints(points), opt)

@@ -27,7 +27,7 @@ func SGBAny(points []geom.Point, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := checkInput(points); err != nil {
+	if err := CheckPoints(points); err != nil {
 		return nil, err
 	}
 	return sgbAnySet(geom.FromPoints(points), opt)
@@ -68,7 +68,7 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 // (NewAnyLevels) and adds a level when one is asked for
 // (AnyEvaluator.AddLevel).
 func SweepAny(points []geom.Point, epsList []float64, opt Options) ([]*Result, error) {
-	if _, err := checkInput(points); err != nil {
+	if err := CheckPoints(points); err != nil {
 		return nil, err
 	}
 	return SweepAnySet(geom.FromPoints(points), epsList, opt)

@@ -1,3 +1,7 @@
+// The tests of this package hold the root package's Incremental handle,
+// built through New (sgb.NewIncrementalAll / NewIncrementalAny) or
+// sgb.NewIncrementalAnyLevels, to one-shot runs; they move to the root
+// package when this one goes.
 package incr
 
 import (
@@ -173,37 +177,12 @@ func normalize(r *core.Result) [2]any {
 	return [2]any{groups, elim}
 }
 
-// TestIncrementalErrors covers the handle's validation surface.
+// TestIncrementalErrors covers what New adds to the root constructors:
+// an unknown semantics fails. The handle's own validation is the root
+// package's TestIncrementalHandleErrors.
 func TestIncrementalErrors(t *testing.T) {
-	if _, err := New(All, core.Options{Metric: geom.L2, Eps: -1}); err == nil {
-		t.Fatal("want error for invalid ε")
-	}
-	if _, err := New(Any, core.Options{Metric: geom.L2, Eps: 1, Algorithm: core.BoundsCheck}); err == nil {
-		t.Fatal("want error for SGB-Any Bounds-Checking")
-	}
 	if _, err := New(Semantics(9), core.Options{Metric: geom.L2, Eps: 1}); err == nil {
 		t.Fatal("want error for unknown semantics")
-	}
-
-	inc, err := New(Any, core.Options{Metric: geom.L2, Eps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := inc.Result()
-	if err != nil || len(res.Groups) != 0 {
-		t.Fatalf("empty handle Result = %v, %v; want empty grouping", res, err)
-	}
-	if err := inc.Append([]geom.Point{{1, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if inc.Dims() != 2 || inc.Len() != 1 {
-		t.Fatalf("Dims/Len = %d/%d, want 2/1", inc.Dims(), inc.Len())
-	}
-	if err := inc.Append([]geom.Point{{1, 2, 3}}); err == nil {
-		t.Fatal("want error for dimensionality mismatch")
-	}
-	if err := inc.Append([]geom.Point{{1, 2}, {3}}); err == nil {
-		t.Fatal("want error for mixed dimensionality within a batch")
 	}
 }
 

@@ -7,11 +7,12 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/sgb-db/sgb"
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/geom"
 )
 
-// TestLevelsHandle drives a NewLevels handle through appends, a
+// TestLevelsHandle drives an sgb.NewIncrementalAnyLevels handle through appends, a
 // sliding window and added levels, holding every level it keeps — and a
 // level it does not — to a one-shot sweep over the survivors, and pins
 // the handle's contract: levels sorted and validated, AddLevel before
@@ -21,29 +22,29 @@ import (
 func TestLevelsHandle(t *testing.T) {
 	opt := core.Options{Metric: geom.L2, Algorithm: core.GridIndex}
 	for _, bad := range [][]float64{nil, {0.5, 0.5}, {0.5, -1}} {
-		if _, err := NewLevels(opt, bad); err == nil {
-			t.Errorf("NewLevels(%v) succeeded", bad)
+		if _, err := sgb.NewIncrementalAnyLevels(opt, bad); err == nil {
+			t.Errorf("NewIncrementalAnyLevels(%v) succeeded", bad)
 		}
 	}
 	many := make([]float64, core.MaxLevels+1)
 	for i := range many {
 		many[i] = 0.1 * float64(i+1)
 	}
-	if _, err := NewLevels(opt, many); !errors.Is(err, core.ErrTooManyLevels) {
-		t.Errorf("NewLevels over %d levels: %v", len(many), err)
+	if _, err := sgb.NewIncrementalAnyLevels(opt, many); !errors.Is(err, core.ErrTooManyLevels) {
+		t.Errorf("NewIncrementalAnyLevels over %d levels: %v", len(many), err)
 	}
-	full, err := NewLevels(opt, many[:core.MaxLevels])
+	full, err := sgb.NewIncrementalAnyLevels(opt, many[:core.MaxLevels])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := full.AddLevel(0.05); !errors.Is(err, core.ErrTooManyLevels) {
 		t.Errorf("AddLevel past core.MaxLevels before the first batch: %v", err)
 	}
-	if _, err := NewLevels(core.Options{Metric: geom.L2, Algorithm: core.BoundsCheck}, []float64{0.5}); !errors.Is(err, core.ErrBoundsCheckAny) {
-		t.Errorf("NewLevels under BoundsCheck: %v", err)
+	if _, err := sgb.NewIncrementalAnyLevels(core.Options{Metric: geom.L2, Algorithm: core.BoundsCheck}, []float64{0.5}); !errors.Is(err, core.ErrBoundsCheckAny) {
+		t.Errorf("NewIncrementalAnyLevels under BoundsCheck: %v", err)
 	}
 
-	x, err := NewLevels(opt, []float64{0.9, 0.3})
+	x, err := sgb.NewIncrementalAnyLevels(opt, []float64{0.9, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,11 @@
 package sgb
 
 import (
+	"errors"
+	"fmt"
+
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/incr"
 )
 
 // Point is a point in d-dimensional space (usually d = 2: the paper's
@@ -184,27 +186,38 @@ func ConnectedComponents(points []Point, metric Metric, eps float64) []Group {
 // WindowBy (oldest-first eviction), and read the live grouping with
 // Result. At every step the grouping equals a one-shot GroupByAll /
 // GroupByAny over the surviving points in arrival order — identical
-// components for SGB-Any (whose deletions repair only the spanning trees
-// of the affected components), and identical groups, member order, and JOIN-ANY
-// arbitration draws for SGB-All under equal seeds (whose deletions
-// replay the survivors of the affected components; arbitration is
-// presence-sensitive). Result ids
-// are live ids: survivors number 0..Len()-1 in arrival order and
-// renumber compactly after removals. Options returns the options the
-// handle was created with, fixed for its life: the retained state
-// embodies them. Every SGB-Any handle keeps its groupings at one or
-// more ε levels and AddLevel keeps one more below the top; an SGB-All
-// handle keeps its own ε only. See internal/incr and ARCHITECTURE.md
-// for the maintenance invariants.
-type Incremental = incr.Incremental
+// components for SGB-Any (whose deletions repair only the spanning
+// trees of the affected components), and identical groups, member
+// order, and JOIN-ANY arbitration draws for SGB-All under equal seeds
+// (whose deletions replay the survivors of the affected components;
+// arbitration is presence-sensitive). Result ids are live ids:
+// survivors number 0..Len()-1 in arrival order and renumber compactly
+// after removals. Options returns the options the handle was created
+// with, fixed for its life: the retained state embodies them. Every
+// SGB-Any handle keeps its groupings at one or more ε levels and
+// AddLevel keeps one more below the top; an SGB-All handle keeps its
+// own ε only.
+//
+// The handle forwards to one core evaluator (core.AllEvaluator or
+// core.AnyEvaluator, the state the SQL engine's cache holds too), which
+// keeps the options, levels, dimensionality and points. The
+// dimensionality is fixed by the first accepted batch and stays fixed
+// even if every point is later removed; a rejected batch changes
+// nothing. Appends evaluate sequentially (Options.Parallelism is
+// ignored): per-append work scales with the batch, not the retained
+// set. An Incremental is not safe for concurrent use. See
+// ARCHITECTURE.md for why maintenance is sound.
+type Incremental struct{ ev evaluator }
 
 // NewIncrementalAll returns an empty incremental SGB-All grouping
-// (DISTANCE-TO-ALL cliques with opt.Overlap arbitration). The point
-// dimensionality is fixed by the first accepted batch. Appends
-// evaluate sequentially; per-append cost scales with the batch size,
-// not the retained set.
+// (DISTANCE-TO-ALL cliques with opt.Overlap arbitration). The options
+// are validated at creation.
 func NewIncrementalAll(opt Options) (*Incremental, error) {
-	return incr.New(incr.All, opt)
+	ev, err := core.NewAllEvaluator(opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Incremental{ev}, nil
 }
 
 // NewIncrementalAny returns an empty incremental SGB-Any grouping
@@ -213,14 +226,121 @@ func NewIncrementalAll(opt Options) (*Incremental, error) {
 // components do not depend on the index that finds the ε-edges. It is
 // NewIncrementalAnyLevels' handle with the one level opt.Eps.
 func NewIncrementalAny(opt Options) (*Incremental, error) {
-	return incr.New(incr.Any, opt)
+	return NewIncrementalAnyLevels(opt, []float64{opt.Eps})
 }
 
 // NewIncrementalAnyLevels returns an empty incremental SGB-Any grouping
 // kept at every ε level of levels at once — the maintained form of
 // SweepAny: one probe per appended point feeds every level, a removal
 // repairs each, GroupsAt reads any level, and AddLevel keeps one more
-// below the top. opt.Eps is ignored; the largest level is the top.
+// below the top. levels is an EPS IN list of at most core.MaxLevels;
+// opt.Eps is ignored, the largest level is the top. Bounds-Checking is
+// rejected, as GroupByAny rejects it.
 func NewIncrementalAnyLevels(opt Options, levels []float64) (*Incremental, error) {
-	return incr.NewLevels(opt, levels)
+	ev, err := core.NewAnyLevels(levels, opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Incremental{ev}, nil
 }
+
+// Options returns the options the handle was created with; Eps is its
+// top level.
+func (x *Incremental) Options() Options { return x.ev.Options() }
+
+// Levels returns the ε levels the handle keeps, ascending.
+func (x *Incremental) Levels() []float64 { return x.ev.Levels() }
+
+// AddLevel keeps one more ε level, at most the top, in an SGB-Any
+// handle: one probe pass over the live points, then maintained with the
+// others. A level already kept is a no-op; one past core.MaxLevels
+// fails with core.ErrTooManyLevels. An SGB-All handle refuses it.
+func (x *Incremental) AddLevel(eps float64) error { return x.ev.AddLevel(eps) }
+
+// GroupsAt materializes the grouping at eps, as Result does at the top.
+// An SGB-Any handle reads a level it keeps off its state, and answers
+// any other ε up to the top with one probe pass over the live points,
+// without keeping the level. An SGB-All handle answers its own ε only.
+func (x *Incremental) GroupsAt(eps float64) (*Result, error) { return x.ev.GroupsAt(eps) }
+
+// Len returns the number of live points (appended and not removed).
+func (x *Incremental) Len() int { return x.ev.Len() }
+
+// Dims returns the point dimensionality, or 0 while no batch has been
+// accepted yet.
+func (x *Incremental) Dims() int { return x.ev.Dims() }
+
+// Append absorbs a batch of points given as a []Point slice. All
+// points must share the handle's dimensionality. See AppendSet for the
+// flat-storage variant.
+func (x *Incremental) Append(points []Point) error {
+	if err := core.CheckPoints(points); err != nil {
+		return err
+	}
+	return x.ev.Append(geom.FromPoints(points))
+}
+
+// AppendSet absorbs a batch of points in flat storage. The points are
+// copied; the caller's set is not retained. An empty batch is a
+// no-op, and a rejected one changes nothing.
+func (x *Incremental) AppendSet(ps *PointSet) error { return x.ev.Append(ps) }
+
+// Remove deletes the points with the given live ids and repairs the
+// grouping: SGB-Any repairs the spanning trees of the victims'
+// components (deletion can only split a component), SGB-All replays the
+// arbitration over the survivors of those components. Ids renumber
+// compactly after the call. An empty batch is a no-op; out-of-range or
+// duplicate ids fail without changing the handle.
+func (x *Incremental) Remove(ids []int) error { return x.ev.Remove(ids) }
+
+// Window evicts oldest-first until at most n points remain — the
+// count-based sliding window. It returns how many points were evicted.
+func (x *Incremental) Window(n int) (int, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("sgb: window size must be >= 0, got %d", n)
+	}
+	return x.evict(x.Len() - n)
+}
+
+// WindowBy evicts the longest oldest-first prefix of live points for
+// which pred returns true — the predicate-based sliding window (expire
+// by timestamp when a coordinate carries one, by distance from a
+// moving origin, ...). Eviction stops at the first point pred keeps: a
+// window is a suffix of the stream. pred gets a copy of each point,
+// valid only during the call. It returns how many points were evicted.
+func (x *Incremental) WindowBy(pred func(p Point) bool) (int, error) {
+	if pred == nil {
+		return 0, errors.New("sgb: WindowBy predicate must not be nil")
+	}
+	n, k := x.Len(), 0
+	p := make(Point, x.Dims())
+	for ; k < n; k++ {
+		copy(p, x.ev.LiveAt(k))
+		if !pred(p) {
+			break
+		}
+	}
+	return x.evict(k)
+}
+
+// evict removes the k oldest live points, if k > 0, and returns how
+// many it removed.
+func (x *Incremental) evict(k int) (int, error) {
+	if k <= 0 {
+		return 0, nil
+	}
+	ids := make([]int, k)
+	for i := range ids {
+		ids[i] = i
+	}
+	if err := x.Remove(ids); err != nil {
+		return 0, err
+	}
+	return k, nil
+}
+
+// Result materializes the current grouping. The result owns its
+// slices: it stays valid across later appends and removals, and
+// repeated calls are independent. Before any accepted append it returns
+// an empty grouping.
+func (x *Incremental) Result() (*Result, error) { return x.ev.Result(), nil }

@@ -1184,26 +1184,7 @@ func coldPoints(n int) []sgb.Point {
 //
 //	go test -run xxx -bench 'ColdSQL/par=1/AllL2x3Eliminate/eps=0.05' -benchtime 20x -cpuprofile cpu.out
 func BenchmarkColdSQL(b *testing.B) {
-	t := storage.NewTable("checkins", storage.Schema{
-		{Name: "id", Type: types.KindInt},
-		{Name: "x", Type: types.KindFloat},
-		{Name: "y", Type: types.KindFloat},
-		{Name: "z", Type: types.KindFloat},
-		{Name: "cell", Type: types.KindInt},
-	})
-	for i, p := range coldPoints(12000) {
-		t.MustInsert(types.Row{
-			types.Int(int64(i)), types.Float(p[0]), types.Float(p[1]), types.Float(p[2]),
-			types.Int(int64(math.Floor(p[0]/4))*1000 + int64(math.Floor(p[1]/4))),
-		})
-	}
-	db := sgb.Open()
-	if err := db.Catalog().Create(t); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Exec("SET incremental = off"); err != nil {
-		b.Fatal(err)
-	}
+	db := coldDB(b, 12000)
 	const sel = "SELECT count(*), avg(x), max(y) FROM checkins GROUP BY "
 	shapes := []struct{ name, sql string }{
 		{"AnyL2", sel + "x, y DISTANCE-TO-ANY L2 WITHIN %g"},
@@ -1230,6 +1211,85 @@ func BenchmarkColdSQL(b *testing.B) {
 			for _, eps := range []float64{0.05, 0.2, 0.8} {
 				run(fmt.Sprintf("%s/eps=%g", sh.name, eps), fmt.Sprintf(sh.sql, eps))
 			}
+		}
+	}
+}
+
+// coldDB returns a database holding the end-to-end benchmark's
+// checkins table over n coldPoints rows (id, x, y, z and a 4-degree
+// cell id), with incremental = off, so every execution regroups from
+// scratch.
+func coldDB(b *testing.B, n int) *sgb.DB {
+	t := storage.NewTable("checkins", storage.Schema{
+		{Name: "id", Type: types.KindInt},
+		{Name: "x", Type: types.KindFloat},
+		{Name: "y", Type: types.KindFloat},
+		{Name: "z", Type: types.KindFloat},
+		{Name: "cell", Type: types.KindInt},
+	})
+	for i, p := range coldPoints(n) {
+		t.MustInsert(types.Row{
+			types.Int(int64(i)), types.Float(p[0]), types.Float(p[1]), types.Float(p[2]),
+			types.Int(int64(math.Floor(p[0]/4))*1000 + int64(math.Floor(p[1]/4))),
+		})
+	}
+	db := sgb.Open()
+	if err := db.Catalog().Create(t); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec("SET incremental = off"); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkColdSweep times the statements of the end-to-end benchmark's
+// eps_cube_cold workload (bench/workload.go: cubeVariants) one by one
+// over 8 000 rows with incremental = off, each a one-shot DISTANCE-TO-ANY
+// evaluation at every level: EPS IN lists of 2, 3, 5 and 8 L2 levels
+// selecting eps, count(*) and avg(x), the L∞ ε-cube, and the 8-level
+// list selecting count(*) and avg(x) without eps. Each runs at auto
+// parallelism and at parallelism = 1 (run it with -cpu 1 for the
+// sequential kernel alone) and reports rows and keys/op, the distance
+// keys one statement computes, beside B/op and allocs/op.
+func BenchmarkColdSweep(b *testing.B) {
+	db := coldDB(b, 8000)
+	const (
+		sel  = "SELECT eps, count(*), avg(x) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN "
+		cube = "SELECT * FROM checkins GROUP BY x, y DISTANCE-TO-ANY LINF EPS IN (0.05, 0.1, 0.2, 0.4, 0.8) SIMILARITY CUBE BY EPS"
+		k8   = "(0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8)"
+	)
+	shapes := []struct{ name, sql string }{
+		{"L2/k=2", sel + "(0.1, 0.4)"},
+		{"L2/k=3", sel + "(0.1, 0.2, 0.4)"},
+		{"L2/k=5", sel + "(0.05, 0.1, 0.2, 0.4, 0.8)"},
+		{"L2/k=8", sel + k8},
+		{"Cube/LINF/k=5", cube},
+		{"NoEps/L2/k=8", "SELECT count(*), avg(x) FROM checkins GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN " + k8},
+	}
+	for _, par := range []struct {
+		name string
+		n    int
+	}{{"auto", 0}, {"1", 1}} {
+		for _, sh := range shapes {
+			b.Run("par="+par.name+"/"+sh.name, func(b *testing.B) {
+				opt := sgb.QueryOptions{Algorithm: sgb.GridIndex, Parallelism: par.n}
+				rows, err := db.QueryOpt(sh.sql, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var st sgb.Stats
+				opt.Stats = &st
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := db.QueryOpt(sh.sql, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(rows.Data)), "rows")
+				b.ReportMetric(float64(st.DistanceComputations)/float64(b.N), "keys/op")
+			})
 		}
 	}
 }

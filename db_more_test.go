@@ -492,3 +492,59 @@ func TestSQLMixedNumericCompareExact(t *testing.T) {
 		}
 	}
 }
+
+// TestEpsLevelRangeRule: every ε of an EPS IN list obeys the range rule
+// a single ε does, one-shot and maintained, whatever the cache holds.
+// Over points up to 3 from the origin, ε = 1e-300 puts a coordinate
+// more than 2^52 ε-cells out and ε = 5e-324 is outside ε-cell
+// arithmetic: each is refused alone, as the lowest level of a list,
+// through a fresh maintained entry and as a level added to an entry a
+// wider sweep built, which keeps its levels.
+func TestEpsLevelRangeRule(t *testing.T) {
+	const (
+		far     = "more than 2^52 ε-cells"
+		outside = "outside the range ε-cell arithmetic can hold"
+		sel     = "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 "
+	)
+	for _, incremental := range []bool{false, true} {
+		db := Open()
+		if _, err := db.Exec("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec("INSERT INTO pts VALUES (1, 0, 0), (2, 0, 0), (3, 0.5, 0), (4, 3, 3), (5, 3, 3.0000001)"); err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() *Session {
+			s := db.NewSession()
+			s.SetOptions(QueryOptions{Algorithm: GridIndex, Incremental: incremental})
+			return s
+		}
+		refused := func(s *Session, sql, part string) {
+			t.Helper()
+			if _, err := s.Query(sql); err == nil || !strings.Contains(err.Error(), part) {
+				t.Fatalf("incremental=%t %q: error %v, want one naming %q", incremental, sql, err, part)
+			}
+		}
+		for _, c := range []struct{ eps, part string }{{"1e-300", far}, {"5e-324", outside}} {
+			refused(fresh(), sel+"WITHIN "+c.eps, c.part)
+			refused(fresh(), sel+"EPS IN ("+c.eps+", 1)", c.part)
+		}
+		if !incremental {
+			continue
+		}
+		s := fresh()
+		const sweep = sel + "EPS IN (0.5, 1)"
+		if _, err := s.Query(sweep); err != nil {
+			t.Fatal(err)
+		}
+		ev, _ := sweepEntry(t, db)
+		refused(s, sel+"WITHIN 1e-300", far)
+		refused(s, sel+"WITHIN 5e-324", outside)
+		if kept, _ := sweepEntry(t, db); kept != ev || !slices.Equal(kept.Levels(), []float64{0.5, 1}) {
+			t.Fatalf("after the refused levels the shared entry keeps levels %v (same evaluator: %t), want 0.5 and 1", kept.Levels(), kept == ev)
+		}
+		if _, err := s.Query(sweep); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,0 +1,437 @@
+package core
+
+import (
+	"math"
+	"math/bits"
+	"slices"
+
+	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/unionfind"
+)
+
+// cellGraph is the one-shot grid kernel of SGB-Any: sgbAnyLocal's
+// GridIndex arm, so every one-shot grid evaluation, single-ε or swept,
+// sequential or in a tile. A DISTANCE-TO-ANY group is a connected
+// component of the ε-graph, and components do not depend on the order
+// in which edges are found, so an evaluation needs enough edges to
+// connect each component, not every edge. The kernel finds them between
+// cells instead of around points. For each level, ascending:
+//
+//  1. The level's forest starts as a copy of the level below: an edge
+//     within a lower ε is within this one, so the lower partition
+//     refines this one.
+//  2. The points are bucketed into cells of side ε, padded (cellSide),
+//     by a lexicographic sort of their cell coordinates.
+//  3. Each cell's members are joined (joinCell): keyed against the
+//     first one, pairwise only where that left some apart.
+//  4. Each pair of neighbouring cells is visited once (linkCells): it is
+//     skipped when both cells are one set each and share it, and when
+//     both are one set each but differ, the first key within ε joins
+//     them and ends the visit.
+//
+// Every union is still a pair whose DistKey is within the level's key,
+// and a pair is skipped only when its endpoints already share a set, so
+// the partition is the ε-graph's components, member for member what the
+// per-point join (anyJoin) finds. Its scratch — point cells, the cell
+// order, the cell runs — is reused across levels; a level allocates
+// nothing.
+//
+// Stats: DistanceComputations counts the keys computed; GroupMerges the
+// unions, a level's inherited ones included, so that it stays
+// Σ_l (n − sets_l); IndexUpdates and IndexProbes one each per (level,
+// occupied cell): a cell is registered once and looks up its
+// neighbourhood once.
+type cellGraph struct {
+	ps     *geom.PointSet
+	metric geom.Metric
+	maxAbs float64 // the largest |coordinate| of ps
+	pc     []int64 // point id → its cell's d coordinates (pc[id*d:])
+	ids    []int32 // point ids in cell order
+	tmp    []int32 // the radix sort's other buffer
+	// sortKey holds a sort key per position of ids, tmpKey is its other
+	// buffer; lo and width are each column's smallest cell and span in
+	// bits at the level being bucketed, and ext each axis's smallest and
+	// largest coordinate.
+	sortKey, tmpKey []uint64
+	lo              []int64
+	width           []uint
+	ext             []float64
+	ends            []int32   // cell c holds ids[ends[c-1]:ends[c]]
+	cells           []int64   // cell c's d coordinates (cells[c*d:])
+	whole           []bool    // cell c's members are one set
+	offs            []int64   // the forward prefix offsets, d−1 coordinates each
+	ptrs            []int     // per prefix offset: the first cell not before its target
+	buf             []int32   // the members of a cell one pass keys
+	keys            []float64 // the keys of one pass
+	stats           Stats
+}
+
+// newCellGraph returns the kernel over ps with its scratch sized once.
+func newCellGraph(ps *geom.PointSet, metric geom.Metric) *cellGraph {
+	n, d := ps.Len(), ps.Dims()
+	g := &cellGraph{
+		ps:      ps,
+		metric:  metric,
+		pc:      make([]int64, n*d),
+		ids:     make([]int32, n),
+		tmp:     make([]int32, n),
+		sortKey: make([]uint64, n),
+		tmpKey:  make([]uint64, n),
+		ends:    make([]int32, 0, n),
+		buf:     make([]int32, 0, n),
+		keys:    make([]float64, 0, n),
+		cells:   make([]int64, 0, n*d),
+		whole:   make([]bool, 0, n),
+		offs:    forwardPrefixes(d),
+	}
+	g.ptrs = make([]int, len(g.offs)/max(d-1, 1))
+	for i := range g.ids {
+		g.ids[i] = int32(i)
+	}
+	g.lo, g.width, g.ext = make([]int64, d), make([]uint, d), make([]float64, 2*d)
+	for k := 0; k < d; k++ {
+		g.ext[2*k], g.ext[2*k+1] = math.Inf(1), math.Inf(-1)
+	}
+	for i, v := range ps.Data() {
+		k := i % d
+		g.ext[2*k], g.ext[2*k+1] = min(g.ext[2*k], v), max(g.ext[2*k+1], v)
+		g.maxAbs = math.Max(g.maxAbs, math.Abs(v))
+	}
+	return g
+}
+
+// forwardPrefixes lists the offsets δ ∈ {−1, 0, 1}^(d−1) whose first
+// non-zero coordinate is +1, d−1 coordinates each: with a last
+// coordinate in {−1, 0, 1} each names three cells, consecutive in
+// lexicographic order, of the forward half of a cell's 3^d
+// neighbourhood. The rest of that half is the next cell of the same
+// prefix (δ = 0 … 0 +1).
+func forwardPrefixes(d int) []int64 {
+	var out []int64
+	off := make([]int64, d-1)
+	for k := range off {
+		off[k] = -1
+	}
+	for {
+		for _, v := range off { // first non-zero coordinate
+			if v != 0 {
+				if v > 0 {
+					out = append(out, off...)
+				}
+				break
+			}
+		}
+		k := len(off) - 1
+		for k >= 0 && off[k] == 1 {
+			off[k] = -1
+			k--
+		}
+		if k < 0 {
+			return out
+		}
+		off[k]++
+	}
+}
+
+// cellSide returns a cell side that puts every pair within key (a
+// level's threshold in DistKey space) in one cell or in adjacent ones,
+// for points whose coordinates are at most maxAbs in magnitude.
+//
+// Proof, with u = 2⁻⁵³ the unit roundoff. Let dx = fl(p_k − q_k) on an
+// axis k. Under L∞, DistKey ≤ key gives |dx| ≤ key; under L2,
+// fl(dx²) ≤ fl(Σ) ≤ key (a sum of non-negative terms is at least each
+// term), so dx² ≤ key/(1−u) + 2⁻¹⁰⁷⁵, the last term for a square that
+// underflowed. With e the reach below (√(key + 2⁻¹⁰⁷⁴), rounded, under
+// L2) both give |dx| ≤ e/(1−u)^2.5, and the exact difference
+// |p_k − q_k| ≤ |dx|/(1−u) ≤ e(1 + 4u). A point's cell on axis k is
+// floor(fl(x · v)), v = fl(1/s); the two products differ by at most
+// |p_k − q_k|·v + 2u·maxAbs·v (each rounding is relative, or below
+// 2⁻¹⁰⁷⁴ when subnormal), which is at most (1 + u)(e(1 + 4u) +
+// 2u·maxAbs)/s. geom.PadReach sets s = e + (maxAbs + 2e)·2⁻⁵⁰ =
+// e + 8u(maxAbs + 2e), so the difference is below 1 and the floors
+// differ by at most one. With coordinates within maxCells cells of the
+// smallest level (checkCoords), x · v stays within ±2^52 + 1, an integer
+// int64 holds.
+func cellSide(m geom.Metric, key, maxAbs float64) float64 {
+	reach := key
+	if m == geom.L2 {
+		reach = math.Sqrt(key + 0x1p-1074)
+	}
+	return geom.PadReach(maxAbs, reach)
+}
+
+// level turns f's level l, whose levels below are done, into that
+// level's partition.
+func (g *cellGraph) level(f *anyForests, l int) {
+	uf, key := f.ufs[l], f.keys[l]
+	if l > 0 {
+		uf.CopyFrom(f.ufs[l-1])
+		g.stats.GroupMerges += int64(g.ps.Len() - uf.Count())
+	}
+	g.bucket(1 / cellSide(g.metric, key, g.maxAbs))
+	cells := len(g.ends)
+	g.stats.IndexUpdates += int64(cells)
+	g.stats.IndexProbes += int64(cells)
+	whole := g.whole[:0]
+	for c := 0; c < cells; c++ {
+		whole = append(whole, g.joinCell(uf, c, key))
+	}
+	g.whole = whole
+	g.linkNeighbours(uf, key)
+}
+
+// bucket computes every point's cell at 1/inv per side, sorts the ids
+// lexicographically by cell and cuts the order into cell runs. The sort
+// is an LSD radix sort over the coordinate columns, last first, each
+// column normalized to its span of cells and as many consecutive columns
+// packed into one key as 64 bits hold (all of them, unless the spans are
+// very wide); a key costs one pass per byte it spans.
+func (g *cellGraph) bucket(inv float64) {
+	d := g.ps.Dims()
+	for i, v := range g.ps.Data() {
+		g.pc[i] = int64(math.Floor(v * inv))
+	}
+	for k := range g.lo { // floor is monotone: the extreme coordinates' cells
+		g.lo[k] = int64(math.Floor(g.ext[2*k] * inv))
+		g.width[k] = uint(bits.Len64(uint64(int64(math.Floor(g.ext[2*k+1]*inv)) - g.lo[k])))
+	}
+	oneKey := true
+	for k := d; k > 0; {
+		j, w := k-1, g.width[k-1] // columns [j, k) share one key
+		for j > 0 && w+g.width[j-1] <= 64 {
+			j--
+			w += g.width[j]
+		}
+		for i, id := range g.ids {
+			var key uint64
+			for c, v := range g.pc[int(id)*d+j : int(id)*d+k] {
+				key = key<<g.width[j+c] | uint64(v-g.lo[j+c])
+			}
+			g.sortKey[i] = key
+		}
+		g.radix(w)
+		oneKey = oneKey && j == 0
+		k = j
+	}
+	// Cells are runs of equal coordinates; with every column in one
+	// key, runs of equal keys.
+	ends, cells := g.ends[:0], g.cells[:0]
+	for i, id := range g.ids {
+		row := g.pc[int(id)*d : int(id)*d+d]
+		if i > 0 {
+			if g.sortKey[i] == g.sortKey[i-1] && (oneKey || slices.Equal(row, cells[len(cells)-d:])) {
+				continue
+			}
+			ends = append(ends, int32(i))
+		}
+		cells = append(cells, row...)
+	}
+	g.ends, g.cells = append(ends, int32(len(g.ids))), cells
+}
+
+// radix sorts g.ids by g.sortKey, keys of w bits, carrying the keys
+// along: one stable counting pass per byte.
+func (g *cellGraph) radix(w uint) {
+	var counts [256]int32
+	for shift := uint(0); shift < w; shift += 8 {
+		clear(counts[:])
+		for _, key := range g.sortKey {
+			counts[uint8(key>>shift)]++
+		}
+		pos := int32(0)
+		for b, c := range counts {
+			counts[b], pos = pos, pos+c
+		}
+		for i, key := range g.sortKey {
+			b := uint8(key >> shift)
+			g.tmpKey[counts[b]], g.tmp[counts[b]] = key, g.ids[i]
+			counts[b]++
+		}
+		g.ids, g.tmp = g.tmp, g.ids
+		g.sortKey, g.tmpKey = g.tmpKey, g.sortKey
+	}
+}
+
+// members returns the ids of cell c.
+func (g *cellGraph) members(c int) []int32 {
+	start := int32(0)
+	if c > 0 {
+		start = g.ends[c-1]
+	}
+	return g.ids[start:g.ends[c]]
+}
+
+// cellOf returns the coordinates of cell c.
+func (g *cellGraph) cellOf(c int) []int64 {
+	d := g.ps.Dims()
+	return g.cells[c*d : c*d+d : c*d+d]
+}
+
+// joinCell joins the members of cell c within key and reports whether
+// they ended as one set. Each member not yet in the first one's set is
+// keyed against it; a member that stays apart (beyond key of the first:
+// an L2 corner, or the pad) is keyed against every member of another
+// set, so no pair inside the cell is left.
+func (g *cellGraph) joinCell(uf *unionfind.UF, c int, key float64) bool {
+	ms := g.members(c)
+	if len(ms) == 1 {
+		return true
+	}
+	x0 := int(ms[0])
+	r0 := uf.Find(x0)
+	rest := g.buf[:0]
+	for _, y := range ms[1:] {
+		if uf.Find(int(y)) != r0 {
+			rest = append(rest, y)
+		}
+	}
+	if len(rest) == 0 {
+		return true
+	}
+	g.stats.DistanceComputations += int64(len(rest))
+	keys := g.ps.AppendDistKeys(g.keys[:0], g.metric, g.ps.At(x0), rest)
+	far := rest[:0]
+	for k, y := range rest {
+		if keys[k] > key {
+			far = append(far, y)
+		} else if ry := uf.Find(int(y)); ry != r0 {
+			r0 = uf.Link(r0, ry)
+			g.stats.GroupMerges++
+		}
+	}
+	if len(far) == 0 {
+		return true
+	}
+	for _, x := range far {
+		rx := uf.Find(int(x))
+		if rx == uf.Find(x0) {
+			continue
+		}
+		for _, y := range ms {
+			ry := uf.Find(int(y))
+			if ry == rx {
+				continue
+			}
+			g.stats.DistanceComputations++
+			if g.ps.DistKey(g.metric, int(x), int(y)) <= key {
+				rx = uf.Link(rx, ry)
+				g.stats.GroupMerges++
+			}
+		}
+	}
+	r0 = uf.Find(x0)
+	for _, x := range far {
+		if uf.Find(int(x)) != r0 {
+			return false
+		}
+	}
+	return true
+}
+
+// linkNeighbours visits every pair of neighbouring occupied cells once,
+// from the lexicographically smaller: the next cell when it is the next
+// one along the last axis, and for each forward prefix offset the up to
+// three cells it names, found by a pointer that only moves forward —
+// the targets of consecutive cells ascend, as adding an offset keeps
+// lexicographic order.
+func (g *cellGraph) linkNeighbours(uf *unionfind.UF, key float64) {
+	d := g.ps.Dims()
+	cells := len(g.ends)
+	clear(g.ptrs)
+	for a := 0; a < cells; a++ {
+		ca := g.cellOf(a)
+		if b := a + 1; b < cells {
+			if cb := g.cellOf(b); samePrefix(ca, cb, nil) && cb[d-1] == ca[d-1]+1 {
+				g.linkCells(uf, a, b, key)
+			}
+		}
+		for j := range g.ptrs {
+			off := g.offs[j*(d-1) : (j+1)*(d-1)]
+			b := g.ptrs[j]
+			for b < cells && beforeTarget(g.cellOf(b), ca, off) {
+				b++
+			}
+			g.ptrs[j] = b
+			for ; b < cells; b++ {
+				cb := g.cellOf(b)
+				if !samePrefix(ca, cb, off) || cb[d-1] > ca[d-1]+1 {
+					break
+				}
+				g.linkCells(uf, a, b, key)
+			}
+		}
+	}
+}
+
+// samePrefix reports whether cb's first d−1 coordinates are ca's plus
+// off (nil: plus nothing).
+func samePrefix(ca, cb []int64, off []int64) bool {
+	for k := 0; k < len(ca)-1; k++ {
+		o := int64(0)
+		if off != nil {
+			o = off[k]
+		}
+		if cb[k] != ca[k]+o {
+			return false
+		}
+	}
+	return true
+}
+
+// beforeTarget reports whether cell cb precedes, lexicographically, the
+// first cell prefix offset off names from ca: (ca's prefix + off,
+// ca's last coordinate − 1).
+func beforeTarget(cb, ca, off []int64) bool {
+	last := len(ca) - 1
+	for k := 0; k < last; k++ {
+		if t := ca[k] + off[k]; cb[k] != t {
+			return cb[k] < t
+		}
+	}
+	return cb[last] < ca[last]-1
+}
+
+// linkCells joins the neighbouring cells a and b: every pair across
+// them within key whose endpoints are in two sets ends in one. A member
+// of a cell that is one set needs one such pair to join it, so when b
+// is whole a member of a already in b's set is skipped unkeyed and any
+// other stops at its first, and when a is whole too the first joins the
+// two cells and ends the visit. When neither is whole, each member of a
+// keys every member of b and links the hits in another set.
+func (g *cellGraph) linkCells(uf *unionfind.UF, a, b int, key float64) {
+	wa, wb := g.whole[a], g.whole[b]
+	if wa && !wb {
+		a, b, wa, wb = b, a, wb, wa
+	}
+	as, bs := g.members(a), g.members(b)
+	rb := -1 // b's one set, while it is whole
+	if wb {
+		rb = uf.Find(int(bs[0]))
+	}
+	for _, x := range as {
+		rx := uf.Find(int(x))
+		if rx == rb {
+			if wa {
+				return
+			}
+			continue
+		}
+		g.stats.DistanceComputations += int64(len(bs))
+		keys := g.ps.AppendDistKeys(g.keys[:0], g.metric, g.ps.At(int(x)), bs)
+		for k, kk := range keys {
+			if kk > key {
+				continue
+			}
+			ry := uf.Find(int(bs[k]))
+			if ry == rx {
+				continue
+			}
+			rx = uf.Link(rx, ry)
+			g.stats.GroupMerges++
+			if wb {
+				rb = rx
+				break
+			}
+		}
+	}
+}

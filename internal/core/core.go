@@ -53,15 +53,17 @@ const (
 	// Procedure 5) or the processed points (SGB-Any, Procedure 8) in an
 	// R-tree (O(n·log|G|) / O(n log n) average case).
 	OnTheFlyIndex
-	// GridIndex replaces the R-tree with a uniform hash grid: SGB-All
+	// GridIndex replaces the R-tree with a uniform grid: SGB-All
 	// registers each group once, in the cell of its first member (cells
 	// as wide as the probe's reach: ε, or 2ε when overlaps are needed),
-	// SGB-Any keeps processed points in their home ε-cell; probes scan
-	// the 3^d-cell neighborhood. Expected O(1) per probe plus output
-	// size — the fastest strategy for the fixed-radius queries the
-	// operators issue. The open-addressed hashed-cell table supports any
-	// dimensionality, and SGB-Any inputs are Morton (Z-order)
-	// preprocessed for probe locality (output ids stay in input order);
+	// and probes scan the 3^d-cell neighborhood of an open-addressed
+	// hashed-cell table (internal/grid), expected O(1) per probe plus
+	// output size. A one-shot SGB-Any run sorts the points into cells of
+	// side ε, padded, level by level, and links each cell's members and
+	// each pair of neighbouring cells, skipping a pair its forest already
+	// joins (cellGraph); a maintained one keeps points in their home
+	// ε-cell of the hashed table and probes it per appended point. Any
+	// dimensionality is supported, output ids stay in input order, and
 	// results equal the other strategies' for equal seeds at every d,
 	// except All-Pairs' where a distance rounds to ε
 	// (TestMaintainedKeyNeutral).
@@ -205,13 +207,18 @@ func (o Options) workers(n int) int {
 // complexity benches use these to verify the asymptotic claims
 // empirically (distance computations dominate All-Pairs, rectangle
 // tests dominate Bounds-Checking, index probes dominate the on-the-fly
-// index).
+// index). IndexProbes and IndexUpdates count per probe and per
+// registered point under the R-tree and a maintained ε-grid; the
+// one-shot SGB-Any grid (cellGraph) counts them per (level, occupied
+// cell) instead: a cell is registered once and looks up its forward
+// neighbours once at each level, and a tiled run adds one probe per
+// frontier point that looks back into earlier tiles.
 type Stats struct {
-	DistanceComputations int64 // ξ evaluations against concrete points
+	DistanceComputations int64 // ξ evaluations (distance keys) against concrete points
 	RectTests            int64 // PointInRectangle / rectangle-overlap tests
 	HullTests            int64 // convex-hull refinements (L2 only)
-	IndexProbes          int64 // R-tree window queries
-	IndexUpdates         int64 // R-tree inserts + deletes
+	IndexProbes          int64 // index window queries (see above)
+	IndexUpdates         int64 // index inserts + deletes (see above)
 	GroupsCreated        int64
 	GroupMerges          int64 // SGB-Any merges
 	RecursionDepth       int   // FORM-NEW-GROUP recursion depth reached
@@ -354,16 +361,21 @@ func CheckPoints(points []geom.Point) error {
 }
 
 // maxCells bounds a coordinate in ε-cells. Every grid over the points
-// (grid.Table, partition's tiles, the Morton keys) quantizes x to
-// int64(floor(x / cell)) with a cell side of ε or more, and probes up to
-// two padded cell sides around it. Within ±2^52 cells those indices are
-// integers float64 and int64 both hold and the SGB-All finder's rounding
-// pad (geom.PaddedReach, 2⁻⁵⁰ of |x|) is at most four cells, so a probe's
-// cell range is a few cells wide. Beyond it x ± ε stops resolving, the
-// pad grows to thousands of cells per axis, the sum can reach ±Inf, and
-// the conversion of ±Inf is MinInt64 — a probe over 2^63 cells.
-// Validate keeps ε·2·maxCells and 1/ε finite, so a coordinate inside
-// the bound stays inside every such computation.
+// (grid.Table, partition's tiles, the Morton keys, the one-shot cell
+// graph's level cells) quantizes x to int64(floor(x / cell)) with a cell
+// side of ε or more, and probes up to two padded cell sides around it.
+// Within ±2^52 cells those indices are integers float64 and int64 both
+// hold and the rounding pad (geom.PaddedReach, 2⁻⁵⁰ of |x|) is at most
+// four cells, so a probe's cell range is a few cells wide. Beyond it
+// x ± ε stops resolving, the pad grows to thousands of cells per axis,
+// the sum can reach ±Inf, and the conversion of ±Inf is MinInt64 — a
+// probe over 2^63 cells. Validate keeps ε·2·maxCells and 1/ε finite,
+// so a coordinate inside the bound stays inside every such computation.
+// The rule holds at every ε level, not only at a sweep's or an
+// evaluator's top: the cell graph buckets each level in cells of its
+// own ε, so coordinates are checked against the smallest level
+// (SweepAnySet, AnyEvaluator.Append), and a level added below every
+// kept one checks the live points first (pointLog.checkLevel).
 const maxCells = 1 << 52
 
 // coordRangeError reports the first coordinate checkCoords found beyond
@@ -382,7 +394,7 @@ func (e *coordRangeError) Error() string {
 // maintained: it refuses non-finite coordinates (geom.CheckFinite has
 // the why) and coordinates beyond maxCells ε-cells, for every strategy
 // alike so that an answer never depends on which one ran. eps is the
-// cell side: ε, or a sweep's ε_max.
+// cell side: ε, or the smallest level of a sweep or an evaluator.
 func checkCoords(ps *geom.PointSet, eps float64) error {
 	limit := eps * maxCells
 	for i, v := range ps.Data() {

@@ -15,9 +15,10 @@
 //   - GridIndex       — a uniform hash grid with ε-sized cells
 //     (internal/grid, a flat open-addressed table with slab-pooled id
 //     lists — no dimensionality cap) in place of the R-tree; the
-//     textbook structure for fixed-radius queries. SGB-Any inputs are
-//     additionally Morton (Z-order) preordered for probe locality;
-//     output ids are remapped so results always index the input order.
+//     textbook structure for fixed-radius queries. A one-shot SGB-Any
+//     run links the ε-cells themselves, level by level (cellgraph.go);
+//     a maintained one absorbs each batch in Z-order for probe
+//     locality. Output ids always index the input order.
 //
 // # Evaluation shapes
 //
@@ -46,9 +47,9 @@
 //
 // An ε sweep (EPS IN, SIMILARITY CUBE BY EPS) comes in two forms. A
 // one-shot sweep (SweepAny) runs the first two shapes over its levels
-// at once: one probe pass at the largest ε feeds one Union-Find per
-// level (sgbAnyLevels, the function single-ε SGBAny is the one-level
-// case of). A maintained grouping, whose future ε lists are unknown,
+// at once, one Union-Find per level (sgbAnyLevels, the function
+// single-ε SGBAny is the one-level case of): under the grid each level
+// starts from the one below and links ε-cells (cellGraph). A maintained grouping, whose future ε lists are unknown,
 // keeps the same levels (NewAnyLevels, at most MaxLevels; a single ε is
 // one level) and adds one when it is asked for.
 //

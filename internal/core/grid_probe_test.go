@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -12,23 +13,45 @@ import (
 
 // boundaryLevelLists are ε lists of 1, 2, 3, 5 and 8 levels, every level
 // a multiple of 1/8, so a pair placed on the lattice of step 1/8 has an
-// exact key and can sit exactly on any level's key.
+// exact key and can sit exactly on any level's key; and one list of 0.4
+// and 0.8, whose roundingPairs key exactly 0.8 yet lie in cells two
+// apart of side 0.8.
 var boundaryLevelLists = [][]float64{
 	{0.5},
 	{0.25, 0.625},
 	{0.25, 0.5, 0.75},
 	{0.125, 0.25, 0.5, 0.625, 1},
 	{0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1},
+	{0.4, 0.8},
 }
 
+// roundingPairs are x coordinates of pairs whose difference rounds to
+// 0.8 but whose quotients by 0.8, rounded, floor two apart — the pairs
+// an unpadded cell side of 0.8 puts in cells that are not neighbours:
+// one near the origin (TestParallelAnyRoundingPair's) and one 2^47 cells
+// of 0.8 out.
+var roundingPairs = [][2]float64{
+	{1.5999999999999999, 2.4},
+	{1.1258999068426239e+14, 1.1258999068426319e+14},
+}
+
+// farBase is the offset boundaryPoints' far blocks start at: 2^51 cells
+// of the smallest level, 1/8, and a power of two, so the lattice of step
+// 1/8 stays exact there (one ulp of it is 1/16) and a pair on it a
+// dyadic level apart lies exactly on cell boundaries.
+const farBase = 0x1p48
+
 // boundaryPoints returns d-dimensional points on the lattice of step
-// 1/8, in blocks far enough apart that two workers tile them: in each
-// block, a chain whose consecutive points lie exactly one level's ε
-// apart along an axis, for every level and the top among them; under
-// d ≥ 2 a pair at the 3-4-5 diagonal of length 0.625 and one at (ε, ε),
-// whose L2 and L∞ keys land on a level; and lattice points scattered
-// around them, so many other keys tie with a level too.
-func boundaryPoints(r *rand.Rand, d int, levels []float64) *geom.PointSet {
+// 1/8, shifted by base on every axis (0, or farBase to put them near
+// the edge of the coordinate range), in blocks far enough apart that
+// two workers tile them: in each block, a chain whose consecutive
+// points lie exactly one level's ε apart along an axis, for every level
+// and the top among them; under d ≥ 2 a pair at the 3-4-5 diagonal of
+// length 0.625 and one at (ε, ε), whose L2 and L∞ keys land on a level;
+// and lattice points scattered around them, so many other keys tie with
+// a level too. A list with the
+// level 0.8 also gets roundingPairs, on the first axis and unshifted.
+func boundaryPoints(r *rand.Rand, d int, levels []float64, base float64) *geom.PointSet {
 	ps := geom.NewPointSet(d)
 	at := func(origin float64, offs ...float64) {
 		p := ps.Extend()
@@ -61,6 +84,16 @@ func boundaryPoints(r *rand.Rand, d int, levels []float64) *geom.PointSet {
 			}
 		}
 	}
+	for i := range ps.Data() {
+		ps.Data()[i] += base
+	}
+	if slices.Contains(levels, 0.8) {
+		for _, pair := range roundingPairs {
+			for _, x := range pair {
+				ps.Extend()[0] = x
+			}
+		}
+	}
 	return ps
 }
 
@@ -79,20 +112,25 @@ func checkMerges(t *testing.T, what string, n int, levels []*Result, st *Stats) 
 }
 
 // TestGridProbeLevelBoundaries runs the join where the level rule is
-// tested hardest — pairs exactly on each level's key and on the top key
-// — through every finder, one-shot sweep and single-ε at one and two
-// workers, and through AnyEvaluator.Append in batches, holding every
-// level to SGBAnySet under All-Pairs and the merge count to the
-// partitions.
+// tested hardest — pairs exactly on each level's key and on the top key,
+// near the origin and near 2^51 cells of the smallest level out, where
+// the cell graph's pad is widest — through every finder, one-shot sweep
+// and single-ε at one and two workers, and through AnyEvaluator.Append
+// in batches, holding every level to SGBAnySet under All-Pairs and the
+// merge count to the partitions. d = 5 runs the far blocks only.
 func TestGridProbeLevelBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(3502))
 	tiled := 0
-	for _, d := range []int{1, 2, 3} {
+	for _, d := range []int{1, 2, 3, 5} {
 		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-			for _, levels := range boundaryLevelLists {
-				ps := boundaryPoints(r, d, levels)
+			for i := 0; i < 2*len(boundaryLevelLists); i++ {
+				levels, base := boundaryLevelLists[i/2], float64(i%2)*farBase
+				if d == 5 && base == 0 {
+					continue
+				}
+				ps := boundaryPoints(r, d, levels, base)
 				n := ps.Len()
-				what := fmt.Sprintf("d=%d %v levels %v", d, m, levels)
+				what := fmt.Sprintf("d=%d %v levels %v base %v", d, m, levels, base)
 				want := make([]*Result, len(levels))
 				for l, eps := range levels {
 					res, err := SGBAnySet(ps, Options{Metric: m, Eps: eps, Algorithm: AllPairs})

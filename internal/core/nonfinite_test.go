@@ -58,9 +58,10 @@ func TestNonFiniteRejected(t *testing.T) {
 
 // TestCoordinateRange pins the other half of the ingestion guard: a
 // coordinate is accepted up to 2^52 ε-cells from the origin — where the
-// grid, the tiled pipeline and the lattice still answer what All-Pairs
-// answers — and refused one step past it with an error naming it; ε
-// itself is refused where 2^53 cells of it, or its reciprocal, overflow.
+// grid, the tiled pipeline and a sweep still answer what All-Pairs
+// answers — and refused one step past it with an error naming it, at
+// every level of a sweep; ε itself is refused where 2^53 cells of it,
+// or its reciprocal, overflow.
 func TestCoordinateRange(t *testing.T) {
 	const eps = 0.25
 	edge := eps * maxCells
@@ -78,8 +79,14 @@ func TestCoordinateRange(t *testing.T) {
 			t.Fatalf("Parallelism=%d at the edge: %v, %v; want %v", par, got, err, want)
 		}
 	}
-	if got, err := SweepAny(inside, []float64{eps / 2, eps}, Options{Metric: geom.LInf, Algorithm: GridIndex}); err != nil || !reflect.DeepEqual(got[1].Groups, want.Groups) {
+	if got, err := SweepAny(inside, []float64{eps, 2 * eps}, Options{Metric: geom.LInf, Algorithm: GridIndex}); err != nil || !reflect.DeepEqual(got[0].Groups, want.Groups) {
 		t.Fatalf("SweepAny at the edge: %v, %v", got, err)
+	}
+	// A level below ε puts the edge past 2^52 of its cells: the sweep is
+	// refused as a single-ε run at that level is.
+	var re *coordRangeError
+	if _, err := SweepAny(inside, []float64{eps / 2, eps}, Options{Metric: geom.LInf, Algorithm: GridIndex}); !errors.As(err, &re) || re.Eps != eps/2 {
+		t.Fatalf("SweepAny with a level below the edge's: %v", err)
 	}
 	for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
 		opt := Options{Metric: geom.LInf, Eps: eps, Overlap: ov, Algorithm: AllPairs}
@@ -94,7 +101,6 @@ func TestCoordinateRange(t *testing.T) {
 	}
 
 	outside := []geom.Point{{0, 0}, {0, -math.Nextafter(edge, math.Inf(1))}}
-	var re *coordRangeError
 	if _, err := SGBAny(outside, Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex}); !errors.As(err, &re) || re.Point != 1 || re.Dim != 1 {
 		t.Fatalf("SGBAny past the edge: %v", err)
 	}

@@ -191,11 +191,20 @@ func anyMerge(f *anyForests, plan *partition.Plan, tiles []*anyForests, front []
 
 // sgbAnyLocal runs one SGB-Any evaluation over a (sub-)PointSet into f
 // — the tile-local evaluate stage, shared with the sequential path in
-// sgbAnyLevels: the index opt.Algorithm names absorbs each point at
-// every level of f at once (anyJoin.step, the step the incremental
-// evaluator runs on the grid).
+// sgbAnyLevels. The grid links ε-cells level by level (cellGraph);
+// All-Pairs and the R-tree absorb each point at every level of f at
+// once (anyJoin.step, the step the maintained evaluator runs on its
+// grid).
 func sgbAnyLocal(ps *geom.PointSet, opt Options, f *anyForests) {
-	ix := newAnyIndex(ps.Dims(), ps.Len(), opt)
+	if opt.Algorithm == GridIndex {
+		g := newCellGraph(ps, opt.Metric)
+		for l := range f.ufs {
+			g.level(f, l)
+		}
+		opt.Stats.Merge(&g.stats)
+		return
+	}
+	ix := newAnyIndex(ps.Dims(), opt)
 	var j anyJoin
 	for i := 0; i < ps.Len(); i++ {
 		j.step(ix, ps, i, opt, f)

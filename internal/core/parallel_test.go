@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -329,8 +328,9 @@ func TestParallelismAutoThreshold(t *testing.T) {
 // BenchmarkAnyPipelinePhases times SGB-Any's tiled pipeline phase by
 // phase at a four-tile split, beside the sequential evaluation, over
 // sql_cold's DISTANCE-TO-ANY shape: 12 000 Brightkite-profile check-ins,
-// L2, at its three ε. Run it on one core, so that every timer reads
-// work rather than wall time,
+// L2, at its three ε, and over eps_cube_cold's eight-level L2 list
+// (levels=8: one forest per level, tiles cut at the top). Run it on one
+// core, so that every timer reads work rather than wall time,
 //
 //	go test -run '^$' -bench AnyPipelinePhases -cpu 1 -benchtime 20x ./internal/core/
 //
@@ -347,9 +347,20 @@ func TestParallelismAutoThreshold(t *testing.T) {
 // records the verdict.
 func BenchmarkAnyPipelinePhases(b *testing.B) {
 	ps := geom.FromPoints(checkin.Points(checkin.Brightkite(12000)))
-	for _, eps := range []float64{0.05, 0.2, 0.8} {
-		b.Run(fmt.Sprintf("eps=%v", eps), func(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		levels []float64
+	}{
+		{"eps=0.05", []float64{0.05}}, {"eps=0.2", []float64{0.2}}, {"eps=0.8", []float64{0.8}},
+		{"levels=8", []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8}},
+	} {
+		eps := c.levels[len(c.levels)-1]
+		b.Run(c.name, func(b *testing.B) {
 			opt := Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 1}
+			keys := make([]float64, len(c.levels))
+			for l, e := range c.levels {
+				keys[l] = opt.Metric.EpsKey(e)
+			}
 			var seq, split, tiles, largest, front, merge time.Duration
 			var frontier int
 			lap := func(d *time.Duration, t0 time.Time) time.Duration {
@@ -359,9 +370,7 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				if _, err := sgbAnySet(ps, opt); err != nil {
-					b.Fatal(err)
-				}
+				sgbAnyLevels(ps, opt, keys, 1)
 				lap(&seq, t0)
 
 				t0 = time.Now()
@@ -372,7 +381,6 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				eval := ps.Gather(plan.Perm)
 				lap(&split, t0)
 				frontier += len(plan.Frontier)
-				keys := []float64{opt.Metric.EpsKey(eps)}
 				fs := make([]*anyForests, len(plan.Ends))
 				var worst time.Duration
 				for t := range plan.Ends {
@@ -384,12 +392,15 @@ func BenchmarkAnyPipelinePhases(b *testing.B) {
 				}
 				largest += worst
 				t0 = time.Now()
-				runs := anyFrontier(eval, plan, opt, keys[0], 1)
+				runs := anyFrontier(eval, plan, opt, keys[len(keys)-1], 1)
 				lap(&front, t0)
 				t0 = time.Now()
 				f := newAnyForests(keys, eval.Len())
 				anyMerge(f, plan, fs, runs, opt)
-				groupsFromUF(f.ufs[0], invertPerm(plan.Perm))
+				inv := invertPerm(plan.Perm)
+				for _, uf := range f.ufs {
+					groupsFromUF(uf, inv)
+				}
 				lap(&merge, t0)
 			}
 			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }

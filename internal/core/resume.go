@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -13,15 +14,14 @@ import (
 // that survives between calls so that new points can be appended to an
 // existing grouping without recomputing it. The one-shot entry points
 // (SGBAllSet / SGBAnySet) and the evaluators below share every
-// per-point step — processOne for SGB-All, anyJoin.step for
-// SGB-Any — so an incremental run over batches b1, b2, ... produces
-// exactly the grouping of a one-shot run over their concatenation. (For
-// SGB-All the retained state is bit-identical after the same point
-// sequence; for SGB-Any under the grid strategy the Morton
-// preprocessing sorts per batch rather than globally, so internal
-// processing order may differ from one-shot — harmless, as components
-// are order-independent and both sides report input-order ids in
-// canonical order.)
+// per-point step of SGB-All (processOne), so an incremental run over
+// batches b1, b2, ... produces exactly the grouping of a one-shot run
+// over their concatenation, bit-identical state included. SGB-Any's
+// evaluator absorbs each batch point by point (anyJoin.step, the join
+// the one-shot All-Pairs and R-tree runs use), in the Z-order of the
+// batch's cells, where a one-shot grid run links whole ε-cells
+// (cellGraph): harmless, as components are order-independent and both
+// report input-order ids in canonical order.
 //
 // The companion work on order-independent SGB semantics (PAPERS.md:
 // "On Order-independent Semantics of the Similarity Group-By
@@ -87,8 +87,8 @@ func (l *pointLog) materializeLive() {
 }
 
 // accept validates a non-empty batch — the log's dimensionality, and
-// coordinates the ε-grid at eps can quantize — and fixes the
-// dimensionality when it is the first batch accepted.
+// coordinates the ε-grid at eps, the lowest level kept, can quantize —
+// and fixes the dimensionality when it is the first batch accepted.
 func (l *pointLog) accept(ps *geom.PointSet, eps float64) error {
 	if d := l.points.Dims(); d != 0 && ps.Dims() != d {
 		return fmt.Errorf("core: appended points have dimension %d, want %d", ps.Dims(), d)
@@ -98,6 +98,21 @@ func (l *pointLog) accept(ps *geom.PointSet, eps float64) error {
 	}
 	if l.points.Dims() == 0 {
 		l.points = geom.NewPointSet(ps.Dims())
+	}
+	return nil
+}
+
+// checkLevel holds the live points to checkCoords' rule at a level eps
+// below every level they were accepted at: a level is refused before it
+// touches the evaluator, as the batch would have been.
+func (l *pointLog) checkLevel(eps float64) error {
+	limit := eps * maxCells
+	for i := 0; i < l.Len(); i++ {
+		for k, v := range l.LiveAt(i) {
+			if math.Abs(v) > limit {
+				return &coordRangeError{Point: i, Dim: k, Value: v, Eps: eps}
+			}
+		}
 	}
 	return nil
 }
@@ -422,11 +437,10 @@ func materializeAll(st *sgbAllState) *Result {
 // and retained partitions are the same under every strategy — only the
 // Stats counters of maintenance work are the grid's.
 //
-// Each appended batch is Morton (Z-order) preprocessed by the one-shot
-// path's rule (mortonPermFor): the batch's points are absorbed in
-// Z-order of their ε-cells, and the log's live order remembers the
-// arrival order of the stored positions so Result reports input-order
-// ids. Reordering within a batch is sound for the same reason appending
+// Each appended batch is Z-order preprocessed (mortonPermFor): the
+// batch's points are absorbed in Z-order of their ε-cells, and the
+// log's live order remembers the arrival order of the stored positions
+// so Result reports input-order ids. Reordering within a batch is sound for the same reason appending
 // is: components do not depend on arrival order.
 type AnyEvaluator struct {
 	pointLog
@@ -488,7 +502,7 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
 	}
-	if err := e.accept(ps, e.opt.Eps); err != nil {
+	if err := e.accept(ps, e.eps[0]); err != nil {
 		return err
 	}
 	if e.ix == nil {
@@ -566,6 +580,11 @@ func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) 
 	opt.Eps = eps
 	if err := opt.Validate(); err != nil {
 		return nil, err
+	}
+	if eps < e.eps[0] {
+		if err := e.checkLevel(eps); err != nil {
+			return nil, err
+		}
 	}
 	n := e.points.Len()
 	f := newAnyForests([]float64{opt.Metric.EpsKey(eps)}, n)

@@ -57,10 +57,12 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 }
 
 // SweepAny answers SGB-Any at every ε level of epsList in one
-// evaluation: one probe pass at the largest level feeds one Union-Find
-// per level, each pair joining the levels its distance reaches
-// (anyForests). Results align with epsList's order, each member for
-// member equal to SGBAny at that level. opt.Eps is ignored (the list's
+// evaluation with one Union-Find per level (anyForests): under the grid
+// each level starts from the one below and links ε-cells (cellGraph);
+// under All-Pairs and the R-tree one probe pass at the largest level
+// joins each pair at the levels its distance reaches. Results align
+// with epsList's order, each member for member equal to SGBAny at that
+// level. opt.Eps is ignored (the list's
 // largest level is the probe radius). The evaluation runs the finder
 // opt.Algorithm names, and Parallelism resolves, as for SGBAny; like
 // SGBAny it rejects BoundsCheck. A cached sweep, whose later ε lists
@@ -80,9 +82,14 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 	if err != nil {
 		return nil, err
 	}
-	opt.Eps = epsList[order[len(order)-1]]
-	if err := opt.Validate(); err != nil {
-		return nil, err
+	// Every level obeys the rule a single ε does: its ε is validated,
+	// and the coordinates are checked against the smallest, whose cells
+	// are the most.
+	for _, i := range order {
+		opt.Eps = epsList[i]
+		if err := opt.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if opt.Algorithm == BoundsCheck {
 		return nil, ErrBoundsCheckAny
@@ -94,7 +101,7 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 		}
 		return out, nil
 	}
-	if err := checkCoords(ps, opt.Eps); err != nil {
+	if err := checkCoords(ps, epsList[order[0]]); err != nil {
 		return nil, err
 	}
 	keys := make([]float64, len(order))
@@ -113,31 +120,23 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 // level's ε, the radius every probe uses. It returns each level's
 // groups in keys' order.
 func sgbAnyLevels(ps *geom.PointSet, opt Options, keys []float64, workers int) [][]Group {
-	// Both arms evaluate in the Z-order of the input's ε-cells, so
-	// consecutive probes touch neighboring grid cells (the id slabs stay
-	// cache-resident). Sound for SGB-Any only — connected components
-	// are order-independent — and transparent to callers: output member
-	// ids are remapped back to input order. SGB-All never reorders; its
-	// arbitration semantics are input-order sensitive. With more than
-	// one worker the evaluation runs as partition → tile-local evaluate
-	// → Union-Find merge over runs of that order (see parallel.go);
-	// otherwise (or when the input spans too few ε-cells to cut) the
-	// whole input is evaluated inline, Z-ordered under the grid only
-	// (mortonPermFor).
+	// With more than one worker the evaluation runs as partition →
+	// tile-local evaluate → Union-Find merge over runs of the Z-order of
+	// the input's ε-cells (see parallel.go); the tiles are evaluated over
+	// the input gathered in that order, and output member ids are
+	// remapped back to input order — sound for SGB-Any only, whose
+	// connected components are order-independent. Otherwise (or when the
+	// input spans too few ε-cells to cut) the whole input is evaluated
+	// inline in input order: the grid orders points by cell itself
+	// (cellGraph).
 	f := newAnyForests(keys, ps.Len())
-	var perm []int32
+	var inv []int32
 	if plan := partition.Split(ps, opt.Eps, workers); plan != nil {
-		perm = plan.Perm
-		sgbAnyParallel(ps.Gather(perm), plan, opt, f, workers)
+		sgbAnyParallel(ps.Gather(plan.Perm), plan, opt, f, workers)
+		inv = invertPerm(plan.Perm)
 	} else {
-		perm = mortonPermFor(ps, opt)
-		eval := ps
-		if perm != nil {
-			eval = ps.Gather(perm)
-		}
-		sgbAnyLocal(eval, opt, f)
+		sgbAnyLocal(ps, opt, f)
 	}
-	inv := invertPerm(perm)
 	out := make([][]Group, len(keys))
 	for l, uf := range f.ufs {
 		out[l] = groupsFromUF(uf, inv)
@@ -241,13 +240,13 @@ func (t *anyTree) appendSet(dst []int32, x int32) []int32 {
 // points.
 const mortonMinPoints = 32
 
-// mortonPermFor decides whether to Z-order an SGB-Any input evaluated
-// in one piece and returns the permutation (nil = evaluate in input
-// order). Only the grid strategy profits — its probe locality is
-// exactly cell adjacency — so the explicitly named comparison
-// strategies keep their evaluation shape unless they are tiled, whose
-// runs are cut from the Z-order. AnyEvaluator.Append applies the same
-// rule per batch: stored order is a function of the options alone.
+// mortonPermFor decides whether AnyEvaluator.Append absorbs a batch in
+// the Z-order of its ε-cells and returns the permutation (nil = in
+// arrival order): consecutive probes of its ε-grid then touch
+// neighbouring cells. Only the grid strategy profits, its probe
+// locality being exactly cell adjacency, so the rule follows the
+// options alone and so does stored order. (A one-shot grid run orders
+// points by cell itself, cellGraph.)
 func mortonPermFor(ps *geom.PointSet, opt Options) []int32 {
 	if opt.Algorithm != GridIndex || ps.Len() < mortonMinPoints {
 		return nil
@@ -269,25 +268,26 @@ func (e errValue) Error() string { return string(e) }
 // appends to buf the ids of the points added before point i that may lie
 // within opt.Eps of it — a superset, which the join verifies by key —
 // and add registers point i for later probes. All-Pairs, the R-tree and
-// the ε-grid differ only here; every one-shot evaluation, single-ε or
-// sweep, absorbs its points through one join (anyJoin.step), and the
-// grid is the one index of maintained evaluation (AnyEvaluator), so
-// appending batches cannot drift from a one-shot run.
+// the ε-grid differ only here: a one-shot evaluation under the first
+// two, single-ε or sweep, absorbs its points through one join
+// (anyJoin.step), as a maintained evaluator (AnyEvaluator) does on the
+// grid, its one index. A one-shot grid evaluation links ε-cells instead
+// (cellGraph); components do not depend on how their edges were found.
 type anyIndex interface {
 	collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32
 	add(ps *geom.PointSet, i int, opt Options)
 }
 
-// newAnyIndex instantiates the index the options name for sizeHint
-// points (BoundsCheck is rejected earlier; see ErrBoundsCheckAny).
-func newAnyIndex(dims, sizeHint int, opt Options) anyIndex {
+// newAnyIndex instantiates the point-probing index the options name:
+// All-Pairs or the R-tree (BoundsCheck is rejected earlier, see
+// ErrBoundsCheckAny; a one-shot grid run links cells instead,
+// cellGraph, and a maintained one keeps its own anyGrid).
+func newAnyIndex(dims int, opt Options) anyIndex {
 	switch opt.Algorithm {
 	case AllPairs:
 		return anyAllPairs{}
 	case OnTheFlyIndex:
 		return &anyRTree{ix: rtree.New(dims)}
-	case GridIndex:
-		return newAnyGrid(dims, sizeHint, opt.Eps)
 	default:
 		panic("core: unknown SGB-Any algorithm")
 	}
@@ -437,7 +437,7 @@ func (j *anyJoin) link(i int, ids []int32, keys []float64, f *anyForests) int64 
 // (nil: every position of uf, in order), reporting each point by its
 // index in live (live[id] = stored position of the point with output
 // id): groups ordered by smallest output id, members ascending. The
-// one-shot run (nil), the Morton-permuted one (the inverse permutation)
+// one-shot run (nil), the tiled one (the inverse permutation)
 // and the decremental evaluator (surviving positions in arrival order)
 // all extract here, the first two for every level of a sweep. Two
 // passes: the first gives each point its group's slot and counts group
@@ -482,7 +482,7 @@ func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
 	return groups
 }
 
-// invertPerm returns the inverse of a Morton permutation (perm[pos] =
+// invertPerm returns the inverse of a Z-order permutation (perm[pos] =
 // original input index; nil stays nil). Passed to groupsFromUF as live,
 // it reports components over permuted positions as an unpermuted run
 // would: groups ordered by smallest original member, members ascending

@@ -10,18 +10,18 @@ import (
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/partition"
 )
 
 // checkSweepLevels holds every level of SweepAnySet on the grid, at
 // each worker count of pars, to SGBAnySet under All-Pairs at that level
-// (deep-equal: group order, member order, nil slices). The probe count
-// must say which build ran: one probe per point when the evaluation
-// stayed whole, more when it was tiled (the frontier points probe
-// again). It reports how many of the runs were tiled.
+// (deep-equal: group order, member order, nil slices). The index counts
+// must say which build ran (checkGridWork): one update and one probe
+// per occupied cell and level of the whole input, or of each tile plus
+// one probe per frontier point past the first run when it was tiled. It
+// reports how many of the runs were tiled.
 func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []float64, m geom.Metric, pars []int) (tiled int) {
 	t.Helper()
-	n, epsMax := ps.Len(), slices.Max(levels)
+	n := ps.Len()
 	want := make([]*Result, len(levels))
 	for l, eps := range levels {
 		res, err := SGBAnySet(ps, Options{Metric: m, Eps: eps, Algorithm: AllPairs})
@@ -41,12 +41,8 @@ func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []flo
 				t.Fatalf("%s Parallelism=%d eps=%v: level differs from SGBAny\ngot  %v\nwant %v", what, par, eps, got[l].Groups, want[l].Groups)
 			}
 		}
-		split := par >= 2 && partition.Split(ps, epsMax, min(par, n)) != nil
-		if split {
+		if checkGridWork(t, fmt.Sprintf("%s Parallelism=%d", what, par), ps, m, levels, min(par, n), st) {
 			tiled++
-		}
-		if probes := st.IndexProbes; (split && probes <= int64(n)) || (!split && probes != int64(n)) {
-			t.Fatalf("%s Parallelism=%d: %d probes for %d points (tiled: %t)", what, par, probes, n, split)
 		}
 	}
 	return tiled
@@ -200,10 +196,14 @@ func TestAnyStrategiesAgreeOnLatticeLInf(t *testing.T) {
 
 // sweepLevelsInput encodes one FuzzSweepLevels input: a header byte
 // (bit 0 L∞, bit 1 lattice mode, bit 2 lattice step 0.3 rather than
-// 0.25, bits 3–5 the dimensionality − 1, taken mod 5), the level count
-// − 1 (mod 8), one byte per level, then one byte per coordinate.
-func sweepLevelsInput(linf, lattice, step3 bool, d int, levels, coords []byte) []byte {
+// 0.25, bits 3–5 the dimensionality − 1, taken mod 5, bit 6 far from
+// the origin), the level count − 1 (mod 8), one byte per level, then
+// one byte per coordinate.
+func sweepLevelsInput(linf, lattice, step3, far bool, d int, levels, coords []byte) []byte {
 	h := byte(d-1) << 3
+	if far {
+		h |= 1 << 6
+	}
 	for bit, on := range []bool{linf, lattice, step3} {
 		if on {
 			h |= 1 << bit
@@ -216,7 +216,10 @@ func sweepLevelsInput(linf, lattice, step3 bool, d int, levels, coords []byte) [
 // decodeSweepLevels is sweepLevelsInput's inverse. In lattice mode a
 // level byte b is the step times 1 + b mod 8 and a coordinate the step
 // times b mod 16; otherwise a level is (1 + b) / 64 and a coordinate
-// b / 32. Repeated levels are dropped; at most 96 points are kept.
+// b / 32. Far from the origin every coordinate is shifted by 2^49 in
+// lattice mode and by 2^45 otherwise: 2^51 cells of the smallest level
+// there can be, and the dyadic coordinates stay exact. Repeated levels
+// are dropped; at most 96 points are kept.
 func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom.Metric, ok bool) {
 	if len(data) < 2 {
 		return nil, nil, 0, false
@@ -229,6 +232,13 @@ func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom
 	lattice, step := h&2 != 0, 0.25
 	if h&4 != 0 {
 		step = 0.3
+	}
+	base := 0.0
+	if h&64 != 0 {
+		base = 0x1p45
+		if lattice {
+			base = 0x1p49
+		}
 	}
 	d := 1 + int(h>>3)%5
 	k := 1 + int(data[1])%8
@@ -252,9 +262,9 @@ func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom
 		p := ps.Extend()
 		for c := range p {
 			b := rest[i*d+c]
-			p[c] = float64(b) / 32
+			p[c] = base + float64(b)/32
 			if lattice {
-				p[c] = step * float64(b%16)
+				p[c] = base + step*float64(b%16)
 			}
 		}
 	}
@@ -264,8 +274,9 @@ func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom
 // sweepLevelsSeeds builds FuzzSweepLevels' seed corpus: the 6 × 6 L∞
 // lattice the R-tree once mis-grouped, dyadic and 0.3-step lattices with
 // duplicates under both metrics, unsorted eight-level lists, a 1-d chain
-// across many ε-cells (cross-tile edges at two workers), d = 5, and a
-// single point.
+// across many ε-cells (cross-tile edges at two workers), d = 5, a
+// single point, and dyadic lattices far from the origin at d ∈ {1, 2,
+// 3, 5}, whose pairs lie exactly a level apart on its cell boundaries.
 func sweepLevelsSeeds() [][]byte {
 	r := rand.New(rand.NewSource(2930))
 	randBytes := func(n int, mod int) []byte {
@@ -287,17 +298,23 @@ func sweepLevelsSeeds() [][]byte {
 	for i := 0; i < 60; i++ {
 		chain = append(chain, byte(3*i))
 	}
-	return [][]byte{
-		sweepLevelsInput(true, true, true, 2, []byte{0, 1}, grid6),
-		sweepLevelsInput(false, true, true, 2, []byte{0, 1, 3}, grid6),
-		sweepLevelsInput(false, true, false, 2, []byte{3, 0, 7, 1, 5, 2, 6, 4}, randBytes(160, 16)),
-		sweepLevelsInput(true, true, false, 3, []byte{1, 0, 2}, randBytes(180, 8)),
-		sweepLevelsInput(false, false, false, 2, []byte{200, 8, 90, 30, 255, 60, 15, 120}, randBytes(190, 256)),
-		sweepLevelsInput(true, false, false, 1, []byte{5, 2}, chain),
-		sweepLevelsInput(false, false, false, 1, []byte{2, 6, 3}, chain),
-		sweepLevelsInput(true, false, false, 5, []byte{40, 100, 70}, randBytes(300, 128)),
-		sweepLevelsInput(false, false, false, 3, []byte{10}, []byte{7, 7, 7}),
+	seeds := [][]byte{
+		sweepLevelsInput(true, true, true, false, 2, []byte{0, 1}, grid6),
+		sweepLevelsInput(false, true, true, false, 2, []byte{0, 1, 3}, grid6),
+		sweepLevelsInput(false, true, false, false, 2, []byte{3, 0, 7, 1, 5, 2, 6, 4}, randBytes(160, 16)),
+		sweepLevelsInput(true, true, false, false, 3, []byte{1, 0, 2}, randBytes(180, 8)),
+		sweepLevelsInput(false, false, false, false, 2, []byte{200, 8, 90, 30, 255, 60, 15, 120}, randBytes(190, 256)),
+		sweepLevelsInput(true, false, false, false, 1, []byte{5, 2}, chain),
+		sweepLevelsInput(false, false, false, false, 1, []byte{2, 6, 3}, chain),
+		sweepLevelsInput(true, false, false, false, 5, []byte{40, 100, 70}, randBytes(300, 128)),
+		sweepLevelsInput(false, false, false, false, 3, []byte{10}, []byte{7, 7, 7}),
 	}
+	for _, d := range []int{1, 2, 3, 5} {
+		for _, linf := range []bool{false, true} {
+			seeds = append(seeds, sweepLevelsInput(linf, true, false, true, d, []byte{0, 1, 3}, randBytes(24*d, 16)))
+		}
+	}
+	return seeds
 }
 
 // FuzzSweepLevels decodes its input as a point set and an ε list
@@ -389,8 +406,8 @@ func TestLatticeEquivalenceParallelOneShot(t *testing.T) {
 // TestLatticeParallelism: Options.Parallelism sets how many goroutines
 // sweep and nothing else — every level of SweepAny equals the
 // Parallelism = 1 answer, over L2 and L∞, d ∈ {1, 2, 3} and duplicated
-// points. The probe count shows which build ran: a tiled one probes the
-// frontier points a second time.
+// points. The index counts show which build ran (checkGridWork): a
+// tiled one counts each tile's cells and probes the frontier points.
 func TestLatticeParallelism(t *testing.T) {
 	r := rand.New(rand.NewSource(813))
 	levels := []float64{0.15, 0.4, 0.9, 1.5}
@@ -403,8 +420,9 @@ func TestLatticeParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seqStats.IndexProbes != int64(len(pts)) {
-				t.Fatalf("%v d=%d Parallelism=1: %d probes, want one per point (%d)", m, d, seqStats.IndexProbes, len(pts))
+			ps := geom.FromPoints(pts)
+			if checkGridWork(t, fmt.Sprintf("%v d=%d Parallelism=1", m, d), ps, m, levels, 1, seqStats) {
+				t.Fatalf("%v d=%d Parallelism=1: the build was tiled", m, d)
 			}
 			for _, par := range []int{2, 3, 8} {
 				st := &Stats{}
@@ -412,8 +430,8 @@ func TestLatticeParallelism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.IndexProbes <= int64(len(pts)) {
-					t.Fatalf("%v d=%d Parallelism=%d: %d probes for %d points, the build was not tiled", m, d, par, st.IndexProbes, len(pts))
+				if !checkGridWork(t, fmt.Sprintf("%v d=%d Parallelism=%d", m, d, par), ps, m, levels, par, st) {
+					t.Fatalf("%v d=%d Parallelism=%d: the build was not tiled", m, d, par)
 				}
 				for li := range levels {
 					if err := sameMembers(got[li], want[li]); err != nil {

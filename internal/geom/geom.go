@@ -333,7 +333,14 @@ func PaddedReach(p Point, reach float64) float64 {
 	for _, v := range p {
 		m = math.Max(m, math.Abs(v))
 	}
-	return reach + (m+2*reach)*0x1p-50
+	return PadReach(m, reach)
+}
+
+// PadReach is PaddedReach for every point whose coordinates are at most
+// maxAbs in magnitude: reach + (maxAbs + 2·reach)·2⁻⁵⁰. A cell side
+// padded so covers a whole set at once (internal/core's cell graph).
+func PadReach(maxAbs, reach float64) float64 {
+	return reach + (maxAbs+2*reach)*0x1p-50
 }
 
 // ShrinkToEpsBox intersects r in place with the ε-box of p — the ε-All

@@ -39,3 +39,28 @@ func TestResetBatch(t *testing.T) {
 			u.Count(), u.Same(1, 2), u.Same(0, 1))
 	}
 }
+
+// TestCopyFrom: a copy holds the source's partition and set count, and
+// unions on either side leave the other as it was.
+func TestCopyFrom(t *testing.T) {
+	src := New(6)
+	src.Union(0, 1)
+	src.Union(2, 3)
+	dst := New(6)
+	dst.Union(4, 5)
+	dst.CopyFrom(src)
+	if dst.Count() != 4 || !dst.Same(0, 1) || !dst.Same(2, 3) || dst.Same(4, 5) {
+		t.Fatalf("copy: Count = %d, sets %v", dst.Count(), dst.Sets())
+	}
+	dst.Union(1, 2)
+	src.Union(4, 5)
+	if src.Same(0, 3) || dst.Same(4, 5) || src.Count() != 3 || dst.Count() != 3 {
+		t.Fatalf("unions after the copy leaked: src %v, dst %v", src.Sets(), dst.Sets())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyFrom between different lengths did not panic")
+		}
+	}()
+	New(5).CopyFrom(src)
+}

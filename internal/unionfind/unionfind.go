@@ -114,6 +114,18 @@ func (u *UF) Absorb(o *UF, base int) {
 	}
 }
 
+// CopyFrom makes u a copy of o's forest, which must have u's length:
+// the same parents, ranks and set count, in u's own storage. A one-shot
+// ε sweep starts each level from the level below this way.
+func (u *UF) CopyFrom(o *UF) {
+	if len(o.parent) != len(u.parent) {
+		panic("unionfind: CopyFrom between forests of different lengths")
+	}
+	copy(u.parent, o.parent)
+	copy(u.rank, o.rank)
+	u.count = o.count
+}
+
 // Sets returns the current partition as a map from root id to the
 // sorted-by-insertion slice of member ids. Intended for result
 // extraction and tests; O(n).

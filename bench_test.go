@@ -187,27 +187,14 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkParallel — SGB-Any's partition/evaluate/merge pipeline on
-// the Fig9a workload (n=4000, ε=0.5, L2): worker sweep under the ε-grid
-// strategy. w=1 is the sequential path; results are identical at every
-// worker count. (SGB-All has no pipeline to sweep:
-// docs/pr24-sgball-sequential.md.) Levels runs `eps_cube_cold`'s
+// BenchmarkParallel — SGB-Any's level split: `eps_cube_cold`'s
 // eight-level L2 EPS IN list up to 0.8 over 8 000 Brightkite-profile
-// check-ins: the one-shot statement's SweepAnySet, the same pipeline as
-// Any with one Union-Find per level (docs/pr29-level-forests.md).
+// check-ins through SweepAnySet at w = 1 (sequential), 2 and 4 workers,
+// each evaluating a contiguous range of the levels. Results are
+// identical at every worker count. A single ε always evaluates
+// sequentially, and SGB-All has no parallel arm
+// (docs/pr24-sgball-sequential.md), so neither has a worker sweep.
 func BenchmarkParallel(b *testing.B) {
-	pts := benchPoints(4000, 1)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("Any/Grid/w=%d", w), func(b *testing.B) {
-			opt := sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex, Parallelism: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sgb.GroupByAny(pts, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 	checkins := sgb.FromPoints(checkin.Points(checkin.Brightkite(8000)))
 	levels := []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8}
 	for _, w := range []int{1, 2, 4} {

@@ -105,12 +105,13 @@ type QueryOptions struct {
 	// GridIndex, which supports any number of grouping attributes). A
 	// maintained SGB-Any grouping runs on the ε-grid whatever it names.
 	Algorithm Algorithm
-	// Parallelism is the worker count of DISTANCE-TO-ANY's pipeline,
-	// one-shot EPS IN and SIMILARITY CUBE BY EPS included: 0 picks
-	// GOMAXPROCS on large inputs, 1 forces sequential evaluation, ≥ 2
-	// forces that many workers. DISTANCE-TO-ALL, and the appends of every
-	// cached grouping, evaluate sequentially. Results are identical at
-	// every setting.
+	// Parallelism bounds the workers a one-shot DISTANCE-TO-ANY EPS IN
+	// or SIMILARITY CUBE BY EPS splits its ε levels across, one
+	// contiguous range of levels per worker: 0 picks GOMAXPROCS on large
+	// inputs, 1 forces sequential evaluation, ≥ 2 allows that many
+	// workers (never more than the levels). A single ε, DISTANCE-TO-ALL,
+	// and every cached grouping evaluate sequentially. Results are
+	// identical at every setting.
 	Parallelism int
 	// Seed seeds ON-OVERLAP JOIN-ANY arbitration, the one clause that draws.
 	Seed int64

@@ -227,43 +227,12 @@ func TestSQLDeleteAllInvariants(t *testing.T) {
 			}
 			check := func(when string) {
 				t.Helper()
-				table := mustQuery(t, db, "SELECT id, x, y FROM sensors")
-				pos := make(map[string]int, table.Len())
-				points := make([]Point, table.Len())
-				for i, r := range table.Data {
-					pos[r[0].String()] = i
-					points[i] = Point{r[1].F, r[2].F}
-				}
-				groups := mustQuery(t, db, "SELECT count(*), array_agg(id) FROM sensors GROUP BY x, y DISTANCE-TO-ALL "+clause)
-				res := &core.Result{}
-				grouped := make([]bool, len(points))
-				sum := 0
-				for _, r := range groups.Data {
-					var g core.Group
-					for _, id := range strings.Split(strings.Trim(r[1].S, "[]"), ", ") {
-						i, ok := pos[id]
-						if !ok {
-							t.Fatalf("%s: group lists id %q, which is not in the table", when, id)
-						}
-						g.Members = append(g.Members, i)
-						grouped[i] = true
-					}
-					if int(r[0].I) != len(g.Members) {
-						t.Fatalf("%s: count(*) = %d beside %d listed ids", when, r[0].I, len(g.Members))
-					}
-					sum += len(g.Members)
-					res.Groups = append(res.Groups, g)
-				}
-				for i, in := range grouped {
-					if !in {
-						res.Eliminated = append(res.Eliminated, i)
-					}
-				}
+				points, res := sqlAllGroups(t, db, "sensors", clause, when)
 				if err := core.CheckCliques(points, metric, 1, res); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
-				if eliminate := strings.HasSuffix(clause, "ELIMINATE"); !eliminate && sum != len(points) || sum > len(points) {
-					t.Fatalf("%s: count(*) sums to %d over %d rows", when, sum, len(points))
+				if eliminate := strings.HasSuffix(clause, "ELIMINATE"); !eliminate && len(res.Eliminated) > 0 {
+					t.Fatalf("%s: %d of %d rows in no group", when, len(res.Eliminated), len(points))
 				}
 			}
 			insert(window)
@@ -278,6 +247,113 @@ func TestSQLDeleteAllInvariants(t *testing.T) {
 				t.Errorf("%d points arbitrated again over %d deletes of %d rows from %d: not a local replay", got, steps, step, window)
 			}
 		})
+	}
+}
+
+// sqlAllGroups reads table's rows (id, x, y) and the grouping a
+// DISTANCE-TO-ALL clause gives them through SQL, with array_agg(id)
+// naming each group's rows: the points by row position, and the groups
+// over those positions, every row no group lists as Eliminated. A group
+// listing an id the table lacks, or whose count(*) differs from its
+// list, fails the test; so, in CheckCliques, does a row listed twice.
+func sqlAllGroups(t *testing.T, db *DB, table, clause, when string) ([]Point, *core.Result) {
+	t.Helper()
+	rows := mustQuery(t, db, "SELECT id, x, y FROM "+table)
+	pos := make(map[string]int, rows.Len())
+	points := make([]Point, rows.Len())
+	for i, r := range rows.Data {
+		pos[r[0].String()] = i
+		points[i] = Point{r[1].F, r[2].F}
+	}
+	groups := mustQuery(t, db, "SELECT count(*), array_agg(id) FROM "+table+" GROUP BY x, y DISTANCE-TO-ALL "+clause)
+	res := &core.Result{}
+	grouped := make([]bool, len(points))
+	for _, r := range groups.Data {
+		var g core.Group
+		for _, id := range strings.Split(strings.Trim(r[1].S, "[]"), ", ") {
+			i, ok := pos[id]
+			if !ok {
+				t.Fatalf("%s: group lists id %q, which is not in the table", when, id)
+			}
+			g.Members = append(g.Members, i)
+			grouped[i] = true
+		}
+		if int(r[0].I) != len(g.Members) {
+			t.Fatalf("%s: count(*) = %d beside %d listed ids", when, r[0].I, len(g.Members))
+		}
+		res.Groups = append(res.Groups, g)
+	}
+	for i, in := range grouped {
+		if !in {
+			res.Eliminated = append(res.Eliminated, i)
+		}
+	}
+	return points, res
+}
+
+// TestSQLAllInvariants holds DISTANCE-TO-ALL through SQL, with the
+// cache on and off, to what needs no second implementation to check
+// (sqlAllGroups): under every ON-OVERLAP clause, both metrics, two ε
+// and every strategy, each group is a clique and no row sits in two
+// (core.CheckCliques); an L2 group is an L∞ clique at the same ε too,
+// as an L2 ball lies inside the L∞ one; ELIMINATE lists only rows of
+// its input; JOIN-ANY and FORM-NEW-GROUP lose no row. The checks run
+// over a fresh table, then after a DELETE and an INSERT, which a cached
+// grouping absorbs.
+func TestSQLAllInvariants(t *testing.T) {
+	clauses := []string{"ON-OVERLAP JOIN-ANY", "ON-OVERLAP ELIMINATE", "ON-OVERLAP FORM-NEW-GROUP"}
+	for _, incremental := range []bool{false, true} {
+		db := Open()
+		mustExec(t, db, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
+		rng := rand.New(rand.NewSource(47))
+		next := 0
+		insert := func(n int) {
+			var b strings.Builder
+			b.WriteString("INSERT INTO pts VALUES ")
+			for i := 0; i < n; i++ {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				// Quarter-unit coordinates: equal points and distances of
+				// exactly ε are common.
+				fmt.Fprintf(&b, "(%d, %v, %v)", next, float64(rng.Intn(60))/4, float64(rng.Intn(60))/4)
+				next++
+			}
+			mustExec(t, db, b.String())
+		}
+		insert(300)
+		for round, when := range []string{"fresh", "after DELETE and INSERT"} {
+			if round == 1 {
+				mustExec(t, db, "DELETE FROM pts WHERE id < 40")
+				insert(25)
+			}
+			for _, alg := range []Algorithm{AllPairs, BoundsCheck, OnTheFlyIndex, GridIndex} {
+				db.def.SetOptions(QueryOptions{Algorithm: alg, Incremental: incremental})
+				for _, metric := range []Metric{L2, LInf} {
+					for _, eps := range []float64{0.5, 1.25} {
+						for _, ov := range clauses {
+							clause := fmt.Sprintf("%v WITHIN %v %s", metric, eps, ov)
+							what := fmt.Sprintf("incremental=%t %s %v %s", incremental, when, alg, clause)
+							points, res := sqlAllGroups(t, db, "pts", clause, what)
+							if err := core.CheckCliques(points, metric, eps, res); err != nil {
+								t.Fatalf("%s: %v", what, err)
+							}
+							if metric == L2 {
+								if err := core.CheckCliques(points, LInf, eps, res); err != nil {
+									t.Fatalf("%s: not an L∞ clique: %v", what, err)
+								}
+							}
+							if ov != "ON-OVERLAP ELIMINATE" && len(res.Eliminated) > 0 {
+								t.Fatalf("%s: %d of %d rows in no group", what, len(res.Eliminated), len(points))
+							}
+							if len(res.Groups)+len(res.Eliminated) == len(points) {
+								t.Fatalf("%s: no two rows share a group, which checks nothing", what)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package sgb
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/storage"
 	"github.com/sgb-db/sgb/internal/types"
 )
@@ -495,16 +498,18 @@ func TestSQLMixedNumericCompareExact(t *testing.T) {
 
 // TestEpsLevelRangeRule: every ε of an EPS IN list obeys the range rule
 // a single ε does, one-shot and maintained, whatever the cache holds.
-// Over points up to 3 from the origin, ε = 1e-300 puts a coordinate
-// more than 2^52 ε-cells out and ε = 5e-324 is outside ε-cell
-// arithmetic: each is refused alone, as the lowest level of a list,
-// through a fresh maintained entry and as a level added to an entry a
-// wider sweep built, which keeps its levels.
+// Over points up to 3 from the origin, ε = 1e-100 puts a coordinate
+// more than 2^52 ε-cells out, ε = 1e-200 is below 2^-511, where its
+// square underflows, and ε = 5e-324 is outside ε-cell arithmetic: each
+// is refused alone, as the lowest level of a list, through a fresh
+// maintained entry and as a level added to an entry a wider sweep
+// built, which keeps its levels.
 func TestEpsLevelRangeRule(t *testing.T) {
 	const (
-		far     = "more than 2^52 ε-cells"
-		outside = "outside the range ε-cell arithmetic can hold"
-		sel     = "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 "
+		far       = "more than 2^52 ε-cells"
+		underflow = "underflows"
+		outside   = "outside the range ε-cell arithmetic can hold"
+		sel       = "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 "
 	)
 	for _, incremental := range []bool{false, true} {
 		db := Open()
@@ -525,7 +530,7 @@ func TestEpsLevelRangeRule(t *testing.T) {
 				t.Fatalf("incremental=%t %q: error %v, want one naming %q", incremental, sql, err, part)
 			}
 		}
-		for _, c := range []struct{ eps, part string }{{"1e-300", far}, {"5e-324", outside}} {
+		for _, c := range []struct{ eps, part string }{{"1e-100", far}, {"1e-200", underflow}, {"5e-324", outside}} {
 			refused(fresh(), sel+"WITHIN "+c.eps, c.part)
 			refused(fresh(), sel+"EPS IN ("+c.eps+", 1)", c.part)
 		}
@@ -538,13 +543,110 @@ func TestEpsLevelRangeRule(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev, _ := sweepEntry(t, db)
-		refused(s, sel+"WITHIN 1e-300", far)
+		refused(s, sel+"WITHIN 1e-100", far)
+		refused(s, sel+"WITHIN 1e-200", underflow)
 		refused(s, sel+"WITHIN 5e-324", outside)
 		if kept, _ := sweepEntry(t, db); kept != ev || !slices.Equal(kept.Levels(), []float64{0.5, 1}) {
 			t.Fatalf("after the refused levels the shared entry keeps levels %v (same evaluator: %t), want 0.5 and 1", kept.Levels(), kept == ev)
 		}
 		if _, err := s.Query(sweep); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestEpsUnderflowRefused: an ε whose square, the L2 distance key, is
+// no normal float64 is refused with core.ErrEpsUnderflow under both
+// metrics, by both operators and every strategy, one-shot, swept and
+// maintained (creation, AddLevel, GroupsAt), and through SQL with the
+// cache on and off. At ε = 1e-200 the L2 key is 0, and over (0, 0) and
+// (1e-190, 0) All-Pairs once found one group where the R-tree found
+// two. At the smallest ε accepted, 2^-511, every strategy agrees.
+func TestEpsUnderflowRefused(t *testing.T) {
+	const tiny = 1e-200
+	pts := []Point{{0, 0}, {1e-190, 0}}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, core.ErrEpsUnderflow) {
+			t.Fatalf("%s: %v, want ErrEpsUnderflow", what, err)
+		}
+	}
+	edge := []Point{{0, 0}, {0x1p-512, 0}, {0x1p-510, 0}}
+	for _, m := range []Metric{L2, LInf} {
+		var wantAny, wantAll *Result
+		for _, alg := range []Algorithm{AllPairs, BoundsCheck, OnTheFlyIndex, GridIndex} {
+			what := fmt.Sprintf("%v %v", m, alg)
+			opt := Options{Metric: m, Eps: tiny, Algorithm: alg}
+			_, err := GroupByAll(pts, opt)
+			refused(what+" GroupByAll", err)
+			_, err = GroupByAny(pts, opt)
+			refused(what+" GroupByAny", err)
+			_, err = SweepAny(pts, []float64{tiny, 1}, opt)
+			refused(what+" SweepAny", err)
+			_, err = NewIncrementalAll(opt)
+			refused(what+" NewIncrementalAll", err)
+			if alg == BoundsCheck {
+				continue // SGB-Any has no Bounds-Checking variant
+			}
+			_, err = NewIncrementalAny(opt)
+			refused(what+" NewIncrementalAny", err)
+			opt.Eps = 1
+			x, err := NewIncrementalAnyLevels(opt, []float64{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Append(pts); err != nil {
+				t.Fatal(err)
+			}
+			refused(what+" AddLevel", x.AddLevel(tiny))
+			_, err = x.GroupsAt(tiny)
+			refused(what+" GroupsAt", err)
+			if got := x.Levels(); !slices.Equal(got, []float64{1}) {
+				t.Fatalf("%s: levels %v after the refusals", what, got)
+			}
+
+			opt.Eps = 0x1p-511
+			any, err := GroupByAny(edge, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := GroupByAll(edge, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantAny == nil {
+				wantAny, wantAll = any, all
+				if len(any.Groups) != 2 || len(all.Groups) != 2 {
+					t.Fatalf("%s at 2^-511: %d and %d groups, want 2 each", what, len(any.Groups), len(all.Groups))
+				}
+			} else if !reflect.DeepEqual(any, wantAny) || !reflect.DeepEqual(all, wantAll) {
+				t.Fatalf("%s at 2^-511: %v and %v, All-Pairs %v and %v", what, any.Groups, all.Groups, wantAny.Groups, wantAll.Groups)
+			}
+		}
+	}
+	for _, incremental := range []bool{false, true} {
+		db := Open()
+		if _, err := db.Exec("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec("INSERT INTO pts VALUES (1, 0, 0), (2, 1e-190, 0)"); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []string{"L2", "LINF"} {
+			for _, alg := range []Algorithm{AllPairs, OnTheFlyIndex, GridIndex} {
+				s := db.NewSession()
+				s.SetOptions(QueryOptions{Algorithm: alg, Incremental: incremental})
+				for _, clause := range []string{
+					"DISTANCE-TO-ALL " + m + " WITHIN 1e-200",
+					"DISTANCE-TO-ALL " + m + " WITHIN 1e-200 ON-OVERLAP ELIMINATE",
+					"DISTANCE-TO-ANY " + m + " WITHIN 1e-200",
+					"DISTANCE-TO-ANY " + m + " EPS IN (1e-200, 1)",
+					"DISTANCE-TO-ANY " + m + " EPS IN (1e-200, 1) SIMILARITY CUBE BY EPS",
+				} {
+					_, err := s.Query("SELECT count(*) FROM pts GROUP BY x, y " + clause)
+					refused(fmt.Sprintf("incremental=%t %v %s", incremental, alg, clause), err)
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/partition"
 )
 
 // cellCount counts the cells the points of ps occupy at one level of
@@ -32,46 +31,39 @@ func cellCount(ps *geom.PointSet, m geom.Metric, key float64) int64 {
 	return int64(len(seen))
 }
 
-// gridWork returns the IndexUpdates and IndexProbes a one-shot grid
-// evaluation of ps at levels (ε, any order) counts with workers
-// workers: one of each per occupied cell and level of every evaluated
-// piece — the whole input, or each tile of the plan partition.Split
-// cuts — and, when tiled, one probe per frontier point past the first
-// run. tiled reports which build that is.
-func gridWork(ps *geom.PointSet, m geom.Metric, levels []float64, workers int) (updates, probes int64, tiled bool) {
-	cells := func(ps *geom.PointSet) (n int64) {
-		for _, eps := range levels {
-			n += cellCount(ps, m, m.EpsKey(eps))
-		}
-		return n
-	}
-	plan := partition.Split(ps, slices.Max(levels), workers)
-	if plan == nil {
-		n := cells(ps)
-		return n, n, false
-	}
-	eval := ps.Gather(plan.Perm)
-	for t := range plan.Ends {
-		updates += cells(eval.Slice(runStart(plan, t), int(plan.Ends[t])))
-	}
-	probes = updates
-	for _, gi := range plan.Frontier {
-		if gi >= plan.Ends[0] {
-			probes++
-		}
-	}
-	return updates, probes, true
-}
-
-// checkGridWork holds a one-shot grid run's Stats to gridWork and
-// reports whether the run was tiled.
-func checkGridWork(t *testing.T, what string, ps *geom.PointSet, m geom.Metric, levels []float64, workers int, st *Stats) bool {
+// checkGridWork holds a one-shot grid run's Stats, at levels (ε, any
+// order) under Parallelism par, to the work of the ranges the level
+// split cuts: with w = min(workers, k), range r is the ascending levels
+// [r·k/w, (r+1)·k/w), its lowest level starting from singletons. The
+// run registers and probes once per occupied cell and level, whatever
+// the split (cellCount), and its keys and merges are the sum of its
+// ranges' when each is evaluated alone. It reports whether the run was
+// split.
+func checkGridWork(t *testing.T, what string, ps *geom.PointSet, m geom.Metric, levels []float64, par int, st *Stats) bool {
 	t.Helper()
-	updates, probes, tiled := gridWork(ps, m, levels, workers)
-	if st.IndexUpdates != updates || st.IndexProbes != probes {
-		t.Fatalf("%s: %d updates and %d probes, want %d and %d (tiled: %t)", what, st.IndexUpdates, st.IndexProbes, updates, probes, tiled)
+	asc := slices.Clone(levels)
+	slices.Sort(asc)
+	k := len(asc)
+	w := min(Options{Algorithm: GridIndex, Parallelism: par}.workers(ps.Len()), k)
+	var cells int64
+	want := &Stats{}
+	for r := 0; r < w; r++ {
+		lo, hi := r*k/w, (r+1)*k/w
+		keys := make([]float64, hi-lo)
+		for l, eps := range asc[lo:hi] {
+			keys[l] = m.EpsKey(eps)
+			cells += cellCount(ps, m, keys[l])
+		}
+		sgbAnyLocal(ps, Options{Metric: m, Eps: asc[hi-1], Algorithm: GridIndex, Stats: want}, newAnyForests(keys, ps.Len()))
 	}
-	return tiled
+	if st.IndexUpdates != cells || st.IndexProbes != cells {
+		t.Fatalf("%s: %d updates and %d probes, want %d of each", what, st.IndexUpdates, st.IndexProbes, cells)
+	}
+	if st.DistanceComputations != want.DistanceComputations || st.GroupMerges != want.GroupMerges {
+		t.Fatalf("%s: %d keys and %d merges, its %d ranges %d and %d", what,
+			st.DistanceComputations, st.GroupMerges, w, want.DistanceComputations, want.GroupMerges)
+	}
+	return w > 1
 }
 
 // TestForwardPrefixes: the prefix offsets with the next cell along the

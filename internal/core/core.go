@@ -102,17 +102,19 @@ type Options struct {
 	// Stats, when non-nil, accumulates operation counts for the run.
 	Stats *Stats
 
-	// Parallelism selects the worker count of SGB-Any's partition /
-	// evaluate / merge pipeline (parallel.go). 0 (the default) means
-	// GOMAXPROCS, engaged only for the GridIndex strategy and only once
-	// the input is large enough to amortize the sharding overhead —
+	// Parallelism bounds the workers a one-shot SGB-Any evaluation of
+	// k ≥ 2 ε levels (an ε sweep) splits its levels across: w =
+	// min(workers, k) contiguous ranges, each evaluated on a goroutine of
+	// its own (parallel.go); a single ε always evaluates sequentially.
+	// 0 (the default) means GOMAXPROCS, engaged only for the GridIndex
+	// strategy and only once the input has parallelThreshold points —
 	// explicitly selected comparison strategies (All-Pairs,
 	// Bounds-Checking, R-tree) keep their sequential evaluation shape so
 	// the paper's strategy experiments measure what they name. 1 forces
-	// the sequential path; any value ≥ 2 forces that many workers for any
+	// the sequential path; any value ≥ 2 allows that many workers for any
 	// strategy and input size. Negative values are rejected by Validate.
-	// Groupings are bit-identical at every worker count: SGB-Any
-	// components are order-independent. SGB-All is order-sensitive and
+	// Groupings are bit-identical at every worker count: each level is
+	// the ε-graph's components. SGB-All is order-sensitive and
 	// always runs its one sequential arbitration loop, whatever the value
 	// (docs/pr24-sgball-sequential.md has the measurement that retired
 	// its pipeline).
@@ -150,13 +152,37 @@ func (o Options) Key(anySem bool, by string) string {
 		anySem, m.Metric, m.Eps, m.Overlap, m.Algorithm, m.Seed, by)
 }
 
+// ErrEpsUnderflow rejects an ε below minEps, under either metric:
+// its square, the L2 distance key, is no normal float64. At ε = 1e-200
+// the key is 0, and the strategies disagree on what it admits. One rule
+// for both metrics keeps the ε range a property of ε alone, so an EPS IN
+// list is checked without its metric (ValidateEpsList).
+var ErrEpsUnderflow error = errValue("core: similarity threshold ε is below 2^-511, where its square, the L2 distance key, underflows")
+
+// minEps is the smallest ε accepted: minEps² = 2^-1022, the smallest
+// normal float64.
+const minEps = 0x1p-511
+
+// checkEpsRange refuses a positive finite ε that ε-cell arithmetic or
+// the L2 key cannot hold: one where 2^53 cells of it, or its
+// reciprocal, overflow, or one below minEps.
+func checkEpsRange(eps float64) error {
+	if math.IsInf(eps*(2*maxCells), 1) || math.IsInf(1/eps, 1) {
+		return fmt.Errorf("core: similarity threshold ε = %v is outside the range ε-cell arithmetic can hold", eps)
+	}
+	if eps < minEps {
+		return fmt.Errorf("%w (got %v)", ErrEpsUnderflow, eps)
+	}
+	return nil
+}
+
 // Validate reports whether the options are usable.
 func (o Options) Validate() error {
 	if !(o.Eps > 0) || math.IsInf(o.Eps, 1) {
 		return errors.New("core: similarity threshold ε must be positive and finite")
 	}
-	if math.IsInf(o.Eps*(2*maxCells), 1) || math.IsInf(1/o.Eps, 1) {
-		return fmt.Errorf("core: similarity threshold ε = %v is outside the range ε-cell arithmetic can hold", o.Eps)
+	if err := checkEpsRange(o.Eps); err != nil {
+		return err
 	}
 	if o.Metric != geom.L2 && o.Metric != geom.LInf {
 		return errors.New("core: unknown distance metric")
@@ -178,10 +204,10 @@ func (o Options) Validate() error {
 }
 
 // parallelThreshold is the input size below which Parallelism = 0
-// (auto) stays sequential: sharding a few thousand points costs more
-// than it saves. An explicit Parallelism ≥ 2 bypasses the threshold,
-// which is what the equivalence tests use to exercise the parallel
-// pipeline on small inputs.
+// (auto) stays sequential: on a few thousand points a goroutine per
+// range costs more than it saves. An explicit Parallelism ≥ 2 bypasses
+// the threshold, which is what the equivalence tests use to exercise
+// the level split on small inputs.
 const parallelThreshold = 4096
 
 // workers resolves the effective worker count for an input of n

@@ -28,9 +28,10 @@
 //   - One-shot sequential (SGBAll / SGBAny and their *Set variants):
 //     points are processed in arrival order against the strategy
 //     selected by Options.Algorithm.
-//   - Parallel pipeline (SGB-Any with Options.Parallelism > 1;
-//     parallel.go): partition into Z-order runs → tile-local evaluate
-//     → merge.
+//   - Split by level (a one-shot SGB-Any sweep of k ≥ 2 ε levels with
+//     Options.Parallelism > 1; parallel.go): the ascending levels are
+//     cut into min(workers, k) contiguous ranges, each evaluated
+//     sequentially on a goroutine of its own.
 //   - Resumable / incremental (AllEvaluator, AnyEvaluator; resume.go):
 //     retained evaluation state that Append extends batch by batch,
 //     sharing the exact per-point step with the one-shot path so an

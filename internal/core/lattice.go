@@ -34,8 +34,10 @@ const MaxLevels = 16
 var ErrTooManyLevels error = errValue("core: more ε levels than an evaluator keeps (MaxLevels)")
 
 // ValidateEpsList checks an ε sweep list: non-empty, every level
-// positive and finite, no duplicates. Returns one of the named errors
-// above (wrapped with the offending level where there is one).
+// positive and finite and inside the range a single ε must be in
+// (checkEpsRange), no duplicates. Returns one of the named errors above
+// (wrapped with the offending level where there is one) or the range
+// error.
 func ValidateEpsList(epsList []float64) error {
 	if len(epsList) == 0 {
 		return ErrEpsListEmpty
@@ -44,6 +46,9 @@ func ValidateEpsList(epsList []float64) error {
 	for _, e := range epsList {
 		if !(e > 0) || math.IsInf(e, 1) {
 			return fmt.Errorf("%w (got %v)", ErrEpsListNonPositive, e)
+		}
+		if err := checkEpsRange(e); err != nil {
+			return err
 		}
 		if seen[e] {
 			return fmt.Errorf("%w (%v)", ErrEpsListDuplicate, e)

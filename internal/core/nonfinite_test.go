@@ -58,10 +58,11 @@ func TestNonFiniteRejected(t *testing.T) {
 
 // TestCoordinateRange pins the other half of the ingestion guard: a
 // coordinate is accepted up to 2^52 ε-cells from the origin — where the
-// grid, the tiled pipeline and a sweep still answer what All-Pairs
-// answers — and refused one step past it with an error naming it, at
-// every level of a sweep; ε itself is refused where 2^53 cells of it,
-// or its reciprocal, overflow.
+// grid and a sweep, sequential or split by level, still answer what
+// All-Pairs answers — and refused one step past it with an error naming
+// it, at every level of a sweep; ε itself is refused where 2^53 cells
+// of it, or its reciprocal, overflow, and (TestEpsUnderflowRefused)
+// below 2^-511, where its square underflows.
 func TestCoordinateRange(t *testing.T) {
 	const eps = 0.25
 	edge := eps * maxCells
@@ -79,8 +80,10 @@ func TestCoordinateRange(t *testing.T) {
 			t.Fatalf("Parallelism=%d at the edge: %v, %v; want %v", par, got, err, want)
 		}
 	}
-	if got, err := SweepAny(inside, []float64{eps, 2 * eps}, Options{Metric: geom.LInf, Algorithm: GridIndex}); err != nil || !reflect.DeepEqual(got[0].Groups, want.Groups) {
-		t.Fatalf("SweepAny at the edge: %v, %v", got, err)
+	for _, par := range []int{1, 2} {
+		if got, err := SweepAny(inside, []float64{eps, 2 * eps}, Options{Metric: geom.LInf, Algorithm: GridIndex, Parallelism: par}); err != nil || !reflect.DeepEqual(got[0].Groups, want.Groups) {
+			t.Fatalf("SweepAny at the edge, Parallelism=%d: %v, %v", par, got, err)
+		}
 	}
 	// A level below ε puts the edge past 2^52 of its cells: the sweep is
 	// refused as a single-ε run at that level is.
@@ -108,12 +111,12 @@ func TestCoordinateRange(t *testing.T) {
 		t.Fatalf("SGBAll past the edge: %v", err)
 	}
 
-	for _, bad := range []float64{math.MaxFloat64 / maxCells, 1e308, 5e-324, 1e-310} {
+	for _, bad := range []float64{math.MaxFloat64 / maxCells, 1e308, 5e-324, 1e-310, 2.3e-308, math.Nextafter(minEps, 0)} {
 		if err := (Options{Metric: geom.L2, Eps: bad}).Validate(); err == nil {
 			t.Errorf("ε = %v validated", bad)
 		}
 	}
-	for _, ok := range []float64{math.MaxFloat64 / (4 * maxCells), 2.3e-308} {
+	for _, ok := range []float64{math.MaxFloat64 / (4 * maxCells), minEps} {
 		if err := (Options{Metric: geom.L2, Eps: ok}).Validate(); err != nil {
 			t.Errorf("ε = %v: %v", ok, err)
 		}

@@ -1,25 +1,23 @@
 package core
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/geom"
-	"github.com/sgb-db/sgb/internal/partition"
 )
 
 // The randomized parallel↔sequential equivalence suite: SGB-Any's
-// parallel pipeline must produce member-for-member identical groupings
-// at every worker count under every algorithm, across {L2, L∞} ×
-// d ∈ {1, 2, 3}. SGB-All has no pipeline; TestParallelCliquesValid pins
-// that Options.Parallelism changes nothing about it.
+// level split must produce member-for-member identical groupings at
+// every worker count under every algorithm, across {L2, L∞} ×
+// d ∈ {1, 2, 3}. SGB-All has no parallel arm; TestParallelCliquesValid
+// pins that Options.Parallelism changes nothing about it.
 
 func randTestPoints(r *rand.Rand, n, d int, span float64) []geom.Point {
 	pts := make([]geom.Point, n)
@@ -40,6 +38,14 @@ func trialsFor(t *testing.T) int {
 	return 3
 }
 
+// parallelisms are the Parallelism values the level-split suites run
+// at: auto, sequential, and 2, 3 and 8 workers — more workers than
+// levels among them.
+var parallelisms = []int{0, 1, 2, 3, 8}
+
+// TestParallelAnyEquivalence holds SweepAny at k ∈ {1, 2, 3, 5} levels
+// under every finder and every Parallelism to the sequential grid sweep,
+// level by level, and a one-level list to SGBAny as well.
 func TestParallelAnyEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, d := range []int{1, 2, 3} {
@@ -47,22 +53,39 @@ func TestParallelAnyEquivalence(t *testing.T) {
 			for trial := 0; trial < trialsFor(t); trial++ {
 				n := 200 + r.Intn(300)
 				pts := randTestPoints(r, n, d, 7)
-				eps := 0.1 + r.Float64()*0.4
-				seq, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: GridIndex, Parallelism: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, alg := range []Algorithm{AllPairs, OnTheFlyIndex, GridIndex} {
-					for _, workers := range []int{2, 3, 8} {
-						st := &Stats{}
-						opt := Options{Metric: m, Eps: eps, Algorithm: alg, Parallelism: workers, Stats: st}
-						got, err := SGBAny(pts, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got.Groups, seq.Groups) {
-							t.Fatalf("d=%d metric=%v alg=%v workers=%d eps=%.3f: parallel grouping differs from sequential (%d vs %d groups)",
-								d, m, alg, workers, eps, len(got.Groups), len(seq.Groups))
+				for _, k := range []int{1, 2, 3, 5} {
+					levels := make([]float64, k)
+					for l := range levels {
+						levels[l] = 0.1 + r.Float64()*0.4
+					}
+					seq, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, alg := range anyStrategies {
+						for _, par := range parallelisms {
+							what := fmt.Sprintf("d=%d metric=%v alg=%v Parallelism=%d levels=%v", d, m, alg, par, levels)
+							st := &Stats{}
+							got, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: alg, Parallelism: par, Stats: st})
+							if err != nil {
+								t.Fatal(err)
+							}
+							for l := range levels {
+								if !reflect.DeepEqual(got[l].Groups, seq[l].Groups) {
+									t.Fatalf("%s ε=%v: grouping differs from sequential (%d vs %d groups)",
+										what, levels[l], len(got[l].Groups), len(seq[l].Groups))
+								}
+							}
+							checkMerges(t, what, n, got, st)
+							if k == 1 {
+								one, err := SGBAny(pts, Options{Metric: m, Eps: levels[0], Algorithm: alg, Parallelism: par})
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(one.Groups, seq[0].Groups) {
+									t.Fatalf("%s: SGBAny differs from the sequential sweep", what)
+								}
+							}
 						}
 					}
 				}
@@ -71,115 +94,56 @@ func TestParallelAnyEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineHandsPanicBack: a panic on one of the SGB-Any pipeline's
-// own goroutines — a tile worker or a frontier probe worker — comes
-// back to the goroutine that runs the pipeline, where a caller can
-// recover it, instead of killing the process. An unknown metric, which
-// Options.Validate would have refused, panics in every distance call
-// of both stages.
+// TestPipelineHandsPanicBack: a panic on one level worker comes back to
+// the goroutine that runs the evaluation, where a caller can recover
+// it, instead of killing the process. An unknown metric, which
+// Options.Validate would have refused, panics in every distance call.
+// The points lie on a line one apart, so the levels below 0.5 find no
+// neighbouring cells and compute no distance: at two and four workers
+// only the ranges holding a level of 1 or more panic, and the first of
+// them is handed back once the others are done.
 func TestPipelineHandsPanicBack(t *testing.T) {
-	ps := geom.FromPoints(randTestPoints(rand.New(rand.NewSource(3)), 600, 2, 6))
-	const eps = 0.3
+	ps := geom.NewPointSetCap(1, 50)
+	for i := 0; i < 50; i++ {
+		ps.Extend()[0] = float64(i)
+	}
+	opt := Options{Metric: geom.Metric(99), Algorithm: GridIndex}
+	levels := []float64{0.01, 0.02, 0.03, 1.5}
+	calm := func() (p any) {
+		defer func() { p = recover() }()
+		sgbAnyLevels(ps, opt, levels[:2], 1)
+		return nil
+	}()
+	if calm != nil {
+		t.Fatalf("the lowest levels panic on their own: %v", calm)
+	}
 	for _, workers := range []int{1, 2, 4} {
-		if workers > 1 {
-			if plan := partition.Split(ps, eps, workers); plan == nil || len(plan.Frontier) == 0 {
-				t.Fatalf("workers=%d: the input does not tile with a frontier", workers)
-			}
-		}
-		opt := Options{Metric: geom.Metric(99), Eps: eps, Algorithm: GridIndex}
 		got := func() (p any) {
 			defer func() { p = recover() }()
-			sgbAnyLevels(ps, opt, []float64{opt.Metric.EpsKey(eps)}, workers)
+			sgbAnyLevels(ps, opt, levels, workers)
 			return nil
 		}()
 		if got != "geom: unknown metric" {
-			t.Fatalf("workers=%d: the pipeline handed back %v, want the metric's panic", workers, got)
+			t.Fatalf("workers=%d: the evaluation handed back %v, want the metric's panic", workers, got)
 		}
 	}
 }
 
-// TestAnyFrontierPairsExact holds the tiled pipeline's frontier probe to
-// brute force, under both metrics at d ∈ {2, 3, 5}, at one and three
-// workers: it keeps every pair within ε whose endpoints lie in different
-// runs exactly once, by the endpoint in the later run, with the key
-// DistKey gives it bit for bit, and a probe that keeps no pair leaves no
-// run.
-func TestAnyFrontierPairsExact(t *testing.T) {
-	type pair struct {
-		lo, hi int32
-		key    uint64
-	}
-	r := rand.New(rand.NewSource(5))
-	for _, d := range []int{2, 3, 5} {
-		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-			for trial := 0; trial < 3; trial++ {
-				eps := 0.2 + r.Float64()*0.5
-				ps := geom.FromPoints(randTestPoints(r, 400, d, 8))
-				plan := partition.Split(ps, eps, 4+4*trial)
-				if plan == nil {
-					t.Fatal("expected a plan")
-				}
-				eval := ps.Gather(plan.Perm)
-				runOf := make([]int, eval.Len())
-				for pos := range runOf {
-					for plan.Ends[runOf[pos]] <= int32(pos) {
-						runOf[pos]++
-					}
-				}
-				want := map[pair]bool{}
-				for i := 0; i < eval.Len(); i++ {
-					for j := i + 1; j < eval.Len(); j++ {
-						if eval.Within(m, i, j, eps) && runOf[i] != runOf[j] {
-							want[pair{int32(i), int32(j), math.Float64bits(eval.DistKey(m, i, j))}] = true
-						}
-					}
-				}
-				for _, workers := range []int{1, 3} {
-					got := map[pair]bool{}
-					for _, runs := range anyFrontier(eval, plan, Options{Metric: m, Eps: eps}, m.EpsKey(eps), workers) {
-						start := int32(0)
-						for k, end := range runs.ends {
-							if end == start {
-								t.Fatalf("d=%d workers=%d: probe %d left an empty run", d, workers, runs.probes[k])
-							}
-							for x := start; x < end; x++ {
-								p := pair{runs.ids[x], runs.probes[k], math.Float64bits(runs.keys[x])}
-								if got[p] {
-									t.Fatalf("d=%d workers=%d: pair %+v kept twice", d, workers, p)
-								}
-								got[p] = true
-							}
-							start = end
-						}
-					}
-					if len(got) != len(want) {
-						t.Fatalf("d=%d workers=%d: %d frontier pairs, brute force has %d", d, workers, len(got), len(want))
-					}
-					for p := range want {
-						if !got[p] {
-							t.Fatalf("d=%d workers=%d: the frontier misses %+v", d, workers, p)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelAnyMatchesComponents pins the parallel pipeline to the
-// brute-force connected-components reference, not just to the
-// sequential operator.
+// TestParallelAnyMatchesComponents pins every level of a sweep split
+// across four workers to the brute-force connected-components
+// reference, not just to the sequential operator.
 func TestParallelAnyMatchesComponents(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	pts := randTestPoints(r, 400, 2, 6)
-	const eps = 0.3
-	want := ConnectedComponents(pts, geom.L2, eps)
-	got, err := SGBAny(pts, Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 4})
+	levels := []float64{0.1, 0.2, 0.3, 0.5}
+	got, err := SweepAny(pts, levels, Options{Metric: geom.L2, Algorithm: GridIndex, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameGrouping(got.Groups, want) {
-		t.Fatalf("parallel SGB-Any does not match connected components: %d vs %d groups", len(got.Groups), len(want))
+	for l, eps := range levels {
+		if want := ConnectedComponents(pts, geom.L2, eps); !SameGrouping(got[l].Groups, want) {
+			t.Fatalf("ε=%v: the split sweep does not match connected components: %d vs %d groups", eps, len(got[l].Groups), len(want))
+		}
 	}
 }
 
@@ -242,32 +206,30 @@ func peakGoroutines(f func()) (peak, base int) {
 	return <-done, base
 }
 
-// TestParallelDenseSingleTile pins the degenerate-input fallback: a
-// dense blob occupying one ε-cell cannot be partitioned, so the
-// parallel dispatch must decline and the sequential path must still
-// answer — identically to a forced-sequential run.
-func TestParallelDenseSingleTile(t *testing.T) {
+// TestParallelDenseSingleCell: a dense blob occupying one ε-cell at
+// every level, where each range's first level joins the whole input
+// inside one cell, answers at every Parallelism what the sequential
+// sweep answers.
+func TestParallelDenseSingleCell(t *testing.T) {
 	n := 2000
 	pts := make([]geom.Point, n)
 	r := rand.New(rand.NewSource(13))
 	for i := range pts {
 		pts[i] = geom.Point{r.Float64() * 0.1, r.Float64() * 0.1}
 	}
-	base := Options{Metric: geom.L2, Eps: 1, Algorithm: GridIndex}
-	seqOpt := base
-	seqOpt.Parallelism = 1
-	seq, err := SGBAny(pts, seqOpt)
+	levels := []float64{0.5, 1, 2}
+	seq, err := SweepAny(pts, levels, Options{Metric: geom.L2, Algorithm: GridIndex, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parOpt := base
-	parOpt.Parallelism = 4
-	got, err := SGBAny(pts, parOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Groups, seq.Groups) {
-		t.Fatal("single-tile fallback grouping differs from sequential")
+	for _, par := range parallelisms {
+		got, err := SweepAny(pts, levels, Options{Metric: geom.L2, Algorithm: GridIndex, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, seq) {
+			t.Fatalf("Parallelism=%d: a single-cell sweep differs from sequential", par)
+		}
 	}
 }
 
@@ -325,153 +287,102 @@ func TestParallelismAutoThreshold(t *testing.T) {
 	}
 }
 
-// BenchmarkAnyPipelinePhases times SGB-Any's tiled pipeline phase by
-// phase at a four-tile split, beside the sequential evaluation, over
-// sql_cold's DISTANCE-TO-ANY shape: 12 000 Brightkite-profile check-ins,
-// L2, at its three ε, and over eps_cube_cold's eight-level L2 list
-// (levels=8: one forest per level, tiles cut at the top). Run it on one
-// core, so that every timer reads work rather than wall time,
+// BenchmarkAnyLevelFloor reads the level split's floor over
+// eps_cube_cold's shape: 8 000 Brightkite-profile check-ins, L2, at its
+// lists of k = 2, 3, 5 and 8 levels. Run it on one core, so that every
+// timer reads work rather than wall time,
 //
-//	go test -run '^$' -bench AnyPipelinePhases -cpu 1 -benchtime 20x ./internal/core/
+//	go test -run '^$' -bench AnyLevelFloor -cpu 1 -benchtime 20x ./internal/core/
 //
-// and read Brent's bound T_p ≥ max(W / p, S) off it by PR 24's rule:
-// split (the Z-order sort, the cuts and the frontier test) plus the
-// gather and the merge (Union-Find reduction plus group extraction)
-// serial, tiles and frontier perfectly divisible,
+// It times the sequential evaluation (seq-ms), then each range of the
+// split at w = 2 and w = 4 workers (w = min(workers, k)) one after
+// another. Nothing of the split is serial but a Stats merge, and a range
+// is not divisible, so the floor at w workers is
 //
-//	floor(p) = split + merge + (tiles + frontier) / p
+//	floor(w) = the largest range's time
 //
-// seq/floor4 is a speed-up no four-core schedule can beat; seq/spanfloor4
-// bounds it tighter by the largest tile, which no schedule divides.
-// frontier-share is the frontier's share of the input. ARCHITECTURE.md
+// and seq/floor-w is a speed-up no schedule of w workers can beat. A
+// parallel path is kept only while it clears 1.3 ×; ARCHITECTURE.md
 // records the verdict.
-func BenchmarkAnyPipelinePhases(b *testing.B) {
-	ps := geom.FromPoints(checkin.Points(checkin.Brightkite(12000)))
-	for _, c := range []struct {
-		name   string
-		levels []float64
-	}{
-		{"eps=0.05", []float64{0.05}}, {"eps=0.2", []float64{0.2}}, {"eps=0.8", []float64{0.8}},
-		{"levels=8", []float64{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8}},
+func BenchmarkAnyLevelFloor(b *testing.B) {
+	ps := geom.FromPoints(checkin.Points(checkin.Brightkite(8000)))
+	for _, levels := range [][]float64{
+		{0.1, 0.4},
+		{0.1, 0.2, 0.4},
+		{0.05, 0.1, 0.2, 0.4, 0.8},
+		{0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8},
 	} {
-		eps := c.levels[len(c.levels)-1]
-		b.Run(c.name, func(b *testing.B) {
-			opt := Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 1}
-			keys := make([]float64, len(c.levels))
-			for l, e := range c.levels {
-				keys[l] = opt.Metric.EpsKey(e)
-			}
-			var seq, split, tiles, largest, front, merge time.Duration
-			var frontier int
-			lap := func(d *time.Duration, t0 time.Time) time.Duration {
-				e := time.Since(t0)
-				*d += e
-				return e
-			}
+		k := len(levels)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			opt := Options{Metric: geom.L2, Algorithm: GridIndex}
+			out := make([][]Group, k)
+			var seq time.Duration
+			largest := map[int]time.Duration{}
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				sgbAnyLevels(ps, opt, keys, 1)
-				lap(&seq, t0)
-
-				t0 = time.Now()
-				plan := partition.Split(ps, eps, 4)
-				if plan == nil {
-					b.Fatal("the input does not split into tiles")
+				sgbAnyLevels(ps, opt, levels, 1)
+				seq += time.Since(t0)
+				for _, workers := range []int{2, 4} {
+					w := min(workers, k)
+					var worst time.Duration
+					for r := 0; r < w; r++ {
+						lo, hi := r*k/w, (r+1)*k/w
+						t0 = time.Now()
+						anyRange(ps, opt, levels[lo:hi], out[lo:hi])
+						worst = max(worst, time.Since(t0))
+					}
+					largest[workers] += worst
 				}
-				eval := ps.Gather(plan.Perm)
-				lap(&split, t0)
-				frontier += len(plan.Frontier)
-				fs := make([]*anyForests, len(plan.Ends))
-				var worst time.Duration
-				for t := range plan.Ends {
-					t0 = time.Now()
-					tile := eval.Slice(runStart(plan, t), int(plan.Ends[t]))
-					fs[t] = newAnyForests(keys, tile.Len())
-					sgbAnyLocal(tile, opt, fs[t])
-					worst = max(worst, lap(&tiles, t0))
-				}
-				largest += worst
-				t0 = time.Now()
-				runs := anyFrontier(eval, plan, opt, keys[len(keys)-1], 1)
-				lap(&front, t0)
-				t0 = time.Now()
-				f := newAnyForests(keys, eval.Len())
-				anyMerge(f, plan, fs, runs, opt)
-				inv := invertPerm(plan.Perm)
-				for _, uf := range f.ufs {
-					groupsFromUF(uf, inv)
-				}
-				lap(&merge, t0)
 			}
 			ms := func(d time.Duration) float64 { return float64(d) / float64(b.N) / 1e6 }
-			serial, work := ms(split)+ms(merge), ms(tiles)+ms(front)
-			floor, span := serial+work/4, serial+max(work/4, ms(largest))
-			for _, m := range []struct {
-				unit string
-				v    float64
-			}{
-				{"seq-ms", ms(seq)}, {"split-ms", ms(split)},
-				{"tiles-ms", ms(tiles)}, {"largest-tile-ms", ms(largest)}, {"frontier-ms", ms(front)},
-				{"merge-ms", ms(merge)}, {"floor4-ms", floor}, {"seq/floor4", ms(seq) / floor},
-				{"seq/spanfloor4", ms(seq) / span},
-				{"frontier-share", float64(frontier) / float64(b.N) / float64(ps.Len())},
-			} {
-				b.ReportMetric(m.v, m.unit)
+			b.ReportMetric(ms(seq), "seq-ms")
+			for _, workers := range []int{2, 4} {
+				b.ReportMetric(ms(largest[workers]), fmt.Sprintf("floor-%d-ms", workers))
+				b.ReportMetric(ms(seq)/ms(largest[workers]), fmt.Sprintf("seq/floor-%d", workers))
 			}
 		})
 	}
 }
 
-// TestParallelAnyRoundingPair pins a pair the tiled pipeline once lost:
-// (1.5999999999999999, 0) and (2.4, 0) are exactly ε = 0.8 apart, but
-// floor(x/ε) puts them in cells 1 and 3, so a frontier of the cell
-// layers touching a cut misses the one that is not next to it. The
-// first input is the one a per-axis cutter split after cell 2; the
-// second puts the pair across a run boundary of the Z-order cutter.
-// Under both metrics the pipeline must join them at every worker
-// count, as the sequential run and All-Pairs do.
+// TestParallelAnyRoundingPair pins a pair exactly ε = 0.8 apart,
+// (1.5999999999999999, 0) and (2.4, 0), which floor(x/ε) puts in cells
+// 1 and 3, beside far clusters: under both metrics every finder joins
+// it at every Parallelism, single-ε and as the top level of a sweep
+// whose ranges split it from lower levels, as All-Pairs does.
 func TestParallelAnyRoundingPair(t *testing.T) {
-	pair := []geom.Point{{1.5999999999999999, 0}, {2.4, 0}}
-	cutter := append([]geom.Point(nil), pair...)
+	pts := []geom.Point{{1.5999999999999999, 0}, {2.4, 0}}
 	for i := 0; i < 10; i++ {
-		cutter = append(cutter, geom.Point{2.0, 10 + 0.01*float64(i)})
+		pts = append(pts, geom.Point{2.0, 10 + 0.01*float64(i)})
 	}
 	for i := 0; i < 5; i++ {
-		cutter = append(cutter, geom.Point{40, 10 + 0.01*float64(i)}, geom.Point{-40, 10 + 0.01*float64(i)})
-	}
-	across := append([]geom.Point(nil), pair...)
-	for i := 0; i < 4; i++ {
-		across = append(across, geom.Point{-40, 10 + 0.01*float64(i)}, geom.Point{40, 10 + 0.01*float64(i)})
+		pts = append(pts, geom.Point{40, 10 + 0.01*float64(i)}, geom.Point{-40, 10 + 0.01*float64(i)})
 	}
 	const eps = 0.8
-	plan := partition.Split(geom.FromPoints(across), eps, 2)
-	if plan == nil {
-		t.Fatal("the across input does not tile")
-	}
-	inFirstRun := func(id int32) bool { return slices.Index(plan.Perm, id) < int(plan.Ends[0]) }
-	if inFirstRun(0) == inFirstRun(1) {
-		t.Fatal("the across input no longer puts the pair in two runs")
-	}
-	for name, pts := range map[string][]geom.Point{"cutter": cutter, "across": across} {
-		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-			if !m.Within(pts[0], pts[1], eps) {
-				t.Fatalf("%s metric=%v: the pair is not within ε", name, m)
-			}
-			want, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: AllPairs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, alg := range []Algorithm{AllPairs, OnTheFlyIndex, GridIndex} {
-				for _, workers := range []int{1, 2, 3, 4} {
-					got, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: alg, Parallelism: workers})
-					if err != nil {
-						t.Fatal(err)
+	levels := []float64{0.005, 0.4, eps}
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+		if !m.Within(pts[0], pts[1], eps) {
+			t.Fatalf("metric=%v: the pair is not within ε", m)
+		}
+		want, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: AllPairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range anyStrategies {
+			for _, par := range parallelisms {
+				got, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: alg, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				swept, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: alg, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for how, res := range map[string]*Result{"single-ε": got, "sweep": swept[2]} {
+					if !reflect.DeepEqual(res.Groups, want.Groups) {
+						t.Fatalf("%s metric=%v alg=%v Parallelism=%d: %v, All-Pairs has %v", how, m, alg, par, res.Groups, want.Groups)
 					}
-					if !reflect.DeepEqual(got.Groups, want.Groups) {
-						t.Fatalf("%s metric=%v alg=%v workers=%d: %v, All-Pairs has %v", name, m, alg, workers, got.Groups, want.Groups)
-					}
-					if len(got.Groups[0].Members) != 2 || got.Groups[0].Members[1] != 1 {
-						t.Fatalf("%s metric=%v alg=%v workers=%d: the pair is split: %v", name, m, alg, workers, got.Groups)
+					if len(res.Groups[0].Members) != 2 || res.Groups[0].Members[1] != 1 {
+						t.Fatalf("%s metric=%v alg=%v Parallelism=%d: the pair is split: %v", how, m, alg, par, res.Groups)
 					}
 				}
 			}
@@ -479,38 +390,45 @@ func TestParallelAnyRoundingPair(t *testing.T) {
 	}
 }
 
-// TestParallelAnyCoarseKey: at d = 4 the Z-order key has 16 bits an
-// axis, so an axis spanning 2^17 ε-cells is keyed in coarser cells. The
-// input still tiles, and its grouping equals the sequential one at
-// every worker count.
+// TestParallelAnyCoarseKey: at d = 4, with every axis spanning 2^17
+// ε-cells, a point's cell coordinates need more than 64 bits, so the
+// cell graph sorts by two keys. Every level of a sweep equals the
+// sequential one at every Parallelism.
 func TestParallelAnyCoarseKey(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	const eps = 0.5
 	pts := make([]geom.Point, 0, 801)
-	for i := 0; i < 800; i++ {
-		// Clusters along the wide axis, so groups span several points.
-		c := float64(r.Intn(100)) * eps * (1 << 17) / 100
-		pts = append(pts, geom.Point{c + r.Float64(), r.Float64(), r.Float64(), r.Float64()})
+	for c := 0; c < 50; c++ {
+		// Clusters across the wide axes, so groups span several points.
+		centre := make(geom.Point, 4)
+		for k := range centre {
+			centre[k] = float64(r.Intn(100)) * eps * (1 << 17) / 100
+		}
+		for i := 0; i < 16; i++ {
+			p := make(geom.Point, 4)
+			for k := range p {
+				p[k] = centre[k] + r.Float64()*0.6
+			}
+			pts = append(pts, p)
+		}
 	}
-	pts = append(pts, geom.Point{eps * (1 << 17), 0, 0, 0})
-	if plan := partition.Split(geom.FromPoints(pts), eps, 4); plan == nil || len(plan.Ends) != 4 {
-		t.Fatal("a 2^17-cell axis at d=4 must tile four ways")
-	}
+	pts = append(pts, geom.Point{eps * (1 << 17), eps * (1 << 17), eps * (1 << 17), eps * (1 << 17)})
+	levels := []float64{eps / 2, eps}
 	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-		seq, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: GridIndex, Parallelism: 1})
+		seq, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq.Groups) >= len(pts)-10 {
-			t.Fatalf("metric=%v: %d groups over %d points joins too little to test", m, len(seq.Groups), len(pts))
+		if len(seq[1].Groups) >= len(pts)-10 {
+			t.Fatalf("metric=%v: %d groups over %d points joins too little to test", m, len(seq[1].Groups), len(pts))
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: GridIndex, Parallelism: workers})
+		for _, par := range parallelisms {
+			got, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Groups, seq.Groups) {
-				t.Fatalf("metric=%v workers=%d: grouping differs from Parallelism 1", m, workers)
+			if !reflect.DeepEqual(got, seq) {
+				t.Fatalf("metric=%v Parallelism=%d: grouping differs from Parallelism 1", m, par)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
-	"github.com/sgb-db/sgb/internal/partition"
 	"github.com/sgb-db/sgb/internal/rtree"
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
@@ -52,7 +51,7 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 	if err := checkCoords(ps, opt.Eps); err != nil {
 		return nil, err
 	}
-	res.Groups = sgbAnyLevels(ps, opt, []float64{opt.Metric.EpsKey(opt.Eps)}, opt.workers(ps.Len()))[0]
+	res.Groups = sgbAnyLevels(ps, opt, []float64{opt.Eps}, opt.workers(ps.Len()))[0]
 	return res, nil
 }
 
@@ -104,42 +103,29 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 	if err := checkCoords(ps, epsList[order[0]]); err != nil {
 		return nil, err
 	}
-	keys := make([]float64, len(order))
+	eps := make([]float64, len(order))
 	for l, i := range order {
-		keys[l] = opt.Metric.EpsKey(epsList[i])
+		eps[l] = epsList[i]
 	}
-	for l, groups := range sgbAnyLevels(ps, opt, keys, opt.workers(ps.Len())) {
+	for l, groups := range sgbAnyLevels(ps, opt, eps, opt.workers(ps.Len())) {
 		out[order[l]] = &Result{Groups: groups}
 	}
 	return out, nil
 }
 
-// sgbAnyLevels is SGB-Any's one evaluation pipeline, behind the
-// single-ε operator (one level) and the one-shot ε sweep alike. keys are
-// the levels' thresholds in DistKey space, ascending; opt.Eps is the top
-// level's ε, the radius every probe uses. It returns each level's
-// groups in keys' order.
-func sgbAnyLevels(ps *geom.PointSet, opt Options, keys []float64, workers int) [][]Group {
-	// With more than one worker the evaluation runs as partition →
-	// tile-local evaluate → Union-Find merge over runs of the Z-order of
-	// the input's ε-cells (see parallel.go); the tiles are evaluated over
-	// the input gathered in that order, and output member ids are
-	// remapped back to input order — sound for SGB-Any only, whose
-	// connected components are order-independent. Otherwise (or when the
-	// input spans too few ε-cells to cut) the whole input is evaluated
-	// inline in input order: the grid orders points by cell itself
-	// (cellGraph).
-	f := newAnyForests(keys, ps.Len())
-	var inv []int32
-	if plan := partition.Split(ps, opt.Eps, workers); plan != nil {
-		sgbAnyParallel(ps.Gather(plan.Perm), plan, opt, f, workers)
-		inv = invertPerm(plan.Perm)
+// sgbAnyLevels is SGB-Any's one-shot evaluation, behind the single-ε
+// operator (one level) and the one-shot ε sweep alike. eps are the
+// levels, ascending; opt.Eps is ignored. It returns each level's groups
+// in eps' order. With more than one worker and more than one level the
+// levels are split into contiguous ranges evaluated in parallel
+// (sgbAnyByLevel); otherwise they are evaluated inline, the grid
+// starting each level from the one below (cellGraph).
+func sgbAnyLevels(ps *geom.PointSet, opt Options, eps []float64, workers int) [][]Group {
+	out := make([][]Group, len(eps))
+	if w := min(workers, len(eps)); w > 1 {
+		sgbAnyByLevel(ps, opt, eps, out, w)
 	} else {
-		sgbAnyLocal(ps, opt, f)
-	}
-	out := make([][]Group, len(keys))
-	for l, uf := range f.ufs {
-		out[l] = groupsFromUF(uf, inv)
+		anyRange(ps, opt, eps, out)
 	}
 	return out
 }
@@ -372,10 +358,10 @@ func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {
 }
 
 // anyJoin is SGB-Any's one join: VerifyPoints and MergeGroupsInsert for
-// every index, every number of levels, the tiled pipeline's frontier
-// merge and a maintained evaluator's appends and probe passes. It holds
-// the scratch of one probe: the candidates, their comparison keys, and
-// the probing point's root at each level.
+// every index, every number of levels, and a maintained evaluator's
+// appends and probe passes. It holds the scratch of one probe: the
+// candidates, their comparison keys, and the probing point's root at
+// each level.
 type anyJoin struct {
 	ids   []int32
 	keys  []float64
@@ -437,9 +423,8 @@ func (j *anyJoin) link(i int, ids []int32, keys []float64, f *anyForests) int64 
 // (nil: every position of uf, in order), reporting each point by its
 // index in live (live[id] = stored position of the point with output
 // id): groups ordered by smallest output id, members ascending. The
-// one-shot run (nil), the tiled one (the inverse permutation)
-// and the decremental evaluator (surviving positions in arrival order)
-// all extract here, the first two for every level of a sweep. Two
+// one-shot run (nil), for every level of a sweep, and the maintained
+// evaluator (surviving positions in arrival order) both extract here. Two
 // passes: the first gives each point its group's slot and counts group
 // sizes, the second fills one backing array carved into exact-capacity
 // member slices — no per-member append regrowth, and appending to one
@@ -482,15 +467,9 @@ func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
 	return groups
 }
 
-// invertPerm returns the inverse of a Z-order permutation (perm[pos] =
-// original input index; nil stays nil). Passed to groupsFromUF as live,
-// it reports components over permuted positions as an unpermuted run
-// would: groups ordered by smallest original member, members ascending
-// in original input order.
+// invertPerm returns the inverse of a batch's Z-order permutation
+// (perm[pos] = the batch index stored at pos).
 func invertPerm(perm []int32) []int32 {
-	if perm == nil {
-		return nil
-	}
 	inv := make([]int32, len(perm))
 	for pos, orig := range perm {
 		inv[orig] = int32(pos)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -14,14 +15,12 @@ import (
 
 // checkSweepLevels holds every level of SweepAnySet on the grid, at
 // each worker count of pars, to SGBAnySet under All-Pairs at that level
-// (deep-equal: group order, member order, nil slices). The index counts
-// must say which build ran (checkGridWork): one update and one probe
-// per occupied cell and level of the whole input, or of each tile plus
-// one probe per frontier point past the first run when it was tiled. It
-// reports how many of the runs were tiled.
-func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []float64, m geom.Metric, pars []int) (tiled int) {
+// (deep-equal: group order, member order, nil slices). Its Stats must
+// be the work of the level ranges it was split into (checkGridWork):
+// one update and one probe per occupied cell and level, and each
+// range's keys and merges. It reports how many of the runs were split.
+func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []float64, m geom.Metric, pars []int) (split int) {
 	t.Helper()
-	n := ps.Len()
 	want := make([]*Result, len(levels))
 	for l, eps := range levels {
 		res, err := SGBAnySet(ps, Options{Metric: m, Eps: eps, Algorithm: AllPairs})
@@ -41,11 +40,11 @@ func checkSweepLevels(t *testing.T, what string, ps *geom.PointSet, levels []flo
 				t.Fatalf("%s Parallelism=%d eps=%v: level differs from SGBAny\ngot  %v\nwant %v", what, par, eps, got[l].Groups, want[l].Groups)
 			}
 		}
-		if checkGridWork(t, fmt.Sprintf("%s Parallelism=%d", what, par), ps, m, levels, min(par, n), st) {
-			tiled++
+		if checkGridWork(t, fmt.Sprintf("%s Parallelism=%d", what, par), ps, m, levels, par, st) {
+			split++
 		}
 	}
-	return tiled
+	return split
 }
 
 // sweepShape draws one input shape of TestSweepLevelsEquivalence over d
@@ -89,12 +88,12 @@ func sweepShape(r *rand.Rand, shape string, d int) (*geom.PointSet, []float64) {
 // matrix: {L2, L∞} × d ∈ {1, 2, 3, 5} × k ∈ {1, 2, 3, 8} levels (drawn
 // unsorted) × three input shapes (uniform, duplicated points,
 // lattice-aligned points with distances exactly on a level), each at
-// Parallelism 1, 2, 3 and 8 (checkSweepLevels). Every shape must have
-// been tiled somewhere, or the pipeline's merge went untested.
+// every Parallelism of parallelisms (checkSweepLevels). Every shape
+// must have been split somewhere, or the level split went untested.
 func TestSweepLevelsEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(2929))
 	for _, shape := range []string{"uniform", "duplicates", "lattice"} {
-		tiled := 0
+		split := 0
 		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 			for _, d := range []int{1, 2, 3, 5} {
 				ps, pool := sweepShape(r, shape, d)
@@ -104,12 +103,12 @@ func TestSweepLevelsEquivalence(t *testing.T) {
 						levels[l] = pool[i]
 					}
 					what := fmt.Sprintf("%s %v d=%d levels=%v", shape, m, d, levels)
-					tiled += checkSweepLevels(t, what, ps, levels, m, []int{1, 2, 3, 8})
+					split += checkSweepLevels(t, what, ps, levels, m, parallelisms)
 				}
 			}
 		}
-		if tiled == 0 {
-			t.Fatalf("%s: no run was tiled", shape)
+		if split == 0 {
+			t.Fatalf("%s: no run was split", shape)
 		}
 	}
 }
@@ -274,7 +273,7 @@ func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom
 // sweepLevelsSeeds builds FuzzSweepLevels' seed corpus: the 6 × 6 L∞
 // lattice the R-tree once mis-grouped, dyadic and 0.3-step lattices with
 // duplicates under both metrics, unsorted eight-level lists, a 1-d chain
-// across many ε-cells (cross-tile edges at two workers), d = 5, a
+// across many ε-cells, d = 5, a
 // single point, and dyadic lattices far from the origin at d ∈ {1, 2,
 // 3, 5}, whose pairs lie exactly a level apart on its cell boundaries.
 func sweepLevelsSeeds() [][]byte {
@@ -318,8 +317,8 @@ func sweepLevelsSeeds() [][]byte {
 }
 
 // FuzzSweepLevels decodes its input as a point set and an ε list
-// (decodeSweepLevels) and holds every level of SweepAnySet, at one
-// worker and at two, to SGBAnySet (checkSweepLevels).
+// (decodeSweepLevels) and holds every level of SweepAnySet, at every
+// Parallelism of parallelisms, to SGBAnySet (checkSweepLevels).
 // The seed corpus is built in code (sweepLevelsSeeds).
 func FuzzSweepLevels(f *testing.F) {
 	for _, seed := range sweepLevelsSeeds() {
@@ -330,7 +329,7 @@ func FuzzSweepLevels(f *testing.F) {
 		if !ok {
 			return
 		}
-		checkSweepLevels(t, fmt.Sprintf("%v levels=%v", m, levels), ps, levels, m, []int{1, 2})
+		checkSweepLevels(t, fmt.Sprintf("%v levels=%v", m, levels), ps, levels, m, parallelisms)
 	})
 }
 
@@ -382,18 +381,18 @@ func TestLatticeEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestLatticeEquivalenceParallelOneShot: sweep levels also match
-// GridIndex one-shot runs forced through the parallel pipeline.
+// TestLatticeEquivalenceParallelOneShot: the levels of a grid sweep
+// split across four workers also match single-ε GridIndex runs.
 func TestLatticeEquivalenceParallelOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(809))
 	points := randomPointsDim(r, 400, 2, 6)
 	epsList := []float64{0.2, 0.55, 0.9, 1.4}
-	swept, err := SweepAny(points, epsList, Options{Metric: geom.L2})
+	swept, err := SweepAny(points, epsList, Options{Metric: geom.L2, Algorithm: GridIndex, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for li, eps := range epsList {
-		oneShot, err := SGBAny(points, Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 4})
+		oneShot, err := SGBAny(points, Options{Metric: geom.L2, Eps: eps, Algorithm: GridIndex, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,37 +404,53 @@ func TestLatticeEquivalenceParallelOneShot(t *testing.T) {
 
 // TestLatticeParallelism: Options.Parallelism sets how many goroutines
 // sweep and nothing else — every level of SweepAny equals the
-// Parallelism = 1 answer, over L2 and L∞, d ∈ {1, 2, 3} and duplicated
-// points. The index counts show which build ran (checkGridWork): a
-// tiled one counts each tile's cells and probes the frontier points.
+// Parallelism = 1 answer, over L2 and L∞, d ∈ {1, 2, 3}, duplicated
+// points and lists of one, two and four levels. The Stats show which
+// build ran (checkGridWork): below the auto threshold, at one worker or
+// at one level it is sequential, otherwise split into
+// min(Parallelism, k) ranges — at auto from parallelThreshold points,
+// into min(GOMAXPROCS, k).
 func TestLatticeParallelism(t *testing.T) {
 	r := rand.New(rand.NewSource(813))
-	levels := []float64{0.15, 0.4, 0.9, 1.5}
-	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-		for _, d := range []int{1, 2, 3} {
-			pts := randomPointsDim(r, 300, d, 6)
-			pts = append(pts, pts[:40]...)
-			seqStats := &Stats{}
-			want, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: 1, Stats: seqStats})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps := geom.FromPoints(pts)
-			if checkGridWork(t, fmt.Sprintf("%v d=%d Parallelism=1", m, d), ps, m, levels, 1, seqStats) {
-				t.Fatalf("%v d=%d Parallelism=1: the build was tiled", m, d)
-			}
-			for _, par := range []int{2, 3, 8} {
-				st := &Stats{}
-				got, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: par, Stats: st})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !checkGridWork(t, fmt.Sprintf("%v d=%d Parallelism=%d", m, d, par), ps, m, levels, par, st) {
-					t.Fatalf("%v d=%d Parallelism=%d: the build was not tiled", m, d, par)
-				}
-				for li := range levels {
-					if err := sameMembers(got[li], want[li]); err != nil {
-						t.Fatalf("%v d=%d Parallelism=%d eps=%v: %v", m, d, par, levels[li], err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	big := geom.FromPoints(randomPointsDim(r, parallelThreshold+100, 2, 30))
+	auto := []float64{0.1, 0.2, 0.4}
+	want, err := SweepAnySet(big, auto, Options{Metric: geom.L2, Algorithm: GridIndex, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &Stats{}
+	got, err := SweepAnySet(big, auto, Options{Metric: geom.L2, Algorithm: GridIndex, Stats: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !checkGridWork(t, "auto", big, geom.L2, auto, 0, st) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("auto at %d points: not split into two ranges, or not the sequential answer", big.Len())
+	}
+	for _, levels := range [][]float64{{0.4}, {0.15, 0.9}, {0.15, 0.4, 0.9, 1.5}} {
+		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+			for _, d := range []int{1, 2, 3} {
+				pts := randomPointsDim(r, 300, d, 6)
+				pts = append(pts, pts[:40]...)
+				ps := geom.FromPoints(pts)
+				var want []*Result
+				for _, par := range append([]int{1}, parallelisms...) {
+					what := fmt.Sprintf("%v d=%d levels=%v Parallelism=%d", m, d, levels, par)
+					st := &Stats{}
+					got, err := SweepAny(pts, levels, Options{Metric: m, Algorithm: GridIndex, Parallelism: par, Stats: st})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if split := checkGridWork(t, what, ps, m, levels, par, st); split != (par > 1 && len(levels) > 1) {
+						t.Fatalf("%s: split %t", what, split)
+					}
+					if want == nil {
+						want = got
+					}
+					for li := range levels {
+						if err := sameMembers(got[li], want[li]); err != nil {
+							t.Fatalf("%s eps=%v: %v", what, levels[li], err)
+						}
 					}
 				}
 			}

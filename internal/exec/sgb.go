@@ -19,9 +19,9 @@ import (
 // rows carry the aggregate results in spec order.
 //
 // Opt.Parallelism (threaded down from the planner's SGBParallelism /
-// the engine's SET parallelism session setting) selects the worker
-// count of core's SGB-Any pipeline, the one-shot sweep behind EpsList
-// included (SGB-All has none); the node's own plumbing
+// the engine's SET parallelism session setting) bounds the workers
+// core splits a one-shot SGB-Any sweep's ε levels across (EpsList; a
+// single ε and SGB-All run sequentially); the node's own plumbing
 // is oblivious to it, and output rows are bit-identical at every
 // setting.
 type SGB struct {

@@ -29,9 +29,9 @@
 // PointSet's cells (ZOrder; MortonKey, MortonPerm): cell quantization,
 // per-axis normalization, the interleaved key — coarsened on an axis
 // wider than its bits, never aliased, so it grows with every cell
-// coordinate — and a radix sort. SGB-Any evaluates its input in this
-// order so consecutive cell-neighborhood probes stay cache-resident
-// (remapping member ids back to input order on output),
-// internal/partition cuts its tiles from it, and internal/grid's
-// BulkLoad registers in it.
+// coordinate — and a radix sort. A maintained SGB-Any evaluator absorbs
+// each batch in this order so consecutive cell-neighborhood probes stay
+// cache-resident (remapping member ids back to input order on output),
+// internal/partition (kept for the benchmark's partition.split_ms) cuts
+// its tiles from it, and internal/grid's BulkLoad registers in it.
 package geom

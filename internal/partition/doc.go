@@ -1,6 +1,9 @@
-// Package partition implements the spatial sharding stage of the
-// parallel similarity group-by pipeline: partition → tile-local
-// evaluate → merge. Points are sorted along the Z-curve of their ε-cells
+// Package partition cuts a point set into Z-order tiles with an
+// ε-frontier. The engine no longer calls it: SGB-Any parallelizes
+// across ε levels, not tiles (internal/core, parallel.go), and SGB-All
+// is sequential. It is kept because the end-to-end benchmark's traced
+// pass times Split as partition.split_ms (bench/probe.go); it goes when
+// that metric does. Points are sorted along the Z-curve of their ε-cells
 // (geom.ZOrder), and the sorted order is cut into near-equal runs at
 // cell boundaries: a tile is a run of positions, which a caller that
 // gathers the input in that order evaluates as a slice.
@@ -12,10 +15,7 @@
 // inside its run's range covers cells of that run only. A cross-run
 // pair within ε lies in each other's padded box, so both endpoints are
 // frontier. Tile-local evaluation plus a frontier merge is therefore
-// exact for connected-component (SGB-Any) semantics, which the SGB-Any
-// pipeline relies on (its frontier probe and merge live in
-// internal/core). SGB-All has no tiled pipeline
-// (docs/pr24-sgball-sequential.md).
+// exact for connected-component (SGB-Any) semantics.
 //
 // Invariants (exercised by partition_test.go at d ∈ {1, 2, 3, 5},
 // FuzzSplitFrontier and Brightkite check-ins):
@@ -29,6 +29,6 @@
 //
 // The package is deliberately independent of the operator core: it
 // knows points, ε, and a tile-count target — geometry only, no metric —
-// and returns the order, the cuts and the frontier. The callers supply
+// and returns the order, the cuts and the frontier. A caller supplies
 // the tile-local algorithm, the frontier probe and the merge.
 package partition

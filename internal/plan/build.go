@@ -28,12 +28,12 @@ type Builder struct {
 	// and benchmarks override it to compare All-Pairs, Bounds-Checking,
 	// and the R-tree.
 	SGBAlgorithm core.Algorithm
-	// SGBParallelism is the worker count of the DISTANCE-TO-ANY
-	// pipeline, one-shot EPS IN and the cube included: 0 (the planner
-	// default) lets the operator pick GOMAXPROCS
-	// workers on large inputs, 1 forces sequential evaluation, ≥ 2
-	// forces that many workers. DISTANCE-TO-ALL nodes carry it and
-	// evaluate sequentially.
+	// SGBParallelism bounds the workers a one-shot DISTANCE-TO-ANY
+	// EPS IN or cube splits its ε levels across: 0 (the planner default)
+	// lets the operator pick GOMAXPROCS workers on large inputs, 1
+	// forces sequential evaluation, ≥ 2 allows that many workers. A
+	// single ε and DISTANCE-TO-ALL nodes carry it and evaluate
+	// sequentially.
 	SGBParallelism int
 	// SGBSeed seeds JOIN-ANY arbitration.
 	SGBSeed int64

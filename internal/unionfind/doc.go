@@ -8,13 +8,11 @@
 // Ackermann function (α(n) ≤ 4 for any realistic n), which is what gives
 // SGB-Any its O(n log n) average-case bound.
 //
-// Beyond the paper's one-shot use, the forest is the merge substrate of
-// the parallel pipeline and the incremental evaluator:
+// Beyond the paper's one-shot use, the forest is the state of a one-shot
+// ε sweep and of the incremental evaluator:
 //
-//   - Absorb folds a worker-private forest over a tile into the global
-//     one at the tile's offset: a tile is a contiguous run of the global
-//     elements (single-threaded reduction; the forest is not safe for
-//     concurrent mutation).
+//   - CopyFrom starts one level of a one-shot sweep from the level
+//     below.
 //   - Add grows the forest one singleton at a time, which is what lets
 //     incremental SGB-Any (internal/core's AnyEvaluator) absorb
 //     appended points without rebuilding.
@@ -24,6 +22,6 @@
 //     re-union their survivors.
 //
 // Union is commutative and associative over the resulting partition, so
-// any merge order — sequential, sharded, or append-interleaved — yields
-// the same components.
+// any merge order — sequential or append-interleaved — yields the same
+// components.
 package unionfind

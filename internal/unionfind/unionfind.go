@@ -101,19 +101,6 @@ func (u *UF) Reset(x int) {
 // Reset re-counts one element as a fresh singleton.
 func (u *UF) DropSets(n int) { u.count -= n }
 
-// Absorb merges another forest's partition into u at an offset: element
-// i of o is element base+i of u. Used by the tile-local evaluate stage —
-// each worker builds a private forest over its tile, a contiguous run
-// of u's elements, and the merge stage folds the tile partitions into
-// the global one.
-func (u *UF) Absorb(o *UF, base int) {
-	for i := range o.parent {
-		if r := o.Find(i); r != i {
-			u.Union(base+i, base+r)
-		}
-	}
-}
-
 // CopyFrom makes u a copy of o's forest, which must have u's length:
 // the same parents, ranks and set count, in u's own storage. A one-shot
 // ε sweep starts each level from the level below this way.

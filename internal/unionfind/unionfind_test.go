@@ -163,38 +163,3 @@ func TestLinkMatchesUnion(t *testing.T) {
 		}
 	}
 }
-
-// TestAbsorbAtOffset: absorbing tile forests at their offsets yields
-// the partition of unioning every tile's pairs in the global forest.
-func TestAbsorbAtOffset(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	sizes := []int{7, 1, 12, 5}
-	n := 0
-	for _, s := range sizes {
-		n += s
-	}
-	got, want := New(n), New(n)
-	got.Union(0, n-1) // a global edge absorbed forests must keep
-	want.Union(0, n-1)
-	base := 0
-	for _, s := range sizes {
-		tile := New(s)
-		for k := 0; k < s; k++ {
-			a, b := r.Intn(s), r.Intn(s)
-			tile.Union(a, b)
-			want.Union(base+a, base+b)
-		}
-		got.Absorb(tile, base)
-		base += s
-	}
-	if got.Count() != want.Count() {
-		t.Fatalf("%d sets after Absorb, want %d", got.Count(), want.Count())
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if got.Same(i, j) != want.Same(i, j) {
-				t.Fatalf("elements %d and %d: Absorb says %v", i, j, got.Same(i, j))
-			}
-		}
-	}
-}

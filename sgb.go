@@ -24,12 +24,13 @@
 // SQL engine's default) that outperforms the R-tree on the paper's
 // low-dimensional workloads.
 //
-// SGB-Any runs as a partition → shard-local evaluate → merge pipeline
-// when Options.Parallelism (or the SQL session's SET parallelism)
-// selects more than one worker: it shards spatially and merges
-// components through a Union-Find reduction. SweepAny runs the same
-// pipeline with one Union-Find per ε level; NewIncrementalAnyLevels keeps
-// those levels under appends and removals. SGB-All is order-sensitive
+// SweepAny answers SGB-Any at several ε levels in one evaluation, one
+// Union-Find per level; NewIncrementalAnyLevels keeps those levels under
+// appends and removals. When Options.Parallelism (or the SQL session's
+// SET parallelism) allows more than one worker, a one-shot evaluation
+// of k ≥ 2 levels splits its ascending levels into up to that many
+// contiguous ranges and evaluates each on a goroutine of its own; a
+// single ε always evaluates sequentially. SGB-All is order-sensitive
 // and always runs the paper's sequential arbitration loop; it accepts
 // the option and ignores it. Groupings are identical at every setting.
 package sgb

@@ -129,9 +129,7 @@ func TestSplitPartitionsInput(t *testing.T) {
 
 // TestSplitFrontierIsExact is the correctness core: every cross-run
 // within-ε pair must have BOTH endpoints in the frontier, under both
-// metrics, at d ∈ {1, 2, 3, 5}. (That the SGB-Any pipeline's frontier
-// probe finds each such pair once is internal/core's
-// TestAnyFrontierPairsExact.)
+// metrics, at d ∈ {1, 2, 3, 5}.
 func TestSplitFrontierIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, d := range []int{1, 2, 3, 5} {

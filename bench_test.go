@@ -10,7 +10,7 @@
 // figure to family to experiment.
 //
 // The other families (Grid, Sweep, Parallel, Incremental, Window,
-// AnyLevelsWideRatio, WarmAnswer, ColdSQL) are the harnesses behind a
+// AnyLevelsWideRatio, EntryBuild, WarmAnswer, ColdSQL) are the harnesses behind a
 // checked-in profile (docs/pr*-profile.md) or an open ROADMAP verdict.
 // None of them is the performance record: that is bench/ and
 // BENCHMARK.json, `bash bench/run.sh -compare`.
@@ -726,6 +726,64 @@ func BenchmarkAnyLevelsWideRatio(b *testing.B) {
 			b.ReportMetric(ms(deleteT), "delete-ms/op")
 			b.ReportMetric(float64(dists)/float64(b.N), "dists/delete")
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/delete")
+		})
+	}
+}
+
+// BenchmarkEntryBuild times the whole-table passes of a maintained
+// DISTANCE-TO-ANY entry over sql_warm's table, 32 000 Brightkite-profile
+// check-ins under L2: the first statement of a grouping, which builds a
+// new entry at its levels from one batch (sql_warm's single ε at three
+// sizes, and the union of its lists), and AddLevel(0.05) under a wide
+// top, as a cached entry gains a small ε (the entry itself is built
+// outside the timer). It reports the distance keys an operation
+// computes. Run it at -cpu 1:
+//
+//	go test -run '^$' -bench EntryBuild -cpu 1 -benchtime 20x .
+func BenchmarkEntryBuild(b *testing.B) {
+	pts := sgb.FromPoints(checkin.Points(checkin.Brightkite(32000)))
+	build := func(b *testing.B, st *sgb.Stats, levels []float64) *sgb.Incremental {
+		inc, err := sgb.NewIncrementalAnyLevels(sgb.Options{Metric: sgb.L2, Algorithm: sgb.GridIndex, Stats: st}, levels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := inc.AppendSet(pts); err != nil {
+			b.Fatal(err)
+		}
+		return inc
+	}
+	for _, c := range []struct {
+		name   string
+		levels []float64
+	}{
+		{"levels=0.05", []float64{0.05}},
+		{"levels=0.2", []float64{0.2}},
+		{"levels=0.8", []float64{0.8}},
+		{"levels=0.05-0.8", []float64{0.05, 0.1, 0.2, 0.4, 0.6, 0.8}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var st sgb.Stats
+			for i := 0; i < b.N; i++ {
+				build(b, &st, c.levels)
+			}
+			b.ReportMetric(float64(st.DistanceComputations)/float64(b.N), "keys/op")
+		})
+	}
+	for _, top := range []float64{0.8, 3.2} {
+		b.Run(fmt.Sprintf("AddLevel=0.05/top=%v", top), func(b *testing.B) {
+			var st sgb.Stats
+			var keys int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				inc := build(b, &st, []float64{top})
+				before := st.DistanceComputations
+				b.StartTimer()
+				if err := inc.AddLevel(0.05); err != nil {
+					b.Fatal(err)
+				}
+				keys += st.DistanceComputations - before
+			}
+			b.ReportMetric(float64(keys)/float64(b.N), "keys/op")
 		})
 	}
 }

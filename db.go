@@ -477,7 +477,7 @@ func (db *DB) runSelect(sel *sqlparser.SelectStmt, opt QueryOptions) (*Rows, err
 // nothing else — so every DISTANCE-TO-ANY query of one grouping, a
 // single ε or an ε list, shares one evaluator kept at several levels:
 // built at the first query's levels, given a level a later query asks
-// for (one probe pass over the live points, charged to that query)
+// for (one cell-graph pass over the live points, charged to that query)
 // while it keeps fewer than core.MaxLevels, and rebuilt at a new top,
 // keeping the levels below, when a query exceeds the old one. A
 // single-ε query is a one-level read of that entry.
@@ -601,9 +601,9 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			if gs[i] = next.level(eps); gs[i] != nil {
 				continue
 			}
-			// A level the entry does not keep costs this query one probe
-			// pass over the live points; while there is room, the entry
-			// keeps it, so the pass is the only one.
+			// A level the entry does not keep costs this query one
+			// cell-graph pass over the live points; while there is room,
+			// the entry keeps it, so the pass is the only one.
 			if anySem {
 				if levels := e.ev.Levels(); len(levels) < core.MaxLevels && !slices.Contains(levels, eps) {
 					if err := e.ev.AddLevel(eps); err != nil {

@@ -33,16 +33,42 @@ func warmQuery(t *testing.T, db *DB, sql string) Stats {
 	return st
 }
 
+// cellProbes returns the probes one whole-table pass of a maintained
+// DISTANCE-TO-ANY entry costs over table's rows (columns x, y, L2) at
+// levels: one per (level, occupied ε-cell). That is what the one-shot
+// statement over the same rows reports, since both run one cell graph
+// (internal/core's checkGridWork holds the one-shot count to the
+// cells). The pass registers each occupied cell once too, so its
+// IndexUpdates match, plus one per row when it loads the entry's index.
+func cellProbes(t *testing.T, db *DB, table string, levels ...float64) int64 {
+	t.Helper()
+	list := make([]string, len(levels))
+	for i, eps := range levels {
+		list[i] = fmt.Sprint(eps)
+	}
+	var st Stats
+	sql := fmt.Sprintf("SELECT eps, count(*) FROM %s GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN (%s)", table, strings.Join(list, ", "))
+	if _, err := db.QueryOpt(sql, QueryOptions{Algorithm: GridIndex, Stats: &st}); err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if st.IndexProbes != st.IndexUpdates {
+		t.Fatalf("%s: %d probes and %d updates, want one of each per occupied cell", sql, st.IndexProbes, st.IndexUpdates)
+	}
+	return st.IndexProbes
+}
+
 // TestWarmHitCostsAnswer pins "a warm cache hit costs O(answer)": over
 // an unchanged table, every query after the one that built a grouping
 // — identical, or with another aggregate list, a HAVING, a top-k, an
 // overlapping ε list, the cube — computes no distance, evaluates no
 // grouping expression, and folds only aggregates no earlier query
 // folded. The exceptions are a DISTANCE-TO-ANY level the entry does not
-// keep yet, which costs one probe pass over the table, once, and an ε
-// above the entry's top, which rebuilds it once. The single-ε and EPS IN
-// statements share one DISTANCE-TO-ANY entry. An INSERT of k rows makes
-// the next query of each entry extract exactly k, and the rest none.
+// keep yet, which costs one cell-graph pass over the table, once, and an
+// ε above the entry's top, which rebuilds it once: each pass probes once
+// per (level, occupied cell) (cellProbes), the DISTANCE-TO-ALL build
+// once per row. The single-ε and EPS IN statements share one
+// DISTANCE-TO-ANY entry. An INSERT of k rows makes the next query of
+// each entry extract exactly k, and the rest none.
 func TestWarmHitCostsAnswer(t *testing.T) {
 	const n = 4000
 	db := Open()
@@ -57,7 +83,7 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 		sweepQ = " FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 EPS IN "
 	)
 	steps := []step{
-		{"SELECT count(*), avg(x)" + anyQ, n, n, 2 * n},
+		{"SELECT count(*), avg(x)" + anyQ, n, cellProbes(t, db, "pts", 0.1), 2 * n},
 		{"SELECT count(*), avg(x)" + anyQ, 0, 0, 0},
 		{"SELECT count(*), avg(x)" + anyQ, 0, 0, 0},
 		{"SELECT count(*), max(y)" + anyQ, 0, 0, n},
@@ -68,8 +94,8 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 		{"SELECT min(y), count(*)" + allQ + " HAVING min(y) > 1", 0, 0, 0},
 		// 0.3 is above anyQ's 0.1: one rebuild; the 0.1 level's count(*)
 		// is anyQ's.
-		{"SELECT eps, count(*)" + sweepQ + "(0.05, 0.1, 0.3)", n, n, 2 * n},
-		{"SELECT eps, count(*)" + sweepQ + "(0.1, 0.2)", 0, n, n}, // 0.2 is new
+		{"SELECT eps, count(*)" + sweepQ + "(0.05, 0.1, 0.3)", n, cellProbes(t, db, "pts", 0.05, 0.1, 0.3), 2 * n},
+		{"SELECT eps, count(*)" + sweepQ + "(0.1, 0.2)", 0, cellProbes(t, db, "pts", 0.2), n}, // 0.2 is new
 		{"SELECT eps, count(*), sum(x)" + sweepQ + "(0.05, 0.2, 0.3)", 0, 0, 3 * n},
 		{"SELECT *" + sweepQ + "(0.05, 0.1, 0.2, 0.3) SIMILARITY CUBE BY EPS", 0, 0, 0},
 	}
@@ -112,7 +138,7 @@ func TestWarmHitCostsAnswer(t *testing.T) {
 }
 
 // TestAnswerMemoBounds: the ε level past core.MaxLevels is grouped per
-// query — one probe pass over the live points, kept neither by the
+// query — one cell-graph pass over the live points, kept neither by the
 // entry nor by the published answer, which stays at its bound; an aggregate
 // that reads another table is never memoized; DROP + re-CREATE of a
 // table with the same name, generation and row count is not served the
@@ -141,10 +167,11 @@ func TestAnswerMemoBounds(t *testing.T) {
 	if got := published(); got != core.MaxLevels {
 		t.Fatalf("%d levels published, want %d", got, core.MaxLevels)
 	}
+	cells := cellProbes(t, db, "pts", 0.02) // the 17th level's
 	for rep := 0; rep < 2; rep++ {
 		st := warmQuery(t, db, sweep(levels))
-		if st.RowsFolded != 2*600 || st.PointsExtracted != 0 || st.IndexProbes != 600 || st.IndexUpdates != 0 {
-			t.Fatalf("sweep with a 17th level: %+v, want one probe pass for that level and its two aggregates folded", st)
+		if st.RowsFolded != 2*600 || st.PointsExtracted != 0 || st.IndexProbes != cells || st.IndexUpdates != cells {
+			t.Fatalf("sweep with a 17th level: %+v, want one cell-graph pass for that level (%d cells) and its two aggregates folded", st, cells)
 		}
 		if ev, _ := sweepEntry(t, db); len(ev.Levels()) != core.MaxLevels {
 			t.Fatalf("the entry keeps %d levels, want %d", len(ev.Levels()), core.MaxLevels)

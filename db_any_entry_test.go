@@ -37,8 +37,10 @@ func sessionQuery(t *testing.T, s, ref *Session, sql string) Stats {
 // is a level of the entry an EPS IN sweep of the same grouping keeps.
 // Two sessions ask WITHIN 0.2 and EPS IN (0.1, 0.2, 0.4) under L2 over
 // one table and leave one cache entry, and every answer equals a
-// one-shot session's, ids and member order included. The single-ε
-// statement issued after the sweep extracts no row and probes nothing;
+// one-shot session's, ids and member order included. A build probes
+// once per (level, occupied cell) (cellProbes), an INSERT once per row.
+// The single-ε statement issued after the sweep extracts no row and
+// probes nothing;
 // an INSERT is absorbed once, by whichever statement reads first; a
 // DELETE repairs the entry in place; a later WITHIN 0.8 rebuilds it once
 // at the new top and keeps 0.1, 0.2 and 0.4.
@@ -67,8 +69,10 @@ func TestSQLAnyOneEntryTwinSessions(t *testing.T) {
 		}
 	}
 
-	if st := sessionQuery(t, a, ref, sweep); st.PointsExtracted != n || st.IndexProbes != n {
-		t.Fatalf("the sweep's build extracted %d rows and probed %d, want %d", st.PointsExtracted, st.IndexProbes, n)
+	cells := cellProbes(t, db, "pts", 0.1, 0.2, 0.4)
+	if st := sessionQuery(t, a, ref, sweep); st.PointsExtracted != n || st.IndexProbes != cells || st.IndexUpdates != cells+n {
+		t.Fatalf("the sweep's build extracted %d rows, probed %d and updated %d, want %d, %d and %d",
+			st.PointsExtracted, st.IndexProbes, st.IndexUpdates, n, cells, cells+n)
 	}
 	noWork("WITHIN 0.2 after the sweep", sessionQuery(t, b, ref, single+"0.2"))
 	oneEntry("after both sessions")
@@ -101,8 +105,9 @@ func TestSQLAnyOneEntryTwinSessions(t *testing.T) {
 	noWork("the sweep after the DELETE", sessionQuery(t, b, ref, sweep))
 
 	live := int64(n + k - deleted)
-	if st := sessionQuery(t, b, ref, single+"0.8"); st.PointsExtracted != live || st.IndexProbes != live {
-		t.Fatalf("WITHIN 0.8 above the top extracted %d rows and probed %d, want one rebuild over %d", st.PointsExtracted, st.IndexProbes, live)
+	cells = cellProbes(t, db, "pts", 0.1, 0.2, 0.4, 0.8)
+	if st := sessionQuery(t, b, ref, single+"0.8"); st.PointsExtracted != live || st.IndexProbes != cells {
+		t.Fatalf("WITHIN 0.8 above the top extracted %d rows and probed %d, want one rebuild over %d (%d cells)", st.PointsExtracted, st.IndexProbes, live, cells)
 	}
 	rebuilt, _ := sweepEntry(t, db)
 	if rebuilt == ev {

@@ -196,12 +196,13 @@ func TestSQLEpsAsColumnName(t *testing.T) {
 }
 
 // TestSQLSweepCacheSharedAcrossEps: with SET incremental on, two
-// sessions differing ONLY in their ε lists share one sweep entry. A
-// level the entry keeps costs a query nothing; a level it does not
-// costs the asking query one probe pass over the live points, and the
-// entry keeps it, so after that it costs nothing either — an INSERT
-// then costs one probe per new row whichever levels are asked. Answers
-// match one-shot runs throughout.
+// sessions differing ONLY in their ε lists share one sweep entry. The
+// build and a level the entry does not keep cost the asking query one
+// cell-graph pass over the live points each, one probe and one update
+// per (level, occupied cell) (cellProbes), and the entry keeps the
+// level, so after that it costs nothing either — an INSERT then costs
+// one probe per new row whichever levels are asked. A level the entry
+// keeps costs a query nothing. Answers match one-shot runs throughout.
 func TestSQLSweepCacheSharedAcrossEps(t *testing.T) {
 	db := Open()
 	mustExec(t, db, "CREATE TABLE sensors (id INT, x FLOAT, y FLOAT)")
@@ -227,20 +228,23 @@ func TestSQLSweepCacheSharedAcrossEps(t *testing.T) {
 		}
 	}
 
-	// Session 1 sweeps up to ε = 2 and pays the build.
+	// Session 1 sweeps up to ε = 2 and pays the build, which loads the
+	// entry's index with every row too.
 	var st1 Stats
+	cells := cellProbes(t, db, "sensors", 0.5, 1, 2)
 	r1 := sweepQ(&st1, "0.5, 1, 2")
-	if st1.DistanceComputations == 0 || st1.IndexProbes != 300 {
-		t.Fatalf("first sweep: %+v, want one probe per row", st1)
+	if st1.DistanceComputations == 0 || st1.IndexProbes != cells || st1.IndexUpdates != cells+300 {
+		t.Fatalf("first sweep: %+v, want %d probes and %d updates", st1, cells, cells+300)
 	}
 	matchOneShot(r1, 0.5, 1, 2)
 
-	// Session 2 asks for three levels the entry does not keep: one probe
-	// pass over the 300 rows each, and no point extracted.
+	// Session 2 asks for three levels the entry does not keep: one
+	// cell-graph pass over the 300 rows each, and no point extracted.
 	var st2 Stats
+	cells = cellProbes(t, db, "sensors", 0.3, 0.8, 1.7)
 	r2 := sweepQ(&st2, "0.3, 0.8, 1.7")
-	if st2.IndexProbes != 3*300 || st2.PointsExtracted != 0 || st2.IndexUpdates != 0 {
-		t.Fatalf("second session's new levels: %+v, want three probe passes", st2)
+	if st2.IndexProbes != cells || st2.PointsExtracted != 0 || st2.IndexUpdates != cells {
+		t.Fatalf("second session's new levels: %+v, want three cell-graph passes (%d cells)", st2, cells)
 	}
 	matchOneShot(r2, 0.3, 0.8, 1.7)
 	if ev, _ := sweepEntry(t, db); !reflect.DeepEqual(ev.Levels(), []float64{0.3, 0.5, 0.8, 1, 1.7, 2}) {

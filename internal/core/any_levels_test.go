@@ -15,14 +15,19 @@ import (
 // byte and a list of operations. The header: bit 0 L∞, bits 1–2 the
 // dimensionality − 1 (mod 3), bit 3 lattice mode, bit 4 lattice step 0.3
 // rather than 0.25, bits 5–6 which level list (anyTraceLevels). Each
-// operation is an opcode byte, taken mod 5, and its operands:
+// operation is an opcode byte, taken mod 6, and its operands:
 //
 //	0 n c…   append 1 + n mod 64 points, d coordinate bytes each
 //	1 m      remove the 1 + m mod 48 oldest points
 //	2 r      remove the ids i with (i + r) mod (2 + r mod 5) = 0
 //	3 r      remove the one id r mod Len
 //	4        rebuild the evaluator from its live points, as a restart does
+//	5 r      keep one more level, ε = the top's (1 + r mod 16) / 16
+//	         (AddLevel), unless MaxLevels are kept
 //
+// The first batch into an evaluator that holds no points — the first,
+// a rebuild's, the first after every point was removed — is built whole
+// (the cell graph); later ones are appended point by point.
 // A coordinate byte b is b·step mod 16 steps in lattice mode, so that
 // distances land on the levels, which are multiples of the step, and
 // b / 8, b / 32 or b / 64 otherwise at d = 1, 2, 3, so that the levels
@@ -35,6 +40,7 @@ const (
 	anyOpScatter
 	anyOpSingle
 	anyOpRebuild
+	anyOpLevel
 	anyOps
 )
 
@@ -66,7 +72,7 @@ func anyTraceLevels(lattice bool, step float64, list int) []float64 {
 }
 
 // anyTraceSummary counts what a trace exercised.
-type anyTraceSummary struct{ removes, compactions, rebuilds int }
+type anyTraceSummary struct{ removes, compactions, rebuilds, levels int }
 
 // checkAnyTrace runs an encoded trace against a maintained evaluator and
 // holds every level to SweepAny over the surviving points after every
@@ -189,6 +195,17 @@ func checkAnyTrace(t testing.TB, data []byte) anyTraceSummary {
 				remove([]int{r % ev.Len()})
 			}
 			what = "remove one"
+		case anyOpLevel:
+			eps := slices.Max(levels) * float64(1+int(ops[0])%16) / 16
+			ops = ops[1:]
+			if len(levels) < MaxLevels && !slices.Contains(levels, eps) {
+				if err := ev.AddLevel(eps); err != nil {
+					t.Fatal(err)
+				}
+				levels = append(levels, eps)
+				sum.levels++
+			}
+			what = fmt.Sprintf("add level %v", eps)
 		case anyOpRebuild:
 			rebuilt, err := NewAnyLevels(levels, opt)
 			if err != nil {
@@ -241,13 +258,14 @@ type anyTraceSeed struct {
 }
 
 // anyTraceSeeds builds the matrix {L2, L∞} × d ∈ {1, 2, 3} × k ∈ {1, 3,
-// 6} levels × four shapes — oldest-first windows of Morton-ordered
-// 40-point batches across several compactions, scattered deletes
-// between appends, single-id deletes, and lattice-aligned coordinates
-// (distances on a level) under windows and single deletes — plus
+// 6} levels × four shapes — oldest-first windows of 40-point batches
+// across several compactions, scattered deletes between appends,
+// single-id deletes, and lattice-aligned coordinates (distances on a
+// level) under windows and single deletes — plus
 // TestAnyStrategiesAgreeOnLatticeLInf's 6 × 6 lattice, whose L∞
 // distances land on ε or round just past it, deleted point by point,
-// and traces that rebuild the evaluator between removals.
+// traces that rebuild the evaluator between removals, and traces that
+// add levels after removals to evaluators built whole.
 func anyTraceSeeds() []anyTraceSeed {
 	var seeds []anyTraceSeed
 	seed := int64(3100)
@@ -325,28 +343,64 @@ func anyTraceSeeds() []anyTraceSeed {
 		tr.add(100).op(anyOpRebuild).op(anyOpEvict, 20).add(30).op(anyOpRebuild).add(30).op(anyOpScatter, 5).op(anyOpRebuild).op(anyOpSingle, 17)
 		seeds = append(seeds, anyTraceSeed{fmt.Sprintf("restore/d=%d", d), tr.data, anyTraceSummary{removes: 3, rebuilds: 3}})
 	}
+	// Bulk build → remove → AddLevel: the first batch and a rebuild's are
+	// built whole, levels are added over live points with tombstones
+	// present (one below the lowest kept), and once every point is gone a
+	// level is added to the empty evaluator and the next batch is built
+	// whole again.
+	for d := 1; d <= 3; d++ {
+		for _, linf := range []bool{false, true} {
+			r := rand.New(rand.NewSource(int64(3300 + 2*d)))
+			tr := &anyTrace{data: anyTraceHeader(linf, d, false, false, 1), d: d, coord: func() byte { return byte(r.Intn(256)) }}
+			tr.add(64).op(anyOpEvict, 20).op(anyOpLevel, 5).op(anyOpScatter, 3).op(anyOpLevel, 11).add(40)
+			tr.op(anyOpRebuild).op(anyOpEvict, 30).op(anyOpLevel, 2).op(anyOpSingle, 9)
+			tr.op(anyOpEvict, 47).op(anyOpEvict, 47).op(anyOpEvict, 47).op(anyOpLevel, 6).add(50).op(anyOpScatter, 1)
+			seeds = append(seeds, anyTraceSeed{fmt.Sprintf("bulk-levels/linf=%t/d=%d", linf, d), tr.data,
+				anyTraceSummary{removes: 6, compactions: 1, rebuilds: 1, levels: 4}})
+		}
+	}
 	return seeds
 }
 
 // TestAnyLevelsRemoveEquivalence holds a maintained evaluator at one,
 // three and six levels to SweepAnySet over the survivors after every
-// append and every remove (anyTraceSeeds). Each trace must have
-// removed, compacted and rebuilt as often as it was built to.
+// append, remove and added level (anyTraceSeeds). Each trace must have
+// removed, compacted, rebuilt and added levels as often as it was built
+// to.
 func TestAnyLevelsRemoveEquivalence(t *testing.T) {
 	for _, s := range anyTraceSeeds() {
 		t.Run(s.name, func(t *testing.T) {
 			sum := checkAnyTrace(t, s.data)
-			if sum.removes < s.want.removes || sum.compactions < s.want.compactions || sum.rebuilds < s.want.rebuilds {
-				t.Fatalf("removed %d times, compacted %d and rebuilt %d; want at least %+v", sum.removes, sum.compactions, sum.rebuilds, s.want)
+			if sum.removes < s.want.removes || sum.compactions < s.want.compactions || sum.rebuilds < s.want.rebuilds || sum.levels < s.want.levels {
+				t.Fatalf("removed %d times, compacted %d, rebuilt %d and added %d levels; want at least %+v",
+					sum.removes, sum.compactions, sum.rebuilds, sum.levels, s.want)
 			}
 		})
 	}
 }
 
+// levelWork returns the IndexProbes and IndexUpdates of a maintained
+// evaluator's whole-set pass over pts at levels: one probe and one
+// update per (level, occupied cell) of the cell graph (cellCount), plus
+// one update per point when the pass loads the index too (grid.BulkLoad,
+// after a build into an empty evaluator).
+func levelWork(pts []geom.Point, m geom.Metric, levels []float64, load bool) (probes, updates int64) {
+	ps := geom.FromPoints(pts)
+	for _, eps := range levels {
+		probes += cellCount(ps, m, m.EpsKey(eps))
+	}
+	updates = probes
+	if load {
+		updates += int64(len(pts))
+	}
+	return probes, updates
+}
+
 // TestAnyLevelsAddLevel: a level added to a maintained evaluator (one
-// probe pass) and a level read without keeping it both equal the
-// one-shot sweep, and the added level is maintained from then on;
-// levels above the top are refused.
+// cell-graph pass over the live points, tombstones present) and a level
+// read without keeping it both equal the one-shot sweep, and the added
+// level is maintained from then on; levels above the top are refused.
+// Each pass registers and probes once per occupied cell (levelWork).
 func TestAnyLevelsAddLevel(t *testing.T) {
 	r := rand.New(rand.NewSource(3300))
 	opt := Options{Metric: geom.L2, Algorithm: GridIndex}
@@ -365,12 +419,12 @@ func TestAnyLevelsAddLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	mirror.remove(ids)
-	probes := func(f func()) int64 {
+	work := func(f func()) (probes, updates int64) {
 		st := &Stats{}
 		ev.opt.Stats = st
 		f()
 		ev.opt.Stats = nil
-		return st.IndexProbes
+		return st.IndexProbes, st.IndexUpdates
 	}
 	check := func(eps float64) {
 		t.Helper()
@@ -383,18 +437,20 @@ func TestAnyLevelsAddLevel(t *testing.T) {
 			t.Fatalf("ε = %v: %v\ngot  %v\nwant %v", eps, err, got, want)
 		}
 	}
-	if n := probes(func() { check(0.45) }); n != int64(ev.Len()) {
-		t.Fatalf("a level not kept probed %d points, want %d", n, ev.Len())
+	wantP, wantU := levelWork(mirror.pts, geom.L2, []float64{0.45}, false)
+	if p, u := work(func() { check(0.45) }); p != wantP || u != wantU {
+		t.Fatalf("a level not kept: %d probes and %d updates, want %d and %d", p, u, wantP, wantU)
 	}
-	if n := probes(func() {
+	wantP, wantU = levelWork(mirror.pts, geom.L2, []float64{0.4}, false)
+	if p, u := work(func() {
 		if err := ev.AddLevel(0.4); err != nil {
 			t.Fatal(err)
 		}
-	}); n != int64(ev.Len()) {
-		t.Fatalf("AddLevel probed %d points, want %d", n, ev.Len())
+	}); p != wantP || u != wantU {
+		t.Fatalf("AddLevel: %d probes and %d updates, want %d and %d", p, u, wantP, wantU)
 	}
-	if n := probes(func() { check(0.4) }); n != 0 {
-		t.Fatalf("an added level probed %d points when read", n)
+	if p, u := work(func() { check(0.4) }); p != 0 || u != 0 {
+		t.Fatalf("an added level cost %d probes and %d updates when read", p, u)
 	}
 	if got := ev.eps; !reflect.DeepEqual(got, []float64{0.2, 0.4, 0.6}) {
 		t.Fatalf("levels %v", got)
@@ -413,6 +469,150 @@ func TestAnyLevelsAddLevel(t *testing.T) {
 		}
 		if _, err := ev.GroupsAt(eps); err == nil {
 			t.Fatalf("GroupsAt(%v) succeeded above the top or below zero", eps)
+		}
+	}
+}
+
+// TestAnyBulkBuildEquivalence: an evaluator built from one batch (the
+// cell graph over every point) and a twin built from many (a small first
+// batch, then appends that probe point by point) hold the same
+// partition at every level, member for member, and stay equal to each
+// other and to SweepAnySet over the survivors while the same rows leave
+// both: an oldest-first window across a compaction, then scattered ids,
+// then every row. After each removal a level neither keeps is read as
+// well, tombstones present. AddLevel and GroupsAt work on an evaluator
+// that holds no points — a new one, and one whose every point was
+// removed — and the next batch is built whole again.
+func TestAnyBulkBuildEquivalence(t *testing.T) {
+	const unkept = 0.2
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
+		r := rand.New(rand.NewSource(4800))
+		levels := []float64{0.8, 0.1, 0.3}
+		opt := Options{Metric: m, Algorithm: GridIndex}
+		one, err := NewAnyLevels(levels, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		many, err := NewAnyLevels(levels, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := randBatch(r, 1500, 2, 12)
+		if err := one.Append(geom.FromPoints(all)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(all); {
+			k := min(1+r.Intn(200), len(all)-i)
+			if err := many.Append(geom.FromPoints(all[i : i+k])); err != nil {
+				t.Fatal(err)
+			}
+			i += k
+		}
+		mirror := &mirrorSet{}
+		mirror.appendBatch(all)
+		tombstoned := 0
+		check := func(what string) {
+			t.Helper()
+			if one.dead > 0 && many.dead > 0 {
+				tombstoned++
+			}
+			eps := append(slices.Clone(levels), unkept)
+			want, err := SweepAny(mirror.pts, eps, Options{Metric: m, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, e := range eps {
+				for _, ev := range []*AnyEvaluator{one, many} {
+					got, err := ev.GroupsAt(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(normalizeRes(got), normalizeRes(want[l])) {
+						t.Fatalf("%v %s, ε = %v, %d points: groups differ from the one-shot sweep's", m, what, e, len(mirror.pts))
+					}
+				}
+			}
+		}
+		remove := func(what string, ids []int) {
+			t.Helper()
+			for _, ev := range []*AnyEvaluator{one, many} {
+				if err := ev.Remove(ids); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mirror.remove(ids)
+			check(what)
+		}
+		check("built")
+
+		window := make([]int, 150)
+		for i := range window {
+			window[i] = i
+		}
+		for one.points.Len() > one.Len() || one.Len() == len(all) {
+			remove("window", window)
+		}
+		if one.Len() == len(all)-len(window) || many.points.Len() != many.Len() {
+			t.Fatalf("%v: the window never compacted both (%d of %d live)", m, one.Len(), one.points.Len())
+		}
+		for rep := 0; rep < 3; rep++ {
+			var ids []int
+			for i := rep; i < one.Len(); i += 5 + rep {
+				ids = append(ids, i)
+			}
+			remove(fmt.Sprintf("scatter %d", rep), ids)
+		}
+		if tombstoned == 0 {
+			t.Fatalf("%v: no check ran with tombstones present", m)
+		}
+		every := make([]int, one.Len())
+		for i := range every {
+			every[i] = i
+		}
+		remove("every row", every)
+		if one.points.Len() != 0 || many.points.Len() != 0 {
+			t.Fatalf("%v: removing every row left %d and %d stored points", m, one.points.Len(), many.points.Len())
+		}
+		for _, ev := range []*AnyEvaluator{one, many} {
+			if err := ev.AddLevel(0.05); err != nil {
+				t.Fatal(err)
+			}
+		}
+		levels = append(levels, 0.05)
+		check("a level added to the emptied evaluators")
+		batch := randBatch(r, 300, 2, 12)
+		for _, ev := range []*AnyEvaluator{one, many} {
+			if err := ev.Append(geom.FromPoints(batch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mirror.appendBatch(batch)
+		check("built again")
+	}
+
+	ev, err := NewAnyLevels([]float64{0.5}, Options{Metric: geom.L2, Algorithm: GridIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.AddLevel(0.1); err != nil {
+		t.Fatalf("AddLevel on a new evaluator: %v", err)
+	}
+	if res, err := ev.GroupsAt(0.3); err != nil || len(res.Groups) != 0 {
+		t.Fatalf("GroupsAt on a new evaluator: %v, %v", res, err)
+	}
+	pts := randBatch(rand.New(rand.NewSource(4801)), 400, 2, 8)
+	if err := ev.Append(geom.FromPoints(pts)); err != nil {
+		t.Fatal(err)
+	}
+	eps := []float64{0.1, 0.3, 0.5}
+	want, err := SweepAny(pts, eps, Options{Metric: geom.L2, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, e := range eps {
+		got, err := ev.GroupsAt(e)
+		if err != nil || !reflect.DeepEqual(normalizeRes(got), normalizeRes(want[l])) {
+			t.Fatalf("ε = %v after a first batch into a new evaluator with an added level: %v", e, err)
 		}
 	}
 }
@@ -465,7 +665,9 @@ func TestAnyLevelsCap(t *testing.T) {
 // {ε}) — under both metrics: each AppendSet charges its own call's work
 // to its Stats block and the Sweep after it nothing, and every level of
 // each Sweep equals SweepAnySet over the points so far, member for
-// member.
+// member. The first AppendSet builds the empty evaluator's one level
+// from cells and loads the index (levelWork); the second probes and
+// registers each point.
 func TestLatticeIncrementalEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(810))
 	a := []float64{0.8, 0.15, 0.4}
@@ -482,15 +684,20 @@ func TestLatticeIncrementalEquivalence(t *testing.T) {
 			if err := ev.AppendSet(batch, &st); err != nil {
 				t.Fatal(err)
 			}
-			if st.IndexProbes != int64(batch.Len()) {
-				t.Fatalf("%v: AppendSet charged %d probes for %d points", m, st.IndexProbes, batch.Len())
+			wantP, wantU := int64(batch.Len()), int64(batch.Len())
+			if all.Len() == batch.Len() {
+				wantP, wantU = levelWork(batch.Points(), m, []float64{0.8}, true)
+			}
+			if st.IndexProbes != wantP || st.IndexUpdates != wantU {
+				t.Fatalf("%v: AppendSet of %d points charged %d probes and %d updates, want %d and %d",
+					m, batch.Len(), st.IndexProbes, st.IndexUpdates, wantP, wantU)
 			}
 			got, err := ev.Sweep(levels)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.IndexProbes != int64(batch.Len()) {
-				t.Fatalf("%v: Sweep charged the last AppendSet's Stats (%d probes)", m, st.IndexProbes)
+			if st.IndexProbes != wantP || st.IndexUpdates != wantU {
+				t.Fatalf("%v: Sweep charged the last AppendSet's Stats (%d probes, %d updates)", m, st.IndexProbes, st.IndexUpdates)
 			}
 			want, err := SweepAnySet(all, levels, Options{Metric: m, Parallelism: 1})
 			if err != nil {
@@ -507,7 +714,7 @@ func TestLatticeIncrementalEquivalence(t *testing.T) {
 
 // TestLatticeQueryCostIsZero: once the facade keeps a list's levels,
 // sweeping it again costs no distance computation and no probe; levels
-// past MaxLevels are answered by a probe pass without being kept.
+// past MaxLevels are answered by a cell-graph pass without being kept.
 func TestLatticeQueryCostIsZero(t *testing.T) {
 	pts := geom.FromPoints(randomPointsDim(rand.New(rand.NewSource(811)), 200, 2, 5))
 	ev, err := NewLatticeEvaluator(2, Options{Metric: geom.L2, Eps: 2.0})

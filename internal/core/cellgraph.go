@@ -9,32 +9,36 @@ import (
 	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
-// cellGraph is the one-shot grid kernel of SGB-Any: sgbAnyLocal's
+// cellGraph is SGB-Any's grid kernel for a whole point set: sgbAnyLocal's
 // GridIndex arm, so every one-shot grid evaluation, single-ε or swept,
-// sequential or in a tile. A DISTANCE-TO-ANY group is a connected
-// component of the ε-graph, and components do not depend on the order
-// in which edges are found, so an evaluation needs enough edges to
-// connect each component, not every edge. The kernel finds them between
-// cells instead of around points. For each level, ascending:
+// and every whole-table pass of a maintained evaluator (the first batch
+// into an empty one, AddLevel, GroupsAt at a level it does not keep). A
+// DISTANCE-TO-ANY group is a connected component of the ε-graph, and
+// components do not depend on the order in which edges are found, so an
+// evaluation needs enough edges to connect each component, not every
+// edge. The kernel finds them between cells instead of around points.
+// For each level, ascending:
 //
 //  1. The level's forest starts as a copy of the level below: an edge
 //     within a lower ε is within this one, so the lower partition
-//     refines this one.
+//     refines this one. A level that keeps a spanning forest copies the
+//     lower level's edges too.
 //  2. The points are bucketed into cells of side ε, padded (cellSide),
 //     by a lexicographic sort of their cell coordinates.
 //  3. Each cell's members are joined (joinCell): keyed against the
-//     first one, pairwise only where that left some apart.
-//  4. Each pair of neighbouring cells is visited once (linkCells): it is
-//     skipped when both cells are one set each and share it, and when
-//     both are one set each but differ, the first key within ε joins
-//     them and ends the visit.
+//     newest one, pairwise only where that left some apart.
+//  4. Each pair of neighbouring cells is visited once (linkCells), newest
+//     members first: it is skipped when both cells are one set each and
+//     share it, and when both are one set each but differ, the first key
+//     within ε joins them and ends the visit.
 //
 // Every union is still a pair whose DistKey is within the level's key,
 // and a pair is skipped only when its endpoints already share a set, so
 // the partition is the ε-graph's components, member for member what the
-// per-point join (anyJoin) finds. Its scratch — point cells, the cell
-// order, the cell runs — is reused across levels; a level allocates
-// nothing.
+// per-point join (anyJoin) finds, and each union is an edge of a
+// spanning forest of them (anyTree.link, when the level keeps one). Its
+// scratch — point cells, the cell order, the cell runs — is reused
+// across levels; a level allocates nothing.
 //
 // Stats: DistanceComputations counts the keys computed; GroupMerges the
 // unions, a level's inherited ones included, so that it stays
@@ -63,17 +67,28 @@ type cellGraph struct {
 	ptrs            []int     // per prefix offset: the first cell not before its target
 	buf             []int32   // the members of a cell one pass keys
 	keys            []float64 // the keys of one pass
+	tree            *anyTree  // the level's spanning forest, nil when it keeps none
 	stats           Stats
 }
 
-// newCellGraph returns the kernel over ps with its scratch sized once.
-func newCellGraph(ps *geom.PointSet, metric geom.Metric) *cellGraph {
-	n, d := ps.Len(), ps.Dims()
+// runCellGraph fills every level of f, ascending, with the cell graph
+// over the points of ps at the stored positions pos, ascending (nil:
+// every position), and charges its work to st. f spans every position
+// of ps; the others stay singletons. The scratch is sized once.
+func runCellGraph(ps *geom.PointSet, metric geom.Metric, pos []int32, f *anyForests, st *Stats) {
+	ids := slices.Clone(pos) // the sort permutes its own copy
+	if pos == nil {
+		ids = make([]int32, ps.Len())
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+	}
+	n, d := len(ids), ps.Dims()
 	g := &cellGraph{
 		ps:      ps,
 		metric:  metric,
-		pc:      make([]int64, n*d),
-		ids:     make([]int32, n),
+		pc:      make([]int64, ps.Len()*d),
+		ids:     ids,
 		tmp:     make([]int32, n),
 		sortKey: make([]uint64, n),
 		tmpKey:  make([]uint64, n),
@@ -85,19 +100,20 @@ func newCellGraph(ps *geom.PointSet, metric geom.Metric) *cellGraph {
 		offs:    forwardPrefixes(d),
 	}
 	g.ptrs = make([]int, len(g.offs)/max(d-1, 1))
-	for i := range g.ids {
-		g.ids[i] = int32(i)
-	}
 	g.lo, g.width, g.ext = make([]int64, d), make([]uint, d), make([]float64, 2*d)
 	for k := 0; k < d; k++ {
 		g.ext[2*k], g.ext[2*k+1] = math.Inf(1), math.Inf(-1)
 	}
-	for i, v := range ps.Data() {
-		k := i % d
-		g.ext[2*k], g.ext[2*k+1] = min(g.ext[2*k], v), max(g.ext[2*k+1], v)
-		g.maxAbs = math.Max(g.maxAbs, math.Abs(v))
+	for _, id := range g.ids {
+		for k, v := range ps.At(int(id)) {
+			g.ext[2*k], g.ext[2*k+1] = min(g.ext[2*k], v), max(g.ext[2*k+1], v)
+			g.maxAbs = math.Max(g.maxAbs, math.Abs(v))
+		}
 	}
-	return g
+	for l := range f.ufs {
+		g.level(f, l)
+	}
+	st.Merge(&g.stats)
 }
 
 // forwardPrefixes lists the offsets δ ∈ {−1, 0, 1}^(d−1) whose first
@@ -161,11 +177,18 @@ func cellSide(m geom.Metric, key, maxAbs float64) float64 {
 }
 
 // level turns f's level l, whose levels below are done, into that
-// level's partition.
+// level's partition, and its spanning forest when f keeps trees.
 func (g *cellGraph) level(f *anyForests, l int) {
 	uf, key := f.ufs[l], f.keys[l]
+	g.tree = nil
+	if f.trees != nil {
+		g.tree = &f.trees[l]
+	}
 	if l > 0 {
 		uf.CopyFrom(f.ufs[l-1])
+		if g.tree != nil {
+			*g.tree = f.trees[l-1].clone()
+		}
 		g.stats.GroupMerges += int64(g.ps.Len() - uf.Count())
 	}
 	g.bucket(1 / cellSide(g.metric, key, g.maxAbs))
@@ -268,19 +291,22 @@ func (g *cellGraph) cellOf(c int) []int64 {
 }
 
 // joinCell joins the members of cell c within key and reports whether
-// they ended as one set. Each member not yet in the first one's set is
-// keyed against it; a member that stays apart (beyond key of the first:
-// an L2 corner, or the pad) is keyed against every member of another
-// set, so no pair inside the cell is left.
+// they ended as one set. Each member not yet in the hub's set is keyed
+// against it; a member that stays apart (beyond key of the hub: an L2
+// corner, or the pad) is keyed against every member of another set, so
+// no pair inside the cell is left. The hub is the newest member, the
+// largest stored position (members ascend): a maintained evaluator's
+// sliding window deletes the oldest points first, and a star around the
+// oldest would fall apart with it into pieces to re-probe.
 func (g *cellGraph) joinCell(uf *unionfind.UF, c int, key float64) bool {
 	ms := g.members(c)
 	if len(ms) == 1 {
 		return true
 	}
-	x0 := int(ms[0])
-	r0 := uf.Find(x0)
+	hub := ms[len(ms)-1]
+	r0 := uf.Find(int(hub))
 	rest := g.buf[:0]
-	for _, y := range ms[1:] {
+	for _, y := range ms[:len(ms)-1] {
 		if uf.Find(int(y)) != r0 {
 			rest = append(rest, y)
 		}
@@ -289,14 +315,14 @@ func (g *cellGraph) joinCell(uf *unionfind.UF, c int, key float64) bool {
 		return true
 	}
 	g.stats.DistanceComputations += int64(len(rest))
-	keys := g.ps.AppendDistKeys(g.keys[:0], g.metric, g.ps.At(x0), rest)
+	keys := g.ps.AppendDistKeys(g.keys[:0], g.metric, g.ps.At(int(hub)), rest)
 	far := rest[:0]
 	for k, y := range rest {
 		if keys[k] > key {
 			far = append(far, y)
 		} else if ry := uf.Find(int(y)); ry != r0 {
 			r0 = uf.Link(r0, ry)
-			g.stats.GroupMerges++
+			g.merged(hub, y)
 		}
 	}
 	if len(far) == 0 {
@@ -304,7 +330,7 @@ func (g *cellGraph) joinCell(uf *unionfind.UF, c int, key float64) bool {
 	}
 	for _, x := range far {
 		rx := uf.Find(int(x))
-		if rx == uf.Find(x0) {
+		if rx == uf.Find(int(hub)) {
 			continue
 		}
 		for _, y := range ms {
@@ -315,11 +341,11 @@ func (g *cellGraph) joinCell(uf *unionfind.UF, c int, key float64) bool {
 			g.stats.DistanceComputations++
 			if g.ps.DistKey(g.metric, int(x), int(y)) <= key {
 				rx = uf.Link(rx, ry)
-				g.stats.GroupMerges++
+				g.merged(x, y)
 			}
 		}
 	}
-	r0 = uf.Find(x0)
+	r0 = uf.Find(int(hub))
 	for _, x := range far {
 		if uf.Find(int(x)) != r0 {
 			return false
@@ -327,6 +353,19 @@ func (g *cellGraph) joinCell(uf *unionfind.UF, c int, key float64) bool {
 	}
 	return true
 }
+
+// merged counts a union of the pair (x, y), within the level's key, and
+// records it as an edge of the level's spanning forest if it keeps one:
+// a call, so that merged inlines into the loops of one-shot runs.
+func (g *cellGraph) merged(x, y int32) {
+	g.stats.GroupMerges++
+	if g.tree != nil {
+		g.record(x, y)
+	}
+}
+
+// record adds the edge (x, y) to the level's spanning forest.
+func (g *cellGraph) record(x, y int32) { g.tree.link(int(x), int(y)) }
 
 // linkNeighbours visits every pair of neighbouring occupied cells once,
 // from the lexicographically smaller: the next cell when it is the next
@@ -397,7 +436,9 @@ func beforeTarget(cb, ca, off []int64) bool {
 // is whole a member of a already in b's set is skipped unkeyed and any
 // other stops at its first, and when a is whole too the first joins the
 // two cells and ends the visit. When neither is whole, each member of a
-// keys every member of b and links the hits in another set.
+// keys every member of b and links the hits in another set. Both cells
+// are read newest member first, so the pair that joins them is between
+// new points, for the reason joinCell's hub is the newest.
 func (g *cellGraph) linkCells(uf *unionfind.UF, a, b int, key float64) {
 	wa, wb := g.whole[a], g.whole[b]
 	if wa && !wb {
@@ -408,7 +449,8 @@ func (g *cellGraph) linkCells(uf *unionfind.UF, a, b int, key float64) {
 	if wb {
 		rb = uf.Find(int(bs[0]))
 	}
-	for _, x := range as {
+	for i := len(as) - 1; i >= 0; i-- {
+		x := as[i]
 		rx := uf.Find(int(x))
 		if rx == rb {
 			if wa {
@@ -418,8 +460,8 @@ func (g *cellGraph) linkCells(uf *unionfind.UF, a, b int, key float64) {
 		}
 		g.stats.DistanceComputations += int64(len(bs))
 		keys := g.ps.AppendDistKeys(g.keys[:0], g.metric, g.ps.At(int(x)), bs)
-		for k, kk := range keys {
-			if kk > key {
+		for k := len(keys) - 1; k >= 0; k-- {
+			if keys[k] > key {
 				continue
 			}
 			ry := uf.Find(int(bs[k]))
@@ -427,7 +469,7 @@ func (g *cellGraph) linkCells(uf *unionfind.UF, a, b int, key float64) {
 				continue
 			}
 			rx = uf.Link(rx, ry)
-			g.stats.GroupMerges++
+			g.merged(x, bs[k])
 			if wb {
 				rb = rx
 				break

@@ -9,6 +9,7 @@ import (
 
 	"github.com/sgb-db/sgb/internal/checkin"
 	"github.com/sgb-db/sgb/internal/geom"
+	"github.com/sgb-db/sgb/internal/grid"
 )
 
 // cellCount counts the cells the points of ps occupy at one level of
@@ -105,7 +106,7 @@ func pointJoin(ps *geom.PointSet, m geom.Metric, levels []float64, st *Stats) *a
 	}
 	opt := Options{Metric: m, Eps: levels[len(levels)-1], Algorithm: GridIndex, Stats: st}
 	f := newAnyForests(keys, ps.Len())
-	ix := newAnyGrid(ps.Dims(), ps.Len(), opt.Eps)
+	ix := &anyGrid{tab: grid.NewCap(ps.Dims(), opt.Eps, ps.Len())}
 	var j anyJoin
 	for i := 0; i < ps.Len(); i++ {
 		j.step(ix, ps, i, opt, f)

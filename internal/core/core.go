@@ -234,11 +234,13 @@ func (o Options) workers(n int) int {
 // empirically (distance computations dominate All-Pairs, rectangle
 // tests dominate Bounds-Checking, index probes dominate the on-the-fly
 // index). IndexProbes and IndexUpdates count per probe and per
-// registered point under the R-tree and a maintained ε-grid; the
-// one-shot SGB-Any grid (cellGraph) counts them per (level, occupied
-// cell) instead: a cell is registered once and looks up its forward
-// neighbours once at each level, and a tiled run adds one probe per
-// frontier point that looks back into earlier tiles.
+// registered point under the R-tree and a maintained ε-grid's appends;
+// the SGB-Any grid kernel over a whole point set (cellGraph: one-shot
+// runs, and a maintained evaluator's build, AddLevel and GroupsAt at a
+// level it does not keep) counts them per (level, occupied cell)
+// instead — a cell is registered once and looks up its forward
+// neighbours once at each level — and a maintained build adds one update
+// per point it loads into its grid.
 type Stats struct {
 	DistanceComputations int64 // ξ evaluations (distance keys) against concrete points
 	RectTests            int64 // PointInRectangle / rectangle-overlap tests
@@ -387,8 +389,8 @@ func CheckPoints(points []geom.Point) error {
 }
 
 // maxCells bounds a coordinate in ε-cells. Every grid over the points
-// (grid.Table, partition's tiles, the Morton keys, the one-shot cell
-// graph's level cells) quantizes x to int64(floor(x / cell)) with a cell
+// (grid.Table, partition's tiles, the Morton keys, the cell graph's
+// level cells) quantizes x to int64(floor(x / cell)) with a cell
 // side of ε or more, and probes up to two padded cell sides around it.
 // Within ±2^52 cells those indices are integers float64 and int64 both
 // hold and the rounding pad (geom.PaddedReach, 2⁻⁵⁰ of |x|) is at most

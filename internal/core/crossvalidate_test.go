@@ -177,15 +177,14 @@ func TestGridHighDimCrossValidation(t *testing.T) {
 	}
 }
 
-// TestAnyMortonRemap pins the Morton remap invariant on inputs large
-// enough to engage the Z-order preprocessing (n >= mortonMinPoints):
-// the grid result must be member-for-member identical — input-order
-// ids, canonical group order — to the never-reordered AllPairs run.
-func TestAnyMortonRemap(t *testing.T) {
+// TestAnyGridInputOrderIDs: the grid, which visits points cell by cell,
+// must answer member for member what the All-Pairs run, which visits
+// them in input order, does — input-order ids, canonical group order.
+func TestAnyGridInputOrderIDs(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for _, d := range []int{1, 2, 3, 5} {
 		for trial := 0; trial < 10; trial++ {
-			n := mortonMinPoints + r.Intn(800)
+			n := 32 + r.Intn(800)
 			points := randomPointsDim(r, n, d, 7)
 			eps := 0.3 + r.Float64()*0.7
 			for _, m := range allMetrics {
@@ -205,11 +204,12 @@ func TestAnyMortonRemap(t *testing.T) {
 	}
 }
 
-// TestAnyEvaluatorMortonRemap drives the incremental SGB-Any evaluator
-// with batches large enough to be Z-order reordered, interleaved with
-// small (unreordered) batches, and demands the retained grouping match
-// the one-shot evaluation over the concatenation after every append.
-func TestAnyEvaluatorMortonRemap(t *testing.T) {
+// TestAnyEvaluatorBatchSizes drives the incremental SGB-Any evaluator
+// with a first batch it builds whole (the cell graph) and then large and
+// small batches it appends point by point, and demands the retained
+// grouping match the one-shot evaluation over the concatenation after
+// every append.
+func TestAnyEvaluatorBatchSizes(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: GridIndex}
 	ev, err := NewAnyLevels([]float64{opt.Eps}, opt)
@@ -217,7 +217,7 @@ func TestAnyEvaluatorMortonRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := geom.NewPointSet(2)
-	for _, batchN := range []int{5, 200, 3, 150, mortonMinPoints, 1, 400} {
+	for _, batchN := range []int{5, 200, 3, 150, 32, 1, 400} {
 		batch := geom.NewPointSetCap(2, batchN)
 		for i := 0; i < batchN; i++ {
 			p := batch.Extend()

@@ -314,11 +314,23 @@ func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
 	return rm.probePos, rm.probeKey
 }
 
+// probeRadius is the radius of a probe from p that must see every point
+// within eps of it. At the top level it is the top level's ε, the radius
+// appends probe at. Below the top it is eps widened by geom.PaddedReach,
+// so the box provably holds every such point the wider top-level probe
+// would find.
+func (e *AnyEvaluator) probeRadius(p geom.Point, eps float64) float64 {
+	if eps == e.opt.Eps {
+		return eps
+	}
+	return geom.PaddedReach(p, eps)
+}
+
 // compact rebuilds the evaluator over the surviving points once the
 // tombstones outnumber them, bounding memory by the live set. The
 // forests are already known, so the rebuild renumbers their edges and
-// re-registers the index without re-probing — O(live) work, amortized
-// O(1) per removal by the load threshold.
+// loads the index in one pass (loadIndex) without re-probing — O(live)
+// work, amortized O(1) per removal by the load threshold.
 func (e *AnyEvaluator) compact() {
 	n := len(e.live)
 	rank := make([]int32, e.points.Len())
@@ -338,10 +350,8 @@ func (e *AnyEvaluator) compact() {
 		f.ufs[l], f.trees[l] = uf, tr
 	}
 	e.dropDead()
-	e.f, e.ix = f, newAnyGrid(e.Dims(), n, e.opt.Eps)
-	for k := 0; k < n; k++ {
-		e.ix.add(e.points, k, e.opt)
-	}
+	e.f = f
+	e.loadIndex()
 }
 
 // removeScratch holds AllEvaluator.Remove's reusable buffers.

@@ -88,7 +88,7 @@ func ascendingLevels(epsList []float64) ([]int, error) {
 // build one, and is deleted with ROADMAP 1(b). It wraps one AnyEvaluator
 // whose top level is Options.Eps. Sweep keeps each level it is asked for
 // while the evaluator holds fewer than MaxLevels and reads any further
-// one with a probe pass, as a cached sweep entry does.
+// one with a cell-graph pass, as a cached sweep entry does.
 type LatticeEvaluator struct{ ev *AnyEvaluator }
 
 // NewLatticeEvaluator returns an empty evaluator whose top level is

@@ -72,11 +72,7 @@ func anyRange(ps *geom.PointSet, opt Options, eps []float64, out [][]Group) {
 // the step the maintained evaluator runs on its grid).
 func sgbAnyLocal(ps *geom.PointSet, opt Options, f *anyForests) {
 	if opt.Algorithm == GridIndex {
-		g := newCellGraph(ps, opt.Metric)
-		for l := range f.ufs {
-			g.level(f, l)
-		}
-		opt.Stats.Merge(&g.stats)
+		runCellGraph(ps, opt.Metric, nil, f, opt.Stats)
 		return
 	}
 	ix := newAnyIndex(ps.Dims(), opt)

@@ -8,6 +8,7 @@ import (
 
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
+	"github.com/sgb-db/sgb/internal/unionfind"
 )
 
 // This file holds the resumable arm of the operators: evaluation state
@@ -17,11 +18,13 @@ import (
 // per-point step of SGB-All (processOne), so an incremental run over
 // batches b1, b2, ... produces exactly the grouping of a one-shot run
 // over their concatenation, bit-identical state included. SGB-Any's
-// evaluator absorbs each batch point by point (anyJoin.step, the join
-// the one-shot All-Pairs and R-tree runs use), in the Z-order of the
-// batch's cells, where a one-shot grid run links whole ε-cells
-// (cellGraph): harmless, as components are order-independent and both
-// report input-order ids in canonical order.
+// evaluator runs the one-shot grid kernel (cellGraph: link whole
+// ε-cells) wherever it evaluates a whole point set — a batch into an
+// evaluator that holds no points, a new level, a level it does not keep
+// — and absorbs a batch appended to points it holds point by point
+// (anyJoin.step, the join the one-shot All-Pairs and R-tree runs use):
+// harmless, as components are order-independent and every path reports
+// input-order ids in canonical order.
 //
 // The companion work on order-independent SGB semantics (PAPERS.md:
 // "On Order-independent Semantics of the Similarity Group-By
@@ -40,17 +43,18 @@ import (
 // later removed.
 type pointLog struct {
 	points *geom.PointSet // dims 0 until the first accepted batch
-	// live holds the stored positions of the surviving points in
-	// arrival order; a point's public id is its index in live (so ids
-	// compact after removals exactly as a from-scratch evaluation over
-	// the survivors would number them). nil means the identity over
-	// [0, points.Len()): every batch arrived in order and nothing was
-	// removed.
+	// live holds the stored positions of the surviving points,
+	// ascending: stored order is arrival order. A point's public id is
+	// its index in live (so ids compact after removals exactly as a
+	// from-scratch evaluation over the survivors would number them). nil
+	// means the identity over [0, points.Len()): nothing was removed
+	// since the log was last compacted.
 	live []int32
-	// alive flags stored positions (nil = everything alive), and dead
-	// counts the tombstoned ones; when they outnumber the live points
-	// the owner compacts the log (dropDead), so steady-state windowed
-	// workloads hold memory proportional to the window, not the history.
+	// alive flags stored positions (nil with live: everything alive),
+	// and dead counts the tombstoned ones; when they outnumber the live
+	// points the owner compacts the log (dropDead), so steady-state
+	// windowed workloads hold memory proportional to the window, not the
+	// history.
 	alive []bool
 	dead  int
 }
@@ -74,15 +78,16 @@ func (l *pointLog) LiveAt(i int) geom.Point {
 	return l.points.At(i)
 }
 
-// materializeLive switches the identity mapping to an explicit one —
-// the first Morton-reordered batch or the first removal needs it.
+// materializeLive switches the identity mapping to an explicit one,
+// every stored position alive — the first removal needs it.
 func (l *pointLog) materializeLive() {
 	if l.live != nil {
 		return
 	}
-	l.live = make([]int32, l.points.Len(), l.points.Len()+16)
+	n := l.points.Len()
+	l.live, l.alive = make([]int32, n, n+16), make([]bool, n)
 	for i := range l.live {
-		l.live[i] = int32(i)
+		l.live[i], l.alive[i] = int32(i), true
 	}
 }
 
@@ -117,28 +122,13 @@ func (l *pointLog) checkLevel(eps float64) error {
 	return nil
 }
 
-// add copies an accepted batch onto the log in the order perm gives
-// (nil: as it arrived), keeping the live order in arrival order, and
-// returns the stored position of the first point added.
-func (l *pointLog) add(ps *geom.PointSet, perm []int32) int {
+// add copies an accepted batch onto the log as it arrived and returns
+// the stored position of the first point added.
+func (l *pointLog) add(ps *geom.PointSet) int {
 	base := l.points.Len()
-	if perm != nil {
-		ps = ps.Gather(perm)
-		l.materializeLive()
-		// Arrival order of the reordered batch: position base+j holds
-		// the batch point perm[j], so arrival offset o lives at the
-		// position the inverse permutation names.
-		for _, j := range invertPerm(perm) {
-			l.live = append(l.live, int32(base)+j)
-		}
-	} else if l.live != nil {
+	if l.live != nil {
 		for k := 0; k < ps.Len(); k++ {
-			l.live = append(l.live, int32(base+k))
-		}
-	}
-	if l.alive != nil {
-		for k := 0; k < ps.Len(); k++ {
-			l.alive = append(l.alive, true)
+			l.live, l.alive = append(l.live, int32(base+k)), append(l.alive, true)
 		}
 	}
 	l.points.AppendSet(ps)
@@ -155,12 +145,6 @@ func (l *pointLog) dueAfter(k int) bool { return l.dead+k > l.Len()-k }
 // renumber here.
 func (l *pointLog) remove(sorted []int, victims []int32) []int32 {
 	l.materializeLive()
-	if l.alive == nil {
-		l.alive = make([]bool, l.points.Len())
-		for i := range l.alive {
-			l.alive[i] = true
-		}
-	}
 	for _, id := range sorted {
 		pos := l.live[id]
 		l.alive[pos] = false
@@ -196,7 +180,6 @@ func (l *pointLog) dropDead() {
 // arbitration over the ε-components the victims touched — SGB-All is
 // order- and presence-sensitive, so nothing less than a replay of those
 // stays bit-identical to a from-scratch run, and nothing more is needed.
-// (SGB-All never Morton-reorders, so stored order is arrival order.)
 type AllEvaluator struct {
 	pointLog
 	opt Options
@@ -280,7 +263,7 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 		e.st = newMaintainedState(e.points, e.opt)
 	}
 	st := e.st
-	base := e.add(ps, nil)
+	base := e.add(ps)
 	n := e.points.Len()
 	e.idxOK = false
 	for i := base; i < n; i++ {
@@ -429,19 +412,17 @@ func materializeAll(st *sgbAllState) *Result {
 // within them re-probes only the pieces the deletion split off.
 //
 // NewAnyLevels makes one at one or more levels, and AddLevel adds one
-// below the top. An appended point probes at the top level's ε, and
-// each pair joins the levels its distance reaches, as in SweepAny.
+// below the top. A whole point set — the first batch into an evaluator
+// that holds none, a new level, a level it does not keep — runs the
+// one-shot grid kernel (cellGraph), each union recorded as a forest
+// edge. A batch appended to points it holds probes point by point at the
+// top level's ε, and each pair joins the levels its distance reaches, as
+// in SweepAny under the R-tree.
 //
 // The index is the grid whatever Options.Algorithm names: components do
 // not depend on the index that finds the ε-edges either, so groups, ids
 // and retained partitions are the same under every strategy — only the
 // Stats counters of maintenance work are the grid's.
-//
-// Each appended batch is Z-order preprocessed (mortonPermFor): the
-// batch's points are absorbed in Z-order of their ε-cells, and the
-// log's live order remembers the arrival order of the stored positions
-// so Result reports input-order ids. Reordering within a batch is sound for the same reason appending
-// is: components do not depend on arrival order.
 type AnyEvaluator struct {
 	pointLog
 	opt Options   // Eps is the top level's
@@ -450,7 +431,7 @@ type AnyEvaluator struct {
 	// the forest a Remove repairs.
 	f    *anyForests
 	ix   *anyGrid // nil until the first accepted batch
-	join anyJoin  // the scratch of Append's, probePass's and Remove's probes
+	join anyJoin  // the scratch of Append's and Remove's probes
 
 	rm anyRemoval // Remove's reusable scratch (decremental.go)
 }
@@ -493,11 +474,14 @@ func (e *AnyEvaluator) Options() Options { return e.opt }
 func (e *AnyEvaluator) Levels() []float64 { return slices.Clone(e.eps) }
 
 // Append absorbs a batch of points (copied into the evaluator's own
-// storage): each point probes the live index for its neighbors within
-// the top level's ε, joins each at the levels their distance reaches,
-// and registers itself — the step every one-shot evaluation runs
-// (anyJoin.step), each merge also recorded as a forest edge. An empty
-// batch is a no-op.
+// storage). Into an evaluator that holds no points — a new one, or one
+// whose every point was removed — every level is built over the batch
+// as a one-shot grid run builds it, and the index is loaded in one pass.
+// Otherwise each point probes
+// the live index for its neighbors within the top level's ε, joins each
+// at the levels their distance reaches, and registers itself — the step
+// every one-shot All-Pairs and R-tree evaluation runs (anyJoin.step),
+// each merge also recorded as a forest edge. An empty batch is a no-op.
 func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if ps == nil || ps.Len() == 0 {
 		return nil
@@ -505,10 +489,20 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	if err := e.accept(ps, e.eps[0]); err != nil {
 		return err
 	}
-	if e.ix == nil {
-		e.ix = newAnyGrid(e.Dims(), 0, e.opt.Eps)
+	if e.points.Len() == 0 {
+		// Every level from cells, each above the lowest starting as a
+		// copy of the one below, its forest too (cellGraph.level).
+		n := ps.Len()
+		for l := range e.f.ufs {
+			e.f.ufs[l] = unionfind.New(n)
+		}
+		e.f.trees[0] = newAnyTree(n)
+		e.add(ps)
+		runCellGraph(e.points, e.opt.Metric, nil, e.f, e.opt.Stats)
+		e.loadIndex()
+		return nil
 	}
-	for i := e.add(ps, mortonPermFor(ps, e.opt)); i < e.points.Len(); i++ {
+	for i := e.add(ps); i < e.points.Len(); i++ {
 		for _, uf := range e.f.ufs {
 			uf.Add()
 		}
@@ -520,22 +514,28 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	return nil
 }
 
+// loadIndex registers every stored position in a new top-level grid in
+// one pass (grid.BulkLoad), counting one update per point.
+func (e *AnyEvaluator) loadIndex() {
+	e.ix = &anyGrid{tab: grid.BulkLoad(e.points, e.opt.Eps)}
+	e.opt.Stats.addUpdate(int64(e.points.Len()))
+}
+
 // Result materializes the current connected components at the top
 // level in the same deterministic order as the one-shot operator
 // (groups by smallest member index, members ascending, ids in original
-// arrival order over the live points — the Morton reordering of batches
-// and any removals are invisible here). The returned result owns its
-// slices; calling Result repeatedly or interleaving it with Append and
-// Remove is safe.
+// arrival order over the live points — removals are invisible here).
+// The returned result owns its slices; calling Result repeatedly or
+// interleaving it with Append and Remove is safe.
 func (e *AnyEvaluator) Result() *Result {
 	return &Result{Groups: groupsFromUF(e.f.ufs[len(e.f.ufs)-1], e.live)}
 }
 
 // GroupsAt materializes the grouping at eps, as Result does the top
 // level's. A level the evaluator keeps is read off its partition; any
-// other ε up to the top costs one probe pass over the live points, and
-// the level is not kept (AddLevel keeps it). Above the top it fails with
-// ErrEpsAboveMax.
+// other ε up to the top costs one cell-graph pass over the live points
+// (levelPass), and the level is not kept (AddLevel keeps it). Above the
+// top it fails with ErrEpsAboveMax.
 func (e *AnyEvaluator) GroupsAt(eps float64) (*Result, error) {
 	if l := slices.Index(e.eps, eps); l >= 0 {
 		return &Result{Groups: groupsFromUF(e.f.ufs[l], e.live)}, nil
@@ -547,10 +547,11 @@ func (e *AnyEvaluator) GroupsAt(eps float64) (*Result, error) {
 	return &Result{Groups: groupsFromUF(f.ufs[0], e.live)}, nil
 }
 
-// AddLevel keeps one more ε level, at most the top: one probe pass over
-// the live points builds its partition and forest, and from then on
-// Append and Remove maintain it with the others. A level already kept
-// is a no-op; one past MaxLevels fails with ErrTooManyLevels.
+// AddLevel keeps one more ε level, at most the top: one cell-graph pass
+// over the live points builds its partition and forest (levelPass), and
+// from then on Append and Remove maintain it with the others. A level
+// already kept is a no-op; one past MaxLevels fails with
+// ErrTooManyLevels.
 func (e *AnyEvaluator) AddLevel(eps float64) error {
 	if slices.Contains(e.eps, eps) {
 		return nil
@@ -571,7 +572,10 @@ func (e *AnyEvaluator) AddLevel(eps float64) error {
 }
 
 // levelPass builds level eps, which must not exceed the top, over the
-// live points, with its forest when forest is set.
+// live points, with its forest when forest is set: one cell-graph level
+// over the live stored positions, the tombstoned ones left singletons.
+// An evaluator with no live points has no cells to link (nor, before
+// its first batch, any dimensionality).
 func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) {
 	if eps > e.opt.Eps {
 		return nil, fmt.Errorf("%w (top level %v)", ErrEpsAboveMax, e.opt.Eps)
@@ -591,44 +595,8 @@ func (e *AnyEvaluator) levelPass(eps float64, forest bool) (*anyForests, error) 
 	if forest {
 		f.trees = []anyTree{newAnyTree(n)}
 	}
-	e.probePass(f, eps)
+	if e.Len() > 0 {
+		runCellGraph(e.points, opt.Metric, e.live, f, opt.Stats)
+	}
 	return f, nil
-}
-
-// probePass links every pair of live points within eps, the top of f,
-// into f, each from its later stored position: one probe pass over the
-// live points, each probe's earlier candidates joining it as an
-// append's do (anyJoin.join). It fills a level the evaluator did not
-// hold.
-func (e *AnyEvaluator) probePass(f *anyForests, eps float64) {
-	ps, opt, g, j := e.points, e.opt, e.ix, &e.join
-	for i := 0; i < ps.Len(); i++ {
-		if e.alive != nil && !e.alive[i] {
-			continue
-		}
-		opt.Stats.addProbe(1)
-		p := ps.At(i)
-		j.ids = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, eps), j.ids[:0])
-		n := 0
-		for _, c := range j.ids {
-			if int(c) < i {
-				j.ids[n] = c
-				n++
-			}
-		}
-		j.ids = j.ids[:n]
-		j.join(ps, i, opt, f)
-	}
-}
-
-// probeRadius is the radius of a probe from p that must see every point
-// within eps of it. At the top level it is the top level's ε, the radius
-// appends probe at. Below the top it is eps widened by geom.PaddedReach, so
-// the box provably holds every such point the wider top-level probe
-// would find.
-func (e *AnyEvaluator) probeRadius(p geom.Point, eps float64) float64 {
-	if eps == e.opt.Eps {
-		return eps
-	}
-	return geom.PaddedReach(p, eps)
 }

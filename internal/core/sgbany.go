@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
 	"github.com/sgb-db/sgb/internal/rtree"
@@ -195,6 +197,12 @@ func (t *anyTree) grow() {
 	t.head = append(t.head, -1)
 }
 
+// clone returns a copy of t in storage of its own: the forest a level
+// built from the level below starts with.
+func (t *anyTree) clone() anyTree {
+	return anyTree{ring: slices.Clone(t.ring), head: slices.Clone(t.head), edges: slices.Clone(t.edges), free: t.free}
+}
+
 // splice joins the cycles of i and j, which must be two.
 func (t *anyTree) splice(i, j int) { t.ring[i], t.ring[j] = t.ring[j], t.ring[i] }
 
@@ -221,25 +229,6 @@ func (t *anyTree) appendSet(dst []int32, x int32) []int32 {
 	}
 }
 
-// mortonMinPoints is the input size below which Morton preprocessing is
-// skipped: the sort + gather cannot pay for itself on a handful of
-// points.
-const mortonMinPoints = 32
-
-// mortonPermFor decides whether AnyEvaluator.Append absorbs a batch in
-// the Z-order of its ε-cells and returns the permutation (nil = in
-// arrival order): consecutive probes of its ε-grid then touch
-// neighbouring cells. Only the grid strategy profits, its probe
-// locality being exactly cell adjacency, so the rule follows the
-// options alone and so does stored order. (A one-shot grid run orders
-// points by cell itself, cellGraph.)
-func mortonPermFor(ps *geom.PointSet, opt Options) []int32 {
-	if opt.Algorithm != GridIndex || ps.Len() < mortonMinPoints {
-		return nil
-	}
-	return geom.MortonPerm(ps, opt.Eps)
-}
-
 // ErrBoundsCheckAny rejects the one strategy × semantics combination
 // that does not exist; exported so callers configuring SGB-Any (the
 // incremental handle, the planner) can reject it eagerly with the same
@@ -257,8 +246,10 @@ func (e errValue) Error() string { return string(e) }
 // the ε-grid differ only here: a one-shot evaluation under the first
 // two, single-ε or sweep, absorbs its points through one join
 // (anyJoin.step), as a maintained evaluator (AnyEvaluator) does on the
-// grid, its one index. A one-shot grid evaluation links ε-cells instead
-// (cellGraph); components do not depend on how their edges were found.
+// grid, its one index, with a batch appended to points it holds. A
+// whole point set under the grid, one-shot or maintained, links ε-cells
+// instead (cellGraph); components do not depend on how their edges were
+// found.
 type anyIndex interface {
 	collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32
 	add(ps *geom.PointSet, i int, opt Options)
@@ -266,8 +257,9 @@ type anyIndex interface {
 
 // newAnyIndex instantiates the point-probing index the options name:
 // All-Pairs or the R-tree (BoundsCheck is rejected earlier, see
-// ErrBoundsCheckAny; a one-shot grid run links cells instead,
-// cellGraph, and a maintained one keeps its own anyGrid).
+// ErrBoundsCheckAny; a grid run over a whole point set links cells
+// instead, cellGraph, and a maintained one appends through its own
+// anyGrid).
 func newAnyIndex(dims int, opt Options) anyIndex {
 	switch opt.Algorithm {
 	case AllPairs:
@@ -328,18 +320,14 @@ func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
 // in its home cell, and the candidates of an incoming point are the
 // points of the 3^d cells its ε-box covers. The cell neighborhood
 // over-approximates the ε-ball under both metrics; each point lives in
-// exactly one cell, so the probe needs no sort or dedup. Besides
-// collect and add, a maintained evaluator unregisters a deleted point
-// (remove) and registers points without probing (add, in the compaction
-// rebuild, where components are already known).
+// exactly one cell, so the probe needs no sort or dedup. A maintained
+// evaluator keeps one at its top ε: it loads it in one pass
+// (grid.BulkLoad) where the components are already known — after a
+// whole-batch build and a compaction — and besides collect and add
+// unregisters a deleted point (remove).
 type anyGrid struct {
 	tab *grid.Table
 	cur grid.Cursor
-}
-
-// newAnyGrid presizes the directory for sizeHint points (0: grow).
-func newAnyGrid(dims, sizeHint int, eps float64) *anyGrid {
-	return &anyGrid{tab: grid.NewCap(dims, eps, sizeHint)}
 }
 
 func (a *anyGrid) collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
@@ -359,7 +347,7 @@ func (a *anyGrid) add(ps *geom.PointSet, i int, opt Options) {
 
 // anyJoin is SGB-Any's one join: VerifyPoints and MergeGroupsInsert for
 // every index, every number of levels, and a maintained evaluator's
-// appends and probe passes. It holds the scratch of one probe: the
+// appends and Remove's probes. It holds the scratch of one probe: the
 // candidates, their comparison keys, and the probing point's root at
 // each level.
 type anyJoin struct {
@@ -369,20 +357,15 @@ type anyJoin struct {
 }
 
 // step absorbs point i at every level of f: ix collects its candidates
-// at the top level's ε (opt.Eps), each within it joins i at the levels
-// its key reaches (join), and i registers for later probes.
+// at the top level's ε (opt.Eps), one kernel call keys them, each within
+// it joins i at the levels its key reaches (link), and i registers for
+// later probes. Every candidate counts as a distance computation.
 func (j *anyJoin) step(ix anyIndex, ps *geom.PointSet, i int, opt Options, f *anyForests) {
 	j.ids = ix.collect(ps, i, opt, j.ids[:0])
-	j.join(ps, i, opt, f)
-	ix.add(ps, i, opt)
-}
-
-// join keys the candidates in j.ids from point i in one kernel call and
-// links them (link). Every candidate counts as a distance computation.
-func (j *anyJoin) join(ps *geom.PointSet, i int, opt Options, f *anyForests) {
 	opt.Stats.addDist(int64(len(j.ids)))
 	j.keys = ps.AppendDistKeys(j.keys[:0], opt.Metric, ps.At(i), j.ids)
 	opt.Stats.addMerge(j.link(i, j.ids, j.keys, f))
+	ix.add(ps, i, opt)
 }
 
 // link joins point i to each of ids whose key (keys, in DistKey space)
@@ -465,14 +448,4 @@ func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
 		groups[s].Members = append(groups[s].Members, o)
 	}
 	return groups
-}
-
-// invertPerm returns the inverse of a batch's Z-order permutation
-// (perm[pos] = the batch index stored at pos).
-func invertPerm(perm []int32) []int32 {
-	inv := make([]int32, len(perm))
-	for pos, orig := range perm {
-		inv[orig] = int32(pos)
-	}
-	return inv
 }

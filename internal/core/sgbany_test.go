@@ -270,9 +270,9 @@ func checkIndependent(t *testing.T, what string, groups []Group) {
 // TestAnyResultGroupsIndependent: groupsFromUF's counting extraction
 // answers exactly what the per-group-append one did — group order and
 // member order — over random Union-Find traces read in full, through a
-// surviving subset (removals) and through a permutation (Morton), and
-// over real evaluations: the one-shot operator with Morton
-// preprocessing and a maintained evaluator under appends and removals.
+// surviving subset (removals) and through a permutation, and over real
+// evaluations: the one-shot operator over a permuted input (Z-order) and
+// a maintained evaluator under appends and removals.
 // Its groups share one backing array, yet appending to one group's
 // Members leaves its neighbours intact.
 func TestAnyResultGroupsIndependent(t *testing.T) {
@@ -308,9 +308,9 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 
 	pts := geom.FromPoints(randomPoints(r, 600, 2, 20))
 	opt := Options{Metric: geom.L2, Eps: 0.6, Algorithm: GridIndex, Parallelism: 1}
-	perm := mortonPermFor(pts, opt)
+	perm := geom.MortonPerm(pts, opt.Eps)
 	if perm == nil {
-		t.Fatal("no Morton permutation for 600 grid points")
+		t.Fatal("600 random points are already in Z-order")
 	}
 	eval := pts.Gather(perm)
 	f := newAnyForests([]float64{opt.Metric.EpsKey(opt.Eps)}, eval.Len())
@@ -324,7 +324,7 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := perGroupAppend(f.ufs[0], inv); !reflect.DeepEqual(res.Groups, want) {
-		t.Fatal("one-shot Morton run: groups differ from the per-group-append extraction")
+		t.Fatal("one-shot run over a permuted input: groups differ from the per-group-append extraction")
 	}
 	checkIndependent(t, "one-shot", res.Groups)
 

@@ -9,9 +9,8 @@
 // the flat PointSet — one contiguous []float64 buffer with stride d —
 // that every operator hot path runs on. PointSet supports zero-copy
 // adaptation from contiguous []Point data (FromPoints), gathers into a
-// permuted or sub-set order (Gather), views for the parallel pipeline's
-// tiles and suffix hand-off (Slice), and batch appends for the
-// incremental evaluators (AppendSet).
+// permuted or sub-set order (Gather), suffix views for hand-off (Slice),
+// and batch appends for the incremental evaluators (AppendSet).
 //
 // Invariants:
 //
@@ -29,9 +28,8 @@
 // PointSet's cells (ZOrder; MortonKey, MortonPerm): cell quantization,
 // per-axis normalization, the interleaved key — coarsened on an axis
 // wider than its bits, never aliased, so it grows with every cell
-// coordinate — and a radix sort. A maintained SGB-Any evaluator absorbs
-// each batch in this order so consecutive cell-neighborhood probes stay
-// cache-resident (remapping member ids back to input order on output),
-// internal/partition (kept for the benchmark's partition.split_ms) cuts
-// its tiles from it, and internal/grid's BulkLoad registers in it.
+// coordinate — and a radix sort. internal/grid's BulkLoad registers in
+// it, which lays a cell's ids out contiguously for a maintained SGB-Any
+// evaluator's probes, and internal/partition (kept for the benchmark's
+// partition.split_ms) cuts its runs from it.
 package geom

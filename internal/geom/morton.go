@@ -7,12 +7,11 @@ import (
 
 // Z-order (Morton order): sorting a PointSet by the interleaved bits of
 // its cell coordinates places points of neighboring cells next to each
-// other, so a scan that probes each point's cell neighborhood (the
-// SGB-Any grid evaluation) touches the same directory slots and id
-// slabs again and again while they are cache-resident, and a cut of the
+// other, so a grid registered in that order (internal/grid's BulkLoad)
+// lays the id slabs of neighbouring cells side by side, and a cut of the
 // sorted order into runs yields compact tiles (internal/partition).
-// Consumers evaluate over the permuted set and remap member ids back to
-// input order on output.
+// Consumers keep the input order's ids: the permutation only says in
+// which order to visit them.
 
 // mortonBits returns the bits of precision per dimension that fit one
 // 64-bit key. Above 64 dimensions an axis gets one bit, and the axes

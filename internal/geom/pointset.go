@@ -165,10 +165,9 @@ func (s *PointSet) Slice(i, j int) *PointSet {
 }
 
 // Gather returns a compact PointSet holding the points at the given
-// indices, in index order — an input in Z-order (whose runs are the
-// parallel pipeline's tiles), or a subset such as the frontier the
-// pipeline's cross-tile probe indexes. The result owns its buffer;
-// mutating the source afterwards does not affect it.
+// indices, in index order — a subset such as the survivors a maintained
+// evaluator compacts its log to, or a permuted input. The result owns
+// its buffer; mutating the source afterwards does not affect it.
 func (s *PointSet) Gather(indices []int32) *PointSet {
 	out := NewPointSetCap(s.dims, len(indices))
 	for _, i := range indices {

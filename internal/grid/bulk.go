@@ -12,9 +12,9 @@ import "github.com/sgb-db/sgb/internal/geom"
 // of bulk loading over per-point AddPoint, whose interleaved allocation
 // scatters a cell's chain across the arena. The table is fully mutable
 // afterwards; later AddPoint/RemovePoint churn degrades the layout
-// gracefully. No engine path loads a table this way at present; a
-// maintained SGB-Any evaluator's whole-table build is to (ROADMAP item
-// 3(a)).
+// gracefully. A maintained SGB-Any evaluator loads its index this way
+// whenever it knows the components already: after building a batch
+// into an empty evaluator, and when it compacts its log.
 func BulkLoad(ps *geom.PointSet, cellSize float64) *Table {
 	t := NewCap(ps.Dims(), cellSize, ps.Len()/2)
 	perm := geom.MortonPerm(ps, cellSize)

@@ -2,8 +2,8 @@
 // structure for fixed-radius similarity queries. Space is partitioned
 // into axis-aligned cubes of side cellSize; each occupied cell maps to
 // the ids registered in it, and every id is registered in exactly one
-// cell: a point's home cell (SGB-Any and its tiled pipeline, the
-// SGB-All closure; cellSize = ε) or the home cell of a
+// cell: a point's home cell (a maintained SGB-Any evaluator's index,
+// the SGB-All closure; cellSize = ε) or the home cell of a
 // group's anchor member (the SGB-All finder; cellSize = the reach of its
 // probe, ε or 2ε). Everything within cellSize of a point then lies in
 // the 3^d cell neighborhood of its home cell, so a probe is a handful of

@@ -100,10 +100,10 @@ const (
 	OnTheFlyIndex = core.OnTheFlyIndex
 	// GridIndex probes a uniform hash grid with ε-sized cells instead
 	// of an R-tree — the fastest strategy at every dimensionality (cell
-	// keys are hashed, so there is no d cap). SGB-Any inputs are
-	// additionally Morton (Z-order) preordered for probe locality;
-	// output ids always refer to the input order. Results are identical
-	// to every other strategy for equal seeds.
+	// keys are hashed, so there is no d cap). SGB-Any over a whole
+	// point set links ε-cells instead of probing point by point; output
+	// ids always refer to the input order. Results are identical to
+	// every other strategy for equal seeds.
 	GridIndex = core.GridIndex
 )
 
@@ -253,15 +253,15 @@ func (x *Incremental) Options() Options { return x.ev.Options() }
 func (x *Incremental) Levels() []float64 { return x.ev.Levels() }
 
 // AddLevel keeps one more ε level, at most the top, in an SGB-Any
-// handle: one probe pass over the live points, then maintained with the
-// others. A level already kept is a no-op; one past core.MaxLevels
+// handle: one cell-graph pass over the live points, then maintained with
+// the others. A level already kept is a no-op; one past core.MaxLevels
 // fails with core.ErrTooManyLevels. An SGB-All handle refuses it.
 func (x *Incremental) AddLevel(eps float64) error { return x.ev.AddLevel(eps) }
 
 // GroupsAt materializes the grouping at eps, as Result does at the top.
 // An SGB-Any handle reads a level it keeps off its state, and answers
-// any other ε up to the top with one probe pass over the live points,
-// without keeping the level. An SGB-All handle answers its own ε only.
+// any other ε up to the top with one cell-graph pass over the live
+// points, without keeping the level. An SGB-All handle answers its own ε only.
 func (x *Incremental) GroupsAt(eps float64) (*Result, error) { return x.ev.GroupsAt(eps) }
 
 // Len returns the number of live points (appended and not removed).

@@ -786,6 +786,26 @@ func BenchmarkEntryBuild(b *testing.B) {
 			b.ReportMetric(float64(keys)/float64(b.N), "keys/op")
 		})
 	}
+	// Half the entry's points removed, oldest first: the most tombstones
+	// it holds short of compaction, which the level's sort skips.
+	b.Run("AddLevel=0.05/top=0.8/tombstones", func(b *testing.B) {
+		var st sgb.Stats
+		oldest := make([]int, pts.Len()/2)
+		for i := range oldest {
+			oldest[i] = i
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			inc := build(b, &st, []float64{0.8})
+			if err := inc.Remove(oldest); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := inc.AddLevel(0.05); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // clusterPoints is benchkit.ClusterPoints in d dimensions: clusters of
@@ -933,7 +953,7 @@ func TestWindowAnyOutputSensitive(t *testing.T) {
 			}
 			for _, g := range got.Groups {
 				if l == len(levels)-1 && lone < 0 && len(g.Members) == 1 {
-					lone = g.Members[0]
+					lone = int(g.Members[0])
 				}
 			}
 		}

@@ -617,7 +617,7 @@ func (db *DB) sgbAnswerFunc(table, exprKey string, anySem bool, epsList []float6
 			if err != nil {
 				return nil, err
 			}
-			gs[i] = exec.NewGrouping(res.Groups)
+			gs[i] = exec.NewGrouping(res)
 			if len(next.levels) < core.MaxLevels {
 				next.levels = append(next.levels, answerLevel{eps: eps, g: gs[i]})
 			}

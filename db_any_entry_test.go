@@ -243,7 +243,7 @@ func TestSQLAnyNestingAcrossStatements(t *testing.T) {
 								if !ok {
 									t.Fatalf("%s: %s lists id %q, which is not in the table", where, sql, id)
 								}
-								g.Members = append(g.Members, i)
+								g.Members = append(g.Members, int32(i))
 							}
 							if int(r[0].I) != len(g.Members) {
 								t.Fatalf("%s: %s: count(*) = %d beside %d listed ids", where, sql, r[0].I, len(g.Members))

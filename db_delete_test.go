@@ -275,7 +275,7 @@ func sqlAllGroups(t *testing.T, db *DB, table, clause, when string) ([]Point, *c
 			if !ok {
 				t.Fatalf("%s: group lists id %q, which is not in the table", when, id)
 			}
-			g.Members = append(g.Members, i)
+			g.Members = append(g.Members, int32(i))
 			grouped[i] = true
 		}
 		if int(r[0].I) != len(g.Members) {

@@ -57,20 +57,13 @@ func Brightkite(n int) Config {
 	// Venue count scales with the data (the real dataset has ~6
 	// check-ins per venue), keeping per-ε-ball density roughly flat as
 	// n grows — as it is in the real data.
-	return Config{Checkins: n, Hotspots: maxInt(60, n/25), Spread: 0.5, Seed: 7}
+	return Config{Checkins: n, Hotspots: max(60, n/25), Spread: 0.5, Seed: 7}
 }
 
 // Gowalla returns the configuration approximating Gowalla (more
 // hot-spots, wider scatter), scaled to n check-ins.
 func Gowalla(n int) Config {
-	return Config{Checkins: n, Hotspots: maxInt(80, n/20), Spread: 0.8, Seed: 11}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return Config{Checkins: n, Hotspots: max(80, n/20), Spread: 0.8, Seed: 11}
 }
 
 // Points generates just the (latitude, longitude) points — the form the

@@ -187,7 +187,7 @@ func TestReanchorMaintainedPaths(t *testing.T) {
 						// Delete the first member of every third group.
 						var ids []int
 						for gi := 0; gi < len(got.Groups); gi += 3 {
-							ids = append(ids, got.Groups[gi].Members[0])
+							ids = append(ids, int(got.Groups[gi].Members[0]))
 						}
 						if err := ev.Remove(ids); err != nil {
 							t.Fatal(err)

@@ -48,8 +48,8 @@ import (
 type cellGraph struct {
 	ps     *geom.PointSet
 	metric geom.Metric
-	maxAbs float64 // the largest |coordinate| of ps
-	pc     []int64 // point id → its cell's d coordinates (pc[id*d:])
+	maxAbs float64 // the largest |coordinate| of the points sorted
+	pc     []int64 // point id → its cell's d coordinates (pc[id*d:]), set for ids only
 	ids    []int32 // point ids in cell order
 	tmp    []int32 // the radix sort's other buffer
 	// sortKey holds a sort key per position of ids, tmpKey is its other
@@ -203,16 +203,19 @@ func (g *cellGraph) level(f *anyForests, l int) {
 	g.linkNeighbours(uf, key)
 }
 
-// bucket computes every point's cell at 1/inv per side, sorts the ids
-// lexicographically by cell and cuts the order into cell runs. The sort
-// is an LSD radix sort over the coordinate columns, last first, each
-// column normalized to its span of cells and as many consecutive columns
-// packed into one key as 64 bits hold (all of them, unless the spans are
-// very wide); a key costs one pass per byte it spans.
+// bucket computes the cell of every point of ids (tombstones are not
+// among them) at 1/inv per side, sorts the ids lexicographically by cell
+// and cuts the order into cell runs. The sort is an LSD radix sort over
+// the coordinate columns, last first, each column normalized to its span
+// of cells and as many consecutive columns packed into one key as 64
+// bits hold (all of them, unless the spans are very wide); a key costs
+// one pass per byte it spans.
 func (g *cellGraph) bucket(inv float64) {
-	d := g.ps.Dims()
-	for i, v := range g.ps.Data() {
-		g.pc[i] = int64(math.Floor(v * inv))
+	d, data := g.ps.Dims(), g.ps.Data()
+	for _, id := range g.ids {
+		for i := int(id) * d; i < int(id)*d+d; i++ {
+			g.pc[i] = int64(math.Floor(data[i] * inv))
+		}
 	}
 	for k := range g.lo { // floor is monotone: the extreme coordinates' cells
 		g.lo[k] = int64(math.Floor(g.ext[2*k] * inv))

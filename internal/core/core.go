@@ -342,19 +342,44 @@ func (s *Stats) Merge(o *Stats) {
 }
 
 // Group is one output group; Members are indices into the input slice,
-// in the order the points joined the group.
+// in the order the points joined the group, as int32: 2³¹ points do not
+// fit in memory to begin with.
 type Group struct {
-	Members []int
+	Members []int32
 }
 
 // Result is the outcome of a similarity group-by evaluation.
 type Result struct {
-	// Groups holds the output groups in creation order.
+	// Groups holds the output groups in creation order, each Members a
+	// window of the one member run (Layout) capped at its own end.
 	Groups []Group
 	// Eliminated lists input indices dropped by ON-OVERLAP ELIMINATE
 	// (empty under other semantics), in elimination order.
 	Eliminated []int
+
+	members, ends []int32 // Layout
 }
+
+// newResult returns the grouping whose group i is
+// members[ends[i-1]:ends[i]] (ends[-1] being 0). With no group it is
+// the zero Result, so an empty grouping reads alike from every producer.
+func newResult(members, ends []int32) *Result {
+	if len(ends) == 0 {
+		return &Result{}
+	}
+	res := &Result{Groups: make([]Group, len(ends)), members: members, ends: ends}
+	start := int32(0)
+	for i, end := range ends {
+		res.Groups[i].Members = members[start:end:end]
+		start = end
+	}
+	return res
+}
+
+// Layout returns the member run Groups windows, not a copy, and the
+// ends that cut it (see newResult). Both are nil for a Result built
+// outside this package.
+func (r *Result) Layout() (members, ends []int32) { return r.members, r.ends }
 
 // NumGroups returns the number of output groups.
 func (r *Result) NumGroups() int { return len(r.Groups) }

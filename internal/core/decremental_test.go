@@ -606,7 +606,7 @@ func TestRemoveSplitsComponent(t *testing.T) {
 	if len(res.Groups) != 2 {
 		t.Fatalf("after deleting the bridge: %d components, want 2: %v", len(res.Groups), res.Groups)
 	}
-	if !reflect.DeepEqual(res.Groups[0].Members, []int{0}) || !reflect.DeepEqual(res.Groups[1].Members, []int{1}) {
+	if !reflect.DeepEqual(res.Groups[0].Members, []int32{0}) || !reflect.DeepEqual(res.Groups[1].Members, []int32{1}) {
 		t.Fatalf("ids did not renumber compactly: %v", res.Groups)
 	}
 	if got := ev.LiveAt(1); got[0] != 2 || got[1] != 0 {

@@ -64,17 +64,13 @@ type sgbAllState struct {
 	rand   *rng
 	cur    int // the point processOne is arbitrating
 
-	// maintained marks the retained state of an AllEvaluator, which has
-	// to splice a local replay back in (decremental.go) and therefore
-	// keeps what a one-shot run gets for free from its single pass:
-	// order lists the group ids by stamp (ids stop being creation order
-	// at the first splice; an emptied group's id lingers until the next
-	// one), elimCause and deferCause hold, per entry of eliminated and
-	// deferred, the stored index of the point whose arbitration caused
-	// it, and free holds the retired groups newGroupFor recycles, id and
-	// rect row included, so a sliding window does not grow the id space
-	// tick by tick.
-	maintained bool
+	// order lists the group ids by stamp, the order result reports them
+	// in (ids stop being creation order at an AllEvaluator's first splice,
+	// decremental.go; an emptied group's id lingers until the next one).
+	// elimCause and deferCause hold, per entry of eliminated and
+	// deferred, the stored index of the point whose arbitration caused it,
+	// and free holds the retired groups newGroupFor recycles, id and rect
+	// row included, so a sliding window does not grow the id space.
 	order      []int32
 	elimCause  []int32
 	deferCause []int32
@@ -118,17 +114,13 @@ type sgbAllState struct {
 // eliminatePoint records m as dropped by ELIMINATE.
 func (st *sgbAllState) eliminatePoint(m int) {
 	st.eliminated = append(st.eliminated, m)
-	if st.maintained {
-		st.elimCause = append(st.elimCause, int32(st.cur))
-	}
+	st.elimCause = append(st.elimCause, int32(st.cur))
 }
 
 // deferPoint records m as deferred into the FORM-NEW-GROUP set S′.
 func (st *sgbAllState) deferPoint(m int) {
 	st.deferred = append(st.deferred, m)
-	if st.maintained {
-		st.deferCause = append(st.deferCause, int32(st.cur))
-	}
+	st.deferCause = append(st.deferCause, int32(st.cur))
 }
 
 // finder abstracts FindCloseGroups over the strategies.
@@ -250,9 +242,7 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 	}
 	g.hullDirty = true
 	st.pointGroup[pi] = int32(g.id)
-	if st.maintained {
-		st.order = append(st.order, int32(g.id))
-	}
+	st.order = append(st.order, int32(g.id))
 	st.opt.Stats.addCreated(1)
 	st.finder.groupCreated(st, g)
 	return g

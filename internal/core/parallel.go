@@ -18,11 +18,11 @@ import (
 // did, which is what the split costs. A single ε evaluates sequentially.
 
 // sgbAnyByLevel evaluates the ascending levels eps over ps with w ≥ 2
-// workers into out (out[l] is level l's groups). Each worker counts into
+// workers into out (out[l] is level l's grouping). Each worker counts into
 // a Stats of its own, merged into opt.Stats once all are done. A
 // worker's panic is recovered into its slot and the first one is raised
 // again here once every worker is done, where the caller can recover it.
-func sgbAnyByLevel(ps *geom.PointSet, opt Options, eps []float64, out [][]Group, w int) {
+func sgbAnyByLevel(ps *geom.PointSet, opt Options, eps []float64, out []*Result, w int) {
 	k := len(eps)
 	stats := make([]Stats, w)
 	panics := make([]any, w)
@@ -51,8 +51,8 @@ func sgbAnyByLevel(ps *geom.PointSet, opt Options, eps []float64, out [][]Group,
 
 // anyRange evaluates the ascending levels eps over ps into out, its
 // lowest level from singletons: one forest per level (sgbAnyLocal, with
-// the top level's ε as the probe radius), then each level's groups.
-func anyRange(ps *geom.PointSet, opt Options, eps []float64, out [][]Group) {
+// the top level's ε as the probe radius), then each level's grouping.
+func anyRange(ps *geom.PointSet, opt Options, eps []float64, out []*Result) {
 	keys := make([]float64, len(eps))
 	for l, e := range eps {
 		keys[l] = opt.Metric.EpsKey(e)

@@ -315,7 +315,7 @@ func BenchmarkAnyLevelFloor(b *testing.B) {
 		k := len(levels)
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			opt := Options{Metric: geom.L2, Algorithm: GridIndex}
-			out := make([][]Group, k)
+			out := make([]*Result, k)
 			var seq time.Duration
 			largest := map[int]time.Duration{}
 			for i := 0; i < b.N; i++ {

@@ -207,24 +207,6 @@ func NewAllEvaluator(opt Options) (*AllEvaluator, error) {
 	return &AllEvaluator{pointLog: newPointLog(), opt: opt}, nil
 }
 
-// newMaintainedState returns an empty retained arbitration state over
-// pts (none of them placed yet), seeded exactly as a one-shot run.
-func newMaintainedState(pts *geom.PointSet, opt Options) *sgbAllState {
-	st := &sgbAllState{
-		points:     pts,
-		opt:        opt,
-		dims:       pts.Dims(),
-		rand:       newRNG(opt.Seed),
-		maintained: true,
-		pointGroup: make([]int32, pts.Len()),
-	}
-	for i := range st.pointGroup {
-		st.pointGroup[i] = -1
-	}
-	st.finder = newFinder(st)
-	return st
-}
-
 // Options returns the options the evaluator was created with. They are
 // fixed: the retained state embodies them.
 func (e *AllEvaluator) Options() Options { return e.opt }
@@ -260,7 +242,7 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 		return err
 	}
 	if e.st == nil {
-		e.st = newMaintainedState(e.points, e.opt)
+		e.st = newAllState(e.points, e.opt)
 	}
 	st := e.st
 	base := e.add(ps)
@@ -288,9 +270,9 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 // in creation order — the retained order list, not id order — and
 // member and Eliminated ids are live ids: compact indices over the
 // surviving points in arrival order, exactly as a from-scratch run over
-// them would number its input. The returned result owns its slices (the
-// member lists share one backing array, each capped at its own end).
-// Before the first accepted batch it is an empty grouping.
+// them would number its input. The returned result owns its slices,
+// the member run (Layout) and Eliminated. Before the first accepted
+// batch it is an empty grouping.
 func (e *AllEvaluator) Result() *Result {
 	st := e.st
 	if st == nil {
@@ -304,43 +286,20 @@ func (e *AllEvaluator) Result() *Result {
 	}
 	// Stored indices → live ids. Only live indices can appear: a removal
 	// retires every group and event that names a victim.
-	var idx []int32
-	if e.live != nil {
-		if !e.idxOK {
-			n := e.points.Len()
-			e.idx = slices.Grow(e.idx[:0], n)[:n]
-			for k, pos := range e.live {
-				e.idx[pos] = int32(k)
-			}
-			e.idxOK = true
+	if e.live == nil {
+		res := st.result(nil)
+		res.Eliminated = slices.Clone(res.Eliminated) // st appends to and filters its own in place
+		return res
+	}
+	if !e.idxOK {
+		n := e.points.Len()
+		e.idx = slices.Grow(e.idx[:0], n)[:n]
+		for k, pos := range e.live {
+			e.idx[pos] = int32(k)
 		}
-		idx = e.idx
+		e.idxOK = true
 	}
-	res := &Result{Groups: make([]Group, 0, len(st.order))}
-	flat := make([]int, 0, e.Len()) // a live point sits in at most one group
-	for _, id := range st.order {
-		g := st.groups[id]
-		if g == nil || len(g.members) == 0 {
-			continue
-		}
-		from := len(flat)
-		flat = appendLive(flat, g.members, idx)
-		res.Groups = append(res.Groups, Group{Members: flat[from:len(flat):len(flat)]})
-	}
-	res.Eliminated = appendLive(nil, st.eliminated, idx)
-	return res
-}
-
-// appendLive appends the stored indices to dst as live ids (idx nil
-// means they are the same).
-func appendLive(dst, stored []int, idx []int32) []int {
-	if idx == nil {
-		return append(dst, stored...)
-	}
-	for _, m := range stored {
-		dst = append(dst, int(idx[m]))
-	}
-	return dst
+	return st.result(e.idx)
 }
 
 // finalizeClone snapshots the main-pass state deeply enough that the
@@ -364,10 +323,9 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 		pointGroup: append([]int32(nil), st.pointGroup...),
 		rects:      append([]float64(nil), st.rects...),
 		// The recursion's groups join the creation order behind the
-		// retained ones; it has no use for causes or the free list (its
-		// ids must keep growing, see group.stamp).
-		maintained: true,
-		order:      append([]int32(nil), st.order...),
+		// retained ones; a clone is never spliced, so its causes go
+		// unread, and with no free list its ids keep growing (group.stamp).
+		order: append([]int32(nil), st.order...),
 	}
 	for i, g := range st.groups {
 		if g == nil {
@@ -382,21 +340,6 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 	}
 	cl.finder = newFinder(cl)
 	return cl
-}
-
-// materializeAll extracts the output groups of a one-shot SGB-All state
-// in creation order, which for a one-shot state is id order, handing
-// over the state's slices. (A retained state orders by its order list
-// and must not alias: AllEvaluator.Result.)
-func materializeAll(st *sgbAllState) *Result {
-	res := &Result{Eliminated: st.eliminated}
-	for _, g := range st.groups {
-		if g == nil || len(g.members) == 0 {
-			continue
-		}
-		res.Groups = append(res.Groups, Group{Members: g.members})
-	}
-	return res
 }
 
 // AnyEvaluator is resumable SGB-Any evaluation state at one or more ε
@@ -528,7 +471,7 @@ func (e *AnyEvaluator) loadIndex() {
 // The returned result owns its slices; calling Result repeatedly or
 // interleaving it with Append and Remove is safe.
 func (e *AnyEvaluator) Result() *Result {
-	return &Result{Groups: groupsFromUF(e.f.ufs[len(e.f.ufs)-1], e.live)}
+	return groupsFromUF(e.f.ufs[len(e.f.ufs)-1], e.live)
 }
 
 // GroupsAt materializes the grouping at eps, as Result does the top
@@ -538,13 +481,13 @@ func (e *AnyEvaluator) Result() *Result {
 // top it fails with ErrEpsAboveMax.
 func (e *AnyEvaluator) GroupsAt(eps float64) (*Result, error) {
 	if l := slices.Index(e.eps, eps); l >= 0 {
-		return &Result{Groups: groupsFromUF(e.f.ufs[l], e.live)}, nil
+		return groupsFromUF(e.f.ufs[l], e.live), nil
 	}
 	f, err := e.levelPass(eps, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Groups: groupsFromUF(f.ufs[0], e.live)}, nil
+	return groupsFromUF(f.ufs[0], e.live), nil
 }
 
 // AddLevel keeps one more ε level, at most the top: one cell-graph pass

@@ -29,32 +29,73 @@ func SGBAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 }
 
 func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
-	res := &Result{}
 	if ps == nil || ps.Len() == 0 {
-		return res, nil
+		return &Result{}, nil
 	}
 	if err := checkCoords(ps, opt.Eps); err != nil {
 		return nil, err
 	}
-
-	st := &sgbAllState{
-		points:     ps,
-		opt:        opt,
-		dims:       ps.Dims(),
-		rand:       newRNG(opt.Seed),
-		pointGroup: make([]int32, ps.Len()),
-	}
-	for i := range st.pointGroup {
-		st.pointGroup[i] = -1
-	}
-	st.finder = newFinder(st)
-
+	st := newAllState(ps, opt)
 	order := make([]int, ps.Len())
 	for i := range order {
 		order[i] = i
 	}
 	st.run(order, 0)
-	return materializeAll(st), nil
+	return st.result(nil), nil
+}
+
+// newAllState returns an empty arbitration state over pts (none of them
+// placed yet): a one-shot run's, and the one an AllEvaluator retains
+// and appends to.
+func newAllState(pts *geom.PointSet, opt Options) *sgbAllState {
+	st := &sgbAllState{
+		points:     pts,
+		opt:        opt,
+		dims:       pts.Dims(),
+		rand:       newRNG(opt.Seed),
+		pointGroup: make([]int32, pts.Len()),
+	}
+	for i := range st.pointGroup {
+		st.pointGroup[i] = -1
+	}
+	st.finder = newFinder(st)
+	return st
+}
+
+// result materializes the grouping: the groups in creation order (the
+// order list), members as idx maps their stored indices (nil: they are
+// the output ids), in one run sized exactly. With idx nil the
+// eliminated list is handed over, not copied.
+func (st *sgbAllState) result(idx []int32) *Result {
+	n, k := 0, 0
+	for _, id := range st.order {
+		if g := st.groups[id]; g != nil {
+			n, k = n+len(g.members), k+1
+		}
+	}
+	members, ends := make([]int32, 0, n), make([]int32, 0, k)
+	for _, id := range st.order {
+		if g := st.groups[id]; g != nil {
+			for _, m := range g.members {
+				if idx != nil {
+					m = int(idx[m])
+				}
+				members = append(members, int32(m))
+			}
+			ends = append(ends, int32(len(members)))
+		}
+	}
+	res := newResult(members, ends)
+	if len(st.eliminated) > 0 {
+		res.Eliminated = st.eliminated
+		if idx != nil {
+			res.Eliminated = make([]int, len(st.eliminated))
+			for i, m := range st.eliminated {
+				res.Eliminated[i] = int(idx[m])
+			}
+		}
+	}
+	return res
 }
 
 // run executes one SGB-All pass over the given input order. Under

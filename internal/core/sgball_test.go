@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,7 +21,7 @@ func sortedSizes(r *Result) []int {
 	return s
 }
 
-func equalIntSlices(a, b []int) bool {
+func equalIntSlices[T int | int32](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -158,9 +159,9 @@ func TestFigure4FormNewGroup(t *testing.T) {
 		// The new group must contain exactly {a3, x}.
 		found := false
 		for _, g := range res.Groups {
-			ms := append([]int(nil), g.Members...)
-			sort.Ints(ms)
-			if equalIntSlices(ms, []int{2, 10}) {
+			ms := append([]int32(nil), g.Members...)
+			slices.Sort(ms)
+			if equalIntSlices(ms, []int32{2, 10}) {
 				found = true
 			}
 		}
@@ -535,5 +536,33 @@ func TestHullRefinementAcceptsByKey(t *testing.T) {
 		} else if !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: %v, want %v as %v", alg, got, want, allAlgorithms[0])
 		}
+	}
+}
+
+// TestAllResultOwnsEliminated: a maintained ELIMINATE grouping's Result
+// keeps its Eliminated list when the evaluator later filters its own in
+// place. Two copies of Figure 2 eliminate a5 and its copy; removing a1
+// drops the first event and shifts the second down.
+func TestAllResultOwnsEliminated(t *testing.T) {
+	pts := geom.FromPoints(figure2Points())
+	for _, p := range figure2Points() {
+		pts.AppendPoint(geom.Point{p[0] + 50, p[1] + 50})
+	}
+	ev, err := NewAllEvaluator(Options{Metric: geom.LInf, Eps: 3, Overlap: Eliminate, Algorithm: GridIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.Append(pts); err != nil {
+		t.Fatal(err)
+	}
+	before := ev.Result()
+	if !reflect.DeepEqual(before.Eliminated, []int{4, 9}) {
+		t.Fatalf("eliminated %v, want [4 9]", before.Eliminated)
+	}
+	if err := ev.Remove([]int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before.Eliminated, []int{4, 9}) {
+		t.Fatalf("a Remove rewrote an earlier Result's eliminated list: %v", before.Eliminated)
 	}
 }

@@ -46,15 +46,13 @@ func sgbAnySet(ps *geom.PointSet, opt Options) (*Result, error) {
 	if opt.Algorithm == BoundsCheck {
 		return nil, ErrBoundsCheckAny
 	}
-	res := &Result{}
 	if ps == nil || ps.Len() == 0 {
-		return res, nil
+		return &Result{}, nil
 	}
 	if err := checkCoords(ps, opt.Eps); err != nil {
 		return nil, err
 	}
-	res.Groups = sgbAnyLevels(ps, opt, []float64{opt.Eps}, opt.workers(ps.Len()))[0]
-	return res, nil
+	return sgbAnyLevels(ps, opt, []float64{opt.Eps}, opt.workers(ps.Len()))[0], nil
 }
 
 // SweepAny answers SGB-Any at every ε level of epsList in one
@@ -109,21 +107,21 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 	for l, i := range order {
 		eps[l] = epsList[i]
 	}
-	for l, groups := range sgbAnyLevels(ps, opt, eps, opt.workers(ps.Len())) {
-		out[order[l]] = &Result{Groups: groups}
+	for l, res := range sgbAnyLevels(ps, opt, eps, opt.workers(ps.Len())) {
+		out[order[l]] = res
 	}
 	return out, nil
 }
 
 // sgbAnyLevels is SGB-Any's one-shot evaluation, behind the single-ε
 // operator (one level) and the one-shot ε sweep alike. eps are the
-// levels, ascending; opt.Eps is ignored. It returns each level's groups
-// in eps' order. With more than one worker and more than one level the
-// levels are split into contiguous ranges evaluated in parallel
-// (sgbAnyByLevel); otherwise they are evaluated inline, the grid
-// starting each level from the one below (cellGraph).
-func sgbAnyLevels(ps *geom.PointSet, opt Options, eps []float64, workers int) [][]Group {
-	out := make([][]Group, len(eps))
+// levels, ascending; opt.Eps is ignored. It returns each level's
+// grouping in eps' order. With more than one worker and more than one
+// level the levels are split into contiguous ranges evaluated in
+// parallel (sgbAnyByLevel); otherwise they are evaluated inline, the
+// grid starting each level from the one below (cellGraph).
+func sgbAnyLevels(ps *geom.PointSet, opt Options, eps []float64, workers int) []*Result {
+	out := make([]*Result, len(eps))
 	if w := min(workers, len(eps)); w > 1 {
 		sgbAnyByLevel(ps, opt, eps, out, w)
 	} else {
@@ -407,19 +405,19 @@ func (j *anyJoin) link(i int, ids []int32, keys []float64, f *anyForests) int64 
 // index in live (live[id] = stored position of the point with output
 // id): groups ordered by smallest output id, members ascending. The
 // one-shot run (nil), for every level of a sweep, and the maintained
-// evaluator (surviving positions in arrival order) both extract here. Two
-// passes: the first gives each point its group's slot and counts group
-// sizes, the second fills one backing array carved into exact-capacity
-// member slices — no per-member append regrowth, and appending to one
-// group's Members reallocates it rather than overwriting a neighbour's.
-func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
+// evaluator (surviving positions in arrival order) both extract here,
+// straight into the Result's member run: a counting pass gives each
+// point its group's slot and counts group sizes, prefix sums turn the
+// counts into starts, and a fill pass places each member, advancing its
+// group's start to the group's end.
+func groupsFromUF(uf *unionfind.UF, live []int32) *Result {
 	n := len(live)
 	if live == nil {
 		n = uf.Len()
 	}
 	slot := make([]int32, uf.Len()) // root → its group's slot + 1
 	of := make([]int32, n)          // output id → its group's slot
-	sizes := make([]int, 0, min(n, uf.Count()))
+	ends := make([]int32, 0, min(n, uf.Count()))
 	for o := range of {
 		pos := o
 		if live != nil {
@@ -427,25 +425,21 @@ func groupsFromUF(uf *unionfind.UF, live []int32) []Group {
 		}
 		r := uf.Find(pos)
 		if slot[r] == 0 {
-			sizes = append(sizes, 0)
-			slot[r] = int32(len(sizes))
+			ends = append(ends, 0)
+			slot[r] = int32(len(ends))
 		}
 		s := slot[r] - 1
-		sizes[s]++
+		ends[s]++
 		of[o] = s
 	}
-	if len(sizes) == 0 {
-		return nil // as an empty one-shot Result has it
+	start := int32(0)
+	for s, size := range ends {
+		ends[s], start = start, start+size
 	}
-	backing := make([]int, n)
-	groups := make([]Group, len(sizes))
-	off := 0
-	for s, sz := range sizes {
-		groups[s].Members = backing[off : off : off+sz]
-		off += sz
-	}
+	members := make([]int32, n)
 	for o, s := range of {
-		groups[s].Members = append(groups[s].Members, o)
+		members[ends[s]] = int32(o)
+		ends[s]++
 	}
-	return groups
+	return newResult(members, ends)
 }

@@ -243,18 +243,39 @@ func perGroupAppend(uf *unionfind.UF, live []int32) []Group {
 			slot[r] = s
 			groups = append(groups, Group{})
 		}
-		groups[s].Members = append(groups[s].Members, o)
+		groups[s].Members = append(groups[s].Members, int32(o))
 	}
 	return groups
 }
 
-// checkIndependent appends to each group's Members in turn and requires
-// every other group to read as before.
-func checkIndependent(t *testing.T, what string, groups []Group) {
+// checkIndependent requires res's Groups to be, in order, the windows
+// of its layout, each capped at its own end, and an empty grouping to be
+// the zero Result; then it appends to each group's Members in turn and
+// requires every other group to read as before.
+func checkIndependent(t *testing.T, what string, res *Result) {
 	t.Helper()
-	want := make([][]int, len(groups))
+	if len(res.Groups) == 0 {
+		if !reflect.DeepEqual(res, &Result{Eliminated: res.Eliminated}) {
+			t.Fatalf("%s: an empty grouping is not the zero Result: %#v", what, res)
+		}
+		return
+	}
+	members, ends := res.Layout()
+	if len(ends) != len(res.Groups) || int(ends[len(ends)-1]) != len(members) {
+		t.Fatalf("%s: %d groups over a layout of %d ends and %d members", what, len(res.Groups), len(ends), len(members))
+	}
+	groups := res.Groups
+	start := int32(0)
 	for i, g := range groups {
-		want[i] = append([]int(nil), g.Members...)
+		end := ends[i]
+		if len(g.Members) != int(end-start) || cap(g.Members) != len(g.Members) || &g.Members[0] != &members[start] {
+			t.Fatalf("%s: group %d (len %d, cap %d) is not the capped window [%d:%d] of the layout", what, i, len(g.Members), cap(g.Members), start, end)
+		}
+		start = end
+	}
+	want := make([][]int32, len(groups))
+	for i, g := range groups {
+		want[i] = append([]int32(nil), g.Members...)
 	}
 	for i := range groups {
 		groups[i].Members = append(groups[i].Members, -1)
@@ -299,7 +320,7 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 			live []int32
 		}{{"every position", nil}, {"survivors", subset}, {"permuted", inv}} {
 			got, want := groupsFromUF(uf, c.live), perGroupAppend(uf, c.live)
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got.Groups, want) {
 				t.Fatalf("trial %d, %s: %v, want %v", trial, c.name, got, want)
 			}
 			checkIndependent(t, c.name, got)
@@ -326,7 +347,7 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 	if want := perGroupAppend(f.ufs[0], inv); !reflect.DeepEqual(res.Groups, want) {
 		t.Fatal("one-shot run over a permuted input: groups differ from the per-group-append extraction")
 	}
-	checkIndependent(t, "one-shot", res.Groups)
+	checkIndependent(t, "one-shot", res)
 
 	e, err := NewAnyLevels([]float64{opt.Eps}, opt)
 	if err != nil {
@@ -346,10 +367,134 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 		} else if err := e.Append(geom.FromPoints(randomPoints(r, 80, 2, 10))); err != nil {
 			t.Fatal(err)
 		}
-		got := e.Result().Groups
-		if want := perGroupAppend(e.f.ufs[0], e.live); !reflect.DeepEqual(got, want) {
+		got := e.Result()
+		if want := perGroupAppend(e.f.ufs[0], e.live); !reflect.DeepEqual(got.Groups, want) {
 			t.Fatalf("maintained, step %d: groups differ from the per-group-append extraction", step)
 		}
 		checkIndependent(t, "maintained", got)
 	}
+}
+
+// TestResultLayout: every producer of a Result — one-shot and
+// maintained, both operators — lays its groups out as windows of one
+// member run (Layout), in order, each capped at its own end, and reports
+// an empty grouping as the zero Result.
+func TestResultLayout(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	pts := geom.FromPoints(randomPoints(r, 400, 2, 12))
+	empty := geom.NewPointSet(2)
+	check := func(what string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(res.Groups) == 0 {
+			t.Fatalf("%s: no group to check", what)
+		}
+		checkIndependent(t, what, res)
+	}
+	zero := func(what string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !reflect.DeepEqual(res, &Result{}) {
+			t.Fatalf("%s: the empty grouping is %#v, not the zero Result", what, res)
+		}
+	}
+
+	anyOpt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: GridIndex}
+	res, err := SGBAnySet(pts, anyOpt)
+	check("SGBAnySet", res, err)
+	res, err = SGBAnySet(empty, anyOpt)
+	zero("SGBAnySet over no points", res, err)
+	levels := []float64{0.5, 0.2, 0.8}
+	for _, par := range []int{1, 3} {
+		opt := anyOpt
+		opt.Parallelism = par
+		for _, in := range []*geom.PointSet{pts, empty} {
+			out, err := SweepAnySet(in, levels, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, res := range out {
+				what := fmt.Sprintf("SweepAnySet over %d points, Parallelism %d, ε = %v", in.Len(), par, levels[l])
+				if in == empty {
+					zero(what, res, nil)
+				} else {
+					check(what, res, nil)
+				}
+			}
+		}
+	}
+
+	// Figure 2 under FORM-NEW-GROUP defers a5 into a recursion stage;
+	// the random points, far away, form groups of their own.
+	all := geom.FromPoints(figure2Points())
+	for _, p := range randomPoints(r, 60, 2, 12) {
+		all.AppendPoint(geom.Point{p[0] + 100, p[1] + 100})
+	}
+	for _, ov := range allOverlaps {
+		var st Stats
+		opt := Options{Metric: geom.LInf, Eps: 3, Overlap: ov, Algorithm: GridIndex, Stats: &st}
+		res, err := SGBAllSet(all, opt)
+		check(fmt.Sprintf("SGBAllSet, %v", ov), res, err)
+		if ov == FormNewGroup && st.RecursionDepth == 0 {
+			t.Fatal("SGBAllSet under FORM-NEW-GROUP ran no recursion stage")
+		}
+		opt.Stats = nil
+		res, err = SGBAllSet(empty, opt)
+		zero(fmt.Sprintf("SGBAllSet over no points, %v", ov), res, err)
+
+		ev, err := NewAllEvaluator(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero(fmt.Sprintf("AllEvaluator before a batch, %v", ov), ev.Result(), nil)
+		if err := ev.Append(all); err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Remove([]int{7, 30}); err != nil {
+			t.Fatal(err)
+		}
+		if ov == FormNewGroup && len(ev.st.deferred) == 0 {
+			t.Fatal("FORM-NEW-GROUP deferred nothing: Result does not run on a clone")
+		}
+		check(fmt.Sprintf("AllEvaluator.Result after a Remove, %v", ov), ev.Result(), nil)
+		every := make([]int, ev.Len())
+		for i := range every {
+			every[i] = i
+		}
+		if err := ev.Remove(every); err != nil {
+			t.Fatal(err)
+		}
+		zero(fmt.Sprintf("AllEvaluator after removing every point, %v", ov), ev.Result(), nil)
+	}
+
+	ae, err := NewAnyLevels([]float64{0.8, 0.2}, anyOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero("AnyEvaluator before a batch", ae.Result(), nil)
+	if err := ae.Append(pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := ae.Remove([]int{3, 50, 51, 200}); err != nil {
+		t.Fatal(err)
+	}
+	check("AnyEvaluator.Result after a Remove", ae.Result(), nil)
+	for _, eps := range []float64{0.2, 0.5} { // kept, not kept
+		res, err := ae.GroupsAt(eps)
+		check(fmt.Sprintf("AnyEvaluator.GroupsAt(%v) after a Remove", eps), res, err)
+	}
+	every := make([]int, ae.Len())
+	for i := range every {
+		every[i] = i
+	}
+	if err := ae.Remove(every); err != nil {
+		t.Fatal(err)
+	}
+	zero("AnyEvaluator after removing every point", ae.Result(), nil)
+	res, err = ae.GroupsAt(0.5)
+	zero("AnyEvaluator.GroupsAt an unkept level after removing every point", res, err)
 }

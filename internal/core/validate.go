@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/sgb-db/sgb/internal/geom"
 )
@@ -23,13 +23,13 @@ func CheckCliques(points []geom.Point, metric geom.Metric, eps float64, res *Res
 			return fmt.Errorf("group %d is empty", gi)
 		}
 		for _, m := range g.Members {
-			if m < 0 || m >= len(points) {
+			if m < 0 || int(m) >= len(points) {
 				return fmt.Errorf("group %d references invalid index %d", gi, m)
 			}
-			if prev, dup := seen[m]; dup {
+			if prev, dup := seen[int(m)]; dup {
 				return fmt.Errorf("index %d appears in group %d and %s", m, gi, prev)
 			}
-			seen[m] = fmt.Sprintf("group %d", gi)
+			seen[int(m)] = fmt.Sprintf("group %d", gi)
 		}
 		for i := 0; i < len(g.Members); i++ {
 			for j := i + 1; j < len(g.Members); j++ {
@@ -96,7 +96,7 @@ func ConnectedComponents(points []geom.Point, metric geom.Metric, eps float64) [
 			slot[r] = s
 			groups = append(groups, Group{})
 		}
-		groups[s].Members = append(groups[s].Members, i)
+		groups[s].Members = append(groups[s].Members, int32(i))
 	}
 	return groups
 }
@@ -108,8 +108,8 @@ func SameGrouping(a, b []Group) bool {
 		return false
 	}
 	key := func(g Group) string {
-		ms := append([]int(nil), g.Members...)
-		sort.Ints(ms)
+		ms := slices.Clone(g.Members)
+		slices.Sort(ms)
 		return fmt.Sprint(ms)
 	}
 	counts := make(map[string]int, len(a))

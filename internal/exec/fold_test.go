@@ -52,7 +52,7 @@ func rowsWith(vals ...types.Value) []types.Row {
 // took the typed path.
 func checkFold(t testing.TB, rows []types.Row, groups []core.Group) (typed bool) {
 	t.Helper()
-	g := NewGrouping(groups)
+	g := groupingOf(groups)
 	members := int64(len(g.members))
 	for _, kind := range foldKinds {
 		spec := specOver(kind)
@@ -115,7 +115,7 @@ func TestTypedFoldMatchesAccumulators(t *testing.T) {
 	f, n, null := types.Float, types.Int, types.Null()
 	nan, inf := math.NaN(), math.Inf(1)
 	const big = int64(1) << 53
-	run := func(members ...int) core.Group { return core.Group{Members: members} }
+	run := func(members ...int32) core.Group { return core.Group{Members: members} }
 	cases := []struct {
 		name   string
 		vals   []types.Value
@@ -200,9 +200,9 @@ func TestSGBNodeFoldsTypedAndBoxedAlike(t *testing.T) {
 	var rows []types.Row
 	var groups []core.Group
 	for g := 0; g < 30; g++ {
-		var members []int
+		var members []int32
 		for m := 0; m <= g%4; m++ {
-			members = append(members, len(rows))
+			members = append(members, int32(len(rows)))
 			v := types.Null()
 			if (g+m)%5 != 0 {
 				v = types.Int(int64(g*7 - m*m))
@@ -231,9 +231,9 @@ func TestSGBNodeFoldsTypedAndBoxedAlike(t *testing.T) {
 				s := &SGB{Input: &ValuesOp{Rows: rows}, GroupExprs: []Scalar{col(0)}, Any: true,
 					Opt: core.Options{Eps: 0.5, Stats: &st}, Aggs: aggs, EpsList: eps}
 				if share {
-					gs := []*Grouping{NewGrouping(groups)}
+					gs := []*Grouping{groupingOf(groups)}
 					if eps != nil {
-						gs = append(gs, NewGrouping(groups[:7]))
+						gs = append(gs, groupingOf(groups[:7]))
 					}
 					s.Answer = func(Snapshot) ([]*Grouping, error) { return gs, nil }
 				}
@@ -295,7 +295,7 @@ func FuzzFold(f *testing.F) {
 		isInt := data[0]&1 == 1
 		var vals []types.Value
 		var groups []core.Group
-		var cur []int
+		var cur []int32
 		for data = data[1:]; len(data) >= 9; data = data[9:] {
 			ctl, payload := data[0], binary.LittleEndian.Uint64(data[1:9])
 			number := func(asInt bool) types.Value {
@@ -304,7 +304,7 @@ func FuzzFold(f *testing.F) {
 				}
 				return types.Float(math.Float64frombits(payload))
 			}
-			id := len(vals)
+			id := int32(len(vals))
 			switch ctl & 3 {
 			case 0:
 				vals = append(vals, number(isInt))
@@ -316,7 +316,7 @@ func FuzzFold(f *testing.F) {
 				vals = append(vals, types.Text(fmt.Sprint(payload%7)))
 			}
 			if ctl&0x20 != 0 {
-				cur = append([]int{id}, cur...)
+				cur = append([]int32{id}, cur...)
 			} else {
 				cur = append(cur, id)
 			}

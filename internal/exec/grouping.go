@@ -43,20 +43,12 @@ type Grouping struct {
 	largest, grouped int
 }
 
-// NewGrouping copies the groups of a similarity evaluation, in order.
-func NewGrouping(groups []core.Group) *Grouping {
-	n := 0
-	for _, grp := range groups {
-		n += len(grp.Members)
-	}
-	g := &Grouping{members: make([]int32, 0, n), ends: make([]int32, len(groups))}
-	for i, grp := range groups {
-		for _, m := range grp.Members {
-			g.members = append(g.members, int32(m))
-		}
-		g.ends[i] = int32(len(g.members))
-	}
-	return g
+// NewGrouping adopts the groups of a similarity evaluation, in order:
+// the result's member run and ends (core.Result.Layout), not a copy.
+// The result must not change afterwards.
+func NewGrouping(res *core.Result) *Grouping {
+	members, ends := res.Layout()
+	return &Grouping{members: members, ends: ends}
 }
 
 // Len returns the number of groups.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/sgb-db/sgb/internal/core"
@@ -249,9 +250,29 @@ func (s *SGB) evaluate(src Snapshot) ([]*Grouping, error) {
 	}
 	gs := make([]*Grouping, len(results))
 	for i, res := range results {
-		gs[i] = NewGrouping(res.Groups)
+		if !adoptable(res) {
+			return nil, errors.New("exec: a grouping hook returned a result whose groups are not windows of its member run (built outside core)")
+		}
+		gs[i] = NewGrouping(res)
 	}
 	return gs, nil
+}
+
+// adoptable reports whether res's groups are, in order, the windows of
+// its layout: true of every core result, not of one built by hand.
+func adoptable(res *core.Result) bool {
+	members, ends := res.Layout()
+	if len(ends) != len(res.Groups) {
+		return false
+	}
+	start := int32(0)
+	for i, g := range res.Groups {
+		if len(g.Members) != int(ends[i]-start) || len(g.Members) > 0 && &g.Members[0] != &members[start] {
+			return false
+		}
+		start = ends[i]
+	}
+	return true
 }
 
 // emit produces the output rows level by level: under Cube one

@@ -158,9 +158,9 @@ func TestSGBTopHint(t *testing.T) {
 	var rows []types.Row
 	var groups []core.Group
 	for g := 0; g < 40; g++ {
-		var members []int
+		var members []int32
 		for m, n := 0, 1+r.Intn(3); m < n; m++ { // sizes 1–3: count(*) ties constantly
-			members = append(members, len(rows))
+			members = append(members, int32(len(rows)))
 			rows = append(rows, types.Row{types.Float(float64(g)), types.Int(int64(r.Intn(4)))})
 		}
 		groups = append(groups, core.Group{Members: members})
@@ -170,7 +170,7 @@ func TestSGBTopHint(t *testing.T) {
 		{Kind: AggMax, Args: []Scalar{col(1)}, Key: "max(b)"},
 		{Kind: AggMin, Args: []Scalar{col(0)}, Key: "min(a)"}, // the group's id: tells tied groups apart
 	}
-	shared := NewGrouping(groups)
+	shared := groupingOf(groups)
 	node := func(top *Top, answer bool) *SGB {
 		s := &SGB{Input: &ValuesOp{Rows: rows}, GroupExprs: []Scalar{col(0)}, Any: true,
 			Opt: core.Options{Eps: 0.5}, Aggs: aggs, Top: top}
@@ -297,7 +297,7 @@ func TestTopRankingMemo(t *testing.T) {
 	aggs := []AggSpec{{Key: "a"}, {Key: "b"}, {Key: "c"}, {}}
 	for trial := 0; trial < 100; trial++ {
 		n := r.Intn(50)
-		g := NewGrouping(make([]core.Group, n))
+		g := groupingOf(make([]core.Group, n))
 		cols := []column{draw(n), draw(n), draw(n), draw(n)}
 		for _, top := range []*Top{
 			{Cols: []int{0}, Desc: []bool{true}, N: 3},
@@ -348,7 +348,7 @@ func TestTopRankingMemo(t *testing.T) {
 	// An error is kept, as a column's is: the second request gets the
 	// very error the first one made.
 	bad := []column{{vals: []types.Value{types.Int(1), types.Text("x"), types.Int(2)}}}
-	g := NewGrouping(make([]core.Group, 3))
+	g := groupingOf(make([]core.Group, 3))
 	top := &Top{Cols: []int{0}, Desc: []bool{false}, N: 1}
 	_, err1 := g.top(top, aggs[:1], bad)
 	_, err2 := g.top(top, aggs[:1], bad)
@@ -357,7 +357,7 @@ func TestTopRankingMemo(t *testing.T) {
 	}
 
 	// The memo stops at its bound; further hints still rank correctly.
-	g = NewGrouping(make([]core.Group, 20))
+	g = groupingOf(make([]core.Group, 20))
 	cols := []column{draw(20)}
 	for k := int64(1); k <= maxMemoRanks+3; k++ {
 		top := &Top{Cols: []int{0}, Desc: []bool{true}, N: k}
@@ -375,9 +375,9 @@ func TestTopRankingMemo(t *testing.T) {
 	var rows []types.Row
 	var groups []core.Group
 	for gi := 0; gi < 60; gi++ {
-		var members []int
+		var members []int32
 		for m, n := 0, 1+r.Intn(3); m < n; m++ {
-			members = append(members, len(rows))
+			members = append(members, int32(len(rows)))
 			rows = append(rows, types.Row{types.Float(float64(gi)), types.Int(int64(r.Intn(4)))})
 		}
 		groups = append(groups, core.Group{Members: members})
@@ -387,7 +387,7 @@ func TestTopRankingMemo(t *testing.T) {
 		{Kind: AggMax, Args: []Scalar{col(1)}, Key: "max(b)"},
 		{Kind: AggMin, Args: []Scalar{col(0)}, Key: "min(a)"},
 	}
-	shared := NewGrouping(groups)
+	shared := groupingOf(groups)
 	hints := []*Top{
 		{Cols: []int{0, 2}, Desc: []bool{true, false}, N: 5},
 		{Cols: []int{1, 0}, Desc: []bool{false, true}, N: 9},

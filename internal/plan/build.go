@@ -798,10 +798,3 @@ func outputName(item sqlparser.SelectItem, i int) string {
 		return fmt.Sprintf("col%d", i+1)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -110,7 +110,8 @@ const (
 // Options configures a similarity group-by evaluation.
 type Options = core.Options
 
-// Group is one output group (indices into the input slice).
+// Group is one output group. Members are indices into the input slice,
+// as []int32 (they were []int until results took the cache's layout).
 type Group = core.Group
 
 // Result is the outcome of a grouping: the groups plus any points

@@ -128,7 +128,7 @@ func naiveDBSCAN(points []geom.Point, eps float64, minPts int) []int {
 	region := func(i int) []int {
 		var out []int
 		for j := 0; j < n; j++ {
-			if geom.L2.Within(points[i], points[j], eps) {
+			if geom.L2.DistKey(points[i], points[j]) <= geom.L2.EpsKey(eps) {
 				out = append(out, j)
 			}
 		}

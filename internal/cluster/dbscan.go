@@ -51,12 +51,13 @@ func DBSCAN(points []geom.Point, cfg DBSCANConfig) (*DBSCANResult, error) {
 		ix.Insert(geom.PointRect(p), i)
 	}
 
+	key := cfg.Metric.EpsKey(cfg.Eps)
 	regionQuery := func(i int, out []int) []int {
 		res.RegionQueries++
 		box := geom.EpsBox(points[i], cfg.Eps)
 		ix.Visit(box, func(_ geom.Rect, data any) bool {
 			j := data.(int)
-			if cfg.Metric.Within(points[i], points[j], cfg.Eps) {
+			if cfg.Metric.DistKey(points[i], points[j]) <= key {
 				out = append(out, j)
 			}
 			return true

@@ -9,9 +9,7 @@ type allPairsFinder struct {
 }
 
 func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
-	p := st.points.At(pi)
 	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
-	metric, eps := st.opt.Metric, st.opt.Eps
 	for _, gj := range st.groups[st.stageFloor:] {
 		if gj == nil {
 			continue
@@ -20,7 +18,7 @@ func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, o
 		overlapFlag := false
 		for _, m := range gj.members {
 			st.opt.Stats.addDist(1)
-			if metric.Within(p, st.points.At(m), eps) {
+			if st.near(pi, m) {
 				overlapFlag = true
 			} else {
 				candidateFlag = false

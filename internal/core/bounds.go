@@ -1,30 +1,22 @@
 package core
 
-import "github.com/sgb-db/sgb/internal/geom"
-
 // boundsFinder is the Bounds-Checking FindCloseGroups of Procedure 4:
 // each group carries its ε-All bounding rectangle (Definition 5), so
 // deciding candidacy takes a constant number of comparisons per group
-// instead of one per member — O(n·|G|) overall (Table 1).
+// instead of one per member — O(n·|G|) overall (Table 1). It hands
+// every live group of the current stage to classify.
 type boundsFinder struct {
-	cands, ovs []*group  // result buffers, reused across probes
-	pBox       geom.Rect // scratch ε-box of the probe point
+	ids []int32 // live group ids, reused across probes
 }
 
 func (f *boundsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
-	p := st.points.At(pi)
-	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
-	needOverlap := st.opt.Overlap != JoinAny
-	if needOverlap {
-		geom.EpsBoxInto(&f.pBox, p, st.opt.Eps)
-	}
-	for _, gj := range st.groups[st.stageFloor:] {
-		if gj == nil {
-			continue
+	f.ids = f.ids[:0]
+	for id := st.stageFloor; id < len(st.groups); id++ {
+		if st.groups[id] != nil {
+			f.ids = append(f.ids, int32(id))
 		}
-		f.cands, f.ovs = st.classifyGroup(pi, gj, p, &f.pBox, needOverlap, f.cands, f.ovs)
 	}
-	return f.cands, f.ovs
+	return st.classify(pi, f.ids)
 }
 
 func (f *boundsFinder) groupCreated(*sgbAllState, *group) {}

@@ -414,9 +414,9 @@ func CheckPoints(points []geom.Point) error {
 }
 
 // maxCells bounds a coordinate in ε-cells. Every grid over the points
-// (grid.Table, partition's tiles, the Morton keys, the cell graph's
-// level cells) quantizes x to int64(floor(x / cell)) with a cell
-// side of ε or more, and probes up to two padded cell sides around it.
+// (grid.Table, the Morton keys, the cell graph's level cells) quantizes
+// x to int64(floor(x / cell)) with a cell side of ε or more, and probes
+// up to two padded cell sides around it.
 // Within ±2^52 cells those indices are integers float64 and int64 both
 // hold and the rounding pad (geom.PaddedReach, 2⁻⁵⁰ of |x|) is at most
 // four cells, so a probe's cell range is a few cells wide. Beyond it

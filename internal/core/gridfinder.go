@@ -26,11 +26,11 @@ import (
 // A group re-anchors only when its first member leaves it (an
 // ELIMINATE / FORM-NEW-GROUP victim); inserts never move the anchor.
 //
-// A probe verifies its hits in whatever order the cells yield them;
-// processOne puts the candidate and overlap lists into creation order
-// (sortByStamp), the one order every strategy has to arbitrate in.
-// Verification reuses the exact PointInRectangle / refine / overlap
-// machinery of Procedures 4–6.
+// A probe hands its hits to classify, the filter-and-verify step all
+// three rectangle finders share, in whatever order the cells yield
+// them; processOne puts the candidate and overlap lists into creation
+// order (sortByStamp), the one order every strategy has to arbitrate
+// in.
 type gridFinder struct {
 	tab   *grid.Table
 	cur   grid.Cursor
@@ -41,10 +41,7 @@ type gridFinder struct {
 	// FORM-NEW-GROUP stage).
 	anchor []int32
 
-	// Buffers reused across probes.
-	ids        []int32
-	cands, ovs []*group
-	pBox       geom.Rect
+	ids []int32 // the probe's hits, reused across probes
 }
 
 func newGridFinder(dims int, opt Options, sizeHint int) *gridFinder {
@@ -62,79 +59,8 @@ func (f *gridFinder) probeRadius(p geom.Point) float64 { return geom.PaddedReach
 func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	st.opt.Stats.addProbe(1)
-	needOverlap := st.opt.Overlap != JoinAny
-	if needOverlap {
-		geom.EpsBoxInto(&f.pBox, p, st.opt.Eps)
-	}
 	f.ids = f.tab.CollectBox(&f.cur, p, f.probeRadius(p), f.ids[:0])
-	// Filter step over the flat rect-row store: both rectangle tests
-	// read rows by id instead of dereferencing group structs, so the
-	// group pointer chase only touches ids that survive a rectangle
-	// filter and need exact verification (same tests, same Stats counts
-	// as classifyGroup). A survivor is kept as id<<1, with the low bit
-	// set when only the overlap rectangle test passed.
-	d := st.dims
-	stride := 4 * d
-	rects := st.rects
-	floor := st.stageFloor
-	kept := f.ids[:0]
-	for _, id := range f.ids {
-		if int(id) < floor {
-			continue
-		}
-		row := rects[int(id)*stride : int(id)*stride+stride]
-		st.opt.Stats.addRect(1)
-		if rowContains(row, p, d) {
-			kept = append(kept, id<<1)
-		} else if needOverlap {
-			st.opt.Stats.addRect(1)
-			if rowIntersects(row[2*d:], &f.pBox, d) {
-				kept = append(kept, id<<1|1)
-			}
-		}
-	}
-	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
-	for _, k := range kept {
-		gj := st.groups[k>>1]
-		if k&1 == 0 {
-			if st.refine(pi, gj) {
-				f.cands = append(f.cands, gj)
-				continue
-			}
-			if !needOverlap {
-				continue
-			}
-			st.opt.Stats.addRect(1)
-			if !rowIntersects(rects[int(k>>1)*stride+2*d:], &f.pBox, d) {
-				continue
-			}
-		}
-		if st.overlapsWith(pi, gj) {
-			f.ovs = append(f.ovs, gj)
-		}
-	}
-	return f.cands, f.ovs
-}
-
-// rowContains is Rect.Contains over one ε-All row half ([Min | Max]).
-func rowContains(row []float64, p geom.Point, d int) bool {
-	for i, v := range p {
-		if v < row[i] || v > row[d+i] {
-			return false
-		}
-	}
-	return true
-}
-
-// rowIntersects is Rect.Intersects between the probe ε-box and one MBR
-// row half ([Min | Max]).
-func rowIntersects(row []float64, b *geom.Rect, d int) bool {
-	for i := 0; i < d; i++ {
-		if row[i] > b.Max[i] || b.Min[i] > row[d+i] {
-			return false
-		}
-	}
-	return true
+	return st.classify(pi, f.ids)
 }
 
 func (f *gridFinder) groupCreated(st *sgbAllState, g *group) {

@@ -41,11 +41,6 @@ type group struct {
 	// Like epsRect, its corners view the flat rect-row store.
 	mbr geom.Rect
 
-	// indexedRect remembers the exact rectangle currently stored in
-	// Groups_IX so delete-before-reinsert removes the right entry.
-	indexedRect geom.Rect
-	indexed     bool
-
 	// hull caches the 2-D convex hull for the L2 refinement; it is
 	// rebuilt lazily after membership changes.
 	hull      *convexhull.Hull
@@ -58,6 +53,7 @@ type sgbAllState struct {
 	points *geom.PointSet
 	opt    Options
 	dims   int
+	key    float64 // opt.Metric.EpsKey(opt.Eps): see near
 
 	groups []*group // live groups by id (nil = deleted)
 	finder finder   // strategy: populates candidate & overlap sets
@@ -81,9 +77,9 @@ type sgbAllState struct {
 	// rects[g*4d : (g+1)*4d] = [ε-All Min | ε-All Max | MBR Min | MBR Max].
 	// Each group's epsRect and mbr corners are views into its row, so
 	// the in-place maintenance (ShrinkToEpsBox, ExtendPoint) writes the
-	// flat array directly, while the grid finder's filter step scans
-	// rows by id without dereferencing group structs — the probe loop's
-	// former cache-miss hot spot. Rows of removed groups are poisoned
+	// flat array directly, while classify's filter step scans rows by
+	// id without dereferencing group structs — the probe loop's former
+	// cache-miss hot spot. Rows of removed groups are poisoned
 	// with +Inf so no rectangle test can pass them.
 	rects []float64
 
@@ -109,6 +105,12 @@ type sgbAllState struct {
 
 	hullPts     []geom.Point       // scratch member-point views for hull rebuilds
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
+
+	// Scratch reused across probes: classify's ε-box of the probe point
+	// and its result lists, and processOverlap's per-member victim marks.
+	pBox       geom.Rect
+	cands, ovs []*group
+	victim     []bool
 }
 
 // eliminatePoint records m as dropped by ELIMINATE.
@@ -130,7 +132,9 @@ type finder interface {
 	// overlap clause requires it, overlaps with groups where the
 	// predicate holds for at least one but not all members. The
 	// returned slices are only valid until the next findCloseGroups
-	// call (finders reuse them across probes).
+	// call (they are reused across probes). The rectangle finders only
+	// collect group ids and hand them to classify; All-Pairs scans
+	// members.
 	findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group)
 	// groupInserted / groupChanged / groupRemoved keep any auxiliary
 	// structure (the R-tree or the ε-grid) synchronized with group
@@ -207,7 +211,7 @@ func (st *sgbAllState) poisonRectRow(g *group) {
 
 // allocGroup hands out group structs from fixed-size blocks: one
 // allocation per groupBlockSize groups instead of one each, and blocks
-// never move, so the *group pointers held in st.groups and the finder
+// never move, so the *group pointers held in st.groups and the probe
 // buffers stay valid for the state's lifetime.
 func (st *sgbAllState) allocGroup() *group {
 	const groupBlockSize = 128
@@ -294,15 +298,15 @@ func (st *sgbAllState) insert(pi int, g *group) {
 	st.finder.groupChanged(st, g)
 }
 
-// removeMembers deletes the given input indices from g, rebuilding the
-// group's rectangles from the surviving members (removals can only
-// grow the ε-All rectangle, so an incremental update is impossible).
-// Empty groups are dropped. Used by ELIMINATE and FORM-NEW-GROUP
-// overlap processing.
-func (st *sgbAllState) removeMembers(g *group, victims map[int]bool) {
+// removeMembers deletes from g the members whose victims mark is set
+// (victims is aligned with g.members), rebuilding the group's
+// rectangles from the survivors (removals can only grow the ε-All
+// rectangle, so an incremental update is impossible). Empty groups are
+// dropped. Used by ELIMINATE and FORM-NEW-GROUP overlap processing.
+func (st *sgbAllState) removeMembers(g *group, victims []bool) {
 	kept := g.members[:0]
-	for _, m := range g.members {
-		if !victims[m] {
+	for k, m := range g.members {
+		if !victims[k] {
 			kept = append(kept, m)
 		} else {
 			st.pointGroup[m] = -1
@@ -346,37 +350,106 @@ func (st *sgbAllState) hullOf(g *group) *convexhull.Hull {
 	return g.hull
 }
 
-// classifyGroup runs the Procedure 4–6 verification sequence for one
-// group surfaced by a finder's filter step: the PointInRectangleTest
-// against the ε-All rectangle plus exact refinement decides candidacy;
-// otherwise the OverlapRectangleTest against the member MBR plus a
-// member scan decides overlap. It appends gj to cands or ovs and
-// returns both. Shared by every bounds-based finder (Bounds-Checking,
-// R-tree, ε-grid) so the strategies cannot drift apart.
-func (st *sgbAllState) classifyGroup(pi int, gj *group, p geom.Point, pBox *geom.Rect, needOverlap bool, cands, ovs []*group) ([]*group, []*group) {
-	st.opt.Stats.addRect(1)
-	if gj.epsRect.Contains(p) && st.refine(pi, gj) {
-		return append(cands, gj), ovs
+// classify is the filter-and-verify step of Procedures 4–6, shared by
+// every rectangle finder (Bounds-Checking, R-tree, ε-grid) so the
+// strategies cannot drift apart: they differ only in which group ids
+// they hand it. One pass over the flat rect rows by id skips ids below
+// the stage floor and runs the PointInRectangleTest against the ε-All
+// rectangle and, when the overlap clause needs it, the
+// OverlapRectangleTest against the member MBR — reading rows without
+// dereferencing group structs, so the pointer chase only touches ids
+// that survive a rectangle test. A survivor is kept in ids as id<<1,
+// with the low bit set when only the overlap rectangle test passed.
+// Then refine decides candidacy exactly, a refinement failure is
+// re-tested against the MBR, and a member scan (overlapsWith) decides
+// overlap. ids is overwritten; the returned lists are valid until the
+// next call.
+func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*group) {
+	p := st.points.At(pi)
+	needOverlap := st.opt.Overlap != JoinAny
+	if needOverlap {
+		geom.EpsBoxInto(&st.pBox, p, st.opt.Eps)
 	}
-	if !needOverlap {
-		return cands, ovs
+	d := st.dims
+	stride := 4 * d
+	rects := st.rects
+	floor := st.stageFloor
+	kept := ids[:0]
+	for _, id := range ids {
+		if int(id) < floor {
+			continue
+		}
+		row := rects[int(id)*stride : int(id)*stride+stride]
+		st.opt.Stats.addRect(1)
+		if rowContains(row, p, d) {
+			kept = append(kept, id<<1)
+		} else if needOverlap {
+			st.opt.Stats.addRect(1)
+			if rowIntersects(row[2*d:], &st.pBox, d) {
+				kept = append(kept, id<<1|1)
+			}
+		}
 	}
-	st.opt.Stats.addRect(1)
-	if pBox.Intersects(gj.mbr) && st.overlapsWith(pi, gj) {
-		ovs = append(ovs, gj)
+	st.cands, st.ovs = st.cands[:0], st.ovs[:0]
+	for _, k := range kept {
+		gj := st.groups[k>>1]
+		if k&1 == 0 {
+			if st.refine(pi, gj) {
+				st.cands = append(st.cands, gj)
+				continue
+			}
+			if !needOverlap {
+				continue
+			}
+			st.opt.Stats.addRect(1)
+			if !rowIntersects(rects[int(k>>1)*stride+2*d:], &st.pBox, d) {
+				continue
+			}
+		}
+		if st.overlapsWith(pi, gj) {
+			st.ovs = append(st.ovs, gj)
+		}
 	}
-	return cands, ovs
+	return st.cands, st.ovs
+}
+
+// rowContains is Rect.Contains over one ε-All row half ([Min | Max]).
+func rowContains(row []float64, p geom.Point, d int) bool {
+	for i, v := range p {
+		if v < row[i] || v > row[d+i] {
+			return false
+		}
+	}
+	return true
+}
+
+// rowIntersects is Rect.Intersects between the probe ε-box and one MBR
+// row half ([Min | Max]).
+func rowIntersects(row []float64, b *geom.Rect, d int) bool {
+	for i := 0; i < d; i++ {
+		if row[i] > b.Max[i] || b.Min[i] > row[d+i] {
+			return false
+		}
+	}
+	return true
+}
+
+// near is the similarity predicate ξδ,ε between stored points i and j,
+// the one membership test of SGB-All: their distance key against ε's
+// (Metric.DistKey ≤ Metric.EpsKey; squares under L2, so no square root
+// can round a distance onto ε). The hull refinement compares against
+// the same key.
+func (st *sgbAllState) near(i, j int) bool {
+	return st.points.DistKey(st.opt.Metric, i, j) <= st.key
 }
 
 // isCandidate reports whether pi may join g: the similarity predicate
 // must hold against every member. The strategy-independent exact check;
 // bounds-based strategies call it only for refinement.
 func (st *sgbAllState) isCandidate(pi int, g *group) bool {
-	p := st.points.At(pi)
-	metric, eps := st.opt.Metric, st.opt.Eps
 	for _, m := range g.members {
 		st.opt.Stats.addDist(1)
-		if !metric.Within(p, st.points.At(m), eps) {
+		if !st.near(pi, m) {
 			return false
 		}
 	}
@@ -387,11 +460,9 @@ func (st *sgbAllState) isCandidate(pi int, g *group) bool {
 // g (the OverlapGroups membership criterion, given pi is not a
 // candidate).
 func (st *sgbAllState) overlapsWith(pi int, g *group) bool {
-	p := st.points.At(pi)
-	metric, eps := st.opt.Metric, st.opt.Eps
 	for _, m := range g.members {
 		st.opt.Stats.addDist(1)
-		if metric.Within(p, st.points.At(m), eps) {
+		if st.near(pi, m) {
 			return true
 		}
 	}

@@ -17,7 +17,7 @@ import "github.com/sgb-db/sgb/internal/geom"
 //     every member, hence a true candidate;
 //   - for a point outside the hull, the farthest member is a hull
 //     vertex, so comparing against the farthest hull vertex decides —
-//     by the distance key against ε's key, as the member scan does,
+//     by the distance key against ε's key (st.key), as near does,
 //     since a square root can round a distance just past ε onto it.
 //
 // In dimensions other than two (the paper defers d > 3 to future work)
@@ -38,7 +38,7 @@ func (st *sgbAllState) refine(pi int, g *group) bool {
 	}
 	v, _ := hull.Farthest(p, st.opt.Metric)
 	st.opt.Stats.addDist(int64(hull.Len()))
-	return st.opt.Metric.DistKey(p, v) <= st.opt.Metric.EpsKey(st.opt.Eps)
+	return st.opt.Metric.DistKey(p, v) <= st.key
 }
 
 // smallGroupScan is the membership count below which the L2 refinement

@@ -18,13 +18,20 @@ type indexedFinder struct {
 	ix   *rtree.Tree
 	dims int
 
-	// Buffers reused across probes: the typed window-query hit list
-	// (collected via Visit, so hits never round-trip through []any),
-	// the candidate/overlap results, the probe's ε-box and the padded
+	// at is a flat store of one [Min | Max] row per group id: the
+	// rectangle the group is stored under in Groups_IX (its ε-All
+	// rectangle when last indexed), so delete-before-reinsert removes
+	// the right entry. indexed[id] says whether the entry exists (not
+	// while the group is removed or frozen by a FORM-NEW-GROUP stage).
+	// Rows are overwritten in place: the R-tree keeps copies of its own.
+	at      []float64
+	indexed []bool
+
+	// Buffers reused across probes: the window-query hit ids (collected
+	// via Visit, so hits never round-trip through []any) and the padded
 	// window the R-tree is queried with.
-	hits       []*group
-	cands, ovs []*group
-	pBox, win  geom.Rect
+	ids []int32
+	win geom.Rect
 }
 
 func newIndexedFinder(dims int) *indexedFinder {
@@ -37,37 +44,45 @@ func newIndexedFinder(dims int) *indexedFinder {
 // findCloseGroups queries the R-tree with pi's ε-box widened by the
 // grid's pad (geom.PaddedReach): a member MBR may stick a few ulps out of its
 // group's ε-All rectangle where distances round onto ε, and an unpadded
-// window then missed the overlap group it intersects. classifyGroup's
-// exact tests keep the unpadded box.
+// window then missed the overlap group it intersects. classify's exact
+// tests keep the unpadded box. Hits arrive in the R-tree's traversal
+// order; processOne sorts the verified lists into creation order, so
+// every strategy arbitrates JOIN-ANY identically for a given seed.
 func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
-	geom.EpsBoxInto(&f.pBox, p, st.opt.Eps)
 	geom.EpsBoxInto(&f.win, p, geom.PaddedReach(p, st.opt.Eps))
 	st.opt.Stats.addProbe(1)
-	f.hits = f.hits[:0]
+	f.ids = f.ids[:0]
 	f.ix.Visit(f.win, func(_ geom.Rect, data any) bool {
-		f.hits = append(f.hits, data.(*group))
+		f.ids = append(f.ids, int32(data.(*group).id))
 		return true
 	})
-	// Hits arrive in the R-tree's traversal order; processOne sorts the
-	// verified lists into creation order, so every strategy arbitrates
-	// JOIN-ANY identically for a given seed.
-	needOverlap := st.opt.Overlap != JoinAny
-	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
-	for _, gj := range f.hits {
-		if gj.id < st.stageFloor {
-			continue // frozen by a FORM-NEW-GROUP recursion stage
-		}
-		f.cands, f.ovs = st.classifyGroup(pi, gj, p, &f.pBox, needOverlap, f.cands, f.ovs)
-	}
-	return f.cands, f.ovs
+	return st.classify(pi, f.ids)
+}
+
+// entry returns the view of group id's row in at.
+func (f *indexedFinder) entry(id int) geom.Rect {
+	d := f.dims
+	b := 2 * d * id
+	return geom.Rect{Min: f.at[b : b+d : b+d], Max: f.at[b+d : b+2*d : b+2*d]}
+}
+
+// index stores g under a copy of its current ε-All rectangle.
+func (f *indexedFinder) index(g *group) {
+	r := f.entry(g.id)
+	copy(r.Min, g.epsRect.Min)
+	copy(r.Max, g.epsRect.Max)
+	f.indexed[g.id] = true
+	f.ix.Insert(r, g)
 }
 
 func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
-	g.indexedRect = g.epsRect.Clone()
-	g.indexed = true
+	for len(f.indexed) <= g.id {
+		f.indexed = append(f.indexed, false)
+		f.at = append(f.at, make([]float64, 2*f.dims)...)
+	}
 	st.opt.Stats.addUpdate(1)
-	f.ix.Insert(g.indexedRect, g)
+	f.index(g)
 }
 
 // groupChanged refreshes g's entry after a membership change. The
@@ -82,18 +97,18 @@ func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
 //     rectangle's sides are bounded below by ε, a group reindexes O(1)
 //     times over its lifetime instead of once per insert.
 func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
-	if !g.indexed {
+	if !f.indexed[g.id] {
 		return
 	}
-	if g.indexedRect.ContainsRect(g.epsRect) {
-		if g.indexedRect.Area() <= defaultHysteresis*g.epsRect.Area() {
+	r := f.entry(g.id)
+	if r.ContainsRect(g.epsRect) {
+		if r.Area() <= defaultHysteresis*g.epsRect.Area() {
 			return // still selective enough; keep the stale entry
 		}
 	}
 	st.opt.Stats.addUpdate(2)
-	f.ix.Delete(g.indexedRect, g)
-	g.indexedRect = g.epsRect.Clone()
-	f.ix.Insert(g.indexedRect, g)
+	f.ix.Delete(r, g)
+	f.index(g)
 }
 
 // defaultHysteresis is the staleness bound for indexed group
@@ -102,24 +117,21 @@ func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
 const defaultHysteresis = 1.8
 
 func (f *indexedFinder) groupRemoved(st *sgbAllState, g *group) {
-	if !g.indexed {
+	if !f.indexed[g.id] {
 		return
 	}
 	st.opt.Stats.addUpdate(1)
-	f.ix.Delete(g.indexedRect, g)
-	g.indexed = false
+	f.ix.Delete(f.entry(g.id), g)
+	f.indexed[g.id] = false
 }
 
 // stageReset rebuilds Groups_IX empty at a FORM-NEW-GROUP recursion
 // stage: every group created so far is frozen, so keeping its
 // rectangle indexed would only produce window-query hits that the
 // stage filter discards — on high-overlap inputs those stale hits
-// dominated the runtime.
-func (f *indexedFinder) stageReset(st *sgbAllState) {
-	for _, g := range st.groups {
-		if g != nil {
-			g.indexed = false
-		}
-	}
+// dominated the runtime. Frozen groups are never touched again, so
+// their entries are simply forgotten.
+func (f *indexedFinder) stageReset(*sgbAllState) {
+	clear(f.indexed)
 	f.ix = rtree.New(f.dims)
 }

@@ -58,30 +58,32 @@ func ValidateEpsList(epsList []float64) error {
 	return nil
 }
 
-// ValidateLevels checks the levels of a maintained evaluator: an EPS IN
-// list (ValidateEpsList) of at most MaxLevels.
-func ValidateLevels(levels []float64) error {
-	if err := ValidateEpsList(levels); err != nil {
-		return err
-	}
-	if len(levels) > MaxLevels {
-		return fmt.Errorf("%w (got %d)", ErrTooManyLevels, len(levels))
-	}
-	return nil
-}
-
-// ascendingLevels validates epsList and returns its index permutation
-// in ascending ε order.
-func ascendingLevels(epsList []float64) ([]int, error) {
+// ascendingLevels validates epsList (ValidateEpsList) and returns its
+// index permutation in ascending ε order, the levels in that order and
+// their distance keys under m (levelKeys).
+func ascendingLevels(epsList []float64, m geom.Metric) (order []int, eps, keys []float64, err error) {
 	if err := ValidateEpsList(epsList); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	order := make([]int, len(epsList))
+	order = make([]int, len(epsList))
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return epsList[order[a]] < epsList[order[b]] })
-	return order, nil
+	eps = make([]float64, len(order))
+	for l, i := range order {
+		eps[l] = epsList[i]
+	}
+	return order, eps, levelKeys(m, eps), nil
+}
+
+// levelKeys returns each level's EpsKey under m, in eps' order.
+func levelKeys(m geom.Metric, eps []float64) []float64 {
+	keys := make([]float64, len(eps))
+	for l, e := range eps {
+		keys[l] = m.EpsKey(e)
+	}
+	return keys
 }
 
 // LatticeEvaluator exists only for bench/, whose traced pass and probes

@@ -53,11 +53,7 @@ func sgbAnyByLevel(ps *geom.PointSet, opt Options, eps []float64, out []*Result,
 // lowest level from singletons: one forest per level (sgbAnyLocal, with
 // the top level's ε as the probe radius), then each level's grouping.
 func anyRange(ps *geom.PointSet, opt Options, eps []float64, out []*Result) {
-	keys := make([]float64, len(eps))
-	for l, e := range eps {
-		keys[l] = opt.Metric.EpsKey(e)
-	}
-	f := newAnyForests(keys, ps.Len())
+	f := newAnyForests(levelKeys(opt.Metric, eps), ps.Len())
 	opt.Eps = eps[len(eps)-1]
 	sgbAnyLocal(ps, opt, f)
 	for l, uf := range f.ufs {

@@ -360,7 +360,7 @@ func TestParallelAnyRoundingPair(t *testing.T) {
 	const eps = 0.8
 	levels := []float64{0.005, 0.4, eps}
 	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
-		if !m.Within(pts[0], pts[1], eps) {
+		if !(m.DistKey(pts[0], pts[1]) <= m.EpsKey(eps)) {
 			t.Fatalf("metric=%v: the pair is not within ε", m)
 		}
 		want, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: AllPairs})

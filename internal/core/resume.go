@@ -304,9 +304,10 @@ func (e *AllEvaluator) Result() *Result {
 
 // finalizeClone snapshots the main-pass state deeply enough that the
 // FORM-NEW-GROUP recursion can run to completion on the copy without
-// touching the retained originals: group structs are copied (the
-// recursion's stageReset clears their index-registration flags, and
-// frozen groups are otherwise immutable at depth ≥ 1), bookkeeping
+// touching the retained originals: group structs are copied (frozen
+// groups are immutable at depth ≥ 1, so a copy shares its members and
+// hull with the original; only its rectangle views move to the clone's
+// rows, and the R-tree's entries live in the finder), bookkeeping
 // slices are copied (the recursion appends groups and placements),
 // and the finder is rebuilt fresh (equivalent to the stageReset the
 // recursion performs first thing). Points are shared read-only.
@@ -315,6 +316,7 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 		points:     st.points,
 		opt:        st.opt,
 		dims:       st.dims,
+		key:        st.key,
 		rand:       &rng{state: st.rand.state},
 		groups:     make([]*group, len(st.groups)),
 		stageFloor: st.stageFloor,
@@ -380,23 +382,21 @@ type AnyEvaluator struct {
 }
 
 // NewAnyLevels returns an empty resumable SGB-Any evaluation at every ε
-// level of levels (ValidateLevels: an EPS IN list of at most MaxLevels);
+// level of levels (an EPS IN list, ValidateEpsList, of at most MaxLevels);
 // the first accepted batch fixes its dimensionality. opt.Eps is
 // ignored: the largest level is the top, the radius appends probe at.
 // BoundsCheck is rejected, as SGBAny rejects it.
 func NewAnyLevels(levels []float64, opt Options) (*AnyEvaluator, error) {
-	if err := ValidateLevels(levels); err != nil {
+	_, eps, keys, err := ascendingLevels(levels, opt.Metric)
+	if err != nil {
 		return nil, err
 	}
-	order, _ := ascendingLevels(levels)
-	eps := make([]float64, len(order))
-	keys := make([]float64, len(order))
-	for l, i := range order {
-		opt.Eps = levels[i]
-		if err := opt.Validate(); err != nil {
-			return nil, err
-		}
-		eps[l], keys[l] = opt.Eps, opt.Metric.EpsKey(opt.Eps)
+	if len(levels) > MaxLevels {
+		return nil, fmt.Errorf("%w (got %d)", ErrTooManyLevels, len(levels))
+	}
+	opt.Eps = eps[len(eps)-1]
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	if opt.Algorithm == BoundsCheck {
 		return nil, ErrBoundsCheckAny

@@ -52,6 +52,7 @@ func newAllState(pts *geom.PointSet, opt Options) *sgbAllState {
 		points:     pts,
 		opt:        opt,
 		dims:       pts.Dims(),
+		key:        opt.Metric.EpsKey(opt.Eps),
 		rand:       newRNG(opt.Seed),
 		pointGroup: make([]int32, pts.Len()),
 	}
@@ -185,33 +186,31 @@ func (st *sgbAllState) processGroupingAll(pi int, candidates []*group) {
 // predicate with pi's group as well as their own). ELIMINATE deletes
 // them; FORM-NEW-GROUP moves them into S′.
 func (st *sgbAllState) processOverlap(pi int, overlaps []*group) {
-	p := st.points.At(pi)
 	for _, g := range overlaps {
-		victims := make(map[int]bool)
+		victim := st.victim[:0]
+		hit := false
 		for _, m := range g.members {
 			st.opt.Stats.addDist(1)
-			if st.opt.Metric.Within(p, st.points.At(m), st.opt.Eps) {
-				victims[m] = true
-			}
+			v := st.near(pi, m)
+			victim = append(victim, v)
+			hit = hit || v
 		}
-		if len(victims) == 0 {
+		st.victim = victim
+		if !hit {
 			continue
 		}
-		switch st.opt.Overlap {
-		case Eliminate:
-			for _, m := range g.members {
-				if victims[m] {
-					st.eliminatePoint(m)
-				}
+		for k, m := range g.members {
+			if !victim[k] {
+				continue
 			}
-		case FormNewGroup:
-			for _, m := range g.members {
-				if victims[m] {
-					st.deferPoint(m)
-				}
+			switch st.opt.Overlap {
+			case Eliminate:
+				st.eliminatePoint(m)
+			case FormNewGroup:
+				st.deferPoint(m)
 			}
 		}
-		st.removeMembers(g, victims)
+		st.removeMembers(g, victim)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // Supported algorithms: AllPairs (naive; evaluates the predicate
 // against every processed point), OnTheFlyIndex (Procedures 7–8: an
 // R-tree over the processed points plus a Union-Find over group
-// membership), and GridIndex (processed points live in their ε-sized
-// home cell; neighbors are found by scanning the 3^d adjacent cells).
+// membership), and GridIndex (the points are bucketed into ε-cells,
+// and each cell is joined with itself and linked to its neighbouring
+// cells, cellGraph).
 // BoundsCheck is rejected: the paper shows ε-rectangle bounds
 // degenerate into chain-like regions under distance-to-any semantics,
 // and the convex-hull refinement is unsound there (its diameter may
@@ -77,18 +78,17 @@ func SweepAny(points []geom.Point, epsList []float64, opt Options) ([]*Result, e
 
 // SweepAnySet is SweepAny over flat point storage.
 func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, error) {
-	order, err := ascendingLevels(epsList)
+	order, eps, _, err := ascendingLevels(epsList, opt.Metric)
 	if err != nil {
 		return nil, err
 	}
-	// Every level obeys the rule a single ε does: its ε is validated,
-	// and the coordinates are checked against the smallest, whose cells
-	// are the most.
-	for _, i := range order {
-		opt.Eps = epsList[i]
-		if err := opt.Validate(); err != nil {
-			return nil, err
-		}
+	// Every level obeys the rule a single ε does: the list check holds
+	// every ε check of Validate, which then only has the other fields
+	// left to refuse, and the coordinates are checked against the
+	// smallest level, whose cells are the most.
+	opt.Eps = eps[len(eps)-1]
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	if opt.Algorithm == BoundsCheck {
 		return nil, ErrBoundsCheckAny
@@ -100,12 +100,8 @@ func SweepAnySet(ps *geom.PointSet, epsList []float64, opt Options) ([]*Result, 
 		}
 		return out, nil
 	}
-	if err := checkCoords(ps, epsList[order[0]]); err != nil {
+	if err := checkCoords(ps, eps[0]); err != nil {
 		return nil, err
-	}
-	eps := make([]float64, len(order))
-	for l, i := range order {
-		eps[l] = epsList[i]
 	}
 	for l, res := range sgbAnyLevels(ps, opt, eps, opt.workers(ps.Len())) {
 		out[order[l]] = res

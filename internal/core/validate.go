@@ -18,6 +18,7 @@ import (
 // for. It returns a descriptive error on the first violation.
 func CheckCliques(points []geom.Point, metric geom.Metric, eps float64, res *Result) error {
 	seen := make(map[int]string, len(points))
+	key := metric.EpsKey(eps)
 	for gi, g := range res.Groups {
 		if len(g.Members) == 0 {
 			return fmt.Errorf("group %d is empty", gi)
@@ -34,14 +35,14 @@ func CheckCliques(points []geom.Point, metric geom.Metric, eps float64, res *Res
 		for i := 0; i < len(g.Members); i++ {
 			for j := i + 1; j < len(g.Members); j++ {
 				a, b := g.Members[i], g.Members[j]
-				if !metric.Within(points[a], points[b], eps) {
-					// Within compares distance keys: squares under L2.
+				if dk := metric.DistKey(points[a], points[b]); !(dk <= key) {
+					// Distance keys are squares under L2.
 					sq := ""
 					if metric == geom.L2 {
 						sq = "²"
 					}
 					return fmt.Errorf("group %d is not a clique: δ%s(p%d,p%d)=%v > ε%s=%v",
-						gi, sq, a, b, metric.DistKey(points[a], points[b]), sq, metric.EpsKey(eps))
+						gi, sq, a, b, dk, sq, key)
 				}
 			}
 		}
@@ -64,6 +65,7 @@ func CheckCliques(points []geom.Point, metric geom.Metric, eps float64, res *Res
 // ordered by smallest member, members ascending.
 func ConnectedComponents(points []geom.Point, metric geom.Metric, eps float64) []Group {
 	n := len(points)
+	key := metric.EpsKey(eps)
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -78,7 +80,7 @@ func ConnectedComponents(points []geom.Point, metric geom.Metric, eps float64) [
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if metric.Within(points[i], points[j], eps) {
+			if metric.DistKey(points[i], points[j]) <= key {
 				ri, rj := find(i), find(j)
 				if ri != rj {
 					parent[rj] = ri

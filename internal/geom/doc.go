@@ -21,8 +21,9 @@
 //   - EpsBox(p, ε) is the closed axis-aligned box of side 2ε centered
 //     on p: it equals the ε-ball under L∞ and over-approximates it
 //     under L2, which is why L2 strategies refine candidates exactly.
-//   - Distance kernels are dimension-specialized (d = 2/3 unrolled)
-//     and Within avoids the square root under L2.
+//   - Distance kernels are dimension-specialized (d = 2/3 unrolled).
+//     The similarity predicate is DistKey(p, q) <= EpsKey(ε), which
+//     avoids the square root under L2.
 //
 // The package also provides the one Z-order (Morton order) of a
 // PointSet's cells (ZOrder; MortonKey, MortonPerm): cell quantization,

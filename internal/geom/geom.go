@@ -141,83 +141,15 @@ func (m Metric) distCoords(p, q []float64) float64 {
 	}
 }
 
-// Within reports the similarity predicate ξδ,ε(p, q): δ(p,q) ≤ eps
-// (Definition 2). For L2 it avoids the square root.
-func (m Metric) Within(p, q Point, eps float64) bool {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
-	}
-	return m.withinCoords(p, q, eps)
-}
-
-// withinCoords is Within over raw coordinate slices of equal length,
-// unrolled for d=2/d=3. The accumulation order matches the generic
-// loop, so the unrolled kernels decide every boundary case the same
-// way bit-for-bit.
-//
-//sgb:allocfree
-func (m Metric) withinCoords(p, q []float64, eps float64) bool {
-	switch m {
-	case L2:
-		switch len(p) {
-		case 2:
-			dx := p[0] - q[0]
-			dy := p[1] - q[1]
-			return dx*dx+dy*dy <= eps*eps
-		case 3:
-			dx := p[0] - q[0]
-			dy := p[1] - q[1]
-			dz := p[2] - q[2]
-			return dx*dx+dy*dy+dz*dz <= eps*eps
-		}
-		var s float64
-		e2 := eps * eps
-		for i := range p {
-			d := p[i] - q[i]
-			s += d * d
-			if s > e2 {
-				return false
-			}
-		}
-		return s <= e2
-	case LInf:
-		// Comparisons mirror the generic loop's `d > eps` rejection
-		// (not `d <= eps` acceptance), so non-finite coordinates
-		// decide identically at every dimensionality.
-		switch len(p) {
-		case 2:
-			if math.Abs(p[0]-q[0]) > eps {
-				return false
-			}
-			return !(math.Abs(p[1]-q[1]) > eps)
-		case 3:
-			if math.Abs(p[0]-q[0]) > eps {
-				return false
-			}
-			if math.Abs(p[1]-q[1]) > eps {
-				return false
-			}
-			return !(math.Abs(p[2]-q[2]) > eps)
-		}
-		for i := range p {
-			if d := math.Abs(p[i] - q[i]); d > eps {
-				return false
-			}
-		}
-		return true
-	default:
-		panic("geom: unknown metric")
-	}
-}
-
-// DistKey returns the comparison key the similarity predicate tests
-// against EpsKey(eps): the squared distance for L2 (the sqrt-free form
-// withinCoords compares) and the maximum coordinate difference for L∞.
-// Keys order exactly as distances do, and DistKey(p, q) <= EpsKey(eps)
-// decides identically to Within(p, q, eps) — the accumulation shapes
-// below mirror withinCoords term for term, so boundary cases cannot
-// diverge. SGB-Any's level forests compare keys against each level's
-// EpsKey, so every level reproduces a one-shot grouping exactly.
+// DistKey returns the comparison key of the similarity predicate
+// ξδ,ε(p, q) (Definition 2), δ(p, q) ≤ ε, which is decided as
+// DistKey(p, q) <= EpsKey(ε). The key is the squared distance for L2
+// (no square root, which could round a distance just past ε onto it)
+// and the maximum coordinate difference for L∞; keys order exactly as
+// distances do. It is the one membership test of both operators:
+// SGB-All compares against its ε's key, and SGB-Any's level forests
+// against each level's EpsKey, so every level reproduces a one-shot
+// grouping exactly.
 func (m Metric) DistKey(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
@@ -225,10 +157,10 @@ func (m Metric) DistKey(p, q Point) float64 {
 	return m.distKeyCoords(p, q)
 }
 
-// distKeyCoords is DistKey over raw coordinate slices of equal length.
-// The L2 kernels accumulate in withinCoords's order without the early
-// exit (partial sums only grow, so the full sum decides every s > e2
-// rejection identically); L∞ already compares raw distances.
+// distKeyCoords is DistKey over raw coordinate slices of equal length,
+// unrolled for d=2/d=3. The L2 accumulation order matches the generic
+// loop, so the unrolled kernels decide every boundary case the same
+// way bit-for-bit; L∞ already compares raw distances.
 //
 //sgb:allocfree
 func (m Metric) distKeyCoords(p, q []float64) float64 {
@@ -255,8 +187,7 @@ func (m Metric) distKeyCoords(p, q []float64) float64 {
 }
 
 // EpsKey maps a similarity threshold into DistKey's comparison space:
-// eps*eps for L2 (the exact product withinCoords compares against) and
-// eps unchanged for L∞.
+// eps*eps for L2 and eps unchanged for L∞.
 //
 //sgb:allocfree
 func (m Metric) EpsKey(eps float64) float64 {

@@ -59,8 +59,9 @@ func randPoint(r *rand.Rand, d int) Point {
 	return p
 }
 
-// Property: Within(p, q, eps) agrees with Dist(p, q) <= eps for both
-// metrics (Within short-circuits; this proves the fast path is exact).
+// Property: the similarity predicate DistKey(p, q) <= EpsKey(eps)
+// agrees with Dist(p, q) <= eps for both metrics (the key skips L2's
+// square root; this proves the fast path is exact).
 func TestWithinMatchesDist(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, m := range []Metric{L2, LInf} {
@@ -68,8 +69,8 @@ func TestWithinMatchesDist(t *testing.T) {
 			d := 1 + r.Intn(4)
 			p, q := randPoint(r, d), randPoint(r, d)
 			eps := r.Float64() * 15
-			if got, want := m.Within(p, q, eps), m.Dist(p, q) <= eps; got != want {
-				t.Fatalf("%v.Within(%v,%v,%v) = %v, dist = %v", m, p, q, eps, got, m.Dist(p, q))
+			if got, want := m.DistKey(p, q) <= m.EpsKey(eps), m.Dist(p, q) <= eps; got != want {
+				t.Fatalf("%v: DistKey(%v,%v) <= EpsKey(%v) is %v, dist = %v", m, p, q, eps, got, m.Dist(p, q))
 			}
 		}
 	}
@@ -120,12 +121,12 @@ func TestEpsBox(t *testing.T) {
 	if !b.Min.Equal(Point{-2, -1}) || !b.Max.Equal(Point{4, 5}) {
 		t.Fatalf("EpsBox = %v", b)
 	}
-	// ε-box ≡ L∞ ball: membership in the box equals LInf.Within.
+	// ε-box ≡ L∞ ball: membership in the box equals the L∞ predicate.
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
 		p, q := randPoint(r, 2), randPoint(r, 2)
 		eps := r.Float64() * 10
-		if got, want := EpsBox(p, eps).Contains(q), LInf.Within(p, q, eps); got != want {
+		if got, want := EpsBox(p, eps).Contains(q), LInf.DistKey(p, q) <= LInf.EpsKey(eps); got != want {
 			t.Fatalf("box containment %v != LInf within %v for p=%v q=%v eps=%v", got, want, p, q, eps)
 		}
 	}

@@ -212,13 +212,9 @@ func (s *PointSet) Dist(m Metric, i, j int) float64 {
 	return m.distCoords(s.At(i), s.At(j))
 }
 
-// Within reports δ(points[i], points[j]) ≤ eps under m.
-func (s *PointSet) Within(m Metric, i, j int, eps float64) bool {
-	return m.withinCoords(s.At(i), s.At(j), eps)
-}
-
 // DistKey computes the metric comparison key of (points[i], points[j])
-// — the value Within tests against m.EpsKey(eps). See Metric.DistKey.
+// — the value the similarity predicate tests against m.EpsKey(eps).
+// See Metric.DistKey.
 func (s *PointSet) DistKey(m Metric, i, j int) float64 {
 	return m.distKeyCoords(s.At(i), s.At(j))
 }

@@ -111,8 +111,8 @@ func TestKernelEquivalence(t *testing.T) {
 					t.Fatalf("d=%d %v: Dist=%v want %v", d, m, got, want)
 				}
 				eps := r.Float64() * 15
-				if got, want := m.Within(p, q, eps), m.Dist(p, q) <= eps; got != want {
-					t.Fatalf("d=%d %v eps=%v: Within=%v Dist=%v", d, m, eps, got, m.Dist(p, q))
+				if got, want := m.DistKey(p, q) <= m.EpsKey(eps), m.Dist(p, q) <= eps; got != want {
+					t.Fatalf("d=%d %v eps=%v: DistKey <= EpsKey is %v, Dist=%v", d, m, eps, got, m.Dist(p, q))
 				}
 				// Exact-boundary case: a point at distance exactly ε
 				// along one axis must be within (zero origin keeps the
@@ -120,7 +120,7 @@ func TestKernelEquivalence(t *testing.T) {
 				z := make(Point, d)
 				b := make(Point, d)
 				b[0] = eps
-				if !m.Within(z, b, eps) {
+				if !(m.DistKey(z, b) <= m.EpsKey(eps)) {
 					t.Fatalf("d=%d %v: boundary δ=ε not within", d, m)
 				}
 				// Non-finite coordinates must decide exactly like the
@@ -146,8 +146,8 @@ func TestKernelEquivalence(t *testing.T) {
 						}
 						refWithin = s <= eps*eps
 					}
-					if got := m.Within(p, n, eps); got != refWithin {
-						t.Fatalf("d=%d %v coord=%v: Within=%v want %v", d, m, bad, got, refWithin)
+					if got := m.DistKey(p, n) <= m.EpsKey(eps); got != refWithin {
+						t.Fatalf("d=%d %v coord=%v: DistKey <= EpsKey is %v, want %v", d, m, bad, got, refWithin)
 					}
 				}
 			}
@@ -160,8 +160,8 @@ func TestPointSetDistWithin(t *testing.T) {
 	if got := ps.Dist(L2, 0, 1); got != 5 {
 		t.Fatalf("Dist = %v, want 5", got)
 	}
-	if !ps.Within(L2, 0, 1, 5) || ps.Within(L2, 0, 1, 4.999) {
-		t.Fatal("Within thresholds wrong")
+	if !(ps.DistKey(L2, 0, 1) <= L2.EpsKey(5)) || ps.DistKey(L2, 0, 1) <= L2.EpsKey(4.999) {
+		t.Fatal("DistKey thresholds wrong")
 	}
 	if got := ps.Dist(LInf, 0, 1); got != 4 {
 		t.Fatalf("LInf Dist = %v, want 4", got)

@@ -36,8 +36,7 @@ type slot struct {
 // Cursor is per-caller scratch for the read-only probe entry points
 // (CollectBox, CollectRange). The table itself holds no probe state, so
 // any number of goroutines may probe one table concurrently as long as
-// each brings its own Cursor — the parallel adjacency build does exactly
-// that. The zero value is ready to use.
+// each brings its own Cursor. The zero value is ready to use.
 type Cursor struct {
 	lo, hi, cur []int64
 }

@@ -87,7 +87,7 @@ func checkFrontier(t *testing.T, ps *geom.PointSet, eps float64, m geom.Metric, 
 	}
 	check := func(i, j int) {
 		pi, pj := posOf[i], posOf[j]
-		if runOf[pi] == runOf[pj] || !ps.Within(m, i, j, eps) {
+		if runOf[pi] == runOf[pj] || !(ps.DistKey(m, i, j) <= m.EpsKey(eps)) {
 			return
 		}
 		if !inFrontier[pi] || !inFrontier[pj] {

@@ -91,19 +91,23 @@ type Algorithm = core.Algorithm
 
 // Evaluation strategies.
 const (
-	// AllPairs is the quadratic baseline.
+	// AllPairs is the quadratic baseline, and the zero value: the
+	// default of an Options literal (the SQL engine defaults to
+	// GridIndex).
 	AllPairs = core.AllPairs
 	// BoundsCheck uses ε-All bounding rectangles (SGB-All only).
 	BoundsCheck = core.BoundsCheck
 	// OnTheFlyIndex additionally indexes groups (or points, for
-	// SGB-Any) in an R-tree. The default strategy.
+	// SGB-Any) in an R-tree.
 	OnTheFlyIndex = core.OnTheFlyIndex
 	// GridIndex probes a uniform hash grid with ε-sized cells instead
 	// of an R-tree — the fastest strategy at every dimensionality (cell
 	// keys are hashed, so there is no d cap). SGB-Any over a whole
 	// point set links ε-cells instead of probing point by point; output
 	// ids always refer to the input order. Results are identical to
-	// every other strategy for equal seeds.
+	// every other strategy for equal seeds, except SGB-All under
+	// AllPairs where a distance rounds onto ε: AllPairs tests members,
+	// the others the ε-All rectangle.
 	GridIndex = core.GridIndex
 )
 
@@ -153,10 +157,11 @@ func GroupByAnySet(points *PointSet, opt Options) (*Result, error) {
 }
 
 // SweepAny evaluates SGB-Any at every ε level of epsList from ONE
-// evaluation: GroupByAny's pipeline, under the finder opt.Algorithm
-// names, probes once at max(epsList) and feeds one Union-Find per
-// level (SGB-Any groups nest as ε grows, so a pair joins the lowest
-// level its distance reaches and every level above it). Results align
+// evaluation with one Union-Find per level, under the finder
+// opt.Algorithm names (SGB-Any groups nest as ε grows). GridIndex links
+// ε-cells level by level, each level starting from the one below;
+// All-Pairs and the R-tree probe once at max(epsList), and a pair joins
+// the lowest level its distance reaches and every level above it. Results align
 // with epsList's order, each bit-identical to GroupByAny at that level —
 // same groups, same order, same members. opt.Eps is ignored; the list
 // defines the sweep's bound. The SQL spelling is

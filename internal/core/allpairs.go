@@ -41,4 +41,3 @@ func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, o
 func (f *allPairsFinder) groupCreated(*sgbAllState, *group) {}
 func (f *allPairsFinder) groupChanged(*sgbAllState, *group) {}
 func (f *allPairsFinder) groupRemoved(*sgbAllState, *group) {}
-func (f *allPairsFinder) stageReset(*sgbAllState)           {}

@@ -156,9 +156,9 @@ func TestReanchorAfterEliminate(t *testing.T) {
 // TestReanchorMaintainedPaths drives the three ways a maintained
 // grouping loses or resets anchors — ELIMINATE / FORM-NEW-GROUP victims
 // that are a group's first member, decremental Remove of first members,
-// and the FORM-NEW-GROUP stageReset inside Result — each followed by
-// further appends, and compares every step with a from-scratch AllPairs
-// run over the surviving points.
+// and the fresh FORM-NEW-GROUP stage finder inside Result — each
+// followed by further appends, and compares every step with a
+// from-scratch AllPairs run over the surviving points.
 func TestReanchorMaintainedPaths(t *testing.T) {
 	for _, m := range allMetrics {
 		for _, ov := range allOverlaps {
@@ -177,7 +177,7 @@ func TestReanchorMaintainedPaths(t *testing.T) {
 							t.Fatal(err)
 						}
 						mirror.appendBatch(batch)
-						got := ev.Result() // FORM-NEW-GROUP: clone + stageReset
+						got := ev.Result() // FORM-NEW-GROUP: clone + fresh stage finder
 						if err := sameMembers(oneShotAllPairs(t, mirror.pts, opt), got); err != nil {
 							t.Fatalf("step %d append: %v", step, err)
 						}

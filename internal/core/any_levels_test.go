@@ -382,7 +382,7 @@ func TestAnyLevelsRemoveEquivalence(t *testing.T) {
 // levelWork returns the IndexProbes and IndexUpdates of a maintained
 // evaluator's whole-set pass over pts at levels: one probe and one
 // update per (level, occupied cell) of the cell graph (cellCount), plus
-// one update per point when the pass loads the index too (grid.BulkLoad,
+// one update per point when the pass loads the index too (loadIndex,
 // after a build into an empty evaluator).
 func levelWork(pts []geom.Point, m geom.Metric, levels []float64, load bool) (probes, updates int64) {
 	ps := geom.FromPoints(pts)

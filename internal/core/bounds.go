@@ -22,4 +22,3 @@ func (f *boundsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, ove
 func (f *boundsFinder) groupCreated(*sgbAllState, *group) {}
 func (f *boundsFinder) groupChanged(*sgbAllState, *group) {}
 func (f *boundsFinder) groupRemoved(*sgbAllState, *group) {}
-func (f *boundsFinder) stageReset(*sgbAllState)           {}

@@ -414,7 +414,7 @@ func CheckPoints(points []geom.Point) error {
 }
 
 // maxCells bounds a coordinate in ε-cells. Every grid over the points
-// (grid.Table, the Morton keys, the cell graph's level cells) quantizes
+// (grid.Table, the cell graph's level cells, geom.ZOrder) quantizes
 // x to int64(floor(x / cell)) with a cell side of ε or more, and probes
 // up to two padded cell sides around it.
 // Within ±2^52 cells those indices are integers float64 and int64 both

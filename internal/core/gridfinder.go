@@ -36,20 +36,21 @@ type gridFinder struct {
 	cur   grid.Cursor
 	reach float64 // probe radius and cell side: ε, or 2ε with overlaps
 
-	// anchor[id] is the member whose home cell group id is registered
-	// in, -1 while the group is unregistered (removed, or frozen by a
-	// FORM-NEW-GROUP stage).
+	// anchor[id−base] is the member whose home cell group id is
+	// registered in, -1 while the group is unregistered (removed); base
+	// is the first group id the finder sees, its stage's floor.
 	anchor []int32
+	base   int
 
 	ids []int32 // the probe's hits, reused across probes
 }
 
-func newGridFinder(dims int, opt Options, sizeHint int) *gridFinder {
+func newGridFinder(dims int, opt Options, sizeHint, base int) *gridFinder {
 	reach := opt.Eps
 	if opt.Overlap != JoinAny {
 		reach *= 2
 	}
-	return &gridFinder{tab: grid.NewCap(dims, reach, sizeHint), reach: reach}
+	return &gridFinder{tab: grid.NewCap(dims, reach, sizeHint), reach: reach, base: base}
 }
 
 // probeRadius pads the reach so the scanned cell range provably holds
@@ -64,7 +65,7 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 }
 
 func (f *gridFinder) groupCreated(st *sgbAllState, g *group) {
-	for len(f.anchor) <= g.id {
+	for len(f.anchor) <= g.id-f.base {
 		f.anchor = append(f.anchor, -1)
 	}
 	f.register(st, g)
@@ -73,37 +74,27 @@ func (f *gridFinder) groupCreated(st *sgbAllState, g *group) {
 // groupChanged re-anchors g when its first member left it; any other
 // membership change keeps the registration.
 func (f *gridFinder) groupChanged(st *sgbAllState, g *group) {
-	if a := f.anchor[g.id]; a >= 0 && int(a) != g.members[0] {
+	if a := f.anchor[g.id-f.base]; a >= 0 && int(a) != g.members[0] {
 		f.unregister(st, g)
 		f.register(st, g)
 	}
 }
 
 func (f *gridFinder) groupRemoved(st *sgbAllState, g *group) {
-	if f.anchor[g.id] >= 0 {
+	if f.anchor[g.id-f.base] >= 0 {
 		f.unregister(st, g)
 	}
 }
 
 func (f *gridFinder) register(st *sgbAllState, g *group) {
 	a := g.members[0]
-	f.anchor[g.id] = int32(a)
+	f.anchor[g.id-f.base] = int32(a)
 	st.opt.Stats.addUpdate(1)
 	f.tab.AddPoint(st.points.At(a), int32(g.id))
 }
 
 func (f *gridFinder) unregister(st *sgbAllState, g *group) {
 	st.opt.Stats.addUpdate(1)
-	f.tab.RemovePoint(st.points.At(int(f.anchor[g.id])), int32(g.id))
-	f.anchor[g.id] = -1
-}
-
-// stageReset clears the grid at a FORM-NEW-GROUP recursion stage:
-// every existing group is frozen and must stay invisible, so dropping
-// all registrations at once beats filtering stale hits per probe.
-func (f *gridFinder) stageReset(st *sgbAllState) {
-	for i := range f.anchor {
-		f.anchor[i] = -1
-	}
-	f.tab.Reset()
+	f.tab.RemovePoint(st.points.At(int(f.anchor[g.id-f.base])), int32(g.id))
+	f.anchor[g.id-f.base] = -1
 }

@@ -87,12 +87,14 @@ type sgbAllState struct {
 	// blocks (stable addresses, one allocation per block).
 	groupBlocks [][]group
 
-	// stageFloor freezes groups created before the current
-	// FORM-NEW-GROUP recursion stage: points of the deferred set S′
-	// form new groups among themselves only (Example 1 puts the
+	// stageFloor is the first group id of the current FORM-NEW-GROUP
+	// recursion stage (0 at the main pass): points of the deferred set
+	// S′ form new groups among themselves only (Example 1 puts the
 	// overlapping point a5 into a fresh singleton group g3 even though
-	// it is within ε of g1 and g2). Groups with id < stageFloor are
-	// invisible to candidate and overlap detection.
+	// it is within ε of g1 and g2). Bounds-Checking and All-Pairs start
+	// their scans there, the index-backed finders, fresh at each stage
+	// (run), number their per-group state from it, and newGroupFor
+	// stamps a stage's groups by it.
 	stageFloor int
 
 	eliminated []int // points dropped by ELIMINATE
@@ -125,7 +127,10 @@ func (st *sgbAllState) deferPoint(m int) {
 	st.deferCause = append(st.deferCause, int32(st.cur))
 }
 
-// finder abstracts FindCloseGroups over the strategies.
+// finder abstracts FindCloseGroups over the strategies. Every
+// FORM-NEW-GROUP recursion stage starts a fresh one (run), so the
+// groups an index-backed finder answers with are its own stage's; the
+// Bounds-Checking and All-Pairs scans start at the stage floor.
 type finder interface {
 	// findCloseGroups fills candidates with groups pi may join (the
 	// similarity predicate holds against every member) and, when the
@@ -136,17 +141,12 @@ type finder interface {
 	// collect group ids and hand them to classify; All-Pairs scans
 	// members.
 	findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group)
-	// groupInserted / groupChanged / groupRemoved keep any auxiliary
+	// groupCreated / groupChanged / groupRemoved keep any auxiliary
 	// structure (the R-tree or the ε-grid) synchronized with group
 	// mutations.
 	groupCreated(st *sgbAllState, g *group)
 	groupChanged(st *sgbAllState, g *group)
 	groupRemoved(st *sgbAllState, g *group)
-	// stageReset marks the start of a FORM-NEW-GROUP recursion stage:
-	// every existing group is frozen (invisible to candidacy), so any
-	// auxiliary structure can be cleared rather than queried and
-	// filtered. Groups frozen by a stage are never mutated again.
-	stageReset(st *sgbAllState)
 }
 
 // rectStride is the flat rect-row width: two rectangles of two corners.
@@ -353,17 +353,16 @@ func (st *sgbAllState) hullOf(g *group) *convexhull.Hull {
 // classify is the filter-and-verify step of Procedures 4–6, shared by
 // every rectangle finder (Bounds-Checking, R-tree, ε-grid) so the
 // strategies cannot drift apart: they differ only in which group ids
-// they hand it. One pass over the flat rect rows by id skips ids below
-// the stage floor and runs the PointInRectangleTest against the ε-All
-// rectangle and, when the overlap clause needs it, the
-// OverlapRectangleTest against the member MBR — reading rows without
-// dereferencing group structs, so the pointer chase only touches ids
-// that survive a rectangle test. A survivor is kept in ids as id<<1,
-// with the low bit set when only the overlap rectangle test passed.
-// Then refine decides candidacy exactly, a refinement failure is
-// re-tested against the MBR, and a member scan (overlapsWith) decides
-// overlap. ids is overwritten; the returned lists are valid until the
-// next call.
+// they hand it. One pass over the flat rect rows by id runs the
+// PointInRectangleTest against the ε-All rectangle and, when the
+// overlap clause needs it, the OverlapRectangleTest against the member
+// MBR — reading rows without dereferencing group structs, so the
+// pointer chase only touches ids that survive a rectangle test. A
+// survivor is kept in ids as id<<1, with the low bit set when only the
+// overlap rectangle test passed. Then refine decides candidacy
+// exactly, a refinement failure is re-tested against the MBR, and a
+// member scan (overlapsWith) decides overlap. ids is overwritten; the
+// returned lists are valid until the next call.
 func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	needOverlap := st.opt.Overlap != JoinAny
@@ -373,12 +372,8 @@ func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*gr
 	d := st.dims
 	stride := 4 * d
 	rects := st.rects
-	floor := st.stageFloor
 	kept := ids[:0]
 	for _, id := range ids {
-		if int(id) < floor {
-			continue
-		}
 		row := rects[int(id)*stride : int(id)*stride+stride]
 		st.opt.Stats.addRect(1)
 		if rowContains(row, p, d) {

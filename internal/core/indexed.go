@@ -17,13 +17,14 @@ import (
 type indexedFinder struct {
 	ix   *rtree.Tree
 	dims int
+	base int // the first group id the finder sees: its stage's floor
 
-	// at is a flat store of one [Min | Max] row per group id: the
-	// rectangle the group is stored under in Groups_IX (its ε-All
-	// rectangle when last indexed), so delete-before-reinsert removes
-	// the right entry. indexed[id] says whether the entry exists (not
-	// while the group is removed or frozen by a FORM-NEW-GROUP stage).
-	// Rows are overwritten in place: the R-tree keeps copies of its own.
+	// at is a flat store of one [Min | Max] row per group id from
+	// base: the rectangle the group is stored under in Groups_IX (its
+	// ε-All rectangle when last indexed), so delete-before-reinsert
+	// removes the right entry. indexed[id−base] says whether the entry
+	// exists (not while the group is removed). Rows are overwritten in
+	// place: the R-tree keeps copies of its own.
 	at      []float64
 	indexed []bool
 
@@ -34,11 +35,11 @@ type indexedFinder struct {
 	win geom.Rect
 }
 
-func newIndexedFinder(dims int) *indexedFinder {
+func newIndexedFinder(dims, base int) *indexedFinder {
 	if dims == 0 {
 		dims = 1
 	}
-	return &indexedFinder{ix: rtree.New(dims), dims: dims}
+	return &indexedFinder{ix: rtree.New(dims), dims: dims, base: base}
 }
 
 // findCloseGroups queries the R-tree with pi's ε-box widened by the
@@ -63,7 +64,7 @@ func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, ov
 // entry returns the view of group id's row in at.
 func (f *indexedFinder) entry(id int) geom.Rect {
 	d := f.dims
-	b := 2 * d * id
+	b := 2 * d * (id - f.base)
 	return geom.Rect{Min: f.at[b : b+d : b+d], Max: f.at[b+d : b+2*d : b+2*d]}
 }
 
@@ -72,12 +73,12 @@ func (f *indexedFinder) index(g *group) {
 	r := f.entry(g.id)
 	copy(r.Min, g.epsRect.Min)
 	copy(r.Max, g.epsRect.Max)
-	f.indexed[g.id] = true
+	f.indexed[g.id-f.base] = true
 	f.ix.Insert(r, g)
 }
 
 func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
-	for len(f.indexed) <= g.id {
+	for len(f.indexed) <= g.id-f.base {
 		f.indexed = append(f.indexed, false)
 		f.at = append(f.at, make([]float64, 2*f.dims)...)
 	}
@@ -97,7 +98,7 @@ func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
 //     rectangle's sides are bounded below by ε, a group reindexes O(1)
 //     times over its lifetime instead of once per insert.
 func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
-	if !f.indexed[g.id] {
+	if !f.indexed[g.id-f.base] {
 		return
 	}
 	r := f.entry(g.id)
@@ -117,21 +118,10 @@ func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
 const defaultHysteresis = 1.8
 
 func (f *indexedFinder) groupRemoved(st *sgbAllState, g *group) {
-	if !f.indexed[g.id] {
+	if !f.indexed[g.id-f.base] {
 		return
 	}
 	st.opt.Stats.addUpdate(1)
 	f.ix.Delete(f.entry(g.id), g)
-	f.indexed[g.id] = false
-}
-
-// stageReset rebuilds Groups_IX empty at a FORM-NEW-GROUP recursion
-// stage: every group created so far is frozen, so keeping its
-// rectangle indexed would only produce window-query hits that the
-// stage filter discards — on high-overlap inputs those stale hits
-// dominated the runtime. Frozen groups are never touched again, so
-// their entries are simply forgotten.
-func (f *indexedFinder) stageReset(*sgbAllState) {
-	clear(f.indexed)
-	f.ix = rtree.New(f.dims)
+	f.indexed[g.id-f.base] = false
 }

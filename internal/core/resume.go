@@ -309,8 +309,8 @@ func (e *AllEvaluator) Result() *Result {
 // hull with the original; only its rectangle views move to the clone's
 // rows, and the R-tree's entries live in the finder), bookkeeping
 // slices are copied (the recursion appends groups and placements),
-// and the finder is rebuilt fresh (equivalent to the stageReset the
-// recursion performs first thing). Points are shared read-only.
+// and the finder is left to the recursion, whose every stage starts a
+// fresh one (run). Points are shared read-only.
 func (st *sgbAllState) finalizeClone() *sgbAllState {
 	cl := &sgbAllState{
 		points:     st.points,
@@ -319,7 +319,6 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 		key:        st.key,
 		rand:       &rng{state: st.rand.state},
 		groups:     make([]*group, len(st.groups)),
-		stageFloor: st.stageFloor,
 		eliminated: append([]int(nil), st.eliminated...),
 		deferred:   append([]int(nil), st.deferred...),
 		pointGroup: append([]int32(nil), st.pointGroup...),
@@ -340,7 +339,6 @@ func (st *sgbAllState) finalizeClone() *sgbAllState {
 		// rows.
 		cl.bindRectRow(cl.groups[i])
 	}
-	cl.finder = newFinder(cl)
 	return cl
 }
 
@@ -457,11 +455,16 @@ func (e *AnyEvaluator) Append(ps *geom.PointSet) error {
 	return nil
 }
 
-// loadIndex registers every stored position in a new top-level grid in
-// one pass (grid.BulkLoad), counting one update per point.
+// loadIndex registers every stored position, in ascending order, in a
+// new top-level grid (anyGrid.add, one update per point) without
+// probing it.
 func (e *AnyEvaluator) loadIndex() {
-	e.ix = &anyGrid{tab: grid.BulkLoad(e.points, e.opt.Eps)}
-	e.opt.Stats.addUpdate(int64(e.points.Len()))
+	n := e.points.Len()
+	ix := &anyGrid{tab: grid.NewCap(e.points.Dims(), e.opt.Eps, n/2)}
+	for i := 0; i < n; i++ {
+		ix.add(e.points, i, e.opt)
+	}
+	e.ix = ix
 }
 
 // Result materializes the current connected components at the top

@@ -59,7 +59,7 @@ func newAllState(pts *geom.PointSet, opt Options) *sgbAllState {
 	for i := range st.pointGroup {
 		st.pointGroup[i] = -1
 	}
-	st.finder = newFinder(st)
+	st.finder = newFinder(st, pts.Len())
 	return st
 }
 
@@ -106,18 +106,14 @@ func (st *sgbAllState) result(idx []int32) *Result {
 // exactly as Example 1 creates the singleton group g3{a5}.
 func (st *sgbAllState) run(order []int, depth int) {
 	st.opt.Stats.noteDepth(depth)
-	// Groups created before this stage are frozen for candidacy: the
-	// recursive pass must not re-admit deferred points into the groups
-	// that deferred them. The finder respects this via the stage floor.
-	stageFloor := len(st.groups)
-	if depth == 0 {
-		stageFloor = 0
-	}
-	prevFloor := st.stageFloor
-	st.stageFloor = stageFloor
-	defer func() { st.stageFloor = prevFloor }()
 	if depth > 0 {
-		st.finder.stageReset(st)
+		// Groups created before this stage are frozen for candidacy:
+		// the recursive pass must not re-admit deferred points into the
+		// groups that deferred them. A fresh finder has never seen them.
+		// Most deferred points are deferred again, so a stage forms few
+		// groups for its points: its grid starts small and grows.
+		st.stageFloor = len(st.groups)
+		st.finder = newFinder(st, 0)
 	}
 
 	st.processPoints(order)
@@ -214,19 +210,21 @@ func (st *sgbAllState) processOverlap(pi int, overlaps []*group) {
 	}
 }
 
-// newFinder instantiates the strategy selected by the options.
-func newFinder(st *sgbAllState) finder {
+// newFinder instantiates the strategy selected by the options for the
+// groups from st.stageFloor on; sizeHint pre-sizes the grid's directory
+// (grid.NewCap).
+func newFinder(st *sgbAllState, sizeHint int) finder {
 	switch st.opt.Algorithm {
 	case AllPairs:
 		return &allPairsFinder{}
 	case BoundsCheck:
 		return &boundsFinder{}
 	case OnTheFlyIndex:
-		return newIndexedFinder(st.dims)
+		return newIndexedFinder(st.dims, st.stageFloor)
 	case GridIndex:
 		// Hashed cell keys support any dimensionality, so the grid is
 		// the strategy at every d — no R-tree fallback.
-		return newGridFinder(st.dims, st.opt, st.points.Len())
+		return newGridFinder(st.dims, st.opt, sizeHint, st.stageFloor)
 	default:
 		panic("core: unknown algorithm")
 	}

@@ -315,10 +315,10 @@ func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
 // points of the 3^d cells its ε-box covers. The cell neighborhood
 // over-approximates the ε-ball under both metrics; each point lives in
 // exactly one cell, so the probe needs no sort or dedup. A maintained
-// evaluator keeps one at its top ε: it loads it in one pass
-// (grid.BulkLoad) where the components are already known — after a
-// whole-batch build and a compaction — and besides collect and add
-// unregisters a deleted point (remove).
+// evaluator keeps one at its top ε: where the components are already
+// known — after a whole-batch build and a compaction — it registers
+// every point without probing (loadIndex), and besides collect and add
+// it unregisters a deleted point (remove).
 type anyGrid struct {
 	tab *grid.Table
 	cur grid.Cursor

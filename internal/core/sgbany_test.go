@@ -292,8 +292,8 @@ func checkIndependent(t *testing.T, what string, res *Result) {
 // answers exactly what the per-group-append one did — group order and
 // member order — over random Union-Find traces read in full, through a
 // surviving subset (removals) and through a permutation, and over real
-// evaluations: the one-shot operator over a permuted input (Z-order) and
-// a maintained evaluator under appends and removals.
+// evaluations: the one-shot operator over a permuted input (a seeded
+// shuffle) and a maintained evaluator under appends and removals.
 // Its groups share one backing array, yet appending to one group's
 // Members leaves its neighbours intact.
 func TestAnyResultGroupsIndependent(t *testing.T) {
@@ -329,9 +329,9 @@ func TestAnyResultGroupsIndependent(t *testing.T) {
 
 	pts := geom.FromPoints(randomPoints(r, 600, 2, 20))
 	opt := Options{Metric: geom.L2, Eps: 0.6, Algorithm: GridIndex, Parallelism: 1}
-	perm := geom.MortonPerm(pts, opt.Eps)
-	if perm == nil {
-		t.Fatal("600 random points are already in Z-order")
+	perm := make([]int32, pts.Len())
+	for k, i := range rand.New(rand.NewSource(29)).Perm(pts.Len()) {
+		perm[k] = int32(i)
 	}
 	eval := pts.Gather(perm)
 	f := newAnyForests([]float64{opt.Metric.EpsKey(opt.Eps)}, eval.Len())

@@ -26,11 +26,9 @@
 //     avoids the square root under L2.
 //
 // The package also provides the one Z-order (Morton order) of a
-// PointSet's cells (ZOrder; MortonKey, MortonPerm): cell quantization,
-// per-axis normalization, the interleaved key — coarsened on an axis
-// wider than its bits, never aliased, so it grows with every cell
-// coordinate — and a radix sort. internal/grid's BulkLoad registers in
-// it, which lays a cell's ids out contiguously for a maintained SGB-Any
-// evaluator's probes, and internal/partition (kept for the benchmark's
+// PointSet's cells (ZOrder; MortonKey): cell quantization, per-axis
+// normalization, the interleaved key — coarsened on an axis wider than
+// its bits, never aliased, so it grows with every cell coordinate — and
+// a radix sort. internal/partition (kept for the benchmark's
 // partition.split_ms) cuts its runs from it.
 package geom

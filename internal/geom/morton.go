@@ -7,11 +7,9 @@ import (
 
 // Z-order (Morton order): sorting a PointSet by the interleaved bits of
 // its cell coordinates places points of neighboring cells next to each
-// other, so a grid registered in that order (internal/grid's BulkLoad)
-// lays the id slabs of neighbouring cells side by side, and a cut of the
-// sorted order into runs yields compact tiles (internal/partition).
-// Consumers keep the input order's ids: the permutation only says in
-// which order to visit them.
+// other, so a cut of the sorted order into runs yields compact tiles
+// (internal/partition). Consumers keep the input order's ids: the
+// permutation only says in which order to visit them.
 
 // mortonBits returns the bits of precision per dimension that fit one
 // 64-bit key. Above 64 dimensions an axis gets one bit, and the axes
@@ -83,9 +81,8 @@ func spread3(x uint64) uint64 {
 	return x
 }
 
-// ZOrder is the Z-order of one PointSet's cells, decided in one place
-// for every consumer (MortonPerm, internal/grid's BulkLoad,
-// internal/partition's runs). A point's cell on axis k is
+// ZOrder is the Z-order of one PointSet's cells, which
+// internal/partition cuts its runs from. A point's cell on axis k is
 // floor(x / cellSize), normalized against the set's smallest cell on
 // that axis; an axis spanning more cells than the key has bits for
 // (mortonBits) is keyed in coarser cells, 2^shift of its cells to one,
@@ -165,24 +162,6 @@ func (z *ZOrder) Sort() (perm []int32, keys []uint64) {
 	}
 	sortByKey(keys, perm)
 	return perm, keys
-}
-
-// MortonPerm returns the permutation that orders ps's points by the
-// Z-order of their cellSize-cells (ZOrder.Sort): perm[k] is the input
-// index of the k-th point. It returns nil when there is nothing to
-// reorder — fewer than two points, or an input that is already in
-// Z-order.
-func MortonPerm(ps *PointSet, cellSize float64) []int32 {
-	if ps.Len() < 2 || !(cellSize > 0) {
-		return nil
-	}
-	perm, _ := NewZOrder(ps, cellSize).Sort()
-	for i, id := range perm {
-		if id != int32(i) {
-			return perm
-		}
-	}
-	return nil // already in Z-order: save the caller a copy
 }
 
 // sortByKey sorts keys ascending and carries perm along — an LSD radix

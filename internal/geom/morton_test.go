@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// cellIdxTest mirrors the quantization MortonPerm applies.
+// cellIdxTest mirrors the quantization ZOrder applies.
 func cellIdxTest(x, inv float64) int64 {
 	return int64(math.Floor(x * inv))
 }
@@ -95,10 +95,11 @@ func TestMortonKeyLocality(t *testing.T) {
 	}
 }
 
-// TestMortonPerm: the returned slice is a permutation ordered by
-// (normalized key, input index), and an input already in Morton order
-// returns nil.
-func TestMortonPerm(t *testing.T) {
+// TestZOrderSort: Sort returns a permutation with its keys, the keys
+// are the points' normalized Morton keys and never decrease, and equal
+// keys keep ascending input order — the order internal/partition cuts
+// its runs from.
+func TestZOrderSort(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, d := range []int{1, 2, 3, 5, 8} {
 		for trial := 0; trial < 40; trial++ {
@@ -111,12 +112,9 @@ func TestMortonPerm(t *testing.T) {
 				}
 			}
 			cellSize := 0.25 + r.Float64()
-			perm := MortonPerm(ps, cellSize)
-			if perm == nil {
-				continue // already ordered (possible on tiny inputs)
-			}
-			if len(perm) != n {
-				t.Fatalf("d=%d: perm length %d, want %d", d, len(perm), n)
+			perm, keys := NewZOrder(ps, cellSize).Sort()
+			if len(perm) != n || len(keys) != n {
+				t.Fatalf("d=%d: %d ids and %d keys, want %d", d, len(perm), len(keys), n)
 			}
 			seen := make([]bool, n)
 			for _, v := range perm {
@@ -125,24 +123,25 @@ func TestMortonPerm(t *testing.T) {
 				}
 				seen[v] = true
 			}
-			keys := mortonKeysOf(ps, cellSize)
-			for k := 1; k < n; k++ {
-				a, b := perm[k-1], perm[k]
-				if keys[a] > keys[b] || (keys[a] == keys[b] && a > b) {
-					t.Fatalf("d=%d: perm not sorted by (key, index) at %d", d, k)
+			want := mortonKeysOf(ps, cellSize)
+			for k, id := range perm {
+				if keys[k] != want[id] {
+					t.Fatalf("d=%d: key %d of point %d, want %d", d, keys[k], id, want[id])
 				}
-			}
-			// Re-running on the gathered set must report "already
-			// ordered".
-			if again := MortonPerm(ps.Gather(perm), cellSize); again != nil {
-				t.Fatalf("d=%d: permuted set not recognized as ordered", d)
+				if k == 0 {
+					continue
+				}
+				if keys[k-1] > keys[k] || (keys[k-1] == keys[k] && perm[k-1] > id) {
+					t.Fatalf("d=%d: not sorted by (key, index) at %d", d, k)
+				}
 			}
 		}
 	}
 }
 
 // mortonKeysOf recomputes the normalized Morton keys the same way
-// MortonPerm does, for verification.
+// ZOrder does on an input no axis of which needs coarsening, for
+// verification.
 func mortonKeysOf(ps *PointSet, cellSize float64) []uint64 {
 	n, d := ps.Len(), ps.Dims()
 	inv := 1 / cellSize

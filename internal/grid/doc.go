@@ -58,7 +58,7 @@
 //     is MinInt64, and a range that starts there has 2^63 cells.
 //     internal/core refuses such input where it enters (checkCoords,
 //     Options.Validate), for this table and for geom.ZOrder's keys
-//     (geom.MortonPerm, internal/partition's runs) alike.
+//     (internal/partition's runs) alike.
 //   - Read-only probes (CollectBox, CollectRange) are safe from many
 //     goroutines at once when each brings its own Cursor; mutations are
 //     single-threaded.

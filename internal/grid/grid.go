@@ -97,7 +97,8 @@ func New(dims int, cellSize float64) *Table {
 }
 
 // NewCap is New with a capacity hint: the directory is pre-sized for
-// about cells occupied cells, so bulk loads skip the doubling rebuilds.
+// about cells occupied cells, so a table filled right after it is made
+// skips the doubling rebuilds.
 // The hint is a point count, which says little about how many cells or
 // blocks those points fall into, so the arenas are not sized from it:
 // they double as they fill (grown).
@@ -487,7 +488,7 @@ func (t *Table) AddPoint(p []float64, id int32) {
 // RemovePoint unregisters id from the home cell of p — the inverse of
 // AddPoint, used by the decremental paths when a point is deleted from
 // the live set. It is a no-op if id is not present. A block whose lists
-// all emptied turns dead and is dropped by the next rebuild or Reset;
+// all emptied turns dead and is dropped by the next rebuild;
 // until then it answers probes with empty lists.
 func (t *Table) RemovePoint(p []float64, id int32) {
 	switch t.dims {
@@ -659,16 +660,4 @@ func (t *Table) collectN(cur *Cursor, lo, hi []int64, buf []int32) []int32 {
 		}
 		c[i]++
 	}
-}
-
-// Reset empties the grid, dropping all registrations but keeping the
-// directory, arena, and slab capacity for reuse.
-func (t *Table) Reset() {
-	for i := range t.slots {
-		t.slots[i].off = -1
-	}
-	t.used, t.live = 0, 0
-	t.blocks = t.blocks[:0]
-	t.slabs = t.slabs[:0]
-	t.free = -1
 }

@@ -1,15 +1,11 @@
 package grid
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
-
-	"github.com/sgb-db/sgb/internal/geom"
 )
 
 // cellCenter returns the center of cell c: the point whose home cell is
@@ -237,24 +233,6 @@ func TestProbeBlocksPerAxis(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	g := New(1, 1)
-	g.AddPoint([]float64{1.5}, 1)
-	g.AddPoint([]float64{2.5}, 2)
-	g.Reset()
-	if occupiedCells(t, g) != 0 {
-		t.Fatal("Reset left occupied cells")
-	}
-	if got := cellIDs(g, []int64{1}); len(got) != 0 {
-		t.Fatalf("Reset left ids: %v", got)
-	}
-	// The table must stay fully usable after Reset.
-	g.AddPoint([]float64{1.5}, 9)
-	if got := cellIDs(g, []int64{1}); !slices.Equal(got, []int32{9}) {
-		t.Fatalf("post-Reset AddPoint lost: %v", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(0, 1) },
@@ -321,9 +299,21 @@ func (m *model) remove(c []int64, id int32) {
 	}
 }
 
-func (m *model) reset() {
-	m.g.Reset()
-	clear(m.ref)
+// drain empties the table by RemovePoint, cell by cell in key order,
+// leaving every cell and block dead.
+func (m *model) drain() {
+	keys := make([]string, 0, len(m.ref))
+	for k := range m.ref {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		rc := m.ref[k]
+		for _, id := range rc.ids {
+			m.g.RemovePoint(cellCenter(m.g, rc.c), id)
+		}
+		delete(m.ref, k)
+	}
 }
 
 // want lists the reference's ids over the inclusive cell range.
@@ -393,12 +383,12 @@ func maxQuarters(d int) int {
 }
 
 // TestCrossCheckAgainstMapReference drives randomized AddPoint /
-// RemovePoint / CollectBox / CollectRange / Reset traffic
-// over a tiny mixed-sign coordinate universe — both parities of every
-// axis, so every cell of a block, and forcing hash-slot collisions,
-// dead cells and blocks, and load-factor rebuilds — and demands
-// multiset-identical probe results and occupied-cell counts against the
-// map reference at every probe.
+// RemovePoint / CollectBox / CollectRange traffic, now and then
+// draining the table, over a tiny mixed-sign coordinate universe —
+// both parities of every axis, so every cell of a block, and forcing
+// hash-slot collisions, dead cells and blocks, and load-factor
+// rebuilds — and demands multiset-identical probe results and
+// occupied-cell counts against the map reference at every probe.
 func TestCrossCheckAgainstMapReference(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 5, 6, 8} {
 		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
@@ -423,7 +413,7 @@ func TestCrossCheckAgainstMapReference(t *testing.T) {
 					m.remove(randCell(), int32(r.Intn(50)))
 				case 5:
 					if r.Intn(200) == 0 {
-						m.reset()
+						m.drain()
 					}
 				case 6:
 					// The closure's single-cell collect, and boxes up to
@@ -497,7 +487,7 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 	}
 }
 
-// TestRebuildGrowth: a bulk load far past the initial directory
+// TestRebuildGrowth: registrations far past the initial directory
 // capacity must keep every registration addressable (the doubling
 // rebuild path), and a NewCap-hinted table, which never rebuilds, must
 // agree.
@@ -631,128 +621,4 @@ func TestSlabChainLongCell(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("after chained removals: got %d ids, want %d (%v)", len(got), len(want), got)
 	}
-}
-
-// TestBulkLoadMatchesIncremental checks that a bulk-loaded table
-// answers probes with exactly the id sets of an AddPoint-built one —
-// the Morton-major layout is a performance property, not a semantic
-// one — and that it stays mutable afterwards.
-func TestBulkLoadMatchesIncremental(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, d := range []int{1, 2, 3, 5} {
-		n := 400
-		ps := geom.NewPointSetCap(d, n)
-		for i := 0; i < n; i++ {
-			p := ps.Extend()
-			for j := range p {
-				p[j] = r.Float64()*8 - 4
-			}
-		}
-		bulk := BulkLoad(ps, 0.5)
-		inc := New(d, 0.5)
-		for i := 0; i < n; i++ {
-			inc.AddPoint(ps.At(i), int32(i))
-		}
-		if a, b := occupiedCells(t, bulk), occupiedCells(t, inc); a != b {
-			t.Fatalf("d=%d: bulk %d cells vs incremental %d", d, a, b)
-		}
-		var cur Cursor
-		var b1, b2 []int32
-		for i := 0; i < n; i++ {
-			b1 = bulk.CollectBox(&cur, ps.At(i), 0.5, b1[:0])
-			b2 = inc.CollectBox(&cur, ps.At(i), 0.5, b2[:0])
-			slices.Sort(b1)
-			slices.Sort(b2)
-			if !slices.Equal(b1, b2) {
-				t.Fatalf("d=%d probe %d: bulk %v vs incremental %v", d, i, b1, b2)
-			}
-		}
-		// Mutability after bulk load: remove half, re-probe.
-		for i := 0; i < n; i += 2 {
-			bulk.RemovePoint(ps.At(i), int32(i))
-			inc.RemovePoint(ps.At(i), int32(i))
-		}
-		for i := 1; i < n; i += 7 {
-			b1 = bulk.CollectBox(&cur, ps.At(i), 0.5, b1[:0])
-			b2 = inc.CollectBox(&cur, ps.At(i), 0.5, b2[:0])
-			slices.Sort(b1)
-			slices.Sort(b2)
-			if !slices.Equal(b1, b2) {
-				t.Fatalf("d=%d post-remove probe %d: bulk %v vs incremental %v", d, i, b1, b2)
-			}
-		}
-	}
-}
-
-// TestBulkLoadRegistersInMortonOrder pins BulkLoad's slab layout: the
-// table equals one that registers the points by AddPoint in
-// geom.MortonPerm's order, and that order is the (key, id) order of the
-// bit-by-bit Morton coder BulkLoad once kept to itself (cells
-// normalized against the per-axis minimum, 64/d bits an axis), so the
-// layout did not change when the coder moved to geom.
-func TestBulkLoadRegistersInMortonOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for _, d := range []int{1, 2, 3, 5} {
-		for _, span := range []float64{0.3, 8, 300} {
-			n := 50 + r.Intn(400)
-			ps := geom.NewPointSetCap(d, n)
-			for i := 0; i < n; i++ {
-				for j, p := 0, ps.Extend(); j < d; j++ {
-					p[j] = r.Float64()*span - span/2
-				}
-			}
-			order := geom.MortonPerm(ps, 0.5)
-			if order == nil {
-				order = make([]int32, n)
-				for i := range order {
-					order[i] = int32(i)
-				}
-			}
-			if want := bitByBitMortonOrder(ps, 0.5); !slices.Equal(order, want) {
-				t.Fatalf("d=%d span=%v: MortonPerm's order differs from the bit-by-bit coder's", d, span)
-			}
-			want := NewCap(d, 0.5, n/2)
-			for _, id := range order {
-				want.AddPoint(ps.At(int(id)), id)
-			}
-			if got := BulkLoad(ps, 0.5); !reflect.DeepEqual(got, want) {
-				t.Fatalf("d=%d span=%v: BulkLoad's table differs from registration in MortonPerm's order", d, span)
-			}
-		}
-	}
-}
-
-// bitByBitMortonOrder is the order BulkLoad's private coder produced:
-// home cells normalized against each axis's smallest, the low 64/d bits
-// of each interleaved one bit at a time, ids sorted by (code, id).
-func bitByBitMortonOrder(ps *geom.PointSet, cellSize float64) []int32 {
-	n, d := ps.Len(), ps.Dims()
-	inv := 1 / cellSize
-	cell := func(i, k int) int64 { return int64(math.Floor(ps.At(i)[k] * inv)) }
-	mins := make([]int64, d)
-	for k := range mins {
-		mins[k] = cell(0, k)
-		for i := 1; i < n; i++ {
-			mins[k] = min(mins[k], cell(i, k))
-		}
-	}
-	bits := 64 / d
-	codes := make([]uint64, n)
-	order := make([]int32, n)
-	for i := range codes {
-		for k := 0; k < d; k++ {
-			v := uint64(cell(i, k)-mins[k]) & (1<<bits - 1)
-			for b := 0; b < bits; b++ {
-				codes[i] |= (v >> b & 1) << (b*d + k)
-			}
-		}
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if codes[a] != codes[b] {
-			return cmp.Compare(codes[a], codes[b])
-		}
-		return cmp.Compare(a, b)
-	})
-	return order
 }

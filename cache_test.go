@@ -65,17 +65,19 @@ func TestCacheFailedBuildKeepsLiveEntries(t *testing.T) {
 // TestCacheOneEntryPerGrouping: sessions over one table that differ
 // only in a setting the grouping does not depend on share one cache
 // entry, and the cache shows one build's distance computations — SET
-// algorithm under DISTANCE-TO-ANY, SET seed under every clause but
-// JOIN-ANY. JOIN-ANY draws by the seed, and the SGB-All strategies
-// arbitrate differently where a distance rounds to ε, so those keep one
-// entry each. Every session's answer equals an incremental = off
-// session's row for row.
+// algorithm under DISTANCE-TO-ANY and under every DISTANCE-TO-ALL
+// clause (every strategy groups alike, so a maintained grouping runs on
+// the ε-grid whatever the session names), SET seed under every clause
+// but JOIN-ANY. JOIN-ANY draws by the seed, so its seeds keep one entry
+// each. Every session's answer equals an incremental = off session's
+// row for row, evaluated one-shot under its own algorithm.
 func TestCacheOneEntryPerGrouping(t *testing.T) {
 	anyQ := "SELECT count(*), min(id), max(id) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.4"
 	allQ := func(clause string) string {
 		return "SELECT count(*), min(id), max(id) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP " + clause
 	}
 	algorithms := []string{"SET algorithm = grid", "SET algorithm = rtree", "SET algorithm = allpairs"}
+	allAlgorithms := append(algorithms, "SET algorithm = bounds")
 	seeds := []string{"SET seed = 0", "SET seed = 7"}
 	for _, tc := range []struct {
 		name    string
@@ -84,7 +86,9 @@ func TestCacheOneEntryPerGrouping(t *testing.T) {
 		entries int
 	}{
 		{"any/algorithm", anyQ, algorithms, 1},
-		{"eliminate/algorithm", allQ("ELIMINATE"), algorithms, len(algorithms)},
+		{"eliminate/algorithm", allQ("ELIMINATE"), allAlgorithms, 1},
+		{"form-new-group/algorithm", allQ("FORM-NEW-GROUP"), allAlgorithms, 1},
+		{"join-any/algorithm", allQ("JOIN-ANY"), allAlgorithms, 1},
 		{"any/seed", anyQ, seeds, 1},
 		{"eliminate/seed", allQ("ELIMINATE"), seeds, 1},
 		{"form-new-group/seed", allQ("FORM-NEW-GROUP"), seeds, 1},

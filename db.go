@@ -102,8 +102,10 @@ func (r *Rows) Len() int { return len(r.Data) }
 // QueryOptions tunes similarity group-by execution for a single query.
 type QueryOptions struct {
 	// Algorithm selects the SGB strategy (the session default is
-	// GridIndex, which supports any number of grouping attributes). A
-	// maintained SGB-Any grouping runs on the ε-grid whatever it names.
+	// GridIndex, which supports any number of grouping attributes). Every
+	// strategy groups alike, so a maintained grouping, SGB-Any or
+	// SGB-All, runs on the ε-grid whatever it names, and sessions that
+	// differ only in it share one cache entry.
 	Algorithm Algorithm
 	// Parallelism bounds the workers a one-shot DISTANCE-TO-ANY EPS IN
 	// or SIMILARITY CUBE BY EPS splits its ε levels across, one

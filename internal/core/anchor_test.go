@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -88,14 +90,13 @@ func TestGridLatticeAlignedCrossValidation(t *testing.T) {
 
 // TestGridRoundedLatticeMatchesBounds repeats the lattice check where
 // k·ε is NOT exact: coordinates land a few ulps either side of the cell
-// edges, and the rounded rectangle corners the filters compare against
-// land a few ulps either side of the points. With ε = 0.6 the filter
-// admits p = -14·ε into the group anchored at a = -13·ε (fl(a-ε) = p),
-// yet fl(p+ε)/ε floors to cell -14 and p itself to cell -15, two cells
-// from a's cell -13: only a padded probe box finds that anchor. The
-// reference is Bounds-Checking, which applies the same rectangle
-// filters to every group without any index — so the grid probe must
-// surface every group those filters admit, rounding included.
+// edges, and their rounded differences a few ulps either side of ε. The
+// reference is Bounds-Checking, which runs the same classifier over
+// every group without any index — so the grid probe must surface every
+// group classify admits, rounding included. (At ε = 0.6, p = -14·ε
+// lies two cells from a = -13·ε, but fl(a − p) = 0.6000000000000005 > ε
+// keeps it out of a's group; TestFindersAgreeOnRoundedChains holds the
+// chains that need the padded probe.)
 func TestGridRoundedLatticeMatchesBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(2828))
 	for _, eps := range []float64{0.1, 0.05, 0.3, 0.6, 0.15, 1.1, 0.01} {
@@ -106,6 +107,80 @@ func TestGridRoundedLatticeMatchesBounds(t *testing.T) {
 					points := latticePoints(r, 140, d, base, stepCells*eps, -20, span)
 					requireGridMatches(t, BoundsCheck, points, eps,
 						fmt.Sprintf("eps=%v base=%v step=%v·ε d=%d", eps, base, stepCells, d))
+				}
+			}
+		}
+	}
+}
+
+// TestFindersAgreeOnRoundedChains: three points on a line, in arrival
+// order, the first two a group and the third within ε (by the distance
+// key) of one of them only — an overlap — placed where a finder's own
+// rounding decides whether it sees that group. Every finder, one-shot
+// and maintained, under both metrics, d = 1 and 2 and every clause,
+// must answer as All-Pairs does, and ELIMINATE must drop one point.
+// Each chain checks its premise, so it cannot go stale unnoticed:
+//
+//   - rtree-window: the R-tree stores the group under its ε-All
+//     rectangle [fl(hi − ε), fl(lo + ε)], which an unpadded window
+//     [fl(p − ε), fl(p + ε)] misses by an ulp;
+//   - grid-anchor-cell: the group's anchor, a hair below 0, lies in the
+//     2ε-cell below the one an unpadded probe's fl(p − 2ε) = 0 starts at.
+func TestFindersAgreeOnRoundedChains(t *testing.T) {
+	near := func(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+	for _, c := range []struct {
+		name    string
+		eps     float64
+		x       [3]float64
+		premise func(eps float64, x [3]float64) bool
+	}{
+		{"rtree-window", 0.3, [3]float64{-0.237847745069592, 0.06215225493040801, -0.537847745069592},
+			func(eps float64, x [3]float64) bool { return x[1]-eps > x[2]+eps }},
+		{"grid-anchor-cell", 0.1, [3]float64{-1e-300, 0.1, 0.2},
+			func(eps float64, x [3]float64) bool {
+				inv := 1 / (2 * eps)
+				return math.Floor(x[0]*inv) < math.Floor((x[2]-2*eps)*inv)
+			}},
+	} {
+		x, eps := c.x, c.eps
+		if !near(x[0], x[1], eps) || near(x[0], x[2], eps) == near(x[1], x[2], eps) || !c.premise(eps, x) {
+			t.Fatalf("%s: the chain no longer has its shape", c.name)
+		}
+		for _, d := range []int{1, 2} {
+			pts := make([]geom.Point, 3)
+			for i := range pts {
+				pts[i] = make(geom.Point, d)
+				pts[i][0] = x[i]
+			}
+			for _, m := range allMetrics {
+				for _, ov := range allOverlaps {
+					opt := Options{Metric: m, Eps: eps, Overlap: ov, Seed: 5}
+					want := oneShotAllPairs(t, pts, opt)
+					if ov == Eliminate && len(want.Eliminated) != 1 {
+						t.Fatalf("%s d=%d %v: All-Pairs eliminated %v, want one point", c.name, d, m, want.Eliminated)
+					}
+					for _, alg := range []Algorithm{BoundsCheck, OnTheFlyIndex, GridIndex} {
+						opt.Algorithm = alg
+						got, err := SGBAll(pts, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ev, err := NewAllEvaluator(opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, p := range pts {
+							if err := ev.Append(geom.FromPoints([]geom.Point{p})); err != nil {
+								t.Fatal(err)
+							}
+						}
+						for _, res := range []*Result{got, ev.Result()} {
+							if !reflect.DeepEqual(normalizeRes(want), normalizeRes(res)) {
+								t.Fatalf("%s d=%d %v %v %v: %v elim %v, All-Pairs %v elim %v",
+									c.name, d, m, ov, alg, res.Groups, res.Eliminated, want.Groups, want.Eliminated)
+							}
+						}
+					}
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 package core
 
 // boundsFinder is the Bounds-Checking FindCloseGroups of Procedure 4:
-// each group carries its ε-All bounding rectangle (Definition 5), so
-// deciding candidacy takes a constant number of comparisons per group
+// each group carries its member MBR, from which its ε-All bounding
+// rectangle (Definition 5) follows, so deciding candidacy takes O(d)
+// comparisons per group
 // instead of one per member — O(n·|G|) overall (Table 1). It hands
 // every live group of the current stage to classify.
 type boundsFinder struct {

@@ -46,8 +46,8 @@ const (
 	// AllPairs evaluates the similarity predicate against every
 	// previously processed point (the paper's baseline; O(n²)).
 	AllPairs Algorithm = iota
-	// BoundsCheck maintains an ε-All bounding rectangle per group and
-	// linearly scans group rectangles (Procedure 4; O(n·|G|)).
+	// BoundsCheck keeps a bounding rectangle per group and linearly
+	// scans the group rectangles (Procedure 4; O(n·|G|)).
 	BoundsCheck
 	// OnTheFlyIndex additionally indexes the group rectangles (SGB-All,
 	// Procedure 5) or the processed points (SGB-Any, Procedure 8) in an
@@ -65,8 +65,7 @@ const (
 	// ε-cell of the hashed table and probes it per appended point. Any
 	// dimensionality is supported, output ids stay in input order, and
 	// results equal the other strategies' for equal seeds at every d,
-	// except All-Pairs' where a distance rounds to ε
-	// (TestMaintainedKeyNeutral).
+	// where a distance rounds to ε included (TestMaintainedKeyNeutral).
 	GridIndex
 )
 
@@ -123,18 +122,17 @@ type Options struct {
 
 // Maintained returns the options a maintained grouping of SGB-Any
 // (anySem) or SGB-All is built with: the fields that change what such
-// an evaluator holds, every other one at a fixed value. For SGB-Any that
-// is the metric alone: its components at every ε are kept by one
+// an evaluator holds, every other one at a fixed value. Both are
+// maintained on the ε-grid whatever Algorithm names: every strategy
+// groups alike, ε-ties included (TestMaintainedKeyNeutral). For SGB-Any
+// the metric alone is kept: its components at every ε are kept by one
 // evaluator at several levels, so ε is a level asked of it, not part of
-// it, and it is maintained on the ε-grid whatever Algorithm names. For
-// SGB-All they are the metric, ε, the ON-OVERLAP clause and the
-// strategy (All-Pairs arbitrates differently from the rectangle finders
-// where a distance rounds to ε, TestMaintainedKeyNeutral), and the seed
-// of JOIN-ANY, the one clause that draws.
+// it. For SGB-All they are the metric, ε, the ON-OVERLAP clause, and
+// the seed of JOIN-ANY, the one clause that draws.
 func (o Options) Maintained(anySem bool) Options {
 	m := Options{Metric: o.Metric, Algorithm: GridIndex}
 	if !anySem {
-		m.Eps, m.Overlap, m.Algorithm = o.Eps, o.Overlap, o.Algorithm
+		m.Eps, m.Overlap = o.Eps, o.Overlap
 		if o.Overlap == JoinAny {
 			m.Seed = o.Seed
 		}
@@ -144,12 +142,13 @@ func (o Options) Maintained(anySem bool) Options {
 
 // Key prints the evaluator cache key of a maintained grouping over the
 // grouping expressions by: the options Maintained keeps, so an SGB-Any
-// key prints ε 0. TestFingerprintCoversOptions fails when a new field is
-// neither kept nor listed as grouping-neutral.
+// key prints ε 0 and no key prints the strategy.
+// TestFingerprintCoversOptions fails when a new field is neither kept
+// nor listed as grouping-neutral.
 func (o Options) Key(anySem bool, by string) string {
 	m := o.Maintained(anySem)
-	return fmt.Sprintf("any=%t|metric=%v|eps=%v|overlap=%d|algo=%d|seed=%d|by=%s",
-		anySem, m.Metric, m.Eps, m.Overlap, m.Algorithm, m.Seed, by)
+	return fmt.Sprintf("any=%t|metric=%v|eps=%v|overlap=%d|seed=%d|by=%s",
+		anySem, m.Metric, m.Eps, m.Overlap, m.Seed, by)
 }
 
 // ErrEpsUnderflow rejects an ε below minEps, under either metric:

@@ -286,15 +286,25 @@ func decTraceSeeds() []decTraceSeed {
 		})
 	}
 	// Lattice-aligned: every coordinate a multiple of ε (so of 2ε every
-	// other time) at an ε that binary floating point cannot represent.
-	for oi, ov := range overlaps {
-		for _, eps := range []int{1, 2} {
-			r := rand.New(rand.NewSource(int64(300 + 10*eps + oi)))
-			seeds = append(seeds, decTraceSeed{
-				name:     fmt.Sprintf("lattice/%v/eps=%d", ov, eps),
-				data:     windowTrace(traceHeader(2, ov, geom.LInf, 0, eps, 5), 2, 72, 8, 48, func() byte { return byte(0x80 | r.Intn(16)) }),
-				minLocal: 12, minCompactions: 2,
-			})
+	// other time) at an ε that binary floating point cannot represent,
+	// under L∞ and, named .../L2/..., under L2, where a pair one lattice
+	// step apart on one axis is exactly ε apart.
+	for _, metric := range []geom.Metric{geom.LInf, geom.L2} {
+		for oi, ov := range overlaps {
+			for _, eps := range []int{1, 2} {
+				name := fmt.Sprintf("lattice/%v/eps=%d", ov, eps)
+				src := int64(300 + 10*eps + oi)
+				if metric == geom.L2 {
+					name = fmt.Sprintf("lattice/%v/%s/eps=%d", ov, metric, eps)
+					src += 1000
+				}
+				r := rand.New(rand.NewSource(src))
+				seeds = append(seeds, decTraceSeed{
+					name:     name,
+					data:     windowTrace(traceHeader(2, ov, metric, 0, eps, 5), 2, 72, 8, 48, func() byte { return byte(0x80 | r.Intn(16)) }),
+					minLocal: 12, minCompactions: 2,
+				})
+			}
 		}
 	}
 	// An appended point whose candidates are one re-created and one

@@ -17,8 +17,8 @@
 //     lists — no dimensionality cap) in place of the R-tree; the
 //     textbook structure for fixed-radius queries. A one-shot SGB-Any
 //     run links the ε-cells themselves, level by level (cellgraph.go);
-//     a maintained one absorbs each batch in Z-order for probe
-//     locality. Output ids always index the input order.
+//     a maintained one probes its points' home cells batch by batch in
+//     arrival order. Output ids always index the input order.
 //
 // # Evaluation shapes
 //
@@ -64,9 +64,12 @@
 //     regardless of strategy or batching — groupings are
 //     bit-identical for equal seeds.
 //   - Each group's ε-All bounding rectangle (Definition 5) is the
-//     intersection of its members' ε-boxes: a point inside it is
-//     within ε of every member under L∞, and a candidate under L2
-//     pending the Convex Hull Test (Procedure 6, hulltest.go).
+//     intersection of its members' ε-boxes, [hi − ε, lo + ε] of the
+//     member MBR, the one rectangle a group keeps. A point inside it
+//     (classify's MBR test, hi − p ≤ ε ∧ p − lo ≤ ε) is within ε of
+//     every member under L∞ by the same distance key All-Pairs
+//     compares, and a candidate under L2 pending the Convex Hull Test
+//     (Procedure 6, hulltest.go).
 //
 // The operators are deliberately order-sensitive: like the paper's
 // PostgreSQL executor they process tuples in arrival order, and the

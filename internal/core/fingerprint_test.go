@@ -17,10 +17,6 @@ var keyedUnder = map[string]func(any bool, o Options) bool{
 	"Eps": func(any bool, _ Options) bool { return !any },
 	// SGB-Any merges overlapping groups: there is no clause to apply.
 	"Overlap": func(any bool, _ Options) bool { return !any },
-	// SGB-Any is maintained on the ε-grid whatever Algorithm names; among
-	// the SGB-All strategies, All-Pairs arbitrates differently where a
-	// distance rounds to ε (TestMaintainedKeyNeutral).
-	"Algorithm": func(any bool, _ Options) bool { return !any },
 	// Only JOIN-ANY draws.
 	"Seed": func(any bool, o Options) bool { return !any && o.Overlap == JoinAny },
 }
@@ -30,6 +26,8 @@ var keyedUnder = map[string]func(any bool, o Options) bool{
 var groupingNeutral = map[string]string{
 	"Stats":       "a counter sink",
 	"Parallelism": "groupings are bit-identical at every worker count",
+	"Algorithm": "every strategy groups alike, ε-ties included (TestMaintainedKeyNeutral): " +
+		"both operators are maintained on the ε-grid",
 }
 
 // TestFingerprintCoversOptions perturbs every Options field in turn,
@@ -99,11 +97,11 @@ func maintainedSteps(t *testing.T, dims int, opt Options, ops []traceOp) [][2]an
 }
 
 // TestRTreeAgreesWithGridAtEpsTies: on the lattice-aligned traces, where
-// a member's MBR can stick a few ulps out of its group's ε-All rectangle,
-// the R-tree finder answers as the ε-grid does after every operation —
-// one-shot over the survivors, and maintained, retained state included.
-// Its window query is padded as the grid's probe is (geom.PaddedReach); an
-// unpadded one missed overlap groups under ELIMINATE and FORM-NEW-GROUP.
+// distances land on ε or round just past it, the R-tree finder answers
+// as the ε-grid does after every operation — one-shot over the
+// survivors, and maintained, retained state included. Its window query
+// is padded as the grid's probe is (geom.PaddedReach);
+// TestFindersAgreeOnRoundedChains has a chain an unpadded one misses.
 func TestRTreeAgreesWithGridAtEpsTies(t *testing.T) {
 	traces := 0
 	for _, seed := range decTraceSeeds() {
@@ -150,42 +148,34 @@ func TestRTreeAgreesWithGridAtEpsTies(t *testing.T) {
 }
 
 // TestMaintainedKeyNeutral pins the measurement Key rests on, over the
-// decremental traces: under ELIMINATE and FORM-NEW-GROUP the seed never
-// changes a maintained evaluator's result or retained state, whatever
-// the strategy, so their keys hold a fixed seed. The strategy does
-// change them: on the lattice-aligned traces, where L∞ distances round
-// onto ε, All-Pairs (a distance per member) and the rectangle finders
-// (ε-All rectangles: the ε-grid, the R-tree and Bounds-Checking, which
-// agree, TestRTreeAgreesWithGridAtEpsTies) arbitrate differently, so
-// SGB-All keys print it. If All-Pairs ever agrees there, Algorithm may
-// leave the SGB-All key.
+// decremental traces, the lattice-aligned ones under both metrics among
+// them: every strategy maintains every trace as the ε-grid does, result
+// and retained state after every operation (All-Pairs tests each member
+// by DistKey ≤ EpsKey, the rectangle finders the member MBR in classify,
+// which under L∞ is the same test and under L2 is refined by the key),
+// so SGB-All keys hold no strategy and a maintained SGB-All grouping
+// runs the grid; and under ELIMINATE and FORM-NEW-GROUP the seed never
+// changes either, so their keys hold a fixed seed.
 func TestMaintainedKeyNeutral(t *testing.T) {
-	allPairsDiffers := false
 	for _, seed := range decTraceSeeds() {
 		dims, opt, ops := decodeTrace(seed.data)
-		if opt.Overlap == JoinAny {
-			continue
-		}
 		var ref [][2]any
 		for _, algo := range []Algorithm{GridIndex, OnTheFlyIndex, AllPairs, BoundsCheck} {
-			opt.Algorithm, opt.Seed = algo, 0
-			zero := maintainedSteps(t, dims, opt, ops)
-			opt.Seed = 7
-			if !reflect.DeepEqual(zero, maintainedSteps(t, dims, opt, ops)) {
-				t.Errorf("%s: %v: seeds 0 and 7 maintain different groupings", seed.name, algo)
-			}
-			switch {
-			case ref == nil:
-				ref = zero
-			case reflect.DeepEqual(ref, zero):
-			case algo == AllPairs:
-				allPairsDiffers = true
-			default:
+			opt.Algorithm = algo
+			steps := maintainedSteps(t, dims, opt, ops)
+			if ref == nil {
+				ref = steps
+			} else if !reflect.DeepEqual(ref, steps) {
 				t.Errorf("%s: %v maintains differently from the grid", seed.name, algo)
 			}
+			if opt.Overlap == JoinAny {
+				continue
+			}
+			seeded := opt
+			seeded.Seed = opt.Seed + 7
+			if !reflect.DeepEqual(steps, maintainedSteps(t, dims, seeded, ops)) {
+				t.Errorf("%s: %v: seeds %d and %d maintain different groupings", seed.name, algo, opt.Seed, seeded.Seed)
+			}
 		}
-	}
-	if !allPairsDiffers {
-		t.Error("All-Pairs maintained every trace as the grid does: Algorithm may leave the SGB-All key")
 	}
 }

@@ -7,12 +7,13 @@ import (
 
 // gridFinder is the GridIndex FindCloseGroups for SGB-All: every live
 // group is registered ONCE, in the home cell of its anchor — its first
-// member, members[0] — and probes find it by neighbourhood. Every
-// member of a group passed the ε-All rectangle filter, and that
-// rectangle lies inside the anchor's ε-box, so per axis
+// member, members[0] — and probes find it by neighbourhood. The anchor
+// lies in the group's member MBR [lo, hi], and every member is within ε
+// of every other by the distance key, so per axis (up to the rounding
+// geom.PaddedReach covers)
 //
-//   - a candidate group's anchor is within ε of the probe point pi (pi
-//     passes the same filter), and
+//   - a candidate group's anchor is within ε of the probe point pi: pi
+//     passes classify's MBR test, hi − p ≤ ε and p − lo ≤ ε, and
 //   - an overlap group's anchor is within 2ε of pi: some member is
 //     within ε of pi, and the anchor within ε of that member.
 //

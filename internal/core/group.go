@@ -8,9 +8,9 @@ import (
 )
 
 // group is the runtime state of one SGB-All group (the paper's
-// AggHashEntry extension: a tuple store plus the ε-All bounding
-// rectangle of Definition 5, plus the cached convex hull used by the L2
-// refinement of Procedure 6).
+// AggHashEntry extension: a tuple store plus the bounding rectangle its
+// ε-All rectangle of Definition 5 is derived from, plus the cached
+// convex hull used by the L2 refinement of Procedure 6).
 type group struct {
 	id      int
 	members []int // input indices in join order
@@ -25,20 +25,11 @@ type group struct {
 	// while its creator may precede an untouched group's.
 	stamp int
 
-	// epsRect is the ε-All bounding rectangle R_{ε-All}: the
-	// intersection of every member's ε-box. Under L∞ a point inside
-	// epsRect is within ε of all members (exact test); under L2 the
-	// rectangle is a conservative filter (Figure 7b) refined by the
-	// convex-hull test. It is maintained in place (ShrinkToEpsBox), so
-	// nothing else may alias its corner storage. Its corners are views
-	// into the state's flat rect-row store (see sgbAllState.rects).
-	epsRect geom.Rect
-
-	// mbr is the minimum bounding rectangle of the members themselves,
-	// used by the overlap-rectangle filter: a point can only be within
-	// ε of some member if its ε-box intersects mbr. Because members of
-	// a clique group are pairwise within ε, mbr ⊆ epsRect always holds.
-	// Like epsRect, its corners view the flat rect-row store.
+	// mbr is the minimum bounding rectangle [lo, hi] of the members,
+	// the one rectangle a group keeps: its ε-All rectangle R_{ε-All}
+	// (Definition 5, the intersection of the members' ε-boxes) is
+	// [hi − ε, lo + ε], which classify tests and the R-tree indexes.
+	// The corners view the state's flat rect-row store (rects).
 	mbr geom.Rect
 
 	// hull caches the 2-D convex hull for the L2 refinement; it is
@@ -72,15 +63,14 @@ type sgbAllState struct {
 	deferCause []int32
 	free       []*group
 
-	// rects is the flat structure-of-arrays store of the group probe
-	// rectangles: group id g owns the row
-	// rects[g*4d : (g+1)*4d] = [ε-All Min | ε-All Max | MBR Min | MBR Max].
-	// Each group's epsRect and mbr corners are views into its row, so
-	// the in-place maintenance (ShrinkToEpsBox, ExtendPoint) writes the
-	// flat array directly, while classify's filter step scans rows by
-	// id without dereferencing group structs — the probe loop's former
-	// cache-miss hot spot. Rows of removed groups are poisoned
-	// with +Inf so no rectangle test can pass them.
+	// rects is the flat structure-of-arrays store of the group member
+	// MBRs: group id g owns the row rects[g*2d : (g+1)*2d] = [lo | hi].
+	// Each group's mbr corners are views into its row, so the in-place
+	// maintenance (ExtendPoint) writes the flat array directly, while
+	// classify's filter step scans rows by id without dereferencing
+	// group structs — the probe loop's former cache-miss hot spot. Rows
+	// of removed groups are poisoned with +Inf so no rectangle test can
+	// pass them.
 	rects []float64
 
 	// groupBlocks backs allocGroup: group structs pooled in fixed-size
@@ -108,9 +98,8 @@ type sgbAllState struct {
 	hullPts     []geom.Point       // scratch member-point views for hull rebuilds
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
 
-	// Scratch reused across probes: classify's ε-box of the probe point
-	// and its result lists, and processOverlap's per-member victim marks.
-	pBox       geom.Rect
+	// Scratch reused across probes: classify's result lists and
+	// processOverlap's per-member victim marks.
 	cands, ovs []*group
 	victim     []bool
 }
@@ -149,18 +138,16 @@ type finder interface {
 	groupRemoved(st *sgbAllState, g *group)
 }
 
-// rectStride is the flat rect-row width: two rectangles of two corners.
-func (st *sgbAllState) rectStride() int { return 4 * st.dims }
+// rectStride is the flat rect-row width: one rectangle of two corners.
+func (st *sgbAllState) rectStride() int { return 2 * st.dims }
 
-// bindRectRow points g's rectangle views at its row of the flat store.
+// bindRectRow points g's MBR views at its row of the flat store.
 func (st *sgbAllState) bindRectRow(g *group) {
 	d := st.dims
 	base := g.id * st.rectStride()
-	row := st.rects[base : base+4*d : base+4*d]
-	g.epsRect.Min = geom.Point(row[0*d : 1*d : 1*d])
-	g.epsRect.Max = geom.Point(row[1*d : 2*d : 2*d])
-	g.mbr.Min = geom.Point(row[2*d : 3*d : 3*d])
-	g.mbr.Max = geom.Point(row[3*d : 4*d : 4*d])
+	row := st.rects[base : base+2*d : base+2*d]
+	g.mbr.Min = geom.Point(row[0*d : 1*d : 1*d])
+	g.mbr.Max = geom.Point(row[1*d : 2*d : 2*d])
 }
 
 // newRectRow appends g's row to the flat store and initializes it for
@@ -192,21 +179,17 @@ func (st *sgbAllState) newRectRow(g *group, p geom.Point) {
 	st.initRectRow(g, p)
 }
 
-// initRectRow resets g's rectangles to the singleton {p}: the ε-All
-// rectangle is p's ε-box, the member MBR degenerates to p.
+// initRectRow resets g's MBR to the singleton {p}.
 func (st *sgbAllState) initRectRow(g *group, p geom.Point) {
-	eps := st.opt.Eps
-	for i, v := range p {
-		g.epsRect.Min[i], g.epsRect.Max[i] = v-eps, v+eps
-		g.mbr.Min[i], g.mbr.Max[i] = v, v
-	}
+	copy(g.mbr.Min, p)
+	copy(g.mbr.Max, p)
 }
 
-// poisonRectRow makes every rectangle test fail for a removed group,
-// so a stale id can never survive the filter step.
+// poisonRectRow makes every rectangle test fail for a removed group
+// (hi − p and lo − p are +Inf), so a stale id never survives the filter.
 func (st *sgbAllState) poisonRectRow(g *group) {
-	g.epsRect.Min[0] = math.Inf(1)
 	g.mbr.Min[0] = math.Inf(1)
+	g.mbr.Max[0] = math.Inf(1)
 }
 
 // allocGroup hands out group structs from fixed-size blocks: one
@@ -278,15 +261,14 @@ func sortByStamp(gs []*group) {
 	}
 }
 
-// insert adds pi to g and maintains the ε-All rectangle invariant:
-// the rectangle shrinks to the intersection with pi's ε-box
-// (Figures 5c–5e) in place — no allocation on the per-point hot path.
-// Maintenance is O(1) per insert, as the paper notes.
+// insert adds pi to g and extends the member MBR to it in place — no
+// allocation on the per-point hot path. The ε-All rectangle derived
+// from it shrinks to the intersection with pi's ε-box (Figures 5c–5e);
+// maintenance is O(d) per insert, as the paper notes.
 func (st *sgbAllState) insert(pi int, g *group) {
 	p := st.points.At(pi)
 	g.members = append(g.members, pi)
 	st.pointGroup[pi] = int32(g.id)
-	g.epsRect.ShrinkToEpsBox(p, st.opt.Eps)
 	g.mbr.ExtendPoint(p)
 	// The cached convex hull stays valid when the new member lies
 	// inside it — the common case in dense groups, and the reason the
@@ -299,10 +281,9 @@ func (st *sgbAllState) insert(pi int, g *group) {
 }
 
 // removeMembers deletes from g the members whose victims mark is set
-// (victims is aligned with g.members), rebuilding the group's
-// rectangles from the survivors (removals can only grow the ε-All
-// rectangle, so an incremental update is impossible). Empty groups are
-// dropped. Used by ELIMINATE and FORM-NEW-GROUP overlap processing.
+// (victims is aligned with g.members), rebuilding the group's MBR from
+// the survivors. Empty groups are dropped. Used by ELIMINATE and
+// FORM-NEW-GROUP overlap processing.
 func (st *sgbAllState) removeMembers(g *group, victims []bool) {
 	kept := g.members[:0]
 	for k, m := range g.members {
@@ -321,9 +302,7 @@ func (st *sgbAllState) removeMembers(g *group, victims []bool) {
 	}
 	st.initRectRow(g, st.points.At(g.members[0]))
 	for _, m := range g.members[1:] {
-		p := st.points.At(m)
-		g.epsRect.ShrinkToEpsBox(p, st.opt.Eps)
-		g.mbr.ExtendPoint(p)
+		g.mbr.ExtendPoint(st.points.At(m))
 	}
 	g.hullDirty = true
 	st.finder.groupChanged(st, g)
@@ -353,34 +332,36 @@ func (st *sgbAllState) hullOf(g *group) *convexhull.Hull {
 // classify is the filter-and-verify step of Procedures 4–6, shared by
 // every rectangle finder (Bounds-Checking, R-tree, ε-grid) so the
 // strategies cannot drift apart: they differ only in which group ids
-// they hand it. One pass over the flat rect rows by id runs the
-// PointInRectangleTest against the ε-All rectangle and, when the
-// overlap clause needs it, the OverlapRectangleTest against the member
-// MBR — reading rows without dereferencing group structs, so the
-// pointer chase only touches ids that survive a rectangle test. A
-// survivor is kept in ids as id<<1, with the low bit set when only the
-// overlap rectangle test passed. Then refine decides candidacy
-// exactly, a refinement failure is re-tested against the MBR, and a
-// member scan (overlapsWith) decides overlap. ids is overwritten; the
-// returned lists are valid until the next call.
+// they hand it. One pass over the flat MBR rows [lo | hi] by id runs
+// the PointInRectangleTest (p inside the ε-All rectangle), hi − p ≤ ε ∧
+// p − lo ≤ ε on every axis, and when the overlap clause needs it the
+// OverlapRectangleTest (p's ε-box meets the MBR), lo − p ≤ ε ∧
+// p − hi ≤ ε. Rounding is monotone, so hi − p is the largest
+// member − p: under L∞ the first test is All-Pairs' DistKey ≤ EpsKey
+// against every member, exactly; under L2 a pair within ε by the key is
+// within ε on every axis (geom's TestDistKeyBoundsEveryAxis), so both
+// tests are conservative. Rows are read without dereferencing group
+// structs. A survivor is kept in ids as id<<1, with the low bit set
+// when only the overlap test passed. Then refine decides candidacy by
+// the key, a refinement failure is re-tested for overlap, and a member
+// scan (overlapsWith) decides overlap. ids is overwritten; the returned
+// lists are valid until the next call.
 func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	needOverlap := st.opt.Overlap != JoinAny
-	if needOverlap {
-		geom.EpsBoxInto(&st.pBox, p, st.opt.Eps)
-	}
+	eps := st.opt.Eps
 	d := st.dims
-	stride := 4 * d
+	stride := 2 * d
 	rects := st.rects
 	kept := ids[:0]
 	for _, id := range ids {
-		row := rects[int(id)*stride : int(id)*stride+stride]
+		lo, hi := rects[int(id)*stride:], rects[int(id)*stride+d:]
 		st.opt.Stats.addRect(1)
-		if rowContains(row, p, d) {
+		if within(hi, lo, p, eps) {
 			kept = append(kept, id<<1)
 		} else if needOverlap {
 			st.opt.Stats.addRect(1)
-			if rowIntersects(row[2*d:], &st.pBox, d) {
+			if within(lo, hi, p, eps) {
 				kept = append(kept, id<<1|1)
 			}
 		}
@@ -397,7 +378,7 @@ func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*gr
 				continue
 			}
 			st.opt.Stats.addRect(1)
-			if !rowIntersects(rects[int(k>>1)*stride+2*d:], &st.pBox, d) {
+			if !within(rects[int(k>>1)*stride:], rects[int(k>>1)*stride+d:], p, eps) {
 				continue
 			}
 		}
@@ -408,21 +389,14 @@ func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*gr
 	return st.cands, st.ovs
 }
 
-// rowContains is Rect.Contains over one ε-All row half ([Min | Max]).
-func rowContains(row []float64, p geom.Point, d int) bool {
+// within reports a − p ≤ r and p − b ≤ r on every axis: for an MBR row
+// [lo | hi], within(hi, lo, …) is classify's PointInRectangleTest and
+// within(lo, hi, …) its OverlapRectangleTest. A poisoned row (+Inf)
+// fails both.
+func within(a, b []float64, p geom.Point, r float64) bool {
+	a, b = a[:len(p)], b[:len(p)]
 	for i, v := range p {
-		if v < row[i] || v > row[d+i] {
-			return false
-		}
-	}
-	return true
-}
-
-// rowIntersects is Rect.Intersects between the probe ε-box and one MBR
-// row half ([Min | Max]).
-func rowIntersects(row []float64, b *geom.Rect, d int) bool {
-	for i := 0; i < d; i++ {
-		if row[i] > b.Max[i] || b.Min[i] > row[d+i] {
+		if a[i]-v > r || v-b[i] > r {
 			return false
 		}
 	}

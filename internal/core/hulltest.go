@@ -2,11 +2,12 @@ package core
 
 import "github.com/sgb-db/sgb/internal/geom"
 
-// refine decides whether a point that passed a group's ε-All rectangle
-// filter truly satisfies the distance-to-all predicate.
+// refine decides whether a point that passed classify's MBR test (p
+// inside the group's ε-All rectangle, Definition 5) truly satisfies the
+// distance-to-all predicate.
 //
-// Under L∞ the rectangle test is exact (Definition 5), so refine is a
-// no-op returning true.
+// Under L∞ that test is exact — it is the member scan's DistKey ≤
+// EpsKey, axis by axis — so refine is a no-op returning true.
 //
 // Under L2 the rectangle admits false positives — points inside the
 // ε-All rectangle but outside some member's ε-circle (the grey area of

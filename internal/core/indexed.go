@@ -29,25 +29,30 @@ type indexedFinder struct {
 	indexed []bool
 
 	// Buffers reused across probes: the window-query hit ids (collected
-	// via Visit, so hits never round-trip through []any) and the padded
-	// window the R-tree is queried with.
+	// via Visit, so hits never round-trip through []any), the padded
+	// window the R-tree is queried with, and groupChanged's current
+	// ε-All rectangle.
 	ids []int32
 	win geom.Rect
+	all geom.Rect
 }
 
 func newIndexedFinder(dims, base int) *indexedFinder {
 	if dims == 0 {
 		dims = 1
 	}
-	return &indexedFinder{ix: rtree.New(dims), dims: dims, base: base}
+	all := make([]float64, 2*dims)
+	return &indexedFinder{ix: rtree.New(dims), dims: dims, base: base,
+		all: geom.Rect{Min: all[:dims:dims], Max: all[dims:]}}
 }
 
 // findCloseGroups queries the R-tree with pi's ε-box widened by the
-// grid's pad (geom.PaddedReach): a member MBR may stick a few ulps out of its
-// group's ε-All rectangle where distances round onto ε, and an unpadded
-// window then missed the overlap group it intersects. classify's exact
-// tests keep the unpadded box. Hits arrive in the R-tree's traversal
-// order; processOne sorts the verified lists into creation order, so
+// grid's pad (geom.PaddedReach): where an overlap group's far member
+// lies 2ε from pi, the rounded corners of an unpadded window and of the
+// group's ε-All rectangle can miss each other by an ulp
+// (TestFindersAgreeOnRoundedChains). classify tests the hits' MBRs
+// against ε itself. Hits arrive in the R-tree's traversal order;
+// processOne sorts the verified lists into creation order, so
 // every strategy arbitrates JOIN-ANY identically for a given seed.
 func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
@@ -68,11 +73,19 @@ func (f *indexedFinder) entry(id int) geom.Rect {
 	return geom.Rect{Min: f.at[b : b+d : b+d], Max: f.at[b+d : b+2*d : b+2*d]}
 }
 
-// index stores g under a copy of its current ε-All rectangle.
-func (f *indexedFinder) index(g *group) {
+// epsAllInto writes g's ε-All rectangle, [hi − ε, lo + ε] of its
+// member MBR, into dst: by monotone rounding, bit for bit the
+// intersection of the members' rounded ε-boxes.
+func epsAllInto(dst geom.Rect, g *group, eps float64) {
+	for i := range g.mbr.Min {
+		dst.Min[i], dst.Max[i] = g.mbr.Max[i]-eps, g.mbr.Min[i]+eps
+	}
+}
+
+// index stores g under its current ε-All rectangle.
+func (f *indexedFinder) index(st *sgbAllState, g *group) {
 	r := f.entry(g.id)
-	copy(r.Min, g.epsRect.Min)
-	copy(r.Max, g.epsRect.Max)
+	epsAllInto(r, g, st.opt.Eps)
 	f.indexed[g.id-f.base] = true
 	f.ix.Insert(r, g)
 }
@@ -83,7 +96,7 @@ func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
 		f.at = append(f.at, make([]float64, 2*f.dims)...)
 	}
 	st.opt.Stats.addUpdate(1)
-	f.index(g)
+	f.index(st, g)
 }
 
 // groupChanged refreshes g's entry after a membership change. The
@@ -102,14 +115,15 @@ func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
 		return
 	}
 	r := f.entry(g.id)
-	if r.ContainsRect(g.epsRect) {
-		if r.Area() <= defaultHysteresis*g.epsRect.Area() {
+	epsAllInto(f.all, g, st.opt.Eps)
+	if r.ContainsRect(f.all) {
+		if r.Area() <= defaultHysteresis*f.all.Area() {
 			return // still selective enough; keep the stale entry
 		}
 	}
 	st.opt.Stats.addUpdate(2)
 	f.ix.Delete(r, g)
-	f.index(g)
+	f.index(st, g)
 }
 
 // defaultHysteresis is the staleness bound for indexed group

@@ -274,20 +274,6 @@ func PadReach(maxAbs, reach float64) float64 {
 	return reach + (maxAbs+2*reach)*0x1p-50
 }
 
-// ShrinkToEpsBox intersects r in place with the ε-box of p — the ε-All
-// bounding-rectangle maintenance step of a member insert (Figure 5),
-// without materializing the ε-box or the intersection.
-func (r *Rect) ShrinkToEpsBox(p Point, eps float64) {
-	for i, v := range p {
-		if lo := v - eps; lo > r.Min[i] {
-			r.Min[i] = lo
-		}
-		if hi := v + eps; hi < r.Max[i] {
-			r.Max[i] = hi
-		}
-	}
-}
-
 // Dims returns the dimensionality of the rectangle.
 func (r Rect) Dims() int { return len(r.Min) }
 

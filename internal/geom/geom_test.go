@@ -116,6 +116,45 @@ func TestL2NeverExceedsLInfScaled(t *testing.T) {
 	}
 }
 
+// TestDistKeyBoundsEveryAxis pins the fact SGB-All's rectangle test
+// rests on under L2 (internal/core's classify): a pair within ε by the
+// distance key is within ε on every axis, rounded difference by rounded
+// difference. It holds because a float d > ε is at least ε's
+// successor, whose square exceeds ε² by more than an ulp of it, so
+// fl(d²) > fl(ε²), and the other axes' squares only add to the key.
+// Checked for ε across the usable range (2^-511 up) at mantissas where
+// the ulp ratio is tightest (near 1, √2 and 2), on random pairs whose
+// first axis is a few ulps either side of ε apart, at d = 1, 2, 3, 5.
+func TestDistKeyBoundsEveryAxis(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	mantissas := []float64{1, math.Nextafter(1, 2), math.Sqrt2, math.Nextafter(math.Sqrt2, 0), math.Nextafter(2, 0), 1.1, 1.7}
+	for _, e := range []int{-511, -100, -3, 0, 1, 7, 100, 500} {
+		for _, m := range append(mantissas, 1+r.Float64()) {
+			eps := math.Ldexp(m, e)
+			if next := math.Nextafter(eps, math.Inf(1)); L2.EpsKey(next) <= L2.EpsKey(eps) {
+				t.Fatalf("ε = %v: its successor's key %v does not exceed its own %v", eps, L2.EpsKey(next), L2.EpsKey(eps))
+			}
+			for trial := 0; trial < 200; trial++ {
+				d := []int{1, 2, 3, 5}[trial%4]
+				p, q := make(Point, d), make(Point, d)
+				for i := range p {
+					p[i] = eps * (r.Float64() - 0.5) * 64
+					q[i] = p[i] + eps*r.Float64()*0x1p-20
+				}
+				q[0] = p[0] + eps + float64(r.Intn(9)-4)*math.Ldexp(1, math.Ilogb(eps)-52)
+				if L2.DistKey(p, q) > L2.EpsKey(eps) {
+					continue
+				}
+				for i := range p {
+					if math.Abs(p[i]-q[i]) > eps {
+						t.Fatalf("ε = %v: p %v and q %v are within ε by the key, but %v apart on axis %d", eps, p, q, math.Abs(p[i]-q[i]), i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEpsBox(t *testing.T) {
 	b := EpsBox(Point{1, 2}, 3)
 	if !b.Min.Equal(Point{-2, -1}) || !b.Max.Equal(Point{4, 5}) {

@@ -168,7 +168,7 @@ func TestPointSetDistWithin(t *testing.T) {
 	}
 }
 
-func TestEpsBoxIntoAndShrink(t *testing.T) {
+func TestEpsBoxInto(t *testing.T) {
 	var box Rect
 	EpsBoxInto(&box, Point{1, 2}, 0.5)
 	if !box.Min.Equal(Point{0.5, 1.5}) || !box.Max.Equal(Point{1.5, 2.5}) {
@@ -179,13 +179,6 @@ func TestEpsBoxIntoAndShrink(t *testing.T) {
 	EpsBoxInto(&box, Point{3, 3}, 1)
 	if &box.Min[0] != min0 {
 		t.Fatal("EpsBoxInto reallocated matching-dims corners")
-	}
-
-	r := EpsBox(Point{0, 0}, 2)
-	r.ShrinkToEpsBox(Point{1, 1}, 2)
-	want := EpsBox(Point{0, 0}, 2).Intersect(EpsBox(Point{1, 1}, 2))
-	if !r.Min.Equal(want.Min) || !r.Max.Equal(want.Max) {
-		t.Fatalf("ShrinkToEpsBox = %v, want %v", r, want)
 	}
 }
 

@@ -95,7 +95,7 @@ const (
 	// default of an Options literal (the SQL engine defaults to
 	// GridIndex).
 	AllPairs = core.AllPairs
-	// BoundsCheck uses ε-All bounding rectangles (SGB-All only).
+	// BoundsCheck tests each group's bounding rectangle (SGB-All only).
 	BoundsCheck = core.BoundsCheck
 	// OnTheFlyIndex additionally indexes groups (or points, for
 	// SGB-Any) in an R-tree.
@@ -105,9 +105,8 @@ const (
 	// keys are hashed, so there is no d cap). SGB-Any over a whole
 	// point set links ε-cells instead of probing point by point; output
 	// ids always refer to the input order. Results are identical to
-	// every other strategy for equal seeds, except SGB-All under
-	// AllPairs where a distance rounds onto ε: AllPairs tests members,
-	// the others the ε-All rectangle.
+	// every other strategy for equal seeds, where a distance rounds
+	// onto ε included.
 	GridIndex = core.GridIndex
 )
 

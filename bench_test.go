@@ -220,7 +220,11 @@ func BenchmarkParallel(b *testing.B) {
 // accumulated dataset, while the one-shot series grows with base. The
 // handle is rebuilt outside the timer whenever appends have grown it
 // past 1.5× base, so every measured append runs against a retained
-// set of ≈base points.
+// set of ≈base points. The All-Eliminate arm is the one maintained
+// overlap clause measured here (no bench/ workload keeps one): each
+// iteration appends a batch and removes the oldest 256 rows, so it
+// times a maintained ELIMINATE grouping's append on the hash grid and
+// its DELETE's local replay together.
 func BenchmarkIncremental(b *testing.B) {
 	const batch = 256
 	// span keeps density at the Fig9a workload's level (2000 points
@@ -244,20 +248,29 @@ func BenchmarkIncremental(b *testing.B) {
 		}
 		return pool
 	}
+	// slide: each iteration also removes the oldest batch's worth of
+	// rows (Window), so the handle stays at base points (AppendRemove).
 	semantics := []struct {
-		name string
-		mk   func(sgb.Options) (*sgb.Incremental, error)
-		opt  sgb.Options
+		name  string
+		mk    func(sgb.Options) (*sgb.Incremental, error)
+		opt   sgb.Options
+		slide bool
 	}{
 		{"Any", sgb.NewIncrementalAny,
-			sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex}},
+			sgb.Options{Metric: sgb.L2, Eps: 0.5, Algorithm: sgb.GridIndex}, false},
 		{"All", sgb.NewIncrementalAll,
-			sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny, Algorithm: sgb.GridIndex, Seed: 1}},
+			sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.JoinAny, Algorithm: sgb.GridIndex, Seed: 1}, false},
+		{"All-Eliminate", sgb.NewIncrementalAll,
+			sgb.Options{Metric: sgb.L2, Eps: 0.5, Overlap: sgb.Eliminate, Algorithm: sgb.GridIndex}, true},
 	}
 	for _, sem := range semantics {
 		for _, base := range []int{2000, 8000, 32000} {
 			basePts := points(11, base, span(base))
-			b.Run(fmt.Sprintf("%s/Append/base=%d", sem.name, base), func(b *testing.B) {
+			arm := "Append"
+			if sem.slide {
+				arm = "AppendRemove"
+			}
+			b.Run(fmt.Sprintf("%s/%s/base=%d", sem.name, arm, base), func(b *testing.B) {
 				pool := newBatches(int64(base), span(base))
 				var inc *sgb.Incremental
 				reload := func() {
@@ -280,6 +293,11 @@ func BenchmarkIncremental(b *testing.B) {
 					}
 					if err := inc.AppendSet(pool[i%len(pool)]); err != nil {
 						b.Fatal(err)
+					}
+					if sem.slide {
+						if _, err := inc.Window(base); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})

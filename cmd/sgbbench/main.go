@@ -11,9 +11,11 @@
 // Scale 1 is the default single-machine size (seconds per experiment);
 // the paper's full workloads correspond to roughly scale 25–50.
 //
-// These fourteen experiments are the whole command: it reproduces the
-// paper and records nothing. Whether a change regressed anything is
-// answered by `bash bench/run.sh -compare` (bench/, BENCHMARK.json).
+// These fourteen experiments, and one extension the paper leaves open
+// (dims, a sweep over the number of grouping attributes), are the whole
+// command: it reproduces the paper and records nothing. Whether a
+// change regressed anything is answered by `bash bench/run.sh
+// -compare` (bench/, BENCHMARK.json).
 package main
 
 import (
@@ -27,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "", "experiment id (fig9a..fig12b, table1, table2), comma-separated, or 'all'")
+		exp   = flag.String("exp", "", "experiment id (fig9a..fig12b, table1, table2, dims), comma-separated, or 'all'")
 		scale = flag.Float64("scale", 1.0, "workload scale multiplier (1.0 = default sizes)")
 		seed  = flag.Int64("seed", 42, "generator seed")
 		list  = flag.Bool("list", false, "list available experiments")

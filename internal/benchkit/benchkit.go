@@ -36,7 +36,8 @@ func (c Config) scaled(n int) int {
 	return v
 }
 
-// Experiment is one reproducible paper artifact.
+// Experiment is one reproducible paper artifact, or an extension that
+// measures what the paper leaves open.
 type Experiment struct {
 	// ID is the handle used by -exp flags and bench names (e.g. "fig9a").
 	ID string
@@ -47,6 +48,10 @@ type Experiment struct {
 	Expect string
 	// Run executes the experiment and writes its report.
 	Run func(cfg Config) error
+	// Extension marks an experiment that is not a paper artifact: its
+	// verdict is an extension row in docs/reproduction.md, never a
+	// paper claim.
+	Extension bool
 }
 
 var registry []Experiment

@@ -32,7 +32,8 @@ func TestEveryExperimentRuns(t *testing.T) {
 
 // TestExperimentsArePaperArtifacts pins the registry to the paper's
 // Section 8: four Figure 9 panels, four Figure 10 panels, Figures 11
-// and 12 in two panels each, and the two tables. Anything else is a
+// and 12 in two panels each, and the two tables — plus the one
+// extension, the d sweep (dims), marked as such. Anything else is a
 // measurement bench/ owns (see docs/reproduction.md) and must not
 // re-register here.
 func TestExperimentsArePaperArtifacts(t *testing.T) {
@@ -42,12 +43,19 @@ func TestExperimentsArePaperArtifacts(t *testing.T) {
 		"fig9a", "fig9b", "fig9c", "fig9d",
 		"table1", "table2",
 	}
-	var got []string
+	var got, extensions []string
 	for _, e := range Experiments() {
-		got = append(got, e.ID)
+		if e.Extension {
+			extensions = append(extensions, e.ID)
+		} else {
+			got = append(got, e.ID)
+		}
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("registered experiments = %v, want %v", got, want)
+		t.Fatalf("registered paper experiments = %v, want %v", got, want)
+	}
+	if !slices.Equal(extensions, []string{"dims"}) {
+		t.Fatalf("registered extensions = %v, want [dims]", extensions)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package benchkit is the experiment harness that regenerates every
 // table and figure of the paper's evaluation (Section 8) — Figures
-// 9a–d, 10a–d, 11a/b, 12a/b and Tables 1–2, fourteen experiments and
-// nothing else. Each prints the same rows/series the paper reports —
+// 9a–d, 10a–d, 11a/b, 12a/b and Tables 1–2, fourteen experiments — plus
+// one extension marked as such (dims: the grid against the R-tree as
+// the number of grouping attributes grows, which the paper leaves to
+// future work). Each prints the same rows/series the paper reports —
 // runtimes per similarity threshold, per data size, per method — as
 // aligned text tables. The cmd/sgbbench binary and the root
 // bench_test.go both drive this package.

@@ -5,6 +5,7 @@ package core
 // every previously processed point. With n input points this incurs
 // C(n,2) distance computations, the O(n²) baseline of Table 1.
 type allPairsFinder struct {
+	noHooks
 	cands, ovs []*group // result buffers, reused across probes
 }
 
@@ -37,7 +38,3 @@ func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, o
 	}
 	return f.cands, f.ovs
 }
-
-func (f *allPairsFinder) groupCreated(*sgbAllState, *group) {}
-func (f *allPairsFinder) groupChanged(*sgbAllState, *group) {}
-func (f *allPairsFinder) groupRemoved(*sgbAllState, *group) {}

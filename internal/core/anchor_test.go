@@ -15,8 +15,8 @@ import (
 // latticePoints draws n d-dimensional points whose coordinates are
 // base + k·step for integers k in [k0, k0+span): with step = ε every
 // within-ε neighbour sits at distance exactly 0 or ε per axis, on a
-// cell edge of the JOIN-ANY grid; with step = 2ε the same holds for the
-// 2ε cells and reach of the overlap probe.
+// cell edge of the grid's ε-cells; with step = 2ε an overlap group's
+// far member sits 2ε away, two cells over.
 func latticePoints(r *rand.Rand, n, d int, base, step float64, k0, span int) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -30,39 +30,63 @@ func latticePoints(r *rand.Rand, n, d int, base, step float64, k0, span int) []g
 }
 
 // requireGridMatches runs SGB-All over points under every metric and
-// ON-OVERLAP clause with the reference strategy and with GridIndex, and
-// fails unless the two agree member for member.
+// ON-OVERLAP clause with All-Pairs, with the reference strategy, and
+// with GridIndex twice — one-shot, on the sorted cell index, and
+// through an AllEvaluator fed one point per append, on the hash grid —
+// and fails unless all four agree member for member.
 func requireGridMatches(t *testing.T, ref Algorithm, points []geom.Point, eps float64, label string) {
 	t.Helper()
 	for _, m := range allMetrics {
 		for _, ov := range allOverlaps {
-			opt := Options{Metric: m, Eps: eps, Overlap: ov, Seed: 5, Algorithm: ref}
-			want, err := SGBAll(points, opt)
-			if err != nil {
-				t.Fatal(err)
+			opt := Options{Metric: m, Eps: eps, Overlap: ov, Seed: 5}
+			want := oneShotAllPairs(t, points, opt)
+			runs := map[string]*Result{}
+			for _, alg := range []Algorithm{ref, GridIndex} {
+				opt.Algorithm = alg
+				res, err := SGBAll(points, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[fmt.Sprintf("one-shot %v", alg)] = res
 			}
-			opt.Algorithm = GridIndex
-			got, err := SGBAll(points, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameMembers(want, got); err != nil {
-				t.Fatalf("%s %v/%v: GridIndex differs from %v: %v", label, m, ov, ref, err)
+			runs["appended ε-Grid"] = appendOneByOne(t, points, opt)
+			for name, got := range runs {
+				if err := sameMembers(want, got); err != nil {
+					t.Fatalf("%s %v/%v: %s differs from All-Pairs: %v", label, m, ov, name, err)
+				}
 			}
 		}
 	}
 }
 
+// appendOneByOne feeds points to a fresh AllEvaluator one append each
+// and returns its Result.
+func appendOneByOne(t *testing.T, points []geom.Point, opt Options) *Result {
+	t.Helper()
+	ev, err := NewAllEvaluator(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range points {
+		if err := ev.Append(geom.FromPoints([]geom.Point{p})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ev.Result()
+}
+
 // TestGridLatticeAlignedCrossValidation is the boundary check of the
-// anchor-cell probe: on lattice-aligned inputs an anchor lies at exactly
-// ε (a candidate group) or 2ε (an overlap group) from the probe point,
-// on a cell edge, where a probe range taken from a rounded box corner —
-// or from the point's cell ± 1 — can stop one cell short. GridIndex must
-// agree member for member with the AllPairs reference across metrics,
-// ON-OVERLAP semantics and d ∈ {1, 2, 3, 5}, at negative and ~1e6-sized
-// offsets. Every ε here keeps base + k·ε exact in binary floating
-// point, so the two strategies' predicates agree and any difference is
-// the probe's; 3 and 0.75 are not powers of two, so x·(1/ε) rounds.
+// grid's cells: on lattice-aligned inputs a member lies at exactly ε
+// from the probe point on an axis, on a cell edge, where a cell taken
+// from a rounded coordinate — or a side not padded for it (cellSide,
+// geom.PaddedReach) — can put it two cells away. GridIndex, one-shot
+// on the sorted cell index and appended point by point on the hash
+// grid, must agree member for member with All-Pairs across metrics,
+// ON-OVERLAP semantics and d ∈ {1, 2, 3, 5}, at negative offsets and at
+// ±2^20 ε, where the pad for the largest coordinate decides the cell.
+// Every ε here keeps base + k·ε exact in binary floating point, so the
+// strategies' predicates agree and any difference is the index's; 3 and
+// 0.75 are not powers of two, so x·(1/ε) rounds.
 func TestGridLatticeAlignedCrossValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(1414))
 	for _, eps := range []float64{0.5, 0.25, 3, 0.75} {
@@ -91,16 +115,16 @@ func TestGridLatticeAlignedCrossValidation(t *testing.T) {
 // TestGridRoundedLatticeMatchesBounds repeats the lattice check where
 // k·ε is NOT exact: coordinates land a few ulps either side of the cell
 // edges, and their rounded differences a few ulps either side of ε. The
-// reference is Bounds-Checking, which runs the same classifier over
-// every group without any index — so the grid probe must surface every
-// group classify admits, rounding included. (At ε = 0.6, p = -14·ε
-// lies two cells from a = -13·ε, but fl(a − p) = 0.6000000000000005 > ε
-// keeps it out of a's group; TestFindersAgreeOnRoundedChains holds the
-// chains that need the padded probe.)
+// references are All-Pairs and Bounds-Checking, which runs classify
+// over every group without any index — so both grid indexes must
+// surface every member and anchor the predicates admit, rounding
+// included, down to the ulps a base of ±2^20 ε leaves. (At ε = 0.6,
+// p = -14·ε lies two cells from a = -13·ε, but
+// fl(a − p) = 0.6000000000000005 > ε keeps it out of a's group.)
 func TestGridRoundedLatticeMatchesBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(2828))
 	for _, eps := range []float64{0.1, 0.05, 0.3, 0.6, 0.15, 1.1, 0.01} {
-		for _, base := range []float64{0, -0.7, 1e6, -1e6 - 0.3} {
+		for _, base := range []float64{0, -0.7, 1e6, -1e6 - 0.3, 0x1p20 * eps, -0x1p20 * eps} {
 			for _, d := range []int{1, 2, 3, 5} {
 				span := map[int]int{1: 40, 2: 9, 3: 5, 5: 3}[d]
 				for _, stepCells := range []float64{1, 2} {
@@ -124,8 +148,12 @@ func TestGridRoundedLatticeMatchesBounds(t *testing.T) {
 //   - rtree-window: the R-tree stores the group under its ε-All
 //     rectangle [fl(hi − ε), fl(lo + ε)], which an unpadded window
 //     [fl(p − ε), fl(p + ε)] misses by an ulp;
-//   - grid-anchor-cell: the group's anchor, a hair below 0, lies in the
-//     2ε-cell below the one an unpadded probe's fl(p − 2ε) = 0 starts at.
+//   - grid-cell-pad: the group's two members, -1e-300 and ε, are within
+//     ε by the key yet two unpadded ε-cells apart, floor(x/ε) = -1 and
+//     1, so the sorted cell index needs cellSide's pad and the hash
+//     grid's probe geom.PaddedReach's to see the group; the first
+//     member also lies in the 2ε-cell below the one the grid's former
+//     unpadded 2ε anchor probe, fl(p − 2ε) = 0, started at.
 func TestFindersAgreeOnRoundedChains(t *testing.T) {
 	near := func(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 	for _, c := range []struct {
@@ -136,10 +164,11 @@ func TestFindersAgreeOnRoundedChains(t *testing.T) {
 	}{
 		{"rtree-window", 0.3, [3]float64{-0.237847745069592, 0.06215225493040801, -0.537847745069592},
 			func(eps float64, x [3]float64) bool { return x[1]-eps > x[2]+eps }},
-		{"grid-anchor-cell", 0.1, [3]float64{-1e-300, 0.1, 0.2},
+		{"grid-cell-pad", 0.1, [3]float64{-1e-300, 0.1, 0.2},
 			func(eps float64, x [3]float64) bool {
 				inv := 1 / (2 * eps)
-				return math.Floor(x[0]*inv) < math.Floor((x[2]-2*eps)*inv)
+				return math.Floor(x[1]/eps)-math.Floor(x[0]/eps) == 2 &&
+					math.Floor(x[0]*inv) < math.Floor((x[2]-2*eps)*inv)
 			}},
 	} {
 		x, eps := c.x, c.eps
@@ -165,16 +194,7 @@ func TestFindersAgreeOnRoundedChains(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						ev, err := NewAllEvaluator(opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, p := range pts {
-							if err := ev.Append(geom.FromPoints([]geom.Point{p})); err != nil {
-								t.Fatal(err)
-							}
-						}
-						for _, res := range []*Result{got, ev.Result()} {
+						for _, res := range []*Result{got, appendOneByOne(t, pts, opt)} {
 							if !reflect.DeepEqual(normalizeRes(want), normalizeRes(res)) {
 								t.Fatalf("%s d=%d %v %v %v: %v elim %v, All-Pairs %v elim %v",
 									c.name, d, m, ov, alg, res.Groups, res.Eliminated, want.Groups, want.Eliminated)
@@ -201,9 +221,9 @@ func oneShotAllPairs(t *testing.T, pts []geom.Point, opt Options) *Result {
 
 // TestReanchorAfterEliminate walks a group along a line: its first
 // member is eliminated, a later member joins further out, and a probe
-// then overlaps only that later member. A group still registered under
-// its original anchor would sit 2.7ε from that probe — outside the 2ε
-// reach — and the overlap would go unnoticed.
+// then overlaps only that later member, 2.7ε from the first. A group
+// found through its first member only would go unnoticed, and an
+// eliminated member still counted would make the group look whole.
 func TestReanchorAfterEliminate(t *testing.T) {
 	opt := Options{Metric: geom.LInf, Eps: 1, Overlap: Eliminate, Algorithm: GridIndex, Parallelism: 1}
 	// a,b found g0; c overlaps a only (a leaves: g0 re-anchors on b);
@@ -229,11 +249,12 @@ func TestReanchorAfterEliminate(t *testing.T) {
 }
 
 // TestReanchorMaintainedPaths drives the three ways a maintained
-// grouping loses or resets anchors — ELIMINATE / FORM-NEW-GROUP victims
-// that are a group's first member, decremental Remove of first members,
-// and the fresh FORM-NEW-GROUP stage finder inside Result — each
-// followed by further appends, and compares every step with a
-// from-scratch AllPairs run over the surviving points.
+// grouping loses members or registrations — ELIMINATE / FORM-NEW-GROUP
+// victims that are a group's first member, decremental Remove of first
+// members (a JOIN-ANY group's anchor), and the fresh sorted FORM-NEW-GROUP
+// stage finder inside Result — each followed by further appends, and
+// compares every step with a from-scratch AllPairs run over the
+// surviving points.
 func TestReanchorMaintainedPaths(t *testing.T) {
 	for _, m := range allMetrics {
 		for _, ov := range allOverlaps {
@@ -282,7 +303,8 @@ func TestReanchorMaintainedPaths(t *testing.T) {
 // grouping of the benchmark's 12k check-ins allocates at ε = 0.05,
 // where nearly every point founds its own group. Range registration
 // paid a slab, a slot and a coordinate row per covered cell — about
-// 190 MB here; one anchor cell per group needs under a tenth of that.
+// 190 MB here; one cell per member in the sorted cell index needs under
+// a tenth of that.
 func TestColdAllAllocationGuard(t *testing.T) {
 	cfg := checkin.Brightkite(12000)
 	r := rand.New(rand.NewSource(cfg.Seed ^ 0x5a17))

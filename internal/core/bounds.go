@@ -7,6 +7,7 @@ package core
 // instead of one per member — O(n·|G|) overall (Table 1). It hands
 // every live group of the current stage to classify.
 type boundsFinder struct {
+	noHooks
 	ids []int32 // live group ids, reused across probes
 }
 
@@ -19,7 +20,3 @@ func (f *boundsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, ove
 	}
 	return st.classify(pi, f.ids)
 }
-
-func (f *boundsFinder) groupCreated(*sgbAllState, *group) {}
-func (f *boundsFinder) groupChanged(*sgbAllState, *group) {}
-func (f *boundsFinder) groupRemoved(*sgbAllState, *group) {}

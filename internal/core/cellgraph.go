@@ -37,7 +37,7 @@ import (
 // the partition is the ε-graph's components, member for member what the
 // per-point join (anyJoin) finds, and each union is an edge of a
 // spanning forest of them (anyTree.link, when the level keeps one). Its
-// scratch — point cells, the cell order, the cell runs — is reused
+// scratch — the sort keys, the cell order, the cell runs — is reused
 // across levels; a level allocates nothing.
 //
 // Stats: DistanceComputations counts the keys computed; GroupMerges the
@@ -46,29 +46,40 @@ import (
 // occupied cell): a cell is registered once and looks up its
 // neighbourhood once.
 type cellGraph struct {
-	ps     *geom.PointSet
+	cellSort
 	metric geom.Metric
+	whole  []bool    // cell c's members are one set
+	fwd    []int32   // one cell's forward neighbours
+	buf    []int32   // the members of a cell one pass keys
+	keys   []float64 // the keys of one pass
+	tree   *anyTree  // the level's spanning forest, nil when it keeps none
+	stats  Stats
+}
+
+// cellSort is the cell graph's index, and the sorted cell index of a
+// whole-set SGB-All pass (sortedCells): it buckets a set of stored
+// positions into cells of one side by a radix sort of their cell
+// coordinates, and lists every pair of occupied neighbouring cells once
+// (forward), hashing nothing. Its scratch is sized by reset and
+// reused by every bucket call over the same positions.
+type cellSort struct {
+	ps     *geom.PointSet
 	maxAbs float64 // the largest |coordinate| of the points sorted
-	pc     []int64 // point id → its cell's d coordinates (pc[id*d:]), set for ids only
 	ids    []int32 // point ids in cell order
 	tmp    []int32 // the radix sort's other buffer
 	// sortKey holds a sort key per position of ids, tmpKey is its other
 	// buffer; lo and width are each column's smallest cell and span in
-	// bits at the level being bucketed, and ext each axis's smallest and
+	// bits at the side being bucketed, and ext each axis's smallest and
 	// largest coordinate.
 	sortKey, tmpKey []uint64
 	lo              []int64
 	width           []uint
 	ext             []float64
-	ends            []int32   // cell c holds ids[ends[c-1]:ends[c]]
-	cells           []int64   // cell c's d coordinates (cells[c*d:])
-	whole           []bool    // cell c's members are one set
-	offs            []int64   // the forward prefix offsets, d−1 coordinates each
-	ptrs            []int     // per prefix offset: the first cell not before its target
-	buf             []int32   // the members of a cell one pass keys
-	keys            []float64 // the keys of one pass
-	tree            *anyTree  // the level's spanning forest, nil when it keeps none
-	stats           Stats
+	ends            []int32 // cell c holds ids[ends[c-1]:ends[c]]
+	cells           []int64 // cell c's d coordinates (cells[c*d:])
+	row             []int64 // one point's cell coordinates (cellRow)
+	offs            []int64 // the forward prefix offsets, d−1 coordinates each
+	ptrs            []int   // per prefix offset: the first cell not before its target
 }
 
 // runCellGraph fills every level of f, ascending, with the cell graph
@@ -83,37 +94,49 @@ func runCellGraph(ps *geom.PointSet, metric geom.Metric, pos []int32, f *anyFore
 			ids[i] = int32(i)
 		}
 	}
-	n, d := len(ids), ps.Dims()
-	g := &cellGraph{
-		ps:      ps,
-		metric:  metric,
-		pc:      make([]int64, ps.Len()*d),
-		ids:     ids,
-		tmp:     make([]int32, n),
-		sortKey: make([]uint64, n),
-		tmpKey:  make([]uint64, n),
-		ends:    make([]int32, 0, n),
-		buf:     make([]int32, 0, n),
-		keys:    make([]float64, 0, n),
-		cells:   make([]int64, 0, n*d),
-		whole:   make([]bool, 0, n),
-		offs:    forwardPrefixes(d),
-	}
-	g.ptrs = make([]int, len(g.offs)/max(d-1, 1))
-	g.lo, g.width, g.ext = make([]int64, d), make([]uint, d), make([]float64, 2*d)
-	for k := 0; k < d; k++ {
-		g.ext[2*k], g.ext[2*k+1] = math.Inf(1), math.Inf(-1)
-	}
-	for _, id := range g.ids {
-		for k, v := range ps.At(int(id)) {
-			g.ext[2*k], g.ext[2*k+1] = min(g.ext[2*k], v), max(g.ext[2*k+1], v)
-			g.maxAbs = math.Max(g.maxAbs, math.Abs(v))
-		}
-	}
+	g := &cellGraph{metric: metric}
+	g.reset(ps, ids)
+	n := len(ids)
+	g.ends, g.cells = make([]int32, 0, n), make([]int64, 0, n*ps.Dims())
+	g.buf, g.keys, g.whole = make([]int32, 0, n), make([]float64, 0, n), make([]bool, 0, n)
+	g.fwd = make([]int32, 0, 3*len(g.ptrs)+1)
 	for l := range f.ufs {
 		g.level(f, l)
 	}
 	st.Merge(&g.stats)
+}
+
+// reset readies s to sort ids, stored positions of ps, which s takes
+// over (the sort permutes them), keeping the buffers of an earlier
+// reset over a point set of as many dimensions where they are large
+// enough. The cell runs (ends, cells) grow as bucket fills them.
+func (s *cellSort) reset(ps *geom.PointSet, ids []int32) {
+	n, d := len(ids), ps.Dims()
+	if len(s.lo) != d {
+		*s = cellSort{offs: forwardPrefixes(d)}
+		s.ptrs = make([]int, len(s.offs)/max(d-1, 1))
+		s.lo, s.width, s.ext, s.row = make([]int64, d), make([]uint, d), make([]float64, 2*d), make([]int64, d)
+	}
+	s.ps, s.ids = ps, ids
+	s.tmp, s.sortKey, s.tmpKey = resized(s.tmp, n), resized(s.sortKey, n), resized(s.tmpKey, n)
+	for k := 0; k < d; k++ {
+		s.ext[2*k], s.ext[2*k+1] = math.Inf(1), math.Inf(-1)
+	}
+	s.maxAbs = 0
+	for _, id := range ids {
+		for k, v := range ps.At(int(id)) {
+			s.ext[2*k], s.ext[2*k+1] = min(s.ext[2*k], v), max(s.ext[2*k+1], v)
+			s.maxAbs = math.Max(s.maxAbs, math.Abs(v))
+		}
+	}
+}
+
+// resized returns s with length n, reallocated only when it is short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // forwardPrefixes lists the offsets δ ∈ {−1, 0, 1}^(d−1) whose first
@@ -200,23 +223,24 @@ func (g *cellGraph) level(f *anyForests, l int) {
 		whole = append(whole, g.joinCell(uf, c, key))
 	}
 	g.whole = whole
-	g.linkNeighbours(uf, key)
+	for a := 0; a < cells; a++ {
+		g.fwd = g.forward(a, g.fwd[:0])
+		for _, b := range g.fwd {
+			g.linkCells(uf, a, int(b), key)
+		}
+	}
 }
 
 // bucket computes the cell of every point of ids (tombstones are not
-// among them) at 1/inv per side, sorts the ids lexicographically by cell
-// and cuts the order into cell runs. The sort is an LSD radix sort over
+// among them) at 1/inv per side, floor(x · inv) on each axis, computed
+// where it is needed rather than stored, sorts the ids lexicographically
+// by cell and cuts the order into cell runs. The sort is an LSD radix sort over
 // the coordinate columns, last first, each column normalized to its span
 // of cells and as many consecutive columns packed into one key as 64
 // bits hold (all of them, unless the spans are very wide); a key costs
 // one pass per byte it spans.
-func (g *cellGraph) bucket(inv float64) {
+func (g *cellSort) bucket(inv float64) {
 	d, data := g.ps.Dims(), g.ps.Data()
-	for _, id := range g.ids {
-		for i := int(id) * d; i < int(id)*d+d; i++ {
-			g.pc[i] = int64(math.Floor(data[i] * inv))
-		}
-	}
 	for k := range g.lo { // floor is monotone: the extreme coordinates' cells
 		g.lo[k] = int64(math.Floor(g.ext[2*k] * inv))
 		g.width[k] = uint(bits.Len64(uint64(int64(math.Floor(g.ext[2*k+1]*inv)) - g.lo[k])))
@@ -230,8 +254,8 @@ func (g *cellGraph) bucket(inv float64) {
 		}
 		for i, id := range g.ids {
 			var key uint64
-			for c, v := range g.pc[int(id)*d+j : int(id)*d+k] {
-				key = key<<g.width[j+c] | uint64(v-g.lo[j+c])
+			for c, x := range data[int(id)*d+j : int(id)*d+k] {
+				key = key<<g.width[j+c] | uint64(int64(math.Floor(x*inv))-g.lo[j+c])
 			}
 			g.sortKey[i] = key
 		}
@@ -240,24 +264,40 @@ func (g *cellGraph) bucket(inv float64) {
 		k = j
 	}
 	// Cells are runs of equal coordinates; with every column in one
-	// key, runs of equal keys.
-	ends, cells := g.ends[:0], g.cells[:0]
+	// key, runs of equal keys, which also size the runs' storage.
+	runs := min(len(g.ids), 1)
+	for i := 1; i < len(g.ids); i++ {
+		if g.sortKey[i] != g.sortKey[i-1] {
+			runs++
+		}
+	}
+	ends, cells := slices.Grow(g.ends[:0], runs+1), slices.Grow(g.cells[:0], runs*d)
 	for i, id := range g.ids {
-		row := g.pc[int(id)*d : int(id)*d+d]
 		if i > 0 {
-			if g.sortKey[i] == g.sortKey[i-1] && (oneKey || slices.Equal(row, cells[len(cells)-d:])) {
+			if g.sortKey[i] == g.sortKey[i-1] && (oneKey || slices.Equal(g.cellRow(id, inv), cells[len(cells)-d:])) {
 				continue
 			}
 			ends = append(ends, int32(i))
 		}
-		cells = append(cells, row...)
+		cells = append(cells, g.cellRow(id, inv)...)
 	}
 	g.ends, g.cells = append(ends, int32(len(g.ids))), cells
 }
 
+// cellRow returns the cell coordinates of stored point id at 1/inv per
+// side, floor(x · inv) on every axis, in scratch valid until the next
+// call.
+func (g *cellSort) cellRow(id int32, inv float64) []int64 {
+	d := len(g.row)
+	for k, x := range g.ps.Data()[int(id)*d : int(id)*d+d] {
+		g.row[k] = int64(math.Floor(x * inv))
+	}
+	return g.row
+}
+
 // radix sorts g.ids by g.sortKey, keys of w bits, carrying the keys
 // along: one stable counting pass per byte.
-func (g *cellGraph) radix(w uint) {
+func (g *cellSort) radix(w uint) {
 	var counts [256]int32
 	for shift := uint(0); shift < w; shift += 8 {
 		clear(counts[:])
@@ -279,7 +319,7 @@ func (g *cellGraph) radix(w uint) {
 }
 
 // members returns the ids of cell c.
-func (g *cellGraph) members(c int) []int32 {
+func (g *cellSort) members(c int) []int32 {
 	start := int32(0)
 	if c > 0 {
 		start = g.ends[c-1]
@@ -288,8 +328,8 @@ func (g *cellGraph) members(c int) []int32 {
 }
 
 // cellOf returns the coordinates of cell c.
-func (g *cellGraph) cellOf(c int) []int64 {
-	d := g.ps.Dims()
+func (g *cellSort) cellOf(c int) []int64 {
+	d := len(g.row)
 	return g.cells[c*d : c*d+d : c*d+d]
 }
 
@@ -370,39 +410,41 @@ func (g *cellGraph) merged(x, y int32) {
 // record adds the edge (x, y) to the level's spanning forest.
 func (g *cellGraph) record(x, y int32) { g.tree.link(int(x), int(y)) }
 
-// linkNeighbours visits every pair of neighbouring occupied cells once,
-// from the lexicographically smaller: the next cell when it is the next
-// one along the last axis, and for each forward prefix offset the up to
-// three cells it names, found by a pointer that only moves forward —
-// the targets of consecutive cells ascend, as adding an offset keeps
-// lexicographic order.
-func (g *cellGraph) linkNeighbours(uf *unionfind.UF, key float64) {
-	d := g.ps.Dims()
+// forward appends to dst the occupied cells after a that neighbour it,
+// and returns it; called for a = 0, 1, 2, … in turn, it lists every
+// pair of neighbouring occupied cells once, from the smaller. They are
+// the next cell when it is the next one along the last axis, and for
+// each forward prefix offset the up to three cells it names, found by a
+// pointer that only moves forward — the targets of consecutive cells
+// ascend, as adding an offset keeps lexicographic order.
+func (g *cellSort) forward(a int, dst []int32) []int32 {
+	d := len(g.row)
 	cells := len(g.ends)
-	clear(g.ptrs)
-	for a := 0; a < cells; a++ {
-		ca := g.cellOf(a)
-		if b := a + 1; b < cells {
-			if cb := g.cellOf(b); samePrefix(ca, cb, nil) && cb[d-1] == ca[d-1]+1 {
-				g.linkCells(uf, a, b, key)
-			}
-		}
-		for j := range g.ptrs {
-			off := g.offs[j*(d-1) : (j+1)*(d-1)]
-			b := g.ptrs[j]
-			for b < cells && beforeTarget(g.cellOf(b), ca, off) {
-				b++
-			}
-			g.ptrs[j] = b
-			for ; b < cells; b++ {
-				cb := g.cellOf(b)
-				if !samePrefix(ca, cb, off) || cb[d-1] > ca[d-1]+1 {
-					break
-				}
-				g.linkCells(uf, a, b, key)
-			}
+	if a == 0 {
+		clear(g.ptrs)
+	}
+	ca := g.cellOf(a)
+	if b := a + 1; b < cells {
+		if cb := g.cellOf(b); samePrefix(ca, cb, nil) && cb[d-1] == ca[d-1]+1 {
+			dst = append(dst, int32(b))
 		}
 	}
+	for j := range g.ptrs {
+		off := g.offs[j*(d-1) : (j+1)*(d-1)]
+		b := g.ptrs[j]
+		for b < cells && beforeTarget(g.cellOf(b), ca, off) {
+			b++
+		}
+		g.ptrs[j] = b
+		for ; b < cells; b++ {
+			cb := g.cellOf(b)
+			if !samePrefix(ca, cb, off) || cb[d-1] > ca[d-1]+1 {
+				break
+			}
+			dst = append(dst, int32(b))
+		}
+	}
+	return dst
 }
 
 // samePrefix reports whether cb's first d−1 coordinates are ca's plus

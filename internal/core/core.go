@@ -53,12 +53,15 @@ const (
 	// Procedure 5) or the processed points (SGB-Any, Procedure 8) in an
 	// R-tree (O(n·log|G|) / O(n log n) average case).
 	OnTheFlyIndex
-	// GridIndex replaces the R-tree with a uniform grid: SGB-All
-	// registers each group once, in the cell of its first member (cells
-	// as wide as the probe's reach: ε, or 2ε when overlaps are needed),
-	// and probes scan the 3^d-cell neighborhood of an open-addressed
-	// hashed-cell table (internal/grid), expected O(1) per probe plus
-	// output size. A one-shot SGB-Any run sorts the points into cells of
+	// GridIndex replaces the R-tree with a uniform grid of ε-cells.
+	// SGB-All registers every placed member under ELIMINATE and
+	// FORM-NEW-GROUP, and each group once, in its first member's cell,
+	// under JOIN-ANY, and a probe reads the cells around the point
+	// (gridFinder): a one-shot run and each FORM-NEW-GROUP stage sort
+	// their points into padded cells once and list each occupied cell's
+	// occupied neighbours (sortedCells), a maintained evaluator probes
+	// the 3^d-cell neighborhood of an open-addressed hashed-cell table
+	// (internal/grid). A one-shot SGB-Any run sorts the points into cells of
 	// side ε, padded, level by level, and links each cell's members and
 	// each pair of neighbouring cells, skipping a pair its forest already
 	// joins (cellGraph); a maintained one keeps points in their home

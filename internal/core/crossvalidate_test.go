@@ -41,22 +41,25 @@ func sameMembers(a, b *Result) error {
 
 // TestGridCrossValidationAll checks GridIndex member-for-member
 // against the AllPairs reference for SGB-All on randomized inputs
-// across {L2, L∞} × {JOIN-ANY, ELIMINATE, FORM-NEW-GROUP} × d∈{1,2,3}.
-// Equal seeds must yield byte-identical groupings: the grid finder
-// normalizes candidate enumeration to group-creation order, so even
-// the randomized JOIN-ANY arbitration coincides.
+// across {L2, L∞} × {JOIN-ANY, ELIMINATE, FORM-NEW-GROUP} ×
+// d ∈ {1, 2, 3, 4, 5, 6, 8}, where the sorted cell index walks up to
+// 3^d − 1 neighbouring cells. Equal seeds must yield byte-identical
+// groupings: the grid finder normalizes candidate enumeration to
+// group-creation order, so even the randomized JOIN-ANY arbitration
+// coincides.
 func TestGridCrossValidationAll(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 20; trial++ {
-		for _, d := range []int{1, 2, 3} {
+		for _, d := range []int{1, 2, 3, 4, 5, 6, 8} {
 			n := 40 + r.Intn(160)
-			var points []geom.Point
-			if trial%2 == 0 {
-				points = randomPointsDim(r, n, d, 8)
-			} else {
-				// Dense regime: heavy candidate/overlap traffic.
-				points = randomPointsDim(r, n, d, 2.5)
+			span := 8.0
+			if trial%2 == 1 {
+				span = 2.5 // dense regime: heavy candidate/overlap traffic
 			}
+			if d > 3 {
+				span /= 2 // keep ε-neighbours as the ε-box's share of the cube shrinks
+			}
+			points := randomPointsDim(r, n, d, span)
 			eps := 0.15 + r.Float64()*1.2
 			seed := int64(trial * 31)
 			for _, m := range allMetrics {

@@ -426,7 +426,7 @@ func (e *AllEvaluator) resetState() {
 	for i := 0; i < e.points.Len(); i++ {
 		e.rm.set = append(e.rm.set, int32(i))
 	}
-	e.st = newAllState(e.points, e.opt)
+	e.newState()
 }
 
 // ensureCells builds the point grid over the live points. The cell side

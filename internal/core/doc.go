@@ -17,8 +17,11 @@
 //     lists — no dimensionality cap) in place of the R-tree; the
 //     textbook structure for fixed-radius queries. A one-shot SGB-Any
 //     run links the ε-cells themselves, level by level (cellgraph.go);
-//     a maintained one probes its points' home cells batch by batch in
-//     arrival order. Output ids always index the input order.
+//     a one-shot SGB-All pass sorts its points into the same cells and
+//     probes the occupied neighbours of each point's cell
+//     (gridfinder.go); maintained evaluators probe the hashed cells
+//     batch by batch in arrival order. Output ids always index the
+//     input order.
 //
 // # Evaluation shapes
 //

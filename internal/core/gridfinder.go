@@ -1,101 +1,261 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/grid"
 )
 
-// gridFinder is the GridIndex FindCloseGroups for SGB-All: every live
-// group is registered ONCE, in the home cell of its anchor — its first
-// member, members[0] — and probes find it by neighbourhood. The anchor
-// lies in the group's member MBR [lo, hi], and every member is within ε
-// of every other by the distance key, so per axis (up to the rounding
-// geom.PaddedReach covers)
+// gridFinder is the GridIndex FindCloseGroups for SGB-All. It keeps a
+// cell index of side about ε (cellIndex) and registers in it one of two
+// things, by the clause:
 //
-//   - a candidate group's anchor is within ε of the probe point pi: pi
-//     passes classify's MBR test, hi − p ≤ ε and p − lo ≤ ε, and
-//   - an overlap group's anchor is within 2ε of pi: some member is
-//     within ε of pi, and the anchor within ε of that member.
+//   - under ELIMINATE and FORM-NEW-GROUP, every placed member of the
+//     pass's groups, by stored index. A probe keys the members in the
+//     cells around pi (near's DistKey ≤ EpsKey) and counts the hits per
+//     group: a group with a hit for each member is a candidate, one with
+//     some but fewer an overlap group. That is All-Pairs' definition
+//     read off the members within ε — no rectangle test, no hull;
+//   - under JOIN-ANY, which never consults overlaps, each group once, by
+//     id, in the cell of its anchor — its first member, which never
+//     leaves it (JOIN-ANY removes no member, and a decremental retire
+//     drops the whole group). A candidate group's anchor lies in its
+//     member MBR, which classify's test puts within ε of pi on every
+//     axis, so a probe hands the anchors around pi to classify.
 //
-// The grid's cell side is that reach — ε under JOIN-ANY, which never
-// consults overlaps, 2ε under ELIMINATE / FORM-NEW-GROUP — so either
-// probe scans the 3^d cells around pi's home cell, and a new group
-// costs one registration instead of one per cell its rectangle covers.
-// One registration per group also means a probe collects every id at
-// most once: no dedup pass.
-//
-// A group re-anchors only when its first member leaves it (an
-// ELIMINATE / FORM-NEW-GROUP victim); inserts never move the anchor.
-//
-// A probe hands its hits to classify, the filter-and-verify step all
-// three rectangle finders share, in whatever order the cells yield
-// them; processOne puts the candidate and overlap lists into creation
-// order (sortByStamp), the one order every strategy has to arbitrate
-// in.
+// Either way what a probe needs is within ε of pi on every axis (by
+// the distance key; under L2 by geom's TestDistKeyBoundsEveryAxis), and
+// such a point lies in pi's cell or in an adjacent one. One
+// registration per member or group means a probe collects each at most
+// once: no dedup pass. The probe hands its lists over in whatever order
+// the cells yield them; processOne puts them into creation order
+// (sortByStamp), the one order every strategy arbitrates in.
 type gridFinder struct {
-	tab   *grid.Table
-	cur   grid.Cursor
-	reach float64 // probe radius and cell side: ε, or 2ε with overlaps
+	noHooks
+	cells   cellIndex
+	members bool // register members (ELIMINATE, FORM-NEW-GROUP), not anchors
 
-	// anchor[id−base] is the member whose home cell group id is
-	// registered in, -1 while the group is unregistered (removed); base
-	// is the first group id the finder sees, its stage's floor.
-	anchor []int32
-	base   int
-
-	ids []int32 // the probe's hits, reused across probes
+	ids     []int32   // the probe's registrants
+	keys    []float64 // their distance keys, under members
+	touched []int32   // the groups with a hit in st.hits
 }
 
-func newGridFinder(dims int, opt Options, sizeHint, base int) *gridFinder {
-	reach := opt.Eps
-	if opt.Overlap != JoinAny {
-		reach *= 2
-	}
-	return &gridFinder{tab: grid.NewCap(dims, reach, sizeHint), reach: reach, base: base}
+// cellIndex is where gridFinder registers: a whole-set pass's sorted
+// cells, or an AllEvaluator's hash grid. Registrants are int32 ids, each
+// filed under the cell of the stored point pos.
+type cellIndex interface {
+	add(ps *geom.PointSet, pos int, id int32)
+	remove(ps *geom.PointSet, pos int, id int32)
+	// collect appends to dst the ids registered in the cells around
+	// stored point pi: every cell that can hold a point within ε of it.
+	collect(ps *geom.PointSet, pi int, dst []int32) []int32
 }
 
-// probeRadius pads the reach so the scanned cell range provably holds
-// the anchor cell (geom.PaddedReach).
-func (f *gridFinder) probeRadius(p geom.Point) float64 { return geom.PaddedReach(p, f.reach) }
+func newGridFinder(opt Options, cells cellIndex) *gridFinder {
+	return &gridFinder{cells: cells, members: opt.Overlap != JoinAny}
+}
 
 func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
-	p := st.points.At(pi)
 	st.opt.Stats.addProbe(1)
-	f.ids = f.tab.CollectBox(&f.cur, p, f.probeRadius(p), f.ids[:0])
-	return st.classify(pi, f.ids)
-}
-
-func (f *gridFinder) groupCreated(st *sgbAllState, g *group) {
-	for len(f.anchor) <= g.id-f.base {
-		f.anchor = append(f.anchor, -1)
+	f.ids = f.cells.collect(st.points, pi, f.ids[:0])
+	if !f.members {
+		return st.classify(pi, f.ids)
 	}
-	f.register(st, g)
+	st.opt.Stats.addDist(int64(len(f.ids)))
+	f.keys = st.points.AppendDistKeys(f.keys[:0], st.opt.Metric, st.points.At(pi), f.ids)
+	if n := len(st.groups); len(st.hits) < n { // first sized for a group per point
+		st.hits = append(st.hits, make([]int32, max(n, st.points.Len())-len(st.hits))...)
+	}
+	touched := f.touched[:0]
+	for k, m := range f.ids {
+		if f.keys[k] > st.key {
+			continue
+		}
+		g := st.pointGroup[m]
+		if st.hits[g] == 0 {
+			touched = append(touched, g)
+		}
+		st.hits[g]++
+	}
+	f.touched = touched
+	st.cands, st.ovs = st.cands[:0], st.ovs[:0]
+	for _, id := range touched {
+		g := st.groups[id]
+		if int(st.hits[id]) == len(g.members) {
+			st.cands = append(st.cands, g)
+		} else {
+			st.ovs = append(st.ovs, g)
+		}
+		st.hits[id] = 0
+	}
+	return st.cands, st.ovs
 }
 
-// groupChanged re-anchors g when its first member left it; any other
-// membership change keeps the registration.
-func (f *gridFinder) groupChanged(st *sgbAllState, g *group) {
-	if a := f.anchor[g.id-f.base]; a >= 0 && int(a) != g.members[0] {
-		f.unregister(st, g)
-		f.register(st, g)
+// placed registers m, or g under its anchor when m founds it.
+func (f *gridFinder) placed(st *sgbAllState, g *group, m int) {
+	if f.members {
+		f.add(st, m, int32(m))
+	} else if len(g.members) == 1 {
+		f.add(st, m, int32(g.id))
 	}
 }
 
-func (f *gridFinder) groupRemoved(st *sgbAllState, g *group) {
-	if f.anchor[g.id-f.base] >= 0 {
-		f.unregister(st, g)
+// left unregisters m, or g when its anchor goes (only a decremental
+// retire, which removes every member, takes a JOIN-ANY group's anchor).
+func (f *gridFinder) left(st *sgbAllState, g *group, m int) {
+	if f.members {
+		f.remove(st, m, int32(m))
+	} else if m == g.members[0] {
+		f.remove(st, m, int32(g.id))
 	}
 }
 
-func (f *gridFinder) register(st *sgbAllState, g *group) {
-	a := g.members[0]
-	f.anchor[g.id-f.base] = int32(a)
+func (f *gridFinder) add(st *sgbAllState, pos int, id int32) {
 	st.opt.Stats.addUpdate(1)
-	f.tab.AddPoint(st.points.At(a), int32(g.id))
+	f.cells.add(st.points, pos, id)
 }
 
-func (f *gridFinder) unregister(st *sgbAllState, g *group) {
+func (f *gridFinder) remove(st *sgbAllState, pos int, id int32) {
 	st.opt.Stats.addUpdate(1)
-	f.tab.RemovePoint(st.points.At(int(f.anchor[g.id-f.base])), int32(g.id))
-	f.anchor[g.id-f.base] = -1
+	f.cells.remove(st.points, pos, id)
+}
+
+// sortedCells is the cell index of a whole-set pass — a one-shot run,
+// and each FORM-NEW-GROUP stage over the points it arbitrates (run).
+// The pass's points are known up front, so they are bucketed once by
+// the cell graph's radix sort at cellSide(metric, key, maxAbs), which
+// puts every pair within the distance key in one cell or in adjacent
+// ones, and each occupied cell lists its occupied neighbours by the
+// cell graph's forward-prefix walk (cellSort.forward). A probe
+// reads the registrants of at most 3^d occupied cells and hashes
+// nothing. Every point of the pass is placed at most once in it (a
+// point that leaves a group is eliminated or deferred to the next
+// stage), so a cell's registrants fit in its run of the sort order.
+// One sortedCells serves every stage of a run, its buffers sized once.
+//
+// Besides the sort's own scratch it keeps a cell per point, the
+// neighbourhood lists and a registrant count per cell; the registrant
+// slots are the radix sort's spare id buffer.
+type sortedCells struct {
+	cellSort
+	cellAt []int32 // stored index → its cell, for the pass's points
+	adjAt  []int32 // cell c's neighbourhood, itself first: adj[adjAt[c]:adjAt[c+1]]
+	adj    []int32
+	count  []int32 // cell c's registrants: reg[start(c) : start(c)+count[c]]
+	reg    []int32
+}
+
+// build indexes the stored points order of ps for a pass at the
+// distance key key.
+func (s *sortedCells) build(ps *geom.PointSet, order []int, metric geom.Metric, key float64) {
+	ids := slices.Grow(s.ids[:0], len(order))
+	for _, pi := range order {
+		ids = append(ids, int32(pi))
+	}
+	s.reset(ps, ids)
+	s.bucket(1 / cellSide(metric, key, s.maxAbs))
+	cells := len(s.ends)
+	s.cellAt = resized(s.cellAt, ps.Len())
+	for c := 0; c < cells; c++ {
+		for _, id := range s.members(c) {
+			s.cellAt[id] = int32(c)
+		}
+	}
+	// One walk lists every cell's forward neighbours, cell after cell,
+	// in the sort's spare id buffer while it holds, and counts each
+	// cell's neighbours; a cell's list is then itself, the cells before
+	// it (placed while those are listed) and its forward ones.
+	at := resized(s.adjAt, cells+1)
+	clear(at)
+	fwd := s.tmp[:0]
+	for a := 0; a < cells; a++ {
+		from := len(fwd)
+		fwd = s.forward(a, fwd)
+		at[a+1] += int32(len(fwd) - from)
+		for _, b := range fwd[from:] {
+			at[b+1]++
+		}
+	}
+	for c := 0; c < cells; c++ {
+		at[c+1] += at[c] + 1
+	}
+	adj, next := resized(s.adj, int(at[cells])), resized(s.count, cells)
+	for c := range next {
+		next[c] = at[c] + 1
+	}
+	for a := int32(0); a < int32(cells); a++ {
+		adj[at[a]] = a
+		for k := next[a]; k < at[a+1]; k++ {
+			b := fwd[0]
+			fwd = fwd[1:]
+			adj[k] = b
+			adj[next[b]] = a
+			next[b]++
+		}
+	}
+	clear(next)
+	s.adjAt, s.adj, s.count, s.reg = at, adj, next, s.tmp
+}
+
+// start returns where cell c's run begins in the sort order.
+func (s *sortedCells) start(c int32) int32 {
+	if c == 0 {
+		return 0
+	}
+	return s.ends[c-1]
+}
+
+func (s *sortedCells) add(_ *geom.PointSet, pos int, id int32) {
+	c := s.cellAt[pos]
+	s.reg[s.start(c)+s.count[c]] = id
+	s.count[c]++
+}
+
+func (s *sortedCells) remove(_ *geom.PointSet, pos int, id int32) {
+	c := s.cellAt[pos]
+	from := s.start(c)
+	regs := s.reg[from : from+s.count[c]]
+	for k, r := range regs {
+		if r == id {
+			regs[k] = regs[len(regs)-1]
+			s.count[c]--
+			return
+		}
+	}
+}
+
+func (s *sortedCells) collect(_ *geom.PointSet, pi int, dst []int32) []int32 {
+	c := s.cellAt[pi]
+	for _, b := range s.adj[s.adjAt[c]:s.adjAt[c+1]] {
+		from := s.start(b)
+		dst = append(dst, s.reg[from:from+s.count[b]]...)
+	}
+	return dst
+}
+
+// hashCells is the cell index of an AllEvaluator's appends and Remove
+// replays: a batch of k ≪ n points cannot pay back a sort over n, so
+// registrants go into a grid.Table of side ε under their point, and a
+// probe collects the box geom.PaddedReach(p, ε) around p, which
+// provably holds the cell of every point within ε of p on every axis.
+type hashCells struct {
+	tab *grid.Table
+	cur grid.Cursor
+	eps float64
+}
+
+func newHashCells(dims int, eps float64, sizeHint int) *hashCells {
+	return &hashCells{tab: grid.NewCap(dims, eps, sizeHint), eps: eps}
+}
+
+func (h *hashCells) add(ps *geom.PointSet, pos int, id int32) { h.tab.AddPoint(ps.At(pos), id) }
+
+func (h *hashCells) remove(ps *geom.PointSet, pos int, id int32) {
+	h.tab.RemovePoint(ps.At(pos), id)
+}
+
+func (h *hashCells) collect(ps *geom.PointSet, pi int, dst []int32) []int32 {
+	p := ps.At(pi)
+	return h.tab.CollectBox(&h.cur, p, geom.PaddedReach(p, h.eps), dst)
 }

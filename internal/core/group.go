@@ -98,10 +98,18 @@ type sgbAllState struct {
 	hullPts     []geom.Point       // scratch member-point views for hull rebuilds
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
 
-	// Scratch reused across probes: classify's result lists and
-	// processOverlap's per-member victim marks.
+	// Scratch reused across probes: the candidate and overlap lists,
+	// processOverlap's per-member victim marks, and per group id the
+	// probing point's members within ε (the grid's count; zero between
+	// probes).
 	cands, ovs []*group
 	victim     []bool
+	hits       []int32
+
+	// sorted is the GridIndex cell index of the whole-set passes, kept
+	// from stage to stage so that a run sizes it once (nil until the
+	// first such pass).
+	sorted *sortedCells
 }
 
 // eliminatePoint records m as dropped by ELIMINATE.
@@ -117,26 +125,39 @@ func (st *sgbAllState) deferPoint(m int) {
 }
 
 // finder abstracts FindCloseGroups over the strategies. Every
-// FORM-NEW-GROUP recursion stage starts a fresh one (run), so the
-// groups an index-backed finder answers with are its own stage's; the
-// Bounds-Checking and All-Pairs scans start at the stage floor.
+// whole-set pass — a one-shot run and each FORM-NEW-GROUP recursion
+// stage — starts a fresh one (run), so the groups an index-backed
+// finder answers with are its own pass's; the Bounds-Checking and
+// All-Pairs scans start at the stage floor.
 type finder interface {
 	// findCloseGroups fills candidates with groups pi may join (the
 	// similarity predicate holds against every member) and, when the
 	// overlap clause requires it, overlaps with groups where the
 	// predicate holds for at least one but not all members. The
 	// returned slices are only valid until the next findCloseGroups
-	// call (they are reused across probes). The rectangle finders only
-	// collect group ids and hand them to classify; All-Pairs scans
-	// members.
+	// call (they are reused across probes).
 	findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group)
-	// groupCreated / groupChanged / groupRemoved keep any auxiliary
-	// structure (the R-tree or the ε-grid) synchronized with group
-	// mutations.
+	// placed and left report a member joining g (its first when g is
+	// new) and, before g's member list changes, one leaving it; the
+	// grid registers members or anchors by them. groupCreated /
+	// groupChanged / groupRemoved report whole-group mutations, which
+	// the R-tree indexes.
+	placed(st *sgbAllState, g *group, m int)
+	left(st *sgbAllState, g *group, m int)
 	groupCreated(st *sgbAllState, g *group)
 	groupChanged(st *sgbAllState, g *group)
 	groupRemoved(st *sgbAllState, g *group)
 }
+
+// noHooks is the finder hooks of a finder that keeps nothing for an
+// event; each finder embeds it and overrides what it keeps.
+type noHooks struct{}
+
+func (noHooks) placed(*sgbAllState, *group, int)  {}
+func (noHooks) left(*sgbAllState, *group, int)    {}
+func (noHooks) groupCreated(*sgbAllState, *group) {}
+func (noHooks) groupChanged(*sgbAllState, *group) {}
+func (noHooks) groupRemoved(*sgbAllState, *group) {}
 
 // rectStride is the flat rect-row width: one rectangle of two corners.
 func (st *sgbAllState) rectStride() int { return 2 * st.dims }
@@ -232,6 +253,7 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 	st.order = append(st.order, int32(g.id))
 	st.opt.Stats.addCreated(1)
 	st.finder.groupCreated(st, g)
+	st.finder.placed(st, g, pi)
 	return g
 }
 
@@ -240,6 +262,7 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 // the free list.
 func (st *sgbAllState) retireGroup(g *group) {
 	for _, m := range g.members {
+		st.finder.left(st, g, m)
 		st.pointGroup[m] = -1
 	}
 	st.groups[g.id] = nil
@@ -270,6 +293,7 @@ func (st *sgbAllState) insert(pi int, g *group) {
 	g.members = append(g.members, pi)
 	st.pointGroup[pi] = int32(g.id)
 	g.mbr.ExtendPoint(p)
+	st.finder.placed(st, g, pi)
 	// The cached convex hull stays valid when the new member lies
 	// inside it — the common case in dense groups, and the reason the
 	// hull refinement's amortized cost stays near the paper's
@@ -285,12 +309,16 @@ func (st *sgbAllState) insert(pi int, g *group) {
 // the survivors. Empty groups are dropped. Used by ELIMINATE and
 // FORM-NEW-GROUP overlap processing.
 func (st *sgbAllState) removeMembers(g *group, victims []bool) {
+	for k, m := range g.members {
+		if victims[k] {
+			st.finder.left(st, g, m)
+			st.pointGroup[m] = -1
+		}
+	}
 	kept := g.members[:0]
 	for k, m := range g.members {
 		if !victims[k] {
 			kept = append(kept, m)
-		} else {
-			st.pointGroup[m] = -1
 		}
 	}
 	g.members = kept
@@ -330,22 +358,24 @@ func (st *sgbAllState) hullOf(g *group) *convexhull.Hull {
 }
 
 // classify is the filter-and-verify step of Procedures 4–6, shared by
-// every rectangle finder (Bounds-Checking, R-tree, ε-grid) so the
-// strategies cannot drift apart: they differ only in which group ids
-// they hand it. One pass over the flat MBR rows [lo | hi] by id runs
-// the PointInRectangleTest (p inside the ε-All rectangle), hi − p ≤ ε ∧
-// p − lo ≤ ε on every axis, and when the overlap clause needs it the
-// OverlapRectangleTest (p's ε-box meets the MBR), lo − p ≤ ε ∧
-// p − hi ≤ ε. Rounding is monotone, so hi − p is the largest
-// member − p: under L∞ the first test is All-Pairs' DistKey ≤ EpsKey
-// against every member, exactly; under L2 a pair within ε by the key is
-// within ε on every axis (geom's TestDistKeyBoundsEveryAxis), so both
-// tests are conservative. Rows are read without dereferencing group
-// structs. A survivor is kept in ids as id<<1, with the low bit set
-// when only the overlap test passed. Then refine decides candidacy by
-// the key, a refinement failure is re-tested for overlap, and a member
-// scan (overlapsWith) decides overlap. ids is overwritten; the returned
-// lists are valid until the next call.
+// every rectangle finder (Bounds-Checking, the R-tree, and the ε-grid
+// under JOIN-ANY) so the strategies cannot drift apart: they differ
+// only in which group ids they hand it. One pass over the flat MBR rows
+// [lo | hi] by id runs the PointInRectangleTest (p inside the ε-All
+// rectangle), hi − p ≤ ε ∧ p − lo ≤ ε on every axis, and when the
+// overlap clause needs it the OverlapRectangleTest (p's ε-box meets the
+// MBR), lo − p ≤ ε ∧ p − hi ≤ ε. Rounding is monotone, so hi − p is the
+// largest member − p: under L∞ the first test is All-Pairs' DistKey ≤
+// EpsKey against every member, exactly; under L2 a pair within ε by the
+// key is within ε on every axis (geom's TestDistKeyBoundsEveryAxis), so
+// both tests are conservative. A row that passes the first passes the
+// second (lo ≤ hi, and rounding is monotone), so with overlaps the
+// second runs first and a rejected id costs one test. Rows are read
+// without dereferencing group structs. A survivor is kept in ids as
+// id<<1, with the low bit set when only the overlap test passed. Then
+// refine decides candidacy by the key, and a member scan
+// (overlapsWith) decides overlap for the rest. ids is overwritten; the
+// returned lists are valid until the next call.
 func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*group) {
 	p := st.points.At(pi)
 	needOverlap := st.opt.Overlap != JoinAny
@@ -357,32 +387,26 @@ func (st *sgbAllState) classify(pi int, ids []int32) (candidates, overlaps []*gr
 	for _, id := range ids {
 		lo, hi := rects[int(id)*stride:], rects[int(id)*stride+d:]
 		st.opt.Stats.addRect(1)
-		if within(hi, lo, p, eps) {
-			kept = append(kept, id<<1)
-		} else if needOverlap {
-			st.opt.Stats.addRect(1)
-			if within(lo, hi, p, eps) {
-				kept = append(kept, id<<1|1)
+		if needOverlap {
+			if !within(lo, hi, p, eps) {
+				continue
 			}
+			st.opt.Stats.addRect(1)
+			if !within(hi, lo, p, eps) {
+				kept = append(kept, id<<1|1)
+				continue
+			}
+		} else if !within(hi, lo, p, eps) {
+			continue
 		}
+		kept = append(kept, id<<1)
 	}
 	st.cands, st.ovs = st.cands[:0], st.ovs[:0]
 	for _, k := range kept {
 		gj := st.groups[k>>1]
-		if k&1 == 0 {
-			if st.refine(pi, gj) {
-				st.cands = append(st.cands, gj)
-				continue
-			}
-			if !needOverlap {
-				continue
-			}
-			st.opt.Stats.addRect(1)
-			if !within(rects[int(k>>1)*stride:], rects[int(k>>1)*stride+d:], p, eps) {
-				continue
-			}
-		}
-		if st.overlapsWith(pi, gj) {
+		if k&1 == 0 && st.refine(pi, gj) {
+			st.cands = append(st.cands, gj)
+		} else if needOverlap && st.overlapsWith(pi, gj) {
 			st.ovs = append(st.ovs, gj)
 		}
 	}

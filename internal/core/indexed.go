@@ -15,6 +15,7 @@ import (
 // (clique members are pairwise within ε), a single index over the
 // ε-All rectangles serves both the candidate and the overlap probes.
 type indexedFinder struct {
+	noHooks
 	ix   *rtree.Tree
 	dims int
 	base int // the first group id the finder sees: its stage's floor

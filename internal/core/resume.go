@@ -228,6 +228,13 @@ func (e *AllEvaluator) GroupsAt(eps float64) (*Result, error) {
 	return e.Result(), nil
 }
 
+// newState starts an empty arbitration state over the log, with the
+// finder appends and Remove replays probe (newFinder).
+func (e *AllEvaluator) newState() {
+	e.st = newAllState(e.points, e.opt)
+	e.st.finder = newFinder(e.st, e.points.Len())
+}
+
 // Append absorbs a batch of points (copied into the evaluator's own
 // storage) and advances the grouping exactly as a one-shot run would
 // have, had the batch been the next stretch of its input. Under
@@ -242,7 +249,7 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 		return err
 	}
 	if e.st == nil {
-		e.st = newAllState(e.points, e.opt)
+		e.newState()
 	}
 	st := e.st
 	base := e.add(ps)

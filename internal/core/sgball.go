@@ -46,7 +46,8 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 
 // newAllState returns an empty arbitration state over pts (none of them
 // placed yet): a one-shot run's, and the one an AllEvaluator retains
-// and appends to.
+// and appends to. It has no finder yet: run starts one per whole-set
+// pass, and an AllEvaluator keeps its own for appends (newFinder).
 func newAllState(pts *geom.PointSet, opt Options) *sgbAllState {
 	st := &sgbAllState{
 		points:     pts,
@@ -59,7 +60,6 @@ func newAllState(pts *geom.PointSet, opt Options) *sgbAllState {
 	for i := range st.pointGroup {
 		st.pointGroup[i] = -1
 	}
-	st.finder = newFinder(st, pts.Len())
 	return st
 }
 
@@ -99,22 +99,19 @@ func (st *sgbAllState) result(idx []int32) *Result {
 	return res
 }
 
-// run executes one SGB-All pass over the given input order. Under
-// FORM-NEW-GROUP semantics the overlapping points deferred into S′ are
-// grouped by a recursive pass that only considers groups formed at its
-// own recursion stage ("form new groups out of the points in Oset"),
-// exactly as Example 1 creates the singleton group g3{a5}.
+// run executes one whole-set SGB-All pass over the given input order,
+// on a finder of its own (passFinder). Under FORM-NEW-GROUP semantics
+// the overlapping points deferred into S′ are grouped by a recursive
+// pass that only considers groups formed at its own recursion stage
+// ("form new groups out of the points in Oset"), exactly as Example 1
+// creates the singleton group g3{a5}.
 func (st *sgbAllState) run(order []int, depth int) {
 	st.opt.Stats.noteDepth(depth)
-	if depth > 0 {
-		// Groups created before this stage are frozen for candidacy:
-		// the recursive pass must not re-admit deferred points into the
-		// groups that deferred them. A fresh finder has never seen them.
-		// Most deferred points are deferred again, so a stage forms few
-		// groups for its points: its grid starts small and grows.
-		st.stageFloor = len(st.groups)
-		st.finder = newFinder(st, 0)
-	}
+	// Groups created before this stage are frozen for candidacy: the
+	// recursive pass must not re-admit deferred points into the groups
+	// that deferred them. A fresh finder has never seen them.
+	st.stageFloor = len(st.groups)
+	st.finder = st.passFinder(order)
 
 	st.processPoints(order)
 
@@ -210,9 +207,26 @@ func (st *sgbAllState) processOverlap(pi int, overlaps []*group) {
 	}
 }
 
+// passFinder returns the finder of a whole-set pass over order: the
+// grid's sorted cell index over exactly those points (sortedCells,
+// sized once per run and rebuilt for each stage), any other strategy's
+// own finder.
+func (st *sgbAllState) passFinder(order []int) finder {
+	if st.opt.Algorithm != GridIndex {
+		return newFinder(st, 0)
+	}
+	if st.sorted == nil {
+		st.sorted = &sortedCells{}
+	}
+	st.sorted.build(st.points, order, st.opt.Metric, st.key)
+	return newGridFinder(st.opt, st.sorted)
+}
+
 // newFinder instantiates the strategy selected by the options for the
-// groups from st.stageFloor on; sizeHint pre-sizes the grid's directory
-// (grid.NewCap).
+// groups from st.stageFloor on, the grid on a hash grid of its cells
+// that points can join one at a time (an AllEvaluator's); sizeHint
+// pre-sizes its directory (grid.NewCap). Hashed cell keys support any
+// dimensionality, so the grid is the strategy at every d.
 func newFinder(st *sgbAllState, sizeHint int) finder {
 	switch st.opt.Algorithm {
 	case AllPairs:
@@ -222,9 +236,7 @@ func newFinder(st *sgbAllState, sizeHint int) finder {
 	case OnTheFlyIndex:
 		return newIndexedFinder(st.dims, st.stageFloor)
 	case GridIndex:
-		// Hashed cell keys support any dimensionality, so the grid is
-		// the strategy at every d — no R-tree fallback.
-		return newGridFinder(st.dims, st.opt, sizeHint, st.stageFloor)
+		return newGridFinder(st.opt, newHashCells(st.dims, st.opt.Eps, sizeHint))
 	default:
 		panic("core: unknown algorithm")
 	}

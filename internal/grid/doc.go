@@ -3,13 +3,14 @@
 // into axis-aligned cubes of side cellSize; each occupied cell maps to
 // the ids registered in it, and every id is registered in exactly one
 // cell: a point's home cell (a maintained SGB-Any evaluator's index,
-// the SGB-All closure; cellSize = ε) or the home cell of a
-// group's anchor member (the SGB-All finder; cellSize = the reach of its
-// probe, ε or 2ε). Everything within cellSize of a point then lies in
-// the 3^d cell neighborhood of its home cell, so a probe is a handful of
-// directory lookups over contiguous id slabs instead of an R-tree
-// descent. This is the structure behind the GridIndex strategy
-// (internal/core), the fastest on the paper's workloads.
+// the SGB-All closure, a maintained SGB-All grouping's placed members)
+// or the home cell of a group's first member (a maintained JOIN-ANY
+// grouping), with cellSize = ε. Everything within cellSize of a point
+// then lies in the 3^d cell neighborhood of its home cell, so a probe
+// is a handful of directory lookups over contiguous id slabs instead of
+// an R-tree descent. This is the structure behind the GridIndex
+// strategy's maintained evaluators (internal/core); a one-shot run
+// sorts its points into cells instead and hashes nothing.
 //
 // Layout. The directory is a flat, open-addressed hash table whose
 // entries are blocks: up to d = 3 a block is the 2^d cells that share

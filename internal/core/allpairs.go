@@ -17,9 +17,9 @@ func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, o
 		}
 		candidateFlag := true
 		overlapFlag := false
-		for _, m := range gj.members {
+		for m := gj.head; m >= 0; m = st.next[m] {
 			st.opt.Stats.addDist(1)
-			if st.near(pi, m) {
+			if st.near(pi, int(m)) {
 				overlapFlag = true
 			} else {
 				candidateFlag = false

@@ -38,7 +38,8 @@ import (
 // per-point join (anyJoin) finds, and each union is an edge of a
 // spanning forest of them (anyTree.link, when the level keeps one). Its
 // scratch — the sort keys, the cell order, the cell runs — is reused
-// across levels; a level allocates nothing.
+// across levels, and across passes through the pass scratch pool
+// (passScratch); a level allocates nothing.
 //
 // Stats: DistanceComputations counts the keys computed; GroupMerges the
 // unions, a level's inherited ones included, so that it stays
@@ -46,7 +47,7 @@ import (
 // occupied cell): a cell is registered once and looks up its
 // neighbourhood once.
 type cellGraph struct {
-	cellSort
+	*cellSort
 	metric geom.Metric
 	whole  []bool    // cell c's members are one set
 	fwd    []int32   // one cell's forward neighbours
@@ -61,7 +62,8 @@ type cellGraph struct {
 // positions into cells of one side by a radix sort of their cell
 // coordinates, and lists every pair of occupied neighbouring cells once
 // (forward), hashing nothing. Its scratch is sized by reset and
-// reused by every bucket call over the same positions.
+// reused by every bucket call over the same positions, and by the next
+// reset, whatever its dimensionality.
 type cellSort struct {
 	ps     *geom.PointSet
 	maxAbs float64 // the largest |coordinate| of the points sorted
@@ -85,35 +87,42 @@ type cellSort struct {
 // runCellGraph fills every level of f, ascending, with the cell graph
 // over the points of ps at the stored positions pos, ascending (nil:
 // every position), and charges its work to st. f spans every position
-// of ps; the others stay singletons. The scratch is sized once.
+// of ps; the others stay singletons. The scratch comes from the pass
+// scratch pool and goes back to it.
 func runCellGraph(ps *geom.PointSet, metric geom.Metric, pos []int32, f *anyForests, st *Stats) {
-	ids := slices.Clone(pos) // the sort permutes its own copy
+	sc := getPassScratch()
+	g := &sc.graph
+	ids := g.ids[:0] // the sort permutes its own copy
 	if pos == nil {
-		ids = make([]int32, ps.Len())
-		for i := range ids {
-			ids[i] = int32(i)
+		ids = slices.Grow(ids, ps.Len())
+		for i := 0; i < ps.Len(); i++ {
+			ids = append(ids, int32(i))
 		}
+	} else {
+		ids = append(ids, pos...)
 	}
-	g := &cellGraph{metric: metric}
 	g.reset(ps, ids)
+	g.metric, g.stats = metric, Stats{}
 	n := len(ids)
-	g.ends, g.cells = make([]int32, 0, n), make([]int64, 0, n*ps.Dims())
-	g.buf, g.keys, g.whole = make([]int32, 0, n), make([]float64, 0, n), make([]bool, 0, n)
-	g.fwd = make([]int32, 0, 3*len(g.ptrs)+1)
+	g.buf, g.keys, g.whole = slices.Grow(g.buf[:0], n), slices.Grow(g.keys[:0], n), slices.Grow(g.whole[:0], n)
+	g.fwd = slices.Grow(g.fwd[:0], 3*len(g.ptrs)+1)
 	for l := range f.ufs {
 		g.level(f, l)
 	}
 	st.Merge(&g.stats)
+	sc.release()
 }
 
 // reset readies s to sort ids, stored positions of ps, which s takes
 // over (the sort permutes them), keeping the buffers of an earlier
-// reset over a point set of as many dimensions where they are large
-// enough. The cell runs (ends, cells) grow as bucket fills them.
+// reset where they are large enough; only the per-dimension ones (the
+// prefix offsets and their pointers, a column's range and a point's
+// cell row) are made again when the dimensionality changes. The cell
+// runs (ends, cells) grow as bucket fills them.
 func (s *cellSort) reset(ps *geom.PointSet, ids []int32) {
 	n, d := len(ids), ps.Dims()
 	if len(s.lo) != d {
-		*s = cellSort{offs: forwardPrefixes(d)}
+		s.offs = forwardPrefixes(d)
 		s.ptrs = make([]int, len(s.offs)/max(d-1, 1))
 		s.lo, s.width, s.ext, s.row = make([]int64, d), make([]uint, d), make([]float64, 2*d), make([]int64, d)
 	}

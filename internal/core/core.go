@@ -483,7 +483,7 @@ type rng struct{ state uint64 }
 const splitmixGamma = 0x9E3779B97F4A7C15
 
 // newRNG seeds the coordinate-keyed generation of draws.
-func newRNG(seed int64) *rng { return &rng{state: uint64(seed)*splitmixGamma + 2} }
+func newRNG(seed int64) rng { return rng{state: uint64(seed)*splitmixGamma + 2} }
 
 // drawAt returns the uniform draw in [0, n) keyed by p's coordinate
 // bits. r.state never advances.

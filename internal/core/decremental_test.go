@@ -371,7 +371,7 @@ func retainedOf(e *AllEvaluator) retainedState {
 	}
 	for _, id := range st.order {
 		if g := st.groups[id]; g != nil {
-			s.Groups = append(s.Groups, int32s(g.members))
+			s.Groups = append(s.Groups, st.appendMembers(nil, g))
 		}
 	}
 	return s

@@ -82,7 +82,7 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 	st.cands, st.ovs = st.cands[:0], st.ovs[:0]
 	for _, id := range touched {
 		g := st.groups[id]
-		if int(st.hits[id]) == len(g.members) {
+		if st.hits[id] == g.size {
 			st.cands = append(st.cands, g)
 		} else {
 			st.ovs = append(st.ovs, g)
@@ -96,8 +96,8 @@ func (f *gridFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overl
 func (f *gridFinder) placed(st *sgbAllState, g *group, m int) {
 	if f.members {
 		f.add(st, m, int32(m))
-	} else if len(g.members) == 1 {
-		f.add(st, m, int32(g.id))
+	} else if g.size == 1 {
+		f.add(st, m, g.id)
 	}
 }
 
@@ -106,8 +106,8 @@ func (f *gridFinder) placed(st *sgbAllState, g *group, m int) {
 func (f *gridFinder) left(st *sgbAllState, g *group, m int) {
 	if f.members {
 		f.remove(st, m, int32(m))
-	} else if m == g.members[0] {
-		f.remove(st, m, int32(g.id))
+	} else if int32(m) == g.head {
+		f.remove(st, m, g.id)
 	}
 }
 
@@ -132,13 +132,15 @@ func (f *gridFinder) remove(st *sgbAllState, pos int, id int32) {
 // nothing. Every point of the pass is placed at most once in it (a
 // point that leaves a group is eliminated or deferred to the next
 // stage), so a cell's registrants fit in its run of the sort order.
-// One sortedCells serves every stage of a run, its buffers sized once.
+// One sortedCells serves every stage of a run, and its buffers every
+// pass that takes the same pass scratch (passScratch).
 //
-// Besides the sort's own scratch it keeps a cell per point, the
-// neighbourhood lists and a registrant count per cell; the registrant
-// slots are the radix sort's spare id buffer.
+// Besides the sort, which it shares with the pass scratch's cell graph,
+// it keeps a cell per point, the neighbourhood lists and a registrant
+// count per cell; the registrant slots are the radix sort's spare id
+// buffer.
 type sortedCells struct {
-	cellSort
+	*cellSort
 	cellAt []int32 // stored index → its cell, for the pass's points
 	adjAt  []int32 // cell c's neighbourhood, itself first: adj[adjAt[c]:adjAt[c+1]]
 	adj    []int32

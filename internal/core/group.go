@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"github.com/sgb-db/sgb/internal/convexhull"
 	"github.com/sgb-db/sgb/internal/geom"
@@ -10,11 +11,12 @@ import (
 // group is the runtime state of one SGB-All group (the paper's
 // AggHashEntry extension: a tuple store plus the bounding rectangle its
 // ε-All rectangle of Definition 5 is derived from, plus the cached
-// convex hull used by the L2 refinement of Procedure 6).
+// convex hull used by the L2 refinement of Procedure 6). It holds no
+// pointer: the members are a list threaded through the state's next
+// array, the member MBR is the state's rect row of id, and the hull a
+// slot of the state's hull table, so the blocks groups live in cost the
+// collector no scan and their stores no write barrier.
 type group struct {
-	id      int
-	members []int // input indices in join order
-
 	// stamp places the group in creation order as a from-scratch run
 	// numbers it: the stored index of the creating point at stage 0
 	// (arrival order IS processing order there), points.Len() + id at a
@@ -25,16 +27,16 @@ type group struct {
 	// while its creator may precede an untouched group's.
 	stamp int
 
-	// mbr is the minimum bounding rectangle [lo, hi] of the members,
-	// the one rectangle a group keeps: its ε-All rectangle R_{ε-All}
-	// (Definition 5, the intersection of the members' ε-boxes) is
-	// [hi − ε, lo + ε], which classify tests and the R-tree indexes.
-	// The corners view the state's flat rect-row store (rects).
-	mbr geom.Rect
+	id int32
+	// head and tail are the first and last member (stored indices) in
+	// join order, size the member count; st.next[m] follows member m
+	// and is -1 at the tail.
+	head, tail, size int32
 
-	// hull caches the 2-D convex hull for the L2 refinement; it is
-	// rebuilt lazily after membership changes.
-	hull      *convexhull.Hull
+	// hull is 1 + the slot in st.hulls of the cached 2-D convex hull
+	// for the L2 refinement (0: none built yet); it is rebuilt lazily
+	// after membership changes.
+	hull      int32
 	hullDirty bool
 }
 
@@ -48,7 +50,7 @@ type sgbAllState struct {
 
 	groups []*group // live groups by id (nil = deleted)
 	finder finder   // strategy: populates candidate & overlap sets
-	rand   *rng
+	rand   rng
 	cur    int // the point processOne is arbitrating
 
 	// order lists the group ids by stamp, the order result reports them
@@ -64,18 +66,22 @@ type sgbAllState struct {
 	free       []*group
 
 	// rects is the flat structure-of-arrays store of the group member
-	// MBRs: group id g owns the row rects[g*2d : (g+1)*2d] = [lo | hi].
-	// Each group's mbr corners are views into its row, so the in-place
-	// maintenance (ExtendPoint) writes the flat array directly, while
-	// classify's filter step scans rows by id without dereferencing
-	// group structs — the probe loop's former cache-miss hot spot. Rows
-	// of removed groups are poisoned with +Inf so no rectangle test can
-	// pass them.
-	rects []float64
+	// MBRs: group id g owns the row rects[g*2d : (g+1)*2d] = [lo | hi]
+	// (mbrOf). In-place maintenance writes the flat array directly,
+	// while classify's filter step scans rows by id without
+	// dereferencing group structs — the probe loop's former cache-miss
+	// hot spot. Rows of removed groups are poisoned with +Inf so no
+	// rectangle test can pass them. Only a finder that reads the rows
+	// gets them (keepRects, decided by readsRects): under All-Pairs and
+	// the grid's member count rects stays empty.
+	rects     []float64
+	keepRects bool
 
-	// groupBlocks backs allocGroup: group structs pooled in fixed-size
-	// blocks (stable addresses, one allocation per block).
+	// groupBlocks backs allocGroup: group structs in fixed-size blocks
+	// (stable addresses, one allocation per block), the first blocksUsed
+	// of them handed out; a pooled state hands its blocks out again.
 	groupBlocks [][]group
+	blocksUsed  int
 
 	// stageFloor is the first group id of the current FORM-NEW-GROUP
 	// recursion stage (0 at the main pass): points of the deferred set
@@ -92,9 +98,13 @@ type sgbAllState struct {
 
 	// pointGroup maps each placed input index to the id of the group
 	// currently holding it (-1 while unplaced, eliminated, or
-	// deferred). Maintenance is one store per placement.
+	// deferred). Maintenance is one store per placement. A point is in
+	// at most one group, so one next array over stored indices threads
+	// every group's member list.
 	pointGroup []int32
+	next       []int32
 
+	hulls       []convexhull.Hull  // the groups' cached hulls (group.hull)
 	hullPts     []geom.Point       // scratch member-point views for hull rebuilds
 	hullScratch convexhull.Scratch // reusable sort/chain buffers for hull rebuilds
 
@@ -106,10 +116,66 @@ type sgbAllState struct {
 	victim     []bool
 	hits       []int32
 
-	// sorted is the GridIndex cell index of the whole-set passes, kept
-	// from stage to stage so that a run sizes it once (nil until the
-	// first such pass).
-	sorted *sortedCells
+	// scratch is the pass scratch a one-shot run or a FORM-NEW-GROUP
+	// clone was taken from (passScratch: this state is its all, and
+	// run's stages use its sorted cells and grid finder); nil for an
+	// AllEvaluator's retained state, which never runs a whole-set pass.
+	// spare is the order buffer run hands back when its stages end.
+	scratch *passScratch
+	spare   []int
+}
+
+// reset readies st for an empty arbitration over pts (none of them
+// placed yet), keeping every buffer st already has: a pooled one-shot
+// state's and a FORM-NEW-GROUP clone's, and a new AllEvaluator state.
+// pointGroup and next are sized to pts, every point unplaced. The
+// finder is the caller's: run starts one per whole-set pass, and an
+// AllEvaluator keeps its own for appends (newFinder).
+func (st *sgbAllState) reset(pts *geom.PointSet, opt Options) {
+	n := pts.Len()
+	*st = sgbAllState{
+		points:      pts,
+		opt:         opt,
+		dims:        pts.Dims(),
+		key:         opt.Metric.EpsKey(opt.Eps),
+		rand:        newRNG(opt.Seed),
+		keepRects:   readsRects(opt),
+		groups:      st.groups[:0],
+		order:       st.order[:0],
+		elimCause:   st.elimCause[:0],
+		deferCause:  st.deferCause[:0],
+		free:        st.free[:0],
+		rects:       st.rects[:0],
+		groupBlocks: st.groupBlocks,
+		eliminated:  st.eliminated[:0],
+		deferred:    st.deferred[:0],
+		pointGroup:  resized(st.pointGroup, n),
+		next:        resized(st.next, n),
+		hullPts:     st.hullPts[:0],
+		cands:       st.cands[:0],
+		ovs:         st.ovs[:0],
+		victim:      st.victim[:0],
+		hits:        st.hits[:0],
+		scratch:     st.scratch,
+		spare:       st.spare,
+	}
+	for i := range st.pointGroup {
+		st.pointGroup[i] = -1
+	}
+}
+
+// readsRects reports whether the finder opt selects reads the member
+// MBRs: Bounds-Checking, the R-tree and the grid under JOIN-ANY hand
+// group ids to classify; All-Pairs scans members, and the grid under
+// ELIMINATE and FORM-NEW-GROUP counts the members within ε.
+func readsRects(opt Options) bool {
+	switch opt.Algorithm {
+	case BoundsCheck, OnTheFlyIndex:
+		return true
+	case GridIndex:
+		return opt.Overlap == JoinAny
+	}
+	return false
 }
 
 // eliminatePoint records m as dropped by ELIMINATE.
@@ -159,72 +225,95 @@ func (noHooks) groupCreated(*sgbAllState, *group) {}
 func (noHooks) groupChanged(*sgbAllState, *group) {}
 func (noHooks) groupRemoved(*sgbAllState, *group) {}
 
-// rectStride is the flat rect-row width: one rectangle of two corners.
-func (st *sgbAllState) rectStride() int { return 2 * st.dims }
-
-// bindRectRow points g's MBR views at its row of the flat store.
-func (st *sgbAllState) bindRectRow(g *group) {
+// mbrOf returns the views of group id's MBR corners in its row of the
+// flat store, [lo | hi].
+func (st *sgbAllState) mbrOf(id int32) geom.Rect {
 	d := st.dims
-	base := g.id * st.rectStride()
-	row := st.rects[base : base+2*d : base+2*d]
-	g.mbr.Min = geom.Point(row[0*d : 1*d : 1*d])
-	g.mbr.Max = geom.Point(row[1*d : 2*d : 2*d])
+	base := int(id) * 2 * d
+	return geom.Rect{Min: geom.Point(st.rects[base : base+d : base+d]), Max: geom.Point(st.rects[base+d : base+2*d : base+2*d])}
 }
 
-// newRectRow appends g's row to the flat store and initializes it for
-// the singleton {p}. When the append would move the backing array,
-// every live group's views are rebound first — amortized O(1) per
-// group over the geometric growth. The first allocation is sized from
-// the point count known when the first group forms: every point may
-// end a singleton, and on sparse inputs most do, so the doubling (and
-// its rebinds) is skipped where it would run longest; the clamp keeps
-// a huge dense input from reserving rows it will never use.
-func (st *sgbAllState) newRectRow(g *group, p geom.Point) {
-	stride := st.rectStride()
-	if len(st.rects)+stride > cap(st.rects) {
-		newCap := 2 * cap(st.rects)
-		if newCap == 0 {
-			newCap = max(64, min(st.points.Len(), 1<<14)) * stride
-		}
-		grown := make([]float64, len(st.rects), newCap)
-		copy(grown, st.rects)
-		st.rects = grown
-		for _, og := range st.groups {
-			if og != nil {
-				st.bindRectRow(og)
-			}
-		}
+// newRectRow appends group id's row to the flat store, when the finder
+// reads rows, and initializes it for the singleton {p}. The first
+// allocation is sized from the point count known when the first group
+// forms: every point may end a singleton, and on sparse inputs most
+// do, so the doubling is skipped where it would run longest; the clamp
+// keeps a huge dense input from reserving rows it will never use.
+func (st *sgbAllState) newRectRow(id int32, p geom.Point) {
+	if !st.keepRects {
+		return
 	}
-	st.rects = st.rects[:len(st.rects)+stride]
-	st.bindRectRow(g)
-	st.initRectRow(g, p)
+	stride := 2 * st.dims
+	if cap(st.rects) == 0 {
+		st.rects = make([]float64, 0, max(64, min(st.points.Len(), 1<<14))*stride)
+	}
+	st.rects = slices.Grow(st.rects, stride)[:len(st.rects)+stride]
+	st.initRectRow(id, p)
 }
 
-// initRectRow resets g's MBR to the singleton {p}.
-func (st *sgbAllState) initRectRow(g *group, p geom.Point) {
-	copy(g.mbr.Min, p)
-	copy(g.mbr.Max, p)
+// initRectRow resets group id's MBR to the singleton {p}.
+func (st *sgbAllState) initRectRow(id int32, p geom.Point) {
+	if st.keepRects {
+		r := st.mbrOf(id)
+		copy(r.Min, p)
+		copy(r.Max, p)
+	}
+}
+
+// extendRectRow grows group id's MBR to cover p.
+func (st *sgbAllState) extendRectRow(id int32, p geom.Point) {
+	if st.keepRects {
+		r := st.mbrOf(id)
+		r.ExtendPoint(p)
+	}
 }
 
 // poisonRectRow makes every rectangle test fail for a removed group
 // (hi − p and lo − p are +Inf), so a stale id never survives the filter.
-func (st *sgbAllState) poisonRectRow(g *group) {
-	g.mbr.Min[0] = math.Inf(1)
-	g.mbr.Max[0] = math.Inf(1)
+func (st *sgbAllState) poisonRectRow(id int32) {
+	if st.keepRects {
+		r := st.mbrOf(id)
+		r.Min[0], r.Max[0] = math.Inf(1), math.Inf(1)
+	}
 }
 
 // allocGroup hands out group structs from fixed-size blocks: one
-// allocation per groupBlockSize groups instead of one each, and blocks
-// never move, so the *group pointers held in st.groups and the probe
-// buffers stay valid for the state's lifetime.
+// allocation per groupBlockSize groups instead of one each (none once a
+// pooled state's blocks are warm), and blocks never move, so the
+// *group pointers held in st.groups and the probe buffers stay valid
+// for the state's lifetime.
 func (st *sgbAllState) allocGroup() *group {
-	const groupBlockSize = 128
-	if n := len(st.groupBlocks); n == 0 || len(st.groupBlocks[n-1]) == cap(st.groupBlocks[n-1]) {
-		st.groupBlocks = append(st.groupBlocks, make([]group, 0, groupBlockSize))
+	const groupBlockSize = 256
+	if n := st.blocksUsed; n == 0 || len(st.groupBlocks[n-1]) == groupBlockSize {
+		if n == len(st.groupBlocks) {
+			st.groupBlocks = append(st.groupBlocks, make([]group, 0, groupBlockSize))
+		}
+		st.groupBlocks[n] = st.groupBlocks[n][:0]
+		st.blocksUsed++
 	}
-	blk := &st.groupBlocks[len(st.groupBlocks)-1]
+	blk := &st.groupBlocks[st.blocksUsed-1]
 	*blk = append(*blk, group{})
 	return &(*blk)[len(*blk)-1]
+}
+
+// appendMember links m behind g's last member.
+func (st *sgbAllState) appendMember(g *group, m int) {
+	st.next[m] = -1
+	if g.size == 0 {
+		g.head = int32(m)
+	} else {
+		st.next[g.tail] = int32(m)
+	}
+	g.tail = int32(m)
+	g.size++
+}
+
+// appendMembers appends g's members, in join order, to dst.
+func (st *sgbAllState) appendMembers(dst []int32, g *group) []int32 {
+	for m := g.head; m >= 0; m = st.next[m] {
+		dst = append(dst, m)
+	}
+	return dst
 }
 
 // newGroupFor creates a fresh singleton group for point pi, on a
@@ -234,23 +323,23 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 	var g *group
 	if n := len(st.free); n > 0 {
 		g, st.free = st.free[n-1], st.free[:n-1]
-		g.members = append(g.members[:0], pi)
-		st.initRectRow(g, p)
+		st.initRectRow(g.id, p)
 		st.groups[g.id] = g
 	} else {
 		g = st.allocGroup()
-		g.id = len(st.groups)
-		g.members = append(g.members, pi)
-		st.newRectRow(g, p)
+		g.id = int32(len(st.groups))
+		st.newRectRow(g.id, p)
 		st.groups = append(st.groups, g)
 	}
+	g.size = 0
+	st.appendMember(g, pi)
 	g.stamp = pi
 	if st.stageFloor > 0 { // a recursion stage: see group.stamp
-		g.stamp = st.points.Len() + g.id
+		g.stamp = st.points.Len() + int(g.id)
 	}
 	g.hullDirty = true
-	st.pointGroup[pi] = int32(g.id)
-	st.order = append(st.order, int32(g.id))
+	st.pointGroup[pi] = g.id
+	st.order = append(st.order, g.id)
 	st.opt.Stats.addCreated(1)
 	st.finder.groupCreated(st, g)
 	st.finder.placed(st, g, pi)
@@ -261,12 +350,12 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 // become unplaced, the finder forgets it, and its id and storage go to
 // the free list.
 func (st *sgbAllState) retireGroup(g *group) {
-	for _, m := range g.members {
-		st.finder.left(st, g, m)
+	for m := g.head; m >= 0; m = st.next[m] {
+		st.finder.left(st, g, int(m))
 		st.pointGroup[m] = -1
 	}
 	st.groups[g.id] = nil
-	st.poisonRectRow(g)
+	st.poisonRectRow(g.id)
 	st.finder.groupRemoved(st, g)
 	st.free = append(st.free, g)
 }
@@ -290,71 +379,90 @@ func sortByStamp(gs []*group) {
 // maintenance is O(d) per insert, as the paper notes.
 func (st *sgbAllState) insert(pi int, g *group) {
 	p := st.points.At(pi)
-	g.members = append(g.members, pi)
-	st.pointGroup[pi] = int32(g.id)
-	g.mbr.ExtendPoint(p)
+	st.appendMember(g, pi)
+	st.pointGroup[pi] = g.id
+	st.extendRectRow(g.id, p)
 	st.finder.placed(st, g, pi)
 	// The cached convex hull stays valid when the new member lies
 	// inside it — the common case in dense groups, and the reason the
 	// hull refinement's amortized cost stays near the paper's
 	// O(log log k) per test instead of an O(k log k) rebuild per insert.
-	if g.hullDirty || g.hull == nil || len(p) != 2 || !g.hull.Contains(p) {
+	if !g.hullDirty && (g.hull == 0 || len(p) != 2 || !st.hulls[g.hull-1].Contains(p)) {
 		g.hullDirty = true
 	}
 	st.finder.groupChanged(st, g)
 }
 
 // removeMembers deletes from g the members whose victims mark is set
-// (victims is aligned with g.members), rebuilding the group's MBR from
-// the survivors. Empty groups are dropped. Used by ELIMINATE and
-// FORM-NEW-GROUP overlap processing.
+// (victims is aligned with g's members in join order), rebuilding the
+// group's MBR from the survivors. Empty groups are dropped. Used by
+// ELIMINATE and FORM-NEW-GROUP overlap processing.
 func (st *sgbAllState) removeMembers(g *group, victims []bool) {
-	for k, m := range g.members {
+	k := 0
+	for m := g.head; m >= 0; m = st.next[m] {
 		if victims[k] {
-			st.finder.left(st, g, m)
+			st.finder.left(st, g, int(m))
 			st.pointGroup[m] = -1
 		}
+		k++
 	}
-	kept := g.members[:0]
-	for k, m := range g.members {
-		if !victims[k] {
-			kept = append(kept, m)
+	prev := int32(-1)
+	k = 0
+	for m := g.head; m >= 0; k++ {
+		nx := st.next[m]
+		switch {
+		case !victims[k]:
+			prev = m
+		case prev < 0:
+			g.head = nx
+		default:
+			st.next[prev] = nx
 		}
+		if victims[k] {
+			g.size--
+		}
+		m = nx
 	}
-	g.members = kept
-	if len(g.members) == 0 {
+	g.tail = prev
+	if g.size == 0 {
 		st.groups[g.id] = nil
-		st.poisonRectRow(g)
+		st.poisonRectRow(g.id)
 		st.finder.groupRemoved(st, g)
 		return
 	}
-	st.initRectRow(g, st.points.At(g.members[0]))
-	for _, m := range g.members[1:] {
-		g.mbr.ExtendPoint(st.points.At(m))
+	if st.keepRects {
+		st.initRectRow(g.id, st.points.At(int(g.head)))
+		for m := st.next[g.head]; m >= 0; m = st.next[m] {
+			st.extendRectRow(g.id, st.points.At(int(m)))
+		}
 	}
 	g.hullDirty = true
 	st.finder.groupChanged(st, g)
 }
 
 // hullOf returns the cached convex hull of g, rebuilding it if stale.
-// Only meaningful in two dimensions.
+// Only meaningful in two dimensions. The hull is valid until the next
+// hullOf call (a new slot may move the table).
 func (st *sgbAllState) hullOf(g *group) *convexhull.Hull {
-	if g.hullDirty || g.hull == nil {
+	if g.hull == 0 {
+		st.hulls = append(st.hulls, convexhull.Hull{})
+		g.hull = int32(len(st.hulls))
+		g.hullDirty = true
+	}
+	h := &st.hulls[g.hull-1]
+	if g.hullDirty {
 		pts := st.hullPts[:0]
-		for _, m := range g.members {
-			pts = append(pts, st.points.At(m))
+		for m := g.head; m >= 0; m = st.next[m] {
+			pts = append(pts, st.points.At(int(m)))
 		}
 		st.hullPts = pts
-		if g.hull == nil {
-			g.hull = &convexhull.Hull{}
-		}
 		// Rebuild in place: the group's vertex storage and the state's
 		// sort/chain scratch are both reused, so large-group rebuilds
 		// stop allocating once the buffers have grown.
-		st.hullScratch.ComputeInto(g.hull, pts)
+		st.hullScratch.ComputeInto(h, pts)
 		g.hullDirty = false
 	}
-	return g.hull
+	return h
 }
 
 // classify is the filter-and-verify step of Procedures 4–6, shared by
@@ -440,9 +548,9 @@ func (st *sgbAllState) near(i, j int) bool {
 // must hold against every member. The strategy-independent exact check;
 // bounds-based strategies call it only for refinement.
 func (st *sgbAllState) isCandidate(pi int, g *group) bool {
-	for _, m := range g.members {
+	for m := g.head; m >= 0; m = st.next[m] {
 		st.opt.Stats.addDist(1)
-		if !st.near(pi, m) {
+		if !st.near(pi, int(m)) {
 			return false
 		}
 	}
@@ -453,9 +561,9 @@ func (st *sgbAllState) isCandidate(pi int, g *group) bool {
 // g (the OverlapGroups membership criterion, given pi is not a
 // candidate).
 func (st *sgbAllState) overlapsWith(pi int, g *group) bool {
-	for _, m := range g.members {
+	for m := g.head; m >= 0; m = st.next[m] {
 		st.opt.Stats.addDist(1)
-		if st.near(pi, m) {
+		if st.near(pi, int(m)) {
 			return true
 		}
 	}

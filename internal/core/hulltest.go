@@ -28,7 +28,7 @@ func (st *sgbAllState) refine(pi int, g *group) bool {
 	if st.opt.Metric == geom.LInf {
 		return true
 	}
-	if st.dims != 2 || len(g.members) <= smallGroupScan {
+	if st.dims != 2 || g.size <= smallGroupScan {
 		return st.isCandidate(pi, g)
 	}
 	st.opt.Stats.addHull(1)

@@ -61,7 +61,7 @@ func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, ov
 	st.opt.Stats.addProbe(1)
 	f.ids = f.ids[:0]
 	f.ix.Visit(f.win, func(_ geom.Rect, data any) bool {
-		f.ids = append(f.ids, int32(data.(*group).id))
+		f.ids = append(f.ids, data.(*group).id)
 		return true
 	})
 	return st.classify(pi, f.ids)
@@ -77,22 +77,23 @@ func (f *indexedFinder) entry(id int) geom.Rect {
 // epsAllInto writes g's ε-All rectangle, [hi − ε, lo + ε] of its
 // member MBR, into dst: by monotone rounding, bit for bit the
 // intersection of the members' rounded ε-boxes.
-func epsAllInto(dst geom.Rect, g *group, eps float64) {
-	for i := range g.mbr.Min {
-		dst.Min[i], dst.Max[i] = g.mbr.Max[i]-eps, g.mbr.Min[i]+eps
+func epsAllInto(dst geom.Rect, st *sgbAllState, g *group) {
+	mbr, eps := st.mbrOf(g.id), st.opt.Eps
+	for i := range mbr.Min {
+		dst.Min[i], dst.Max[i] = mbr.Max[i]-eps, mbr.Min[i]+eps
 	}
 }
 
 // index stores g under its current ε-All rectangle.
 func (f *indexedFinder) index(st *sgbAllState, g *group) {
-	r := f.entry(g.id)
-	epsAllInto(r, g, st.opt.Eps)
-	f.indexed[g.id-f.base] = true
+	r := f.entry(int(g.id))
+	epsAllInto(r, st, g)
+	f.indexed[int(g.id)-f.base] = true
 	f.ix.Insert(r, g)
 }
 
 func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
-	for len(f.indexed) <= g.id-f.base {
+	for len(f.indexed) <= int(g.id)-f.base {
 		f.indexed = append(f.indexed, false)
 		f.at = append(f.at, make([]float64, 2*f.dims)...)
 	}
@@ -112,11 +113,11 @@ func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
 //     rectangle's sides are bounded below by ε, a group reindexes O(1)
 //     times over its lifetime instead of once per insert.
 func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
-	if !f.indexed[g.id-f.base] {
+	if !f.indexed[int(g.id)-f.base] {
 		return
 	}
-	r := f.entry(g.id)
-	epsAllInto(f.all, g, st.opt.Eps)
+	r := f.entry(int(g.id))
+	epsAllInto(f.all, st, g)
 	if r.ContainsRect(f.all) {
 		if r.Area() <= defaultHysteresis*f.all.Area() {
 			return // still selective enough; keep the stale entry
@@ -133,10 +134,10 @@ func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
 const defaultHysteresis = 1.8
 
 func (f *indexedFinder) groupRemoved(st *sgbAllState, g *group) {
-	if !f.indexed[g.id-f.base] {
+	if !f.indexed[int(g.id)-f.base] {
 		return
 	}
 	st.opt.Stats.addUpdate(1)
-	f.ix.Delete(f.entry(g.id), g)
-	f.indexed[g.id-f.base] = false
+	f.ix.Delete(f.entry(int(g.id)), g)
+	f.indexed[int(g.id)-f.base] = false
 }

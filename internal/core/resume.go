@@ -231,7 +231,8 @@ func (e *AllEvaluator) GroupsAt(eps float64) (*Result, error) {
 // newState starts an empty arbitration state over the log, with the
 // finder appends and Remove replays probe (newFinder).
 func (e *AllEvaluator) newState() {
-	e.st = newAllState(e.points, e.opt)
+	e.st = new(sgbAllState)
+	e.st.reset(e.points, e.opt)
 	e.st.finder = newFinder(e.st, e.points.Len())
 }
 
@@ -256,7 +257,7 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 	n := e.points.Len()
 	e.idxOK = false
 	for i := base; i < n; i++ {
-		st.pointGroup = append(st.pointGroup, -1)
+		st.pointGroup, st.next = append(st.pointGroup, -1), append(st.next, -1)
 		if e.cells != nil {
 			e.cells.AddPoint(e.points.At(i), int32(i))
 		}
@@ -285,66 +286,60 @@ func (e *AllEvaluator) Result() *Result {
 	if st == nil {
 		return &Result{}
 	}
-	if st.opt.Overlap == FormNewGroup && len(st.deferred) > 0 {
-		st = st.finalizeClone()
-		next := st.deferred
-		st.deferred = nil
-		st.run(next, 1)
-	}
 	// Stored indices → live ids. Only live indices can appear: a removal
 	// retires every group and event that names a victim.
-	if e.live == nil {
-		res := st.result(nil)
-		res.Eliminated = slices.Clone(res.Eliminated) // st appends to and filters its own in place
-		return res
-	}
-	if !e.idxOK {
-		n := e.points.Len()
-		e.idx = slices.Grow(e.idx[:0], n)[:n]
-		for k, pos := range e.live {
-			e.idx[pos] = int32(k)
+	var idx []int32
+	if e.live != nil {
+		if !e.idxOK {
+			n := e.points.Len()
+			e.idx = slices.Grow(e.idx[:0], n)[:n]
+			for k, pos := range e.live {
+				e.idx[pos] = int32(k)
+			}
+			e.idxOK = true
 		}
-		e.idxOK = true
+		idx = e.idx
 	}
-	return st.result(e.idx)
+	if st.opt.Overlap != FormNewGroup || len(st.deferred) == 0 {
+		return st.result(idx)
+	}
+	cl := st.finalizeClone()
+	cl.run(cl.spare, 1)
+	res := cl.result(idx)
+	cl.scratch.release()
+	return res
 }
 
-// finalizeClone snapshots the main-pass state deeply enough that the
-// FORM-NEW-GROUP recursion can run to completion on the copy without
-// touching the retained originals: group structs are copied (frozen
-// groups are immutable at depth ≥ 1, so a copy shares its members and
-// hull with the original; only its rectangle views move to the clone's
-// rows, and the R-tree's entries live in the finder), bookkeeping
-// slices are copied (the recursion appends groups and placements),
-// and the finder is left to the recursion, whose every stage starts a
-// fresh one (run). Points are shared read-only.
+// finalizeClone snapshots the main-pass state, on a state from the
+// pass scratch pool, deeply enough that the FORM-NEW-GROUP recursion can
+// run to completion on the copy without touching the retained
+// originals: group structs are copied (frozen groups are immutable at
+// depth ≥ 1 and never probed, so a copy needs no hull; the R-tree's
+// entries live in the finder), bookkeeping slices are copied (the
+// recursion appends groups, placements and members), and the finder is
+// left to the recursion, whose every stage starts a fresh one (run).
+// The deferred set S′ is the clone's spare order, the one run takes.
+// Points are shared read-only.
 func (st *sgbAllState) finalizeClone() *sgbAllState {
-	cl := &sgbAllState{
-		points:     st.points,
-		opt:        st.opt,
-		dims:       st.dims,
-		key:        st.key,
-		rand:       &rng{state: st.rand.state},
-		groups:     make([]*group, len(st.groups)),
-		eliminated: append([]int(nil), st.eliminated...),
-		deferred:   append([]int(nil), st.deferred...),
-		pointGroup: append([]int32(nil), st.pointGroup...),
-		rects:      append([]float64(nil), st.rects...),
-		// The recursion's groups join the creation order behind the
-		// retained ones; a clone is never spliced, so its causes go
-		// unread, and with no free list its ids keep growing (group.stamp).
-		order: append([]int32(nil), st.order...),
-	}
-	for i, g := range st.groups {
-		if g == nil {
-			continue
+	cl := getPassScratch().allState(st.points, st.opt)
+	cl.rand = st.rand
+	cl.pointGroup = append(cl.pointGroup[:0], st.pointGroup...)
+	cl.next = append(cl.next[:0], st.next...)
+	cl.rects = append(cl.rects, st.rects...)
+	cl.eliminated = append(cl.eliminated, st.eliminated...)
+	cl.spare = append(cl.spare[:0], st.deferred...)
+	// The recursion's groups join the creation order behind the retained
+	// ones; a clone is never spliced, so its causes go unread, and with
+	// no free list its ids keep growing (group.stamp).
+	cl.order = append(cl.order, st.order...)
+	for _, g := range st.groups {
+		var g2 *group
+		if g != nil {
+			g2 = cl.allocGroup()
+			*g2 = *g
+			g2.hull = 0
 		}
-		g2 := *g
-		cl.groups[i] = &g2
-		// Rebind the copy's rectangle views into the clone's own rect
-		// store, so the recursion's appends cannot alias the retained
-		// rows.
-		cl.bindRectRow(cl.groups[i])
+		cl.groups = append(cl.groups, g2)
 	}
 	return cl
 }

@@ -35,93 +35,84 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 	if err := checkCoords(ps, opt.Eps); err != nil {
 		return nil, err
 	}
-	st := newAllState(ps, opt)
-	order := make([]int, ps.Len())
+	sc := getPassScratch()
+	st := sc.allState(ps, opt)
+	order := resized(st.spare, ps.Len())
 	for i := range order {
 		order[i] = i
 	}
 	st.run(order, 0)
-	return st.result(nil), nil
-}
-
-// newAllState returns an empty arbitration state over pts (none of them
-// placed yet): a one-shot run's, and the one an AllEvaluator retains
-// and appends to. It has no finder yet: run starts one per whole-set
-// pass, and an AllEvaluator keeps its own for appends (newFinder).
-func newAllState(pts *geom.PointSet, opt Options) *sgbAllState {
-	st := &sgbAllState{
-		points:     pts,
-		opt:        opt,
-		dims:       pts.Dims(),
-		key:        opt.Metric.EpsKey(opt.Eps),
-		rand:       newRNG(opt.Seed),
-		pointGroup: make([]int32, pts.Len()),
-	}
-	for i := range st.pointGroup {
-		st.pointGroup[i] = -1
-	}
-	return st
+	res := st.result(nil)
+	sc.release()
+	return res, nil
 }
 
 // result materializes the grouping: the groups in creation order (the
 // order list), members as idx maps their stored indices (nil: they are
-// the output ids), in one run sized exactly. With idx nil the
-// eliminated list is handed over, not copied.
+// the output ids), in one run sized exactly, and the eliminated points
+// in a list of its own: the Result shares nothing with the state.
 func (st *sgbAllState) result(idx []int32) *Result {
 	n, k := 0, 0
 	for _, id := range st.order {
 		if g := st.groups[id]; g != nil {
-			n, k = n+len(g.members), k+1
+			n, k = n+int(g.size), k+1
 		}
 	}
 	members, ends := make([]int32, 0, n), make([]int32, 0, k)
 	for _, id := range st.order {
 		if g := st.groups[id]; g != nil {
-			for _, m := range g.members {
-				if idx != nil {
-					m = int(idx[m])
-				}
-				members = append(members, int32(m))
-			}
+			members = st.appendMembers(members, g)
 			ends = append(ends, int32(len(members)))
+		}
+	}
+	if idx != nil {
+		for i, m := range members {
+			members[i] = idx[m]
 		}
 	}
 	res := newResult(members, ends)
 	if len(st.eliminated) > 0 {
-		res.Eliminated = st.eliminated
-		if idx != nil {
-			res.Eliminated = make([]int, len(st.eliminated))
-			for i, m := range st.eliminated {
-				res.Eliminated[i] = int(idx[m])
+		res.Eliminated = make([]int, len(st.eliminated))
+		for i, m := range st.eliminated {
+			if idx != nil {
+				m = int(idx[m])
 			}
+			res.Eliminated[i] = m
 		}
 	}
 	return res
 }
 
-// run executes one whole-set SGB-All pass over the given input order,
-// on a finder of its own (passFinder). Under FORM-NEW-GROUP semantics
-// the overlapping points deferred into S′ are grouped by a recursive
-// pass that only considers groups formed at its own recursion stage
-// ("form new groups out of the points in Oset"), exactly as Example 1
-// creates the singleton group g3{a5}.
+// run executes the whole-set SGB-All passes over the given input order,
+// each on a finder of its own (passFinder), on a state taken from the
+// pass scratch pool. Under FORM-NEW-GROUP semantics the overlapping
+// points deferred into S′ are grouped by a further pass that only
+// considers groups formed at its own recursion stage ("form new groups
+// out of the points in Oset"), exactly as Example 1 creates the
+// singleton group g3{a5}; each stage defers into the buffer of the
+// order the stage before it ran, and the last one's is kept (spare).
 func (st *sgbAllState) run(order []int, depth int) {
-	st.opt.Stats.noteDepth(depth)
-	// Groups created before this stage are frozen for candidacy: the
-	// recursive pass must not re-admit deferred points into the groups
-	// that deferred them. A fresh finder has never seen them.
-	st.stageFloor = len(st.groups)
-	st.finder = st.passFinder(order)
+	for {
+		st.opt.Stats.noteDepth(depth)
+		// Groups created before this stage are frozen for candidacy: the
+		// recursive pass must not re-admit deferred points into the
+		// groups that deferred them. A fresh finder has never seen them.
+		st.stageFloor = len(st.groups)
+		st.finder = st.passFinder(order)
 
-	st.processPoints(order)
+		st.processPoints(order)
 
-	// FORM-NEW-GROUP: recursively group the deferred set S′ until it is
-	// empty. Each stage strictly shrinks S′ (a deferred point implies at
-	// least two placed points at its stage), so the recursion terminates.
-	if st.opt.Overlap == FormNewGroup && len(st.deferred) > 0 {
-		next := st.deferred
-		st.deferred = nil
-		st.run(next, depth+1)
+		// FORM-NEW-GROUP: group the deferred set S′ again until it is
+		// empty. Each stage strictly shrinks S′ (a deferred point implies
+		// at least two placed points at its stage), so the recursion
+		// terminates.
+		if st.opt.Overlap != FormNewGroup || len(st.deferred) == 0 {
+			st.spare = order
+			return
+		}
+		order, st.deferred = st.deferred, order[:0]
+		st.deferCause = st.deferCause[:0]
+		depth++
 	}
 }
 
@@ -182,9 +173,9 @@ func (st *sgbAllState) processOverlap(pi int, overlaps []*group) {
 	for _, g := range overlaps {
 		victim := st.victim[:0]
 		hit := false
-		for _, m := range g.members {
+		for m := g.head; m >= 0; m = st.next[m] {
 			st.opt.Stats.addDist(1)
-			v := st.near(pi, m)
+			v := st.near(pi, int(m))
 			victim = append(victim, v)
 			hit = hit || v
 		}
@@ -192,16 +183,17 @@ func (st *sgbAllState) processOverlap(pi int, overlaps []*group) {
 		if !hit {
 			continue
 		}
-		for k, m := range g.members {
-			if !victim[k] {
-				continue
+		k := 0
+		for m := g.head; m >= 0; m = st.next[m] {
+			if victim[k] {
+				switch st.opt.Overlap {
+				case Eliminate:
+					st.eliminatePoint(int(m))
+				case FormNewGroup:
+					st.deferPoint(int(m))
+				}
 			}
-			switch st.opt.Overlap {
-			case Eliminate:
-				st.eliminatePoint(m)
-			case FormNewGroup:
-				st.deferPoint(m)
-			}
+			k++
 		}
 		st.removeMembers(g, victim)
 	}
@@ -209,17 +201,17 @@ func (st *sgbAllState) processOverlap(pi int, overlaps []*group) {
 
 // passFinder returns the finder of a whole-set pass over order: the
 // grid's sorted cell index over exactly those points (sortedCells,
-// sized once per run and rebuilt for each stage), any other strategy's
-// own finder.
+// the pass scratch's, rebuilt for each stage), any other strategy's own
+// finder.
 func (st *sgbAllState) passFinder(order []int) finder {
 	if st.opt.Algorithm != GridIndex {
 		return newFinder(st, 0)
 	}
-	if st.sorted == nil {
-		st.sorted = &sortedCells{}
-	}
-	st.sorted.build(st.points, order, st.opt.Metric, st.key)
-	return newGridFinder(st.opt, st.sorted)
+	sc := st.scratch
+	sc.sorted.build(st.points, order, st.opt.Metric, st.key)
+	sc.grid = gridFinder{cells: &sc.sorted, members: st.opt.Overlap != JoinAny,
+		ids: sc.grid.ids[:0], keys: sc.grid.keys[:0], touched: sc.grid.touched[:0]}
+	return &sc.grid
 }
 
 // newFinder instantiates the strategy selected by the options for the

@@ -11,7 +11,7 @@ type allPairsFinder struct {
 
 func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
-	for _, gj := range st.groups[st.stageFloor:] {
+	for _, gj := range st.groups {
 		if gj == nil {
 			continue
 		}

@@ -5,7 +5,7 @@ package core
 // rectangle (Definition 5) follows, so deciding candidacy takes O(d)
 // comparisons per group
 // instead of one per member — O(n·|G|) overall (Table 1). It hands
-// every live group of the current stage to classify.
+// every live group to classify.
 type boundsFinder struct {
 	noHooks
 	ids []int32 // live group ids, reused across probes
@@ -13,8 +13,8 @@ type boundsFinder struct {
 
 func (f *boundsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	f.ids = f.ids[:0]
-	for id := st.stageFloor; id < len(st.groups); id++ {
-		if st.groups[id] != nil {
+	for id, g := range st.groups {
+		if g != nil {
 			f.ids = append(f.ids, int32(id))
 		}
 	}

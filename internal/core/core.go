@@ -21,7 +21,8 @@ const (
 	// set Oset are eliminated from the output).
 	Eliminate
 	// FormNewGroup collects overlapping points into a temporary set S′
-	// and recursively runs SGB-All on S′ to form new groups.
+	// and runs SGB-All again on S′ alone, from an empty group set, until
+	// S′ is empty: each stage's groups follow the stage's before it.
 	FormNewGroup
 )
 

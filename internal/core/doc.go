@@ -66,6 +66,12 @@
 //     order, so the JOIN-ANY arbitration consumes identical PRNG draws
 //     regardless of strategy or batching — groupings are
 //     bit-identical for equal seeds.
+//   - FORM-NEW-GROUP is SGB-All run again on the deferred set S′ alone
+//     (sgbAllState.run): every stage arbitrates from an empty group set
+//     of its own, and its groups are final when it ends. An
+//     AllEvaluator retains the main pass only; its Result emits the
+//     retained groups, then runs the recursion over a copy of S′ on a
+//     pass-scratch state (passScratch).
 //   - Each group's ε-All bounding rectangle (Definition 5) is the
 //     intersection of its members' ε-boxes, [hi − ε, lo + ε] of the
 //     member MBR, the one rectangle a group keeps. A point inside it

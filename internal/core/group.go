@@ -19,12 +19,13 @@ import (
 type group struct {
 	// stamp places the group in creation order as a from-scratch run
 	// numbers it: the stored index of the creating point at stage 0
-	// (arrival order IS processing order there), points.Len() + id at a
-	// FORM-NEW-GROUP recursion stage (later than every stage-0 stamp,
-	// and ids only grow within a recursion). Candidate enumeration and
-	// Result order by it, not by id: after a decremental splice
-	// (decremental.go) a re-created group holds a recycled or fresh id
-	// while its creator may precede an untouched group's.
+	// (arrival order IS processing order there), its id at a
+	// FORM-NEW-GROUP recursion stage (S′ is in deferral order, but a
+	// stage starts from an empty group set and recycles no id).
+	// Candidate enumeration and Result order by it, not by id: after a
+	// decremental splice (decremental.go) a re-created group holds a
+	// recycled or fresh id while its creator may precede an untouched
+	// group's.
 	stamp int
 
 	id int32
@@ -40,8 +41,8 @@ type group struct {
 	hullDirty bool
 }
 
-// sgbAllState carries the evolving group set plus the evaluation
-// context shared by all SGB-All strategies.
+// sgbAllState carries the evolving group set of one SGB-All pass plus
+// the evaluation context shared by all SGB-All strategies.
 type sgbAllState struct {
 	points *geom.PointSet
 	opt    Options
@@ -83,15 +84,12 @@ type sgbAllState struct {
 	groupBlocks [][]group
 	blocksUsed  int
 
-	// stageFloor is the first group id of the current FORM-NEW-GROUP
-	// recursion stage (0 at the main pass): points of the deferred set
-	// S′ form new groups among themselves only (Example 1 puts the
-	// overlapping point a5 into a fresh singleton group g3 even though
-	// it is within ε of g1 and g2). Bounds-Checking and All-Pairs start
-	// their scans there, the index-backed finders, fresh at each stage
-	// (run), number their per-group state from it, and newGroupFor
-	// stamps a stage's groups by it.
-	stageFloor int
+	// depth is the FORM-NEW-GROUP recursion stage the groups belong to
+	// (0 at the main pass), by which newGroupFor stamps them; outMembers
+	// and outEnds are the member run of the stages before it, in the
+	// layout of Result, which the stage's groups follow (run, result).
+	depth               int
+	outMembers, outEnds []int32
 
 	eliminated []int // points dropped by ELIMINATE
 	deferred   []int // S′: points deferred by FORM-NEW-GROUP
@@ -116,18 +114,19 @@ type sgbAllState struct {
 	victim     []bool
 	hits       []int32
 
-	// scratch is the pass scratch a one-shot run or a FORM-NEW-GROUP
-	// clone was taken from (passScratch: this state is its all, and
-	// run's stages use its sorted cells and grid finder); nil for an
-	// AllEvaluator's retained state, which never runs a whole-set pass.
+	// scratch is the pass scratch a one-shot run or an AllEvaluator's
+	// FORM-NEW-GROUP recursion was taken from (passScratch: this state
+	// is its all, and run's stages use its sorted cells and grid
+	// finder); nil for an AllEvaluator's retained state, which never
+	// runs a whole-set pass.
 	// spare is the order buffer run hands back when its stages end.
 	scratch *passScratch
 	spare   []int
 }
 
 // reset readies st for an empty arbitration over pts (none of them
-// placed yet), keeping every buffer st already has: a pooled one-shot
-// state's and a FORM-NEW-GROUP clone's, and a new AllEvaluator state.
+// placed yet), keeping every buffer st already has: a pooled pass
+// state's, and a new AllEvaluator state.
 // pointGroup and next are sized to pts, every point unplaced. The
 // finder is the caller's: run starts one per whole-set pass, and an
 // AllEvaluator keeps its own for appends (newFinder).
@@ -156,6 +155,8 @@ func (st *sgbAllState) reset(pts *geom.PointSet, opt Options) {
 		ovs:         st.ovs[:0],
 		victim:      st.victim[:0],
 		hits:        st.hits[:0],
+		outMembers:  st.outMembers[:0],
+		outEnds:     st.outEnds[:0],
 		scratch:     st.scratch,
 		spare:       st.spare,
 	}
@@ -192,9 +193,7 @@ func (st *sgbAllState) deferPoint(m int) {
 
 // finder abstracts FindCloseGroups over the strategies. Every
 // whole-set pass — a one-shot run and each FORM-NEW-GROUP recursion
-// stage — starts a fresh one (run), so the groups an index-backed
-// finder answers with are its own pass's; the Bounds-Checking and
-// All-Pairs scans start at the stage floor.
+// stage — starts a fresh one on an empty group set (run).
 type finder interface {
 	// findCloseGroups fills candidates with groups pi may join (the
 	// similarity predicate holds against every member) and, when the
@@ -203,27 +202,24 @@ type finder interface {
 	// returned slices are only valid until the next findCloseGroups
 	// call (they are reused across probes).
 	findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group)
-	// placed and left report a member joining g (its first when g is
-	// new) and, before g's member list changes, one leaving it; the
-	// grid registers members or anchors by them. groupCreated /
-	// groupChanged / groupRemoved report whole-group mutations, which
-	// the R-tree indexes.
+	// placed reports m joining g once g's MBR covers it (its first
+	// member when g.size is 1), left one leaving g before g's member
+	// list changes, and changed g after members left it, with its MBR
+	// rebuilt, or after it was dropped (st.groups[g.id] is nil). The
+	// grid registers members or anchors by placed and left, the R-tree
+	// indexes groups by placed and changed.
 	placed(st *sgbAllState, g *group, m int)
 	left(st *sgbAllState, g *group, m int)
-	groupCreated(st *sgbAllState, g *group)
-	groupChanged(st *sgbAllState, g *group)
-	groupRemoved(st *sgbAllState, g *group)
+	changed(st *sgbAllState, g *group)
 }
 
 // noHooks is the finder hooks of a finder that keeps nothing for an
 // event; each finder embeds it and overrides what it keeps.
 type noHooks struct{}
 
-func (noHooks) placed(*sgbAllState, *group, int)  {}
-func (noHooks) left(*sgbAllState, *group, int)    {}
-func (noHooks) groupCreated(*sgbAllState, *group) {}
-func (noHooks) groupChanged(*sgbAllState, *group) {}
-func (noHooks) groupRemoved(*sgbAllState, *group) {}
+func (noHooks) placed(*sgbAllState, *group, int) {}
+func (noHooks) left(*sgbAllState, *group, int)   {}
+func (noHooks) changed(*sgbAllState, *group)     {}
 
 // mbrOf returns the views of group id's MBR corners in its row of the
 // flat store, [lo | hi].
@@ -316,6 +312,35 @@ func (st *sgbAllState) appendMembers(dst []int32, g *group) []int32 {
 	return dst
 }
 
+// appendGroups appends the groups, in creation order (the order list),
+// to a member run and its ends, as Result lays them out.
+func (st *sgbAllState) appendGroups(members, ends []int32) ([]int32, []int32) {
+	for _, id := range st.order {
+		if g := st.groups[id]; g != nil {
+			members = st.appendMembers(members, g)
+			ends = append(ends, int32(len(members)))
+		}
+	}
+	return members, ends
+}
+
+// endStage closes a FORM-NEW-GROUP stage: its groups are final, so they
+// join the member run (outMembers) and are dropped — their members
+// unplaced, their group blocks, rect rows and hull slots handed out
+// again by the next stage, which starts from an empty group set.
+func (st *sgbAllState) endStage() {
+	st.outMembers, st.outEnds = st.appendGroups(st.outMembers, st.outEnds)
+	for _, g := range st.groups {
+		if g != nil {
+			for m := g.head; m >= 0; m = st.next[m] {
+				st.pointGroup[m] = -1
+			}
+		}
+	}
+	st.groups, st.order, st.rects, st.hulls = st.groups[:0], st.order[:0], st.rects[:0], st.hulls[:0]
+	st.blocksUsed = 0
+}
+
 // newGroupFor creates a fresh singleton group for point pi, on a
 // retired group's id and storage when the decremental splice left one.
 func (st *sgbAllState) newGroupFor(pi int) *group {
@@ -334,14 +359,13 @@ func (st *sgbAllState) newGroupFor(pi int) *group {
 	g.size = 0
 	st.appendMember(g, pi)
 	g.stamp = pi
-	if st.stageFloor > 0 { // a recursion stage: see group.stamp
-		g.stamp = st.points.Len() + int(g.id)
+	if st.depth > 0 { // a recursion stage: see group.stamp
+		g.stamp = int(g.id)
 	}
 	g.hullDirty = true
 	st.pointGroup[pi] = g.id
 	st.order = append(st.order, g.id)
 	st.opt.Stats.addCreated(1)
-	st.finder.groupCreated(st, g)
 	st.finder.placed(st, g, pi)
 	return g
 }
@@ -356,7 +380,7 @@ func (st *sgbAllState) retireGroup(g *group) {
 	}
 	st.groups[g.id] = nil
 	st.poisonRectRow(g.id)
-	st.finder.groupRemoved(st, g)
+	st.finder.changed(st, g)
 	st.free = append(st.free, g)
 }
 
@@ -390,7 +414,6 @@ func (st *sgbAllState) insert(pi int, g *group) {
 	if !g.hullDirty && (g.hull == 0 || len(p) != 2 || !st.hulls[g.hull-1].Contains(p)) {
 		g.hullDirty = true
 	}
-	st.finder.groupChanged(st, g)
 }
 
 // removeMembers deletes from g the members whose victims mark is set
@@ -427,17 +450,14 @@ func (st *sgbAllState) removeMembers(g *group, victims []bool) {
 	if g.size == 0 {
 		st.groups[g.id] = nil
 		st.poisonRectRow(g.id)
-		st.finder.groupRemoved(st, g)
-		return
-	}
-	if st.keepRects {
+	} else if st.keepRects {
 		st.initRectRow(g.id, st.points.At(int(g.head)))
 		for m := st.next[g.head]; m >= 0; m = st.next[m] {
 			st.extendRectRow(g.id, st.points.At(int(m)))
 		}
 	}
 	g.hullDirty = true
-	st.finder.groupChanged(st, g)
+	st.finder.changed(st, g)
 }
 
 // hullOf returns the cached convex hull of g, rebuilding it if stale.
@@ -445,7 +465,7 @@ func (st *sgbAllState) removeMembers(g *group, victims []bool) {
 // hullOf call (a new slot may move the table).
 func (st *sgbAllState) hullOf(g *group) *convexhull.Hull {
 	if g.hull == 0 {
-		st.hulls = append(st.hulls, convexhull.Hull{})
+		st.hulls = slices.Grow(st.hulls, 1)[:len(st.hulls)+1] // a dropped stage's slot keeps its storage
 		g.hull = int32(len(st.hulls))
 		g.hullDirty = true
 	}

@@ -18,32 +18,29 @@ type indexedFinder struct {
 	noHooks
 	ix   *rtree.Tree
 	dims int
-	base int // the first group id the finder sees: its stage's floor
 
-	// at is a flat store of one [Min | Max] row per group id from
-	// base: the rectangle the group is stored under in Groups_IX (its
-	// ε-All rectangle when last indexed), so delete-before-reinsert
-	// removes the right entry. indexed[id−base] says whether the entry
-	// exists (not while the group is removed). Rows are overwritten in
-	// place: the R-tree keeps copies of its own.
-	at      []float64
-	indexed []bool
+	// at is a flat store of one [Min | Max] row per group id: the
+	// rectangle the group is stored under in Groups_IX (its ε-All
+	// rectangle when last indexed), so delete-before-reinsert removes
+	// the right entry. Rows are overwritten in place: the R-tree keeps
+	// copies of its own.
+	at []float64
 
 	// Buffers reused across probes: the window-query hit ids (collected
 	// via Visit, so hits never round-trip through []any), the padded
-	// window the R-tree is queried with, and groupChanged's current
-	// ε-All rectangle.
+	// window the R-tree is queried with, and refresh's current ε-All
+	// rectangle.
 	ids []int32
 	win geom.Rect
 	all geom.Rect
 }
 
-func newIndexedFinder(dims, base int) *indexedFinder {
+func newIndexedFinder(dims int) *indexedFinder {
 	if dims == 0 {
 		dims = 1
 	}
 	all := make([]float64, 2*dims)
-	return &indexedFinder{ix: rtree.New(dims), dims: dims, base: base,
+	return &indexedFinder{ix: rtree.New(dims), dims: dims,
 		all: geom.Rect{Min: all[:dims:dims], Max: all[dims:]}}
 }
 
@@ -68,9 +65,9 @@ func (f *indexedFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, ov
 }
 
 // entry returns the view of group id's row in at.
-func (f *indexedFinder) entry(id int) geom.Rect {
+func (f *indexedFinder) entry(id int32) geom.Rect {
 	d := f.dims
-	b := 2 * d * (id - f.base)
+	b := 2 * d * int(id)
 	return geom.Rect{Min: f.at[b : b+d : b+d], Max: f.at[b+d : b+2*d : b+2*d]}
 }
 
@@ -86,25 +83,40 @@ func epsAllInto(dst geom.Rect, st *sgbAllState, g *group) {
 
 // index stores g under its current ε-All rectangle.
 func (f *indexedFinder) index(st *sgbAllState, g *group) {
-	r := f.entry(int(g.id))
+	r := f.entry(g.id)
 	epsAllInto(r, st, g)
-	f.indexed[int(g.id)-f.base] = true
 	f.ix.Insert(r, g)
 }
 
-func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
-	for len(f.indexed) <= int(g.id)-f.base {
-		f.indexed = append(f.indexed, false)
-		f.at = append(f.at, make([]float64, 2*f.dims)...)
+// placed indexes a group its first member founds and refreshes the
+// entry of one a member joined.
+func (f *indexedFinder) placed(st *sgbAllState, g *group, _ int) {
+	if g.size > 1 {
+		f.refresh(st, g)
+		return
+	}
+	if n := 2 * f.dims * (int(g.id) + 1); len(f.at) < n {
+		f.at = append(f.at, make([]float64, n-len(f.at))...)
 	}
 	st.opt.Stats.addUpdate(1)
 	f.index(st, g)
 }
 
-// groupChanged refreshes g's entry after a membership change. The
-// window query only needs the indexed rectangle to CONTAIN the true
-// ε-All rectangle (hits are verified exactly afterwards), so the entry
-// is refreshed lazily:
+// changed drops a dropped group's entry and refreshes the entry of one
+// members left.
+func (f *indexedFinder) changed(st *sgbAllState, g *group) {
+	if st.groups[g.id] == nil {
+		st.opt.Stats.addUpdate(1)
+		f.ix.Delete(f.entry(g.id), g)
+		return
+	}
+	f.refresh(st, g)
+}
+
+// refresh updates g's entry after a membership change. The window
+// query only needs the indexed rectangle to CONTAIN the true ε-All
+// rectangle (hits are verified exactly afterwards), so the entry is
+// refreshed lazily:
 //
 //   - a removal can grow the ε-All rectangle beyond the indexed one —
 //     reindex immediately (correctness);
@@ -112,11 +124,8 @@ func (f *indexedFinder) groupCreated(st *sgbAllState, g *group) {
 //     has become noticeably less selective (area hysteresis). Since the
 //     rectangle's sides are bounded below by ε, a group reindexes O(1)
 //     times over its lifetime instead of once per insert.
-func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
-	if !f.indexed[int(g.id)-f.base] {
-		return
-	}
-	r := f.entry(int(g.id))
+func (f *indexedFinder) refresh(st *sgbAllState, g *group) {
+	r := f.entry(g.id)
 	epsAllInto(f.all, st, g)
 	if r.ContainsRect(f.all) {
 		if r.Area() <= defaultHysteresis*f.all.Area() {
@@ -132,12 +141,3 @@ func (f *indexedFinder) groupChanged(st *sgbAllState, g *group) {
 // rectangles: the entry is refreshed once its area exceeds this
 // multiple of the true ε-All rectangle's area.
 const defaultHysteresis = 1.8
-
-func (f *indexedFinder) groupRemoved(st *sgbAllState, g *group) {
-	if !f.indexed[int(g.id)-f.base] {
-		return
-	}
-	st.opt.Stats.addUpdate(1)
-	f.ix.Delete(f.entry(int(g.id)), g)
-	f.indexed[int(g.id)-f.base] = false
-}

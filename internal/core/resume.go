@@ -33,8 +33,9 @@ import (
 // order, so the live ε-grid plus Union-Find just keeps absorbing
 // points. SGB-All is order-SENSITIVE by design, but its processing
 // order is exactly arrival order, which appends extend — the only
-// subtlety is FORM-NEW-GROUP's end-of-input recursion, finalized on a
-// throwaway clone so the retained main-pass state stays appendable.
+// subtlety is FORM-NEW-GROUP's end-of-input recursion, which runs
+// SGB-All again on the deferred set S′ on a pass state of its own, so
+// the retained main-pass state stays appendable.
 
 // pointLog is what both maintained evaluators keep of their points:
 // the append-only log in stored order, the live ids over it, and the
@@ -271,10 +272,11 @@ func (e *AllEvaluator) Append(ps *geom.PointSet) error {
 // Result materializes the current grouping, equivalent to a one-shot
 // evaluation over every live point in arrival order (identical groups
 // and member order; identical PRNG draws under JOIN-ANY for equal
-// seeds). Under FORM-NEW-GROUP the deferred set is resolved on a clone
-// of the retained state, so calling Result neither perturbs future
-// appends nor later Results — but it does replay that recursion each
-// call (and re-counts it into Options.Stats, when attached). Groups come
+// seeds). Under FORM-NEW-GROUP the retained groups come first, and
+// then the groups of SGB-All run again on the deferred set S′, on a
+// pass state of its own, so calling Result neither perturbs future
+// appends nor later Results — but it does run that recursion each call
+// (and re-counts it into Options.Stats, when attached). Groups come
 // in creation order — the retained order list, not id order — and
 // member and Eliminated ids are live ids: compact indices over the
 // surviving points in arrival order, exactly as a from-scratch run over
@@ -303,45 +305,16 @@ func (e *AllEvaluator) Result() *Result {
 	if st.opt.Overlap != FormNewGroup || len(st.deferred) == 0 {
 		return st.result(idx)
 	}
-	cl := st.finalizeClone()
-	cl.run(cl.spare, 1)
+	// FORM-NEW-GROUP: the retained groups are final, and SGB-All runs
+	// again on S′ (a copy of deferred) from depth 1, on a pass-scratch
+	// state that holds none of them.
+	sc := getPassScratch()
+	cl := sc.allState(st.points, st.opt)
+	cl.outMembers, cl.outEnds = st.appendGroups(cl.outMembers, cl.outEnds)
+	cl.run(append(cl.spare[:0], st.deferred...), 1)
 	res := cl.result(idx)
-	cl.scratch.release()
+	sc.release()
 	return res
-}
-
-// finalizeClone snapshots the main-pass state, on a state from the
-// pass scratch pool, deeply enough that the FORM-NEW-GROUP recursion can
-// run to completion on the copy without touching the retained
-// originals: group structs are copied (frozen groups are immutable at
-// depth ≥ 1 and never probed, so a copy needs no hull; the R-tree's
-// entries live in the finder), bookkeeping slices are copied (the
-// recursion appends groups, placements and members), and the finder is
-// left to the recursion, whose every stage starts a fresh one (run).
-// The deferred set S′ is the clone's spare order, the one run takes.
-// Points are shared read-only.
-func (st *sgbAllState) finalizeClone() *sgbAllState {
-	cl := getPassScratch().allState(st.points, st.opt)
-	cl.rand = st.rand
-	cl.pointGroup = append(cl.pointGroup[:0], st.pointGroup...)
-	cl.next = append(cl.next[:0], st.next...)
-	cl.rects = append(cl.rects, st.rects...)
-	cl.eliminated = append(cl.eliminated, st.eliminated...)
-	cl.spare = append(cl.spare[:0], st.deferred...)
-	// The recursion's groups join the creation order behind the retained
-	// ones; a clone is never spliced, so its causes go unread, and with
-	// no free list its ids keep growing (group.stamp).
-	cl.order = append(cl.order, st.order...)
-	for _, g := range st.groups {
-		var g2 *group
-		if g != nil {
-			g2 = cl.allocGroup()
-			*g2 = *g
-			g2.hull = 0
-		}
-		cl.groups = append(cl.groups, g2)
-	}
-	return cl
 }
 
 // AnyEvaluator is resumable SGB-Any evaluation state at one or more ε

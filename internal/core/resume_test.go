@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -104,5 +106,75 @@ func TestEvaluatorContract(t *testing.T) {
 	bounds.Algorithm = BoundsCheck
 	if _, err := NewAnyLevels([]float64{1}, bounds); !errors.Is(err, ErrBoundsCheckAny) {
 		t.Errorf("NewAnyLevels under BoundsCheck: %v", err)
+	}
+}
+
+// TestFormNewGroupIsSGBAllOnDeferred pins FORM-NEW-GROUP's end-of-input
+// recursion as SGB-All run again on S′ alone. For every finder and
+// metric at three ε over the golden sample, an AllEvaluator fed the
+// points in batches answers its retained groups followed by a one-shot
+// FORM-NEW-GROUP run over the points of its deferred list, gathered in
+// that order, ids mapped back — and that is the one-shot answer over
+// every point. Result runs the recursion on a state of its own: two
+// calls leave the retained groups, placements, member lists and
+// deferred list as they were.
+func TestFormNewGroupIsSGBAllOnDeferred(t *testing.T) {
+	ps := goldenSample(3000, 2)
+	for _, alg := range allAlgorithms {
+		for _, m := range allMetrics {
+			for _, eps := range []float64{0.05, 0.2, 0.8} {
+				opt := Options{Metric: m, Eps: eps, Overlap: FormNewGroup, Algorithm: alg, Seed: 3}
+				name := fmt.Sprintf("%v/%v/eps=%v", alg, m, eps)
+				ev, err := NewAllEvaluator(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < ps.Len(); k += 700 {
+					if err := ev.Append(ps.Slice(k, min(k+700, ps.Len()))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := retainedOf(ev)
+				st := ev.st
+				placed, next, order := slices.Clone(st.pointGroup), slices.Clone(st.next), slices.Clone(st.order)
+				if len(before.Deferred) == 0 {
+					t.Fatalf("%s: nothing deferred, the recursion is not exercised", name)
+				}
+
+				rest, err := SGBAllSet(ps.Gather(before.Deferred), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := slices.Clone(before.Groups)
+				for _, g := range rest.Groups {
+					mapped := make([]int32, len(g.Members))
+					for i, k := range g.Members {
+						mapped[i] = before.Deferred[k]
+					}
+					want = append(want, mapped)
+				}
+				oneShot, err := SGBAllSet(ps, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for call := 1; call <= 2; call++ {
+					res := ev.Result()
+					var got [][]int32
+					for _, g := range res.Groups {
+						got = append(got, g.Members)
+					}
+					if !reflect.DeepEqual(got, want) || len(res.Eliminated) != 0 {
+						t.Fatalf("%s, call %d: Result is not the retained groups then SGB-All on S′\n got %v\nwant %v", name, call, got, want)
+					}
+					if !reflect.DeepEqual(normalizeRes(res), normalizeRes(oneShot)) {
+						t.Fatalf("%s, call %d: Result differs from the one-shot run", name, call)
+					}
+				}
+				if !reflect.DeepEqual(retainedOf(ev), before) || !slices.Equal(st.pointGroup, placed) ||
+					!slices.Equal(st.next, next) || !slices.Equal(st.order, order) {
+					t.Fatalf("%s: Result changed the retained state", name)
+				}
+			}
+		}
 	}
 }

@@ -44,10 +44,29 @@ func sameUnderScale(t *testing.T, name string, eval func(scaled bool) ([]*Result
 	}
 }
 
+// maintainedTrace feeds ev the first half of ps, removes the oldest
+// half of what it holds, and feeds it the rest.
+func maintainedTrace(ev maintained, ps *geom.PointSet) error {
+	h := ps.Len() / 2
+	if err := ev.Append(ps.Slice(0, h)); err != nil {
+		return err
+	}
+	oldest := make([]int, h/2)
+	for i := range oldest {
+		oldest[i] = i
+	}
+	if err := ev.Remove(oldest); err != nil {
+		return err
+	}
+	return ev.Append(ps.Slice(h, ps.Len()))
+}
+
 // checkScaleCovariance holds every grouping over ps at levels to the
 // one over ps and levels multiplied by s, under both metrics: SGB-Any
 // single-ε and swept under every strategy, and SGB-All under ELIMINATE
-// and FORM-NEW-GROUP under every finder.
+// and FORM-NEW-GROUP under every finder, one-shot and maintained (an
+// AnyEvaluator at levels and an AllEvaluator at each level, through
+// maintainedTrace).
 func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s float64) {
 	scaled := scalePoints(ps, s)
 	pick := func(sc bool) (*geom.PointSet, float64) {
@@ -56,18 +75,39 @@ func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s f
 		}
 		return ps, 1
 	}
+	scaledLevels := func(f float64) []float64 {
+		eps := make([]float64, len(levels))
+		for l, e := range levels {
+			eps[l] = e * f
+		}
+		return eps
+	}
 	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 		for _, alg := range anyStrategies {
 			opt := Options{Metric: m, Algorithm: alg, Parallelism: 1}
 			sameUnderScale(t, fmt.Sprintf("%v any %v sweep %v", m, alg, levels), func(sc bool) ([]*Result, error) {
 				pts, f := pick(sc)
-				eps := make([]float64, len(levels))
-				for l, e := range levels {
-					eps[l] = e * f
-				}
-				return SweepAnySet(pts, eps, opt)
+				return SweepAnySet(pts, scaledLevels(f), opt)
 			})
 		}
+		sameUnderScale(t, fmt.Sprintf("%v maintained any %v", m, levels), func(sc bool) ([]*Result, error) {
+			pts, f := pick(sc)
+			eps := scaledLevels(f)
+			ev, err := NewAnyLevels(eps, Options{Metric: m, Algorithm: GridIndex})
+			if err == nil {
+				err = maintainedTrace(ev, pts)
+			}
+			if err != nil {
+				return nil, err
+			}
+			out := make([]*Result, len(eps))
+			for l, e := range eps {
+				if out[l], err = ev.GroupsAt(e); err != nil {
+					return nil, err
+				}
+			}
+			return out, nil
+		})
 		for _, eps := range levels {
 			for _, alg := range anyStrategies {
 				opt := Options{Metric: m, Algorithm: alg, Parallelism: 1}
@@ -89,6 +129,19 @@ func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s f
 						r, err := SGBAllSet(pts, o)
 						return []*Result{r}, err
 					})
+					sameUnderScale(t, fmt.Sprintf("%v maintained all %v %v ε=%v", m, ov, alg, eps), func(sc bool) ([]*Result, error) {
+						pts, f := pick(sc)
+						o := opt
+						o.Eps = eps * f
+						ev, err := NewAllEvaluator(o)
+						if err == nil {
+							err = maintainedTrace(ev, pts)
+						}
+						if err != nil {
+							return nil, err
+						}
+						return []*Result{ev.Result()}, nil
+					})
 				}
 			}
 		}
@@ -101,7 +154,8 @@ func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s f
 // cell quantization, hull orientation, R-tree areas — so no grouping
 // may move, ids and order included: SGB-Any single-ε and swept, and
 // SGB-All under ELIMINATE and FORM-NEW-GROUP, under every finder and
-// both metrics (checkScaleCovariance). JOIN-ANY is left out: its draw
+// both metrics, one-shot and through maintained evaluators fed two
+// batches with an oldest-first removal between (checkScaleCovariance). JOIN-ANY is left out: its draw
 // is keyed on the point's coordinate bits (rng.drawAt), so scaling
 // legitimately changes the pick. The input is a scale byte (scaleInput)
 // and then a FuzzSweepLevels input (decodeSweepLevels); the seeds are

@@ -47,24 +47,21 @@ func sgbAllSet(ps *geom.PointSet, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// result materializes the grouping: the groups in creation order (the
-// order list), members as idx maps their stored indices (nil: they are
-// the output ids), in one run sized exactly, and the eliminated points
-// in a list of its own: the Result shares nothing with the state.
+// result materializes the grouping: the member run of the stages
+// before this one, then the groups in creation order (appendGroups),
+// members as idx maps their stored indices (nil: they are the output
+// ids), in one run sized exactly, and the eliminated points in a list
+// of its own: the Result shares nothing with the state.
 func (st *sgbAllState) result(idx []int32) *Result {
-	n, k := 0, 0
+	n, k := len(st.outMembers), len(st.outEnds)
 	for _, id := range st.order {
 		if g := st.groups[id]; g != nil {
 			n, k = n+int(g.size), k+1
 		}
 	}
-	members, ends := make([]int32, 0, n), make([]int32, 0, k)
-	for _, id := range st.order {
-		if g := st.groups[id]; g != nil {
-			members = st.appendMembers(members, g)
-			ends = append(ends, int32(len(members)))
-		}
-	}
+	members := append(make([]int32, 0, n), st.outMembers...)
+	ends := append(make([]int32, 0, k), st.outEnds...)
+	members, ends = st.appendGroups(members, ends)
 	if idx != nil {
 		for i, m := range members {
 			members[i] = idx[m]
@@ -86,30 +83,29 @@ func (st *sgbAllState) result(idx []int32) *Result {
 // run executes the whole-set SGB-All passes over the given input order,
 // each on a finder of its own (passFinder), on a state taken from the
 // pass scratch pool. Under FORM-NEW-GROUP semantics the overlapping
-// points deferred into S′ are grouped by a further pass that only
-// considers groups formed at its own recursion stage ("form new groups
-// out of the points in Oset"), exactly as Example 1 creates the
-// singleton group g3{a5}; each stage defers into the buffer of the
-// order the stage before it ran, and the last one's is kept (spare).
+// points deferred into S′ are grouped by running SGB-All again on S′
+// alone ("form new groups out of the points in Oset"): the stage's
+// groups are final, so endStage emits and drops them, and the next
+// stage starts from an empty group set — exactly as Example 1 creates
+// the singleton group g3{a5} although a5 is within ε of g1 and g2. Each
+// stage defers into the buffer of the order the stage before it ran,
+// and the last one's is kept (spare).
 func (st *sgbAllState) run(order []int, depth int) {
 	for {
+		st.depth = depth
 		st.opt.Stats.noteDepth(depth)
-		// Groups created before this stage are frozen for candidacy: the
-		// recursive pass must not re-admit deferred points into the
-		// groups that deferred them. A fresh finder has never seen them.
-		st.stageFloor = len(st.groups)
 		st.finder = st.passFinder(order)
 
 		st.processPoints(order)
 
-		// FORM-NEW-GROUP: group the deferred set S′ again until it is
-		// empty. Each stage strictly shrinks S′ (a deferred point implies
-		// at least two placed points at its stage), so the recursion
+		// Each stage strictly shrinks S′ (a deferred point implies at
+		// least two placed points at its stage), so the recursion
 		// terminates.
 		if st.opt.Overlap != FormNewGroup || len(st.deferred) == 0 {
 			st.spare = order
 			return
 		}
+		st.endStage()
 		order, st.deferred = st.deferred, order[:0]
 		st.deferCause = st.deferCause[:0]
 		depth++
@@ -214,9 +210,9 @@ func (st *sgbAllState) passFinder(order []int) finder {
 	return &sc.grid
 }
 
-// newFinder instantiates the strategy selected by the options for the
-// groups from st.stageFloor on, the grid on a hash grid of its cells
-// that points can join one at a time (an AllEvaluator's); sizeHint
+// newFinder instantiates the strategy selected by the options, the grid
+// on a hash grid of its cells that points can join one at a time (an
+// AllEvaluator's); sizeHint
 // pre-sizes its directory (grid.NewCap). Hashed cell keys support any
 // dimensionality, so the grid is the strategy at every d.
 func newFinder(st *sgbAllState, sizeHint int) finder {
@@ -226,7 +222,7 @@ func newFinder(st *sgbAllState, sizeHint int) finder {
 	case BoundsCheck:
 		return &boundsFinder{}
 	case OnTheFlyIndex:
-		return newIndexedFinder(st.dims, st.stageFloor)
+		return newIndexedFinder(st.dims)
 	case GridIndex:
 		return newGridFinder(st.opt, newHashCells(st.dims, st.opt.Eps, sizeHint))
 	default:

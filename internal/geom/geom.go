@@ -282,16 +282,6 @@ func (r Rect) Clone() Rect {
 	return Rect{Min: r.Min.Clone(), Max: r.Max.Clone()}
 }
 
-// IsEmpty reports whether the rectangle contains no points.
-func (r Rect) IsEmpty() bool {
-	for i := range r.Min {
-		if r.Min[i] > r.Max[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // Contains reports whether p lies inside r (inclusive bounds).
 func (r Rect) Contains(p Point) bool {
 	for i := range r.Min {
@@ -321,21 +311,6 @@ func (r Rect) Intersects(s Rect) bool {
 		}
 	}
 	return true
-}
-
-// Intersect returns the intersection of r and s. The result may be
-// empty (check IsEmpty). This is the operation that shrinks a group's
-// ε-All bounding rectangle as members join (Figure 5 of the paper);
-// correctness of the bounds-checking approach "follows from the fact
-// that the rectangles are closed under intersection".
-func (r Rect) Intersect(s Rect) Rect {
-	min := make(Point, len(r.Min))
-	max := make(Point, len(r.Min))
-	for i := range r.Min {
-		min[i] = math.Max(r.Min[i], s.Min[i])
-		max[i] = math.Min(r.Max[i], s.Max[i])
-	}
-	return Rect{Min: min, Max: max}
 }
 
 // Union returns the smallest rectangle enclosing both r and s.

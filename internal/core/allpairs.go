@@ -11,30 +11,31 @@ type allPairsFinder struct {
 
 func (f *allPairsFinder) findCloseGroups(st *sgbAllState, pi int) (candidates, overlaps []*group) {
 	f.cands, f.ovs = f.cands[:0], f.ovs[:0]
+	joinAny := st.opt.Overlap == JoinAny
+	keyed := 0
 	for _, gj := range st.groups {
 		if gj == nil {
 			continue
 		}
-		candidateFlag := true
-		overlapFlag := false
+		// near counts the members within ε: all of them make gj a
+		// candidate, some an overlap group. JOIN-ANY never consults
+		// OverlapGroups, so its scan stops at the first member that is
+		// not within ε.
+		near := int32(0)
 		for m := gj.head; m >= 0; m = st.next[m] {
-			st.opt.Stats.addDist(1)
+			keyed++
 			if st.near(pi, int(m)) {
-				overlapFlag = true
-			} else {
-				candidateFlag = false
-				if st.opt.Overlap == JoinAny {
-					// JOIN-ANY never consults OverlapGroups, so the
-					// scan can stop at the first failing member.
-					break
-				}
+				near++
+			} else if joinAny {
+				break
 			}
 		}
-		if candidateFlag {
+		if near == gj.size {
 			f.cands = append(f.cands, gj)
-		} else if st.opt.Overlap != JoinAny && overlapFlag {
+		} else if near > 0 && !joinAny {
 			f.ovs = append(f.ovs, gj)
 		}
 	}
+	st.opt.Stats.addDist(int64(keyed))
 	return f.cands, f.ovs
 }

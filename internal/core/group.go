@@ -277,7 +277,7 @@ func (st *sgbAllState) poisonRectRow(id int32) {
 // allocation per groupBlockSize groups instead of one each (none once a
 // pooled state's blocks are warm), and blocks never move, so the
 // *group pointers held in st.groups and the probe buffers stay valid
-// for the state's lifetime.
+// until endStage hands the blocks out again.
 func (st *sgbAllState) allocGroup() *group {
 	const groupBlockSize = 256
 	if n := st.blocksUsed; n == 0 || len(st.groupBlocks[n-1]) == groupBlockSize {
@@ -329,13 +329,10 @@ func (st *sgbAllState) appendGroups(members, ends []int32) ([]int32, []int32) {
 // unplaced, their group blocks, rect rows and hull slots handed out
 // again by the next stage, which starts from an empty group set.
 func (st *sgbAllState) endStage() {
+	from := len(st.outMembers)
 	st.outMembers, st.outEnds = st.appendGroups(st.outMembers, st.outEnds)
-	for _, g := range st.groups {
-		if g != nil {
-			for m := g.head; m >= 0; m = st.next[m] {
-				st.pointGroup[m] = -1
-			}
-		}
+	for _, m := range st.outMembers[from:] {
+		st.pointGroup[m] = -1
 	}
 	st.groups, st.order, st.rects, st.hulls = st.groups[:0], st.order[:0], st.rects[:0], st.hulls[:0]
 	st.blocksUsed = 0

@@ -155,9 +155,9 @@ func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s f
 // may move, ids and order included: SGB-Any single-ε and swept, and
 // SGB-All under ELIMINATE and FORM-NEW-GROUP, under every finder and
 // both metrics, one-shot and through maintained evaluators fed two
-// batches with an oldest-first removal between (checkScaleCovariance). JOIN-ANY is left out: its draw
-// is keyed on the point's coordinate bits (rng.drawAt), so scaling
-// legitimately changes the pick. The input is a scale byte (scaleInput)
+// batches with an oldest-first removal between (checkScaleCovariance).
+// JOIN-ANY is left out: its draw is keyed on the point's coordinate
+// bits (rng.drawAt), so scaling legitimately changes the pick. The input is a scale byte (scaleInput)
 // and then a FuzzSweepLevels input (decodeSweepLevels); the seeds are
 // sweepLevelsSeeds' — the 6 × 6 lattice and the far-from-origin
 // lattices among them — each scaled up and down.

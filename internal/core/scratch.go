@@ -12,10 +12,10 @@ import (
 // and per-group counts (all), which each FORM-NEW-GROUP stage takes over
 // from the one before it (endStage), its sorted cell index (sorted) and
 // grid finder (grid), and the cell graph's buffers (graph); sorted and
-// graph share one radix sort (cells). A pass takes one from passPool and puts
-// it back when it returns, so a one-shot statement allocates its answer
-// and what outgrows the buffers of the statements before it, and
-// nothing else. The entry points are sgbAllSet and an AllEvaluator's
+// graph share one radix sort (cells). A pass takes one from passPool
+// and puts it back when it returns, so a one-shot statement allocates
+// its answer and what outgrows the buffers of the statements before
+// it, and nothing else. The entry points are sgbAllSet and an AllEvaluator's
 // FORM-NEW-GROUP recursion (AllEvaluator.Result) for SGB-All, and
 // runCellGraph for SGB-Any. No evaluator keeps one: the Result a pass
 // returns holds nothing of it.

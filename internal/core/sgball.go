@@ -212,9 +212,9 @@ func (st *sgbAllState) passFinder(order []int) finder {
 
 // newFinder instantiates the strategy selected by the options, the grid
 // on a hash grid of its cells that points can join one at a time (an
-// AllEvaluator's); sizeHint
-// pre-sizes its directory (grid.NewCap). Hashed cell keys support any
-// dimensionality, so the grid is the strategy at every d.
+// AllEvaluator's); sizeHint pre-sizes its directory (grid.NewCap).
+// Hashed cell keys support any dimensionality, so the grid is the
+// strategy at every d.
 func newFinder(st *sgbAllState, sizeHint int) finder {
 	switch st.opt.Algorithm {
 	case AllPairs:

@@ -274,6 +274,23 @@ func TestFarCoordinatesRefused(t *testing.T) {
 				wantErr("incremental "+incremental+": "+sql, err, part)
 			})
 		}
+		// A grouping attribute that is NULL or not a number ends in an
+		// error naming the row or the attribute, whether the evaluator
+		// cache extracts the points or the node does.
+		mustExec(t, db, "CREATE TABLE q (x FLOAT, y FLOAT, s TEXT)")
+		mustExec(t, db, "INSERT INTO q VALUES (0, 0, 'a'), (1, NULL, 'b')")
+		for sql, part := range map[string]string{
+			"SELECT count(*) FROM q GROUP BY x, y DISTANCE-TO-ANY WITHIN 1":                           "exec: NULL similarity grouping attribute in row 1",
+			"SELECT count(*) FROM q GROUP BY x, y DISTANCE-TO-ANY EPS IN (1, 2)":                      "exec: NULL similarity grouping attribute in row 1",
+			"SELECT count(*) FROM q GROUP BY x, y DISTANCE-TO-ALL WITHIN 1 ON-OVERLAP ELIMINATE":      "exec: NULL similarity grouping attribute in row 1",
+			"SELECT count(*) FROM q GROUP BY x, s DISTANCE-TO-ANY WITHIN 1":                           "exec: similarity grouping attribute 2: types: TEXT is not numeric",
+			"SELECT * FROM q GROUP BY s, x DISTANCE-TO-ANY EPS IN (1, 2) SIMILARITY CUBE BY EPS":      "exec: similarity grouping attribute 1: types: TEXT is not numeric",
+			"SELECT count(*) FROM q GROUP BY x, s DISTANCE-TO-ALL WITHIN 1 ON-OVERLAP FORM-NEW-GROUP": "exec: similarity grouping attribute 2: types: TEXT is not numeric",
+		} {
+			_, err := db.Query(sql)
+			wantErr("incremental "+incremental+": "+sql, err, part)
+		}
+
 		// The table and the session still answer.
 		mustExec(t, db, "DELETE FROM p WHERE x > 1 OR x < 0")
 		if got := counts(mustQuery(t, db, "SELECT count(*) FROM p GROUP BY x, y DISTANCE-TO-ANY WITHIN 1")); len(got) != 1 || got[0] != 2 {

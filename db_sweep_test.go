@@ -181,6 +181,19 @@ func TestSQLEpsInValidation(t *testing.T) {
 	if err := queryErr("SELECT * FROM pts GROUP BY x DISTANCE-TO-ANY EPS IN (0.5, 1) SIMILARITY CUBE BY EPS HAVING count(*) > 1"); !strings.Contains(err.Error(), "HAVING") {
 		t.Fatalf("cube with HAVING: %v", err)
 	}
+	// The planner's own threshold errors, WITHIN's among them: a level
+	// that reads a column, and a single ε that is not a positive number.
+	for sql, want := range map[string]string{
+		"SELECT count(*) FROM pts GROUP BY x DISTANCE-TO-ANY EPS IN (0.5, x)": "plan: EPS IN level 2 must be a constant: ",
+		"SELECT count(*) FROM pts GROUP BY x DISTANCE-TO-ANY WITHIN x + 1":    "plan: WITHIN threshold must be a constant: ",
+		"SELECT count(*) FROM pts GROUP BY x DISTANCE-TO-ANY WITHIN 0":        "plan: WITHIN threshold must be a positive number, got 0",
+		"SELECT count(*) FROM pts GROUP BY x DISTANCE-TO-ALL WITHIN -0.5":     "plan: WITHIN threshold must be a positive number, got -0.5",
+		"SELECT count(*) FROM pts GROUP BY x DISTANCE-TO-ANY WITHIN 'wide'":   "plan: WITHIN threshold must be a positive number, got wide",
+	} {
+		if err := queryErr(sql); !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: %v, want %q", sql, err, want)
+		}
+	}
 }
 
 // TestSQLEpsAsColumnName: EPS, SIMILARITY, and CUBE stay usable as

@@ -283,7 +283,7 @@ func (e *AnyEvaluator) neighbours(u int32, l int) ([]int32, []float64) {
 	ps, opt, g, j := e.points, e.opt, e.ix, &e.join
 	key, p := e.f.keys[l], ps.At(int(u))
 	opt.Stats.addProbe(1)
-	j.ids = g.tab.CollectBox(&g.cur, p, e.probeRadius(p, e.eps[l]), j.ids[:0])
+	j.ids = g.tab.CollectBox(p, e.probeRadius(p, e.eps[l]), j.ids[:0])
 	n := 0
 	for _, w := range j.ids {
 		if w != u {
@@ -365,7 +365,6 @@ type removeScratch struct {
 	cell, near []int32   // ids one expansion collects
 	box        geom.Rect // the expanded cell's points, then padded
 	lo, hi     []int64   // cell range of the padded box
-	cur        grid.Cursor
 
 	set []int32 // the closure's survivors, in arrival order
 
@@ -488,7 +487,7 @@ func (e *AllEvaluator) retireClosure(victims []int32) {
 		}
 		p := pts.At(int(u))
 		st.opt.Stats.addProbe(2)
-		rm.cell = e.cells.CollectBox(&rm.cur, p, 0, rm.cell[:0])
+		rm.cell = e.cells.CollectBox(p, 0, rm.cell[:0])
 		copy(box.Min, p)
 		copy(box.Max, p)
 		for _, w := range rm.cell {
@@ -501,7 +500,7 @@ func (e *AllEvaluator) retireClosure(victims []int32) {
 			box.Max[i] += rhi
 		}
 		rm.lo, rm.hi = e.cells.CellOf(box.Min, rm.lo), e.cells.CellOf(box.Max, rm.hi)
-		rm.near = e.cells.CollectRange(&rm.cur, rm.lo, rm.hi, rm.near[:0])
+		rm.near = e.cells.CollectRange(rm.lo, rm.hi, rm.near[:0])
 		for _, w := range rm.near {
 			if mark[w] >= in {
 				continue

@@ -243,7 +243,6 @@ func (s *sortedCells) collect(_ *geom.PointSet, pi int, dst []int32) []int32 {
 // provably holds the cell of every point within ε of p on every axis.
 type hashCells struct {
 	tab *grid.Table
-	cur grid.Cursor
 	eps float64
 }
 
@@ -259,5 +258,5 @@ func (h *hashCells) remove(ps *geom.PointSet, pos int, id int32) {
 
 func (h *hashCells) collect(ps *geom.PointSet, pi int, dst []int32) []int32 {
 	p := ps.At(pi)
-	return h.tab.CollectBox(&h.cur, p, geom.PaddedReach(p, h.eps), dst)
+	return h.tab.CollectBox(p, geom.PaddedReach(p, h.eps), dst)
 }

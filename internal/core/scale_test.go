@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/geom"
@@ -148,6 +150,52 @@ func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s f
 	}
 }
 
+// rawSweepInput is sweepLevelsInput in raw mode: the levels and the
+// coordinates (d to a point) as little-endian float64 bits.
+func rawSweepInput(linf bool, d int, levels, coords []float64) []byte {
+	var lv, cs []byte
+	for _, e := range levels {
+		lv = binary.LittleEndian.AppendUint64(lv, math.Float64bits(e))
+	}
+	for _, v := range coords {
+		cs = binary.LittleEndian.AppendUint64(cs, math.Float64bits(v))
+	}
+	in := sweepLevelsInput(linf, false, false, false, d, lv, cs)
+	in[0] |= 1 << 7
+	in[1] = byte(len(levels) - 1)
+	return in
+}
+
+// scaleCovarianceSeeds is FuzzScaleCovariance's second seed list, the
+// inputs sweepLevelsInput's byte lattices cannot spell, in raw mode:
+// roundingPairs at the levels 0.4 and 0.8, whose difference rounds to
+// 0.8 but whose cells of 0.8 lie two apart, and the first 96 points of
+// decTraceSeeds' lattice traces (every coordinate a multiple of an ε
+// binary floating point cannot represent, 0.1 or 0.3) at ε and 2ε.
+func scaleCovarianceSeeds() [][]byte {
+	var seeds [][]byte
+	for _, linf := range []bool{false, true} {
+		for _, pair := range roundingPairs {
+			seeds = append(seeds, rawSweepInput(linf, 1, []float64{0.4, 0.8}, pair[:]))
+		}
+	}
+	for _, seed := range decTraceSeeds() {
+		if !strings.HasPrefix(seed.name, "lattice/") {
+			continue
+		}
+		dims, opt, ops := decodeTrace(seed.data)
+		var coords []float64
+		for _, op := range ops {
+			for _, p := range op.batch {
+				coords = append(coords, p...)
+			}
+		}
+		coords = coords[:min(len(coords), 96*dims)]
+		seeds = append(seeds, rawSweepInput(opt.Metric == geom.LInf, dims, []float64{opt.Eps, 2 * opt.Eps}, coords))
+	}
+	return seeds
+}
+
 // FuzzScaleCovariance multiplies every coordinate and every ε by 2^k.
 // Binary scaling is exact, and every test the operators make commutes
 // with it — rounded differences and distance keys, padded reaches,
@@ -160,11 +208,15 @@ func checkScaleCovariance(t *testing.T, ps *geom.PointSet, levels []float64, s f
 // bits (rng.drawAt), so scaling legitimately changes the pick. The input is a scale byte (scaleInput)
 // and then a FuzzSweepLevels input (decodeSweepLevels); the seeds are
 // sweepLevelsSeeds' — the 6 × 6 lattice and the far-from-origin
-// lattices among them — each scaled up and down.
+// lattices among them — each scaled up and down, and
+// scaleCovarianceSeeds' rounding pairs and ε-lattices, each scaled once.
 func FuzzScaleCovariance(f *testing.F) {
 	for i, seed := range sweepLevelsSeeds() {
 		f.Add(scaleInput(byte(i%8), seed))
 		f.Add(scaleInput(byte(8+(i+3)%8), seed))
+	}
+	for i, seed := range scaleCovarianceSeeds() {
+		f.Add(scaleInput(byte(i%16), seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {

@@ -321,12 +321,11 @@ func (a *anyRTree) add(ps *geom.PointSet, i int, opt Options) {
 // it unregisters a deleted point (remove).
 type anyGrid struct {
 	tab *grid.Table
-	cur grid.Cursor
 }
 
 func (a *anyGrid) collect(ps *geom.PointSet, i int, opt Options, buf []int32) []int32 {
 	opt.Stats.addProbe(1)
-	return a.tab.CollectBox(&a.cur, ps.At(i), opt.Eps, buf)
+	return a.tab.CollectBox(ps.At(i), opt.Eps, buf)
 }
 
 func (a *anyGrid) remove(ps *geom.PointSet, i int, opt Options) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -196,8 +197,9 @@ func TestAnyStrategiesAgreeOnLatticeLInf(t *testing.T) {
 // sweepLevelsInput encodes one FuzzSweepLevels input: a header byte
 // (bit 0 L∞, bit 1 lattice mode, bit 2 lattice step 0.3 rather than
 // 0.25, bits 3–5 the dimensionality − 1, taken mod 5, bit 6 far from
-// the origin), the level count − 1 (mod 8), one byte per level, then
-// one byte per coordinate.
+// the origin, bit 7 raw mode), the level count − 1 (mod 8), one byte
+// per level, then one byte per coordinate. In raw mode a level and a
+// coordinate are eight bytes each (rawSweepInput).
 func sweepLevelsInput(linf, lattice, step3, far bool, d int, levels, coords []byte) []byte {
 	h := byte(d-1) << 3
 	if far {
@@ -217,8 +219,9 @@ func sweepLevelsInput(linf, lattice, step3, far bool, d int, levels, coords []by
 // times b mod 16; otherwise a level is (1 + b) / 64 and a coordinate
 // b / 32. Far from the origin every coordinate is shifted by 2^49 in
 // lattice mode and by 2^45 otherwise: 2^51 cells of the smallest level
-// there can be, and the dyadic coordinates stay exact. Repeated levels
-// are dropped; at most 96 points are kept.
+// there can be, and the dyadic coordinates stay exact. Raw mode takes
+// levels and coordinates as they are (decodeRaw). Repeated levels are
+// dropped; at most 96 points are kept.
 func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom.Metric, ok bool) {
 	if len(data) < 2 {
 		return nil, nil, 0, false
@@ -239,9 +242,13 @@ func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom
 			base = 0x1p49
 		}
 	}
-	d := 1 + int(h>>3)%5
+	d := 1 + int(h>>3&7)%5
 	k := 1 + int(data[1])%8
 	rest := data[2:]
+	if h&128 != 0 {
+		ps, levels, ok = decodeRaw(d, k, rest)
+		return ps, levels, m, ok
+	}
 	if len(rest) < k {
 		return nil, nil, 0, false
 	}
@@ -268,6 +275,47 @@ func decodeSweepLevels(data []byte) (ps *geom.PointSet, levels []float64, m geom
 		}
 	}
 	return ps, levels, m, true
+}
+
+// decodeRaw decodes raw mode's k levels and then up to 96 points of d
+// coordinates, each a little-endian float64. It refuses an input unless
+// every level lies in [2^-20, 2^20] and every coordinate is 0 or of
+// magnitude in [2^-60, 2^50 times the smallest level]: inside the range
+// rule, and far enough inside every float64 limit that scaling by
+// 2^±8 (FuzzScaleCovariance) is exact on the coordinates, their
+// differences and their squares.
+func decodeRaw(d, k int, data []byte) (*geom.PointSet, []float64, bool) {
+	if len(data) < 8*k {
+		return nil, nil, false
+	}
+	next := func() float64 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		return v
+	}
+	var levels []float64
+	for i := 0; i < k; i++ {
+		eps := next()
+		if !(eps >= 0x1p-20 && eps <= 0x1p20) {
+			return nil, nil, false
+		}
+		if !slices.Contains(levels, eps) {
+			levels = append(levels, eps)
+		}
+	}
+	limit := 0x1p50 * slices.Min(levels)
+	n := min(len(data)/(8*d), 96)
+	ps := geom.NewPointSetCap(d, n)
+	for i := 0; i < n; i++ {
+		for c, p := 0, ps.Extend(); c < d; c++ {
+			v := next()
+			if a := math.Abs(v); v != 0 && !(a >= 0x1p-60 && a <= limit) {
+				return nil, nil, false
+			}
+			p[c] = v
+		}
+	}
+	return ps, levels, true
 }
 
 // sweepLevelsSeeds builds FuzzSweepLevels' seed corpus: the 6 × 6 L∞

@@ -81,8 +81,6 @@ type SGB struct {
 type Snapshot struct {
 	Rows []types.Row
 	Gen  int64
-	// Dims is the number of grouping attributes.
-	Dims int
 	// Points evaluates the grouping expressions of Rows[from:] into a
 	// flat point set.
 	Points func(from int) (*geom.PointSet, error)
@@ -142,7 +140,7 @@ func (s *SGB) Open() error {
 	// is where a statement's collections happen.
 	in := newFoldInput(rows)
 	defer in.release()
-	src := Snapshot{Rows: rows, Gen: gen, Dims: len(s.GroupExprs),
+	src := Snapshot{Rows: rows, Gen: gen,
 		Points: func(from int) (*geom.PointSet, error) { return s.extract(rows, from) }}
 	var gs []*Grouping
 	if s.Answer != nil {

@@ -66,45 +66,71 @@ func (m Metric) String() string {
 	}
 }
 
-// Dist computes δ(p, q) under the metric. Panics if dimensions differ;
-// mixing dimensionalities is a programming error, not a data error.
+// Dist computes δ(p, q) under the metric: DistKey mapped back to a
+// distance (keyToDist). Panics if dimensions differ; mixing
+// dimensionalities is a programming error, not a data error.
 func (m Metric) Dist(p, q Point) float64 {
+	return m.keyToDist(m.DistKey(p, q))
+}
+
+// keyToDist maps a comparison key back to the distance it keys: the
+// square root under L2, the key itself under L∞.
+//
+//sgb:allocfree
+func (m Metric) keyToDist(key float64) float64 {
+	if m == L2 {
+		return math.Sqrt(key)
+	}
+	return key
+}
+
+// DistKey returns the comparison key of the similarity predicate
+// ξδ,ε(p, q) (Definition 2), δ(p, q) ≤ ε, which is decided as
+// DistKey(p, q) <= EpsKey(ε). The key is the squared distance for L2
+// (no square root, which could round a distance just past ε onto it)
+// and the maximum coordinate difference for L∞; keys order exactly as
+// distances do. It is the one membership test of both operators:
+// SGB-All compares against its ε's key, and SGB-Any's level forests
+// against each level's EpsKey, so every level reproduces a one-shot
+// grouping exactly.
+func (m Metric) DistKey(p, q Point) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
 	}
-	return m.distCoords(p, q)
+	return m.distKeyCoords(p, q)
 }
 
-// distCoords is Dist over raw coordinate slices of equal length, with
-// the d=2 and d=3 cases unrolled (the paper's target dimensionalities;
-// the unrolled bodies keep the loop counter and bounds checks out of
-// the innermost kernel).
+// distKeyCoords is DistKey over raw coordinate slices of equal length,
+// unrolled for d=2/d=3 (the paper's target dimensionalities; the
+// unrolled bodies keep the loop counter and bounds checks out of the
+// innermost kernel). The L2 accumulation order matches the generic
+// loop, so the unrolled kernels decide every boundary case the same
+// way bit-for-bit; the L∞ ones keep the generic loop's comparison
+// shape (d > mx, never math.Max), so non-finite coordinates decide
+// identically at every dimensionality.
 //
 //sgb:allocfree
-func (m Metric) distCoords(p, q []float64) float64 {
+func (m Metric) distKeyCoords(p, q []float64) float64 {
 	switch m {
 	case L2:
 		switch len(p) {
 		case 2:
 			dx := p[0] - q[0]
 			dy := p[1] - q[1]
-			return math.Sqrt(dx*dx + dy*dy)
+			return dx*dx + dy*dy
 		case 3:
 			dx := p[0] - q[0]
 			dy := p[1] - q[1]
 			dz := p[2] - q[2]
-			return math.Sqrt(dx*dx + dy*dy + dz*dz)
+			return dx*dx + dy*dy + dz*dz
 		}
 		var s float64
 		for i := range p {
 			d := p[i] - q[i]
 			s += d * d
 		}
-		return math.Sqrt(s)
+		return s
 	case LInf:
-		// The unrolled cases keep the generic loop's comparison shape
-		// (d > mx, never math.Max) so non-finite coordinates decide
-		// identically at every dimensionality.
 		switch len(p) {
 		case 2:
 			var mx float64
@@ -139,51 +165,6 @@ func (m Metric) distCoords(p, q []float64) float64 {
 	default:
 		panic("geom: unknown metric")
 	}
-}
-
-// DistKey returns the comparison key of the similarity predicate
-// ξδ,ε(p, q) (Definition 2), δ(p, q) ≤ ε, which is decided as
-// DistKey(p, q) <= EpsKey(ε). The key is the squared distance for L2
-// (no square root, which could round a distance just past ε onto it)
-// and the maximum coordinate difference for L∞; keys order exactly as
-// distances do. It is the one membership test of both operators:
-// SGB-All compares against its ε's key, and SGB-Any's level forests
-// against each level's EpsKey, so every level reproduces a one-shot
-// grouping exactly.
-func (m Metric) DistKey(p, q Point) float64 {
-	if len(p) != len(q) {
-		panic(fmt.Sprintf("geom: dimension mismatch %d vs %d", len(p), len(q)))
-	}
-	return m.distKeyCoords(p, q)
-}
-
-// distKeyCoords is DistKey over raw coordinate slices of equal length,
-// unrolled for d=2/d=3. The L2 accumulation order matches the generic
-// loop, so the unrolled kernels decide every boundary case the same
-// way bit-for-bit; L∞ already compares raw distances.
-//
-//sgb:allocfree
-func (m Metric) distKeyCoords(p, q []float64) float64 {
-	if m == L2 {
-		switch len(p) {
-		case 2:
-			dx := p[0] - q[0]
-			dy := p[1] - q[1]
-			return dx*dx + dy*dy
-		case 3:
-			dx := p[0] - q[0]
-			dy := p[1] - q[1]
-			dz := p[2] - q[2]
-			return dx*dx + dy*dy + dz*dz
-		}
-		var s float64
-		for i := range p {
-			d := p[i] - q[i]
-			s += d * d
-		}
-		return s
-	}
-	return m.distCoords(p, q)
 }
 
 // EpsKey maps a similarity threshold into DistKey's comparison space:

@@ -209,7 +209,7 @@ func (s *PointSet) CheckFinite() error {
 
 // Dist computes δ(points[i], points[j]) under m.
 func (s *PointSet) Dist(m Metric, i, j int) float64 {
-	return m.distCoords(s.At(i), s.At(j))
+	return m.keyToDist(m.distKeyCoords(s.At(i), s.At(j)))
 }
 
 // DistKey computes the metric comparison key of (points[i], points[j])

@@ -33,13 +33,12 @@ func BenchmarkProbe(b *testing.B) {
 					pts[i] = p
 					g.AddPoint(p, int32(i))
 				}
-				var cur Cursor
 				var buf []int32
 				var lo, hi []int64
 				lookups, ids := 0, 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					buf = g.CollectBox(&cur, pts[i%n], 1, buf[:0])
+					buf = g.CollectBox(pts[i%n], 1, buf[:0])
 					ids += len(buf)
 				}
 				b.StopTimer()

@@ -60,7 +60,8 @@
 //     internal/core refuses such input where it enters (checkCoords,
 //     Options.Validate), for this table and for geom.ZOrder's keys
 //     (internal/partition's runs) alike.
-//   - Read-only probes (CollectBox, CollectRange) are safe from many
-//     goroutines at once when each brings its own Cursor; mutations are
-//     single-threaded.
+//   - A table is single-threaded: a probe (CollectBox, CollectRange)
+//     writes the table's scratch above d = 3 as an update does. Every
+//     user is a maintained evaluator, probed under its cache entry's
+//     lock or inside one Incremental handle.
 package grid

@@ -33,14 +33,6 @@ type slot struct {
 	occ  uint8  // bit k set: cell k of the block has a non-empty id list
 }
 
-// Cursor is per-caller scratch for the read-only probe entry points
-// (CollectBox, CollectRange). The table itself holds no probe state, so
-// any number of goroutines may probe one table concurrently as long as
-// each brings its own Cursor. The zero value is ready to use.
-type Cursor struct {
-	lo, hi, cur []int64
-}
-
 // Table is a uniform ε-cell hash grid over points of any
 // dimensionality. A flat, open-addressed directory maps occupied blocks
 // — 2^d neighbouring cells up to d = 3, one cell above — keyed by a
@@ -79,7 +71,11 @@ type Table struct {
 	slabs  []slab
 	free   int32 // slab freelist head, -1 = empty
 
-	cur []int64 // block-coordinate scratch of AddPoint / RemovePoint
+	// Probe and update scratch: cur is the block coordinates of AddPoint
+	// and RemovePoint and the odometer row of a probe above blockDims,
+	// lo and hi that probe's cell range. A probe writes them, so one
+	// table takes one probe or update at a time.
+	cur, lo, hi []int64
 }
 
 // minSlots is the initial directory capacity (power of two).
@@ -515,10 +511,8 @@ func (t *Table) RemovePoint(p []float64, id int32) {
 // CollectBox appends the ids registered in the cells covered by the box
 // [center-radius, center+radius] — the probe neighborhood — to buf.
 // The d = 1/2/3 cases run as plain loop nests over scalar coordinates;
-// higher dimensionalities walk an odometer over cur's scratch, so
-// concurrent probes of a read-only table stay race-free as long as each
-// goroutine brings its own Cursor.
-func (t *Table) CollectBox(cur *Cursor, center []float64, radius float64, buf []int32) []int32 {
+// higher dimensionalities walk an odometer over the table's scratch.
+func (t *Table) CollectBox(center []float64, radius float64, buf []int32) []int32 {
 	switch t.dims {
 	case 1:
 		return t.collect1(t.cellIdx(center[0]-radius), t.cellIdx(center[0]+radius), buf)
@@ -530,8 +524,8 @@ func (t *Table) CollectBox(cur *Cursor, center []float64, radius float64, buf []
 			t.cellIdx(center[1]-radius), t.cellIdx(center[1]+radius),
 			t.cellIdx(center[2]-radius), t.cellIdx(center[2]+radius), buf)
 	default:
-		cur.lo, cur.hi = t.RangeOfBox(center, radius, cur.lo, cur.hi)
-		return t.collectN(cur, cur.lo, cur.hi, buf)
+		t.lo, t.hi = t.RangeOfBox(center, radius, t.lo, t.hi)
+		return t.collectN(t.lo, t.hi, buf)
 	}
 }
 
@@ -540,7 +534,7 @@ func (t *Table) CollectBox(cur *Cursor, center []float64, radius float64, buf []
 // itself (RangeOfBox, CellOf) — the cell-by-cell closure of the SGB-All
 // decremental path probes the cells around a whole cell's points, which
 // no single center and radius describes.
-func (t *Table) CollectRange(cur *Cursor, lo, hi []int64, buf []int32) []int32 {
+func (t *Table) CollectRange(lo, hi []int64, buf []int32) []int32 {
 	switch t.dims {
 	case 1:
 		return t.collect1(lo[0], hi[0], buf)
@@ -549,7 +543,7 @@ func (t *Table) CollectRange(cur *Cursor, lo, hi []int64, buf []int32) []int32 {
 	case 3:
 		return t.collect3(lo[0], hi[0], lo[1], hi[1], lo[2], hi[2], buf)
 	default:
-		return t.collectN(cur, lo, hi, buf)
+		return t.collectN(lo, hi, buf)
 	}
 }
 
@@ -636,12 +630,11 @@ func (t *Table) collect3(x0, x1, y0, y1, z0, z1 int64, buf []int32) []int32 {
 	return buf
 }
 
-// collectN walks the range with an odometer over cur's scratch. Above
+// collectN walks the range with an odometer over t.cur. Above
 // blockDims a block is one cell, so the cell coordinates it walks are
 // block coordinates.
-func (t *Table) collectN(cur *Cursor, lo, hi []int64, buf []int32) []int32 {
-	cur.cur = resizeCells(cur.cur, t.dims)
-	c := cur.cur
+func (t *Table) collectN(lo, hi []int64, buf []int32) []int32 {
+	c := t.cur
 	copy(c, lo)
 	for {
 		h := uint64(hashSeed)

@@ -20,8 +20,7 @@ func cellCenter(g *Table, c []int64) []float64 {
 
 // cellIDs reads one cell through the probe entry point.
 func cellIDs(g *Table, c []int64) []int32 {
-	var cur Cursor
-	return g.CollectBox(&cur, cellCenter(g, c), 0, nil)
+	return g.CollectBox(cellCenter(g, c), 0, nil)
 }
 
 // blockCells is the number of cells in one directory block.
@@ -260,7 +259,6 @@ func TestNewValidation(t *testing.T) {
 type model struct {
 	g   *Table
 	ref map[string]*refCell
-	cur Cursor
 }
 
 // refCell is one occupied cell of the reference.
@@ -334,7 +332,7 @@ func (m *model) want(lo, hi []int64) []int32 {
 // counters, to the reference.
 func (m *model) checkRange(t testing.TB, lo, hi []int64) {
 	t.Helper()
-	got := sortedCopy(m.g.CollectRange(&m.cur, lo, hi, nil))
+	got := sortedCopy(m.g.CollectRange(lo, hi, nil))
 	if want := sortedCopy(m.want(lo, hi)); !slices.Equal(got, want) {
 		t.Fatalf("CollectRange(%v..%v) = %v, want %v", lo, hi, got, want)
 	}
@@ -353,7 +351,7 @@ func (m *model) checkBox(t testing.TB, c []int64, radius float64) {
 		lo[i] = int64(math.Floor(float64(v) + 0.5 - radius))
 		hi[i] = int64(math.Floor(float64(v) + 0.5 + radius))
 	}
-	got := sortedCopy(m.g.CollectBox(&m.cur, cellCenter(m.g, c), radius/m.g.inv, nil))
+	got := sortedCopy(m.g.CollectBox(cellCenter(m.g, c), radius/m.g.inv, nil))
 	if want := sortedCopy(m.want(lo, hi)); !slices.Equal(got, want) {
 		t.Fatalf("CollectBox(cell %v, %g cells) = %v, want %v", c, radius, got, want)
 	}
@@ -450,7 +448,6 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 			pts[i] = p
 			g.AddPoint(p, int32(i))
 		}
-		var cur Cursor
 		var lo, hi, c []int64
 		scan := func() []int32 {
 			var ids []int32
@@ -469,7 +466,7 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			center := pts[r.Intn(len(pts))]
 			radius := []float64{0, 0.5, r.Float64()}[trial%3]
-			got := sortedCopy(g.CollectBox(&cur, center, radius, nil))
+			got := sortedCopy(g.CollectBox(center, radius, nil))
 			lo, hi = g.RangeOfBox(center, radius, lo, hi)
 			if want := scan(); !slices.Equal(got, want) {
 				t.Fatalf("d=%d: CollectBox %v != scan %v", d, got, want)
@@ -479,7 +476,7 @@ func TestCollectBoxMatchesScan(t *testing.T) {
 				lo[k] -= int64(r.Intn(2))
 				hi[k] = lo[k] + int64(r.Intn(maxWidth(d)))
 			}
-			got = sortedCopy(g.CollectRange(&cur, lo, hi, nil))
+			got = sortedCopy(g.CollectRange(lo, hi, nil))
 			if want := scan(); !slices.Equal(got, want) {
 				t.Fatalf("d=%d: CollectRange(%v..%v) %v != scan %v", d, lo, hi, got, want)
 			}

@@ -524,6 +524,19 @@ func (b *Builder) planGroupBy(sel *sqlparser.SelectStmt, in plannedInput) (exec.
 	}
 
 	binder := &aggBinder{baseEnv: in.env, sp: b, groupKeys: groupKeys, aggBase: len(groupExprs)}
+	return b.planAggregation(sel, binder, func(aggs []exec.AggSpec) exec.Operator {
+		return &exec.HashAgg{Input: in.op, Groups: groups, Aggs: aggs}
+	})
+}
+
+// planAggregation is the tail every grouping block shares: it compiles
+// the select items and HAVING through binder, has node build the
+// grouping operator over the aggregates they bound, and stacks HAVING's
+// Filter and the projection on it. The projection is marked Identity
+// when the select list spells out the node's output row as it stands
+// (aggBinder.identity), so the node's rows are built once and passed
+// through.
+func (b *Builder) planAggregation(sel *sqlparser.SelectStmt, binder *aggBinder, node func([]exec.AggSpec) exec.Operator) (exec.Operator, Env, error) {
 	selScalars, outEnv, err := b.compileSelectItems(sel, binder)
 	if err != nil {
 		return nil, nil, err
@@ -535,15 +548,22 @@ func (b *Builder) planGroupBy(sel *sqlparser.SelectStmt, in plannedInput) (exec.
 			return nil, nil, err
 		}
 	}
-
-	var op exec.Operator = &exec.HashAgg{Input: in.op, Groups: groups, Aggs: binder.aggs}
+	op := node(binder.aggs)
 	if havingPred != nil {
 		op = &exec.Filter{Input: op, Pred: havingPred}
 	}
 	return &exec.Project{Input: op, Exprs: selScalars, Identity: binder.identity(len(selScalars))}, outEnv, nil
 }
 
-// planSimilarityGroupBy builds the SGB-All / SGB-Any plan node.
+// planSimilarityGroupBy builds the SGB-All / SGB-Any node of every
+// similarity clause — WITHIN ε, EPS IN (...) and SIMILARITY CUBE BY
+// EPS — under GROUP BY's aggregation tail. The node exposes no grouping
+// column, so every select item and HAVING is built from aggregates. An
+// EPS IN list is answered from one evaluation (level forests, one-shot
+// or kept by a cached entry) and emitted level by level in ascending ε,
+// the level's ε riding along as output column 0: the pseudo-column
+// "eps" of the select list and HAVING. The cube emits its own rollup
+// row instead and must be SELECT *.
 func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInput) (exec.Operator, Env, error) {
 	gb := sel.GroupBy
 	sim := gb.Similarity
@@ -582,53 +602,84 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 		opt.Algorithm = core.OnTheFlyIndex
 	}
 
-	if len(sim.EpsList) > 0 {
-		return b.planEpsSweep(sel, in, sim, groupExprs, opt)
-	}
-
-	// ε must be a positive numeric constant.
-	epsScalar, err := compileScalar(sim.Eps, nil, b)
-	if err != nil {
-		return nil, nil, fmt.Errorf("plan: WITHIN threshold must be a constant: %v", err)
-	}
-	epsVal, err := epsScalar(nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	eps, err := epsVal.AsFloat()
-	if err != nil || eps <= 0 {
-		return nil, nil, fmt.Errorf("plan: WITHIN threshold must be a positive number, got %v", epsVal)
-	}
-	opt.Eps = eps
-
-	// Similarity grouping exposes no grouping columns: every select
-	// item and the HAVING clause must be built from aggregates.
-	binder := &aggBinder{baseEnv: in.env, sp: b, aggBase: 0}
-	selScalars, outEnv, err := b.compileSelectItems(sel, binder)
-	if err != nil {
-		return nil, nil, err
-	}
-	var havingPred exec.Scalar
-	if sel.Having != nil {
-		havingPred, err = binder.compile(sel.Having)
+	// The ε levels: WITHIN's one positive numeric constant, or EPS IN's
+	// list (the parser admits it under DISTANCE-TO-ANY only), whose
+	// maximum is the evaluation's ε.
+	var epsList []float64
+	if len(sim.EpsList) == 0 {
+		s, err := compileScalar(sim.Eps, nil, b)
+		if err != nil {
+			return nil, nil, fmt.Errorf("plan: WITHIN threshold must be a constant: %v", err)
+		}
+		v, err := s(nil)
 		if err != nil {
 			return nil, nil, err
 		}
+		if opt.Eps, err = v.AsFloat(); err != nil || opt.Eps <= 0 {
+			return nil, nil, fmt.Errorf("plan: WITHIN threshold must be a positive number, got %v", v)
+		}
+	} else {
+		epsList = make([]float64, len(sim.EpsList))
+		for i, e := range sim.EpsList {
+			s, err := compileScalar(e, nil, b)
+			if err != nil {
+				return nil, nil, fmt.Errorf("plan: EPS IN level %d must be a constant: %v", i+1, err)
+			}
+			v, err := s(nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			if epsList[i], err = v.AsFloat(); err != nil {
+				return nil, nil, fmt.Errorf("plan: EPS IN level %d must be numeric, got %v", i+1, v)
+			}
+		}
+		// Named validation errors shared with the Go API: non-positive,
+		// duplicate (checked before sorting so the message reflects the
+		// query's spelling).
+		if err := core.ValidateEpsList(epsList); err != nil {
+			return nil, nil, err
+		}
+		sort.Float64s(epsList)
+		opt.Eps = epsList[len(epsList)-1]
 	}
 
-	sgbNode := &exec.SGB{
+	node := &exec.SGB{
 		Input:      in.op,
 		GroupExprs: groupExprs,
 		Any:        sim.Semantics == sqlparser.SemanticsAny,
 		Opt:        opt,
-		Aggs:       binder.aggs,
+		EpsList:    epsList,
+		Cube:       sim.Cube,
 	}
-	b.installCacheHook(sgbNode, sel)
-	var op exec.Operator = sgbNode
-	if havingPred != nil {
-		op = &exec.Filter{Input: op, Pred: havingPred}
+	if sim.Cube {
+		if len(sel.Items) != 1 || !sel.Items[0].Star {
+			return nil, nil, fmt.Errorf("plan: SIMILARITY CUBE BY EPS requires SELECT * (the cube emits its own schema: eps, group_count, largest_group, grouped_fraction)")
+		}
+		if sel.Having != nil {
+			return nil, nil, fmt.Errorf("plan: HAVING is not supported with SIMILARITY CUBE BY EPS")
+		}
+		b.installCacheHook(node, sel)
+		// Reading the rollup row's four columns in order is its identity.
+		var cols []exec.Scalar
+		var outEnv Env
+		for i, name := range []string{"eps", "group_count", "largest_group", "grouped_fraction"} {
+			idx := i // go 1.21 loop variables: one i for every closure
+			cols = append(cols, func(row types.Row) (types.Value, error) { return row[idx], nil })
+			outEnv = append(outEnv, Column{Name: name})
+		}
+		return &exec.Project{Input: node, Exprs: cols, Identity: true}, outEnv, nil
 	}
-	return &exec.Project{Input: op, Exprs: selScalars, Identity: binder.identity(len(selScalars))}, outEnv, nil
+	binder := &aggBinder{baseEnv: in.env, sp: b}
+	if epsList != nil {
+		// A sweep's row is [eps, agg₀ … agg_{M-1}]: "SELECT eps,
+		// count(*), …" in that order passes it through.
+		binder.groupKeys, binder.aggBase = []string{"eps"}, 1
+	}
+	return b.planAggregation(sel, binder, func(aggs []exec.AggSpec) exec.Operator {
+		node.Aggs = aggs
+		b.installCacheHook(node, sel)
+		return node
+	})
 }
 
 // installCacheHook wires the engine's evaluator-cache hook into a
@@ -662,105 +713,6 @@ func (b *Builder) installCacheHook(node *exec.SGB, sel *sqlparser.SelectStmt) {
 	case !sweep && b.SGBIncr != nil:
 		node.Group = b.SGBIncr(bt.Name, exprKey, node.Any, node.Opt)
 	}
-}
-
-// planEpsSweep lowers the EPS IN (...) / SIMILARITY CUBE BY EPS forms
-// of the similarity clause: every level is answered from one
-// evaluation (level forests, one-shot or kept by a cached entry), rows
-// are emitted level by level in ascending ε order,
-// and the level's ε rides along as output column 0 — exposed to the
-// projection and HAVING as the pseudo-column "eps" (cube queries
-// instead get the fixed rollup schema and must be SELECT *). The
-// projection is marked Identity by the same rule as GROUP BY and
-// single-ε nodes, so a sweep's rows are built once, in SGB.emit.
-func (b *Builder) planEpsSweep(sel *sqlparser.SelectStmt, in plannedInput, sim *sqlparser.SimilarityClause, groupExprs []exec.Scalar, opt core.Options) (exec.Operator, Env, error) {
-	epsList := make([]float64, len(sim.EpsList))
-	for i, e := range sim.EpsList {
-		s, err := compileScalar(e, nil, b)
-		if err != nil {
-			return nil, nil, fmt.Errorf("plan: EPS IN level %d must be a constant: %v", i+1, err)
-		}
-		v, err := s(nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := v.AsFloat()
-		if err != nil {
-			return nil, nil, fmt.Errorf("plan: EPS IN level %d must be numeric, got %v", i+1, v)
-		}
-		epsList[i] = f
-	}
-	// Named validation errors shared with the Go API: non-positive,
-	// duplicate (checked before sorting so the message reflects the
-	// query's spelling).
-	if err := core.ValidateEpsList(epsList); err != nil {
-		return nil, nil, err
-	}
-	sort.Float64s(epsList)
-	opt.Eps = epsList[len(epsList)-1] // the sweep's ε_max
-
-	sgbNode := &exec.SGB{
-		Input:      in.op,
-		GroupExprs: groupExprs,
-		Any:        true,
-		Opt:        opt,
-		EpsList:    epsList,
-		Cube:       sim.Cube,
-	}
-
-	var (
-		selScalars []exec.Scalar
-		outEnv     Env
-		havingPred exec.Scalar
-		identity   bool
-		err        error
-	)
-	if sim.Cube {
-		// The cube defines its own row schema; the query must take it
-		// as-is.
-		if len(sel.Items) != 1 || !sel.Items[0].Star {
-			return nil, nil, fmt.Errorf("plan: SIMILARITY CUBE BY EPS requires SELECT * (the cube emits its own schema: eps, group_count, largest_group, grouped_fraction)")
-		}
-		if sel.Having != nil {
-			return nil, nil, fmt.Errorf("plan: HAVING is not supported with SIMILARITY CUBE BY EPS")
-		}
-		for i := 0; i < 4; i++ {
-			idx := i
-			selScalars = append(selScalars, func(row types.Row) (types.Value, error) { return row[idx], nil })
-		}
-		outEnv = Env{
-			{Name: "eps"},
-			{Name: "group_count"},
-			{Name: "largest_group"},
-			{Name: "grouped_fraction"},
-		}
-		identity = true
-	} else {
-		binder := &aggBinder{baseEnv: in.env, sp: b, groupKeys: []string{"eps"}, aggBase: 1}
-		selScalars, outEnv, err = b.compileSelectItems(sel, binder)
-		if err != nil {
-			return nil, nil, err
-		}
-		if sel.Having != nil {
-			havingPred, err = binder.compile(sel.Having)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		sgbNode.Aggs = binder.aggs
-		identity = binder.identity(len(selScalars))
-	}
-
-	b.installCacheHook(sgbNode, sel)
-	var op exec.Operator = sgbNode
-	if havingPred != nil {
-		op = &exec.Filter{Input: op, Pred: havingPred}
-	}
-	// A sweep's row is [eps, agg₀ … agg_{M-1}]: "SELECT eps, count(*), …"
-	// in that order passes it through, and a list that reorders, leaves
-	// eps out or lets HAVING add an aggregate copies. The cube's four
-	// column reads above are its rollup row by construction.
-	return &exec.Project{Input: op, Exprs: selScalars, Identity: identity}, outEnv, nil
 }
 
 // compileSelectItems compiles the projection through the agg binder.

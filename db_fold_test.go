@@ -78,13 +78,16 @@ func walkPlan(op exec.Operator, fn func(exec.Operator)) {
 
 // unmarkColumns clears the planner's bare-column marks in every
 // similarity node of a plan, which leaves all of its aggregates to the
-// accumulators — the fold every release before the typed kernels ran.
+// accumulators — the fold every release before the typed kernels ran —
+// and every grouping attribute to its expression, so that no column is
+// read in place or lent to the fold.
 func unmarkColumns(op exec.Operator) {
 	walkPlan(op, func(op exec.Operator) {
 		if s, ok := op.(*exec.SGB); ok {
 			for i := range s.Aggs {
 				s.Aggs[i].ArgCol = 0
 			}
+			s.GroupCols = nil
 		}
 	})
 }
@@ -302,14 +305,15 @@ func TestSQLFoldSkipsEliminatedRows(t *testing.T) {
 // TestTypedFoldTwoSessions: two sessions ask for the same aggregates of
 // a newly published generation at once. Each column is still folded
 // once — the sessions coalesce on the column's Once, whichever reads
-// its input vector first — and both get the from-scratch answer. Run
-// under -race.
+// its input vector first — and both get the answer of a from-scratch
+// evaluation through the expressions and the accumulators. Run under
+// -race.
 func TestTypedFoldTwoSessions(t *testing.T) {
 	const n = 1500
 	db := Open()
 	loadUniform(t, db, n, 31)
 	const sql = "SELECT count(*), sum(id), avg(x), max(y), min(id) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.2"
-	shared, private := foldRunner{db: db, incremental: true}, foldRunner{db: db}
+	shared, private := foldRunner{db: db, incremental: true}, foldRunner{db: db, unmarked: true}
 	for round := 0; round < 6; round++ {
 		if _, err := db.Exec(fmt.Sprintf("INSERT INTO pts VALUES (%d, 5.5, 5.5)", 10000+round)); err != nil {
 			t.Fatal(err)

@@ -97,14 +97,35 @@ func (in *foldInput) typedAll(aggs []AggSpec) bool {
 
 // vector returns column col of the input, reading it on first use.
 func (in *foldInput) vector(col int) *numVector {
-	for len(in.vecs) <= col {
-		in.vecs = append(in.vecs, numVector{})
-	}
-	v := &in.vecs[col]
+	v := in.slot(col)
 	if !v.read {
 		v.gather(in.rows, col)
 	}
 	return v
+}
+
+// slot returns column col's vector, read or not.
+func (in *foldInput) slot(col int) *numVector {
+	for len(in.vecs) <= col {
+		in.vecs = append(in.vecs, numVector{})
+	}
+	return &in.vecs[col]
+}
+
+// lend makes column col, which is FLOAT in every row of the input,
+// its vector from values already read: row r's value is
+// vals[r*stride+off]. It is what gather would read, without the rows.
+func (in *foldInput) lend(col int, vals []float64, off, stride int) {
+	v := in.slot(col)
+	if v.read {
+		return
+	}
+	v.read, v.kind = true, types.KindFloat
+	v.ints, v.nulls = v.ints[:0], v.nulls[:0]
+	v.floats = sized(v.floats, len(in.rows))
+	for r := range v.floats {
+		v.floats[r] = vals[r*stride+off]
+	}
 }
 
 // gather reads column col of every row, in row order, into the vector.
@@ -195,10 +216,12 @@ type sink struct {
 
 // put stores group i's result, packed as a column packs it, or into
 // its row cell by kind as column.store writes one: Kind and the payload
-// field, no whole Value (and so no write barrier).
+// field, no whole Value (and so no write barrier). The receiver is a
+// pointer because put is inlined into the kernels' per-group loops,
+// where a value receiver copies the whole sink once per call.
 //
 //sgb:allocfree
-func (s sink) put(i int, kind types.Kind, num uint64) {
+func (s *sink) put(i int, kind types.Kind, num uint64) {
 	if s.vals == nil {
 		s.kinds[i], s.nums[i] = uint8(kind), num
 		return

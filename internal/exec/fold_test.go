@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/sgb-db/sgb/internal/core"
+	"github.com/sgb-db/sgb/internal/geom"
 	"github.com/sgb-db/sgb/internal/types"
 )
 
@@ -192,10 +194,14 @@ func TestTypedFoldSelection(t *testing.T) {
 }
 
 // TestSGBNodeFoldsTypedAndBoxedAlike runs the similarity node over the
-// same rows with the planner's column marks and without them, through
-// a shared grouping (packed, memoized columns) and through a private
-// one (straight into the rows), single-ε and as a sweep: four times the
-// same output, and the same RowsFolded.
+// same rows with the planner's column marks and without them — the
+// aggregates' alone, and theirs with the grouping attributes', which
+// has the node read the points in place and lend the fold the FLOAT
+// columns it grouped on — through a shared grouping (packed, memoized
+// columns, the hook extracting every point as a cache entry's build
+// does) and through a private one (straight into the rows), single-ε
+// and as a sweep: the same output every time, the same RowsFolded and
+// PointsExtracted, and the same points.
 func TestSGBNodeFoldsTypedAndBoxedAlike(t *testing.T) {
 	var rows []types.Row
 	var groups []core.Group
@@ -212,7 +218,7 @@ func TestSGBNodeFoldsTypedAndBoxedAlike(t *testing.T) {
 		groups = append(groups, core.Group{Members: members})
 	}
 	var marked, bare []AggSpec
-	for c := 1; c <= 2; c++ {
+	for c := 0; c <= 2; c++ {
 		for _, kind := range foldKinds[1:] {
 			a := AggSpec{Kind: kind, Args: []Scalar{col(c)}, Key: fmt.Sprint(kind, c), ArgCol: c + 1}
 			marked = append(marked, a)
@@ -222,24 +228,53 @@ func TestSGBNodeFoldsTypedAndBoxedAlike(t *testing.T) {
 	}
 	marked = append(marked, AggSpec{Kind: AggCountStar, Key: "count(*)"})
 	bare = append(bare, AggSpec{Kind: AggCountStar, Key: "count(*)"})
+	arms := []struct {
+		name      string
+		aggs      []AggSpec
+		groupCols []int
+	}{{"unmarked", bare, nil}, {"aggregates marked", marked, nil}, {"all marked", marked, []int{1, 3}}}
 	for _, eps := range [][]float64{nil, {0.25, 0.5}} {
 		var want []types.Row
-		var wantFolded int64
-		for i, aggs := range [][]AggSpec{bare, marked} {
+		var wantPoints []float64
+		var wantFolded, wantExtracted int64
+		for _, arm := range arms {
 			for _, share := range []bool{false, true} {
 				var st core.Stats
-				s := &SGB{Input: &ValuesOp{Rows: rows}, GroupExprs: []Scalar{col(0)}, Any: true,
-					Opt: core.Options{Eps: 0.5, Stats: &st}, Aggs: aggs, EpsList: eps}
+				s := &SGB{Input: &ValuesOp{Rows: rows}, GroupExprs: []Scalar{col(0), col(2)}, GroupCols: arm.groupCols,
+					Any: true, Opt: core.Options{Eps: 0.5, Stats: &st}, Aggs: arm.aggs, EpsList: eps}
+				var points []float64
 				if share {
 					gs := []*Grouping{groupingOf(groups)}
 					if eps != nil {
 						gs = append(gs, groupingOf(groups[:7]))
 					}
-					s.Answer = func(Snapshot) ([]*Grouping, error) { return gs, nil }
+					s.Answer = func(src Snapshot) ([]*Grouping, error) {
+						ps, err := src.Points(0)
+						if err != nil {
+							return nil, err
+						}
+						points = ps.Data()
+						return gs, nil
+					}
+				} else {
+					s.Group = func(ps *geom.PointSet, _ int64) (*core.Result, error) {
+						points = ps.Data()
+						return core.SGBAnySet(ps, s.Opt)
+					}
+					s.SweepGroup = func(ps *geom.PointSet, _ int64) ([]*core.Result, error) {
+						points = ps.Data()
+						return core.SweepAnySet(ps, eps, s.Opt)
+					}
 				}
 				got, err := Run(s)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if wantPoints == nil {
+					wantPoints, wantExtracted = points, st.PointsExtracted
+				}
+				if !slices.Equal(points, wantPoints) || st.PointsExtracted != wantExtracted {
+					t.Fatalf("eps %v, %s, shared %v: extracted %d points %v, want %d: %v", eps, arm.name, share, st.PointsExtracted, points, wantExtracted, wantPoints)
 				}
 				if share && eps != nil {
 					continue // other groups than the private sweep finds: only that it runs
@@ -248,12 +283,12 @@ func TestSGBNodeFoldsTypedAndBoxedAlike(t *testing.T) {
 					want, wantFolded = got, st.RowsFolded
 				}
 				if len(got) != len(want) || st.RowsFolded != wantFolded {
-					t.Fatalf("eps %v, marked %v, shared %v: %d rows and %d rows folded, want %d and %d", eps, i == 1, share, len(got), st.RowsFolded, len(want), wantFolded)
+					t.Fatalf("eps %v, %s, shared %v: %d rows and %d rows folded, want %d and %d", eps, arm.name, share, len(got), st.RowsFolded, len(want), wantFolded)
 				}
 				for r := range got {
 					for c := range got[r] {
 						if !sameValue(got[r][c], want[r][c]) {
-							t.Fatalf("eps %v, marked %v, shared %v: row %d column %d is %#v, want %#v", eps, i == 1, share, r, c, got[r][c], want[r][c])
+							t.Fatalf("eps %v, %s, shared %v: row %d column %d is %#v, want %#v", eps, arm.name, share, r, c, got[r][c], want[r][c])
 						}
 					}
 				}

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/sgb-db/sgb/internal/core"
 	"github.com/sgb-db/sgb/internal/geom"
@@ -29,6 +30,13 @@ type SGB struct {
 	Input Operator
 	// GroupExprs are the d grouping-attribute expressions (numeric).
 	GroupExprs []Scalar
+	// GroupCols is the planner's mark on GroupExprs: GroupCols[i] = c
+	// when attribute i is a bare reference to input column c-1 (1-based,
+	// as AggSpec.ArgCol), 0 when it is an expression. When every
+	// attribute is marked, extract reads the columns in place, and a
+	// whole-input extraction lends the fold each all-FLOAT column an
+	// aggregate folds over as its vector. Nil: no attribute is marked.
+	GroupCols []int
 	// Any selects SGB-Any; otherwise SGB-All.
 	Any bool
 	// Opt carries metric, ε, overlap clause, algorithm, and seed.
@@ -141,7 +149,7 @@ func (s *SGB) Open() error {
 	in := newFoldInput(rows)
 	defer in.release()
 	src := Snapshot{Rows: rows, Gen: gen,
-		Points: func(from int) (*geom.PointSet, error) { return s.extract(rows, from) }}
+		Points: func(from int) (*geom.PointSet, error) { return s.extract(rows, from, in) }}
 	var gs []*Grouping
 	if s.Answer != nil {
 		if gs, err = s.Answer(src); err != nil {
@@ -188,30 +196,103 @@ func (s *SGB) materialize() ([]types.Row, int64, error) {
 
 // extract evaluates the grouping attributes of rows[from:] straight
 // into a flat PointSet — one contiguous buffer with stride d — so the
-// operator core never chases per-row coordinate slices.
-func (s *SGB) extract(rows []types.Row, from int) (*geom.PointSet, error) {
-	points := geom.NewPointSetCap(len(s.GroupExprs), len(rows)-from)
-	for r, row := range rows[from:] {
-		p := points.Extend()
-		for i, g := range s.GroupExprs {
-			v, err := g(row)
-			if err != nil {
-				return nil, err
+// operator core never chases per-row coordinate slices. When the
+// planner marked every attribute as a bare column, extractCols reads
+// the cells in place; a whole-input extraction then lends in, the
+// statement's fold input, each all-FLOAT column that an aggregate
+// folds over, so the fold does not read it again. An INT column is
+// not lent: its points are rounded above 2^53. Nor is a suffix: a
+// vector covers every row of in.
+func (s *SGB) extract(rows []types.Row, from int, in *foldInput) (*geom.PointSet, error) {
+	d, n := len(s.GroupExprs), len(rows)-from
+	data := make([]float64, d*n)
+	if cols := s.GroupCols; len(cols) == d && !slices.Contains(cols, 0) {
+		notFloat := make([]bool, d)
+		if err := s.extractCols(data, rows, from, cols, notFloat); err != nil {
+			return nil, err
+		}
+		for i, c := range cols {
+			if from == 0 && !notFloat[i] && s.folds(c) {
+				in.lend(c-1, data, i, d)
 			}
-			if v.IsNull() {
-				return nil, fmt.Errorf("exec: NULL similarity grouping attribute in row %d", from+r)
+		}
+	} else {
+		for r, row := range rows[from:] {
+			for i := range s.GroupExprs {
+				f, err := s.attribute(row, from+r, i)
+				if err != nil {
+					return nil, err
+				}
+				data[r*d+i] = f
 			}
-			f, err := v.AsFloat()
-			if err != nil {
-				return nil, fmt.Errorf("exec: similarity grouping attribute %d: %v", i+1, err)
-			}
-			p[i] = f
 		}
 	}
 	if st := s.Opt.Stats; st != nil {
-		st.PointsExtracted += int64(len(rows) - from)
+		st.PointsExtracted += int64(n)
 	}
-	return points, nil
+	return geom.Wrap(d, data), nil
+}
+
+// extractCols is extract over marked columns, into dst: a FLOAT cell
+// gives its payload and an INT cell its float64, as AsFloat converts
+// it; any other cell, or a row too short to hold the column, goes
+// through attribute, so that it converts or fails as an expression's
+// value does. notFloat[i] is set when attribute i meets a cell that
+// is not a FLOAT.
+//
+//sgb:allocfree
+func (s *SGB) extractCols(dst []float64, rows []types.Row, from int, cols []int, notFloat []bool) error {
+	d := len(cols)
+	for r := from; r < len(rows); r++ {
+		row, p := rows[r], dst[(r-from)*d:][:d:d]
+		for i, c := range cols {
+			if c <= len(row) {
+				switch x := &row[c-1]; x.Kind {
+				case types.KindFloat:
+					p[i] = x.F
+					continue
+				case types.KindInt:
+					p[i], notFloat[i] = float64(x.I), true
+					continue
+				}
+			}
+			f, err := s.attribute(row, r, i)
+			if err != nil {
+				return err
+			}
+			p[i], notFloat[i] = f, true
+		}
+	}
+	return nil
+}
+
+// folds reports whether an aggregate with a kernel folds over input
+// column c (1-based).
+func (s *SGB) folds(c int) bool {
+	for _, a := range s.Aggs {
+		if a.ArgCol == c && a.kernelShape() {
+			return true
+		}
+	}
+	return false
+}
+
+// attribute evaluates grouping attribute i of row r as a number: a
+// NULL, a failing expression or a value that is not numeric is an
+// error naming the row or the attribute.
+func (s *SGB) attribute(row types.Row, r, i int) (float64, error) {
+	v, err := s.GroupExprs[i](row)
+	if err != nil {
+		return 0, err
+	}
+	if v.IsNull() {
+		return 0, fmt.Errorf("exec: NULL similarity grouping attribute in row %d", r)
+	}
+	f, err := v.AsFloat()
+	if err != nil {
+		return 0, fmt.Errorf("exec: similarity grouping attribute %d: %v", i+1, err)
+	}
+	return f, nil
 }
 
 // evaluate extracts every point and runs the similarity operator

@@ -207,11 +207,6 @@ func (s *PointSet) CheckFinite() error {
 	return nil
 }
 
-// Dist computes δ(points[i], points[j]) under m.
-func (s *PointSet) Dist(m Metric, i, j int) float64 {
-	return m.keyToDist(m.distKeyCoords(s.At(i), s.At(j)))
-}
-
 // DistKey computes the metric comparison key of (points[i], points[j])
 // — the value the similarity predicate tests against m.EpsKey(eps).
 // See Metric.DistKey.

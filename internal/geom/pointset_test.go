@@ -157,13 +157,13 @@ func TestKernelEquivalence(t *testing.T) {
 
 func TestPointSetDistWithin(t *testing.T) {
 	ps := FromPoints([]Point{{0, 0}, {3, 4}})
-	if got := ps.Dist(L2, 0, 1); got != 5 {
+	if got := L2.Dist(ps.At(0), ps.At(1)); got != 5 {
 		t.Fatalf("Dist = %v, want 5", got)
 	}
 	if !(ps.DistKey(L2, 0, 1) <= L2.EpsKey(5)) || ps.DistKey(L2, 0, 1) <= L2.EpsKey(4.999) {
 		t.Fatal("DistKey thresholds wrong")
 	}
-	if got := ps.Dist(LInf, 0, 1); got != 4 {
+	if got := LInf.Dist(ps.At(0), ps.At(1)); got != 4 {
 		t.Fatalf("LInf Dist = %v, want 4", got)
 	}
 }

@@ -569,12 +569,17 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 	sim := gb.Similarity
 
 	groupExprs := make([]exec.Scalar, len(gb.Exprs))
+	groupCols := make([]int, len(gb.Exprs))
 	for i, ge := range gb.Exprs {
 		s, err := compileScalar(ge, in.env, b)
 		if err != nil {
 			return nil, nil, err
 		}
 		groupExprs[i] = s
+		if ref, ok := ge.(*sqlparser.ColumnRef); ok {
+			idx, _ := in.env.resolve(ref) // compileScalar has just resolved it
+			groupCols[i] = idx + 1
+		}
 	}
 
 	opt := core.Options{
@@ -646,6 +651,7 @@ func (b *Builder) planSimilarityGroupBy(sel *sqlparser.SelectStmt, in plannedInp
 	node := &exec.SGB{
 		Input:      in.op,
 		GroupExprs: groupExprs,
+		GroupCols:  groupCols,
 		Any:        sim.Semantics == sqlparser.SemanticsAny,
 		Opt:        opt,
 		EpsList:    epsList,
